@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -41,9 +42,10 @@ type Result struct {
 }
 
 // PipelineResult compares the Figure-2 step with the concurrent pipeline on
-// versus off at one pool width — the headline ratio of the fused/overlapped
-// step path. The comparison uses the engine-balanced Ewald splitting (see
-// run) and interleaves the two configurations so host-load drift cancels.
+// versus off at one pool width. Both arms run the same fused sweep and the
+// same wave pass, so the ratio is the engine overlap alone. The comparison
+// uses the engine-balanced Ewald splitting (see run) and interleaves the two
+// configurations so host-load drift cancels.
 type PipelineResult struct {
 	Workers    int     `json:"workers"`
 	OffNsPerOp float64 `json:"off_ns_per_op"`
@@ -52,12 +54,12 @@ type PipelineResult struct {
 }
 
 // BatchThroughputResult compares K replicas of the 216-ion system run
-// batched through one shared machine (mdm.RunBatch, the throughput protocol:
-// potential every 100 steps as in §5) against K sequential full runs through
-// the single-run API (mdm.NewSimulation + RunNVE, whose interactive default
-// evaluates the potential every step). Both arms run serially (Workers=1), so
-// the ratio is pure amortization — shared setup, shared step-path arenas and
-// the paper's bookkeeping cadence — not parallelism.
+// batched through one shared machine (mdm.RunBatch) against K sequential full
+// runs through the single-run API (mdm.NewSimulation + RunNVE). Both arms run
+// the same step path, serially (Workers=1), at the same potential cadence
+// (batchPotentialEvery), so the ratio isolates what batching itself shares —
+// one machine setup and one set of step-path arenas for K runs — not
+// parallelism, not the sweep variant and not the bookkeeping cadence.
 type BatchThroughputResult struct {
 	K                    int     `json:"k"`
 	Steps                int     `json:"steps"` // NVE steps per replica
@@ -179,12 +181,18 @@ func figure2Family(p ewald.Params, pipeline bool, skin float64) func(workers int
 	}
 }
 
+// batchPotentialEvery is the potential cadence of both batchThroughput arms:
+// every 100 steps, as in §5 (and RunBatch's own default).
+const batchPotentialEvery = 100
+
 // batchThroughput times one batched-vs-sequential comparison at batch size k:
 // K full replica runs (steps NVE steps each, seeds 1..K) through one shared
 // machine, then the same K runs through K fresh single-run simulations. These
-// are macro-benchmarks seconds long, so a single sample per arm is stable.
+// are macro-benchmarks seconds long, one sample per arm; a caller that gates on
+// the ratio must repeat it (batchSmoke does), since a loaded host can slow
+// either arm for its whole length.
 func batchThroughput(k, steps int) (BatchThroughputResult, error) {
-	cfg := mdm.Config{Cells: 3, Temperature: 1200, Workers: 1}
+	cfg := mdm.Config{Cells: 3, Temperature: 1200, Workers: 1, PotentialEvery: batchPotentialEvery}
 
 	start := time.Now()
 	if _, err := mdm.RunBatch(cfg, k, 0, steps); err != nil {
@@ -396,12 +404,14 @@ func pipelineCompare(p ewald.Params, workers, iters, reps int) (PipelineResult, 
 }
 
 // smoke gates CI: at workers=GOMAXPROCS the Figure-2 step must not run
-// meaningfully slower than serial, and with two or more host cores the
-// concurrent WINE-2/MDGRAPE-2 pipeline must beat the sequential step by the
-// overlap margin. On a single-core host the pool collapses to the inline
-// path and the engines cannot truly overlap, so both checks degenerate to
-// "overhead is noise"; on multicore they catch a parallelization or overlap
-// regression. The margins absorb scheduler jitter on loaded CI machines.
+// meaningfully slower than serial, and the concurrent WINE-2/MDGRAPE-2
+// pipeline must not run meaningfully slower than the sequential step at any
+// width. Pipeline on and off execute the same sweep and the same wave pass,
+// so their ratio is engine overlap alone — reported here, gated only against
+// loss: how much overlap buys depends on an idle second core, which a shared
+// CI runner does not promise (the repo benchmark's overlap_n512 workload is
+// the instrument for that gain). The margin absorbs scheduler jitter on
+// loaded CI machines.
 func smoke(iters, reps int) error {
 	widths := []int{1, runtime.GOMAXPROCS(0)}
 	if widths[1] == 1 {
@@ -423,69 +433,58 @@ func smoke(iters, reps int) error {
 		fmt.Printf("smoke: figure2Step workers=%d speedup %.2fx (gomaxprocs=%d)\n",
 			r.Workers, r.Speedup, rep.GOMAXPROCS)
 	}
-	if rep.GOMAXPROCS >= 2 && rep.NumCPU >= 2 {
-		// Overlap gate: pipeline-on vs pipeline-off at workers=1 — one host
-		// core per simulated engine, the paper's two-device concurrency.
-		// (At workers=GOMAXPROCS both configurations already saturate every
-		// core with striped work, so overlap cannot show; the gate needs an
-		// idle core for the second engine.) The fused sweep plus engine
-		// overlap must be worth at least 1.25× when the engines can actually
-		// run concurrently — two or more real cores; GOMAXPROCS≥2 on one
-		// core merely timeshares them.
-		const overlapMargin = 1.25
-		for _, pr := range rep.Pipeline {
-			if pr.Workers != 1 {
-				continue
-			}
-			if pr.Speedup < overlapMargin {
-				return fmt.Errorf("figure2Step pipeline at workers=%d is %.2fx the sequential step (required ≥ %.2fx)",
-					pr.Workers, pr.Speedup, overlapMargin)
-			}
-			fmt.Printf("smoke: figure2Step pipeline workers=%d overlap speedup %.2fx\n", pr.Workers, pr.Speedup)
+	for _, pr := range rep.Pipeline {
+		if pr.Speedup < 1/margin {
+			return fmt.Errorf("figure2Step pipeline at workers=%d is %.2fx the sequential step (allowed ≥ %.2fx)",
+				pr.Workers, pr.Speedup, 1/margin)
 		}
-	} else {
-		// Pipeline must still not lose to sequential even without a second
-		// core to overlap on.
-		for _, pr := range rep.Pipeline {
-			if pr.Speedup < 1/margin {
-				return fmt.Errorf("figure2Step pipeline at workers=%d is %.2fx the sequential step (allowed ≥ %.2fx)",
-					pr.Workers, pr.Speedup, 1/margin)
-			}
-		}
-		fmt.Printf("smoke: num_cpu=%d gomaxprocs=%d, engines cannot truly overlap; pipeline overhead check only\n",
-			rep.NumCPU, rep.GOMAXPROCS)
+		fmt.Printf("smoke: figure2Step pipeline workers=%d overlap ratio %.2fx (num_cpu=%d gomaxprocs=%d)\n",
+			pr.Workers, pr.Speedup, rep.NumCPU, rep.GOMAXPROCS)
 	}
-	if len(rep.Results) > 0 && rep.GOMAXPROCS == 1 {
-		fmt.Println("smoke: gomaxprocs=1, parallel widths collapse to the serial path; overhead check only")
+	if rep.GOMAXPROCS < 2 || rep.NumCPU < 2 {
+		fmt.Println("smoke: fewer than two cores, the engines cannot truly overlap and parallel widths timeshare; overhead check only")
 	}
 	return nil
 }
 
-// batchSmoke gates CI on the throughput mode's whole reason to exist: a
-// batched K=16 run of the 216-ion system must deliver at least 1.8× the
-// runs/sec of 16 sequential single-run simulations on the serial path (the
-// design point is ≥ 2×; the margin absorbs loaded CI machines). Both arms are
-// Workers=1, so the ratio measures amortization, not parallelism.
+// batchSmoke gates CI on the throughput mode not costing anything: a batched
+// K=16 run of the 216-ion system must deliver at least 0.95× the runs/sec of
+// 16 sequential single-run simulations. Both arms run the same step path at
+// Workers=1 and the same potential cadence, so what is left for batching to
+// win is the shared machine setup — a few percent at these run lengths. The
+// arms are seconds long and timed one after the other, so a loaded CI machine
+// can slow either one; up to three alternations are run, each arm keeps its
+// fastest time, and the gate passes as soon as the ratio of those clears.
 func batchSmoke(steps int) error {
-	br, err := batchThroughput(16, steps)
-	if err != nil {
-		return err
+	const (
+		k        = 16
+		margin   = 0.95
+		attempts = 3
+	)
+	batched, sequential := math.Inf(1), math.Inf(1)
+	for a := 0; a < attempts; a++ {
+		br, err := batchThroughput(k, steps)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("batch smoke: K=%d steps=%d: %.2f runs/s batched vs %.2f sequential (%.2fx)\n",
+			br.K, br.Steps, br.BatchedRunsPerSec, br.SequentialRunsPerSec, br.Speedup)
+		batched = min(batched, br.BatchedNsPerRun)
+		sequential = min(sequential, br.SequentialNsPerRun)
+		if sequential/batched >= margin {
+			return nil
+		}
 	}
-	fmt.Printf("batch smoke: K=%d steps=%d: %.2f runs/s batched vs %.2f sequential (%.2fx)\n",
-		br.K, br.Steps, br.BatchedRunsPerSec, br.SequentialRunsPerSec, br.Speedup)
-	const margin = 1.8
-	if br.Speedup < margin {
-		return fmt.Errorf("batched K=%d throughput is only %.2fx sequential (required ≥ %.1fx)", br.K, br.Speedup, margin)
-	}
-	return nil
+	return fmt.Errorf("batched K=%d throughput is only %.2fx sequential over %d alternations (required ≥ %.2fx)",
+		k, sequential/batched, attempts, margin)
 }
 
 func main() {
 	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	iters := flag.Int("iters", 10, "operations per timing sample")
 	reps := flag.Int("reps", 3, "timing samples per configuration (best is kept)")
-	smokeMode := flag.Bool("smoke", false, "CI gate: check parallel is not slower than serial on the Figure-2 step")
-	batchSmokeMode := flag.Bool("batch-smoke", false, "CI gate: batched K=16 must beat 16 sequential runs by ≥ 1.8x runs/sec")
+	smokeMode := flag.Bool("smoke", false, "CI gate: neither the parallel widths nor the engine-overlap pipeline may lose to the serial Figure-2 step")
+	batchSmokeMode := flag.Bool("batch-smoke", false, "CI gate: batched K=16 must not be slower than 16 sequential runs at the same potential cadence (≥ 0.95x runs/sec)")
 	batchSteps := flag.Int("batch-steps", 25, "NVE steps per replica in the batchThroughput family (0 skips the family)")
 	weakSmokeMode := flag.Bool("weak-smoke", false, "CI gate: the decomposition's reuse step must stream only ghost positions, and per-particle cost must stay flat at 8 ranks")
 	weakSteps := flag.Int("weak-steps", 6, "timed steps per rung in the weak-scaling family (0 skips the family)")

@@ -213,7 +213,7 @@ func run() (exit int) {
 	maxRestarts := flag.Int("max-restarts", 3, "restarts from checkpoint after fatal faults")
 	batch := flag.Int("batch", 0, "throughput mode: run K independent replicas (seeds seed..seed+K-1) through one machine; incompatible with faults/checkpointing/supervision")
 	workers := flag.Int("workers", 0, "worker-pool width striping the simulated pipelines across cores (0 = GOMAXPROCS, 1 = serial); bit-identical at any width")
-	pipeline := flag.Bool("pipeline", false, "overlap the WINE-2 wavenumber pass with the MDGRAPE-2 real-space sweep and fuse the four real-space passes; bit-identical to the sequential path")
+	pipeline := flag.Bool("pipeline", false, "run the WINE-2 wavenumber pass concurrently with the MDGRAPE-2 real-space sweep (engine overlap only; the step path and its results are the same, bit for bit)")
 	skin := flag.Float64("skin", 0, "Verlet skin in Å: reuse the sorted cell layout until a particle moves more than skin/2 (0 = rebuild every step)")
 	ranks := flag.Int("ranks", 0, "spatial decomposition: split the box into this many cell blocks, one real-space process each (0 = single process); bit-identical with -wave-ranks 1")
 	waveRanks := flag.Int("wave-ranks", 0, "wavenumber processes alongside -ranks (default 1); >1 regroups the structure-factor reduction and agrees to float64 rounding")

@@ -31,10 +31,10 @@ var ShardMerge = &Analyzer{
 // accumulate deterministically.
 var shardSerialIterators = map[string]map[string]bool{
 	"mdm/internal/cellindex": {
-		"ForEachOrderedPair":      true,
-		"ForEachOrderedPairTable": true,
-		"ForEachHalfPair":         true,
-		"forEachOrderedPair":      true,
+		"ForEachOrderedPair":   true,
+		"ForEachHalfPair":      true,
+		"ForEachHalfPairTable": true,
+		"forEachHalfPair":      true,
 	},
 }
 

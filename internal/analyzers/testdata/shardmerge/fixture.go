@@ -63,6 +63,10 @@ func serialPairs(s *cellindex.Sorted) float64 {
 	s.ForEachOrderedPair(func(i, j int, rij vec.V) {
 		pot += rij.X
 	})
+	// The host potential's half walk over a prebuilt neighbor table.
+	s.ForEachHalfPairTable(cellindex.BuildNeighborTable(s.Grid, nil), func(i, j int, rij vec.V) {
+		pot += rij.X
+	})
 	return pot
 }
 

@@ -11,13 +11,16 @@
 // a permutation of the particles grouped by cell, with a start-offset table
 // (the "cell memory" of Figure 9).
 //
-// Two pair walkers are provided:
+// Three pair walkers are provided:
 //
 //   - ForEachOrderedPair visits every (i, j) with j in the 27 neighbor cells
 //     of i's cell, with no distance test and no use of Newton's third law —
 //     the MDGRAPE-2 operation mode, whose operation count is N_int_g ≈ 13 N_int.
 //   - ForEachHalfPair visits every unordered pair within r_cut exactly once —
 //     the conventional-computer mode with Newton's third law (N_int).
+//   - ForEachHalfPairTable visits the ordered walk's pair set once per
+//     unordered pair, still with no distance test — how the host sums the
+//     potential over exactly the pairs the pipelines evaluated.
 package cellindex
 
 import (
@@ -376,30 +379,13 @@ func (s *Sorted) Refresh(pos []vec.V) {
 // (§2.2): the pipeline evaluates all N_int_g candidates and relies on the
 // force kernel vanishing beyond the cutoff. The visit order is deterministic.
 func (s *Sorted) ForEachOrderedPair(f func(i, j int, rij vec.V)) {
-	s.forEachOrderedPair(nil, f)
-}
-
-// ForEachOrderedPairTable is ForEachOrderedPair drawing each cell's neighbor
-// list from a prebuilt table instead of enumerating it — the same visit
-// order without the per-cell allocation. The table must belong to s.Grid's
-// geometry.
-func (s *Sorted) ForEachOrderedPairTable(nbt *NeighborTable, f func(i, j int, rij vec.V)) {
-	s.forEachOrderedPair(nbt, f)
-}
-
-func (s *Sorted) forEachOrderedPair(nbt *NeighborTable, f func(i, j int, rij vec.V)) {
 	g := s.Grid
 	for c := 0; c < g.NumCells(); c++ {
 		is, ie := s.CellRange(c)
 		if is == ie {
 			continue
 		}
-		var nbrs []Neighbor
-		if nbt != nil {
-			nbrs = nbt.Of(c)
-		} else {
-			nbrs = g.Neighbors(c)
-		}
+		nbrs := g.Neighbors(c)
 		for i := is; i < ie; i++ {
 			ri := s.Pos.At(i)
 			for _, nb := range nbrs {
@@ -440,43 +426,66 @@ func (s *Sorted) OrderedPairCount() int {
 // third law (operation count N · N_int). rcut must not exceed the grid cell
 // size times one (the grid guarantees this when built with the same cutoff).
 func (s *Sorted) ForEachHalfPair(rcut float64, f func(i, j int, rij vec.V)) {
-	g := s.Grid
 	r2 := rcut * rcut
+	s.forEachHalfPair(nil, func(i, j int, rij vec.V) {
+		if rij.Norm2() < r2 {
+			f(i, j, rij)
+		}
+	})
+}
+
+// ForEachHalfPairTable visits every unordered (i, j, image) triple of the
+// 27-cell walk exactly once, with no distance test: the pair set of
+// ForEachOrderedPair with Newton's third law applied — (OrderedPairCount − N)/2
+// visits, the (i, i, zero-shift) self visits dropped, a particle's own
+// non-zero images kept. It is the host's half-count walk (§2.2) over the
+// pipelines' pair set. Neighbor lists come from the prebuilt table (which
+// must belong to s.Grid's geometry), so the walk allocates nothing.
+func (s *Sorted) ForEachHalfPairTable(nbt *NeighborTable, f func(i, j int, rij vec.V)) {
+	s.forEachHalfPair(nbt, f)
+}
+
+// forEachHalfPair is the shared half walk. Which of a pair's two directed
+// visits survives depends only on the (cell, neighbor entry) it arrives
+// through, so the choice is made once per entry, not once per pair.
+func (s *Sorted) forEachHalfPair(nbt *NeighborTable, f func(i, j int, rij vec.V)) {
+	g := s.Grid
 	for c := 0; c < g.NumCells(); c++ {
 		is, ie := s.CellRange(c)
 		if is == ie {
 			continue
 		}
-		for _, nb := range g.Neighbors(c) {
+		var nbrs []Neighbor
+		if nbt != nil {
+			nbrs = nbt.Of(c)
+		} else {
+			nbrs = g.Neighbors(c)
+		}
+		for _, nb := range nbrs {
+			own := nb.Cell == c && nb.Shift == vec.Zero
+			if !own && !canonical(c, nb) {
+				continue
+			}
 			js, je := s.CellRange(nb.Cell)
 			for i := is; i < ie; i++ {
 				ri := s.Pos.At(i)
-				for j := js; j < je; j++ {
-					// Visit each unordered pair once: within the same image
-					// of the same cell use j > i; across cells/images use a
-					// canonical ordering on (cell, shift, index).
-					if nb.Cell == c && nb.Shift == vec.Zero {
-						if j <= i {
-							continue
-						}
-					} else if !canonical(c, nb, i, j) {
-						continue
-					}
-					rij := ri.Sub(s.Pos.At(j).Add(nb.Shift))
-					if rij.Norm2() < r2 {
-						f(i, j, rij)
-					}
+				j := js
+				if own { // the cell against itself: the j > i triangle
+					j = i + 1
+				}
+				for ; j < je; j++ {
+					f(i, j, ri.Sub(s.Pos.At(j).Add(nb.Shift)))
 				}
 			}
 		}
 	}
 }
 
-// canonical decides which of the two directed visits of a cross-cell pair is
-// kept. Pairs between cell c and neighbor nb are seen twice (once from each
-// side, with opposite shifts); keep the visit with the lexicographically
-// smaller (cell, -shift…) key, breaking exact self-image ties by index.
-func canonical(c int, nb Neighbor, i, j int) bool {
+// canonical decides which of the two directed visits of a cell pair is kept.
+// Pairs between cell c and neighbor entry nb are seen twice (once from each
+// side, with opposite shifts); keep the visit from the smaller cell index.
+// nb must not be c's own zero-shift entry.
+func canonical(c int, nb Neighbor) bool {
 	if c != nb.Cell {
 		return c < nb.Cell
 	}
@@ -488,12 +497,8 @@ func canonical(c int, nb Neighbor, i, j int) bool {
 		return nb.Shift.X > 0
 	case nb.Shift.Y != 0:
 		return nb.Shift.Y > 0
-	case nb.Shift.Z != 0:
-		return nb.Shift.Z > 0
 	}
-	// Unreachable for ForEachHalfPair (the zero-shift same-cell case is
-	// handled by the j > i test), but keep a sane default.
-	return i < j
+	return nb.Shift.Z > 0
 }
 
 // Occupancies returns the sorted list of per-cell particle counts; useful for

@@ -330,3 +330,81 @@ func BenchmarkCellVsHalfPairs(b *testing.B) {
 		_ = n
 	})
 }
+
+// imageKey identifies one unordered (i, j, image) triple: the pair with the
+// smaller index first and the whole-box shift of the visit seen from it. A
+// particle's own image (i == j) is the same triple under ±shift, so its sign
+// is normalized to first-non-zero-component positive.
+type imageKey struct{ i, j, sx, sy, sz int }
+
+func imageKeyOf(s *Sorted, i, j int, rij vec.V) imageKey {
+	// rij = ri - (rj + shift), so the shift is recovered to the nearest box.
+	d := s.At(i).Sub(s.At(j)).Sub(rij).Scale(1 / s.Grid.L)
+	k := imageKey{i, j, int(math.Round(d.X)), int(math.Round(d.Y)), int(math.Round(d.Z))}
+	flip := i > j
+	if i == j {
+		flip = k.sx < 0 || k.sx == 0 && (k.sy < 0 || k.sy == 0 && k.sz < 0)
+	}
+	if flip {
+		k = imageKey{j, i, -k.sx, -k.sy, -k.sz}
+	}
+	return k
+}
+
+// TestHalfPairTableVisitsEachImagePairOnce pins the cutoff-free half walk to
+// the ordered walk it halves: the same (i, j, image) triples, each unordered
+// one exactly once, the zero-shift self visits dropped — on every grid size
+// with distinct image handling (N = 1, 2: a cell is its own neighbor through
+// several shifts; N = 3: 27 distinct cells; N = 5: interior cells), with
+// enough empty cells at N = 5 to exercise the skips.
+func TestHalfPairTableVisitsEachImagePairOnce(t *testing.T) {
+	const l = 10.0
+	for _, n := range []int{1, 2, 3, 5} {
+		g := &Grid{L: l, N: n, CellSize: l / float64(n)}
+		pos := randomPositions(40, l, int64(n))
+		s := Sort(g, pos)
+		if n == 5 && s.Occupancies()[0] != 0 {
+			t.Fatalf("N=5: expected empty cells with 40 particles in 125 cells")
+		}
+		ordered := map[imageKey]int{}
+		s.ForEachOrderedPair(func(i, j int, rij vec.V) { ordered[imageKeyOf(s, i, j, rij)]++ })
+		half := map[imageKey]int{}
+		visits := 0
+		s.ForEachHalfPairTable(BuildNeighborTable(g, nil), func(i, j int, rij vec.V) {
+			half[imageKeyOf(s, i, j, rij)]++
+			visits++
+		})
+		if want := (s.OrderedPairCount() - len(pos)) / 2; visits != want {
+			t.Errorf("N=%d: %d half visits, want (ordered − N)/2 = %d", n, visits, want)
+		}
+		for k, c := range ordered {
+			self := k.i == k.j && k.sx == 0 && k.sy == 0 && k.sz == 0
+			switch {
+			case self && c != 1, !self && c != 2:
+				t.Fatalf("N=%d: ordered walk saw %+v %d times", n, k, c)
+			case self && half[k] != 0:
+				t.Errorf("N=%d: half walk visited self pair %+v", n, k)
+			case !self && half[k] != 1:
+				t.Errorf("N=%d: half walk visited %+v %d times, want 1", n, k, half[k])
+			}
+		}
+		if len(half) != len(ordered)-len(pos) {
+			t.Errorf("N=%d: half walk saw %d distinct triples, ordered walk %d + %d self", n, len(half), len(ordered)-len(pos), len(pos))
+		}
+	}
+}
+
+func TestHalfPairTableAllocatesNothing(t *testing.T) {
+	const l = 10.0
+	for _, n := range []int{1, 2, 3, 5} {
+		g := &Grid{L: l, N: n, CellSize: l / float64(n)}
+		s := Sort(g, randomPositions(40, l, int64(n)))
+		nbt := BuildNeighborTable(g, nil)
+		sum := 0.0
+		if avg := testing.AllocsPerRun(5, func() {
+			s.ForEachHalfPairTable(nbt, func(i, j int, rij vec.V) { sum += rij.X })
+		}); avg != 0 {
+			t.Errorf("N=%d: half walk allocates %.1f per call, want 0", n, avg)
+		}
+	}
+}

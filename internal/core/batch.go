@@ -97,9 +97,6 @@ func NewBatchMachine(cfg MachineConfig, systems []*md.System, dt float64) (*Batc
 	if err != nil {
 		return nil, err
 	}
-	// Throughput mode amortizes the pair enumeration across the four tables
-	// even on one core: the fused sweep, without the pipeline's overlap.
-	m.fuse = true
 	b := &BatchMachine{m: m, slots: make([]batchSlot, len(systems))}
 	for i, s := range systems {
 		if s.L != cfg.Ewald.L {

@@ -26,8 +26,8 @@ import (
 //	r⁻⁶ term:    g(x) = x⁻⁴, a = 1, b = -6 c_ij
 //	r⁻⁸ term:    g(x) = x⁻⁵, a = 1, b = -8 d_ij
 //
-// so the whole force field runs in four MDGRAPE-2 passes per step (one more
-// for the real-space Coulomb kernel of §3.5.4).
+// so the whole force field is four MDGRAPE-2 table passes per step (one more
+// for the real-space Coulomb kernel of §3.5.4), evaluated in one fused sweep.
 const (
 	tableCoulomb = "coulomb-real"
 	tableBM      = "born-mayer"
@@ -82,12 +82,12 @@ type MachineConfig struct {
 	// 1 forces the serial code path. Every width is bit-identical.
 	Workers int
 
-	// Pipeline overlaps the WINE-2 wavenumber pass with the MDGRAPE-2
-	// real-space work of each step — the machine-level concurrency of §3.1
-	// (the two engines are independent until the host combines forces) — and
-	// fuses the four real-space table passes into one cell-index sweep.
-	// Forces are bit-identical to the sequential path: the fixed-order
-	// reduction Coulomb + BM + r⁻⁶ + r⁻⁸ + wave is preserved exactly.
+	// Pipeline runs the WINE-2 wavenumber pass on its own goroutine while
+	// the MDGRAPE-2 real-space sweep runs on the caller's — the machine-level
+	// concurrency of §3.1 (the two engines are independent until the host
+	// combines forces). It decides nothing else: the sweep, the wave pass
+	// and the fixed-order reduction Coulomb + BM + r⁻⁶ + r⁻⁸ + wave are the
+	// same code either way, so forces are bit-identical on and off.
 	Pipeline bool
 
 	// Skin widens the cell grid to RCut+Skin (Å) so the sorted j-set can be
@@ -136,15 +136,6 @@ type Machine struct {
 	potCalls int
 	lastPot  float64
 
-	// fuse runs the real-space work as one fused four-table sweep even
-	// without the pipeline's engine overlap — same bits (the fixed reduction
-	// order is preserved), one pair enumeration instead of four, still
-	// strictly serial. The batch driver sets it: batched throughput must not
-	// depend on a second core, but may amortize the pair walk across tables.
-	// It stays off for the plain sequential path because the recovery layer's
-	// fault scenarios count four MDGRAPE-2 calls per step there.
-	fuse bool
-
 	// Step-path state, reused across Forces calls (the zero-alloc step path).
 	jsb          *mdgrape2.JSetBuilder // amortized j-set construction
 	js           *mdgrape2.JSet        // current j-set (owned by jsb)
@@ -153,12 +144,11 @@ type Machine struct {
 	jsetRebuilds int
 	jsetReuses   int
 	scale        []float64 // hoisted per-i Coulomb force prefactor
-	potScale     []float64 // hoisted per-i Coulomb potential prefactor
+	potScale     []float64 // hoisted per-i Coulomb potential prefactor (HardwarePotential only)
 	passes       [4]mdgrape2.ForcePass
-	wineForces   []vec.V         // wavenumber force buffer (sequential path)
-	realFC       soa.Coords      // fused-sweep force planes (pipeline path)
-	wineFC       soa.Coords      // wavenumber force planes (pipeline path)
-	wineDone     chan wineResult // join channel, reused across steps
+	realFC       soa.Coords      // fused-sweep force planes
+	wineFC       soa.Coords      // wavenumber force planes
+	wineDone     chan wineResult // pipeline join channel, reused across steps
 }
 
 // wineResult carries the wavenumber pass result across the pipeline join.
@@ -352,8 +342,8 @@ func (m *Machine) InvalidateGeometry() { m.haveJSet = false }
 // many reused it under the Verlet-skin bound.
 func (m *Machine) JSetStats() (rebuilds, reuses int) { return m.jsetRebuilds, m.jsetReuses }
 
-// ensureScale keeps the per-i Coulomb prefactor slices sized to n. The
-// prefactors depend only on the Ewald parameters, so they are built once and
+// ensureScale keeps the per-i Coulomb force prefactor slice sized to n. The
+// prefactor depends only on the Ewald parameters, so it is built once and
 // reused every step.
 func (m *Machine) ensureScale(n int) {
 	if len(m.scale) == n {
@@ -364,11 +354,6 @@ func (m *Machine) ensureScale(n int) {
 	pref := units.Coulomb * math.Pow(p.Alpha/p.L, 3)
 	for i := range m.scale {
 		m.scale[i] = pref
-	}
-	m.potScale = make([]float64, n)
-	ppref := units.Coulomb * p.Alpha / p.L
-	for i := range m.potScale {
-		m.potScale[i] = ppref
 	}
 }
 
@@ -422,12 +407,12 @@ func (m *Machine) realPasses() []mdgrape2.ForcePass {
 }
 
 // Forces implements md.ForceField: the per-step flow of §3.1 — send
-// positions to both backends, real-space forces from MDGRAPE-2 (four kernel
-// passes), wavenumber-space forces from WINE-2, host combines and adds the
-// self-energy bookkeeping. With cfg.Pipeline the wavenumber pass runs
-// concurrently with the real-space work and the four real-space passes fuse
-// into one sweep; the combined forces are bit-identical either way because
-// the reduction order is fixed: Coulomb + BM + r⁻⁶ + r⁻⁸, then + wave.
+// positions to both backends, real-space forces from MDGRAPE-2 (the four
+// kernel tables in one fused sweep), wavenumber-space forces from WINE-2,
+// host combines and adds the self-energy bookkeeping. cfg.Pipeline only
+// chooses whether the wavenumber pass runs concurrently with the sweep or
+// after it; the combined forces are bit-identical either way because the
+// reduction order is fixed: Coulomb + BM + r⁻⁶ + r⁻⁸, then + wave.
 //
 //mdm:stepflow -- hot-path root: the per-step force evaluation of §3.1; everything it reaches must stay deterministic and allocation-free
 func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
@@ -451,102 +436,47 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 		return nil, 0, err
 	}
 
-	var forces []vec.V
-	var wavePot float64
 	if m.cfg.Pipeline {
 		// Overlap the two engines, §3.1: WINE-2 works the wavenumber sum
 		// while MDGRAPE-2 (and its host loops) work the real-space sweep.
-		// The join is unconditional — no return path may leave the pass in
-		// flight (the recovery layer tears the machine down on failure).
+		// The join below is unconditional — no return path may leave the pass
+		// in flight (the recovery layer tears the machine down on failure).
 		//mdm:hotallocok -- one pipeline launch per step by design; the closure capture is the overlap mechanism and fits the ~10 allocs/step budget
-		go func() {
-			fc, wp, werr := m.wine.CalcForceAndPotWavepartCoordsInto(p, m.waves, s.Pos, s.Charge, m.wineFC)
-			m.wineDone <- wineResult{fc: fc, pot: wp, err: werr}
-		}()
-		fc, mdgErr := m.mr1.CalcVDWFusedInto(m.realPasses(), s.Pos, s.Type, js, m.realFC)
-		res := <-m.wineDone
-		if res.fc.Len() != 0 {
-			m.wineFC = res.fc // keep the planes even on an error path
-		}
-		if fc.Len() != 0 {
-			m.realFC = fc
-		}
-		if mdgErr != nil {
-			// Real-space error wins when both engines fail: the serial path
-			// surfaces the MDGRAPE-2 passes first, and the recovery ladder
-			// keys on that ordering.
-			return nil, 0, fmt.Errorf("core: real-space sweep: %w", mdgErr)
-		}
-		if res.err != nil {
-			return nil, 0, fmt.Errorf("core: wavenumber pass: %w", res.err)
-		}
-		wavePot = res.pot
-		// Combine on the planes in the fixed reduction order (real + wave) —
-		// componentwise float64 adds, bit-identical to the AoS vec.Add loop —
-		// then interleave once into the AoS []vec.V the md boundary expects.
-		wx, wy, wz := res.fc.X, res.fc.Y, res.fc.Z
-		for i := range fc.X {
-			fc.X[i] += wx[i]
-			fc.Y[i] += wy[i]
-			fc.Z[i] += wz[i]
-		}
-		//mdm:hotallocok -- the one fresh output slice per step the md.ForceField contract requires; every intermediate buffer is reused
-		forces = fc.AppendAoS(make([]vec.V, 0, n))
-	} else if m.fuse {
-		// Fused-serial path (batch driver): one four-table sweep, then the
-		// wavenumber pass, back to back on the calling goroutine. Bit-identical
-		// to both other paths — same fixed reduction order on the same planes.
-		fc, err := m.mr1.CalcVDWFusedInto(m.realPasses(), s.Pos, s.Type, js, m.realFC)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: real-space sweep: %w", err)
-		}
-		m.realFC = fc
-		wfc, wp, err := m.wine.CalcForceAndPotWavepartCoordsInto(p, m.waves, s.Pos, s.Charge, m.wineFC)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: wavenumber pass: %w", err)
-		}
-		m.wineFC = wfc
-		wavePot = wp
-		for i := range fc.X {
-			fc.X[i] += wfc.X[i]
-			fc.Y[i] += wfc.Y[i]
-			fc.Z[i] += wfc.Z[i]
-		}
-		//mdm:hotallocok -- the one fresh output slice per step the md.ForceField contract requires; every intermediate buffer is reused
-		forces = fc.AppendAoS(make([]vec.V, 0, n))
-	} else {
-		// Sequential path: four real-space passes back to back, then the
-		// wavenumber pass.
-		forces, err = m.mr1.CalcVDWBlock2(tableCoulomb, m.coCoulomb, s.Pos, s.Type, m.scale, js)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: Coulomb real-space pass: %w", err)
-		}
-		for _, pass := range []struct {
-			table string
-			co    *mdgrape2.Coeffs
-		}{
-			{tableBM, m.coBM},
-			{tableDisp6, m.coD6},
-			{tableDisp8, m.coD8},
-		} {
-			f, err := m.mr1.CalcVDWBlock2(pass.table, pass.co, s.Pos, s.Type, nil, js)
-			if err != nil {
-				return nil, 0, fmt.Errorf("core: %s pass: %w", pass.table, err)
-			}
-			for i := range forces {
-				forces[i] = forces[i].Add(f[i])
-			}
-		}
-		var wf []vec.V
-		wf, wavePot, err = m.wine.CalcForceAndPotWavepartInto(p, m.waves, s.Pos, s.Charge, m.wineForces)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: wavenumber pass: %w", err)
-		}
-		m.wineForces = wf
-		for i := range forces {
-			forces[i] = forces[i].Add(wf[i])
-		}
+		go func() { m.wineDone <- m.wavePass(s) }()
 	}
+	fc, mdgErr := m.mr1.CalcVDWFusedInto(m.realPasses(), s.Pos, s.Type, js, m.realFC)
+	var res wineResult
+	if m.cfg.Pipeline {
+		res = <-m.wineDone
+	} else if mdgErr == nil {
+		res = m.wavePass(s)
+	}
+	if res.fc.Len() != 0 {
+		m.wineFC = res.fc // keep the planes even on an error path
+	}
+	if fc.Len() != 0 {
+		m.realFC = fc
+	}
+	if mdgErr != nil {
+		// Real-space error wins when both engines fail: the serial order
+		// never reaches the wavenumber pass after a failed sweep, and the
+		// recovery ladder keys on that ordering.
+		return nil, 0, fmt.Errorf("core: real-space sweep: %w", mdgErr)
+	}
+	if res.err != nil {
+		return nil, 0, fmt.Errorf("core: wavenumber pass: %w", res.err)
+	}
+	// Combine on the planes in the fixed reduction order (real + wave) —
+	// componentwise float64 adds — then interleave once into the AoS []vec.V
+	// the md boundary expects.
+	wx, wy, wz := res.fc.X, res.fc.Y, res.fc.Z
+	for i := range fc.X {
+		fc.X[i] += wx[i]
+		fc.Y[i] += wy[i]
+		fc.Z[i] += wz[i]
+	}
+	//mdm:hotallocok -- the one fresh output slice per step the md.ForceField contract requires; every intermediate buffer is reused
+	forces := fc.AppendAoS(make([]vec.V, 0, n))
 
 	// Potential-energy bookkeeping (every PotentialEvery calls, like the
 	// paper's every-100-steps evaluation), either on the host in float64 or
@@ -559,9 +489,9 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 				return nil, 0, fmt.Errorf("core: hardware potential: %w", err)
 			}
 		} else {
-			realPot = m.hostPotential(s, js)
+			realPot = hostPotential(p, m.pot, js.Sorted, m.jsb.NeighborTable(), s)
 		}
-		m.lastPot = realPot + wavePot + ewald.SelfEnergy(p, s.Charge)
+		m.lastPot = realPot + res.pot + ewald.SelfEnergy(p, s.Charge)
 	}
 	m.potCalls++
 	return forces, m.lastPot, nil
@@ -571,7 +501,14 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 // potential mode: four φ-table passes over the same 27-cell pair set as the
 // force passes, halved because every unordered pair is visited twice.
 func (m *Machine) hardwarePotential(s *md.System, js *mdgrape2.JSet) (float64, error) {
-	m.ensureScale(s.N())
+	if len(m.potScale) != s.N() {
+		p := m.cfg.Ewald
+		m.potScale = make([]float64, s.N())
+		ppref := units.Coulomb * p.Alpha / p.L
+		for i := range m.potScale {
+			m.potScale[i] = ppref
+		}
+	}
 	total := 0.0
 	for _, pass := range []struct {
 		table string
@@ -594,47 +531,35 @@ func (m *Machine) hardwarePotential(s *md.System, js *mdgrape2.JSet) (float64, e
 	return total / 2, nil
 }
 
+// wavePass runs the WINE-2 wavenumber-space pass into the machine's wave
+// force planes. It touches no state the real-space sweep touches, so with
+// cfg.Pipeline it runs on its own goroutine beside the sweep.
+func (m *Machine) wavePass(s *md.System) wineResult {
+	fc, pot, err := m.wine.CalcForceAndPotWavepartCoordsInto(m.cfg.Ewald, m.waves, s.Pos, s.Charge, m.wineFC)
+	return wineResult{fc: fc, pot: pot, err: err}
+}
+
 // hostPotential evaluates the real-space Coulomb and short-range potential
-// energy in float64 on the host. It walks the same 27-cell pair set as the
-// MDGRAPE-2 force passes (which apply no r_cut test, §2.2), so the potential
-// stays consistent with the forces — the condition for energy conservation.
-// The walk reuses the step's shared j-set layout and neighbor table, saving
-// a second cell sort and the per-cell neighbor enumeration.
-func (m *Machine) hostPotential(s *md.System, js *mdgrape2.JSet) float64 {
-	p := m.cfg.Ewald
-	tf := m.pot
+// energy in float64 on the host — the one real-space potential walk of the
+// serial machine and the decomposed session alike. It covers the same
+// 27-cell pair set as the MDGRAPE-2 force passes (which apply no r_cut test,
+// §2.2), so the potential stays consistent with the forces — the condition
+// for energy conservation — but, being the conventional computer, at the
+// half count: each unordered (i, j, image) once, one square root per pair.
+// True self pairs (r = 0) contribute nothing, as in the pipelines. sorted and
+// nbt are the step's shared j-set layout and neighbor table, saving a second
+// cell sort and the per-cell neighbor enumeration.
+func hostPotential(p ewald.Params, tf *tosifumi.Potential, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable, s *md.System) float64 {
 	pot := 0.0
-	js.Sorted.ForEachOrderedPairTable(m.jsb.NeighborTable(), func(i, j int, rij vec.V) {
+	sorted.ForEachHalfPairTable(nbt, func(i, j int, rij vec.V) {
 		r2 := rij.Norm2()
 		if r2 == 0 {
 			return
 		}
-		oi, oj := js.Sorted.Order[i], js.Sorted.Order[j]
-		pot += p.RealPairEnergy(s.Charge[oi], s.Charge[oj], rij)
-		pot += tf.ShortEnergy(tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj]), rij.Norm())
-	})
-	return pot / 2
-}
-
-// machineRealPotential is the 27-cell (cutoff-free) real-space potential over
-// a freshly sorted layout (the parallel path, which has no shared j-set).
-func machineRealPotential(p ewald.Params, grid *cellindex.Grid, tf *tosifumi.Potential, s *md.System) float64 {
-	return machineRealPotentialSorted(p, cellindex.Sort(grid, s.Pos), tf, s)
-}
-
-// machineRealPotentialSorted walks every ordered 27-cell pair of the sorted
-// layout; each unordered pair is visited twice, so the sum is halved. True
-// self pairs (r = 0) contribute nothing, as in the pipelines.
-func machineRealPotentialSorted(p ewald.Params, sorted *cellindex.Sorted, tf *tosifumi.Potential, s *md.System) float64 {
-	pot := 0.0
-	sorted.ForEachOrderedPair(func(i, j int, rij vec.V) {
-		r2 := rij.Norm2()
-		if r2 == 0 {
-			return
-		}
+		r := math.Sqrt(r2)
 		oi, oj := sorted.Order[i], sorted.Order[j]
-		pot += p.RealPairEnergy(s.Charge[oi], s.Charge[oj], rij)
-		pot += tf.ShortEnergy(tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj]), rij.Norm())
+		pot += p.RealPairEnergyR(s.Charge[oi], s.Charge[oj], r)
+		pot += tf.ShortEnergy(tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj]), r)
 	})
-	return pot / 2
+	return pot
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mdm/internal/fault"
@@ -167,8 +168,56 @@ func TestPipelineChaosDeterministic(t *testing.T) {
 	}
 }
 
+// stepAllocs returns the steady-state heap allocations and bytes of one
+// Forces call (potential evaluated every call).
+func stepAllocs(t *testing.T, pipeline bool) (allocs, bytes float64, n int) {
+	t.Helper()
+	if raceDetectorEnabled {
+		t.Skip("race-detector instrumentation allocates per goroutine handoff; the pinned counts only hold in uninstrumented builds")
+	}
+	s := meltLike(t, 2, 5.64, 300, 31)
+	cfg := CurrentMachineConfig(smallParams(s.L))
+	cfg.Pipeline = pipeline
+	cfg.Skin = 0.6
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = m.Free() }()
+	step := func() {
+		if _, _, err := m.Forces(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm the arena
+		step()
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, step)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call of its own.
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1), s.N()
+}
+
+// TestDefaultStepAllocs pins the default (Pipeline off) step: it allocates
+// no more than the pipeline step less the goroutine launch, and in bytes
+// little beyond the one force slice md.ForceField hands to the caller (the
+// four-pass path allocated four of them plus a pass table every step).
+func TestDefaultStepAllocs(t *testing.T) {
+	allocs, bytes, n := stepAllocs(t, false)
+	t.Logf("default step: %.1f allocs, %.0f B (N=%d)", allocs, bytes, n)
+	if allocs > 10 {
+		t.Errorf("steady-state default step does %.1f allocs, want ≤ 10", allocs)
+	}
+	if limit := float64(n*24 + 2048); bytes > limit {
+		t.Errorf("steady-state default step allocates %.0f B, want ≤ %.0f (one %d-vector force slice + closures)", bytes, limit, n)
+	}
+}
+
 // TestPipelineStepAllocs bounds the steady-state allocation count of the
-// fused pipeline step. The per-step allocations that remain by design: the
+// pipeline step. The per-step allocations that remain by design: the
 // returned force slice (md.ForceField gives ownership to the caller), the
 // wine goroutine + its closure, the pool.Run closures of the fused sweep and
 // the sort, and the host-potential pair-walk closure. Everything else —
@@ -176,29 +225,8 @@ func TestPipelineChaosDeterministic(t *testing.T) {
 // coefficient caches, prefactor slices — is reused, which is what keeps the
 // bound flat in n and step count.
 func TestPipelineStepAllocs(t *testing.T) {
-	s := meltLike(t, 2, 5.64, 300, 31)
-	p := smallParams(s.L)
-	cfg := CurrentMachineConfig(p)
-	cfg.Pipeline = true
-	cfg.Skin = 0.6
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = m.Free() }()
-	// Warm the arena.
-	for i := 0; i < 3; i++ {
-		if _, _, err := m.Forces(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		if _, _, err := m.Forces(s); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 12 {
-		t.Errorf("steady-state pipeline step does %.1f allocs, want ≤ 12", avg)
+	if allocs, _, _ := stepAllocs(t, true); allocs > 12 {
+		t.Errorf("steady-state pipeline step does %.1f allocs, want ≤ 12", allocs)
 	}
 }
 

@@ -376,7 +376,7 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 			pr.potDirty = false
 		}
 		pr.potSorted.Refresh(s.Pos)
-		realPot := pr.realPotential(s)
+		realPot := hostPotential(p, pr.tf, pr.potSorted, pr.potNbt, s)
 		pr.lastPot = realPot + pr.wavePot + ewald.SelfEnergy(p, s.Charge)
 	}
 	pr.potCalls++
@@ -391,26 +391,6 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	pr.res.TrafficByTag = nil
 	pr.out = nil
 	return &pr.res, nil
-}
-
-// realPotential walks every ordered 27-cell pair of the driver's sorted
-// layout — the same pair set as the rank force passes — in float64, exactly
-// like Machine.hostPotential.
-func (pr *ParallelRun) realPotential(s *md.System) float64 {
-	p := pr.cfg.Ewald
-	tf := pr.tf
-	sorted := pr.potSorted
-	pot := 0.0
-	sorted.ForEachOrderedPairTable(pr.potNbt, func(i, j int, rij vec.V) {
-		r2 := rij.Norm2()
-		if r2 == 0 {
-			return
-		}
-		oi, oj := sorted.Order[i], sorted.Order[j]
-		pot += p.RealPairEnergy(s.Charge[oi], s.Charge[oj], rij)
-		pot += tf.ShortEnergy(tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj]), rij.Norm())
-	})
-	return pot / 2
 }
 
 // wireError wraps a malformed incoming payload as a link fault, so the

@@ -165,7 +165,12 @@ func (p Params) RealPairForce(qi, qj float64, rij vec.V) vec.V {
 // RealPairEnergy returns the real-space Coulomb pair energy
 // q_i q_j erfc(α r/L) / (4πε0 r).
 func (p Params) RealPairEnergy(qi, qj float64, rij vec.V) float64 {
-	r := rij.Norm()
+	return p.RealPairEnergyR(qi, qj, rij.Norm())
+}
+
+// RealPairEnergyR is RealPairEnergy at a separation r the caller already
+// holds (a pair walk that shares one square root between several kernels).
+func (p Params) RealPairEnergyR(qi, qj, r float64) float64 {
 	if r == 0 {
 		return 0
 	}

@@ -246,16 +246,18 @@ func (m *Manager) runSession(s *Session) {
 
 	switch reason := s.stop.Load(); {
 	case err == nil:
-		s.finish(StateDone, manifestDone, "", "")
+		// Breaker verdict first: once finish publishes the state, a waiter
+		// may submit again and must meet the updated breaker.
 		m.breakers.OKScope(s.Tenant, int(tick))
+		s.finish(StateDone, manifestDone, "", "")
 	case errors.Is(err, mdm.ErrInterrupted) && reason == stopCancel:
 		s.finish(StateCanceled, manifestCanceled, "", "")
 	case errors.Is(err, mdm.ErrInterrupted) && reason == stopPause:
 		s.stop.Store(stopNone)
 		s.finish(StatePaused, manifestPaused, "", "")
 	case errors.Is(err, mdm.ErrInterrupted) && reason == stopDeadline:
-		s.finish(StateFailed, manifestFailed, errKindDeadline, "session deadline exceeded")
 		m.breakers.Fail(s.Tenant, int(tick))
+		s.finish(StateFailed, manifestFailed, errKindDeadline, "session deadline exceeded")
 	case errors.Is(err, mdm.ErrInterrupted): // drain
 		s.mu.Lock()
 		s.state = StateQueued
@@ -270,8 +272,8 @@ func (m *Manager) runSession(s *Session) {
 		s.errKind, s.errMsg = errKindRun, err.Error()
 		s.mu.Unlock()
 	default:
-		s.finish(StateFailed, manifestFailed, failKind(err), err.Error())
 		m.breakers.Fail(s.Tenant, int(tick))
+		s.finish(StateFailed, manifestFailed, failKind(err), err.Error())
 	}
 }
 

@@ -105,10 +105,11 @@ type Config struct {
 	// trajectories; the reference backend ignores it.
 	Workers int
 
-	// Pipeline overlaps the WINE-2 wavenumber pass with the MDGRAPE-2
-	// real-space work of every step and fuses the four real-space table
-	// passes into one cell-index sweep (MDM backend only). Trajectories are
-	// bit-identical with the flag on or off at the same Skin.
+	// Pipeline runs the WINE-2 wavenumber pass of every step on its own
+	// goroutine beside the MDGRAPE-2 real-space sweep (MDM backend only). It
+	// changes only the scheduling — the sweep, the wave pass and the force
+	// reduction are the same code — so trajectories are bit-identical with
+	// the flag on or off at the same Skin.
 	Pipeline bool
 
 	// Skin is the Verlet skin in Å added to the real-space cell grid so the

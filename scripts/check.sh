@@ -35,10 +35,10 @@ go test -race ./internal/fault/... ./internal/mpi/... ./internal/core/... \
     ./internal/cellindex/... ./internal/supervise/... ./internal/store/... \
     ./internal/lifecycle/... ./internal/serve/...
 
-echo "==> bench smoke (parallel must not lose to serial; pipeline overlap at GOMAXPROCS=2)"
+echo "==> bench smoke (neither the parallel widths nor the engine-overlap pipeline may lose to serial; prints the overlap ratio at GOMAXPROCS=2)"
 GOMAXPROCS=2 go run ./cmd/mdmbench -smoke -iters 3 -reps 2
 
-echo "==> batch throughput smoke (K=16 batched must amortize >=1.8x over sequential, single core)"
+echo "==> batch throughput smoke (K=16 batched must not be slower than sequential at the same potential cadence, >=0.95x, single core)"
 GOMAXPROCS=1 go run ./cmd/mdmbench -batch-smoke
 
 echo "==> weak-scaling smoke (reuse steps stream ghost positions only; per-particle cost flat at 8 ranks)"
