@@ -30,6 +30,19 @@ func readReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
+// normalised renders the per-pair / per-particle·wave form of a row when both
+// reports recorded it (older artifacts carry none); informative only — the
+// verdict stays on ns/op, of which these are a constant fraction.
+func normalised(or, nr Result) string {
+	switch {
+	case or.NsPerPair > 0 && nr.NsPerPair > 0:
+		return fmt.Sprintf("  ns/pair %.2f → %.2f", or.NsPerPair, nr.NsPerPair)
+	case or.NsPerParticleWave > 0 && nr.NsPerParticleWave > 0:
+		return fmt.Sprintf("  ns/particle·wave %.2f → %.2f", or.NsPerParticleWave, nr.NsPerParticleWave)
+	}
+	return ""
+}
+
 type benchKey struct {
 	name    string
 	workers int
@@ -90,8 +103,8 @@ func compareReports(aPath, bPath string, threshold float64) (int, error) {
 			mark = "  ALLOC REGRESSION"
 			regressions++
 		}
-		fmt.Printf("%-34s %14.0f %14.0f %+8.1f%% %7.1f → %-7.1f%s\n",
-			label, or.NsPerOp, nr.NsPerOp, 100*delta, or.AllocsPerOp, nr.AllocsPerOp, mark)
+		fmt.Printf("%-34s %14.0f %14.0f %+8.1f%% %7.1f → %-7.1f%s%s\n",
+			label, or.NsPerOp, nr.NsPerOp, 100*delta, or.AllocsPerOp, nr.AllocsPerOp, normalised(or, nr), mark)
 	}
 	for _, r := range a.Results {
 		if _, ok := newByKey[benchKey{r.Name, r.Workers}]; !ok {

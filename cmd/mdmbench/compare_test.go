@@ -77,3 +77,27 @@ func TestCompareReportsClean(t *testing.T) {
 		t.Fatalf("self-compare: got %d regressions, %v; want 0", got, err)
 	}
 }
+
+// The normalised columns appear only when both artifacts recorded them, and a
+// report without them still decodes and compares (older BENCH files).
+func TestNormalisedColumnsNeedBothSides(t *testing.T) {
+	old := Result{Name: "machineForces", Workers: 1, NsPerOp: 1000}
+	withPair := Result{Name: "machineForces", Workers: 1, NsPerOp: 800, NsPerPair: 4}
+	if got := normalised(old, withPair); got != "" {
+		t.Errorf("older side without ns_per_pair rendered %q", got)
+	}
+	if got := normalised(withPair, withPair); got != "  ns/pair 4.00 → 4.00" {
+		t.Errorf("both sides with ns_per_pair rendered %q", got)
+	}
+	wave := Result{Name: "wine2DFTIDFT", Workers: 1, NsPerOp: 800, NsPerParticleWave: 9.5}
+	if got := normalised(wave, wave); got != "  ns/particle·wave 9.50 → 9.50" {
+		t.Errorf("both sides with ns_per_particle_wave rendered %q", got)
+	}
+	data, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != `{"name":"machineForces","workers":1,"ns_per_op":1000,"speedup":0,"allocs_per_op":0}` {
+		t.Errorf("a row without normalised figures must not grow keys: %s", data)
+	}
+}

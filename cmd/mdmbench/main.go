@@ -39,6 +39,14 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	Speedup     float64 `json:"speedup"` // vs workers=1 of the same name
 	AllocsPerOp float64 `json:"allocs_per_op"`
+
+	// Normalised forms of NsPerOp, so records at different N compare
+	// (ROADMAP item 3b). machineForces: per MDGRAPE-2 pair evaluation (one per
+	// pair per table pass, mdgrape2.Stats.PairsEvaluated) — the whole Forces
+	// op, wave pass and potential included, so an upper bound on the sweep's
+	// own cost. wine2DFTIDFT: per particle·wave operation (DFT + IDFT ops).
+	NsPerPair         float64 `json:"ns_per_pair,omitempty"`
+	NsPerParticleWave float64 `json:"ns_per_particle_wave,omitempty"`
 }
 
 // PipelineResult compares the Figure-2 step with the concurrent pipeline on
@@ -153,6 +161,16 @@ func (rep *Report) family(name string, widths []int, iters, reps int, mk func(wo
 	return nil
 }
 
+// normalise fills a normalised field on every row of one family: work is the
+// family's operation count per op, which no pool width changes.
+func (rep *Report) normalise(name string, work int64, field func(*Result) *float64) {
+	for i := range rep.Results {
+		if r := &rep.Results[i]; r.Name == name && work > 0 {
+			*field(r) = r.NsPerOp / float64(work)
+		}
+	}
+}
+
 // figure2Family builds the Figure-2 step op at one machine configuration.
 func figure2Family(p ewald.Params, pipeline bool, skin float64) func(workers int) (func() error, error) {
 	return func(workers int) (func() error, error) {
@@ -242,6 +260,7 @@ func run(widths []int, iters, reps, batchSteps, weakSteps int) (*Report, error) 
 	}
 	waves := ewald.Waves(p)
 
+	var pairsPerOp int64 // one Forces call's pair evaluations
 	if err := rep.family("machineForces", widths, iters, reps, func(workers int) (func() error, error) {
 		cfg := core.CurrentMachineConfig(p)
 		cfg.Workers = workers
@@ -249,6 +268,10 @@ func run(widths []int, iters, reps, batchSteps, weakSteps int) (*Report, error) 
 		if err != nil {
 			return nil, err
 		}
+		if _, _, err := m.Forces(sys); err != nil {
+			return nil, err
+		}
+		pairsPerOp = m.MDGStats().PairsEvaluated
 		return func() error {
 			_, _, err := m.Forces(sys)
 			return err
@@ -256,6 +279,7 @@ func run(widths []int, iters, reps, batchSteps, weakSteps int) (*Report, error) 
 	}); err != nil {
 		return nil, err
 	}
+	rep.normalise("machineForces", pairsPerOp, func(r *Result) *float64 { return &r.NsPerPair })
 
 	if err := rep.family("wine2DFTIDFT", widths, iters, reps, func(workers int) (func() error, error) {
 		w, err := wine2.NewSystem(wine2.CurrentConfig())
@@ -274,6 +298,8 @@ func run(widths []int, iters, reps, batchSteps, weakSteps int) (*Report, error) 
 	}); err != nil {
 		return nil, err
 	}
+	// One DFT and one IDFT operation per particle·wave.
+	rep.normalise("wine2DFTIDFT", 2*int64(len(waves))*int64(sys.N()), func(r *Result) *float64 { return &r.NsPerParticleWave })
 
 	if err := rep.family("jsetBuild", widths, iters, reps, func(workers int) (func() error, error) {
 		grid, err := cellindex.NewGrid(sys.L, p.RCut)

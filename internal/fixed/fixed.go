@@ -149,6 +149,48 @@ func Convert(raw int64, from, to Format) int64 {
 	}
 }
 
+// Rounder is Convert resolved for one format pair: the shift direction and
+// distance, the rounding half and the saturation bounds are fixed when the
+// datapath is built — wiring, not per-word decisions — so Round is a handful
+// of register operations with no branch on the sign.
+type Rounder struct {
+	left, right uint  // exactly one is non-zero (both zero: equal Frac)
+	half        int64 // 2^(right-1), 0 when shifting left
+	neg         int64 // all ones when shifting right: -1 joins the half for negative words
+	min, max    int64 // saturation bounds of the target format
+}
+
+// NewRounder resolves Convert(·, from, to).
+func NewRounder(from, to Format) Rounder {
+	r := Rounder{min: to.MinRaw(), max: to.MaxRaw()}
+	if to.Frac >= from.Frac {
+		r.left = to.Frac - from.Frac
+	} else {
+		r.right = from.Frac - to.Frac
+		r.half = int64(1) << (r.right - 1)
+		r.neg = -1
+	}
+	return r
+}
+
+// Round returns exactly Convert(raw, from, to) for the resolved pair.
+// Round-half-away-from-zero without the sign branch: for a negative word
+// -((-v + half) >> s) = ceil((v - half) / 2^s) = floor((v + half - 1) / 2^s),
+// because 2^s - half = half; the arithmetic shift is the floor, and v>>63
+// supplies the -1 only when v is negative.
+func (r *Rounder) Round(raw int64) int64 {
+	// The &63 tells the compiler both distances are below the carrier width
+	// (Format.Valid bounds them), so each shift is one instruction.
+	v := (raw<<(r.left&63) + r.half + (raw >> 63 & r.neg)) >> (r.right & 63)
+	if v > r.max {
+		v = r.max
+	}
+	if v < r.min {
+		v = r.min
+	}
+	return v
+}
+
 // MulRound multiplies two raw values and rounds the product down to outFrac
 // fractional bits, given the operands' fractional bit counts. The caller must
 // ensure the operand widths sum to < 63 bits; this mirrors a hardware
@@ -224,6 +266,55 @@ func (t *SinCosTable) lookup(phase int64, phaseFrac uint) int64 {
 	interp := a + roundShift(diff*rem, idxShift)
 	return t.out.Saturate(interp)
 }
+
+// TrigUnit is a SinCosTable resolved for one phase format: the turn mask, the
+// index shift, the interpolation-remainder mask, its rounding half and the
+// quarter-turn offset are fields fixed at construction, as the widths of a
+// pipeline's trigonometric unit are fixed at synthesis. It shares the table's
+// samples; Sin and Cos return exactly what SinCosTable.SinCos returns.
+type TrigUnit struct {
+	sin      []int64
+	mask     int64 // phase bits of one turn
+	remMask  int64 // position inside a table segment
+	half     int64 // rounding half of the interpolation shift
+	quarter  int64 // 1/4 turn: cos(x) = sin(x + quarter)
+	idxShift uint
+}
+
+// Unit resolves the table for phases with phaseFrac fractional bits of a
+// turn. phaseFrac must leave at least two interpolation bits below the table
+// index (phaseFrac >= LogSize+2) and fit the carrier.
+func (t *SinCosTable) Unit(phaseFrac uint) (TrigUnit, error) {
+	if phaseFrac < t.logSize+2 || phaseFrac > 61 {
+		return TrigUnit{}, fmt.Errorf("fixed: phase width %d outside [%d, 61] for a 2^%d-entry sine table",
+			phaseFrac, t.logSize+2, t.logSize)
+	}
+	idxShift := phaseFrac - t.logSize
+	return TrigUnit{
+		sin:      t.sin,
+		mask:     int64(1)<<phaseFrac - 1,
+		remMask:  int64(1)<<idxShift - 1,
+		half:     int64(1) << (idxShift - 1),
+		quarter:  int64(1) << (phaseFrac - 2),
+		idxShift: idxShift,
+	}, nil
+}
+
+// Sin evaluates the sine of a phase in fixed-point turns; only the fractional
+// part of the phase is used. The interpolant a + round((b-a)·rem / 2^shift)
+// lies between the two stored samples a and b, which NewSinCosTable already
+// saturated to the output format, so no clamp follows; the rounding is the
+// branch-free round-half-away-from-zero of Rounder.Round.
+func (u *TrigUnit) Sin(phase int64) int64 {
+	p := phase & u.mask
+	i := p >> (u.idxShift & 63) // idxShift < 62 by construction; the mask makes the shift one instruction
+	a := u.sin[i]
+	d := (u.sin[i+1] - a) * (p & u.remMask)
+	return a + (d+u.half+d>>63)>>(u.idxShift&63)
+}
+
+// Cos evaluates the cosine of a phase in fixed-point turns.
+func (u *TrigUnit) Cos(phase int64) int64 { return u.Sin(phase + u.quarter) }
 
 func roundShift(v int64, shift uint) int64 {
 	if shift == 0 {

@@ -50,10 +50,10 @@ func linearEval(t *testing.T, g func(float64) float64, nseg int, x float64) floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, u := tbl.segmentIndex(x)
-	lo, hi := tbl.segmentBounds(seg)
+	seg, u := tbl.address(math.Float32bits(float32(x)))
+	lo, hi := tbl.segmentBounds(int(seg))
 	gl, gh := g(lo), g(hi)
-	return gl + (gh-gl)*u
+	return gl + (gh-gl)*float64(u)
 }
 
 func TestAblationOrder(t *testing.T) {

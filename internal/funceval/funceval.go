@@ -21,6 +21,7 @@ package funceval
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Order is the interpolation order used by the MDGRAPE-2 evaluator.
@@ -30,17 +31,45 @@ const Order = 4
 // function-evaluator RAM.
 const DefaultSegments = 1024
 
-// Table holds the coefficient RAM for one function g(x).
+// Table holds the coefficient RAM for one function g(x) together with the
+// address wiring resolved for its domain.
 type Table struct {
-	emin, emax int     // domain is [2^emin, 2^emax)
-	lo, hi     float64 // cached 2^emin, 2^emax: Eval runs once per pair per pass
-	segPerOct  int     // segments per octave
+	emin, emax int // domain is [2^emin, 2^emax)
+	segPerOct  int // segments per octave, 2^k
 	coeff      [][Order + 1]float32
 	highValue  float32 // returned for x >= 2^emax (hardware cutoff tail)
+
+	wiring
+	loBits, hiBits uint32 // float32 words of 2^emin and 2^emax
 }
 
+// wiring says which bit field of an argument's float32 word selects the
+// segment and which is the local coordinate. With 2^k segments per octave,
+// the exponent field and the top k mantissa bits form one integer that counts
+// segments from 2^-127; the remaining 23-k mantissa bits are the position
+// inside the segment.
+type wiring struct {
+	shift  uint    // 23 - k
+	base   uint32  // word>>shift of the domain minimum
+	mask   uint32  // the 23-k local-coordinate bits
+	uscale float32 // 2^-(23-k): local bits → u in [0, 1)
+}
+
+// float32 exponent range of normal numbers: the argument word carries the
+// octave in its exponent field only for these.
+const (
+	minExp32  = -126
+	maxExp32  = 127
+	mantBits  = 23
+	expBias32 = 127
+	infBits32 = 0x7f800000
+)
+
 // NewTable builds a coefficient table for g over the domain [2^emin, 2^emax)
-// using nseg segments. nseg must be a positive multiple of (emax-emin).
+// using nseg segments. nseg must be a positive multiple of (emax-emin) that
+// gives a power-of-two number of segments per octave (at most 2^23), and the
+// domain must lie inside the float32 normal range [2^-126, 2^127]: segments
+// are addressed from bit fields of the argument's float32 word.
 // Outside the domain, Eval returns g evaluated at the domain minimum for
 // 0 < x < 2^emin (clamp), and highValue — normally 0, the hardware's implicit
 // cutoff — for x >= 2^emax.
@@ -52,18 +81,33 @@ func NewTable(g func(float64) float64, emin, emax, nseg int) (*Table, error) {
 	if emax <= emin {
 		return nil, fmt.Errorf("funceval: empty exponent range [%d,%d)", emin, emax)
 	}
+	if emin < minExp32 || emax > maxExp32 {
+		return nil, fmt.Errorf("funceval: domain [2^%d, 2^%d) outside the float32 normal range [2^%d, 2^%d]",
+			emin, emax, minExp32, maxExp32)
+	}
 	oct := emax - emin
 	if nseg <= 0 || nseg%oct != 0 {
 		return nil, fmt.Errorf("funceval: nseg %d is not a positive multiple of %d octaves", nseg, oct)
 	}
+	segPerOct := nseg / oct
+	k := uint(bits.TrailingZeros(uint(segPerOct)))
+	if segPerOct != 1<<k || k > mantBits {
+		return nil, fmt.Errorf("funceval: %d segments per octave is not a power of two up to 2^%d", segPerOct, mantBits)
+	}
+	shift := mantBits - k
 	t := &Table{
 		emin:      emin,
 		emax:      emax,
-		lo:        math.Ldexp(1, emin),
-		hi:        math.Ldexp(1, emax),
-		segPerOct: nseg / oct,
+		segPerOct: segPerOct,
 		coeff:     make([][Order + 1]float32, nseg),
-		highValue: 0,
+		wiring: wiring{
+			shift:  shift,
+			base:   uint32(emin+expBias32) << k,
+			mask:   1<<shift - 1,
+			uscale: float32(math.Ldexp(1, -int(shift))),
+		},
+		loBits: uint32(emin+expBias32) << mantBits,
+		hiBits: uint32(emax+expBias32) << mantBits,
 	}
 	for s := 0; s < nseg; s++ {
 		lo, hi := t.segmentBounds(s)
@@ -89,7 +133,7 @@ func MustNewTable(g func(float64) float64, emin, emax, nseg int) *Table {
 func (t *Table) Segments() int { return len(t.coeff) }
 
 // Domain returns the representable argument range [lo, hi).
-func (t *Table) Domain() (lo, hi float64) { return t.lo, t.hi }
+func (t *Table) Domain() (lo, hi float64) { return math.Ldexp(1, t.emin), math.Ldexp(1, t.emax) }
 
 // segmentBounds returns the argument interval covered by segment s.
 func (t *Table) segmentBounds(s int) (lo, hi float64) {
@@ -102,34 +146,14 @@ func (t *Table) segmentBounds(s int) (lo, hi float64) {
 	return lo, hi
 }
 
-// segmentIndex maps a positive argument inside the domain to its segment and
-// the local coordinate u in [0,1). For a normal argument the exponent and
-// mantissa come straight from the IEEE-754 word — the addressing the hardware
-// performs on the argument's floating-point representation — which yields
-// exactly frexp's decomposition (octave e, mantissa position frac·2−1, both
-// exact operations) without frexp's call and normalization overhead.
-func (t *Table) segmentIndex(x float64) (seg int, u float64) {
-	const expMask = uint64(0x7ff) << 52
-	bits := math.Float64bits(x)
-	biased := int(bits >> 52 & 0x7ff)
-	var e int
-	var m float64
-	if biased != 0 {
-		e = biased - 1023
-		m = math.Float64frombits(bits&^expMask|(1023<<52)) - 1
-	} else {
-		// Subnormal argument (a domain bottom below 2^-1022): the exponent
-		// field carries no information, fall back to the general decomposition.
-		frac, exp := math.Frexp(x) // x = frac * 2^exp, frac in [0.5, 1)
-		e = exp - 1                // octave exponent: x in [2^e, 2^(e+1))
-		m = frac*2 - 1             // mantissa position in the octave, [0, 1)
-	}
-	pos := m * float64(t.segPerOct)
-	sub := int(pos)
-	if sub >= t.segPerOct { // guard against rounding at the octave edge
-		sub = t.segPerOct - 1
-	}
-	return (e-t.emin)*t.segPerOct + sub, pos - float64(sub)
+// address maps the float32 word of an argument inside the domain to its
+// segment and the local coordinate u in [0,1) — the addressing the hardware
+// performs on the argument's floating-point representation. Both results are
+// exact: the segment is an integer bit field, and u is an integer below
+// 2^(23-k) scaled by a power of two.
+func (a wiring) address(word uint32) (seg uint32, u float32) {
+	// shift <= 23; the mask lets the compiler emit a bare shift.
+	return word>>(a.shift&31) - a.base, float32(int32(word&a.mask)) * a.uscale
 }
 
 // fitSegment computes interpolation coefficients for g on [lo, hi) in the
@@ -212,26 +236,49 @@ func solveVandermonde(u, v [Order + 1]float64) ([Order + 1]float64, error) {
 // domain minimum; arguments at or above the domain maximum return the
 // high-side tail value (0 by default — the implicit cutoff).
 func (t *Table) Eval(x float32) float32 {
-	xf := float64(x) //mdm:float64ok -- exact widening used only for segment addressing, not arithmetic
-	if !(xf > 0) {   // also rejects NaN, which fails every comparison
-		return 0
+	in, out := [1]float32{x}, [1]float32{}
+	t.EvalInto(out[:], in[:])
+	return out[0]
+}
+
+// EvalInto evaluates the table at every x[i] into dst[i] (len(dst) must be at
+// least len(x)), with Eval's treatment of out-of-domain arguments. The block
+// form keeps the address wiring in registers across the run — how a pipeline
+// sees a streamed j-block.
+func (t *Table) EvalInto(dst, x []float32) {
+	dst = dst[:len(x)]
+	coeff, wire := t.coeff, t.wiring
+	loBits, hiBits, high := t.loBits, t.hiBits, t.highValue
+	for i, xi := range x {
+		// Positive float32 words order like the numbers they encode, and every
+		// word with the sign bit set compares above all of them, so one
+		// unsigned compare separates the in-domain arguments from the rest.
+		w := math.Float32bits(xi)
+		if w >= hiBits {
+			if w <= infBits32 { // hi <= x <= +Inf
+				dst[i] = high
+			} else { // negative, -0 or NaN
+				dst[i] = 0
+			}
+			continue
+		}
+		if w < loBits {
+			if w == 0 {
+				dst[i] = 0
+				continue
+			}
+			w = loBits // below the domain, subnormals included: clamp
+		}
+		// The hardware's addressing on the argument word (see address), then
+		// Horner in float32, unrolled over the fixed quartic order.
+		seg, u := wire.address(w)
+		c := &coeff[seg]
+		r := c[4]*u + c[3]
+		r = r*u + c[2]
+		r = r*u + c[1]
+		r = r*u + c[0]
+		dst[i] = r
 	}
-	if xf >= t.hi {
-		return t.highValue
-	}
-	if xf < t.lo {
-		xf = t.lo
-	}
-	seg, u := t.segmentIndex(xf)
-	c := &t.coeff[seg]
-	// Horner in float32, unrolled over the fixed quartic order (the same
-	// operation sequence as the loop form, so the same bits).
-	uu := float32(u)
-	r := c[4]*uu + c[3]
-	r = r*uu + c[2]
-	r = r*uu + c[1]
-	r = r*uu + c[0]
-	return r
 }
 
 // Eval64 is a float64 convenience wrapper around Eval. The argument is first

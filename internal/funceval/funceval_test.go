@@ -2,6 +2,7 @@ package funceval
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -19,6 +20,28 @@ func TestNewTableValidation(t *testing.T) {
 	}
 	if _, err := NewTable(func(x float64) float64 { return math.Inf(1) }, 0, 1, 8); err == nil {
 		t.Error("non-finite g accepted")
+	}
+	// Word addressing needs 2^k segments per octave and a float32-normal domain.
+	for _, c := range []struct {
+		emin, emax, nseg int
+		want             string
+	}{
+		{0, 4, 12, "power of two"},
+		{0, 1, 1 << 24, "power of two"},
+		{-127, -119, 256, "float32 normal range"},
+		{120, 128, 256, "float32 normal range"},
+	} {
+		_, err := NewTable(g, c.emin, c.emax, c.nseg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewTable(%d, %d, %d) = %v, want an error mentioning %q", c.emin, c.emax, c.nseg, err, c.want)
+		}
+	}
+	// The edges of the accepted range are usable.
+	if _, err := NewTable(g, -126, -118, 256); err != nil {
+		t.Errorf("domain bottom 2^-126 rejected: %v", err)
+	}
+	if _, err := NewTable(g, 119, 127, 256); err != nil {
+		t.Errorf("domain top 2^127 rejected: %v", err)
 	}
 }
 
@@ -62,13 +85,13 @@ func TestSegmentIndexRoundTrip(t *testing.T) {
 		lo, hi := tbl.Domain()
 		// map raw into the domain log-uniformly
 		u := math.Abs(math.Mod(raw, 1.0))
-		x := lo * math.Exp(u*math.Log(hi/lo)*0.999)
-		seg, local := tbl.segmentIndex(x)
-		if seg < 0 || seg >= tbl.Segments() || local < 0 || local >= 1 {
+		x := float32(lo * math.Exp(u*math.Log(hi/lo)*0.999))
+		seg, local := tbl.address(math.Float32bits(x))
+		if int(seg) >= tbl.Segments() || local < 0 || local >= 1 {
 			return false
 		}
-		slo, shi := tbl.segmentBounds(seg)
-		return x >= slo*(1-1e-12) && x < shi*(1+1e-12)
+		slo, shi := tbl.segmentBounds(int(seg))
+		return float64(x) >= slo && float64(x) < shi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -219,60 +242,189 @@ func BenchmarkEvalVsMathExact(b *testing.B) {
 	})
 }
 
+// frexpAddress is the general decomposition the word addressing replaced:
+// octave and mantissa position from frexp, multiplied back by the segment
+// count. It is the independent oracle for address and (through oracleEval)
+// for Eval.
+func frexpAddress(tbl *Table, x float64) (int, float64) {
+	frac, exp := math.Frexp(x) // x = frac * 2^exp, frac in [0.5, 1)
+	e := exp - 1               // octave exponent: x in [2^e, 2^(e+1))
+	m := frac*2 - 1            // mantissa position in the octave, [0, 1)
+	pos := m * float64(tbl.segPerOct)
+	sub := int(pos)
+	if sub >= tbl.segPerOct {
+		sub = tbl.segPerOct - 1
+	}
+	return (e-tbl.emin)*tbl.segPerOct + sub, pos - float64(sub)
+}
+
+// oracleEval is Eval as it was before word addressing, from the point where
+// the float32 argument had been widened to float64 (exactly): range-checked
+// there, decomposed by frexpAddress, and the local coordinate rounded back to
+// float32 for the same Horner sequence.
+func oracleEval(tbl *Table, xf float64) float32 {
+	if !(xf > 0) {
+		return 0
+	}
+	lo, hi := tbl.Domain()
+	if xf >= hi {
+		return tbl.highValue
+	}
+	if xf < lo {
+		xf = lo
+	}
+	seg, u := frexpAddress(tbl, xf)
+	c := &tbl.coeff[seg]
+	uu := float32(u)
+	r := c[4]*uu + c[3]
+	r = r*uu + c[2]
+	r = r*uu + c[1]
+	r = r*uu + c[0]
+	return r
+}
+
 // TestSegmentIndexMatchesFrexp pins the bit-field segment addressing to the
 // frexp decomposition it replaced, across octave edges, segment edges and
-// values one ulp either side of them.
+// values one float32 ulp either side of them.
 func TestSegmentIndexMatchesFrexp(t *testing.T) {
 	tbl := MustNewTable(func(x float64) float64 { return 1 / x }, -20, 12, DefaultSegments)
-	ref := func(x float64) (int, float64) {
-		frac, exp := math.Frexp(x)
-		e := exp - 1
-		m := frac*2 - 1
-		pos := m * float64(tbl.segPerOct)
-		sub := int(pos)
-		if sub >= tbl.segPerOct {
-			sub = tbl.segPerOct - 1
-		}
-		return (e-tbl.emin)*tbl.segPerOct + sub, pos - float64(sub)
-	}
-	probe := func(x float64) {
+	probe := func(x float32) {
 		t.Helper()
 		lo, hi := tbl.Domain()
-		if x < lo || x >= hi {
+		if float64(x) < lo || float64(x) >= hi {
 			return
 		}
-		gs, gu := tbl.segmentIndex(x)
-		ws, wu := ref(x)
-		if gs != ws || gu != wu {
-			t.Fatalf("segmentIndex(%g) = (%d, %v), frexp path gives (%d, %v)", x, gs, gu, ws, wu)
+		gs, gu := tbl.address(math.Float32bits(x))
+		ws, wu := frexpAddress(tbl, float64(x))
+		if int(gs) != ws || float64(gu) != wu {
+			t.Fatalf("address(%g) = (%d, %v), frexp path gives (%d, %v)", x, gs, gu, ws, wu)
 		}
 	}
 	for s := 0; s < tbl.Segments(); s++ {
-		lo, hi := tbl.segmentBounds(s)
-		for _, x := range []float64{lo, math.Nextafter(lo, 0), math.Nextafter(lo, hi),
-			(lo + hi) / 2, math.Nextafter(hi, lo), hi} {
+		lo64, hi64 := tbl.segmentBounds(s)
+		lo, hi := float32(lo64), float32(hi64)
+		for _, x := range []float32{lo, math.Nextafter32(lo, 0), math.Nextafter32(lo, hi),
+			(lo + hi) / 2, math.Nextafter32(hi, lo), hi} {
 			probe(x)
 		}
 	}
 }
 
-// TestSegmentIndexSubnormalFallback exercises the non-normal branch: a table
-// whose domain bottom sits in the subnormal range must still address exactly
-// as the frexp decomposition does.
+// TestSegmentIndexSubnormalFallback: a domain reaching below the float32
+// normal range used to be served by a frexp fallback; the exponent field of
+// such arguments carries no octave, so the table is now refused outright.
 func TestSegmentIndexSubnormalFallback(t *testing.T) {
-	tbl := MustNewTable(func(x float64) float64 { return 1 }, -1030, -1020, 10)
-	for _, x := range []float64{math.Ldexp(1, -1030), math.Ldexp(1.5, -1028), math.Ldexp(1, -1023)} {
-		frac, exp := math.Frexp(x)
-		e := exp - 1
-		pos := (frac*2 - 1) * float64(tbl.segPerOct)
-		sub := int(pos)
-		if sub >= tbl.segPerOct {
-			sub = tbl.segPerOct - 1
+	one := func(float64) float64 { return 1 }
+	for _, d := range [][2]int{{-1030, -1020}, {-149, -139}, {-127, -117}} {
+		_, err := NewTable(one, d[0], d[1], 10*32)
+		if err == nil || !strings.Contains(err.Error(), "float32 normal range") {
+			t.Errorf("NewTable over [2^%d, 2^%d) = %v, want the float32-normal-range rejection", d[0], d[1], err)
 		}
-		ws, wu := (e-tbl.emin)*tbl.segPerOct+sub, pos-float64(sub)
-		gs, gu := tbl.segmentIndex(x)
-		if gs != ws || gu != wu {
-			t.Fatalf("segmentIndex(%g) = (%d, %v), frexp path gives (%d, %v)", x, gs, gu, ws, wu)
+	}
+}
+
+// TestEvalMatchesFloat64Decomposition pins Eval to oracleEval bit for bit on
+// the three production domains at 16 and 32 segments per octave: every
+// segment edge and its float32 neighbours, the domain edges, subnormals,
+// zeros, negatives, infinities, NaN, and a non-zero high-side tail.
+func TestEvalMatchesFloat64Decomposition(t *testing.T) {
+	g := func(x float64) float64 { return math.Exp(-x/64) / (1 + x) }
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+	special := []float32{
+		0, float32(math.Copysign(0, -1)), -1, -1e-30, -math.MaxFloat32, inf, -inf, nan, -nan,
+		math.Float32frombits(0xffc00001), // negative NaN with payload
+		math.Float32frombits(0x7f800001), // signalling-pattern NaN
+		math.SmallestNonzeroFloat32,      // smallest subnormal
+		math.Float32frombits(0x007fffff), // largest subnormal
+		math.Float32frombits(0x00800000), // smallest normal
+		math.Nextafter32(math.Float32frombits(0x00800000), 1),
+		math.MaxFloat32,
+	}
+	for _, d := range [][2]int{{-20, 12}, {-8, 24}, {-4, 28}} {
+		for _, segPerOct := range []int{16, 32} {
+			tbl := MustNewTable(g, d[0], d[1], (d[1]-d[0])*segPerOct)
+			for _, high := range []float32{0, 7.5} {
+				tbl.SetHighValue(high)
+				check := func(x float32) {
+					t.Helper()
+					got, want := tbl.Eval(x), oracleEval(tbl, float64(x))
+					if math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("domain 2^[%d,%d) %d segs/octave high=%g: Eval(%g [%#08x]) = %g, float64 path gives %g",
+							d[0], d[1], segPerOct, high, x, math.Float32bits(x), got, want)
+					}
+				}
+				for _, x := range special {
+					check(x)
+				}
+				lo64, hi64 := tbl.Domain()
+				for _, edge := range []float32{float32(lo64), float32(hi64)} {
+					check(edge)
+					check(math.Nextafter32(edge, 0))
+					check(math.Nextafter32(edge, inf))
+					check(edge / 1024)
+					check(edge * 1024)
+				}
+				for s := 0; s < tbl.Segments(); s++ {
+					slo, shi := tbl.segmentBounds(s)
+					lo, hi := float32(slo), float32(shi)
+					for _, x := range []float32{lo, math.Nextafter32(lo, 0), math.Nextafter32(lo, hi),
+						(lo + hi) / 2, math.Nextafter32(hi, lo), hi} {
+						check(x)
+					}
+				}
+			}
 		}
+	}
+}
+
+// TestEvalIntoMatchesEval: the block form is Eval elementwise, at lengths
+// around the sweep's 64-wide block and with out-of-domain arguments mixed in.
+func TestEvalIntoMatchesEval(t *testing.T) {
+	g := func(x float64) float64 {
+		return 2*math.Exp(-x)/(math.SqrtPi*x) + math.Erfc(math.Sqrt(x))/(x*math.Sqrt(x))
+	}
+	tbl := MustNewTable(g, -20, 12, DefaultSegments)
+	tbl.SetHighValue(3)
+	odd := []float32{0, -1, float32(math.NaN()), float32(math.Inf(1)), 1e-30, 5000, math.SmallestNonzeroFloat32}
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		x := make([]float32, n)
+		for i := range x {
+			if i%9 == 4 {
+				x[i] = odd[(i/9)%len(odd)]
+			} else {
+				x[i] = float32(math.Exp(float64(i%97)*0.23 - 12))
+			}
+		}
+		dst := make([]float32, n+2)
+		for i := range dst {
+			dst[i] = -99
+		}
+		tbl.EvalInto(dst, x)
+		for i := range x {
+			if want := tbl.Eval(x[i]); math.Float32bits(dst[i]) != math.Float32bits(want) {
+				t.Fatalf("n=%d: EvalInto[%d] = %g, Eval(%g) = %g", n, i, dst[i], x[i], want)
+			}
+		}
+		if dst[n] != -99 || dst[n+1] != -99 {
+			t.Fatalf("n=%d: EvalInto wrote past len(x)", n)
+		}
+	}
+}
+
+// BenchmarkEvalInto reports the block evaluator per element, beside
+// BenchmarkEval's per-call figure.
+func BenchmarkEvalInto(b *testing.B) {
+	g := func(x float64) float64 {
+		return 2*math.Exp(-x)/(math.SqrtPi*x) + math.Erfc(math.Sqrt(x))/(x*math.Sqrt(x))
+	}
+	tbl := MustNewTable(g, -16, 16, DefaultSegments)
+	var x, dst [64]float32
+	for i := range x {
+		x[i] = float32(i%1000)*0.01 + 0.001
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(x) {
+		tbl.EvalInto(dst[:], x[:])
 	}
 }

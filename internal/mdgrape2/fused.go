@@ -11,15 +11,15 @@ import (
 	"mdm/internal/vec"
 )
 
-// Fused multi-table sweep. A Tosi–Fumi force step issues four kernel passes
+// The real-space sweep. A Tosi–Fumi force step issues four kernel passes
 // (Coulomb real-space + Born–Mayer + r⁻⁶ + r⁻⁸) over the same j-set; the
-// unfused path walks the cell-pair candidates and streams j-memory four
-// times. The fused sweep walks them once, evaluating every loaded table per
-// pair — the host-side analogue of the hardware broadcasting each j particle
-// to all pipelines once per step. Bookkeeping (stats, heartbeats, fault
-// injection) still counts one hardware call per pass, so the timing model and
-// the injector-visible call sequence are identical to running the passes
-// back-to-back.
+// sweep walks the cell-pair candidates once and evaluates every requested
+// table on each j-block — the host-side analogue of the hardware broadcasting
+// each j particle to all pipelines once per step. Bookkeeping (stats,
+// heartbeats, fault injection) still counts one hardware call per pass, so
+// the timing model and the injector-visible call sequence are those of the
+// passes run back-to-back. ComputeForces is the one-pass case of the same
+// body.
 
 // ForcePass describes one table pass of a fused sweep: the function table,
 // the coefficient RAM, and the optional per-i host prefactor.
@@ -33,18 +33,41 @@ type ForcePass struct {
 // slot; four slots carry the NaCl force field, eight leave headroom).
 const maxFusedPasses = 8
 
+// sweepBlock is how many j particles the sweep streams at a time: their
+// displacements and r² are formed once, then each table runs over the block.
+// The block buffers live on the worker's stack.
+const sweepBlock = 64
+
 // fusedFlip is one captured bit-flip event, replayed onto the pass's
-// contribution exactly where the unfused path would have applied it.
+// contribution after its per-i scale, before the ordered combine.
 type fusedFlip struct {
 	i    int // particle index (word % (3·n) / 3)
 	comp int // component 0/1/2
 	bit  int // bit to flip (already masked to 0..63)
 }
 
+// ComputeForces runs the cell-index force calculation of eqs. 7/8 for the
+// given i-particles against the j-set: for every i, every j in the 27
+// neighbor cells of i's cell is streamed through a pipeline with no distance
+// test. scale multiplies the final accumulated force (the host-side
+// prefactor, e.g. k_e·q_i·α³/L³ for the Coulomb real-space part when b_ij
+// carries q_j only).
+//
+// The i-particles are distributed over the pipelines in contiguous blocks,
+// mirroring the block distribution of MR1calcvdw_block2; the result is
+// deterministic.
+func (s *System) ComputeForces(table string, co *Coeffs, xi []vec.V, ti []int, scaleI []float64, js *JSet) ([]vec.V, error) {
+	if scaleI != nil && len(scaleI) != len(xi) {
+		return nil, fmt.Errorf("mdgrape2: %d i-positions vs %d scales", len(xi), len(scaleI))
+	}
+	pass := [1]ForcePass{{Table: table, Co: co, ScaleI: scaleI}}
+	return s.ComputeForcesFused(pass[:], xi, ti, js)
+}
+
 // ComputeForcesFused evaluates up to maxFusedPasses table passes in a single
 // cell-index traversal and returns the pass contributions summed per particle
-// in pass order. The result is bit-identical to calling ComputeForces once
-// per pass and combining forces[i] = pass0[i] + pass1[i] + … in order:
+// in pass order. The result is bit-identical to evaluating the passes one at
+// a time and combining forces[i] = pass0[i] + pass1[i] + … in order:
 // the float32 displacement is a pure function of the positions, each pass
 // keeps its own float64 accumulator walked in the same j order, the per-i
 // scale and any injected bit flip are applied to the pass's own contribution
@@ -99,12 +122,17 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 				return soa.Coords{}, fmt.Errorf("mdgrape2: j-type %d outside coefficient RAM (%d types)", t, nt)
 			}
 		}
+		// The coefficient RAM stores singles; the float32 image is cached on
+		// the Coeffs and rebuilt only after a Set.
 		tbls[p].a32, tbls[p].b32 = co.quant32()
 	}
 
 	// Per-pass hardware bookkeeping, in pass order: heartbeat, injected call
-	// fault, armed bit-flip capture. This is the exact injector-visible
-	// sequence of np back-to-back ComputeForces calls.
+	// fault, armed bit-flip capture — the injector-visible sequence of np
+	// back-to-back hardware calls. A scheduled board/transient error aborts
+	// the sweep; an armed flip corrupts one force component of that pass after
+	// the pipeline loop, where a flipped particle-memory or accumulator bit
+	// would surface.
 	var flips [maxFusedPasses]fusedFlip
 	var hasFlip [maxFusedPasses]bool
 	for p := range passes {
@@ -113,7 +141,10 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 		}
 		if s.hook != nil {
 			if err := s.hook.HardwareCall(fault.MDG2); err != nil {
-				return soa.Coords{}, fmt.Errorf("%s pass: %w", passes[p].Table, err)
+				if np > 1 { // a fused sweep names the pass that failed
+					err = fmt.Errorf("%s pass: %w", passes[p].Table, err)
+				}
+				return soa.Coords{}, err
 			}
 			if len(xi) > 0 {
 				if word, bit, ok := s.hook.PendingFlip(fault.MDG2); ok {
@@ -131,65 +162,85 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 	grid := js.Sorted.Grid
 	dst = dst.Resize(len(xi))
 	fX, fY, fZ := dst.X, dst.Y, dst.Z
+	// The i-particles are striped across the pool's workers in contiguous
+	// blocks, as the hardware distributes them over pipelines; each
+	// i-particle's float64 accumulators stay in one shard, so accumulation
+	// order — and the result — is bit-identical at any pool width. Pair
+	// counters are per-shard, merged in shard order below.
 	shardPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
 	_ = s.pool.Run(len(xi), func(shard, lo, hi int) error {
 		var pairs int64
-		var tb [maxFusedPasses][]float32
-		var ta [maxFusedPasses][]float32
-		var ax, ay, az [maxFusedPasses]float64
+		var acc [maxFusedPasses][3]float64 // double-precision accumulators (§3.5.4)
+		// Block buffers: every element read below was written for the same
+		// block first, so they are declared (and zeroed) once per shard.
+		var dx, dy, dz, r2, x, g [sweepBlock]float32
 		for i := lo; i < hi; i++ {
+			// The interface quantizes coordinates to single precision.
 			pix := float32(xi[i].X)
 			piy := float32(xi[i].Y)
 			piz := float32(xi[i].Z)
-			ci := grid.CellOf(xi[i])
-			for p := 0; p < np; p++ {
-				ta[p] = tbls[p].a32[ti[i]]
-				tb[p] = tbls[p].b32[ti[i]]
-				ax[p], ay[p], az[p] = 0, 0, 0
-			}
-			for _, nb := range js.neighbors(ci) {
+			acc = [maxFusedPasses][3]float64{}
+			for _, nb := range js.neighbors(grid.CellOf(xi[i])) {
 				jstart, jend := js.Sorted.CellRange(nb.Cell)
 				sx := float32(nb.Shift.X)
 				sy := float32(nb.Shift.Y)
 				sz := float32(nb.Shift.Z)
+				pairs += int64(jend - jstart)
 				// Stream the cell's j-run from the float32 planes — the banked
-				// particle-memory read of §3.3. Equal-length subslices let the
-				// compiler drop the per-pair bounds checks.
-				jx := js.Sorted.P32.X[jstart:jend]
-				jy := js.Sorted.P32.Y[jstart:jend:jend]
-				jz := js.Sorted.P32.Z[jstart:jend:jend]
-				jt := js.Types[jstart:jend:jend]
-				for j := range jx {
-					dx := pix - (jx[j] + sx)
-					dy := piy - (jy[j] + sy)
-					dz := piz - (jz[j] + sz)
-					// One squared distance serves all fused passes — the same
-					// expression pairForce evaluates, so the same bits, computed
-					// once instead of once per table.
-					r2 := dx*dx + dy*dy + dz*dz
-					tj := jt[j]
-					var w float32 = 1
-					if js.Weights != nil {
-						w = float32(js.Weights[jstart+j])
+				// particle-memory read of §3.3 — one block at a time.
+				for b0 := jstart; b0 < jend; b0 += sweepBlock {
+					b1 := b0 + sweepBlock
+					if b1 > jend {
+						b1 = jend
+					}
+					n := b1 - b0
+					jx := js.Sorted.P32.X[b0:b1]
+					jy := js.Sorted.P32.Y[b0:b1:b1]
+					jz := js.Sorted.P32.Z[b0:b1:b1]
+					jt := js.Types[b0:b1:b1]
+					// One displacement and one squared distance per pair serve
+					// every table.
+					for j := range jx {
+						ex := pix - (jx[j] + sx)
+						ey := piy - (jy[j] + sy)
+						ez := piz - (jz[j] + sz)
+						dx[j], dy[j], dz[j] = ex, ey, ez
+						r2[j] = ex*ex + ey*ey + ez*ez
 					}
 					for p := 0; p < np; p++ {
-						b := tb[p][tj]
-						if js.Weights != nil {
-							b *= w
+						// f⃗_ij = b_ij · g(a_ij r²) · r⃗_ij (eq. 14) in float32; the
+						// particle-memory charge field, when loaded, scales b_ij.
+						ta := tbls[p].a32[ti[i]]
+						tb := tbls[p].b32[ti[i]]
+						for j, tj := range jt {
+							x[j] = ta[tj] * r2[j]
 						}
-						bg := b * tbls[p].tbl.Eval(ta[p][tj]*r2)
-						ax[p] += float64(bg * dx)
-						ay[p] += float64(bg * dy)
-						az[p] += float64(bg * dz)
+						tbls[p].tbl.EvalInto(g[:n], x[:n])
+						ax, ay, az := acc[p][0], acc[p][1], acc[p][2]
+						if js.Weights == nil {
+							for j, tj := range jt {
+								bg := tb[tj] * g[j]
+								ax += float64(bg * dx[j])
+								ay += float64(bg * dy[j])
+								az += float64(bg * dz[j])
+							}
+						} else {
+							wt := js.Weights[b0:b1:b1]
+							for j, tj := range jt {
+								bg := tb[tj] * float32(wt[j]) * g[j]
+								ax += float64(bg * dx[j])
+								ay += float64(bg * dy[j])
+								az += float64(bg * dz[j])
+							}
+						}
+						acc[p] = [3]float64{ax, ay, az}
 					}
-					pairs++
 				}
 			}
-			// Scale, flip and combine in pass order — exactly the unfused
-			// reduction forces[i] = pass0 + pass1 + … .
+			// Scale, flip and combine in pass order: forces[i] = pass0 + pass1 + … .
 			var f vec.V
 			for p := 0; p < np; p++ {
-				fp := vec.New(ax[p], ay[p], az[p])
+				fp := vec.New(acc[p][0], acc[p][1], acc[p][2])
 				if sc := passes[p].ScaleI; sc != nil {
 					fp = fp.Scale(sc[i])
 				}
@@ -218,7 +269,7 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 	for _, p := range shardPairs {
 		pairs += p
 	}
-	// Stats count one hardware pass per table, as the unfused path would.
+	// Stats count one hardware pass per table.
 	s.stats.PairsEvaluated += pairs * int64(np)
 	s.stats.IParticles += int64(len(xi) * np)
 	s.stats.JLoads += int64(js.Sorted.Len() * s.cfg.Boards() * np)

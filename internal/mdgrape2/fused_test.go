@@ -2,11 +2,14 @@ package mdgrape2
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"mdm/internal/cellindex"
 	"mdm/internal/fault"
+	"mdm/internal/funceval"
 	"mdm/internal/parallelize"
+	"mdm/internal/soa"
 	"mdm/internal/vec"
 )
 
@@ -57,8 +60,87 @@ func fusedFixture(t *testing.T) (*System, []ForcePass, []vec.V, []int, *JSet) {
 	return sys, passes, pos, types, js
 }
 
+// pairForce evaluates one pair in hardware precision: float32 datapath,
+// float64 accumulation done by the caller. With oracleForces below it is the
+// pair loop ComputeForces owned before it became the one-pass case of the
+// blocked sweep, kept as the independent oracle the sweep is pinned to.
+func pairForce(t *funceval.Table, aij, bij float32, dx, dy, dz float32) (fx, fy, fz float32) {
+	r2 := dx*dx + dy*dy + dz*dz
+	x := aij * r2
+	g := t.Eval(x)
+	bg := bij * g
+	return bg * dx, bg * dy, bg * dz
+}
+
+// oracleForces is one table pass computed pair by pair, serially: per i, the
+// 27 neighbor cells in table order, every j of each cell in storage order,
+// one pairForce call and three float64 adds per pair.
+func oracleForces(t *testing.T, sys *System, pass ForcePass, xi []vec.V, ti []int, js *JSet) []vec.V {
+	t.Helper()
+	tbl, err := sys.Table(pass.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a32, b32 := pass.Co.quant32()
+	grid := js.Sorted.Grid
+	forces := make([]vec.V, len(xi))
+	jx, jy, jz := js.Sorted.P32.X, js.Sorted.P32.Y, js.Sorted.P32.Z
+	for i := range xi {
+		pix := float32(xi[i].X)
+		piy := float32(xi[i].Y)
+		piz := float32(xi[i].Z)
+		var ax, ay, az float64
+		ta := a32[ti[i]]
+		tb := b32[ti[i]]
+		for _, nb := range js.neighbors(grid.CellOf(xi[i])) {
+			jstart, jend := js.Sorted.CellRange(nb.Cell)
+			sx := float32(nb.Shift.X)
+			sy := float32(nb.Shift.Y)
+			sz := float32(nb.Shift.Z)
+			for j := jstart; j < jend; j++ {
+				dx := pix - (jx[j] + sx)
+				dy := piy - (jy[j] + sy)
+				dz := piz - (jz[j] + sz)
+				tj := js.Types[j]
+				b := tb[tj]
+				if js.Weights != nil {
+					b *= float32(js.Weights[j]) // particle-memory charge field
+				}
+				fx, fy, fz := pairForce(tbl, ta[tj], b, dx, dy, dz)
+				ax += float64(fx)
+				ay += float64(fy)
+				az += float64(fz)
+			}
+		}
+		f := vec.New(ax, ay, az)
+		if pass.ScaleI != nil {
+			f = f.Scale(pass.ScaleI[i])
+		}
+		forces[i] = f
+	}
+	return forces
+}
+
+// oracleReference combines oracleForces over the passes in pass order.
+func oracleReference(t *testing.T, sys *System, passes []ForcePass, xi []vec.V, ti []int, js *JSet) []vec.V {
+	t.Helper()
+	var total []vec.V
+	for p, pass := range passes {
+		f := oracleForces(t, sys, pass, xi, ti, js)
+		if p == 0 {
+			total = f
+		} else {
+			for i := range total {
+				total[i] = total[i].Add(f[i])
+			}
+		}
+	}
+	return total
+}
+
 // unfusedReference runs the passes back-to-back through ComputeForces and
-// combines them in pass order — the pre-fusion Machine.Forces reduction.
+// combines them in pass order — the pre-fusion Machine.Forces reduction,
+// with the hardware bookkeeping (stats, injector events) of separate calls.
 func unfusedReference(t *testing.T, sys *System, passes []ForcePass, xi []vec.V, ti []int, js *JSet) []vec.V {
 	t.Helper()
 	var total []vec.V
@@ -78,24 +160,155 @@ func unfusedReference(t *testing.T, sys *System, passes []ForcePass, xi []vec.V,
 	return total
 }
 
-// TestFusedMatchesUnfusedBitExact pins the fused sweep to the unfused
-// pass-by-pass reduction bit-for-bit, at several pool widths.
+// TestFusedMatchesUnfusedBitExact pins the fused sweep, and ComputeForces run
+// pass by pass, to the pair-by-pair oracle bit-for-bit at several pool widths.
 func TestFusedMatchesUnfusedBitExact(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		sys, passes, pos, types, js := fusedFixture(t)
 		sys.SetPool(parallelize.New(workers))
-		want := unfusedReference(t, sys, passes, pos, types, js)
+		want := oracleReference(t, sys, passes, pos, types, js)
 		got, err := sys.ComputeForcesFused(passes, pos, types, js)
 		if err != nil {
 			t.Fatal(err)
 		}
+		unfused := unfusedReference(t, sys, passes, pos, types, js)
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: force %d differs: fused %v vs unfused %v",
+			if !sameVecBits(got[i], want[i]) {
+				t.Fatalf("workers=%d: force %d differs: fused %v vs oracle %v",
 					workers, i, got[i], want[i])
+			}
+			if !sameVecBits(unfused[i], want[i]) {
+				t.Fatalf("workers=%d: force %d differs: pass-by-pass %v vs oracle %v",
+					workers, i, unfused[i], want[i])
 			}
 		}
 	}
+}
+
+// occupancyFixture builds a j-set whose cells hold prescribed particle
+// counts, cycling through occ, so the sweep meets empty cells, single
+// particles, and runs just below, at, just above and well above one block.
+func occupancyFixture(t *testing.T, occ []int, weighted bool) ([]vec.V, []int, *JSet) {
+	t.Helper()
+	const l, rcut = 12.0, 3.0
+	grid, err := cellindex.NewGrid(l, rcut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var pos []vec.V
+	var types []int
+	side := grid.N
+	w := l / float64(side)
+	for c := 0; c < side*side*side; c++ {
+		cx, cy, cz := c%side, c/side%side, c/(side*side)
+		for k := 0; k < occ[c%len(occ)]; k++ {
+			pos = append(pos, vec.New(
+				(float64(cx)+0.05+0.9*rng.Float64())*w,
+				(float64(cy)+0.05+0.9*rng.Float64())*w,
+				(float64(cz)+0.05+0.9*rng.Float64())*w))
+			types = append(types, rng.Intn(2))
+		}
+	}
+	var weights []float64
+	if weighted {
+		weights = make([]float64, len(pos))
+		for i := range weights {
+			weights[i] = 0.5 + rng.Float64()
+		}
+	}
+	js, err := NewJSetWeighted(grid, pos, types, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fixture is only useful if the sort really produced those runs.
+	seen := map[int]bool{}
+	for c := 0; c < side*side*side; c++ {
+		lo, hi := js.Sorted.CellRange(c)
+		seen[hi-lo] = true
+	}
+	for _, n := range occ {
+		if !seen[n] {
+			t.Fatalf("no cell with occupancy %d in the fixture", n)
+		}
+	}
+	return pos, types, js
+}
+
+// TestBlockedSweepMatchesOracle pins the block-streamed sweep to the
+// pair-by-pair oracle across cell occupancies on both sides of the block
+// width, with and without the charge field, for 1–4 passes and two pool
+// widths.
+func TestBlockedSweepMatchesOracle(t *testing.T) {
+	occ := []int{0, 1, sweepBlock - 1, sweepBlock, sweepBlock + 1, 2*sweepBlock + 3}
+	sys, all, _, _, _ := fusedFixture(t)
+	if err := sys.LoadTable("k-r8", func(x float64) float64 { x2 := x * x; return 1 / (x2 * x2 * x) }, -8, 8); err != nil {
+		t.Fatal(err)
+	}
+	for _, weighted := range []bool{false, true} {
+		pos, types, js := occupancyFixture(t, occ, weighted)
+		scale := make([]float64, len(pos))
+		for i := range scale {
+			scale[i] = 0.25 + float64(i%7)
+		}
+		passes := append(append([]ForcePass(nil), all...), ForcePass{Table: "k-r8", Co: all[2].Co, ScaleI: scale})
+		passes[0].ScaleI = scale
+		for np := 1; np <= 4; np++ {
+			want := oracleReference(t, sys, passes[:np], pos, types, js)
+			for _, workers := range []int{1, 3} {
+				sys.SetPool(parallelize.New(workers))
+				got, err := sys.ComputeForcesFused(passes[:np], pos, types, js)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if !sameVecBits(got[i], want[i]) {
+						t.Fatalf("weighted=%v passes=%d workers=%d: force %d differs: sweep %v vs oracle %v",
+							weighted, np, workers, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFusedSweep reports the shipped four-table sweep per pair·table
+// (ROADMAP 3(b)), on the 512-ion rock-salt geometry of the default workload.
+func BenchmarkFusedSweep(b *testing.B) {
+	sys, err := NewSystem(CurrentConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := []string{"t0", "t1", "t2", "t3"}
+	for _, name := range names {
+		if err := sys.LoadTable(name, ewaldG, -20, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const l = 22.56
+	pos, types, _ := naclSystem(512, l, 1)
+	grid, err := cellindex.NewGrid(l, l/3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	js, err := NewJSet(grid, pos, types)
+	if err != nil {
+		b.Fatal(err)
+	}
+	co, _ := NewCoeffs(2, 0.2, 1)
+	passes := make([]ForcePass, len(names))
+	for p, name := range names {
+		passes[p] = ForcePass{Table: name, Co: co}
+	}
+	var dst soa.Coords
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = sys.ComputeForcesFusedInto(passes, pos, types, js, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sys.Stats().PairsEvaluated), "ns/pair·table")
 }
 
 // TestFusedStatsMatchUnfused checks the fused sweep books the same hardware

@@ -358,147 +358,6 @@ func (js *JSet) weight32(j int) float32 {
 	return float32(js.Weights[j])
 }
 
-// pipeline evaluates one pair in hardware precision: float32 datapath,
-// float64 accumulation done by the caller.
-func pairForce(t *funceval.Table, aij, bij float32, dx, dy, dz float32) (fx, fy, fz float32) {
-	r2 := dx*dx + dy*dy + dz*dz
-	x := aij * r2
-	g := t.Eval(x)
-	bg := bij * g
-	return bg * dx, bg * dy, bg * dz
-}
-
-// ComputeForces runs the cell-index force calculation of eqs. 7/8 for the
-// given i-particles against the j-set: for every i, every j in the 27
-// neighbor cells of i's cell is streamed through a pipeline with no distance
-// test. scale multiplies the final accumulated force (the host-side
-// prefactor, e.g. k_e·q_i·α³/L³ for the Coulomb real-space part when b_ij
-// carries q_j only).
-//
-// The i-particles are distributed round-robin over all pipelines, mirroring
-// the block distribution of MR1calcvdw_block2; the result is deterministic.
-func (s *System) ComputeForces(table string, co *Coeffs, xi []vec.V, ti []int, scaleI []float64, js *JSet) ([]vec.V, error) {
-	tbl, err := s.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	if len(xi) != len(ti) {
-		return nil, fmt.Errorf("mdgrape2: %d i-positions vs %d i-types", len(xi), len(ti))
-	}
-	if scaleI != nil && len(scaleI) != len(xi) {
-		return nil, fmt.Errorf("mdgrape2: %d i-positions vs %d scales", len(xi), len(scaleI))
-	}
-	if js.Sorted.Len() > s.cfg.ParticleCapacity() {
-		return nil, fmt.Errorf("mdgrape2: %d j-particles exceed board particle memory capacity %d",
-			js.Sorted.Len(), s.cfg.ParticleCapacity())
-	}
-	for _, t := range ti {
-		if t < 0 || t >= len(co.A) {
-			return nil, fmt.Errorf("mdgrape2: i-type %d outside coefficient RAM (%d types)", t, len(co.A))
-		}
-	}
-	for _, t := range js.Types {
-		if t < 0 || t >= len(co.A) {
-			return nil, fmt.Errorf("mdgrape2: j-type %d outside coefficient RAM (%d types)", t, len(co.A))
-		}
-	}
-	// Fault injection: a scheduled board/transient error aborts the call; an
-	// armed bit flip corrupts one force component after the pipeline loop,
-	// where a flipped particle-memory or accumulator bit would surface.
-	if s.beat != nil {
-		s.beat()
-	}
-	if s.hook != nil {
-		if err := s.hook.HardwareCall(fault.MDG2); err != nil {
-			return nil, err
-		}
-	}
-
-	grid := js.Sorted.Grid
-	forces := make([]vec.V, len(xi))
-
-	// The coefficient RAM stores singles; the float32 image is cached on the
-	// Coeffs and rebuilt only after a Set.
-	a32, b32 := co.quant32()
-
-	// The i-particles are striped across the pool's workers in contiguous
-	// blocks, as the hardware distributes them over pipelines; each
-	// i-particle's float64 accumulator stays in one shard, so accumulation
-	// order — and the result — is bit-identical at any pool width. Pair
-	// counters are per-shard, merged in shard order below.
-	shardPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
-	_ = s.pool.Run(len(xi), func(shard, lo, hi int) error {
-		var pairs int64
-		for i := lo; i < hi; i++ {
-			// The interface quantizes coordinates to single precision.
-			pix := float32(xi[i].X)
-			piy := float32(xi[i].Y)
-			piz := float32(xi[i].Z)
-			ci := grid.CellOf(xi[i])
-			var ax, ay, az float64 // double-precision accumulators (§3.5.4)
-			ta := a32[ti[i]]
-			tb := b32[ti[i]]
-			jx, jy, jz := js.Sorted.P32.X, js.Sorted.P32.Y, js.Sorted.P32.Z
-			for _, nb := range js.neighbors(ci) {
-				jstart, jend := js.Sorted.CellRange(nb.Cell)
-				sx := float32(nb.Shift.X)
-				sy := float32(nb.Shift.Y)
-				sz := float32(nb.Shift.Z)
-				for j := jstart; j < jend; j++ {
-					dx := pix - (jx[j] + sx)
-					dy := piy - (jy[j] + sy)
-					dz := piz - (jz[j] + sz)
-					tj := js.Types[j]
-					b := tb[tj]
-					if js.Weights != nil {
-						b *= float32(js.Weights[j]) // particle-memory charge field
-					}
-					fx, fy, fz := pairForce(tbl, ta[tj], b, dx, dy, dz)
-					ax += float64(fx)
-					ay += float64(fy)
-					az += float64(fz)
-					pairs++
-				}
-			}
-			f := vec.New(ax, ay, az)
-			if scaleI != nil {
-				f = f.Scale(scaleI[i])
-			}
-			forces[i] = f
-		}
-		shardPairs[shard] = pairs
-		return nil
-	})
-	var pairs int64
-	for _, p := range shardPairs {
-		pairs += p
-	}
-
-	if s.hook != nil && len(forces) > 0 {
-		if word, bit, ok := s.hook.PendingFlip(fault.MDG2); ok {
-			i := word % (3 * len(forces))
-			if i < 0 {
-				i += 3 * len(forces)
-			}
-			f := &forces[i/3]
-			switch i % 3 {
-			case 0:
-				f.X = fault.FlipFloat64(f.X, bit&63)
-			case 1:
-				f.Y = fault.FlipFloat64(f.Y, bit&63)
-			default:
-				f.Z = fault.FlipFloat64(f.Z, bit&63)
-			}
-		}
-	}
-
-	s.stats.PairsEvaluated += pairs
-	s.stats.IParticles += int64(len(xi))
-	s.stats.JLoads += int64(js.Sorted.Len() * s.cfg.Boards())
-	s.stats.Calls++
-	return forces, nil
-}
-
 // ComputeTime returns the pipeline wall-clock time for evaluating the given
 // number of pairs with perfect pipelining: pairs / (pipelines × clock).
 func (s *System) ComputeTime(pairs int64) float64 {

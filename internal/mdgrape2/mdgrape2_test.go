@@ -3,6 +3,7 @@ package mdgrape2
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mdm/internal/cellindex"
@@ -526,6 +527,29 @@ func TestMR1Lifecycle(t *testing.T) {
 	}
 	if m.System().Config().Boards() != 3 {
 		t.Errorf("acquired boards = %d, want 3", m.System().Config().Boards())
+	}
+}
+
+// TestLoadTableSurfacesDomainErrors: the power-of-two span widening can push
+// the table top past the float32 range; the evaluator refuses such a domain
+// and LoadTable reports it under the table's name.
+func TestLoadTableSurfacesDomainErrors(t *testing.T) {
+	sys, _ := NewSystem(CurrentConfig())
+	inv := func(x float64) float64 { return 1 / x }
+	for _, d := range [][2]int{
+		{100, 125},   // span 25 widens to 32: top 2^132
+		{-130, -120}, // bottom below the float32 normal range
+	} {
+		err := sys.LoadTable("wide", inv, d[0], d[1])
+		if err == nil || !strings.Contains(err.Error(), `table "wide"`) || !strings.Contains(err.Error(), "float32 normal range") {
+			t.Errorf("LoadTable(2^%d, 2^%d) = %v, want the float32-range rejection for table \"wide\"", d[0], d[1], err)
+		}
+		if _, err := sys.Table("wide"); err == nil {
+			t.Error("rejected table was stored")
+		}
+	}
+	if err := sys.LoadTable("edge", inv, 95, 127); err != nil {
+		t.Errorf("table reaching exactly 2^127 rejected: %v", err)
 	}
 }
 

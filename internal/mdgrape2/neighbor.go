@@ -148,10 +148,10 @@ func (s *System) ComputeForcesNL(table string, co *Coeffs, xi []vec.V, ti []int,
 				if js.Weights != nil {
 					b *= float32(js.Weights[e.J])
 				}
-				fx, fy, fz := pairForce(tbl, ta[tj], b, dx, dy, dz)
-				ax += float64(fx)
-				ay += float64(fy)
-				az += float64(fz)
+				bg := b * tbl.Eval(ta[tj]*(dx*dx+dy*dy+dz*dz))
+				ax += float64(bg * dx)
+				ay += float64(bg * dy)
+				az += float64(bg * dz)
 				pairs++
 			}
 			f := vec.New(ax, ay, az)

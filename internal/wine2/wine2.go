@@ -123,6 +123,12 @@ func (c Config) Validate() error {
 	if c.SinLogSize < 2 || c.SinLogSize > 20 || !c.TrigFormat.Valid() {
 		return fmt.Errorf("wine2: bad trig unit (logSize %d, format %v)", c.SinLogSize, c.TrigFormat)
 	}
+	if c.PosFrac < c.SinLogSize+2 {
+		// The phase has PosFrac fractional bits; the sine table consumes the
+		// top SinLogSize of them and interpolates on the rest.
+		return fmt.Errorf("wine2: PosFrac %d leaves no interpolation bits below a 2^%d-entry sine table (need >= %d)",
+			c.PosFrac, c.SinLogSize, c.SinLogSize+2)
+	}
 	if c.QFrac < 4 || c.AccFrac < 8 || c.CoefFrac < 8 || c.IAccFrac < 8 {
 		return fmt.Errorf("wine2: accumulator formats too narrow")
 	}
@@ -142,13 +148,23 @@ type Stats struct {
 // separate Systems.
 type System struct {
 	cfg   Config
-	trig  *fixed.SinCosTable
 	stats Stats
 	hook  fault.HardwareHook
 	beat  func()
 	pool  *parallelize.Pool
 
-	aS, aC []int64 // IDFT normalized-coefficient scratch, reused across calls
+	// The datapath, resolved once for cfg — widths are wiring, not run-time
+	// values: the sine table for PosFrac-bit phases, and the rounders that
+	// reduce a full-width product to the accumulator precision, as a
+	// fixed-width adder tree would (q·sin, QFrac+TrigFrac fractional bits, to
+	// the DFT accumulator; a_n·(C sin θ − S cos θ), CoefFrac+TrigFrac bits, to
+	// the IDFT accumulator).
+	trig      fixed.TrigUnit
+	dftRound  fixed.Rounder
+	idftRound fixed.Rounder
+
+	aS, aC []int64    // IDFT normalized-coefficient scratch, reused across calls
+	fc     soa.Coords // force planes behind the array-of-structs IDFT entry points
 }
 
 // NewSystem builds a simulated system.
@@ -156,11 +172,21 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trig, err := fixed.NewSinCosTable(cfg.SinLogSize, cfg.TrigFormat)
+	table, err := fixed.NewSinCosTable(cfg.SinLogSize, cfg.TrigFormat)
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, trig: trig}, nil
+	trig, err := table.Unit(cfg.PosFrac)
+	if err != nil {
+		return nil, err
+	}
+	trigFrac := cfg.TrigFormat.Frac
+	return &System{
+		cfg:       cfg,
+		trig:      trig,
+		dftRound:  fixed.NewRounder(fixed.WideFor(cfg.QFrac+trigFrac), fixed.F(30, cfg.AccFrac)),
+		idftRound: fixed.NewRounder(fixed.WideFor(cfg.CoefFrac+trigFrac), fixed.F(2, cfg.IAccFrac)),
+	}, nil
 }
 
 // Config returns the hardware configuration.
@@ -262,13 +288,6 @@ func (s *System) QuantizeInto(pw *ParticleWords, l float64, pos []vec.V, q []flo
 	return pw, nil
 }
 
-// phase computes n⃗·u⃗ in fixed-point turns (PosFrac fractional bits). The
-// int64 product of small integers with PosFrac-bit fractions cannot
-// overflow for |n| below 2^20.
-func phase(n [3]int, ux, uy, uz int64) int64 {
-	return int64(n[0])*ux + int64(n[1])*uy + int64(n[2])*uz
-}
-
 // DFT runs the pipelines in DFT mode (eqs. 9, 10): it returns the structure
 // factors S_n and C_n for every wave, computed through the fixed-point
 // datapath. Internally the accumulators hold S+C and S-C, and the host-side
@@ -314,9 +333,6 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 			flipBit = bit & 63
 		}
 	}
-	trigFrac := s.cfg.TrigFormat.Frac
-	prodFrac := s.cfg.QFrac + trigFrac
-
 	if len(sn) != len(waves) {
 		sn = make([]float64, len(waves))
 	}
@@ -324,23 +340,9 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 		cn = make([]float64, len(waves))
 	}
 	accF := fixed.F(0, s.cfg.AccFrac) // conversion scale for readout
-	accWide := fixed.F(30, s.cfg.AccFrac)
-	prodWide := fixed.WideFor(prodFrac)
 	_ = s.pool.Run(len(waves), func(_, lo, hi int) error {
 		for w := lo; w < hi; w++ {
-			var accPlus, accMinus int64 // S+C and S-C, AccFrac fractional bits
-			for j := range pw.Ux {
-				ph := phase(waves[w].N, pw.Ux[j], pw.Uy[j], pw.Uz[j])
-				sj, cj := s.trig.SinCos(ph, s.cfg.PosFrac)
-				qs := fixed.MulRound(pw.Q[j], sj, s.cfg.QFrac, trigFrac, prodFrac)
-				qc := fixed.MulRound(pw.Q[j], cj, s.cfg.QFrac, trigFrac, prodFrac)
-				// Reduce to the accumulator precision before summing, as a
-				// fixed-width adder tree would.
-				qs = fixed.Convert(qs, prodWide, accWide)
-				qc = fixed.Convert(qc, prodWide, accWide)
-				accPlus += qs + qc
-				accMinus += qs - qc
-			}
+			accPlus, accMinus := dftWave(&s.trig, &s.dftRound, waves[w].N, pw)
 			if w == flipWave {
 				accPlus ^= 1 << flipBit
 			}
@@ -354,6 +356,25 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 	s.stats.DFTOps += int64(len(waves)) * int64(pw.N())
 	s.stats.Calls++
 	return sn, cn, nil
+}
+
+// dftWave streams the particle image through one pipeline in DFT mode and
+// returns the wave's S+C and S−C accumulators (AccFrac fractional bits).
+func dftWave(trig *fixed.TrigUnit, round *fixed.Rounder, nv [3]int, pw *ParticleWords) (accPlus, accMinus int64) {
+	n0, n1, n2 := int64(nv[0]), int64(nv[1]), int64(nv[2])
+	ux := pw.Ux
+	uy, uz, qw := pw.Uy[:len(ux)], pw.Uz[:len(ux)], pw.Q[:len(ux)]
+	for j := range ux {
+		// n⃗·u⃗ in turns (PosFrac fractional bits): an exact integer ×
+		// fixed-point product whose two's-complement overflow is the wrap
+		// modulo one turn; it cannot overflow int64 for |n| below 2^20.
+		ph := n0*ux[j] + n1*uy[j] + n2*uz[j]
+		qs := round.Round(qw[j] * trig.Sin(ph))
+		qc := round.Round(qw[j] * trig.Cos(ph))
+		accPlus += qs + qc
+		accMinus += qs - qc
+	}
+	return accPlus, accMinus
 }
 
 // IDFT runs the pipelines in IDFT mode (eq. 11): given the structure factors,
@@ -424,62 +445,22 @@ func (s *System) idftPrepare(waves []ewald.Wave, sn, cn []float64) (aS, aC []int
 }
 
 // IDFTQuantizedInto is IDFTQuantized writing the forces into dst (reused
-// when its length matches the particle count, allocated otherwise); the
-// normalized per-wave coefficients live in session scratch.
+// when it is large enough, allocated otherwise): the pipelines fill the
+// session's force planes (IDFTQuantizedCoordsInto) and the host interleaves
+// them.
 func (s *System) IDFTQuantizedInto(waves []ewald.Wave, sn, cn []float64, pw *ParticleWords, dst []vec.V) ([]vec.V, error) {
-	aS, aC, scale, err := s.idftPrepare(waves, sn, cn)
+	fc, err := s.IDFTQuantizedCoordsInto(waves, sn, cn, pw, s.fc)
 	if err != nil {
 		return nil, err
 	}
-	forces := dst
-	if len(forces) != pw.N() {
-		forces = make([]vec.V, pw.N())
-	}
-	if scale == 0 {
-		for i := range forces {
-			forces[i] = vec.V{}
-		}
-		s.stats.Calls++
-		return forces, nil
-	}
-
-	trigFrac := s.cfg.TrigFormat.Frac
-	prodFrac := s.cfg.CoefFrac + trigFrac
-	tF := fixed.F(2, s.cfg.IAccFrac)
-	iaccF := fixed.F(0, s.cfg.IAccFrac)
-	l := pw.L
-	// Physical prefactor: F = (q_i/(π ε0 L³)) Σ a_n [C sinθ - S cosθ] k⃗ with
-	// k⃗ = n⃗/L and the block scale restored.
-	pref := 4 * units.Coulomb / (l * l * l * l) * scale
-
-	prodWide := fixed.WideFor(prodFrac)
-	_ = s.pool.Run(pw.N(), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			var ax, ay, az int64 // IAccFrac fractional bits
-			for w := range waves {
-				ph := phase(waves[w].N, pw.Ux[i], pw.Uy[i], pw.Uz[i])
-				si, ci := s.trig.SinCos(ph, s.cfg.PosFrac)
-				t1 := fixed.MulRound(aC[w], si, s.cfg.CoefFrac, trigFrac, prodFrac)
-				t2 := fixed.MulRound(aS[w], ci, s.cfg.CoefFrac, trigFrac, prodFrac)
-				t := fixed.Convert(t1-t2, prodWide, tF)
-				ax += t * int64(waves[w].N[0])
-				ay += t * int64(waves[w].N[1])
-				az += t * int64(waves[w].N[2])
-			}
-			forces[i] = vec.New(iaccF.Float(ax), iaccF.Float(ay), iaccF.Float(az)).Scale(pref * pw.q[i])
-		}
-		return nil
-	})
-	s.stats.IDFTOps += int64(len(waves)) * int64(pw.N())
-	s.stats.Calls++
-	return forces, nil
+	s.fc = fc
+	return fc.AppendAoS(dst), nil
 }
 
-// IDFTQuantizedCoordsInto is IDFTQuantizedInto writing the force components
-// into structure-of-arrays planes (dst is resized and reused when its backing
-// arrays are large enough). The per-particle arithmetic is identical word for
-// word; only the destination layout differs, so the planes carry exactly the
-// bits of the AoS call.
+// IDFTQuantizedCoordsInto is the IDFT pass writing the force components into
+// structure-of-arrays planes (dst is resized and reused when its backing
+// arrays are large enough); the normalized per-wave coefficients live in
+// session scratch.
 func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, pw *ParticleWords, dst soa.Coords) (soa.Coords, error) {
 	aS, aC, scale, err := s.idftPrepare(waves, sn, cn)
 	if err != nil {
@@ -493,27 +474,15 @@ func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, p
 		return dst, nil
 	}
 
-	trigFrac := s.cfg.TrigFormat.Frac
-	prodFrac := s.cfg.CoefFrac + trigFrac
-	tF := fixed.F(2, s.cfg.IAccFrac)
 	iaccF := fixed.F(0, s.cfg.IAccFrac)
 	l := pw.L
+	// Physical prefactor: F = (q_i/(π ε0 L³)) Σ a_n [C sinθ - S cosθ] k⃗ with
+	// k⃗ = n⃗/L and the block scale restored.
 	pref := 4 * units.Coulomb / (l * l * l * l) * scale
 
-	prodWide := fixed.WideFor(prodFrac)
 	_ = s.pool.Run(pw.N(), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			var ax, ay, az int64 // IAccFrac fractional bits
-			for w := range waves {
-				ph := phase(waves[w].N, pw.Ux[i], pw.Uy[i], pw.Uz[i])
-				si, ci := s.trig.SinCos(ph, s.cfg.PosFrac)
-				t1 := fixed.MulRound(aC[w], si, s.cfg.CoefFrac, trigFrac, prodFrac)
-				t2 := fixed.MulRound(aS[w], ci, s.cfg.CoefFrac, trigFrac, prodFrac)
-				t := fixed.Convert(t1-t2, prodWide, tF)
-				ax += t * int64(waves[w].N[0])
-				ay += t * int64(waves[w].N[1])
-				az += t * int64(waves[w].N[2])
-			}
+			ax, ay, az := idftParticle(&s.trig, &s.idftRound, waves, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i])
 			qp := pref * pw.q[i]
 			fx[i] = iaccF.Float(ax) * qp
 			fy[i] = iaccF.Float(ay) * qp
@@ -524,6 +493,21 @@ func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, p
 	s.stats.IDFTOps += int64(len(waves)) * int64(pw.N())
 	s.stats.Calls++
 	return dst, nil
+}
+
+// idftParticle streams the wave coefficients past one particle in IDFT mode
+// and returns its three force accumulators (IAccFrac fractional bits).
+func idftParticle(trig *fixed.TrigUnit, round *fixed.Rounder, waves []ewald.Wave, aS, aC []int64, ux, uy, uz int64) (ax, ay, az int64) {
+	aS, aC = aS[:len(waves)], aC[:len(waves)]
+	for w := range waves {
+		n0, n1, n2 := int64(waves[w].N[0]), int64(waves[w].N[1]), int64(waves[w].N[2])
+		ph := n0*ux + n1*uy + n2*uz
+		t := round.Round(aC[w]*trig.Sin(ph) - aS[w]*trig.Cos(ph))
+		ax += t * n0
+		ay += t * n1
+		az += t * n2
+	}
+	return ax, ay, az
 }
 
 // ComputeTime returns the pipeline wall-clock time for the given number of

@@ -48,12 +48,29 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.PosFrac = 2 },
 		func(c *Config) { c.SinLogSize = 0 },
 		func(c *Config) { c.QFrac = 1 },
+		// Phase narrower than the sine-table index: the index shift used to
+		// underflow and DFT returned garbage with a nil error.
+		func(c *Config) { c.PosFrac, c.SinLogSize = 8, 12 },
+		func(c *Config) { c.PosFrac, c.SinLogSize = 12, 12 },
+		func(c *Config) { c.PosFrac, c.SinLogSize = 13, 12 },
 	} {
 		c := CurrentConfig()
 		mod(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("invalid config accepted: %+v", c)
 		}
+		if _, err := NewSystem(c); err == nil {
+			t.Errorf("NewSystem accepted invalid config: %+v", c)
+		}
+	}
+	// The narrowest phase the unit supports still validates and computes.
+	c := CurrentConfig()
+	c.PosFrac, c.SinLogSize = 14, 12
+	if err := c.Validate(); err != nil {
+		t.Errorf("PosFrac 14 / SinLogSize 12 rejected: %v", err)
+	}
+	if _, err := NewSystem(c); err != nil {
+		t.Errorf("NewSystem(PosFrac 14 / SinLogSize 12): %v", err)
 	}
 }
 
