@@ -28,7 +28,7 @@ weak-smoke:
 	$(GO) run ./cmd/mdmbench -weak-smoke
 
 bench-compare:
-	$(GO) run ./cmd/mdmbench -compare -threshold 0.2 BENCH_5.json BENCH_6.json
+	$(GO) run ./cmd/mdmbench -compare -threshold 0.2 BENCH_6.json BENCH_7.json
 
 vet:
 	$(GO) vet ./...

@@ -30,15 +30,18 @@ func readReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
-// normalised renders the per-pair / per-particle·wave form of a row when both
-// reports recorded it (older artifacts carry none); informative only — the
-// verdict stays on ns/op, of which these are a constant fraction.
+// normalised renders the per-pair / per-particle·wave / per-particle·step
+// form of a row when both reports recorded it (older artifacts carry none);
+// informative only — the verdict stays on ns/op, of which these are a
+// constant fraction.
 func normalised(or, nr Result) string {
 	switch {
 	case or.NsPerPair > 0 && nr.NsPerPair > 0:
 		return fmt.Sprintf("  ns/pair %.2f → %.2f", or.NsPerPair, nr.NsPerPair)
 	case or.NsPerParticleWave > 0 && nr.NsPerParticleWave > 0:
 		return fmt.Sprintf("  ns/particle·wave %.2f → %.2f", or.NsPerParticleWave, nr.NsPerParticleWave)
+	case or.NsPerParticleStep > 0 && nr.NsPerParticleStep > 0:
+		return fmt.Sprintf("  ns/particle·step %.0f → %.0f", or.NsPerParticleStep, nr.NsPerParticleStep)
 	}
 	return ""
 }

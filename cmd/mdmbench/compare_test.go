@@ -93,6 +93,13 @@ func TestNormalisedColumnsNeedBothSides(t *testing.T) {
 	if got := normalised(wave, wave); got != "  ns/particle·wave 9.50 → 9.50" {
 		t.Errorf("both sides with ns_per_particle_wave rendered %q", got)
 	}
+	step := Result{Name: "figure2Step", Workers: 1, NsPerOp: 800, NsPerParticleStep: 37040}
+	if got := normalised(step, step); got != "  ns/particle·step 37040 → 37040" {
+		t.Errorf("both sides with ns_per_particle_step rendered %q", got)
+	}
+	if got := normalised(old, step); got != "" {
+		t.Errorf("older side without ns_per_particle_step rendered %q", got)
+	}
 	data, err := json.Marshal(old)
 	if err != nil {
 		t.Fatal(err)

@@ -44,9 +44,12 @@ type Result struct {
 	// (ROADMAP item 3b). machineForces: per MDGRAPE-2 pair evaluation (one per
 	// pair per table pass, mdgrape2.Stats.PairsEvaluated) — the whole Forces
 	// op, wave pass and potential included, so an upper bound on the sweep's
-	// own cost. wine2DFTIDFT: per particle·wave operation (DFT + IDFT ops).
+	// own cost. hostPotential: per half pair of the host's potential walk.
+	// wine2DFTIDFT: per particle·wave operation (DFT + IDFT ops). The
+	// figure2Step families: per particle of one MD step.
 	NsPerPair         float64 `json:"ns_per_pair,omitempty"`
 	NsPerParticleWave float64 `json:"ns_per_particle_wave,omitempty"`
+	NsPerParticleStep float64 `json:"ns_per_particle_step,omitempty"`
 }
 
 // PipelineResult compares the Figure-2 step with the concurrent pipeline on
@@ -281,6 +284,12 @@ func run(widths []int, iters, reps, batchSteps, weakSteps int) (*Report, error) 
 	}
 	rep.normalise("machineForces", pairsPerOp, func(r *Result) *float64 { return &r.NsPerPair })
 
+	hp, err := hostPotentialRow(sys, p, iters, reps)
+	if err != nil {
+		return nil, fmt.Errorf("hostPotential: %w", err)
+	}
+	rep.Results = append(rep.Results, hp)
+
 	if err := rep.family("wine2DFTIDFT", widths, iters, reps, func(workers int) (func() error, error) {
 		w, err := wine2.NewSystem(wine2.CurrentConfig())
 		if err != nil {
@@ -323,6 +332,9 @@ func run(widths []int, iters, reps, batchSteps, weakSteps int) (*Report, error) 
 	}
 	if err := rep.family("figure2StepPipelineSkin", widths, iters, reps, figure2Family(p, true, 0.5)); err != nil {
 		return nil, err
+	}
+	for _, name := range []string{"figure2Step", "figure2StepPipeline", "figure2StepPipelineSkin"} {
+		rep.normalise(name, int64(sys.N()), func(r *Result) *float64 { return &r.NsPerParticleStep })
 	}
 
 	// Headline ratios: the same step with the concurrent pipeline off vs on,
@@ -374,6 +386,47 @@ func run(widths []int, iters, reps, batchSteps, weakSteps int) (*Report, error) 
 	return rep, nil
 }
 
+// interleavedBest times two operations alternately — a, then b, within every
+// rep, so both see the same host load and frequency state — and returns each
+// side's best ns/op over the reps.
+func interleavedBest(a, b func() error, iters, reps int) (bestA, bestB float64, err error) {
+	sample := func(op func() error) (float64, error) {
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			if err := op(); err != nil {
+				return 0, err
+			}
+		}
+		return float64(time.Since(start).Nanoseconds()) / float64(iters), nil
+	}
+	// Warm both sides (tables, arenas, CPU frequency) before any timing.
+	for i := 0; i < 3; i++ {
+		if err := a(); err != nil {
+			return 0, 0, err
+		}
+		if err := b(); err != nil {
+			return 0, 0, err
+		}
+	}
+	for r := 0; r < reps; r++ {
+		na, err := sample(a)
+		if err != nil {
+			return 0, 0, err
+		}
+		nb, err := sample(b)
+		if err != nil {
+			return 0, 0, err
+		}
+		if bestA == 0 || na < bestA {
+			bestA = na
+		}
+		if bestB == 0 || nb < bestB {
+			bestB = nb
+		}
+	}
+	return bestA, bestB, nil
+}
+
 // pipelineCompare times the Figure-2 step with the pipeline off and on at one
 // pool width, alternating the two configurations within every rep and keeping
 // each side's best sample.
@@ -386,40 +439,9 @@ func pipelineCompare(p ewald.Params, workers, iters, reps int) (PipelineResult, 
 	if err != nil {
 		return PipelineResult{}, err
 	}
-	sample := func(op func() error) (float64, error) {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := op(); err != nil {
-				return 0, err
-			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(iters), nil
-	}
-	// Warm both sides (tables, arenas, CPU frequency) before any timing.
-	for i := 0; i < 3; i++ {
-		if err := offOp(); err != nil {
-			return PipelineResult{}, err
-		}
-		if err := onOp(); err != nil {
-			return PipelineResult{}, err
-		}
-	}
-	var bestOff, bestOn float64
-	for r := 0; r < reps; r++ {
-		off, err := sample(offOp)
-		if err != nil {
-			return PipelineResult{}, err
-		}
-		on, err := sample(onOp)
-		if err != nil {
-			return PipelineResult{}, err
-		}
-		if bestOff == 0 || off < bestOff {
-			bestOff = off
-		}
-		if bestOn == 0 || on < bestOn {
-			bestOn = on
-		}
+	bestOff, bestOn, err := interleavedBest(offOp, onOp, iters, reps)
+	if err != nil {
+		return PipelineResult{}, err
 	}
 	return PipelineResult{
 		Workers:    workers,
@@ -427,6 +449,46 @@ func pipelineCompare(p ewald.Params, workers, iters, reps int) (PipelineResult, 
 		OnNsPerOp:  bestOn,
 		Speedup:    bestOff / bestOn,
 	}, nil
+}
+
+// hostPotentialRow times the host's real-space potential walk by difference:
+// the serial Forces call that evaluates it against the same call on a
+// machine that, after its first call, never does (the walk is internal to
+// core; the difference also carries the O(N) self-energy sum, a thousandth
+// of it). ns_per_pair divides by the walk's half-pair count.
+func hostPotentialRow(sys *md.System, p ewald.Params, iters, reps int) (Result, error) {
+	forcesOp := func(potentialEvery int) (func() error, error) {
+		cfg := core.CurrentMachineConfig(p)
+		cfg.Workers = 1
+		cfg.PotentialEvery = potentialEvery
+		m, err := core.NewMachine(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return func() error {
+			_, _, err := m.Forces(sys)
+			return err
+		}, nil
+	}
+	with, err := forcesOp(1)
+	if err != nil {
+		return Result{}, err
+	}
+	without, err := forcesOp(math.MaxInt)
+	if err != nil {
+		return Result{}, err
+	}
+	nsWith, nsWithout, err := interleavedBest(with, without, iters, reps)
+	if err != nil {
+		return Result{}, err
+	}
+	grid, err := cellindex.NewGrid(p.L, p.RCut)
+	if err != nil {
+		return Result{}, err
+	}
+	halfPairs := (cellindex.Sort(grid, sys.Pos).OrderedPairCount() - sys.N()) / 2
+	ns := nsWith - nsWithout
+	return Result{Name: "hostPotential", Workers: 1, NsPerOp: ns, Speedup: 1, NsPerPair: ns / float64(halfPairs)}, nil
 }
 
 // smoke gates CI: at workers=GOMAXPROCS the Figure-2 step must not run

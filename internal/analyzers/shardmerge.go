@@ -34,7 +34,7 @@ var shardSerialIterators = map[string]map[string]bool{
 		"ForEachOrderedPair":   true,
 		"ForEachHalfPair":      true,
 		"ForEachHalfPairTable": true,
-		"forEachHalfPair":      true,
+		"ForEachHalfRun":       true,
 	},
 }
 

@@ -64,8 +64,13 @@ func serialPairs(s *cellindex.Sorted) float64 {
 		pot += rij.X
 	})
 	// The host potential's half walk over a prebuilt neighbor table.
-	s.ForEachHalfPairTable(cellindex.BuildNeighborTable(s.Grid, nil), func(i, j int, rij vec.V) {
+	nbt := cellindex.BuildNeighborTable(s.Grid, nil)
+	s.ForEachHalfPairTable(nbt, func(i, j int, rij vec.V) {
 		pot += rij.X
+	})
+	// The run iterator under it, as the host potential's block gather calls it.
+	s.ForEachHalfRun(nbt, func(i, js, je int, shift vec.V) {
+		pot += shift.X
 	})
 	return pot
 }

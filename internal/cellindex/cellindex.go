@@ -11,7 +11,7 @@
 // a permutation of the particles grouped by cell, with a start-offset table
 // (the "cell memory" of Figure 9).
 //
-// Three pair walkers are provided:
+// Three pair walkers are provided, and the run iterator under the last:
 //
 //   - ForEachOrderedPair visits every (i, j) with j in the 27 neighbor cells
 //     of i's cell, with no distance test and no use of Newton's third law —
@@ -19,8 +19,11 @@
 //   - ForEachHalfPair visits every unordered pair within r_cut exactly once —
 //     the conventional-computer mode with Newton's third law (N_int).
 //   - ForEachHalfPairTable visits the ordered walk's pair set once per
-//     unordered pair, still with no distance test — how the host sums the
-//     potential over exactly the pairs the pipelines evaluated.
+//     unordered pair, still with no distance test — the pair set the
+//     pipelines evaluated, at the host's half count.
+//   - ForEachHalfRun is that walk one (i, neighbor-cell run) at a time, for a
+//     caller that streams the contiguous j range itself — how the host
+//     potential gathers its blocks. The two half-pair walkers wrap it.
 package cellindex
 
 import (
@@ -427,7 +430,7 @@ func (s *Sorted) OrderedPairCount() int {
 // size times one (the grid guarantees this when built with the same cutoff).
 func (s *Sorted) ForEachHalfPair(rcut float64, f func(i, j int, rij vec.V)) {
 	r2 := rcut * rcut
-	s.forEachHalfPair(nil, func(i, j int, rij vec.V) {
+	s.ForEachHalfPairTable(nil, func(i, j int, rij vec.V) {
 		if rij.Norm2() < r2 {
 			f(i, j, rij)
 		}
@@ -438,17 +441,28 @@ func (s *Sorted) ForEachHalfPair(rcut float64, f func(i, j int, rij vec.V)) {
 // 27-cell walk exactly once, with no distance test: the pair set of
 // ForEachOrderedPair with Newton's third law applied — (OrderedPairCount − N)/2
 // visits, the (i, i, zero-shift) self visits dropped, a particle's own
-// non-zero images kept. It is the host's half-count walk (§2.2) over the
-// pipelines' pair set. Neighbor lists come from the prebuilt table (which
-// must belong to s.Grid's geometry), so the walk allocates nothing.
+// non-zero images kept. It is ForEachHalfRun taken pair by pair, passing
+// rij = ri - (rj + shift).
 func (s *Sorted) ForEachHalfPairTable(nbt *NeighborTable, f func(i, j int, rij vec.V)) {
-	s.forEachHalfPair(nbt, f)
+	s.ForEachHalfRun(nbt, func(i, js, je int, shift vec.V) {
+		ri := s.Pos.At(i)
+		for j := js; j < je; j++ {
+			f(i, j, ri.Sub(s.Pos.At(j).Add(shift)))
+		}
+	})
 }
 
-// forEachHalfPair is the shared half walk. Which of a pair's two directed
-// visits survives depends only on the (cell, neighbor entry) it arrives
-// through, so the choice is made once per entry, not once per pair.
-func (s *Sorted) forEachHalfPair(nbt *NeighborTable, f func(i, j int, rij vec.V)) {
+// ForEachHalfRun is the half walk itself — the host's half-count walk (§2.2)
+// over the pipelines' pair set — one callback per (i, neighbor-cell run):
+// sorted particle i pairs with every sorted j in [js, je), each j displaced by
+// the run's image shift. Runs arrive in fixed order (cell, neighbor entry, i)
+// on the calling goroutine; empty runs are skipped. Which of a pair's two
+// directed visits survives depends only on the (cell, neighbor entry) it
+// arrives through, so the choice is made once per entry, not once per pair.
+// Neighbor lists come from the prebuilt table (which must belong to s.Grid's
+// geometry), so the walk allocates nothing; a nil table enumerates each
+// cell's neighbors afresh.
+func (s *Sorted) ForEachHalfRun(nbt *NeighborTable, f func(i, js, je int, shift vec.V)) {
 	g := s.Grid
 	for c := 0; c < g.NumCells(); c++ {
 		is, ie := s.CellRange(c)
@@ -468,13 +482,11 @@ func (s *Sorted) forEachHalfPair(nbt *NeighborTable, f func(i, j int, rij vec.V)
 			}
 			js, je := s.CellRange(nb.Cell)
 			for i := is; i < ie; i++ {
-				ri := s.Pos.At(i)
-				j := js
 				if own { // the cell against itself: the j > i triangle
-					j = i + 1
+					js = i + 1
 				}
-				for ; j < je; j++ {
-					f(i, j, ri.Sub(s.Pos.At(j).Add(nb.Shift)))
+				if js < je {
+					f(i, js, je, nb.Shift)
 				}
 			}
 		}

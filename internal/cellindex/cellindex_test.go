@@ -370,12 +370,25 @@ func TestHalfPairTableVisitsEachImagePairOnce(t *testing.T) {
 		s.ForEachOrderedPair(func(i, j int, rij vec.V) { ordered[imageKeyOf(s, i, j, rij)]++ })
 		half := map[imageKey]int{}
 		visits := 0
-		s.ForEachHalfPairTable(BuildNeighborTable(g, nil), func(i, j int, rij vec.V) {
+		nbt := BuildNeighborTable(g, nil)
+		s.ForEachHalfPairTable(nbt, func(i, j int, rij vec.V) {
 			half[imageKeyOf(s, i, j, rij)]++
 			visits++
 		})
-		if want := (s.OrderedPairCount() - len(pos)) / 2; visits != want {
+		want := (s.OrderedPairCount() - len(pos)) / 2
+		if visits != want {
 			t.Errorf("N=%d: %d half visits, want (ordered − N)/2 = %d", n, visits, want)
+		}
+		// The run iterator the pair walk wraps hands over whole, non-empty runs.
+		inRuns := 0
+		s.ForEachHalfRun(nbt, func(i, js, je int, _ vec.V) {
+			if js >= je || js < 0 || je > s.Len() {
+				t.Errorf("N=%d: run [%d, %d) of particle %d is empty or out of range", n, js, je, i)
+			}
+			inRuns += je - js
+		})
+		if inRuns != want {
+			t.Errorf("N=%d: runs hold %d pairs, want %d", n, inRuns, want)
 		}
 		for k, c := range ordered {
 			self := k.i == k.j && k.sx == 0 && k.sy == 0 && k.sz == 0

@@ -145,6 +145,7 @@ type Machine struct {
 	jsetReuses   int
 	scale        []float64 // hoisted per-i Coulomb force prefactor
 	potScale     []float64 // hoisted per-i Coulomb potential prefactor (HardwarePotential only)
+	potGather    potGather // sorted-order charge/species planes of the host potential walk
 	passes       [4]mdgrape2.ForcePass
 	realFC       soa.Coords      // fused-sweep force planes
 	wineFC       soa.Coords      // wavenumber force planes
@@ -489,7 +490,7 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 				return nil, 0, fmt.Errorf("core: hardware potential: %w", err)
 			}
 		} else {
-			realPot = hostPotential(p, m.pot, js.Sorted, m.jsb.NeighborTable(), s)
+			realPot = hostPotential(&m.potGather, p, m.pot, js.Sorted, m.jsb.NeighborTable(), s)
 		}
 		m.lastPot = realPot + res.pot + ewald.SelfEnergy(p, s.Charge)
 	}
@@ -537,29 +538,4 @@ func (m *Machine) hardwarePotential(s *md.System, js *mdgrape2.JSet) (float64, e
 func (m *Machine) wavePass(s *md.System) wineResult {
 	fc, pot, err := m.wine.CalcForceAndPotWavepartCoordsInto(m.cfg.Ewald, m.waves, s.Pos, s.Charge, m.wineFC)
 	return wineResult{fc: fc, pot: pot, err: err}
-}
-
-// hostPotential evaluates the real-space Coulomb and short-range potential
-// energy in float64 on the host — the one real-space potential walk of the
-// serial machine and the decomposed session alike. It covers the same
-// 27-cell pair set as the MDGRAPE-2 force passes (which apply no r_cut test,
-// §2.2), so the potential stays consistent with the forces — the condition
-// for energy conservation — but, being the conventional computer, at the
-// half count: each unordered (i, j, image) once, one square root per pair.
-// True self pairs (r = 0) contribute nothing, as in the pipelines. sorted and
-// nbt are the step's shared j-set layout and neighbor table, saving a second
-// cell sort and the per-cell neighbor enumeration.
-func hostPotential(p ewald.Params, tf *tosifumi.Potential, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable, s *md.System) float64 {
-	pot := 0.0
-	sorted.ForEachHalfPairTable(nbt, func(i, j int, rij vec.V) {
-		r2 := rij.Norm2()
-		if r2 == 0 {
-			return
-		}
-		r := math.Sqrt(r2)
-		oi, oj := sorted.Order[i], sorted.Order[j]
-		pot += p.RealPairEnergyR(s.Charge[oi], s.Charge[oj], r)
-		pot += tf.ShortEnergy(tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj]), r)
-	})
-	return pot
 }

@@ -59,21 +59,6 @@ func NewReference(p ewald.Params) (*Reference, error) {
 // Waves returns the wavevector set in use.
 func (r *Reference) Waves() []ewald.Wave { return r.waves }
 
-// realPotential returns the real-space Coulomb + short-range potential
-// energy (the cutoff half-pair sum) for the configuration, without the
-// wavenumber and self terms. The parallel step uses it for host-side
-// bookkeeping.
-func (r *Reference) realPotential(s *md.System) float64 {
-	sorted := cellindex.Sort(r.grid, s.Pos)
-	pot := 0.0
-	sorted.ForEachHalfPair(r.P.RCut, func(i, j int, rij vec.V) {
-		oi, oj := sorted.Order[i], sorted.Order[j]
-		pot += r.P.RealPairEnergy(s.Charge[oi], s.Charge[oj], rij)
-		pot += r.Pot.ShortEnergy(tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj]), rij.Norm())
-	})
-	return pot
-}
-
 // Pressure returns the instantaneous virial pressure in eV/Å³
 // (multiply by units.EVPerA3ToGPa for GPa):
 //

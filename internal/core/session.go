@@ -85,6 +85,7 @@ type ParallelRun struct {
 	potSorter *cellindex.Sorter
 	potSorted *cellindex.Sorted
 	potNbt    *cellindex.NeighborTable
+	potGather potGather
 	potDirty  bool
 
 	res ParallelResult
@@ -376,7 +377,7 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 			pr.potDirty = false
 		}
 		pr.potSorted.Refresh(s.Pos)
-		realPot := hostPotential(p, pr.tf, pr.potSorted, pr.potNbt, s)
+		realPot := hostPotential(&pr.potGather, p, pr.tf, pr.potSorted, pr.potNbt, s)
 		pr.lastPot = realPot + pr.wavePot + ewald.SelfEnergy(p, s.Charge)
 	}
 	pr.potCalls++

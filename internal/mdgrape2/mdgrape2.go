@@ -350,14 +350,6 @@ func (js *JSet) neighbors(c int) []cellindex.Neighbor {
 	return js.Sorted.Grid.Neighbors(c)
 }
 
-// weight32 returns the float32 charge field of sorted particle j.
-func (js *JSet) weight32(j int) float32 {
-	if js.Weights == nil {
-		return 1
-	}
-	return float32(js.Weights[j])
-}
-
 // ComputeTime returns the pipeline wall-clock time for evaluating the given
 // number of pairs with perfect pipelining: pairs / (pipelines × clock).
 func (s *System) ComputeTime(pairs int64) float64 {
