@@ -28,7 +28,7 @@ weak-smoke:
 	$(GO) run ./cmd/mdmbench -weak-smoke
 
 bench-compare:
-	$(GO) run ./cmd/mdmbench -compare -threshold 0.2 BENCH_6.json BENCH_7.json
+	$(GO) run ./cmd/mdmbench -compare -threshold 0.2 BENCH_7.json BENCH_8.json
 
 vet:
 	$(GO) vet ./...

@@ -46,6 +46,22 @@ func normalised(or, nr Result) string {
 	return ""
 }
 
+// speedupText renders a parallel ratio (speed-up over the serial path, or
+// weak-scaling wall efficiency) measured at the given width — pool workers or
+// ranks — on a host with numCPU cores: the figure when every lane had a core
+// of its own, "n/a" when the width oversubscribed the host and the ratio says
+// nothing about scaling.
+func speedupText(ratio float64, width, numCPU int) string {
+	if numCPU < width {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2f", ratio)
+}
+
+// overlapLanes is the width the engine overlap occupies at a pool width: the
+// wave pass needs a core of its own beside the sweep's pool.
+func overlapLanes(workers int) int { return max(workers, 2) }
+
 type benchKey struct {
 	name    string
 	workers int
@@ -106,8 +122,12 @@ func compareReports(aPath, bPath string, threshold float64) (int, error) {
 			mark = "  ALLOC REGRESSION"
 			regressions++
 		}
-		fmt.Printf("%-34s %14.0f %14.0f %+8.1f%% %7.1f → %-7.1f%s%s\n",
-			label, or.NsPerOp, nr.NsPerOp, 100*delta, or.AllocsPerOp, nr.AllocsPerOp, normalised(or, nr), mark)
+		scaling := ""
+		if k.workers > 1 {
+			scaling = fmt.Sprintf("  speedup %s → %s", speedupText(or.Speedup, k.workers, a.NumCPU), speedupText(nr.Speedup, k.workers, b.NumCPU))
+		}
+		fmt.Printf("%-34s %14.0f %14.0f %+8.1f%% %7.1f → %-7.1f%s%s%s\n",
+			label, or.NsPerOp, nr.NsPerOp, 100*delta, or.AllocsPerOp, nr.AllocsPerOp, normalised(or, nr), scaling, mark)
 	}
 	for _, r := range a.Results {
 		if _, ok := newByKey[benchKey{r.Name, r.Workers}]; !ok {
@@ -130,8 +150,10 @@ func compareReports(aPath, bPath string, threshold float64) (int, error) {
 			mark = "  REGRESSION"
 			regressions++
 		}
-		fmt.Printf("%-34s %14.0f %14.0f %+8.1f%% speedup %.2f → %.2f%s\n",
-			fmt.Sprintf("pipeline-on/w%d", p.Workers), op.OnNsPerOp, p.OnNsPerOp, 100*delta, op.Speedup, p.Speedup, mark)
+		lanes := overlapLanes(p.Workers)
+		fmt.Printf("%-34s %14.0f %14.0f %+8.1f%% speedup %s → %s%s\n",
+			fmt.Sprintf("pipeline-on/w%d", p.Workers), op.OnNsPerOp, p.OnNsPerOp, 100*delta,
+			speedupText(op.Speedup, lanes, a.NumCPU), speedupText(p.Speedup, lanes, b.NumCPU), mark)
 	}
 	oldBatch := make(map[int]BatchThroughputResult, len(a.Batch))
 	for _, r := range a.Batch {
@@ -176,8 +198,9 @@ func compareReports(aPath, bPath string, threshold float64) (int, error) {
 			mark = "  REGRESSION"
 			regressions++
 		}
-		fmt.Printf("%-34s %14.0f %14.0f %+8.1f%% per-particle eff %.2f → %.2f%s\n",
-			label, or.NsPerStep, r.NsPerStep, 100*delta, or.PerParticleEff, r.PerParticleEff, mark)
+		fmt.Printf("%-34s %14.0f %14.0f %+8.1f%% per-particle eff %.2f → %.2f  wall eff %s → %s%s\n",
+			label, or.NsPerStep, r.NsPerStep, 100*delta, or.PerParticleEff, r.PerParticleEff,
+			speedupText(or.WallEfficiency, r.Ranks, a.NumCPU), speedupText(r.WallEfficiency, r.Ranks, b.NumCPU), mark)
 	}
 	if regressions > 0 {
 		fmt.Printf("\n%d regression(s) beyond %.0f%%\n", regressions, 100*threshold)

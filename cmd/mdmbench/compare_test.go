@@ -108,3 +108,25 @@ func TestNormalisedColumnsNeedBothSides(t *testing.T) {
 		t.Errorf("a row without normalised figures must not grow keys: %s", data)
 	}
 }
+
+// A ratio measured at a width the host could not give a core per lane is
+// rendered n/a: BENCH_5–7's width-4/8 columns and p = 8/27 rungs were recorded
+// on two cores.
+func TestSpeedupTextNeedsACorePerLane(t *testing.T) {
+	for _, c := range []struct {
+		ratio         float64
+		width, numCPU int
+		want          string
+	}{
+		{1.9, 2, 2, "1.90"},
+		{0.95, 4, 2, "n/a"}, // workers > num_cpu
+		{0.16, 8, 2, "n/a"}, // ranks > num_cpu
+		{1, 1, 1, "1.00"},
+		{1.25, 2, 1, "n/a"}, // the overlap's two lanes on one core
+		{3.7, 4, 8, "3.70"},
+	} {
+		if got := speedupText(c.ratio, c.width, c.numCPU); got != c.want {
+			t.Errorf("speedupText(%g, width %d, num_cpu %d) = %q, want %q", c.ratio, c.width, c.numCPU, got, c.want)
+		}
+	}
+}

@@ -518,16 +518,16 @@ func smoke(iters, reps int) error {
 			return fmt.Errorf("figure2Step at workers=%d is %.2fx serial speed (allowed ≥ %.2fx)",
 				r.Workers, r.Speedup, 1/margin)
 		}
-		fmt.Printf("smoke: figure2Step workers=%d speedup %.2fx (gomaxprocs=%d)\n",
-			r.Workers, r.Speedup, rep.GOMAXPROCS)
+		fmt.Printf("smoke: figure2Step workers=%d speedup %s (num_cpu=%d gomaxprocs=%d)\n",
+			r.Workers, speedupText(r.Speedup, r.Workers, rep.NumCPU), rep.NumCPU, rep.GOMAXPROCS)
 	}
 	for _, pr := range rep.Pipeline {
 		if pr.Speedup < 1/margin {
 			return fmt.Errorf("figure2Step pipeline at workers=%d is %.2fx the sequential step (allowed ≥ %.2fx)",
 				pr.Workers, pr.Speedup, 1/margin)
 		}
-		fmt.Printf("smoke: figure2Step pipeline workers=%d overlap ratio %.2fx (num_cpu=%d gomaxprocs=%d)\n",
-			pr.Workers, pr.Speedup, rep.NumCPU, rep.GOMAXPROCS)
+		fmt.Printf("smoke: figure2Step pipeline workers=%d overlap ratio %s (num_cpu=%d gomaxprocs=%d)\n",
+			pr.Workers, speedupText(pr.Speedup, overlapLanes(pr.Workers), rep.NumCPU), rep.NumCPU, rep.GOMAXPROCS)
 	}
 	if rep.GOMAXPROCS < 2 || rep.NumCPU < 2 {
 		fmt.Println("smoke: fewer than two cores, the engines cannot truly overlap and parallel widths timeshare; overhead check only")

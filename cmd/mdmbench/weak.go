@@ -179,8 +179,8 @@ func weakScaling(rungs []struct{ ranks, cells int }, warmup, steps int) ([]WeakS
 			r.PerParticleEff = base.NsPerParticle / r.NsPerParticle
 		}
 		out = append(out, r)
-		fmt.Fprintf(os.Stderr, "weakScaling ranks=%d N=%d: %.1f ms/step, per-particle efficiency %.2f\n",
-			r.Ranks, r.N, r.NsPerStep/1e6, r.PerParticleEff)
+		fmt.Fprintf(os.Stderr, "weakScaling ranks=%d N=%d: %.1f ms/step, per-particle efficiency %.2f, wall efficiency %s\n",
+			r.Ranks, r.N, r.NsPerStep/1e6, r.PerParticleEff, speedupText(r.WallEfficiency, r.Ranks, runtime.NumCPU()))
 	}
 	return out, nil
 }

@@ -20,7 +20,7 @@ func smallParams(l float64) ewald.Params {
 
 // meltLike builds a perturbed rock-salt configuration (a poor man's melt
 // snapshot) with reproducible displacements.
-func meltLike(t *testing.T, cells int, a float64, tK float64, seed int64) *md.System {
+func meltLike(t testing.TB, cells int, a float64, tK float64, seed int64) *md.System {
 	t.Helper()
 	s, err := md.NewRockSalt(cells, a)
 	if err != nil {
@@ -38,7 +38,7 @@ func meltLike(t *testing.T, cells int, a float64, tK float64, seed int64) *md.Sy
 	return s
 }
 
-func newTestMachine(t *testing.T, p ewald.Params) *Machine {
+func newTestMachine(t testing.TB, p ewald.Params) *Machine {
 	t.Helper()
 	m, err := NewMachine(CurrentMachineConfig(p))
 	if err != nil {

@@ -41,6 +41,42 @@ const (
 	tableDisp8Pot   = "dispersion-r8-pot"
 )
 
+// kernelTable is one function-evaluator RAM load: the kernel and the domain
+// [2^emin, 2^emax) it is asked for (SetTable widens the top to a power-of-two
+// span of octaves).
+type kernelTable struct {
+	name       string
+	g          func(float64) float64
+	emin, emax int
+}
+
+// forceTables are the four kernels of the real-space sweep, in the sweep's
+// reduction order; potentialTables are their potential-mode counterparts.
+var (
+	forceTables = []kernelTable{
+		{tableCoulomb, EwaldRealG, -20, 8},
+		{tableBM, func(x float64) float64 { s := math.Sqrt(x); return math.Exp(-s) / s }, -8, 12},
+		{tableDisp6, func(x float64) float64 { x2 := x * x; return 1 / (x2 * x2) }, -4, 16},
+		{tableDisp8, func(x float64) float64 { x2 := x * x; return 1 / (x2 * x2 * x) }, -4, 16},
+	}
+	potentialTables = []kernelTable{
+		{tableCoulombPot, func(x float64) float64 { s := math.Sqrt(x); return math.Erfc(s) / s }, -20, 8},
+		{tableBMPot, func(x float64) float64 { return math.Exp(-math.Sqrt(x)) }, -8, 12},
+		{tableDisp6Pot, func(x float64) float64 { return 1 / (x * x * x) }, -4, 16},
+		{tableDisp8Pot, func(x float64) float64 { x2 := x * x; return 1 / (x2 * x2) }, -4, 16},
+	}
+)
+
+// loadTables fits each kernel into the session's function-evaluator RAM.
+func loadTables(m *mdgrape2.MR1, tables []kernelTable) error {
+	for _, k := range tables {
+		if err := m.SetTable(k.name, k.g, k.emin, k.emax); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // EwaldRealG is the real-space Coulomb kernel of §3.5.4:
 // g(x) = 2 exp(-x)/(√π x) + erfc(√x)/x^(3/2), with x = (α r/L)².
 func EwaldRealG(x float64) float64 {
@@ -206,48 +242,11 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if err := mr1.Init(); err != nil {
 		return nil, err
 	}
-	if err := mr1.SetTable(tableCoulomb, EwaldRealG, -20, 8); err != nil {
-		return nil, err
-	}
-	if err := mr1.SetTable(tableBM, func(x float64) float64 {
-		s := math.Sqrt(x)
-		return math.Exp(-s) / s
-	}, -8, 12); err != nil {
-		return nil, err
-	}
-	if err := mr1.SetTable(tableDisp6, func(x float64) float64 {
-		x2 := x * x
-		return 1 / (x2 * x2)
-	}, -4, 16); err != nil {
-		return nil, err
-	}
-	if err := mr1.SetTable(tableDisp8, func(x float64) float64 {
-		x2 := x * x
-		return 1 / (x2 * x2 * x)
-	}, -4, 16); err != nil {
+	if err := loadTables(mr1, forceTables); err != nil {
 		return nil, err
 	}
 	if cfg.HardwarePotential {
-		if err := mr1.SetTable(tableCoulombPot, func(x float64) float64 {
-			s := math.Sqrt(x)
-			return math.Erfc(s) / s
-		}, -20, 8); err != nil {
-			return nil, err
-		}
-		if err := mr1.SetTable(tableBMPot, func(x float64) float64 {
-			return math.Exp(-math.Sqrt(x))
-		}, -8, 12); err != nil {
-			return nil, err
-		}
-		if err := mr1.SetTable(tableDisp6Pot, func(x float64) float64 {
-			return 1 / (x * x * x)
-		}, -4, 16); err != nil {
-			return nil, err
-		}
-		if err := mr1.SetTable(tableDisp8Pot, func(x float64) float64 {
-			x2 := x * x
-			return 1 / (x2 * x2)
-		}, -4, 16); err != nil {
+		if err := loadTables(mr1, potentialTables); err != nil {
 			return nil, err
 		}
 	}

@@ -234,25 +234,7 @@ func newRankMDG(cfg MachineConfig, nReal, rank int) (*mdgrape2.MR1, error) {
 	if err := m.Init(); err != nil {
 		return nil, err
 	}
-	if err := m.SetTable(tableCoulomb, EwaldRealG, -20, 8); err != nil {
-		return nil, err
-	}
-	if err := m.SetTable(tableBM, func(x float64) float64 {
-		s := math.Sqrt(x)
-		return math.Exp(-s) / s
-	}, -8, 12); err != nil {
-		return nil, err
-	}
-	if err := m.SetTable(tableDisp6, func(x float64) float64 {
-		x2 := x * x
-		return 1 / (x2 * x2)
-	}, -4, 16); err != nil {
-		return nil, err
-	}
-	if err := m.SetTable(tableDisp8, func(x float64) float64 {
-		x2 := x * x
-		return 1 / (x2 * x2 * x)
-	}, -4, 16); err != nil {
+	if err := loadTables(m, forceTables); err != nil {
 		return nil, err
 	}
 	return m, nil

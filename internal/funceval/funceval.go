@@ -16,6 +16,14 @@
 // (Horner), and only the final force accumulation (done by the caller)
 // is double precision. The resulting relative accuracy is ~1e-7, as quoted in
 // the paper.
+//
+// The evaluator's dynamic range is cut off on both sides. Arguments at or
+// beyond the domain maximum return the high-side tail value (0 by default,
+// the implicit cutoff). On the low-magnitude side the RAM never holds a
+// subnormal word: a segment on which |g| stays below 2^-102 is stored as an
+// all-zero row and evaluates to exactly +0 (see NewTable). Gradual underflow
+// is a property of an IEEE host FPU — where it costs a microcode assist per
+// operation — not of this pipeline.
 package funceval
 
 import (
@@ -65,6 +73,17 @@ const (
 	infBits32 = 0x7f800000
 )
 
+// The pipeline's underflow rule, in the float64 the fit works in.
+const (
+	// minNormal32 is 2^-126, the smallest normal float32: a coefficient below
+	// it would be stored as a subnormal word.
+	minNormal32 = 1.0 / (1 << -minExp32)
+	// flushFloor is 2^-102 = 2^-126 · 2^24, the smallest magnitude whose
+	// half-ulp (2^-24 of it) is still a normal float32. Below it the Horner
+	// terms of a segment leave the normal range even where its value has not.
+	flushFloor = minNormal32 * (1 << (mantBits + 1))
+)
+
 // NewTable builds a coefficient table for g over the domain [2^emin, 2^emax)
 // using nseg segments. nseg must be a positive multiple of (emax-emin) that
 // gives a power-of-two number of segments per octave (at most 2^23), and the
@@ -73,6 +92,12 @@ const (
 // Outside the domain, Eval returns g evaluated at the domain minimum for
 // 0 < x < 2^emin (clamp), and highValue — normally 0, the hardware's implicit
 // cutoff — for x >= 2^emax.
+//
+// Inside the domain the same cutoff applies on the low-magnitude side: a
+// segment whose |g| is below 2^-102 at every fit node stores an all-zero
+// coefficient row, and in a kept row a coefficient below 2^-126 is stored as
+// zero, so no RAM word is subnormal and Eval returns exactly +0 on a zeroed
+// segment. The bound follows from the float32 format alone (see flushFloor).
 //
 // g must be finite over the open domain; the fitter samples it only at
 // interior Chebyshev nodes, so integrable endpoint singularities at exactly
@@ -156,16 +181,24 @@ func (a wiring) address(word uint32) (seg uint32, u float32) {
 	return word>>(a.shift&31) - a.base, float32(int32(word&a.mask)) * a.uscale
 }
 
+// fitNode returns the i-th of the Order+1 fit nodes in the local coordinate:
+// Chebyshev nodes of the first kind mapped to (0, 1).
+func fitNode(i int) float64 {
+	return 0.5 - 0.5*math.Cos(math.Pi*(float64(i)+0.5)/float64(Order+1))
+}
+
 // fitSegment computes interpolation coefficients for g on [lo, hi) in the
 // local coordinate u = (x-lo)/(hi-lo), by exact interpolation at Order+1
-// Chebyshev nodes.
+// Chebyshev nodes, and applies the underflow rule to the words it stores: the
+// row is all zero when no node value reaches flushFloor, and a coefficient
+// below minNormal32 is zero in a kept row.
 func fitSegment(g func(float64) float64, lo, hi float64) ([Order + 1]float32, error) {
 	var nodes [Order + 1]float64
 	var vals [Order + 1]float64
+	peak := 0.0
 	n := Order + 1
 	for i := 0; i < n; i++ {
-		// Chebyshev nodes of the first kind mapped to (0, 1).
-		u := 0.5 - 0.5*math.Cos(math.Pi*(float64(i)+0.5)/float64(n))
+		u := fitNode(i)
 		nodes[i] = u
 		x := lo + u*(hi-lo)
 		v := g(x)
@@ -173,6 +206,10 @@ func fitSegment(g func(float64) float64, lo, hi float64) ([Order + 1]float32, er
 			return [Order + 1]float32{}, fmt.Errorf("g(%g) is not finite", x)
 		}
 		vals[i] = v
+		peak = math.Max(peak, math.Abs(v))
+	}
+	if peak < flushFloor {
+		return [Order + 1]float32{}, nil
 	}
 	c, err := solveVandermonde(nodes, vals)
 	if err != nil {
@@ -180,7 +217,9 @@ func fitSegment(g func(float64) float64, lo, hi float64) ([Order + 1]float32, er
 	}
 	var c32 [Order + 1]float32
 	for i, v := range c {
-		c32[i] = float32(v)
+		if math.Abs(v) >= minNormal32 {
+			c32[i] = float32(v)
+		}
 	}
 	return c32, nil
 }
@@ -234,7 +273,9 @@ func solveVandermonde(u, v [Order + 1]float64) ([Order + 1]float64, error) {
 // never produces a self-force because r⃗ = 0 there; returning 0 keeps the
 // simulated pipeline free of NaNs). Arguments below the domain clamp to the
 // domain minimum; arguments at or above the domain maximum return the
-// high-side tail value (0 by default — the implicit cutoff).
+// high-side tail value (0 by default — the implicit cutoff). Arguments in a
+// segment the fit zeroed (|g| below 2^-102 throughout, see NewTable) return
+// +0: the low-magnitude cutoff.
 func (t *Table) Eval(x float32) float32 {
 	in, out := [1]float32{x}, [1]float32{}
 	t.EvalInto(out[:], in[:])

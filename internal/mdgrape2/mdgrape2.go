@@ -186,6 +186,11 @@ func (s *System) SetPool(p *parallelize.Pool) { s.pool = p }
 // name (the MR1SetTable operation of Table 3). Because segment addressing is
 // derived from the float32 bit pattern, the number of octaves must divide the
 // segment count; the range is widened upward to the next power-of-two span.
+// The widening can add many octaves — a table asked for [2^-8, 2^12) reaches
+// 2^24 — and a cutoff-free cell sweep does send arguments there, where a
+// decaying kernel is far below the float32 normal range: those segments hold
+// the evaluator's all-zero rows and return +0 (funceval.NewTable), they are
+// not evaluated in the host FPU's gradual underflow.
 func (s *System) LoadTable(name string, g func(float64) float64, emin, emax int) error {
 	span := 1
 	for span < emax-emin {

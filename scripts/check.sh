@@ -44,8 +44,11 @@ GOMAXPROCS=1 go run ./cmd/mdmbench -batch-smoke
 echo "==> weak-scaling smoke (reuse steps stream ghost positions only; per-particle cost flat at 8 ranks)"
 go run ./cmd/mdmbench -weak-smoke
 
-echo "==> bench artifact regression gate (BENCH_6 -> BENCH_7 on the recorded families)"
-go run ./cmd/mdmbench -compare -threshold 0.2 BENCH_6.json BENCH_7.json
+echo "==> bench artifact regression gate (BENCH_7 -> BENCH_8 on the recorded families)"
+go run ./cmd/mdmbench -compare -threshold 0.2 BENCH_7.json BENCH_8.json
+
+echo "==> repo benchmark smoke (every workload runs end to end and passes its own correctness checks)"
+quick=$(go run ./benchmark -quick 2>&1) || { echo "$quick" >&2; exit 1; }
 
 echo "==> chaos suite (fault injection, recovery, checkpoint restart, supervision, crash matrix)"
 go test -run 'Chaos|Resilient|FaultHook|RunProtocol|CheckpointFile|CheckpointTyped|Watchdog|Breaker|Journal|Supervise|Interrupt|CrashMatrix|Serve' \
