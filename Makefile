@@ -45,9 +45,10 @@ race:
 		./internal/parallelize/... ./internal/wine2/... ./internal/mdgrape2/... \
 		./internal/cellindex/... ./internal/supervise/... ./internal/store/... \
 		./internal/lifecycle/... ./internal/serve/...
+	$(GO) test -race -run 'Commit|DurableOnReturn|Turnover|CrashMatrix|Journal|Interrupt|Resume' .
 
 chaos:
-	$(GO) test -run 'Chaos|Resilient|FaultHook|RunProtocol|CheckpointFile|CheckpointTyped|Watchdog|Breaker|Journal|Supervise|Interrupt|CrashMatrix|Serve' \
+	$(GO) test -run 'Chaos|Resilient|FaultHook|RunProtocol|CheckpointFile|CheckpointTyped|Watchdog|Breaker|Journal|Supervise|Interrupt|CrashMatrix|Commit|DurableOnReturn|Turnover|Serve' \
 		./internal/core/... ./internal/wine2/... ./internal/mdgrape2/... \
 		./internal/md/... ./internal/supervise/... ./internal/serve/... \
 		./cmd/mdmsim/... ./cmd/mdmserve/... .

@@ -10,6 +10,7 @@ package mdm_test
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"mdm"
@@ -125,6 +126,35 @@ func BenchmarkStepMDMvsReference(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			if err := sim.RunNVE(b.N); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkJournaledStep prices per-step durability at N = 64 (the served
+// session's size): the bare step, then the write-ahead journal on the real
+// filesystem at SyncEvery 1, 8 and 64. The run is one RunNVT call, so every
+// journal fsync but the last overlaps the next step's force evaluation.
+func BenchmarkJournaledStep(b *testing.B) {
+	for _, lane := range []struct {
+		name      string
+		syncEvery int // 0 = no journal
+	}{{"journal=off", 0}, {"SyncEvery=1", 1}, {"SyncEvery=8", 8}, {"SyncEvery=64", 64}} {
+		b.Run(lane.name, func(b *testing.B) {
+			cfg := mdm.Config{Cells: 2, Backend: mdm.BackendMDM, Workers: 1}
+			if lane.syncEvery > 0 {
+				cfg.Supervise.Journal = filepath.Join(b.TempDir(), "run.wal")
+				cfg.Supervise.SyncEvery = lane.syncEvery
+			}
+			sim, err := mdm.NewSimulation(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = sim.Free() }()
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := sim.RunNVT(b.N); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -14,10 +14,11 @@
 //	curl -s localhost:8488/v1/sessions/s0001/observables?since=100
 //
 // Signal contract: the first SIGINT/SIGTERM drains — admission stops (503),
-// running sessions finish their committed step, journals are flushed, final
-// checkpoints written — then the drain summary is printed (and written to
-// -summary if set) and the process exits 0. A second signal kills the
-// process immediately (exit 130). Startup errors exit 1, usage errors 2.
+// running sessions finish their step and wait for its journal record to be
+// durable, final checkpoints are written — then the drain summary is printed
+// (and written to -summary if set) and the process exits 0. A second signal
+// kills the process immediately (exit 130). Startup errors exit 1, usage
+// errors 2.
 package main
 
 import (

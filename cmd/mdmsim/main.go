@@ -13,18 +13,20 @@
 //	       -checkpoint run.ckpt -checkpoint-every 25
 //
 // Long runs add supervision: -watchdog bounds every hardware call, -journal
-// write-ahead-logs every committed step, and -resume recovers a killed run
-// from checkpoint + journal at the exact committed step:
+// write-ahead-logs every step (its fsync overlaps the next step's force
+// evaluation and is joined before the run reports the step — at every
+// checkpoint, interrupt and exit), and -resume recovers a killed run from
+// checkpoint + journal at the exact committed step:
 //
 //	mdmsim -nvt 2000 -nve 1000 -watchdog 30s \
 //	       -checkpoint run.ckpt -journal run.wal -summary run.json
 //	mdmsim -nvt 2000 -nve 1000 -watchdog 30s \
 //	       -checkpoint run.ckpt -journal run.wal -resume
 //
-// Signal contract: the first SIGINT/SIGTERM finishes the current step,
-// flushes the journal, writes a final checkpoint and exits 0 with summary
-// status "interrupted"; a second signal kills the process immediately
-// (exit 130). Errors exit 1, usage errors 2.
+// Signal contract: the first SIGINT/SIGTERM finishes the current step, waits
+// for its journal record to be durable, writes a final checkpoint and exits 0
+// with summary status "interrupted"; a second signal kills the process
+// immediately (exit 130). Errors exit 1, usage errors 2.
 package main
 
 import (
@@ -53,8 +55,8 @@ type runOpts struct {
 }
 
 // checkpoint writes the crash-safe checkpoint if one is configured. The
-// commit also rotates and compacts the write-ahead journal, keeping it
-// bounded across a long campaign.
+// commit also turns the write-ahead journal over (rotate + retire under one
+// directory fsync), keeping it bounded across a long campaign.
 func (o *runOpts) checkpoint(sim *mdm.Simulation) error {
 	if o.ckptPath == "" {
 		return nil
@@ -139,6 +141,13 @@ type runSummary struct {
 	TempStdK    float64          `json:"temp_std_k"`
 	EnergyDrift float64          `json:"energy_drift"`
 	Fault       *mdm.FaultReport `json:"fault,omitempty"`
+
+	// Commits counts the journal commits the run joined, CommitStalls the
+	// joins that found the fsync still in flight. stalls/commits ≈ 0:
+	// durability is hidden behind compute; ≈ 1: storage is slower than a
+	// step. Both are 0 without -journal.
+	Commits      int64 `json:"commits"`
+	CommitStalls int64 `json:"commit_stalls"`
 }
 
 func summarize(sim *mdm.Simulation, status string, restarts int, elapsed time.Duration) runSummary {
@@ -152,6 +161,7 @@ func summarize(sim *mdm.Simulation, status string, restarts int, elapsed time.Du
 		TempStdK:    std,
 		EnergyDrift: sim.EnergyDrift(),
 	}
+	s.Commits, s.CommitStalls = sim.CommitStats()
 	if rep, ok := sim.FaultReport(); ok {
 		s.Fault = &rep
 	}
@@ -218,8 +228,8 @@ func run() (exit int) {
 	ranks := flag.Int("ranks", 0, "spatial decomposition: split the box into this many cell blocks, one real-space process each (0 = single process); bit-identical with -wave-ranks 1")
 	waveRanks := flag.Int("wave-ranks", 0, "wavenumber processes alongside -ranks (default 1); >1 regroups the structure-factor reduction and agrees to float64 rounding")
 	watchdog := flag.Duration("watchdog", 0, "stall deadline for one hardware call, e.g. 30s (0 disables the watchdog)")
-	journal := flag.String("journal", "", "write-ahead step journal path (with -checkpoint, enables -resume after a kill)")
-	syncEvery := flag.Int("sync-every", 1, "journal group-commit interval: fsync every Nth step record (1 = every step, the strongest durability; N > 1 risks the last N-1 steps on a power cut)")
+	journal := flag.String("journal", "", "write-ahead step journal path (with -checkpoint, enables -resume after a kill); a step's record is durable before the run reports the step — its fsync overlaps the next step's force evaluation and is joined at every checkpoint, interrupt and exit")
+	syncEvery := flag.Int("sync-every", 1, "journal group-commit interval: fsync every Nth step record (1 = every step, the strongest durability; N > 1 risks the last N-1 steps on a power cut, plus the one step whose fsync is in flight while the run computes)")
 	resume := flag.Bool("resume", false, "resume a killed run from -checkpoint and -journal at the exact committed step")
 	summaryPath := flag.String("summary", "", "write a machine-readable JSON run summary to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -425,8 +435,9 @@ func run() (exit int) {
 	switch {
 	case err == nil:
 	case errors.Is(err, mdm.ErrInterrupted):
-		// Graceful shutdown: the interrupted step is journaled and sampled;
-		// seal the run with a final checkpoint so -resume continues from it.
+		// Graceful shutdown: the interrupted step is sampled and its journal
+		// record durable; seal the run with a final checkpoint so -resume
+		// continues from it.
 		status = "interrupted"
 		o.logf("interrupted: stopping at completed step %d", sim.Integrator.StepCount())
 		if cerr := o.checkpoint(sim); cerr != nil {

@@ -12,10 +12,12 @@ import (
 // A fatal host fault mid-run must be healed by restarting from the last
 // periodic checkpoint, and the restarted run must finish the full protocol.
 func TestRunProtocolRestartsAfterFatalFault(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "run.ckpt")
 	sim, err := mdm.NewSimulation(mdm.Config{
-		Cells:  2,
-		Faults: "run:fatal@step=35",
+		Cells:     2,
+		Faults:    "run:fatal@step=35",
+		Supervise: mdm.SuperviseConfig{Journal: filepath.Join(dir, "run.wal")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +64,12 @@ func TestRunProtocolRestartsAfterFatalFault(t *testing.T) {
 	// The pre-restart history (including the fatal) survives the restart.
 	if len(rep.Events) == 0 || !strings.Contains(strings.Join(rep.Events, "\n"), "fatal") {
 		t.Errorf("restart lost the recovery history: %v", rep.Events)
+	}
+	// So do the summary's commit counters: 33 steps journaled before the fatal
+	// (force evaluation 35, counting the initial one, belongs to step 34) and
+	// 30 more after the restart from the step-30 checkpoint.
+	if sum := summarize(final, "ok", restarts, 0); sum.Commits != 63 || sum.CommitStalls > sum.Commits {
+		t.Errorf("summary reports %d commits, %d stalls; want 63 commits and at most 63 stalls", sum.Commits, sum.CommitStalls)
 	}
 }
 

@@ -40,7 +40,9 @@ import (
 // program-ordered. Store clauses take exactly one of write=, read=, create=,
 // rename= or sync= — the N-th storage operation of that class, counted per
 // class by the fault-injecting filesystem — which is deterministic because
-// the storage layer is driven from the program-ordered step loop.
+// one goroutine at a time drives a run's storage: the program-ordered step
+// loop, which touches no file while a journal commit it handed off is in
+// flight.
 
 // kindNames maps DSL kind tokens to Kind values.
 var kindNames = map[string]Kind{

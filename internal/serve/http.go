@@ -24,7 +24,7 @@ type errorBody struct {
 //	POST /v1/sessions/{id}/resume
 //	POST /v1/sessions/{id}/cancel
 //	GET  /healthz
-//	GET  /metrics
+//	GET  /metrics                        sessions, queue, breakers, fsync latency, commits / commit_stalls
 //
 // Rejections are typed: quota violations answer 429 with Retry-After;
 // queue-full, draining and quarantined answer 503 with Retry-After; malformed

@@ -25,6 +25,13 @@ type Metrics struct {
 	FsyncCount      int64   `json:"fsync_count"`
 	FsyncMeanMicros float64 `json:"fsync_mean_micros"`
 	FsyncMaxMicros  int64   `json:"fsync_max_micros"`
+	// Commits counts the journal commits the sessions' simulations joined,
+	// CommitStalls the joins that found the fsync still in flight, both
+	// tallied at checkpoint boundaries. stalls/commits ≈ 0: durability is
+	// hidden behind compute; ≈ 1: storage is slower than a step. The join
+	// that ends each segment always waits, a floor of 1/CheckpointEvery.
+	Commits      int64 `json:"commits"`
+	CommitStalls int64 `json:"commit_stalls"`
 }
 
 // Metrics snapshots the manager.
@@ -53,6 +60,7 @@ func (m *Manager) Metrics() Metrics {
 		out.FsyncMeanMicros = float64(total) / float64(count) / 1e3
 	}
 	out.FsyncMaxMicros = maxv / 1e3
+	out.Commits, out.CommitStalls = m.commits.Load(), m.commitStalls.Load()
 	return out
 }
 

@@ -9,7 +9,10 @@
 // The load-bearing properties, each pinned by tests:
 //
 //   - Crash safety. Every session journals and checkpoints through
-//     internal/store into its own run directory. Killing the server at any
+//     internal/store into its own run directory; a step's journal fsync
+//     overlaps the next step's force evaluation and is joined before the
+//     segment's checkpoint, so a session never reports — as status, sample
+//     or checkpoint — a step that is not durable. Killing the server at any
 //     point — including a simulated power cut via store's FaultFS — and
 //     restarting recovers every interrupted session via mdm.ResumeFromJournal
 //     and finishes it bit-identically to a run that was never interrupted.
@@ -150,6 +153,9 @@ type Manager struct {
 	// windows and cooldowns are counted in service events, not wall time.
 	tick     atomic.Int64
 	breakers *supervise.BreakerSet
+	// commits and commitStalls total mdm.Simulation.CommitStats over every
+	// segment the executors have run, for /metrics.
+	commits, commitStalls atomic.Int64
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -336,8 +342,9 @@ type DrainSummary struct {
 }
 
 // Drain performs the graceful-shutdown protocol: stop admitting, interrupt
-// every running session at its next committed step (journals are already
-// fsynced per step; the executor adds a final checkpoint), stop the executor
+// every running session at its next committed step (the interrupted run
+// returns with its last step's journal record fsynced; the executor adds a
+// final checkpoint), stop the executor
 // pool, and report what was left behind. Idempotent; the manager admits
 // nothing afterwards.
 func (m *Manager) Drain() DrainSummary {

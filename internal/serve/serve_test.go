@@ -370,6 +370,10 @@ func TestServeHTTPEndpoints(t *testing.T) {
 	if metrics.Sessions[serve.StateDone] != 1 || metrics.FsyncCount == 0 {
 		t.Fatalf("metrics = %+v, want 1 done session and fsync telemetry", metrics)
 	}
+	// One journal commit per step; a stall is a join that had to wait.
+	if metrics.Commits != 6 || metrics.CommitStalls > metrics.Commits {
+		t.Fatalf("metrics = %+v, want 6 commits and at most 6 commit stalls", metrics)
+	}
 
 	resp = post(t, srv.URL+"/v1/sessions", `{"tenant":"","steps":0}`)
 	defer resp.Body.Close()

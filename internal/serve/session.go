@@ -167,8 +167,9 @@ func (s *Session) requestStop(reason int32) {
 }
 
 // interrupted is the per-step interrupt predicate installed on every
-// simulation the executor runs; the integrator polls it after each committed
-// step, so it is on the hot path of every session.
+// simulation the executor runs; the integrator polls it after each completed
+// step (whose commit the interrupted run joins before it returns), so it is
+// on the hot path of every session.
 //
 //mdm:stepflow -- hot-path root: installed as the simulation's per-step interrupt check (sim.SetInterrupt(s.interrupted)); annotated explicitly because the hook wiring is an assignment the callgraph cannot see
 func (s *Session) interrupted() bool {
@@ -335,6 +336,7 @@ func (m *Manager) runSegments(s *Session) error {
 		}
 	}
 
+	var commits, stalls int64 // the CommitStats already tallied for /metrics
 	done := sim.Integrator.StepCount()
 	s.setSteps(done)
 	if done >= s.Spec.Steps {
@@ -353,6 +355,10 @@ func (m *Manager) runSegments(s *Session) error {
 			n = rest
 		}
 		runErr := sim.RunNVT(n)
+		c, st := sim.CommitStats()
+		m.commits.Add(c - commits)
+		m.commitStalls.Add(st - stalls)
+		commits, stalls = c, st
 		done = sim.Integrator.StepCount()
 		s.setSteps(done)
 		if runErr != nil && !errors.Is(runErr, mdm.ErrInterrupted) {

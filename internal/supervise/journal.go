@@ -20,12 +20,13 @@ import (
 // free of upward dependencies.
 //
 // The journal is segmented: the path itself is the active segment, and each
-// committed checkpoint rotates it to path.NNNN (Rotate) so CompactJournal can
-// retire segments the checkpoint has made redundant — the journal no longer
-// grows without bound over a long campaign. All file I/O goes through the
-// store VFS, so every durability claim here is exercised by fault injection:
-// creates and rotations are atomic (temp + rename) and committed with a
-// directory fsync before any record lands in the new segment.
+// committed checkpoint turns it over (Turnover) — the active segment rotates
+// to path.NNNN and every rotated segment the checkpoint has made redundant is
+// retired, so the journal no longer grows without bound over a long campaign.
+// All file I/O goes through the store VFS, so every durability claim here is
+// exercised by fault injection: creates are atomic (temp + rename), and a
+// creation or turnover is committed with a directory fsync before any record
+// lands in the new segment.
 
 // JournalVersion is the current record format version.
 const JournalVersion = 1
@@ -38,6 +39,10 @@ var (
 	ErrJournalCorrupt = errors.New("supervise: journal record corrupt")
 	// ErrJournalVersion reports a record version this build cannot read.
 	ErrJournalVersion = errors.New("supervise: unsupported journal version")
+	// ErrJournalClosed reports an Append, Sync or Turnover on a journal with
+	// no active segment: it was closed, or a turnover failed after the old
+	// segment was given up and before the new one was committed.
+	ErrJournalClosed = errors.New("supervise: journal closed")
 )
 
 // Record is one committed step.
@@ -77,7 +82,9 @@ type Options struct {
 	// SyncEvery is the group-commit interval: fsync after every Nth append
 	// (<= 1 = every append, the default and the strongest guarantee; larger
 	// values trade the crash-durability of up to N-1 trailing steps for
-	// fewer fsyncs). Rotate and Close always flush.
+	// fewer fsyncs). Every fsync runs on the goroutine that called Append;
+	// mdm.Simulation overlaps it with the next step's force evaluation one
+	// level up. Turnover and Close always flush.
 	SyncEvery int
 }
 
@@ -96,10 +103,11 @@ func (o Options) every() int {
 }
 
 // Journal is the append side: an open active segment whose records become
-// durable at each group-commit fsync.
+// durable at each group-commit fsync. It is not safe for concurrent use, and
+// every Write and Sync it issues runs on the calling goroutine.
 type Journal struct {
 	fs      store.FS
-	f       store.File
+	f       store.File // nil once closed: every method but Close reports ErrJournalClosed
 	path    string
 	every   int
 	pending int // appends since the last fsync
@@ -158,6 +166,9 @@ func (j *Journal) Path() string { return j.path }
 // Append writes one record; it is durable once the group-commit fsync runs
 // (immediately with SyncEvery <= 1).
 func (j *Journal) Append(r Record) error {
+	if j.f == nil {
+		return ErrJournalClosed
+	}
 	r.Version = JournalVersion
 	crc, err := recordCRC(r)
 	if err != nil {
@@ -181,6 +192,9 @@ func (j *Journal) Append(r Record) error {
 
 // Sync flushes any unsynced appends to durable storage.
 func (j *Journal) Sync() error {
+	if j.f == nil {
+		return ErrJournalClosed
+	}
 	if j.pending == 0 {
 		return nil
 	}
@@ -191,37 +205,43 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Rotate closes the active segment under the next rotation name and starts a
-// fresh active segment, committing both with a directory fsync before any
-// new record lands. The caller rotates right after a checkpoint commit, so
-// the rotated segment holds only steps the checkpoint already covers;
-// CompactJournal can then retire it. Returns the rotated segment's path.
-func (j *Journal) Rotate() (string, error) {
+// Turnover is the journal's half of a checkpoint commit at ckptStep: the
+// active segment rotates to the next path.NNNN name, a fresh active segment
+// replaces it, and every rotated segment the checkpoint covers — normally
+// just the one rotated a moment ago — is retired, all under one directory
+// fsync before any new record lands. The caller has made the checkpoint
+// itself durable first, so a crash anywhere in here leaves either the old
+// segments, which the checkpoint already covers, or the new empty one: no
+// record is retired ahead of its checkpoint. A failure after the old segment
+// was given up leaves the journal closed (ErrJournalClosed from then on).
+func (j *Journal) Turnover(ckptStep int) error {
 	if err := j.Sync(); err != nil {
-		return "", err
+		return err
 	}
-	if err := j.f.Close(); err != nil {
-		return "", err
-	}
+	f := j.f
 	j.f = nil
+	if err := f.Close(); err != nil {
+		return err
+	}
 	seq, err := store.NextSegmentSeq(j.fs, j.path)
 	if err != nil {
-		return "", err
+		return err
 	}
-	segPath := store.SegmentPath(j.path, seq)
-	if err := j.fs.Rename(j.path, segPath); err != nil {
-		return "", err
+	if err := j.fs.Rename(j.path, store.SegmentPath(j.path, seq)); err != nil {
+		return err
 	}
-	f, err := j.fs.Create(j.path)
+	if f, err = j.fs.Create(j.path); err != nil {
+		return err
+	}
+	if err = retireCovered(j.fs, j.path, ckptStep); err == nil {
+		err = j.fs.SyncDir(store.Dir(j.path))
+	}
 	if err != nil {
-		return "", err
-	}
-	if err := j.fs.SyncDir(store.Dir(j.path)); err != nil {
 		f.Close()
-		return "", err
+		return err
 	}
 	j.f = f
-	return segPath, nil
+	return nil
 }
 
 // Close flushes pending appends and closes the active segment.
@@ -238,24 +258,22 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// CompactJournal retires rotated segments made redundant by a checkpoint at
-// ckptStep: every segment whose records all commit steps <= ckptStep is
-// removed (the checkpoint already holds that state). The active segment and
-// anything torn or corrupt are left for Scan/Repair to adjudicate. Returns
-// the removed paths.
-func CompactJournal(fsys store.FS, path string, ckptStep int) ([]string, error) {
+// retireCovered removes every rotated segment whose records all commit steps
+// <= ckptStep (the checkpoint already holds that state). The active segment
+// and anything torn or corrupt are left alone; the caller's directory fsync
+// commits the removals.
+func retireCovered(fsys store.FS, path string, ckptStep int) error {
 	segs, err := store.JournalSegments(fsys, path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var removed []string
 	for _, seg := range segs {
 		data, err := fsys.ReadFile(seg)
 		if err != nil {
 			if store.NotExist(err) {
 				continue
 			}
-			return removed, err
+			return err
 		}
 		steps, validLen, serr := ScanSegment(data)
 		if serr != nil || validLen < len(data) {
@@ -265,16 +283,10 @@ func CompactJournal(fsys store.FS, path string, ckptStep int) ([]string, error) 
 			continue
 		}
 		if err := fsys.Remove(seg); err != nil && !store.NotExist(err) {
-			return removed, err
-		}
-		removed = append(removed, seg)
-	}
-	if len(removed) > 0 {
-		if err := fsys.SyncDir(store.Dir(path)); err != nil {
-			return removed, err
+			return err
 		}
 	}
-	return removed, nil
+	return nil
 }
 
 // Rewind rewrites the active segment keeping only records through step,

@@ -54,7 +54,9 @@ func eqInts(a, b []int) bool {
 	return true
 }
 
-// Rotation moves the active segment aside and the full read spans segments.
+// A turnover behind the segments' steps (checkpoint step 0 covers none of
+// them) only rotates: the active segment moves aside and the full read spans
+// segments.
 func TestJournalRotateAndReadAcrossSegments(t *testing.T) {
 	fs := faultFS(t, "")
 	j, err := CreateJournalFS("wal", Options{FS: fs})
@@ -62,15 +64,14 @@ func TestJournalRotateAndReadAcrossSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendSteps(t, j, 1, 2)
-	seg, err := j.Rotate()
-	if err != nil {
+	if err := j.Turnover(0); err != nil {
 		t.Fatal(err)
 	}
-	if seg != store.SegmentPath("wal", 1) {
-		t.Fatalf("rotated to %q", seg)
+	if segs, _ := store.JournalSegments(fs, "wal"); len(segs) != 1 || segs[0] != store.SegmentPath("wal", 1) {
+		t.Fatalf("rotated to %v", segs)
 	}
 	appendSteps(t, j, 3, 4)
-	if _, err := j.Rotate(); err != nil {
+	if err := j.Turnover(0); err != nil {
 		t.Fatal(err)
 	}
 	appendSteps(t, j, 5)
@@ -87,32 +88,86 @@ func TestJournalRotateAndReadAcrossSegments(t *testing.T) {
 	}
 }
 
-// Compaction retires rotated segments fully covered by the checkpoint and
-// keeps newer ones and the active segment.
+// A turnover retires the rotated segments fully covered by the checkpoint and
+// keeps newer ones, under one directory fsync.
 func TestCompactJournal(t *testing.T) {
 	fs := faultFS(t, "")
 	j, _ := CreateJournalFS("wal", Options{FS: fs})
 	appendSteps(t, j, 1, 2)
-	j.Rotate() // wal.0001: steps 1-2
+	j.Turnover(0) // wal.0001: steps 1-2
 	appendSteps(t, j, 3, 4)
-	j.Rotate() // wal.0002: steps 3-4
+	j.Turnover(0) // wal.0002: steps 3-4
 	appendSteps(t, j, 5)
-	j.Close()
 
-	removed, err := CompactJournal(fs, "wal", 2)
-	if err != nil {
+	// Checkpoint at step 2: wal.0001 is covered; wal.0002 and the segment
+	// rotated now (wal.0003: step 5) are not.
+	if err := j.Turnover(2); err != nil {
 		t.Fatal(err)
 	}
-	if len(removed) != 1 || removed[0] != store.SegmentPath("wal", 1) {
-		t.Fatalf("compact(2) removed %v", removed)
+	segs, _ := store.JournalSegments(fs, "wal")
+	if len(segs) != 2 || segs[0] != store.SegmentPath("wal", 2) || segs[1] != store.SegmentPath("wal", 3) {
+		t.Fatalf("turnover(2) left segments %v", segs)
 	}
 	if got := readSteps(t, fs, "wal"); !eqInts(got, []int{3, 4, 5}) {
-		t.Fatalf("after compact: %v", got)
+		t.Fatalf("after turnover: %v", got)
 	}
-	// The removal is durable (directory fsync ran).
+	// The removal is durable (the directory fsync ran).
 	fs.Reboot(nil)
 	if _, err := fs.ReadFile(store.SegmentPath("wal", 1)); !store.NotExist(err) {
-		t.Fatalf("compacted segment resurrected: %v", err)
+		t.Fatalf("retired segment resurrected: %v", err)
+	}
+
+	// Checkpoint at step 5 covers everything: only the empty active segment
+	// remains.
+	j, _ = AppendJournalFS("wal", Options{FS: fs})
+	if err := j.Turnover(5); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := store.JournalSegments(fs, "wal"); len(segs) != 0 {
+		t.Fatalf("turnover(5) left segments %v", segs)
+	}
+	appendSteps(t, j, 6)
+	j.Close()
+	if got := readSteps(t, fs, "wal"); !eqInts(got, []int{6}) {
+		t.Fatalf("after full turnover: %v", got)
+	}
+}
+
+// A turnover that fails after giving up the old segment (rename or create
+// refused) leaves the journal without an active segment: every later call is
+// the typed ErrJournalClosed — an error on the commit path, not a nil-handle
+// panic — and Close stays a no-op.
+func TestJournalClosedAfterFailedTurnover(t *testing.T) {
+	// CreateJournalFS spends rename 1 and creates 1-2 (temp file, append
+	// handle): the turnover's Rename is rename 2, its Create is create 3.
+	for _, scenario := range []string{"store:eio@rename=2", "store:eio@create=3"} {
+		t.Run(scenario, func(t *testing.T) {
+			fs := faultFS(t, scenario)
+			j, err := CreateJournalFS("wal", Options{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendSteps(t, j, 1, 2)
+			if err := j.Turnover(2); !errors.Is(err, store.ErrIO) {
+				t.Fatalf("turnover under %s: %v, want ErrIO", scenario, err)
+			}
+			if err := j.Append(Record{Step: 3}); !errors.Is(err, ErrJournalClosed) {
+				t.Fatalf("Append after failed turnover: %v, want ErrJournalClosed", err)
+			}
+			if err := j.Sync(); !errors.Is(err, ErrJournalClosed) {
+				t.Fatalf("Sync after failed turnover: %v, want ErrJournalClosed", err)
+			}
+			if err := j.Turnover(2); !errors.Is(err, ErrJournalClosed) {
+				t.Fatalf("Turnover after failed turnover: %v, want ErrJournalClosed", err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatalf("Close after failed turnover: %v", err)
+			}
+			// Nothing committed was lost: both records are still readable.
+			if got := readSteps(t, fs, "wal"); !eqInts(got, []int{1, 2}) {
+				t.Fatalf("records after failed turnover: %v", got)
+			}
+		})
 	}
 }
 
@@ -122,7 +177,7 @@ func TestCreateJournalCrashSafe(t *testing.T) {
 	fs := faultFS(t, "")
 	j, _ := CreateJournalFS("wal", Options{FS: fs})
 	appendSteps(t, j, 1)
-	j.Rotate()
+	j.Turnover(0)
 	appendSteps(t, j, 2)
 	j.Close()
 
@@ -194,7 +249,7 @@ func TestRewindActiveSegment(t *testing.T) {
 	fs := faultFS(t, "")
 	j, _ := CreateJournalFS("wal", Options{FS: fs})
 	appendSteps(t, j, 1, 2)
-	j.Rotate()
+	j.Turnover(0)
 	appendSteps(t, j, 3, 4, 5)
 	j.Close()
 	if err := Rewind(fs, "wal", 3); err != nil {

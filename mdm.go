@@ -44,8 +44,8 @@ import (
 
 // ErrInterrupted reports a run stopped by the interrupt check installed with
 // SetInterrupt. The interrupted step is complete: its state is sampled and,
-// when a journal is configured, committed, so the caller can checkpoint and
-// later resume exactly where the run stopped.
+// when a journal is configured, durable by the time the run returns, so the
+// caller can checkpoint and later resume exactly where the run stopped.
 var ErrInterrupted = errors.New("mdm: run interrupted")
 
 // Backend selects which engine evaluates forces.
@@ -183,14 +183,18 @@ type SuperviseConfig struct {
 
 	// Journal is the path of the write-ahead step journal ("" disables
 	// journaling). Every completed step is appended and fsynced before the
-	// run moves on; ResumeFromJournal replays the tail over a checkpoint,
-	// recovering a killed run at the exact committed step.
+	// run reports it: the fsync of step k overlaps the force evaluation of
+	// step k+1, and every step a RunNVT/RunNVE call ran is durable when the
+	// call returns (as it is on entry to WriteCheckpoint and in Free).
+	// ResumeFromJournal replays the tail over a checkpoint, recovering a
+	// killed run at the exact committed step.
 	Journal string
 
 	// SyncEvery is the journal's group-commit interval: fsync after every
-	// Nth step record (0 or 1 = every record, today's semantics; larger
-	// values trade the durability of up to N-1 trailing steps for fewer
-	// fsyncs on the step path). Checkpoints always flush.
+	// Nth step record (0 or 1 = every record; larger values trade the
+	// durability of up to N-1 trailing steps for fewer fsyncs). While a run
+	// is in progress one more completed step may be awaiting its fsync — the
+	// one overlapping the next force evaluation. Checkpoints always flush.
 	SyncEvery int
 
 	// BreakerTrip, BreakerWindow and BreakerCooldown tune the circuit
@@ -278,6 +282,7 @@ type Simulation struct {
 	nveStart  int               // record index where the latest NVE segment began
 
 	journal   *supervise.Journal // write-ahead step journal (nil when disabled)
+	commit    *committer         // the journal's commit pipeline (nil when disabled)
 	stage     string             // "nvt"/"nve": the running segment, tags journal records
 	replaying bool               // journal replay in progress: suppress re-journaling
 	interrupt func() bool        // graceful-shutdown check; survives restarts
@@ -438,7 +443,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 			_ = sim.Free()
 			return nil, fmt.Errorf("mdm: journal: %w", err)
 		}
-		sim.journal = j
+		sim.attachJournal(j)
 	}
 	return sim, nil
 }
@@ -476,7 +481,9 @@ func ResumeSimulation(prev *Simulation, sys *md.System, step int) (*Simulation, 
 			_ = sim.Free()
 			return nil, err
 		}
-		sim.journal = j
+		sim.attachJournal(j)
+		// Like the recovery history, the commit counters survive the restart.
+		sim.commit.commits, sim.commit.stalls = prev.CommitStats()
 	}
 	return sim, nil
 }
@@ -627,7 +634,7 @@ func ResumeFromJournal(cfg Config, ckptPath string) (*Simulation, error) {
 		_ = sim.Free()
 		return nil, err
 	}
-	sim.journal = j
+	sim.attachJournal(j)
 	// Replay the tail, grouped into runs of the journaled ensemble stages.
 	// Journaling stays off: these records are already durable.
 	sim.replaying = true
@@ -680,22 +687,25 @@ func storeValidators() store.Validators {
 }
 
 // WriteCheckpoint commits the simulation's current state to path with the
-// atomic-replace discipline, then rotates the write-ahead journal and
-// retires rotated segments the checkpoint made redundant — the journal stays
-// bounded over a long campaign instead of growing one record per step
-// forever. This is the durable commit point of a supervised run; mdmsim
-// calls it at every -checkpoint-every boundary.
+// atomic-replace discipline (file fsync, rename, directory fsync), then turns
+// the write-ahead journal over: the active segment rotates and every segment
+// the now-durable checkpoint made redundant is retired under one more
+// directory fsync — the journal stays bounded over a long campaign instead of
+// growing one record per step forever. Any commit still in flight is joined
+// first, so no step is checkpointed ahead of its journal record. This is the
+// durable commit point of a supervised run; mdmsim calls it at every
+// -checkpoint-every boundary.
 func (s *Simulation) WriteCheckpoint(path string) error {
+	if err := s.commit.join(); err != nil {
+		return err
+	}
 	step := s.Integrator.StepCount()
 	if err := md.WriteCheckpointFS(s.cfg.storeFS(), path, s.System, step); err != nil {
 		return err
 	}
 	if s.journal != nil {
-		if _, err := s.journal.Rotate(); err != nil {
-			return fmt.Errorf("mdm: journal rotate: %w", err)
-		}
-		if _, err := supervise.CompactJournal(s.cfg.storeFS(), s.journal.Path(), step); err != nil {
-			return fmt.Errorf("mdm: journal compact: %w", err)
+		if err := s.journal.Turnover(step); err != nil {
+			return fmt.Errorf("mdm: journal turnover: %w", err)
 		}
 	}
 	return nil
@@ -714,7 +724,7 @@ func (s *Simulation) RunNVT(n int) error {
 	s.Integrator.Mode = md.NVT
 	s.Integrator.Target = s.cfg.Temperature
 	s.stage = "nvt"
-	return s.Integrator.Run(n, s.observe)
+	return s.settle(s.Integrator.Run(n, s.observe))
 }
 
 // RunNVE advances n steps at constant energy (the second segment of §5).
@@ -728,12 +738,13 @@ func (s *Simulation) RunNVE(n int) error {
 	}
 	s.Integrator.Mode = md.NVE
 	s.stage = "nve"
-	return s.Integrator.Run(n, s.observe)
+	return s.settle(s.Integrator.Run(n, s.observe))
 }
 
-// observe commits one completed step: journal first (the step is not durable
-// until its record is fsynced), then sample, then honor a pending interrupt —
-// so an interrupted run stops on a fully committed step.
+// observe commits one completed step: hand its record to the journal first,
+// then sample, then honor a pending interrupt. The record becomes durable
+// while the next step computes; settle joins it before the run returns, so
+// an interrupted run still stops on a fully committed step.
 func (s *Simulation) observe(int) error {
 	if err := s.commitStep(); err != nil {
 		return err
@@ -745,11 +756,25 @@ func (s *Simulation) observe(int) error {
 	return nil
 }
 
-// commitStep appends the just-completed step to the write-ahead journal.
+// commitStep builds the journal record of the just-completed step k, joins
+// the commit of step k-1 and hands record k to the committer. A failed commit
+// of step k-1 surfaces here, naming k-1, and record k is never written
+// behind it.
 func (s *Simulation) commitStep() error {
 	if s.journal == nil || s.replaying {
 		return nil
 	}
+	rec, err := s.stepRecord()
+	if err != nil {
+		return err
+	}
+	return s.commit.submit(rec)
+}
+
+// stepRecord snapshots the just-completed step as its journal record. It runs
+// on the step goroutine, before the next step can fire another fault event,
+// so the injector cursor and recovery payload are the state as of this step.
+func (s *Simulation) stepRecord() (supervise.Record, error) {
 	rec := supervise.Record{Step: s.Integrator.StepCount(), Stage: s.stage}
 	if s.injector != nil {
 		rec.Cursor = s.injector.Fired()
@@ -757,20 +782,122 @@ func (s *Simulation) commitStep() error {
 	if s.resilient != nil {
 		buf, err := json.Marshal(s.resilient.Report())
 		if err != nil {
-			return fmt.Errorf("mdm: journal payload: %w", err)
+			return rec, fmt.Errorf("mdm: journal payload: %w", err)
 		}
 		rec.Payload = buf
 	}
-	if err := s.journal.Append(rec); err != nil {
-		return fmt.Errorf("mdm: journal: %w", err)
+	return rec, nil
+}
+
+// settle joins the in-flight commit on a run's way out — success, run error
+// or ErrInterrupted alike — so every step the run ran is durable when it
+// returns. A commit failure outranks nil and ErrInterrupted: the caller must
+// not checkpoint over a step that never became durable.
+func (s *Simulation) settle(runErr error) error {
+	cerr := s.commit.join()
+	switch {
+	case cerr == nil || errors.Is(runErr, cerr):
+		return runErr
+	case runErr == nil || errors.Is(runErr, ErrInterrupted):
+		return cerr
 	}
+	return errors.Join(runErr, cerr)
+}
+
+// attachJournal installs the write-ahead journal and starts its committer.
+func (s *Simulation) attachJournal(j *supervise.Journal) {
+	s.journal = j
+	s.commit = &committer{recs: make(chan supervise.Record, 1), results: make(chan error, 1)}
+	go s.commit.run(j)
+}
+
+// CommitStats reports the journal commits joined so far and how many of those
+// joins found the commit still in flight and had to wait. stalls/commits ≈ 0
+// means durability is hidden behind compute; ≈ 1 means storage is slower than
+// a step. The join that ends each RunNVT/RunNVE call follows its hand-off
+// directly and nearly always waits, a floor of one stall per call. Both are 0
+// without a journal. Call it between runs, from the goroutine that runs them.
+func (s *Simulation) CommitStats() (commits, stalls int64) {
+	if s.commit == nil {
+		return 0, 0
+	}
+	return s.commit.commits, s.commit.stalls
+}
+
+// committer is the one-deep commit pipeline of a journaled simulation: a
+// persistent goroutine that runs journal.Append — marshal, write, group-commit
+// fsync — for step k while the step goroutine evaluates the forces of step
+// k+1 (the paper's host does its I/O while the pipelines compute, §3.1). At
+// most one record is in flight, and between hand-off and join the step
+// goroutine touches neither the journal nor any file, so the storage
+// operations happen in exactly the order of a serial commit. Everything but
+// run belongs to the step goroutine.
+type committer struct {
+	recs    chan supervise.Record // hand-off to run; closed by stop
+	results chan error            // one verdict per hand-off; closed when run exits
+
+	inflight bool  // a record was handed off and not yet joined
+	step     int   // the step that record commits
+	err      error // the first failed commit; sticky, nothing is written past it
+
+	commits, stalls int64
+}
+
+// run is the committer goroutine.
+func (c *committer) run(j *supervise.Journal) {
+	defer close(c.results)
+	for rec := range c.recs {
+		c.results <- j.Append(rec)
+	}
+}
+
+// submit joins the previous commit and hands rec to the committer.
+func (c *committer) submit(rec supervise.Record) error {
+	if err := c.join(); err != nil {
+		return err
+	}
+	c.inflight, c.step = true, rec.Step
+	c.recs <- rec
 	return nil
+}
+
+// join waits for the in-flight commit, if any, and reports the first commit
+// failure so far. A stall is a join that found the verdict not yet posted.
+// A nil committer (no journal) has nothing to join.
+func (c *committer) join() error {
+	if c == nil {
+		return nil
+	}
+	if !c.inflight {
+		return c.err
+	}
+	var err error
+	select {
+	case err = <-c.results:
+	default:
+		c.stalls++
+		err = <-c.results
+	}
+	c.inflight = false
+	c.commits++
+	if err != nil {
+		c.err = fmt.Errorf("mdm: journal: step %d: %w", c.step, err)
+	}
+	return c.err
+}
+
+// stop joins the in-flight commit and waits for the goroutine to exit.
+func (c *committer) stop() error {
+	err := c.join()
+	close(c.recs)
+	<-c.results
+	return err
 }
 
 // SetInterrupt installs a check polled after every completed step; when it
 // returns true the running segment stops with ErrInterrupted. The check
 // survives ResumeSimulation restarts. mdmsim uses it to turn SIGINT/SIGTERM
-// into a graceful shutdown: finish the step, flush the journal, checkpoint.
+// into a graceful shutdown: finish the step, join its commit, checkpoint.
 func (s *Simulation) SetInterrupt(check func() bool) { s.interrupt = check }
 
 // Records returns all sampled observables.
@@ -808,19 +935,23 @@ func (s *Simulation) FaultReport() (rep FaultReport, ok bool) {
 }
 
 // Free releases the simulated boards of the MDM backend (no-op for the
-// reference backend) and closes the journal, making the last committed step
-// its final record. Free is idempotent and safe for concurrent use: the
-// serving layer's reaper may tear a session down while another goroutine is
-// still holding the deferred Free of a completed run, and the loser of that
-// race must observe the first call's verdict, not a double-close panic.
+// reference backend), joins any commit still in flight, stops the committer
+// and closes the journal, making the last committed step its final record.
+// Free is idempotent and safe for concurrent use: the serving layer's reaper
+// may tear a session down while another goroutine is still holding the
+// deferred Free of a completed run, and the loser of that race must observe
+// the first call's verdict, not a double-close panic.
 func (s *Simulation) Free() error {
 	s.freeOnce.Do(func() { s.freeErr = s.free() })
 	return s.freeErr
 }
 
 func (s *Simulation) free() error {
-	jerr := s.journal.Close() // nil-safe
-	s.journal = nil
+	var jerr error
+	if s.journal != nil {
+		jerr = errors.Join(s.commit.stop(), s.journal.Close())
+		s.journal = nil
+	}
 	switch {
 	case s.resilient != nil:
 		return errors.Join(s.resilient.Free(), jerr)

@@ -34,6 +34,7 @@ go test -race ./internal/fault/... ./internal/mpi/... ./internal/core/... \
     ./internal/parallelize/... ./internal/wine2/... ./internal/mdgrape2/... \
     ./internal/cellindex/... ./internal/supervise/... ./internal/store/... \
     ./internal/lifecycle/... ./internal/serve/...
+go test -race -run 'Commit|DurableOnReturn|Turnover|CrashMatrix|Journal|Interrupt|Resume' .
 
 echo "==> bench smoke (neither the parallel widths nor the engine-overlap pipeline may lose to serial; prints the overlap ratio at GOMAXPROCS=2)"
 GOMAXPROCS=2 go run ./cmd/mdmbench -smoke -iters 3 -reps 2
@@ -51,7 +52,7 @@ echo "==> repo benchmark smoke (every workload runs end to end and passes its ow
 quick=$(go run ./benchmark -quick 2>&1) || { echo "$quick" >&2; exit 1; }
 
 echo "==> chaos suite (fault injection, recovery, checkpoint restart, supervision, crash matrix)"
-go test -run 'Chaos|Resilient|FaultHook|RunProtocol|CheckpointFile|CheckpointTyped|Watchdog|Breaker|Journal|Supervise|Interrupt|CrashMatrix|Serve' \
+go test -run 'Chaos|Resilient|FaultHook|RunProtocol|CheckpointFile|CheckpointTyped|Watchdog|Breaker|Journal|Supervise|Interrupt|CrashMatrix|Commit|DurableOnReturn|Turnover|Serve' \
     ./internal/core/... ./internal/wine2/... ./internal/mdgrape2/... \
     ./internal/md/... ./internal/supervise/... ./internal/serve/... \
     ./cmd/mdmsim/... ./cmd/mdmserve/... .
