@@ -1,8 +1,10 @@
-# Standard entry points; `make check` is the gate CI runs.
+# Standard entry points; `make check` is the gate CI runs. The -race package
+# list, the chaos -run regex and the fuzz targets live here only:
+# scripts/check.sh and CI call `make race` / `make chaos` / `make fuzz-smoke`.
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-smoke batch-smoke weak-smoke bench-compare vet mdmvet audit race chaos fuzz-smoke check fmt
+.PHONY: all build test bench bench-json bench-smoke weak-smoke bench-compare vet mdmvet audit race chaos fuzz-smoke check fmt
 
 all: build
 
@@ -20,9 +22,6 @@ bench-json:
 
 bench-smoke:
 	GOMAXPROCS=2 $(GO) run ./cmd/mdmbench -smoke -iters 3 -reps 2
-
-batch-smoke:
-	GOMAXPROCS=1 $(GO) run ./cmd/mdmbench -batch-smoke
 
 weak-smoke:
 	$(GO) run ./cmd/mdmbench -weak-smoke

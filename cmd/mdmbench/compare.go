@@ -155,29 +155,6 @@ func compareReports(aPath, bPath string, threshold float64) (int, error) {
 			fmt.Sprintf("pipeline-on/w%d", p.Workers), op.OnNsPerOp, p.OnNsPerOp, 100*delta,
 			speedupText(op.Speedup, lanes, a.NumCPU), speedupText(p.Speedup, lanes, b.NumCPU), mark)
 	}
-	oldBatch := make(map[int]BatchThroughputResult, len(a.Batch))
-	for _, r := range a.Batch {
-		oldBatch[r.K] = r
-	}
-	for _, r := range b.Batch {
-		label := fmt.Sprintf("batchThroughput/K%d", r.K)
-		or, ok := oldBatch[r.K]
-		if !ok || or.Steps != r.Steps {
-			// No prior batch section (pre-throughput-mode artifact) or a
-			// different protocol length: nothing comparable.
-			fmt.Printf("%-34s %14s %14.0f %9s batched %.2fx sequential\n",
-				label, "-", r.BatchedNsPerRun, "new", r.Speedup)
-			continue
-		}
-		delta := r.BatchedNsPerRun/or.BatchedNsPerRun - 1
-		mark := ""
-		if delta > threshold {
-			mark = "  REGRESSION"
-			regressions++
-		}
-		fmt.Printf("%-34s %14.0f %14.0f %+8.1f%% batched %.2fx → %.2fx sequential%s\n",
-			label, or.BatchedNsPerRun, r.BatchedNsPerRun, 100*delta, or.Speedup, r.Speedup, mark)
-	}
 	oldWeak := make(map[int]WeakScalingResult, len(a.WeakScaling))
 	for _, r := range a.WeakScaling {
 		oldWeak[r.Ranks] = r

@@ -76,6 +76,20 @@ func TestCompareReportsClean(t *testing.T) {
 	if got, err := compareReports(a, a, 0.20); err != nil || got != 0 {
 		t.Fatalf("self-compare: got %d regressions, %v; want 0", got, err)
 	}
+
+	// Records up to BENCH_8 carry a "batch" array Report no longer has; they
+	// must still load and compare on the sections that remain.
+	legacy := filepath.Join(dir, "legacy.json")
+	const body = `{"gomaxprocs":2,"num_cpu":2,"n_particles":64,
+		"results":[{"name":"forces","workers":1,"ns_per_op":1000,"allocs_per_op":10}],
+		"pipeline":[{"workers":2,"on_ns_per_op":800,"speedup":1.5}],
+		"batch":[{"k":16,"steps":25,"batched_ns_per_run":1e9,"sequential_ns_per_run":1e9,"speedup":1.0}]}`
+	if err := os.WriteFile(legacy, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := compareReports(legacy, a, 0.20); err != nil || got != 0 {
+		t.Fatalf("legacy report with a batch section: got %d regressions, %v; want 0", got, err)
+	}
 }
 
 // The normalised columns appear only when both artifacts recorded them, and a

@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"time"
 
-	"mdm"
 	"mdm/internal/cellindex"
 	"mdm/internal/core"
 	"mdm/internal/ewald"
@@ -64,33 +63,16 @@ type PipelineResult struct {
 	Speedup    float64 `json:"speedup"` // off / on
 }
 
-// BatchThroughputResult compares K replicas of the 216-ion system run
-// batched through one shared machine (mdm.RunBatch) against K sequential full
-// runs through the single-run API (mdm.NewSimulation + RunNVE). Both arms run
-// the same step path, serially (Workers=1), at the same potential cadence
-// (batchPotentialEvery), so the ratio isolates what batching itself shares —
-// one machine setup and one set of step-path arenas for K runs — not
-// parallelism, not the sweep variant and not the bookkeeping cadence.
-type BatchThroughputResult struct {
-	K                    int     `json:"k"`
-	Steps                int     `json:"steps"` // NVE steps per replica
-	BatchedNsPerRun      float64 `json:"batched_ns_per_run"`
-	SequentialNsPerRun   float64 `json:"sequential_ns_per_run"`
-	BatchedRunsPerSec    float64 `json:"batched_runs_per_sec"`
-	SequentialRunsPerSec float64 `json:"sequential_runs_per_sec"`
-	Speedup              float64 `json:"speedup"` // sequential / batched, in runs/sec
-}
-
-// Report is the whole artifact (a BENCH_<n>.json file).
+// Report is the whole artifact (a BENCH_<n>.json file). Records up to BENCH_8
+// also carry a "batch" array; encoding/json ignores it, so -compare reads them.
 type Report struct {
-	GOMAXPROCS  int                     `json:"gomaxprocs"`
-	NumCPU      int                     `json:"num_cpu"`
-	N           int                     `json:"n_particles"`
-	Iters       int                     `json:"iters_per_sample"`
-	Results     []Result                `json:"results"`
-	Pipeline    []PipelineResult        `json:"pipeline,omitempty"`
-	Batch       []BatchThroughputResult `json:"batch,omitempty"`
-	WeakScaling []WeakScalingResult     `json:"weak_scaling,omitempty"`
+	GOMAXPROCS  int                 `json:"gomaxprocs"`
+	NumCPU      int                 `json:"num_cpu"`
+	N           int                 `json:"n_particles"`
+	Iters       int                 `json:"iters_per_sample"`
+	Results     []Result            `json:"results"`
+	Pipeline    []PipelineResult    `json:"pipeline,omitempty"`
+	WeakScaling []WeakScalingResult `json:"weak_scaling,omitempty"`
 }
 
 // benchSystem is the 216-ion perturbed crystal of the bench_test.go
@@ -202,55 +184,7 @@ func figure2Family(p ewald.Params, pipeline bool, skin float64) func(workers int
 	}
 }
 
-// batchPotentialEvery is the potential cadence of both batchThroughput arms:
-// every 100 steps, as in §5 (and RunBatch's own default).
-const batchPotentialEvery = 100
-
-// batchThroughput times one batched-vs-sequential comparison at batch size k:
-// K full replica runs (steps NVE steps each, seeds 1..K) through one shared
-// machine, then the same K runs through K fresh single-run simulations. These
-// are macro-benchmarks seconds long, one sample per arm; a caller that gates on
-// the ratio must repeat it (batchSmoke does), since a loaded host can slow
-// either arm for its whole length.
-func batchThroughput(k, steps int) (BatchThroughputResult, error) {
-	cfg := mdm.Config{Cells: 3, Temperature: 1200, Workers: 1, PotentialEvery: batchPotentialEvery}
-
-	start := time.Now()
-	if _, err := mdm.RunBatch(cfg, k, 0, steps); err != nil {
-		return BatchThroughputResult{}, fmt.Errorf("batched K=%d: %w", k, err)
-	}
-	batched := time.Since(start)
-
-	start = time.Now()
-	for i := 0; i < k; i++ {
-		c := cfg
-		c.Seed = 1 + int64(i) // the same replica set RunBatch runs
-		sim, err := mdm.NewSimulation(c)
-		if err != nil {
-			return BatchThroughputResult{}, fmt.Errorf("sequential K=%d slot %d: %w", k, i, err)
-		}
-		if err := sim.RunNVE(steps); err != nil {
-			_ = sim.Free()
-			return BatchThroughputResult{}, fmt.Errorf("sequential K=%d slot %d: %w", k, i, err)
-		}
-		if err := sim.Free(); err != nil {
-			return BatchThroughputResult{}, fmt.Errorf("sequential K=%d slot %d: %w", k, i, err)
-		}
-	}
-	sequential := time.Since(start)
-
-	return BatchThroughputResult{
-		K:                    k,
-		Steps:                steps,
-		BatchedNsPerRun:      float64(batched.Nanoseconds()) / float64(k),
-		SequentialNsPerRun:   float64(sequential.Nanoseconds()) / float64(k),
-		BatchedRunsPerSec:    float64(k) / batched.Seconds(),
-		SequentialRunsPerSec: float64(k) / sequential.Seconds(),
-		Speedup:              sequential.Seconds() / batched.Seconds(),
-	}, nil
-}
-
-func run(widths []int, iters, reps, batchSteps, weakSteps int) (*Report, error) {
+func run(widths []int, iters, reps, weakSteps int) (*Report, error) {
 	sys, p, err := benchSystem()
 	if err != nil {
 		return nil, err
@@ -354,21 +288,6 @@ func run(widths []int, iters, reps, batchSteps, weakSteps int) (*Report, error) 
 			return nil, fmt.Errorf("pipeline compare workers=%d: %w", w, err)
 		}
 		rep.Pipeline = append(rep.Pipeline, pr)
-	}
-
-	// Throughput mode: batched small-N replicas vs sequential full runs.
-	// These are multi-second macro runs (skipped when batchSteps is 0, e.g.
-	// in smoke mode, which has its own quick batch gate).
-	if batchSteps > 0 {
-		for _, k := range []int{1, 4, 16, 64} {
-			br, err := batchThroughput(k, batchSteps)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "batchThroughput K=%d: %.2f runs/s batched vs %.2f sequential (%.2fx)\n",
-				k, br.BatchedRunsPerSec, br.SequentialRunsPerSec, br.Speedup)
-			rep.Batch = append(rep.Batch, br)
-		}
 	}
 
 	// Weak scaling of the spatial decomposition: fixed 64 ions/rank at
@@ -505,7 +424,7 @@ func smoke(iters, reps int) error {
 	if widths[1] == 1 {
 		widths = widths[:1]
 	}
-	rep, err := run(widths, iters, reps, 0, 0)
+	rep, err := run(widths, iters, reps, 0)
 	if err != nil {
 		return err
 	}
@@ -535,45 +454,11 @@ func smoke(iters, reps int) error {
 	return nil
 }
 
-// batchSmoke gates CI on the throughput mode not costing anything: a batched
-// K=16 run of the 216-ion system must deliver at least 0.95× the runs/sec of
-// 16 sequential single-run simulations. Both arms run the same step path at
-// Workers=1 and the same potential cadence, so what is left for batching to
-// win is the shared machine setup — a few percent at these run lengths. The
-// arms are seconds long and timed one after the other, so a loaded CI machine
-// can slow either one; up to three alternations are run, each arm keeps its
-// fastest time, and the gate passes as soon as the ratio of those clears.
-func batchSmoke(steps int) error {
-	const (
-		k        = 16
-		margin   = 0.95
-		attempts = 3
-	)
-	batched, sequential := math.Inf(1), math.Inf(1)
-	for a := 0; a < attempts; a++ {
-		br, err := batchThroughput(k, steps)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("batch smoke: K=%d steps=%d: %.2f runs/s batched vs %.2f sequential (%.2fx)\n",
-			br.K, br.Steps, br.BatchedRunsPerSec, br.SequentialRunsPerSec, br.Speedup)
-		batched = min(batched, br.BatchedNsPerRun)
-		sequential = min(sequential, br.SequentialNsPerRun)
-		if sequential/batched >= margin {
-			return nil
-		}
-	}
-	return fmt.Errorf("batched K=%d throughput is only %.2fx sequential over %d alternations (required ≥ %.2fx)",
-		k, sequential/batched, attempts, margin)
-}
-
 func main() {
 	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	iters := flag.Int("iters", 10, "operations per timing sample")
 	reps := flag.Int("reps", 3, "timing samples per configuration (best is kept)")
 	smokeMode := flag.Bool("smoke", false, "CI gate: neither the parallel widths nor the engine-overlap pipeline may lose to the serial Figure-2 step")
-	batchSmokeMode := flag.Bool("batch-smoke", false, "CI gate: batched K=16 must not be slower than 16 sequential runs at the same potential cadence (≥ 0.95x runs/sec)")
-	batchSteps := flag.Int("batch-steps", 25, "NVE steps per replica in the batchThroughput family (0 skips the family)")
 	weakSmokeMode := flag.Bool("weak-smoke", false, "CI gate: the decomposition's reuse step must stream only ghost positions, and per-particle cost must stay flat at 8 ranks")
 	weakSteps := flag.Int("weak-steps", 6, "timed steps per rung in the weak-scaling family (0 skips the family)")
 	compareMode := flag.Bool("compare", false, "compare two recorded reports: mdmbench -compare OLD.json NEW.json")
@@ -604,14 +489,6 @@ func main() {
 		return
 	}
 
-	if *batchSmokeMode {
-		if err := batchSmoke(15); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *weakSmokeMode {
 		if err := weakSmoke(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -620,7 +497,7 @@ func main() {
 		return
 	}
 
-	rep, err := run([]int{1, 2, 4, 8}, *iters, *reps, *batchSteps, *weakSteps)
+	rep, err := run([]int{1, 2, 4, 8}, *iters, *reps, *weakSteps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

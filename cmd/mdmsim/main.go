@@ -172,31 +172,6 @@ func writeSummary(path string, s runSummary) error {
 	return lifecycle.WriteSummary(path, s)
 }
 
-// runBatchMode drives the -batch throughput protocol: k replicas of the
-// configured system, differing only in velocity seed, stepped through one
-// shared machine. Reports per-replica observables and aggregate throughput.
-func runBatchMode(cfg mdm.Config, k, nvt, nve int) int {
-	fmt.Printf("batch:  %d replicas, seeds %d..%d, %d NVT + %d NVE steps each\n",
-		k, cfg.Seed, cfg.Seed+int64(k)-1, nvt, nve)
-	start := time.Now()
-	results, err := mdm.RunBatch(cfg, k, nvt, nve)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	elapsed := time.Since(start)
-
-	fmt.Printf("%6s %6s %14s %12s %10s\n", "slot", "seed", "T (K)", "NVE drift", "sort/reuse")
-	for i, r := range results {
-		fmt.Printf("%6d %6d %8.1f±%5.1f %12.3g %5d/%d\n",
-			i, r.Seed, r.TemperatureMean, r.TemperatureStd, r.EnergyDrift, r.JSetRebuilds, r.JSetReuses)
-	}
-	steps := k * (nvt + nve)
-	fmt.Printf("\nwall clock: %.2f s total, %.2f ms/replica-step, %.2f full runs/s\n",
-		elapsed.Seconds(), elapsed.Seconds()*1000/float64(steps), float64(k)/elapsed.Seconds())
-	return 0
-}
-
 func main() {
 	// run() owns every cleanup as a defer and reports an exit code; the only
 	// os.Exit on the normal paths is here, so profiles, trajectories, the
@@ -221,7 +196,6 @@ func run() (exit int) {
 	ckpt := flag.String("checkpoint", "", "crash-safe checkpoint file (enables restart after fatal faults)")
 	ckptEvery := flag.Int("checkpoint-every", 25, "steps between checkpoints")
 	maxRestarts := flag.Int("max-restarts", 3, "restarts from checkpoint after fatal faults")
-	batch := flag.Int("batch", 0, "throughput mode: run K independent replicas (seeds seed..seed+K-1) through one machine; incompatible with faults/checkpointing/supervision")
 	workers := flag.Int("workers", 0, "worker-pool width striping the simulated pipelines across cores (0 = GOMAXPROCS, 1 = serial); bit-identical at any width")
 	pipeline := flag.Bool("pipeline", false, "run the WINE-2 wavenumber pass concurrently with the MDGRAPE-2 real-space sweep (engine overlap only; the step path and its results are the same, bit for bit)")
 	skin := flag.Float64("skin", 0, "Verlet skin in Å: reuse the sorted cell layout until a particle moves more than skin/2 (0 = rebuild every step)")
@@ -275,14 +249,6 @@ func run() (exit int) {
 		fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backend)
 		return 2
 	}
-	if *faults != "" && be != mdm.BackendMDM {
-		fmt.Fprintln(os.Stderr, "-faults requires the mdm backend")
-		return 2
-	}
-	if *watchdog > 0 && be != mdm.BackendMDM {
-		fmt.Fprintln(os.Stderr, "-watchdog requires the mdm backend")
-		return 2
-	}
 	if *resume && (*ckpt == "" || *journal == "") {
 		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint and -journal")
 		return 2
@@ -291,39 +257,9 @@ func run() (exit int) {
 		fmt.Fprintln(os.Stderr, "-pipeline and -skin require the mdm backend")
 		return 2
 	}
-	if *ranks != 0 && be != mdm.BackendMDM {
-		fmt.Fprintln(os.Stderr, "-ranks requires the mdm backend")
-		return 2
-	}
 	if *waveRanks != 0 && *ranks == 0 {
 		fmt.Fprintln(os.Stderr, "-wave-ranks requires -ranks")
 		return 2
-	}
-	if *ranks != 0 && *batch > 0 {
-		fmt.Fprintln(os.Stderr, "-batch is incompatible with -ranks")
-		return 2
-	}
-	if *batch > 0 {
-		if be != mdm.BackendMDM {
-			fmt.Fprintln(os.Stderr, "-batch requires the mdm backend")
-			return 2
-		}
-		if *faults != "" || *ckpt != "" || *journal != "" || *resume || *watchdog > 0 || *xyz != "" {
-			fmt.Fprintln(os.Stderr, "-batch is incompatible with -faults, -checkpoint, -journal, -resume, -watchdog and -xyz")
-			return 2
-		}
-		// PotentialEvery stays 0: RunBatch defaults it to the paper's
-		// every-100-steps cadence (§5), the throughput protocol.
-		return runBatchMode(mdm.Config{
-			Cells:       *cells,
-			Temperature: *temp,
-			Dt:          *dt,
-			Alpha:       *alpha,
-			Seed:        *seed,
-			Workers:     *workers,
-			Pipeline:    *pipeline,
-			Skin:        *skin,
-		}, *batch, *nvt, *nve)
 	}
 
 	cfg := mdm.Config{
@@ -345,6 +281,12 @@ func run() (exit int) {
 			Journal:   *journal,
 			SyncEvery: *syncEvery,
 		},
+	}
+	// Which backend composes with -ranks, -faults and -watchdog is the
+	// library's rule (Config.Validate), reported here as a usage error.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 	var sim *mdm.Simulation
 	var err error

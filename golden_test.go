@@ -106,24 +106,3 @@ func TestGoldenNVEBitIdentity(t *testing.T) {
 		}
 	}
 }
-
-// TestGoldenNVEBatchSlot runs the golden configuration as slot 0 of a batch:
-// the shared-machine driver must reproduce the solo golden hash exactly (the
-// other slot exists to perturb the shared scratch between slot-0 steps).
-func TestGoldenNVEBatchSlot(t *testing.T) {
-	g := goldenNVE[0]
-	res, err := RunBatch(Config{
-		Cells:          g.cells,
-		Temperature:    1200,
-		Backend:        BackendMDM,
-		PotentialEvery: 100,
-		Workers:        1,
-		Skin:           g.skin,
-	}, 2, 0, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hashState(res[0].System); got != g.final {
-		t.Fatalf("batch slot 0 NVE state hash %s, golden %s", got, g.final)
-	}
-}

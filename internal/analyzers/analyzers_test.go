@@ -101,9 +101,9 @@ func TestShardMergeFixtures(t *testing.T) {
 }
 
 func TestBatchFlowFixtures(t *testing.T) {
-	// The batch driver's swap dispatch: the stepflow fact must flow from a
-	// batch root through the per-slot adapter's interface call into the
-	// shared machine, so hotalloc sees allocations on the batched step path.
+	// Adapter dispatch: the stepflow fact must flow from a root through an
+	// interface call into an adapter and on into the evaluator it wraps, so
+	// hotalloc sees allocations behind a ForceField-shaped seam.
 	atest.Run(t, analyzers.HotAlloc, "batchflow", "mdm/fixture/batchflow")
 }
 
@@ -132,19 +132,13 @@ func TestStepFlowFactPropagation(t *testing.T) {
 		// Interface dispatch: md.Integrator.Step calls ForceField.Forces, and
 		// CHA fans out to the core implementations.
 		"(*mdm/internal/core.Machine).Forces",
+		"(*mdm/internal/core.ParallelRun).Forces",
 		"(*mdm/internal/core.Resilient).Forces",
 		// Callback edge: functions passed to Integrator.Run run between steps.
 		"(*mdm.Simulation).observe",
 		// Explicitly annotated root whose wiring is an assignment.
 		"(*mdm/internal/supervise.Watchdog).Beat",
-		// Batch entry points: the per-round driver and the per-slot swap
-		// adapter it dispatches through (interface fan-out from
-		// Integrator.Step's ForceField call).
-		"(*mdm/internal/core.BatchMachine).Step",
-		"(mdm/internal/core.slotField).Forces",
-		// The batch driver root; its sampling closure runs between rounds, so
-		// the recorder it calls must be hot too.
-		"mdm.RunBatch",
+		// What a callback calls is hot too: observe samples between steps.
 		"(*mdm/internal/md.Recorder).Sample",
 	}
 	for _, name := range hot {

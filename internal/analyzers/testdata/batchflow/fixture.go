@@ -1,8 +1,8 @@
-// Fixtures for the batched hot path: the stepflow fact must propagate from a
-// batch-driver root through the per-slot state swap and the interface
-// dispatch into the shared machine, the way core.BatchMachine.Step reaches
-// Machine.Forces through slotField — otherwise the determinism analyzers
-// would silently skip everything the batch path executes.
+// Fixtures for a hot path behind an adapter: the stepflow fact must propagate
+// from a driver root through interface dispatch into an adapter that swaps
+// state around the evaluator it wraps, the way md.Integrator.Step reaches
+// Machine.Forces through core.Resilient — otherwise the determinism analyzers
+// would silently skip everything behind the ForceField seam.
 package fixture
 
 // state is one slot's trajectory-dependent scratch.
@@ -17,7 +17,7 @@ type field interface {
 type machine struct{ cur state }
 
 // swapField adapts one slot to field: adopt the slot state, delegate to the
-// shared machine, stash the state back — the batch swap pattern.
+// shared machine, stash the state back.
 type swapField struct {
 	m     *machine
 	slots []state
@@ -31,8 +31,8 @@ func (f swapField) forces(n int) []float64 {
 	return out
 }
 
-// eval allocates per call; it is hot only because the batch root reaches it
-// through the interface fan-out and the swap adapter.
+// eval allocates per call; it is hot only because the root reaches it through
+// the interface fan-out and the swap adapter.
 func (m *machine) eval(n int) []float64 {
 	var out []float64
 	for i := 0; i < n; i++ {
@@ -41,16 +41,16 @@ func (m *machine) eval(n int) []float64 {
 	return out
 }
 
-// stepBatch is the batched per-step driver.
+// stepBatch is the per-step driver.
 //
-//mdm:stepflow -- fixture: batch-driver root
+//mdm:stepflow -- fixture: driver root
 func stepBatch(ff field, k int) {
 	for i := 0; i < k; i++ {
 		_ = ff.forces(k)
 	}
 }
 
-// coldEval is the same growing-append pattern off the batch path — must stay
+// coldEval is the same growing-append pattern off the hot path — must stay
 // quiet.
 func coldEval(n int) []float64 {
 	var out []float64

@@ -309,56 +309,6 @@ func BenchmarkReferenceStep64(b *testing.B) {
 	}
 }
 
-func TestHardwarePotentialMatchesHost(t *testing.T) {
-	s := meltLike(t, 2, 5.64, 1200, 19)
-	p := smallParams(s.L)
-	cfg := CurrentMachineConfig(p)
-	cfg.HardwarePotential = true
-	hw, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := newTestMachine(t, p)
-	_, hwPot, err := hw.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, hostPot, err := host.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same pair walk, same physics; differences are the float32 pipeline
-	// arithmetic and the φ tables (~1e-6 relative).
-	if math.Abs(hwPot-hostPot) > 1e-4*math.Abs(hostPot) {
-		t.Errorf("hardware potential %g vs host %g", hwPot, hostPot)
-	}
-	t.Logf("hardware vs host potential: %.10g vs %.10g (Δrel %.1e)",
-		hwPot, hostPot, math.Abs(hwPot-hostPot)/math.Abs(hostPot))
-}
-
-func TestHardwarePotentialNVEConservation(t *testing.T) {
-	s := meltLike(t, 2, 5.64, 300, 20)
-	p := smallParams(s.L)
-	cfg := CurrentMachineConfig(p)
-	cfg.HardwarePotential = true
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := md.NewIntegrator(s, m, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &md.Recorder{}
-	rec.Sample(it)
-	if err := it.Run(60, func(step int) error { rec.Sample(it); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if drift := rec.EnergyDrift(); drift > 2e-4 {
-		t.Errorf("hardware-potential NVE drift = %g", drift)
-	}
-}
-
 func TestPressureNearZeroAtEquilibrium(t *testing.T) {
 	// The Tosi-Fumi force field should hold the NaCl crystal near zero
 	// pressure at the experimental lattice constant (a ≈ 5.64 Å) and show

@@ -33,12 +33,6 @@ const (
 	tableBM      = "born-mayer"
 	tableDisp6   = "dispersion-r6"
 	tableDisp8   = "dispersion-r8"
-
-	// Potential-mode tables (φ rather than g = -φ'/r).
-	tableCoulombPot = "coulomb-real-pot"
-	tableBMPot      = "born-mayer-pot"
-	tableDisp6Pot   = "dispersion-r6-pot"
-	tableDisp8Pot   = "dispersion-r8-pot"
 )
 
 // kernelTable is one function-evaluator RAM load: the kernel and the domain
@@ -51,30 +45,12 @@ type kernelTable struct {
 }
 
 // forceTables are the four kernels of the real-space sweep, in the sweep's
-// reduction order; potentialTables are their potential-mode counterparts.
-var (
-	forceTables = []kernelTable{
-		{tableCoulomb, EwaldRealG, -20, 8},
-		{tableBM, func(x float64) float64 { s := math.Sqrt(x); return math.Exp(-s) / s }, -8, 12},
-		{tableDisp6, func(x float64) float64 { x2 := x * x; return 1 / (x2 * x2) }, -4, 16},
-		{tableDisp8, func(x float64) float64 { x2 := x * x; return 1 / (x2 * x2 * x) }, -4, 16},
-	}
-	potentialTables = []kernelTable{
-		{tableCoulombPot, func(x float64) float64 { s := math.Sqrt(x); return math.Erfc(s) / s }, -20, 8},
-		{tableBMPot, func(x float64) float64 { return math.Exp(-math.Sqrt(x)) }, -8, 12},
-		{tableDisp6Pot, func(x float64) float64 { return 1 / (x * x * x) }, -4, 16},
-		{tableDisp8Pot, func(x float64) float64 { x2 := x * x; return 1 / (x2 * x2) }, -4, 16},
-	}
-)
-
-// loadTables fits each kernel into the session's function-evaluator RAM.
-func loadTables(m *mdgrape2.MR1, tables []kernelTable) error {
-	for _, k := range tables {
-		if err := m.SetTable(k.name, k.g, k.emin, k.emax); err != nil {
-			return err
-		}
-	}
-	return nil
+// reduction order.
+var forceTables = []kernelTable{
+	{tableCoulomb, EwaldRealG, -20, 8},
+	{tableBM, func(x float64) float64 { s := math.Sqrt(x); return math.Exp(-s) / s }, -8, 12},
+	{tableDisp6, func(x float64) float64 { x2 := x * x; return 1 / (x2 * x2) }, -4, 16},
+	{tableDisp8, func(x float64) float64 { x2 := x * x; return 1 / (x2 * x2 * x) }, -4, 16},
 }
 
 // EwaldRealG is the real-space Coulomb kernel of §3.5.4:
@@ -96,11 +72,6 @@ type MachineConfig struct {
 	// energy (the paper computed it every 100 steps, §5). 1 evaluates it on
 	// every force call; k > 1 reuses the last value for k-1 calls.
 	PotentialEvery int
-
-	// HardwarePotential computes the real-space potential energy on the
-	// MDGRAPE-2 potential mode (four φ-table passes) instead of the host
-	// float64 path.
-	HardwarePotential bool
 
 	// FaultHook, when non-nil, is installed on both simulated backends (and
 	// on every per-rank session of the parallel path) so a fault.Injector can
@@ -147,8 +118,24 @@ func CurrentMachineConfig(p ewald.Params) MachineConfig {
 	}
 }
 
+// Engine is a hardware force path as a driver holds it, whatever its process
+// layout: the serial *Machine, a *ParallelRun session, or either under the
+// *Resilient recovery policy.
+type Engine interface {
+	md.ForceField
+	// InvalidateGeometry drops cached position-dependent state, so the next
+	// Forces call rebuilds it — required after an external position rewrite
+	// (checkpoint restore).
+	InvalidateGeometry()
+	// JSetStats reports how many Forces calls rebuilt the sorted layout and
+	// how many reused it under the Verlet-skin bound.
+	JSetStats() (rebuilds, reuses int)
+	// Free releases the simulated boards.
+	Free() error
+}
+
 // Machine is the simulated MDM evaluating the molten-NaCl force field. It
-// implements md.ForceField.
+// implements Engine.
 type Machine struct {
 	cfg   MachineConfig
 	pot   *tosifumi.Potential
@@ -159,15 +146,7 @@ type Machine struct {
 	wine *wine2.Library
 	pool *parallelize.Pool
 
-	coCoulomb *mdgrape2.Coeffs
-	coBM      *mdgrape2.Coeffs
-	coD6      *mdgrape2.Coeffs
-	coD8      *mdgrape2.Coeffs
-
-	// Potential-mode coefficient RAMs (HardwarePotential only).
-	coBMPot *mdgrape2.Coeffs
-	coD6Pot *mdgrape2.Coeffs
-	coD8Pot *mdgrape2.Coeffs
+	co *machineCoeffsSet
 
 	potCalls int
 	lastPot  float64
@@ -180,7 +159,6 @@ type Machine struct {
 	jsetRebuilds int
 	jsetReuses   int
 	scale        []float64 // hoisted per-i Coulomb force prefactor
-	potScale     []float64 // hoisted per-i Coulomb potential prefactor (HardwarePotential only)
 	potGather    potGather // sorted-order charge/species planes of the host potential walk
 	passes       [4]mdgrape2.ForcePass
 	realFC       soa.Coords      // fused-sweep force planes
@@ -212,107 +190,133 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	co, err := machineCoeffs(cfg.Ewald)
+	if err != nil {
+		return nil, err
+	}
 	m := &Machine{
 		cfg:      cfg,
 		pot:      tosifumi.Default(),
 		waves:    ewald.Waves(cfg.Ewald),
 		grid:     grid,
 		pool:     parallelize.New(cfg.Workers),
+		co:       co,
 		wineDone: make(chan wineResult, 1),
 	}
 	m.jsb = mdgrape2.NewJSetBuilder(grid, m.pool)
+	if m.mr1, err = newMDGSession(cfg, 1, "mdg"); err != nil {
+		return nil, err
+	}
+	m.mr1.SetPool(m.pool)
+	if m.wine, err = newWineSession(cfg, 1, "wine2"); err != nil {
+		return nil, err
+	}
+	m.wine.SetPool(m.pool)
+	return m, nil
+}
 
-	// MDGRAPE-2 session (Table 3 sequence).
-	mr1, err := mdgrape2.NewMR1(cfg.MDG)
+// newMDGSession runs the Table 3 sequence — allocate, init, load the four
+// kernel tables — over a 1/share slice of the MDGRAPE-2 boards
+// (cfg.MDGBoards when set, so a re-stripe after a dropout shrinks every
+// share; at least one board). The serial machine is share 1; each rank of a
+// decomposed session takes 1/nReal. scope names the session to cfg.Heartbeat.
+func newMDGSession(cfg MachineConfig, share int, scope string) (*mdgrape2.MR1, error) {
+	m, err := mdgrape2.NewMR1(cfg.MDG)
 	if err != nil {
 		return nil, err
 	}
-	mr1.SetFaultHook(cfg.FaultHook)
-	if cfg.Heartbeat != nil {
-		mr1.SetHeartbeat(func() { cfg.Heartbeat("mdg") })
+	m.SetFaultHook(cfg.FaultHook)
+	if beat := cfg.Heartbeat; beat != nil {
+		m.SetHeartbeat(func() { beat(scope) })
 	}
-	mr1.SetPool(m.pool)
-	boards := cfg.MDGBoards
-	if boards == 0 {
-		boards = cfg.MDG.Boards()
+	total := cfg.MDGBoards
+	if total == 0 {
+		total = cfg.MDG.Boards()
 	}
-	if err := mr1.AllocateBoards(boards); err != nil {
+	if err := m.AllocateBoards(max(total/share, 1)); err != nil {
 		return nil, err
 	}
-	if err := mr1.Init(); err != nil {
+	if err := m.Init(); err != nil {
 		return nil, err
 	}
-	if err := loadTables(mr1, forceTables); err != nil {
-		return nil, err
-	}
-	if cfg.HardwarePotential {
-		if err := loadTables(mr1, potentialTables); err != nil {
+	for _, k := range forceTables {
+		if err := m.SetTable(k.name, k.g, k.emin, k.emax); err != nil {
 			return nil, err
 		}
 	}
-	m.mr1 = mr1
+	return m, nil
+}
 
-	// WINE-2 session (Table 2 sequence).
+// newWineSession runs the Table 2 sequence — allocate, initialize — over a
+// 1/share slice of the WINE-2 boards, like newMDGSession.
+func newWineSession(cfg MachineConfig, share int, scope string) (*wine2.Library, error) {
 	lib, err := wine2.NewLibrary(cfg.Wine)
 	if err != nil {
 		return nil, err
 	}
 	lib.SetFaultHook(cfg.FaultHook)
-	if cfg.Heartbeat != nil {
-		lib.SetHeartbeat(func() { cfg.Heartbeat("wine2") })
+	if beat := cfg.Heartbeat; beat != nil {
+		lib.SetHeartbeat(func() { beat(scope) })
 	}
-	lib.SetPool(m.pool)
-	wboards := cfg.WineBoards
-	if wboards == 0 {
-		wboards = cfg.Wine.Boards()
+	total := cfg.WineBoards
+	if total == 0 {
+		total = cfg.Wine.Boards()
 	}
-	if err := lib.AllocateBoards(wboards); err != nil {
+	if err := lib.AllocateBoards(max(total/share, 1)); err != nil {
 		return nil, err
 	}
 	if err := lib.InitializeBoards(); err != nil {
 		return nil, err
 	}
-	m.wine = lib
-
-	if err := m.loadCoefficients(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return lib, nil
 }
 
-// loadCoefficients fills the MDGRAPE-2 coefficient RAMs for the two NaCl
+// machineCoeffsSet bundles the four coefficient RAMs of the NaCl force field.
+type machineCoeffsSet struct {
+	coulomb, bm, d6, d8 *mdgrape2.Coeffs
+}
+
+// machineCoeffs fills the MDGRAPE-2 coefficient RAMs for the two NaCl
 // species.
-func (m *Machine) loadCoefficients() error {
-	p := m.cfg.Ewald
+func machineCoeffs(p ewald.Params) (*machineCoeffsSet, error) {
+	tf := tosifumi.Default()
 	aC := p.Alpha * p.Alpha / (p.L * p.L)
-	var err error
-	m.coCoulomb, err = mdgrape2.NewCoeffs(tosifumi.NumSpecies, aC, 0)
+	coulomb, err := mdgrape2.NewCoeffs(tosifumi.NumSpecies, aC, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.coBM, _ = mdgrape2.NewCoeffs(tosifumi.NumSpecies, 0, 0)
-	m.coD6, _ = mdgrape2.NewCoeffs(tosifumi.NumSpecies, 0, 0)
-	m.coD8, _ = mdgrape2.NewCoeffs(tosifumi.NumSpecies, 0, 0)
-	m.coBMPot, _ = mdgrape2.NewCoeffs(tosifumi.NumSpecies, 0, 0)
-	m.coD6Pot, _ = mdgrape2.NewCoeffs(tosifumi.NumSpecies, 0, 0)
-	m.coD8Pot, _ = mdgrape2.NewCoeffs(tosifumi.NumSpecies, 0, 0)
-	tf := m.pot
+	bm, _ := mdgrape2.NewCoeffs(tosifumi.NumSpecies, 0, 0)
+	d6, _ := mdgrape2.NewCoeffs(tosifumi.NumSpecies, 0, 0)
+	d8, _ := mdgrape2.NewCoeffs(tosifumi.NumSpecies, 0, 0)
 	rho2 := tf.Rho * tf.Rho
 	for i := 0; i < tosifumi.NumSpecies; i++ {
 		for j := i; j < tosifumi.NumSpecies; j++ {
 			si, sj := tosifumi.Species(i), tosifumi.Species(j)
-			qq := tosifumi.Charge(si) * tosifumi.Charge(sj)
-			m.coCoulomb.Set(i, j, aC, qq)
-			bm := tf.A[i][j] * tf.B * math.Exp((tf.Sigma[i]+tf.Sigma[j])/tf.Rho)
-			m.coBM.Set(i, j, 1/rho2, bm/rho2)
-			m.coD6.Set(i, j, 1, -6*tf.C[i][j])
-			m.coD8.Set(i, j, 1, -8*tf.D[i][j])
-			m.coBMPot.Set(i, j, 1/rho2, bm)
-			m.coD6Pot.Set(i, j, 1, -tf.C[i][j])
-			m.coD8Pot.Set(i, j, 1, -tf.D[i][j])
+			coulomb.Set(i, j, aC, tosifumi.Charge(si)*tosifumi.Charge(sj))
+			bm.Set(i, j, 1/rho2, tf.A[i][j]*tf.B*math.Exp((tf.Sigma[i]+tf.Sigma[j])/tf.Rho)/rho2)
+			d6.Set(i, j, 1, -6*tf.C[i][j])
+			d8.Set(i, j, 1, -8*tf.D[i][j])
 		}
 	}
-	return nil
+	// Load the RAM images while setup is still single-threaded: the domain
+	// ranks share this set and read it concurrently on the force path.
+	coulomb.Load()
+	bm.Load()
+	d6.Load()
+	d8.Load()
+	return &machineCoeffsSet{coulomb: coulomb, bm: bm, d6: d6, d8: d8}, nil
+}
+
+// passes fills the pass descriptors of the fused real-space sweep, in the
+// fixed reduction order Coulomb + Born–Mayer + r⁻⁶ + r⁻⁸; scale is the per-i
+// Coulomb force prefactor.
+func (co *machineCoeffsSet) passes(scale []float64) [4]mdgrape2.ForcePass {
+	return [4]mdgrape2.ForcePass{
+		{Table: tableCoulomb, Co: co.coulomb, ScaleI: scale},
+		{Table: tableBM, Co: co.bm},
+		{Table: tableDisp6, Co: co.d6},
+		{Table: tableDisp8, Co: co.d8},
+	}
 }
 
 // Waves returns the wavevector set in use.
@@ -364,7 +368,7 @@ func (m *Machine) ensureScale(n int) {
 // Within that bound only the stored positions are refreshed. With Skin = 0
 // every call rebuilds and the layout is bit-identical to a fresh sort.
 func (m *Machine) jset(s *md.System) (*mdgrape2.JSet, error) {
-	if m.haveJSet && len(m.refPos) == s.N() && m.maxDisp2(s.Pos) <= (m.cfg.Skin/2)*(m.cfg.Skin/2) {
+	if m.haveJSet && len(m.refPos) == s.N() && maxDisp2(m.cfg.Ewald.L, s.Pos, m.refPos) <= (m.cfg.Skin/2)*(m.cfg.Skin/2) {
 		js, err := m.jsb.Refresh(s.Pos)
 		if err != nil {
 			return nil, err
@@ -385,25 +389,6 @@ func (m *Machine) jset(s *md.System) (*mdgrape2.JSet, error) {
 	m.jsetRebuilds++
 	m.js = js
 	return js, nil
-}
-
-// maxDisp2 returns the largest squared minimum-image displacement of any
-// particle from the reference positions of the last j-set rebuild (shared
-// with the decomposed session, which applies the same rule driver-side).
-func (m *Machine) maxDisp2(pos []vec.V) float64 {
-	return maxDisp2(m.cfg.Ewald.L, pos, m.refPos)
-}
-
-// realPasses fills the per-step pass descriptors of the fused real-space
-// sweep, in the fixed reduction order Coulomb + Born–Mayer + r⁻⁶ + r⁻⁸.
-func (m *Machine) realPasses() []mdgrape2.ForcePass {
-	m.passes = [4]mdgrape2.ForcePass{
-		{Table: tableCoulomb, Co: m.coCoulomb, ScaleI: m.scale},
-		{Table: tableBM, Co: m.coBM},
-		{Table: tableDisp6, Co: m.coD6},
-		{Table: tableDisp8, Co: m.coD8},
-	}
-	return m.passes[:]
 }
 
 // Forces implements md.ForceField: the per-step flow of §3.1 — send
@@ -444,7 +429,8 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 		//mdm:hotallocok -- one pipeline launch per step by design; the closure capture is the overlap mechanism and fits the ~10 allocs/step budget
 		go func() { m.wineDone <- m.wavePass(s) }()
 	}
-	fc, mdgErr := m.mr1.CalcVDWFusedInto(m.realPasses(), s.Pos, s.Type, js, m.realFC)
+	m.passes = m.co.passes(m.scale)
+	fc, mdgErr := m.mr1.CalcVDWFusedInto(m.passes[:], s.Pos, s.Type, js, m.realFC)
 	var res wineResult
 	if m.cfg.Pipeline {
 		res = <-m.wineDone
@@ -478,57 +464,14 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 	//mdm:hotallocok -- the one fresh output slice per step the md.ForceField contract requires; every intermediate buffer is reused
 	forces := fc.AppendAoS(make([]vec.V, 0, n))
 
-	// Potential-energy bookkeeping (every PotentialEvery calls, like the
-	// paper's every-100-steps evaluation), either on the host in float64 or
-	// through the MDGRAPE-2 potential mode.
+	// Potential-energy bookkeeping on the host in float64, every
+	// PotentialEvery calls (like the paper's every-100-steps evaluation).
 	if m.potCalls%m.cfg.PotentialEvery == 0 {
-		var realPot float64
-		if m.cfg.HardwarePotential {
-			realPot, err = m.hardwarePotential(s, js)
-			if err != nil {
-				return nil, 0, fmt.Errorf("core: hardware potential: %w", err)
-			}
-		} else {
-			realPot = hostPotential(&m.potGather, p, m.pot, js.Sorted, m.jsb.NeighborTable(), s)
-		}
+		realPot := hostPotential(&m.potGather, p, m.pot, js.Sorted, m.jsb.NeighborTable(), s)
 		m.lastPot = realPot + res.pot + ewald.SelfEnergy(p, s.Charge)
 	}
 	m.potCalls++
 	return forces, m.lastPot, nil
-}
-
-// hardwarePotential evaluates the real-space potential on the MDGRAPE-2
-// potential mode: four φ-table passes over the same 27-cell pair set as the
-// force passes, halved because every unordered pair is visited twice.
-func (m *Machine) hardwarePotential(s *md.System, js *mdgrape2.JSet) (float64, error) {
-	if len(m.potScale) != s.N() {
-		p := m.cfg.Ewald
-		m.potScale = make([]float64, s.N())
-		ppref := units.Coulomb * p.Alpha / p.L
-		for i := range m.potScale {
-			m.potScale[i] = ppref
-		}
-	}
-	total := 0.0
-	for _, pass := range []struct {
-		table string
-		co    *mdgrape2.Coeffs
-		scale []float64
-	}{
-		{tableCoulombPot, m.coCoulomb, m.potScale},
-		{tableBMPot, m.coBMPot, nil},
-		{tableDisp6Pot, m.coD6Pot, nil},
-		{tableDisp8Pot, m.coD8Pot, nil},
-	} {
-		pots, err := m.mr1.System().ComputePotentials(pass.table, pass.co, s.Pos, s.Type, pass.scale, js)
-		if err != nil {
-			return 0, fmt.Errorf("%s pass: %w", pass.table, err)
-		}
-		for _, pe := range pots {
-			total += pe
-		}
-	}
-	return total / 2, nil
 }
 
 // wavePass runs the WINE-2 wavenumber-space pass into the machine's wave

@@ -11,6 +11,21 @@ import (
 	"mdm/internal/vec"
 )
 
+// oneStep builds a session on world, runs a single force evaluation and frees
+// the session again.
+func oneStep(world *mpi.World, cfg MachineConfig, nReal, nWave int, s *md.System) (ParallelResult, error) {
+	pr, err := NewParallelRun(world, cfg, nReal, nWave)
+	if err != nil {
+		return ParallelResult{}, err
+	}
+	defer pr.Free()
+	res, err := pr.Step(s)
+	if err != nil {
+		return ParallelResult{}, err
+	}
+	return *res, nil
+}
+
 func TestParallelMatchesSerial(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 1200, 11)
 	p := smallParams(s.L)
@@ -27,7 +42,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ParallelForces(world, cfg, nReal, nWave, s)
+	res, err := oneStep(world, cfg, nReal, nWave, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +82,7 @@ func TestParallelPaperLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ParallelForces(world, cfg, 16, 8, s)
+	res, err := oneStep(world, cfg, 16, 8, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,18 +104,18 @@ func TestParallelValidation(t *testing.T) {
 	p := smallParams(s.L)
 	cfg := CurrentMachineConfig(p)
 	world, _ := mpi.NewWorld(4)
-	if _, err := ParallelForces(world, cfg, 3, 2, s); err == nil {
+	if _, err := oneStep(world, cfg, 3, 2, s); err == nil {
 		t.Error("world-size mismatch accepted")
 	}
-	if _, err := ParallelForces(world, cfg, 0, 4, s); err == nil {
+	if _, err := oneStep(world, cfg, 0, 4, s); err == nil {
 		t.Error("zero real processes accepted")
 	}
-	if _, err := ParallelForces(world, cfg, 4, 0, s); err == nil {
+	if _, err := oneStep(world, cfg, 4, 0, s); err == nil {
 		t.Error("zero wave processes accepted")
 	}
 	bad := cfg
 	bad.Ewald.L = 2 * p.L
-	if _, err := ParallelForces(world, bad, 2, 2, s); err == nil {
+	if _, err := oneStep(world, bad, 2, 2, s); err == nil {
 		t.Error("box mismatch accepted")
 	}
 }
@@ -110,7 +125,7 @@ func TestParallelSingleRankEachKind(t *testing.T) {
 	p := smallParams(s.L)
 	cfg := CurrentMachineConfig(p)
 	world, _ := mpi.NewWorld(2)
-	res, err := ParallelForces(world, cfg, 1, 1, s)
+	res, err := oneStep(world, cfg, 1, 1, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,17 +134,18 @@ func TestParallelSingleRankEachKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fscale := vec.RMS(want)
+	// One rank of each kind runs the serial machine's pair walk and wave
+	// pass in the serial order: the forces are the same bits.
 	for i := range want {
-		if d := res.Forces[i].Sub(want[i]).Norm() / fscale; d > 1e-9 {
-			t.Fatalf("particle %d deviates by %g", i, d)
+		if res.Forces[i] != want[i] {
+			t.Fatalf("particle %d: %v, serial machine %v", i, res.Forces[i], want[i])
 		}
 	}
 }
 
 func TestParallelDrivesIntegrator(t *testing.T) {
-	// A parallel force field can drive the integrator through a ForceField
-	// adapter; energy behaves like the serial machine. (The box must be
+	// A parallel session drives the integrator as its md.ForceField; energy
+	// behaves like the serial machine. (The box must be
 	// large enough that the Tosi-Fumi tails at the cell-crossing distances
 	// are negligible — the same resolution requirement the real machine
 	// had; see the r_cut = 26.4 Å of §5.)
@@ -137,8 +153,12 @@ func TestParallelDrivesIntegrator(t *testing.T) {
 	p := smallParams(s.L)
 	cfg := CurrentMachineConfig(p)
 	world, _ := mpi.NewWorld(3)
-	ff := md.ForceField(parallelFF{world: world, cfg: cfg, nReal: 2, nWave: 1})
-	it, err := md.NewIntegrator(s, ff, 1.0)
+	pr, err := NewParallelRun(world, cfg, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Free()
+	it, err := md.NewIntegrator(s, pr, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,22 +172,9 @@ func TestParallelDrivesIntegrator(t *testing.T) {
 	}
 }
 
-// parallelFF adapts ParallelForces to md.ForceField.
-type parallelFF struct {
-	world        *mpi.World
-	cfg          MachineConfig
-	nReal, nWave int
-}
-
-func (p parallelFF) Forces(s *md.System) ([]vec.V, float64, error) {
-	res, err := ParallelForces(p.world, p.cfg, p.nReal, p.nWave, s)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Forces, res.Potential, nil
-}
-
-func BenchmarkParallelForces(b *testing.B) {
+// BenchmarkParallelRunStep times one step of a persistent session — what an
+// integrator run pays per force evaluation once the rank sessions exist.
+func BenchmarkParallelRunStep(b *testing.B) {
 	s, _ := md.NewRockSalt(2, 5.64)
 	s.SetMaxwellVelocities(1200, 1)
 	p := ewald.Params{L: s.L, Alpha: ewald.SReal / 0.45, RCut: 0.45 * s.L,
@@ -180,9 +187,14 @@ func BenchmarkParallelForces(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			pr, err := NewParallelRun(world, cfg, layout.nReal, layout.nWave)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer pr.Free()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ParallelForces(world, cfg, layout.nReal, layout.nWave, s); err != nil {
+				if _, err := pr.Step(s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -191,7 +203,7 @@ func BenchmarkParallelForces(b *testing.B) {
 }
 
 // TestParallelForcesRace is a race-detector stress test: several complete
-// ParallelForces runs execute concurrently, each on its own mpi.World but all
+// parallel sessions run concurrently, each on its own mpi.World but all
 // reading the same *md.System. The parallel machinery must treat the input
 // system as read-only and confine all mutable state (halo buffers, force
 // accumulators, traffic counters) to its own world, so `go test -race`
@@ -217,7 +229,7 @@ func TestParallelForcesRace(t *testing.T) {
 				errs <- err
 				return
 			}
-			res, err := ParallelForces(world, cfg, 4, 2, s)
+			res, err := oneStep(world, cfg, 4, 2, s)
 			if err != nil {
 				errs <- err
 				return

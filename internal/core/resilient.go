@@ -78,147 +78,76 @@ type RunReport struct {
 // errSuspect marks a guard rejection so the retry logic can classify it.
 var errSuspect = errors.New("core: suspect step")
 
-// hwEngine is the hardware path under the recovery policy: the serial
-// Machine or the §4 parallel layout.
-type hwEngine interface {
-	forces(s *md.System) ([]vec.V, float64, error)
-	// restripe drops one board at the given site and re-partitions the work
-	// across the survivors; it reports false when no capacity remains.
-	restripe(site fault.Site) (bool, error)
-	// invalidateGeometry drops any cached position-dependent state (the
-	// machine's Verlet-skin j-set) after an external position rewrite.
-	invalidateGeometry()
-	free() error
+// hardware is the hardware path under the recovery policy: the serial Machine
+// (no world — the 1 + 1 layout) or a persistent ParallelRun session on world.
+// Board counts are explicit, so a dropout is a decrement followed by free +
+// rebuild: sessions are sized from the counts at construction, and the paper's
+// striping makes the re-partition a pure re-initialization.
+type hardware struct {
+	cfg          MachineConfig
+	world        *mpi.World // nil: the single-process Machine
+	nReal, nWave int
+	eng          Engine
 }
 
-// serialEngine runs the single-process Machine and rebuilds it with one
-// fewer board after a dropout (the paper's striping makes the re-partition a
-// pure re-initialization).
-type serialEngine struct {
-	cfg MachineConfig
-	m   *Machine
-}
-
-func newSerialEngine(cfg MachineConfig) (*serialEngine, error) {
+func newHardware(cfg MachineConfig, world *mpi.World, nReal, nWave int) (*hardware, error) {
 	if cfg.WineBoards == 0 {
 		cfg.WineBoards = cfg.Wine.Boards()
 	}
 	if cfg.MDGBoards == 0 {
 		cfg.MDGBoards = cfg.MDG.Boards()
 	}
-	m, err := NewMachine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &serialEngine{cfg: cfg, m: m}, nil
+	h := &hardware{cfg: cfg, world: world, nReal: nReal, nWave: nWave}
+	return h, h.build()
 }
 
-func (e *serialEngine) forces(s *md.System) ([]vec.V, float64, error) { return e.m.Forces(s) }
-
-func (e *serialEngine) restripe(site fault.Site) (bool, error) {
-	switch site {
-	case fault.WINE2:
-		if e.cfg.WineBoards <= 1 {
-			return false, nil
-		}
-		e.cfg.WineBoards--
-	case fault.MDG2:
-		if e.cfg.MDGBoards <= 1 {
-			return false, nil
-		}
-		e.cfg.MDGBoards--
-	default:
-		return false, nil
+// build constructs the engine for the current board counts; on failure the
+// previous engine stays in place.
+func (h *hardware) build() error {
+	var eng Engine
+	var err error
+	if h.world == nil {
+		eng, err = NewMachine(h.cfg)
+	} else {
+		eng, err = NewParallelRun(h.world, h.cfg, h.nReal, h.nWave)
 	}
-	_ = e.m.Free()
-	m, err := NewMachine(e.cfg)
-	if err != nil {
-		return false, err
+	if err == nil { // otherwise eng holds a typed nil
+		h.eng = eng
 	}
-	e.m = m
-	return true, nil
-}
-
-func (e *serialEngine) invalidateGeometry() { e.m.InvalidateGeometry() }
-
-func (e *serialEngine) free() error { return e.m.Free() }
-
-// parallelEngine runs the §4 process layout on a persistent ParallelRun
-// session: rank sessions, the decomposition, and all exchange buffers live
-// across steps. The world's inboxes are drained before each attempt so an
-// aborted step's stragglers cannot pollute the retry; a failed step marks
-// the session's geometry invalid (Step does this itself), so the retry
-// re-derives ownership from scratch. A re-stripe frees the session and
-// rebuilds it with the shrunken board counts.
-type parallelEngine struct {
-	cfg          MachineConfig
-	world        *mpi.World
-	nReal, nWave int
-	run          *ParallelRun
-}
-
-func (e *parallelEngine) forces(s *md.System) ([]vec.V, float64, error) {
-	e.world.Reset()
-	if e.run == nil {
-		run, err := NewParallelRun(e.world, e.cfg, e.nReal, e.nWave)
-		if err != nil {
-			return nil, 0, err
-		}
-		e.run = run
-	}
-	res, err := e.run.Step(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Forces, res.Potential, nil
-}
-
-func (e *parallelEngine) restripe(site fault.Site) (bool, error) {
-	switch site {
-	case fault.WINE2:
-		if e.cfg.WineBoards == 0 {
-			e.cfg.WineBoards = e.cfg.Wine.Boards()
-		}
-		if e.cfg.WineBoards-1 < e.nWave {
-			return false, nil // fewer boards than wave processes
-		}
-		e.cfg.WineBoards--
-	case fault.MDG2:
-		if e.cfg.MDGBoards == 0 {
-			e.cfg.MDGBoards = e.cfg.MDG.Boards()
-		}
-		if e.cfg.MDGBoards-1 < e.nReal {
-			return false, nil
-		}
-		e.cfg.MDGBoards--
-	default:
-		return false, nil
-	}
-	// Rank sessions are sized from the board counts at construction, so a
-	// re-stripe rebuilds the whole session over the survivors.
-	if e.run != nil {
-		_ = e.run.Free()
-		e.run = nil
-	}
-	return true, nil
-}
-
-// invalidateGeometry drops the session's ownership, ghost lists, and j-set
-// layouts; the next step re-derives the decomposition from the rewritten
-// positions.
-func (e *parallelEngine) invalidateGeometry() {
-	if e.run != nil {
-		e.run.InvalidateGeometry()
-	}
-}
-
-func (e *parallelEngine) free() error {
-	if e.run == nil {
-		return nil
-	}
-	err := e.run.Free()
-	e.run = nil
 	return err
+}
+
+// forces runs one attempt. With a world its inboxes are drained first, so an
+// aborted attempt's stragglers cannot pollute the retry (a failed Step marks
+// the session's geometry invalid itself, so the retry re-derives ownership).
+func (h *hardware) forces(s *md.System) ([]vec.V, float64, error) {
+	if h.world != nil {
+		h.world.Reset()
+	}
+	return h.eng.Forces(s)
+}
+
+// restripe drops one board at the given site and rebuilds the engine over the
+// survivors. It reports false, leaving the engine untouched, when that would
+// leave fewer boards than processes of that kind — for the serial machine,
+// its last board.
+func (h *hardware) restripe(site fault.Site) (bool, error) {
+	var boards *int
+	var procs int
+	switch site {
+	case fault.WINE2:
+		boards, procs = &h.cfg.WineBoards, h.nWave
+	case fault.MDG2:
+		boards, procs = &h.cfg.MDGBoards, h.nReal
+	default:
+		return false, nil
+	}
+	if *boards-1 < procs {
+		return false, nil
+	}
+	*boards--
+	_ = h.eng.Free()
+	return true, h.build()
 }
 
 // Resilient wraps a hardware force path in the recovery policy of the
@@ -235,7 +164,7 @@ func (e *parallelEngine) free() error {
 // beyond-cutoff tail — acceptable for a degraded mode.
 type Resilient struct {
 	rc      RecoveryConfig
-	eng     hwEngine
+	hw      *hardware
 	p       ewald.Params
 	ref     *Reference
 	step    int
@@ -246,15 +175,34 @@ type Resilient struct {
 
 // NewResilient builds the recovery layer over the single-process Machine.
 func NewResilient(cfg MachineConfig, rc RecoveryConfig) (*Resilient, error) {
+	return newResilient(cfg, rc, nil, 1, 1)
+}
+
+// NewResilientParallel builds the recovery layer over the §4 parallel
+// layout (nReal real-space + nWave wavenumber processes on world; the layout
+// is validated by NewParallelRun). The injector, when present, is installed
+// as both the hardware hook of every rank session and the world's
+// message-layer fault hook.
+func NewResilientParallel(cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal, nWave int) (*Resilient, error) {
+	return newResilient(cfg, rc, world, nReal, nWave)
+}
+
+func newResilient(cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal, nWave int) (*Resilient, error) {
 	if rc.Injector != nil {
 		cfg.FaultHook = rc.Injector
+		if world != nil {
+			world.SetFaultHook(rc.Injector)
+		}
 	}
-	superviseWatchdog(&cfg, rc, nil)
-	eng, err := newSerialEngine(cfg)
+	superviseWatchdog(&cfg, rc, world)
+	hw, err := newHardware(cfg, world, nReal, nWave)
 	if err != nil {
+		if rc.Watchdog != nil {
+			rc.Watchdog.Stop()
+		}
 		return nil, err
 	}
-	return &Resilient{rc: rc, eng: eng, p: cfg.Ewald}, nil
+	return &Resilient{rc: rc, hw: hw, p: cfg.Ewald}, nil
 }
 
 // superviseWatchdog wires a configured watchdog into the machine config:
@@ -276,30 +224,19 @@ func superviseWatchdog(cfg *MachineConfig, rc RecoveryConfig, world *mpi.World) 
 	wd.Start()
 }
 
-// NewResilientParallel builds the recovery layer over the §4 parallel
-// layout (nReal real-space + nWave wavenumber processes on world). The
-// injector, when present, is installed as both the hardware hook of every
-// rank session and the world's message-layer fault hook.
-func NewResilientParallel(cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal, nWave int) (*Resilient, error) {
-	if world.Size() != nReal+nWave {
-		return nil, fmt.Errorf("core: world size %d != %d real + %d wave", world.Size(), nReal, nWave)
-	}
-	if rc.Injector != nil {
-		cfg.FaultHook = rc.Injector
-		world.SetFaultHook(rc.Injector)
-	}
-	superviseWatchdog(&cfg, rc, world)
-	eng := &parallelEngine{cfg: cfg, world: world, nReal: nReal, nWave: nWave}
-	return &Resilient{rc: rc, eng: eng, p: cfg.Ewald}, nil
-}
-
 // SetStep positions the step clock (e.g. when resuming from a checkpoint),
 // so step-keyed fault events line up with the simulation step.
 func (r *Resilient) SetStep(n int) { r.step = n }
 
 // InvalidateGeometry implements md.GeometryInvalidator: an external position
-// rewrite (checkpoint restore) drops the cached Verlet-skin j-set.
-func (r *Resilient) InvalidateGeometry() { r.eng.invalidateGeometry() }
+// rewrite (checkpoint restore) drops the engine's cached position-dependent
+// state (the Verlet-skin j-set; ownership and ghost lists on the parallel
+// path).
+func (r *Resilient) InvalidateGeometry() { r.hw.eng.InvalidateGeometry() }
+
+// JSetStats reports the current engine's j-set rebuild / reuse counts; a
+// re-stripe builds a fresh engine and starts them over.
+func (r *Resilient) JSetStats() (rebuilds, reuses int) { return r.hw.eng.JSetStats() }
 
 // Step returns the current force-evaluation index (1-based).
 func (r *Resilient) Step() int { return r.step }
@@ -326,7 +263,7 @@ func (r *Resilient) Free() error {
 	if r.rc.Watchdog != nil {
 		r.rc.Watchdog.Stop()
 	}
-	return r.eng.free()
+	return r.hw.eng.Free()
 }
 
 func (r *Resilient) maxRetries() int {
@@ -508,7 +445,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 		if wd := r.rc.Watchdog; wd != nil {
 			wd.Arm()
 		}
-		f, pot, err := r.eng.forces(s)
+		f, pot, err := r.hw.forces(s)
 		if wd := r.rc.Watchdog; wd != nil {
 			wd.Disarm()
 		}
@@ -533,7 +470,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 			case fault.MDG2:
 				r.report.MDGBoardsLost++
 			}
-			ok, rerr := r.eng.restripe(be.Site)
+			ok, rerr := r.hw.restripe(be.Site)
 			if rerr != nil {
 				return nil, 0, rerr
 			}
@@ -562,7 +499,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 					// Quarantine it up front — drop it from the stripe like a
 					// dead board — instead of paying a retry every step.
 					br.Drop(scope)
-					ok, rerr := r.eng.restripe(site)
+					ok, rerr := r.hw.restripe(site)
 					if rerr != nil {
 						return nil, 0, rerr
 					}

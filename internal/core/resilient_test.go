@@ -315,9 +315,9 @@ func TestChaosReportDeterministic(t *testing.T) {
 	}
 }
 
-// A rank erroring inside ParallelForces must cancel the group: the call
+// A rank erroring inside a parallel step must cancel the group: the call
 // returns the rank's error promptly instead of letting the peers wait out
-// their full deadline mid-collective (the satellite fix).
+// their full deadline mid-collective.
 func TestParallelForcesGroupCancel(t *testing.T) {
 	s := meltLike(t, 1, 5.8, 300, 28)
 	p := smallParams(s.L)
@@ -332,8 +332,13 @@ func TestParallelForcesGroupCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	world.SetTimeout(30 * time.Second) // cancellation must not need this
+	pr, err := NewParallelRun(world, cfg, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Free()
 	start := time.Now()
-	_, err = ParallelForces(world, cfg, 2, 2, s)
+	_, err = pr.Step(s)
 	var te *fault.TransientError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want the rank's TransientError", err)
@@ -341,10 +346,10 @@ func TestParallelForcesGroupCancel(t *testing.T) {
 	if el := time.Since(start); el > 5*time.Second {
 		t.Errorf("peers unwound in %v; group cancel should beat the 30s deadline", el)
 	}
-	// The aborted step's stragglers drain, and the world stays usable.
+	// The aborted step's stragglers drain, and the session retries cleanly.
 	world.Reset()
-	if _, err := ParallelForces(world, cfg, 2, 2, s); err != nil {
-		t.Fatalf("world unusable after canceled step: %v", err)
+	if _, err := pr.Step(s); err != nil {
+		t.Fatalf("session unusable after canceled step: %v", err)
 	}
 }
 

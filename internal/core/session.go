@@ -228,7 +228,8 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			free()
 			return nil, err
 		}
-		m, err := newRankMDG(cfg, nReal, r)
+		//mdm:hotallocok -- rank construction: runs at machine build and re-stripe, not per clean step
+		m, err := newMDGSession(cfg, nReal, fmt.Sprintf("mdg/rank%d", r))
 		if err != nil {
 			free()
 			return nil, err
@@ -256,7 +257,8 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			free()
 			return nil, err
 		}
-		lib, err := newRankWine(cfg, nWave, w)
+		//mdm:hotallocok -- rank construction: runs at machine build and re-stripe, not per clean step
+		lib, err := newWineSession(cfg, nWave, fmt.Sprintf("wine2/rank%d", w))
 		if err != nil {
 			free()
 			return nil, err
@@ -389,7 +391,6 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 		Messages: after.Messages - before.Messages,
 		Bytes:    after.Bytes - before.Bytes,
 	}
-	pr.res.TrafficByTag = nil
 	pr.out = nil
 	return &pr.res, nil
 }
@@ -500,12 +501,7 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 
 	// The fused four-pass sweep over the owned block, identical pass and
 	// reduction order to the serial machine.
-	rr.passes = [4]mdgrape2.ForcePass{
-		{Table: tableCoulomb, Co: pr.co.coulomb, ScaleI: rr.scale},
-		{Table: tableBM, Co: pr.co.bm},
-		{Table: tableDisp6, Co: pr.co.d6},
-		{Table: tableDisp8, Co: pr.co.d8},
-	}
+	rr.passes = pr.co.passes(rr.scale)
 	fc, err := rr.m.CalcVDWFusedInto(rr.passes[:], rr.locPos[:rr.nOwn], rr.locTyp[:rr.nOwn], rr.js, rr.fc)
 	if err != nil {
 		return err

@@ -266,6 +266,19 @@ func TestSessionMigrationOnFaceCrossing(t *testing.T) {
 	}
 }
 
+// subtractByTag returns after − before per tag, dropping zero rows.
+func subtractByTag(after, before map[int]mpi.Stats) map[int]mpi.Stats {
+	out := make(map[int]mpi.Stats, len(after))
+	for tag, a := range after {
+		b := before[tag]
+		d := mpi.Stats{Messages: a.Messages - b.Messages, Bytes: a.Bytes - b.Bytes}
+		if d.Messages != 0 || d.Bytes != 0 {
+			out[tag] = d
+		}
+	}
+	return out
+}
+
 func containsInt(xs []int, v int) bool {
 	for _, x := range xs {
 		if x == v {

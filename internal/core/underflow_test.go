@@ -55,7 +55,8 @@ func newSweepFixture(t testing.TB, geo sweepGeometry) sweepFixture {
 		t.Fatal(err)
 	}
 	m.ensureScale(s.N())
-	return sweepFixture{geo.name, m, s, js, m.realPasses()}
+	m.passes = m.co.passes(m.scale)
+	return sweepFixture{geo.name, m, s, js, m.passes[:]}
 }
 
 // forEachSweepPair walks one table pass the way the sweep does — per i, the

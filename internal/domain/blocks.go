@@ -1,3 +1,10 @@
+// Package domain implements the spatial domain decomposition of the paper's
+// MD software (§4): "The simulation box is divided into 16 domains, and one
+// process for real-space part performs all the calculation in each domain."
+// Blocks splits the real-space cell grid into one block of whole cells per
+// process (16 → 4×2×2) and names the ghost cells each block must receive
+// before the MDGRAPE-2 force call — "that is what you have to manage with MPI
+// routines".
 package domain
 
 import "fmt"
@@ -17,7 +24,7 @@ import "fmt"
 // exchange with empty payloads, so any rank count works on any grid.
 type Blocks struct {
 	NC         int // cells per axis of the underlying grid
-	Px, Py, Pz int // ranks per axis (largest first along x, like New)
+	Px, Py, Pz int // ranks per axis, near-equal factors of the rank count, largest along x
 }
 
 // NewBlocks splits an nc×nc×nc cell grid across n ranks.
@@ -32,11 +39,35 @@ func NewBlocks(nc, n int) (*Blocks, error) {
 	return &Blocks{NC: nc, Px: px, Py: py, Pz: pz}, nil
 }
 
+// factor3 factors n into three factors as close to each other as possible,
+// returned in non-increasing order.
+func factor3(n int) (int, int, int) {
+	best := [3]int{n, 1, 1}
+	bestSpread := n - 1
+	for a := 1; a*a*a <= n; a++ {
+		if n%a != 0 {
+			continue
+		}
+		m := n / a
+		for b := a; b*b <= m; b++ {
+			if m%b != 0 {
+				continue
+			}
+			c := m / b
+			spread := c - a
+			if spread < bestSpread {
+				bestSpread = spread
+				best = [3]int{c, b, a}
+			}
+		}
+	}
+	return best[0], best[1], best[2]
+}
+
 // NumRanks returns the number of blocks.
 func (b *Blocks) NumRanks() int { return b.Px * b.Py * b.Pz }
 
-// RankIndex flattens per-axis rank coordinates (same convention as
-// Decomposition.Index).
+// RankIndex flattens per-axis rank coordinates, x fastest.
 func (b *Blocks) RankIndex(rx, ry, rz int) int {
 	return (rz*b.Py+ry)*b.Px + rx
 }

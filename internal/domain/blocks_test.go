@@ -144,3 +144,78 @@ func TestBlocksValidation(t *testing.T) {
 		t.Error("zero ranks accepted")
 	}
 }
+
+func TestFactor3(t *testing.T) {
+	cases := map[int][3]int{
+		16: {4, 2, 2}, // the paper's decomposition
+		8:  {2, 2, 2},
+		1:  {1, 1, 1},
+		12: {3, 2, 2},
+		27: {3, 3, 3},
+		7:  {7, 1, 1},
+	}
+	for n, want := range cases {
+		a, b, c := factor3(n)
+		if a*b*c != n {
+			t.Errorf("factor3(%d) = %d×%d×%d ≠ %d", n, a, b, c, n)
+		}
+		if [3]int{a, b, c} != want {
+			t.Errorf("factor3(%d) = (%d,%d,%d), want %v", n, a, b, c, want)
+		}
+	}
+}
+
+// The paper's 16 real-space processes tile the box 4×2×2.
+func TestPaperDecomposition(t *testing.T) {
+	b, err := NewBlocks(8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.NumRanks() != 16 {
+		t.Errorf("ranks = %d", b.NumRanks())
+	}
+	if b.Px != 4 || b.Py != 2 || b.Pz != 2 {
+		t.Errorf("rank grid = %d×%d×%d", b.Px, b.Py, b.Pz)
+	}
+}
+
+func TestIndexCoordsRoundTrip(t *testing.T) {
+	b, _ := NewBlocks(6, 12)
+	for r := 0; r < b.NumRanks(); r++ {
+		x, y, z := b.RankCoords(r)
+		if got := b.RankIndex(x, y, z); got != r {
+			t.Fatalf("round trip %d -> %d", r, got)
+		}
+	}
+}
+
+// TestFactor3Property: for every n the three factors multiply back to n,
+// are non-increasing, and have the minimal spread over all factorizations
+// (the near-cubic requirement of the §4 decomposition).
+func TestFactor3Property(t *testing.T) {
+	for n := 1; n <= 400; n++ {
+		a, b, c := factor3(n)
+		if a*b*c != n {
+			t.Fatalf("factor3(%d) = %d×%d×%d ≠ %d", n, a, b, c, n)
+		}
+		if !(a >= b && b >= c) {
+			t.Fatalf("factor3(%d) = (%d,%d,%d) not non-increasing", n, a, b, c)
+		}
+		// Brute-force minimal spread.
+		best := n - 1
+		for x := 1; x*x*x <= n; x++ {
+			if n%x != 0 {
+				continue
+			}
+			m := n / x
+			for y := x; y*y <= m; y++ {
+				if m%y == 0 && m/y-x < best {
+					best = m/y - x
+				}
+			}
+		}
+		if a-c != best {
+			t.Fatalf("factor3(%d) spread %d, minimal %d", n, a-c, best)
+		}
+	}
+}

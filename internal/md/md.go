@@ -97,12 +97,10 @@ func NewRockSalt(cells int, a float64) (*System, error) {
 // distribution at temperature tK, removes the net momentum, and rescales to
 // hit tK exactly. The given seed makes runs reproducible.
 func (s *System) SetMaxwellVelocities(tK float64, seed int64) {
-	//mdm:wallclockok -- the source IS explicitly seeded (the seed parameter); construction-time draw, reached from the batch-driver root but never from a step
 	rng := rand.New(rand.NewSource(seed))
 	for i := range s.Vel {
 		// σ² = k_B T / m in (Å/fs)² via the eV→(Å/fs)² conversion.
 		sigma := math.Sqrt(units.Boltzmann * tK / s.Mass[i] * units.ForceToAccel)
-		//mdm:wallclockok -- deterministic draws from the explicitly seeded source above; construction-time, not step-time
 		s.Vel[i] = vec.New(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
 	}
 	s.RemoveNetMomentum()

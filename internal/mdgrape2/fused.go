@@ -61,32 +61,27 @@ func (s *System) ComputeForces(table string, co *Coeffs, xi []vec.V, ti []int, s
 		return nil, fmt.Errorf("mdgrape2: %d i-positions vs %d scales", len(xi), len(scaleI))
 	}
 	pass := [1]ForcePass{{Table: table, Co: co, ScaleI: scaleI}}
-	return s.ComputeForcesFused(pass[:], xi, ti, js)
-}
-
-// ComputeForcesFused evaluates up to maxFusedPasses table passes in a single
-// cell-index traversal and returns the pass contributions summed per particle
-// in pass order. The result is bit-identical to evaluating the passes one at
-// a time and combining forces[i] = pass0[i] + pass1[i] + … in order:
-// the float32 displacement is a pure function of the positions, each pass
-// keeps its own float64 accumulator walked in the same j order, the per-i
-// scale and any injected bit flip are applied to the pass's own contribution
-// before the ordered combine, and the heartbeat/HardwareCall/PendingFlip
-// sequence per pass is issued in pass order up front (the traversal between
-// those calls never touches the injector, so the injector-visible event
-// stream is unchanged).
-func (s *System) ComputeForcesFused(passes []ForcePass, xi []vec.V, ti []int, js *JSet) ([]vec.V, error) {
-	fc, err := s.ComputeForcesFusedInto(passes, xi, ti, js, soa.Coords{})
+	fc, err := s.ComputeForcesFusedInto(pass[:], xi, ti, js, soa.Coords{})
 	if err != nil {
 		return nil, err
 	}
-	return fc.AppendAoS(make([]vec.V, 0, fc.Len())), nil
+	return fc.AppendAoS(nil), nil
 }
 
-// ComputeForcesFusedInto is ComputeForcesFused writing the summed force
-// components into structure-of-arrays planes (dst is resized and reused when
-// its backing arrays are large enough), so a steady-state step path feeds the
-// host combine stage without re-allocating or re-interleaving the output.
+// ComputeForcesFusedInto evaluates up to maxFusedPasses table passes in a
+// single cell-index traversal and writes the pass contributions, summed per
+// particle in pass order, into structure-of-arrays planes (dst is resized and
+// reused when its backing arrays are large enough), so a steady-state step
+// path feeds the host combine stage without re-allocating or re-interleaving
+// the output. The result is bit-identical to evaluating the passes one at a
+// time and combining forces[i] = pass0[i] + pass1[i] + … in order: the
+// float32 displacement is a pure function of the positions, each pass keeps
+// its own float64 accumulator walked in the same j order, the per-i scale and
+// any injected bit flip are applied to the pass's own contribution before the
+// ordered combine, and the heartbeat/HardwareCall/PendingFlip sequence per
+// pass is issued in pass order up front (the traversal between those calls
+// never touches the injector, so the injector-visible event stream is
+// unchanged).
 func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int, js *JSet, dst soa.Coords) (soa.Coords, error) {
 	np := len(passes)
 	if np == 0 || np > maxFusedPasses {
@@ -283,20 +278,10 @@ type tableRef struct {
 	a32, b32 [][]float32
 }
 
-// CalcVDWFused computes several real-space kernel passes in one cell-index
-// sweep (see System.ComputeForcesFused). The session must be initialized.
-//
-//mdm:stepflow -- hot-path root: the MDGRAPE-2 session's fused per-step sweep (Table 3 loop, four tables at once)
-func (m *MR1) CalcVDWFused(passes []ForcePass, xi []vec.V, ti []int, js *JSet) ([]vec.V, error) {
-	if m.sys == nil {
-		return nil, fmt.Errorf("mdgrape2: MR1calcvdw_block2 before MR1init")
-	}
-	return m.sys.ComputeForcesFused(passes, xi, ti, js)
-}
-
-// CalcVDWFusedInto is CalcVDWFused writing the summed forces into
-// structure-of-arrays planes (see System.ComputeForcesFusedInto) — the
-// zero-alloc variant the machine's step path feeds its combine stage from.
+// CalcVDWFusedInto computes several real-space kernel passes in one cell-index
+// sweep, writing the summed forces into structure-of-arrays planes (see
+// System.ComputeForcesFusedInto) — the zero-alloc call the machine's step path
+// feeds its combine stage from. The session must be initialized.
 //
 //mdm:stepflow -- hot-path root: the MDGRAPE-2 session's fused per-step sweep, SoA output (Table 3 loop, four tables at once)
 func (m *MR1) CalcVDWFusedInto(passes []ForcePass, xi []vec.V, ti []int, js *JSet, dst soa.Coords) (soa.Coords, error) {
@@ -330,18 +315,6 @@ func NewJSetBuilder(grid *cellindex.Grid, pool *parallelize.Pool) *JSetBuilder {
 // NeighborTable exposes the builder's cached per-cell neighbor lists, so
 // host-side pair walks over the built j-set can share them.
 func (b *JSetBuilder) NeighborTable() *cellindex.NeighborTable { return b.nbt }
-
-// Clone returns a builder with its own j-set (sorted layout, types, reference
-// state) sharing this builder's neighbor table and counting-sort scratch.
-// The shared pieces are value-independent between calls — the neighbor table
-// is immutable after construction and the sorter's buckets are fully
-// rewritten by every SortInto — so clones stepped serially (one Build/Refresh
-// at a time) are exactly as deterministic as independent builders, without
-// re-enumerating the 27-cell table per clone. This is how a batch of systems
-// on one grid shares per-machine setup while keeping per-system layouts.
-func (b *JSetBuilder) Clone() *JSetBuilder {
-	return &JSetBuilder{nbt: b.nbt, sorter: b.sorter}
-}
 
 // Build (re)sorts the particles into the board layout, reusing all internal
 // buffers. types are in original (unsorted) order; the charge field is 1.

@@ -162,12 +162,21 @@ func unfusedReference(t *testing.T, sys *System, passes []ForcePass, xi []vec.V,
 
 // TestFusedMatchesUnfusedBitExact pins the fused sweep, and ComputeForces run
 // pass by pass, to the pair-by-pair oracle bit-for-bit at several pool widths.
+// fusedAoS runs the fused sweep into fresh planes and interleaves the result.
+func fusedAoS(s *System, passes []ForcePass, xi []vec.V, ti []int, js *JSet) ([]vec.V, error) {
+	fc, err := s.ComputeForcesFusedInto(passes, xi, ti, js, soa.Coords{})
+	if err != nil {
+		return nil, err
+	}
+	return fc.AppendAoS(nil), nil
+}
+
 func TestFusedMatchesUnfusedBitExact(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		sys, passes, pos, types, js := fusedFixture(t)
 		sys.SetPool(parallelize.New(workers))
 		want := oracleReference(t, sys, passes, pos, types, js)
-		got, err := sys.ComputeForcesFused(passes, pos, types, js)
+		got, err := fusedAoS(sys, passes, pos, types, js)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +266,7 @@ func TestBlockedSweepMatchesOracle(t *testing.T) {
 			want := oracleReference(t, sys, passes[:np], pos, types, js)
 			for _, workers := range []int{1, 3} {
 				sys.SetPool(parallelize.New(workers))
-				got, err := sys.ComputeForcesFused(passes[:np], pos, types, js)
+				got, err := fusedAoS(sys, passes[:np], pos, types, js)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -325,7 +334,7 @@ func TestFusedStatsMatchUnfused(t *testing.T) {
 	_ = unfusedReference(t, sys, passes, pos, types, js)
 	unfused := sys.Stats()
 	sys.ResetStats()
-	if _, err := sys.ComputeForcesFused(passes, pos, types, js); err != nil {
+	if _, err := fusedAoS(sys, passes, pos, types, js); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.Stats(); got != unfused {
@@ -345,7 +354,7 @@ func TestFusedFaultSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SetFaultHook(in)
-	if _, err := sys.ComputeForcesFused(passes, pos, types, js); err == nil {
+	if _, err := fusedAoS(sys, passes, pos, types, js); err == nil {
 		t.Fatal("transient on pass 2 not surfaced")
 	}
 	// Same schedule against the unfused sequence errors on the same pass.
@@ -369,7 +378,7 @@ func TestFusedFaultSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sysA.SetFaultHook(inA)
-	gotA, err := sysA.ComputeForcesFused(passesA, posA, typesA, jsA)
+	gotA, err := fusedAoS(sysA, passesA, posA, typesA, jsA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +397,7 @@ func TestFusedFaultSequence(t *testing.T) {
 	}
 	// Confirm the flip actually fired (results differ from a clean run).
 	sysC, passesC, posC, typesC, jsC := fusedFixture(t)
-	clean, err := sysC.ComputeForcesFused(passesC, posC, typesC, jsC)
+	clean, err := fusedAoS(sysC, passesC, posC, typesC, jsC)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,17 @@ func validate(spec JobSpec, maxSteps int) error {
 		return &ValidationError{fmt.Sprintf("steps %d exceeds the server budget of %d", spec.Steps, maxSteps)}
 	case spec.Cells < 0 || spec.Cells > 8:
 		return &ValidationError{"cells must be in [1, 8]"}
-	case spec.Backend != "" && spec.Backend != "mdm" && spec.Backend != "reference":
-		return &ValidationError{fmt.Sprintf("unknown backend %q", spec.Backend)}
 	case spec.WatchdogMs < 0 || spec.DeadlineMs < 0:
 		return &ValidationError{"watchdog_ms and deadline_ms must be non-negative"}
+	}
+	// What the backend composes with is the library's rule, checked here so
+	// the tenant hears 400 instead of getting a run without what it asked for.
+	cfg, err := spec.config()
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
+		return &ValidationError{err.Error()}
 	}
 	return nil
 }

@@ -380,6 +380,14 @@ func TestServeHTTPEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed spec status = %d, want 400", resp.StatusCode)
 	}
+	// A spec the library would run without what it asks for is malformed too:
+	// the reference backend has no hardware to inject faults into or watch.
+	resp = post(t, srv.URL+"/v1/sessions",
+		`{"tenant":"alice","steps":4,"backend":"reference","faults":"mdg:hang@step=4","watchdog_ms":250}`)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("reference backend with faults and a watchdog: status = %d, want 400", resp.StatusCode)
+	}
 	resp = post(t, srv.URL+"/v1/sessions/nope/cancel", ``)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {

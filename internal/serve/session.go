@@ -176,23 +176,33 @@ func (s *Session) interrupted() bool {
 	return s.stop.Load() != stopNone
 }
 
-// simConfig builds the mdm.Config for this session's run directory.
-func (s *Session) simConfig() (mdm.Config, error) {
+// config is the part of a run's mdm.Config the spec alone decides: admission
+// validates it, Session.simConfig completes it with the run directory.
+func (spec JobSpec) config() (mdm.Config, error) {
 	cfg := mdm.Config{
-		Cells: s.Spec.Cells,
-		Seed:  s.Spec.Seed,
+		Cells:  spec.Cells,
+		Seed:   spec.Seed,
+		Faults: spec.Faults,
 	}
-	switch s.Spec.Backend {
+	cfg.Supervise.Watchdog = time.Duration(spec.WatchdogMs) * time.Millisecond
+	switch spec.Backend {
 	case "", "mdm":
 		cfg.Backend = mdm.BackendMDM
 	case "reference":
 		cfg.Backend = mdm.BackendReference
 	default:
-		return cfg, fmt.Errorf("serve: unknown backend %q", s.Spec.Backend)
+		return cfg, fmt.Errorf("unknown backend %q", spec.Backend)
 	}
-	cfg.Faults = s.Spec.Faults
+	return cfg, nil
+}
+
+// simConfig builds the mdm.Config for this session's run directory.
+func (s *Session) simConfig() (mdm.Config, error) {
+	cfg, err := s.Spec.config()
+	if err != nil {
+		return cfg, fmt.Errorf("serve: %w", err)
+	}
 	cfg.Supervise.Journal = s.walPath()
-	cfg.Supervise.Watchdog = time.Duration(s.Spec.WatchdogMs) * time.Millisecond
 	cfg.Workers = s.mgr.sessionWorkers()
 	cfg.SetStoreFS(s.mgr.fsys)
 	return cfg, nil

@@ -155,33 +155,17 @@ func (l *Library) SetNN(n int) error {
 // communicator before the IDFT, so the returned potential is the full-system
 // value on every rank.
 func (l *Library) CalcForceAndPotWavepart(p ewald.Params, waves []ewald.Wave, pos []vec.V, q []float64) ([]vec.V, float64, error) {
-	return l.CalcForceAndPotWavepartInto(p, waves, pos, q, nil)
-}
-
-// CalcForceAndPotWavepartInto is CalcForceAndPotWavepart writing the forces
-// into dst (reused when len(dst) == len(pos), reallocated otherwise) and
-// drawing all intermediate buffers — the quantized particle image, the
-// structure factors, the reduction message — from session scratch. Results
-// are bit-identical to the allocating call.
-//
-//mdm:stepflow -- hot-path root: the WINE-2 session's per-step wavenumber pass (Table 2 loop)
-func (l *Library) CalcForceAndPotWavepartInto(p ewald.Params, waves []ewald.Wave, pos []vec.V, q []float64, dst []vec.V) ([]vec.V, float64, error) {
-	pw, sn, cn, err := l.wavePrepare(p, waves, pos, q)
+	fc, pot, err := l.CalcForceAndPotWavepartCoordsInto(p, waves, pos, q, soa.Coords{})
 	if err != nil {
 		return nil, 0, err
 	}
-	forces, err := l.sys.IDFTQuantizedInto(waves, sn, cn, pw, dst)
-	if err != nil {
-		return nil, 0, err
-	}
-	pot := ewald.WavenumberEnergy(p, waves, sn, cn)
-	return forces, pot, nil
+	return fc.AppendAoS(nil), pot, nil
 }
 
-// CalcForceAndPotWavepartCoordsInto is CalcForceAndPotWavepartInto writing
-// the force components into structure-of-arrays planes; the DFT pass, the
-// structure-factor reduction and the returned potential are shared word for
-// word with the AoS call.
+// CalcForceAndPotWavepartCoordsInto is CalcForceAndPotWavepart writing the
+// force components into structure-of-arrays planes (dst is reused when large
+// enough) and drawing all intermediate buffers — the quantized particle image,
+// the structure factors, the reduction message — from session scratch.
 //
 //mdm:stepflow -- hot-path root: the WINE-2 session's per-step wavenumber pass, SoA output (Table 2 loop)
 func (l *Library) CalcForceAndPotWavepartCoordsInto(p ewald.Params, waves []ewald.Wave, pos []vec.V, q []float64, dst soa.Coords) (soa.Coords, float64, error) {

@@ -125,7 +125,7 @@ func TestPipelinesMatchGeneralDatapath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn, cn, err := sys.DFTQuantized(waves, pw)
+		sn, cn, err := sys.DFTQuantizedInto(waves, pw, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestPipelinesMatchGeneralDatapath(t *testing.T) {
 				t.Fatalf("%s: wave %d: DFT (%v, %v), oracle (%v, %v)", name, w, sn[w], cn[w], wantS[w], wantC[w])
 			}
 		}
-		got, err := sys.IDFTQuantized(waves, sn, cn, pw)
+		got, err := sys.IDFTQuantizedInto(waves, sn, cn, pw, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,9 +63,9 @@ func TestDFTIDFTBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Quantize + DFTQuantized/IDFTQuantized must agree exactly with the one-shot
-// entry points: the hoisted SDRAM image is the same data the fused paths
-// derive internally.
+// Quantize + DFTQuantizedInto/IDFTQuantizedInto must agree exactly with the
+// one-shot entry points: the hoisted SDRAM image is the same data the fused
+// paths derive internally.
 
 func TestQuantizedEntryPointsMatchFused(t *testing.T) {
 	const l = 12.0
@@ -92,11 +92,11 @@ func TestQuantizedEntryPointsMatchFused(t *testing.T) {
 	if pw.N() != len(pos) {
 		t.Fatalf("ParticleWords.N = %d, want %d", pw.N(), len(pos))
 	}
-	sn, cn, err := sys.DFTQuantized(waves, pw)
+	sn, cn, err := sys.DFTQuantizedInto(waves, pw, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := sys.IDFTQuantized(waves, sn, cn, pw)
+	f, err := sys.IDFTQuantizedInto(waves, sn, cn, pw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"mdm/internal/ewald"
+	"mdm/internal/soa"
 	"mdm/internal/vec"
 )
 
-// TestIntoReuseBitIdentical pins the scratch-reusing Into entry points to the
-// allocating path: repeated CalcForceAndPotWavepartInto calls on one session,
-// reusing the returned force slice, must be bit-identical to fresh
+// TestIntoReuseBitIdentical pins the scratch-reusing Into entry point to the
+// allocating path: repeated CalcForceAndPotWavepartCoordsInto calls on one
+// session, reusing the returned force planes, must be bit-identical to fresh
 // CalcForceAndPotWavepart calls on a fresh session — with and without a
 // communicator (the redbuf path).
 func TestIntoReuseBitIdentical(t *testing.T) {
@@ -35,14 +36,14 @@ func TestIntoReuseBitIdentical(t *testing.T) {
 		p := ewald.Params{L: 10, Alpha: 6, RCut: 5, LKCut: 4}
 		waves := ewald.Waves(p)
 		pos, q := testSystem(24, 10, 9)
-		var dst []vec.V
+		var dst soa.Coords
 		for step := 0; step < 4; step++ {
 			// Drift the positions so each step quantizes a new image.
 			for i := range pos {
 				pos[i] = pos[i].Add(vec.New(0.01*float64(step), -0.02, 0.015)).Wrap(p.L)
 			}
 			var err error
-			dst, _, err = reuse.CalcForceAndPotWavepartInto(p, waves, pos, q, dst)
+			dst, _, err = reuse.CalcForceAndPotWavepartCoordsInto(p, waves, pos, q, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,20 +51,20 @@ func TestIntoReuseBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotAgain, gotPot, err := reuse.CalcForceAndPotWavepartInto(p, waves, pos, q, dst)
+			gotAgain, gotPot, err := reuse.CalcForceAndPotWavepartCoordsInto(p, waves, pos, q, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if &gotAgain[0] != &dst[0] {
+			if &gotAgain.X[0] != &dst.X[0] {
 				t.Fatalf("step %d: dst not reused", step)
 			}
 			if gotPot != wantPot {
 				t.Fatalf("step %d: pot %g != fresh %g", step, gotPot, wantPot)
 			}
-			for i := range want {
-				if dst[i] != want[i] {
+			for i, got := range dst.AppendAoS(nil) {
+				if got != want[i] {
 					t.Fatalf("step %d: force %d differs: reused %v vs fresh %v",
-						step, i, dst[i], want[i])
+						step, i, got, want[i])
 				}
 			}
 			// Keep the fresh session's call count in step with the reusing one

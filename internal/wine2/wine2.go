@@ -220,7 +220,7 @@ func (s *System) SetPool(p *parallelize.Pool) { s.pool = p }
 // particle memory: the fixed-point box-fraction position words and charge
 // words for a particle block. The hardware writes this memory once per step
 // and then runs both the DFT and the IDFT pass against the same image
-// (§3.4.2, Fig. 6); Quantize + DFTQuantized/IDFTQuantized reproduce that
+// (§3.4.2, Fig. 6); Quantize + DFTQuantizedInto/IDFTQuantizedInto reproduce that
 // flow, so the host quantization cost is paid once per image instead of once
 // per pass.
 // The position words are stored as one plane per component (structure of
@@ -298,21 +298,16 @@ func (s *System) DFT(l float64, waves []ewald.Wave, pos []vec.V, q []float64) (s
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.DFTQuantized(waves, pw)
-}
-
-// DFTQuantized is the DFT pass over a pre-quantized particle image. The wave
-// loop is striped across the pool's workers exactly as the hardware stripes
-// waves across chips (§3.4.2: "different wavenumber vectors are assigned to
-// different pipelines"); each wave's S±C accumulator lives entirely in one
-// shard, so the output is bit-identical at any pool width.
-func (s *System) DFTQuantized(waves []ewald.Wave, pw *ParticleWords) (sn, cn []float64, err error) {
 	return s.DFTQuantizedInto(waves, pw, nil, nil)
 }
 
-// DFTQuantizedInto is DFTQuantized writing into caller-provided structure
-// factor slices (reused when their length matches len(waves), allocated
-// otherwise).
+// DFTQuantizedInto is the DFT pass over a pre-quantized particle image,
+// writing into caller-provided structure factor slices (reused when their
+// length matches len(waves), allocated otherwise). The wave loop is striped
+// across the pool's workers exactly as the hardware stripes waves across chips
+// (§3.4.2: "different wavenumber vectors are assigned to different
+// pipelines"); each wave's S±C accumulator lives entirely in one shard, so
+// the output is bit-identical at any pool width.
 func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn []float64) ([]float64, []float64, error) {
 	// Fault injection: a scheduled board/transient error aborts the call; an
 	// armed bit flip lands in one wave's S+C accumulator at readout, the spot
@@ -388,15 +383,6 @@ func (s *System) IDFT(l float64, waves []ewald.Wave, sn, cn []float64, pos []vec
 	if err != nil {
 		return nil, err
 	}
-	return s.IDFTQuantized(waves, sn, cn, pw)
-}
-
-// IDFTQuantized is the IDFT pass over a pre-quantized particle image. The
-// particle loop is striped across the pool's workers exactly as the board
-// blocking of §3.4.2 stripes resident particle blocks across boards; each
-// particle's fixed-point force accumulators live entirely in one shard, so
-// the output is bit-identical at any pool width.
-func (s *System) IDFTQuantized(waves []ewald.Wave, sn, cn []float64, pw *ParticleWords) ([]vec.V, error) {
 	return s.IDFTQuantizedInto(waves, sn, cn, pw, nil)
 }
 
@@ -444,10 +430,10 @@ func (s *System) idftPrepare(waves []ewald.Wave, sn, cn []float64) (aS, aC []int
 	return aS, aC, scale, nil
 }
 
-// IDFTQuantizedInto is IDFTQuantized writing the forces into dst (reused
-// when it is large enough, allocated otherwise): the pipelines fill the
-// session's force planes (IDFTQuantizedCoordsInto) and the host interleaves
-// them.
+// IDFTQuantizedInto is the IDFT pass over a pre-quantized particle image,
+// writing the forces into dst (reused when it is large enough, allocated
+// otherwise): the pipelines fill the session's force planes
+// (IDFTQuantizedCoordsInto) and the host interleaves them.
 func (s *System) IDFTQuantizedInto(waves []ewald.Wave, sn, cn []float64, pw *ParticleWords, dst []vec.V) ([]vec.V, error) {
 	fc, err := s.IDFTQuantizedCoordsInto(waves, sn, cn, pw, s.fc)
 	if err != nil {
@@ -460,7 +446,10 @@ func (s *System) IDFTQuantizedInto(waves []ewald.Wave, sn, cn []float64, pw *Par
 // IDFTQuantizedCoordsInto is the IDFT pass writing the force components into
 // structure-of-arrays planes (dst is resized and reused when its backing
 // arrays are large enough); the normalized per-wave coefficients live in
-// session scratch.
+// session scratch. The particle loop is striped across the pool's workers
+// exactly as the board blocking of §3.4.2 stripes resident particle blocks
+// across boards; each particle's fixed-point force accumulators live entirely
+// in one shard, so the output is bit-identical at any pool width.
 func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, pw *ParticleWords, dst soa.Coords) (soa.Coords, error) {
 	aS, aC, scale, err := s.idftPrepare(waves, sn, cn)
 	if err != nil {

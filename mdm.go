@@ -274,12 +274,11 @@ type Simulation struct {
 	Integrator *md.Integrator
 	Recorder   *md.Recorder
 
-	machine   *core.Machine     // nil for the reference backend
-	resilient *core.Resilient   // non-nil under a fault scenario or supervision
-	prun      *core.ParallelRun // non-nil when Config.Ranks selects the decomposition
-	injector  *fault.Injector   // the scenario's schedule; survives restarts
-	obs       *core.Reference   // host-side observable evaluation (pressure)
-	nveStart  int               // record index where the latest NVE segment began
+	engine    core.Engine     // the simulated hardware; nil for the reference backend
+	resilient *core.Resilient // engine's recovery layer, non-nil under a fault scenario or supervision
+	injector  *fault.Injector // the scenario's schedule; survives restarts
+	obs       *core.Reference // host-side observable evaluation (pressure)
+	nveStart  int             // record index where the latest NVE segment began
 
 	journal   *supervise.Journal // write-ahead step journal (nil when disabled)
 	commit    *committer         // the journal's commit pipeline (nil when disabled)
@@ -291,98 +290,103 @@ type Simulation struct {
 	freeErr  error     // the first Free's verdict, replayed to later callers
 }
 
-// newForceField builds the configured engine. A non-nil injector (the
+// Validate reports the first reason NewSimulation or ResumeFromJournal would
+// refuse the configuration — every rejected combination is listed here and
+// nowhere else. The reference backend is the bare float64 path: the spatial
+// decomposition, fault injection and hardware supervision all act on the
+// simulated machine, so asking for them without it is an error rather than a
+// setting silently dropped (a journal alone works with either backend).
+func (c Config) Validate() error {
+	switch {
+	case c.Backend != BackendMDM && c.Backend != BackendReference:
+		return fmt.Errorf("mdm: unknown backend %v", c.Backend)
+	case c.Ranks < 0 || c.WaveRanks < 0:
+		return fmt.Errorf("mdm: negative rank count (Ranks %d, WaveRanks %d)", c.Ranks, c.WaveRanks)
+	case c.Backend == BackendMDM:
+		return nil
+	case c.Ranks > 0:
+		return fmt.Errorf("mdm: the spatial decomposition requires the MDM backend")
+	case c.Faults != "":
+		return fmt.Errorf("mdm: fault injection requires the MDM backend")
+	case c.Supervise.enabled():
+		return fmt.Errorf("mdm: the watchdog and circuit breakers require the MDM backend")
+	}
+	return nil
+}
+
+// newForceField builds the MDM backend's engine, under the recovery layer
+// when a fault scenario or supervision asks for it. A non-nil injector (the
 // restart path) takes precedence over parsing cfg.Faults again, so events
 // that already fired before a restart stay consumed.
-func newForceField(cfg Config, p ewald.Params, in *fault.Injector) (md.ForceField, *core.Machine, *core.Resilient, *core.ParallelRun, *fault.Injector, error) {
-	switch cfg.Backend {
-	case BackendMDM:
-		mcfg := core.CurrentMachineConfig(p)
-		mcfg.PotentialEvery = cfg.PotentialEvery
-		mcfg.Workers = cfg.Workers
-		mcfg.Pipeline = cfg.Pipeline
-		mcfg.Skin = cfg.Skin
-		if in == nil && cfg.Faults != "" {
-			var err error
-			in, err = fault.ParseInjector(cfg.Faults)
-			if err != nil {
-				return nil, nil, nil, nil, nil, fmt.Errorf("mdm: fault scenario: %w", err)
-			}
-		}
-		var rc core.RecoveryConfig
-		recovered := in != nil || cfg.Supervise.enabled()
-		if recovered {
-			rc = core.RecoveryConfig{
-				MaxRetries: cfg.MaxRetries,
-				Injector:   in,
-			}
-			if d := cfg.Supervise.Watchdog; d > 0 {
-				rc.Watchdog = supervise.NewWatchdog(d)
-			}
-			if cfg.Supervise.enabled() {
-				rc.Breakers = supervise.NewBreakerSet(supervise.BreakerConfig{
-					Trip:     cfg.Supervise.BreakerTrip,
-					Window:   cfg.Supervise.BreakerWindow,
-					Cooldown: cfg.Supervise.BreakerCooldown,
-				})
-			}
-		}
-		if cfg.Ranks > 0 {
-			nReal, nWave := cfg.Ranks, cfg.WaveRanks
-			if nWave == 0 {
-				nWave = 1
-			}
-			world, err := mpi.NewWorld(nReal + nWave)
-			if err != nil {
-				return nil, nil, nil, nil, nil, err
-			}
-			// The world's default 30 s deadline is sized for tests; a
-			// legitimate 10^5-particle wavenumber pass runs longer than
-			// that on one host core. A production session's stall
-			// detection is the supervision watchdog, so the wire deadline
-			// only has to catch a truly wedged run. Under a fault
-			// scenario the tight default stays: drop scenarios rely on
-			// the receiver noticing a swallowed message quickly.
-			if in == nil {
-				world.SetTimeout(time.Hour)
-			}
-			if recovered {
-				res, err := core.NewResilientParallel(mcfg, rc, world, nReal, nWave)
-				if err != nil {
-					return nil, nil, nil, nil, nil, err
-				}
-				return res, nil, res, nil, in, nil
-			}
-			run, err := core.NewParallelRun(world, mcfg, nReal, nWave)
-			if err != nil {
-				return nil, nil, nil, nil, nil, err
-			}
-			return run, nil, nil, run, nil, nil
-		}
-		if recovered {
-			res, err := core.NewResilient(mcfg, rc)
-			if err != nil {
-				return nil, nil, nil, nil, nil, err
-			}
-			return res, nil, res, nil, in, nil
-		}
-		machine, err := core.NewMachine(mcfg)
+func newForceField(cfg Config, p ewald.Params, in *fault.Injector) (core.Engine, *core.Resilient, *fault.Injector, error) {
+	mcfg := core.CurrentMachineConfig(p)
+	mcfg.PotentialEvery = cfg.PotentialEvery
+	mcfg.Workers = cfg.Workers
+	mcfg.Pipeline = cfg.Pipeline
+	mcfg.Skin = cfg.Skin
+	if in == nil && cfg.Faults != "" {
+		var err error
+		in, err = fault.ParseInjector(cfg.Faults)
 		if err != nil {
-			return nil, nil, nil, nil, nil, err
+			return nil, nil, nil, fmt.Errorf("mdm: fault scenario: %w", err)
 		}
-		return machine, machine, nil, nil, nil, nil
-	case BackendReference:
-		if cfg.Ranks > 0 {
-			return nil, nil, nil, nil, nil, fmt.Errorf("mdm: the spatial decomposition requires the MDM backend")
-		}
-		ff, err := core.NewReference(p)
-		if err != nil {
-			return nil, nil, nil, nil, nil, err
-		}
-		return ff, nil, nil, nil, nil, nil
-	default:
-		return nil, nil, nil, nil, nil, fmt.Errorf("mdm: unknown backend %v", cfg.Backend)
 	}
+	var rc core.RecoveryConfig
+	recovered := in != nil || cfg.Supervise.enabled()
+	if recovered {
+		rc = core.RecoveryConfig{
+			MaxRetries: cfg.MaxRetries,
+			Injector:   in,
+		}
+		if d := cfg.Supervise.Watchdog; d > 0 {
+			rc.Watchdog = supervise.NewWatchdog(d)
+		}
+		if cfg.Supervise.enabled() {
+			rc.Breakers = supervise.NewBreakerSet(supervise.BreakerConfig{
+				Trip:     cfg.Supervise.BreakerTrip,
+				Window:   cfg.Supervise.BreakerWindow,
+				Cooldown: cfg.Supervise.BreakerCooldown,
+			})
+		}
+	}
+	var world *mpi.World
+	nReal, nWave := cfg.Ranks, max(cfg.WaveRanks, 1)
+	if nReal > 0 {
+		var err error
+		if world, err = mpi.NewWorld(nReal + nWave); err != nil {
+			return nil, nil, nil, err
+		}
+		// The world's default 30 s deadline is sized for tests; a legitimate
+		// 10^5-particle wavenumber pass runs longer than that on one host
+		// core. A production session's stall detection is the supervision
+		// watchdog, so the wire deadline only has to catch a truly wedged
+		// run. Under a fault scenario the tight default stays: drop scenarios
+		// rely on the receiver noticing a swallowed message quickly.
+		if in == nil {
+			world.SetTimeout(time.Hour)
+		}
+	}
+	var (
+		eng core.Engine
+		res *core.Resilient
+		err error
+	)
+	switch {
+	case recovered && world != nil:
+		res, err = core.NewResilientParallel(mcfg, rc, world, nReal, nWave)
+		eng = res
+	case recovered:
+		res, err = core.NewResilient(mcfg, rc)
+		eng = res
+	case world != nil:
+		eng, err = core.NewParallelRun(world, mcfg, nReal, nWave)
+	default:
+		eng, err = core.NewMachine(mcfg)
+	}
+	if err != nil {
+		return nil, nil, nil, err // eng holds a typed nil here: do not return it
+	}
+	return eng, res, in, nil
 }
 
 func newSimulation(cfg Config, sys *md.System, step int, in *fault.Injector) (*Simulation, error) {
@@ -390,14 +394,21 @@ func newSimulation(cfg Config, sys *md.System, step int, in *fault.Injector) (*S
 	if err != nil {
 		return nil, err
 	}
-	ff, machine, resilient, prun, injector, err := newForceField(cfg, p, in)
+	sim := &Simulation{cfg: cfg, p: p, System: sys, Recorder: &md.Recorder{}}
+	var ff md.ForceField
+	if cfg.Backend == BackendReference {
+		ff, err = core.NewReference(p)
+	} else {
+		sim.engine, sim.resilient, sim.injector, err = newForceField(cfg, p, in)
+		ff = sim.engine
+	}
 	if err != nil {
 		return nil, err
 	}
-	if resilient != nil {
+	if sim.resilient != nil {
 		// Align the recovery layer's step clock with the simulation step so
 		// step-keyed fault events land where the scenario says.
-		resilient.SetStep(step)
+		sim.resilient.SetStep(step)
 	}
 	it, err := md.NewIntegrator(sys, ff, cfg.Dt)
 	if err != nil {
@@ -408,18 +419,7 @@ func newSimulation(cfg Config, sys *md.System, step int, in *fault.Injector) (*S
 	if err != nil {
 		return nil, err
 	}
-	sim := &Simulation{
-		cfg:        cfg,
-		p:          p,
-		System:     sys,
-		Integrator: it,
-		Recorder:   &md.Recorder{},
-		machine:    machine,
-		resilient:  resilient,
-		prun:       prun,
-		injector:   injector,
-		obs:        obs,
-	}
+	sim.Integrator, sim.obs = it, obs
 	sim.Recorder.Sample(it)
 	return sim, nil
 }
@@ -427,6 +427,9 @@ func newSimulation(cfg Config, sys *md.System, step int, in *fault.Injector) (*S
 // NewSimulation builds the crystal, assigns Maxwell–Boltzmann velocities and
 // initializes the selected force engine.
 func NewSimulation(cfg Config) (*Simulation, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.fillDefaults()
 	sys, err := md.NewRockSalt(cfg.Cells, cfg.Lattice)
 	if err != nil {
@@ -512,6 +515,9 @@ func rewindJournal(cfg Config, path string, step int) (*supervise.Journal, error
 // pre-kill state bit for bit. cfg must be the original run's Config
 // (including Supervise.Journal and Faults).
 func ResumeFromJournal(cfg Config, ckptPath string) (*Simulation, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.fillDefaults()
 	if cfg.Supervise.Journal == "" {
 		return nil, fmt.Errorf("mdm: ResumeFromJournal requires Config.Supervise.Journal")
@@ -952,15 +958,10 @@ func (s *Simulation) free() error {
 		jerr = errors.Join(s.commit.stop(), s.journal.Close())
 		s.journal = nil
 	}
-	switch {
-	case s.resilient != nil:
-		return errors.Join(s.resilient.Free(), jerr)
-	case s.prun != nil:
-		return errors.Join(s.prun.Free(), jerr)
-	case s.machine != nil:
-		return errors.Join(s.machine.Free(), jerr)
+	if s.engine == nil {
+		return jerr
 	}
-	return jerr
+	return errors.Join(s.engine.Free(), jerr)
 }
 
 // Table4 regenerates the paper's Table 4 at the paper's system size.

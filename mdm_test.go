@@ -2,7 +2,10 @@ package mdm
 
 import (
 	"math"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"mdm/internal/analysis"
 )
@@ -31,11 +34,73 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestNewSimulationValidation(t *testing.T) {
-	if _, err := NewSimulation(Config{Backend: Backend(42)}); err == nil {
-		t.Error("unknown backend accepted")
-	}
 	if _, err := NewSimulation(Config{Cells: -1}); err == nil {
 		t.Error("negative cells accepted")
+	}
+}
+
+// TestConfigCapabilities is the capability table of Config: which backend
+// composes with the decomposition, fault injection, supervision and the
+// journal. Every rejection comes from Config.Validate, at both entry points
+// that take a Config from outside, with a message naming what is missing;
+// nothing asked for is dropped silently.
+func TestConfigCapabilities(t *testing.T) {
+	const (
+		needsRanks     = "spatial decomposition requires the MDM backend"
+		needsFaults    = "fault injection requires the MDM backend"
+		needsSupervise = "watchdog and circuit breakers require the MDM backend"
+	)
+	dir := t.TempDir()
+	cases := []struct {
+		name   string
+		cfg    Config
+		reject string // "" = accepted
+	}{
+		{"mdm", Config{}, ""},
+		{"mdm/ranks", Config{Ranks: 2}, ""},
+		{"mdm/faults", Config{Faults: "mdg:transient@call=2"}, ""},
+		{"mdm/watchdog", Config{Supervise: SuperviseConfig{Watchdog: 30 * time.Second}}, ""},
+		{"mdm/breaker", Config{Supervise: SuperviseConfig{BreakerTrip: 3}}, ""},
+		{"mdm/journal-only", Config{Supervise: SuperviseConfig{Journal: filepath.Join(dir, "mdm.wal")}}, ""},
+		{"mdm/negative-ranks", Config{Ranks: -1}, "negative rank count"},
+		{"mdm/negative-wave-ranks", Config{Ranks: 2, WaveRanks: -1}, "negative rank count"},
+		{"reference", Config{Backend: BackendReference}, ""},
+		{"reference/journal-only", Config{Backend: BackendReference, Supervise: SuperviseConfig{Journal: filepath.Join(dir, "ref.wal")}}, ""},
+		{"reference/ranks", Config{Backend: BackendReference, Ranks: 2}, needsRanks},
+		{"reference/faults", Config{Backend: BackendReference, Faults: "mdg:hang@step=4"}, needsFaults},
+		{"reference/watchdog", Config{Backend: BackendReference, Supervise: SuperviseConfig{Watchdog: 250 * time.Millisecond}}, needsSupervise},
+		{"reference/breaker", Config{Backend: BackendReference, Supervise: SuperviseConfig{BreakerTrip: 3}}, needsSupervise},
+		{"unknown-backend", Config{Backend: Backend(42)}, "unknown backend"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sim, err := NewSimulation(c.cfg)
+			if c.reject == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				if err := sim.Free(); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.cfg.Validate(); err != nil {
+					t.Errorf("Validate rejects what NewSimulation built: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				_ = sim.Free()
+				t.Fatalf("accepted; want an error naming %q", c.reject)
+			}
+			if !strings.Contains(err.Error(), c.reject) {
+				t.Errorf("error %q does not name %q", err, c.reject)
+			}
+			if verr := c.cfg.Validate(); verr == nil || verr.Error() != err.Error() {
+				t.Errorf("Validate = %v, NewSimulation = %v", verr, err)
+			}
+			if _, rerr := ResumeFromJournal(c.cfg, "unused.ckpt"); rerr == nil || rerr.Error() != err.Error() {
+				t.Errorf("ResumeFromJournal = %v, NewSimulation = %v", rerr, err)
+			}
+		})
 	}
 }
 

@@ -93,16 +93,6 @@ func TestNVEProtocolBitIdenticalAcrossRanks(t *testing.T) {
 	}
 }
 
-// Config.Ranks composes only with the MDM backend and the single-run driver.
-func TestRanksValidation(t *testing.T) {
-	if _, err := NewSimulation(Config{Backend: BackendReference, Ranks: 2}); err == nil {
-		t.Error("reference backend accepted Ranks")
-	}
-	if _, err := RunBatch(Config{Ranks: 2}, 2, 1, 1); err == nil {
-		t.Error("batch driver accepted Ranks")
-	}
-}
-
 func TestNVEProtocolBitIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine protocol comparison in -short mode")

@@ -5,13 +5,11 @@
 # 1/2/4/8 for the machine force evaluation, the WINE-2 DFT/IDFT pair, the
 # j-set build and the Figure-2 MD step with the concurrent pipeline off, on,
 # and on with a Verlet skin), plus the interleaved pipeline-off/on headline
-# comparison at the engine-balanced Ewald splitting, plus the batchThroughput
-# family (simulations/sec for K in {1,4,16,64} replicas of the 216-ion system
-# through one batched machine vs K sequential machines; -batch-steps 0 skips
-# it), plus the weakScaling family (the spatial decomposition at 64 ions/rank
-# for 1/8/27 ranks with per-tag rebuild and reuse traffic; -weak-steps 0
-# skips it). The artifact records gomaxprocs and num_cpu, so baselines taken
-# on single-core hosts are recognizable as serial measurements.
+# comparison at the engine-balanced Ewald splitting, plus the weakScaling
+# family (the spatial decomposition at 64 ions/rank for 1/8/27 ranks with
+# per-tag rebuild and reuse traffic; -weak-steps 0 skips it). The artifact
+# records gomaxprocs and num_cpu, so baselines taken on single-core hosts are
+# recognizable as serial measurements.
 #
 # Usage: scripts/bench.sh [extra mdmbench flags, e.g. -iters 20]
 #        scripts/bench.sh -compare BENCH_a.json BENCH_b.json
