@@ -1,10 +1,11 @@
 # Standard entry points; `make check` is the gate CI runs. The -race package
-# list, the chaos -run regex and the fuzz targets live here only:
-# scripts/check.sh and CI call `make race` / `make chaos` / `make fuzz-smoke`.
+# list, the chaos -run regex, the fuzz targets and the kernel micro-benchmark
+# packages live here only: scripts/check.sh and CI call `make race` /
+# `make chaos` / `make fuzz-smoke` / `make bench-build`.
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-smoke weak-smoke bench-compare vet mdmvet audit race chaos fuzz-smoke check fmt
+.PHONY: all build test bench bench-build bench-json bench-smoke weak-smoke bench-compare vet mdmvet audit race chaos fuzz-smoke check fmt
 
 all: build
 
@@ -16,6 +17,12 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Compile the kernel micro-benchmarks and run each once: `go test ./...` does
+# neither, so a renamed entry point or a broken set-up would otherwise rot.
+bench-build:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/fixed ./internal/funceval \
+		./internal/wine2 ./internal/mdgrape2 ./internal/core
 
 bench-json:
 	sh scripts/bench.sh

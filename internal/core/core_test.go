@@ -220,6 +220,13 @@ func TestNewMachineValidation(t *testing.T) {
 	if _, err := NewMachine(cfg); err == nil {
 		t.Error("absurd board count accepted")
 	}
+	// A WINE-2 accumulator past the 62-bit carrier used to build, and return
+	// zero structure factors.
+	cfg = CurrentMachineConfig(p)
+	cfg.Wine.AccFrac = 40
+	if _, err := NewMachine(cfg); err == nil {
+		t.Error("unrepresentable WINE-2 accumulator format accepted")
+	}
 }
 
 func TestPotentialEveryCaching(t *testing.T) {

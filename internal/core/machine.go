@@ -204,7 +204,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		wineDone: make(chan wineResult, 1),
 	}
 	m.jsb = mdgrape2.NewJSetBuilder(grid, m.pool)
-	if m.mr1, err = newMDGSession(cfg, 1, "mdg"); err != nil {
+	if m.mr1, err = newMDGSession(cfg, 1, "mdg", nil); err != nil {
 		return nil, err
 	}
 	m.mr1.SetPool(m.pool)
@@ -220,7 +220,10 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 // (cfg.MDGBoards when set, so a re-stripe after a dropout shrinks every
 // share; at least one board). The serial machine is share 1; each rank of a
 // decomposed session takes 1/nReal. scope names the session to cfg.Heartbeat.
-func newMDGSession(cfg MachineConfig, share int, scope string) (*mdgrape2.MR1, error) {
+// The kernels are universal functions of x, so one fit serves an engine: with
+// images nil the session fits the tables, otherwise it loads the images
+// another session of the same engine already holds.
+func newMDGSession(cfg MachineConfig, share int, scope string, images *mdgrape2.System) (*mdgrape2.MR1, error) {
 	m, err := mdgrape2.NewMR1(cfg.MDG)
 	if err != nil {
 		return nil, err
@@ -240,9 +243,17 @@ func newMDGSession(cfg MachineConfig, share int, scope string) (*mdgrape2.MR1, e
 		return nil, err
 	}
 	for _, k := range forceTables {
-		if err := m.SetTable(k.name, k.g, k.emin, k.emax); err != nil {
+		if images == nil {
+			if err := m.SetTable(k.name, k.g, k.emin, k.emax); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		t, err := images.Table(k.name)
+		if err != nil {
 			return nil, err
 		}
+		m.System().LoadTableImage(k.name, t)
 	}
 	return m, nil
 }

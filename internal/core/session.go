@@ -222,6 +222,7 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 	free := func() { _ = pr.Free() }
 	pr.real = make([]*realRankState, 0, nReal)
 	pr.wave = make([]*waveRankState, 0, nWave)
+	var images *mdgrape2.System
 	for r := 0; r < nReal; r++ {
 		comm, err := world.Comm(r)
 		if err != nil {
@@ -229,10 +230,13 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			return nil, err
 		}
 		//mdm:hotallocok -- rank construction: runs at machine build and re-stripe, not per clean step
-		m, err := newMDGSession(cfg, nReal, fmt.Sprintf("mdg/rank%d", r))
+		m, err := newMDGSession(cfg, nReal, fmt.Sprintf("mdg/rank%d", r), images)
 		if err != nil {
 			free()
 			return nil, err
+		}
+		if r == 0 {
+			images = m.System() // rank 0 fitted the kernel tables; the others load its images
 		}
 		pool := parallelize.New(cfg.Workers)
 		m.SetPool(pool)

@@ -346,6 +346,40 @@ func TestSessionReuseStreamsLessThanRebuild(t *testing.T) {
 	}
 }
 
+// TestSessionRanksShareKernelTables: the four kernels are universal functions
+// of x, so a decomposed engine fits them once and every real-space rank's
+// session holds the same immutable image; the ranks then evaluate through it
+// concurrently (Step below, clean under -race in `make race`).
+func TestSessionRanksShareKernelTables(t *testing.T) {
+	s := meltLike(t, 2, 5.64, 300, 34)
+	cfg := CurrentMachineConfig(smallParams(s.L))
+	world, err := mpi.NewWorld(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := NewParallelRun(world, cfg, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = pr.Free() }()
+	for _, k := range forceTables {
+		first, err := pr.real[0].m.System().Table(k.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rr := range pr.real[1:] {
+			if tab, err := rr.m.System().Table(k.name); err != nil || tab != first {
+				t.Errorf("rank %d holds its own %q table (%p vs rank 0's %p, err %v)", rr.rank, k.name, tab, first, err)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := pr.Step(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSessionSteadyStateAllocs pins the hoisted halo-path scratch: once the
 // session is warm, a reuse step's allocation count is a small constant —
 // independent of the particle count — because every exchange buffer, index

@@ -54,6 +54,10 @@ func (f Format) TotalBits() uint { return f.Int + f.Frac + 1 }
 // Valid reports whether the format fits the int64 carrier with headroom.
 func (f Format) Valid() bool { return f.TotalBits() >= 2 && f.TotalBits() <= 62 }
 
+// maxWord is the largest magnitude a word of a valid Format can have: what a
+// product formed inside a pipeline must stay within.
+const maxWord = int64(1)<<61 - 1
+
 // Scale returns 2^Frac, the factor between real values and raw integers.
 func (f Format) Scale() float64 { return math.Ldexp(1, int(f.Frac)) }
 
@@ -149,46 +153,69 @@ func Convert(raw int64, from, to Format) int64 {
 	}
 }
 
-// Rounder is Convert resolved for one format pair: the shift direction and
-// distance, the rounding half and the saturation bounds are fixed when the
-// datapath is built — wiring, not per-word decisions — so Round is a handful
-// of register operations with no branch on the sign.
+// Rounder is Convert resolved for one format pair and one operand bound: the
+// shift and the rounding half are fixed when the datapath is built — wiring,
+// not per-word decisions — and there is no saturator, because NewRounder has
+// shown that no word the unit can be fed reaches one, as an adder tree sized
+// for its operands has none.
+//
+// The unit always shifts right by at least one bit, which keeps
+// round-half-away-from-zero free of both the sign branch and a direction
+// switch: a conversion that widens by l bits (l = 0: equal widths) multiplies
+// by 2^(l+1) and then halves with rounding, which is exact. That power of two
+// is Mul, and the caller folds it into one operand of the product (a
+// particle's charge word, a wave's coefficient word) instead of paying a shift
+// per product: Round takes Mul·raw.
 type Rounder struct {
-	left, right uint  // exactly one is non-zero (both zero: equal Frac)
-	half        int64 // 2^(right-1), 0 when shifting left
-	neg         int64 // all ones when shifting right: -1 joins the half for negative words
-	min, max    int64 // saturation bounds of the target format
+	Mul   int64 // 1 when narrowing; 2^(l+1) when widening by l bits
+	half  int64 // 2^(right-1)
+	right uint  // >= 1
 }
 
-// NewRounder resolves Convert(·, from, to).
-func NewRounder(from, to Format) Rounder {
-	r := Rounder{min: to.MinRaw(), max: to.MaxRaw()}
+// NewRounder resolves Convert(·, from, to) for words of magnitude at most
+// 2^maxBits — the operand maxima of the datapath the unit sits in, budgeted in
+// bits as a pipeline's word lengths are. It refuses a bound that does not fit
+// from, or that Convert would have to saturate in to: the range check that
+// Convert makes per word is made here once. Rounding is symmetric about zero
+// and a power of two rounds to a power of two, so the check is on bit counts.
+func NewRounder(from, to Format, maxBits uint) (Rounder, error) {
+	for _, f := range [2]Format{from, to} {
+		if !f.Valid() {
+			return Rounder{}, fmt.Errorf("fixed: rounder %v -> %v: %v is %d bits wide, the carrier holds 62", from, to, f, f.TotalBits())
+		}
+	}
+	if maxBits >= from.Int+from.Frac {
+		return Rounder{}, fmt.Errorf("fixed: words up to 2^%d do not fit the %d-bit %v", maxBits, from.TotalBits(), from)
+	}
+	r := Rounder{Mul: 1}
+	outBits := uint(0) // |Round(±2^maxBits)| = 2^outBits, or at most 1
 	if to.Frac >= from.Frac {
-		r.left = to.Frac - from.Frac
+		left := to.Frac - from.Frac
+		r.Mul, r.half, r.right = int64(2)<<left, 1, 1
+		outBits = maxBits + left
 	} else {
 		r.right = from.Frac - to.Frac
 		r.half = int64(1) << (r.right - 1)
-		r.neg = -1
+		if maxBits > r.right {
+			outBits = maxBits - r.right
+		}
 	}
-	return r
+	if outBits >= to.Int+to.Frac {
+		return Rounder{}, fmt.Errorf("fixed: rounder %v -> %v: a word of magnitude 2^%d reaches the saturator", from, to, maxBits)
+	}
+	return r, nil
 }
 
-// Round returns exactly Convert(raw, from, to) for the resolved pair.
+// Round returns exactly Convert(raw, from, to) given scaled = Mul·raw, for
+// every |raw| <= 2^maxBits, the bound the unit was resolved for.
 // Round-half-away-from-zero without the sign branch: for a negative word
 // -((-v + half) >> s) = ceil((v - half) / 2^s) = floor((v + half - 1) / 2^s),
 // because 2^s - half = half; the arithmetic shift is the floor, and v>>63
 // supplies the -1 only when v is negative.
-func (r *Rounder) Round(raw int64) int64 {
-	// The &63 tells the compiler both distances are below the carrier width
-	// (Format.Valid bounds them), so each shift is one instruction.
-	v := (raw<<(r.left&63) + r.half + (raw >> 63 & r.neg)) >> (r.right & 63)
-	if v > r.max {
-		v = r.max
-	}
-	if v < r.min {
-		v = r.min
-	}
-	return v
+func (r Rounder) Round(scaled int64) int64 {
+	// The &63 tells the compiler the distance is below the carrier width
+	// (Format.Valid bounds it), so the shift is one instruction.
+	return (scaled + r.half + scaled>>63) >> (r.right & 63)
 }
 
 // MulRound multiplies two raw values and rounds the product down to outFrac
@@ -221,11 +248,8 @@ type SinCosTable struct {
 // NewSinCosTable builds a table with 2^logSize segments whose samples and
 // outputs are quantized to format out. logSize must be in [2, 20].
 func NewSinCosTable(logSize uint, out Format) (*SinCosTable, error) {
-	if logSize < 2 || logSize > 20 {
-		return nil, fmt.Errorf("fixed: logSize %d out of range [2,20]", logSize)
-	}
-	if !out.Valid() {
-		return nil, fmt.Errorf("fixed: invalid output format %v", out)
+	if err := checkTable(logSize, out); err != nil {
+		return nil, err
 	}
 	n := 1 << logSize
 	t := &SinCosTable{logSize: logSize, out: out, sin: make([]int64, n+1)}
@@ -233,6 +257,16 @@ func NewSinCosTable(logSize uint, out Format) (*SinCosTable, error) {
 		t.sin[i] = out.Quantize(math.Sin(2 * math.Pi * float64(i) / float64(n)))
 	}
 	return t, nil
+}
+
+func checkTable(logSize uint, out Format) error {
+	if logSize < 2 || logSize > 20 {
+		return fmt.Errorf("fixed: logSize %d out of range [2,20]", logSize)
+	}
+	if !out.Valid() {
+		return fmt.Errorf("fixed: invalid output format %v", out)
+	}
+	return nil
 }
 
 // Size returns the number of table segments.
@@ -267,54 +301,97 @@ func (t *SinCosTable) lookup(phase int64, phaseFrac uint) int64 {
 	return t.out.Saturate(interp)
 }
 
-// TrigUnit is a SinCosTable resolved for one phase format: the turn mask, the
-// index shift, the interpolation-remainder mask, its rounding half and the
-// quarter-turn offset are fields fixed at construction, as the widths of a
-// pipeline's trigonometric unit are fixed at synthesis. It shares the table's
-// samples; Sin and Cos return exactly what SinCosTable.SinCos returns.
+// TrigUnit is a SinCosTable resolved for one phase format, as the widths of a
+// pipeline's trigonometric unit are fixed at synthesis. Sine and cosine of one
+// phase share one split: the table row i = (phase >> Shift) & IdxMask and the
+// position inside it rem = phase & RemMask; a quarter turn is a whole number
+// of rows (2^k / 4), so the cosine is row (i + Quarter) & IdxMask with the
+// same rem. The fields are the unit's wiring, exported so that a pipeline loop
+// can hold them in registers across a whole pass (read them into locals once
+// and call Lerp); SinCos is the same datapath for one phase. Table is the
+// SinCosTable's own sample RAM and must not be written.
 type TrigUnit struct {
-	sin      []int64
-	mask     int64 // phase bits of one turn
-	remMask  int64 // position inside a table segment
-	half     int64 // rounding half of the interpolation shift
-	quarter  int64 // 1/4 turn: cos(x) = sin(x + quarter)
-	idxShift uint
+	Table   []int64 // sin samples, 2^k + 1 of them
+	Shift   uint    // phase bits below the table index
+	IdxMask int64   // 2^k - 1: the index bits of one turn
+	RemMask int64   // 2^Shift - 1: position inside a table segment
+	Half    int64   // rounding half of the interpolation shift
+	Quarter int64   // 2^k / 4 table rows: cos(x) = sin(x + 1/4 turn)
 }
+
+// Rows returns the sample RAM as two equal-length views one word apart:
+// lo[i] and hi[i] are the samples at either end of segment i, and because the
+// views are equally long one bounds check covers both reads.
+func (u *TrigUnit) Rows() (lo, hi []int64) { return u.Table[:len(u.Table)-1], u.Table[1:] }
 
 // Unit resolves the table for phases with phaseFrac fractional bits of a
 // turn. phaseFrac must leave at least two interpolation bits below the table
-// index (phaseFrac >= LogSize+2) and fit the carrier.
+// index (phaseFrac >= LogSize+2), and the interpolant's product — a sample
+// difference times a segment position — must fit the carrier.
 func (t *SinCosTable) Unit(phaseFrac uint) (TrigUnit, error) {
-	if phaseFrac < t.logSize+2 || phaseFrac > 61 {
-		return TrigUnit{}, fmt.Errorf("fixed: phase width %d outside [%d, 61] for a 2^%d-entry sine table",
-			phaseFrac, t.logSize+2, t.logSize)
+	if err := CheckTrigUnit(t.logSize, t.out, phaseFrac); err != nil {
+		return TrigUnit{}, err
 	}
-	idxShift := phaseFrac - t.logSize
+	shift := phaseFrac - t.logSize
 	return TrigUnit{
-		sin:      t.sin,
-		mask:     int64(1)<<phaseFrac - 1,
-		remMask:  int64(1)<<idxShift - 1,
-		half:     int64(1) << (idxShift - 1),
-		quarter:  int64(1) << (phaseFrac - 2),
-		idxShift: idxShift,
+		Table:   t.sin,
+		Shift:   shift,
+		IdxMask: int64(1)<<t.logSize - 1,
+		RemMask: int64(1)<<shift - 1,
+		Half:    int64(1) << (shift - 1),
+		Quarter: int64(1) << (t.logSize - 2),
 	}, nil
 }
 
-// Sin evaluates the sine of a phase in fixed-point turns; only the fractional
-// part of the phase is used. The interpolant a + round((b-a)·rem / 2^shift)
-// lies between the two stored samples a and b, which NewSinCosTable already
-// saturated to the output format, so no clamp follows; the rounding is the
-// branch-free round-half-away-from-zero of Rounder.Round.
-func (u *TrigUnit) Sin(phase int64) int64 {
-	p := phase & u.mask
-	i := p >> (u.idxShift & 63) // idxShift < 62 by construction; the mask makes the shift one instruction
-	a := u.sin[i]
-	d := (u.sin[i+1] - a) * (p & u.remMask)
-	return a + (d+u.half+d>>63)>>(u.idxShift&63)
+// CheckTrigUnit reports whether a 2^logSize-entry sine table with samples in
+// format out can be resolved for phaseFrac-bit phases, without building it —
+// the checks NewSinCosTable and Unit make, for a configuration's Validate.
+func CheckTrigUnit(logSize uint, out Format, phaseFrac uint) error {
+	if err := checkTable(logSize, out); err != nil {
+		return err
+	}
+	if phaseFrac < logSize+2 || phaseFrac > 61 {
+		return fmt.Errorf("fixed: phase width %d outside [%d, 61] for a 2^%d-entry sine table",
+			phaseFrac, logSize+2, logSize)
+	}
+	// Lerp forms step·rem + half with rem < 2^shift and half = 2^(shift-1).
+	shift := phaseFrac - logSize
+	if maxTableStep(logSize, out) > maxWord>>shift-1 {
+		return fmt.Errorf("fixed: interpolating %v samples of a 2^%d-entry sine table over %d phase bits exceeds the 62-bit carrier",
+			out, logSize, shift)
+	}
+	return nil
 }
 
-// Cos evaluates the cosine of a phase in fixed-point turns.
-func (u *TrigUnit) Cos(phase int64) int64 { return u.Sin(phase + u.quarter) }
+// maxTableStep bounds the difference between neighbouring samples of a sine
+// table without building it: the largest step is the first one, sin(2π/2^k)
+// (the sine is steepest at its zero crossing), and the two quantizations move
+// a step by at most one unit.
+func maxTableStep(logSize uint, out Format) int64 {
+	return out.Quantize(math.Sin(2*math.Pi/float64(int64(1)<<logSize))) + 1
+}
+
+// SinCos evaluates the sine and cosine of a phase in fixed-point turns; only
+// the fractional part of the phase is used. It returns exactly what
+// SinCosTable.SinCos returns.
+func (u *TrigUnit) SinCos(phase int64) (sin, cos int64) {
+	lo, hi := u.Rows()
+	i, rem := phase>>(u.Shift&63)&u.IdxMask, phase&u.RemMask
+	return Lerp(lo, hi, i, rem, u.Half, u.Shift), Lerp(lo, hi, (i+u.Quarter)&u.IdxMask, rem, u.Half, u.Shift)
+}
+
+// Lerp is the trigonometric unit's interpolator: the value rem / 2^shift of
+// the way along segment i of a TrigUnit's Rows, with half = 2^(shift-1). The
+// interpolant a + round((b-a)·rem / 2^shift) lies between the two stored
+// samples a and b, which NewSinCosTable already saturated to the output
+// format, so no clamp follows; the rounding is the branch-free
+// round-half-away-from-zero of Rounder.Round.
+func Lerp(lo, hi []int64, i, rem, half int64, shift uint) int64 {
+	a := lo[i]
+	d := (hi[i] - a) * rem
+	// shift < 62 by construction; the mask makes the shift one instruction.
+	return a + (d+half+d>>63)>>(shift&63)
+}
 
 func roundShift(v int64, shift uint) int64 {
 	if shift == 0 {

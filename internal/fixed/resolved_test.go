@@ -6,11 +6,17 @@ import (
 )
 
 // The resolved units must be the general forms with their configuration
-// hoisted — nothing else. SinCosTable.SinCos and Convert stay the oracles.
+// hoisted and their range checks made once — nothing else.
+// SinCosTable.SinCos and Convert stay the oracles.
 
-// TestTrigUnitMatchesSinCos sweeps every phase of one turn — all 2^24 for the
-// shipped format — plus wrapped and negative phases, for the shipped unit and
-// the formats of the wine2 ablation tests.
+// TestTrigUnitMatchesSinCos pins the one-split sine/cosine to SinCos: every
+// phase of one turn — all 2^24 for the shipped format, which covers the last
+// table segment and every cosine row that wraps past a turn — plus wrapped and
+// negative phases, for the shipped unit, the formats of the wine2 ablation
+// tests, the narrowest phase a table admits (two interpolation bits) and the
+// widest interpolation shift CheckTrigUnit admits for s1.22 samples (38 bits,
+// where a full sweep is out of reach: every segment boundary and rounding tie
+// instead, and a pseudo-random walk).
 func TestTrigUnitMatchesSinCos(t *testing.T) {
 	for _, c := range []struct {
 		logSize   uint
@@ -24,8 +30,10 @@ func TestTrigUnitMatchesSinCos(t *testing.T) {
 		{4, F(1, 22), 24},
 		{10, F(1, 10), 24}, // trig-width ablation
 		{2, F(0, 3), 4},    // smallest table, samples saturating at ±1, two interpolation bits
+		{12, F(1, 22), 14}, // two interpolation bits under a large table
+		{2, F(1, 22), 40},  // widest interpolation shift
 	} {
-		if testing.Short() && c.phaseFrac > 16 {
+		if testing.Short() && c.phaseFrac > 16 && c.phaseFrac <= 24 {
 			continue
 		}
 		tab, err := NewSinCosTable(c.logSize, c.out)
@@ -39,15 +47,32 @@ func TestTrigUnitMatchesSinCos(t *testing.T) {
 		turn := int64(1) << c.phaseFrac
 		check := func(ph int64) {
 			ws, wc := tab.SinCos(ph, c.phaseFrac)
-			if gs, gc := u.Sin(ph), u.Cos(ph); gs != ws || gc != wc {
+			if gs, gc := u.SinCos(ph); gs != ws || gc != wc {
 				t.Fatalf("table 2^%d %v, %d-bit phase %d: unit (%d, %d), SinCos (%d, %d)",
 					c.logSize, c.out, c.phaseFrac, ph, gs, gc, ws, wc)
 			}
 		}
-		for ph := int64(0); ph < turn; ph++ {
-			check(ph)
+		if c.phaseFrac <= 24 {
+			for ph := int64(0); ph < turn; ph++ {
+				check(ph)
+			}
+		} else {
+			seg := turn >> c.logSize
+			for row := int64(0); row < 1<<c.logSize; row++ {
+				for _, rem := range []int64{0, 1, 2, seg/2 - 1, seg / 2, seg/2 + 1, seg - 2, seg - 1} {
+					check(row*seg + rem)
+				}
+			}
+			x := uint64(0x9E3779B97F4A7C15)
+			for i := 0; i < 1<<20; i++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				check(int64(x))
+			}
 		}
 		for _, ph := range []int64{-1, -turn, -turn - 1, turn, turn + 1, 3*turn + turn/3, -5*turn + 7,
+			turn - turn/4 - 1, turn - turn/4, turn - turn/4 + 1, -turn / 4, -turn/4 - 1,
 			math.MaxInt64, math.MinInt64, math.MaxInt64 - turn/4} {
 			check(ph)
 		}
@@ -60,32 +85,92 @@ func TestTrigUnitRejectsNarrowPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 8 < 12: the index shift would underflow; 12 and 13 leave fewer than two
-	// interpolation bits.
-	for _, phaseFrac := range []uint{0, 8, 12, 13, 62} {
+	// interpolation bits; at 61 the interpolant's product (a 13-bit table step
+	// over 49 phase bits) is past the 62-bit carrier.
+	for _, phaseFrac := range []uint{0, 8, 12, 13, 61, 62} {
 		if _, err := tab.Unit(phaseFrac); err == nil {
 			t.Errorf("Unit(%d) on a 2^12 table accepted", phaseFrac)
 		}
 	}
-	for _, phaseFrac := range []uint{14, 24, 61} {
+	for _, phaseFrac := range []uint{14, 24, 60} {
 		if _, err := tab.Unit(phaseFrac); err != nil {
 			t.Errorf("Unit(%d) on a 2^12 table: %v", phaseFrac, err)
+		}
+	}
+	// The interpolant's product — sample step × segment position — must fit
+	// the carrier. On a four-entry table the step is a whole unit, 2^Frac:
+	// s1.22 over 38 interpolation bits is the last that fits.
+	for _, c := range []struct {
+		out       Format
+		phaseFrac uint
+		ok        bool
+	}{
+		{F(1, 22), 40, true},
+		{F(1, 23), 40, false},
+		{F(1, 22), 41, false},
+		{F(1, 40), 40, false},
+		{F(1, 40), 22, true},
+	} {
+		err := CheckTrigUnit(2, c.out, c.phaseFrac)
+		if (err == nil) != c.ok {
+			t.Errorf("CheckTrigUnit(2, %v, %d) = %v, want ok = %v", c.out, c.phaseFrac, err, c.ok)
+		}
+		if tab, terr := NewSinCosTable(2, c.out); terr != nil {
+			t.Fatal(terr)
+		} else if _, uerr := tab.Unit(c.phaseFrac); (uerr == nil) != c.ok {
+			t.Errorf("Unit(%d) on a 2^2 %v table = %v, want ok = %v", c.phaseFrac, c.out, uerr, c.ok)
+		}
+	}
+}
+
+// TestTrigUnitStepBound: CheckTrigUnit sizes the interpolant from the first
+// table step plus one unit without building the table; no step of a built
+// table may exceed that.
+func TestTrigUnitStepBound(t *testing.T) {
+	for _, c := range []struct {
+		logSize uint
+		out     Format
+	}{
+		{10, F(1, 22)}, {2, F(1, 22)}, {2, F(0, 3)}, {4, F(1, 22)}, {6, F(1, 22)},
+		{10, F(1, 10)}, {12, F(1, 4)}, {16, F(1, 10)}, {12, F(1, 40)}, {3, F(0, 1)},
+	} {
+		tab, err := NewSinCosTable(c.logSize, c.out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := maxTableStep(c.logSize, c.out)
+		for i := 1; i < len(tab.sin); i++ {
+			if d := tab.sin[i] - tab.sin[i-1]; d > bound || -d > bound {
+				t.Fatalf("2^%d %v table: step %d at row %d exceeds the bound %d", c.logSize, c.out, d, i-1, bound)
+			}
 		}
 	}
 }
 
 // TestRounderMatchesConvert: both shift directions, equal widths, ties either
-// side of zero, and words at and beyond the target's saturation bounds.
+// side of zero, and words up to the operand bound the unit was resolved for —
+// where Convert does not saturate, which is what NewRounder checked.
 func TestRounderMatchesConvert(t *testing.T) {
-	for _, c := range []struct{ from, to Format }{
-		{WideFor(42), F(30, 30)}, // DFT: q·sin product → accumulator
-		{WideFor(52), F(2, 26)},  // IDFT: coefficient·trig product → accumulator
-		{WideFor(30), F(30, 30)}, // equal fractional width
-		{F(5, 10), F(30, 30)},    // left shift
-		{F(10, 10), F(2, 26)},    // left shift into a narrow target: saturates
-		{F(1, 20), F(1, 19)},     // one-bit right shift: half = 1
-		{F(20, 20), F(3, 4)},     // narrow target
+	for _, c := range []struct {
+		from, to Format
+		maxBits  uint
+	}{
+		{WideFor(42), F(30, 30), 47}, // DFT: q·sin product → accumulator
+		{WideFor(52), F(2, 26), 53},  // IDFT: coefficient·trig product → accumulator
+		{WideFor(30), F(30, 30), 35}, // equal fractional width
+		{F(5, 10), F(30, 30), 14},    // left shift
+		{F(10, 10), F(2, 26), 11},    // left shift into a narrow target, up to its last bit
+		{F(1, 20), F(1, 19), 20},     // one-bit right shift: half = 1
+		{F(20, 20), F(3, 4), 22},     // narrow target
+		{WideFor(14), F(30, 30), 19}, // wine2 narrow-prod, DFT
+		{WideFor(60), F(2, 8), 60},   // the carrier's widest word
+		{F(20, 20), F(3, 4), 3},      // every word rounds to 0 or ±1
 	} {
-		r := NewRounder(c.from, c.to)
+		r, err := NewRounder(c.from, c.to, c.maxBits)
+		if err != nil {
+			t.Fatalf("%v → %v, 2^%d: %v", c.from, c.to, c.maxBits, err)
+		}
+		bound := int64(1) << c.maxBits
 		var probes []int64
 		add := func(v int64) {
 			for d := int64(-2); d <= 2; d++ {
@@ -93,6 +178,8 @@ func TestRounderMatchesConvert(t *testing.T) {
 			}
 		}
 		add(0)
+		add(bound)
+		add(bound / 2)
 		if c.from.Frac > c.to.Frac {
 			shift := c.from.Frac - c.to.Frac
 			half := int64(1) << (shift - 1)
@@ -100,31 +187,58 @@ func TestRounderMatchesConvert(t *testing.T) {
 				add(k<<shift + half) // ties
 				add(k << shift)
 			}
-			// Around the target's bounds, seen from the source scale.
-			add(c.to.MaxRaw() << shift)
-			add(c.to.MaxRaw()<<shift + half)
-			add(c.to.MinRaw() << shift)
-		} else {
-			shift := c.to.Frac - c.from.Frac
-			add(c.to.MaxRaw() >> shift)
-			add(c.to.MaxRaw()>>shift + 1)
+			add(bound - half)
 		}
-		add(c.from.MaxRaw())
 		x := uint64(0x9E3779B97F4A7C15)
 		for i := 0; i < 2000; i++ {
 			x ^= x << 13
 			x ^= x >> 7
 			x ^= x << 17
-			probes = append(probes, c.from.Wrap(int64(x)))
+			probes = append(probes, int64(x)>>(63-c.maxBits))
 		}
 		for _, raw := range probes {
-			if raw > c.from.MaxRaw() || raw < c.from.MinRaw() {
-				continue // not a word of the source format
+			if raw > bound || raw < -bound {
+				continue // beyond the operand bound the unit was sized for
 			}
-			if got, want := r.Round(raw), Convert(raw, c.from, c.to); got != want {
+			if got, want := r.Round(r.Mul*raw), Convert(raw, c.from, c.to); got != want {
 				t.Fatalf("%v → %v: Round(%d) = %d, Convert = %d", c.from, c.to, raw, got, want)
 			}
 		}
+	}
+}
+
+// TestNewRounderRefusesReachableSaturator: an operand bound that does not fit
+// the source format, or that rounds onto the target's saturation bound, is an
+// error at construction — the unit has no clamp to fall back on.
+func TestNewRounderRefusesReachableSaturator(t *testing.T) {
+	for _, c := range []struct {
+		from, to Format
+		maxBits  uint
+		ok       bool
+	}{
+		{WideFor(52), F(2, 26), 53, true},  // 2^27 against 2^28 - 1
+		{WideFor(52), F(2, 26), 54, false}, // 2^28 is one past MaxRaw
+		{WideFor(52), F(2, 26), 61, false}, // not a word of the carrier
+		{WideFor(42), F(30, 30), 60, true}, // 2^48 against 2^60 - 1
+		{F(10, 10), F(2, 26), 11, true},    // 2^27 after the left shift
+		{F(10, 10), F(2, 26), 12, false},   // 2^28 after the left shift
+		{F(10, 10), F(2, 26), 20, false},   // 2^20 is not a word of s10.10
+		{F(20, 20), F(3, 4), 22, true},     // 2^6 against 2^7 - 1
+		{F(20, 20), F(3, 4), 23, false},
+	} {
+		_, err := NewRounder(c.from, c.to, c.maxBits)
+		if (err == nil) != c.ok {
+			t.Errorf("NewRounder(%v, %v, 2^%d) = %v, want ok = %v", c.from, c.to, c.maxBits, err, c.ok)
+		}
+	}
+	// A format that does not fit the carrier is refused whatever the bound.
+	wide := WideFor(42)
+	wide.Int += 9
+	if _, err := NewRounder(WideFor(42), wide, 0); err == nil {
+		t.Errorf("NewRounder accepted the %d-bit target %v", wide.TotalBits(), wide)
+	}
+	if _, err := NewRounder(wide, F(30, 30), 0); err == nil {
+		t.Errorf("NewRounder accepted the %d-bit source %v", wide.TotalBits(), wide)
 	}
 }
 
@@ -136,8 +250,7 @@ func BenchmarkTrigUnit(b *testing.B) {
 	}
 	var s, c int64
 	for i := 0; i < b.N; i++ {
-		ph := int64(i) * 0x9E3779B9
-		s, c = u.Sin(ph), u.Cos(ph)
+		s, c = u.SinCos(int64(i) * 0x9E3779B9)
 	}
 	_, _ = s, c
 }

@@ -326,9 +326,15 @@ func (t *Table) EvalInto(dst, x []float32) {
 // rounded to float32, as the hardware interface would.
 func (t *Table) Eval64(x float64) float64 { return float64(t.Eval(float32(x))) }
 
-// SetHighValue overrides the value returned for arguments at or beyond the
-// domain maximum. The hardware default is 0 (implicit cutoff).
-func (t *Table) SetHighValue(v float32) { t.highValue = v }
+// WithHighValue returns a table that evaluates like t but returns v for
+// arguments at or beyond the domain maximum (the hardware default is 0, the
+// implicit cutoff). It is a copy sharing t's coefficient RAM: a Table is
+// immutable once built, which is what lets sessions share one image.
+func (t *Table) WithHighValue(v float32) *Table {
+	c := *t
+	c.highValue = v
+	return &c
+}
 
 // MaxRelError probes the table against the exact g at n log-uniformly spaced
 // points inside [lo, hi) ⊆ domain and returns the maximum relative error with

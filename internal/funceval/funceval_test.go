@@ -157,9 +157,11 @@ func TestEvalOutOfRange(t *testing.T) {
 	if got := tbl.Eval(16); got != 0 {
 		t.Errorf("Eval(16) = %g, want 0 (cutoff)", got)
 	}
-	tbl.SetHighValue(7)
-	if got := tbl.Eval(1e9); got != 7 {
-		t.Errorf("Eval(1e9) = %g, want 7 after SetHighValue", got)
+	if got := tbl.WithHighValue(7).Eval(1e9); got != 7 {
+		t.Errorf("Eval(1e9) = %g, want 7 with WithHighValue", got)
+	}
+	if got := tbl.Eval(1e9); got != 0 {
+		t.Errorf("Eval(1e9) = %g on the original after WithHighValue: the image was mutated", got)
 	}
 	// Below the low edge: clamp.
 	lo, _ := tbl.Domain()
@@ -345,7 +347,7 @@ func TestEvalMatchesFloat64Decomposition(t *testing.T) {
 		for _, segPerOct := range []int{16, 32} {
 			tbl := MustNewTable(g, d[0], d[1], (d[1]-d[0])*segPerOct)
 			for _, high := range []float32{0, 7.5} {
-				tbl.SetHighValue(high)
+				tbl := tbl.WithHighValue(high)
 				check := func(x float32) {
 					t.Helper()
 					got, want := tbl.Eval(x), oracleEval(tbl, float64(x))
@@ -384,8 +386,7 @@ func TestEvalIntoMatchesEval(t *testing.T) {
 	g := func(x float64) float64 {
 		return 2*math.Exp(-x)/(math.SqrtPi*x) + math.Erfc(math.Sqrt(x))/(x*math.Sqrt(x))
 	}
-	tbl := MustNewTable(g, -20, 12, DefaultSegments)
-	tbl.SetHighValue(3)
+	tbl := MustNewTable(g, -20, 12, DefaultSegments).WithHighValue(3)
 	odd := []float32{0, -1, float32(math.NaN()), float32(math.Inf(1)), 1e-30, 5000, math.SmallestNonzeroFloat32}
 	for _, n := range []int{0, 1, 63, 64, 65, 200} {
 		x := make([]float32, n)

@@ -204,9 +204,15 @@ func (s *System) LoadTable(name string, g func(float64) float64, emin, emax int)
 	if err != nil {
 		return fmt.Errorf("mdgrape2: table %q: %w", name, err)
 	}
-	s.tables[name] = t
+	s.LoadTableImage(name, t)
 	return nil
 }
+
+// LoadTableImage stores an already fitted table under the given name — the
+// RAM image LoadTable writes, without the fit. A Table is immutable once
+// built, so sessions that evaluate the same kernel (the ranks of a decomposed
+// run) load one image instead of each fitting its own.
+func (s *System) LoadTableImage(name string, t *funceval.Table) { s.tables[name] = t }
 
 // Table returns a loaded table by name.
 func (s *System) Table(name string) (*funceval.Table, error) {

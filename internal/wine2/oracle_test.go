@@ -1,6 +1,7 @@
 package wine2
 
 import (
+	"math/rand"
 	"testing"
 
 	"mdm/internal/ewald"
@@ -88,61 +89,160 @@ func oracleIDFT(cfg Config, trig *fixed.SinCosTable, waves []ewald.Wave, sn, cn 
 	return forces
 }
 
+// datapathFormats are the fixed-point geometries the datapath tests run on:
+// the shipped machine, the ablation formats, the narrowest phase a table
+// admits, and formats where the product is narrower than the accumulator (the
+// rounder widens instead of narrowing) or exactly as wide.
+var datapathFormats = []struct {
+	name string
+	mod  func(*Config)
+}{
+	{"current", func(*Config) {}},
+	{"pos16", func(c *Config) { c.PosFrac = 16 }},
+	{"pos12", func(c *Config) { c.PosFrac = 12 }},
+	{"sin6", func(c *Config) { c.SinLogSize = 6 }},
+	{"sin4", func(c *Config) { c.SinLogSize = 4 }},
+	{"trig10", func(c *Config) { c.TrigFormat = fixed.F(1, 10) }},
+	{"narrow-prod", func(c *Config) { c.QFrac, c.CoefFrac, c.TrigFormat = 4, 8, fixed.F(1, 10) }},
+	{"equal-width", func(c *Config) {
+		c.QFrac, c.CoefFrac, c.TrigFormat = 8, 8, fixed.F(1, 22)
+		c.AccFrac, c.IAccFrac = 30, 30
+	}},
+	{"pos14-sin12", func(c *Config) { c.PosFrac, c.SinLogSize = 14, 12 }},
+	{"widen-one", func(c *Config) { c.QFrac, c.CoefFrac, c.AccFrac, c.IAccFrac = 7, 8, 30, 31 }},
+}
+
 // TestPipelinesMatchGeneralDatapath pins both passes, bit for bit, to the
-// oracle loops for the shipped machine, the ablation formats, and formats
-// where the product is narrower than the accumulator (the rounder's
-// left-shift direction).
+// oracle loops on every datapath format, with charges of both signs and with
+// every charge negative — widening rounders fed nothing but negative
+// products, where a sign term left unmasked would show.
 func TestPipelinesMatchGeneralDatapath(t *testing.T) {
-	mods := map[string]func(*Config){
-		"current":     func(*Config) {},
-		"pos16":       func(c *Config) { c.PosFrac = 16 },
-		"pos12":       func(c *Config) { c.PosFrac = 12 },
-		"sin6":        func(c *Config) { c.SinLogSize = 6 },
-		"sin4":        func(c *Config) { c.SinLogSize = 4 },
-		"trig10":      func(c *Config) { c.TrigFormat = fixed.F(1, 10) },
-		"narrow-prod": func(c *Config) { c.QFrac, c.CoefFrac, c.TrigFormat = 4, 8, fixed.F(1, 10) },
-		"equal-width": func(c *Config) {
-			c.QFrac, c.CoefFrac, c.TrigFormat = 8, 8, fixed.F(1, 22)
-			c.AccFrac, c.IAccFrac = 30, 30
-		},
-	}
 	const l = 12.0
 	pos, q := testSystem(48, l, 5)
+	negQ := make([]float64, len(q))
+	for i := range negQ {
+		negQ[i] = -1
+	}
 	p := ewald.Params{L: l, Alpha: 7, RCut: 5, LKCut: 5}
 	waves := ewald.Waves(p)
-	for name, mod := range mods {
-		cfg := CurrentConfig()
-		mod(&cfg)
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		trig, err := fixed.NewSinCosTable(cfg.SinLogSize, cfg.TrigFormat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pw, err := sys.Quantize(l, pos, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sn, cn, err := sys.DFTQuantizedInto(waves, pw, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantS, wantC := oracleDFT(cfg, trig, waves, pw)
-		for w := range waves {
-			if sn[w] != wantS[w] || cn[w] != wantC[w] {
-				t.Fatalf("%s: wave %d: DFT (%v, %v), oracle (%v, %v)", name, w, sn[w], cn[w], wantS[w], wantC[w])
+	for _, f := range datapathFormats {
+		for _, q := range [][]float64{q, negQ} {
+			cfg := CurrentConfig()
+			f.mod(&cfg)
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", f.name, err)
+			}
+			trig, err := fixed.NewSinCosTable(cfg.SinLogSize, cfg.TrigFormat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pw, err := sys.Quantize(l, pos, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sn, cn, err := sys.DFTQuantizedInto(waves, pw, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantS, wantC := oracleDFT(cfg, trig, waves, pw)
+			for w := range waves {
+				if sn[w] != wantS[w] || cn[w] != wantC[w] {
+					t.Fatalf("%s: wave %d: DFT (%v, %v), oracle (%v, %v)", f.name, w, sn[w], cn[w], wantS[w], wantC[w])
+				}
+			}
+			got, err := sys.IDFTQuantizedInto(waves, sn, cn, pw, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oracleIDFT(cfg, trig, waves, sn, cn, pw)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: particle %d: IDFT %v, oracle %v", f.name, i, got[i], want[i])
+				}
 			}
 		}
-		got, err := sys.IDFTQuantizedInto(waves, sn, cn, pw, nil)
+	}
+}
+
+// TestSaturatorsUnreachable: the pipelines carry no saturator, on the
+// strength of Config.rounders' range proof. Feed each one its operand
+// extremes — charge words at both ends of the charge format, coefficient words
+// exactly ±2^CoefFrac with S = −C, phases where sine or cosine sits on ±peak —
+// and 10^5 random words, and require what the general datapath computes with
+// Convert's saturator in place.
+func TestSaturatorsUnreachable(t *testing.T) {
+	for _, f := range datapathFormats {
+		cfg := CurrentConfig()
+		f.mod(&cfg)
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		tab, err := fixed.NewSinCosTable(cfg.SinLogSize, cfg.TrigFormat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracleIDFT(cfg, trig, waves, sn, cn, pw)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: particle %d: IDFT %v, oracle %v", name, i, got[i], want[i])
+		trigFrac := cfg.TrigFormat.Frac
+		turn := int64(1) << cfg.PosFrac
+		// One wave along x, so a particle's phase is its Ux word.
+		phases := []int64{0, turn / 8, turn / 4, 3 * turn / 8, turn / 2, 5 * turn / 8, 3 * turn / 4, 7 * turn / 8, turn - 1}
+		nExtreme := len(phases)
+		rng := rand.New(rand.NewSource(20))
+		for i := 0; i < 100000; i++ {
+			phases = append(phases, rng.Int63n(turn))
+		}
+
+		// DFT mode: the extreme phases against both ends of the charge format,
+		// the random ones against one end and a random charge word.
+		qf := fixed.F(5, cfg.QFrac)
+		pw := &ParticleWords{}
+		for i, ph := range phases {
+			charges := [2]int64{qf.MaxRaw(), qf.MinRaw()}
+			if i >= nExtreme {
+				charges[i%2] = qf.MinRaw() + rng.Int63n(qf.MaxRaw()-qf.MinRaw()+1)
+			}
+			pw.Ux, pw.Q = append(pw.Ux, ph, ph), append(pw.Q, charges[0], charges[1])
+		}
+		pw.Uy, pw.Uz = make([]int64, len(pw.Ux)), make([]int64, len(pw.Ux))
+		prodWide, accWide := fixed.WideFor(cfg.QFrac+trigFrac), fixed.F(30, cfg.AccFrac)
+		var wantPlus, wantMinus int64
+		for j, ph := range pw.Ux {
+			sj, cj := tab.SinCos(ph, cfg.PosFrac)
+			qs := fixed.Convert(pw.Q[j]*sj, prodWide, accWide)
+			qc := fixed.Convert(pw.Q[j]*cj, prodWide, accWide)
+			wantPlus += qs + qc
+			wantMinus += qs - qc
+		}
+		if plus, minus := dftWave(&sys.trig, sys.dftRound, [3]int{1, 0, 0}, pw); plus != wantPlus || minus != wantMinus {
+			t.Errorf("%s: DFT accumulators (%d, %d), saturating datapath (%d, %d)", f.name, plus, minus, wantPlus, wantMinus)
+		}
+
+		// IDFT mode: one particle per phase, against coefficient pairs at the
+		// block normalization's bound and random ones inside it.
+		one := int64(1) << cfg.CoefFrac
+		var aS, aC []int64
+		for _, c := range [][2]int64{{one, -one}, {-one, one}, {one, one}, {-one, -one}, {one, 0}, {0, -one}} {
+			aS, aC = append(aS, c[0]), append(aC, c[1])
+		}
+		for i := 0; i < 26; i++ {
+			aS, aC = append(aS, rng.Int63n(2*one+1)-one), append(aC, rng.Int63n(2*one+1)-one)
+		}
+		waves := make([]ewald.Wave, len(aS))
+		scaledS, scaledC := make([]int64, len(aS)), make([]int64, len(aS))
+		for w := range waves {
+			waves[w].N = [3]int{1, 0, 0}
+			scaledS[w], scaledC[w] = sys.idftRound.Mul*aS[w], sys.idftRound.Mul*aC[w]
+		}
+		iprodWide, tF := fixed.WideFor(cfg.CoefFrac+trigFrac), fixed.F(2, cfg.IAccFrac)
+		for _, ph := range phases[:3000] { // × 32 waves: 10^5 products
+			si, ci := tab.SinCos(ph, cfg.PosFrac)
+			var want int64
+			for w := range waves {
+				want += fixed.Convert(aC[w]*si-aS[w]*ci, iprodWide, tF)
+			}
+			if ax, ay, az := idftParticle(&sys.trig, sys.idftRound, waves, scaledS, scaledC, ph, 0, 0); ax != want || ay != 0 || az != 0 {
+				t.Fatalf("%s: phase %d: IDFT accumulators (%d, %d, %d), saturating datapath (%d, 0, 0)", f.name, ph, ax, ay, az, want)
 			}
 		}
 	}

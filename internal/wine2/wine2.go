@@ -120,19 +120,50 @@ func (c Config) Validate() error {
 	if c.PosFrac < 8 || c.PosFrac > 40 {
 		return fmt.Errorf("wine2: PosFrac %d outside [8, 40]", c.PosFrac)
 	}
-	if c.SinLogSize < 2 || c.SinLogSize > 20 || !c.TrigFormat.Valid() {
-		return fmt.Errorf("wine2: bad trig unit (logSize %d, format %v)", c.SinLogSize, c.TrigFormat)
-	}
-	if c.PosFrac < c.SinLogSize+2 {
+	if err := fixed.CheckTrigUnit(c.SinLogSize, c.TrigFormat, c.PosFrac); err != nil {
 		// The phase has PosFrac fractional bits; the sine table consumes the
 		// top SinLogSize of them and interpolates on the rest.
-		return fmt.Errorf("wine2: PosFrac %d leaves no interpolation bits below a 2^%d-entry sine table (need >= %d)",
-			c.PosFrac, c.SinLogSize, c.SinLogSize+2)
+		return fmt.Errorf("wine2: trig unit (PosFrac %d, SinLogSize %d, TrigFormat %v): %w",
+			c.PosFrac, c.SinLogSize, c.TrigFormat, err)
 	}
 	if c.QFrac < 4 || c.AccFrac < 8 || c.CoefFrac < 8 || c.IAccFrac < 8 {
 		return fmt.Errorf("wine2: accumulator formats too narrow")
 	}
-	return nil
+	_, _, err := c.rounders()
+	return err
+}
+
+// rounders resolves the two reductions of a full-width product to the
+// accumulator precision, as a fixed-width adder tree would make them: q·sin
+// (QFrac + TrigFormat.Frac fractional bits) to the DFT accumulator, and
+// a_n·(C sin θ − S cos θ) (CoefFrac + TrigFormat.Frac bits) to the IDFT
+// accumulator. Neither unit has a saturator; this is the proof that neither
+// needs one, from the operand maxima of the configuration. No sine sample or
+// interpolant exceeds 2^TrigFormat.Frac in magnitude (the table stores
+// Quantize(sin) and |sin| ≤ 1; the format's own range, which for s1.22 admits
+// 2.0, is not the bound), so
+//
+//	|q·sin|           ≤ 2^(5+QFrac) · 2^TrigFrac      (charges saturate in s5.QFrac)
+//	|aC·sin − aS·cos| ≤ 2 · 2^CoefFrac · 2^TrigFrac   (block normalization: |aS|, |aC| ≤ 2^CoefFrac)
+//
+// which round to at most 2^(5+AccFrac) against the s30.AccFrac accumulator
+// term's 2^(30+AccFrac) − 1, and to at most 2^(IAccFrac+1) against the
+// s2.IAccFrac term's 2^(IAccFrac+2) − 1. What a configuration can get wrong
+// is the width: a product past the 62-bit carrier, or an accumulator format
+// that does not fit it — those are refused here instead of computed.
+func (c Config) rounders() (dft, idft fixed.Rounder, err error) {
+	trigFrac := c.TrigFormat.Frac
+	dft, err = fixed.NewRounder(fixed.WideFor(c.QFrac+trigFrac), fixed.F(30, c.AccFrac), 5+c.QFrac+trigFrac)
+	if err != nil {
+		return dft, idft, fmt.Errorf("wine2: DFT product (QFrac %d × TrigFormat %v → AccFrac %d): %w",
+			c.QFrac, c.TrigFormat, c.AccFrac, err)
+	}
+	idft, err = fixed.NewRounder(fixed.WideFor(c.CoefFrac+trigFrac), fixed.F(2, c.IAccFrac), 1+c.CoefFrac+trigFrac)
+	if err != nil {
+		return dft, idft, fmt.Errorf("wine2: IDFT product (CoefFrac %d × TrigFormat %v → IAccFrac %d): %w",
+			c.CoefFrac, c.TrigFormat, c.IAccFrac, err)
+	}
+	return dft, idft, nil
 }
 
 // Stats accumulates work counters for the timing model.
@@ -154,11 +185,9 @@ type System struct {
 	pool  *parallelize.Pool
 
 	// The datapath, resolved once for cfg — widths are wiring, not run-time
-	// values: the sine table for PosFrac-bit phases, and the rounders that
-	// reduce a full-width product to the accumulator precision, as a
-	// fixed-width adder tree would (q·sin, QFrac+TrigFrac fractional bits, to
-	// the DFT accumulator; a_n·(C sin θ − S cos θ), CoefFrac+TrigFrac bits, to
-	// the IDFT accumulator).
+	// decisions: the sine table for PosFrac-bit phases and the two
+	// product-to-accumulator rounders of Config.rounders. The pipeline loops
+	// read these words into registers once per pass.
 	trig      fixed.TrigUnit
 	dftRound  fixed.Rounder
 	idftRound fixed.Rounder
@@ -167,7 +196,10 @@ type System struct {
 	fc     soa.Coords // force planes behind the array-of-structs IDFT entry points
 }
 
-// NewSystem builds a simulated system.
+// NewSystem builds a simulated system. It refuses a configuration whose
+// datapath does not fit the carrier (Config.Validate): the pipelines run
+// without saturators on the strength of that check, whose two inequalities
+// are stated on Config.rounders.
 func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -176,17 +208,14 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	trig, err := table.Unit(cfg.PosFrac)
-	if err != nil {
+	s := &System{cfg: cfg}
+	if s.trig, err = table.Unit(cfg.PosFrac); err != nil {
 		return nil, err
 	}
-	trigFrac := cfg.TrigFormat.Frac
-	return &System{
-		cfg:       cfg,
-		trig:      trig,
-		dftRound:  fixed.NewRounder(fixed.WideFor(cfg.QFrac+trigFrac), fixed.F(30, cfg.AccFrac)),
-		idftRound: fixed.NewRounder(fixed.WideFor(cfg.CoefFrac+trigFrac), fixed.F(2, cfg.IAccFrac)),
-	}, nil
+	if s.dftRound, s.idftRound, err = cfg.rounders(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Config returns the hardware configuration.
@@ -337,7 +366,7 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 	accF := fixed.F(0, s.cfg.AccFrac) // conversion scale for readout
 	_ = s.pool.Run(len(waves), func(_, lo, hi int) error {
 		for w := lo; w < hi; w++ {
-			accPlus, accMinus := dftWave(&s.trig, &s.dftRound, waves[w].N, pw)
+			accPlus, accMinus := dftWave(&s.trig, s.dftRound, waves[w].N, pw)
 			if w == flipWave {
 				accPlus ^= 1 << flipBit
 			}
@@ -354,22 +383,31 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 }
 
 // dftWave streams the particle image through one pipeline in DFT mode and
-// returns the wave's S+C and S−C accumulators (AccFrac fractional bits).
-func dftWave(trig *fixed.TrigUnit, round *fixed.Rounder, nv [3]int, pw *ParticleWords) (accPlus, accMinus int64) {
+// returns the wave's S+C and S−C accumulators (AccFrac fractional bits). The
+// units' words are read once and live in registers for the whole pass.
+// Two's-complement sums commute, so the pass accumulates Σ q·sin and Σ q·cos
+// and forms the two outputs once, at readout.
+func dftWave(trig *fixed.TrigUnit, round fixed.Rounder, nv [3]int, pw *ParticleWords) (accPlus, accMinus int64) {
+	lo, hi := trig.Rows()
+	shift, half := trig.Shift, trig.Half
+	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
 	n0, n1, n2 := int64(nv[0]), int64(nv[1]), int64(nv[2])
 	ux := pw.Ux
 	uy, uz, qw := pw.Uy[:len(ux)], pw.Uz[:len(ux)], pw.Q[:len(ux)]
+	var s, c int64
 	for j := range ux {
 		// n⃗·u⃗ in turns (PosFrac fractional bits): an exact integer ×
 		// fixed-point product whose two's-complement overflow is the wrap
 		// modulo one turn; it cannot overflow int64 for |n| below 2^20.
 		ph := n0*ux[j] + n1*uy[j] + n2*uz[j]
-		qs := round.Round(qw[j] * trig.Sin(ph))
-		qc := round.Round(qw[j] * trig.Cos(ph))
-		accPlus += qs + qc
-		accMinus += qs - qc
+		i, rem := ph>>(shift&63)&idxMask, ph&remMask
+		sin := fixed.Lerp(lo, hi, i, rem, half, shift)
+		cos := fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
+		q := qw[j] * round.Mul
+		s += round.Round(q * sin)
+		c += round.Round(q * cos)
 	}
-	return accPlus, accMinus
+	return s + c, s - c
 }
 
 // IDFT runs the pipelines in IDFT mode (eq. 11): given the structure factors,
@@ -423,9 +461,12 @@ func (s *System) idftPrepare(waves []ewald.Wave, sn, cn []float64) (aS, aC []int
 	}
 	aS = s.aS[:len(waves)]
 	aC = s.aC[:len(waves)]
+	// The coefficient words carry the IDFT rounder's operand scale into the
+	// pipelines: once per wave here, not once per particle·wave there.
+	mul := s.idftRound.Mul
 	for w := range waves {
-		aS[w] = cf.Quantize(waves[w].A * sn[w] / scale)
-		aC[w] = cf.Quantize(waves[w].A * cn[w] / scale)
+		aS[w] = mul * cf.Quantize(waves[w].A*sn[w]/scale)
+		aC[w] = mul * cf.Quantize(waves[w].A*cn[w]/scale)
 	}
 	return aS, aC, scale, nil
 }
@@ -471,7 +512,7 @@ func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, p
 
 	_ = s.pool.Run(pw.N(), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			ax, ay, az := idftParticle(&s.trig, &s.idftRound, waves, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i])
+			ax, ay, az := idftParticle(&s.trig, s.idftRound, waves, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i])
 			qp := pref * pw.q[i]
 			fx[i] = iaccF.Float(ax) * qp
 			fy[i] = iaccF.Float(ay) * qp
@@ -485,13 +526,20 @@ func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, p
 }
 
 // idftParticle streams the wave coefficients past one particle in IDFT mode
-// and returns its three force accumulators (IAccFrac fractional bits).
-func idftParticle(trig *fixed.TrigUnit, round *fixed.Rounder, waves []ewald.Wave, aS, aC []int64, ux, uy, uz int64) (ax, ay, az int64) {
+// and returns its three force accumulators (IAccFrac fractional bits). aS and
+// aC carry the rounder's operand scale (idftPrepare).
+func idftParticle(trig *fixed.TrigUnit, round fixed.Rounder, waves []ewald.Wave, aS, aC []int64, ux, uy, uz int64) (ax, ay, az int64) {
+	lo, hi := trig.Rows()
+	shift, half := trig.Shift, trig.Half
+	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
 	aS, aC = aS[:len(waves)], aC[:len(waves)]
 	for w := range waves {
 		n0, n1, n2 := int64(waves[w].N[0]), int64(waves[w].N[1]), int64(waves[w].N[2])
 		ph := n0*ux + n1*uy + n2*uz
-		t := round.Round(aC[w]*trig.Sin(ph) - aS[w]*trig.Cos(ph))
+		i, rem := ph>>(shift&63)&idxMask, ph&remMask
+		sin := fixed.Lerp(lo, hi, i, rem, half, shift)
+		cos := fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
+		t := round.Round(aC[w]*sin - aS[w]*cos)
 		ax += t * n0
 		ay += t * n1
 		az += t * n2

@@ -3,9 +3,12 @@ package wine2
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mdm/internal/ewald"
+	"mdm/internal/fixed"
+	"mdm/internal/soa"
 	"mdm/internal/vec"
 )
 
@@ -71,6 +74,46 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := NewSystem(c); err != nil {
 		t.Errorf("NewSystem(PosFrac 14 / SinLogSize 12): %v", err)
+	}
+}
+
+// TestConfigRejectsUnrepresentableFormats: widths past the 62-bit carrier used
+// to compute garbage with a nil error — an AccFrac of 40 clamped every DFT term
+// to zero, a QFrac or CoefFrac of 45 or an s1.50 sine overflowed the products,
+// an s1.40 sine over 38 interpolation bits overflowed the interpolant. Each is
+// now an error naming the width, from every constructor; every format the
+// tests and the ablations run on is still accepted.
+func TestConfigRejectsUnrepresentableFormats(t *testing.T) {
+	for _, c := range []struct {
+		mod   func(*Config)
+		width string // the offending width, as the error must name it
+	}{
+		{func(c *Config) { c.AccFrac = 40 }, "AccFrac 40"},
+		{func(c *Config) { c.QFrac = 45 }, "QFrac 45"},
+		{func(c *Config) { c.CoefFrac = 45 }, "CoefFrac 45"},
+		{func(c *Config) { c.TrigFormat = fixed.F(1, 50) }, "s1.50"},
+		{func(c *Config) { c.PosFrac, c.SinLogSize, c.TrigFormat = 40, 2, fixed.F(1, 40) }, "s1.40"},
+		{func(c *Config) { c.IAccFrac = 60 }, "IAccFrac 60"},
+	} {
+		cfg := CurrentConfig()
+		c.mod(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.width) {
+			t.Errorf("Validate with %s: error %v does not name the width", c.width, err)
+		}
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("NewSystem accepted %s", c.width)
+		}
+		if _, err := NewLibrary(cfg); err == nil {
+			t.Errorf("NewLibrary accepted %s", c.width)
+		}
+	}
+	for _, f := range datapathFormats {
+		cfg := CurrentConfig()
+		f.mod(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s rejected: %v", f.name, err)
+		}
 	}
 }
 
@@ -364,31 +407,61 @@ func TestPhaseWraps(t *testing.T) {
 	}
 }
 
-func BenchmarkDFT(b *testing.B) {
-	sys, _ := NewSystem(CurrentConfig())
-	const l = 12.0
-	pos, q := testSystem(256, l, 1)
-	p := ewald.Params{L: l, Alpha: 7, RCut: 5, LKCut: 6}
-	waves := ewald.Waves(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.DFT(l, waves, pos, q); err != nil {
-			b.Fatal(err)
-		}
+// benchShapes are the two problem sizes the loop benchmarks run: the small
+// 256 × 452 one of the earlier records, and the particle·wave shape of the
+// repo benchmark's wave_n512 workload (512 ions, α = 14: 2,472 waves), where
+// these two loops are the step.
+var benchShapes = []struct {
+	name string
+	n    int
+	p    ewald.Params
+}{
+	{"n256", 256, ewald.Params{L: 12, Alpha: 7, RCut: 5, LKCut: 6}},
+	{"wave_n512", 512, ewald.ParamsForAlpha(22.56, 14)},
+}
+
+// benchPipelines times one pipeline pass alone — pre-quantized particle
+// image, reused outputs, no allocation — and reports its unit cost.
+func benchPipelines(b *testing.B, pass func(sys *System, waves []ewald.Wave, pw *ParticleWords, sn, cn []float64) error) {
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			sys, err := NewSystem(CurrentConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			pos, q := testSystem(shape.n, shape.p.L, 1)
+			waves := ewald.Waves(shape.p)
+			pw, err := sys.Quantize(shape.p.L, pos, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sn, cn, err := sys.DFTQuantizedInto(waves, pw, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := pass(sys, waves, pw, sn, cn); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ops := float64(b.N) * float64(shape.n) * float64(len(waves))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ops, "ns/particle·wave")
+		})
 	}
 }
 
+func BenchmarkDFT(b *testing.B) {
+	benchPipelines(b, func(sys *System, waves []ewald.Wave, pw *ParticleWords, sn, cn []float64) error {
+		_, _, err := sys.DFTQuantizedInto(waves, pw, sn, cn)
+		return err
+	})
+}
+
 func BenchmarkIDFT(b *testing.B) {
-	sys, _ := NewSystem(CurrentConfig())
-	const l = 12.0
-	pos, q := testSystem(256, l, 1)
-	p := ewald.Params{L: l, Alpha: 7, RCut: 5, LKCut: 6}
-	waves := ewald.Waves(p)
-	sn, cn := ewald.StructureFactors(waves, pos, q)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.IDFT(l, waves, sn, cn, pos, q); err != nil {
-			b.Fatal(err)
-		}
-	}
+	var fc soa.Coords
+	benchPipelines(b, func(sys *System, waves []ewald.Wave, pw *ParticleWords, sn, cn []float64) (err error) {
+		fc, err = sys.IDFTQuantizedCoordsInto(waves, sn, cn, pw, fc)
+		return err
+	})
 }

@@ -31,6 +31,9 @@ go test ./...
 echo "==> make race (concurrency-bearing packages under the race detector)"
 make race
 
+echo "==> make bench-build (the kernel micro-benchmarks compile and run once)"
+make bench-build
+
 echo "==> bench smoke (neither the parallel widths nor the engine-overlap pipeline may lose to serial; prints the overlap ratio at GOMAXPROCS=2)"
 GOMAXPROCS=2 go run ./cmd/mdmbench -smoke -iters 3 -reps 2
 
