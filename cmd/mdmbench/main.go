@@ -295,7 +295,7 @@ func run(widths []int, iters, reps, weakSteps int) (*Report, error) {
 	// step shapes (skipped when weakSteps is 0, e.g. in smoke mode, which
 	// has its own quick weak-scaling gate).
 	if weakSteps > 0 {
-		ws, err := weakScaling(weakRungs, 2, weakSteps)
+		ws, err := weakScaling(weakRungs, weakSteps)
 		if err != nil {
 			return nil, err
 		}
@@ -459,7 +459,7 @@ func main() {
 	iters := flag.Int("iters", 10, "operations per timing sample")
 	reps := flag.Int("reps", 3, "timing samples per configuration (best is kept)")
 	smokeMode := flag.Bool("smoke", false, "CI gate: neither the parallel widths nor the engine-overlap pipeline may lose to the serial Figure-2 step")
-	weakSmokeMode := flag.Bool("weak-smoke", false, "CI gate: the decomposition's reuse step must stream only ghost positions, and per-particle cost must stay flat at 8 ranks")
+	weakSmokeMode := flag.Bool("weak-smoke", false, "CI gate: the decomposition's reuse step must be as accurate as a rebuild step and stream only ghost positions, and per-particle cost must stay flat at 8 ranks")
 	weakSteps := flag.Int("weak-steps", 6, "timed steps per rung in the weak-scaling family (0 skips the family)")
 	compareMode := flag.Bool("compare", false, "compare two recorded reports: mdmbench -compare OLD.json NEW.json")
 	threshold := flag.Float64("threshold", 0.20, "ns/op growth beyond this fraction counts as a regression in -compare")

@@ -13,6 +13,7 @@ import (
 	"mdm/internal/ewald"
 	"mdm/internal/md"
 	"mdm/internal/mpi"
+	"mdm/internal/vec"
 )
 
 // TagTraffic is the per-tag MPI traffic of one step, labeled with the
@@ -52,6 +53,13 @@ type WeakScalingResult struct {
 	// only ghost positions stream. Tags with no traffic are omitted.
 	RebuildTraffic []TagTraffic `json:"rebuild_traffic"`
 	ReuseTraffic   []TagTraffic `json:"reuse_traffic"`
+
+	// Relative RMS force error of those two steps against the float64
+	// reference Ewald (core.NewReference). A reuse step evaluates the pair set
+	// of the last rebuild on current coordinates, so the two must agree; they
+	// part only if the frozen layout and the coordinates it is read with do.
+	RebuildForceRelErr float64 `json:"rebuild_force_rel_err"`
+	ReuseForceRelErr   float64 `json:"reuse_force_rel_err"`
 }
 
 // weakRungs is the ladder: rank count and box side (in rock-salt cells) grow
@@ -77,6 +85,12 @@ func weakParams(cells int) ewald.Params {
 	return p
 }
 
+// weakWarmup is the untimed lead-in of every rung: long enough that the
+// crystal's face layers are in thermal motion and some ion crosses the box
+// boundary on every step, so the bracketed reuse step has crossers to get
+// wrong.
+const weakWarmup = 30
+
 // weakTags is the fixed, deterministic order traffic rows are reported in.
 var weakTags = []int{core.TagMigrate, core.TagHalo, core.TagGhostPos, core.TagForces, core.TagGroupReduce}
 
@@ -97,10 +111,21 @@ func trafficDelta(before, after map[int]mpi.Stats) []TagTraffic {
 	return out
 }
 
+// forceRelErr is the relative RMS difference of the integrator's current
+// forces from the reference's on the same positions.
+func forceRelErr(ref *core.Reference, it *md.Integrator, sys *md.System) (float64, error) {
+	want, _, err := ref.Forces(sys)
+	if err != nil {
+		return 0, err
+	}
+	return vec.RelRMSDiff(it.Forces(), want), nil
+}
+
 // weakRung times one rung of the ladder: steps NVE steps of the 1200 K
 // melt protocol at fixed 64 ions/rank, plus a forced-rebuild step and a
-// reuse step bracketed by per-tag traffic snapshots.
-func weakRung(ranks, cells, warmup, steps int) (WeakScalingResult, error) {
+// reuse step bracketed by per-tag traffic snapshots and checked against the
+// reference Ewald.
+func weakRung(ranks, cells, steps int) (WeakScalingResult, error) {
 	p := weakParams(cells)
 	cfg := core.CurrentMachineConfig(p)
 	cfg.PotentialEvery = 100
@@ -114,6 +139,10 @@ func weakRung(ranks, cells, warmup, steps int) (WeakScalingResult, error) {
 		return WeakScalingResult{}, err
 	}
 	defer func() { _ = run.Free() }()
+	ref, err := core.NewReference(p)
+	if err != nil {
+		return WeakScalingResult{}, err
+	}
 	sys, err := md.NewRockSalt(cells, 5.64)
 	if err != nil {
 		return WeakScalingResult{}, err
@@ -123,7 +152,7 @@ func weakRung(ranks, cells, warmup, steps int) (WeakScalingResult, error) {
 	if err != nil {
 		return WeakScalingResult{}, err
 	}
-	if err := it.Run(warmup, nil); err != nil {
+	if err := it.Run(weakWarmup, nil); err != nil {
 		return WeakScalingResult{}, err
 	}
 
@@ -142,32 +171,42 @@ func weakRung(ranks, cells, warmup, steps int) (WeakScalingResult, error) {
 		return WeakScalingResult{}, err
 	}
 	mid := world.StatsByTag()
+	rebuildErr, err := forceRelErr(ref, it, sys)
+	if err != nil {
+		return WeakScalingResult{}, err
+	}
 	if err := it.Run(1, nil); err != nil {
 		return WeakScalingResult{}, err
 	}
 	after := world.StatsByTag()
+	reuseErr, err := forceRelErr(ref, it, sys)
+	if err != nil {
+		return WeakScalingResult{}, err
+	}
 
 	n := sys.N()
 	return WeakScalingResult{
-		Ranks:            ranks,
-		Cells:            cells,
-		N:                n,
-		ParticlesPerRank: n / ranks,
-		Steps:            steps,
-		NsPerStep:        nsPerStep,
-		NsPerParticle:    nsPerStep / float64(n),
-		RebuildTraffic:   trafficDelta(before, mid),
-		ReuseTraffic:     trafficDelta(mid, after),
+		Ranks:              ranks,
+		Cells:              cells,
+		N:                  n,
+		ParticlesPerRank:   n / ranks,
+		Steps:              steps,
+		NsPerStep:          nsPerStep,
+		NsPerParticle:      nsPerStep / float64(n),
+		RebuildTraffic:     trafficDelta(before, mid),
+		ReuseTraffic:       trafficDelta(mid, after),
+		RebuildForceRelErr: rebuildErr,
+		ReuseForceRelErr:   reuseErr,
 	}, nil
 }
 
 // weakScaling runs the ladder and fills in efficiencies against the
 // single-rank rung.
-func weakScaling(rungs []struct{ ranks, cells int }, warmup, steps int) ([]WeakScalingResult, error) {
+func weakScaling(rungs []struct{ ranks, cells int }, steps int) ([]WeakScalingResult, error) {
 	var out []WeakScalingResult
 	var base WeakScalingResult
 	for _, rung := range rungs {
-		r, err := weakRung(rung.ranks, rung.cells, warmup, steps)
+		r, err := weakRung(rung.ranks, rung.cells, steps)
 		if err != nil {
 			return nil, fmt.Errorf("weak scaling ranks=%d: %w", rung.ranks, err)
 		}
@@ -196,9 +235,13 @@ func bytesFor(rows []TagTraffic, tag int) int64 {
 	return 0
 }
 
-// weakSmoke gates CI on the decomposition's two structural claims, sized to
-// stay quick ({1,8} ranks, a handful of steps):
+// weakSmoke gates CI on the decomposition's structural claims, sized to stay
+// quick ({1,8} ranks, a handful of timed steps):
 //
+//   - correctness: a reuse step is as accurate against the reference Ewald as
+//     a rebuild step (within 1.5×). The 8-rank rung's grid has 4 cells a side,
+//     where a particle read on the wrong periodic image is not rescued by the
+//     walk covering every image anyway (weakWarmup supplies the crossers);
 //   - protocol: a reuse step streams ghost positions only — no halo, no
 //     migration — and moves strictly fewer bytes than a rebuild step;
 //   - overhead: the per-particle step cost at 8 ranks stays within 2× of the
@@ -208,11 +251,15 @@ func bytesFor(rows []TagTraffic, tag int) int64 {
 //     world time-shares the ranks and wall efficiency measures the host,
 //     not the decomposition.
 func weakSmoke() error {
-	results, err := weakScaling(weakRungs[:2], 1, 3)
+	results, err := weakScaling(weakRungs[:2], 3)
 	if err != nil {
 		return err
 	}
 	for _, r := range results {
+		if r.ReuseForceRelErr > 1.5*r.RebuildForceRelErr {
+			return fmt.Errorf("weak smoke ranks=%d: reuse step force error %.3g vs rebuild step %.3g against the reference Ewald (allowed ≤ 1.5×)",
+				r.Ranks, r.ReuseForceRelErr, r.RebuildForceRelErr)
+		}
 		if r.Ranks == 1 {
 			continue
 		}
@@ -234,8 +281,8 @@ func weakSmoke() error {
 		if r.PerParticleEff < 1/margin {
 			return fmt.Errorf("weak smoke ranks=%d: per-particle efficiency %.2f (required ≥ %.2f)", r.Ranks, r.PerParticleEff, 1/margin)
 		}
-		fmt.Printf("weak smoke: ranks=%d per-particle efficiency %.2f, reuse %d B vs rebuild %d B (num_cpu=%d)\n",
-			r.Ranks, r.PerParticleEff, ghost, rebuild, runtime.NumCPU())
+		fmt.Printf("weak smoke: ranks=%d per-particle efficiency %.2f, reuse %d B vs rebuild %d B, force error reuse %.3g vs rebuild %.3g (num_cpu=%d)\n",
+			r.Ranks, r.PerParticleEff, ghost, rebuild, r.ReuseForceRelErr, r.RebuildForceRelErr, runtime.NumCPU())
 	}
 	return nil
 }

@@ -16,7 +16,9 @@ import (
 // structure-of-arrays refactor and every bit-identity knob: worker width,
 // pipeline overlap, and — per skin value, since a Verlet skin selects its own
 // discretization — the j-set reuse path. Config: Cells/Temperature=1200/
-// Seed=1/Dt=2/BackendMDM/PotentialEvery=100, RunNVE(50).
+// Seed=1/Dt=2/BackendMDM/PotentialEvery=100, RunNVE(50). The skin 0.5 rows
+// are the frozen-layout reuse step's (cellindex.Sorted.Refresh); a hash pins
+// bits, not accuracy — that is TestSkinReuseStepsMatchRebuildSteps.
 //
 // If one of these ever changes, the step path's arithmetic changed: that is a
 // physics regression (or an intentional discretization change that must
@@ -28,9 +30,9 @@ var goldenNVE = []struct {
 	final string // hash of positions then velocities after 50 NVE steps
 }{
 	{cells: 2, skin: 0, init: "b10ea6a48da85105", final: "21b4654a55f7805a"},
-	{cells: 2, skin: 0.5, init: "b10ea6a48da85105", final: "56b71747254744ae"},
+	{cells: 2, skin: 0.5, init: "b10ea6a48da85105", final: "c2bdca3cb2f84442"},
 	{cells: 3, skin: 0, init: "faf5142d2a2f554d", final: "cf600f310cdd6446"},
-	{cells: 3, skin: 0.5, init: "faf5142d2a2f554d", final: "be381edb9b4c29f2"},
+	{cells: 3, skin: 0.5, init: "faf5142d2a2f554d", final: "f1b21afd6a687db2"},
 }
 
 // hashVecs folds vectors into an FNV-64a running hash, little-endian float64

@@ -190,15 +190,27 @@ func wrapCell(i, n int) (wrapped, shift int) {
 }
 
 // Sorted is the contiguous-per-cell particle layout: the paper's particle
-// memory plus cell memory. Positions are wrapped into the box and stored as
-// structure-of-arrays planes — the flat banked j-particle memory the board
-// streams (§3.3) — with a float32 mirror for the single-precision pipelines
-// (one narrowing per particle per rebuild instead of one per visited pair).
+// memory plus cell memory, which is all the board knows between two host sorts
+// (§2.2, §3.3, Fig. 9). Positions are stored as structure-of-arrays planes —
+// the flat banked j-particle memory the board streams (§3.3) — with a float32
+// mirror for the single-precision pipelines (one narrowing per particle per
+// write instead of one per visited pair).
+//
+// The layout is frozen between sorts: SortInto decides each particle's cell,
+// its slot and the periodic image it is stored on (the one inside the box),
+// and Refresh changes none of the three — it only moves the stored coordinate
+// along with the particle. Every pair walk over the layout, on either side of
+// a pair, reads the cell and the coordinate from here, so the pair set and the
+// image shifts decided at the sort stay valid for as long as the caller's
+// Verlet-skin bound holds (no particle further than skin/2 from where it was
+// sorted, on a grid whose cells are at least r_cut + skin wide).
 type Sorted struct {
 	Grid  *Grid
-	Pos   soa.Coords   // positions in sorted order, wrapped into [0, L)³
+	Pos   soa.Coords   // positions in sorted order: in [0, L)³ after a sort, up to the skin bound outside after a Refresh
 	P32   soa.Coords32 // float32(Pos) mirror, maintained by SortInto/Refresh
 	Order []int        // Order[k] = original index of sorted particle k
+	Slot  []int        // Slot[i] = sorted index of original particle i (the inverse of Order)
+	Cell  []int        // Cell[i] = cell original particle i was sorted into
 	Start []int        // len NumCells+1; cell c owns sorted indices [Start[c], Start[c+1])
 }
 
@@ -232,12 +244,12 @@ func SortPool(g *Grid, pos []vec.V, pool *parallelize.Pool) *Sorted {
 	return NewSorter(g).SortInto(nil, pos, pool)
 }
 
-// Sorter owns the scratch state of the counting sort (cell assignments,
-// per-shard count and scatter-base tables) so repeated sorts over the same
-// grid allocate nothing. One Sorter serves one caller at a time.
+// Sorter owns the scratch state of the counting sort (per-shard count and
+// scatter-base tables; the cell assignments are part of the layout) so
+// repeated sorts over the same grid allocate nothing. One Sorter serves one
+// caller at a time.
 type Sorter struct {
 	g      *Grid
-	cells  []int
 	counts [][]int
 	base   [][]int
 }
@@ -265,20 +277,18 @@ func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *So
 		dst.P32 = dst.P32.Resize(n)
 	}
 	if len(dst.Order) != n || len(dst.Start) != nc+1 {
-		// One slab carved into both index tables; the capped slices keep the
+		// One slab carved into the four index tables; the capped slices keep the
 		// planes independent (an append can never cross into the neighbor).
-		s := make([]int, n+nc+1)
+		s := make([]int, 3*n+nc+1)
 		dst.Order = s[0:n:n]
-		dst.Start = s[n : n+nc+1 : n+nc+1]
+		dst.Slot = s[n : 2*n : 2*n]
+		dst.Cell = s[2*n : 3*n : 3*n]
+		dst.Start = s[3*n : 3*n+nc+1 : 3*n+nc+1]
 	}
 	if n < serialSortCutoff {
 		pool = nil
 	}
 	shards := parallelize.Shards(n, pool.Workers())
-	if len(so.cells) < n {
-		so.cells = make([]int, n)
-	}
-	cells := so.cells[:n]
 	for len(so.counts) < len(shards) {
 		//mdm:hotallocok -- amortized scratch growth: grows to the worker count once, then reuses across sorts
 		so.counts = append(so.counts, nil)
@@ -302,7 +312,7 @@ func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *So
 		}
 		for i := lo; i < hi; i++ {
 			c := g.CellOf(pos[i])
-			cells[i] = c
+			dst.Cell[i] = c
 			cnt[c]++
 		}
 		return nil
@@ -329,13 +339,14 @@ func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *So
 	_ = pool.Run(n, func(shard, lo, hi int) error {
 		fill := base[shard]
 		for i := lo; i < hi; i++ {
-			c := cells[i]
+			c := dst.Cell[i]
 			k := fill[c]
 			fill[c]++
 			w := pos[i].Wrap(g.L)
 			dst.Pos.Set(k, w)
 			dst.P32.Set(k, w)
 			dst.Order[k] = i
+			dst.Slot[i] = k
 		}
 		return nil
 	})
@@ -360,18 +371,25 @@ func (s *Sorted) Unsort(dst, src []vec.V) {
 	}
 }
 
-// Refresh rewrites the sorted positions from the current original-order
-// positions without re-sorting: Pos[k] = pos[Order[k]] wrapped into the box.
-// The cell assignment (Order, Start) is left as built, so the layout is valid
-// as long as no particle has left the shell its cell size allows for — the
-// Verlet-skin reuse contract (rebuild when max displacement exceeds skin/2).
-// pos must have the same length as the sorted layout.
+// Refresh moves the stored coordinates to the current original-order positions
+// without re-sorting. Cell, slot and periodic image stay as sorted: Pos[k]
+// becomes the image of pos[Order[k]] nearest the coordinate already stored, so
+// a particle that has crossed a box face since the sort is stored just outside
+// [0, L) — next to the neighbors its cell's image shifts were worked out for —
+// instead of an L away from them. pos may hold any image of a particle (the
+// integrator re-wraps every step) provided it has moved less than L/2 since
+// the last sort or Refresh; the Verlet-skin bound the caller keeps (rebuild
+// once a displacement exceeds skin/2) is far inside that. pos must have the
+// same length as the sorted layout.
 func (s *Sorted) Refresh(pos []vec.V) {
 	l := s.Grid.L
 	for k, orig := range s.Order {
-		w := pos[orig].Wrap(l)
-		s.Pos.Set(k, w)
-		s.P32.Set(k, w)
+		p := pos[orig]
+		p.X -= l * math.Round((p.X-s.Pos.X[k])/l)
+		p.Y -= l * math.Round((p.Y-s.Pos.Y[k])/l)
+		p.Z -= l * math.Round((p.Z-s.Pos.Z[k])/l)
+		s.Pos.Set(k, p)
+		s.P32.Set(k, p)
 	}
 }
 

@@ -122,13 +122,20 @@ func TestSortedLayoutContiguous(t *testing.T) {
 	if total != 500 {
 		t.Fatalf("ranges cover %d particles", total)
 	}
-	// Order must be a permutation.
+	// Order must be a permutation, Slot its inverse, and Cell the cell whose
+	// range holds the particle's slot.
 	seen := make([]bool, 500)
-	for _, o := range s.Order {
+	for k, o := range s.Order {
 		if seen[o] {
 			t.Fatalf("index %d appears twice in Order", o)
 		}
 		seen[o] = true
+		if s.Slot[o] != k {
+			t.Fatalf("Slot[%d] = %d, but Order[%d] = %d", o, s.Slot[o], k, o)
+		}
+		if a, b := s.CellRange(s.Cell[o]); k < a || k >= b {
+			t.Fatalf("particle %d filed under cell %d, whose range [%d, %d) misses its slot %d", o, s.Cell[o], a, b, k)
+		}
 	}
 }
 

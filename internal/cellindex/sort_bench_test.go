@@ -128,3 +128,79 @@ func TestRefreshMatchesResort(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshKeepsCellSlotAndImage names the trap of refreshing a sorted
+// layout: a particle that crosses a box face between the sort and the Refresh
+// comes back from the integrator wrapped to the other side of the box, but its
+// cell — and the image shifts every neighboring cell reaches it through — are
+// those of the sort. The layout must keep it on the image it was sorted on,
+// stored just outside [0, L), in the same cell and slot; re-wrapping it would
+// put it a box length from where its cell's neighbors look for it.
+func TestRefreshKeepsCellSlotAndImage(t *testing.T) {
+	const l = 12.0
+	g, err := NewGrid(l, 3.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := randomPositions(200, l, 9)
+	const up, down = 17, 42 // cross x = L upward, x = 0 downward
+	pos[up] = vec.New(l-0.02, 5, 7)
+	pos[down] = vec.New(0.03, 8, 2)
+	s := Sort(g, pos)
+	order := append([]int(nil), s.Order...)
+	slot := append([]int(nil), s.Slot...)
+	cell := append([]int(nil), s.Cell...)
+	start := append([]int(nil), s.Start...)
+
+	// What the integrator hands back: every particle nudged, every position
+	// wrapped into the box.
+	moved := make([]vec.V, len(pos))
+	for i, p := range pos {
+		moved[i] = p.Add(vec.New(0.05, -0.01, 0.02)).Wrap(l)
+	}
+	moved[down] = pos[down].Add(vec.New(-0.05, 0.01, 0.02)).Wrap(l)
+	if !(moved[up].X < 1 && moved[down].X > l-1) {
+		t.Fatalf("fixture: crossers at x = %v and %v did not wrap", moved[up].X, moved[down].X)
+	}
+
+	for pass := 0; pass < 2; pass++ { // a second Refresh on the same positions is stable
+		s.Refresh(moved)
+		for i := range pos {
+			if s.Slot[i] != slot[i] || s.Cell[i] != cell[i] || s.Order[slot[i]] != order[slot[i]] {
+				t.Fatalf("pass %d: particle %d moved in the layout", pass, i)
+			}
+		}
+		for c := range start {
+			if s.Start[c] != start[c] {
+				t.Fatalf("pass %d: start %d moved", pass, c)
+			}
+		}
+		if x := s.At(slot[up]).X; !(x >= l) {
+			t.Errorf("pass %d: upward crosser stored at x = %v, inside the box", pass, x)
+		}
+		if x := s.At(slot[down]).X; !(x < 0) {
+			t.Errorf("pass %d: downward crosser stored at x = %v, inside the box", pass, x)
+		}
+		// The stored coordinate is the image of the current position on the
+		// sorted particle's side of the box.
+		sameSide := func(x, sortedAt float64) float64 {
+			switch {
+			case x-sortedAt > l/2:
+				return x - l
+			case x-sortedAt < -l/2:
+				return x + l
+			}
+			return x
+		}
+		for i, m := range moved {
+			got := s.At(s.Slot[i])
+			want := vec.New(sameSide(m.X, pos[i].X), sameSide(m.Y, pos[i].Y), sameSide(m.Z, pos[i].Z))
+			if got != want {
+				t.Fatalf("pass %d: particle %d stored at %v, want %v", pass, i, got, want)
+			}
+			if s.P32.X[s.Slot[i]] != float32(got.X) || s.P32.Y[s.Slot[i]] != float32(got.Y) || s.P32.Z[s.Slot[i]] != float32(got.Z) {
+				t.Fatalf("pass %d: particle %d: float32 mirror out of step with the stored coordinate", pass, i)
+			}
+		}
+	}
+}

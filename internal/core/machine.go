@@ -100,10 +100,12 @@ type MachineConfig struct {
 	// Skin widens the cell grid to RCut+Skin (Å) so the sorted j-set can be
 	// reused across steps until some particle has moved more than Skin/2
 	// since the last rebuild — the Verlet-skin amortization of the host sort.
-	// Zero rebuilds every step. A non-zero skin changes which far pairs the
-	// cutoff-free 27-cell walk sees, so it is a different (equally valid)
-	// discretization, not a bit-identical one; forces and potential stay
-	// mutually consistent.
+	// Zero rebuilds every step. Between rebuilds the layout is frozen
+	// (cellindex.Sorted): the sweep's i side, its j side and the host
+	// potential all read the cell, slot and periodic image a particle was
+	// sorted on, so forces and potential cover the same pair set. A non-zero
+	// skin changes which far pairs the cutoff-free 27-cell walk sees, so it
+	// is a different (equally valid) discretization, not a bit-identical one.
 	Skin float64
 }
 
@@ -152,18 +154,14 @@ type Machine struct {
 	lastPot  float64
 
 	// Step-path state, reused across Forces calls (the zero-alloc step path).
-	jsb          *mdgrape2.JSetBuilder // amortized j-set construction
-	js           *mdgrape2.JSet        // current j-set (owned by jsb)
-	refPos       []vec.V               // positions at the last j-set rebuild
-	haveJSet     bool
-	jsetRebuilds int
-	jsetReuses   int
-	scale        []float64 // hoisted per-i Coulomb force prefactor
-	potGather    potGather // sorted-order charge/species planes of the host potential walk
-	passes       [4]mdgrape2.ForcePass
-	realFC       soa.Coords      // fused-sweep force planes
-	wineFC       soa.Coords      // wavenumber force planes
-	wineDone     chan wineResult // pipeline join channel, reused across steps
+	jsb       *mdgrape2.JSetBuilder // amortized j-set construction
+	clock     skinClock             // when jsb re-sorts and when it only refreshes
+	scale     []float64             // hoisted per-i Coulomb force prefactor
+	potGather potGather             // sorted-order charge/species planes of the host potential walk
+	passes    [4]mdgrape2.ForcePass
+	realFC    soa.Coords      // fused-sweep force planes
+	wineFC    soa.Coords      // wavenumber force planes
+	wineDone  chan wineResult // pipeline join channel, reused across steps
 }
 
 // wineResult carries the wavenumber pass result across the pipeline join.
@@ -201,6 +199,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		grid:     grid,
 		pool:     parallelize.New(cfg.Workers),
 		co:       co,
+		clock:    newSkinClock(cfg.Ewald.L, cfg.Skin),
 		wineDone: make(chan wineResult, 1),
 	}
 	m.jsb = mdgrape2.NewJSetBuilder(grid, m.pool)
@@ -348,14 +347,12 @@ func (m *Machine) Free() error {
 }
 
 // InvalidateGeometry drops the cached j-set so the next Forces call rebuilds
-// it — the hook for external position rewrites (checkpoint restore) that the
-// Verlet-skin displacement test cannot be trusted to catch (a particle moved
-// by a near-multiple of the box looks stationary under minimum image).
-func (m *Machine) InvalidateGeometry() { m.haveJSet = false }
+// it — the hook for external position rewrites (checkpoint restore).
+func (m *Machine) InvalidateGeometry() { m.clock.invalidate() }
 
 // JSetStats returns how many Forces calls rebuilt the sorted j-set and how
 // many reused it under the Verlet-skin bound.
-func (m *Machine) JSetStats() (rebuilds, reuses int) { return m.jsetRebuilds, m.jsetReuses }
+func (m *Machine) JSetStats() (rebuilds, reuses int) { return m.clock.rebuilds, m.clock.reuses }
 
 // ensureScale keeps the per-i Coulomb force prefactor slice sized to n. The
 // prefactor depends only on the Ewald parameters, so it is built once and
@@ -372,33 +369,23 @@ func (m *Machine) ensureScale(n int) {
 	}
 }
 
-// jset returns the j-side memory image, rebuilding the cell sort only when
-// the Verlet-skin bound has been violated: the grid covers RCut+Skin, so the
-// cell assignment (and hence the candidate pair walk) stays valid until some
-// particle has moved more than Skin/2 from its position at the last rebuild.
-// Within that bound only the stored positions are refreshed. With Skin = 0
-// every call rebuilds and the layout is bit-identical to a fresh sort.
+// jset returns the step's particle memory image: re-sorted when the skin
+// clock says the layout of the last rebuild no longer holds, otherwise that
+// layout with its stored coordinates moved to the current positions. With
+// Skin = 0 every step that moves a particle re-sorts.
 func (m *Machine) jset(s *md.System) (*mdgrape2.JSet, error) {
-	if m.haveJSet && len(m.refPos) == s.N() && maxDisp2(m.cfg.Ewald.L, s.Pos, m.refPos) <= (m.cfg.Skin/2)*(m.cfg.Skin/2) {
-		js, err := m.jsb.Refresh(s.Pos)
-		if err != nil {
-			return nil, err
-		}
-		m.jsetReuses++
-		m.js = js
-		return js, nil
+	rebuild, _ := m.clock.due(s.Pos)
+	var js *mdgrape2.JSet
+	var err error
+	if rebuild {
+		js, err = m.jsb.Build(s.Pos, s.Type, m.pool)
+	} else {
+		js, err = m.jsb.Refresh(s.Pos)
 	}
-	js, err := m.jsb.Build(s.Pos, s.Type, m.pool)
 	if err != nil {
 		return nil, err
 	}
-	if len(m.refPos) != s.N() {
-		m.refPos = make([]vec.V, s.N())
-	}
-	copy(m.refPos, s.Pos)
-	m.haveJSet = true
-	m.jsetRebuilds++
-	m.js = js
+	m.clock.advance(s.Pos, rebuild)
 	return js, nil
 }
 

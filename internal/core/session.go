@@ -28,15 +28,16 @@ import (
 // Ownership is spatial and persistent. The global cell grid (side r_cut +
 // skin, exactly the serial Machine's discretization) is split into
 // contiguous cell blocks, one per real-space rank (domain.Blocks); a rank
-// owns the particles whose cell it owns. Between neighbor-list rebuilds
-// ownership is frozen: reuse steps stream only ghost *positions* (tag
-// TagGhostPos, slab-allocated SoA planes, zero steady-state allocations).
+// owns the particles whose cell it owns. Between layout rebuilds ownership
+// is frozen, like every rank's sorted layout (cellindex.Sorted): reuse steps
+// stream only ghost *positions* (tag TagGhostPos, slab-allocated SoA planes,
+// zero steady-state allocations) — as the integrator wrapped them; the
+// receiving layout's Refresh keeps each on the image it was sorted on.
 // On a rebuild step particles that crossed a domain face migrate to their
 // new owner (tag TagMigrate, global indices only), and the full ghost shell
 // — position, species, global index per particle — is re-exchanged (tag
-// TagHalo). The rebuild schedule is the serial Verlet-skin rule (max
-// displacement > skin/2 since the last rebuild), decided on the driver so
-// every rank agrees.
+// TagHalo). The rebuild schedule is the serial machine's skinClock, read on
+// the driver so every rank agrees.
 //
 // Determinism: because every cell is filled by exactly one rank and owned
 // particle lists are kept ascending by global index, each rank's local
@@ -70,11 +71,10 @@ type ParallelRun struct {
 	wave []*waveRankState
 
 	// Driver state.
-	n        int     // particle count, fixed at the first step
-	needInit bool    // full ownership (re)derivation on the next step
-	refPos   []vec.V // positions at the last rebuild (the skin reference)
-	rebuild  bool    // this step rebuilds (set by the driver, read by ranks)
-	initStep bool    // this step derives ownership from scratch
+	n        int       // particle count, fixed at the first step
+	clock    skinClock // the rebuild schedule, the serial Machine's
+	rebuild  bool      // this step rebuilds (set by the driver, read by ranks)
+	initStep bool      // this step derives ownership from scratch
 
 	potCalls int
 	lastPot  float64
@@ -89,8 +89,6 @@ type ParallelRun struct {
 	potDirty  bool
 
 	res ParallelResult
-
-	rebuilds, reuses int
 }
 
 // realRankState is the persistent state of one real-space (domain) rank.
@@ -152,8 +150,8 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 	}
 	p := cfg.Ewald
 	// The serial machine's discretization: cell side ≥ r_cut + skin, so a
-	// frozen neighbor list stays valid until some displacement exceeds
-	// skin/2. Every rank shares this one global grid — the keystone of the
+	// frozen layout stays valid until some displacement exceeds skin/2.
+	// Every rank shares this one global grid — the keystone of the
 	// bit-identity argument.
 	grid, err := cellindex.NewGrid(p.L, p.RCut+cfg.Skin)
 	if err != nil {
@@ -168,18 +166,18 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 		return nil, err
 	}
 	pr := &ParallelRun{
-		world:    world,
-		cfg:      cfg,
-		nReal:    nReal,
-		nWave:    nWave,
-		grid:     grid,
-		blocks:   blocks,
-		co:       co,
-		pref:     units.Coulomb * math.Pow(p.Alpha/p.L, 3),
-		waves:    ewald.Waves(p),
-		tf:       tosifumi.Default(),
-		needInit: true,
-		potPool:  parallelize.New(cfg.Workers),
+		world:   world,
+		cfg:     cfg,
+		nReal:   nReal,
+		nWave:   nWave,
+		grid:    grid,
+		blocks:  blocks,
+		co:      co,
+		pref:    units.Coulomb * math.Pow(p.Alpha/p.L, 3),
+		waves:   ewald.Waves(p),
+		tf:      tosifumi.Default(),
+		clock:   newSkinClock(p.L, cfg.Skin),
+		potPool: parallelize.New(cfg.Workers),
 	}
 	pr.potSorter = cellindex.NewSorter(grid)
 	pr.potNbt = cellindex.BuildNeighborTable(grid, pr.potPool)
@@ -305,11 +303,11 @@ func (pr *ParallelRun) Free() error {
 // re-derives the decomposition from scratch — required after an external
 // position rewrite (checkpoint restore) and after any failed step, which may
 // have half-applied a migration.
-func (pr *ParallelRun) InvalidateGeometry() { pr.needInit = true }
+func (pr *ParallelRun) InvalidateGeometry() { pr.clock.invalidate() }
 
 // JSetStats reports how many steps rebuilt the decomposition (migration +
 // full ghost exchange) and how many reused it (ghost position streaming).
-func (pr *ParallelRun) JSetStats() (rebuilds, reuses int) { return pr.rebuilds, pr.reuses }
+func (pr *ParallelRun) JSetStats() (rebuilds, reuses int) { return pr.clock.rebuilds, pr.clock.reuses }
 
 // Forces implements md.ForceField on the persistent session.
 func (pr *ParallelRun) Forces(s *md.System) ([]vec.V, float64, error) {
@@ -341,11 +339,9 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 		pr.n = s.N()
 	}
 
-	// The rebuild decision is the serial Machine's Verlet-skin rule, made
-	// once on the driver so all ranks agree on the step's protocol.
-	skin2 := (pr.cfg.Skin / 2) * (pr.cfg.Skin / 2)
-	pr.initStep = pr.needInit || len(pr.refPos) != pr.n
-	pr.rebuild = pr.initStep || maxDisp2(p.L, s.Pos, pr.refPos) > skin2
+	// The rebuild decision is the serial Machine's skin clock, read once on
+	// the driver so all ranks agree on the step's protocol.
+	pr.rebuild, pr.initStep = pr.clock.due(s.Pos)
 
 	before := pr.world.Stats()
 	runErr := pr.world.Run(func(c *mpi.Comm) error {
@@ -357,20 +353,11 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	if runErr != nil {
 		// A failed step may have half-applied a migration; rebuild the
 		// decomposition from scratch on the next attempt.
-		pr.needInit = true
+		pr.clock.invalidate()
 		return nil, runErr
 	}
-	pr.needInit = false
-	if pr.rebuild {
-		if len(pr.refPos) != pr.n {
-			pr.refPos = make([]vec.V, pr.n)
-		}
-		copy(pr.refPos, s.Pos)
-		pr.potDirty = true
-		pr.rebuilds++
-	} else {
-		pr.reuses++
-	}
+	pr.clock.advance(s.Pos, pr.rebuild)
+	pr.potDirty = pr.potDirty || pr.rebuild
 
 	// Potential bookkeeping on the driver, every PotentialEvery calls like
 	// the serial machine: the real-space walk shares the cell assignment of
@@ -379,7 +366,7 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	// serial host potential bit for bit.
 	if pr.potCalls%pr.cfg.PotentialEvery == 0 {
 		if pr.potDirty {
-			pr.potSorted = pr.potSorter.SortInto(pr.potSorted, pr.refPos, pr.potPool)
+			pr.potSorted = pr.potSorter.SortInto(pr.potSorted, pr.clock.ref, pr.potPool)
 			pr.potDirty = false
 		}
 		pr.potSorted.Refresh(s.Pos)
@@ -715,20 +702,4 @@ func (pr *ParallelRun) assemble(rr *realRankState, s *md.System) error {
 	}
 	pr.out = total
 	return nil
-}
-
-// maxDisp2 returns the largest squared minimum-image displacement of any
-// position from its reference.
-func maxDisp2(l float64, pos, ref []vec.V) float64 {
-	worst := 0.0
-	for i := range pos {
-		d := pos[i].Sub(ref[i])
-		d.X -= l * math.Round(d.X/l)
-		d.Y -= l * math.Round(d.Y/l)
-		d.Z -= l * math.Round(d.Z/l)
-		if d2 := d.Norm2(); d2 > worst {
-			worst = d2
-		}
-	}
-	return worst
 }

@@ -3,7 +3,6 @@ package mdgrape2
 import (
 	"fmt"
 
-	"mdm/internal/cellindex"
 	"mdm/internal/fault"
 	"mdm/internal/funceval"
 	"mdm/internal/parallelize"
@@ -49,7 +48,9 @@ type fusedFlip struct {
 // ComputeForces runs the cell-index force calculation of eqs. 7/8 for the
 // given i-particles against the j-set: for every i, every j in the 27
 // neighbor cells of i's cell is streamed through a pipeline with no distance
-// test. scale multiplies the final accumulated force (the host-side
+// test. xi and ti are the j-set's own leading particles (see JSet): the sweep
+// takes their count from xi and their cell and coordinate word from the
+// stored layout. scale multiplies the final accumulated force (the host-side
 // prefactor, e.g. k_e·q_i·α³/L³ for the Coulomb real-space part when b_ij
 // carries q_j only).
 //
@@ -87,12 +88,8 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 	if np == 0 || np > maxFusedPasses {
 		return soa.Coords{}, fmt.Errorf("mdgrape2: %d fused passes outside [1, %d]", np, maxFusedPasses)
 	}
-	if len(xi) != len(ti) {
-		return soa.Coords{}, fmt.Errorf("mdgrape2: %d i-positions vs %d i-types", len(xi), len(ti))
-	}
-	if js.Sorted.Len() > s.cfg.ParticleCapacity() {
-		return soa.Coords{}, fmt.Errorf("mdgrape2: %d j-particles exceed board particle memory capacity %d",
-			js.Sorted.Len(), s.cfg.ParticleCapacity())
+	if err := s.checkISide(xi, ti, js); err != nil {
+		return soa.Coords{}, err
 	}
 	var tbls [maxFusedPasses]tableRef
 	for p := range passes {
@@ -154,7 +151,6 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 		}
 	}
 
-	grid := js.Sorted.Grid
 	dst = dst.Resize(len(xi))
 	fX, fY, fZ := dst.X, dst.Y, dst.Z
 	// The i-particles are striped across the pool's workers in contiguous
@@ -170,12 +166,11 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 		// block first, so they are declared (and zeroed) once per shard.
 		var dx, dy, dz, r2, x, g [sweepBlock]float32
 		for i := lo; i < hi; i++ {
-			// The interface quantizes coordinates to single precision.
-			pix := float32(xi[i].X)
-			piy := float32(xi[i].Y)
-			piz := float32(xi[i].Z)
+			// Cell and single-precision coordinate word as stored at the last
+			// Build / Refresh — the word this particle's j-side visits read too.
+			nbrs, pix, piy, piz := js.iSide(i)
 			acc = [maxFusedPasses][3]float64{}
-			for _, nb := range js.neighbors(grid.CellOf(xi[i])) {
+			for _, nb := range nbrs {
 				jstart, jend := js.Sorted.CellRange(nb.Cell)
 				sx := float32(nb.Shift.X)
 				sy := float32(nb.Shift.Y)
@@ -289,61 +284,4 @@ func (m *MR1) CalcVDWFusedInto(passes []ForcePass, xi []vec.V, ti []int, js *JSe
 		return soa.Coords{}, fmt.Errorf("mdgrape2: MR1calcvdw_block2 before MR1init")
 	}
 	return m.sys.ComputeForcesFusedInto(passes, xi, ti, js, dst)
-}
-
-// JSetBuilder amortizes per-step j-set construction: the neighbor table is
-// built once per grid, the counting-sort scratch and the sorted layout are
-// reused across rebuilds, and Refresh rewrites the sorted positions in place
-// when the cell assignment is still valid (the Verlet-skin reuse contract:
-// no particle has moved more than skin/2 since the last Build). The returned
-// JSet is owned by the builder and valid until the next Build or Refresh.
-type JSetBuilder struct {
-	nbt    *cellindex.NeighborTable
-	sorter *cellindex.Sorter
-	js     JSet
-}
-
-// NewJSetBuilder prepares a builder for the grid; the neighbor table is
-// enumerated once here.
-func NewJSetBuilder(grid *cellindex.Grid, pool *parallelize.Pool) *JSetBuilder {
-	return &JSetBuilder{
-		nbt:    cellindex.BuildNeighborTable(grid, pool),
-		sorter: cellindex.NewSorter(grid),
-	}
-}
-
-// NeighborTable exposes the builder's cached per-cell neighbor lists, so
-// host-side pair walks over the built j-set can share them.
-func (b *JSetBuilder) NeighborTable() *cellindex.NeighborTable { return b.nbt }
-
-// Build (re)sorts the particles into the board layout, reusing all internal
-// buffers. types are in original (unsorted) order; the charge field is 1.
-func (b *JSetBuilder) Build(pos []vec.V, types []int, pool *parallelize.Pool) (*JSet, error) {
-	if len(pos) != len(types) {
-		return nil, fmt.Errorf("mdgrape2: %d positions vs %d types", len(pos), len(types))
-	}
-	b.js.Sorted = b.sorter.SortInto(b.js.Sorted, pos, pool)
-	if len(b.js.Types) != len(types) {
-		b.js.Types = make([]int, len(types))
-	}
-	for k, orig := range b.js.Sorted.Order {
-		b.js.Types[k] = types[orig]
-	}
-	b.js.Weights = nil
-	b.js.nbt = b.nbt
-	return &b.js, nil
-}
-
-// Refresh rewrites the sorted positions from the current original-order
-// positions without re-sorting; the caller guarantees the skin bound still
-// holds (every displacement since the last Build ≤ skin/2).
-func (b *JSetBuilder) Refresh(pos []vec.V) (*JSet, error) {
-	if b.js.Sorted == nil {
-		return nil, fmt.Errorf("mdgrape2: Refresh before Build")
-	}
-	if len(pos) != b.js.Sorted.Len() {
-		return nil, fmt.Errorf("mdgrape2: %d positions vs %d sorted particles", len(pos), b.js.Sorted.Len())
-	}
-	b.js.Sorted.Refresh(pos)
-	return &b.js, nil
 }

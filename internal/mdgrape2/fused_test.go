@@ -72,9 +72,12 @@ func pairForce(t *funceval.Table, aij, bij float32, dx, dy, dz float32) (fx, fy,
 	return bg * dx, bg * dy, bg * dz
 }
 
-// oracleForces is one table pass computed pair by pair, serially: per i, the
-// 27 neighbor cells in table order, every j of each cell in storage order,
-// one pairForce call and three float64 adds per pair.
+// oracleForces is one table pass computed pair by pair, serially, over the
+// j-set's frozen layout: i-particle i is the stored particle whose Order entry
+// is i, in the cell whose range holds that slot (both re-derived here, not
+// read from Slot / Cell); per i, that cell's 27 neighbor cells as the grid
+// enumerates them, every j of each cell in storage order, one pairForce call
+// and three float64 adds per pair.
 func oracleForces(t *testing.T, sys *System, pass ForcePass, xi []vec.V, ti []int, js *JSet) []vec.V {
 	t.Helper()
 	tbl, err := sys.Table(pass.Table)
@@ -85,14 +88,19 @@ func oracleForces(t *testing.T, sys *System, pass ForcePass, xi []vec.V, ti []in
 	grid := js.Sorted.Grid
 	forces := make([]vec.V, len(xi))
 	jx, jy, jz := js.Sorted.P32.X, js.Sorted.P32.Y, js.Sorted.P32.Z
-	for i := range xi {
-		pix := float32(xi[i].X)
-		piy := float32(xi[i].Y)
-		piz := float32(xi[i].Z)
+	for k, i := range js.Sorted.Order {
+		if i >= len(xi) {
+			continue
+		}
+		ci := 0
+		for js.Sorted.Start[ci+1] <= k {
+			ci++
+		}
+		pix, piy, piz := jx[k], jy[k], jz[k]
 		var ax, ay, az float64
 		ta := a32[ti[i]]
 		tb := b32[ti[i]]
-		for _, nb := range js.neighbors(grid.CellOf(xi[i])) {
+		for _, nb := range grid.Neighbors(ci) {
 			jstart, jend := js.Sorted.CellRange(nb.Cell)
 			sx := float32(nb.Shift.X)
 			sy := float32(nb.Shift.Y)
@@ -437,7 +445,8 @@ func TestJSetBuilderMatchesNewJSet(t *testing.T) {
 				t.Fatalf("trial %d: sorted slot %d differs", trial, k)
 			}
 		}
-		// Perturb within a cell and refresh.
+		// Perturb within a cell and refresh (no particle sits within 3e-7 of a
+		// box face, so every stored image is the in-box one).
 		for i := range pos {
 			pos[i] = pos[i].Add(vec.New(1e-7, -1e-7, 1e-7))
 		}
@@ -445,9 +454,101 @@ func TestJSetBuilderMatchesNewJSet(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k, orig := range js.Sorted.Order {
-			if js.Sorted.At(k) != pos[orig].Wrap(l) {
+			if js.Sorted.At(k) != pos[orig] {
 				t.Fatalf("trial %d: refreshed slot %d stale", trial, k)
 			}
 		}
+	}
+}
+
+// TestRefreshedSweepIsFrozenTimesFrozen names the trap of the Verlet-skin
+// reuse step. After a Refresh the layout still files every particle under the
+// cell, slot and periodic image of the last Build, so a pair is right only if
+// both of its sides read that layout: an i-side re-derived from the current
+// wrapped position starts a boundary crosser's walk from the cell across the
+// box with shifts worked out for the old one, and un-wrapping the j-side alone
+// leaves the crosser's visit to itself at float32(L+ε) + float32(−L) vs
+// float32(ε) — r ≈ 1e-6 Å, below every table's domain — instead of r = 0.
+// The sweep must equal the pair-by-pair oracle over the frozen layout bit for
+// bit, and differ from what the current cells and wrapped coordinates give.
+func TestRefreshedSweepIsFrozenTimesFrozen(t *testing.T) {
+	sys, passes, pos, types, _ := fusedFixture(t)
+	const l, rcut, skin = 9.0, 2.5, 0.5
+	grid, err := cellindex.NewGrid(l, rcut+skin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid.N < 3 {
+		t.Fatalf("grid has %d cells per side; the trap needs ≥ 3", grid.N)
+	}
+	// Park one particle just inside each x face so the move below carries
+	// them across; everything moves by less than skin/2.
+	pos = append([]vec.V(nil), pos...)
+	const hi, lo = 0, 1 // crosses x = L upward, crosses x = 0 downward
+	pos[hi] = vec.New(l-0.05, 4.4, 4.6)
+	pos[lo] = vec.New(0.05, 1.3, 7.7)
+	b := NewJSetBuilder(grid, nil)
+	if _, err := b.Build(pos, types, nil); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	moved := make([]vec.V, len(pos))
+	for i := range pos {
+		d := vec.New(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5).Scale(0.2)
+		moved[i] = pos[i].Add(d).Wrap(l)
+	}
+	moved[hi] = pos[hi].Add(vec.New(0.11, 0.02, -0.03)).Wrap(l)
+	moved[lo] = pos[lo].Add(vec.New(-0.12, 0.01, 0.04)).Wrap(l)
+	js, err := b.Refresh(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x := js.Sorted.Pos.X[js.Sorted.Slot[hi]]; !(x > l) {
+		t.Fatalf("upward crosser stored at x = %v, want just above L", x)
+	}
+	if x := js.Sorted.Pos.X[js.Sorted.Slot[lo]]; !(x < 0) {
+		t.Fatalf("downward crosser stored at x = %v, want just below 0", x)
+	}
+
+	want := oracleReference(t, sys, passes, moved, types, js)
+	got, err := fusedAoS(sys, passes, moved, types, js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !sameVecBits(got[i], want[i]) {
+			t.Fatalf("force %d: sweep %v vs frozen-layout oracle %v", i, got[i], want[i])
+		}
+	}
+
+	// A crosser's visit to itself contributes exactly nothing: with every
+	// other particle's kernel weight at zero, what is left of its force is
+	// that one zero-shift visit (a 3-cell grid reaches no other image of it).
+	for _, c := range []int{hi, lo} {
+		js.Weights = make([]float64, len(pos))
+		js.Weights[js.Sorted.Slot[c]] = 1
+		self, err := fusedAoS(sys, passes, moved, types, js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if self[c] != vec.Zero {
+			t.Errorf("crosser %d: self pair contributes %v, want exactly 0", c, self[c])
+		}
+	}
+	js.Weights = nil
+
+	// A fresh sort of the same positions walks a different pair set for the
+	// crossers (the far images a ≥ 3-cell grid does not reach from the other
+	// side): the frozen answer is not that answer.
+	fresh, err := NewJSet(grid, moved, types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resorted, err := fusedAoS(sys, passes, moved, types, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameVecBits(resorted[hi], got[hi]) && sameVecBits(resorted[lo], got[lo]) {
+		t.Error("frozen and re-sorted layouts agree bit for bit on both crossers; the fixture exercises nothing")
 	}
 }

@@ -6,9 +6,11 @@
 //	System (16 clusters) → Cluster (2 boards, shared PCI bus)
 //	  → Board (2 chips + FPGA: interface logic, cell-index counter,
 //	           cell memory, particle-index counter, 8 MB particle memory)
-//	    → Chip (4 pipelines + atom-coefficient RAM for 32 types
-//	            + neighbor-list RAM)
+//	    → Chip (4 pipelines + atom-coefficient RAM for 32 types)
 //	      → Pipeline (f⃗_ij = b_ij · g(a_ij r²) · r⃗_ij, eq. 14)
+//
+// The chip's neighbor-list RAM, "which was not used in our simulation"
+// (§3.5.3), is not modelled.
 //
 // Numerics follow §3.5.4: "most of the arithmetic units in the pipeline use
 // IEEE754 single floating point format" — the displacement, squared distance,
@@ -29,11 +31,9 @@ package mdgrape2
 import (
 	"fmt"
 
-	"mdm/internal/cellindex"
 	"mdm/internal/fault"
 	"mdm/internal/funceval"
 	"mdm/internal/parallelize"
-	"mdm/internal/vec"
 )
 
 // Config describes one MDGRAPE-2 installation.
@@ -46,7 +46,6 @@ type Config struct {
 	ParticleMemBytes int     // per-board particle memory (SSRAM)
 	BytesPerParticle int     // storage per j-particle (position, charge, type)
 	FlopsPerPair     float64 // flop equivalence of one pipeline cycle
-	NeighborRAMBytes int     // per-board neighbor-list RAM (§3.5.3)
 }
 
 // CurrentConfig is the machine of §3.5 / Table 5 "current": 64 chips,
@@ -61,7 +60,6 @@ func CurrentConfig() Config {
 		ParticleMemBytes: 8 << 20,
 		BytesPerParticle: 16,
 		FlopsPerPair:     40, // 4 pipes × 100 MHz × 40 = 16 Gflops/chip
-		NeighborRAMBytes: 4 << 20,
 	}
 }
 
@@ -89,10 +87,6 @@ func (c Config) PeakFlops() float64 {
 // ParticleCapacity returns how many j-particles fit in one board's memory.
 func (c Config) ParticleCapacity() int { return c.ParticleMemBytes / c.BytesPerParticle }
 
-// NeighborRAMEntries returns how many neighbor-list entries (index + image
-// code, 8 bytes each) fit in one board's neighbor-list RAM.
-func (c Config) NeighborRAMEntries() int { return c.NeighborRAMBytes / 8 }
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Clusters < 1 || c.BoardsPerCluster < 1 || c.ChipsPerBoard < 1 || c.PipelinesPerChip < 1 {
@@ -100,9 +94,6 @@ func (c Config) Validate() error {
 	}
 	if c.ClockHz <= 0 || c.ParticleMemBytes <= 0 || c.BytesPerParticle <= 0 || c.FlopsPerPair <= 0 {
 		return fmt.Errorf("mdgrape2: non-positive rates in %+v", c)
-	}
-	if c.NeighborRAMBytes < 0 {
-		return fmt.Errorf("mdgrape2: negative neighbor RAM")
 	}
 	return nil
 }
@@ -174,7 +165,7 @@ func (s *System) SetFaultHook(h fault.HardwareHook) { s.hook = h }
 func (s *System) SetHeartbeat(beat func()) { s.beat = beat }
 
 // SetPool installs the worker pool that stripes the i-particle loops of the
-// force, potential and neighbor-list passes across host cores, mirroring the
+// force and potential passes across host cores, mirroring the
 // hardware's distribution of i-particles over pipelines (§3.5.2). A nil pool
 // (the default) runs serially; every pool width is bit-identical because the
 // per-particle float64 accumulation order is unchanged — sharding only moves
@@ -296,69 +287,6 @@ func (c *Coeffs) quant32() (a32, b32 [][]float32) {
 		c.stale = false
 	}
 	return c.a32, c.b32
-}
-
-// JSet is the j-side particle data in the board memory layout: sorted by
-// cell with contiguous ranges (the cell memory + particle memory of Fig. 9).
-// Weights is the per-particle "charge" field of the particle memory ("The
-// position, charge, and particle type of a particle j are supplied to both
-// of the MDGRAPE-2 chips", §3.5.2): it multiplies the evaluated kernel for
-// every pair involving that j particle. A nil Weights means 1 everywhere.
-type JSet struct {
-	Sorted  *cellindex.Sorted
-	Types   []int     // particle type of each *sorted* j particle
-	Weights []float64 // per-sorted-j kernel weight (hardware charge field)
-
-	// nbt caches the per-cell neighbor lists (the board cell memory); the
-	// force/potential/neighbor passes enumerate cells through it instead of
-	// re-deriving the 27-cell neighborhood per i-particle.
-	nbt *cellindex.NeighborTable
-}
-
-// NewJSet sorts raw j-side particles into the board layout. types are given
-// in the original (unsorted) order; the charge field defaults to 1.
-func NewJSet(grid *cellindex.Grid, pos []vec.V, types []int) (*JSet, error) {
-	return NewJSetPool(grid, pos, types, nil, nil)
-}
-
-// NewJSetWeighted additionally loads the per-particle charge field (weights
-// in original order; nil for all-ones).
-func NewJSetWeighted(grid *cellindex.Grid, pos []vec.V, types []int, weights []float64) (*JSet, error) {
-	return NewJSetPool(grid, pos, types, weights, nil)
-}
-
-// NewJSetPool is NewJSetWeighted with the cell sort and cell-memory build
-// striped across a worker pool (nil pool: serial; any width produces the
-// identical layout).
-func NewJSetPool(grid *cellindex.Grid, pos []vec.V, types []int, weights []float64, pool *parallelize.Pool) (*JSet, error) {
-	if len(pos) != len(types) {
-		return nil, fmt.Errorf("mdgrape2: %d positions vs %d types", len(pos), len(types))
-	}
-	if weights != nil && len(weights) != len(pos) {
-		return nil, fmt.Errorf("mdgrape2: %d positions vs %d weights", len(pos), len(weights))
-	}
-	sorted := cellindex.SortPool(grid, pos, pool)
-	st := make([]int, len(types))
-	for k, orig := range sorted.Order {
-		st[k] = types[orig]
-	}
-	js := &JSet{Sorted: sorted, Types: st, nbt: cellindex.BuildNeighborTable(grid, pool)}
-	if weights != nil {
-		sw := make([]float64, len(weights))
-		for k, orig := range sorted.Order {
-			sw[k] = weights[orig]
-		}
-		js.Weights = sw
-	}
-	return js, nil
-}
-
-// neighbors returns the cached neighbor list of cell c.
-func (js *JSet) neighbors(c int) []cellindex.Neighbor {
-	if js.nbt != nil {
-		return js.nbt.Of(c)
-	}
-	return js.Sorted.Grid.Neighbors(c)
 }
 
 // ComputeTime returns the pipeline wall-clock time for evaluating the given

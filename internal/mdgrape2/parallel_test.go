@@ -125,53 +125,6 @@ func TestComputePotentialsBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestNeighborListsBitIdenticalAcrossWorkers(t *testing.T) {
-	fx := newParallelFixture(t, 250, 17)
-	serial := newParallelSystem(t, 0)
-	js, err := NewJSet(fx.grid, fx.pos, fx.types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rcut = 3.0
-	wantNL, err := serial.BuildNeighborLists(fx.pos, js, rcut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.ComputeForcesNL("g", fx.co, fx.pos, fx.types, nil, wantNL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4} {
-		sys := newParallelSystem(t, w)
-		nl, err := sys.BuildNeighborLists(fx.pos, js, rcut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nl.Entries() != wantNL.Entries() {
-			t.Fatalf("workers=%d: %d entries, serial %d", w, nl.Entries(), wantNL.Entries())
-		}
-		for i := range wantNL.Lists {
-			if len(nl.Lists[i]) != len(wantNL.Lists[i]) {
-				t.Fatalf("workers=%d: list %d length differs", w, i)
-			}
-			for k := range wantNL.Lists[i] {
-				if nl.Lists[i][k] != wantNL.Lists[i][k] {
-					t.Fatalf("workers=%d: list %d entry %d differs", w, i, k)
-				}
-			}
-		}
-		got, err := sys.ComputeForcesNL("g", fx.co, fx.pos, fx.types, nil, nl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if !sameVecBits(got[i], want[i]) {
-				t.Fatalf("workers=%d: NL force %d differs: %v vs %v", w, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // A shard error must surface deterministically and identically to serial.
 func TestParallelTypeValidationDeterministic(t *testing.T) {
 	fx := newParallelFixture(t, 64, 19)

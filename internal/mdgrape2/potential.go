@@ -1,0 +1,84 @@
+package mdgrape2
+
+import (
+	"fmt"
+
+	"mdm/internal/parallelize"
+	"mdm/internal/vec"
+)
+
+// ComputePotentials evaluates the scalar pair sum p_i = scale_i · Σ_j b_ij ·
+// φ(a_ij r²) through the pipelines, with φ loaded as a function table — the
+// hardware's potential-energy mode (the paper evaluated the potential every
+// 100 steps, §5). The walk and numerics match ComputeForces: the i-particles
+// are the j-set's own leading particles, 27-cell candidates, no distance
+// test, float32 datapath, float64 accumulation. Each unordered pair is
+// visited from both sides, so Σ p_i double counts: the total potential is
+// Σ p_i / 2.
+func (s *System) ComputePotentials(table string, co *Coeffs, xi []vec.V, ti []int, scaleI []float64, js *JSet) ([]float64, error) {
+	tbl, err := s.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkISide(xi, ti, js); err != nil {
+		return nil, err
+	}
+	if scaleI != nil && len(scaleI) != len(xi) {
+		return nil, fmt.Errorf("mdgrape2: %d i-positions vs %d scales", len(xi), len(scaleI))
+	}
+	n := len(co.A)
+	a32, b32 := co.quant32()
+	pots := make([]float64, len(xi))
+	shardPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
+	if err := s.pool.Run(len(xi), func(shard, lo, hi int) error {
+		var pairs int64
+		for i := lo; i < hi; i++ {
+			if ti[i] < 0 || ti[i] >= n {
+				return fmt.Errorf("mdgrape2: i-type %d outside coefficient RAM", ti[i])
+			}
+			nbrs, pix, piy, piz := js.iSide(i)
+			ta, tb := a32[ti[i]], b32[ti[i]]
+			var acc float64
+			for _, nb := range nbrs {
+				jstart, jend := js.Sorted.CellRange(nb.Cell)
+				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
+				jx := js.Sorted.P32.X[jstart:jend]
+				jy := js.Sorted.P32.Y[jstart:jend:jend]
+				jz := js.Sorted.P32.Z[jstart:jend:jend]
+				jt := js.Types[jstart:jend:jend]
+				for jj := range jx {
+					j := jstart + jj
+					dx := pix - (jx[jj] + sx)
+					dy := piy - (jy[jj] + sy)
+					dz := piz - (jz[jj] + sz)
+					tj := jt[jj]
+					r2 := dx*dx + dy*dy + dz*dz
+					phi := tbl.Eval(ta[tj] * r2)
+					b := tb[tj]
+					if js.Weights != nil {
+						b *= float32(js.Weights[j])
+					}
+					acc += float64(b * phi)
+					pairs++
+				}
+			}
+			if scaleI != nil {
+				pots[i] = acc * scaleI[i]
+			} else {
+				pots[i] = acc
+			}
+		}
+		shardPairs[shard] = pairs
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	var pairs int64
+	for _, p := range shardPairs {
+		pairs += p
+	}
+	s.stats.PairsEvaluated += pairs
+	s.stats.IParticles += int64(len(xi))
+	s.stats.Calls++
+	return pots, nil
+}

@@ -152,3 +152,14 @@ func RMS(vs []V) float64 {
 	}
 	return math.Sqrt(s / float64(len(vs)))
 }
+
+// RelRMSDiff returns the RMS magnitude of got − want relative to the RMS
+// magnitude of want — the relative RMS force error of one force set against a
+// reference. The slices must have the same length.
+func RelRMSDiff(got, want []V) float64 {
+	s := 0.0
+	for i, w := range want {
+		s += got[i].Sub(w).Norm2()
+	}
+	return math.Sqrt(s/float64(len(want))) / RMS(want)
+}

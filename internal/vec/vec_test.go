@@ -143,6 +143,10 @@ func TestSumRMSMaxNorm(t *testing.T) {
 	if got := RMS(nil); got != 0 {
 		t.Errorf("RMS(nil) = %g", got)
 	}
+	off := []V{New(1, 0, 0), New(0, 2, 0), New(0, 1, 2)} // one component off by 1
+	if got := RelRMSDiff(off, vs); !close(got, 1.0/3) {
+		t.Errorf("RelRMSDiff = %g", got)
+	}
 	if got := MaxNorm(nil); got != 0 {
 		t.Errorf("MaxNorm(nil) = %g", got)
 	}

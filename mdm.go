@@ -114,9 +114,12 @@ type Config struct {
 
 	// Skin is the Verlet skin in Å added to the real-space cell grid so the
 	// sorted particle layout is reused across steps until a particle moves
-	// more than Skin/2 (MDM backend only; 0 rebuilds every step). A non-zero
-	// skin widens the cutoff-free 27-cell pair walk, so it selects a
-	// different — equally energy-conserving — discretization.
+	// more than Skin/2 (MDM backend only; 0 rebuilds every step). A reuse
+	// step evaluates, on current coordinates, exactly the pairs — cells and
+	// periodic images — fixed at the last rebuild, for the forces and the
+	// potential alike. A non-zero skin widens the cutoff-free 27-cell pair
+	// walk, so it selects a different discretization, as accurate against
+	// the reference Ewald and as energy-conserving as Skin 0.
 	Skin float64
 
 	// Ranks enables the §4 spatial decomposition on the MDM backend: the
@@ -125,7 +128,7 @@ type Config struct {
 	// wavenumber processes running the WINE-2 library alongside (the paper
 	// ran 16 + 8). Zero keeps the single-process machine. Ownership is
 	// persistent across steps: particles migrate only when they cross a
-	// domain face, and between neighbor-list rebuilds only ghost positions
+	// domain face, and between layout rebuilds only ghost positions
 	// move over the wire. With WaveRanks <= 1 trajectories are bit-identical
 	// to the single-process machine at the same Skin; larger wavenumber
 	// groups reorder the structure-factor reduction and agree to float64

@@ -13,20 +13,25 @@ import (
 
 func runProtocolPipeline(t *testing.T, pipeline bool, workers int, skin float64) *Simulation {
 	t.Helper()
-	sim, err := NewSimulation(Config{
+	return runProtocol(t, Config{
 		Cells:    2,
 		Backend:  BackendMDM,
 		Workers:  workers,
 		Pipeline: pipeline,
 		Skin:     skin,
-	})
+	}, 5, 25)
+}
+
+func runProtocol(t *testing.T, cfg Config, nvt, nve int) *Simulation {
+	t.Helper()
+	sim, err := NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunNVT(5); err != nil {
+	if err := sim.RunNVT(nvt); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunNVE(25); err != nil {
+	if err := sim.RunNVE(nve); err != nil {
 		t.Fatal(err)
 	}
 	return sim
@@ -73,6 +78,16 @@ func TestPipelineSkinConservesEnergy(t *testing.T) {
 	defer func() { _ = sim.Free() }()
 	if drift := sim.EnergyDrift(); !(drift < 2e-4) {
 		t.Fatalf("pipeline+skin NVE energy drift %.3g (want < 2e-4)", drift)
+	}
+	// The 2-cell grid above walks every image of every cell whatever cell a
+	// particle is filed under. On 3 cells a side a reuse step is right only if
+	// both sides of a pair — forces and potential alike — read the layout
+	// frozen at the last rebuild, and the run must be long enough for particles
+	// to cross the box faces between rebuilds; Skin 0 reads 1.2e-5 here.
+	long := runProtocol(t, Config{Cells: 3, Backend: BackendMDM, Skin: 0.5}, 100, 200)
+	defer func() { _ = long.Free() }()
+	if drift := long.EnergyDrift(); !(drift < 1e-4) {
+		t.Fatalf("cells=3 skin=0.5 NVE energy drift %.3g over 200 steps (want < 1e-4)", drift)
 	}
 }
 

@@ -37,7 +37,7 @@ make bench-build
 echo "==> bench smoke (neither the parallel widths nor the engine-overlap pipeline may lose to serial; prints the overlap ratio at GOMAXPROCS=2)"
 GOMAXPROCS=2 go run ./cmd/mdmbench -smoke -iters 3 -reps 2
 
-echo "==> weak-scaling smoke (reuse steps stream ghost positions only; per-particle cost flat at 8 ranks)"
+echo "==> weak-scaling smoke (reuse steps as accurate as rebuild steps and streaming ghost positions only; per-particle cost flat at 8 ranks)"
 go run ./cmd/mdmbench -weak-smoke
 
 echo "==> bench artifact regression gate (BENCH_7 -> BENCH_8 on the recorded families)"
