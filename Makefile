@@ -1,7 +1,8 @@
 # Standard entry points; `make check` is the gate CI runs. The -race package
-# list, the chaos -run regex, the fuzz targets and the kernel micro-benchmark
-# packages live here only: scripts/check.sh and CI call `make race` /
-# `make chaos` / `make fuzz-smoke` / `make bench-build`.
+# list, the chaos -run regex, the fuzz targets, the kernel micro-benchmark
+# packages and the smoke gates' flags live here only: scripts/check.sh and CI
+# call `make race` / `make chaos` / `make fuzz-smoke` / `make bench-build` /
+# `make bench-smoke` / `make weak-smoke`.
 
 GO ?= go
 
@@ -15,8 +16,10 @@ build:
 test:
 	$(GO) test ./...
 
+# Every micro-benchmark, beside the kernel it times. Wall time between two
+# trees is argued from `go run ./benchmark`, not from these.
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Compile the kernel micro-benchmarks and run each once: `go test ./...` does
 # neither, so a renamed entry point or a broken set-up would otherwise rot.
@@ -33,8 +36,10 @@ bench-smoke:
 weak-smoke:
 	$(GO) run ./cmd/mdmbench -weak-smoke
 
+# By hand, after recording: gates allocs/op, traffic bytes and force error;
+# ns/op deltas are printed as information.
 bench-compare:
-	$(GO) run ./cmd/mdmbench -compare -threshold 0.2 BENCH_7.json BENCH_8.json
+	$(GO) run ./cmd/mdmbench -compare BENCH_8.json BENCH_9.json
 
 vet:
 	$(GO) vet ./...

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -20,75 +22,134 @@ func writeReport(t *testing.T, dir, name string, rep Report) string {
 	return path
 }
 
+// The -compare contract: wall time is printed and never judged; allocs/op,
+// per-tag traffic bytes and the decomposition's force error are.
 func TestCompareReports(t *testing.T) {
+	rung := func() WeakScalingResult {
+		return WeakScalingResult{
+			Ranks: 8, N: 512, NsPerStep: 2e6,
+			RebuildTraffic:     []TagTraffic{{Tag: 100, Name: "halo", Bytes: 143360}, {Tag: 101, Name: "forces", Bytes: 32776}},
+			ReuseTraffic:       []TagTraffic{{Tag: 104, Name: "ghost-pos", Bytes: 86016}, {Tag: 101, Name: "forces", Bytes: 32776}},
+			RebuildForceRelErr: 0.0060, ReuseForceRelErr: 0.0059,
+		}
+	}
+	base := func() Report {
+		return Report{
+			GOMAXPROCS: 2, NumCPU: 2, N: 64,
+			Results: []Result{
+				{Name: "forces", Workers: 1, NsPerOp: 1000, AllocsPerOp: 10},
+				{Name: "forces", Workers: 2, NsPerOp: 600, AllocsPerOp: 10},
+			},
+			WeakScaling: []WeakScalingResult{rung()},
+		}
+	}
 	dir := t.TempDir()
-	old := Report{
-		GOMAXPROCS: 2, NumCPU: 2, N: 64,
-		Results: []Result{
-			{Name: "forces", Workers: 1, NsPerOp: 1000, AllocsPerOp: 10},
-			{Name: "forces", Workers: 2, NsPerOp: 600, AllocsPerOp: 10},
-			{Name: "dropped", Workers: 1, NsPerOp: 500},
-		},
-		Pipeline: []PipelineResult{{Workers: 2, OnNsPerOp: 800, Speedup: 1.5}},
-	}
-	newer := Report{
-		GOMAXPROCS: 2, NumCPU: 2, N: 64,
-		Results: []Result{
-			{Name: "forces", Workers: 1, NsPerOp: 1050, AllocsPerOp: 10}, // +5%: within threshold
-			{Name: "forces", Workers: 2, NsPerOp: 900, AllocsPerOp: 10},  // +50%: regression
-			{Name: "fresh", Workers: 1, NsPerOp: 200},                    // new row, never a regression
-		},
-		Pipeline: []PipelineResult{{Workers: 2, OnNsPerOp: 820, Speedup: 1.45}},
-	}
-	a := writeReport(t, dir, "a.json", old)
-	b := writeReport(t, dir, "b.json", newer)
-
-	got, err := compareReports(a, b, 0.20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("compareReports = %d regressions, want 1 (forces/w2 +50%%)", got)
-	}
-
-	// Alloc growth is a regression on its own, even when ns/op holds steady —
-	// but only against an old report that actually recorded allocs.
-	newer.Results[0].AllocsPerOp = 14
-	b2 := writeReport(t, dir, "b2.json", newer)
-	if got, err = compareReports(a, b2, 0.20); err != nil || got != 2 {
-		t.Fatalf("with alloc growth: got %d, %v; want 2 regressions", got, err)
-	}
-	old.Results[0].AllocsPerOp = 0 // pre-alloc-recording artifact
-	a2 := writeReport(t, dir, "a2.json", old)
-	if got, err = compareReports(a2, b2, 0.20); err != nil || got != 1 {
-		t.Fatalf("against alloc-free old report: got %d, %v; want 1 regression", got, err)
+	for _, c := range []struct {
+		name     string
+		old, new func(*Report)
+		want     int
+		printed  string
+	}{
+		{name: "identical", want: 0, printed: "no regressions"},
+		{name: "+50% ns/op alone is printed, not judged", want: 0, printed: "+50.0%",
+			new: func(r *Report) { r.Results[1].NsPerOp = 900; r.WeakScaling[0].NsPerStep = 3e6 }},
+		{name: "a new row is never a regression", want: 0, printed: "fresh/w1",
+			new: func(r *Report) {
+				r.Results = append(r.Results, Result{Name: "fresh", Workers: 1, NsPerOp: 200, AllocsPerOp: 5})
+			}},
+		{name: "a dropped row is listed", want: 0, printed: "forces/w2                                     600        dropped",
+			new: func(r *Report) { r.Results = r.Results[:1] }},
+		{name: "+1 alloc/op", want: 1, printed: "ALLOC REGRESSION",
+			new: func(r *Report) { r.Results[0].AllocsPerOp = 11 }},
+		{name: "alloc jitter below half an allocation", want: 0,
+			new: func(r *Report) { r.Results[0].AllocsPerOp = 10.4 }},
+		{name: "a zero-alloc row of a record that measured allocs can regress", want: 1, printed: "ALLOC REGRESSION",
+			old: func(r *Report) { r.Results[0].AllocsPerOp = 0 }, new: func(r *Report) { r.Results[0].AllocsPerOp = 3 }},
+		{name: "an old record from before alloc recording cannot be regressed against", want: 0,
+			old: func(r *Report) { r.Results[0].AllocsPerOp, r.Results[1].AllocsPerOp = 0, 0 }},
+		{name: "one tag's bytes grow on a rung of equal N", want: 1, printed: "TRAFFIC REGRESSION",
+			new: func(r *Report) { r.WeakScaling[0].ReuseTraffic[0].Bytes += 24 }},
+		{name: "a tag appears on the reuse step", want: 1, printed: "TRAFFIC REGRESSION",
+			new: func(r *Report) {
+				r.WeakScaling[0].ReuseTraffic = append(r.WeakScaling[0].ReuseTraffic, TagTraffic{Tag: 100, Name: "halo", Bytes: 8})
+			}},
+		{name: "a rung of different N is not comparable", want: 0, printed: "per-particle eff 0.00\n",
+			new: func(r *Report) { r.WeakScaling[0].N = 1728; r.WeakScaling[0].RebuildTraffic[0].Bytes *= 3 }},
+		{name: "reuse twice as wrong as rebuild", want: 1, printed: "reuse > 1.5 × rebuild",
+			new: func(r *Report) { r.WeakScaling[0].ReuseForceRelErr = 2 * r.WeakScaling[0].RebuildForceRelErr }},
+		{name: "force error 20% above the old record", want: 1, printed: "above the old record",
+			new: func(r *Report) { r.WeakScaling[0].RebuildForceRelErr *= 1.2; r.WeakScaling[0].ReuseForceRelErr *= 1.2 }},
+		{name: "an old record without the accuracy columns", want: 0, printed: "rebuild - → 0.006",
+			old: func(r *Report) { r.WeakScaling[0].RebuildForceRelErr, r.WeakScaling[0].ReuseForceRelErr = 0, 0 }},
+	} {
+		older, newer := base(), base()
+		if c.old != nil {
+			c.old(&older)
+		}
+		if c.new != nil {
+			c.new(&newer)
+		}
+		var out bytes.Buffer
+		got, err := compareReports(&out, writeReport(t, dir, "a.json", older), writeReport(t, dir, "b.json", newer))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != c.want || !strings.Contains(out.String(), c.printed) {
+			t.Errorf("%s: %d regressions, want %d with %q in:\n%s", c.name, got, c.want, c.printed, out.String())
+		}
 	}
 }
 
+// A record in BENCH_8's shape — Figure-2 step families with a
+// per-particle·step column, "pipeline" and "batch" arrays, rungs without the
+// accuracy columns — still reads; what the program no longer records is listed
+// as dropped, not refused.
 func TestCompareReportsClean(t *testing.T) {
 	dir := t.TempDir()
 	rep := Report{
 		GOMAXPROCS: 2, NumCPU: 2, N: 64,
-		Results:  []Result{{Name: "forces", Workers: 1, NsPerOp: 1000, AllocsPerOp: 10}},
-		Pipeline: []PipelineResult{{Workers: 2, OnNsPerOp: 800, Speedup: 1.5}},
+		Results: []Result{{Name: "forces", Workers: 1, NsPerOp: 1000, AllocsPerOp: 10}},
+		WeakScaling: []WeakScalingResult{{Ranks: 1, N: 64, NsPerStep: 3e5, RebuildForceRelErr: 0.0058, ReuseForceRelErr: 0.0057,
+			RebuildTraffic: []TagTraffic{{Tag: 101, Name: "forces", Messages: 2, Bytes: 4104}}}},
 	}
 	a := writeReport(t, dir, "a.json", rep)
-	if got, err := compareReports(a, a, 0.20); err != nil || got != 0 {
-		t.Fatalf("self-compare: got %d regressions, %v; want 0", got, err)
-	}
-
-	// Records up to BENCH_8 carry a "batch" array Report no longer has; they
-	// must still load and compare on the sections that remain.
 	legacy := filepath.Join(dir, "legacy.json")
 	const body = `{"gomaxprocs":2,"num_cpu":2,"n_particles":64,
-		"results":[{"name":"forces","workers":1,"ns_per_op":1000,"allocs_per_op":10}],
-		"pipeline":[{"workers":2,"on_ns_per_op":800,"speedup":1.5}],
-		"batch":[{"k":16,"steps":25,"batched_ns_per_run":1e9,"sequential_ns_per_run":1e9,"speedup":1.0}]}`
+		"results":[{"name":"forces","workers":1,"ns_per_op":1000,"allocs_per_op":10},
+			{"name":"oldStepFamily","workers":1,"ns_per_op":3871560,"allocs_per_op":10,"ns_per_particle_step":17923.9}],
+		"pipeline":[{"workers":2,"off_ns_per_op":900,"on_ns_per_op":800,"speedup":1.5}],
+		"batch":[{"k":16,"steps":25,"batched_ns_per_run":1e9,"sequential_ns_per_run":1e9,"speedup":1.0}],
+		"weak_scaling":[{"ranks":1,"n":64,"ns_per_step":340035,"rebuild_traffic":[{"tag":101,"name":"forces","messages":2,"bytes":4104}]}]}`
 	if err := os.WriteFile(legacy, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := compareReports(legacy, a, 0.20); err != nil || got != 0 {
-		t.Fatalf("legacy report with a batch section: got %d regressions, %v; want 0", got, err)
+	var out bytes.Buffer
+	got, err := compareReports(&out, legacy, a)
+	if err != nil || got != 0 {
+		t.Fatalf("BENCH_8-shaped old record: got %d regressions, %v; want 0\n%s", got, err, out.String())
+	}
+	for _, want := range []string{"oldStepFamily/w1", "dropped", "4104 → 4104 B", "rebuild - → 0.0058"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// mdmbench refuses sample counts it cannot time with before running anything.
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		iters, reps, weakSteps int
+		ok                     bool
+	}{
+		{10, 3, 6, true},
+		{1, 1, 0, true}, // -weak-steps 0 skips the family
+		{0, 3, 6, false},
+		{10, 0, 6, false},
+		{10, 3, -1, false},
+	} {
+		if err := checkFlags(c.iters, c.reps, c.weakSteps); (err == nil) != c.ok {
+			t.Errorf("checkFlags(iters %d, reps %d, weak-steps %d) = %v, want ok=%v", c.iters, c.reps, c.weakSteps, err, c.ok)
+		}
 	}
 }
 
@@ -106,13 +167,6 @@ func TestNormalisedColumnsNeedBothSides(t *testing.T) {
 	wave := Result{Name: "wine2DFTIDFT", Workers: 1, NsPerOp: 800, NsPerParticleWave: 9.5}
 	if got := normalised(wave, wave); got != "  ns/particle·wave 9.50 → 9.50" {
 		t.Errorf("both sides with ns_per_particle_wave rendered %q", got)
-	}
-	step := Result{Name: "figure2Step", Workers: 1, NsPerOp: 800, NsPerParticleStep: 37040}
-	if got := normalised(step, step); got != "  ns/particle·step 37040 → 37040" {
-		t.Errorf("both sides with ns_per_particle_step rendered %q", got)
-	}
-	if got := normalised(old, step); got != "" {
-		t.Errorf("older side without ns_per_particle_step rendered %q", got)
 	}
 	data, err := json.Marshal(old)
 	if err != nil {

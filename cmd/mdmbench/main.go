@@ -1,15 +1,17 @@
-// Command mdmbench measures the intra-board parallelism of the simulated
-// MDM: the hot paths that package parallelize stripes across host cores are
-// timed at pool widths 1, 2, 4 and 8 and reported as JSON with per-width
-// speedups over the serial path.
+// Command mdmbench records what the repository benchmark (go run ./benchmark,
+// the only judge of wall time) does not: how the hot paths that package
+// parallelize stripes across host cores scale at pool widths 1, 2, 4 and 8,
+// their unit costs and steady-state allocations, and the spatial
+// decomposition's per-tag traffic and force accuracy per rung.
 //
-//	mdmbench -o BENCH_0.json            # record a benchmark artifact
+//	mdmbench -o BENCH_9.json            # record an artifact (scripts/bench.sh)
+//	mdmbench -compare OLD.json NEW.json # gate allocs/op, traffic bytes, force error
 //	mdmbench -smoke                     # CI gate: parallel must not lose to serial
 //
-// Every width computes bit-identical physics (the parallel_test.go contract),
-// so the JSON is purely a wall-clock document. Speedups beyond 1× require
-// GOMAXPROCS > 1; the artifact records gomaxprocs so a single-core record is
-// recognizable as a serial baseline rather than a failed optimization.
+// Every width computes bit-identical physics (the parallel_test.go contract).
+// Speedups beyond 1× require a core per lane; the artifact records gomaxprocs
+// and num_cpu so a ratio taken above them reads n/a, not as a failed
+// optimization.
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 	"mdm/internal/md"
 	"mdm/internal/mdgrape2"
 	"mdm/internal/parallelize"
+	"mdm/internal/soa"
 	"mdm/internal/vec"
 	"mdm/internal/wine2"
 )
@@ -39,44 +42,30 @@ type Result struct {
 	Speedup     float64 `json:"speedup"` // vs workers=1 of the same name
 	AllocsPerOp float64 `json:"allocs_per_op"`
 
-	// Normalised forms of NsPerOp, so records at different N compare
-	// (ROADMAP item 3b). machineForces: per MDGRAPE-2 pair evaluation (one per
-	// pair per table pass, mdgrape2.Stats.PairsEvaluated) — the whole Forces
-	// op, wave pass and potential included, so an upper bound on the sweep's
-	// own cost. hostPotential: per half pair of the host's potential walk.
-	// wine2DFTIDFT: per particle·wave operation (DFT + IDFT ops). The
-	// figure2Step families: per particle of one MD step.
+	// Normalised forms of NsPerOp, so records at different N compare.
+	// machineForces: per MDGRAPE-2 pair evaluation (one per pair per table
+	// pass, mdgrape2.Stats.PairsEvaluated) — the whole Forces op, wave pass and
+	// potential included, so an upper bound on the sweep's own cost.
+	// hostPotential: per half pair of the host's potential walk.
+	// wine2DFTIDFT: per particle·wave operation (DFT + IDFT ops).
 	NsPerPair         float64 `json:"ns_per_pair,omitempty"`
 	NsPerParticleWave float64 `json:"ns_per_particle_wave,omitempty"`
-	NsPerParticleStep float64 `json:"ns_per_particle_step,omitempty"`
-}
-
-// PipelineResult compares the Figure-2 step with the concurrent pipeline on
-// versus off at one pool width. Both arms run the same fused sweep and the
-// same wave pass, so the ratio is the engine overlap alone. The comparison
-// uses the engine-balanced Ewald splitting (see run) and interleaves the two
-// configurations so host-load drift cancels.
-type PipelineResult struct {
-	Workers    int     `json:"workers"`
-	OffNsPerOp float64 `json:"off_ns_per_op"`
-	OnNsPerOp  float64 `json:"on_ns_per_op"`
-	Speedup    float64 `json:"speedup"` // off / on
 }
 
 // Report is the whole artifact (a BENCH_<n>.json file). Records up to BENCH_8
-// also carry a "batch" array; encoding/json ignores it, so -compare reads them.
+// also carry "pipeline" and "batch" arrays, Figure-2 step families and a
+// per-particle·step column; encoding/json ignores the keys, and -compare lists
+// the families as dropped.
 type Report struct {
 	GOMAXPROCS  int                 `json:"gomaxprocs"`
 	NumCPU      int                 `json:"num_cpu"`
 	N           int                 `json:"n_particles"`
 	Iters       int                 `json:"iters_per_sample"`
 	Results     []Result            `json:"results"`
-	Pipeline    []PipelineResult    `json:"pipeline,omitempty"`
 	WeakScaling []WeakScalingResult `json:"weak_scaling,omitempty"`
 }
 
-// benchSystem is the 216-ion perturbed crystal of the bench_test.go
-// micro-benchmarks.
+// benchSystem is the 216-ion perturbed crystal every family runs on.
 func benchSystem() (*md.System, ewald.Params, error) {
 	sys, err := md.NewRockSalt(3, 5.64)
 	if err != nil {
@@ -90,57 +79,58 @@ func benchSystem() (*md.System, ewald.Params, error) {
 	return sys, p, nil
 }
 
-// timeOp times iters calls of op and returns the best-of-reps ns/op (the
-// usual defense against scheduler noise) plus the steady-state heap
-// allocations per op of the last rep.
-func timeOp(iters, reps int, op func() error) (ns, allocs float64, err error) {
-	for i := 0; i < 3; i++ { // warm-up: tables, caches, buffer arenas
-		if err := op(); err != nil {
-			return 0, 0, err
-		}
-	}
-	var ms0, ms1 runtime.MemStats
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
+// bestOf times the operations in turn within every rep, so all of them see
+// the same host load and frequency state, and returns each one's best ns/op
+// over the reps (the usual defense against scheduler noise) plus the
+// steady-state heap allocations per op of its last sample.
+func bestOf(iters, reps int, ops ...func() error) (ns, allocs []float64, err error) {
+	for i := 0; i < 3; i++ { // warm-up: tables, caches, buffer arenas, CPU frequency
+		for _, op := range ops {
 			if err := op(); err != nil {
-				return 0, 0, err
+				return nil, nil, err
 			}
 		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(iters)
-		runtime.ReadMemStats(&ms1)
-		allocs = float64(ms1.Mallocs-ms0.Mallocs) / float64(iters)
-		if best == 0 || ns < best {
-			best = ns
+	}
+	ns, allocs = make([]float64, len(ops)), make([]float64, len(ops))
+	var ms0, ms1 runtime.MemStats
+	for r := 0; r < reps; r++ {
+		for k, op := range ops {
+			runtime.ReadMemStats(&ms0)
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				if err := op(); err != nil {
+					return nil, nil, err
+				}
+			}
+			t := float64(time.Since(start).Nanoseconds()) / float64(iters)
+			runtime.ReadMemStats(&ms1)
+			allocs[k] = float64(ms1.Mallocs-ms0.Mallocs) / float64(iters)
+			if ns[k] == 0 || t < ns[k] {
+				ns[k] = t
+			}
 		}
 	}
-	return best, allocs, nil
+	return ns, allocs, nil
 }
 
-// family times one benchmark family across the worker widths and appends the
-// results (with speedups vs the width-1 sample) to the report.
+// family times one benchmark family at every worker width, interleaved, and
+// appends the results to the report; widths[0] is the serial baseline of the
+// speedups.
 func (rep *Report) family(name string, widths []int, iters, reps int, mk func(workers int) (func() error, error)) error {
-	var base float64
-	for _, w := range widths {
-		op, err := mk(w)
-		if err != nil {
+	ops := make([]func() error, len(widths))
+	for k, w := range widths {
+		var err error
+		if ops[k], err = mk(w); err != nil {
 			return fmt.Errorf("%s workers=%d: %w", name, w, err)
 		}
-		ns, allocs, err := timeOp(iters, reps, op)
-		if err != nil {
-			return fmt.Errorf("%s workers=%d: %w", name, w, err)
-		}
-		if w == 1 {
-			base = ns
-		}
-		speedup := 0.0
-		if base > 0 {
-			speedup = base / ns
-		}
+	}
+	ns, allocs, err := bestOf(iters, reps, ops...)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	for k, w := range widths {
 		rep.Results = append(rep.Results, Result{
-			Name: name, Workers: w, NsPerOp: ns, Speedup: speedup, AllocsPerOp: allocs,
+			Name: name, Workers: w, NsPerOp: ns[k], Speedup: ns[0] / ns[k], AllocsPerOp: allocs[k],
 		})
 	}
 	return nil
@@ -156,35 +146,24 @@ func (rep *Report) normalise(name string, work int64, field func(*Result) *float
 	}
 }
 
-// figure2Family builds the Figure-2 step op at one machine configuration.
-func figure2Family(p ewald.Params, pipeline bool, skin float64) func(workers int) (func() error, error) {
-	return func(workers int) (func() error, error) {
-		cfg := core.CurrentMachineConfig(p)
-		cfg.Workers = workers
-		cfg.PotentialEvery = 100
-		cfg.Pipeline = pipeline
-		cfg.Skin = skin
-		m, err := core.NewMachine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Each configuration integrates its own system so the trajectories
-		// start identically (they also stay bit-identical at equal skin — the
-		// contract under test elsewhere; here only the clock matters).
-		run, err := md.NewRockSalt(3, 5.64)
-		if err != nil {
-			return nil, err
-		}
-		run.SetMaxwellVelocities(1200, 1)
-		it, err := md.NewIntegrator(run, m, 2.0)
-		if err != nil {
-			return nil, err
-		}
-		return func() error { return it.Run(1, nil) }, nil
+// forcesOp builds a core.Machine at the current configuration for p, adjusted
+// by tweak, and returns it with its Forces call on sys — the one operation the
+// machine families and the smoke gate time.
+func forcesOp(sys *md.System, p ewald.Params, tweak func(*core.MachineConfig)) (*core.Machine, func() error, error) {
+	cfg := core.CurrentMachineConfig(p)
+	tweak(&cfg)
+	m, err := core.NewMachine(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
+	return m, func() error {
+		_, _, err := m.Forces(sys)
+		return err
+	}, nil
 }
 
-func run(widths []int, iters, reps, weakSteps int) (*Report, error) {
+func run(iters, reps, weakSteps int) (*Report, error) {
+	widths := []int{1, 2, 4, 8}
 	sys, p, err := benchSystem()
 	if err != nil {
 		return nil, err
@@ -199,20 +178,15 @@ func run(widths []int, iters, reps, weakSteps int) (*Report, error) {
 
 	var pairsPerOp int64 // one Forces call's pair evaluations
 	if err := rep.family("machineForces", widths, iters, reps, func(workers int) (func() error, error) {
-		cfg := core.CurrentMachineConfig(p)
-		cfg.Workers = workers
-		m, err := core.NewMachine(cfg)
+		m, op, err := forcesOp(sys, p, func(cfg *core.MachineConfig) { cfg.Workers = workers })
 		if err != nil {
 			return nil, err
 		}
-		if _, _, err := m.Forces(sys); err != nil {
+		if err := op(); err != nil {
 			return nil, err
 		}
 		pairsPerOp = m.MDGStats().PairsEvaluated
-		return func() error {
-			_, _, err := m.Forces(sys)
-			return err
-		}, nil
+		return op, nil
 	}); err != nil {
 		return nil, err
 	}
@@ -224,18 +198,30 @@ func run(widths []int, iters, reps, weakSteps int) (*Report, error) {
 	}
 	rep.Results = append(rep.Results, hp)
 
+	// The two kernel families time the entry points a step takes, on buffers a
+	// step would reuse: quantize once → DFT → IDFT into force planes, and the
+	// amortized j-set builder. (Up to BENCH_8 they timed the one-shot AoS forms,
+	// System.DFT + System.IDFT and NewJSetPool: 11 and 49 allocs/op.)
 	if err := rep.family("wine2DFTIDFT", widths, iters, reps, func(workers int) (func() error, error) {
 		w, err := wine2.NewSystem(wine2.CurrentConfig())
 		if err != nil {
 			return nil, err
 		}
 		w.SetPool(parallelize.New(workers))
+		var (
+			pw     *wine2.ParticleWords
+			sn, cn []float64
+			fc     soa.Coords
+		)
 		return func() error {
-			sn, cn, err := w.DFT(sys.L, waves, sys.Pos, sys.Charge)
-			if err != nil {
+			var err error
+			if pw, err = w.QuantizeInto(pw, sys.L, sys.Pos, sys.Charge); err != nil {
 				return err
 			}
-			_, err = w.IDFT(sys.L, waves, sn, cn, sys.Pos, sys.Charge)
+			if sn, cn, err = w.DFTQuantizedInto(waves, pw, sn, cn); err != nil {
+				return err
+			}
+			fc, err = w.IDFTQuantizedCoordsInto(waves, sn, cn, pw, fc)
 			return err
 		}, nil
 	}); err != nil {
@@ -250,50 +236,18 @@ func run(widths []int, iters, reps, weakSteps int) (*Report, error) {
 			return nil, err
 		}
 		pool := parallelize.New(workers)
+		b := mdgrape2.NewJSetBuilder(grid, pool)
 		return func() error {
-			_, err := mdgrape2.NewJSetPool(grid, sys.Pos, sys.Type, nil, pool)
+			_, err := b.Build(sys.Pos, sys.Type, pool)
 			return err
 		}, nil
 	}); err != nil {
 		return nil, err
 	}
 
-	if err := rep.family("figure2Step", widths, iters, reps, figure2Family(p, false, 0)); err != nil {
-		return nil, err
-	}
-	if err := rep.family("figure2StepPipeline", widths, iters, reps, figure2Family(p, true, 0)); err != nil {
-		return nil, err
-	}
-	if err := rep.family("figure2StepPipelineSkin", widths, iters, reps, figure2Family(p, true, 0.5)); err != nil {
-		return nil, err
-	}
-	for _, name := range []string{"figure2Step", "figure2StepPipeline", "figure2StepPipelineSkin"} {
-		rep.normalise(name, int64(sys.N()), func(r *Result) *float64 { return &r.NsPerParticleStep })
-	}
-
-	// Headline ratios: the same step with the concurrent pipeline off vs on,
-	// measured interleaved (off/on alternate within each rep) so both
-	// configurations see the same host load and frequency state — the
-	// cross-family numbers above are timed minutes apart and their ratio
-	// absorbs any drift in between. The comparison runs at the pipeline's
-	// design point: α chosen so WINE-2 and MDGRAPE-2 carry comparable
-	// per-step work (the MDM balances its engines so neither starves the
-	// other — concurrency pays nothing when one engine dominates). The
-	// family benchmarks above keep the accuracy-suite α, which loads the
-	// real-space engine ~5× heavier.
-	pb := ewald.ParamsForAlpha(sys.L, ewald.SReal/0.33)
-	for _, w := range widths {
-		pr, err := pipelineCompare(pb, w, iters, reps)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline compare workers=%d: %w", w, err)
-		}
-		rep.Pipeline = append(rep.Pipeline, pr)
-	}
-
 	// Weak scaling of the spatial decomposition: fixed 64 ions/rank at
-	// growing rank counts, with per-tag traffic for the rebuild and reuse
-	// step shapes (skipped when weakSteps is 0, e.g. in smoke mode, which
-	// has its own quick weak-scaling gate).
+	// growing rank counts, with per-tag traffic and force accuracy for the
+	// rebuild and reuse step shapes (skipped when weakSteps is 0).
 	if weakSteps > 0 {
 		ws, err := weakScaling(weakRungs, weakSteps)
 		if err != nil {
@@ -305,99 +259,24 @@ func run(widths []int, iters, reps, weakSteps int) (*Report, error) {
 	return rep, nil
 }
 
-// interleavedBest times two operations alternately — a, then b, within every
-// rep, so both see the same host load and frequency state — and returns each
-// side's best ns/op over the reps.
-func interleavedBest(a, b func() error, iters, reps int) (bestA, bestB float64, err error) {
-	sample := func(op func() error) (float64, error) {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := op(); err != nil {
-				return 0, err
-			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(iters), nil
-	}
-	// Warm both sides (tables, arenas, CPU frequency) before any timing.
-	for i := 0; i < 3; i++ {
-		if err := a(); err != nil {
-			return 0, 0, err
-		}
-		if err := b(); err != nil {
-			return 0, 0, err
-		}
-	}
-	for r := 0; r < reps; r++ {
-		na, err := sample(a)
-		if err != nil {
-			return 0, 0, err
-		}
-		nb, err := sample(b)
-		if err != nil {
-			return 0, 0, err
-		}
-		if bestA == 0 || na < bestA {
-			bestA = na
-		}
-		if bestB == 0 || nb < bestB {
-			bestB = nb
-		}
-	}
-	return bestA, bestB, nil
-}
-
-// pipelineCompare times the Figure-2 step with the pipeline off and on at one
-// pool width, alternating the two configurations within every rep and keeping
-// each side's best sample.
-func pipelineCompare(p ewald.Params, workers, iters, reps int) (PipelineResult, error) {
-	offOp, err := figure2Family(p, false, 0)(workers)
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	onOp, err := figure2Family(p, true, 0)(workers)
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	bestOff, bestOn, err := interleavedBest(offOp, onOp, iters, reps)
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	return PipelineResult{
-		Workers:    workers,
-		OffNsPerOp: bestOff,
-		OnNsPerOp:  bestOn,
-		Speedup:    bestOff / bestOn,
-	}, nil
-}
-
 // hostPotentialRow times the host's real-space potential walk by difference:
 // the serial Forces call that evaluates it against the same call on a
 // machine that, after its first call, never does (the walk is internal to
 // core; the difference also carries the O(N) self-energy sum, a thousandth
 // of it). ns_per_pair divides by the walk's half-pair count.
 func hostPotentialRow(sys *md.System, p ewald.Params, iters, reps int) (Result, error) {
-	forcesOp := func(potentialEvery int) (func() error, error) {
-		cfg := core.CurrentMachineConfig(p)
-		cfg.Workers = 1
-		cfg.PotentialEvery = potentialEvery
-		m, err := core.NewMachine(cfg)
+	var ops [2]func() error
+	for k, every := range []int{1, math.MaxInt} {
+		var err error
+		_, ops[k], err = forcesOp(sys, p, func(cfg *core.MachineConfig) {
+			cfg.Workers = 1
+			cfg.PotentialEvery = every
+		})
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
-		return func() error {
-			_, _, err := m.Forces(sys)
-			return err
-		}, nil
 	}
-	with, err := forcesOp(1)
-	if err != nil {
-		return Result{}, err
-	}
-	without, err := forcesOp(math.MaxInt)
-	if err != nil {
-		return Result{}, err
-	}
-	nsWith, nsWithout, err := interleavedBest(with, without, iters, reps)
+	best, _, err := bestOf(iters, reps, ops[0], ops[1])
 	if err != nil {
 		return Result{}, err
 	}
@@ -406,50 +285,86 @@ func hostPotentialRow(sys *md.System, p ewald.Params, iters, reps int) (Result, 
 		return Result{}, err
 	}
 	halfPairs := (cellindex.Sort(grid, sys.Pos).OrderedPairCount() - sys.N()) / 2
-	ns := nsWith - nsWithout
+	ns := best[0] - best[1]
 	return Result{Name: "hostPotential", Workers: 1, NsPerOp: ns, Speedup: 1, NsPerPair: ns / float64(halfPairs)}, nil
 }
 
-// smoke gates CI: at workers=GOMAXPROCS the Figure-2 step must not run
-// meaningfully slower than serial, and the concurrent WINE-2/MDGRAPE-2
-// pipeline must not run meaningfully slower than the sequential step at any
-// width. Pipeline on and off execute the same sweep and the same wave pass,
-// so their ratio is engine overlap alone — reported here, gated only against
-// loss: how much overlap buys depends on an idle second core, which a shared
-// CI runner does not promise (the repo benchmark's overlap_n512 workload is
-// the instrument for that gain). The margin absorbs scheduler jitter on
-// loaded CI machines.
+// smokeMargin is how much slower than its baseline a parallel configuration
+// may read before smoke fails; it absorbs scheduler jitter on loaded CI
+// machines.
+const smokeMargin = 1.30
+
+// smoke gates CI on two inequalities of the machine force evaluation: at
+// workers=GOMAXPROCS it must not run meaningfully slower than serial, and with
+// the concurrent WINE-2/MDGRAPE-2 pipeline on it must not run meaningfully
+// slower than with it off, at either width. Pipeline on and off execute the
+// same sweep and the same wave pass, so their ratio is engine overlap alone —
+// reported here, gated only against loss: how much overlap buys depends on an
+// idle second core, which a shared CI runner does not promise (the repo
+// benchmark's overlap_n512 workload is the instrument for that gain).
+//
+// All configurations are timed interleaved, at the pipeline's design point: α
+// chosen so WINE-2 and MDGRAPE-2 carry comparable work (the MDM balances its
+// engines so neither starves the other — concurrency pays nothing when one
+// engine dominates), with the serial host potential sampled one call in 100
+// as a production step does.
 func smoke(iters, reps int) error {
-	widths := []int{1, runtime.GOMAXPROCS(0)}
-	if widths[1] == 1 {
-		widths = widths[:1]
-	}
-	rep, err := run(widths, iters, reps, 0)
+	sys, _, err := benchSystem()
 	if err != nil {
 		return err
 	}
-	const margin = 1.30
-	for _, r := range rep.Results {
-		if r.Name != "figure2Step" || r.Workers == 1 {
-			continue
-		}
-		if r.Speedup < 1/margin {
-			return fmt.Errorf("figure2Step at workers=%d is %.2fx serial speed (allowed ≥ %.2fx)",
-				r.Workers, r.Speedup, 1/margin)
-		}
-		fmt.Printf("smoke: figure2Step workers=%d speedup %s (num_cpu=%d gomaxprocs=%d)\n",
-			r.Workers, speedupText(r.Speedup, r.Workers, rep.NumCPU), rep.NumCPU, rep.GOMAXPROCS)
+	p := ewald.ParamsForAlpha(sys.L, ewald.SReal/0.33)
+	numCPU, procs := runtime.NumCPU(), runtime.GOMAXPROCS(0)
+	widths := []int{1, procs}
+	if procs == 1 {
+		widths = widths[:1]
 	}
-	for _, pr := range rep.Pipeline {
-		if pr.Speedup < 1/margin {
-			return fmt.Errorf("figure2Step pipeline at workers=%d is %.2fx the sequential step (allowed ≥ %.2fx)",
-				pr.Workers, pr.Speedup, 1/margin)
+	var ops []func() error // off, on at widths[0]; off, on at widths[1]
+	for _, w := range widths {
+		for _, pipeline := range []bool{false, true} {
+			_, op, err := forcesOp(sys, p, func(cfg *core.MachineConfig) {
+				cfg.Workers = w
+				cfg.Pipeline = pipeline
+				cfg.PotentialEvery = 100
+			})
+			if err != nil {
+				return err
+			}
+			ops = append(ops, op)
 		}
-		fmt.Printf("smoke: figure2Step pipeline workers=%d overlap ratio %s (num_cpu=%d gomaxprocs=%d)\n",
-			pr.Workers, speedupText(pr.Speedup, overlapLanes(pr.Workers), rep.NumCPU), rep.NumCPU, rep.GOMAXPROCS)
 	}
-	if rep.GOMAXPROCS < 2 || rep.NumCPU < 2 {
+	ns, _, err := bestOf(iters, reps, ops...)
+	if err != nil {
+		return err
+	}
+	for k, w := range widths {
+		off, on := ns[2*k], ns[2*k+1]
+		if w > 1 {
+			speedup := ns[0] / off
+			if speedup < 1/smokeMargin {
+				return fmt.Errorf("machine forces at workers=%d run at %.2fx serial speed (allowed ≥ %.2fx)", w, speedup, 1/smokeMargin)
+			}
+			fmt.Printf("smoke: machine forces workers=%d speedup %s (num_cpu=%d gomaxprocs=%d)\n",
+				w, speedupText(speedup, w, numCPU), numCPU, procs)
+		}
+		if off/on < 1/smokeMargin {
+			return fmt.Errorf("machine forces with the pipeline on at workers=%d run at %.2fx the sequential speed (allowed ≥ %.2fx)", w, off/on, 1/smokeMargin)
+		}
+		fmt.Printf("smoke: machine forces pipeline workers=%d overlap ratio %s (num_cpu=%d gomaxprocs=%d)\n",
+			w, speedupText(off/on, overlapLanes(w), numCPU), numCPU, procs)
+	}
+	if procs < 2 || numCPU < 2 {
 		fmt.Println("smoke: fewer than two cores, the engines cannot truly overlap and parallel widths timeshare; overhead check only")
+	}
+	return nil
+}
+
+// checkFlags refuses, before anything runs, sample counts no family can be
+// timed with: they would surface minutes later as a NaN or +Inf the JSON
+// encoder rejects.
+func checkFlags(iters, reps, weakSteps int) error {
+	if iters < 1 || reps < 1 || weakSteps < 0 {
+		return fmt.Errorf("usage: mdmbench needs -iters ≥ 1, -reps ≥ 1 and -weak-steps ≥ 0 (0 skips the family); got %d, %d, %d", iters, reps, weakSteps)
 	}
 	return nil
 }
@@ -458,19 +373,23 @@ func main() {
 	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	iters := flag.Int("iters", 10, "operations per timing sample")
 	reps := flag.Int("reps", 3, "timing samples per configuration (best is kept)")
-	smokeMode := flag.Bool("smoke", false, "CI gate: neither the parallel widths nor the engine-overlap pipeline may lose to the serial Figure-2 step")
+	smokeMode := flag.Bool("smoke", false, "CI gate: neither the parallel width nor the engine-overlap pipeline may lose to the serial machine force evaluation")
 	weakSmokeMode := flag.Bool("weak-smoke", false, "CI gate: the decomposition's reuse step must be as accurate as a rebuild step and stream only ghost positions, and per-particle cost must stay flat at 8 ranks")
 	weakSteps := flag.Int("weak-steps", 6, "timed steps per rung in the weak-scaling family (0 skips the family)")
-	compareMode := flag.Bool("compare", false, "compare two recorded reports: mdmbench -compare OLD.json NEW.json")
-	threshold := flag.Float64("threshold", 0.20, "ns/op growth beyond this fraction counts as a regression in -compare")
+	compareMode := flag.Bool("compare", false, "compare two recorded reports: mdmbench -compare OLD.json NEW.json (gates allocs/op, traffic bytes and force error; wall time is printed as information)")
 	flag.Parse()
+
+	if err := checkFlags(*iters, *reps, *weakSteps); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *compareMode {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "usage: mdmbench -compare OLD.json NEW.json")
 			os.Exit(2)
 		}
-		regressions, err := compareReports(flag.Arg(0), flag.Arg(1), *threshold)
+		regressions, err := compareReports(os.Stdout, flag.Arg(0), flag.Arg(1))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -497,7 +416,7 @@ func main() {
 		return
 	}
 
-	rep, err := run([]int{1, 2, 4, 8}, *iters, *reps, *weakSteps)
+	rep, err := run(*iters, *reps, *weakSteps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -517,5 +436,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s (gomaxprocs=%d)\n", *out, rep.GOMAXPROCS)
+	fmt.Printf("wrote %s (gomaxprocs=%d num_cpu=%d)\n", *out, rep.GOMAXPROCS, rep.NumCPU)
 }

@@ -62,6 +62,12 @@ type WeakScalingResult struct {
 	ReuseForceRelErr   float64 `json:"reuse_force_rel_err"`
 }
 
+// reuseLessAccurate is the rule both gates (-weak-smoke and -compare) hold a
+// rung to: the reuse step may not be more than 1.5 × as wrong as the rebuild.
+func (r WeakScalingResult) reuseLessAccurate() bool {
+	return r.ReuseForceRelErr > 1.5*r.RebuildForceRelErr
+}
+
 // weakRungs is the ladder: rank count and box side (in rock-salt cells) grow
 // together so every rank owns one 2×2×2 block of grid cells — 64 ions.
 var weakRungs = []struct{ ranks, cells int }{
@@ -256,7 +262,7 @@ func weakSmoke() error {
 		return err
 	}
 	for _, r := range results {
-		if r.ReuseForceRelErr > 1.5*r.RebuildForceRelErr {
+		if r.reuseLessAccurate() {
 			return fmt.Errorf("weak smoke ranks=%d: reuse step force error %.3g vs rebuild step %.3g against the reference Ewald (allowed ≤ 1.5×)",
 				r.Ranks, r.ReuseForceRelErr, r.RebuildForceRelErr)
 		}

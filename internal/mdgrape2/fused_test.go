@@ -420,8 +420,9 @@ func TestFusedFaultSequence(t *testing.T) {
 	}
 }
 
-// TestJSetBuilderMatchesNewJSet pins the builder's reused layout to a fresh
-// NewJSetPool build, including after Refresh with unchanged cells.
+// TestJSetBuilderMatchesNewJSet pins the builder's reused layout, sorted on a
+// four-wide pool, to a fresh serial NewJSet, including after Refresh with
+// unchanged cells.
 func TestJSetBuilderMatchesNewJSet(t *testing.T) {
 	l := 9.0
 	pos, types, _ := naclSystem(300, l, 11)
@@ -436,7 +437,7 @@ func TestJSetBuilderMatchesNewJSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewJSetPool(grid, pos, types, nil, pool)
+		want, err := NewJSet(grid, pos, types)
 		if err != nil {
 			t.Fatal(err)
 		}

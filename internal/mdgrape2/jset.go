@@ -59,24 +59,18 @@ func (s *System) checkISide(xi []vec.V, ti []int, js *JSet) error {
 // NewJSet sorts raw particles into the board layout. types are given in the
 // original (unsorted) order; the charge field defaults to 1.
 func NewJSet(grid *cellindex.Grid, pos []vec.V, types []int) (*JSet, error) {
-	return NewJSetPool(grid, pos, types, nil, nil)
+	return NewJSetWeighted(grid, pos, types, nil)
 }
 
 // NewJSetWeighted additionally loads the per-particle charge field (weights
-// in original order; nil for all-ones).
+// in original order; nil for all-ones). It is a one-shot, serial JSetBuilder;
+// a caller that rebuilds per step or wants a pool width holds the builder.
 func NewJSetWeighted(grid *cellindex.Grid, pos []vec.V, types []int, weights []float64) (*JSet, error) {
-	return NewJSetPool(grid, pos, types, weights, nil)
-}
-
-// NewJSetPool is NewJSetWeighted with the cell sort and cell-memory build
-// striped across a worker pool (nil pool: serial; any width produces the
-// identical layout) — a one-shot JSetBuilder.
-func NewJSetPool(grid *cellindex.Grid, pos []vec.V, types []int, weights []float64, pool *parallelize.Pool) (*JSet, error) {
 	if weights != nil && len(weights) != len(pos) {
 		return nil, fmt.Errorf("mdgrape2: %d positions vs %d weights", len(pos), len(weights))
 	}
-	b := NewJSetBuilder(grid, pool)
-	if _, err := b.Build(pos, types, pool); err != nil {
+	b := NewJSetBuilder(grid, nil)
+	if _, err := b.Build(pos, types, nil); err != nil {
 		return nil, err
 	}
 	js := b.js // a copy: the builder and its sort scratch die here

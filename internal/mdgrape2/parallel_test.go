@@ -81,7 +81,8 @@ func TestComputeForcesBitIdenticalAcrossWorkers(t *testing.T) {
 
 	for _, w := range []int{2, 3, 4, 8} {
 		sys := newParallelSystem(t, w)
-		pjs, err := NewJSetPool(fx.grid, fx.pos, fx.types, nil, parallelize.New(w))
+		pool := parallelize.New(w)
+		pjs, err := NewJSetBuilder(fx.grid, pool).Build(fx.pos, fx.types, pool)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,22 +1,23 @@
 #!/bin/sh
-# bench.sh — record a benchmark artifact for the intra-board parallelism
-# layer. Picks the next free BENCH_<n>.json in the repo root and writes the
-# cmd/mdmbench report there (ns/op, allocs/op and speedup at pool widths
-# 1/2/4/8 for the machine force evaluation, the WINE-2 DFT/IDFT pair, the
-# j-set build and the Figure-2 MD step with the concurrent pipeline off, on,
-# and on with a Verlet skin), plus the interleaved pipeline-off/on headline
-# comparison at the engine-balanced Ewald splitting, plus the weakScaling
-# family (the spatial decomposition at 64 ions/rank for 1/8/27 ranks with
-# per-tag rebuild and reuse traffic; -weak-steps 0 skips it). The artifact
-# records gomaxprocs and num_cpu, so baselines taken on single-core hosts are
-# recognizable as serial measurements.
+# bench.sh — record a cmd/mdmbench artifact. Picks the next free
+# BENCH_<n>.json in the repo root and writes the report there: ns/op,
+# allocs/op and speedup at pool widths 1/2/4/8 (interleaved) for the machine
+# force evaluation (+ ns per pair), the WINE-2 quantize → DFT → IDFT pass
+# (+ ns per particle·wave) and the j-set build, the host potential walk's ns
+# per half pair, and the weakScaling family (the spatial decomposition at 64
+# ions/rank for 1/8/27 ranks, every rung with a 0.5 Å Verlet skin: per-tag
+# rebuild and reuse traffic and both steps' force error against the reference
+# Ewald; -weak-steps 0 skips it). The artifact records gomaxprocs and num_cpu,
+# so ratios taken at widths the host had no cores for read n/a.
 #
-# Usage: scripts/bench.sh [extra mdmbench flags, e.g. -iters 20]
+# Wall time between two trees is judged by `go run ./benchmark`, not here.
+#
+# Usage: scripts/bench.sh [extra mdmbench flags, e.g. -reps 8]
 #        scripts/bench.sh -compare BENCH_a.json BENCH_b.json
 #
-# The -compare form renders a regression summary between two recorded
-# artifacts (ns/op delta per configuration, alloc growth, pipeline speedup)
-# and exits 1 when the new report regresses beyond the threshold.
+# The -compare form sets two artifacts side by side and exits 1 when
+# allocs/op, a tag's traffic bytes or the decomposition's force error grew;
+# ns/op deltas are printed as information only, so one recording suffices.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -34,14 +34,11 @@ make race
 echo "==> make bench-build (the kernel micro-benchmarks compile and run once)"
 make bench-build
 
-echo "==> bench smoke (neither the parallel widths nor the engine-overlap pipeline may lose to serial; prints the overlap ratio at GOMAXPROCS=2)"
-GOMAXPROCS=2 go run ./cmd/mdmbench -smoke -iters 3 -reps 2
+echo "==> make bench-smoke (neither the parallel width nor the engine-overlap pipeline may lose to serial; prints the overlap ratio at GOMAXPROCS=2)"
+make bench-smoke
 
-echo "==> weak-scaling smoke (reuse steps as accurate as rebuild steps and streaming ghost positions only; per-particle cost flat at 8 ranks)"
-go run ./cmd/mdmbench -weak-smoke
-
-echo "==> bench artifact regression gate (BENCH_7 -> BENCH_8 on the recorded families)"
-go run ./cmd/mdmbench -compare -threshold 0.2 BENCH_7.json BENCH_8.json
+echo "==> make weak-smoke (reuse steps as accurate as rebuild steps and streaming ghost positions only; per-particle cost flat at 8 ranks)"
+make weak-smoke
 
 echo "==> repo benchmark smoke (every workload runs end to end and passes its own correctness checks)"
 quick=$(go run ./benchmark -quick 2>&1) || { echo "$quick" >&2; exit 1; }
