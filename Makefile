@@ -39,7 +39,7 @@ weak-smoke:
 # By hand, after recording: gates allocs/op, traffic bytes and force error;
 # ns/op deltas are printed as information.
 bench-compare:
-	$(GO) run ./cmd/mdmbench -compare BENCH_8.json BENCH_9.json
+	$(GO) run ./cmd/mdmbench -compare BENCH_9.json BENCH_10.json
 
 vet:
 	$(GO) vet ./...

@@ -157,7 +157,7 @@ func TestRestripeFloor(t *testing.T) {
 					// Striping is pure partitioning: either way the engine
 					// still computes the serial forces (to rounding once a
 					// wavenumber group reorders the structure-factor sum).
-					got, _, err := h.forces(s)
+					got, _, err := h.forces(s, 0)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -12,126 +12,144 @@ import (
 	"mdm/internal/md"
 	"mdm/internal/mpi"
 	"mdm/internal/tosifumi"
+	"mdm/internal/units"
 	"mdm/internal/vec"
 )
 
-// ulpDiff is the distance between two finite float64 of the same sign in
-// units in the last place.
-func ulpDiff(a, b float64) uint64 {
-	ia, ib := math.Float64bits(a), math.Float64bits(b)
-	if ia > ib {
-		return ia - ib
+// mustGrid is the cell grid an engine with no skin builds for p.
+func mustGrid(t testing.TB, p ewald.Params) *cellindex.Grid {
+	t.Helper()
+	grid, err := cellindex.NewGrid(p.L, p.RCut)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return ib - ia
+	return grid
 }
 
-// sameFloat is bit equality with every NaN equal to every other.
-func sameFloat(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+// fixtureParams is the splitting of the oracle fixtures on a box of side l:
+// the suite's default (alpha 0), the far-image fixture (60), or ParamsForAlpha.
+func fixtureParams(l, alpha float64) ewald.Params {
+	switch alpha {
+	case 0:
+		return smallParams(l)
+	case 60:
+		return ewald.Params{L: l, Alpha: 60, RCut: l, LKCut: 1}
+	}
+	return ewald.ParamsForAlpha(l, alpha)
 }
 
-func TestExpIntoMatchesMath(t *testing.T) {
-	var xs []float64
-	// Dense sweep of the evaluated range, off any grid the reduction likes.
-	for x := -float64(expRange); x <= expRange; x += 0.0137 {
-		xs = append(xs, x)
+// mustPotTable fits the evaluator the way an engine on grid does.
+func mustPotTable(t testing.TB, p ewald.Params, grid *cellindex.Grid) *potTable {
+	t.Helper()
+	tbl, err := newPotTable(p, grid.CellSize)
+	if err != nil {
+		t.Fatal(err)
 	}
-	xs = append(xs, -expRange, expRange, 0, math.Copysign(0, -1), 1e-300, -1e-300, 1e-9, -1e-9)
-	// Both sides of every table-index boundary (x·128/ln2 a half-integer)
-	// across the Born–Mayer and erfc argument range.
-	for i := -9000; i <= 2000; i++ {
-		edge := (float64(i) + 0.5) * math.Ln2 / 128
-		xs = append(xs, math.Nextafter(edge, math.Inf(-1)), edge, math.Nextafter(edge, math.Inf(1)))
-	}
-	got := make([]float64, len(xs))
-	expInto(got, xs)
-	worst := uint64(0)
-	for k, x := range xs {
-		if d := ulpDiff(got[k], math.Exp(x)); d > worst {
-			worst = d
-			if d > 2 {
-				t.Fatalf("expInto(%g) = %g, math.Exp %g: %d ulp", x, got[k], math.Exp(x), d)
+	return tbl
+}
+
+// TestPotTableKernelError measures both kernels against their scalar forms
+// over the whole domain, every segment sampled densely and at both ends. Each
+// kernel is a factor in [0, 1] — erfc(αr/L), e^(−r/ρ) — times constants and a
+// power of r, and a sum of pair energies needs that factor to an absolute
+// bound; its relative error is bounded where the factor is large enough to
+// carry energy, and grows in the tail, where the kernel falls by decades
+// across one segment (α = 60 puts all of E's domain there). The bounds are
+// the measured maxima (6.3e-16 and 6.0e-15 for E, 4.9e-17 and 2.3e-15 for B)
+// with a margin.
+func TestPotTableKernelError(t *testing.T) {
+	const perSegment = 512
+	for _, c := range []struct {
+		cells int
+		alpha float64
+	}{{4, 0}, {4, 9}, {4, 14}, {1, 60}} {
+		p := fixtureParams(5.64*float64(c.cells), c.alpha)
+		tbl := mustPotTable(t, p, mustGrid(t, p))
+		var absE, absB, relE, relB float64
+		s, e, b := make([]float64, perSegment+1), make([]float64, perSegment+1), make([]float64, perSegment+1)
+		for seg := range tbl.rows {
+			lo := math.Float64frombits(tbl.lo + uint64(seg)<<potLocalBits)
+			hi := math.Float64frombits(tbl.lo + uint64(seg+1)<<potLocalBits)
+			for k := range s {
+				s[k] = lo + (hi-lo)*(float64(k)+0.37)/perSegment
 			}
-		}
-	}
-	t.Logf("%d arguments, worst %d ulp", len(xs), worst)
-
-	// Outside the range every value is math.Exp's own.
-	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -746, -745.2, -744, -708.5, -700.0001,
-		700.0001, 709.7, 709.9, 710, 1e300, -1e300}
-	got = make([]float64, len(special))
-	expInto(got, special)
-	for k, x := range special {
-		if !sameFloat(got[k], math.Exp(x)) {
-			t.Errorf("expInto(%g) = %g, math.Exp %g", x, got[k], math.Exp(x))
-		}
-	}
-
-	// Any length, in place.
-	for _, n := range []int{0, 1, 63, 64, 65} {
-		buf := make([]float64, n)
-		for k := range buf {
-			buf[k] = -30 + float64(k)*0.61
-		}
-		want := make([]float64, n)
-		for k, x := range buf {
-			want[k] = math.Exp(x)
-		}
-		expInto(buf, buf)
-		for k := range buf {
-			if ulpDiff(buf[k], want[k]) > 2 {
-				t.Errorf("length %d element %d: %g vs %g", n, k, buf[k], want[k])
-			}
-		}
-	}
-}
-
-func TestErfcStageMatchesMath(t *testing.T) {
-	const split = 1 / 0.35
-	var xs []float64
-	for x := 1.25; x < 28; x += 0.00071 {
-		xs = append(xs, x)
-	}
-	xs = append(xs, 1.25, math.Nextafter(1.25, 2), math.Nextafter(split, 0), split, math.Nextafter(split, 4),
-		math.Nextafter(28, 0), 26.5, 27.2)
-	inRange := len(xs)
-	// The fallback ranges: close approach, far images, negatives, NaN, ±Inf, 0.
-	xs = append(xs, math.Nextafter(1.25, 0), 1.2, 0.9, 0.84375, 0.5, 0.1, 1e-9, 1e-300, 0,
-		28, math.Nextafter(28, 30), 40, 1e10, math.Inf(1),
-		-0.3, -1.25, -2, -5.9, -6.1, -30, math.Inf(-1), math.NaN())
-	worst := uint64(0)
-	for lo := 0; lo < len(xs); lo += potBlockLen {
-		x := xs[lo:min(lo+potBlockLen, len(xs))]
-		s := make([]float64, len(x))
-		for k, v := range x {
-			s[k] = 1 / (v * v)
-		}
-		got := make([]float64, len(x))
-		erfcStage(got, x, s)
-		for k, v := range x {
-			want := math.Erfc(v)
-			if lo+k >= inRange {
-				if !sameFloat(got[k], want) {
-					t.Errorf("fallback erfcStage(%g) = %g, math.Erfc %g", v, got[k], want)
+			s[0], s[perSegment] = lo, math.Nextafter(hi, 0)
+			tbl.evalInto(e, b, s)
+			for k, sk := range s {
+				wantE, wantB := tbl.kernels(sk)
+				screen := wantE * math.Sqrt(sk) / units.Coulomb // erfc(αr/L)
+				dE, dB := math.Abs(e[k]-wantE)*math.Sqrt(sk)/units.Coulomb, math.Abs(b[k]-wantB)
+				absE, absB = math.Max(absE, dE), math.Max(absB, dB)
+				if screen >= 1e-3 {
+					relE = math.Max(relE, dE/screen)
 				}
-				continue
-			}
-			if d := ulpDiff(got[k], want); d > worst {
-				worst = d
-				if d > 4 {
-					t.Fatalf("erfcStage(%g) = %g, math.Erfc %g: %d ulp", v, got[k], want, d)
+				if wantB >= 1e-3 {
+					relB = math.Max(relB, dB/wantB)
 				}
 			}
 		}
+		t.Logf("alpha=%.3g, %d segments: E factor %.2g absolute, %.2g relative; B factor %.2g absolute, %.2g relative",
+			p.Alpha, len(tbl.rows), absE, relE, absB, relB)
+		if absE > 1e-15 || relE > 1e-14 {
+			t.Errorf("alpha=%g: E's screening factor off by %.3g absolute (bound 1e-15), %.3g relative above 1e-3 (bound 1e-14)", p.Alpha, absE, relE)
+		}
+		if absB > 1e-16 || relB > 5e-15 {
+			t.Errorf("alpha=%g: B off by %.3g absolute (bound 1e-16), %.3g relative above 1e-3 (bound 5e-15)", p.Alpha, absB, relB)
+		}
 	}
-	t.Logf("%d arguments in [1.25, 28), worst %d ulp", inRange, worst)
 }
 
-// oraclePotential is the scalar walk the pipeline replaced, kept as its
+// TestPotTableAddressingEdges walks the edges of the addressing: every power
+// of two in the domain and the largest float64 below it land in adjacent
+// segments at opposite ends of the local coordinate and still read the
+// kernels, the domain is exactly [2^0, 2^emax), and a pair outside it is the
+// scalar pair forms bit for bit.
+func TestPotTableAddressingEdges(t *testing.T) {
+	p := smallParams(4 * 5.64)
+	grid := mustGrid(t, p)
+	tbl := mustPotTable(t, p, grid)
+	emax := len(tbl.rows) >> potSegBits
+	if top := 12 * grid.CellSize * grid.CellSize; !(math.Ldexp(1, emax) > top && math.Ldexp(1, emax-1) <= top) {
+		t.Fatalf("domain ends at 2^%d, the walk reaches 12·cell² = %g", emax, top)
+	}
+	// 2^e opens octave e at u = −1; the float64 before it closes octave e−1
+	// just below u = +1. The first and the last of them are out.
+	var inside []float64
+	for e := 0; e <= emax; e++ {
+		inside = append(inside, math.Nextafter(math.Ldexp(1, e), 0), math.Ldexp(1, e))
+	}
+	outside := []float64{inside[0], inside[len(inside)-1], 0.81, 1e-300, math.Ldexp(1, emax+1), 1e300, math.Inf(1), -4, math.NaN()}
+	inside = inside[1 : len(inside)-1]
+
+	e, b := make([]float64, len(inside)), make([]float64, len(inside))
+	tbl.evalInto(e, b, inside)
+	for k, s := range inside {
+		wantE, wantB := tbl.kernels(s)
+		if !(math.Abs(e[k]-wantE) <= 1e-15*units.Coulomb/math.Sqrt(s)) || !(math.Abs(b[k]-wantB) <= 1e-16) {
+			t.Errorf("s = %x: table E %g, B %g; scalar forms %g, %g", s, e[k], b[k], wantE, wantB)
+		}
+	}
+	e, b = e[:len(outside)], b[:len(outside)]
+	tbl.evalInto(e, b, outside)
+	for k, s := range outside {
+		if !math.IsNaN(e[k]) {
+			t.Errorf("s = %g is outside [1, 2^%d) and the table answers %g", s, emax, e[k])
+		}
+		blk := potBlock{n: 1}
+		blk.r2[0], blk.qq[0], blk.pair[0] = s, -0.63, uint8(tosifumi.Cl)*tosifumi.NumSpecies+uint8(tosifumi.Na)
+		r := math.Sqrt(s)
+		want := p.RealPairEnergyR(-0.63, 1, r) + tbl.tf.ShortEnergy(tosifumi.Cl, tosifumi.Na, r)
+		if got := tbl.drain(&blk, 0); !sameFloat(got, want) {
+			t.Errorf("s = %g: pair energy %g, scalar forms %g", s, got, want)
+		}
+	}
+}
+
+// oraclePotential is the scalar walk the evaluator replaced, kept as its
 // oracle: one closure call per half pair, the general pair forms of ewald and
-// tosifumi (math.Erfc, math.Exp, every division), summed pair by pair.
-func oraclePotential(p ewald.Params, tf *tosifumi.Potential, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable, s *md.System) float64 {
-	pot := 0.0
+// tosifumi (math.Erfc, math.Exp, every division), summed pair by pair. abs is
+// Σ|u_pair|, the magnitude the sum's own rounding scales with.
+func oraclePotential(p ewald.Params, tf *tosifumi.Potential, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable, s *md.System) (pot, abs float64) {
 	sorted.ForEachHalfPairTable(nbt, func(i, j int, rij vec.V) {
 		r2 := rij.Norm2()
 		if r2 == 0 {
@@ -139,45 +157,57 @@ func oraclePotential(p ewald.Params, tf *tosifumi.Potential, sorted *cellindex.S
 		}
 		r := math.Sqrt(r2)
 		oi, oj := sorted.Order[i], sorted.Order[j]
-		pot += p.RealPairEnergyR(s.Charge[oi], s.Charge[oj], r)
-		pot += tf.ShortEnergy(tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj]), r)
+		coul := p.RealPairEnergyR(s.Charge[oi], s.Charge[oj], r)
+		short := tf.ShortEnergy(tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj]), r)
+		pot += coul
+		pot += short
+		abs += math.Abs(coul + short)
 	})
-	return pot
+	return pot, abs
 }
 
-// xRange returns the smallest and largest erfc argument αr/L the half walk
-// meets, and its pair count.
-func xRange(p ewald.Params, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable) (lo, hi float64, pairs int) {
+// rRange returns the smallest and largest separation the half walk meets,
+// and its pair count.
+func rRange(sorted *cellindex.Sorted, nbt *cellindex.NeighborTable) (lo, hi float64, pairs int) {
 	lo = math.Inf(1)
 	sorted.ForEachHalfPairTable(nbt, func(_, _ int, rij vec.V) {
 		if r := rij.Norm(); r != 0 {
-			x := p.Alpha * r / p.L
-			lo, hi = math.Min(lo, x), math.Max(hi, x)
+			lo, hi = math.Min(lo, r), math.Max(hi, r)
 			pairs++
 		}
 	})
 	return lo, hi, pairs
 }
 
-// checkAgainstOracle compares the pipeline with the scalar oracle on one
-// layout: within 1e-13 relative, and exactly 0 where the walk meets no pair.
-func checkAgainstOracle(t *testing.T, name string, p ewald.Params, grid *cellindex.Grid, s *md.System) {
+// checkAgainstOracle compares the evaluator, fitted the way an engine on grid
+// fits it, with the scalar oracle on one layout.
+func checkAgainstOracle(t *testing.T, name string, p ewald.Params, grid *cellindex.Grid, s *md.System) float64 {
 	t.Helper()
-	tf := tosifumi.Default()
+	return checkTableAgainstOracle(t, name, mustPotTable(t, p, grid), grid, s)
+}
+
+// checkTableAgainstOracle holds tbl to 1e-13 of the oracle's potential — or,
+// where that total is a cancellation residue, to 1e-15 of Σ|u_pair|, the
+// rounding level of the sum itself — and to exactly 0 where the walk meets no
+// pair. It returns the absolute difference.
+func checkTableAgainstOracle(t *testing.T, name string, tbl *potTable, grid *cellindex.Grid, s *md.System) float64 {
+	t.Helper()
 	sorted := cellindex.Sort(grid, s.Pos)
 	nbt := cellindex.BuildNeighborTable(grid, nil)
-	got := hostPotential(new(potGather), p, tf, sorted, nbt, s)
-	want := oraclePotential(p, tf, sorted, nbt, s)
+	got := hostPotential(new(potGather), tbl, sorted, nbt, s)
+	want, abs := oraclePotential(tbl.p, tbl.tf, sorted, nbt, s)
 	if want == 0 {
 		if got != 0 {
 			t.Errorf("%s: no pair in the walk, potential %g, want exactly 0", name, got)
 		}
-		return
+		return 0
 	}
-	rel := math.Abs(got-want) / math.Abs(want)
-	if !(rel <= 1e-13) {
-		t.Errorf("%s (grid %d³): pipeline %.17g vs scalar oracle %.17g (rel %.2g)", name, grid.N, got, want, rel)
+	diff := math.Abs(got - want)
+	if !(diff <= math.Max(1e-13*math.Abs(want), 1e-15*abs)) {
+		t.Errorf("%s (grid %d³): evaluator %.17g vs scalar oracle %.17g (rel %.2g, %.2g of Σ|u|)",
+			name, grid.N, got, want, diff/math.Abs(want), diff/abs)
 	}
+	return diff
 }
 
 // fractionalCharges replaces the ±1 charges by non-integer ones, so a walk
@@ -196,46 +226,50 @@ func TestHostPotentialMatchesScalarOracle(t *testing.T) {
 				if fractional {
 					fractionalCharges(s)
 				}
-				p := smallParams(s.L)
-				if alpha != 0 {
-					p = ewald.ParamsForAlpha(s.L, alpha)
+				p := fixtureParams(s.L, alpha)
+				grid := mustGrid(t, p)
+				diff := checkAgainstOracle(t, fmt.Sprintf("cells=%d alpha=%g fractional=%v", cells, p.Alpha, fractional), p, grid, s)
+				// The 512-ion default fixture, in eV (measured: 1.1e-13).
+				if cells == 4 && alpha == 0 && !fractional && diff > 5e-13 {
+					t.Errorf("512 ions, default splitting: %.3g eV from the oracle, want at most 5e-13", diff)
 				}
-				grid, err := cellindex.NewGrid(p.L, p.RCut)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkAgainstOracle(t, fmt.Sprintf("cells=%d alpha=%g fractional=%v", cells, p.Alpha, fractional), p, grid, s)
 			}
 		}
 	}
 
-	// A close approach: pairs on math.Erfc's x < 1.25 branches beside pairs on
-	// the rational's two ranges.
+	// A close approach: a pair below the table's 1 Å² floor, on the scalar
+	// forms, beside pairs across the table.
 	s := meltLike(t, 2, 5.64, 1200, 7)
 	fractionalCharges(s)
 	s.Pos[3] = s.Pos[0].Add(vec.New(0.9, 0.3, -0.2)).Wrap(s.L)
 	p := smallParams(s.L)
-	grid, err := cellindex.NewGrid(p.L, p.RCut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi, _ := xRange(p, cellindex.Sort(grid, s.Pos), cellindex.BuildNeighborTable(grid, nil))
-	if !(lo < 0.84375 && hi > 1/0.35) {
-		t.Fatalf("close-approach fixture spans x in [%g, %g], want below 0.84375 and above 1/0.35", lo, hi)
+	grid := mustGrid(t, p)
+	sorted, nbt := cellindex.Sort(grid, s.Pos), cellindex.BuildNeighborTable(grid, nil)
+	if lo, hi, _ := rRange(sorted, nbt); !(lo < 1 && hi > 2*grid.CellSize) {
+		t.Fatalf("close-approach fixture spans r in [%g, %g], want below 1 Å and beyond two cell sides", lo, hi)
 	}
 	checkAgainstOracle(t, "close approach", p, grid, s)
 
-	// Far images: a one-cell grid at a splitting so sharp that the box's own
-	// images sit beyond x = 28, where erfc underflows to math.Erfc's 0 and the
-	// Born–Mayer argument leaves expInto's range.
-	s = meltLike(t, 1, 5.64, 1200, 8)
-	p = ewald.Params{L: s.L, Alpha: 60, RCut: s.L, LKCut: 1}
-	grid, err = cellindex.NewGrid(p.L, p.RCut)
+	// The same box through a table fitted for cells a quarter the size: the
+	// far images leave the top of its domain for the scalar forms, and the
+	// result does not depend on where the domain ends.
+	short, err := newPotTable(p, grid.CellSize/4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi, _ = xRange(p, cellindex.Sort(grid, s.Pos), cellindex.BuildNeighborTable(grid, nil))
-	if !(lo < 28 && hi >= 28) {
+	if _, hi, _ := rRange(sorted, nbt); !(hi*hi >= math.Ldexp(1, len(short.rows)>>potSegBits)) {
+		t.Fatalf("short-domain fixture reaches r = %g, inside the %d-segment table", hi, len(short.rows))
+	}
+	checkTableAgainstOracle(t, "images beyond the domain", short, grid, s)
+
+	// Far images: a one-cell grid at a splitting so sharp that the box's own
+	// images sit beyond x = 28, where erfc — and with it every node E is
+	// fitted through — underflows to 0.
+	s = meltLike(t, 1, 5.64, 1200, 8)
+	p = fixtureParams(s.L, 60)
+	grid = mustGrid(t, p)
+	lo, hi, _ := rRange(cellindex.Sort(grid, s.Pos), cellindex.BuildNeighborTable(grid, nil))
+	if lo, hi = p.Alpha*lo/p.L, p.Alpha*hi/p.L; !(lo < 28 && hi >= 28) {
 		t.Fatalf("far-image fixture spans x in [%g, %g], want both sides of 28", lo, hi)
 	}
 	checkAgainstOracle(t, "far images", p, grid, s)
@@ -246,29 +280,25 @@ func TestHostPotentialMatchesScalarOracle(t *testing.T) {
 // neighborhood, and a single particle (whose 26 self images exist only on a
 // grid of fewer than 3 cells a side — here 5).
 func TestHostPotentialEmptyWalk(t *testing.T) {
-	tf := tosifumi.Default()
 	s := meltLike(t, 1, 5.64, 1200, 1)
 	p := ewald.ParamsForAlpha(s.L, 14)
-	grid, err := cellindex.NewGrid(p.L, p.RCut)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := mustGrid(t, p)
 	if grid.N != 5 {
 		t.Fatalf("fixture grid %d³, want 5³", grid.N)
 	}
 	nbt := cellindex.BuildNeighborTable(grid, nil)
 	sorted := cellindex.Sort(grid, s.Pos)
-	if _, _, pairs := xRange(p, sorted, nbt); pairs != 0 {
+	if _, _, pairs := rRange(sorted, nbt); pairs != 0 {
 		t.Fatalf("fixture walk reaches %d pairs, want none", pairs)
 	}
 	// A used gather and a warm stack must not leak a stale block into it.
-	g := new(potGather)
-	if got := hostPotential(g, p, tf, sorted, nbt, s); got != 0 {
+	g, tbl := new(potGather), mustPotTable(t, p, grid)
+	if got := hostPotential(g, tbl, sorted, nbt, s); got != 0 {
 		t.Errorf("walk without pairs: potential %g, want exactly 0", got)
 	}
 
 	one := &md.System{L: s.L, Pos: s.Pos[:1], Vel: s.Vel[:1], Mass: s.Mass[:1], Charge: s.Charge[:1], Type: s.Type[:1]}
-	if got := hostPotential(g, p, tf, cellindex.Sort(grid, one.Pos), nbt, one); got != 0 {
+	if got := hostPotential(g, tbl, cellindex.Sort(grid, one.Pos), nbt, one); got != 0 {
 		t.Errorf("N=1: potential %g, want exactly 0", got)
 	}
 }
@@ -305,7 +335,7 @@ func potOccupancySystem(t *testing.T, occ []int) (*md.System, *cellindex.Grid) {
 // TestHostPotentialBlockBoundaries walks cells of 0, 1, 63, 64, 65 and 131
 // particles: a block that loses, repeats or never flushes a pair moves the
 // sum by far more than the reassociation bound. The close random placement
-// also puts many pairs on the math.Erfc fallback.
+// also puts many pairs below the table's 1 Å² floor, on the scalar forms.
 func TestHostPotentialBlockBoundaries(t *testing.T) {
 	occ := []int{0, 1, potBlockLen - 1, potBlockLen, potBlockLen + 1, 2*potBlockLen + 3}
 	s, grid := potOccupancySystem(t, occ)
@@ -329,7 +359,7 @@ func TestHostPotentialBlockBoundaries(t *testing.T) {
 		found := false
 		for n := 2; n <= s.N() && !found; n++ {
 			sub := &md.System{L: s.L, Pos: s.Pos[:n], Charge: s.Charge[:n], Type: s.Type[:n]}
-			_, _, pairs := xRange(p, cellindex.Sort(grid, sub.Pos), nbt)
+			_, _, pairs := rRange(cellindex.Sort(grid, sub.Pos), nbt)
 			if found = pairs > potBlockLen && pairs%potBlockLen == rem; found {
 				checkAgainstOracle(t, fmt.Sprintf("%d pairs (%d in the last block)", pairs, rem), p, grid, sub)
 			}
@@ -421,11 +451,29 @@ func TestSessionPotentialBitEqualToSerial(t *testing.T) {
 	}
 }
 
-// BenchmarkHostPotential reports the potential pipeline per half pair on the
+// BenchmarkPotTableEvalInto reports the evaluator alone — address and two
+// Horner chains — per argument, on blocks spread over default_n512's domain.
+func BenchmarkPotTableEvalInto(b *testing.B) {
+	p := smallParams(4 * 5.64)
+	grid := mustGrid(b, p)
+	tbl := mustPotTable(b, p, grid)
+	rng := rand.New(rand.NewSource(1))
+	var s, e, bm [potBlockLen]float64
+	for k := range s {
+		s[k] = math.Exp2(rng.Float64() * float64(len(tbl.rows)>>potSegBits))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl.evalInto(e[:], bm[:], s[:])
+	}
+	benchSink = e[0] + bm[0]
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/potBlockLen, "ns/arg")
+}
+
+// BenchmarkHostPotential reports the potential walk per half pair on the
 // served (N = 64) and default (N = 512) geometries, at the splitting
 // mdm.NewSimulation picks for them.
 func BenchmarkHostPotential(b *testing.B) {
-	tf := tosifumi.Default()
 	for _, cells := range []int{2, 4} {
 		s, err := md.NewRockSalt(cells, 5.64)
 		if err != nil {
@@ -436,19 +484,16 @@ func BenchmarkHostPotential(b *testing.B) {
 			s.Pos[i] = s.Pos[i].Add(vec.New(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5).Scale(0.6)).Wrap(s.L)
 		}
 		p := smallParams(s.L)
-		grid, err := cellindex.NewGrid(p.L, p.RCut)
-		if err != nil {
-			b.Fatal(err)
-		}
+		grid := mustGrid(b, p)
 		sorted := cellindex.Sort(grid, s.Pos)
 		nbt := cellindex.BuildNeighborTable(grid, nil)
 		pairs := (sorted.OrderedPairCount() - s.N()) / 2
 		b.Run(fmt.Sprintf("N=%d", s.N()), func(b *testing.B) {
-			g := new(potGather)
+			g, tbl := new(potGather), mustPotTable(b, p, grid)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink = hostPotential(g, p, tf, sorted, nbt, s)
+				benchSink = hostPotential(g, tbl, sorted, nbt, s)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 		})

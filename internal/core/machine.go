@@ -70,7 +70,10 @@ type MachineConfig struct {
 
 	// PotentialEvery controls how often the host evaluates the potential
 	// energy (the paper computed it every 100 steps, §5). 1 evaluates it on
-	// every force call; k > 1 reuses the last value for k-1 calls.
+	// every force call; k > 1 evaluates it on the simulation steps that are
+	// multiples of k (Engine.SetStep) and reports that value for the k-1
+	// steps after. An engine's first call always evaluates: the value its
+	// predecessor held is in no checkpoint.
 	PotentialEvery int
 
 	// FaultHook, when non-nil, is installed on both simulated backends (and
@@ -132,15 +135,37 @@ type Engine interface {
 	// JSetStats reports how many Forces calls rebuilt the sorted layout and
 	// how many reused it under the Verlet-skin bound.
 	JSetStats() (rebuilds, reuses int)
+	// SetStep says which simulation step the next Forces call evaluates (0
+	// for an engine never told), so a resumed run keeps the potential cadence
+	// of the run it resumes.
+	SetStep(n int)
 	// Free releases the simulated boards.
 	Free() error
 }
+
+// potCadence is when an engine evaluates the potential and the value it
+// reports in between: MachineConfig.PotentialEvery against the simulation
+// step, not against the engine's own call count, which restarts at 0 whenever
+// the engine is rebuilt — a resume, a re-stripe.
+type potCadence struct {
+	every int
+	step  int     // simulation step the next Forces call evaluates
+	valid bool    // last holds a value
+	last  float64 // the potential of the latest evaluation
+}
+
+func newPotCadence(every int) potCadence { return potCadence{every: max(every, 1)} }
+
+// due reports whether this call evaluates the potential.
+func (c *potCadence) due() bool { return !c.valid || c.step%c.every == 0 }
+
+// set records an evaluation.
+func (c *potCadence) set(pot float64) { c.last, c.valid = pot, true }
 
 // Machine is the simulated MDM evaluating the molten-NaCl force field. It
 // implements Engine.
 type Machine struct {
 	cfg   MachineConfig
-	pot   *tosifumi.Potential
 	waves []ewald.Wave
 	grid  *cellindex.Grid
 
@@ -150,13 +175,13 @@ type Machine struct {
 
 	co *machineCoeffsSet
 
-	potCalls int
-	lastPot  float64
+	potWhen potCadence
 
 	// Step-path state, reused across Forces calls (the zero-alloc step path).
 	jsb       *mdgrape2.JSetBuilder // amortized j-set construction
 	clock     skinClock             // when jsb re-sorts and when it only refreshes
 	scale     []float64             // hoisted per-i Coulomb force prefactor
+	potTable  *potTable             // the host potential's two kernels, fitted at construction
 	potGather potGather             // sorted-order charge/species planes of the host potential walk
 	passes    [4]mdgrape2.ForcePass
 	realFC    soa.Coords      // fused-sweep force planes
@@ -178,9 +203,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if err := cfg.Ewald.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.PotentialEvery < 1 {
-		cfg.PotentialEvery = 1
-	}
 	if cfg.Skin < 0 {
 		return nil, fmt.Errorf("core: negative Verlet skin %g", cfg.Skin)
 	}
@@ -192,9 +214,14 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	potTable, err := newPotTable(cfg.Ewald, grid.CellSize)
+	if err != nil {
+		return nil, err
+	}
 	m := &Machine{
 		cfg:      cfg,
-		pot:      tosifumi.Default(),
+		potWhen:  newPotCadence(cfg.PotentialEvery),
+		potTable: potTable,
 		waves:    ewald.Waves(cfg.Ewald),
 		grid:     grid,
 		pool:     parallelize.New(cfg.Workers),
@@ -350,6 +377,9 @@ func (m *Machine) Free() error {
 // it — the hook for external position rewrites (checkpoint restore).
 func (m *Machine) InvalidateGeometry() { m.clock.invalidate() }
 
+// SetStep implements Engine.
+func (m *Machine) SetStep(n int) { m.potWhen.step = n }
+
 // JSetStats returns how many Forces calls rebuilt the sorted j-set and how
 // many reused it under the Verlet-skin bound.
 func (m *Machine) JSetStats() (rebuilds, reuses int) { return m.clock.rebuilds, m.clock.reuses }
@@ -463,13 +493,13 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 	forces := fc.AppendAoS(make([]vec.V, 0, n))
 
 	// Potential-energy bookkeeping on the host in float64, every
-	// PotentialEvery calls (like the paper's every-100-steps evaluation).
-	if m.potCalls%m.cfg.PotentialEvery == 0 {
-		realPot := hostPotential(&m.potGather, p, m.pot, js.Sorted, m.jsb.NeighborTable(), s)
-		m.lastPot = realPot + res.pot + ewald.SelfEnergy(p, s.Charge)
+	// PotentialEvery steps (like the paper's every-100-steps evaluation).
+	if m.potWhen.due() {
+		realPot := hostPotential(&m.potGather, m.potTable, js.Sorted, m.jsb.NeighborTable(), s)
+		m.potWhen.set(realPot + res.pot + ewald.SelfEnergy(p, s.Charge))
 	}
-	m.potCalls++
-	return forces, m.lastPot, nil
+	m.potWhen.step++
+	return forces, m.potWhen.last, nil
 }
 
 // wavePass runs the WINE-2 wavenumber-space pass into the machine's wave

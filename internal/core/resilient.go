@@ -117,13 +117,17 @@ func (h *hardware) build() error {
 	return err
 }
 
-// forces runs one attempt. With a world its inboxes are drained first, so an
-// aborted attempt's stragglers cannot pollute the retry (a failed Step marks
-// the session's geometry invalid itself, so the retry re-derives ownership).
-func (h *hardware) forces(s *md.System) ([]vec.V, float64, error) {
+// forces runs one attempt at simulation step step. With a world its inboxes
+// are drained first, so an aborted attempt's stragglers cannot pollute the
+// retry (a failed Step marks the session's geometry invalid itself, so the
+// retry re-derives ownership). The engine is told the step on every attempt:
+// one rebuilt by a re-stripe, or passed over while the host path served,
+// keeps the run's potential cadence.
+func (h *hardware) forces(s *md.System, step int) ([]vec.V, float64, error) {
 	if h.world != nil {
 		h.world.Reset()
 	}
+	h.eng.SetStep(step)
 	return h.eng.Forces(s)
 }
 
@@ -224,8 +228,10 @@ func superviseWatchdog(cfg *MachineConfig, rc RecoveryConfig, world *mpi.World) 
 	wd.Start()
 }
 
-// SetStep positions the step clock (e.g. when resuming from a checkpoint),
-// so step-keyed fault events line up with the simulation step.
+// SetStep implements Engine: it positions the step clock (e.g. when resuming
+// from a checkpoint), so step-keyed fault events and the engine's potential
+// cadence line up with the simulation step. The clock counts force
+// evaluations served, so it reads n+1 while step n is evaluated.
 func (r *Resilient) SetStep(n int) { r.step = n }
 
 // InvalidateGeometry implements md.GeometryInvalidator: an external position
@@ -445,7 +451,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 		if wd := r.rc.Watchdog; wd != nil {
 			wd.Arm()
 		}
-		f, pot, err := r.hw.forces(s)
+		f, pot, err := r.hw.forces(s, r.step-1)
 		if wd := r.rc.Watchdog; wd != nil {
 			wd.Disarm()
 		}

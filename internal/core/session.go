@@ -58,7 +58,6 @@ type ParallelRun struct {
 	co     *machineCoeffsSet
 	pref   float64
 	waves  []ewald.Wave
-	tf     *tosifumi.Potential
 
 	// needGhost[r][c] reports whether real rank r needs cell c as a ghost.
 	// ghostSrc[r] / ghostDst[r]: ranks r receives ghosts from / sends ghosts
@@ -76,15 +75,15 @@ type ParallelRun struct {
 	rebuild  bool      // this step rebuilds (set by the driver, read by ranks)
 	initStep bool      // this step derives ownership from scratch
 
-	potCalls int
-	lastPot  float64
-	wavePot  float64 // written by rank 0 during Run, read by the driver after
-	out      []vec.V // written by rank 0 during Run
+	potWhen potCadence
+	wavePot float64 // written by rank 0 during Run, read by the driver after
+	out     []vec.V // written by rank 0 during Run
 
 	potPool   *parallelize.Pool
 	potSorter *cellindex.Sorter
 	potSorted *cellindex.Sorted
 	potNbt    *cellindex.NeighborTable
+	potTable  *potTable
 	potGather potGather
 	potDirty  bool
 
@@ -145,9 +144,6 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 	if world.Size() != nReal+nWave {
 		return nil, fmt.Errorf("core: world size %d != %d real + %d wave", world.Size(), nReal, nWave)
 	}
-	if cfg.PotentialEvery < 1 {
-		cfg.PotentialEvery = 1
-	}
 	p := cfg.Ewald
 	// The serial machine's discretization: cell side ≥ r_cut + skin, so a
 	// frozen layout stays valid until some displacement exceeds skin/2.
@@ -165,19 +161,24 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 	if err != nil {
 		return nil, err
 	}
+	potTable, err := newPotTable(p, grid.CellSize)
+	if err != nil {
+		return nil, err
+	}
 	pr := &ParallelRun{
-		world:   world,
-		cfg:     cfg,
-		nReal:   nReal,
-		nWave:   nWave,
-		grid:    grid,
-		blocks:  blocks,
-		co:      co,
-		pref:    units.Coulomb * math.Pow(p.Alpha/p.L, 3),
-		waves:   ewald.Waves(p),
-		tf:      tosifumi.Default(),
-		clock:   newSkinClock(p.L, cfg.Skin),
-		potPool: parallelize.New(cfg.Workers),
+		world:    world,
+		cfg:      cfg,
+		nReal:    nReal,
+		nWave:    nWave,
+		grid:     grid,
+		blocks:   blocks,
+		co:       co,
+		pref:     units.Coulomb * math.Pow(p.Alpha/p.L, 3),
+		waves:    ewald.Waves(p),
+		clock:    newSkinClock(p.L, cfg.Skin),
+		potPool:  parallelize.New(cfg.Workers),
+		potWhen:  newPotCadence(cfg.PotentialEvery),
+		potTable: potTable,
 	}
 	pr.potSorter = cellindex.NewSorter(grid)
 	pr.potNbt = cellindex.BuildNeighborTable(grid, pr.potPool)
@@ -305,6 +306,9 @@ func (pr *ParallelRun) Free() error {
 // have half-applied a migration.
 func (pr *ParallelRun) InvalidateGeometry() { pr.clock.invalidate() }
 
+// SetStep implements Engine.
+func (pr *ParallelRun) SetStep(n int) { pr.potWhen.step = n }
+
 // JSetStats reports how many steps rebuilt the decomposition (migration +
 // full ghost exchange) and how many reused it (ghost position streaming).
 func (pr *ParallelRun) JSetStats() (rebuilds, reuses int) { return pr.clock.rebuilds, pr.clock.reuses }
@@ -359,25 +363,25 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	pr.clock.advance(s.Pos, pr.rebuild)
 	pr.potDirty = pr.potDirty || pr.rebuild
 
-	// Potential bookkeeping on the driver, every PotentialEvery calls like
+	// Potential bookkeeping on the driver, every PotentialEvery steps like
 	// the serial machine: the real-space walk shares the cell assignment of
 	// the last rebuild (sorted from the skin reference positions, refreshed
 	// to the current ones), so the pair set — and the energy — match the
 	// serial host potential bit for bit.
-	if pr.potCalls%pr.cfg.PotentialEvery == 0 {
+	if pr.potWhen.due() {
 		if pr.potDirty {
 			pr.potSorted = pr.potSorter.SortInto(pr.potSorted, pr.clock.ref, pr.potPool)
 			pr.potDirty = false
 		}
 		pr.potSorted.Refresh(s.Pos)
-		realPot := hostPotential(&pr.potGather, p, pr.tf, pr.potSorted, pr.potNbt, s)
-		pr.lastPot = realPot + pr.wavePot + ewald.SelfEnergy(p, s.Charge)
+		realPot := hostPotential(&pr.potGather, pr.potTable, pr.potSorted, pr.potNbt, s)
+		pr.potWhen.set(realPot + pr.wavePot + ewald.SelfEnergy(p, s.Charge))
 	}
-	pr.potCalls++
+	pr.potWhen.step++
 
 	after := pr.world.Stats()
 	pr.res.Forces = pr.out
-	pr.res.Potential = pr.lastPot
+	pr.res.Potential = pr.potWhen.last
 	pr.res.Traffic = mpi.Stats{
 		Messages: after.Messages - before.Messages,
 		Bytes:    after.Bytes - before.Bytes,

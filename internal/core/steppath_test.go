@@ -48,7 +48,7 @@ func TestRealPotentialHalfWalkMatchesOrderedWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			sorted := cellindex.Sort(grid, s.Pos)
-			got := hostPotential(new(potGather), p, tf, sorted, cellindex.BuildNeighborTable(grid, nil), s)
+			got := hostPotential(new(potGather), mustPotTable(t, p, grid), sorted, cellindex.BuildNeighborTable(grid, nil), s)
 			want := orderedRealPotential(p, tf, sorted, s)
 			if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-12 {
 				t.Errorf("cells=%d alpha=%g (grid %d³): half walk %.17g vs ordered walk %.17g (rel %.2g)",

@@ -324,3 +324,8 @@ func BenchmarkFusedSweep(b *testing.B) {
 		run(pass.Table, f.passes[p:p+1])
 	}
 }
+
+// sameFloat is bit equality with every NaN equal to every other.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}

@@ -181,10 +181,14 @@ func (a wiring) address(word uint32) (seg uint32, u float32) {
 	return word>>(a.shift&31) - a.base, float32(int32(word&a.mask)) * a.uscale
 }
 
-// fitNode returns the i-th of the Order+1 fit nodes in the local coordinate:
-// Chebyshev nodes of the first kind mapped to (0, 1).
-func fitNode(i int) float64 {
-	return 0.5 - 0.5*math.Cos(math.Pi*(float64(i)+0.5)/float64(Order+1))
+// ChebyshevNodes fills u with the len(u) Chebyshev nodes of the first kind
+// mapped to (0, 1), ascending — the fit nodes of a segment in its local
+// coordinate, whatever the interpolation order.
+func ChebyshevNodes(u []float64) {
+	n := float64(len(u))
+	for i := range u {
+		u[i] = 0.5 - 0.5*math.Cos(math.Pi*(float64(i)+0.5)/n)
+	}
 }
 
 // fitSegment computes interpolation coefficients for g on [lo, hi) in the
@@ -193,13 +197,10 @@ func fitNode(i int) float64 {
 // row is all zero when no node value reaches flushFloor, and a coefficient
 // below minNormal32 is zero in a kept row.
 func fitSegment(g func(float64) float64, lo, hi float64) ([Order + 1]float32, error) {
-	var nodes [Order + 1]float64
-	var vals [Order + 1]float64
+	var nodes, vals [Order + 1]float64
+	ChebyshevNodes(nodes[:])
 	peak := 0.0
-	n := Order + 1
-	for i := 0; i < n; i++ {
-		u := fitNode(i)
-		nodes[i] = u
+	for i, u := range nodes {
 		x := lo + u*(hi-lo)
 		v := g(x)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -211,8 +212,8 @@ func fitSegment(g func(float64) float64, lo, hi float64) ([Order + 1]float32, er
 	if peak < flushFloor {
 		return [Order + 1]float32{}, nil
 	}
-	c, err := solveVandermonde(nodes, vals)
-	if err != nil {
+	var c [Order + 1]float64
+	if err := SolveVandermonde(c[:], nodes[:], vals[:]); err != nil {
 		return [Order + 1]float32{}, err
 	}
 	var c32 [Order + 1]float32
@@ -224,12 +225,22 @@ func fitSegment(g func(float64) float64, lo, hi float64) ([Order + 1]float32, er
 	return c32, nil
 }
 
-// solveVandermonde solves sum_j c_j u_i^j = v_i by Gaussian elimination with
-// partial pivoting. The system is tiny (5x5) and well-conditioned for
-// Chebyshev nodes on [0,1].
-func solveVandermonde(u, v [Order + 1]float64) ([Order + 1]float64, error) {
-	const n = Order + 1
-	var a [n][n + 1]float64
+// MaxFitNodes bounds the order SolveVandermonde accepts: past it a monomial
+// basis on Chebyshev nodes loses more digits to conditioning than a further
+// node gains.
+const MaxFitNodes = 16
+
+// SolveVandermonde solves sum_j c_j u_i^j = v_i for the coefficients of the
+// polynomial through the points (u_i, v_i), by Gaussian elimination with
+// partial pivoting. c, u and v have one length, at most MaxFitNodes. The
+// system is tiny and well-conditioned for Chebyshev nodes: 5x5 on (0, 1) for
+// the MDGRAPE-2 RAM, 11x11 on (-1, 1) for the host's float64 evaluator.
+func SolveVandermonde(c, u, v []float64) error {
+	n := len(u)
+	if n > MaxFitNodes || len(c) != n || len(v) != n {
+		return fmt.Errorf("funceval: Vandermonde system of %d nodes, %d values, %d coefficients (at most %d of each)", n, len(v), len(c), MaxFitNodes)
+	}
+	var a [MaxFitNodes][MaxFitNodes + 1]float64
 	for i := 0; i < n; i++ {
 		p := 1.0
 		for j := 0; j < n; j++ {
@@ -239,7 +250,6 @@ func solveVandermonde(u, v [Order + 1]float64) ([Order + 1]float64, error) {
 		a[i][n] = v[i]
 	}
 	for col := 0; col < n; col++ {
-		// pivot
 		piv := col
 		for r := col + 1; r < n; r++ {
 			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
@@ -247,25 +257,24 @@ func solveVandermonde(u, v [Order + 1]float64) ([Order + 1]float64, error) {
 			}
 		}
 		if a[piv][col] == 0 {
-			return [n]float64{}, fmt.Errorf("singular Vandermonde system")
+			return fmt.Errorf("singular Vandermonde system")
 		}
 		a[col], a[piv] = a[piv], a[col]
 		for r := col + 1; r < n; r++ {
 			f := a[r][col] / a[col][col]
-			for c := col; c <= n; c++ {
-				a[r][c] -= f * a[col][c]
+			for k := col; k <= n; k++ {
+				a[r][k] -= f * a[col][k]
 			}
 		}
 	}
-	var x [n]float64
 	for i := n - 1; i >= 0; i-- {
 		s := a[i][n]
 		for j := i + 1; j < n; j++ {
-			s -= a[i][j] * x[j]
+			s -= a[i][j] * c[j]
 		}
-		x[i] = s / a[i][i]
+		c[i] = s / a[i][i]
 	}
-	return x, nil
+	return nil
 }
 
 // Eval evaluates the table at x using single-precision arithmetic, modelling

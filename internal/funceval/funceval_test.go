@@ -107,6 +107,56 @@ func TestPolynomialExact(t *testing.T) {
 	}
 }
 
+// TestSolveVandermondeAnyOrder recovers a polynomial's own coefficients at
+// every order the solver takes, on the two node sets in use — (0, 1) for the
+// RAM, centred (-1, 1) for the host's float64 evaluator — and refuses a
+// system past MaxFitNodes or with mismatched lengths.
+func TestSolveVandermondeAnyOrder(t *testing.T) {
+	for n := 1; n <= MaxFitNodes; n++ {
+		for _, centred := range []bool{false, true} {
+			u, v, want, c := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+			ChebyshevNodes(u)
+			for j := range want {
+				want[j] = 1 / float64(j+1)
+			}
+			for i := range u {
+				if centred {
+					u[i] = 2*u[i] - 1
+				}
+				for j := n - 1; j >= 0; j-- {
+					v[i] = v[i]*u[i] + want[j]
+				}
+			}
+			if err := SolveVandermonde(c, u, v); err != nil {
+				t.Fatalf("%d nodes: %v", n, err)
+			}
+			// The monomial basis costs digits with the order: on (0, 1) 16
+			// nodes keep six, on the centred set they keep twelve and the
+			// evaluator's 11 keep fourteen.
+			tol := 1e-15 * math.Pow(4, float64(n))
+			if centred {
+				tol = 1e-16 * math.Pow(2, float64(n))
+			}
+			for j := range want {
+				if d := math.Abs(c[j] - want[j]); d > tol {
+					t.Errorf("%d nodes, centred %v: c[%d] = %.17g, want %.17g (off %.2g, bound %.2g)", n, centred, j, c[j], want[j], d, tol)
+				}
+			}
+		}
+	}
+	big := make([]float64, MaxFitNodes+1)
+	ChebyshevNodes(big)
+	if err := SolveVandermonde(big, big, big); err == nil {
+		t.Error("a system past MaxFitNodes accepted")
+	}
+	if err := SolveVandermonde(big[:3], big[:4], big[:4]); err == nil {
+		t.Error("mismatched lengths accepted")
+	}
+	if err := SolveVandermonde(big[:2], []float64{0.5, 0.5}, big[:2]); err == nil {
+		t.Error("repeated node accepted")
+	}
+}
+
 func TestEwaldKernelAccuracy(t *testing.T) {
 	// The real-space Ewald kernel of §3.5.4:
 	// g(x) = 2 exp(-x)/(sqrt(pi) x) + erfc(sqrt(x)) / x^(3/2)

@@ -83,7 +83,11 @@ type Config struct {
 	Backend     Backend // force engine (default BackendMDM)
 
 	// PotentialEvery sets how often the host evaluates the potential
-	// energy on the MDM backend (default 1; the paper used 100).
+	// energy on the MDM backend (default 1; the paper used 100): on the steps
+	// that are multiples of it, whose value the steps in between report. A
+	// resumed run keeps that cadence and adds one evaluation at the step it
+	// resumes from — the value in force there is in no checkpoint — so its
+	// records equal the uninterrupted run's from the next multiple on.
 	PotentialEvery int
 
 	// Faults is a fault-injection scenario in the internal/fault DSL, e.g.
@@ -408,10 +412,11 @@ func newSimulation(cfg Config, sys *md.System, step int, in *fault.Injector) (*S
 	if err != nil {
 		return nil, err
 	}
-	if sim.resilient != nil {
-		// Align the recovery layer's step clock with the simulation step so
-		// step-keyed fault events land where the scenario says.
-		sim.resilient.SetStep(step)
+	if sim.engine != nil {
+		// Align the engine's step clock with the simulation step, so
+		// step-keyed fault events land where the scenario says and the
+		// potential is evaluated on the steps an uninterrupted run evaluates.
+		sim.engine.SetStep(step)
 	}
 	it, err := md.NewIntegrator(sys, ff, cfg.Dt)
 	if err != nil {

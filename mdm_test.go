@@ -1,6 +1,8 @@
 package mdm
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"mdm/internal/analysis"
+	"mdm/internal/md"
 )
 
 func TestBackendString(t *testing.T) {
@@ -162,6 +165,66 @@ func TestMDMSimulationRuns(t *testing.T) {
 	}
 	if err := sim.Free(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResumeKeepsPotentialCadence pins the potential cadence to the
+// simulation step: a run resumed at step 15 evaluates the potential there
+// once (the value in force is in no checkpoint) and then on the steps an
+// uninterrupted run evaluates it, so from the first multiple of
+// PotentialEvery after the resume the two report the same records.
+func TestResumeKeepsPotentialCadence(t *testing.T) {
+	const before, after = 15, 10
+	for _, ranks := range []int{0, 2} {
+		for _, every := range []int{1, 10} {
+			t.Run(fmt.Sprintf("ranks=%d/every=%d", ranks, every), func(t *testing.T) {
+				cfg := Config{Cells: 2, PotentialEvery: every, Ranks: ranks}
+				whole, err := NewSimulation(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = whole.Free() }()
+				if err := whole.RunNVE(before + after); err != nil {
+					t.Fatal(err)
+				}
+
+				first, err := NewSimulation(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := first.RunNVE(before); err != nil {
+					t.Fatal(err)
+				}
+				var ckpt bytes.Buffer
+				if err := md.WriteCheckpoint(&ckpt, first.System, first.Integrator.StepCount()); err != nil {
+					t.Fatal(err)
+				}
+				sys, step, err := md.ReadCheckpoint(&ckpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed, err := ResumeSimulation(first, sys, step)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = resumed.Free() }()
+				if err := resumed.RunNVE(after); err != nil {
+					t.Fatal(err)
+				}
+
+				aligned := (before + every - 1) / every * every
+				want := whole.Records()[aligned:]
+				got := resumed.Records()[aligned-before:]
+				if len(got) != len(want) || len(got) == 0 {
+					t.Fatalf("resumed run has %d records from step %d on, uninterrupted %d", len(got), aligned, len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("step %d: resumed %+v, uninterrupted %+v", want[i].Step, got[i], want[i])
+					}
+				}
+			})
+		}
 	}
 }
 
