@@ -36,10 +36,11 @@ bench-smoke:
 weak-smoke:
 	$(GO) run ./cmd/mdmbench -weak-smoke
 
-# By hand, after recording: gates allocs/op, traffic bytes and force error;
-# ns/op deltas are printed as information.
+# By hand, after recording: gates allocs/op, traffic bytes, the rungs' force
+# error and the machine's real / wave stage error; ns/op deltas are printed as
+# information.
 bench-compare:
-	$(GO) run ./cmd/mdmbench -compare BENCH_9.json BENCH_10.json
+	$(GO) run ./cmd/mdmbench -compare BENCH_10.json BENCH_11.json
 
 vet:
 	$(GO) vet ./...

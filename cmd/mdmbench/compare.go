@@ -11,7 +11,9 @@
 //     over the timing window);
 //   - a tag's bytes grew on the rebuild or reuse step of a rung of equal N;
 //   - a rung's reuse step is less accurate than 1.5 × its rebuild step, or
-//     either force error rose 10 % above the old record's.
+//     either force error rose 10 % above the old record's;
+//   - the machine's real or wave stage error against float64 (the report's
+//     accuracy object) rose 10 % above the old record's.
 //
 // ns/op deltas are printed as information, never judged: on a shared host
 // they move ±40 % with the co-tenants. Wall time is argued from
@@ -23,6 +25,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"mdm/internal/core"
 )
 
 func readReport(path string) (*Report, error) {
@@ -119,6 +123,39 @@ func compareRung(w io.Writer, or *WeakScalingResult, r WeakScalingResult) int {
 	return regressions
 }
 
+// compareAccuracy prints the machine's stage errors against the old record's
+// and returns its regressions: the real or the wave stage more than 10 % above
+// an old record that carries the object. The rest is information.
+func compareAccuracy(w io.Writer, old, acc *core.Accuracy) int {
+	if acc == nil {
+		return 0
+	}
+	if old == nil {
+		old = &core.Accuracy{}
+	}
+	fmt.Fprintln(w, "machine vs float64 over its own pair set and wave set (RMS, relative):")
+	regressions := 0
+	for _, st := range []struct {
+		name     string
+		old, new float64
+		gated    bool
+	}{
+		{"real", old.Real.RMS, acc.Real.RMS, true},
+		{"wave", old.Wave.RMS, acc.Wave.RMS, true},
+		{"total", old.Total.RMS, acc.Total.RMS, false},
+		{"potential", old.Potential, acc.Potential, false},
+		{"truncation", old.Truncation.RMS, acc.Truncation.RMS, false},
+	} {
+		mark := ""
+		if st.gated && st.old > 0 && st.new > 1.1*st.old {
+			mark = "  ACCURACY REGRESSION (> 10 % above the old record)"
+			regressions++
+		}
+		fmt.Fprintf(w, "    %-10s %s → %s%s\n", st.name, errText(st.old), errText(st.new), mark)
+	}
+	return regressions
+}
+
 // compareReports writes the summary to w and returns the number of regressions.
 func compareReports(w io.Writer, aPath, bPath string) (int, error) {
 	a, err := readReport(aPath)
@@ -190,6 +227,7 @@ func compareReports(w io.Writer, aPath, bPath string) (int, error) {
 		}
 		regressions += compareRung(w, or, r)
 	}
+	regressions += compareAccuracy(w, a.Accuracy, b.Accuracy)
 	if regressions > 0 {
 		fmt.Fprintf(w, "\n%d regression(s) in allocs/op, traffic bytes or force error\n", regressions)
 	} else {

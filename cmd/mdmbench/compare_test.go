@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mdm/internal/core"
 )
 
 func writeReport(t *testing.T, dir, name string, rep Report) string {
@@ -23,7 +25,8 @@ func writeReport(t *testing.T, dir, name string, rep Report) string {
 }
 
 // The -compare contract: wall time is printed and never judged; allocs/op,
-// per-tag traffic bytes and the decomposition's force error are.
+// per-tag traffic bytes, the decomposition's force error and the machine's
+// real and wave stage errors are.
 func TestCompareReports(t *testing.T) {
 	rung := func() WeakScalingResult {
 		return WeakScalingResult{
@@ -41,6 +44,9 @@ func TestCompareReports(t *testing.T) {
 				{Name: "forces", Workers: 2, NsPerOp: 600, AllocsPerOp: 10},
 			},
 			WeakScaling: []WeakScalingResult{rung()},
+			Accuracy: &core.Accuracy{N: 64,
+				Real: core.StageError{RMS: 3e-6, Worst: 1e-5}, Wave: core.StageError{RMS: 2.4e-5, Worst: 6e-5},
+				Total: core.StageError{RMS: 1.2e-5, Worst: 3e-5}, Potential: 4e-7, Truncation: core.StageError{RMS: 6.5e-3, Worst: 2e-2}},
 		}
 	}
 	dir := t.TempDir()

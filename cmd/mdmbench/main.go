@@ -2,9 +2,10 @@
 // the only judge of wall time) does not: how the hot paths that package
 // parallelize stripes across host cores scale at pool widths 1, 2, 4 and 8,
 // their unit costs and steady-state allocations, and the spatial
-// decomposition's per-tag traffic and force accuracy per rung.
+// decomposition's per-tag traffic and force accuracy per rung, and the
+// machine's error stage by stage against float64 (core.MeasureAccuracy).
 //
-//	mdmbench -o BENCH_9.json            # record an artifact (scripts/bench.sh)
+//	mdmbench -o BENCH_11.json           # record an artifact (scripts/bench.sh)
 //	mdmbench -compare OLD.json NEW.json # gate allocs/op, traffic bytes, force error
 //	mdmbench -smoke                     # CI gate: parallel must not lose to serial
 //
@@ -63,6 +64,8 @@ type Report struct {
 	Iters       int                 `json:"iters_per_sample"`
 	Results     []Result            `json:"results"`
 	WeakScaling []WeakScalingResult `json:"weak_scaling,omitempty"`
+	// Accuracy is core.MeasureAccuracy on the benchmark system (from BENCH_11).
+	Accuracy *core.Accuracy `json:"accuracy,omitempty"`
 }
 
 // benchSystem is the 216-ion perturbed crystal every family runs on.
@@ -175,6 +178,11 @@ func run(iters, reps, weakSteps int) (*Report, error) {
 		Iters:      iters,
 	}
 	waves := ewald.Waves(p)
+	acc, err := core.MeasureAccuracy(core.CurrentMachineConfig(p), sys)
+	if err != nil {
+		return nil, fmt.Errorf("accuracy: %w", err)
+	}
+	rep.Accuracy = &acc
 
 	var pairsPerOp int64 // one Forces call's pair evaluations
 	if err := rep.family("machineForces", widths, iters, reps, func(workers int) (func() error, error) {

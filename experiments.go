@@ -2,17 +2,8 @@ package mdm
 
 import (
 	"fmt"
-	"math"
 
 	"mdm/internal/analysis"
-	"mdm/internal/cellindex"
-	"mdm/internal/core"
-	"mdm/internal/ewald"
-	"mdm/internal/md"
-	"mdm/internal/mdgrape2"
-	"mdm/internal/units"
-	"mdm/internal/vec"
-	"mdm/internal/wine2"
 )
 
 // Figure2Series is the temperature trace of one Figure 2 panel.
@@ -115,128 +106,4 @@ func RunFigure2(cfg Figure2Config) ([]Figure2Series, []analysis.FluctuationPoint
 		}
 	}
 	return series, pts, nil
-}
-
-// Accuracy summarizes the hardware-simulator force errors against the
-// float64 reference — the quantitative form of §3.4.4 ("about 10^-4.5") and
-// §3.5.4 ("about 10^-7").
-type Accuracy struct {
-	N int
-	// Wavenumber-space force error of the WINE-2 pipelines, relative to the
-	// RMS reference force.
-	WineWorst, WineRMS float64
-	// Real-space force error of the MDGRAPE-2 pipelines against the same
-	// pair walk in float64, relative to the RMS reference force.
-	MDGWorst, MDGRMS float64
-}
-
-// MeasureAccuracy builds a perturbed crystal and probes both pipelines.
-func MeasureAccuracy(cells int, seed int64) (*Accuracy, error) {
-	if cells < 1 {
-		return nil, fmt.Errorf("mdm: cells %d must be positive", cells)
-	}
-	sys, err := md.NewRockSalt(cells, 5.64)
-	if err != nil {
-		return nil, err
-	}
-	// Deterministic thermal-ish displacements.
-	for i := range sys.Pos {
-		h := float64((i*2654435761+int(seed)*97)%1000)/1000.0 - 0.5
-		g := float64((i*40503+int(seed)*131)%1000)/1000.0 - 0.5
-		k := float64((i*9973+int(seed)*17)%1000)/1000.0 - 0.5
-		sys.Pos[i] = sys.Pos[i].Add(vec.New(h, g, k).Scale(0.5)).Wrap(sys.L)
-	}
-	p := ewald.ParamsForAlpha(sys.L, ewald.SReal/0.45)
-	acc := &Accuracy{N: sys.N()}
-
-	// WINE-2 vs reference wavenumber forces.
-	wsys, err := wine2.NewSystem(wine2.CurrentConfig())
-	if err != nil {
-		return nil, err
-	}
-	waves := ewald.Waves(p)
-	sn, cn := ewald.StructureFactors(waves, sys.Pos, sys.Charge)
-	wantW := ewald.WavenumberForces(p, waves, sn, cn, sys.Pos, sys.Charge)
-	gotS, gotC, err := wsys.DFT(sys.L, waves, sys.Pos, sys.Charge)
-	if err != nil {
-		return nil, err
-	}
-	gotW, err := wsys.IDFT(sys.L, waves, gotS, gotC, sys.Pos, sys.Charge)
-	if err != nil {
-		return nil, err
-	}
-	acc.WineWorst, acc.WineRMS = forceErrors(gotW, wantW)
-
-	// MDGRAPE-2 Coulomb real-space pass vs the identical float64 pair walk.
-	msys, err := mdgrape2.NewSystem(mdgrape2.CurrentConfig())
-	if err != nil {
-		return nil, err
-	}
-	if err := msys.LoadTable("ewald", core.EwaldRealG, -20, 8); err != nil {
-		return nil, err
-	}
-	grid, err := cellindex.NewGrid(sys.L, p.RCut)
-	if err != nil {
-		return nil, err
-	}
-	js, err := mdgrape2.NewJSet(grid, sys.Pos, sys.Type)
-	if err != nil {
-		return nil, err
-	}
-	aC := p.Alpha * p.Alpha / (p.L * p.L)
-	co, err := mdgrape2.NewCoeffs(2, aC, 0)
-	if err != nil {
-		return nil, err
-	}
-	co.Set(0, 0, aC, 1)
-	co.Set(0, 1, aC, -1)
-	co.Set(1, 1, aC, 1)
-	pref := units.Coulomb * math.Pow(p.Alpha/p.L, 3)
-	scale := make([]float64, sys.N())
-	for i := range scale {
-		scale[i] = pref
-	}
-	gotM, err := msys.ComputeForces("ewald", co, sys.Pos, sys.Type, scale, js)
-	if err != nil {
-		return nil, err
-	}
-	wantM := make([]vec.V, sys.N())
-	sorted := js.Sorted
-	for i := range sys.Pos {
-		ci := grid.CellOf(sys.Pos[i])
-		var accF vec.V
-		for _, nb := range grid.Neighbors(ci) {
-			jstart, jend := sorted.CellRange(nb.Cell)
-			for j := jstart; j < jend; j++ {
-				rij := sys.Pos[i].Sub(sorted.At(j).Add(nb.Shift))
-				r2 := rij.Norm2()
-				if r2 == 0 {
-					continue
-				}
-				qj := sys.Charge[sorted.Order[j]]
-				accF = accF.Add(rij.Scale(sys.Charge[i] * qj * core.EwaldRealG(aC*r2)))
-			}
-		}
-		wantM[i] = accF.Scale(pref)
-	}
-	acc.MDGWorst, acc.MDGRMS = forceErrors(gotM, wantM)
-	return acc, nil
-}
-
-// forceErrors returns the worst and RMS deviation of got from want, both
-// relative to the RMS magnitude of want.
-func forceErrors(got, want []vec.V) (worst, rms float64) {
-	scale := vec.RMS(want)
-	if scale == 0 {
-		return 0, 0
-	}
-	sum := 0.0
-	for i := range got {
-		d := got[i].Sub(want[i]).Norm() / scale
-		if d > worst {
-			worst = d
-		}
-		sum += d * d
-	}
-	return worst, math.Sqrt(sum / float64(len(got)))
 }

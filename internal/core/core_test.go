@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -47,51 +48,44 @@ func newTestMachine(t testing.TB, p ewald.Params) *Machine {
 	return m
 }
 
-func TestMachineMatchesReference(t *testing.T) {
-	s := meltLike(t, 2, 5.64, 1200, 1)
-	p := smallParams(s.L)
-	machine := newTestMachine(t, p)
-	ref, err := NewReference(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, pm, err := machine.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, pr, err := ref.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fscale := vec.RMS(fr)
-	if fscale == 0 {
-		t.Fatal("reference forces vanish; test configuration broken")
-	}
-	worst := 0.0
-	for i := range fm {
-		if d := fm[i].Sub(fr[i]).Norm() / fscale; d > worst {
-			worst = d
+// The assembled machine, stage by stage, against float64 over its own pair
+// set and wave set (MeasureAccuracy), at mdm.Config's default α — for these
+// boxes the r_cut = 0.45 L floor, smallParams — and at α = 14, where the
+// wavenumber sum carries the Coulomb force. The RMS bounds sit 2–8× above
+// the largest of the four fixtures: a datapath regression far too small to
+// show through the 10⁻³ cube-vs-sphere Truncation fails here. Truncation is
+// logged, not gated; the §3.5.4 pairwise bound is TestPairwiseAccuracy's.
+func TestMachineStageAccuracy(t *testing.T) {
+	for _, c := range []struct {
+		cells int
+		alpha float64 // 0: the default
+	}{{2, 0}, {3, 0}, {4, 0}, {4, 14}} {
+		s := meltLike(t, c.cells, 5.64, 1200, int64(c.cells))
+		p := smallParams(s.L)
+		if c.alpha != 0 {
+			p = ewald.ParamsForAlpha(s.L, c.alpha)
 		}
-	}
-	// The hardware differs from the reference by its own precision (~1e-5)
-	// plus the tail pairs beyond r_cut that MDGRAPE-2 does not skip (§2.2).
-	// At this small box the r⁻⁶/r⁻⁸ dispersion tails just outside the ~5 Å
-	// cutoff are the dominant term, a few 1e-3 eV/Å against a modest force
-	// scale — a genuine physical difference between the two summation
-	// methods, not a defect.
-	if worst > 5e-2 {
-		t.Errorf("worst machine-vs-reference force deviation = %g of RMS", worst)
-	}
-	t.Logf("worst machine-vs-reference force deviation = %.2e of RMS", worst)
-	// The machine potential includes the beyond-r_cut tail pairs of the
-	// 27-cell walk (consistent with its forces); the reference truncates at
-	// r_cut. At this small box the short-range tails shift the total by a
-	// fraction of a percent.
-	if math.Abs(pm-pr) > 1e-2*math.Abs(pr) {
-		t.Errorf("potential: machine %g vs reference %g", pm, pr)
-	}
-	if err := machine.Free(); err != nil {
-		t.Fatal(err)
+		acc, err := MeasureAccuracy(CurrentMachineConfig(p), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("cells %d α %.3g", c.cells, p.Alpha)
+		t.Logf("%s: real %.2e/%.2e wave %.2e/%.2e total %.2e/%.2e (rms/worst) potential %.1e; truncation %.2e rms",
+			name, acc.Real.RMS, acc.Real.Worst, acc.Wave.RMS, acc.Wave.Worst, acc.Total.RMS, acc.Total.Worst, acc.Potential, acc.Truncation.RMS)
+		for _, g := range []struct {
+			stage      string
+			got, bound float64
+		}{
+			{"real", acc.Real.RMS, 1e-5},
+			{"wave", acc.Wave.RMS, 1e-4},
+			{"total", acc.Total.RMS, 3e-5},
+			{"potential", acc.Potential, 1e-5},
+		} {
+			// Zero would mean the oracle judged the machine against itself.
+			if !(g.got > 0 && g.got <= g.bound) {
+				t.Errorf("%s: %s error %.3g, want in (0, %g]", name, g.stage, g.got, g.bound)
+			}
+		}
 	}
 }
 

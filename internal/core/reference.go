@@ -73,20 +73,12 @@ func (r *Reference) Pressure(s *md.System) (float64, error) {
 	if s.L != r.P.L {
 		return 0, fmt.Errorf("core: system box %g differs from force-field box %g", s.L, r.P.L)
 	}
-	sorted := cellindex.Sort(r.grid, s.Pos)
-	var wShort, eReal float64
-	sorted.ForEachHalfPair(r.P.RCut, func(i, j int, rij vec.V) {
-		oi, oj := sorted.Order[i], sorted.Order[j]
-		si := tosifumi.Species(s.Type[oi])
-		sj := tosifumi.Species(s.Type[oj])
-		wShort += r.Pot.ShortForce(si, sj, rij).Dot(rij)
-		eReal += r.P.RealPairEnergy(s.Charge[oi], s.Charge[oj], rij)
-	})
+	sum := r.sphereSum(s)
 	sn, cn := ewald.StructureFactors(r.waves, s.Pos, s.Charge)
-	eCoul := eReal + ewald.WavenumberEnergy(r.P, r.waves, sn, cn) + ewald.SelfEnergy(r.P, s.Charge)
+	eCoul := sum.eReal + ewald.WavenumberEnergy(r.P, r.waves, sn, cn) + ewald.SelfEnergy(r.P, s.Charge)
 	v := s.L * s.L * s.L
 	nkT := float64(s.N()) * units.Boltzmann * s.Temperature()
-	return (nkT + (wShort+eCoul)/3) / v, nil
+	return (nkT + (sum.wShort+eCoul)/3) / v, nil
 }
 
 // Forces implements md.ForceField.
@@ -94,27 +86,8 @@ func (r *Reference) Forces(s *md.System) ([]vec.V, float64, error) {
 	if s.L != r.P.L {
 		return nil, 0, fmt.Errorf("core: system box %g differs from force-field box %g", s.L, r.P.L)
 	}
-	n := s.N()
-	forces := make([]vec.V, n)
-
-	// Real-space Coulomb + short range with Newton's third law (eq. 5
-	// accounting), via the cell-index grid.
-	sorted := cellindex.Sort(r.grid, s.Pos)
-	pot := 0.0
-	sf := make([]vec.V, n) // forces indexed by sorted order
-	sorted.ForEachHalfPair(r.P.RCut, func(i, j int, rij vec.V) {
-		oi, oj := sorted.Order[i], sorted.Order[j]
-		f := r.P.RealPairForce(s.Charge[oi], s.Charge[oj], rij)
-		si := tosifumi.Species(s.Type[oi])
-		sj := tosifumi.Species(s.Type[oj])
-		f = f.Add(r.Pot.ShortForce(si, sj, rij))
-		sf[i] = sf[i].Add(f)
-		sf[j] = sf[j].Sub(f)
-		rd := rij.Norm()
-		pot += r.P.RealPairEnergy(s.Charge[oi], s.Charge[oj], rij)
-		pot += r.Pot.ShortEnergy(si, sj, rd)
-	})
-	sorted.Unsort(forces, sf)
+	sum := r.sphereSum(s)
+	forces, pot := sum.forces, sum.pot
 
 	// Wavenumber-space Coulomb part: direct DFT + IDFT in float64.
 	sn, cn := ewald.StructureFactors(r.waves, s.Pos, s.Charge)
@@ -125,4 +98,44 @@ func (r *Reference) Forces(s *md.System) ([]vec.V, float64, error) {
 	pot += ewald.WavenumberEnergy(r.P, r.waves, sn, cn)
 	pot += ewald.SelfEnergy(r.P, s.Charge)
 	return forces, pot, nil
+}
+
+// realSum is a float64 real-space sum: forces in original particle order,
+// the potential, and the two parts of it the virial needs.
+type realSum struct {
+	forces []vec.V
+	pot    float64 // real-space Coulomb + short-range energy
+	eReal  float64 // its Coulomb part
+	wShort float64 // short-range virial Σ f⃗·r⃗
+}
+
+// sphereSum is the conventional computer's real-space sum: the r_cut sphere
+// on the reference's own cell grid.
+func (r *Reference) sphereSum(s *md.System) *realSum {
+	sorted := cellindex.Sort(r.grid, s.Pos)
+	sum, body := r.pairSum(s, sorted)
+	sorted.ForEachHalfPair(r.P.RCut, body)
+	return sum
+}
+
+// pairSum returns an empty sum over the sorted layout and the one float64
+// real-space pair body that fills it: Ewald real-space Coulomb plus Tosi–Fumi
+// short range, each pair once under Newton's third law (eq. 5 accounting).
+// The half walk the caller hands the body to decides the pair set — the r_cut
+// sphere (sphereSum) or a machine's 27-cell cube (MeasureAccuracy).
+func (r *Reference) pairSum(s *md.System, sorted *cellindex.Sorted) (*realSum, func(i, j int, rij vec.V)) {
+	sum := &realSum{forces: make([]vec.V, s.N())}
+	return sum, func(i, j int, rij vec.V) {
+		oi, oj := sorted.Order[i], sorted.Order[j]
+		si, sj := tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj])
+		fShort := r.Pot.ShortForce(si, sj, rij)
+		f := r.P.RealPairForce(s.Charge[oi], s.Charge[oj], rij).Add(fShort)
+		sum.forces[oi] = sum.forces[oi].Add(f)
+		sum.forces[oj] = sum.forces[oj].Sub(f)
+		e := r.P.RealPairEnergy(s.Charge[oi], s.Charge[oj], rij)
+		sum.pot += e
+		sum.pot += r.Pot.ShortEnergy(si, sj, rij.Norm())
+		sum.eReal += e
+		sum.wShort += fShort.Dot(rij)
+	}
 }

@@ -7,8 +7,10 @@
 # per half pair, and the weakScaling family (the spatial decomposition at 64
 # ions/rank for 1/8/27 ranks, every rung with a 0.5 Å Verlet skin: per-tag
 # rebuild and reuse traffic and both steps' force error against the reference
-# Ewald; -weak-steps 0 skips it). The artifact records gomaxprocs and num_cpu,
-# so ratios taken at widths the host had no cores for read n/a.
+# Ewald; -weak-steps 0 skips it), and the machine's error stage by stage
+# against float64 over its own pair and wave sets (the accuracy object). The
+# artifact records gomaxprocs and num_cpu, so ratios taken at widths the host
+# had no cores for read n/a.
 #
 # Wall time between two trees is judged by `go run ./benchmark`, not here.
 #
@@ -16,7 +18,8 @@
 #        scripts/bench.sh -compare BENCH_a.json BENCH_b.json
 #
 # The -compare form sets two artifacts side by side and exits 1 when
-# allocs/op, a tag's traffic bytes or the decomposition's force error grew;
+# allocs/op, a tag's traffic bytes, the decomposition's force error or the
+# machine's real / wave stage error grew;
 # ns/op deltas are printed as information only, so one recording suffices.
 set -eu
 
