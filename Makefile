@@ -40,7 +40,7 @@ weak-smoke:
 # error and the machine's real / wave stage error; ns/op deltas are printed as
 # information.
 bench-compare:
-	$(GO) run ./cmd/mdmbench -compare BENCH_10.json BENCH_11.json
+	$(GO) run ./cmd/mdmbench -compare BENCH_11.json BENCH_12.json
 
 vet:
 	$(GO) vet ./...

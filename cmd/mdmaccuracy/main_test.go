@@ -25,10 +25,10 @@ func TestRefusesEmptyRuns(t *testing.T) {
 }
 
 // One trial prints a default-α row and an α = 14 row of finite, positive
-// errors.
+// errors (3 cells a side: at 2, α = 14 leaves no pair inside r_cut).
 func TestOneTrialRowsParse(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-cells", "2", "-trials", "1"}, &out, &errb); code != 0 {
+	if code := run([]string{"-cells", "3", "-trials", "1"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
 	var alphas []float64

@@ -10,8 +10,8 @@
 //     figure carries sub-integer jitter (it is a process-wide Mallocs delta
 //     over the timing window);
 //   - a tag's bytes grew on the rebuild or reuse step of a rung of equal N;
-//   - a rung's reuse step is less accurate than 1.5 × its rebuild step, or
-//     either force error rose 10 % above the old record's;
+//   - a rung's rebuild or reuse step force error is above weakForceErrCap,
+//     or rose 10 % above the old record's;
 //   - the machine's real or wave stage error against float64 (the report's
 //     accuracy object) rose 10 % above the old record's.
 //
@@ -108,8 +108,8 @@ func compareRung(w io.Writer, or *WeakScalingResult, r WeakScalingResult) int {
 	}
 	mark := ""
 	switch {
-	case r.reuseLessAccurate():
-		mark = "  ACCURACY REGRESSION (reuse > 1.5 × rebuild)"
+	case r.overForceErrCap():
+		mark = fmt.Sprintf("  ACCURACY REGRESSION (above the %g cap)", weakForceErrCap)
 	case or.RebuildForceRelErr > 0 && r.RebuildForceRelErr > 1.1*or.RebuildForceRelErr,
 		or.ReuseForceRelErr > 0 && r.ReuseForceRelErr > 1.1*or.ReuseForceRelErr:
 		mark = "  ACCURACY REGRESSION (> 10 % above the old record)"

@@ -33,7 +33,7 @@ func TestCompareReports(t *testing.T) {
 			Ranks: 8, N: 512, NsPerStep: 2e6,
 			RebuildTraffic:     []TagTraffic{{Tag: 100, Name: "halo", Bytes: 143360}, {Tag: 101, Name: "forces", Bytes: 32776}},
 			ReuseTraffic:       []TagTraffic{{Tag: 104, Name: "ghost-pos", Bytes: 86016}, {Tag: 101, Name: "forces", Bytes: 32776}},
-			RebuildForceRelErr: 0.0060, ReuseForceRelErr: 0.0059,
+			RebuildForceRelErr: 1.4e-5, ReuseForceRelErr: 1.6e-5,
 		}
 	}
 	base := func() Report {
@@ -81,11 +81,11 @@ func TestCompareReports(t *testing.T) {
 			}},
 		{name: "a rung of different N is not comparable", want: 0, printed: "per-particle eff 0.00\n",
 			new: func(r *Report) { r.WeakScaling[0].N = 1728; r.WeakScaling[0].RebuildTraffic[0].Bytes *= 3 }},
-		{name: "reuse twice as wrong as rebuild", want: 1, printed: "reuse > 1.5 × rebuild",
-			new: func(r *Report) { r.WeakScaling[0].ReuseForceRelErr = 2 * r.WeakScaling[0].RebuildForceRelErr }},
+		{name: "a reuse step above the cap", want: 1, printed: "above the 5e-05 cap",
+			new: func(r *Report) { r.WeakScaling[0].ReuseForceRelErr = 6e-5 }},
 		{name: "force error 20% above the old record", want: 1, printed: "above the old record",
 			new: func(r *Report) { r.WeakScaling[0].RebuildForceRelErr *= 1.2; r.WeakScaling[0].ReuseForceRelErr *= 1.2 }},
-		{name: "an old record without the accuracy columns", want: 0, printed: "rebuild - → 0.006",
+		{name: "an old record without the accuracy columns", want: 0, printed: "rebuild - → 1.4e-05",
 			old: func(r *Report) { r.WeakScaling[0].RebuildForceRelErr, r.WeakScaling[0].ReuseForceRelErr = 0, 0 }},
 	} {
 		older, newer := base(), base()
@@ -115,7 +115,7 @@ func TestCompareReportsClean(t *testing.T) {
 	rep := Report{
 		GOMAXPROCS: 2, NumCPU: 2, N: 64,
 		Results: []Result{{Name: "forces", Workers: 1, NsPerOp: 1000, AllocsPerOp: 10}},
-		WeakScaling: []WeakScalingResult{{Ranks: 1, N: 64, NsPerStep: 3e5, RebuildForceRelErr: 0.0058, ReuseForceRelErr: 0.0057,
+		WeakScaling: []WeakScalingResult{{Ranks: 1, N: 64, NsPerStep: 3e5, RebuildForceRelErr: 1.3e-5, ReuseForceRelErr: 1.2e-5,
 			RebuildTraffic: []TagTraffic{{Tag: 101, Name: "forces", Messages: 2, Bytes: 4104}}}},
 	}
 	a := writeReport(t, dir, "a.json", rep)
@@ -134,7 +134,7 @@ func TestCompareReportsClean(t *testing.T) {
 	if err != nil || got != 0 {
 		t.Fatalf("BENCH_8-shaped old record: got %d regressions, %v; want 0\n%s", got, err, out.String())
 	}
-	for _, want := range []string{"oldStepFamily/w1", "dropped", "4104 → 4104 B", "rebuild - → 0.0058"} {
+	for _, want := range []string{"oldStepFamily/w1", "dropped", "4104 → 4104 B", "rebuild - → 1.3e-05"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}

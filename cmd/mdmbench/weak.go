@@ -55,17 +55,24 @@ type WeakScalingResult struct {
 	ReuseTraffic   []TagTraffic `json:"reuse_traffic"`
 
 	// Relative RMS force error of those two steps against the float64
-	// reference Ewald (core.NewReference). A reuse step evaluates the pair set
-	// of the last rebuild on current coordinates, so the two must agree; they
-	// part only if the frozen layout and the coordinates it is read with do.
+	// reference Ewald (core.NewReference). Both evaluate the reference's r_cut
+	// sphere — a reuse step through the layout of the last rebuild on current
+	// coordinates — so both read the pipelines' rounding; they part only if
+	// the frozen layout and the coordinates it is read with do.
 	RebuildForceRelErr float64 `json:"rebuild_force_rel_err"`
 	ReuseForceRelErr   float64 `json:"reuse_force_rel_err"`
 }
 
-// reuseLessAccurate is the rule both gates (-weak-smoke and -compare) hold a
-// rung to: the reuse step may not be more than 1.5 × as wrong as the rebuild.
-func (r WeakScalingResult) reuseLessAccurate() bool {
-	return r.ReuseForceRelErr > 1.5*r.RebuildForceRelErr
+// weakForceErrCap is the rule both gates (-weak-smoke and -compare) hold a
+// rung to: its rebuild and its reuse step each within 5·10⁻⁵ relative RMS of
+// the reference Ewald. The rungs read ≈ 1.5·10⁻⁵, the pipelines' rounding; a
+// particle read on the wrong periodic image, or a pair set other than the
+// sphere, reads 10⁻³ and up.
+const weakForceErrCap = 5e-5
+
+// overForceErrCap reports whether either step of the rung breaks the cap.
+func (r WeakScalingResult) overForceErrCap() bool {
+	return r.RebuildForceRelErr > weakForceErrCap || r.ReuseForceRelErr > weakForceErrCap
 }
 
 // weakRungs is the ladder: rank count and box side (in rock-salt cells) grow
@@ -244,8 +251,8 @@ func bytesFor(rows []TagTraffic, tag int) int64 {
 // weakSmoke gates CI on the decomposition's structural claims, sized to stay
 // quick ({1,8} ranks, a handful of timed steps):
 //
-//   - correctness: a reuse step is as accurate against the reference Ewald as
-//     a rebuild step (within 1.5×). The 8-rank rung's grid has 4 cells a side,
+//   - correctness: a rebuild and a reuse step are each within weakForceErrCap
+//     of the reference Ewald. The 8-rank rung's grid has 4 cells a side,
 //     where a particle read on the wrong periodic image is not rescued by the
 //     walk covering every image anyway (weakWarmup supplies the crossers);
 //   - protocol: a reuse step streams ghost positions only — no halo, no
@@ -262,9 +269,9 @@ func weakSmoke() error {
 		return err
 	}
 	for _, r := range results {
-		if r.reuseLessAccurate() {
-			return fmt.Errorf("weak smoke ranks=%d: reuse step force error %.3g vs rebuild step %.3g against the reference Ewald (allowed ≤ 1.5×)",
-				r.Ranks, r.ReuseForceRelErr, r.RebuildForceRelErr)
+		if r.overForceErrCap() {
+			return fmt.Errorf("weak smoke ranks=%d: force error against the reference Ewald %.3g on the reuse step, %.3g on the rebuild step (allowed ≤ %g)",
+				r.Ranks, r.ReuseForceRelErr, r.RebuildForceRelErr, weakForceErrCap)
 		}
 		if r.Ranks == 1 {
 			continue

@@ -198,7 +198,7 @@ func run() (exit int) {
 	maxRestarts := flag.Int("max-restarts", 3, "restarts from checkpoint after fatal faults")
 	workers := flag.Int("workers", 0, "worker-pool width striping the simulated pipelines across cores (0 = GOMAXPROCS, 1 = serial); bit-identical at any width")
 	pipeline := flag.Bool("pipeline", false, "run the WINE-2 wavenumber pass concurrently with the MDGRAPE-2 real-space sweep (engine overlap only; the step path and its results are the same, bit for bit)")
-	skin := flag.Float64("skin", 0, "Verlet skin in Å: reuse the sorted cell layout until a particle moves more than skin/2 (0 = rebuild every step)")
+	skin := flag.Float64("skin", 0, "Verlet skin in Å: reuse the sorted cell layout until a particle moves more than skin/2 (0 = rebuild every step); widens the cells, not the r_cut sphere of pairs evaluated")
 	ranks := flag.Int("ranks", 0, "spatial decomposition: split the box into this many cell blocks, one real-space process each (0 = single process); bit-identical with -wave-ranks 1")
 	waveRanks := flag.Int("wave-ranks", 0, "wavenumber processes alongside -ranks (default 1); >1 regroups the structure-factor reduction and agrees to float64 rounding")
 	watchdog := flag.Duration("watchdog", 0, "stall deadline for one hardware call, e.g. 30s (0 disables the watchdog)")

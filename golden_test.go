@@ -11,14 +11,16 @@ import (
 	"mdm/internal/vec"
 )
 
-// Golden 50-step NVE trajectory hashes captured from the seed AoS
-// implementation (pre-SoA), pinning the machine backend's numbers across the
-// structure-of-arrays refactor and every bit-identity knob: worker width,
-// pipeline overlap, and — per skin value, since a Verlet skin selects its own
-// discretization — the j-set reuse path. Config: Cells/Temperature=1200/
-// Seed=1/Dt=2/BackendMDM/PotentialEvery=100, RunNVE(50). The skin 0.5 rows
-// are the frozen-layout reuse step's (cellindex.Sorted.Refresh); a hash pins
-// bits, not accuracy — that is TestSkinReuseStepsMatchRebuildSteps.
+// Golden 50-step NVE trajectory hashes of the machine backend, pinning its
+// numbers across every bit-identity knob: worker width, pipeline overlap and
+// the structure-of-arrays step path. The real-space pair set is the r_cut
+// sphere at every skin; a skin still has rows of its own, because it widens
+// the cells and so changes the sweep's visit order and the stored coordinate
+// words — rounding, not physics (TestSkinLeavesThePhysics). Config:
+// Cells/Temperature=1200/Seed=1/Dt=2/BackendMDM/PotentialEvery=100,
+// RunNVE(50). The skin 0.5 rows are the frozen-layout reuse step's
+// (cellindex.Sorted.Refresh); a hash pins bits, not accuracy — that is
+// TestSkinReuseStepsMatchRebuildSteps.
 //
 // If one of these ever changes, the step path's arithmetic changed: that is a
 // physics regression (or an intentional discretization change that must
@@ -29,10 +31,10 @@ var goldenNVE = []struct {
 	init  string // hash of all positions before the run
 	final string // hash of positions then velocities after 50 NVE steps
 }{
-	{cells: 2, skin: 0, init: "b10ea6a48da85105", final: "21b4654a55f7805a"},
-	{cells: 2, skin: 0.5, init: "b10ea6a48da85105", final: "c2bdca3cb2f84442"},
-	{cells: 3, skin: 0, init: "faf5142d2a2f554d", final: "cf600f310cdd6446"},
-	{cells: 3, skin: 0.5, init: "faf5142d2a2f554d", final: "f1b21afd6a687db2"},
+	{cells: 2, skin: 0, init: "b10ea6a48da85105", final: "0edcdd5dc0021e23"},
+	{cells: 2, skin: 0.5, init: "b10ea6a48da85105", final: "9bccf1ed88c43ac1"},
+	{cells: 3, skin: 0, init: "faf5142d2a2f554d", final: "8bf1fac726e34385"},
+	{cells: 3, skin: 0.5, init: "faf5142d2a2f554d", final: "1eb6e18b562a9f80"},
 }
 
 // hashVecs folds vectors into an FNV-64a running hash, little-endian float64

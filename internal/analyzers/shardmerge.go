@@ -31,10 +31,8 @@ var ShardMerge = &Analyzer{
 // accumulate deterministically.
 var shardSerialIterators = map[string]map[string]bool{
 	"mdm/internal/cellindex": {
-		"ForEachOrderedPair":   true,
-		"ForEachHalfPair":      true,
-		"ForEachHalfPairTable": true,
-		"ForEachHalfRun":       true,
+		"ForEachOrderedPair": true,
+		"ForEachHalfPair":    true,
 	},
 }
 

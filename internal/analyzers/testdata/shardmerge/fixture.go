@@ -65,12 +65,8 @@ func serialPairs(s *cellindex.Sorted) float64 {
 	})
 	// The host potential's half walk over a prebuilt neighbor table.
 	nbt := cellindex.BuildNeighborTable(s.Grid, nil)
-	s.ForEachHalfPairTable(nbt, func(i, j int, rij vec.V) {
+	s.ForEachHalfPair(nbt, func(i, j int, rij vec.V) {
 		pot += rij.X
-	})
-	// The run iterator under it, as the host potential's block gather calls it.
-	s.ForEachHalfRun(nbt, func(i, js, je int, shift vec.V) {
-		pot += shift.X
 	})
 	return pot
 }

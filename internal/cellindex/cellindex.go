@@ -11,19 +11,20 @@
 // a permutation of the particles grouped by cell, with a start-offset table
 // (the "cell memory" of Figure 9).
 //
-// Three pair walkers are provided, and the run iterator under the last:
+// A grid also records the interaction cutoff r_cut (Grid.Cutoff). The 27-cell
+// neighbourhood is what the board streams; the pair set of every sum over the
+// layout is the r_cut sphere inside it. A Verlet skin widens the cells
+// (NewSkinGrid), never the cutoff, so it decides which out-of-cutoff pairs are
+// streamed and nothing else.
+//
+// Two pair walkers are provided:
 //
 //   - ForEachOrderedPair visits every (i, j) with j in the 27 neighbor cells
 //     of i's cell, with no distance test and no use of Newton's third law —
-//     the MDGRAPE-2 operation mode, whose operation count is N_int_g ≈ 13 N_int.
-//   - ForEachHalfPair visits every unordered pair within r_cut exactly once —
-//     the conventional-computer mode with Newton's third law (N_int).
-//   - ForEachHalfPairTable visits the ordered walk's pair set once per
-//     unordered pair, still with no distance test — the pair set the
-//     pipelines evaluated, at the host's half count.
-//   - ForEachHalfRun is that walk one (i, neighbor-cell run) at a time, for a
-//     caller that streams the contiguous j range itself — how the host
-//     potential gathers its blocks. The two half-pair walkers wrap it.
+//     the candidate stream of the MDGRAPE-2 operation mode, whose operation
+//     count is N_int_g ≈ 13 N_int.
+//   - ForEachHalfPair visits every unordered pair within the cutoff exactly
+//     once — the conventional-computer mode with Newton's third law (N_int).
 package cellindex
 
 import (
@@ -40,24 +41,30 @@ import (
 type Grid struct {
 	L        float64 // box side
 	N        int     // cells per side
-	CellSize float64 // L / N (>= the cutoff used to build the grid)
+	CellSize float64 // L / N (>= the cutoff plus any skin the grid was built for)
+	Cutoff   float64 // interaction cutoff r_cut: walks keep pairs with r² < Cutoff²
 }
 
 // NewGrid builds a grid for box side l with cells no smaller than rcut
-// ("we set the size of a cell to a little larger than r_cut", §2.2).
-// It returns an error if l or rcut is not positive or rcut > l.
-func NewGrid(l, rcut float64) (*Grid, error) {
-	if l <= 0 || rcut <= 0 {
-		return nil, fmt.Errorf("cellindex: non-positive box %g or cutoff %g", l, rcut)
+// ("we set the size of a cell to a little larger than r_cut", §2.2), and
+// records rcut as the grid's interaction cutoff. It returns an error if l or
+// rcut is not positive or rcut > l.
+func NewGrid(l, rcut float64) (*Grid, error) { return NewSkinGrid(l, rcut, 0) }
+
+// NewSkinGrid builds a grid whose cells are at least rcut + skin wide and
+// whose interaction cutoff is rcut: the 27-cell neighbourhood of a layout
+// sorted on it still holds every pair within rcut after each particle has
+// moved up to skin/2 (the Verlet-skin reuse of Sorted.Refresh).
+func NewSkinGrid(l, rcut, skin float64) (*Grid, error) {
+	if l <= 0 || rcut <= 0 || skin < 0 {
+		return nil, fmt.Errorf("cellindex: non-positive box %g or cutoff %g, or negative skin %g", l, rcut, skin)
 	}
-	if rcut > l {
-		return nil, fmt.Errorf("cellindex: cutoff %g exceeds box side %g", rcut, l)
+	w := rcut + skin
+	if w > l {
+		return nil, fmt.Errorf("cellindex: cutoff %g plus skin %g exceeds box side %g", rcut, skin, l)
 	}
-	n := int(math.Floor(l / rcut))
-	if n < 1 {
-		n = 1
-	}
-	return &Grid{L: l, N: n, CellSize: l / float64(n)}, nil
+	n := max(int(math.Floor(l/w)), 1)
+	return &Grid{L: l, N: n, CellSize: l / float64(n), Cutoff: rcut}, nil
 }
 
 // NumCells returns the total number of cells N³.
@@ -396,9 +403,10 @@ func (s *Sorted) Refresh(pos []vec.V) {
 // ForEachOrderedPair visits, for every sorted particle i, every sorted
 // particle j in the 27 neighbor cells of i's cell (including i's own cell and
 // including j == i), passing the displacement rij = ri - (rj + shift).
-// No distance test is applied — this is exactly the MDGRAPE-2 operation mode
-// (§2.2): the pipeline evaluates all N_int_g candidates and relies on the
-// force kernel vanishing beyond the cutoff. The visit order is deterministic.
+// No distance test is applied — this is the candidate stream of the MDGRAPE-2
+// operation mode (§2.2): the board streams all N_int_g candidates through the
+// pipelines, whose table is zero beyond the cutoff. The visit order is
+// deterministic.
 func (s *Sorted) ForEachOrderedPair(f func(i, j int, rij vec.V)) {
 	g := s.Grid
 	for c := 0; c < g.NumCells(); c++ {
@@ -441,46 +449,42 @@ func (s *Sorted) OrderedPairCount() int {
 	return count
 }
 
-// ForEachHalfPair visits every unordered pair (i < j in visit semantics) with
-// minimum-image distance below rcut exactly once, passing rij = ri - rj
-// (image-corrected). This is the conventional-computer mode using Newton's
-// third law (operation count N · N_int). rcut must not exceed the grid cell
-// size times one (the grid guarantees this when built with the same cutoff).
-func (s *Sorted) ForEachHalfPair(rcut float64, f func(i, j int, rij vec.V)) {
-	r2 := rcut * rcut
-	s.ForEachHalfPairTable(nil, func(i, j int, rij vec.V) {
-		if rij.Norm2() < r2 {
-			f(i, j, rij)
+// ForEachHalfPair visits every unordered (i, j, image) triple of the half
+// walk whose squared distance is below the grid's Cutoff² exactly once,
+// passing rij = ri - (rj + shift) — the r_cut sphere with Newton's third law,
+// the conventional-computer mode (operation count N · N_int) and the one
+// real-space pair set of the machine. The displacement and the test are
+// float64; the visit order is forEachHalfRun's, with the same table contract.
+func (s *Sorted) ForEachHalfPair(nbt *NeighborTable, f func(i, j int, rij vec.V)) {
+	cut2 := s.Grid.Cutoff * s.Grid.Cutoff
+	px, py, pz := s.Pos.X, s.Pos.Y, s.Pos.Z
+	s.forEachHalfRun(nbt, func(i, js, je int, shift vec.V) {
+		xi, yi, zi := px[i], py[i], pz[i]
+		sx, sy, sz := shift.X, shift.Y, shift.Z
+		jx := px[js:je]
+		jy, jz := py[js:je][:len(jx)], pz[js:je][:len(jx)]
+		for k, x := range jx {
+			rij := vec.V{X: xi - (x + sx), Y: yi - (jy[k] + sy), Z: zi - (jz[k] + sz)}
+			if rij.Norm2() < cut2 {
+				f(i, js+k, rij)
+			}
 		}
 	})
 }
 
-// ForEachHalfPairTable visits every unordered (i, j, image) triple of the
-// 27-cell walk exactly once, with no distance test: the pair set of
-// ForEachOrderedPair with Newton's third law applied — (OrderedPairCount − N)/2
-// visits, the (i, i, zero-shift) self visits dropped, a particle's own
-// non-zero images kept. It is ForEachHalfRun taken pair by pair, passing
-// rij = ri - (rj + shift).
-func (s *Sorted) ForEachHalfPairTable(nbt *NeighborTable, f func(i, j int, rij vec.V)) {
-	s.ForEachHalfRun(nbt, func(i, js, je int, shift vec.V) {
-		ri := s.Pos.At(i)
-		for j := js; j < je; j++ {
-			f(i, j, ri.Sub(s.Pos.At(j).Add(shift)))
-		}
-	})
-}
-
-// ForEachHalfRun is the half walk itself — the host's half-count walk (§2.2)
-// over the pipelines' pair set — one callback per (i, neighbor-cell run):
-// sorted particle i pairs with every sorted j in [js, je), each j displaced by
-// the run's image shift. Runs arrive in fixed order (cell, neighbor entry, i)
-// on the calling goroutine; empty runs are skipped. Which of a pair's two
-// directed visits survives depends only on the (cell, neighbor entry) it
-// arrives through, so the choice is made once per entry, not once per pair.
-// Neighbor lists come from the prebuilt table (which must belong to s.Grid's
-// geometry), so the walk allocates nothing; a nil table enumerates each
-// cell's neighbors afresh.
-func (s *Sorted) ForEachHalfRun(nbt *NeighborTable, f func(i, js, je int, shift vec.V)) {
+// forEachHalfRun is the half walk itself — the 27-cell candidates with
+// Newton's third law applied, each unordered (i, j, image) triple once, the
+// (i, i, zero-shift) self visits dropped and a particle's own non-zero images
+// kept — one callback per (i, neighbor-cell run): sorted particle i pairs with
+// every sorted j in [js, je), each j displaced by the run's image shift. It
+// applies no distance test (ForEachHalfPair does). Runs arrive in fixed order
+// (cell, neighbor entry, i) on the calling goroutine; empty runs are skipped.
+// Which of a pair's two directed visits survives depends only on the (cell,
+// neighbor entry) it arrives through, so the choice is made once per entry,
+// not once per pair. Neighbor lists come from the prebuilt table (which must
+// belong to s.Grid's geometry), so the walk allocates nothing; a nil table
+// enumerates each cell's neighbors afresh.
+func (s *Sorted) forEachHalfRun(nbt *NeighborTable, f func(i, js, je int, shift vec.V)) {
 	g := s.Grid
 	for c := 0; c < g.NumCells(); c++ {
 		is, ie := s.CellRange(c)

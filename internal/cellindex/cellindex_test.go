@@ -35,8 +35,22 @@ func TestNewGridValidation(t *testing.T) {
 	if g.N != 4 {
 		t.Errorf("N = %d, want 4", g.N)
 	}
-	if g.CellSize < 2.4 {
-		t.Errorf("CellSize = %g < cutoff", g.CellSize)
+	if g.CellSize < 2.4 || g.Cutoff != 2.4 {
+		t.Errorf("CellSize = %g, Cutoff = %g; want cells ≥ the cutoff 2.4", g.CellSize, g.Cutoff)
+	}
+	// A skin widens the cells, never the cutoff.
+	g, err = NewSkinGrid(10, 2.4, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N != 3 || g.Cutoff != 2.4 {
+		t.Errorf("skin grid: N = %d, Cutoff = %g; want 3 cells of ≥ 3.0 and cutoff 2.4", g.N, g.Cutoff)
+	}
+	if _, err := NewSkinGrid(10, 2.4, -0.1); err == nil {
+		t.Error("negative skin accepted")
+	}
+	if _, err := NewSkinGrid(10, 9, 1.5); err == nil {
+		t.Error("cutoff + skin > box accepted")
 	}
 }
 
@@ -175,7 +189,7 @@ func TestHalfPairsMatchBruteForce(t *testing.T) {
 		s := Sort(g, pos)
 		var count int
 		var sumR float64
-		s.ForEachHalfPair(rcut, func(i, j int, rij vec.V) {
+		s.ForEachHalfPair(nil, func(i, j int, rij vec.V) {
 			count++
 			sumR += rij.Norm()
 		})
@@ -199,7 +213,7 @@ func TestHalfPairsSmallGridMatchesBruteForce(t *testing.T) {
 	}
 	s := Sort(g, pos)
 	count := 0
-	s.ForEachHalfPair(rcut, func(i, j int, rij vec.V) { count++ })
+	s.ForEachHalfPair(nil, func(i, j int, rij vec.V) { count++ })
 	want, _ := brutePairs(pos, l, rcut)
 	if count != want {
 		t.Errorf("N=2 grid: %d pairs, brute force %d", count, want)
@@ -234,7 +248,7 @@ func TestCellIndexOverheadFactor(t *testing.T) {
 	s := Sort(g, pos)
 	ordered := s.OrderedPairCount()
 	half := 0
-	s.ForEachHalfPair(rcut, func(i, j int, rij vec.V) { half++ })
+	s.ForEachHalfPair(nil, func(i, j int, rij vec.V) { half++ })
 	ratio := float64(ordered) / float64(half)
 	want := 27.0 / (2.0 * math.Pi / 3.0) // ≈ 12.89
 	if math.Abs(ratio-want) > 0.15*want {
@@ -267,7 +281,7 @@ func TestHalfPairDisplacementProperty(t *testing.T) {
 		g, _ := NewGrid(l, rcut)
 		s := Sort(g, pos)
 		ok := true
-		s.ForEachHalfPair(rcut, func(i, j int, rij vec.V) {
+		s.ForEachHalfPair(nil, func(i, j int, rij vec.V) {
 			if rij.Norm() >= rcut {
 				ok = false
 			}
@@ -332,7 +346,7 @@ func BenchmarkCellVsHalfPairs(b *testing.B) {
 	b.Run("halfNewton", func(b *testing.B) {
 		n := 0
 		for i := 0; i < b.N; i++ {
-			s.ForEachHalfPair(rcut, func(i, j int, rij vec.V) { n++ })
+			s.ForEachHalfPair(nil, func(i, j int, rij vec.V) { n++ })
 		}
 		_ = n
 	})
@@ -358,16 +372,18 @@ func imageKeyOf(s *Sorted, i, j int, rij vec.V) imageKey {
 	return k
 }
 
-// TestHalfPairTableVisitsEachImagePairOnce pins the cutoff-free half walk to
-// the ordered walk it halves: the same (i, j, image) triples, each unordered
-// one exactly once, the zero-shift self visits dropped — on every grid size
-// with distinct image handling (N = 1, 2: a cell is its own neighbor through
+// TestHalfPairTableVisitsEachImagePairOnce pins the cutoff-free half walk —
+// forEachHalfRun's runs over the neighbor table, taken pair by pair — to the
+// ordered walk it halves: the same (i, j, image) triples, each unordered one
+// exactly once, the zero-shift self visits dropped — on every grid size with
+// distinct image handling (N = 1, 2: a cell is its own neighbor through
 // several shifts; N = 3: 27 distinct cells; N = 5: interior cells), with
-// enough empty cells at N = 5 to exercise the skips.
+// enough empty cells at N = 5 to exercise the skips. ForEachHalfPair is that
+// walk with the cutoff: the triples of the half walk inside it.
 func TestHalfPairTableVisitsEachImagePairOnce(t *testing.T) {
-	const l = 10.0
+	const l, rcut = 10.0, 2.1
 	for _, n := range []int{1, 2, 3, 5} {
-		g := &Grid{L: l, N: n, CellSize: l / float64(n)}
+		g := &Grid{L: l, N: n, CellSize: l / float64(n), Cutoff: rcut}
 		pos := randomPositions(40, l, int64(n))
 		s := Sort(g, pos)
 		if n == 5 && s.Occupancies()[0] != 0 {
@@ -376,26 +392,24 @@ func TestHalfPairTableVisitsEachImagePairOnce(t *testing.T) {
 		ordered := map[imageKey]int{}
 		s.ForEachOrderedPair(func(i, j int, rij vec.V) { ordered[imageKeyOf(s, i, j, rij)]++ })
 		half := map[imageKey]int{}
+		inside := map[imageKey]bool{}
 		visits := 0
 		nbt := BuildNeighborTable(g, nil)
-		s.ForEachHalfPairTable(nbt, func(i, j int, rij vec.V) {
-			half[imageKeyOf(s, i, j, rij)]++
-			visits++
+		s.forEachHalfRun(nbt, func(i, js, je int, shift vec.V) {
+			if js >= je || js < 0 || je > s.Len() {
+				t.Errorf("N=%d: run [%d, %d) of particle %d is empty or out of range", n, js, je, i)
+			}
+			for j := js; j < je; j++ {
+				rij := s.At(i).Sub(s.At(j).Add(shift))
+				k := imageKeyOf(s, i, j, rij)
+				half[k]++
+				inside[k] = rij.Norm2() < rcut*rcut
+				visits++
+			}
 		})
 		want := (s.OrderedPairCount() - len(pos)) / 2
 		if visits != want {
 			t.Errorf("N=%d: %d half visits, want (ordered − N)/2 = %d", n, visits, want)
-		}
-		// The run iterator the pair walk wraps hands over whole, non-empty runs.
-		inRuns := 0
-		s.ForEachHalfRun(nbt, func(i, js, je int, _ vec.V) {
-			if js >= je || js < 0 || je > s.Len() {
-				t.Errorf("N=%d: run [%d, %d) of particle %d is empty or out of range", n, js, je, i)
-			}
-			inRuns += je - js
-		})
-		if inRuns != want {
-			t.Errorf("N=%d: runs hold %d pairs, want %d", n, inRuns, want)
 		}
 		for k, c := range ordered {
 			self := k.i == k.j && k.sx == 0 && k.sy == 0 && k.sz == 0
@@ -411,18 +425,34 @@ func TestHalfPairTableVisitsEachImagePairOnce(t *testing.T) {
 		if len(half) != len(ordered)-len(pos) {
 			t.Errorf("N=%d: half walk saw %d distinct triples, ordered walk %d + %d self", n, len(half), len(ordered)-len(pos), len(pos))
 		}
+		kept := 0
+		s.ForEachHalfPair(nbt, func(i, j int, rij vec.V) {
+			if k := imageKeyOf(s, i, j, rij); !inside[k] {
+				t.Errorf("N=%d: ForEachHalfPair visited %+v at r = %g, outside the cutoff %g or off the half walk", n, k, rij.Norm(), rcut)
+			}
+			kept++
+		})
+		wantKept := 0
+		for _, in := range inside {
+			if in {
+				wantKept++
+			}
+		}
+		if kept != wantKept || kept == 0 {
+			t.Errorf("N=%d: ForEachHalfPair visited %d triples, the half walk has %d inside the cutoff", n, kept, wantKept)
+		}
 	}
 }
 
 func TestHalfPairTableAllocatesNothing(t *testing.T) {
 	const l = 10.0
 	for _, n := range []int{1, 2, 3, 5} {
-		g := &Grid{L: l, N: n, CellSize: l / float64(n)}
+		g := &Grid{L: l, N: n, CellSize: l / float64(n), Cutoff: l / float64(n)}
 		s := Sort(g, randomPositions(40, l, int64(n)))
 		nbt := BuildNeighborTable(g, nil)
 		sum := 0.0
 		if avg := testing.AllocsPerRun(5, func() {
-			s.ForEachHalfPairTable(nbt, func(i, j int, rij vec.V) { sum += rij.X })
+			s.ForEachHalfPair(nbt, func(i, j int, rij vec.V) { sum += rij.X })
 		}); avg != 0 {
 			t.Errorf("N=%d: half walk allocates %.1f per call, want 0", n, avg)
 		}

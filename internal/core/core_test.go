@@ -53,8 +53,9 @@ func newTestMachine(t testing.TB, p ewald.Params) *Machine {
 // boxes the r_cut = 0.45 L floor, smallParams — and at α = 14, where the
 // wavenumber sum carries the Coulomb force. The RMS bounds sit 2–8× above
 // the largest of the four fixtures: a datapath regression far too small to
-// show through the 10⁻³ cube-vs-sphere Truncation fails here. Truncation is
-// logged, not gated; the §3.5.4 pairwise bound is TestPairwiseAccuracy's.
+// show through the 10⁻³ Truncation — the discretization against a converged
+// Ewald — fails here. Truncation is logged, not gated; the §3.5.4 pairwise
+// bound is TestPairwiseAccuracy's.
 func TestMachineStageAccuracy(t *testing.T) {
 	for _, c := range []struct {
 		cells int

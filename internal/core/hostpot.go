@@ -14,11 +14,15 @@ import (
 
 // The host's real-space potential through a float64 function evaluator, in
 // the image of the MDGRAPE-2 unit (funceval.Table, §3.5.4) at double
-// precision. A pair's energy is
+// precision. The pair set is the machine's one real-space pair set, the r_cut
+// sphere (cellindex.Sorted.ForEachHalfPair), and a pair's energy is shifted
+// to vanish at the cutoff, u_ij(r) − u_ij(r_c), with
 //
-//	q_i q_j E(s) + A_ij b e^((σ_i+σ_j)/ρ) B(s) − c_ij s⁻³ − d_ij s⁻⁴,  s = r²,
+//	u_ij = q_i q_j E(s) + A_ij b e^((σ_i+σ_j)/ρ) B(s) − c_ij s⁻³ − d_ij s⁻⁴,  s = r²,
 //
-// with two kernels that depend on the pair only through s,
+// so U does not jump when a pair crosses r_c; the forces, which are not
+// shifted, are its gradient between crossings. The two kernels depend on the
+// pair only through s,
 //
 //	E(s) = k_e erfc(α√s/L)/√s    B(s) = e^(−√s/ρ),
 //
@@ -27,19 +31,19 @@ import (
 // each a degree-potDegree interpolant in the centred local coordinate
 // u ∈ [−1, 1). A half pair costs one address, two Horner chains and one
 // division in place of a square root, a rational erfc, three exponentials
-// and three divisions. The half walk (cellindex.ForEachHalfRun) gathers
-// (r², q_i q_j, species pair) of every visited pair into a 64-element block
-// that fills across run and i boundaries; a full block is evaluated and added
-// to one float64 sum, pairs in walk order.
+// and three divisions. The walk gathers (r², q_i q_j, species pair) of every
+// pair inside the cutoff into a 64-element block that fills across run and i
+// boundaries; a full block is evaluated and added to one float64 sum, pairs
+// in walk order.
 //
 // ewald.RealPairEnergyR and tosifumi.ShortEnergy stay the scalar general
-// forms: the oracle the evaluator is measured against (hostpot_test.go), and
-// the value of any pair whose r² is outside the table's domain, so the result
-// does not depend on the domain choice. The fit calls the first for E, x
-// formed as (α·r)/L with its division: a pre-divided α/L is off by a fixed
-// fraction of an ulp on every pair alike, and erfc turns that into a coherent
-// shift of a Coulomb sum that is the small difference of terms a thousand
-// times larger.
+// forms: the oracle the evaluator is measured against (hostpot_test.go), the
+// source of the shift constants, and the value of any pair whose r² is
+// outside the table's domain, so the result does not depend on the domain
+// choice. The fit calls the first for E, x formed as (α·r)/L with its
+// division: a pre-divided α/L is off by a fixed fraction of an ulp on every
+// pair alike, and erfc turns that into a coherent shift of a Coulomb sum that
+// is the small difference of terms a thousand times larger.
 
 // potBlockLen is the block length of the potential walk.
 const potBlockLen = 64
@@ -98,10 +102,11 @@ const (
 type potRow [2 * (potDegree + 1)]float64
 
 // potTable is the host's function-evaluator RAM: the two kernels fitted over
-// [2^potMinExp, 2^emax) ⊇ [1 Å², 12·cell²] — the 27-cell walk reaches no
-// farther than two cell sides along each axis — with the per-species
-// constants of the pair energy beside them. It is immutable once built; an
-// engine fits one at construction and a session's driver holds the only copy.
+// [2^potMinExp, 2^emax) = [1 Å², 2^⌈log₂ r_c²⌉) — every argument the cutoff
+// walk hands it above the floor — with the per-species constants of the pair
+// energy and its value at the cutoff beside them. It is immutable once built;
+// an engine fits one at construction and a session's driver holds the only
+// copy.
 type potTable struct {
 	p    ewald.Params
 	tf   *tosifumi.Potential
@@ -112,6 +117,11 @@ type potTable struct {
 	abe [numPairKinds]float64 // A_ij·b·e^((σ_i+σ_j)/ρ)
 	c6  [numPairKinds]float64
 	d8  [numPairKinds]float64
+
+	// The shift, u_ij(r_c) = q_i q_j ec + uc[pair]: E at the cutoff and the
+	// short-range pair energy there, both from the scalar forms.
+	ec float64
+	uc [numPairKinds]float64
 }
 
 // kernels returns E(s) and B(s) in their scalar forms — what the table is
@@ -122,9 +132,12 @@ func (t *potTable) kernels(s float64) (e, b float64) {
 	return t.p.RealPairEnergyR(1, 1, r), math.Exp(-r / t.tf.Rho)
 }
 
-// newPotTable fits the two kernels for a walk over cells of the given side.
-func newPotTable(p ewald.Params, cell float64) (*potTable, error) {
-	_, emax := math.Frexp(12 * cell * cell) // 12·cell² < 2^emax
+// newPotTable fits the two kernels and the shift for a walk cut at p.RCut.
+func newPotTable(p ewald.Params) (*potTable, error) {
+	frac, emax := math.Frexp(p.RCut * p.RCut) // r_c² = frac·2^emax, frac ∈ [½, 1)
+	if frac == 0.5 {
+		emax-- // r_c² = 2^(emax−1) itself bounds the walk's r² < r_c²
+	}
 	emax = max(emax, potMinExp+1)
 	tf := tosifumi.Default()
 	t := &potTable{
@@ -132,6 +145,7 @@ func newPotTable(p ewald.Params, cell float64) (*potTable, error) {
 		rows: make([]potRow, (emax-potMinExp)<<potSegBits),
 		lo:   uint64(potMinExp+potExpBias) << 52,
 		span: uint64(emax-potMinExp) << 52,
+		ec:   p.RealPairEnergyR(1, 1, p.RCut),
 	}
 	for i := 0; i < tosifumi.NumSpecies; i++ {
 		for j := 0; j < tosifumi.NumSpecies; j++ {
@@ -139,6 +153,7 @@ func newPotTable(p ewald.Params, cell float64) (*potTable, error) {
 			t.abe[pr] = tf.A[i][j] * tf.B * math.Exp((tf.Sigma[i]+tf.Sigma[j])/tf.Rho)
 			t.c6[pr] = tf.C[i][j]
 			t.d8[pr] = tf.D[i][j]
+			t.uc[pr] = tf.ShortEnergy(tosifumi.Species(i), tosifumi.Species(j), p.RCut)
 		}
 	}
 	var cheb, nodes [potDegree + 1]float64
@@ -168,7 +183,7 @@ func newPotTable(p ewald.Params, cell float64) (*potTable, error) {
 // evalInto sets e[k] = E(s[k]) and b[k] = B(s[k]) for a block of arguments —
 // the addressing of funceval.Table.EvalInto on the float64 word, then the two
 // Horner chains over one local coordinate. An argument outside the domain
-// (below 1 Å², beyond the walk's reach, negative, NaN) has no table value: its
+// (below 1 Å², at or beyond 2^emax, negative, NaN) has no table value: its
 // e[k] is NaN, which no in-domain argument produces, and the caller takes the
 // scalar pair forms.
 func (t *potTable) evalInto(e, b, s []float64) {
@@ -210,63 +225,50 @@ func (t *potTable) evalInto(e, b, s []float64) {
 
 // hostPotential evaluates the real-space Coulomb and short-range potential
 // energy in float64 on the host — the one real-space potential walk of the
-// serial machine and the decomposed session alike. It covers the same
-// 27-cell pair set as the MDGRAPE-2 force passes (which apply no r_cut test,
-// §2.2), so the potential stays consistent with the forces — the condition
-// for energy conservation — but, being the conventional computer, at the
-// half count: each unordered (i, j, image) once. True self pairs (r = 0)
-// contribute nothing, as in the pipelines. sorted and nbt are the step's
-// shared j-set layout and neighbor table; g is the caller's gather planes.
+// serial machine and the decomposed session alike. It walks the pair set the
+// MDGRAPE-2 force passes evaluate, the r_cut sphere of the layout's grid, at
+// the conventional computer's half count — each unordered (i, j, image) once —
+// and adds each pair's energy shifted to zero at r_c. Coincident particles
+// (r = 0) contribute nothing, as in the pipelines. sorted and nbt are the
+// step's shared j-set layout and neighbor table; g is the caller's gather
+// planes.
 func hostPotential(g *potGather, t *potTable, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable, s *md.System) float64 {
 	g.fill(sorted.Order, s)
 	q, kind := g.q, g.kind
-	px, py, pz := sorted.Pos.X, sorted.Pos.Y, sorted.Pos.Z
 	var b potBlock
 	pot := 0.0
-	sorted.ForEachHalfRun(nbt, func(i, js, je int, shift vec.V) {
-		xi, yi, zi, qi, ki := px[i], py[i], pz[i], q[i], kind[i]*tosifumi.NumSpecies
-		for j := js; j < je; {
-			// Fill up to the end of the run or of the block, whichever is
-			// nearer; a dropped self image leaves its slot to the next pair.
-			end := min(je, j+potBlockLen-b.n)
-			n := b.n
-			for ; j < end; j++ {
-				dx := xi - (px[j] + shift.X)
-				dy := yi - (py[j] + shift.Y)
-				dz := zi - (pz[j] + shift.Z)
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 == 0 {
-					continue
-				}
-				b.r2[n], b.qq[n], b.pair[n] = r2, qi*q[j], ki+kind[j]
-				n++
-			}
-			b.n = n
-			if n == potBlockLen {
-				pot = t.drain(&b, pot)
-			}
+	sorted.ForEachHalfPair(nbt, func(i, j int, rij vec.V) {
+		r2 := rij.Norm2()
+		if r2 == 0 {
+			return
+		}
+		b.r2[b.n], b.qq[b.n], b.pair[b.n] = r2, q[i]*q[j], kind[i]*tosifumi.NumSpecies+kind[j]
+		b.n++
+		if b.n == potBlockLen {
+			pot = t.drain(&b, pot)
 		}
 	})
 	return t.drain(&b, pot) // the final partial block
 }
 
-// drain adds the block's pairs to pot in block order and empties it.
+// drain adds the block's shifted pair energies to pot in block order and
+// empties it.
 func (t *potTable) drain(b *potBlock, pot float64) float64 {
 	n := b.n
 	var e, bm [potBlockLen]float64
 	t.evalInto(e[:n], bm[:n], b.r2[:n])
 	for k := 0; k < n; k++ {
-		s, pr := b.r2[k], b.pair[k]
+		s, pr, qq := b.r2[k], b.pair[k], b.qq[k]
 		if math.IsNaN(e[k]) { // outside the table
 			r := math.Sqrt(s)
-			pot += t.p.RealPairEnergyR(b.qq[k], 1, r)
-			pot += t.tf.ShortEnergy(tosifumi.Species(pr/tosifumi.NumSpecies), tosifumi.Species(pr%tosifumi.NumSpecies), r)
+			pot += t.p.RealPairEnergyR(qq, 1, r) - qq*t.ec
+			pot += t.tf.ShortEnergy(tosifumi.Species(pr/tosifumi.NumSpecies), tosifumi.Species(pr%tosifumi.NumSpecies), r) - t.uc[pr]
 			continue
 		}
 		i2 := 1 / s
 		i6 := i2 * i2 * i2
-		pot += b.qq[k] * e[k]
-		pot += t.abe[pr]*bm[k] - t.c6[pr]*i6 - t.d8[pr]*(i6*i2)
+		pot += qq * (e[k] - t.ec)
+		pot += t.abe[pr]*bm[k] - t.c6[pr]*i6 - t.d8[pr]*(i6*i2) - t.uc[pr]
 	}
 	b.n = 0
 	return pot

@@ -38,10 +38,10 @@ func fixtureParams(l, alpha float64) ewald.Params {
 	return ewald.ParamsForAlpha(l, alpha)
 }
 
-// mustPotTable fits the evaluator the way an engine on grid does.
-func mustPotTable(t testing.TB, p ewald.Params, grid *cellindex.Grid) *potTable {
+// mustPotTable fits the evaluator the way an engine does.
+func mustPotTable(t testing.TB, p ewald.Params) *potTable {
 	t.Helper()
-	tbl, err := newPotTable(p, grid.CellSize)
+	tbl, err := newPotTable(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPotTableKernelError(t *testing.T) {
 		alpha float64
 	}{{4, 0}, {4, 9}, {4, 14}, {1, 60}} {
 		p := fixtureParams(5.64*float64(c.cells), c.alpha)
-		tbl := mustPotTable(t, p, mustGrid(t, p))
+		tbl := mustPotTable(t, p)
 		var absE, absB, relE, relB float64
 		s, e, b := make([]float64, perSegment+1), make([]float64, perSegment+1), make([]float64, perSegment+1)
 		for seg := range tbl.rows {
@@ -102,15 +102,21 @@ func TestPotTableKernelError(t *testing.T) {
 // TestPotTableAddressingEdges walks the edges of the addressing: every power
 // of two in the domain and the largest float64 below it land in adjacent
 // segments at opposite ends of the local coordinate and still read the
-// kernels, the domain is exactly [2^0, 2^emax), and a pair outside it is the
-// scalar pair forms bit for bit.
+// kernels, the domain is exactly [2^0, 2^⌈log₂ r_c²⌉), and a pair outside it
+// is the shifted scalar pair forms bit for bit.
 func TestPotTableAddressingEdges(t *testing.T) {
 	p := smallParams(4 * 5.64)
-	grid := mustGrid(t, p)
-	tbl := mustPotTable(t, p, grid)
+	tbl := mustPotTable(t, p)
 	emax := len(tbl.rows) >> potSegBits
-	if top := 12 * grid.CellSize * grid.CellSize; !(math.Ldexp(1, emax) > top && math.Ldexp(1, emax-1) <= top) {
-		t.Fatalf("domain ends at 2^%d, the walk reaches 12·cell² = %g", emax, top)
+	if top := p.RCut * p.RCut; !(math.Ldexp(1, emax) >= top && math.Ldexp(1, emax-1) < top) {
+		t.Fatalf("domain ends at 2^%d, the walk reaches r_c² = %g", emax, top)
+	}
+	// The shift is the scalar forms at the cutoff.
+	if ec := p.RealPairEnergyR(1, 1, p.RCut); tbl.ec != ec {
+		t.Errorf("E(r_c²) = %g, scalar form %g", tbl.ec, ec)
+	}
+	if uc := tbl.tf.ShortEnergy(tosifumi.Cl, tosifumi.Na, p.RCut); tbl.uc[uint8(tosifumi.Cl)*tosifumi.NumSpecies+uint8(tosifumi.Na)] != uc {
+		t.Errorf("Cl–Na u(r_c) = %g, scalar form %g", tbl.uc[uint8(tosifumi.Cl)*tosifumi.NumSpecies+uint8(tosifumi.Na)], uc)
 	}
 	// 2^e opens octave e at u = −1; the float64 before it closes octave e−1
 	// just below u = +1. The first and the last of them are out.
@@ -136,9 +142,11 @@ func TestPotTableAddressingEdges(t *testing.T) {
 			t.Errorf("s = %g is outside [1, 2^%d) and the table answers %g", s, emax, e[k])
 		}
 		blk := potBlock{n: 1}
-		blk.r2[0], blk.qq[0], blk.pair[0] = s, -0.63, uint8(tosifumi.Cl)*tosifumi.NumSpecies+uint8(tosifumi.Na)
+		pr := uint8(tosifumi.Cl)*tosifumi.NumSpecies + uint8(tosifumi.Na)
+		blk.r2[0], blk.qq[0], blk.pair[0] = s, -0.63, pr
 		r := math.Sqrt(s)
-		want := p.RealPairEnergyR(-0.63, 1, r) + tbl.tf.ShortEnergy(tosifumi.Cl, tosifumi.Na, r)
+		want := p.RealPairEnergyR(-0.63, 1, r) - -0.63*tbl.ec
+		want += tbl.tf.ShortEnergy(tosifumi.Cl, tosifumi.Na, r) - tbl.uc[pr]
 		if got := tbl.drain(&blk, 0); !sameFloat(got, want) {
 			t.Errorf("s = %g: pair energy %g, scalar forms %g", s, got, want)
 		}
@@ -146,19 +154,22 @@ func TestPotTableAddressingEdges(t *testing.T) {
 }
 
 // oraclePotential is the scalar walk the evaluator replaced, kept as its
-// oracle: one closure call per half pair, the general pair forms of ewald and
-// tosifumi (math.Erfc, math.Exp, every division), summed pair by pair. abs is
-// Σ|u_pair|, the magnitude the sum's own rounding scales with.
+// oracle: one closure call per half pair of the r_cut sphere, the general pair
+// forms of ewald and tosifumi (math.Erfc, math.Exp, every division), each
+// shifted by its own value at r_c, summed pair by pair. abs is Σ|u_pair|, the
+// magnitude the sum's own rounding scales with.
 func oraclePotential(p ewald.Params, tf *tosifumi.Potential, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable, s *md.System) (pot, abs float64) {
-	sorted.ForEachHalfPairTable(nbt, func(i, j int, rij vec.V) {
+	sorted.ForEachHalfPair(nbt, func(i, j int, rij vec.V) {
 		r2 := rij.Norm2()
 		if r2 == 0 {
 			return
 		}
 		r := math.Sqrt(r2)
 		oi, oj := sorted.Order[i], sorted.Order[j]
-		coul := p.RealPairEnergyR(s.Charge[oi], s.Charge[oj], r)
-		short := tf.ShortEnergy(tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj]), r)
+		qi, qj := s.Charge[oi], s.Charge[oj]
+		si, sj := tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj])
+		coul := p.RealPairEnergyR(qi, qj, r) - p.RealPairEnergyR(qi, qj, p.RCut)
+		short := tf.ShortEnergy(si, sj, r) - tf.ShortEnergy(si, sj, p.RCut)
 		pot += coul
 		pot += short
 		abs += math.Abs(coul + short)
@@ -166,11 +177,11 @@ func oraclePotential(p ewald.Params, tf *tosifumi.Potential, sorted *cellindex.S
 	return pot, abs
 }
 
-// rRange returns the smallest and largest separation the half walk meets,
-// and its pair count.
+// rRange returns the smallest and largest separation the potential's half
+// walk meets, and its pair count.
 func rRange(sorted *cellindex.Sorted, nbt *cellindex.NeighborTable) (lo, hi float64, pairs int) {
 	lo = math.Inf(1)
-	sorted.ForEachHalfPairTable(nbt, func(_, _ int, rij vec.V) {
+	sorted.ForEachHalfPair(nbt, func(_, _ int, rij vec.V) {
 		if r := rij.Norm(); r != 0 {
 			lo, hi = math.Min(lo, r), math.Max(hi, r)
 			pairs++
@@ -179,11 +190,11 @@ func rRange(sorted *cellindex.Sorted, nbt *cellindex.NeighborTable) (lo, hi floa
 	return lo, hi, pairs
 }
 
-// checkAgainstOracle compares the evaluator, fitted the way an engine on grid
-// fits it, with the scalar oracle on one layout.
+// checkAgainstOracle compares the evaluator, fitted the way an engine fits
+// it, with the scalar oracle on one layout.
 func checkAgainstOracle(t *testing.T, name string, p ewald.Params, grid *cellindex.Grid, s *md.System) float64 {
 	t.Helper()
-	return checkTableAgainstOracle(t, name, mustPotTable(t, p, grid), grid, s)
+	return checkTableAgainstOracle(t, name, mustPotTable(t, p), grid, s)
 }
 
 // checkTableAgainstOracle holds tbl to 1e-13 of the oracle's potential — or,
@@ -238,33 +249,31 @@ func TestHostPotentialMatchesScalarOracle(t *testing.T) {
 	}
 
 	// A close approach: a pair below the table's 1 Å² floor, on the scalar
-	// forms, beside pairs across the table.
+	// forms, beside pairs across the table up to the cutoff.
 	s := meltLike(t, 2, 5.64, 1200, 7)
 	fractionalCharges(s)
 	s.Pos[3] = s.Pos[0].Add(vec.New(0.9, 0.3, -0.2)).Wrap(s.L)
 	p := smallParams(s.L)
 	grid := mustGrid(t, p)
 	sorted, nbt := cellindex.Sort(grid, s.Pos), cellindex.BuildNeighborTable(grid, nil)
-	if lo, hi, _ := rRange(sorted, nbt); !(lo < 1 && hi > 2*grid.CellSize) {
-		t.Fatalf("close-approach fixture spans r in [%g, %g], want below 1 Å and beyond two cell sides", lo, hi)
+	if lo, hi, _ := rRange(sorted, nbt); !(lo < 1 && hi > 0.95*p.RCut) {
+		t.Fatalf("close-approach fixture spans r in [%g, %g], want below 1 Å and up to the cutoff %g", lo, hi, p.RCut)
 	}
 	checkAgainstOracle(t, "close approach", p, grid, s)
 
-	// The same box through a table fitted for cells a quarter the size: the
-	// far images leave the top of its domain for the scalar forms, and the
-	// result does not depend on where the domain ends.
-	short, err := newPotTable(p, grid.CellSize/4)
-	if err != nil {
-		t.Fatal(err)
+	// The same box through the table with its top two octaves cut off: the
+	// far pairs leave the domain for the scalar forms, and the result does
+	// not depend on where the domain ends.
+	short := *mustPotTable(t, p)
+	short.span -= 2 << 52
+	if _, hi, _ := rRange(sorted, nbt); !(hi*hi >= math.Ldexp(1, int(short.span>>52))) {
+		t.Fatalf("short-domain fixture reaches r = %g, inside the table's %d octaves", hi, short.span>>52)
 	}
-	if _, hi, _ := rRange(sorted, nbt); !(hi*hi >= math.Ldexp(1, len(short.rows)>>potSegBits)) {
-		t.Fatalf("short-domain fixture reaches r = %g, inside the %d-segment table", hi, len(short.rows))
-	}
-	checkTableAgainstOracle(t, "images beyond the domain", short, grid, s)
+	checkTableAgainstOracle(t, "pairs beyond the domain", &short, grid, s)
 
-	// Far images: a one-cell grid at a splitting so sharp that the box's own
-	// images sit beyond x = 28, where erfc — and with it every node E is
-	// fitted through — underflows to 0.
+	// Far pairs: a one-cell grid cut at the box side, at a splitting so sharp
+	// that the pairs past 0.47·L sit beyond x = 28, where erfc — and with it
+	// every node E is fitted through and the shift — underflows to 0.
 	s = meltLike(t, 1, 5.64, 1200, 8)
 	p = fixtureParams(s.L, 60)
 	grid = mustGrid(t, p)
@@ -276,9 +285,9 @@ func TestHostPotentialMatchesScalarOracle(t *testing.T) {
 }
 
 // TestHostPotentialEmptyWalk pins the two layouts whose walk gathers nothing
-// to exactly 0: a grid so fine that no two of the 8 ions share a 27-cell
-// neighborhood, and a single particle (whose 26 self images exist only on a
-// grid of fewer than 3 cells a side — here 5).
+// to exactly 0: a cutoff so short (grid so fine) that no two of the 8 ions
+// share a 27-cell neighborhood, and a single particle (whose 26 self images
+// exist only on a grid of fewer than 3 cells a side — here 5).
 func TestHostPotentialEmptyWalk(t *testing.T) {
 	s := meltLike(t, 1, 5.64, 1200, 1)
 	p := ewald.ParamsForAlpha(s.L, 14)
@@ -292,7 +301,7 @@ func TestHostPotentialEmptyWalk(t *testing.T) {
 		t.Fatalf("fixture walk reaches %d pairs, want none", pairs)
 	}
 	// A used gather and a warm stack must not leak a stale block into it.
-	g, tbl := new(potGather), mustPotTable(t, p, grid)
+	g, tbl := new(potGather), mustPotTable(t, p)
 	if got := hostPotential(g, tbl, sorted, nbt, s); got != 0 {
 		t.Errorf("walk without pairs: potential %g, want exactly 0", got)
 	}
@@ -336,6 +345,7 @@ func potOccupancySystem(t *testing.T, occ []int) (*md.System, *cellindex.Grid) {
 // particles: a block that loses, repeats or never flushes a pair moves the
 // sum by far more than the reassociation bound. The close random placement
 // also puts many pairs below the table's 1 Å² floor, on the scalar forms.
+// Prefixes of it pin the final partial block.
 func TestHostPotentialBlockBoundaries(t *testing.T) {
 	occ := []int{0, 1, potBlockLen - 1, potBlockLen, potBlockLen + 1, 2*potBlockLen + 3}
 	s, grid := potOccupancySystem(t, occ)
@@ -455,8 +465,7 @@ func TestSessionPotentialBitEqualToSerial(t *testing.T) {
 // Horner chains — per argument, on blocks spread over default_n512's domain.
 func BenchmarkPotTableEvalInto(b *testing.B) {
 	p := smallParams(4 * 5.64)
-	grid := mustGrid(b, p)
-	tbl := mustPotTable(b, p, grid)
+	tbl := mustPotTable(b, p)
 	rng := rand.New(rand.NewSource(1))
 	var s, e, bm [potBlockLen]float64
 	for k := range s {
@@ -470,8 +479,9 @@ func BenchmarkPotTableEvalInto(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/potBlockLen, "ns/arg")
 }
 
-// BenchmarkHostPotential reports the potential walk per half pair on the
-// served (N = 64) and default (N = 512) geometries, at the splitting
+// BenchmarkHostPotential reports the potential walk per 27-cell half-pair
+// candidate (the pairs it streams, of which the r_cut sphere is evaluated) on
+// the served (N = 64) and default (N = 512) geometries, at the splitting
 // mdm.NewSimulation picks for them.
 func BenchmarkHostPotential(b *testing.B) {
 	for _, cells := range []int{2, 4} {
@@ -489,7 +499,7 @@ func BenchmarkHostPotential(b *testing.B) {
 		nbt := cellindex.BuildNeighborTable(grid, nil)
 		pairs := (sorted.OrderedPairCount() - s.N()) / 2
 		b.Run(fmt.Sprintf("N=%d", s.N()), func(b *testing.B) {
-			g, tbl := new(potGather), mustPotTable(b, p, grid)
+			g, tbl := new(potGather), mustPotTable(b, p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

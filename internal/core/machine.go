@@ -100,15 +100,16 @@ type MachineConfig struct {
 	// same code either way, so forces are bit-identical on and off.
 	Pipeline bool
 
-	// Skin widens the cell grid to RCut+Skin (Å) so the sorted j-set can be
-	// reused across steps until some particle has moved more than Skin/2
-	// since the last rebuild — the Verlet-skin amortization of the host sort.
-	// Zero rebuilds every step. Between rebuilds the layout is frozen
+	// Skin widens the cells of the grid to RCut+Skin (Å) so the sorted j-set
+	// can be reused across steps until some particle has moved more than
+	// Skin/2 since the last rebuild — the Verlet-skin amortization of the host
+	// sort. Zero rebuilds every step. Between rebuilds the layout is frozen
 	// (cellindex.Sorted): the sweep's i side, its j side and the host
 	// potential all read the cell, slot and periodic image a particle was
-	// sorted on, so forces and potential cover the same pair set. A non-zero
-	// skin changes which far pairs the cutoff-free 27-cell walk sees, so it
-	// is a different (equally valid) discretization, not a bit-identical one.
+	// sorted on. The cutoff stays RCut, so forces and potential cover the
+	// r_cut sphere at any skin: the skin only decides which out-of-cutoff
+	// pairs the hardware streams, and changes the result at rounding level
+	// (the stored coordinate words), not the physics.
 	Skin float64
 }
 
@@ -206,7 +207,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if cfg.Skin < 0 {
 		return nil, fmt.Errorf("core: negative Verlet skin %g", cfg.Skin)
 	}
-	grid, err := cellindex.NewGrid(cfg.Ewald.L, cfg.Ewald.RCut+cfg.Skin)
+	grid, err := cellindex.NewSkinGrid(cfg.Ewald.L, cfg.Ewald.RCut, cfg.Skin)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +215,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	potTable, err := newPotTable(cfg.Ewald, grid.CellSize)
+	potTable, err := newPotTable(cfg.Ewald)
 	if err != nil {
 		return nil, err
 	}

@@ -114,15 +114,16 @@ type realSum struct {
 func (r *Reference) sphereSum(s *md.System) *realSum {
 	sorted := cellindex.Sort(r.grid, s.Pos)
 	sum, body := r.pairSum(s, sorted)
-	sorted.ForEachHalfPair(r.P.RCut, body)
+	sorted.ForEachHalfPair(nil, body)
 	return sum
 }
 
 // pairSum returns an empty sum over the sorted layout and the one float64
 // real-space pair body that fills it: Ewald real-space Coulomb plus Tosi–Fumi
 // short range, each pair once under Newton's third law (eq. 5 accounting).
-// The half walk the caller hands the body to decides the pair set — the r_cut
-// sphere (sphereSum) or a machine's 27-cell cube (MeasureAccuracy).
+// The caller hands the body to the layout's half walk — the r_cut sphere, on
+// the reference's own grid (sphereSum) or on a machine's frozen layout
+// (MeasureAccuracy). The energy is unshifted.
 func (r *Reference) pairSum(s *md.System, sorted *cellindex.Sorted) (*realSum, func(i, j int, rij vec.V)) {
 	sum := &realSum{forces: make([]vec.V, s.N())}
 	return sum, func(i, j int, rij vec.V) {

@@ -163,9 +163,11 @@ func (h *hardware) restripe(site fault.Site) (bool, error) {
 // reference path. Every transition is recorded in the RunReport.
 //
 // Resilient implements md.ForceField, so it drops into the integrator in
-// place of Machine. The host fallback applies the Reference r_cut pair sum,
-// so forces differ from the cutoff-free machine path by the (tiny)
-// beyond-cutoff tail — acceptable for a degraded mode.
+// place of Machine. The host fallback applies the Reference's float64 sum
+// over the machine's own pair set, the r_cut sphere, so forces agree with the
+// machine path to the pipelines' rounding; its potential is not
+// energy-shifted, so U steps by Σ u_ij(r_c) where a run switches over —
+// acceptable for a degraded mode.
 type Resilient struct {
 	rc      RecoveryConfig
 	hw      *hardware

@@ -146,10 +146,10 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 	}
 	p := cfg.Ewald
 	// The serial machine's discretization: cell side ≥ r_cut + skin, so a
-	// frozen layout stays valid until some displacement exceeds skin/2.
-	// Every rank shares this one global grid — the keystone of the
-	// bit-identity argument.
-	grid, err := cellindex.NewGrid(p.L, p.RCut+cfg.Skin)
+	// frozen layout stays valid until some displacement exceeds skin/2, and
+	// cutoff r_cut. Every rank shares this one global grid — the keystone of
+	// the bit-identity argument.
+	grid, err := cellindex.NewSkinGrid(p.L, p.RCut, cfg.Skin)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 	if err != nil {
 		return nil, err
 	}
-	potTable, err := newPotTable(p, grid.CellSize)
+	potTable, err := newPotTable(p)
 	if err != nil {
 		return nil, err
 	}

@@ -18,18 +18,21 @@ import (
 // had been kept: its potential value and its injector-visible call geometry.
 
 // orderedRealPotential is the oracle hostPotential is checked against: every
-// ordered 27-cell visit (each unordered pair twice, each kernel taking its own
-// square root), halved — the walk the host potential made before it moved to
-// the half count.
+// ordered 27-cell visit inside r_cut (each unordered pair twice, each kernel
+// taking its own square root, each energy shifted by its value at r_c),
+// halved — the walk the host potential made before it moved to the half
+// count.
 func orderedRealPotential(p ewald.Params, tf *tosifumi.Potential, sorted *cellindex.Sorted, s *md.System) float64 {
 	pot := 0.0
 	sorted.ForEachOrderedPair(func(i, j int, rij vec.V) {
-		if rij.Norm2() == 0 {
+		if r2 := rij.Norm2(); r2 == 0 || r2 >= p.RCut*p.RCut {
 			return
 		}
 		oi, oj := sorted.Order[i], sorted.Order[j]
-		pot += p.RealPairEnergy(s.Charge[oi], s.Charge[oj], rij)
-		pot += tf.ShortEnergy(tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj]), rij.Norm())
+		qi, qj := s.Charge[oi], s.Charge[oj]
+		si, sj := tosifumi.Species(s.Type[oi]), tosifumi.Species(s.Type[oj])
+		pot += p.RealPairEnergy(qi, qj, rij) - p.RealPairEnergyR(qi, qj, p.RCut)
+		pot += tf.ShortEnergy(si, sj, rij.Norm()) - tf.ShortEnergy(si, sj, p.RCut)
 	})
 	return pot / 2
 }
@@ -48,7 +51,7 @@ func TestRealPotentialHalfWalkMatchesOrderedWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			sorted := cellindex.Sort(grid, s.Pos)
-			got := hostPotential(new(potGather), mustPotTable(t, p, grid), sorted, cellindex.BuildNeighborTable(grid, nil), s)
+			got := hostPotential(new(potGather), mustPotTable(t, p), sorted, cellindex.BuildNeighborTable(grid, nil), s)
 			want := orderedRealPotential(p, tf, sorted, s)
 			if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-12 {
 				t.Errorf("cells=%d alpha=%g (grid %d³): half walk %.17g vs ordered walk %.17g (rel %.2g)",
@@ -63,8 +66,8 @@ func TestRealPotentialHalfWalkMatchesOrderedWalk(t *testing.T) {
 // machine. The fused sweep books its four table passes as four hardware calls
 // in pass order, so a scenario keyed on mdg call numbers lands on the same
 // pass of the same step, the wavenumber pass is (not) reached exactly as
-// before, and the recovery report — pinned here from the four-pass machine —
-// is unchanged, as are the recovered forces.
+// before, and the recovery report — the four-pass machine's events, with the
+// flipped word's magnitude — is pinned, as are the recovered forces.
 func TestPlainMachineFaultGeometry(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 37)
 	p := smallParams(s.L)
@@ -112,7 +115,7 @@ func TestPlainMachineFaultGeometry(t *testing.T) {
 			"step 1: retry 1 after mdg transient error",
 			"step 1: retry 2 after wine2 transient error",
 			"step 1: retry 3 after mdg transient error",
-			"step 2: retry 1 after core: suspect step: force spike 1.01e+307 > 100",
+			"step 2: retry 1 after core: suspect step: force spike 9e+306 > 100",
 		},
 	}
 	if rep := r.Report(); !reflect.DeepEqual(rep, want) {

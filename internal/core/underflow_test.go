@@ -9,6 +9,7 @@ import (
 	"mdm/internal/md"
 	"mdm/internal/mdgrape2"
 	"mdm/internal/soa"
+	"mdm/internal/vec"
 )
 
 // sweepFixture is one geometry the real-space sweep is pinned on: a machine,
@@ -29,8 +30,8 @@ type sweepGeometry struct {
 
 // sweepGeometries are the three geometries of the benchmark workloads: the
 // 512-ion box at the default splitting (2³ grid, 64 ions per cell, pairs out
-// to 39 Å — the only one whose Born–Mayer arguments reach the table's
-// underflow zone), the same box at α = 9 (3³ grid) and the served 64-ion box.
+// to r_cut = 10.2 Å), the same box at α = 9 (3³ grid) and the served 64-ion
+// box.
 var sweepGeometries = []sweepGeometry{
 	{"N=512 default", 4, 0},
 	{"N=512 alpha=9", 4, 9},
@@ -59,30 +60,26 @@ func newSweepFixture(t testing.TB, geo sweepGeometry) sweepFixture {
 	return sweepFixture{geo.name, m, s, js, m.passes[:]}
 }
 
-// forEachSweepPair walks one table pass the way the sweep does — per i, the
-// 27 neighbour cells in table order, every j of each cell in storage order,
-// no distance test — and hands visit the float32 words the pair datapath
-// starts from: the table argument x = a_ij·r², the coefficient b_ij and the
-// displacement. It is mdgrape2's oracleForces pair expression on core's
-// tables and coefficient RAM.
+// forEachSweepPair walks one table pass over the sweep's own pair set
+// (JSet.ForEachPair: per i, the 27 neighbour cells in table order, the j of
+// each cell inside the cutoff in storage order) and hands visit the float32
+// words the pair datapath starts from: the table argument x = a_ij·r², the
+// coefficient b_ij and the displacement. It is mdgrape2's oracleForces pair
+// expression on core's tables and coefficient RAM.
 func forEachSweepPair(f sweepFixture, pass mdgrape2.ForcePass, visit func(i int, x, b, dx, dy, dz float32)) {
-	sorted, nbt := f.js.Sorted, f.m.jsb.NeighborTable()
+	sorted := f.js.Sorted
 	jx, jy, jz := sorted.P32.X, sorted.P32.Y, sorted.P32.Z
 	for i, pos := range f.s.Pos {
 		pix, piy, piz := float32(pos.X), float32(pos.Y), float32(pos.Z)
 		ti := f.s.Type[i]
-		for _, nb := range nbt.Of(sorted.Grid.CellOf(pos)) {
-			jstart, jend := sorted.CellRange(nb.Cell)
-			sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
-			for j := jstart; j < jend; j++ {
-				dx := pix - (jx[j] + sx)
-				dy := piy - (jy[j] + sy)
-				dz := piz - (jz[j] + sz)
-				tj := f.js.Types[j]
-				x := float32(pass.Co.A[ti][tj]) * (dx*dx + dy*dy + dz*dz)
-				visit(i, x, float32(pass.Co.B[ti][tj]), dx, dy, dz)
-			}
-		}
+		f.js.ForEachPair(i, func(j int, shift vec.V) {
+			dx := pix - (jx[j] + float32(shift.X))
+			dy := piy - (jy[j] + float32(shift.Y))
+			dz := piz - (jz[j] + float32(shift.Z))
+			tj := f.js.Types[j]
+			x := float32(pass.Co.A[ti][tj]) * (dx*dx + dy*dy + dz*dz)
+			visit(i, x, float32(pass.Co.B[ti][tj]), dx, dy, dz)
+		})
 	}
 }
 

@@ -14,11 +14,14 @@ import (
 // (Coulomb real-space + Born–Mayer + r⁻⁶ + r⁻⁸) over the same j-set; the
 // sweep walks the cell-pair candidates once and evaluates every requested
 // table on each j-block — the host-side analogue of the hardware broadcasting
-// each j particle to all pipelines once per step. Bookkeeping (stats,
-// heartbeats, fault injection) still counts one hardware call per pass, so
-// the timing model and the injector-visible call sequence are those of the
-// passes run back-to-back. ComputeForces is the one-pass case of the same
-// body.
+// each j particle to all pipelines once per step. The board streams every
+// candidate of the 27 neighbour cells; the pipelines' tables are zero beyond
+// the cutoff the grid records (§3.5.4: g(x) is an arbitrary table), so the
+// sweep keeps only the pairs inside it and the tables run over those.
+// Bookkeeping (stats, heartbeats, fault injection) still counts one hardware
+// call per pass and every streamed candidate, so the timing model and the
+// injector-visible call sequence are those of the passes run back-to-back.
+// ComputeForces is the one-pass case of the same body.
 
 // ForcePass describes one table pass of a fused sweep: the function table,
 // the coefficient RAM, and the optional per-i host prefactor.
@@ -32,10 +35,92 @@ type ForcePass struct {
 // slot; four slots carry the NaCl force field, eight leave headroom).
 const maxFusedPasses = 8
 
-// sweepBlock is how many j particles the sweep streams at a time: their
-// displacements and r² are formed once, then each table runs over the block.
-// The block buffers live on the worker's stack.
+// sweepBlock is how many kept pairs the sweep gathers before the tables run
+// over them. The gather streams i's neighbour runs in order and compacts the
+// pairs inside the cutoff into the block across run boundaries; a full block,
+// or the end of i's walk, runs every pass. Each pass's accumulator adds its
+// pairs in walk order whatever the block boundaries, so the compaction moves
+// no bit of a kept pair's contribution.
 const sweepBlock = 64
+
+// pairBlock is one worker's gathered j-block — the kept pairs' float32
+// displacement and squared distance and their sorted j index, in walk order —
+// and the per-pass scratch the tables run in.
+type pairBlock struct {
+	n              int
+	dx, dy, dz, r2 [sweepBlock]float32
+	j              [sweepBlock]int
+
+	t       [sweepBlock]int     // j's particle type
+	w, x, g [sweepBlock]float32 // j's charge field, table argument, table value
+}
+
+// gather streams the candidates [j, jend) of one neighbour run — i's stored
+// words (pix, piy, piz) against each j's, displaced by the run's image shift
+// (sx, sy, sz), the displacement and r² formed as the pipelines form them —
+// and appends those with r² below cut2 until the block is full. It returns
+// where the run resumes.
+func (b *pairBlock) gather(p *soa.Coords32, j, jend int, pix, piy, piz, sx, sy, sz, cut2 float32) int {
+	end := min(jend, j+sweepBlock-b.n)
+	jx := p.X[j:end]
+	jy := p.Y[j:end:end]
+	jz := p.Z[j:end:end]
+	n := b.n
+	for k := range jx {
+		ex := pix - (jx[k] + sx)
+		ey := piy - (jy[k] + sy)
+		ez := piz - (jz[k] + sz)
+		r2 := ex*ex + ey*ey + ez*ez
+		if r2 < cut2 {
+			b.dx[n], b.dy[n], b.dz[n], b.r2[n], b.j[n] = ex, ey, ez, r2, j+k
+			n++
+		}
+	}
+	b.n = n
+	return end
+}
+
+// run evaluates every pass's table over the block for i-particle type ti and
+// adds the pair forces to the pass accumulators in block order, then empties
+// the block: f⃗_ij = b_ij · g(a_ij r²) · r⃗_ij (eq. 14) in float32, the
+// particle-memory charge field, when loaded, scaling b_ij.
+func (b *pairBlock) run(tbls *[maxFusedPasses]tableRef, np, ti int, js *JSet, acc *[maxFusedPasses][3]float64) {
+	n := b.n
+	t, dx, dy, dz := b.t[:n], b.dx[:n], b.dy[:n], b.dz[:n]
+	for k, j := range b.j[:n] {
+		t[k] = js.Types[j]
+	}
+	if js.Weights != nil {
+		for k, j := range b.j[:n] {
+			b.w[k] = float32(js.Weights[j])
+		}
+	}
+	for p := 0; p < np; p++ {
+		ta, tb := tbls[p].a32[ti], tbls[p].b32[ti]
+		for k, tj := range t {
+			b.x[k] = ta[tj] * b.r2[k]
+		}
+		tbls[p].tbl.EvalInto(b.g[:n], b.x[:n])
+		ax, ay, az := acc[p][0], acc[p][1], acc[p][2]
+		if js.Weights == nil {
+			for k, tj := range t {
+				bg := tb[tj] * b.g[k]
+				ax += float64(bg * dx[k])
+				ay += float64(bg * dy[k])
+				az += float64(bg * dz[k])
+			}
+		} else {
+			for k, tj := range t {
+				bg := tb[tj] * b.w[k] * b.g[k]
+				ax += float64(bg * dx[k])
+				ay += float64(bg * dy[k])
+				az += float64(bg * dz[k])
+			}
+		}
+		acc[p] = [3]float64{ax, ay, az}
+	}
+	b.n = 0
+}
 
 // fusedFlip is one captured bit-flip event, replayed onto the pass's
 // contribution after its per-i scale, before the ordered combine.
@@ -47,12 +132,12 @@ type fusedFlip struct {
 
 // ComputeForces runs the cell-index force calculation of eqs. 7/8 for the
 // given i-particles against the j-set: for every i, every j in the 27
-// neighbor cells of i's cell is streamed through a pipeline with no distance
-// test. xi and ti are the j-set's own leading particles (see JSet): the sweep
-// takes their count from xi and their cell and coordinate word from the
-// stored layout. scale multiplies the final accumulated force (the host-side
-// prefactor, e.g. k_e·q_i·α³/L³ for the Coulomb real-space part when b_ij
-// carries q_j only).
+// neighbor cells of i's cell is streamed through a pipeline, and the pairs
+// inside the grid's cutoff are evaluated (JSet.ForEachPair). xi and ti are
+// the j-set's own leading particles (see JSet): the sweep takes their count
+// from xi and their cell and coordinate word from the stored layout. scale
+// multiplies the final accumulated force (the host-side prefactor, e.g.
+// k_e·q_i·α³/L³ for the Coulomb real-space part when b_ij carries q_j only).
 //
 // The i-particles are distributed over the pipelines in contiguous blocks,
 // mirroring the block distribution of MR1calcvdw_block2; the result is
@@ -160,72 +245,30 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 	// counters are per-shard, merged in shard order below.
 	shardPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
 	_ = s.pool.Run(len(xi), func(shard, lo, hi int) error {
+		cut2, p32 := cutoffWord(js.Sorted.Grid.Cutoff), &js.Sorted.P32
 		var pairs int64
 		var acc [maxFusedPasses][3]float64 // double-precision accumulators (§3.5.4)
-		// Block buffers: every element read below was written for the same
-		// block first, so they are declared (and zeroed) once per shard.
-		var dx, dy, dz, r2, x, g [sweepBlock]float32
+		var blk pairBlock
 		for i := lo; i < hi; i++ {
 			// Cell and single-precision coordinate word as stored at the last
 			// Build / Refresh — the word this particle's j-side visits read too.
 			nbrs, pix, piy, piz := js.iSide(i)
 			acc = [maxFusedPasses][3]float64{}
 			for _, nb := range nbrs {
-				jstart, jend := js.Sorted.CellRange(nb.Cell)
-				sx := float32(nb.Shift.X)
-				sy := float32(nb.Shift.Y)
-				sz := float32(nb.Shift.Z)
-				pairs += int64(jend - jstart)
 				// Stream the cell's j-run from the float32 planes — the banked
-				// particle-memory read of §3.3 — one block at a time.
-				for b0 := jstart; b0 < jend; b0 += sweepBlock {
-					b1 := b0 + sweepBlock
-					if b1 > jend {
-						b1 = jend
-					}
-					n := b1 - b0
-					jx := js.Sorted.P32.X[b0:b1]
-					jy := js.Sorted.P32.Y[b0:b1:b1]
-					jz := js.Sorted.P32.Z[b0:b1:b1]
-					jt := js.Types[b0:b1:b1]
-					// One displacement and one squared distance per pair serve
-					// every table.
-					for j := range jx {
-						ex := pix - (jx[j] + sx)
-						ey := piy - (jy[j] + sy)
-						ez := piz - (jz[j] + sz)
-						dx[j], dy[j], dz[j] = ex, ey, ez
-						r2[j] = ex*ex + ey*ey + ez*ez
-					}
-					for p := 0; p < np; p++ {
-						// f⃗_ij = b_ij · g(a_ij r²) · r⃗_ij (eq. 14) in float32; the
-						// particle-memory charge field, when loaded, scales b_ij.
-						ta := tbls[p].a32[ti[i]]
-						tb := tbls[p].b32[ti[i]]
-						for j, tj := range jt {
-							x[j] = ta[tj] * r2[j]
-						}
-						tbls[p].tbl.EvalInto(g[:n], x[:n])
-						ax, ay, az := acc[p][0], acc[p][1], acc[p][2]
-						if js.Weights == nil {
-							for j, tj := range jt {
-								bg := tb[tj] * g[j]
-								ax += float64(bg * dx[j])
-								ay += float64(bg * dy[j])
-								az += float64(bg * dz[j])
-							}
-						} else {
-							wt := js.Weights[b0:b1:b1]
-							for j, tj := range jt {
-								bg := tb[tj] * float32(wt[j]) * g[j]
-								ax += float64(bg * dx[j])
-								ay += float64(bg * dy[j])
-								az += float64(bg * dz[j])
-							}
-						}
-						acc[p] = [3]float64{ax, ay, az}
+				// particle-memory read of §3.3.
+				jstart, jend := js.Sorted.CellRange(nb.Cell)
+				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
+				pairs += int64(jend - jstart)
+				for j := jstart; j < jend; {
+					j = blk.gather(p32, j, jend, pix, piy, piz, sx, sy, sz, cut2)
+					if blk.n == sweepBlock {
+						blk.run(&tbls, np, ti[i], js, &acc)
 					}
 				}
+			}
+			if blk.n > 0 {
+				blk.run(&tbls, np, ti[i], js, &acc)
 			}
 			// Scale, flip and combine in pass order: forces[i] = pass0 + pass1 + … .
 			var f vec.V

@@ -76,7 +76,8 @@ func pairForce(t *funceval.Table, aij, bij float32, dx, dy, dz float32) (fx, fy,
 // j-set's frozen layout: i-particle i is the stored particle whose Order entry
 // is i, in the cell whose range holds that slot (both re-derived here, not
 // read from Slot / Cell); per i, that cell's 27 neighbor cells as the grid
-// enumerates them, every j of each cell in storage order, one pairForce call
+// enumerates them, every j of each cell in storage order whose float32 r² is
+// below the grid's cutoff squared (rounded to a single), one pairForce call
 // and three float64 adds per pair.
 func oracleForces(t *testing.T, sys *System, pass ForcePass, xi []vec.V, ti []int, js *JSet) []vec.V {
 	t.Helper()
@@ -86,6 +87,7 @@ func oracleForces(t *testing.T, sys *System, pass ForcePass, xi []vec.V, ti []in
 	}
 	a32, b32 := pass.Co.quant32()
 	grid := js.Sorted.Grid
+	cut2 := float32(grid.Cutoff * grid.Cutoff)
 	forces := make([]vec.V, len(xi))
 	jx, jy, jz := js.Sorted.P32.X, js.Sorted.P32.Y, js.Sorted.P32.Z
 	for k, i := range js.Sorted.Order {
@@ -109,6 +111,9 @@ func oracleForces(t *testing.T, sys *System, pass ForcePass, xi []vec.V, ti []in
 				dx := pix - (jx[j] + sx)
 				dy := piy - (jy[j] + sy)
 				dz := piz - (jz[j] + sz)
+				if dx*dx+dy*dy+dz*dz >= cut2 {
+					continue
+				}
 				tj := js.Types[j]
 				b := tb[tj]
 				if js.Weights != nil {
@@ -254,8 +259,9 @@ func occupancyFixture(t *testing.T, occ []int, weighted bool) ([]vec.V, []int, *
 
 // TestBlockedSweepMatchesOracle pins the block-streamed sweep to the
 // pair-by-pair oracle across cell occupancies on both sides of the block
-// width, with and without the charge field, for 1–4 passes and two pool
-// widths.
+// width — so that an i-particle's kept pairs fill no block, one, or several,
+// flushing inside a run and at run ends — with and without the charge field,
+// for 1–4 passes and two pool widths.
 func TestBlockedSweepMatchesOracle(t *testing.T) {
 	occ := []int{0, 1, sweepBlock - 1, sweepBlock, sweepBlock + 1, 2*sweepBlock + 3}
 	sys, all, _, _, _ := fusedFixture(t)
@@ -264,6 +270,15 @@ func TestBlockedSweepMatchesOracle(t *testing.T) {
 	}
 	for _, weighted := range []bool{false, true} {
 		pos, types, js := occupancyFixture(t, occ, weighted)
+		fewest, most := len(pos), 0
+		for i := range pos {
+			kept := 0
+			js.ForEachPair(i, func(int, vec.V) { kept++ })
+			fewest, most = min(fewest, kept), max(most, kept)
+		}
+		if !(fewest < sweepBlock && most > 2*sweepBlock) {
+			t.Fatalf("kept pairs per particle span [%d, %d]; the fixture needs both fewer than one block and more than two", fewest, most)
+		}
 		scale := make([]float64, len(pos))
 		for i := range scale {
 			scale[i] = 0.25 + float64(i%7)
@@ -538,9 +553,10 @@ func TestRefreshedSweepIsFrozenTimesFrozen(t *testing.T) {
 	}
 	js.Weights = nil
 
-	// A fresh sort of the same positions walks a different pair set for the
-	// crossers (the far images a ≥ 3-cell grid does not reach from the other
-	// side): the frozen answer is not that answer.
+	// A fresh sort of the same positions files the crossers under the other
+	// cell and stores them on the in-box image, in other float32 words: the
+	// frozen answer is not that answer bit for bit. Both walk the r_cut sphere,
+	// so the two agree to the datapath's rounding.
 	fresh, err := NewJSet(grid, moved, types)
 	if err != nil {
 		t.Fatal(err)
@@ -551,5 +567,8 @@ func TestRefreshedSweepIsFrozenTimesFrozen(t *testing.T) {
 	}
 	if sameVecBits(resorted[hi], got[hi]) && sameVecBits(resorted[lo], got[lo]) {
 		t.Error("frozen and re-sorted layouts agree bit for bit on both crossers; the fixture exercises nothing")
+	}
+	if d := vec.RelRMSDiff(resorted, got); d > 1e-5 {
+		t.Errorf("frozen and re-sorted layouts differ by %.3g RMS; one pair set read twice should agree to rounding", d)
 	}
 }

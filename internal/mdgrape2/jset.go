@@ -41,6 +41,33 @@ func (js *JSet) iSide(i int) (nbrs []cellindex.Neighbor, x, y, z float32) {
 	return js.nbt.Of(s.Cell[i]), s.P32.X[k], s.P32.Y[k], s.P32.Z[k]
 }
 
+// cutoffWord is the pipelines' squared cutoff: the host's r_cut squared and
+// rounded once to a single. A pair at or beyond it is outside every table's
+// non-zero range.
+func cutoffWord(rcut float64) float32 { return float32(rcut * rcut) }
+
+// ForEachPair visits, in sweep order, the pairs the pipelines evaluate for
+// i-particle i: every j of its cell's 27 neighbour runs whose float32 squared
+// distance from i is below the squared cutoff, through the sweep's own gather,
+// with the image shift of the run it came in. i's visit to itself is one of
+// them (r = 0). It is the sweep's pair set, for oracles and diagnostics.
+func (js *JSet) ForEachPair(i int, f func(j int, shift vec.V)) {
+	nbrs, pix, piy, piz := js.iSide(i)
+	cut2 := cutoffWord(js.Sorted.Grid.Cutoff)
+	var b pairBlock
+	for _, nb := range nbrs {
+		jstart, jend := js.Sorted.CellRange(nb.Cell)
+		sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
+		for j := jstart; j < jend; {
+			b.n = 0
+			j = b.gather(&js.Sorted.P32, j, jend, pix, piy, piz, sx, sy, sz, cut2)
+			for _, k := range b.j[:b.n] {
+				f(k, nb.Shift)
+			}
+		}
+	}
+}
+
 // checkISide validates an i-block against the j-set and the board memory.
 func (s *System) checkISide(xi []vec.V, ti []int, js *JSet) error {
 	if len(xi) != len(ti) {

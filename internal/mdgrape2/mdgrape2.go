@@ -20,10 +20,13 @@
 // the force", so per-particle accumulation is float64. The resulting pairwise
 // relative accuracy is ~1e-7.
 //
-// The board walks particles through the cell-index method (eqs. 7, 8): no
-// distance test and no Newton's third law, so the operation count is
-// N·N_int_g ≈ 13 N·N_int. Self-pairs (r⃗ = 0) pass through the pipeline and
-// contribute exactly zero, as in the hardware.
+// The board walks particles through the cell-index method (eqs. 7, 8): every
+// candidate of the 27 neighbour cells streams through the pipelines with no
+// Newton's third law, so the operation count is N·N_int_g ≈ 13 N·N_int. The
+// tables are zero beyond the cutoff the cell grid records, so the pairs that
+// contribute are the r_cut sphere's; the simulator evaluates only those.
+// Self-pairs (r⃗ = 0) pass through the pipeline and contribute exactly zero,
+// as in the hardware.
 //
 // The user-visible entry points reproduce the library of Table 3 (MR1…).
 package mdgrape2
@@ -103,7 +106,7 @@ const MaxTypes = 32
 
 // Stats accumulates the work counters a timing model needs.
 type Stats struct {
-	PairsEvaluated int64 // pipeline cycles consumed (one pair each)
+	PairsEvaluated int64 // pipeline cycles consumed (one streamed 27-cell candidate each)
 	IParticles     int64 // i-particles processed
 	JLoads         int64 // j-particles written to particle memories
 	Calls          int64 // force-calculation calls
@@ -178,10 +181,10 @@ func (s *System) SetPool(p *parallelize.Pool) { s.pool = p }
 // derived from the float32 bit pattern, the number of octaves must divide the
 // segment count; the range is widened upward to the next power-of-two span.
 // The widening can add many octaves — a table asked for [2^-8, 2^12) reaches
-// 2^24 — and a cutoff-free cell sweep does send arguments there, where a
-// decaying kernel is far below the float32 normal range: those segments hold
-// the evaluator's all-zero rows and return +0 (funceval.NewTable), they are
-// not evaluated in the host FPU's gradual underflow.
+// 2^24 — where a decaying kernel is far below the float32 normal range: an
+// argument that reaches them (a grid whose cutoff is far out) reads the
+// evaluator's all-zero rows and +0 (funceval.NewTable), never the host FPU's
+// gradual underflow.
 func (s *System) LoadTable(name string, g func(float64) float64, emin, emax int) error {
 	span := 1
 	for span < emax-emin {

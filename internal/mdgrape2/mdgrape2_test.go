@@ -164,7 +164,8 @@ func TestRealSpaceCoulombVsFloat64SamePairs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Oracle: identical pair walk in float64 with the exact kernel.
+	// Oracle: identical pair walk in float64 with the exact kernel, cut at
+	// the grid's r_cut like the pipelines.
 	want := make([]vec.V, n)
 	sorted := js.Sorted
 	for i := range pos {
@@ -175,7 +176,7 @@ func TestRealSpaceCoulombVsFloat64SamePairs(t *testing.T) {
 			for j := jstart; j < jend; j++ {
 				rij := pos[i].Sub(sorted.At(j).Add(nb.Shift))
 				r2 := rij.Norm2()
-				if r2 == 0 {
+				if r2 == 0 || r2 >= p.RCut*p.RCut {
 					continue
 				}
 				x := p.Alpha * p.Alpha / (p.L * p.L) * r2
@@ -194,9 +195,8 @@ func TestRealSpaceCoulombVsFloat64SamePairs(t *testing.T) {
 }
 
 func TestRealSpaceCoulombVsEwaldReference(t *testing.T) {
-	// Against the independent ewald.Compute real-space oracle (which applies
-	// the r_cut test that the hardware does not): agreement to truncation
-	// accuracy.
+	// Against an independent minimum-image real-space oracle with the r_cut
+	// test the sweep applies too.
 	const l = 14.0
 	const n = 160
 	pos, types, q := naclSystem(n, l, 5)
@@ -273,7 +273,7 @@ func TestVDWMatchesLJ(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Oracle: same pair walk, float64 lj.
+	// Oracle: same pair walk inside the grid's cutoff, float64 lj.
 	want := make([]vec.V, n)
 	sorted := js.Sorted
 	for i := range pos {
@@ -283,6 +283,9 @@ func TestVDWMatchesLJ(t *testing.T) {
 			jstart, jend := sorted.CellRange(nb.Cell)
 			for j := jstart; j < jend; j++ {
 				rij := pos[i].Sub(sorted.At(j).Add(nb.Shift))
+				if rij.Norm2() >= grid.Cutoff*grid.Cutoff {
+					continue
+				}
 				acc = acc.Add(ljc.Force(types[i], js.Types[j], rij))
 			}
 		}
@@ -338,7 +341,8 @@ func TestTosiFumiShortRange(t *testing.T) {
 		}
 	}
 
-	// Oracle: direct evaluation.
+	// Oracle: direct evaluation inside the grid's 4 Å cutoff (particles 1
+	// and 2, 4.25 Å apart, do not interact).
 	want := make([]vec.V, len(pos))
 	for i := range pos {
 		for j := range pos {
@@ -346,6 +350,9 @@ func TestTosiFumiShortRange(t *testing.T) {
 				continue
 			}
 			rij := pos[i].Sub(pos[j]).MinImage(l)
+			if rij.Norm() >= 4.0 {
+				continue
+			}
 			want[i] = want[i].Add(pot.ShortForce(tosifumi.Species(types[i]), tosifumi.Species(types[j]), rij))
 		}
 	}

@@ -11,10 +11,10 @@ import (
 // φ(a_ij r²) through the pipelines, with φ loaded as a function table — the
 // hardware's potential-energy mode (the paper evaluated the potential every
 // 100 steps, §5). The walk and numerics match ComputeForces: the i-particles
-// are the j-set's own leading particles, 27-cell candidates, no distance
-// test, float32 datapath, float64 accumulation. Each unordered pair is
-// visited from both sides, so Σ p_i double counts: the total potential is
-// Σ p_i / 2.
+// are the j-set's own leading particles, 27-cell candidates of which the pairs
+// inside the cutoff are evaluated, float32 datapath, float64 accumulation.
+// Each unordered pair is visited from both sides, so Σ p_i double counts: the
+// total potential is Σ p_i / 2.
 func (s *System) ComputePotentials(table string, co *Coeffs, xi []vec.V, ti []int, scaleI []float64, js *JSet) ([]float64, error) {
 	tbl, err := s.Table(table)
 	if err != nil {
@@ -31,7 +31,9 @@ func (s *System) ComputePotentials(table string, co *Coeffs, xi []vec.V, ti []in
 	pots := make([]float64, len(xi))
 	shardPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
 	if err := s.pool.Run(len(xi), func(shard, lo, hi int) error {
+		cut2 := cutoffWord(js.Sorted.Grid.Cutoff)
 		var pairs int64
+		var blk pairBlock
 		for i := lo; i < hi; i++ {
 			if ti[i] < 0 || ti[i] >= n {
 				return fmt.Errorf("mdgrape2: i-type %d outside coefficient RAM", ti[i])
@@ -42,24 +44,19 @@ func (s *System) ComputePotentials(table string, co *Coeffs, xi []vec.V, ti []in
 			for _, nb := range nbrs {
 				jstart, jend := js.Sorted.CellRange(nb.Cell)
 				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
-				jx := js.Sorted.P32.X[jstart:jend]
-				jy := js.Sorted.P32.Y[jstart:jend:jend]
-				jz := js.Sorted.P32.Z[jstart:jend:jend]
-				jt := js.Types[jstart:jend:jend]
-				for jj := range jx {
-					j := jstart + jj
-					dx := pix - (jx[jj] + sx)
-					dy := piy - (jy[jj] + sy)
-					dz := piz - (jz[jj] + sz)
-					tj := jt[jj]
-					r2 := dx*dx + dy*dy + dz*dz
-					phi := tbl.Eval(ta[tj] * r2)
-					b := tb[tj]
-					if js.Weights != nil {
-						b *= float32(js.Weights[j])
+				pairs += int64(jend - jstart)
+				for j := jstart; j < jend; {
+					blk.n = 0
+					j = blk.gather(&js.Sorted.P32, j, jend, pix, piy, piz, sx, sy, sz, cut2)
+					for k, jj := range blk.j[:blk.n] {
+						tj := js.Types[jj]
+						phi := tbl.Eval(ta[tj] * blk.r2[k])
+						b := tb[tj]
+						if js.Weights != nil {
+							b *= float32(js.Weights[jj])
+						}
+						acc += float64(b * phi)
 					}
-					acc += float64(b * phi)
-					pairs++
 				}
 			}
 			if scaleI != nil {

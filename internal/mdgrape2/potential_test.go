@@ -10,7 +10,8 @@ import (
 )
 
 func TestComputePotentialsCoulomb(t *testing.T) {
-	// Potential mode vs float64 oracle over the same 27-cell pair walk:
+	// Potential mode vs float64 oracle over the same pair walk (27-cell
+	// candidates inside r_cut):
 	// φ(x) = erfc(√x)/√x with a = α²/L², b = q_i q_j, scale = k_e α/L gives
 	// the real-space Ewald energy per particle.
 	const l, rcut = 12.0, 4.0
@@ -42,7 +43,7 @@ func TestComputePotentialsCoulomb(t *testing.T) {
 			for j := jstart; j < jend; j++ {
 				rij := pos[i].Sub(js.Sorted.At(j).Add(nb.Shift))
 				r2 := rij.Norm2()
-				if r2 == 0 {
+				if r2 == 0 || r2 >= rcut*rcut {
 					continue
 				}
 				qj := q[js.Sorted.Order[j]]
@@ -54,7 +55,7 @@ func TestComputePotentialsCoulomb(t *testing.T) {
 		t.Errorf("hardware potential sum %g vs oracle %g", total, wantTotal)
 	}
 	// Each pair is counted twice; E = Σ/2. Cross-check against the
-	// reference half-pair energy (agrees to the beyond-cutoff tail level).
+	// reference half-pair energy over the same sphere.
 	var ref float64
 	for i := 0; i < len(pos); i++ {
 		for j := i + 1; j < len(pos); j++ {

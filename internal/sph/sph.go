@@ -14,7 +14,7 @@
 //
 // The smoothing kernel is the 3-D Gaussian W(r) = exp(-r²/h²)/(π^(3/2) h³),
 // whose infinite smoothness suits the segmented polynomial evaluator; the
-// cell grid truncates it at 3h where it has decayed to ~1e-4.
+// grid's cutoff truncates it at 3h, where it has decayed to ~1e-4.
 package sph
 
 import (
@@ -131,24 +131,25 @@ func (f *Fluid) Densities() ([]float64, error) {
 	return rho, nil
 }
 
-// DensitiesExact is the float64 minimum-image oracle for Densities. It
-// applies no cutoff: the hardware likewise evaluates every 27-cell candidate
-// (the Gaussian has decayed to ~1e-16 at the neighborhood edge, so the two
-// sums agree to single-precision level).
+// DensitiesExact is the float64 minimum-image oracle for Densities, cut at
+// 3h like the pipelines.
 func (f *Fluid) DensitiesExact() []float64 {
 	rho := make([]float64, f.N())
 	for i := range f.Pos {
 		rho[i] = f.Mass[i] * f.sigma
 		for j := range f.Pos {
-			if j == i {
+			r2 := f.Pos[i].Sub(f.Pos[j]).MinImage(f.L).Norm2()
+			if j == i || r2 >= f.cut2() {
 				continue
 			}
-			r2 := f.Pos[i].Sub(f.Pos[j]).MinImage(f.L).Norm2()
 			rho[i] += f.Mass[j] * f.sigma * math.Exp(-r2/(f.H*f.H))
 		}
 	}
 	return rho
 }
+
+// cut2 is the squared kernel cutoff (3h)², the grid's.
+func (f *Fluid) cut2() float64 { return f.grid.Cutoff * f.grid.Cutoff }
 
 // pressure applies the isothermal equation of state.
 func (f *Fluid) pressure(rho []float64) []float64 {
@@ -207,7 +208,8 @@ func (f *Fluid) Accelerations(rho []float64) ([]vec.V, error) {
 	return accA, nil
 }
 
-// AccelerationsExact is the float64 oracle for Accelerations.
+// AccelerationsExact is the float64 oracle for Accelerations, cut at 3h like
+// the pipelines.
 func (f *Fluid) AccelerationsExact(rho []float64) []vec.V {
 	p := f.pressure(rho)
 	out := make([]vec.V, f.N())
@@ -220,6 +222,9 @@ func (f *Fluid) AccelerationsExact(rho []float64) []vec.V {
 			}
 			rij := f.Pos[i].Sub(f.Pos[j]).MinImage(f.L)
 			r2 := rij.Norm2()
+			if r2 >= f.cut2() {
+				continue
+			}
 			w := 2 * f.sigma / h2 * math.Exp(-r2/h2)
 			coef := f.Mass[j] * (p[i]/(rho[i]*rho[i]) + p[j]/(rho[j]*rho[j]))
 			acc = acc.Add(rij.Scale(coef * w))

@@ -116,14 +116,14 @@ type Config struct {
 	// the flag on or off at the same Skin.
 	Pipeline bool
 
-	// Skin is the Verlet skin in Å added to the real-space cell grid so the
+	// Skin is the Verlet skin in Å added to the real-space cell size so the
 	// sorted particle layout is reused across steps until a particle moves
 	// more than Skin/2 (MDM backend only; 0 rebuilds every step). A reuse
-	// step evaluates, on current coordinates, exactly the pairs — cells and
-	// periodic images — fixed at the last rebuild, for the forces and the
-	// potential alike. A non-zero skin widens the cutoff-free 27-cell pair
-	// walk, so it selects a different discretization, as accurate against
-	// the reference Ewald and as energy-conserving as Skin 0.
+	// step evaluates, on current coordinates, the cells and periodic images
+	// fixed at the last rebuild, for the forces and the potential alike. The
+	// pair set is the r_cut sphere at any skin: a skin only decides which
+	// out-of-cutoff pairs the hardware streams, so it changes trajectories at
+	// rounding level, not the physics.
 	Skin float64
 
 	// Ranks enables the §4 spatial decomposition on the MDM backend: the
