@@ -134,6 +134,11 @@ func TestStepFlowFactPropagation(t *testing.T) {
 		"(*mdm/internal/core.Machine).Forces",
 		"(*mdm/internal/core.ParallelRun).Forces",
 		"(*mdm/internal/core.Resilient).Forces",
+		// The engine body both step roots share: Machine.Forces calls the
+		// rank methods directly, ParallelRun.Step from inside World.Run.
+		"(*mdm/internal/core.realRank).sweep",
+		"(*mdm/internal/core.waveRank).pass",
+		"(*mdm/internal/core.potCadence).eval",
 		// Callback edge: functions passed to Integrator.Run run between steps.
 		"(*mdm.Simulation).observe",
 		// Explicitly annotated root whose wiring is an assignment.

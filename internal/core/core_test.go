@@ -7,6 +7,7 @@ import (
 
 	"mdm/internal/ewald"
 	"mdm/internal/md"
+	"mdm/internal/mpi"
 	"mdm/internal/units"
 	"mdm/internal/vec"
 )
@@ -205,22 +206,41 @@ func TestMachineBoxMismatch(t *testing.T) {
 	}
 }
 
+// TestNewMachineValidation runs every rejected configuration against both
+// constructors: the serial Machine and a ParallelRun at 1 + 1 build through
+// one prefix, so neither may accept what the other refuses. α = 0 and
+// Lk_cut = 0 used to build a session that stepped to a finite, meaningless
+// potential, and Lk_cut < 0 one that panicked in ewald.Waves.
 func TestNewMachineValidation(t *testing.T) {
-	if _, err := NewMachine(MachineConfig{}); err == nil {
-		t.Error("empty config accepted")
-	}
 	p := smallParams(11.28)
-	cfg := CurrentMachineConfig(p)
-	cfg.MDGBoards = 100000
-	if _, err := NewMachine(cfg); err == nil {
-		t.Error("absurd board count accepted")
-	}
-	// A WINE-2 accumulator past the 62-bit carrier used to build, and return
-	// zero structure factors.
-	cfg = CurrentMachineConfig(p)
-	cfg.Wine.AccFrac = 40
-	if _, err := NewMachine(cfg); err == nil {
-		t.Error("unrepresentable WINE-2 accumulator format accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*MachineConfig)
+	}{
+		{"empty config", func(c *MachineConfig) { *c = MachineConfig{} }},
+		{"absurd board count", func(c *MachineConfig) { c.MDGBoards = 100000 }},
+		// A WINE-2 accumulator past the 62-bit carrier used to build, and
+		// return zero structure factors.
+		{"WINE-2 accumulator past the carrier", func(c *MachineConfig) { c.Wine.AccFrac = 40 }},
+		{"WINE-2 charge format past the carrier", func(c *MachineConfig) { c.Wine.QFrac = 45 }},
+		{"alpha 0", func(c *MachineConfig) { c.Ewald.Alpha = 0 }},
+		{"Lk_cut 0", func(c *MachineConfig) { c.Ewald.LKCut = 0 }},
+		{"negative Lk_cut", func(c *MachineConfig) { c.Ewald.LKCut = -1 }},
+	} {
+		cfg := CurrentMachineConfig(p)
+		c.edit(&cfg)
+		if m, err := NewMachine(cfg); err == nil {
+			_ = m.Free()
+			t.Errorf("%s: NewMachine accepted it", c.name)
+		}
+		world, err := mpi.NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr, err := NewParallelRun(world, cfg, 1, 1); err == nil {
+			_ = pr.Free()
+			t.Errorf("%s: NewParallelRun accepted it", c.name)
+		}
 	}
 }
 

@@ -1,0 +1,280 @@
+package core
+
+import (
+	"math"
+
+	"mdm/internal/cellindex"
+	"mdm/internal/ewald"
+	"mdm/internal/md"
+	"mdm/internal/mdgrape2"
+	"mdm/internal/parallelize"
+	"mdm/internal/soa"
+	"mdm/internal/units"
+	"mdm/internal/vec"
+	"mdm/internal/wine2"
+)
+
+// engineBase is the one engine body. §4 lays the machine out as real-space
+// processes plus wavenumber processes; the serial Machine is the 1 + 1 case
+// of that layout and a ParallelRun the p + w case. Both hold this — the
+// configuration, the global cell grid, the coefficient RAMs, the wave set, the
+// Verlet-skin rebuild schedule and the potential on its cadence — and step
+// through the same realRank / waveRank methods: the Machine hands them its
+// system's arrays with no mpi.World around them, a session wraps them in its
+// wire protocol (ownership, migration, halo and ghost exchange, ship and
+// assemble).
+type engineBase struct {
+	cfg   MachineConfig
+	grid  *cellindex.Grid
+	co    *machineCoeffsSet
+	waves []ewald.Wave
+	clock skinClock
+	pot   potCadence
+}
+
+// newEngineBase is the common prefix of NewMachine and NewParallelRun.
+func newEngineBase(cfg MachineConfig) (engineBase, error) {
+	p := cfg.Ewald
+	if err := p.Validate(); err != nil {
+		return engineBase{}, err
+	}
+	// Cell side ≥ r_cut + skin, so a frozen layout stays valid until some
+	// displacement exceeds skin/2; the cutoff stays r_cut. Every rank of a
+	// session shares this one grid — the keystone of its bit-identity to the
+	// serial machine.
+	grid, err := cellindex.NewSkinGrid(p.L, p.RCut, cfg.Skin)
+	if err != nil {
+		return engineBase{}, err
+	}
+	co, err := machineCoeffs(p)
+	if err != nil {
+		return engineBase{}, err
+	}
+	table, err := newPotTable(p)
+	if err != nil {
+		return engineBase{}, err
+	}
+	return engineBase{
+		cfg:   cfg,
+		grid:  grid,
+		co:    co,
+		waves: ewald.Waves(p),
+		clock: newSkinClock(p.L, cfg.Skin),
+		pot:   potCadence{every: max(cfg.PotentialEvery, 1), table: table},
+	}, nil
+}
+
+// InvalidateGeometry drops the skin clock's reference, so the next Forces
+// call rebuilds every layout from scratch (and a session re-derives
+// ownership) — the hook for external position rewrites (checkpoint restore).
+func (e *engineBase) InvalidateGeometry() { e.clock.invalidate() }
+
+// SetStep implements Engine.
+func (e *engineBase) SetStep(n int) { e.pot.step = n }
+
+// JSetStats returns how many Forces calls rebuilt the sorted layout (on a
+// session: migration plus full ghost exchange) and how many reused it under
+// the Verlet-skin bound (ghost position streaming).
+func (e *engineBase) JSetStats() (rebuilds, reuses int) { return e.clock.rebuilds, e.clock.reuses }
+
+// boardShare is one process's 1/share of the boards: of the count set when
+// non-zero (a re-stripe after a dropout shrinks every share), else of all
+// the machine has; at least one.
+func boardShare(set, all, share int) int {
+	if set == 0 {
+		set = all
+	}
+	return max(set/share, 1)
+}
+
+// jsetLayout is a j-set builder and the layout it last produced.
+type jsetLayout struct {
+	jsb      *mdgrape2.JSetBuilder
+	js       *mdgrape2.JSet
+	sortedAt int // the skin clock's rebuild count at the last sort, where potCadence.eval keeps the layout
+}
+
+// update re-sorts the layout from pos (rebuild) or moves its stored
+// coordinates to pos, keeping every cell, slot and image.
+func (l *jsetLayout) update(pos []vec.V, types []int, rebuild bool, pool *parallelize.Pool) (err error) {
+	if rebuild {
+		l.js, err = l.jsb.Build(pos, types, pool)
+	} else {
+		l.js, err = l.jsb.Refresh(pos)
+	}
+	return err
+}
+
+// realRank is one real-space process: an MDGRAPE-2 session over its share of
+// the boards, the j-set layout of the particles it is handed, and the reused
+// state of the fused sweep.
+type realRank struct {
+	jsetLayout
+	mr1    *mdgrape2.MR1
+	pool   *parallelize.Pool
+	co     *machineCoeffsSet
+	pref   float64   // the per-i Coulomb force prefactor, k_e (α/L)³
+	scale  []float64 // pref per i-particle, reused across steps
+	passes [4]mdgrape2.ForcePass
+	fc     soa.Coords
+}
+
+// newRealRank runs the Table 3 sequence — allocate, init, load the four
+// kernel tables — over a 1/share slice of the MDGRAPE-2 boards: share 1 on the
+// serial machine, 1/nReal on each rank of a session. scope names the rank to
+// cfg.Heartbeat. The kernels are universal functions of x, so one fit serves
+// an engine: with images nil the rank fits the tables, otherwise it loads the
+// images another rank of the same engine already holds.
+func (e *engineBase) newRealRank(share int, scope string, images *mdgrape2.System) (realRank, error) {
+	cfg := e.cfg
+	mr1, err := mdgrape2.NewMR1(cfg.MDG)
+	if err != nil {
+		return realRank{}, err
+	}
+	mr1.SetFaultHook(cfg.FaultHook)
+	if beat := cfg.Heartbeat; beat != nil {
+		mr1.SetHeartbeat(func() { beat(scope) })
+	}
+	if err := mr1.AllocateBoards(boardShare(cfg.MDGBoards, cfg.MDG.Boards(), share)); err != nil {
+		return realRank{}, err
+	}
+	if err := mr1.Init(); err != nil {
+		return realRank{}, err
+	}
+	for _, k := range forceTables {
+		if images == nil {
+			if err := mr1.SetTable(k.name, k.g, k.emin, k.emax); err != nil {
+				return realRank{}, err
+			}
+			continue
+		}
+		t, err := images.Table(k.name)
+		if err != nil {
+			return realRank{}, err
+		}
+		mr1.System().LoadTableImage(k.name, t)
+	}
+	pool := parallelize.New(cfg.Workers)
+	mr1.SetPool(pool)
+	return realRank{
+		jsetLayout: jsetLayout{jsb: mdgrape2.NewJSetBuilder(e.grid, pool)},
+		mr1:        mr1,
+		pool:       pool,
+		co:         e.co,
+		pref:       units.Coulomb * math.Pow(cfg.Ewald.Alpha/cfg.Ewald.L, 3),
+	}, nil
+}
+
+// sweep is the rank's step: its j-set over pos / types — re-sorted on a
+// rebuild step, refreshed otherwise — then the fused four-pass sweep, in the
+// fixed reduction order Coulomb + BM + r⁻⁶ + r⁻⁸, over the first nOwn
+// particles (all of them on the serial machine; a rank's owned block ahead
+// of its ghosts in a session), into the rank's reused force planes.
+func (r *realRank) sweep(pos []vec.V, types []int, nOwn int, rebuild bool) (soa.Coords, error) {
+	if err := r.update(pos, types, rebuild, r.pool); err != nil {
+		return soa.Coords{}, err
+	}
+	if cap(r.scale) < nOwn {
+		r.scale = make([]float64, nOwn)
+		for i := range r.scale {
+			r.scale[i] = r.pref
+		}
+	}
+	r.scale = r.scale[:nOwn] // every word up to cap holds pref
+	r.passes = r.co.passes(r.scale)
+	fc, err := r.mr1.CalcVDWFusedInto(r.passes[:], pos[:nOwn], types[:nOwn], r.js, r.fc)
+	if err != nil {
+		return soa.Coords{}, err
+	}
+	r.fc = fc
+	return fc, nil
+}
+
+// waveRank is one wavenumber process: a WINE-2 library session over its
+// share of the boards and its reused force planes.
+type waveRank struct {
+	lib   *wine2.Library
+	p     ewald.Params
+	waves []ewald.Wave
+	fc    soa.Coords
+}
+
+// newWaveRank runs the Table 2 sequence — allocate, initialize — over a
+// 1/share slice of the WINE-2 boards, like newRealRank.
+func (e *engineBase) newWaveRank(share int, scope string) (waveRank, error) {
+	cfg := e.cfg
+	lib, err := wine2.NewLibrary(cfg.Wine)
+	if err != nil {
+		return waveRank{}, err
+	}
+	lib.SetFaultHook(cfg.FaultHook)
+	if beat := cfg.Heartbeat; beat != nil {
+		lib.SetHeartbeat(func() { beat(scope) })
+	}
+	if err := lib.AllocateBoards(boardShare(cfg.WineBoards, cfg.Wine.Boards(), share)); err != nil {
+		return waveRank{}, err
+	}
+	if err := lib.InitializeBoards(); err != nil {
+		return waveRank{}, err
+	}
+	lib.SetPool(parallelize.New(cfg.Workers))
+	return waveRank{lib: lib, p: cfg.Ewald, waves: e.waves}, nil
+}
+
+// pass is the rank's step: the WINE-2 wavenumber pass over the particles it
+// is handed, into the rank's reused force planes, and the wavenumber
+// potential. It touches nothing a real rank touches, so it may run beside a
+// sweep.
+func (w *waveRank) pass(pos []vec.V, q []float64) (soa.Coords, float64, error) {
+	fc, pot, err := w.lib.CalcForceAndPotWavepartCoordsInto(w.p, w.waves, pos, q, w.fc)
+	if err != nil {
+		return soa.Coords{}, 0, err
+	}
+	w.fc = fc
+	return fc, pot, nil
+}
+
+// potCadence is when an engine evaluates the potential, the value it reports
+// in between, and the host walk that evaluates it. The cadence is
+// MachineConfig.PotentialEvery against the simulation step, not against the
+// engine's own call count, which restarts at 0 whenever the engine is rebuilt
+// — a resume, a re-stripe.
+type potCadence struct {
+	every  int
+	step   int     // simulation step the next Forces call evaluates
+	valid  bool    // last holds a value
+	last   float64 // the potential of the latest evaluation
+	table  *potTable
+	gather potGather
+}
+
+// due reports whether this call evaluates the potential. An engine's first
+// call always does: the value its predecessor held is in no checkpoint.
+func (c *potCadence) due() bool { return !c.valid || c.step%c.every == 0 }
+
+// eval books a completed force call on s whose wavenumber pass reported
+// wavePot, and returns the potential the call reports. On a due call it walks
+// l at s.Pos with the host potential, adds the wave and self terms and holds
+// the sum. With clock nil, l is the layout the call's own sweep read. A
+// session's driver keeps no sweep's layout, so it passes its skin clock: l is
+// sorted at the clock's reference, once per rebuild, and refreshed to s.Pos,
+// like a rank's.
+func (c *potCadence) eval(l *jsetLayout, clock *skinClock, wavePot float64, s *md.System) (float64, error) {
+	if c.due() {
+		if clock != nil {
+			if l.sortedAt != clock.rebuilds { // ref moves only on a rebuild, which counts
+				if err := l.update(clock.ref, s.Type, true, nil); err != nil {
+					return 0, err
+				}
+				l.sortedAt = clock.rebuilds
+			}
+			if err := l.update(s.Pos, nil, false, nil); err != nil {
+				return 0, err
+			}
+		}
+		realPot := hostPotential(&c.gather, c.table, l.js.Sorted, l.jsb.NeighborTable(), s)
+		c.last, c.valid = realPot+wavePot+ewald.SelfEnergy(c.table.p, s.Charge), true
+	}
+	c.step++
+	return c.last, nil
+}

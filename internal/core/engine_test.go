@@ -5,82 +5,186 @@ import (
 	"testing"
 
 	"mdm/internal/fault"
+	"mdm/internal/md"
 	"mdm/internal/mpi"
 	"mdm/internal/vec"
 )
 
-// TestEngineContract drives every implementation of Engine through the
-// interface on one system at skin 0: the serial Machine, a ParallelRun session
-// at 1, 2 and 8 real ranks beside one wavenumber rank, and Resilient over
-// each. All of them return the serial machine's force and potential bits,
-// return them again after InvalidateGeometry (which costs a rebuild, not a
-// different answer), and survive a second Free.
-func TestEngineContract(t *testing.T) {
-	s := meltLike(t, 2, 5.64, 600, 41)
-	cfg := CurrentMachineConfig(smallParams(s.L))
-	want, wantPot, err := newTestMachine(t, cfg.Ewald).Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+// engineRow is a two-call sequence TestEngineContract drives every engine
+// through.
+type engineRow struct {
+	name             string
+	skin             float64
+	every            int                          // PotentialEvery
+	between          func(e Engine, s *md.System) // what happens between the calls
+	rebuilds, reuses int                          // JSetStats after both
+	held             bool                         // the second call reports the first call's potential
+}
 
+// engineContractRows: between the calls, an InvalidateGeometry at skin 0 (a
+// rebuild, not a different answer); a move below the skin at skin 0.5 (the
+// second call reuses the layout); and, at PotentialEvery 3, a move plus a
+// SetStep onto a non-multiple of 3 (the second call reports the value the
+// first evaluated) or onto a multiple (it evaluates afresh, whatever the
+// engine's own call count says).
+var engineContractRows = []engineRow{
+	{"skin0", 0, 1, func(e Engine, _ *md.System) { e.InvalidateGeometry() }, 2, 0, true},
+	{"skin0.5", 0.5, 1, func(_ Engine, s *md.System) { nudge(s) }, 1, 1, false},
+	{"every3_held", 0, 3, func(e Engine, s *md.System) { nudge(s); e.SetStep(4) }, 2, 0, true},
+	{"every3_due", 0, 3, func(e Engine, s *md.System) { nudge(s); e.SetStep(3) }, 2, 0, false},
+}
+
+// nudge moves every particle by 1.7·10⁻³ Å, far inside skin/2 at skin 0.5.
+func nudge(s *md.System) {
+	for i := range s.Pos {
+		s.Pos[i] = s.Pos[i].Add(vec.New(1e-3, -1e-3, 1e-3)).Wrap(s.L)
+	}
+}
+
+// TestEngineContract drives every implementation of Engine through the
+// interface: the serial Machine, a ParallelRun session at 1, 2 and 8 real
+// ranks beside one wavenumber rank, and Resilient over each. On every row of
+// engineContractRows all of them return the serial machine's force and
+// potential bits on both calls and its JSetStats, and survive a second Free.
+// The rows pin the two paths the engines share — the skin clock's reuse and
+// the potential cadence — through the interface.
+func TestEngineContract(t *testing.T) {
+	s0 := meltLike(t, 2, 5.64, 600, 41)
 	for _, nReal := range []int{0, 1, 2, 8} { // 0: no world, the serial Machine
 		for _, resilient := range []bool{false, true} {
 			t.Run(fmt.Sprintf("real%d/resilient=%v", nReal, resilient), func(t *testing.T) {
 				if testing.Short() && nReal > 2 {
 					t.Skip("large rank counts in -short mode")
 				}
-				must := func(e Engine, err error) Engine {
-					t.Helper()
-					if err != nil {
-						t.Fatal(err)
-					}
-					return e
+				for _, row := range engineContractRows {
+					t.Run(row.name, func(t *testing.T) { engineContract(t, s0, nReal, resilient, row) })
 				}
-				var world *mpi.World
-				if nReal > 0 {
-					var err error
-					if world, err = mpi.NewWorld(nReal + 1); err != nil {
-						t.Fatal(err)
-					}
+			})
+		}
+	}
+}
+
+func engineContract(t *testing.T, s0 *md.System, nReal int, resilient bool, row engineRow) {
+	cfg := CurrentMachineConfig(smallParams(s0.L))
+	cfg.Skin, cfg.PotentialEvery = row.skin, row.every
+	must := func(e Engine, err error) Engine {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	// The serial machine's two calls are the bits every engine must return.
+	serial, s := must(NewMachine(cfg)), cloneSystem(s0)
+	defer func() { _ = serial.Free() }()
+	var want [2][]vec.V
+	var wantPot [2]float64
+	for call := range want {
+		if call == 1 {
+			row.between(serial, s)
+		}
+		var err error
+		if want[call], wantPot[call], err = serial.Forces(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held := wantPot[1] == wantPot[0]; held != row.held {
+		t.Fatalf("serial machine: second potential held = %v, want %v (%v then %v)", held, row.held, wantPot[0], wantPot[1])
+	}
+
+	var world *mpi.World
+	if nReal > 0 {
+		var err error
+		if world, err = mpi.NewWorld(nReal + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var eng Engine
+	switch {
+	case nReal == 0 && !resilient:
+		eng = must(NewMachine(cfg))
+	case nReal == 0:
+		eng = must(NewResilient(cfg, RecoveryConfig{}))
+	case !resilient:
+		eng = must(NewParallelRun(world, cfg, nReal, 1))
+	default:
+		eng = must(NewResilientParallel(cfg, RecoveryConfig{}, world, nReal, 1))
+	}
+	s = cloneSystem(s0)
+	for call := range want {
+		if call == 1 {
+			row.between(eng, s)
+		}
+		got, pot, err := eng.Forces(s)
+		if err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		if pot != wantPot[call] {
+			t.Errorf("call %d: potential %v, serial machine %v", call, pot, wantPot[call])
+		}
+		for i := range got {
+			if got[i] != want[call][i] {
+				t.Fatalf("call %d: particle %d: %v, serial machine %v", call, i, got[i], want[call][i])
+			}
+		}
+	}
+	if r, u := eng.JSetStats(); r != row.rebuilds || u != row.reuses {
+		t.Errorf("JSetStats = %d rebuilds, %d reuses; want %d, %d", r, u, row.rebuilds, row.reuses)
+	}
+
+	if err := eng.Free(); err != nil {
+		t.Fatalf("Free: %v", err)
+	}
+	_ = eng.Free() // may report the boards are already released; must not panic
+}
+
+// BenchmarkEngineStep runs one integrator step through the serial Machine and
+// through a ParallelRun at 1 real + 1 wavenumber rank — one engine body, run
+// without and within an mpi.World — at one worker. The B/op and allocs/op
+// difference between the pair is what the world costs a step, and why the
+// Machine has none:
+//
+//	go test -run '^$' -bench EngineStep -benchtime 200x ./internal/core
+func BenchmarkEngineStep(b *testing.B) {
+	for _, cells := range []int{2, 4} {
+		for _, session := range []bool{false, true} {
+			name := "Machine"
+			if session {
+				name = "ParallelRun_1+1"
+			}
+			b.Run(fmt.Sprintf("N=%d/%s", 8*cells*cells*cells, name), func(b *testing.B) {
+				s, err := md.NewRockSalt(cells, 5.64)
+				if err != nil {
+					b.Fatal(err)
 				}
+				s.SetMaxwellVelocities(1200, 1)
+				cfg := CurrentMachineConfig(smallParams(s.L))
+				cfg.Workers = 1
 				var eng Engine
-				switch {
-				case nReal == 0 && !resilient:
-					eng = must(NewMachine(cfg))
-				case nReal == 0:
-					eng = must(NewResilient(cfg, RecoveryConfig{}))
-				case !resilient:
-					eng = must(NewParallelRun(world, cfg, nReal, 1))
-				default:
-					eng = must(NewResilientParallel(cfg, RecoveryConfig{}, world, nReal, 1))
-				}
-
-				check := func(when string) {
-					t.Helper()
-					got, pot, err := eng.Forces(s)
+				if session {
+					world, err := mpi.NewWorld(2)
 					if err != nil {
-						t.Fatalf("%s: %v", when, err)
+						b.Fatal(err)
 					}
-					if pot != wantPot {
-						t.Errorf("%s: potential %v, serial machine %v", when, pot, wantPot)
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s: particle %d: %v, serial machine %v", when, i, got[i], want[i])
-						}
+					eng, err = NewParallelRun(world, cfg, 1, 1)
+				} else {
+					eng, err = NewMachine(cfg)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer func() { _ = eng.Free() }()
+				it, err := md.NewIntegrator(s, eng, 2.0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := it.Step(); err != nil {
+						b.Fatal(err)
 					}
 				}
-				check("first call")
-				eng.InvalidateGeometry()
-				check("after InvalidateGeometry")
-				if rebuilds, reuses := eng.JSetStats(); rebuilds != 2 || reuses != 0 {
-					t.Errorf("JSetStats = %d rebuilds, %d reuses; want 2, 0", rebuilds, reuses)
-				}
-
-				if err := eng.Free(); err != nil {
-					t.Fatalf("Free: %v", err)
-				}
-				_ = eng.Free() // may report the boards are already released; must not panic
 			})
 		}
 	}

@@ -461,6 +461,50 @@ func TestSessionPotentialBitEqualToSerial(t *testing.T) {
 	}
 }
 
+// TestSessionPotentialFollowsRebuilds: over an NVE run at skin 0.5 that both
+// reuses and rebuilds its layouts, a session reports the serial machine's
+// potential bits at every step — its driver re-sorts the layout the host
+// potential walks at each rebuild's reference, not once per engine.
+func TestSessionPotentialFollowsRebuilds(t *testing.T) {
+	s := meltLike(t, 2, 5.64, 1200, 31)
+	cfg := CurrentMachineConfig(smallParams(s.L))
+	cfg.Skin = 0.5
+	world, err := mpi.NewWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := NewParallelRun(world, cfg, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = pr.Free() }()
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = m.Free() }()
+	var recs [2][]md.Record
+	for k, eng := range []Engine{m, pr} {
+		it, err := md.NewIntegrator(cloneSystem(s), eng, 2.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &md.Recorder{}
+		if err := it.Run(40, func(int) error { rec.Sample(it); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		recs[k] = rec.Records
+	}
+	if rebuilds, reuses := pr.JSetStats(); rebuilds < 3 || reuses == 0 {
+		t.Fatalf("JSetStats = %d rebuilds, %d reuses; the run must rebuild after reusing", rebuilds, reuses)
+	}
+	for i, want := range recs[0] {
+		if got := recs[1][i].PE; got != want.PE {
+			t.Fatalf("step %d: session potential %.17g, serial machine %.17g", want.Step, got, want.PE)
+		}
+	}
+}
+
 // BenchmarkPotTableEvalInto reports the evaluator alone — address and two
 // Horner chains — per argument, on blocks spread over default_n512's domain.
 func BenchmarkPotTableEvalInto(b *testing.B) {

@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"math"
 
-	"mdm/internal/cellindex"
 	"mdm/internal/ewald"
 	"mdm/internal/fault"
 	"mdm/internal/md"
 	"mdm/internal/mdgrape2"
-	"mdm/internal/parallelize"
 	"mdm/internal/soa"
 	"mdm/internal/tosifumi"
-	"mdm/internal/units"
 	"mdm/internal/vec"
 	"mdm/internal/wine2"
 )
@@ -144,50 +141,15 @@ type Engine interface {
 	Free() error
 }
 
-// potCadence is when an engine evaluates the potential and the value it
-// reports in between: MachineConfig.PotentialEvery against the simulation
-// step, not against the engine's own call count, which restarts at 0 whenever
-// the engine is rebuilt — a resume, a re-stripe.
-type potCadence struct {
-	every int
-	step  int     // simulation step the next Forces call evaluates
-	valid bool    // last holds a value
-	last  float64 // the potential of the latest evaluation
-}
-
-func newPotCadence(every int) potCadence { return potCadence{every: max(every, 1)} }
-
-// due reports whether this call evaluates the potential.
-func (c *potCadence) due() bool { return !c.valid || c.step%c.every == 0 }
-
-// set records an evaluation.
-func (c *potCadence) set(pot float64) { c.last, c.valid = pot, true }
-
-// Machine is the simulated MDM evaluating the molten-NaCl force field. It
-// implements Engine.
+// Machine is the simulated MDM evaluating the molten-NaCl force field: one
+// real-space rank and one wavenumber rank of the engine body, handed the
+// system's arrays directly, with no mpi.World around them. It implements
+// Engine.
 type Machine struct {
-	cfg   MachineConfig
-	waves []ewald.Wave
-	grid  *cellindex.Grid
-
-	mr1  *mdgrape2.MR1
-	wine *wine2.Library
-	pool *parallelize.Pool
-
-	co *machineCoeffsSet
-
-	potWhen potCadence
-
-	// Step-path state, reused across Forces calls (the zero-alloc step path).
-	jsb       *mdgrape2.JSetBuilder // amortized j-set construction
-	clock     skinClock             // when jsb re-sorts and when it only refreshes
-	scale     []float64             // hoisted per-i Coulomb force prefactor
-	potTable  *potTable             // the host potential's two kernels, fitted at construction
-	potGather potGather             // sorted-order charge/species planes of the host potential walk
-	passes    [4]mdgrape2.ForcePass
-	realFC    soa.Coords      // fused-sweep force planes
-	wineFC    soa.Coords      // wavenumber force planes
-	wineDone  chan wineResult // pipeline join channel, reused across steps
+	engineBase
+	real     realRank
+	wave     waveRank
+	wineDone chan wineResult // pipeline join channel, reused across steps
 }
 
 // wineResult carries the wavenumber pass result across the pipeline join.
@@ -201,112 +163,18 @@ type wineResult struct {
 // coefficient RAMs, and precomputes the wavevector set — the initialization
 // sequence of Tables 2 and 3.
 func NewMachine(cfg MachineConfig) (*Machine, error) {
-	if err := cfg.Ewald.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Skin < 0 {
-		return nil, fmt.Errorf("core: negative Verlet skin %g", cfg.Skin)
-	}
-	grid, err := cellindex.NewSkinGrid(cfg.Ewald.L, cfg.Ewald.RCut, cfg.Skin)
+	base, err := newEngineBase(cfg)
 	if err != nil {
 		return nil, err
 	}
-	co, err := machineCoeffs(cfg.Ewald)
-	if err != nil {
+	m := &Machine{engineBase: base, wineDone: make(chan wineResult, 1)}
+	if m.real, err = m.newRealRank(1, "mdg", nil); err != nil {
 		return nil, err
 	}
-	potTable, err := newPotTable(cfg.Ewald)
-	if err != nil {
+	if m.wave, err = m.newWaveRank(1, "wine2"); err != nil {
 		return nil, err
-	}
-	m := &Machine{
-		cfg:      cfg,
-		potWhen:  newPotCadence(cfg.PotentialEvery),
-		potTable: potTable,
-		waves:    ewald.Waves(cfg.Ewald),
-		grid:     grid,
-		pool:     parallelize.New(cfg.Workers),
-		co:       co,
-		clock:    newSkinClock(cfg.Ewald.L, cfg.Skin),
-		wineDone: make(chan wineResult, 1),
-	}
-	m.jsb = mdgrape2.NewJSetBuilder(grid, m.pool)
-	if m.mr1, err = newMDGSession(cfg, 1, "mdg", nil); err != nil {
-		return nil, err
-	}
-	m.mr1.SetPool(m.pool)
-	if m.wine, err = newWineSession(cfg, 1, "wine2"); err != nil {
-		return nil, err
-	}
-	m.wine.SetPool(m.pool)
-	return m, nil
-}
-
-// newMDGSession runs the Table 3 sequence — allocate, init, load the four
-// kernel tables — over a 1/share slice of the MDGRAPE-2 boards
-// (cfg.MDGBoards when set, so a re-stripe after a dropout shrinks every
-// share; at least one board). The serial machine is share 1; each rank of a
-// decomposed session takes 1/nReal. scope names the session to cfg.Heartbeat.
-// The kernels are universal functions of x, so one fit serves an engine: with
-// images nil the session fits the tables, otherwise it loads the images
-// another session of the same engine already holds.
-func newMDGSession(cfg MachineConfig, share int, scope string, images *mdgrape2.System) (*mdgrape2.MR1, error) {
-	m, err := mdgrape2.NewMR1(cfg.MDG)
-	if err != nil {
-		return nil, err
-	}
-	m.SetFaultHook(cfg.FaultHook)
-	if beat := cfg.Heartbeat; beat != nil {
-		m.SetHeartbeat(func() { beat(scope) })
-	}
-	total := cfg.MDGBoards
-	if total == 0 {
-		total = cfg.MDG.Boards()
-	}
-	if err := m.AllocateBoards(max(total/share, 1)); err != nil {
-		return nil, err
-	}
-	if err := m.Init(); err != nil {
-		return nil, err
-	}
-	for _, k := range forceTables {
-		if images == nil {
-			if err := m.SetTable(k.name, k.g, k.emin, k.emax); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		t, err := images.Table(k.name)
-		if err != nil {
-			return nil, err
-		}
-		m.System().LoadTableImage(k.name, t)
 	}
 	return m, nil
-}
-
-// newWineSession runs the Table 2 sequence — allocate, initialize — over a
-// 1/share slice of the WINE-2 boards, like newMDGSession.
-func newWineSession(cfg MachineConfig, share int, scope string) (*wine2.Library, error) {
-	lib, err := wine2.NewLibrary(cfg.Wine)
-	if err != nil {
-		return nil, err
-	}
-	lib.SetFaultHook(cfg.FaultHook)
-	if beat := cfg.Heartbeat; beat != nil {
-		lib.SetHeartbeat(func() { beat(scope) })
-	}
-	total := cfg.WineBoards
-	if total == 0 {
-		total = cfg.Wine.Boards()
-	}
-	if err := lib.AllocateBoards(max(total/share, 1)); err != nil {
-		return nil, err
-	}
-	if err := lib.InitializeBoards(); err != nil {
-		return nil, err
-	}
-	return lib, nil
 }
 
 // machineCoeffsSet bundles the four coefficient RAMs of the NaCl force field.
@@ -361,63 +229,17 @@ func (co *machineCoeffsSet) passes(scale []float64) [4]mdgrape2.ForcePass {
 func (m *Machine) Waves() []ewald.Wave { return m.waves }
 
 // MDGStats returns the MDGRAPE-2 work counters.
-func (m *Machine) MDGStats() mdgrape2.Stats { return m.mr1.System().Stats() }
+func (m *Machine) MDGStats() mdgrape2.Stats { return m.real.mr1.System().Stats() }
 
 // WineStats returns the WINE-2 work counters.
-func (m *Machine) WineStats() wine2.Stats { return m.wine.System().Stats() }
+func (m *Machine) WineStats() wine2.Stats { return m.wave.lib.System().Stats() }
 
 // Free releases both backend sessions.
 func (m *Machine) Free() error {
-	if err := m.mr1.Free(); err != nil {
+	if err := m.real.mr1.Free(); err != nil {
 		return err
 	}
-	return m.wine.FreeBoards()
-}
-
-// InvalidateGeometry drops the cached j-set so the next Forces call rebuilds
-// it — the hook for external position rewrites (checkpoint restore).
-func (m *Machine) InvalidateGeometry() { m.clock.invalidate() }
-
-// SetStep implements Engine.
-func (m *Machine) SetStep(n int) { m.potWhen.step = n }
-
-// JSetStats returns how many Forces calls rebuilt the sorted j-set and how
-// many reused it under the Verlet-skin bound.
-func (m *Machine) JSetStats() (rebuilds, reuses int) { return m.clock.rebuilds, m.clock.reuses }
-
-// ensureScale keeps the per-i Coulomb force prefactor slice sized to n. The
-// prefactor depends only on the Ewald parameters, so it is built once and
-// reused every step.
-func (m *Machine) ensureScale(n int) {
-	if len(m.scale) == n {
-		return
-	}
-	p := m.cfg.Ewald
-	m.scale = make([]float64, n)
-	pref := units.Coulomb * math.Pow(p.Alpha/p.L, 3)
-	for i := range m.scale {
-		m.scale[i] = pref
-	}
-}
-
-// jset returns the step's particle memory image: re-sorted when the skin
-// clock says the layout of the last rebuild no longer holds, otherwise that
-// layout with its stored coordinates moved to the current positions. With
-// Skin = 0 every step that moves a particle re-sorts.
-func (m *Machine) jset(s *md.System) (*mdgrape2.JSet, error) {
-	rebuild, _ := m.clock.due(s.Pos)
-	var js *mdgrape2.JSet
-	var err error
-	if rebuild {
-		js, err = m.jsb.Build(s.Pos, s.Type, m.pool)
-	} else {
-		js, err = m.jsb.Refresh(s.Pos)
-	}
-	if err != nil {
-		return nil, err
-	}
-	m.clock.advance(s.Pos, rebuild)
-	return js, nil
+	return m.wave.lib.FreeBoards()
 }
 
 // Forces implements md.ForceField: the per-step flow of §3.1 — send
@@ -430,26 +252,20 @@ func (m *Machine) jset(s *md.System) (*mdgrape2.JSet, error) {
 //
 //mdm:stepflow -- hot-path root: the per-step force evaluation of §3.1; everything it reaches must stay deterministic and allocation-free
 func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
-	p := m.cfg.Ewald
-	if s.L != p.L {
-		return nil, 0, fmt.Errorf("core: system box %g differs from machine box %g", s.L, p.L)
+	if s.L != m.cfg.Ewald.L {
+		return nil, 0, fmt.Errorf("core: system box %g differs from machine box %g", s.L, m.cfg.Ewald.L)
 	}
 	n := s.N()
-
-	// The j-side memory image: all particles, sorted by cell (reused across
-	// steps under the Verlet-skin bound).
-	js, err := m.jset(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	m.ensureScale(n)
+	// The j-side memory image is all particles, sorted by cell: re-sorted when
+	// the skin clock says the last rebuild's layout no longer holds, otherwise
+	// that layout refreshed to the current positions.
+	rebuild, _ := m.clock.due(s.Pos)
 
 	// Declare the wavenumber block size before launching anything: SetNN
 	// mutates the wine session, so it stays on the calling goroutine.
-	if err := m.wine.SetNN(n); err != nil {
+	if err := m.wave.lib.SetNN(n); err != nil {
 		return nil, 0, err
 	}
-
 	if m.cfg.Pipeline {
 		// Overlap the two engines, §3.1: WINE-2 works the wavenumber sum
 		// while MDGRAPE-2 (and its host loops) work the real-space sweep.
@@ -458,19 +274,18 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 		//mdm:hotallocok -- one pipeline launch per step by design; the closure capture is the overlap mechanism and fits the ~10 allocs/step budget
 		go func() { m.wineDone <- m.wavePass(s) }()
 	}
-	m.passes = m.co.passes(m.scale)
-	fc, mdgErr := m.mr1.CalcVDWFusedInto(m.passes[:], s.Pos, s.Type, js, m.realFC)
+	fc, mdgErr := m.real.sweep(s.Pos, s.Type, n, rebuild)
 	var res wineResult
 	if m.cfg.Pipeline {
 		res = <-m.wineDone
 	} else if mdgErr == nil {
 		res = m.wavePass(s)
 	}
-	if res.fc.Len() != 0 {
-		m.wineFC = res.fc // keep the planes even on an error path
-	}
-	if fc.Len() != 0 {
-		m.realFC = fc
+	if mdgErr != nil || res.err != nil {
+		// As after a failed decomposed step: the layout may have been
+		// re-sorted at positions the clock's reference does not hold, so the
+		// next call rebuilds it from scratch.
+		m.clock.invalidate()
 	}
 	if mdgErr != nil {
 		// Real-space error wins when both engines fail: the serial order
@@ -481,6 +296,7 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 	if res.err != nil {
 		return nil, 0, fmt.Errorf("core: wavenumber pass: %w", res.err)
 	}
+	m.clock.advance(s.Pos, rebuild)
 	// Combine on the planes in the fixed reduction order (real + wave) —
 	// componentwise float64 adds — then interleave once into the AoS []vec.V
 	// the md boundary expects.
@@ -494,19 +310,19 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 	forces := fc.AppendAoS(make([]vec.V, 0, n))
 
 	// Potential-energy bookkeeping on the host in float64, every
-	// PotentialEvery steps (like the paper's every-100-steps evaluation).
-	if m.potWhen.due() {
-		realPot := hostPotential(&m.potGather, m.potTable, js.Sorted, m.jsb.NeighborTable(), s)
-		m.potWhen.set(realPot + res.pot + ewald.SelfEnergy(p, s.Charge))
+	// PotentialEvery steps (like the paper's every-100-steps evaluation),
+	// over the layout the sweep just read.
+	pot, err := m.pot.eval(&m.real.jsetLayout, nil, res.pot, s)
+	if err != nil {
+		return nil, 0, err
 	}
-	m.potWhen.step++
-	return forces, m.potWhen.last, nil
+	return forces, pot, nil
 }
 
-// wavePass runs the WINE-2 wavenumber-space pass into the machine's wave
-// force planes. It touches no state the real-space sweep touches, so with
-// cfg.Pipeline it runs on its own goroutine beside the sweep.
+// wavePass runs the wavenumber rank over all particles. It touches no state
+// the real-space sweep touches, so with cfg.Pipeline it runs on its own
+// goroutine beside the sweep.
 func (m *Machine) wavePass(s *md.System) wineResult {
-	fc, pot, err := m.wine.CalcForceAndPotWavepartCoordsInto(m.cfg.Ewald, m.waves, s.Pos, s.Charge, m.wineFC)
+	fc, pot, err := m.wave.pass(s.Pos, s.Charge)
 	return wineResult{fc: fc, pot: pot, err: err}
 }

@@ -80,10 +80,7 @@ func collectPairSets(t *testing.T, s *md.System, p ewald.Params, skin float64) p
 	if err := it.Run(4, nil); err != nil {
 		t.Fatal(err)
 	}
-	js, err := m.jsb.Refresh(s.Pos) // the layout the last sweep read, word for word
-	if err != nil {
-		t.Fatal(err)
-	}
+	js := m.real.js // the layout the last sweep read, word for word
 	sets := pairSets{sweep: map[pairKey]int{}, host: map[pairKey]int{}, ref: map[pairKey]int{}, r2: map[pairKey]float64{}}
 	sorted := js.Sorted
 	for i := range s.Pos {
@@ -95,7 +92,7 @@ func collectPairSets(t *testing.T, s *md.System, p ewald.Params, skin float64) p
 			sets.sweep[keyOf(s, i, sorted.Order[j], sorted.At(k).Sub(sorted.At(j).Add(shift)))]++
 		})
 	}
-	sorted.ForEachHalfPair(m.jsb.NeighborTable(), func(i, j int, rij vec.V) {
+	sorted.ForEachHalfPair(m.real.jsb.NeighborTable(), func(i, j int, rij vec.V) {
 		k := keyOf(s, sorted.Order[i], sorted.Order[j], rij)
 		sets.host[k]++
 		sets.r2[k] = rij.Norm2()

@@ -118,11 +118,6 @@ func TestParallelValidation(t *testing.T) {
 	if _, err := oneStep(world, bad, 2, 2, s); err == nil {
 		t.Error("box mismatch accepted")
 	}
-	bad = cfg
-	bad.Wine.QFrac = 45
-	if _, err := oneStep(world, bad, 2, 2, s); err == nil {
-		t.Error("WINE-2 charge format past the carrier accepted")
-	}
 }
 
 func TestParallelSingleRankEachKind(t *testing.T) {

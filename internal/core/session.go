@@ -5,19 +5,14 @@ import (
 	"math"
 	"slices"
 
-	"mdm/internal/cellindex"
 	"mdm/internal/domain"
-	"mdm/internal/ewald"
 	"mdm/internal/fault"
 	"mdm/internal/md"
 	"mdm/internal/mdgrape2"
 	"mdm/internal/mpi"
-	"mdm/internal/parallelize"
 	"mdm/internal/soa"
 	"mdm/internal/tosifumi"
-	"mdm/internal/units"
 	"mdm/internal/vec"
-	"mdm/internal/wine2"
 )
 
 // ParallelRun is a persistent multi-step rank session for the §4 process
@@ -49,15 +44,10 @@ import (
 // structure-factor reduction reorders float64 sums; that path is pinned by
 // an energy-drift parity gate instead (see session tests and DESIGN.md §15).
 type ParallelRun struct {
+	engineBase   // the rebuild schedule (clock) is the serial Machine's, read on the driver
 	world        *mpi.World
-	cfg          MachineConfig
 	nReal, nWave int
-
-	grid   *cellindex.Grid
-	blocks *domain.Blocks
-	co     *machineCoeffsSet
-	pref   float64
-	waves  []ewald.Wave
+	blocks       *domain.Blocks
 
 	// needGhost[r][c] reports whether real rank r needs cell c as a ghost.
 	// ghostSrc[r] / ghostDst[r]: ranks r receives ghosts from / sends ghosts
@@ -70,34 +60,23 @@ type ParallelRun struct {
 	wave []*waveRankState
 
 	// Driver state.
-	n        int       // particle count, fixed at the first step
-	clock    skinClock // the rebuild schedule, the serial Machine's
-	rebuild  bool      // this step rebuilds (set by the driver, read by ranks)
-	initStep bool      // this step derives ownership from scratch
+	n        int  // particle count, fixed at the first step
+	rebuild  bool // this step rebuilds (set by the driver, read by ranks)
+	initStep bool // this step derives ownership from scratch
 
-	potWhen potCadence
-	wavePot float64 // written by rank 0 during Run, read by the driver after
-	out     []vec.V // written by rank 0 during Run
-
-	potPool   *parallelize.Pool
-	potSorter *cellindex.Sorter
-	potSorted *cellindex.Sorted
-	potNbt    *cellindex.NeighborTable
-	potTable  *potTable
-	potGather potGather
-	potDirty  bool
+	wavePot   float64    // written by rank 0 during Run, read by the driver after
+	out       []vec.V    // written by rank 0 during Run
+	potLayout jsetLayout // the serial layout the host potential walks
 
 	res ParallelResult
 }
 
-// realRankState is the persistent state of one real-space (domain) rank.
+// realRankState is one real-space (domain) rank: the engine body's real rank
+// plus its share of the wire protocol.
 type realRankState struct {
+	realRank
 	rank int
 	comm *mpi.Comm
-	m    *mdgrape2.MR1
-	pool *parallelize.Pool
-	jsb  *mdgrape2.JSetBuilder
-	js   *mdgrape2.JSet
 
 	owned []int // global indices of owned particles, ascending
 
@@ -118,19 +97,16 @@ type realRankState struct {
 
 	ghostCnt []int // ghosts received per source rank at the last rebuild
 
-	scale  []float64
-	passes [4]mdgrape2.ForcePass
-	fc     soa.Coords
-	ship   []float64
+	ship []float64
 }
 
-// waveRankState is the persistent state of one wavenumber rank.
+// waveRankState is one wavenumber rank: the engine body's wave rank plus its
+// stripe of the particles.
 type waveRankState struct {
+	waveRank
 	rank   int // world rank
 	comm   *mpi.Comm
-	lib    *wine2.Library
 	lo, hi int // global particle stripe
-	fc     soa.Coords
 	ship   []float64
 }
 
@@ -144,44 +120,23 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 	if world.Size() != nReal+nWave {
 		return nil, fmt.Errorf("core: world size %d != %d real + %d wave", world.Size(), nReal, nWave)
 	}
-	p := cfg.Ewald
-	// The serial machine's discretization: cell side ≥ r_cut + skin, so a
-	// frozen layout stays valid until some displacement exceeds skin/2, and
-	// cutoff r_cut. Every rank shares this one global grid — the keystone of
-	// the bit-identity argument.
-	grid, err := cellindex.NewSkinGrid(p.L, p.RCut, cfg.Skin)
+	base, err := newEngineBase(cfg)
 	if err != nil {
 		return nil, err
 	}
+	grid := base.grid
 	blocks, err := domain.NewBlocks(grid.N, nReal)
 	if err != nil {
 		return nil, err
 	}
-	co, err := machineCoeffs(p)
-	if err != nil {
-		return nil, err
-	}
-	potTable, err := newPotTable(p)
-	if err != nil {
-		return nil, err
-	}
 	pr := &ParallelRun{
-		world:    world,
-		cfg:      cfg,
-		nReal:    nReal,
-		nWave:    nWave,
-		grid:     grid,
-		blocks:   blocks,
-		co:       co,
-		pref:     units.Coulomb * math.Pow(p.Alpha/p.L, 3),
-		waves:    ewald.Waves(p),
-		clock:    newSkinClock(p.L, cfg.Skin),
-		potPool:  parallelize.New(cfg.Workers),
-		potWhen:  newPotCadence(cfg.PotentialEvery),
-		potTable: potTable,
+		engineBase: base,
+		world:      world,
+		nReal:      nReal,
+		nWave:      nWave,
+		blocks:     blocks,
+		potLayout:  jsetLayout{jsb: mdgrape2.NewJSetBuilder(grid, nil)},
 	}
-	pr.potSorter = cellindex.NewSorter(grid)
-	pr.potNbt = cellindex.BuildNeighborTable(grid, pr.potPool)
 
 	// Static ghost geometry: which cells each rank needs, hence which rank
 	// pairs exchange ghosts. Both sides derive the same lists, so the
@@ -229,29 +184,24 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			return nil, err
 		}
 		//mdm:hotallocok -- rank construction: runs at machine build and re-stripe, not per clean step
-		m, err := newMDGSession(cfg, nReal, fmt.Sprintf("mdg/rank%d", r), images)
+		rk, err := pr.newRealRank(nReal, fmt.Sprintf("mdg/rank%d", r), images)
 		if err != nil {
 			free()
 			return nil, err
 		}
 		if r == 0 {
-			images = m.System() // rank 0 fitted the kernel tables; the others load its images
+			images = rk.mr1.System() // rank 0 fitted the kernel tables; the others load its images
 		}
-		pool := parallelize.New(cfg.Workers)
-		m.SetPool(pool)
-		rr := &realRankState{
+		pr.real = append(pr.real, &realRankState{
+			realRank: rk,
 			rank:     r,
 			comm:     comm,
-			m:        m,
-			pool:     pool,
-			jsb:      mdgrape2.NewJSetBuilder(grid, pool),
 			sendIdx:  make([][]int, nReal),
 			haloBuf:  make([][]float64, nReal),
 			posBuf:   make([][]float64, nReal),
 			migBuf:   make([][]int, nReal),
 			ghostCnt: make([]int, len(pr.ghostSrc[r])),
-		}
-		pr.real = append(pr.real, rr)
+		})
 	}
 	for w := 0; w < nWave; w++ {
 		rank := nReal + w
@@ -261,18 +211,17 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			return nil, err
 		}
 		//mdm:hotallocok -- rank construction: runs at machine build and re-stripe, not per clean step
-		lib, err := newWineSession(cfg, nWave, fmt.Sprintf("wine2/rank%d", w))
+		wk, err := pr.newWaveRank(nWave, fmt.Sprintf("wine2/rank%d", w))
 		if err != nil {
 			free()
 			return nil, err
 		}
-		lib.SetPool(parallelize.New(cfg.Workers))
 		members := make([]int, nWave)
 		for i := range members {
 			members[i] = nReal + i
 		}
-		lib.SetMPICommunity(&groupComm{c: comm, members: members, me: w})
-		pr.wave = append(pr.wave, &waveRankState{rank: rank, comm: comm, lib: lib})
+		wk.lib.SetMPICommunity(&groupComm{c: comm, members: members, me: w})
+		pr.wave = append(pr.wave, &waveRankState{waveRank: wk, rank: rank, comm: comm})
 	}
 	return pr, nil
 }
@@ -281,11 +230,11 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 func (pr *ParallelRun) Free() error {
 	var first error
 	for _, rr := range pr.real {
-		if rr.m != nil {
-			if err := rr.m.Free(); err != nil && first == nil {
+		if rr.mr1 != nil {
+			if err := rr.mr1.Free(); err != nil && first == nil {
 				first = err
 			}
-			rr.m = nil
+			rr.mr1 = nil
 		}
 	}
 	for _, wr := range pr.wave {
@@ -298,20 +247,6 @@ func (pr *ParallelRun) Free() error {
 	}
 	return first
 }
-
-// InvalidateGeometry drops all cached position-dependent state: ownership,
-// ghost lists, j-set layouts, and the skin reference. The next step
-// re-derives the decomposition from scratch — required after an external
-// position rewrite (checkpoint restore) and after any failed step, which may
-// have half-applied a migration.
-func (pr *ParallelRun) InvalidateGeometry() { pr.clock.invalidate() }
-
-// SetStep implements Engine.
-func (pr *ParallelRun) SetStep(n int) { pr.potWhen.step = n }
-
-// JSetStats reports how many steps rebuilt the decomposition (migration +
-// full ghost exchange) and how many reused it (ghost position streaming).
-func (pr *ParallelRun) JSetStats() (rebuilds, reuses int) { return pr.clock.rebuilds, pr.clock.reuses }
 
 // Forces implements md.ForceField on the persistent session.
 func (pr *ParallelRun) Forces(s *md.System) ([]vec.V, float64, error) {
@@ -329,9 +264,8 @@ func (pr *ParallelRun) Forces(s *md.System) ([]vec.V, float64, error) {
 //
 //mdm:stepflow -- hot-path root: the decomposed per-step force evaluation; everything it reaches must stay deterministic and allocation-free
 func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
-	p := pr.cfg.Ewald
-	if s.L != p.L {
-		return nil, fmt.Errorf("core: system box %g differs from machine box %g", s.L, p.L)
+	if s.L != pr.cfg.Ewald.L {
+		return nil, fmt.Errorf("core: system box %g differs from machine box %g", s.L, pr.cfg.Ewald.L)
 	}
 	if pr.n != 0 && s.N() != pr.n {
 		return nil, fmt.Errorf("core: session built for %d particles, got %d", pr.n, s.N())
@@ -361,27 +295,20 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 		return nil, runErr
 	}
 	pr.clock.advance(s.Pos, pr.rebuild)
-	pr.potDirty = pr.potDirty || pr.rebuild
 
 	// Potential bookkeeping on the driver, every PotentialEvery steps like
-	// the serial machine: the real-space walk shares the cell assignment of
-	// the last rebuild (sorted from the skin reference positions, refreshed
-	// to the current ones), so the pair set — and the energy — match the
-	// serial host potential bit for bit.
-	if pr.potWhen.due() {
-		if pr.potDirty {
-			pr.potSorted = pr.potSorter.SortInto(pr.potSorted, pr.clock.ref, pr.potPool)
-			pr.potDirty = false
-		}
-		pr.potSorted.Refresh(s.Pos)
-		realPot := hostPotential(&pr.potGather, pr.potTable, pr.potSorted, pr.potNbt, s)
-		pr.potWhen.set(realPot + pr.wavePot + ewald.SelfEnergy(p, s.Charge))
+	// the serial machine: the real-space walk reads the serial layout of the
+	// last rebuild (sorted at the skin reference positions, refreshed to the
+	// current ones), so the pair set — and the energy — match the serial host
+	// potential bit for bit.
+	pot, err := pr.pot.eval(&pr.potLayout, &pr.clock, pr.wavePot, s)
+	if err != nil {
+		return nil, err
 	}
-	pr.potWhen.step++
 
 	after := pr.world.Stats()
 	pr.res.Forces = pr.out
-	pr.res.Potential = pr.potWhen.last
+	pr.res.Potential = pot
 	pr.res.Traffic = mpi.Stats{
 		Messages: after.Messages - before.Messages,
 		Bytes:    after.Bytes - before.Bytes,
@@ -471,37 +398,14 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 		if err := pr.exchangeGhosts(rr, s); err != nil {
 			return err
 		}
-		js, err := rr.jsb.Build(rr.locPos, rr.locTyp, rr.pool)
-		if err != nil {
-			return err
-		}
-		rr.js = js
-		if cap(rr.scale) < rr.nOwn {
-			rr.scale = make([]float64, rr.nOwn)
-		}
-		rr.scale = rr.scale[:rr.nOwn]
-		for i := range rr.scale {
-			rr.scale[i] = pr.pref
-		}
-	} else {
-		if err := pr.streamGhosts(rr, s); err != nil {
-			return err
-		}
-		js, err := rr.jsb.Refresh(rr.locPos)
-		if err != nil {
-			return err
-		}
-		rr.js = js
+	} else if err := pr.streamGhosts(rr, s); err != nil {
+		return err
 	}
-
-	// The fused four-pass sweep over the owned block, identical pass and
-	// reduction order to the serial machine.
-	rr.passes = pr.co.passes(rr.scale)
-	fc, err := rr.m.CalcVDWFusedInto(rr.passes[:], rr.locPos[:rr.nOwn], rr.locTyp[:rr.nOwn], rr.js, rr.fc)
+	// The serial machine's sweep, over the owned block of owned + ghosts.
+	fc, err := rr.sweep(rr.locPos, rr.locTyp, rr.nOwn, pr.rebuild)
 	if err != nil {
 		return err
 	}
-	rr.fc = fc
 
 	// Ship (globalIndex, force) records to rank 0.
 	rr.ship = rr.ship[:0]
@@ -638,7 +542,6 @@ func (pr *ParallelRun) streamGhosts(rr *realRankState, s *md.System) error {
 // over this rank's particle stripe, with the group communicator reducing the
 // structure factor when the group has more than one member.
 func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
-	p := pr.cfg.Ewald
 	w := wr.rank - pr.nReal
 	if pr.initStep {
 		wr.lo = w * pr.n / pr.nWave
@@ -647,11 +550,10 @@ func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
 			return err
 		}
 	}
-	fc, pot, err := wr.lib.CalcForceAndPotWavepartCoordsInto(p, pr.waves, s.Pos[wr.lo:wr.hi], s.Charge[wr.lo:wr.hi], wr.fc)
+	fc, pot, err := wr.pass(s.Pos[wr.lo:wr.hi], s.Charge[wr.lo:wr.hi])
 	if err != nil {
 		return err
 	}
-	wr.fc = fc
 	wr.ship = wr.ship[:0]
 	// Leading slot: the wavenumber potential (only wave rank 0 reports it,
 	// to avoid double counting after the group reduction).

@@ -363,12 +363,12 @@ func TestSessionRanksShareKernelTables(t *testing.T) {
 	}
 	defer func() { _ = pr.Free() }()
 	for _, k := range forceTables {
-		first, err := pr.real[0].m.System().Table(k.name)
+		first, err := pr.real[0].mr1.System().Table(k.name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, rr := range pr.real[1:] {
-			if tab, err := rr.m.System().Table(k.name); err != nil || tab != first {
+			if tab, err := rr.mr1.System().Table(k.name); err != nil || tab != first {
 				t.Errorf("rank %d holds its own %q table (%p vs rank 0's %p, err %v)", rr.rank, k.name, tab, first, err)
 			}
 		}

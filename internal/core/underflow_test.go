@@ -51,13 +51,10 @@ func newSweepFixture(t testing.TB, geo sweepGeometry) sweepFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := m.jset(s)
-	if err != nil {
+	if _, err := m.real.sweep(s.Pos, s.Type, s.N(), true); err != nil {
 		t.Fatal(err)
 	}
-	m.ensureScale(s.N())
-	m.passes = m.co.passes(m.scale)
-	return sweepFixture{geo.name, m, s, js, m.passes[:]}
+	return sweepFixture{geo.name, m, s, m.real.js, m.real.passes[:]}
 }
 
 // forEachSweepPair walks one table pass over the sweep's own pair set
@@ -96,7 +93,7 @@ func TestSweepDatapathStaysNormal(t *testing.T) {
 		f := newSweepFixture(t, geo)
 		var pairs, zeroG int
 		for _, pass := range f.passes {
-			tbl, err := f.m.mr1.System().Table(pass.Table)
+			tbl, err := f.m.real.mr1.System().Table(pass.Table)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +223,7 @@ func TestUnderflowRuleKeepsForces(t *testing.T) {
 	for _, geo := range sweepGeometries {
 		f := newSweepFixture(t, geo)
 		n := f.s.N()
-		sys := f.m.mr1.System()
+		sys := f.m.real.mr1.System()
 		fused, err := sys.ComputeForcesFusedInto(f.passes, f.s.Pos, f.s.Type, f.js, soa.Coords{})
 		if err != nil {
 			t.Fatal(err)
@@ -301,7 +298,7 @@ func TestUnderflowRuleKeepsForces(t *testing.T) {
 // pair·table; mdgrape2's BenchmarkFusedSweep is the kernel-independent case.
 func BenchmarkFusedSweep(b *testing.B) {
 	f := newSweepFixture(b, sweepGeometries[0])
-	sys := f.m.mr1.System()
+	sys := f.m.real.mr1.System()
 	run := func(name string, passes []mdgrape2.ForcePass) {
 		b.Run("tosifumi/grid2/"+name, func(b *testing.B) {
 			var dst soa.Coords
