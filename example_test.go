@@ -30,24 +30,3 @@ func ExampleNewSimulation() {
 	// 8 NaCl ions in a 5.64 Å box
 	// thermostatted to 300 K
 }
-
-// Table 4's headline: the effective speed of the current MDM.
-func ExampleTable4() {
-	cols, err := mdm.Table4()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s: %.2f Tflops effective\n", cols[0].Name, cols[0].EffTflops)
-	// Output:
-	// MDM current: 1.34 Tflops effective
-}
-
-// Table 5's hardware inventory rows.
-func ExampleTable5() {
-	for _, r := range mdm.Table5()[:2] {
-		fmt.Printf("%s: %.0f -> %.0f\n", r.Quantity, r.Current, r.Future)
-	}
-	// Output:
-	// Number of MDGRAPE-2 chips: 64 -> 1536
-	// Number of WINE-2 chips: 2240 -> 2688
-}

@@ -43,6 +43,18 @@ type Accuracy struct {
 	Truncation StageError `json:"truncation"`
 }
 
+// AccuracyBound is the RMS error each stage of the assembled machine must stay
+// within (Potential: |ΔU|/|U|), 2–8× above the largest reading on 64–512-ion
+// melts at the default α and at α = 14: a datapath regression far too small
+// to show through the 10⁻³ Truncation fails it. Only the RMS fields and
+// Potential are bounds; Truncation is reported, not bounded.
+var AccuracyBound = Accuracy{
+	Real:      StageError{RMS: 1e-5},
+	Wave:      StageError{RMS: 1e-4},
+	Total:     StageError{RMS: 3e-5},
+	Potential: 1e-5,
+}
+
 // convergedParams is p's splitting with both sums taken far past their
 // cutoffs: the real-space sphere out to the box side (erfc(α) ≤ 10⁻¹⁵ at
 // every α mdm picks) and the wavenumber ball to 1.7·Lk_cut, where the

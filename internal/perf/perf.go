@@ -1,8 +1,9 @@
 // Package perf implements the performance-accounting model behind the
 // paper's headline results: Table 4 (floating-point operations per step,
 // seconds per step, calculation speed and effective speed for the current
-// MDM, a conventional computer, and the future MDM) and Table 5 (hardware
-// generations and their efficiencies).
+// MDM, a conventional computer, and the future MDM) and the peaks and
+// efficiencies of Table 5's two machine generations. cmd/mdmpaper sets it
+// beside the paper's printed values.
 //
 // Flop counting follows §2 exactly (59 operations per real-space pair, 64
 // per particle-wave pair; N_int, N_int_g and N_wv from eqs. 5, 6 and 13).
@@ -204,13 +205,6 @@ type Column struct {
 	EffTflops  float64 // conventional-minimum flops / SecPerStep
 }
 
-// PaperTable4 holds the values printed in the paper for comparison.
-var PaperTable4 = map[string]Column{
-	"MDM current":  {Alpha: 85.0, RCut: 26.4, LKCut: 63.9, NIntG: 1.52e4, NWv: 5.46e5, FlopsReal: 1.69e13, FlopsWave: 6.58e14, FlopsTotal: 6.75e14, SecPerStep: 43.8, CalcTflops: 15.4, EffTflops: 1.34},
-	"Conventional": {Alpha: 30.1, RCut: 74.4, LKCut: 22.7, NInt: 2.65e4, NWv: 2.44e4, FlopsReal: 2.94e13, FlopsWave: 2.94e13, FlopsTotal: 5.88e13, SecPerStep: 43.8, CalcTflops: 1.34, EffTflops: 1.34},
-	"MDM future":   {Alpha: 50.3, RCut: 44.5, LKCut: 37.9, NIntG: 7.32e4, NWv: 1.14e5, FlopsReal: 8.13e13, FlopsWave: 1.37e14, FlopsTotal: 2.18e14, SecPerStep: 4.48, CalcTflops: 48.7, EffTflops: 13.1},
-}
-
 // PaperN and PaperL are the §5 run size: 9,410,548 NaCl ion pairs in an
 // 850 Å box.
 const (
@@ -276,26 +270,4 @@ func Table4(n int, l float64) ([]Column, error) {
 		mk("MDM future", fut, futP, futT),
 	}
 	return cols, nil
-}
-
-// Table5Row is one row of Table 5.
-type Table5Row struct {
-	Quantity string
-	Current  float64
-	Future   float64
-}
-
-// Table5 generates the current-vs-future comparison of Table 5. The
-// efficiency rows report this package's calibrated/estimated duty cycles;
-// the paper quotes 26/29% (current) and 50% (future).
-func Table5() []Table5Row {
-	cur, fut := CurrentMDM(), FutureMDM()
-	return []Table5Row{
-		{"Number of MDGRAPE-2 chips", 64, 1536},
-		{"Number of WINE-2 chips", 2240, 2688},
-		{"Peak performance of MDGRAPE-2 (Tflops)", cur.MDGPeak / 1e12, fut.MDGPeak / 1e12},
-		{"Peak performance of WINE-2 (Tflops)", cur.WinePeak / 1e12, fut.WinePeak / 1e12},
-		{"Efficiency of MDGRAPE-2 (%)", cur.MDGEff * 100, fut.MDGEff * 100},
-		{"Efficiency of WINE-2 (%)", cur.WineEff * 100, fut.WineEff * 100},
-	}
 }

@@ -13,13 +13,13 @@
 //     internal/core;
 //   - a float64 "conventional computer" reference implementing the identical
 //     physics (Ewald + Tosi–Fumi molten NaCl);
-//   - the performance-accounting model that reproduces the paper's Table 4
-//     and Table 5, including the 1.34 Tflops effective-speed headline;
-//   - the Figure 2 temperature-fluctuation experiment and the comparison
-//     methods of §6.3 (Barnes–Hut tree code, smooth particle-mesh Ewald).
+//   - the performance-accounting model behind the paper's Table 4 and
+//     Table 5 (internal/perf), and the comparison methods of §6.3 (Barnes–Hut
+//     tree code, smooth particle-mesh Ewald).
 //
 // The exported surface wraps those pieces into a small simulation API: build
 // a NaCl system with Config, run NVT/NVE segments, and read observables.
+// cmd/mdmpaper checks every claim of the paper the repository regenerates.
 package mdm
 
 import (
@@ -36,7 +36,6 @@ import (
 	"mdm/internal/fault"
 	"mdm/internal/md"
 	"mdm/internal/mpi"
-	"mdm/internal/perf"
 	"mdm/internal/store"
 	"mdm/internal/supervise"
 	"mdm/internal/units"
@@ -971,13 +970,3 @@ func (s *Simulation) free() error {
 	}
 	return errors.Join(s.engine.Free(), jerr)
 }
-
-// Table4 regenerates the paper's Table 4 at the paper's system size.
-// See internal/perf for the model.
-func Table4() ([]perf.Column, error) { return perf.Table4(perf.PaperN, perf.PaperL) }
-
-// Table4At regenerates Table 4 for an arbitrary system.
-func Table4At(n int, l float64) ([]perf.Column, error) { return perf.Table4(n, l) }
-
-// Table5 regenerates the paper's Table 5.
-func Table5() []perf.Table5Row { return perf.Table5() }
