@@ -58,9 +58,10 @@ race:
 		./internal/cellindex/... ./internal/supervise/... ./internal/store/... \
 		./internal/lifecycle/... ./internal/serve/...
 	$(GO) test -race -run 'Commit|DurableOnReturn|Turnover|CrashMatrix|Journal|Interrupt|Resume' .
+	$(GO) test -race -short -run BitIdentityLattice .
 
 chaos:
-	$(GO) test -run 'Chaos|Resilient|FaultHook|RunProtocol|CheckpointFile|CheckpointTyped|Watchdog|Breaker|Journal|Supervise|Interrupt|CrashMatrix|Commit|DurableOnReturn|Turnover|Serve' \
+	$(GO) test -run 'Chaos|Resilient|FaultHook|RunProtocol|CheckpointFile|CheckpointTyped|Watchdog|Breaker|Journal|Supervise|Interrupt|CrashMatrix|Commit|DurableOnReturn|Turnover|Serve|BitIdentityLattice' \
 		./internal/core/... ./internal/wine2/... ./internal/mdgrape2/... \
 		./internal/md/... ./internal/supervise/... ./internal/serve/... \
 		./cmd/mdmsim/... ./cmd/mdmserve/... .
@@ -70,6 +71,8 @@ fuzz-smoke:
 	$(GO) test ./internal/md/ -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 3s
 	$(GO) test ./internal/supervise/ -run '^$$' -fuzz FuzzReadJournal -fuzztime 3s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzScanRunDir -fuzztime 3s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzSubmitSpec -fuzztime 3s
+	$(GO) test ./internal/domain/ -run '^$$' -fuzz FuzzBlocks -fuzztime 3s
 
 fmt:
 	gofmt -w .

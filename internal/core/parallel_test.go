@@ -120,29 +120,6 @@ func TestParallelValidation(t *testing.T) {
 	}
 }
 
-func TestParallelSingleRankEachKind(t *testing.T) {
-	s := meltLike(t, 1, 5.8, 300, 14)
-	p := smallParams(s.L)
-	cfg := CurrentMachineConfig(p)
-	world, _ := mpi.NewWorld(2)
-	res, err := oneStep(world, cfg, 1, 1, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := newTestMachine(t, p)
-	want, _, err := serial.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One rank of each kind runs the serial machine's pair walk and wave
-	// pass in the serial order: the forces are the same bits.
-	for i := range want {
-		if res.Forces[i] != want[i] {
-			t.Fatalf("particle %d: %v, serial machine %v", i, res.Forces[i], want[i])
-		}
-	}
-}
-
 func TestParallelDrivesIntegrator(t *testing.T) {
 	// A parallel session drives the integrator as its md.ForceField; energy
 	// behaves like the serial machine. (The box must be

@@ -450,8 +450,10 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 	}
 	retries := 0
 	for {
+		stalls := 0 // the watchdog's count before this attempt
 		if wd := r.rc.Watchdog; wd != nil {
 			wd.Arm()
+			stalls = wd.StallCount()
 		}
 		f, pot, err := r.hw.forces(s, r.step-1)
 		if wd := r.rc.Watchdog; wd != nil {
@@ -495,8 +497,11 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 		if !retryable(err) {
 			return nil, 0, err // config/validation error: not the hardware's fault
 		}
+		// A released hang surfaces as a StallError; a collective the watchdog
+		// canceled surfaces as the message layer's cancellation, so it counts
+		// by the watchdog's own log growing during the attempt.
 		var se *fault.StallError
-		if errors.As(err, &se) {
+		if errors.As(err, &se) || (r.rc.Watchdog != nil && r.rc.Watchdog.StallCount() > stalls) {
 			r.report.Stalls++
 		}
 		if br := r.rc.Breakers; br != nil {

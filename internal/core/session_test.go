@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -23,91 +22,6 @@ func cloneSystem(s *md.System) *md.System {
 		Charge: append([]float64(nil), s.Charge...),
 		Type:   append([]int(nil), s.Type...),
 	}
-}
-
-// TestSessionBitIdenticalToSerial is the determinism tentpole gate: with a
-// single wavenumber rank the decomposed session must reproduce the serial
-// machine's trajectory bit for bit at every rank count — every cell is filled
-// by exactly one rank, owned lists stay ascending by global index, and the
-// rank-0 assembly preserves the serial real+wave reduction order, so there is
-// no summation-order freedom anywhere. Skin 0 pins the every-step-rebuild
-// protocol; skin 0.5 Å pins the amortized reuse protocol (ghost position
-// streaming + frozen ownership) against the identical serial Verlet-skin
-// schedule.
-func TestSessionBitIdenticalToSerial(t *testing.T) {
-	const steps = 12
-	for _, skin := range []float64{0, 0.5} {
-		for _, nReal := range []int{1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("real%d_skin%g", nReal, skin), func(t *testing.T) {
-				if testing.Short() && nReal > 2 {
-					t.Skip("large rank counts in -short mode")
-				}
-				s := meltLike(t, 2, 5.64, 600, 31)
-				p := smallParams(s.L)
-				cfg := CurrentMachineConfig(p)
-				cfg.Skin = skin
-
-				serialSys := cloneSystem(s)
-				m, err := NewMachine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() { _ = m.Free() }()
-				itS, err := md.NewIntegrator(serialSys, m, 1.0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := itS.Run(steps, nil); err != nil {
-					t.Fatal(err)
-				}
-
-				world, err := mpi.NewWorld(nReal + 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pr, err := NewParallelRun(world, cfg, nReal, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() { _ = pr.Free() }()
-				parSys := cloneSystem(s)
-				itP, err := md.NewIntegrator(parSys, pr, 1.0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := itP.Run(steps, nil); err != nil {
-					t.Fatal(err)
-				}
-
-				for i := range serialSys.Pos {
-					if bitsV(parSys.Pos[i]) != bitsV(serialSys.Pos[i]) {
-						t.Fatalf("position %d diverged: parallel %v != serial %v",
-							i, parSys.Pos[i], serialSys.Pos[i])
-					}
-					if bitsV(parSys.Vel[i]) != bitsV(serialSys.Vel[i]) {
-						t.Fatalf("velocity %d diverged: parallel %v != serial %v",
-							i, parSys.Vel[i], serialSys.Vel[i])
-					}
-				}
-				rebuilds, reuses := pr.JSetStats()
-				if rebuilds+reuses != steps+1 { // integrator's initial force call + steps
-					t.Errorf("rebuilds %d + reuses %d != %d steps", rebuilds, reuses, steps+1)
-				}
-				if skin > 0 && reuses == 0 {
-					t.Error("skin > 0 but no step reused the decomposition")
-				}
-				if skin == 0 && reuses != 0 {
-					t.Errorf("skin = 0 but %d steps reused the decomposition", reuses)
-				}
-			})
-		}
-	}
-}
-
-// bitsV renders a vector as its exact float64 bit patterns, so equality is
-// bit-identity rather than tolerance.
-func bitsV(v vec.V) [3]uint64 {
-	return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
 }
 
 // TestSessionWaveGroupDriftParity covers the one summation-order freedom the

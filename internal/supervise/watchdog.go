@@ -162,6 +162,14 @@ func (w *Watchdog) Stalls() []string {
 	return out
 }
 
+// StallCount returns how many stalls have been declared so far: len(Stalls())
+// without the copy, so a caller can bracket a call with it on a hot path.
+func (w *Watchdog) StallCount() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.stalls)
+}
+
 func (w *Watchdog) monitor() {
 	defer close(w.done)
 	ticker := time.NewTicker(w.interval)
