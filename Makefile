@@ -1,12 +1,12 @@
 # Standard entry points; `make check` is the gate CI runs. The -race package
 # list, the chaos -run regex, the fuzz targets, the kernel micro-benchmark
-# packages and the smoke gates' flags live here only: scripts/check.sh and CI
+# packages and the smoke gate's flags live here only: scripts/check.sh and CI
 # call `make race` / `make chaos` / `make fuzz-smoke` / `make bench-build` /
-# `make bench-smoke` / `make weak-smoke`.
+# `make bench-smoke`.
 
 GO ?= go
 
-.PHONY: all build test bench bench-build bench-json bench-smoke weak-smoke bench-compare vet mdmvet audit race chaos fuzz-smoke check fmt
+.PHONY: all build test bench bench-build bench-json bench-smoke vet mdmvet audit race chaos fuzz-smoke check fmt
 
 all: build
 
@@ -32,15 +32,6 @@ bench-json:
 
 bench-smoke:
 	GOMAXPROCS=2 $(GO) run ./cmd/mdmbench -smoke -iters 3 -reps 2
-
-weak-smoke:
-	$(GO) run ./cmd/mdmbench -weak-smoke
-
-# By hand, after recording: gates allocs/op, traffic bytes, the rungs' force
-# error and the machine's real / wave stage error; ns/op deltas are printed as
-# information.
-bench-compare:
-	$(GO) run ./cmd/mdmbench -compare BENCH_11.json BENCH_12.json
 
 vet:
 	$(GO) vet ./...

@@ -1,13 +1,16 @@
-// Command mdmbench records what the repository benchmark (go run ./benchmark,
-// the only judge of wall time) does not: how the hot paths that package
-// parallelize stripes across host cores scale at pool widths 1, 2, 4 and 8,
-// their unit costs and steady-state allocations, and the spatial
-// decomposition's per-tag traffic and force accuracy per rung, and the
-// machine's error stage by stage against float64 (core.MeasureAccuracy).
+// Command mdmbench records timing the repository benchmark (go run
+// ./benchmark, the judge of end-to-end wall time) does not hold: how the hot
+// paths that package parallelize stripes across host cores scale at pool
+// widths 1, 2, 4 and 8, their unit costs (ns per pair, ns per particle·wave),
+// and the spatial decomposition's step time per weak-scaling rung.
 //
-//	mdmbench -o BENCH_11.json           # record an artifact (scripts/bench.sh)
-//	mdmbench -compare OLD.json NEW.json # gate allocs/op, traffic bytes, force error
-//	mdmbench -smoke                     # CI gate: parallel must not lose to serial
+//	mdmbench -o BENCH_13.json # record an artifact (scripts/bench.sh)
+//	mdmbench -smoke           # CI gate: parallel must not lose to serial
+//
+// Time is all it records. Allocations, MPI traffic and accuracy are verdicts
+// of go test: TestStepAllocs, TestSessionReuseStreamsLessThanRebuild,
+// TestSkinReuseStepsMatchRebuildSteps, TestMachineStageAccuracy and the
+// mdmpaper report.
 //
 // Every width computes bit-identical physics (the parallel_test.go contract).
 // Speedups beyond 1× require a core per lane; the artifact records gomaxprocs
@@ -37,11 +40,10 @@ import (
 
 // Result is one timed configuration.
 type Result struct {
-	Name        string  `json:"name"`
-	Workers     int     `json:"workers"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	Speedup     float64 `json:"speedup"` // vs workers=1 of the same name
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	Name    string  `json:"name"`
+	Workers int     `json:"workers"`
+	NsPerOp float64 `json:"ns_per_op"`
+	Speedup float64 `json:"speedup"` // vs workers=1 of the same name
 
 	// Normalised forms of NsPerOp, so records at different N compare.
 	// machineForces: per MDGRAPE-2 pair evaluation (one per pair per table
@@ -53,10 +55,11 @@ type Result struct {
 	NsPerParticleWave float64 `json:"ns_per_particle_wave,omitempty"`
 }
 
-// Report is the whole artifact (a BENCH_<n>.json file). Records up to BENCH_8
-// also carry "pipeline" and "batch" arrays, Figure-2 step families and a
-// per-particle·step column; encoding/json ignores the keys, and -compare lists
-// the families as dropped.
+// Report is the whole artifact (a BENCH_<n>.json file): timing rows only.
+// Older records carry keys it no longer writes — "pipeline" and "batch"
+// arrays and Figure-2 step families up to BENCH_8, allocs_per_op, each rung's
+// per-tag traffic and force error, and the accuracy object up to BENCH_12;
+// encoding/json ignores them, so every record still decodes into it.
 type Report struct {
 	GOMAXPROCS  int                 `json:"gomaxprocs"`
 	NumCPU      int                 `json:"num_cpu"`
@@ -64,8 +67,6 @@ type Report struct {
 	Iters       int                 `json:"iters_per_sample"`
 	Results     []Result            `json:"results"`
 	WeakScaling []WeakScalingResult `json:"weak_scaling,omitempty"`
-	// Accuracy is core.MeasureAccuracy on the benchmark system (from BENCH_11).
-	Accuracy *core.Accuracy `json:"accuracy,omitempty"`
 }
 
 // benchSystem is the 216-ion perturbed crystal every family runs on.
@@ -84,36 +85,31 @@ func benchSystem() (*md.System, ewald.Params, error) {
 
 // bestOf times the operations in turn within every rep, so all of them see
 // the same host load and frequency state, and returns each one's best ns/op
-// over the reps (the usual defense against scheduler noise) plus the
-// steady-state heap allocations per op of its last sample.
-func bestOf(iters, reps int, ops ...func() error) (ns, allocs []float64, err error) {
+// over the reps (the usual defense against scheduler noise).
+func bestOf(iters, reps int, ops ...func() error) ([]float64, error) {
 	for i := 0; i < 3; i++ { // warm-up: tables, caches, buffer arenas, CPU frequency
 		for _, op := range ops {
 			if err := op(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
-	ns, allocs = make([]float64, len(ops)), make([]float64, len(ops))
-	var ms0, ms1 runtime.MemStats
+	ns := make([]float64, len(ops))
 	for r := 0; r < reps; r++ {
 		for k, op := range ops {
-			runtime.ReadMemStats(&ms0)
 			start := time.Now()
 			for i := 0; i < iters; i++ {
 				if err := op(); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 			t := float64(time.Since(start).Nanoseconds()) / float64(iters)
-			runtime.ReadMemStats(&ms1)
-			allocs[k] = float64(ms1.Mallocs-ms0.Mallocs) / float64(iters)
 			if ns[k] == 0 || t < ns[k] {
 				ns[k] = t
 			}
 		}
 	}
-	return ns, allocs, nil
+	return ns, nil
 }
 
 // family times one benchmark family at every worker width, interleaved, and
@@ -127,14 +123,12 @@ func (rep *Report) family(name string, widths []int, iters, reps int, mk func(wo
 			return fmt.Errorf("%s workers=%d: %w", name, w, err)
 		}
 	}
-	ns, allocs, err := bestOf(iters, reps, ops...)
+	ns, err := bestOf(iters, reps, ops...)
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
 	for k, w := range widths {
-		rep.Results = append(rep.Results, Result{
-			Name: name, Workers: w, NsPerOp: ns[k], Speedup: ns[0] / ns[k], AllocsPerOp: allocs[k],
-		})
+		rep.Results = append(rep.Results, Result{Name: name, Workers: w, NsPerOp: ns[k], Speedup: ns[0] / ns[k]})
 	}
 	return nil
 }
@@ -178,11 +172,6 @@ func run(iters, reps, weakSteps int) (*Report, error) {
 		Iters:      iters,
 	}
 	waves := ewald.Waves(p)
-	acc, err := core.MeasureAccuracy(core.CurrentMachineConfig(p), sys)
-	if err != nil {
-		return nil, fmt.Errorf("accuracy: %w", err)
-	}
-	rep.Accuracy = &acc
 
 	var pairsPerOp int64 // one Forces call's pair evaluations
 	if err := rep.family("machineForces", widths, iters, reps, func(workers int) (func() error, error) {
@@ -209,7 +198,7 @@ func run(iters, reps, weakSteps int) (*Report, error) {
 	// The two kernel families time the entry points a step takes, on buffers a
 	// step would reuse: quantize once → DFT → IDFT into force planes, and the
 	// amortized j-set builder. (Up to BENCH_8 they timed the one-shot AoS forms,
-	// System.DFT + System.IDFT and NewJSetPool: 11 and 49 allocs/op.)
+	// System.DFT + System.IDFT and NewJSetPool.)
 	if err := rep.family("wine2DFTIDFT", widths, iters, reps, func(workers int) (func() error, error) {
 		w, err := wine2.NewSystem(wine2.CurrentConfig())
 		if err != nil {
@@ -254,10 +243,9 @@ func run(iters, reps, weakSteps int) (*Report, error) {
 	}
 
 	// Weak scaling of the spatial decomposition: fixed 64 ions/rank at
-	// growing rank counts, with per-tag traffic and force accuracy for the
-	// rebuild and reuse step shapes (skipped when weakSteps is 0).
+	// growing rank counts (skipped when weakSteps is 0).
 	if weakSteps > 0 {
-		ws, err := weakScaling(weakRungs, weakSteps)
+		ws, err := weakScaling(weakSteps)
 		if err != nil {
 			return nil, err
 		}
@@ -284,7 +272,7 @@ func hostPotentialRow(sys *md.System, p ewald.Params, iters, reps int) (Result, 
 			return Result{}, err
 		}
 	}
-	best, _, err := bestOf(iters, reps, ops[0], ops[1])
+	best, err := bestOf(iters, reps, ops[0], ops[1])
 	if err != nil {
 		return Result{}, err
 	}
@@ -341,7 +329,7 @@ func smoke(iters, reps int) error {
 			ops = append(ops, op)
 		}
 	}
-	ns, _, err := bestOf(iters, reps, ops...)
+	ns, err := bestOf(iters, reps, ops...)
 	if err != nil {
 		return err
 	}
@@ -367,6 +355,22 @@ func smoke(iters, reps int) error {
 	return nil
 }
 
+// speedupText renders a parallel ratio (speed-up over the serial path, or
+// weak-scaling wall efficiency) measured at the given width — pool workers or
+// ranks — on a host with numCPU cores: the figure when every lane had a core
+// of its own, "n/a" when the width oversubscribed the host and the ratio says
+// nothing about scaling.
+func speedupText(ratio float64, width, numCPU int) string {
+	if numCPU < width {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2f", ratio)
+}
+
+// overlapLanes is the width the engine overlap occupies at a pool width: the
+// wave pass needs a core of its own beside the sweep's pool.
+func overlapLanes(workers int) int { return max(workers, 2) }
+
 // checkFlags refuses, before anything runs, sample counts no family can be
 // timed with: they would surface minutes later as a NaN or +Inf the JSON
 // encoder rejects.
@@ -382,9 +386,7 @@ func main() {
 	iters := flag.Int("iters", 10, "operations per timing sample")
 	reps := flag.Int("reps", 3, "timing samples per configuration (best is kept)")
 	smokeMode := flag.Bool("smoke", false, "CI gate: neither the parallel width nor the engine-overlap pipeline may lose to the serial machine force evaluation")
-	weakSmokeMode := flag.Bool("weak-smoke", false, "CI gate: the decomposition's reuse step must be as accurate as a rebuild step and stream only ghost positions, and per-particle cost must stay flat at 8 ranks")
 	weakSteps := flag.Int("weak-steps", 6, "timed steps per rung in the weak-scaling family (0 skips the family)")
-	compareMode := flag.Bool("compare", false, "compare two recorded reports: mdmbench -compare OLD.json NEW.json (gates allocs/op, traffic bytes and force error; wall time is printed as information)")
 	flag.Parse()
 
 	if err := checkFlags(*iters, *reps, *weakSteps); err != nil {
@@ -392,32 +394,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *compareMode {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: mdmbench -compare OLD.json NEW.json")
-			os.Exit(2)
-		}
-		regressions, err := compareReports(os.Stdout, flag.Arg(0), flag.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if regressions > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *smokeMode {
 		if err := smoke(*iters, *reps); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *weakSmokeMode {
-		if err := weakSmoke(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -172,6 +172,29 @@ func writeSummary(path string, s runSummary) error {
 	return lifecycle.WriteSummary(path, s)
 }
 
+// checkFlags refuses, before anything runs, flag values the run could only
+// fail on at its end: the sample table divides by -every, and -resume has
+// nothing to resume from without both files.
+func checkFlags(every int, resume bool, ckpt, journal string) error {
+	if every < 1 {
+		return fmt.Errorf("-every must be ≥ 1, got %d", every)
+	}
+	if resume && (ckpt == "" || journal == "") {
+		return errors.New("-resume requires -checkpoint and -journal")
+	}
+	return nil
+}
+
+// msPerStep is the closing line's wall time per step this invocation
+// advanced — not the whole protocol's, which a resumed or interrupted run
+// does not run — and "n/a" when it advanced none.
+func msPerStep(elapsed time.Duration, steps int) string {
+	if steps < 1 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1f", elapsed.Seconds()*1000/float64(steps))
+}
+
 func main() {
 	// run() owns every cleanup as a defer and reports an exit code; the only
 	// os.Exit on the normal paths is here, so profiles, trajectories, the
@@ -249,16 +272,8 @@ func run() (exit int) {
 		fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backend)
 		return 2
 	}
-	if *resume && (*ckpt == "" || *journal == "") {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint and -journal")
-		return 2
-	}
-	if (*pipeline || *skin != 0) && be != mdm.BackendMDM {
-		fmt.Fprintln(os.Stderr, "-pipeline and -skin require the mdm backend")
-		return 2
-	}
-	if *waveRanks != 0 && *ranks == 0 {
-		fmt.Fprintln(os.Stderr, "-wave-ranks requires -ranks")
+	if err := checkFlags(*every, *resume, *ckpt, *journal); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
@@ -282,8 +297,9 @@ func run() (exit int) {
 			SyncEvery: *syncEvery,
 		},
 	}
-	// Which backend composes with -ranks, -faults and -watchdog is the
-	// library's rule (Config.Validate), reported here as a usage error.
+	// Which backend composes with -ranks, -wave-ranks, -faults, -watchdog,
+	// -pipeline and -skin is the library's rule (Config.Validate), reported
+	// here as a usage error.
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -366,7 +382,7 @@ func run() (exit int) {
 		},
 	}
 
-	start := time.Now()
+	start, startStep := time.Now(), sim.Integrator.StepCount()
 	if err := o.frame(sim, "initial"); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -419,9 +435,8 @@ func run() (exit int) {
 			fmt.Printf("  %s\n", e)
 		}
 	}
-	steps := *nvt + *nve
-	fmt.Printf("wall clock: %.2f s total, %.1f ms/step for N=%d\n",
-		elapsed.Seconds(), elapsed.Seconds()*1000/float64(steps), sim.N())
+	fmt.Printf("wall clock: %.2f s total, %s ms/step for N=%d\n",
+		elapsed.Seconds(), msPerStep(elapsed, sim.Integrator.StepCount()-startStep), sim.N())
 	if status == "interrupted" {
 		fmt.Printf("status: interrupted at step %d; resume with -resume -checkpoint %s -journal %s\n",
 			sim.Integrator.StepCount(), *ckpt, *journal)

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mdm"
 	"mdm/internal/md"
@@ -91,5 +92,38 @@ func TestRunProtocolFatalWithoutCheckpointFails(t *testing.T) {
 	}
 	if _, _, err := runProtocol(sim, o); err == nil {
 		t.Fatal("fatal fault vanished without a checkpoint to restart from")
+	}
+}
+
+// mdmsim refuses, before anything runs, flag values it could only fail on
+// after the whole run.
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		every         int
+		resume        bool
+		ckpt, journal string
+		ok            bool
+	}{
+		{10, false, "", "", true},
+		{1, true, "run.ckpt", "run.wal", true},
+		{0, false, "", "", false}, // the sample table divides by -every
+		{-3, false, "", "", false},
+		{10, true, "run.ckpt", "", false},
+		{10, true, "", "run.wal", false},
+	} {
+		if err := checkFlags(c.every, c.resume, c.ckpt, c.journal); (err == nil) != c.ok {
+			t.Errorf("checkFlags(every %d, resume %v, %q, %q) = %v, want ok=%v", c.every, c.resume, c.ckpt, c.journal, err, c.ok)
+		}
+	}
+}
+
+// The closing ms/step divides by the steps this invocation advanced and
+// reads n/a when it advanced none (-nvt 0 -nve 0, or a resume at the end).
+func TestMsPerStep(t *testing.T) {
+	if got := msPerStep(3*time.Second, 60); got != "50.0" {
+		t.Errorf("3 s over 60 steps = %q, want 50.0", got)
+	}
+	if got := msPerStep(time.Second, 0); got != "n/a" {
+		t.Errorf("no steps = %q, want n/a", got)
 	}
 }

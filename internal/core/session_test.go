@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"mdm/internal/cellindex"
+	"mdm/internal/domain"
+	"mdm/internal/ewald"
 	"mdm/internal/fault"
 	"mdm/internal/md"
 	"mdm/internal/mpi"
@@ -203,60 +207,109 @@ func containsInt(xs []int, v int) bool {
 }
 
 // TestSessionReuseStreamsLessThanRebuild pins the skin amortization on the
-// wire: a reuse step moves only ghost position planes (3 floats/ghost, tag
-// ghost-pos) and no halo or migration records, so its halo-path byte count
-// must be strictly below the rebuild step's stride-5 exchange.
+// wire, byte for byte. A rebuild step sends one halo record of five float64s
+// (x, y, z, species, global index) per ghost: 40 B. A reuse step streams only
+// the ghost position planes, three float64s per ghost: 24 B, with no halo and
+// no migration bytes — so reuse / rebuild is 3/5 exactly. The ghosts are
+// counted here from the block geometry and the particles' cells, not read
+// from the session. Cases: 64 ions on 4 ranks (a 2-cell grid, where the
+// dilation wraps onto the block), and the 8- and 27-rank weak-scaling rungs
+// (BENCH_4's traffic rows), every rank a 2×2×2 block with a 56-cell ghost
+// shell.
 func TestSessionReuseStreamsLessThanRebuild(t *testing.T) {
-	s := meltLike(t, 2, 5.64, 300, 34)
-	p := smallParams(s.L)
-	cfg := CurrentMachineConfig(p)
-	cfg.Skin = 0.5
-	world, err := mpi.NewWorld(5)
-	if err != nil {
-		t.Fatal(err)
+	const (
+		haloBytesPerGhost  = 40 // 8·haloStride
+		ghostBytesPerGhost = 24 // 8·3 position planes
+	)
+	// r_cut held at the 64-ion cutoff, as the weak-scaling rungs hold it: with
+	// the 0.5 Å skin the grid has as many cells a side as the crystal.
+	weakRung := func(l float64) ewald.Params {
+		return ewald.ParamsForAlpha(l, ewald.SReal*l/smallParams(2*5.64).RCut)
 	}
-	pr, err := NewParallelRun(world, cfg, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = pr.Free() }()
+	for _, c := range []struct {
+		cells, ranks int
+		p            func(l float64) ewald.Params
+	}{
+		{2, 4, smallParams},
+		{4, 8, weakRung},
+		{6, 27, weakRung},
+	} {
+		t.Run(fmt.Sprintf("cells=%d/ranks=%d", c.cells, c.ranks), func(t *testing.T) {
+			s := meltLike(t, c.cells, 5.64, 300, 34)
+			p := c.p(s.L)
+			cfg := CurrentMachineConfig(p)
+			cfg.Skin = 0.5
+			world, err := mpi.NewWorld(c.ranks + 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, err := NewParallelRun(world, cfg, c.ranks, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = pr.Free() }()
 
-	before := world.StatsByTag()
-	if _, err := pr.Step(s); err != nil { // init: scan + full halo exchange
-		t.Fatal(err)
-	}
-	rebuildTag := subtractByTag(world.StatsByTag(), before)
+			// Every particle is sent once to each rank whose ghost shell
+			// holds its cell.
+			grid, err := cellindex.NewSkinGrid(p.L, p.RCut, cfg.Skin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, err := domain.NewBlocks(grid.N, c.ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ghosts int64
+			for r := 0; r < c.ranks; r++ {
+				shell := make(map[int]bool)
+				for _, cell := range blocks.GhostCells(r) {
+					shell[cell] = true
+				}
+				for _, pos := range s.Pos {
+					if shell[grid.CellOf(pos)] {
+						ghosts++
+					}
+				}
+			}
+			if ghosts == 0 {
+				t.Fatal("geometry has no ghosts")
+			}
 
-	// Nudge every particle well below the skin/2 rebuild threshold.
-	for i := range s.Pos {
-		s.Pos[i] = s.Pos[i].Add(vec.New(1e-3, -1e-3, 1e-3)).Wrap(s.L)
-	}
-	before = world.StatsByTag()
-	res, err := pr.Step(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reuseTag := subtractByTag(world.StatsByTag(), before)
+			before := world.StatsByTag()
+			if _, err := pr.Step(s); err != nil { // init: scan + full halo exchange
+				t.Fatal(err)
+			}
+			rebuildTag := subtractByTag(world.StatsByTag(), before)
 
-	if rebuilds, reuses := pr.JSetStats(); rebuilds != 1 || reuses != 1 {
-		t.Fatalf("JSetStats = (%d, %d), want (1, 1)", rebuilds, reuses)
-	}
-	if rebuildTag[TagHalo].Bytes == 0 {
-		t.Error("rebuild step sent no halo records")
-	}
-	if reuseTag[TagHalo].Bytes != 0 || reuseTag[TagMigrate].Bytes != 0 {
-		t.Errorf("reuse step sent rebuild traffic: halo %d bytes, migrate %d bytes",
-			reuseTag[TagHalo].Bytes, reuseTag[TagMigrate].Bytes)
-	}
-	if reuseTag[TagGhostPos].Bytes == 0 {
-		t.Error("reuse step streamed no ghost positions")
-	}
-	if reuseTag[TagGhostPos].Bytes >= rebuildTag[TagHalo].Bytes {
-		t.Errorf("reuse ghost stream %d bytes not below rebuild halo %d bytes",
-			reuseTag[TagGhostPos].Bytes, rebuildTag[TagHalo].Bytes)
-	}
-	if res.Traffic.Bytes == 0 {
-		t.Error("step reported no traffic")
+			// Nudge every particle well below the skin/2 rebuild threshold.
+			for i := range s.Pos {
+				s.Pos[i] = s.Pos[i].Add(vec.New(1e-3, -1e-3, 1e-3)).Wrap(s.L)
+			}
+			before = world.StatsByTag()
+			res, err := pr.Step(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reuseTag := subtractByTag(world.StatsByTag(), before)
+
+			if rebuilds, reuses := pr.JSetStats(); rebuilds != 1 || reuses != 1 {
+				t.Fatalf("JSetStats = (%d, %d), want (1, 1)", rebuilds, reuses)
+			}
+			t.Logf("%d ghosts: rebuild halo %d B, reuse ghost-pos %d B", ghosts, rebuildTag[TagHalo].Bytes, reuseTag[TagGhostPos].Bytes)
+			if got, want := rebuildTag[TagHalo].Bytes, haloBytesPerGhost*ghosts; got != want {
+				t.Errorf("rebuild halo %d B, want %d B (%d per ghost)", got, want, haloBytesPerGhost)
+			}
+			if got, want := reuseTag[TagGhostPos].Bytes, ghostBytesPerGhost*ghosts; got != want {
+				t.Errorf("reuse ghost stream %d B, want %d B (%d per ghost)", got, want, ghostBytesPerGhost)
+			}
+			if reuseTag[TagHalo].Bytes != 0 || reuseTag[TagMigrate].Bytes != 0 {
+				t.Errorf("reuse step sent rebuild traffic: halo %d bytes, migrate %d bytes",
+					reuseTag[TagHalo].Bytes, reuseTag[TagMigrate].Bytes)
+			}
+			if res.Traffic.Bytes == 0 {
+				t.Error("step reported no traffic")
+			}
+		})
 	}
 }
 

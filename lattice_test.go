@@ -169,7 +169,7 @@ func (c latticeCell) config() Config {
 	}
 	return Config{
 		Cells: c.cells, Temperature: 1200, Seed: 1, Dt: 2, Backend: BackendMDM, PotentialEvery: 100,
-		Workers: c.workers, Pipeline: c.pipeline, Skin: c.skin, Ranks: c.ranks, WaveRanks: 1,
+		Workers: c.workers, Pipeline: c.pipeline, Skin: c.skin, Ranks: c.ranks, // one wavenumber rank, the default
 		Faults: c.sc.faults, Supervise: SuperviseConfig{Watchdog: watchdog},
 	}
 }

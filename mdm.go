@@ -139,7 +139,7 @@ type Config struct {
 	Ranks int
 
 	// WaveRanks is the number of wavenumber processes when Ranks > 0
-	// (default 1). Ignored when Ranks is 0.
+	// (default 1). Setting it without Ranks is an error.
 	WaveRanks int
 
 	// Supervise enables long-run supervision on the MDM backend: a watchdog
@@ -299,15 +299,19 @@ type Simulation struct {
 // Validate reports the first reason NewSimulation or ResumeFromJournal would
 // refuse the configuration — every rejected combination is listed here and
 // nowhere else. The reference backend is the bare float64 path: the spatial
-// decomposition, fault injection and hardware supervision all act on the
-// simulated machine, so asking for them without it is an error rather than a
-// setting silently dropped (a journal alone works with either backend).
+// decomposition, fault injection, hardware supervision, the engine pipeline
+// and the Verlet skin all act on the simulated machine, so asking for them
+// without it is an error rather than a setting silently dropped (a journal
+// alone works with either backend). So is WaveRanks without the
+// decomposition it sizes.
 func (c Config) Validate() error {
 	switch {
 	case c.Backend != BackendMDM && c.Backend != BackendReference:
 		return fmt.Errorf("mdm: unknown backend %v", c.Backend)
 	case c.Ranks < 0 || c.WaveRanks < 0:
 		return fmt.Errorf("mdm: negative rank count (Ranks %d, WaveRanks %d)", c.Ranks, c.WaveRanks)
+	case c.WaveRanks > 0 && c.Ranks == 0:
+		return fmt.Errorf("mdm: WaveRanks requires Ranks (the spatial decomposition)")
 	case c.Backend == BackendMDM:
 		return nil
 	case c.Ranks > 0:
@@ -316,6 +320,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mdm: fault injection requires the MDM backend")
 	case c.Supervise.enabled():
 		return fmt.Errorf("mdm: the watchdog and circuit breakers require the MDM backend")
+	case c.Pipeline || c.Skin != 0:
+		return fmt.Errorf("mdm: the pipeline and the Verlet skin require the MDM backend")
 	}
 	return nil
 }

@@ -42,15 +42,17 @@ func TestNewSimulationValidation(t *testing.T) {
 }
 
 // TestConfigCapabilities is the capability table of Config: which backend
-// composes with the decomposition, fault injection, supervision and the
-// journal. Every rejection comes from Config.Validate, at both entry points
-// that take a Config from outside, with a message naming what is missing;
-// nothing asked for is dropped silently.
+// composes with the decomposition, fault injection, supervision, the engine
+// pipeline, the Verlet skin and the journal. Every rejection comes from
+// Config.Validate, at both entry points that take a Config from outside, with
+// a message naming what is missing; nothing asked for is dropped silently.
 func TestConfigCapabilities(t *testing.T) {
 	const (
 		needsRanks     = "spatial decomposition requires the MDM backend"
 		needsFaults    = "fault injection requires the MDM backend"
 		needsSupervise = "watchdog and circuit breakers require the MDM backend"
+		needsMachine   = "pipeline and the Verlet skin require the MDM backend"
+		needsDecomp    = "WaveRanks requires Ranks"
 	)
 	dir := t.TempDir()
 	cases := []struct {
@@ -66,12 +68,16 @@ func TestConfigCapabilities(t *testing.T) {
 		{"mdm/journal-only", Config{Supervise: SuperviseConfig{Journal: filepath.Join(dir, "mdm.wal")}}, ""},
 		{"mdm/negative-ranks", Config{Ranks: -1}, "negative rank count"},
 		{"mdm/negative-wave-ranks", Config{Ranks: 2, WaveRanks: -1}, "negative rank count"},
+		{"mdm/wave-ranks-without-ranks", Config{WaveRanks: 2}, needsDecomp},
 		{"reference", Config{Backend: BackendReference}, ""},
 		{"reference/journal-only", Config{Backend: BackendReference, Supervise: SuperviseConfig{Journal: filepath.Join(dir, "ref.wal")}}, ""},
 		{"reference/ranks", Config{Backend: BackendReference, Ranks: 2}, needsRanks},
 		{"reference/faults", Config{Backend: BackendReference, Faults: "mdg:hang@step=4"}, needsFaults},
 		{"reference/watchdog", Config{Backend: BackendReference, Supervise: SuperviseConfig{Watchdog: 250 * time.Millisecond}}, needsSupervise},
 		{"reference/breaker", Config{Backend: BackendReference, Supervise: SuperviseConfig{BreakerTrip: 3}}, needsSupervise},
+		{"reference/pipeline", Config{Backend: BackendReference, Pipeline: true}, needsMachine},
+		{"reference/skin", Config{Backend: BackendReference, Skin: 0.5}, needsMachine},
+		{"reference/wave-ranks-without-ranks", Config{Backend: BackendReference, WaveRanks: 1}, needsDecomp},
 		{"unknown-backend", Config{Backend: Backend(42)}, "unknown backend"},
 	}
 	for _, c := range cases {

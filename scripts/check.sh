@@ -37,9 +37,6 @@ make bench-build
 echo "==> make bench-smoke (neither the parallel width nor the engine-overlap pipeline may lose to serial; prints the overlap ratio at GOMAXPROCS=2)"
 make bench-smoke
 
-echo "==> make weak-smoke (rebuild and reuse steps within 5e-5 of the reference Ewald, reuse streaming ghost positions only; per-particle cost flat at 8 ranks)"
-make weak-smoke
-
 echo "==> repo benchmark smoke (every workload runs end to end and passes its own correctness checks)"
 quick=$(go run ./benchmark -quick 2>&1) || { echo "$quick" >&2; exit 1; }
 
