@@ -2,7 +2,8 @@
 # list, the chaos -run regex, the fuzz targets, the kernel micro-benchmark
 # packages and the smoke gate's flags live here only: scripts/check.sh and CI
 # call `make race` / `make chaos` / `make fuzz-smoke` / `make bench-build` /
-# `make bench-smoke`.
+# `make bench-smoke`, and scripts/check.sh fails when an alternative of a
+# `make race` / `make chaos` -run regex names no test in its packages.
 
 GO ?= go
 
@@ -48,11 +49,11 @@ race:
 		./internal/parallelize/... ./internal/wine2/... ./internal/mdgrape2/... \
 		./internal/cellindex/... ./internal/supervise/... ./internal/store/... \
 		./internal/lifecycle/... ./internal/serve/...
-	$(GO) test -race -run 'Commit|DurableOnReturn|Turnover|CrashMatrix|Journal|Interrupt|Resume' .
+	$(GO) test -race -run 'Commit|DurableOnReturn|Turnover|CrashMatrix|Journal|Interrupt|Resume|Restart' .
 	$(GO) test -race -short -run BitIdentityLattice .
 
 chaos:
-	$(GO) test -run 'Chaos|Resilient|FaultHook|RunProtocol|CheckpointFile|CheckpointTyped|Watchdog|Breaker|Journal|Supervise|Interrupt|CrashMatrix|Commit|DurableOnReturn|Turnover|Serve|BitIdentityLattice' \
+	$(GO) test -run 'Chaos|Resilient|FaultHook|RunProtocol|Restart|CheckpointFile|CheckpointTyped|CheckpointVersion|Watchdog|Breaker|Journal|Supervise|Interrupt|CrashMatrix|Commit|DurableOnReturn|Turnover|Serve|BitIdentityLattice' \
 		./internal/core/... ./internal/wine2/... ./internal/mdgrape2/... \
 		./internal/md/... ./internal/supervise/... ./internal/serve/... \
 		./cmd/mdmsim/... ./cmd/mdmserve/... .

@@ -39,96 +39,9 @@ import (
 	"time"
 
 	"mdm"
-	"mdm/internal/fault"
 	"mdm/internal/lifecycle"
 	"mdm/internal/md"
 )
-
-// runOpts is the protocol schedule and resilience policy of one invocation.
-type runOpts struct {
-	nvt, nve    int
-	ckptPath    string // "" disables checkpointing (and restarts)
-	ckptEvery   int
-	maxRestarts int
-	frame       func(sim *mdm.Simulation, stage string) error
-	logf        func(format string, args ...any)
-}
-
-// checkpoint writes the crash-safe checkpoint if one is configured. The
-// commit also turns the write-ahead journal over (rotate + retire under one
-// directory fsync), keeping it bounded across a long campaign.
-func (o *runOpts) checkpoint(sim *mdm.Simulation) error {
-	if o.ckptPath == "" {
-		return nil
-	}
-	return sim.WriteCheckpoint(o.ckptPath)
-}
-
-// runSegments advances sim from wherever its step counter stands through the
-// rest of the NVT+NVE protocol, checkpointing every ckptEvery steps.
-func runSegments(sim *mdm.Simulation, o *runOpts) error {
-	chunked := func(run func(int) error, until int) error {
-		for {
-			done := sim.Integrator.StepCount()
-			if done >= until {
-				return nil
-			}
-			n := until - done
-			if o.ckptPath != "" && o.ckptEvery > 0 && n > o.ckptEvery {
-				n = o.ckptEvery
-			}
-			if err := run(n); err != nil {
-				return err
-			}
-			if err := o.checkpoint(sim); err != nil {
-				return err
-			}
-		}
-	}
-	if err := chunked(sim.RunNVT, o.nvt); err != nil {
-		return err
-	}
-	if err := o.frame(sim, "after-nvt"); err != nil {
-		return err
-	}
-	return chunked(sim.RunNVE, o.nvt+o.nve)
-}
-
-// runProtocol drives the whole protocol with self-healing: a fatal injected
-// host fault triggers a restart from the last checkpoint (up to maxRestarts
-// times), reusing the simulation's fault schedule so the fatal does not
-// refire. It returns the final simulation, which differs from the argument
-// after a restart.
-func runProtocol(sim *mdm.Simulation, o *runOpts) (*mdm.Simulation, int, error) {
-	// Seed the checkpoint before the first step so a fault in the first
-	// chunk still has a restart point.
-	if err := o.checkpoint(sim); err != nil {
-		return sim, 0, err
-	}
-	restarts := 0
-	for {
-		err := runSegments(sim, o)
-		if err == nil {
-			return sim, restarts, nil
-		}
-		var fe *fault.FatalError
-		if o.ckptPath == "" || restarts >= o.maxRestarts || !errors.As(err, &fe) {
-			return sim, restarts, err
-		}
-		restarts++
-		sys, step, rerr := md.ReadCheckpointFile(o.ckptPath)
-		if rerr != nil {
-			return sim, restarts, fmt.Errorf("restarting after %v: %w", err, rerr)
-		}
-		o.logf("fatal fault (%v): restart %d/%d from checkpoint at step %d",
-			err, restarts, o.maxRestarts, step)
-		resumed, rerr := mdm.ResumeSimulation(sim, sys, step)
-		if rerr != nil {
-			return sim, restarts, rerr
-		}
-		sim = resumed
-	}
-}
 
 // runSummary is the machine-readable result contract of one invocation,
 // written by -summary.
@@ -195,43 +108,53 @@ func msPerStep(elapsed time.Duration, steps int) string {
 	return fmt.Sprintf("%.1f", elapsed.Seconds()*1000/float64(steps))
 }
 
+// resumeHint is the closing status line of an interrupted run: the -resume
+// command that continues it, which needs both the checkpoint and the journal.
+func resumeHint(step int, ckpt, journal string) string {
+	if ckpt == "" || journal == "" {
+		return fmt.Sprintf("status: interrupted at step %d; cannot be resumed without -checkpoint and -journal", step)
+	}
+	return fmt.Sprintf("status: interrupted at step %d; resume with -resume -checkpoint %s -journal %s", step, ckpt, journal)
+}
+
 func main() {
 	// run() owns every cleanup as a defer and reports an exit code; the only
 	// os.Exit on the normal paths is here, so profiles, trajectories, the
 	// journal and the simulated boards are flushed no matter how the run
 	// ends. (The second-signal hard kill is the deliberate exception.)
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() (exit int) {
-	cells := flag.Int("cells", 2, "rock-salt cells per side (N = 8·cells³)")
-	temp := flag.Float64("t", 1200, "temperature (K), paper: 1200")
-	dt := flag.Float64("dt", 2, "time step (fs), paper: 2")
-	nvt := flag.Int("nvt", 100, "NVT steps, paper: 2000")
-	nve := flag.Int("nve", 50, "NVE steps, paper: 1000")
-	backend := flag.String("backend", "mdm", "force engine: mdm or reference")
-	alpha := flag.Float64("alpha", 0, "Ewald splitting parameter (0 = balanced for the box; large boxes may prefer the machine balance, e.g. ewald.CostModel with the 27-cell geometry)")
-	potEvery := flag.Int("potential-every", 1, "evaluate the potential energy every k steps on the mdm backend (paper: 100)")
-	seed := flag.Int64("seed", 1, "velocity seed")
-	every := flag.Int("every", 10, "print a sample every k steps")
-	xyz := flag.String("xyz", "", "write an XYZ trajectory frame every k steps to this file")
-	faults := flag.String("faults", "", `fault scenario, e.g. "wine2:board-drop@step=60,board=2; run:fatal@step=90"`)
-	ckpt := flag.String("checkpoint", "", "crash-safe checkpoint file (enables restart after fatal faults)")
-	ckptEvery := flag.Int("checkpoint-every", 25, "steps between checkpoints")
-	maxRestarts := flag.Int("max-restarts", 3, "restarts from checkpoint after fatal faults")
-	workers := flag.Int("workers", 0, "worker-pool width striping the simulated pipelines across cores (0 = GOMAXPROCS, 1 = serial); bit-identical at any width")
-	pipeline := flag.Bool("pipeline", false, "run the WINE-2 wavenumber pass concurrently with the MDGRAPE-2 real-space sweep (engine overlap only; the step path and its results are the same, bit for bit)")
-	skin := flag.Float64("skin", 0, "Verlet skin in Å: reuse the sorted cell layout until a particle moves more than skin/2 (0 = rebuild every step); widens the cells, not the r_cut sphere of pairs evaluated")
-	ranks := flag.Int("ranks", 0, "spatial decomposition: split the box into this many cell blocks, one real-space process each (0 = single process); bit-identical with -wave-ranks 1")
-	waveRanks := flag.Int("wave-ranks", 0, "wavenumber processes alongside -ranks (default 1); >1 regroups the structure-factor reduction and agrees to float64 rounding")
-	watchdog := flag.Duration("watchdog", 0, "stall deadline for one hardware call, e.g. 30s (0 disables the watchdog)")
-	journal := flag.String("journal", "", "write-ahead step journal path (with -checkpoint, enables -resume after a kill); a step's record is durable before the run reports the step — its fsync overlaps the next step's force evaluation and is joined at every checkpoint, interrupt and exit")
-	syncEvery := flag.Int("sync-every", 1, "journal group-commit interval: fsync every Nth step record (1 = every step, the strongest durability; N > 1 risks the last N-1 steps on a power cut, plus the one step whose fsync is in flight while the run computes)")
-	resume := flag.Bool("resume", false, "resume a killed run from -checkpoint and -journal at the exact committed step")
-	summaryPath := flag.String("summary", "", "write a machine-readable JSON run summary to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+func run(args []string) (exit int) {
+	flags := flag.NewFlagSet("mdmsim", flag.ExitOnError)
+	cells := flags.Int("cells", 2, "rock-salt cells per side (N = 8·cells³)")
+	temp := flags.Float64("t", 1200, "temperature (K), paper: 1200")
+	dt := flags.Float64("dt", 2, "time step (fs), paper: 2")
+	nvt := flags.Int("nvt", 100, "NVT steps, paper: 2000")
+	nve := flags.Int("nve", 50, "NVE steps, paper: 1000")
+	backend := flags.String("backend", "mdm", "force engine: mdm or reference")
+	alpha := flags.Float64("alpha", 0, "Ewald splitting parameter (0 = balanced for the box; large boxes may prefer the machine balance, e.g. ewald.CostModel with the 27-cell geometry)")
+	potEvery := flags.Int("potential-every", 1, "evaluate the potential energy every k steps on the mdm backend (paper: 100)")
+	seed := flags.Int64("seed", 1, "velocity seed")
+	every := flags.Int("every", 10, "print a sample every k steps")
+	xyz := flags.String("xyz", "", "write an XYZ trajectory frame every k steps to this file")
+	faults := flags.String("faults", "", `fault scenario, e.g. "wine2:board-drop@step=60,board=2; run:fatal@step=90"`)
+	ckpt := flags.String("checkpoint", "", "crash-safe checkpoint file (enables restart after fatal faults)")
+	ckptEvery := flags.Int("checkpoint-every", 25, "steps between checkpoints")
+	maxRestarts := flags.Int("max-restarts", 3, "restarts from checkpoint after fatal faults")
+	workers := flags.Int("workers", 0, "worker-pool width striping the simulated pipelines across cores (0 = GOMAXPROCS, 1 = serial); bit-identical at any width")
+	pipeline := flags.Bool("pipeline", false, "run the WINE-2 wavenumber pass concurrently with the MDGRAPE-2 real-space sweep (engine overlap only; the step path and its results are the same, bit for bit)")
+	skin := flags.Float64("skin", 0, "Verlet skin in Å: reuse the sorted cell layout until a particle moves more than skin/2 (0 = rebuild every step); widens the cells, not the r_cut sphere of pairs evaluated")
+	ranks := flags.Int("ranks", 0, "spatial decomposition: split the box into this many cell blocks, one real-space process each (0 = single process); bit-identical with -wave-ranks 1")
+	waveRanks := flags.Int("wave-ranks", 0, "wavenumber processes alongside -ranks (default 1); >1 regroups the structure-factor reduction and agrees to float64 rounding")
+	watchdog := flags.Duration("watchdog", 0, "stall deadline for one hardware call, e.g. 30s (0 disables the watchdog)")
+	journal := flags.String("journal", "", "write-ahead step journal path (with -checkpoint, enables -resume after a kill); a step's record is durable before the run reports the step — its fsync overlaps the next step's force evaluation and is joined at every checkpoint, interrupt and exit")
+	syncEvery := flags.Int("sync-every", 1, "journal group-commit interval: fsync every Nth step record (1 = every step, the strongest durability; N > 1 risks the last N-1 steps on a power cut, plus the one step whose fsync is in flight while the run computes)")
+	resume := flags.Bool("resume", false, "resume a killed run from -checkpoint and -journal at the exact committed step")
+	summaryPath := flags.String("summary", "", "write a machine-readable JSON run summary to this file")
+	cpuprofile := flags.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := flags.String("memprofile", "", "write a heap profile to this file on exit")
+	_ = flags.Parse(args) // ExitOnError: a bad flag exits 2 here
 
 	if *cpuprofile != "" {
 		//mdm:rawiook -- pprof profile: diagnostic output, lose-on-crash is fine
@@ -315,8 +238,6 @@ func run() (exit int) {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	// sim is reassigned after a restart; the deferred Free releases whichever
-	// simulation is live at exit and closes the journal behind it.
 	defer func() { _ = sim.Free() }()
 
 	// Graceful shutdown: the first signal stops the run on the next completed
@@ -365,44 +286,35 @@ func run() (exit int) {
 			}
 		}()
 	}
-	o := &runOpts{
-		nvt:         *nvt,
-		nve:         *nve,
-		ckptPath:    *ckpt,
-		ckptEvery:   *ckptEvery,
-		maxRestarts: *maxRestarts,
-		frame: func(sim *mdm.Simulation, stage string) error {
-			if traj == nil {
-				return nil
-			}
-			return md.WriteXYZ(traj, sim.System, stage)
-		},
-		logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
+	frame := func(stage string) error {
+		if traj == nil {
+			return nil
+		}
+		return md.WriteXYZ(traj, sim.System, stage)
 	}
 
 	start, startStep := time.Now(), sim.Integrator.StepCount()
-	if err := o.frame(sim, "initial"); err != nil {
+	if err := frame("initial"); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	var restarts int
-	sim, restarts, err = runProtocol(sim, o)
+	restarts, err := sim.Run(mdm.Protocol{
+		NVT:        *nvt,
+		NVE:        *nve,
+		Checkpoint: *ckpt,
+		Every:      *ckptEvery,
+		Restarts:   *maxRestarts,
+		AfterNVT:   func() error { return frame("after-nvt") },
+	})
 	status := "ok"
 	switch {
 	case err == nil:
 	case errors.Is(err, mdm.ErrInterrupted):
-		// Graceful shutdown: the interrupted step is sampled and its journal
-		// record durable; seal the run with a final checkpoint so -resume
-		// continues from it.
+		// Graceful shutdown: the interrupted step is sampled, its journal
+		// record durable, and Run sealed it with a checkpoint when -checkpoint
+		// is set, so -resume continues from it.
 		status = "interrupted"
-		o.logf("interrupted: stopping at completed step %d", sim.Integrator.StepCount())
-		if cerr := o.checkpoint(sim); cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-			status = "error"
-			exit = 1
-		}
+		fmt.Printf("interrupted: stopping at completed step %d\n", sim.Integrator.StepCount())
 	default:
 		fmt.Fprintln(os.Stderr, err)
 		if serr := writeSummary(*summaryPath, summarize(sim, "error", restarts, time.Since(start))); serr != nil {
@@ -410,7 +322,7 @@ func run() (exit int) {
 		}
 		return 1
 	}
-	if err := o.frame(sim, "final"); err != nil {
+	if err := frame("final"); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
@@ -438,8 +350,7 @@ func run() (exit int) {
 	fmt.Printf("wall clock: %.2f s total, %s ms/step for N=%d\n",
 		elapsed.Seconds(), msPerStep(elapsed, sim.Integrator.StepCount()-startStep), sim.N())
 	if status == "interrupted" {
-		fmt.Printf("status: interrupted at step %d; resume with -resume -checkpoint %s -journal %s\n",
-			sim.Integrator.StepCount(), *ckpt, *journal)
+		fmt.Println(resumeHint(sim.Integrator.StepCount(), *ckpt, *journal))
 	}
 	if err := writeSummary(*summaryPath, summarize(sim, status, restarts, elapsed)); err != nil {
 		fmt.Fprintln(os.Stderr, err)

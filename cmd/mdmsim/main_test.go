@@ -1,97 +1,57 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"mdm"
-	"mdm/internal/md"
 )
 
-// A fatal host fault mid-run must be healed by restarting from the last
-// periodic checkpoint, and the restarted run must finish the full protocol.
-func TestRunProtocolRestartsAfterFatalFault(t *testing.T) {
+// A fatal fault healed by an in-place restart leaves the same output as the
+// clean run: one after-nvt frame, and a summary that differs only in what
+// records the restart itself.
+func TestFatalRestartMatchesCleanRun(t *testing.T) {
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "run.ckpt")
-	sim, err := mdm.NewSimulation(mdm.Config{
-		Cells:     2,
-		Faults:    "run:fatal@step=35",
-		Supervise: mdm.SuperviseConfig{Journal: filepath.Join(dir, "run.wal")},
-	})
-	if err != nil {
-		t.Fatal(err)
+	invoke := func(name string, extra ...string) (xyz []byte, sum runSummary) {
+		t.Helper()
+		path := func(ext string) string { return filepath.Join(dir, name+ext) }
+		args := append([]string{"-cells", "2", "-nvt", "10", "-nve", "20", "-checkpoint-every", "5",
+			"-checkpoint", path(".ckpt"), "-xyz", path(".xyz"), "-summary", path(".json")}, extra...)
+		if code := run(args); code != 0 {
+			t.Fatalf("%s run exits %d", name, code)
+		}
+		xyz, err := os.ReadFile(path(".xyz"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path(".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &sum); err != nil {
+			t.Fatal(err)
+		}
+		return xyz, sum
 	}
-	var logs []string
-	o := &runOpts{
-		nvt:         20,
-		nve:         40,
-		ckptPath:    ckpt,
-		ckptEvery:   10,
-		maxRestarts: 2,
-		frame:       func(*mdm.Simulation, string) error { return nil },
-		logf:        func(f string, a ...any) { logs = append(logs, f) },
+	cleanXYZ, clean := invoke("clean")
+	faultXYZ, faulted := invoke("fault", "-faults", "run:fatal@step=25")
+	if n := bytes.Count(faultXYZ, []byte("after-nvt")); n != 1 {
+		t.Errorf("restarted run wrote %d after-nvt frames, want 1", n)
 	}
-	final, restarts, err := runProtocol(sim, o)
-	defer func() { _ = final.Free() }()
-	if err != nil {
-		t.Fatalf("protocol did not heal: %v", err)
+	if !bytes.Equal(faultXYZ, cleanXYZ) {
+		t.Error("restarted run's trajectory differs from the clean run's")
 	}
-	if restarts != 1 {
-		t.Errorf("restarts = %d, want 1", restarts)
+	if faulted.Restarts != 1 || faulted.Fault == nil {
+		t.Errorf("restarts %d, fault report %v; want one restart, reported", faulted.Restarts, faulted.Fault)
 	}
-	if len(logs) != 1 || !strings.Contains(logs[0], "restart") {
-		t.Errorf("restart not logged: %v", logs)
+	for _, s := range []*runSummary{&clean, &faulted} {
+		s.Restarts, s.WallSeconds, s.Fault, s.Commits, s.CommitStalls = 0, 0, nil, 0, 0
 	}
-	if got := final.Integrator.StepCount(); got != 60 {
-		t.Errorf("final step = %d, want 60", got)
-	}
-	if final == sim {
-		t.Error("restart did not rebuild the simulation")
-	}
-	// The last checkpoint records the completed run.
-	_, step, err := md.ReadCheckpointFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step != 60 {
-		t.Errorf("checkpoint step = %d, want 60", step)
-	}
-	rep, ok := final.FaultReport()
-	if !ok || rep.Fallback {
-		t.Errorf("fault report after restart: ok=%v rep=%+v", ok, rep)
-	}
-	// The pre-restart history (including the fatal) survives the restart.
-	if len(rep.Events) == 0 || !strings.Contains(strings.Join(rep.Events, "\n"), "fatal") {
-		t.Errorf("restart lost the recovery history: %v", rep.Events)
-	}
-	// So do the summary's commit counters: 33 steps journaled before the fatal
-	// (force evaluation 35, counting the initial one, belongs to step 34) and
-	// 30 more after the restart from the step-30 checkpoint.
-	if sum := summarize(final, "ok", restarts, 0); sum.Commits != 63 || sum.CommitStalls > sum.Commits {
-		t.Errorf("summary reports %d commits, %d stalls; want 63 commits and at most 63 stalls", sum.Commits, sum.CommitStalls)
-	}
-}
-
-// Without a checkpoint there is no restart point: the fatal fault must
-// surface instead of looping.
-func TestRunProtocolFatalWithoutCheckpointFails(t *testing.T) {
-	sim, err := mdm.NewSimulation(mdm.Config{
-		Cells:  2,
-		Faults: "run:fatal@step=5",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = sim.Free() }()
-	o := &runOpts{
-		nvt: 10, nve: 10, maxRestarts: 2,
-		frame: func(*mdm.Simulation, string) error { return nil },
-		logf:  func(string, ...any) {},
-	}
-	if _, _, err := runProtocol(sim, o); err == nil {
-		t.Fatal("fatal fault vanished without a checkpoint to restart from")
+	if faulted != clean {
+		t.Errorf("summary after a restart %+v, clean %+v", faulted, clean)
 	}
 }
 
@@ -113,6 +73,20 @@ func TestCheckFlags(t *testing.T) {
 	} {
 		if err := checkFlags(c.every, c.resume, c.ckpt, c.journal); (err == nil) != c.ok {
 			t.Errorf("checkFlags(every %d, resume %v, %q, %q) = %v, want ok=%v", c.every, c.resume, c.ckpt, c.journal, err, c.ok)
+		}
+	}
+}
+
+// An interrupted run names the -resume command only when it has both files
+// to resume from.
+func TestResumeHint(t *testing.T) {
+	want := "status: interrupted at step 7; resume with -resume -checkpoint run.ckpt -journal run.wal"
+	if got := resumeHint(7, "run.ckpt", "run.wal"); got != want {
+		t.Errorf("hint = %q, want %q", got, want)
+	}
+	for _, c := range [][2]string{{"", ""}, {"run.ckpt", ""}, {"", "run.wal"}} {
+		if got := resumeHint(7, c[0], c[1]); !strings.Contains(got, "cannot be resumed") || strings.Contains(got, "-resume") {
+			t.Errorf("hint without both files (%q, %q) = %q", c[0], c[1], got)
 		}
 	}
 }

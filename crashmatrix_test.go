@@ -18,10 +18,10 @@ import (
 // layer's durability contract; the per-operation semantics are unit-tested
 // in internal/store and internal/supervise.
 
-// The matrix protocol: 5 NVT + 3 NVE steps with a checkpoint commit (and the
-// journal rotation + compaction that ride on it) after step 3.
+// The matrix protocol: 5 NVT + 3 NVE steps driven by Run at a checkpoint
+// cadence of 3, so it commits checkpoints (and the journal rotation +
+// compaction that ride on them) after steps 3, 5 and 8.
 const (
-	cmCkptStep = 3
 	cmNVTSteps = 5
 	cmNVESteps = 3
 	cmLastStep = cmNVTSteps + cmNVESteps
@@ -39,31 +39,12 @@ func cmConfig(fsys store.FS) Config {
 	return cfg
 }
 
-// cmRunProtocol drives the matrix protocol from the start, returning the
-// first storage failure (the injected kill) unswallowed.
-func cmRunProtocol(sim *Simulation) error {
-	if err := sim.RunNVT(cmCkptStep); err != nil {
-		return err
-	}
-	if err := sim.WriteCheckpoint(cmCkptPath); err != nil {
-		return err
-	}
-	if err := sim.RunNVT(cmNVTSteps - cmCkptStep); err != nil {
-		return err
-	}
-	return sim.RunNVE(cmNVESteps)
-}
-
-// cmFinish completes the protocol from wherever a resume landed.
-func cmFinish(sim *Simulation) error {
-	step := sim.Integrator.StepCount()
-	if step < cmNVTSteps {
-		if err := sim.RunNVT(cmNVTSteps - step); err != nil {
-			return err
-		}
-		step = cmNVTSteps
-	}
-	return sim.RunNVE(cmLastStep - step)
+// cmRun drives the matrix protocol from wherever the simulation stands — the
+// start, or the step a resume landed on — returning the first storage
+// failure (the injected kill) unswallowed.
+func cmRun(sim *Simulation) error {
+	_, err := sim.Run(Protocol{NVT: cmNVTSteps, NVE: cmNVESteps, Checkpoint: cmCkptPath, Every: 3})
+	return err
 }
 
 // countHook tallies storage operations per class — the probe that sizes the
@@ -88,7 +69,7 @@ func cmReference(t *testing.T) (pos, vel []vec.V, ops map[string]int64) {
 		t.Fatal(err)
 	}
 	defer func() { _ = sim.Free() }()
-	if err := cmRunProtocol(sim); err != nil {
+	if err := cmRun(sim); err != nil {
 		t.Fatal(err)
 	}
 	if sim.Integrator.StepCount() != cmLastStep {
@@ -115,10 +96,10 @@ func cmRecover(t *testing.T, fs *store.FaultFS, cfg Config) *Simulation {
 			t.Fatalf("post-resume scan not healthy: %v\n%+v", serr, inv)
 		}
 		step := sim.Integrator.StepCount()
-		if step < cmCkptStep || step > cmLastStep-1 {
+		if step < 3 || step > cmLastStep {
 			t.Fatalf("resumed at implausible step %d", step)
 		}
-		if err := cmFinish(sim); err != nil {
+		if err := cmRun(sim); err != nil {
 			t.Fatalf("finish after resume at step %d: %v", step, err)
 		}
 		return sim
@@ -129,7 +110,7 @@ func cmRecover(t *testing.T, fs *store.FaultFS, cfg Config) *Simulation {
 	if err != nil {
 		t.Fatalf("fresh start after kill: %v", err)
 	}
-	if err := cmRunProtocol(sim); err != nil {
+	if err := cmRun(sim); err != nil {
 		t.Fatalf("fresh run after kill: %v", err)
 	}
 	return sim
@@ -179,6 +160,7 @@ func TestCrashMatrix(t *testing.T) {
 		scenarios = append(scenarios, fmt.Sprintf("store:crash-before-rename@rename=%d", n))
 	}
 
+	t.Logf("census %v: %d kill points", ops, len(scenarios))
 	for _, scenario := range scenarios {
 		t.Run(scenario, func(t *testing.T) {
 			in, err := fault.ParseInjector(scenario)
@@ -189,7 +171,7 @@ func TestCrashMatrix(t *testing.T) {
 			cfg := cmConfig(fs)
 			victim, err := NewSimulation(cfg)
 			if err == nil {
-				err = cmRunProtocol(victim)
+				err = cmRun(victim)
 				_ = victim.Free() // kill: the latched fs fails the close too
 			}
 			if err == nil {
@@ -217,7 +199,7 @@ func TestCrashMatrixMDMBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmRunProtocol(sim); err != nil {
+	if err := cmRun(sim); err != nil {
 		t.Fatal(err)
 	}
 	pos := append([]vec.V(nil), sim.System.Pos...)
@@ -226,7 +208,8 @@ func TestCrashMatrixMDMBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill at a journal append past the checkpoint; resume must replay.
+	// Kill at the last journal append, past the step-5 checkpoint; resume
+	// must replay. The final checkpoint is the last write.
 	writes := hook.ops["write"]
 	scenario := fmt.Sprintf("store:crash@write=%d", writes-1)
 	in, err := fault.ParseInjector(scenario)
@@ -238,7 +221,7 @@ func TestCrashMatrixMDMBackend(t *testing.T) {
 	cfg.Backend = BackendMDM
 	victim, err := NewSimulation(cfg)
 	if err == nil {
-		err = cmRunProtocol(victim)
+		err = cmRun(victim)
 		_ = victim.Free()
 	}
 	if err == nil {

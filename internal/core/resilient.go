@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"mdm/internal/ewald"
 	"mdm/internal/fault"
@@ -16,14 +15,11 @@ import (
 
 // Guards are the force-sanity thresholds that classify a completed step as
 // suspect. Non-finite forces or potentials are always rejected; the numeric
-// thresholds are opt-in (zero disables).
+// threshold is opt-in (zero disables).
 type Guards struct {
 	// MaxForce rejects a step whose largest force component magnitude
 	// exceeds it — the signature of a bit flip in a high exponent bit.
 	MaxForce float64
-	// MaxPotJump rejects a step whose potential moved more than this from
-	// the last accepted step — the energy-drift watchdog.
-	MaxPotJump float64
 }
 
 // RecoveryConfig tunes the Resilient recovery policy.
@@ -31,10 +27,7 @@ type RecoveryConfig struct {
 	// MaxRetries bounds per-step hardware retries. Zero means the default
 	// (3); negative disables retries.
 	MaxRetries int
-	// Backoff is the base delay before a retry; it doubles per attempt and
-	// is capped at one second. Zero retries immediately.
-	Backoff time.Duration
-	Guards  Guards
+	Guards     Guards
 	// Injector, when set, drives the fault schedule: Resilient advances its
 	// step clock and installs it as the hardware hook. It is also how the
 	// recovery loop is chaos-tested.
@@ -156,8 +149,8 @@ func (h *hardware) restripe(site fault.Site) (bool, error) {
 
 // Resilient wraps a hardware force path in the recovery policy of the
 // ISSUE's degradation ladder: sanity guards classify a completed step as
-// suspect; suspect or transiently-failed steps are retried with bounded
-// backoff; a board dropout marks the board dead and re-stripes the work
+// suspect; suspect or transiently-failed steps are retried within a bounded
+// budget; a board dropout marks the board dead and re-stripes the work
 // across the survivors; when no hardware capacity remains (or a step's
 // retry budget is spent) the calculation degrades to the host float64
 // reference path. Every transition is recorded in the RunReport.
@@ -169,14 +162,12 @@ func (h *hardware) restripe(site fault.Site) (bool, error) {
 // energy-shifted, so U steps by Σ u_ij(r_c) where a run switches over —
 // acceptable for a degraded mode.
 type Resilient struct {
-	rc      RecoveryConfig
-	hw      *hardware
-	p       ewald.Params
-	ref     *Reference
-	step    int
-	lastPot float64
-	havePot bool
-	report  RunReport
+	rc     RecoveryConfig
+	hw     *hardware
+	p      ewald.Params
+	ref    *Reference
+	step   int
+	report RunReport
 }
 
 // NewResilient builds the recovery layer over the single-process Machine.
@@ -291,21 +282,6 @@ func (r *Resilient) logf(format string, args ...any) {
 	r.report.Events = append(r.report.Events, fmt.Sprintf(format, args...))
 }
 
-// backoff sleeps before the n-th retry (n ≥ 1): Backoff·2^(n-1), capped at
-// one second.
-//
-//mdm:wallclockok -- retry backoff on the failure path only; the sleep paces recovery and never feeds simulation state
-func (r *Resilient) backoff(n int) {
-	if r.rc.Backoff <= 0 {
-		return
-	}
-	d := r.rc.Backoff << (n - 1)
-	if d > time.Second {
-		d = time.Second
-	}
-	time.Sleep(d)
-}
-
 // retryable reports whether an error is worth retrying on the same
 // hardware: transient chip errors, link errors, message-layer timeouts,
 // desyncs and cancellation echoes, and guard rejections (the flipped bit is
@@ -400,9 +376,6 @@ func (r *Resilient) suspectReason(f []vec.V, pot float64) string {
 	if g := r.rc.Guards.MaxForce; g > 0 && maxAbs > g {
 		return fmt.Sprintf("force spike %.3g > %.3g", maxAbs, g)
 	}
-	if g := r.rc.Guards.MaxPotJump; g > 0 && r.havePot && math.Abs(pot-r.lastPot) > g {
-		return fmt.Sprintf("potential jump %.3g > %.3g", math.Abs(pot-r.lastPot), g)
-	}
 	return ""
 }
 
@@ -415,12 +388,7 @@ func (r *Resilient) hostForces(s *md.System) ([]vec.V, float64, error) {
 		}
 		r.ref = ref
 	}
-	f, pot, err := r.ref.Forces(s)
-	if err == nil {
-		r.havePot = true
-		r.lastPot = pot
-	}
-	return f, pot, err
+	return r.ref.Forces(s)
 }
 
 // Forces implements md.ForceField with the full recovery ladder.
@@ -467,8 +435,6 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 				if br := r.rc.Breakers; br != nil {
 					br.OK(r.step)
 				}
-				r.havePot = true
-				r.lastPot = pot
 				return f, pot, nil
 			}
 		}
@@ -535,7 +501,6 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 			retries++
 			r.report.Retries++
 			r.logf("step %d: retry %d after %s", r.step, retries, classify(err))
-			r.backoff(retries)
 			continue
 		}
 		r.report.FallbackSteps++

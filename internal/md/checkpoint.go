@@ -15,17 +15,14 @@ import (
 // Checkpointing: the host computer's file-I/O duty (§3.1) for restartable
 // runs — the paper's 36.5-hour campaign would have been unrecoverable
 // without it. The format is versioned JSON of the complete dynamical state,
-// protected since version 2 by a CRC-32 so that a torn or bit-rotted file is
-// rejected instead of silently restarting a corrupted trajectory.
+// protected by a CRC-32 so that a torn or bit-rotted file is rejected
+// instead of silently restarting a corrupted trajectory.
 
-const (
-	// checkpointVersion is the format written today: version 1 plus a
-	// CRC-32C checksum over the payload.
-	checkpointVersion = 2
-	// oldCheckpointVersion is the checksum-less seed format, still accepted
-	// on read.
-	oldCheckpointVersion = 1
-)
+// checkpointVersion is the one format read and written: the state plus an
+// IEEE CRC-32 over the payload. The checksum-less version 1 is refused like
+// any unknown version, so no bit flip in the version digit turns the
+// checksum off.
+const checkpointVersion = 2
 
 // Typed checkpoint failures, matched with errors.Is so callers (the mdmsim
 // restart loop in particular) can tell a useless file from a wrong-format
@@ -51,7 +48,7 @@ type checkpoint struct {
 	Charge  []float64 `json:"charge"`
 	Type    []int     `json:"type"`
 	// Checksum is the IEEE CRC-32 of the record serialized with this field
-	// zeroed. Version 1 files predate it.
+	// zeroed.
 	Checksum uint32 `json:"crc32,omitempty"`
 }
 
@@ -97,9 +94,8 @@ func WriteCheckpoint(w io.Writer, s *System, step int) error {
 	return err
 }
 
-// ReadCheckpoint restores a System and its step counter. It accepts the
-// current checksummed format and the checksum-less version-1 files written
-// by earlier builds; failures carry ErrCheckpointTruncated,
+// ReadCheckpoint restores a System and its step counter from the current
+// checksummed format; failures carry ErrCheckpointTruncated,
 // ErrCheckpointCorrupt, or ErrCheckpointVersion.
 func ReadCheckpoint(r io.Reader) (*System, int, error) {
 	var cp checkpoint
@@ -109,20 +105,15 @@ func ReadCheckpoint(r io.Reader) (*System, int, error) {
 		}
 		return nil, 0, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 	}
-	switch cp.Version {
-	case oldCheckpointVersion:
-		// Seed format: no checksum to verify.
-	case checkpointVersion:
-		sum, err := payloadCRC(cp)
-		if err != nil {
-			return nil, 0, err
-		}
-		if sum != cp.Checksum {
-			return nil, 0, fmt.Errorf("%w: crc32 %08x, recorded %08x", ErrCheckpointCorrupt, sum, cp.Checksum)
-		}
-	default:
-		return nil, 0, fmt.Errorf("%w: version %d, want %d (or legacy %d)",
-			ErrCheckpointVersion, cp.Version, checkpointVersion, oldCheckpointVersion)
+	if cp.Version != checkpointVersion {
+		return nil, 0, fmt.Errorf("%w: version %d, want %d", ErrCheckpointVersion, cp.Version, checkpointVersion)
+	}
+	sum, err := payloadCRC(cp)
+	if err != nil {
+		return nil, 0, err
+	}
+	if sum != cp.Checksum {
+		return nil, 0, fmt.Errorf("%w: crc32 %08x, recorded %08x", ErrCheckpointCorrupt, sum, cp.Checksum)
 	}
 	s := &System{
 		L:      cp.L,

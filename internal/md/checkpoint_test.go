@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mdm/internal/vec"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -91,7 +93,11 @@ func TestCheckpointErrors(t *testing.T) {
 	if _, _, err := ReadCheckpoint(strings.NewReader(`{"version":99}`)); err == nil {
 		t.Error("wrong version accepted")
 	}
-	if _, _, err := ReadCheckpoint(strings.NewReader(`{"version":1,"l":10,"pos":[{}],"vel":[],"mass":[],"charge":[],"type":[]}`)); err == nil {
+	// One position, no velocities: checksummed correctly, invalid state.
+	incons := checkpoint{Version: checkpointVersion, L: 10, Pos: []vec.V{{}}}
+	incons.Checksum, _ = payloadCRC(incons)
+	b, _ := json.Marshal(incons)
+	if _, _, err := ReadCheckpoint(bytes.NewReader(b)); err == nil {
 		t.Error("inconsistent state accepted")
 	}
 	bad, _ := NewRockSalt(1, 5.64)
@@ -137,24 +143,23 @@ func TestCheckpointTypedErrors(t *testing.T) {
 	}
 }
 
-func TestCheckpointLegacyV1Accepted(t *testing.T) {
-	// Files from the checksum-less seed format must keep loading.
+// The version digit is no back door around the checksum: rot that turns it
+// from '2' (0x32) into '1' (0x31) and flips one payload bit must not restore
+// the corrupted state as a checksum-less version-1 record.
+func TestCheckpointVersionBitFlipRejected(t *testing.T) {
 	s, _ := NewRockSalt(2, 5.64)
 	s.SetMaxwellVelocities(700, 5)
-	legacy, err := json.Marshal(checkpoint{
-		Version: oldCheckpointVersion,
-		L:       s.L, Step: 42,
-		Pos: s.Pos, Vel: s.Vel, Mass: s.Mass, Charge: s.Charge, Type: s.Type,
-	})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, s, 42); err != nil {
 		t.Fatal(err)
 	}
-	restored, step, err := ReadCheckpoint(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
-	}
-	if step != 42 || restored.N() != s.N() {
-		t.Errorf("v1 restore: step %d, N %d", step, restored.N())
+	img := buf.Bytes()
+	v := bytes.Index(img, []byte(`"version":2`)) + len(`"version":`)
+	p := bytes.Index(img, []byte(`"step":42`)) + len(`"step":`)
+	img[v] ^= 0x03 // '2' → '1'
+	img[p] ^= 0x01 // '4' → '5': step 52
+	if _, _, err := ReadCheckpoint(bytes.NewReader(img)); !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("version and payload bit flips: err = %v, want ErrCheckpointVersion", err)
 	}
 }
 
@@ -211,5 +216,5 @@ func FuzzReadXYZ(f *testing.F) {
 	})
 }
 
-// FuzzReadCheckpoint lives in fuzz_test.go, alongside its v1/v2 seeds and
-// the write-and-reread round-trip property.
+// FuzzReadCheckpoint lives in fuzz_test.go, alongside its seeds and the
+// write-and-reread round-trip property.

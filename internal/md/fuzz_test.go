@@ -2,14 +2,12 @@ package md
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
-// FuzzReadCheckpoint drives the checkpoint decoder (current v2 format and
-// the legacy checksum-less v1) with arbitrary bytes. It must never panic,
-// and any state it accepts must be a valid dynamical system that survives a
-// write-and-reread round trip.
+// FuzzReadCheckpoint drives the checkpoint decoder with arbitrary bytes. It
+// must never panic, and any state it accepts must be a valid dynamical system
+// that survives a write-and-reread round trip.
 func FuzzReadCheckpoint(f *testing.F) {
 	sys, err := NewRockSalt(1, 5.64)
 	if err != nil {
@@ -21,18 +19,9 @@ func FuzzReadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
-	// A legacy v1 file: same payload, version 1, no checksum field.
-	var cp map[string]any
-	if err := json.Unmarshal(v2.Bytes(), &cp); err != nil {
-		f.Fatal(err)
-	}
-	cp["version"] = 1
-	delete(cp, "crc32")
-	v1, err := json.Marshal(cp)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append(v1, '\n'))
+	// A current image whose version digit rotted to 1: once a checksum-less
+	// format, now refused like any unknown version.
+	f.Add(bytes.Replace(v2.Bytes(), []byte(`"version":2`), []byte(`"version":1`), 1))
 	f.Add([]byte(`{"version":3,"l":5.64,"step":0}`))
 	f.Add([]byte(`{"version":2,"l":5.64,"step":0,"crc32":12345}`))
 	f.Add([]byte("{\"version\":2,\"l\":5.6"))

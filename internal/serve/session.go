@@ -252,7 +252,7 @@ func (m *Manager) runSession(s *Session) {
 	s.state = StateRunning
 	s.mu.Unlock()
 
-	err := m.runSegments(s)
+	err := m.simulate(s)
 	tick := m.tick.Add(1)
 
 	switch reason := s.stop.Load(); {
@@ -301,11 +301,12 @@ func (s *Session) finish(state, manState, errKind, errMsg string) {
 	}
 }
 
-// runSegments builds (or resumes) the simulation and advances it in
-// CheckpointEvery-step segments, committing a checkpoint and publishing
-// observables after each. Returns nil on completion, mdm.ErrInterrupted when
-// a stop request landed, or the underlying failure.
-func (m *Manager) runSegments(s *Session) error {
+// simulate builds (or resumes) the simulation and runs it to the spec's
+// goal through mdm's run loop in CheckpointEvery-step segments, with no
+// restart budget: a fatal fault fails the session. Returns nil on
+// completion, mdm.ErrInterrupted when a stop request landed, or the
+// underlying failure.
+func (m *Manager) simulate(s *Session) error {
 	cfg, err := s.simConfig()
 	if err != nil {
 		return err
@@ -346,47 +347,26 @@ func (m *Manager) runSegments(s *Session) error {
 		}
 	}
 
+	// Every checkpoint commit — after each segment, including the partial
+	// segment a stop request ends — publishes the steps, the samples and the
+	// commit counters; the tally after Run covers a segment that failed.
 	var commits, stalls int64 // the CommitStats already tallied for /metrics
-	done := sim.Integrator.StepCount()
-	s.setSteps(done)
-	if done >= s.Spec.Steps {
-		// The resume replayed the journal tail right up to the goal: no steps
-		// remain, but the durable checkpoint still predates the tail. Commit a
-		// final checkpoint so the on-disk image matches the finished state.
-		if err := sim.WriteCheckpoint(s.ckptPath()); err != nil {
-			return err
-		}
-		s.publish(sim.Records())
-		return nil
-	}
-	for done < s.Spec.Steps {
-		n := m.cfg.CheckpointEvery
-		if rest := s.Spec.Steps - done; rest < n {
-			n = rest
-		}
-		runErr := sim.RunNVT(n)
+	tally := func() {
 		c, st := sim.CommitStats()
 		m.commits.Add(c - commits)
 		m.commitStalls.Add(st - stalls)
 		commits, stalls = c, st
-		done = sim.Integrator.StepCount()
-		s.setSteps(done)
-		if runErr != nil && !errors.Is(runErr, mdm.ErrInterrupted) {
-			return runErr
-		}
-		// Commit what ran — including the partial segment an interrupt
-		// leaves — so a pause, drain or restart resumes from the last
-		// committed step without journal replay from the previous
-		// checkpoint.
-		if err := sim.WriteCheckpoint(s.ckptPath()); err != nil {
-			return err
-		}
-		s.publish(sim.Records())
-		if runErr != nil {
-			return runErr
-		}
+		s.setSteps(sim.Integrator.StepCount())
 	}
-	return nil
+	tally()
+	_, err = sim.Run(mdm.Protocol{
+		NVT:        s.Spec.Steps,
+		Checkpoint: s.ckptPath(),
+		Every:      m.cfg.CheckpointEvery,
+		Committed:  func() { tally(); s.publish(sim.Records()) },
+	})
+	tally()
+	return err
 }
 
 // hasCheckpoint reports whether a durable checkpoint image exists. Only its

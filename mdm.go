@@ -43,8 +43,8 @@ import (
 
 // ErrInterrupted reports a run stopped by the interrupt check installed with
 // SetInterrupt. The interrupted step is complete: its state is sampled and,
-// when a journal is configured, durable by the time the run returns, so the
-// caller can checkpoint and later resume exactly where the run stopped.
+// when a journal is configured, durable by the time the run returns, so Run
+// checkpoints it and a later resume continues exactly where the run stopped.
 var ErrInterrupted = errors.New("mdm: run interrupted")
 
 // Backend selects which engine evaluates forces.
@@ -98,10 +98,6 @@ type Config struct {
 	// faults and the same FaultReport.
 	Faults string
 
-	// MaxRetries bounds per-step hardware retries under a fault scenario
-	// (default 3; negative disables retries).
-	MaxRetries int
-
 	// Workers is the host worker-pool width the MDM backend uses to stripe
 	// the simulated WINE-2/MDGRAPE-2 pipelines across OS threads (0 =
 	// runtime.GOMAXPROCS(0), 1 = serial). Any width produces bit-identical
@@ -143,9 +139,9 @@ type Config struct {
 	WaveRanks int
 
 	// Supervise enables long-run supervision on the MDM backend: a watchdog
-	// over the simulated hardware, circuit breakers over boards and sites,
-	// and a write-ahead step journal. The zero value disables all of it and
-	// costs nothing on the force path.
+	// over the simulated hardware, with circuit breakers over boards and
+	// sites riding on it, and a write-ahead step journal. The zero value
+	// disables all of it and costs nothing on the force path.
 	Supervise SuperviseConfig
 
 	// fsys overrides the storage layer for checkpoint and journal I/O (nil =
@@ -184,7 +180,11 @@ func (c Config) journalOptions() supervise.Options {
 type SuperviseConfig struct {
 	// Watchdog is the stall deadline for a single hardware call (0 disables
 	// the watchdog). A call silent for this long is interrupted and fed to
-	// the recovery ladder as a retryable stall.
+	// the recovery ladder as a retryable stall. A watchdog also arms the
+	// circuit breakers at the internal/supervise defaults: a board or site
+	// failing 3 times within 20 steps is opened — a board is quarantined by
+	// re-striping, a site is served by the host path until a half-open probe
+	// succeeds.
 	Watchdog time.Duration
 
 	// Journal is the path of the write-ahead step journal ("" disables
@@ -202,22 +202,12 @@ type SuperviseConfig struct {
 	// is in progress one more completed step may be awaiting its fsync — the
 	// one overlapping the next force evaluation. Checkpoints always flush.
 	SyncEvery int
-
-	// BreakerTrip, BreakerWindow and BreakerCooldown tune the circuit
-	// breakers (0 = package defaults): a board or site failing BreakerTrip
-	// times within BreakerWindow steps is opened — a board is quarantined by
-	// re-striping, a site is served by the host path until a half-open probe
-	// after BreakerCooldown steps succeeds.
-	BreakerTrip     int
-	BreakerWindow   int
-	BreakerCooldown int
 }
 
-// enabled reports whether any supervision feature requiring the recovery
-// layer is on (the journal alone works with the plain machine).
-func (sc SuperviseConfig) enabled() bool {
-	return sc.Watchdog > 0 || sc.BreakerTrip > 0 || sc.BreakerWindow > 0 || sc.BreakerCooldown > 0
-}
+// enabled reports whether the supervision that needs the recovery layer —
+// the watchdog and its breakers — is on (the journal alone works with the
+// plain machine).
+func (sc SuperviseConfig) enabled() bool { return sc.Watchdog > 0 }
 
 func (c *Config) fillDefaults() {
 	if c.Cells == 0 {
@@ -343,23 +333,11 @@ func newForceField(cfg Config, p ewald.Params, in *fault.Injector) (core.Engine,
 			return nil, nil, nil, fmt.Errorf("mdm: fault scenario: %w", err)
 		}
 	}
-	var rc core.RecoveryConfig
+	rc := core.RecoveryConfig{Injector: in}
 	recovered := in != nil || cfg.Supervise.enabled()
-	if recovered {
-		rc = core.RecoveryConfig{
-			MaxRetries: cfg.MaxRetries,
-			Injector:   in,
-		}
-		if d := cfg.Supervise.Watchdog; d > 0 {
-			rc.Watchdog = supervise.NewWatchdog(d)
-		}
-		if cfg.Supervise.enabled() {
-			rc.Breakers = supervise.NewBreakerSet(supervise.BreakerConfig{
-				Trip:     cfg.Supervise.BreakerTrip,
-				Window:   cfg.Supervise.BreakerWindow,
-				Cooldown: cfg.Supervise.BreakerCooldown,
-			})
-		}
+	if cfg.Supervise.enabled() {
+		rc.Watchdog = supervise.NewWatchdog(cfg.Supervise.Watchdog)
+		rc.Breakers = supervise.NewBreakerSet(supervise.BreakerConfig{})
 	}
 	var world *mpi.World
 	nReal, nWave := cfg.Ranks, max(cfg.WaveRanks, 1)
@@ -406,35 +384,47 @@ func newSimulation(cfg Config, sys *md.System, step int, in *fault.Injector) (*S
 	if err != nil {
 		return nil, err
 	}
-	sim := &Simulation{cfg: cfg, p: p, System: sys, Recorder: &md.Recorder{}}
-	var ff md.ForceField
-	if cfg.Backend == BackendReference {
-		ff, err = core.NewReference(p)
-	} else {
-		sim.engine, sim.resilient, sim.injector, err = newForceField(cfg, p, in)
-		ff = sim.engine
-	}
-	if err != nil {
-		return nil, err
-	}
-	if sim.engine != nil {
-		// Align the engine's step clock with the simulation step, so
-		// step-keyed fault events land where the scenario says and the
-		// potential is evaluated on the steps an uninterrupted run evaluates.
-		sim.engine.SetStep(step)
-	}
-	it, err := md.NewIntegrator(sys, ff, cfg.Dt)
-	if err != nil {
-		return nil, err
-	}
-	it.SetStepCount(step)
 	obs, err := core.NewReference(p)
 	if err != nil {
 		return nil, err
 	}
-	sim.Integrator, sim.obs = it, obs
-	sim.Recorder.Sample(it)
+	sim := &Simulation{cfg: cfg, p: p, Recorder: &md.Recorder{}, injector: in, obs: obs}
+	if err := sim.build(sys, step); err != nil {
+		return nil, err
+	}
+	sim.Recorder.Sample(sim.Integrator)
 	return sim, nil
+}
+
+// build installs sys at step behind a fresh force engine and integrator — the
+// construction a new run, a resume and an in-place restart share. The
+// simulation's injector is reused, so events that already fired stay
+// consumed.
+func (s *Simulation) build(sys *md.System, step int) error {
+	var ff md.ForceField
+	var err error
+	if s.cfg.Backend == BackendReference {
+		ff, err = core.NewReference(s.p)
+	} else {
+		s.engine, s.resilient, s.injector, err = newForceField(s.cfg, s.p, s.injector)
+		ff = s.engine
+	}
+	if err != nil {
+		return err
+	}
+	if s.engine != nil {
+		// Align the engine's step clock with the simulation step, so
+		// step-keyed fault events land where the scenario says and the
+		// potential is evaluated on the steps an uninterrupted run evaluates.
+		s.engine.SetStep(step)
+	}
+	it, err := md.NewIntegrator(sys, ff, s.cfg.Dt)
+	if err != nil {
+		return err
+	}
+	it.SetStepCount(step)
+	s.System, s.Integrator = sys, it
+	return nil
 }
 
 // NewSimulation builds the crystal, assigns Maxwell–Boltzmann velocities and
@@ -460,46 +450,6 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 			return nil, fmt.Errorf("mdm: journal: %w", err)
 		}
 		sim.attachJournal(j)
-	}
-	return sim, nil
-}
-
-// ResumeSimulation rebuilds a run from checkpointed state — the mdmsim
-// restart path after a fatal fault. prev is freed; its fault injector (with
-// already-fired events consumed, so a one-shot fatal does not refire) carries
-// over to the resumed run, and step clocks are positioned at the checkpoint
-// step so step-keyed events and the time axis line up.
-func ResumeSimulation(prev *Simulation, sys *md.System, step int) (*Simulation, error) {
-	in := prev.injector
-	check := prev.interrupt
-	jpath := ""
-	if prev.journal != nil {
-		jpath = prev.journal.Path()
-	}
-	prevRep, hadRep := prev.FaultReport()
-	if err := prev.Free(); err != nil {
-		return nil, err
-	}
-	sim, err := newSimulation(prev.cfg, sys, step, in)
-	if err != nil {
-		return nil, err
-	}
-	if sim.resilient != nil && hadRep {
-		// Recovery history survives the restart.
-		sim.resilient.AdoptReport(prevRep)
-	}
-	sim.interrupt = check
-	if jpath != "" {
-		// Rewind the journal to the checkpoint step: the restarted timeline
-		// re-executes — and re-journals — everything after it.
-		j, err := rewindJournal(prev.cfg, jpath, step)
-		if err != nil {
-			_ = sim.Free()
-			return nil, err
-		}
-		sim.attachJournal(j)
-		// Like the recovery history, the commit counters survive the restart.
-		sim.commit.commits, sim.commit.stalls = prev.CommitStats()
 	}
 	return sim, nil
 }
@@ -712,8 +662,7 @@ func storeValidators() store.Validators {
 // directory fsync — the journal stays bounded over a long campaign instead of
 // growing one record per step forever. Any commit still in flight is joined
 // first, so no step is checkpointed ahead of its journal record. This is the
-// durable commit point of a supervised run; mdmsim calls it at every
-// -checkpoint-every boundary.
+// durable commit point of a supervised run; Run calls it after every segment.
 func (s *Simulation) WriteCheckpoint(path string) error {
 	if err := s.commit.join(); err != nil {
 		return err
@@ -727,6 +676,142 @@ func (s *Simulation) WriteCheckpoint(path string) error {
 			return fmt.Errorf("mdm: journal turnover: %w", err)
 		}
 	}
+	return nil
+}
+
+// Protocol is the schedule Run drives: the paper's §5 run of velocity-scaled
+// NVT to step NVT, then NVE to step NVT+NVE.
+type Protocol struct {
+	NVT, NVE int
+
+	// Checkpoint is the checkpoint path ("" = no checkpoints, and so no
+	// restarts). With a checkpoint, Every bounds a segment to that many
+	// steps; without one, or at 0, a stage is one segment. A segment never
+	// crosses the NVT→NVE boundary.
+	Checkpoint string
+	Every      int
+
+	// Restarts is how many fatal faults Run heals by restarting in place from
+	// the last checkpoint.
+	Restarts int
+
+	// AfterNVT, when set, runs once, the first time the step count stands at
+	// the NVT goal. Committed, when set, runs after every checkpoint commit.
+	AfterNVT  func() error
+	Committed func()
+}
+
+// Run advances the simulation through p from wherever its step count stands
+// — the one driver of mdmsim and the serving daemon. Every segment ends in a
+// checkpoint commit, including the partial segment an interrupt ends, so
+// ErrInterrupted leaves a run that resumes at the step it stopped on. A
+// fault.FatalError is healed, while p.Restarts lasts, by an in-place restart
+// from the last checkpoint, which a run with restarts to spend commits
+// before its first step. A run already at its goal commits the state it
+// stands at. Run returns the restarts it made.
+func (s *Simulation) Run(p Protocol) (restarts int, err error) {
+	commit := func() error {
+		if p.Checkpoint == "" {
+			return nil
+		}
+		if err := s.WriteCheckpoint(p.Checkpoint); err != nil {
+			return err
+		}
+		if p.Committed != nil {
+			p.Committed()
+		}
+		return nil
+	}
+	if p.Restarts > 0 || s.Integrator.StepCount() >= p.NVT+p.NVE {
+		if err := commit(); err != nil {
+			return 0, err
+		}
+	}
+	afterNVT := p.AfterNVT
+	for {
+		step := s.Integrator.StepCount()
+		if step == p.NVT && afterNVT != nil {
+			if err := afterNVT(); err != nil {
+				return restarts, err
+			}
+			afterNVT = nil
+		}
+		run, goal := s.RunNVT, p.NVT
+		if step >= p.NVT {
+			run, goal = s.RunNVE, p.NVT+p.NVE
+		}
+		n := goal - step
+		if n <= 0 {
+			return restarts, nil
+		}
+		if p.Checkpoint != "" && p.Every > 0 {
+			n = min(n, p.Every)
+		}
+		runErr := run(n)
+		var fe *fault.FatalError
+		if errors.As(runErr, &fe) && p.Checkpoint != "" && restarts < p.Restarts {
+			restarts++
+			if err := s.restart(p.Checkpoint, restarts); err != nil {
+				return restarts, fmt.Errorf("mdm: restart after %v: %w", fe, err)
+			}
+			continue
+		}
+		if runErr != nil && !errors.Is(runErr, ErrInterrupted) {
+			return restarts, runErr
+		}
+		if err := commit(); err != nil {
+			return restarts, err
+		}
+		if runErr != nil {
+			return restarts, runErr
+		}
+	}
+}
+
+// restart rebuilds the run in place from the checkpoint at path after its
+// n-th fatal fault. Only the system, engine and integrator are rebuilt, at
+// the checkpoint step; the records and journal records after it are dropped.
+// The injector (its fired events stay consumed, so the fatal does not
+// refire), the interrupt check, the recovery report and the commit counters
+// carry over, so the finished run reads as the uninterrupted one.
+func (s *Simulation) restart(path string, n int) error {
+	sys, step, err := md.ReadCheckpointFS(s.cfg.storeFS(), path)
+	if err != nil {
+		return err
+	}
+	if j := s.journal; j != nil {
+		// The restarted timeline re-executes, and re-journals, everything
+		// after the checkpoint. The committer restarts with its counters.
+		commits, stalls := s.CommitStats()
+		s.journal = nil
+		if err := errors.Join(s.commit.stop(), j.Close()); err != nil {
+			return err
+		}
+		if j, err = rewindJournal(s.cfg, j.Path(), step); err != nil {
+			return err
+		}
+		s.attachJournal(j)
+		s.commit.commits, s.commit.stalls = commits, stalls
+	}
+	rep, hasRep := s.FaultReport()
+	if eng := s.engine; eng != nil {
+		s.engine = nil // Free must not release it a second time
+		if err := eng.Free(); err != nil {
+			return err
+		}
+	}
+	if err := s.build(sys, step); err != nil {
+		return err
+	}
+	if hasRep {
+		rep.Events = append(rep.Events, fmt.Sprintf("restart %d from the checkpoint at step %d", n, step))
+		s.resilient.AdoptReport(rep)
+	}
+	recs := s.Recorder.Records
+	for len(recs) > 0 && recs[len(recs)-1].Step > step {
+		recs = recs[:len(recs)-1]
+	}
+	s.Recorder.Records = recs
 	return nil
 }
 
@@ -915,7 +1000,7 @@ func (c *committer) stop() error {
 
 // SetInterrupt installs a check polled after every completed step; when it
 // returns true the running segment stops with ErrInterrupted. The check
-// survives ResumeSimulation restarts. mdmsim uses it to turn SIGINT/SIGTERM
+// survives Run's in-place restarts. mdmsim uses it to turn SIGINT/SIGTERM
 // into a graceful shutdown: finish the step, join its commit, checkpoint.
 func (s *Simulation) SetInterrupt(check func() bool) { s.interrupt = check }
 

@@ -1,15 +1,12 @@
 package mdm
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"mdm/internal/md"
 )
 
 func TestBackendString(t *testing.T) {
@@ -64,7 +61,6 @@ func TestConfigCapabilities(t *testing.T) {
 		{"mdm/ranks", Config{Ranks: 2}, ""},
 		{"mdm/faults", Config{Faults: "mdg:transient@call=2"}, ""},
 		{"mdm/watchdog", Config{Supervise: SuperviseConfig{Watchdog: 30 * time.Second}}, ""},
-		{"mdm/breaker", Config{Supervise: SuperviseConfig{BreakerTrip: 3}}, ""},
 		{"mdm/journal-only", Config{Supervise: SuperviseConfig{Journal: filepath.Join(dir, "mdm.wal")}}, ""},
 		{"mdm/negative-ranks", Config{Ranks: -1}, "negative rank count"},
 		{"mdm/negative-wave-ranks", Config{Ranks: 2, WaveRanks: -1}, "negative rank count"},
@@ -74,7 +70,6 @@ func TestConfigCapabilities(t *testing.T) {
 		{"reference/ranks", Config{Backend: BackendReference, Ranks: 2}, needsRanks},
 		{"reference/faults", Config{Backend: BackendReference, Faults: "mdg:hang@step=4"}, needsFaults},
 		{"reference/watchdog", Config{Backend: BackendReference, Supervise: SuperviseConfig{Watchdog: 250 * time.Millisecond}}, needsSupervise},
-		{"reference/breaker", Config{Backend: BackendReference, Supervise: SuperviseConfig{BreakerTrip: 3}}, needsSupervise},
 		{"reference/pipeline", Config{Backend: BackendReference, Pipeline: true}, needsMachine},
 		{"reference/skin", Config{Backend: BackendReference, Skin: 0.5}, needsMachine},
 		{"reference/wave-ranks-without-ranks", Config{Backend: BackendReference, WaveRanks: 1}, needsDecomp},
@@ -174,10 +169,10 @@ func TestMDMSimulationRuns(t *testing.T) {
 }
 
 // TestResumeKeepsPotentialCadence pins the potential cadence to the
-// simulation step: a run resumed at step 15 evaluates the potential there
-// once (the value in force is in no checkpoint) and then on the steps an
-// uninterrupted run evaluates it, so from the first multiple of
-// PotentialEvery after the resume the two report the same records.
+// simulation step: a run restarted in place at step 15 evaluates the
+// potential there once (the value in force is in no checkpoint) and then on
+// the steps an uninterrupted run evaluates it, so from the first multiple of
+// PotentialEvery after the restart the two report the same records.
 func TestResumeKeepsPotentialCadence(t *testing.T) {
 	const before, after = 15, 10
 	for _, ranks := range []int{0, 2} {
@@ -193,39 +188,28 @@ func TestResumeKeepsPotentialCadence(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				first, err := NewSimulation(cfg)
+				// A fatal fault in step 17 sends the run back to the
+				// checkpoint Run committed at step 15.
+				cfg.Faults = "run:fatal@step=18"
+				restarted, err := NewSimulation(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := first.RunNVE(before); err != nil {
-					t.Fatal(err)
-				}
-				var ckpt bytes.Buffer
-				if err := md.WriteCheckpoint(&ckpt, first.System, first.Integrator.StepCount()); err != nil {
-					t.Fatal(err)
-				}
-				sys, step, err := md.ReadCheckpoint(&ckpt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resumed, err := ResumeSimulation(first, sys, step)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() { _ = resumed.Free() }()
-				if err := resumed.RunNVE(after); err != nil {
-					t.Fatal(err)
+				defer func() { _ = restarted.Free() }()
+				p := Protocol{NVE: before + after, Checkpoint: filepath.Join(t.TempDir(), "run.ckpt"), Every: before, Restarts: 1}
+				if n, err := restarted.Run(p); err != nil || n != 1 {
+					t.Fatalf("Run = %d restarts, %v; want 1, nil", n, err)
 				}
 
 				aligned := (before + every - 1) / every * every
 				want := whole.Records()[aligned:]
-				got := resumed.Records()[aligned-before:]
+				got := restarted.Records()[aligned:]
 				if len(got) != len(want) || len(got) == 0 {
-					t.Fatalf("resumed run has %d records from step %d on, uninterrupted %d", len(got), aligned, len(want))
+					t.Fatalf("restarted run has %d records from step %d on, uninterrupted %d", len(got), aligned, len(want))
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Errorf("step %d: resumed %+v, uninterrupted %+v", want[i].Step, got[i], want[i])
+						t.Errorf("step %d: restarted %+v, uninterrupted %+v", want[i].Step, got[i], want[i])
 					}
 				}
 			})

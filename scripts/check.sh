@@ -28,6 +28,23 @@ go run ./cmd/mdmvet -audit >/dev/null
 echo "==> go test ./..."
 go test ./...
 
+echo "==> make race / make chaos -run selectors (every alternative names a test in the packages it runs over)"
+# Join the recipes' continuation lines, keep the `go test ... -run REGEX PKGS`
+# commands, and list each command's tests once.
+make -n race chaos | sed -e ':a' -e '/\\$/N' -e 's/\\\n//' -e 'ta' | grep -e ' -run ' |
+while IFS= read -r cmd; do
+    regex=$(echo "$cmd" | sed -e "s/.* -run '\{0,1\}\([^' ]*\)'\{0,1\} .*/\1/")
+    pkgs=$(echo "$cmd" | sed -e "s/.* -run '\{0,1\}[^' ]*'\{0,1\} //")
+    # shellcheck disable=SC2086 # pkgs is a word list
+    tests=$(go test -list . $pkgs | grep -E '^(Test|Fuzz|Benchmark|Example)')
+    for alt in $(echo "$regex" | tr '|' ' '); do
+        if ! echo "$tests" | grep -qE -e "$alt"; then
+            echo "-run alternative '$alt' matches no test in: $pkgs" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> make race (concurrency-bearing packages under the race detector)"
 make race
 
