@@ -1,9 +1,9 @@
 # Standard entry points; `make check` is the gate CI runs. The -race package
 # list, the chaos -run regex, the fuzz targets, the kernel micro-benchmark
-# packages and the smoke gate's flags live here only: scripts/check.sh and CI
-# call `make race` / `make chaos` / `make fuzz-smoke` / `make bench-build` /
-# `make bench-smoke`, and scripts/check.sh fails when an alternative of a
-# `make race` / `make chaos` -run regex names no test in its packages.
+# packages and the smoke gate's flags live here only: scripts/check.sh calls
+# `make race` / `make chaos` / `make fuzz-smoke` / `make bench-build` /
+# `make bench-smoke`, and fails when an alternative of a `make race` /
+# `make chaos` -run regex names no test in its packages.
 
 GO ?= go
 
@@ -38,7 +38,7 @@ vet:
 	$(GO) vet ./...
 
 mdmvet:
-	$(GO) run ./cmd/mdmvet -baseline mdmvet.baseline ./...
+	$(GO) run ./cmd/mdmvet ./...
 
 audit:
 	$(GO) run ./cmd/mdmvet -audit

@@ -102,7 +102,6 @@ func run() int {
 	defer sd.Stop()
 
 	serveErr := make(chan error, 1)
-	//mdm:gojoinok -- HTTP accept loop: joined via serveErr after srv.Close below
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	select {

@@ -1,13 +1,11 @@
 // Machine-consumable output for mdmvet: a flat JSON finding list, SARIF
-// 2.1.0 for code-scanning uploads, GitHub workflow-command annotations, and
-// the baseline file enabling incremental adoption of new analyzers.
+// 2.1.0 for code-scanning uploads, and GitHub workflow-command annotations.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -16,7 +14,7 @@ import (
 )
 
 // A Finding is one diagnostic with a module-relative path — the unit of the
-// JSON output and of baseline matching.
+// JSON, SARIF and annotation output.
 type Finding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"` // slash-separated, relative to the module root
@@ -153,80 +151,4 @@ func emitSARIF(w io.Writer, suite []*analyzers.Analyzer, findings []Finding) err
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(buildSARIF(suite, findings))
-}
-
-//
-// Baseline: a checked-in list of accepted findings, matched by analyzer,
-// file and message (line numbers excluded so unrelated edits don't churn
-// it). New findings fail the build; baselined ones are reported as skipped.
-//
-
-type baselineFile struct {
-	Comment  string          `json:"comment,omitempty"`
-	Findings []baselineEntry `json:"findings"`
-}
-
-type baselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-}
-
-func baselineKey(analyzer, file, message string) string {
-	return analyzer + "\x00" + file + "\x00" + message
-}
-
-// readBaseline loads the baseline set, mapping each entry to its match key.
-func readBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	set := make(map[string]bool, len(bf.Findings))
-	for _, e := range bf.Findings {
-		set[baselineKey(e.Analyzer, e.File, e.Message)] = true
-	}
-	return set, nil
-}
-
-// writeBaseline records the current findings as the accepted baseline.
-func writeBaseline(path string, findings []Finding) error {
-	bf := baselineFile{
-		Comment: "mdmvet baseline: accepted findings for incremental adoption; regenerate with mdmvet -write-baseline " + filepath.Base(path),
-	}
-	for _, f := range findings {
-		bf.Findings = append(bf.Findings, baselineEntry{Analyzer: f.Analyzer, File: f.File, Message: f.Message})
-	}
-	sort.Slice(bf.Findings, func(i, j int) bool {
-		a, b := bf.Findings[i], bf.Findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	//mdm:rawiook -- baseline file: regenerated with -write-baseline, not durable run state
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// splitBaseline partitions findings into kept (new) and skipped (baselined).
-func splitBaseline(findings []Finding, baseline map[string]bool) (kept, skipped []Finding) {
-	for _, f := range findings {
-		if baseline[baselineKey(f.Analyzer, f.File, f.Message)] {
-			skipped = append(skipped, f)
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	return kept, skipped
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,31 +80,6 @@ func TestSARIFRoundTrip(t *testing.T) {
 		if line := loc["region"].(map[string]any)["startLine"].(float64); line < 1 {
 			t.Errorf("result %d startLine = %v, want >= 1", i, line)
 		}
-	}
-}
-
-// TestBaselineRoundTrip writes a baseline, reads it back, and checks that
-// splitBaseline skips exactly the recorded findings — including at a
-// different line number, since baselines match (analyzer, file, message).
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mdmvet.baseline")
-	recorded := sampleFindings()
-	if err := writeBaseline(path, recorded); err != nil {
-		t.Fatal(err)
-	}
-	set, err := readBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := recorded[0]
-	moved.Line += 100 // unrelated edits shift lines; the baseline must still match
-	fresh := Finding{Analyzer: "hotalloc", File: "internal/core/machine.go", Line: 7, Message: "new finding"}
-	kept, skipped := splitBaseline([]Finding{moved, recorded[1], fresh}, set)
-	if len(skipped) != 2 {
-		t.Errorf("skipped %d findings, want 2: %v", len(skipped), skipped)
-	}
-	if len(kept) != 1 || kept[0].Analyzer != "hotalloc" {
-		t.Errorf("kept = %v, want just the fresh hotalloc finding", kept)
 	}
 }
 

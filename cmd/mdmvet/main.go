@@ -6,7 +6,6 @@
 //	go run ./cmd/mdmvet -run fixedformat,mpitags ./internal/...
 //	go run ./cmd/mdmvet -json ./...              # machine-readable findings
 //	go run ./cmd/mdmvet -sarif -o out.sarif ./...
-//	go run ./cmd/mdmvet -baseline mdmvet.baseline ./...
 //	go run ./cmd/mdmvet -audit                   # suppression-comment hygiene
 //	go run ./cmd/mdmvet -stepflow ./...          # dump the hot-path fact set
 //
@@ -46,8 +45,6 @@ func run(args []string) int {
 	jsonOut := fs.Bool("json", false, "emit findings as JSON instead of text")
 	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 instead of text")
 	outPath := fs.String("o", "", "write the -json/-sarif report to this file (default stdout)")
-	baselinePath := fs.String("baseline", "", "skip findings recorded in this baseline file")
-	writeBaselinePath := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	github := fs.Bool("github", false, "also print GitHub workflow-command annotations for findings")
 	audit := fs.Bool("audit", false, "list every //mdm:* suppression in the tree and fail on missing justifications")
 	stepflow := fs.Bool("stepflow", false, "print the stepflow fact set (hot-path functions) and exit")
@@ -112,27 +109,6 @@ func run(args []string) int {
 	for _, pkg := range pkgs {
 		for _, d := range analyzers.RunPackageFacts(pkg, suite, facts) {
 			findings = append(findings, newFinding(root, d))
-		}
-	}
-
-	if *writeBaselinePath != "" {
-		if err := writeBaseline(*writeBaselinePath, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "mdmvet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "mdmvet: wrote %d finding(s) to %s\n", len(findings), *writeBaselinePath)
-		return 0
-	}
-	if *baselinePath != "" {
-		baseline, err := readBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdmvet: %v\n", err)
-			return 2
-		}
-		var skipped []Finding
-		findings, skipped = splitBaseline(findings, baseline)
-		if len(skipped) > 0 {
-			fmt.Fprintf(os.Stderr, "mdmvet: %d baselined finding(s) skipped\n", len(skipped))
 		}
 	}
 

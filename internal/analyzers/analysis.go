@@ -17,11 +17,6 @@
 //	unitsmix    — values from different internal/units helpers must not be
 //	              mixed additively, and unit constants must not be
 //	              re-hardcoded as literals
-//	goroutineloop — goroutines launched in a loop must not capture the
-//	              loop variable in their closures
-//	recvwithin  — production code must use the bounded mpi receive forms
-//	              (RecvWithin, RecvFloat64sWithin, BarrierWithin) or a
-//	              world deadline, so a wedged peer cannot block forever
 //	gojoin      — launched goroutines must signal completion (channel send,
 //	              close, or WaitGroup Done/Wait) so the launcher can join
 //	              them and collect their errors
@@ -260,8 +255,7 @@ func RunPackageFacts(pkg *load.Package, analyzers []*Analyzer, facts *Facts) []D
 // output via RunPackageFacts.
 func All() []*Analyzer {
 	return []*Analyzer{
-		FixedFormat, SinglePrec, MPITags, UnitsMix, GoroutineLoop, RecvWithin, GoJoin, RawIO,
-		HTTPDeadline,
+		FixedFormat, SinglePrec, MPITags, UnitsMix, GoJoin, RawIO, HTTPDeadline,
 		MapOrder, WallClock, HotAlloc, ShardMerge,
 	}
 }

@@ -40,26 +40,6 @@ func TestUnitsMixFixtures(t *testing.T) {
 	atest.Run(t, analyzers.UnitsMix, "unitsmix", "mdm/fixture/unitsmix")
 }
 
-func TestGoroutineLoopFixtures(t *testing.T) {
-	atest.Run(t, analyzers.GoroutineLoop, "goroutineloop", "mdm/fixture/goroutineloop")
-}
-
-func TestGoroutineLoopExemptsPool(t *testing.T) {
-	// The pool package is the sanctioned fan-out implementation: the same
-	// fixture under its import path must produce nothing.
-	pkg, err := atest.Loader(t).Check("mdm/internal/parallelize", atest.FixtureDir(t, "goroutineloop"), atest.FixtureFiles(t, "goroutineloop"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := analyzers.RunPackage(pkg, []*analyzers.Analyzer{analyzers.GoroutineLoop}); len(diags) != 0 {
-		t.Errorf("goroutineloop fired inside the pool package: %v", diags)
-	}
-}
-
-func TestRecvWithinFixtures(t *testing.T) {
-	atest.Run(t, analyzers.RecvWithin, "recvwithin", "mdm/fixture/recvwithin")
-}
-
 func TestGoJoinFixtures(t *testing.T) {
 	atest.Run(t, analyzers.GoJoin, "gojoin", "mdm/fixture/gojoin")
 }

@@ -12,11 +12,9 @@ const mpiPkg = "mdm/internal/mpi"
 // tagArgIndex maps the point-to-point methods of mpi.Comm to the position of
 // their tag argument.
 var tagArgIndex = map[string]int{
-	"Send":               1,
-	"Recv":               1,
-	"RecvFloat64s":       1,
-	"RecvWithin":         1,
-	"RecvFloat64sWithin": 1,
+	"Send":         1,
+	"Recv":         1,
+	"RecvFloat64s": 1,
 }
 
 // sendMethods marks which of those methods are the sending side.
@@ -26,7 +24,7 @@ var sendMethods = map[string]bool{"Send": true}
 // MPI substrate: tags passed to (*mpi.Comm).Send/Recv/RecvFloat64s must be
 // named constants (not bare integer literals), and a tag constant that is
 // only ever sent, or only ever received, within a package indicates a
-// mismatched Send/Recv pair. The AnyTag wildcard is exempt from pairing.
+// mismatched Send/Recv pair.
 var MPITags = &Analyzer{
 	Name:     "mpitags",
 	Doc:      "check mpi Send/Recv tags are named constants with matched pairs",
@@ -115,8 +113,7 @@ func isCommMethod(fn *types.Func) bool {
 	return ok && named.Obj().Name() == "Comm"
 }
 
-// namedTagConst resolves expr to a named integer constant, skipping the
-// AnyTag wildcard (which legitimately appears only on the receive side).
+// namedTagConst resolves expr to a named integer constant.
 func namedTagConst(info *types.Info, expr ast.Expr) (string, token.Pos, bool) {
 	var id *ast.Ident
 	switch e := expr.(type) {
@@ -128,7 +125,7 @@ func namedTagConst(info *types.Info, expr ast.Expr) (string, token.Pos, bool) {
 		return "", token.NoPos, false
 	}
 	c, ok := info.Uses[id].(*types.Const)
-	if !ok || c.Name() == "AnyTag" {
+	if !ok {
 		return "", token.NoPos, false
 	}
 	return c.Name(), id.Pos(), true

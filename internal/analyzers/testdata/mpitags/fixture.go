@@ -1,11 +1,7 @@
 // Fixtures for the mpitags analyzer.
 package fixture
 
-import (
-	"time"
-
-	"mdm/internal/mpi"
-)
+import "mdm/internal/mpi"
 
 // Named tags in the style of internal/core.
 const (
@@ -14,8 +10,6 @@ const (
 	tagOrphan = 3
 	tagGhost  = 4
 	tagNoise  = 9
-	tagBound  = 10
-	tagLagged = 11
 )
 
 func paired(c *mpi.Comm) error {
@@ -30,10 +24,6 @@ func paired(c *mpi.Comm) error {
 		return err
 	}
 	if _, err := c.RecvFloat64s(1, tagPong); err != nil {
-		return err
-	}
-	// The wildcard is receive-only by design.
-	if _, err := c.Recv(0, mpi.AnyTag); err != nil {
 		return err
 	}
 	return nil
@@ -51,17 +41,6 @@ func literals(c *mpi.Comm) {
 func oneSided(c *mpi.Comm) {
 	_ = c.Send(1, tagOrphan, nil) // want `tag constant tagOrphan is sent but never received`
 	_, _ = c.Recv(1, tagGhost)    // want `tag constant tagGhost is received but never sent`
-}
-
-// The deadline-aware receive variants carry the same tag discipline.
-func deadlines(c *mpi.Comm) {
-	_ = c.Send(1, tagBound, nil)
-	_, _ = c.RecvWithin(0, tagBound, time.Second)
-	_ = c.Send(0, tagLagged, []float64{1})
-	_, _ = c.RecvFloat64sWithin(1, tagLagged, time.Second)
-	_, _ = c.RecvWithin(1, 33, time.Second)         // want `mpi RecvWithin with untyped literal tag 33`
-	_, _ = c.RecvFloat64sWithin(1, 34, time.Second) // want `mpi RecvFloat64sWithin with untyped literal tag 34`
-	_, _ = c.RecvWithin(0, mpi.AnyTag, time.Second) // wildcard stays exempt
 }
 
 // worldSize is unrelated API surface: no tag argument, never flagged.

@@ -306,7 +306,8 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 		fc.Y[i] += wy[i]
 		fc.Z[i] += wz[i]
 	}
-	//mdm:hotallocok -- the one fresh output slice per step the md.ForceField contract requires; every intermediate buffer is reused
+	// The one fresh output slice per step the md.ForceField contract
+	// requires; every intermediate buffer is reused.
 	forces := fc.AppendAoS(make([]vec.V, 0, n))
 
 	// Potential-energy bookkeeping on the host in float64, every

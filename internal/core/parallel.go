@@ -81,7 +81,7 @@ func (g *groupComm) AllreduceSum(vals []float64) ([]float64, error) {
 		total := make([]float64, len(vals))
 		copy(total, vals)
 		for _, m := range g.members[1:] {
-			part, err := g.c.RecvFloat64s(m, TagGroupReduce) //mdm:recvok -- world deadline (SetTimeout) bounds this receive
+			part, err := g.c.RecvFloat64s(m, TagGroupReduce)
 			if err != nil {
 				return nil, err
 			}
@@ -104,7 +104,7 @@ func (g *groupComm) AllreduceSum(vals []float64) ([]float64, error) {
 	if err := g.c.Send(root, TagGroupReduce, part); err != nil {
 		return nil, err
 	}
-	return g.c.RecvFloat64s(root, TagGroupReduce) //mdm:recvok -- world deadline (SetTimeout) bounds this receive
+	return g.c.RecvFloat64s(root, TagGroupReduce)
 }
 
 // ParallelResult is the assembled output of a parallel force step.

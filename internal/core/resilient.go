@@ -24,10 +24,7 @@ type Guards struct {
 
 // RecoveryConfig tunes the Resilient recovery policy.
 type RecoveryConfig struct {
-	// MaxRetries bounds per-step hardware retries. Zero means the default
-	// (3); negative disables retries.
-	MaxRetries int
-	Guards     Guards
+	Guards Guards
 	// Injector, when set, drives the fault schedule: Resilient advances its
 	// step clock and installs it as the hardware hook. It is also how the
 	// recovery loop is chaos-tested.
@@ -49,7 +46,9 @@ type RecoveryConfig struct {
 	Breakers *supervise.BreakerSet
 }
 
-const defaultMaxRetries = 3
+// maxRetries bounds per-step hardware retries; a step whose budget is
+// spent is served by the host path.
+const maxRetries = 3
 
 // RunReport is the recovery audit trail of a run. Under a deterministic
 // fault schedule the whole report — counts and event log — is reproducible.
@@ -263,16 +262,6 @@ func (r *Resilient) Free() error {
 		r.rc.Watchdog.Stop()
 	}
 	return r.hw.eng.Free()
-}
-
-func (r *Resilient) maxRetries() int {
-	if r.rc.MaxRetries == 0 {
-		return defaultMaxRetries
-	}
-	if r.rc.MaxRetries < 0 {
-		return 0
-	}
-	return r.rc.MaxRetries
 }
 
 // logf appends a formatted line to the recovery event log.
@@ -497,7 +486,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 				return r.hostForces(s)
 			}
 		}
-		if retries < r.maxRetries() {
+		if retries < maxRetries {
 			retries++
 			r.report.Retries++
 			r.logf("step %d: retry %d after %s", r.step, retries, classify(err))

@@ -127,12 +127,13 @@ func TestResilientFallbackWhenNoCapacity(t *testing.T) {
 func TestResilientRetryBudgetFallsBackPerStep(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 25)
 	p := smallParams(s.L)
-	// Both the first evaluation and its single allowed retry hit transients.
-	in, err := fault.ParseInjector("mdg:transient@call=1; mdg:transient@call=5")
+	// The first evaluation and all three retries of the budget hit
+	// transients (each attempt makes four MDGRAPE-2 calls).
+	in, err := fault.ParseInjector("mdg:transient@call=1; mdg:transient@call=5; mdg:transient@call=9; mdg:transient@call=13")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewResilient(CurrentMachineConfig(p), RecoveryConfig{MaxRetries: 1, Injector: in})
+	r, err := NewResilient(CurrentMachineConfig(p), RecoveryConfig{Injector: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +142,8 @@ func TestResilientRetryBudgetFallsBackPerStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := r.Report()
-	if rep.Retries != 1 || rep.FallbackSteps != 1 || rep.Fallback {
-		t.Errorf("report = %+v, want 1 retry then a one-step fallback", rep)
+	if rep.Retries != maxRetries || rep.FallbackSteps != 1 || rep.Fallback {
+		t.Errorf("report = %+v, want %d retries then a one-step fallback", rep, maxRetries)
 	}
 	// The next step runs on hardware again (the transients are consumed).
 	if _, _, err := r.Forces(s); err != nil {

@@ -374,7 +374,7 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 			if other == me {
 				continue
 			}
-			data, err := c.Recv(other, TagMigrate) //mdm:recvok -- world deadline (SetTimeout) bounds this receive
+			data, err := c.Recv(other, TagMigrate)
 			if err != nil {
 				return err
 			}
@@ -465,7 +465,7 @@ func (pr *ParallelRun) exchangeGhosts(rr *realRankState, s *md.System) error {
 	}
 	rr.nOwn = len(rr.owned)
 	for si, src := range pr.ghostSrc[me] {
-		buf, err := c.RecvFloat64s(src, TagHalo) //mdm:recvok -- world deadline (SetTimeout) bounds this receive
+		buf, err := c.RecvFloat64s(src, TagHalo)
 		if err != nil {
 			return err
 		}
@@ -522,7 +522,7 @@ func (pr *ParallelRun) streamGhosts(rr *realRankState, s *md.System) error {
 	}
 	off := rr.nOwn
 	for si, src := range pr.ghostSrc[me] {
-		buf, err := c.RecvFloat64s(src, TagGhostPos) //mdm:recvok -- world deadline (SetTimeout) bounds this receive
+		buf, err := c.RecvFloat64s(src, TagGhostPos)
 		if err != nil {
 			return err
 		}
@@ -576,10 +576,11 @@ func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
 func (pr *ParallelRun) assemble(rr *realRankState, s *md.System) error {
 	c := rr.comm
 	n := pr.n
-	//mdm:hotallocok -- the one fresh output slice per step the md.ForceField contract requires; every exchange buffer is reused
+	// The one fresh output slice per step the md.ForceField contract
+	// requires; every exchange buffer is reused.
 	total := make([]vec.V, n)
 	for src := 0; src < c.Size(); src++ {
-		buf, err := c.RecvFloat64s(src, TagForces) //mdm:recvok -- world deadline (SetTimeout) bounds this receive
+		buf, err := c.RecvFloat64s(src, TagForces)
 		if err != nil {
 			return err
 		}

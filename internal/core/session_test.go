@@ -53,10 +53,24 @@ func TestSessionWaveGroupDriftParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := world.StatsByTag()
 	got, gotPot, err := pr.Forces(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rebuildTag := subtractByTag(world.StatsByTag(), before)
+	before = world.StatsByTag()
+	if _, _, err := pr.Forces(s); err != nil { // unmoved: a reuse step
+		t.Fatal(err)
+	}
+	reuseTag := subtractByTag(world.StatsByTag(), before)
+	if rebuilds, reuses := pr.JSetStats(); rebuilds != 1 || reuses != 1 {
+		t.Fatalf("JSetStats = (%d, %d), want (1, 1)", rebuilds, reuses)
+	}
+	requireStepTags(t, "rebuild", rebuildTag,
+		[]int{TagHalo, TagMigrate, TagForces, TagGroupReduce}, []int{TagHalo, TagForces, TagGroupReduce})
+	requireStepTags(t, "reuse", reuseTag,
+		[]int{TagGhostPos, TagForces, TagGroupReduce}, []int{TagGhostPos, TagForces, TagGroupReduce})
 	fscale := vec.RMS(want)
 	for i := range want {
 		if d := got[i].Sub(want[i]).Norm() / fscale; d > 1e-9 {
@@ -197,6 +211,24 @@ func subtractByTag(after, before map[int]mpi.Stats) map[int]mpi.Stats {
 	return out
 }
 
+// requireStepTags fails when one step's per-tag traffic delta holds a tag
+// outside allowed, or nothing under a tag of required: every message of the
+// decomposed step travels under one of the protocol tags of parallel.go.
+func requireStepTags(t *testing.T, step string, delta map[int]mpi.Stats, allowed, required []int) {
+	t.Helper()
+	for tag, st := range delta {
+		if !containsInt(allowed, tag) {
+			t.Errorf("%s step sent %d messages (%d B) under %s, outside its protocol tags",
+				step, st.Messages, st.Bytes, TagName(tag))
+		}
+	}
+	for _, tag := range required {
+		if delta[tag].Messages == 0 {
+			t.Errorf("%s step sent nothing under %s", step, TagName(tag))
+		}
+	}
+}
+
 func containsInt(xs []int, v int) bool {
 	for _, x := range xs {
 		if x == v {
@@ -302,10 +334,10 @@ func TestSessionReuseStreamsLessThanRebuild(t *testing.T) {
 			if got, want := reuseTag[TagGhostPos].Bytes, ghostBytesPerGhost*ghosts; got != want {
 				t.Errorf("reuse ghost stream %d B, want %d B (%d per ghost)", got, want, ghostBytesPerGhost)
 			}
-			if reuseTag[TagHalo].Bytes != 0 || reuseTag[TagMigrate].Bytes != 0 {
-				t.Errorf("reuse step sent rebuild traffic: halo %d bytes, migrate %d bytes",
-					reuseTag[TagHalo].Bytes, reuseTag[TagMigrate].Bytes)
-			}
+			requireStepTags(t, "rebuild", rebuildTag,
+				[]int{TagHalo, TagMigrate, TagForces}, []int{TagHalo, TagForces})
+			requireStepTags(t, "reuse", reuseTag,
+				[]int{TagGhostPos, TagForces}, []int{TagGhostPos, TagForces})
 			if res.Traffic.Bytes == 0 {
 				t.Error("step reported no traffic")
 			}

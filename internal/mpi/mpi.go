@@ -7,16 +7,14 @@
 // communicates through buffered channels (one FIFO per directed rank pair),
 // in the spirit of "share memory by communicating". Point-to-point Send/Recv
 // use integer tags with strict FIFO matching — the deterministic SPMD style
-// of the paper's MD code. Collectives (Barrier, Bcast, AllreduceSum, Gather,
-// Allgather) are built on the point-to-point layer so that the byte counters
-// used by the host performance model see all traffic.
+// of the paper's MD code. That is all the decomposed step needs: its five
+// tagged streams, and the wavenumber group's all-reduce built on them, are
+// counted per tag (StatsByTag).
 //
-// Every blocking primitive is bounded: receives (and the collectives built on
-// them) observe the world deadline (SetTimeout) or a per-call deadline
-// (RecvWithin, BarrierWithin) and fail with a typed ErrTimeout instead of
-// deadlocking. Ranks carry health state (MarkDead) so peers of a crashed rank
-// fail fast with ErrRankDead, and World.Run cancels the whole group when any
-// rank errors so no survivor blocks on a peer that already unwound. A
+// Every blocking primitive is bounded: Send and Recv observe the world
+// deadline (SetTimeout) and fail with a typed ErrTimeout instead of
+// deadlocking, and World.Run cancels the whole group when any rank errors so
+// no survivor blocks on a peer that already unwound (ErrCanceled). A
 // FaultHook (implemented by fault.Injector) can drop, delay, corrupt, or fail
 // messages for chaos testing.
 package mpi
@@ -35,19 +33,14 @@ import (
 // generous for tests yet keeps hangs debuggable; SetTimeout tightens it.
 const RecvTimeout = 30 * time.Second
 
-// AnyTag matches any message tag in Recv.
-const AnyTag = -1
-
-// Typed failure modes. Errors returned by Send/Recv/collectives wrap one of
-// these, so callers classify with errors.Is.
+// Typed failure modes. Errors returned by Send/Recv wrap one of these, so
+// callers classify with errors.Is.
 var (
 	// ErrTimeout reports that a bounded primitive hit its deadline.
 	ErrTimeout = errors.New("mpi: deadline exceeded")
 	// ErrCanceled reports that the run group was canceled because a peer
 	// rank failed; the operation was abandoned, not timed out.
 	ErrCanceled = errors.New("mpi: run group canceled")
-	// ErrRankDead reports communication with a rank marked dead.
-	ErrRankDead = errors.New("mpi: rank marked dead")
 	// ErrTagMismatch reports a message arriving under an unexpected tag. In
 	// this strict-FIFO SPMD substrate that is either a program bug or the
 	// wake of a dropped message desynchronizing a pair's stream — recovery
@@ -99,7 +92,6 @@ type World struct {
 	messages atomic.Int64
 	bytes    atomic.Int64
 	timeout  atomic.Int64 // nanoseconds
-	dead     []atomic.Bool
 	group    atomic.Pointer[runGroup]
 	hook     atomic.Pointer[hookBox]
 
@@ -116,7 +108,6 @@ func NewWorld(size int) (*World, error) {
 	w := &World{
 		size:  size,
 		inbox: make([][]chan message, size),
-		dead:  make([]atomic.Bool, size),
 		tags:  make(map[int]*tagCounter),
 	}
 	w.timeout.Store(int64(RecvTimeout))
@@ -144,7 +135,6 @@ func (w *World) StatsByTag() map[int]Stats {
 	w.tagMu.RLock()
 	defer w.tagMu.RUnlock()
 	out := make(map[int]Stats, len(w.tags))
-	//mdm:maporderok -- snapshot copy into a fresh map: rows are independent, order cannot affect the result
 	for tag, tc := range w.tags {
 		out[tag] = Stats{Messages: tc.messages.Load(), Bytes: tc.bytes.Load()}
 	}
@@ -173,8 +163,8 @@ func (w *World) count(tag int, nbytes int64) {
 	tc.bytes.Add(nbytes)
 }
 
-// SetTimeout bounds every blocking Send/Recv (and the collectives built on
-// them). Non-positive durations are ignored.
+// SetTimeout bounds every blocking Send/Recv. Non-positive durations are
+// ignored.
 func (w *World) SetTimeout(d time.Duration) {
 	if d > 0 {
 		w.timeout.Store(int64(d))
@@ -198,37 +188,6 @@ func (w *World) faultHook() FaultHook {
 		return b.h
 	}
 	return nil
-}
-
-// MarkDead records that a rank has failed. Subsequent sends to it fail fast
-// with ErrRankDead; receives from it still drain queued messages, then fail.
-func (w *World) MarkDead(rank int) {
-	if rank >= 0 && rank < w.size {
-		w.dead[rank].Store(true)
-	}
-}
-
-// MarkAlive clears a rank's dead flag (e.g. after a restart).
-func (w *World) MarkAlive(rank int) {
-	if rank >= 0 && rank < w.size {
-		w.dead[rank].Store(false)
-	}
-}
-
-// Dead reports whether a rank is marked dead.
-func (w *World) Dead(rank int) bool {
-	return rank >= 0 && rank < w.size && w.dead[rank].Load()
-}
-
-// AliveCount returns the number of ranks not marked dead.
-func (w *World) AliveCount() int {
-	n := 0
-	for r := 0; r < w.size; r++ {
-		if !w.dead[r].Load() {
-			n++
-		}
-	}
-	return n
 }
 
 // Reset drains every in-flight message so an aborted step's stragglers cannot
@@ -305,7 +264,7 @@ func (w *World) Run(f func(c *Comm) error) error {
 }
 
 // CancelRun cancels the active Run group from outside it: every rank blocked
-// in a Send/Recv/collective unwinds with ErrCanceled. This is the watchdog's
+// in a Send/Recv unwinds with ErrCanceled. This is the watchdog's
 // stalled-rank escalation — when a rank stops making progress, the group is
 // torn down as one retryable failure instead of waiting out the deadline on
 // every peer. A no-op when no Run is active.
@@ -344,9 +303,6 @@ func payloadBytes(data any) int64 {
 	case nil:
 		return 0
 	default:
-		if s, ok := data.(interface{ WireBytes() int64 }); ok {
-			return s.WireBytes()
-		}
 		return 8 // envelope-only estimate
 	}
 }
@@ -376,13 +332,9 @@ func corruptPayload(data any, word, bit int) any {
 // Send delivers data to dst with the given tag. It blocks only if the
 // destination's buffer for this source is full, and then no longer than the
 // world deadline (ErrTimeout) or the life of the run group (ErrCanceled).
-// Sends to a dead rank fail fast with ErrRankDead.
 func (c *Comm) Send(dst, tag int, data any) error {
 	if dst < 0 || dst >= c.w.size {
 		return fmt.Errorf("mpi: send to rank %d outside world of size %d", dst, c.w.size)
-	}
-	if c.w.Dead(dst) {
-		return fmt.Errorf("mpi: send %d→%d tag %d: %w", c.rank, dst, tag, ErrRankDead)
 	}
 	if h := c.w.faultHook(); h != nil {
 		f := h.SendFate(c.rank, dst)
@@ -419,18 +371,13 @@ func (c *Comm) Send(dst, tag int, data any) error {
 	}
 }
 
-// Recv blocks until the next message from src arrives, bounded by the world
-// deadline, and returns its payload. The message's tag must equal tag (unless
-// AnyTag), otherwise an error is returned — SPMD programs here are
-// deterministic, so a mismatch is a program bug, not a race.
+// Recv blocks until the next message from src arrives and returns its
+// payload. It fails with a typed ErrTimeout when the world deadline
+// (SetTimeout) passes and with ErrCanceled when the run group is torn down.
+// The message's tag must equal tag, otherwise an ErrTagMismatch is returned —
+// SPMD programs here are deterministic, so a mismatch is a program bug (or
+// the wake of a dropped message), not a race.
 func (c *Comm) Recv(src, tag int) (any, error) {
-	return c.RecvWithin(src, tag, c.w.Timeout())
-}
-
-// RecvWithin is Recv with an explicit per-call deadline. It returns a typed
-// ErrTimeout when the deadline passes, ErrCanceled when the run group is torn
-// down, and ErrRankDead when src is dead and its queue is empty.
-func (c *Comm) RecvWithin(src, tag int, d time.Duration) (any, error) {
 	if src < 0 || src >= c.w.size {
 		return nil, fmt.Errorf("mpi: recv from rank %d outside world of size %d", src, c.w.size)
 	}
@@ -439,15 +386,13 @@ func (c *Comm) RecvWithin(src, tag int, d time.Duration) (any, error) {
 			return nil, fmt.Errorf("mpi: recv %d←%d tag %d: %w", c.rank, src, tag, err)
 		}
 	}
-	// Fast path: already queued (also drains mail from a since-dead rank).
+	// Fast path: already queued, no timer needed.
 	select {
 	case m := <-c.w.inbox[c.rank][src]:
 		return c.matchTag(m, src, tag)
 	default:
 	}
-	if c.w.Dead(src) {
-		return nil, fmt.Errorf("mpi: recv %d←%d tag %d: %w", c.rank, src, tag, ErrRankDead)
-	}
+	d := c.w.Timeout()
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -461,7 +406,7 @@ func (c *Comm) RecvWithin(src, tag int, d time.Duration) (any, error) {
 }
 
 func (c *Comm) matchTag(m message, src, tag int) (any, error) {
-	if tag != AnyTag && m.tag != tag {
+	if m.tag != tag {
 		return nil, fmt.Errorf("mpi: rank %d expected tag %d from %d, got %d: %w", c.rank, tag, src, m.tag, ErrTagMismatch)
 	}
 	return m.data, nil
@@ -469,12 +414,7 @@ func (c *Comm) matchTag(m message, src, tag int) (any, error) {
 
 // RecvFloat64s receives and type-asserts a []float64 payload.
 func (c *Comm) RecvFloat64s(src, tag int) ([]float64, error) {
-	return c.RecvFloat64sWithin(src, tag, c.w.Timeout())
-}
-
-// RecvFloat64sWithin is RecvFloat64s with an explicit per-call deadline.
-func (c *Comm) RecvFloat64sWithin(src, tag int, d time.Duration) ([]float64, error) {
-	data, err := c.RecvWithin(src, tag, d)
+	data, err := c.Recv(src, tag)
 	if err != nil {
 		return nil, err
 	}
@@ -483,226 +423,4 @@ func (c *Comm) RecvFloat64sWithin(src, tag int, d time.Duration) ([]float64, err
 		return nil, fmt.Errorf("mpi: rank %d expected []float64 from %d, got %T", c.rank, src, data)
 	}
 	return v, nil
-}
-
-// Internal tags for collectives, kept far from user tag space.
-const (
-	tagBarrier = -1000 - iota
-	tagBcast
-	tagReduce
-	tagGather
-)
-
-// Barrier blocks until every rank has entered it, bounded by the world
-// deadline. Implemented as a gather to rank 0 followed by a broadcast.
-func (c *Comm) Barrier() error {
-	return c.BarrierWithin(c.w.Timeout())
-}
-
-// BarrierWithin is Barrier with an explicit per-call deadline: if some rank
-// never arrives (dead, hung, or unwound), every survivor returns an error
-// wrapping ErrTimeout (or ErrRankDead) within the deadline instead of
-// blocking forever.
-func (c *Comm) BarrierWithin(d time.Duration) error {
-	if c.w.size == 1 {
-		return nil
-	}
-	if c.rank == 0 {
-		for src := 1; src < c.w.size; src++ {
-			if _, err := c.RecvWithin(src, tagBarrier, d); err != nil {
-				return err
-			}
-		}
-		for dst := 1; dst < c.w.size; dst++ {
-			if err := c.Send(dst, tagBarrier, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.Send(0, tagBarrier, nil); err != nil {
-		return err
-	}
-	_, err := c.RecvWithin(0, tagBarrier, d)
-	return err
-}
-
-// Bcast broadcasts root's data to all ranks and returns the received value
-// (root returns its own data unchanged).
-func (c *Comm) Bcast(root int, data any) (any, error) {
-	if root < 0 || root >= c.w.size {
-		return nil, fmt.Errorf("mpi: bcast root %d outside world", root)
-	}
-	if c.w.size == 1 {
-		return data, nil
-	}
-	if c.rank == root {
-		for dst := 0; dst < c.w.size; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := c.Send(dst, tagBcast, data); err != nil {
-				return nil, err
-			}
-		}
-		return data, nil
-	}
-	return c.Recv(root, tagBcast)
-}
-
-// AllreduceSum element-wise sums vals across all ranks; every rank receives
-// the total. The input slice is not modified; a new slice is returned.
-// Implements the wine2.Communicator interface.
-func (c *Comm) AllreduceSum(vals []float64) ([]float64, error) {
-	if c.w.size == 1 {
-		out := make([]float64, len(vals))
-		copy(out, vals)
-		return out, nil
-	}
-	if c.rank == 0 {
-		total := make([]float64, len(vals))
-		copy(total, vals)
-		for src := 1; src < c.w.size; src++ {
-			part, err := c.RecvFloat64s(src, tagReduce)
-			if err != nil {
-				return nil, err
-			}
-			if len(part) != len(vals) {
-				return nil, fmt.Errorf("mpi: allreduce length mismatch: %d vs %d", len(part), len(vals))
-			}
-			for i := range total {
-				total[i] += part[i]
-			}
-		}
-		for dst := 1; dst < c.w.size; dst++ {
-			if err := c.Send(dst, tagReduce, total); err != nil {
-				return nil, err
-			}
-		}
-		return total, nil
-	}
-	// Copy before sending: the sender keeps using vals.
-	part := make([]float64, len(vals))
-	copy(part, vals)
-	if err := c.Send(0, tagReduce, part); err != nil {
-		return nil, err
-	}
-	return c.RecvFloat64s(0, tagReduce)
-}
-
-// Gather collects each rank's slice at root (in rank order). Non-root ranks
-// receive nil.
-func (c *Comm) Gather(root int, vals []float64) ([][]float64, error) {
-	if root < 0 || root >= c.w.size {
-		return nil, fmt.Errorf("mpi: gather root %d outside world", root)
-	}
-	if c.rank != root {
-		part := make([]float64, len(vals))
-		copy(part, vals)
-		return nil, c.Send(root, tagGather, part)
-	}
-	out := make([][]float64, c.w.size)
-	own := make([]float64, len(vals))
-	copy(own, vals)
-	out[c.rank] = own
-	for src := 0; src < c.w.size; src++ {
-		if src == root {
-			continue
-		}
-		part, err := c.RecvFloat64s(src, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = part
-	}
-	return out, nil
-}
-
-// Allgather collects each rank's slice on every rank (in rank order).
-func (c *Comm) Allgather(vals []float64) ([][]float64, error) {
-	parts, err := c.Gather(0, vals)
-	if err != nil {
-		return nil, err
-	}
-	// Root flattens and broadcasts with lengths.
-	if c.rank == 0 {
-		lens := make([]float64, c.w.size)
-		var flat []float64
-		for r, p := range parts {
-			lens[r] = float64(len(p))
-			flat = append(flat, p...)
-		}
-		if _, err := c.Bcast(0, lens); err != nil {
-			return nil, err
-		}
-		if _, err := c.Bcast(0, flat); err != nil {
-			return nil, err
-		}
-		return parts, nil
-	}
-	lensAny, err := c.Bcast(0, nil)
-	if err != nil {
-		return nil, err
-	}
-	lens, ok := lensAny.([]float64)
-	if !ok {
-		return nil, fmt.Errorf("mpi: allgather expected lengths, got %T", lensAny)
-	}
-	flatAny, err := c.Bcast(0, nil)
-	if err != nil {
-		return nil, err
-	}
-	flat, ok := flatAny.([]float64)
-	if !ok {
-		return nil, fmt.Errorf("mpi: allgather expected data, got %T", flatAny)
-	}
-	out := make([][]float64, c.w.size)
-	off := 0
-	for r := range out {
-		n := int(lens[r])
-		if off+n > len(flat) {
-			return nil, fmt.Errorf("mpi: allgather length overflow")
-		}
-		out[r] = flat[off : off+n]
-		off += n
-	}
-	return out, nil
-}
-
-const tagAlltoall = -1010
-
-// Alltoall delivers sendTo[d] to rank d and returns what every rank sent to
-// this one, indexed by source. sendTo must have one (possibly empty) slice
-// per rank; the self-slot is copied locally. This is the primitive behind
-// the §4 halo exchange, where every real-space process ships boundary
-// particles to every other.
-func (c *Comm) Alltoall(sendTo [][]float64) ([][]float64, error) {
-	if len(sendTo) != c.w.size {
-		return nil, fmt.Errorf("mpi: alltoall needs %d send slots, got %d", c.w.size, len(sendTo))
-	}
-	out := make([][]float64, c.w.size)
-	own := make([]float64, len(sendTo[c.rank]))
-	copy(own, sendTo[c.rank])
-	out[c.rank] = own
-	for dst := 0; dst < c.w.size; dst++ {
-		if dst == c.rank {
-			continue
-		}
-		part := make([]float64, len(sendTo[dst]))
-		copy(part, sendTo[dst])
-		if err := c.Send(dst, tagAlltoall, part); err != nil {
-			return nil, err
-		}
-	}
-	for src := 0; src < c.w.size; src++ {
-		if src == c.rank {
-			continue
-		}
-		part, err := c.RecvFloat64s(src, tagAlltoall)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = part
-	}
-	return out, nil
 }

@@ -4,25 +4,27 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"mdm/internal/fault"
 )
 
-// Tags for the failure-mode tests, named per the mpitags analyzer.
+// Tags for the failure-mode tests, named per the mpitags analyzer. Receives
+// that must time out wait on tagData, which no peer sends them.
 const (
-	tagDeadline = 20 // deadline-variant receives
-	tagFaulty   = 21 // traffic routed through a fault hook
-	tagStale    = 22 // stale messages drained by Reset
+	tagFaulty = 21 // traffic routed through a fault hook
+	tagStale  = 22 // stale messages drained by Reset
 )
 
+// A receive nobody answers returns a typed ErrTimeout once the world
+// deadline passes, not long after it.
 func TestRecvWithinTimeoutTyped(t *testing.T) {
 	w, _ := NewWorld(2)
+	w.SetTimeout(30 * time.Millisecond)
 	c, _ := w.Comm(0)
 	start := time.Now()
-	_, err := c.RecvWithin(1, tagDeadline, 30*time.Millisecond)
+	_, err := c.Recv(1, tagData)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -35,44 +37,16 @@ func TestWorldTimeoutBoundsRecv(t *testing.T) {
 	w, _ := NewWorld(2)
 	w.SetTimeout(20 * time.Millisecond)
 	c, _ := w.Comm(0)
-	if _, err := c.Recv(1, tagDeadline); !errors.Is(err, ErrTimeout) {
+	if _, err := c.Recv(1, tagData); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Recv err = %v, want ErrTimeout", err)
 	}
-	if _, err := c.RecvFloat64s(1, tagDeadline); !errors.Is(err, ErrTimeout) {
+	if _, err := c.RecvFloat64s(1, tagData); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("RecvFloat64s err = %v, want ErrTimeout", err)
 	}
 }
 
-// A rank that never enters the barrier must not hang the survivors: each one
-// unwinds with ErrTimeout within its deadline. Comms run directly (not via
-// Run) so group cancellation cannot mask the timeout path.
-func TestBarrierDeadRankTimesOutSurvivors(t *testing.T) {
-	w, _ := NewWorld(4)
-	const deadline = 50 * time.Millisecond
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for r := 0; r < 3; r++ { // rank 3 never shows up
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c, _ := w.Comm(rank)
-			errs[rank] = c.BarrierWithin(deadline)
-		}(r)
-	}
-	wg.Wait()
-	if el := time.Since(start); el > 10*deadline {
-		t.Errorf("survivors took %v to unwind, deadline %v", el, deadline)
-	}
-	for r, err := range errs {
-		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("rank %d: err = %v, want ErrTimeout", r, err)
-		}
-	}
-}
-
-// A rank failing inside Run cancels the group: peers blocked in a collective
-// unwind with ErrCanceled immediately rather than burning their full
+// A rank failing inside Run cancels the group: peers blocked in a receive from
+// it unwind with ErrCanceled immediately rather than burning their full
 // deadline, no goroutine outlives Run, and the original error is returned.
 func TestRunCancelsGroupOnError(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -85,7 +59,7 @@ func TestRunCancelsGroupOnError(t *testing.T) {
 		if c.Rank() == 2 {
 			return sentinel
 		}
-		peerErrs[c.Rank()] = c.Barrier()
+		_, peerErrs[c.Rank()] = c.Recv(2, tagData)
 		return peerErrs[c.Rank()]
 	})
 	if err != sentinel {
@@ -112,41 +86,9 @@ func TestRunCancelsGroupOnError(t *testing.T) {
 	}
 }
 
-func TestMarkDeadFastFail(t *testing.T) {
-	w, _ := NewWorld(3)
-	c0, _ := w.Comm(0)
-	c1, _ := w.Comm(1)
-	// Mail queued before the rank died is still delivered...
-	if err := c1.Send(0, tagDeadline, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	w.MarkDead(1)
-	if _, err := c0.RecvFloat64s(1, tagDeadline); err != nil {
-		t.Fatalf("queued mail from dead rank: %v", err)
-	}
-	// ...then both directions fail fast, well inside the world deadline.
-	start := time.Now()
-	if err := c0.Send(1, tagDeadline, nil); !errors.Is(err, ErrRankDead) {
-		t.Errorf("send to dead rank: %v, want ErrRankDead", err)
-	}
-	if _, err := c0.RecvWithin(1, tagDeadline, 10*time.Second); !errors.Is(err, ErrRankDead) {
-		t.Errorf("recv from dead rank: %v, want ErrRankDead", err)
-	}
-	if el := time.Since(start); el > time.Second {
-		t.Errorf("dead-rank ops took %v, want fast fail", el)
-	}
-	if n := w.AliveCount(); n != 2 {
-		t.Errorf("AliveCount = %d, want 2", n)
-	}
-	w.MarkAlive(1)
-	if w.Dead(1) || w.AliveCount() != 3 {
-		t.Error("MarkAlive did not revive the rank")
-	}
-}
-
 func TestFaultHookDropDelayCorrupt(t *testing.T) {
 	w, _ := NewWorld(2)
-	w.SetTimeout(50 * time.Millisecond)
+	w.SetTimeout(20 * time.Millisecond)
 	in, err := fault.ParseInjector(
 		"mpi:drop@src=1,dst=0,n=1; mpi:corrupt@src=1,dst=0,n=2,word=1,bit=3;" +
 			"mpi:delay@src=1,dst=0,n=3,ms=30; mpi:senderr@src=1,dst=0,n=4;" +
@@ -163,7 +105,7 @@ func TestFaultHookDropDelayCorrupt(t *testing.T) {
 	if err := c1.Send(0, tagFaulty, []float64{1, 2}); err != nil {
 		t.Fatalf("dropped send errored: %v", err)
 	}
-	if _, err := c0.RecvWithin(1, tagFaulty, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := c0.Recv(1, tagFaulty); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("dropped message: recv err = %v, want ErrTimeout", err)
 	}
 
@@ -206,7 +148,7 @@ func TestFaultHookDropDelayCorrupt(t *testing.T) {
 	}
 
 	// First receive 1←... on rank 1 fails at the receiver.
-	if _, err := c1.RecvWithin(0, tagFaulty, 20*time.Millisecond); !errors.As(err, &le) {
+	if _, err := c1.Recv(0, tagFaulty); !errors.As(err, &le) {
 		t.Errorf("recverr fate: %v, want LinkError", err)
 	}
 	if in.Remaining() != 0 {
@@ -216,6 +158,7 @@ func TestFaultHookDropDelayCorrupt(t *testing.T) {
 
 func TestResetDrainsInboxes(t *testing.T) {
 	w, _ := NewWorld(2)
+	w.SetTimeout(20 * time.Millisecond)
 	c0, _ := w.Comm(0)
 	c1, _ := w.Comm(1)
 	for i := 0; i < 5; i++ {
@@ -224,7 +167,7 @@ func TestResetDrainsInboxes(t *testing.T) {
 		}
 	}
 	w.Reset()
-	if _, err := c0.RecvWithin(1, tagStale, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := c0.Recv(1, tagStale); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("stale message survived Reset: err = %v", err)
 	}
 	// The world is fully usable after a Reset.

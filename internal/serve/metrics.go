@@ -110,9 +110,9 @@ func (t *timingFS) Append(path string) (store.File, error) {
 }
 
 func (t *timingFS) SyncDir(dir string) error {
-	start := time.Now() //mdm:wallclockok -- fsync latency telemetry: the duration feeds /metrics counters only, never simulation state or the journal
+	start := time.Now()
 	err := t.FS.SyncDir(dir)
-	t.observe(time.Since(start)) //mdm:wallclockok -- fsync latency telemetry: counters only
+	t.observe(time.Since(start))
 	return err
 }
 

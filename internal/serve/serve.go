@@ -188,7 +188,6 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	for i := 0; i < cfg.Executors; i++ {
 		m.wg.Add(1)
-		//mdm:gojoinok -- executor pool: joined by Drain/Close via m.wg before the manager is discarded
 		go m.executor()
 	}
 	return m, nil

@@ -107,7 +107,6 @@ func (b *Breaker) Fail(step int) bool {
 		b.open(step, true)
 		return true
 	}
-	//mdm:hotallocok -- failure bookkeeping: runs only when a hardware call failed, and the window trim below bounds the slice
 	b.fails = append(b.fails, step)
 	keep := b.fails[:0]
 	for _, s := range b.fails {

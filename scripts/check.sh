@@ -19,8 +19,8 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> mdmvet (full analyzer suite incl. stepflow determinism checks, baseline-filtered)"
-go run ./cmd/mdmvet -baseline mdmvet.baseline ./...
+echo "==> mdmvet (full analyzer suite incl. stepflow determinism checks)"
+go run ./cmd/mdmvet ./...
 
 echo "==> mdmvet -audit (every //mdm:* suppression must carry a justification)"
 go run ./cmd/mdmvet -audit >/dev/null
