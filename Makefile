@@ -26,7 +26,7 @@ bench:
 # neither, so a renamed entry point or a broken set-up would otherwise rot.
 bench-build:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/fixed ./internal/funceval \
-		./internal/wine2 ./internal/mdgrape2 ./internal/core
+		./internal/wine2 ./internal/cellindex ./internal/mdgrape2 ./internal/core
 
 bench-json:
 	sh scripts/bench.sh
@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzScanRunDir -fuzztime 3s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzSubmitSpec -fuzztime 3s
 	$(GO) test ./internal/domain/ -run '^$$' -fuzz FuzzBlocks -fuzztime 3s
+	$(GO) test ./internal/cellindex/ -run '^$$' -fuzz FuzzReachMask -fuzztime 3s
 
 fmt:
 	gofmt -w .

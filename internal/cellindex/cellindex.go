@@ -15,7 +15,9 @@
 // neighbourhood is what the board streams; the pair set of every sum over the
 // layout is the r_cut sphere inside it. A Verlet skin widens the cells
 // (NewSkinGrid), never the cutoff, so it decides which out-of-cutoff pairs are
-// streamed and nothing else.
+// streamed and nothing else. A cutoff walk computes only the neighbour runs
+// whose cell can reach the sphere (ReachMask); the stream it counts is still
+// the whole cube.
 //
 // Two pair walkers are provided:
 //
@@ -43,6 +45,7 @@ type Grid struct {
 	N        int     // cells per side
 	CellSize float64 // L / N (>= the cutoff plus any skin the grid was built for)
 	Cutoff   float64 // interaction cutoff r_cut: walks keep pairs with r² < Cutoff²
+	Skin     float64 // Verlet skin the cells were widened by: how far a stored j may drift from its cell
 }
 
 // NewGrid builds a grid for box side l with cells no smaller than rcut
@@ -64,7 +67,7 @@ func NewSkinGrid(l, rcut, skin float64) (*Grid, error) {
 		return nil, fmt.Errorf("cellindex: cutoff %g plus skin %g exceeds box side %g", rcut, skin, l)
 	}
 	n := max(int(math.Floor(l/w)), 1)
-	return &Grid{L: l, N: n, CellSize: l / float64(n), Cutoff: rcut}, nil
+	return &Grid{L: l, N: n, CellSize: l / float64(n), Cutoff: rcut, Skin: skin}, nil
 }
 
 // NumCells returns the total number of cells N³.
@@ -118,28 +121,23 @@ type Neighbor struct {
 	Shift vec.V
 }
 
-// Neighbors returns the neighbor cells of cell c, including c itself.
-// For grids with N >= 3 the result always has exactly 27 distinct entries.
-// For smaller grids the same cell can appear several times with different
-// image shifts; entries are deduplicated by (cell, shift) so each physical
-// image is visited exactly once.
+// Neighbors returns the 27 neighbor entries of cell c, c itself included, in
+// the fixed order entry e = 9·(dz+1) + 3·(dy+1) + (dx+1) over the offsets
+// dz, dy, dx ∈ {−1, 0, +1} (ReachMask's bits follow it). On grids with N < 3
+// a cell is its own or its neighbour's neighbour through several image shifts;
+// distinct offsets still give distinct (cell, shift) entries, so each physical
+// image is one entry.
 func (g *Grid) Neighbors(c int) []Neighbor {
 	cx, cy, cz := g.Coords(c)
 	out := make([]Neighbor, 0, 27)
-	seen := make(map[[4]int]bool, 27)
 	for dz := -1; dz <= 1; dz++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
 				nx, sx := wrapCell(cx+dx, g.N)
 				ny, sy := wrapCell(cy+dy, g.N)
 				nz, sz := wrapCell(cz+dz, g.N)
-				key := [4]int{g.Index(nx, ny, nz), sx, sy, sz}
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
 				out = append(out, Neighbor{
-					Cell:  key[0],
+					Cell:  g.Index(nx, ny, nz),
 					Shift: vec.New(float64(sx)*g.L, float64(sy)*g.L, float64(sz)*g.L),
 				})
 			}
@@ -148,11 +146,93 @@ func (g *Grid) Neighbors(c int) []Neighbor {
 	return out
 }
 
+// reach is what a reach test knows of cell c's 27 neighbour entries: on each
+// axis and for each offset d ∈ {−1, 0, +1}, the interval [lo, hi] that every
+// j stored in that entry's cell lies in, displaced by the entry's image shift.
+// It is the cell's unwrapped box (c+d)·CellSize … (c+d+1)·CellSize widened by
+// skin/2, the drift Sorted.Refresh allows, and by reachSlack.
+type reach struct {
+	lo, hi [3][3]float64 // [axis][offset+1]
+	cut2   float64
+}
+
+// reachSlack is δ, the margin a reach test adds to the j-side boxes so that a
+// skipped run holds no pair any walk keeps. A float32 walk (the pipelines')
+// forms r⃗ = x_i − (x_j + s) from the stored words; with u = 2⁻²⁴, rounding
+// x_j (|x_j| ≤ L + skin/2), the shift (L) and their sum (≤ 2L + skin/2) moves
+// each component by at most u(4L + skin), and rounding the difference, the
+// squares, their sum and float32(r_c²) costs at most 3u·r_c more: under
+// 10u(L + skin) in all, as r_c ≤ L. Every float64 rounding — the sort's cell
+// test, Refresh, a float64 walk and this test itself — is ~10⁻⁹ of that.
+// 2⁻²⁰(L + skin) = 16u(L + skin) covers both.
+func (g *Grid) reachSlack() float64 { return 0x1p-20 * (g.L + g.Skin) }
+
+// reachOf returns cell c's reach.
+func (g *Grid) reachOf(c int) reach {
+	w := g.Skin/2 + g.reachSlack()
+	cx, cy, cz := g.Coords(c)
+	r := reach{cut2: g.Cutoff * g.Cutoff}
+	for a, ca := range [3]int{cx, cy, cz} {
+		for d := range 3 {
+			r.lo[a][d] = float64(ca+d-1)*g.CellSize - w
+			r.hi[a][d] = float64(ca+d)*g.CellSize + w
+		}
+	}
+	return r
+}
+
+// gap2 is the squared distance from x to axis a's interval for offset d−1.
+func (r *reach) gap2(a, d int, x float64) float64 {
+	g := 0.0
+	if x < r.lo[a][d] {
+		g = r.lo[a][d] - x
+	}
+	if x > r.hi[a][d] {
+		g = x - r.hi[a][d]
+	}
+	return g * g
+}
+
+// reaches reports whether neighbour entry e's box lies within the cutoff of
+// (x, y, z): bit e of ReachMask, summed in the same order.
+func (r *reach) reaches(e int, x, y, z float64) bool {
+	return r.gap2(2, e/9, z)+r.gap2(1, e/3%3, y)+r.gap2(0, e%3, x) < r.cut2
+}
+
+// below is 1 if a squared gap is inside the cutoff, else 0.
+func (r *reach) below(g2 float64) uint32 {
+	if g2 < r.cut2 {
+		return 1
+	}
+	return 0
+}
+
+// ReachMask returns, for a particle filed under cell c at stored coordinate
+// (x, y, z), bit e set for each of c's neighbour entries (Neighbors' order)
+// that can hold a pair within the cutoff of it. A cleared entry's box, widened
+// by skin/2 for the drift a frozen layout allows and by a rounding margin,
+// lies at least r_c away, so no j in it passes a walk's cutoff test — float64
+// or the pipelines' float32 — and a cutoff walk that skips it keeps every pair
+// in the same order.
+func (g *Grid) ReachMask(c int, x, y, z float64) uint32 {
+	r := g.reachOf(c)
+	var gx, gy, gz [3]float64
+	for d := range 3 {
+		gx[d], gy[d], gz[d] = r.gap2(0, d, x), r.gap2(1, d, y), r.gap2(2, d, z)
+	}
+	var m uint32
+	for e := 0; e < 27; e += 3 { // entries e, e+1, e+2 differ in dx only
+		gzy := gz[e/9] + gy[e/3%3]
+		m |= r.below(gzy+gx[0])<<e | r.below(gzy+gx[1])<<(e+1) | r.below(gzy+gx[2])<<(e+2)
+	}
+	return m
+}
+
 // NeighborTable caches Neighbors(c) for every cell of a grid — the "cell
 // memory" contents the board FPGA computes once per grid geometry rather
 // than once per particle. Enumerating neighbors through the table returns
 // the exact slices Neighbors would, in the same order, without the per-call
-// allocation and dedup work.
+// allocation.
 type NeighborTable struct {
 	g     *Grid
 	lists [][]Neighbor
@@ -454,12 +534,23 @@ func (s *Sorted) OrderedPairCount() int {
 // passing rij = ri - (rj + shift) — the r_cut sphere with Newton's third law,
 // the conventional-computer mode (operation count N · N_int) and the one
 // real-space pair set of the machine. The displacement and the test are
-// float64; the visit order is forEachHalfRun's, with the same table contract.
+// float64; the visit order is forEachHalfRun's, with the same table contract,
+// less the runs whose cell cannot reach i's sphere (ReachMask), which hold no
+// pair it visits.
 func (s *Sorted) ForEachHalfPair(nbt *NeighborTable, f func(i, j int, rij vec.V)) {
-	cut2 := s.Grid.Cutoff * s.Grid.Cutoff
+	g := s.Grid
+	cut2 := g.Cutoff * g.Cutoff
 	px, py, pz := s.Pos.X, s.Pos.Y, s.Pos.Z
-	s.forEachHalfRun(nbt, func(i, js, je int, shift vec.V) {
+	var r reach
+	rc := -1 // the cell r describes
+	s.halfRuns(nbt, func(c, e, i, js, je int, shift vec.V) {
+		if c != rc {
+			r, rc = g.reachOf(c), c
+		}
 		xi, yi, zi := px[i], py[i], pz[i]
+		if !r.reaches(e, xi, yi, zi) {
+			return
+		}
 		sx, sy, sz := shift.X, shift.Y, shift.Z
 		jx := px[js:je]
 		jy, jz := py[js:je][:len(jx)], pz[js:je][:len(jx)]
@@ -477,14 +568,20 @@ func (s *Sorted) ForEachHalfPair(nbt *NeighborTable, f func(i, j int, rij vec.V)
 // (i, i, zero-shift) self visits dropped and a particle's own non-zero images
 // kept — one callback per (i, neighbor-cell run): sorted particle i pairs with
 // every sorted j in [js, je), each j displaced by the run's image shift. It
-// applies no distance test (ForEachHalfPair does). Runs arrive in fixed order
-// (cell, neighbor entry, i) on the calling goroutine; empty runs are skipped.
-// Which of a pair's two directed visits survives depends only on the (cell,
-// neighbor entry) it arrives through, so the choice is made once per entry,
-// not once per pair. Neighbor lists come from the prebuilt table (which must
-// belong to s.Grid's geometry), so the walk allocates nothing; a nil table
-// enumerates each cell's neighbors afresh.
+// applies no distance test and no reach test (ForEachHalfPair does). Runs
+// arrive in fixed order (cell, neighbor entry, i) on the calling goroutine;
+// empty runs are skipped. Which of a pair's two directed visits survives
+// depends only on the (cell, neighbor entry) it arrives through, so the choice
+// is made once per entry, not once per pair. Neighbor lists come from the
+// prebuilt table (which must belong to s.Grid's geometry), so the walk
+// allocates nothing; a nil table enumerates each cell's neighbors afresh.
 func (s *Sorted) forEachHalfRun(nbt *NeighborTable, f func(i, js, je int, shift vec.V)) {
+	s.halfRuns(nbt, func(_, _, i, js, je int, shift vec.V) { f(i, js, je, shift) })
+}
+
+// halfRuns is forEachHalfRun's walk, naming each run's cell c and neighbour
+// entry e as well.
+func (s *Sorted) halfRuns(nbt *NeighborTable, f func(c, e, i, js, je int, shift vec.V)) {
 	g := s.Grid
 	for c := 0; c < g.NumCells(); c++ {
 		is, ie := s.CellRange(c)
@@ -497,7 +594,7 @@ func (s *Sorted) forEachHalfRun(nbt *NeighborTable, f func(i, js, je int, shift 
 		} else {
 			nbrs = g.Neighbors(c)
 		}
-		for _, nb := range nbrs {
+		for e, nb := range nbrs {
 			own := nb.Cell == c && nb.Shift == vec.Zero
 			if !own && !canonical(c, nb) {
 				continue
@@ -508,7 +605,7 @@ func (s *Sorted) forEachHalfRun(nbt *NeighborTable, f func(i, js, je int, shift 
 					js = i + 1
 				}
 				if js < je {
-					f(i, js, je, nb.Shift)
+					f(c, e, i, js, je, nb.Shift)
 				}
 			}
 		}

@@ -93,25 +93,46 @@ func TestNeighbors27Distinct(t *testing.T) {
 	}
 }
 
+// TestNeighborsSmallGrid pins Neighbors' fixed 27-entry order — entry
+// 9·(dz+1) + 3·(dy+1) + (dx+1), the order ReachMask's bits follow — on the
+// grids where a cell is its own or its neighbour's neighbour (N = 1, 2) and on
+// N = 3, 4: every entry is the wrapped cell with the shift of the wrap, the 27
+// (cell, shift) pairs are distinct, and the list is the one allocation.
 func TestNeighborsSmallGrid(t *testing.T) {
-	// N = 1: the 27 images of the single cell are distinct (cell, shift)
-	// combinations.
-	g, _ := NewGrid(10, 10)
-	if g.N != 1 {
-		t.Fatalf("N = %d", g.N)
-	}
-	nbrs := g.Neighbors(0)
-	if len(nbrs) != 27 {
-		t.Fatalf("%d image neighbors, want 27", len(nbrs))
-	}
-	zero := 0
-	for _, nb := range nbrs {
-		if nb.Shift == vec.Zero {
-			zero++
+	const l = 12.0
+	for _, n := range []int{1, 2, 3, 4} {
+		g, err := NewGrid(l, l/float64(n))
+		if err != nil || g.N != n {
+			t.Fatalf("N = %d: grid %+v, %v", n, g, err)
 		}
-	}
-	if zero != 1 {
-		t.Errorf("%d zero-shift entries, want 1", zero)
+		for c := 0; c < g.NumCells(); c++ {
+			cx, cy, cz := g.Coords(c)
+			nbrs := g.Neighbors(c)
+			if len(nbrs) != 27 {
+				t.Fatalf("N=%d cell %d: %d entries, want 27", n, c, len(nbrs))
+			}
+			seen := map[Neighbor]bool{}
+			for e, nb := range nbrs {
+				dx, dy, dz := e%3-1, e/3%3-1, e/9-1
+				wx, sx := wrapCell(cx+dx, n)
+				wy, sy := wrapCell(cy+dy, n)
+				wz, sz := wrapCell(cz+dz, n)
+				want := Neighbor{Cell: g.Index(wx, wy, wz), Shift: vec.New(float64(sx)*l, float64(sy)*l, float64(sz)*l)}
+				if nb != want {
+					t.Fatalf("N=%d cell %d entry %d (offset %d,%d,%d): %+v, want %+v", n, c, e, dx, dy, dz, nb, want)
+				}
+				if seen[nb] {
+					t.Fatalf("N=%d cell %d: entry %d repeats %+v", n, c, e, nb)
+				}
+				seen[nb] = true
+			}
+			if nbrs[13] != (Neighbor{Cell: c}) {
+				t.Fatalf("N=%d cell %d: centre entry %+v, want the cell itself unshifted", n, c, nbrs[13])
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { g.Neighbors(0) }); a != 1 {
+			t.Errorf("N=%d: Neighbors allocates %.0f times per call, want 1", n, a)
+		}
 	}
 }
 
@@ -204,7 +225,7 @@ func TestHalfPairsMatchBruteForce(t *testing.T) {
 }
 
 func TestHalfPairsSmallGridMatchesBruteForce(t *testing.T) {
-	// N = 2 grid exercises the image-shift deduplication logic.
+	// N = 2 grid: a cell is its neighbour through two image shifts.
 	const l, rcut = 10.0, 4.9
 	pos := randomPositions(120, l, 7)
 	g, _ := NewGrid(l, rcut)

@@ -40,7 +40,8 @@ const maxFusedPasses = 8
 // pairs inside the cutoff into the block across run boundaries; a full block,
 // or the end of i's walk, runs every pass. Each pass's accumulator adds its
 // pairs in walk order whatever the block boundaries, so the compaction moves
-// no bit of a kept pair's contribution.
+// no bit of a kept pair's contribution. It is a power of two: gather masks its
+// slot index with sweepBlock−1, which drops the stores' bounds checks.
 const sweepBlock = 64
 
 // pairBlock is one worker's gathered j-block — the kept pairs' float32
@@ -59,7 +60,10 @@ type pairBlock struct {
 // words (pix, piy, piz) against each j's, displaced by the run's image shift
 // (sx, sy, sz), the displacement and r² formed as the pipelines form them —
 // and appends those with r² below cut2 until the block is full. It returns
-// where the run resumes.
+// where the run resumes. The compaction has no branch: every candidate is
+// written to the next free slot, which advances only past a kept one. The call
+// streams at most the free slots, so the slot stays below sweepBlock and the
+// mask leaves it unchanged.
 func (b *pairBlock) gather(p *soa.Coords32, j, jend int, pix, piy, piz, sx, sy, sz, cut2 float32) int {
 	end := min(jend, j+sweepBlock-b.n)
 	jx := p.X[j:end]
@@ -71,8 +75,9 @@ func (b *pairBlock) gather(p *soa.Coords32, j, jend int, pix, piy, piz, sx, sy, 
 		ey := piy - (jy[k] + sy)
 		ez := piz - (jz[k] + sz)
 		r2 := ex*ex + ey*ey + ez*ez
+		s := n & (sweepBlock - 1)
+		b.dx[s], b.dy[s], b.dz[s], b.r2[s], b.j[s] = ex, ey, ez, r2, j+k
 		if r2 < cut2 {
-			b.dx[n], b.dy[n], b.dz[n], b.r2[n], b.j[n] = ex, ey, ez, r2, j+k
 			n++
 		}
 	}
@@ -252,14 +257,18 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 		for i := lo; i < hi; i++ {
 			// Cell and single-precision coordinate word as stored at the last
 			// Build / Refresh — the word this particle's j-side visits read too.
-			nbrs, pix, piy, piz := js.iSide(i)
+			nbrs, reach, pix, piy, piz := js.iSide(i)
 			acc = [maxFusedPasses][3]float64{}
-			for _, nb := range nbrs {
+			for e, nb := range nbrs {
 				// Stream the cell's j-run from the float32 planes — the banked
-				// particle-memory read of §3.3.
+				// particle-memory read of §3.3. The board pays for every run;
+				// the host computes only those that can reach the cutoff.
 				jstart, jend := js.Sorted.CellRange(nb.Cell)
-				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
 				pairs += int64(jend - jstart)
+				if reach&(1<<e) == 0 {
+					continue
+				}
+				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
 				for j := jstart; j < jend; {
 					j = blk.gather(p32, j, jend, pix, piy, piz, sx, sy, sz, cut2)
 					if blk.n == sweepBlock {

@@ -33,12 +33,18 @@ type JSet struct {
 	nbt *cellindex.NeighborTable // per-cell neighbor lists (the board cell memory)
 }
 
-// iSide returns what the board holds for i-particle i: the neighbor list of
-// the cell it was sorted into and its stored single-precision coordinate.
-func (js *JSet) iSide(i int) (nbrs []cellindex.Neighbor, x, y, z float32) {
+// iSide returns what the board holds for i-particle i — the neighbor list of
+// the cell it was sorted into and its stored single-precision coordinate —
+// and which of those 27 runs can hold a pair inside the cutoff
+// (cellindex.Grid.ReachMask, bit e for entry e). A walk streams and counts
+// every run and computes only the reachable ones: the others hold no pair the
+// pipelines keep.
+func (js *JSet) iSide(i int) (nbrs []cellindex.Neighbor, reach uint32, x, y, z float32) {
 	s := js.Sorted
-	k := s.Slot[i]
-	return js.nbt.Of(s.Cell[i]), s.P32.X[k], s.P32.Y[k], s.P32.Z[k]
+	k, c := s.Slot[i], s.Cell[i]
+	x, y, z = s.P32.X[k], s.P32.Y[k], s.P32.Z[k]
+	//mdm:float64ok -- exact widening of i's stored word for the host's reach test; no pipeline arithmetic
+	return js.nbt.Of(c), s.Grid.ReachMask(c, float64(x), float64(y), float64(z)), x, y, z
 }
 
 // cutoffWord is the pipelines' squared cutoff: the host's r_cut squared and
@@ -52,10 +58,13 @@ func cutoffWord(rcut float64) float32 { return float32(rcut * rcut) }
 // with the image shift of the run it came in. i's visit to itself is one of
 // them (r = 0). It is the sweep's pair set, for oracles and diagnostics.
 func (js *JSet) ForEachPair(i int, f func(j int, shift vec.V)) {
-	nbrs, pix, piy, piz := js.iSide(i)
+	nbrs, reach, pix, piy, piz := js.iSide(i)
 	cut2 := cutoffWord(js.Sorted.Grid.Cutoff)
 	var b pairBlock
-	for _, nb := range nbrs {
+	for e, nb := range nbrs {
+		if reach&(1<<e) == 0 {
+			continue
+		}
 		jstart, jend := js.Sorted.CellRange(nb.Cell)
 		sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
 		for j := jstart; j < jend; {

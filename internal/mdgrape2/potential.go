@@ -38,13 +38,16 @@ func (s *System) ComputePotentials(table string, co *Coeffs, xi []vec.V, ti []in
 			if ti[i] < 0 || ti[i] >= n {
 				return fmt.Errorf("mdgrape2: i-type %d outside coefficient RAM", ti[i])
 			}
-			nbrs, pix, piy, piz := js.iSide(i)
+			nbrs, reach, pix, piy, piz := js.iSide(i)
 			ta, tb := a32[ti[i]], b32[ti[i]]
 			var acc float64
-			for _, nb := range nbrs {
+			for e, nb := range nbrs {
 				jstart, jend := js.Sorted.CellRange(nb.Cell)
-				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
 				pairs += int64(jend - jstart)
+				if reach&(1<<e) == 0 {
+					continue
+				}
+				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
 				for j := jstart; j < jend; {
 					blk.n = 0
 					j = blk.gather(&js.Sorted.P32, j, jend, pix, piy, piz, sx, sy, sz, cut2)
