@@ -1,13 +1,14 @@
 # Standard entry points; `make check` is the gate CI runs. The -race package
-# list, the chaos -run regex, the fuzz targets, the kernel micro-benchmark
+# list and -run regexes, the fuzz targets, the kernel micro-benchmark
 # packages and the smoke gate's flags live here only: scripts/check.sh calls
-# `make race` / `make chaos` / `make fuzz-smoke` / `make bench-build` /
-# `make bench-smoke`, and fails when an alternative of a `make race` /
-# `make chaos` -run regex names no test in its packages.
+# `make race` / `make fuzz-smoke` / `make bench-build` / `make bench-smoke`,
+# and fails when an alternative of a `make race` -run regex names no test in
+# its packages. The fault-injection, recovery, supervision and crash-matrix
+# tests need no target of their own: `go test ./...` runs every one of them.
 
 GO ?= go
 
-.PHONY: all build test bench bench-build bench-json bench-smoke vet mdmvet audit race chaos fuzz-smoke check fmt
+.PHONY: all build test bench bench-build bench-json bench-smoke vet mdmvet audit race fuzz-smoke check fmt
 
 all: build
 
@@ -51,12 +52,6 @@ race:
 		./internal/lifecycle/... ./internal/serve/...
 	$(GO) test -race -run 'Commit|DurableOnReturn|Turnover|CrashMatrix|Journal|Interrupt|Resume|Restart' .
 	$(GO) test -race -short -run BitIdentityLattice .
-
-chaos:
-	$(GO) test -run 'Chaos|Resilient|FaultHook|RunProtocol|Restart|CheckpointFile|CheckpointTyped|CheckpointVersion|Watchdog|Breaker|Journal|Supervise|Interrupt|CrashMatrix|Commit|DurableOnReturn|Turnover|Serve|BitIdentityLattice' \
-		./internal/core/... ./internal/wine2/... ./internal/mdgrape2/... \
-		./internal/md/... ./internal/supervise/... ./internal/serve/... \
-		./cmd/mdmsim/... ./cmd/mdmserve/... .
 
 fuzz-smoke:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz FuzzParseScenario -fuzztime 3s

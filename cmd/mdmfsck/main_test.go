@@ -22,10 +22,10 @@ func writeRun(t *testing.T) (dir, ckpt, journal string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := md.WriteCheckpointFile(ckpt, s, 2); err != nil {
+	if err := md.WriteCheckpointFS(store.OS(), ckpt, s, 2); err != nil {
 		t.Fatal(err)
 	}
-	j, err := supervise.CreateJournal(journal)
+	j, err := supervise.CreateJournalFS(journal, supervise.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFsckRepairTornTail(t *testing.T) {
 	if rep.ResumeStep != 4 {
 		t.Fatalf("resume after truncating torn step-5 record: %d", rep.ResumeStep)
 	}
-	recs, err := supervise.ReadJournalFile(journal)
+	recs, err := supervise.ReadJournalFS(store.OS(), journal)
 	if err != nil {
 		t.Fatalf("repaired journal unreadable: %v", err)
 	}

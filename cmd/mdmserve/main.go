@@ -13,6 +13,10 @@
 //	curl -s localhost:8488/v1/sessions/s0001
 //	curl -s localhost:8488/v1/sessions/s0001/observables?since=100
 //
+// A tenant whose sessions fail 3 times within 20 admission ticks is
+// quarantined by its circuit breaker (503) for 8 ticks, doubling on every
+// failed probe; the policy is fixed, not a flag.
+//
 // Signal contract: the first SIGINT/SIGTERM drains — admission stops (503),
 // running sessions finish their step and wait for its journal record to be
 // durable, final checkpoints are written — then the drain summary is printed
@@ -32,7 +36,6 @@ import (
 
 	"mdm/internal/lifecycle"
 	"mdm/internal/serve"
-	"mdm/internal/supervise"
 )
 
 func main() {
@@ -51,8 +54,6 @@ func run() int {
 	maxSessions := flag.Int("tenant-max-sessions", 8, "per-tenant live-session quota (0 = unlimited)")
 	maxQueued := flag.Int("tenant-max-queued", 4, "per-tenant queued-session quota (0 = unlimited)")
 	maxPSteps := flag.Int64("tenant-max-particle-steps", 0, "per-tenant lifetime particle-step budget (0 = unlimited)")
-	breakerTrip := flag.Int("breaker-trip", 3, "tenant breaker: failures within the window that open it")
-	breakerWindow := flag.Int("breaker-window", 20, "tenant breaker: failure-counting window in admission ticks")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 rejections")
 	summaryPath := flag.String("summary", "", "write the machine-readable drain summary to this file")
 	flag.Parse()
@@ -72,10 +73,6 @@ func run() int {
 			MaxSessions:      *maxSessions,
 			MaxQueued:        *maxQueued,
 			MaxParticleSteps: *maxPSteps,
-		},
-		Breaker: supervise.BreakerConfig{
-			Trip:   *breakerTrip,
-			Window: *breakerWindow,
 		},
 		RetryAfter: *retryAfter,
 		Logf:       logf,

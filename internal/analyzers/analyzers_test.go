@@ -121,7 +121,9 @@ func TestStepFlowFactPropagation(t *testing.T) {
 		"(*mdm/internal/core.potCadence).eval",
 		// Callback edge: functions passed to Integrator.Run run between steps.
 		"(*mdm.Simulation).observe",
-		// Explicitly annotated root whose wiring is an assignment.
+		// Interface dispatch twice over: the boards call
+		// fault.HardwareHook.HardwareCall, CHA fans out to core's liveness
+		// hook, and its Beat call reaches the watchdog.
 		"(*mdm/internal/supervise.Watchdog).Beat",
 		// What a callback calls is hot too: observe samples between steps.
 		"(*mdm/internal/md.Recorder).Sample",

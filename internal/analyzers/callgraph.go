@@ -26,8 +26,8 @@ import (
 // Roots are declared in source: a function whose doc comment carries a
 // "//mdm:stepflow -- reason" directive is a hot-path entry point. The repo
 // annotates core.Machine.Forces, md.Integrator.Step/Run, the WINE-2 and
-// MDGRAPE-2 session entry points, and the supervision hooks the step path
-// invokes (journal append, watchdog beat). Reachability propagates through:
+// MDGRAPE-2 session entry points, and the serving layer's per-step interrupt
+// check, whose wiring is an assignment. Reachability propagates through:
 //
 //   - direct calls, go statements and defers (resolved through go/types);
 //   - closures: a function literal's body belongs to its declaring function,

@@ -121,20 +121,17 @@ type realRank struct {
 
 // newRealRank runs the Table 3 sequence — allocate, init, load the four
 // kernel tables — over a 1/share slice of the MDGRAPE-2 boards: share 1 on the
-// serial machine, 1/nReal on each rank of a session. scope names the rank to
-// cfg.Heartbeat. The kernels are universal functions of x, so one fit serves
-// an engine: with images nil the rank fits the tables, otherwise it loads the
-// images another rank of the same engine already holds.
-func (e *engineBase) newRealRank(share int, scope string, images *mdgrape2.System) (realRank, error) {
+// serial machine, 1/nReal on each rank of a session. The kernels are
+// universal functions of x, so one fit serves an engine: with images nil the
+// rank fits the tables, otherwise it loads the images another rank of the
+// same engine already holds.
+func (e *engineBase) newRealRank(share int, images *mdgrape2.System) (realRank, error) {
 	cfg := e.cfg
 	mr1, err := mdgrape2.NewMR1(cfg.MDG)
 	if err != nil {
 		return realRank{}, err
 	}
 	mr1.SetFaultHook(cfg.FaultHook)
-	if beat := cfg.Heartbeat; beat != nil {
-		mr1.SetHeartbeat(func() { beat(scope) })
-	}
 	if err := mr1.AllocateBoards(boardShare(cfg.MDGBoards, cfg.MDG.Boards(), share)); err != nil {
 		return realRank{}, err
 	}
@@ -201,16 +198,13 @@ type waveRank struct {
 
 // newWaveRank runs the Table 2 sequence — allocate, initialize — over a
 // 1/share slice of the WINE-2 boards, like newRealRank.
-func (e *engineBase) newWaveRank(share int, scope string) (waveRank, error) {
+func (e *engineBase) newWaveRank(share int) (waveRank, error) {
 	cfg := e.cfg
 	lib, err := wine2.NewLibrary(cfg.Wine)
 	if err != nil {
 		return waveRank{}, err
 	}
 	lib.SetFaultHook(cfg.FaultHook)
-	if beat := cfg.Heartbeat; beat != nil {
-		lib.SetHeartbeat(func() { beat(scope) })
-	}
 	if err := lib.AllocateBoards(boardShare(cfg.WineBoards, cfg.Wine.Boards(), share)); err != nil {
 		return waveRank{}, err
 	}

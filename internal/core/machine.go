@@ -73,16 +73,11 @@ type MachineConfig struct {
 	// predecessor held is in no checkpoint.
 	PotentialEvery int
 
-	// FaultHook, when non-nil, is installed on both simulated backends (and
-	// on every per-rank session of the parallel path) so a fault.Injector can
-	// fail or corrupt hardware calls. Nil disables injection.
+	// FaultHook, when non-nil, is called at the entry of every hardware call
+	// on both simulated backends (every rank session on the parallel path):
+	// the one per-call seam for fault injection and the watchdog's beat,
+	// which Resilient installs. Nil costs one nil check per call.
 	FaultHook fault.HardwareHook
-
-	// Heartbeat, when non-nil, is invoked with a scope name ("wine2", "mdg",
-	// or a per-rank scope on the parallel path) at the entry of every
-	// hardware call — the watchdog's view of board progress. Nil (the
-	// default) costs one nil check per call.
-	Heartbeat func(scope string)
 
 	// Workers is the host worker-pool width striping the simulated pipelines
 	// across OS threads (package parallelize). 0 selects runtime.GOMAXPROCS(0);
@@ -168,10 +163,10 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{engineBase: base, wineDone: make(chan wineResult, 1)}
-	if m.real, err = m.newRealRank(1, "mdg", nil); err != nil {
+	if m.real, err = m.newRealRank(1, nil); err != nil {
 		return nil, err
 	}
-	if m.wave, err = m.newWaveRank(1, "wine2"); err != nil {
+	if m.wave, err = m.newWaveRank(1); err != nil {
 		return nil, err
 	}
 	return m, nil

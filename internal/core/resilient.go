@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"mdm/internal/ewald"
 	"mdm/internal/fault"
@@ -30,20 +31,15 @@ type RecoveryConfig struct {
 	// recovery loop is chaos-tested.
 	Injector *fault.Injector
 
-	// Watchdog, when set, is armed around every hardware step: the engine's
-	// heartbeats feed it, and a declared stall releases injected hangs (and,
-	// on the parallel path, cancels the rank group) so a wedged call fails
-	// fast with a retryable StallError instead of blocking the run. Resilient
-	// starts the monitor on construction and stops it in Free.
-	Watchdog *supervise.Watchdog
-
-	// Breakers, when set, adds per-board and per-link circuit breakers over
-	// the retry ladder: a board that trips its breaker is quarantined up
-	// front (re-striped away like a dead board), and while a site or link
-	// breaker is open the step is served by the host path without paying the
-	// hardware round-trip. Cooldowns run on the step clock, so breaker
-	// behaviour is deterministic for a scripted fault schedule.
-	Breakers *supervise.BreakerSet
+	// Watchdog is the stall deadline for one hardware call (0 disables
+	// supervision). Resilient builds the watchdog, beats it from every
+	// hardware call through the hardware hook and arms it around every
+	// hardware step; a stall releases injected hangs and cancels the rank
+	// group, so a wedged call fails fast with a retryable StallError. A
+	// watchdog also brings circuit breakers (supervise.BreakerSet's fixed
+	// policy, on the step clock): a tripped board is quarantined up front,
+	// and while a site or link breaker is open the host path serves the step.
+	Watchdog time.Duration
 }
 
 // maxRetries bounds per-step hardware retries; a step whose budget is
@@ -162,6 +158,8 @@ func (h *hardware) restripe(site fault.Site) (bool, error) {
 // acceptable for a degraded mode.
 type Resilient struct {
 	rc     RecoveryConfig
+	wd     *supervise.Watchdog   // nil unless rc.Watchdog > 0
+	br     *supervise.BreakerSet // non-nil iff wd is
 	hw     *hardware
 	p      ewald.Params
 	ref    *Reference
@@ -184,40 +182,56 @@ func NewResilientParallel(cfg MachineConfig, rc RecoveryConfig, world *mpi.World
 }
 
 func newResilient(cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal, nWave int) (*Resilient, error) {
+	r := &Resilient{rc: rc, p: cfg.Ewald}
 	if rc.Injector != nil {
 		cfg.FaultHook = rc.Injector
 		if world != nil {
 			world.SetFaultHook(rc.Injector)
 		}
 	}
-	superviseWatchdog(&cfg, rc, world)
-	hw, err := newHardware(cfg, world, nReal, nWave)
-	if err != nil {
-		if rc.Watchdog != nil {
-			rc.Watchdog.Stop()
+	if rc.Watchdog > 0 {
+		r.wd, r.br = supervise.NewWatchdog(rc.Watchdog), supervise.NewBreakerSet()
+		cfg.FaultHook = &livenessHook{wd: r.wd, in: rc.Injector}
+		if in := rc.Injector; in != nil {
+			r.wd.OnStall(in.ReleaseHangs)
 		}
+		if world != nil {
+			r.wd.OnStall(world.CancelRun)
+		}
+	}
+	var err error
+	if r.hw, err = newHardware(cfg, world, nReal, nWave); err != nil {
 		return nil, err
 	}
-	return &Resilient{rc: rc, hw: hw, p: cfg.Ewald}, nil
+	if r.wd != nil {
+		r.wd.Start()
+	}
+	return r, nil
 }
 
-// superviseWatchdog wires a configured watchdog into the machine config:
-// hardware heartbeats feed it, and a declared stall releases injected hangs
-// and (parallel path) cancels the rank group so every peer unwinds with a
-// retryable error.
-func superviseWatchdog(cfg *MachineConfig, rc RecoveryConfig, world *mpi.World) {
-	wd := rc.Watchdog
-	if wd == nil {
-		return
+// livenessHook is the hardware hook under a watchdog: every hardware call
+// beats the watchdog before the injector, if any, can wedge it, so an
+// injected hang still reads as silence.
+type livenessHook struct {
+	wd interface{ Beat() } // the run's *supervise.Watchdog
+	in *fault.Injector     // nil without a fault scenario
+}
+
+// HardwareCall implements fault.HardwareHook.
+func (h *livenessHook) HardwareCall(site fault.Site) error {
+	h.wd.Beat()
+	if h.in == nil {
+		return nil
 	}
-	cfg.Heartbeat = wd.Beat
-	if in := rc.Injector; in != nil {
-		wd.OnStall(func(string) { in.ReleaseHangs() })
+	return h.in.HardwareCall(site)
+}
+
+// PendingFlip implements fault.HardwareHook.
+func (h *livenessHook) PendingFlip(site fault.Site) (word, bit int, ok bool) {
+	if h.in == nil {
+		return 0, 0, false
 	}
-	if world != nil {
-		wd.OnStall(func(string) { world.CancelRun() })
-	}
-	wd.Start()
+	return h.in.PendingFlip(site)
 }
 
 // SetStep implements Engine: it positions the step clock (e.g. when resuming
@@ -258,8 +272,8 @@ func (r *Resilient) AdoptReport(rep RunReport) {
 // Free releases the underlying hardware sessions and stops the watchdog
 // monitor.
 func (r *Resilient) Free() error {
-	if r.rc.Watchdog != nil {
-		r.rc.Watchdog.Stop()
+	if r.wd != nil {
+		r.wd.Stop()
 	}
 	return r.hw.eng.Free()
 }
@@ -398,7 +412,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 	// A breaker left open by earlier steps quarantines hardware dispatch up
 	// front: the step is served by the host path without paying the retry
 	// round-trip, until the step-clock cooldown half-opens the breaker.
-	if br := r.rc.Breakers; br != nil {
+	if br := r.br; br != nil {
 		if scope, open := br.FirstOpen(r.step); open {
 			r.report.FallbackSteps++
 			r.logf("step %d: breaker %s open, host fallback", r.step, scope)
@@ -408,12 +422,12 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 	retries := 0
 	for {
 		stalls := 0 // the watchdog's count before this attempt
-		if wd := r.rc.Watchdog; wd != nil {
+		if wd := r.wd; wd != nil {
 			wd.Arm()
 			stalls = wd.StallCount()
 		}
 		f, pot, err := r.hw.forces(s, r.step-1)
-		if wd := r.rc.Watchdog; wd != nil {
+		if wd := r.wd; wd != nil {
 			wd.Disarm()
 		}
 		if err == nil {
@@ -421,7 +435,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 				r.report.SuspectSteps++
 				err = fmt.Errorf("%w: %s", errSuspect, reason)
 			} else {
-				if br := r.rc.Breakers; br != nil {
+				if br := r.br; br != nil {
 					br.OK(r.step)
 				}
 				return f, pot, nil
@@ -454,12 +468,12 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 		}
 		// A released hang surfaces as a StallError; a collective the watchdog
 		// canceled surfaces as the message layer's cancellation, so it counts
-		// by the watchdog's own log growing during the attempt.
+		// by the watchdog's stall count growing during the attempt.
 		var se *fault.StallError
-		if errors.As(err, &se) || (r.rc.Watchdog != nil && r.rc.Watchdog.StallCount() > stalls) {
+		if errors.As(err, &se) || (r.wd != nil && r.wd.StallCount() > stalls) {
 			r.report.Stalls++
 		}
-		if br := r.rc.Breakers; br != nil {
+		if br := r.br; br != nil {
 			if scope, site, board, ok := breakerScope(err); ok && br.Fail(scope, r.step) {
 				r.report.BreakerTrips++
 				if board >= 0 && (site == fault.WINE2 || site == fault.MDG2) {

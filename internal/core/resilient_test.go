@@ -2,41 +2,103 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"mdm/internal/ewald"
 	"mdm/internal/fault"
 	"mdm/internal/md"
 	"mdm/internal/mpi"
+	"mdm/internal/vec"
 )
+
+// injector parses a fault scenario; "" is no scenario.
+func injector(t testing.TB, scenario string) *fault.Injector {
+	t.Helper()
+	if scenario == "" {
+		return nil
+	}
+	in, err := fault.ParseInjector(scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// testWorld is an n-rank world with the given wire deadline.
+func testWorld(t testing.TB, n int, timeout time.Duration) *mpi.World {
+	t.Helper()
+	world, err := mpi.NewWorld(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world.SetTimeout(timeout)
+	return world
+}
+
+// newResilientT builds the recovery layer over the serial machine (world
+// nil) or an nReal + 1 session on world, freed when the test ends.
+func newResilientT(t testing.TB, cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal int) *Resilient {
+	t.Helper()
+	var r *Resilient
+	var err error
+	if world == nil {
+		r, err = NewResilient(cfg, rc)
+	} else {
+		r, err = NewResilientParallel(cfg, rc, world, nReal, 1)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.Free() })
+	return r
+}
+
+// cleanForces is a fault-free serial machine's forces on s.
+func cleanForces(t testing.TB, p ewald.Params, s *md.System) []vec.V {
+	t.Helper()
+	f, _, err := newTestMachine(t, p).Forces(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// firstForces is ff's forces on s, failing the test on an error.
+func firstForces(t testing.TB, ff md.ForceField, s *md.System) []vec.V {
+	t.Helper()
+	f, _, err := ff.Forces(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// integrate runs steps NVE steps of s under ff and returns the energy drift.
+func integrate(t testing.TB, s *md.System, ff md.ForceField, steps int) float64 {
+	t.Helper()
+	it, err := md.NewIntegrator(s, ff, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &md.Recorder{}
+	rec.Sample(it)
+	if err := it.Run(steps, func(int) error { rec.Sample(it); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return rec.EnergyDrift()
+}
 
 func TestResilientTransientRetried(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 22)
 	p := smallParams(s.L)
 	// Per step the machine makes four MDGRAPE-2 pipeline calls and a WINE-2
 	// DFT/IDFT pair; call-keyed events count per site.
-	in, err := fault.ParseInjector("mdg:transient@call=2; wine2:transient@call=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilient(CurrentMachineConfig(p), RecoveryConfig{Injector: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
-	got, _, err := r.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newTestMachine(t, p)
-	want, _, err := m.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("particle %d: recovered forces deviate: %v != %v", i, got[i], want[i])
-		}
+	r := newResilientT(t, CurrentMachineConfig(p),
+		RecoveryConfig{Injector: injector(t, "mdg:transient@call=2; wine2:transient@call=1")}, nil, 0)
+	if !slices.Equal(firstForces(t, r, s), cleanForces(t, p, s)) {
+		t.Fatal("recovered forces deviate")
 	}
 	rep := r.Report()
 	if rep.Retries != 2 || rep.Fallback || rep.FallbackSteps != 0 {
@@ -49,30 +111,11 @@ func TestResilientBoardDropRestripes(t *testing.T) {
 	p := smallParams(s.L)
 	cfg := CurrentMachineConfig(p)
 	cfg.WineBoards = 4
-	in, err := fault.ParseInjector("wine2:board-drop@call=1,board=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilient(cfg, RecoveryConfig{Injector: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
-	got, _, err := r.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newResilientT(t, cfg, RecoveryConfig{Injector: injector(t, "wine2:board-drop@call=1,board=2")}, nil, 0)
 	// Striping is pure partitioning, so the 3-board machine computes the
 	// identical forces.
-	m := newTestMachine(t, p)
-	want, _, err := m.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("particle %d: post-restripe forces deviate", i)
-		}
+	if !slices.Equal(firstForces(t, r, s), cleanForces(t, p, s)) {
+		t.Fatal("post-restripe forces deviate")
 	}
 	rep := r.Report()
 	if rep.Restripes != 1 || rep.WineBoardsLost != 1 || rep.Fallback {
@@ -85,40 +128,21 @@ func TestResilientFallbackWhenNoCapacity(t *testing.T) {
 	p := smallParams(s.L)
 	cfg := CurrentMachineConfig(p)
 	cfg.MDGBoards = 1 // a single board: its dropout exhausts the machine
-	in, err := fault.ParseInjector("mdg:board-drop@call=1,board=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilient(cfg, RecoveryConfig{Injector: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
-	got, _, err := r.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newResilientT(t, cfg, RecoveryConfig{Injector: injector(t, "mdg:board-drop@call=1,board=0")}, nil, 0)
+	got := firstForces(t, r, s)
 	ref, err := NewReference(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := ref.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("particle %d: fallback forces are not the reference path", i)
-		}
+	if !slices.Equal(got, firstForces(t, ref, s)) {
+		t.Fatal("fallback forces are not the reference path")
 	}
 	rep := r.Report()
 	if !rep.Fallback || rep.FallbackSteps != 1 || rep.MDGBoardsLost != 1 {
 		t.Errorf("report = %+v, want permanent fallback", rep)
 	}
 	// The degradation is sticky: the next step is host-served too.
-	if _, _, err := r.Forces(s); err != nil {
-		t.Fatal(err)
-	}
+	firstForces(t, r, s)
 	if rep := r.Report(); rep.FallbackSteps != 2 {
 		t.Errorf("FallbackSteps = %d after second step, want 2", rep.FallbackSteps)
 	}
@@ -126,29 +150,18 @@ func TestResilientFallbackWhenNoCapacity(t *testing.T) {
 
 func TestResilientRetryBudgetFallsBackPerStep(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 25)
-	p := smallParams(s.L)
 	// The first evaluation and all three retries of the budget hit
 	// transients (each attempt makes four MDGRAPE-2 calls).
-	in, err := fault.ParseInjector("mdg:transient@call=1; mdg:transient@call=5; mdg:transient@call=9; mdg:transient@call=13")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilient(CurrentMachineConfig(p), RecoveryConfig{Injector: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
-	if _, _, err := r.Forces(s); err != nil {
-		t.Fatal(err)
-	}
+	r := newResilientT(t, CurrentMachineConfig(smallParams(s.L)), RecoveryConfig{
+		Injector: injector(t, "mdg:transient@call=1; mdg:transient@call=5; mdg:transient@call=9; mdg:transient@call=13"),
+	}, nil, 0)
+	firstForces(t, r, s)
 	rep := r.Report()
 	if rep.Retries != maxRetries || rep.FallbackSteps != 1 || rep.Fallback {
 		t.Errorf("report = %+v, want %d retries then a one-step fallback", rep, maxRetries)
 	}
 	// The next step runs on hardware again (the transients are consumed).
-	if _, _, err := r.Forces(s); err != nil {
-		t.Fatal(err)
-	}
+	firstForces(t, r, s)
 	if rep := r.Report(); rep.FallbackSteps != 1 {
 		t.Errorf("FallbackSteps = %d, degraded mode leaked across steps", rep.FallbackSteps)
 	}
@@ -159,31 +172,12 @@ func TestResilientGuardCatchesBitFlip(t *testing.T) {
 	p := smallParams(s.L)
 	// Flip a high exponent bit of one force component: the spike guard must
 	// reject the step and the retry (flip consumed) must match a clean run.
-	in, err := fault.ParseInjector("mdg:bitflip@call=1,word=10,bit=62")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilient(CurrentMachineConfig(p), RecoveryConfig{
+	r := newResilientT(t, CurrentMachineConfig(p), RecoveryConfig{
 		Guards:   Guards{MaxForce: 100}, // eV/Å; honest forces are ~1
-		Injector: in,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
-	got, _, err := r.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newTestMachine(t, p)
-	want, _, err := m.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("particle %d: guarded retry deviates from clean run", i)
-		}
+		Injector: injector(t, "mdg:bitflip@call=1,word=10,bit=62"),
+	}, nil, 0)
+	if !slices.Equal(firstForces(t, r, s), cleanForces(t, p, s)) {
+		t.Fatal("guarded retry deviates from clean run")
 	}
 	rep := r.Report()
 	if rep.SuspectSteps != 1 || rep.Retries != 1 {
@@ -203,38 +197,14 @@ const chaosScenario = "wine2:board-drop@step=40,board=3; mpi:drop@src=1,dst=0,n=
 func chaosRun(t *testing.T, scenario string) (float64, RunReport) {
 	t.Helper()
 	s := meltLike(t, 2, 5.64, 300, 27)
-	p := smallParams(s.L)
-	cfg := CurrentMachineConfig(p)
-	world, err := mpi.NewWorld(3)
-	if err != nil {
-		t.Fatal(err)
+	in := injector(t, scenario)
+	r := newResilientT(t, CurrentMachineConfig(smallParams(s.L)), RecoveryConfig{Injector: in},
+		testWorld(t, 3, time.Second), 2)
+	drift := integrate(t, s, r, 210)
+	if in != nil && in.Remaining() != 0 {
+		t.Errorf("%d scheduled faults never fired", in.Remaining())
 	}
-	world.SetTimeout(time.Second)
-	rc := RecoveryConfig{}
-	if scenario != "" {
-		in, err := fault.ParseInjector(scenario)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc.Injector = in
-	}
-	r, err := NewResilientParallel(cfg, rc, world, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := md.NewIntegrator(s, r, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &md.Recorder{}
-	rec.Sample(it)
-	if err := it.Run(210, func(step int) error { rec.Sample(it); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if rc.Injector != nil && rc.Injector.Remaining() != 0 {
-		t.Errorf("%d scheduled faults never fired", rc.Injector.Remaining())
-	}
-	return rec.EnergyDrift(), r.Report()
+	return drift, r.Report()
 }
 
 func TestChaosEndToEnd(t *testing.T) {

@@ -183,8 +183,7 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			free()
 			return nil, err
 		}
-		//mdm:hotallocok -- rank construction: runs at machine build and re-stripe, not per clean step
-		rk, err := pr.newRealRank(nReal, fmt.Sprintf("mdg/rank%d", r), images)
+		rk, err := pr.newRealRank(nReal, images)
 		if err != nil {
 			free()
 			return nil, err
@@ -210,8 +209,7 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			free()
 			return nil, err
 		}
-		//mdm:hotallocok -- rank construction: runs at machine build and re-stripe, not per clean step
-		wk, err := pr.newWaveRank(nWave, fmt.Sprintf("wine2/rank%d", w))
+		wk, err := pr.newWaveRank(nWave)
 		if err != nil {
 			free()
 			return nil, err

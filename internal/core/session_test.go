@@ -9,7 +9,6 @@ import (
 	"mdm/internal/cellindex"
 	"mdm/internal/domain"
 	"mdm/internal/ewald"
-	"mdm/internal/fault"
 	"mdm/internal/md"
 	"mdm/internal/mpi"
 	"mdm/internal/vec"
@@ -450,37 +449,13 @@ func TestSessionChaosBoardDropOnDomainRank(t *testing.T) {
 		cfg := CurrentMachineConfig(p)
 		cfg.Skin = 0.5
 		cfg.MDGBoards = 4
-		rc := RecoveryConfig{}
-		if scenario != "" {
-			in, err := fault.ParseInjector(scenario)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rc.Injector = in
+		in := injector(t, scenario)
+		r := newResilientT(t, cfg, RecoveryConfig{Injector: in}, testWorld(t, 3, time.Second), 2)
+		drift := integrate(t, s, r, 60)
+		if in != nil && in.Remaining() != 0 {
+			t.Errorf("%d scheduled faults never fired", in.Remaining())
 		}
-		world, err := mpi.NewWorld(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		world.SetTimeout(time.Second)
-		r, err := NewResilientParallel(cfg, rc, world, 2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = r.Free() }()
-		it, err := md.NewIntegrator(s, r, 1.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := &md.Recorder{}
-		rec.Sample(it)
-		if err := it.Run(60, func(step int) error { rec.Sample(it); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if rc.Injector != nil && rc.Injector.Remaining() != 0 {
-			t.Errorf("%d scheduled faults never fired", rc.Injector.Remaining())
-		}
-		return rec.EnergyDrift(), r.Report()
+		return drift, r.Report()
 	}
 	cleanDrift, cleanRep := run("")
 	chaosDrift, chaosRep := run("mdg:board-drop@step=30,board=1")

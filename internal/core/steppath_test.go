@@ -7,7 +7,6 @@ import (
 
 	"mdm/internal/cellindex"
 	"mdm/internal/ewald"
-	"mdm/internal/fault"
 	"mdm/internal/md"
 	"mdm/internal/tosifumi"
 	"mdm/internal/vec"
@@ -78,19 +77,11 @@ func TestPlainMachineFaultGeometry(t *testing.T) {
 	// second force call is mdg 14–17: the bit flip corrupts the r⁻⁶ pass's
 	// contribution to one force component, the spike guard rejects the step,
 	// and its retry is clean.
-	in, err := fault.ParseInjector(
-		"mdg:transient@call=3; wine2:transient@call=2; mdg:transient@call=9; mdg:bitflip@call=16,word=5,bit=62")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilient(CurrentMachineConfig(p), RecoveryConfig{
+	in := injector(t, "mdg:transient@call=3; wine2:transient@call=2; mdg:transient@call=9; mdg:bitflip@call=16,word=5,bit=62")
+	r := newResilientT(t, CurrentMachineConfig(p), RecoveryConfig{
 		Guards:   Guards{MaxForce: 100}, // eV/Å; honest forces are ~1
 		Injector: in,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
+	}, nil, 0)
 	clean := newTestMachine(t, p)
 	defer func() { _ = clean.Free() }()
 	for step := 0; step < 3; step++ {

@@ -1,14 +1,20 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mdm/internal/fault"
-	"mdm/internal/md"
 	"mdm/internal/mpi"
-	"mdm/internal/supervise"
 )
+
+// quietWatchdog is a stall deadline no step of these tests comes near: it
+// turns supervision, and with it the circuit breakers, on without ever
+// declaring a stall.
+const quietWatchdog = time.Minute
 
 // An injected hang on the serial machine must be detected by the watchdog,
 // released as a StallError, and absorbed by one retry — well before the
@@ -16,18 +22,10 @@ import (
 func TestResilientWatchdogRecoversHang(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 31)
 	p := smallParams(s.L)
-	in, err := fault.ParseInjector("mdg:hang@step=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilient(CurrentMachineConfig(p), RecoveryConfig{
-		Injector: in,
-		Watchdog: supervise.NewWatchdog(50 * time.Millisecond),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
+	r := newResilientT(t, CurrentMachineConfig(p), RecoveryConfig{
+		Injector: injector(t, "mdg:hang@step=2"),
+		Watchdog: 50 * time.Millisecond,
+	}, nil, 0)
 	start := time.Now()
 	var got [][3]float64
 	for step := 0; step < 3; step++ {
@@ -45,15 +43,30 @@ func TestResilientWatchdogRecoversHang(t *testing.T) {
 		t.Errorf("report = %+v, want 1 stall absorbed by 1 retry", rep)
 	}
 	// The retried step computes the same forces as a clean machine.
-	m := newTestMachine(t, p)
-	want, _, err := m.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := cleanForces(t, p, s)
 	for _, g := range got {
 		if g != [3]float64{want[0].X, want[0].Y, want[0].Z} {
 			t.Fatalf("recovered forces deviate: %v != %v", g, want[0])
 		}
+	}
+}
+
+// The liveness hook beats before the injector runs: a hang on the run's very
+// first hardware call is still silence after a beat, not a watchdog that has
+// never been beaten and so cannot stall.
+func TestWatchdogSeesHangOnFirstCall(t *testing.T) {
+	s := meltLike(t, 2, 5.64, 300, 38)
+	r := newResilientT(t, CurrentMachineConfig(smallParams(s.L)), RecoveryConfig{
+		Injector: injector(t, "mdg:hang@call=1"),
+		Watchdog: 50 * time.Millisecond,
+	}, nil, 0)
+	start := time.Now()
+	firstForces(t, r, s)
+	if elapsed := time.Since(start); elapsed >= fault.MaxHang {
+		t.Errorf("step took %v: the watchdog never fired, the MaxHang backstop did", elapsed)
+	}
+	if rep := r.Report(); rep.Stalls != 1 || rep.Retries != 1 {
+		t.Errorf("report = %+v, want 1 stall absorbed by 1 retry", rep)
 	}
 }
 
@@ -64,24 +77,9 @@ func TestResilientBreakerQuarantinesFlakyBoard(t *testing.T) {
 	p := smallParams(s.L)
 	cfg := CurrentMachineConfig(p)
 	cfg.MDGBoards = 4
-	in, err := fault.ParseInjector(
-		"mdg:transient@step=2,board=1; mdg:transient@step=3,board=1; mdg:transient@step=4,board=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilient(cfg, RecoveryConfig{
-		Injector: in,
-		Breakers: supervise.NewBreakerSet(supervise.BreakerConfig{Trip: 3, Window: 20}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
-	m := newTestMachine(t, p)
-	want, _, err := m.Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := injector(t, "mdg:transient@step=2,board=1; mdg:transient@step=3,board=1; mdg:transient@step=4,board=1")
+	r := newResilientT(t, cfg, RecoveryConfig{Injector: in, Watchdog: quietWatchdog}, nil, 0)
+	want := cleanForces(t, p, s)
 	for step := 0; step < 6; step++ {
 		f, _, err := r.Forces(s)
 		if err != nil {
@@ -115,21 +113,11 @@ func TestResilientBreakerQuarantinesFlakyBoard(t *testing.T) {
 // the step-clock cooldown a half-open probe closes it again.
 func TestResilientBreakerOpenServesHostThenRecloses(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 33)
-	p := smallParams(s.L)
-	in, err := fault.ParseInjector(
-		"mdg:transient@step=2; mdg:transient@step=3; mdg:transient@step=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilient(CurrentMachineConfig(p), RecoveryConfig{
-		Injector: in,
-		Breakers: supervise.NewBreakerSet(supervise.BreakerConfig{Trip: 3, Window: 20, Cooldown: 4}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
-	for step := 0; step < 9; step++ {
+	r := newResilientT(t, CurrentMachineConfig(smallParams(s.L)), RecoveryConfig{
+		Injector: injector(t, "mdg:transient@step=2; mdg:transient@step=3; mdg:transient@step=4"),
+		Watchdog: quietWatchdog,
+	}, nil, 0)
+	for step := 0; step < 13; step++ {
 		if _, _, err := r.Forces(s); err != nil {
 			t.Fatalf("step %d: %v", step+1, err)
 		}
@@ -138,10 +126,11 @@ func TestResilientBreakerOpenServesHostThenRecloses(t *testing.T) {
 	if rep.BreakerTrips != 1 {
 		t.Errorf("BreakerTrips = %d, want 1", rep.BreakerTrips)
 	}
-	// Trip at step 4 (served by host), open through steps 5-7, half-open
-	// probe at step 8 succeeds and recloses, step 9 is hardware again.
-	if rep.FallbackSteps != 4 {
-		t.Errorf("FallbackSteps = %d, want 4 (trip step + 3 cooldown steps): %+v", rep.FallbackSteps, rep)
+	// Trip at step 4 (served by host), open through steps 5-11 (cooldown 8),
+	// half-open probe at step 12 succeeds and recloses, step 13 is hardware
+	// again.
+	if rep.FallbackSteps != 8 {
+		t.Errorf("FallbackSteps = %d, want 8 (trip step + 7 cooldown steps): %+v", rep.FallbackSteps, rep)
 	}
 	if rep.Fallback {
 		t.Errorf("site breaker caused permanent fallback: %+v", rep)
@@ -159,42 +148,13 @@ func TestChaosSupervisedEndToEnd(t *testing.T) {
 		t.Skip("integrates 120 parallel supervised steps")
 	}
 	s := meltLike(t, 2, 5.64, 300, 35)
-	p := smallParams(s.L)
-	cfg := CurrentMachineConfig(p)
+	cfg := CurrentMachineConfig(smallParams(s.L))
 	cfg.MDGBoards = 4
-	world, err := mpi.NewWorld(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	world.SetTimeout(5 * time.Second)
-	in, err := fault.ParseInjector(
-		"mdg:hang@step=20; " +
-			"mdg:transient@step=40,board=1; mdg:transient@step=55,board=1; mdg:transient@step=70,board=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilientParallel(cfg, RecoveryConfig{
-		Injector: in,
-		Watchdog: supervise.NewWatchdog(100 * time.Millisecond),
-		Breakers: supervise.NewBreakerSet(supervise.BreakerConfig{Trip: 3, Window: 40}),
-	}, world, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
-	it, err := md.NewIntegrator(s, r, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &md.Recorder{}
-	rec.Sample(it)
-	if err := it.Run(120, func(int) error {
-		rec.Sample(it)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if drift := rec.EnergyDrift(); drift > 5e-4 {
+	in := injector(t, "mdg:hang@step=20; "+
+		"mdg:transient@step=40,board=1; mdg:transient@step=48,board=1; mdg:transient@step=56,board=1")
+	r := newResilientT(t, cfg, RecoveryConfig{Injector: in, Watchdog: 100 * time.Millisecond},
+		testWorld(t, 3, 5*time.Second), 2)
+	if drift := integrate(t, s, r, 120); drift > 5e-4 {
 		t.Errorf("supervised chaos run drift = %g", drift)
 	}
 	rep := r.Report()
@@ -220,25 +180,9 @@ func TestResilientParallelWatchdogRecoversHang(t *testing.T) {
 		t.Skip("parallel hang recovery integrates several parallel steps")
 	}
 	s := meltLike(t, 2, 5.64, 300, 34)
-	p := smallParams(s.L)
-	cfg := CurrentMachineConfig(p)
-	world, err := mpi.NewWorld(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	world.SetTimeout(5 * time.Second)
-	in, err := fault.ParseInjector("mdg:hang@step=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResilientParallel(cfg, RecoveryConfig{
-		Injector: in,
-		Watchdog: supervise.NewWatchdog(100 * time.Millisecond),
-	}, world, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Free() }()
+	in := injector(t, "mdg:hang@step=3")
+	r := newResilientT(t, CurrentMachineConfig(smallParams(s.L)),
+		RecoveryConfig{Injector: in, Watchdog: 100 * time.Millisecond}, testWorld(t, 3, 5*time.Second), 2)
 	start := time.Now()
 	for step := 0; step < 5; step++ {
 		if _, _, err := r.Forces(s); err != nil {
@@ -260,5 +204,76 @@ func TestResilientParallelWatchdogRecoversHang(t *testing.T) {
 	}
 	if in.Remaining() != 0 {
 		t.Errorf("%d scheduled faults never fired", in.Remaining())
+	}
+}
+
+// countingBeat counts the beats the hardware hook delivers, passing each on.
+type countingBeat struct {
+	wd interface{ Beat() }
+	n  atomic.Int64
+}
+
+func (c *countingBeat) Beat() { c.n.Add(1); c.wd.Beat() }
+
+// The hardware hook is the one per-call side channel into the boards. With
+// neither a watchdog nor a fault scenario Resilient installs none (no typed
+// nil), with a scenario alone the injector, with a watchdog the liveness hook
+// over the injector, if any. Every hardware call beats the watchdog once: a
+// serial Forces call makes the fused sweep's four MDGRAPE-2 calls and
+// WINE-2's DFT and IDFT, a 2 + 1 ParallelRun step four per real rank and two
+// on the wave rank. Those are the injector's own per-site counts, read back
+// through no-op slow events keyed on the call numbers either side of them.
+func TestHardwareHookSeam(t *testing.T) {
+	s := meltLike(t, 2, 5.64, 300, 36)
+	cfg := CurrentMachineConfig(smallParams(s.L))
+	for _, mode := range []string{"none", "scenario", "watchdog", "both"} {
+		for _, nReal := range []int{0, 2} { // 0: the serial machine
+			t.Run(fmt.Sprintf("%s/real=%d", mode, nReal), func(t *testing.T) {
+				mdg, wine := 4*max(nReal, 1), 2
+				var rc RecoveryConfig
+				if mode == "scenario" || mode == "both" {
+					rc.Injector = injector(t, fmt.Sprintf("mdg:slow@call=%d,ms=0; mdg:slow@call=%d,ms=0; "+
+						"wine2:slow@call=%d,ms=0; wine2:slow@call=%d,ms=0", mdg, mdg+1, wine, wine+1))
+				}
+				if mode == "watchdog" || mode == "both" {
+					rc.Watchdog = quietWatchdog
+				}
+				var world *mpi.World
+				if nReal > 0 {
+					world = testWorld(t, nReal+1, 5*time.Second)
+				}
+				r := newResilientT(t, cfg, rc, world, nReal)
+				hook := r.hw.cfg.FaultHook
+				lh, _ := hook.(*livenessHook)
+				want := fault.HardwareHook(nil)
+				if rc.Injector != nil {
+					want = rc.Injector
+				}
+				if rc.Watchdog > 0 && (lh == nil || lh.wd != r.wd || lh.in != rc.Injector) ||
+					rc.Watchdog == 0 && hook != want {
+					t.Fatalf("installed hook %#v", hook)
+				}
+				beats := countingBeat{}
+				if lh != nil {
+					beats.wd, lh.wd = lh.wd, &beats
+				}
+				if _, _, err := r.Forces(s); err != nil {
+					t.Fatal(err)
+				}
+				if n := beats.n.Load(); lh != nil && n != int64(mdg+wine) {
+					t.Errorf("%d watchdog beats, want one per hardware call (%d + %d)", n, mdg, wine)
+				}
+				if in := rc.Injector; in != nil {
+					fired := in.Fired()
+					slices.Sort(fired)
+					if want := []string{
+						fmt.Sprintf("step 1: mdg:slow@call=%d,ms=0", mdg),
+						fmt.Sprintf("step 1: wine2:slow@call=%d,ms=0", wine),
+					}; !slices.Equal(fired, want) {
+						t.Errorf("injector call counts: fired %q, want %q", fired, want)
+					}
+				}
+			})
+		}
 	}
 }

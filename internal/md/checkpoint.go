@@ -129,12 +129,6 @@ func ReadCheckpoint(r io.Reader) (*System, int, error) {
 	return s, cp.Step, nil
 }
 
-// WriteCheckpointFile writes a checkpoint crash-safely to the real
-// filesystem; see WriteCheckpointFS.
-func WriteCheckpointFile(path string, s *System, step int) error {
-	return WriteCheckpointFS(store.OS(), path, s, step)
-}
-
 // WriteCheckpointFS writes a checkpoint crash-safely through a store VFS:
 // the record goes to a fixed-name temporary sibling, is fsynced, and is
 // renamed over the destination, so a crash at any instant leaves either the
@@ -167,11 +161,6 @@ func WriteCheckpointFS(fsys store.FS, path string, s *System, step int) (err err
 		return err
 	}
 	return fsys.SyncDir(store.Dir(path))
-}
-
-// ReadCheckpointFile restores a checkpoint written by WriteCheckpointFile.
-func ReadCheckpointFile(path string) (*System, int, error) {
-	return ReadCheckpointFS(store.OS(), path)
 }
 
 // ReadCheckpointFS restores a checkpoint through a store VFS.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdm/internal/store"
 	"mdm/internal/vec"
 )
 
@@ -117,7 +118,7 @@ func TestCheckpointTypedErrors(t *testing.T) {
 	}
 	good := buf.Bytes()
 
-	// A write torn mid-record (the crash WriteCheckpointFile guards against).
+	// A write torn mid-record (the crash WriteCheckpointFS guards against).
 	_, _, err := ReadCheckpoint(bytes.NewReader(good[:len(good)/2]))
 	if !errors.Is(err, ErrCheckpointTruncated) {
 		t.Errorf("half a record: err = %v, want ErrCheckpointTruncated", err)
@@ -168,15 +169,15 @@ func TestCheckpointFileAtomicReplace(t *testing.T) {
 	path := filepath.Join(dir, "run.ckpt")
 	s, _ := NewRockSalt(2, 5.64)
 	s.SetMaxwellVelocities(700, 5)
-	if err := WriteCheckpointFile(path, s, 10); err != nil {
+	if err := WriteCheckpointFS(store.OS(), path, s, 10); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite with a later step: the rename must replace in place.
 	s.Pos[0].X += 0.25
-	if err := WriteCheckpointFile(path, s, 20); err != nil {
+	if err := WriteCheckpointFS(store.OS(), path, s, 20); err != nil {
 		t.Fatal(err)
 	}
-	restored, step, err := ReadCheckpointFile(path)
+	restored, step, err := ReadCheckpointFS(store.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}

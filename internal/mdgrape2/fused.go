@@ -18,7 +18,7 @@ import (
 // candidate of the 27 neighbour cells; the pipelines' tables are zero beyond
 // the cutoff the grid records (§3.5.4: g(x) is an arbitrary table), so the
 // sweep keeps only the pairs inside it and the tables run over those.
-// Bookkeeping (stats, heartbeats, fault injection) still counts one hardware
+// Bookkeeping (stats, the hardware hook) still counts one hardware
 // call per pass and every streamed candidate, so the timing model and the
 // injector-visible call sequence are those of the passes run back-to-back.
 // ComputeForces is the one-pass case of the same body.
@@ -169,7 +169,7 @@ func (s *System) ComputeForces(table string, co *Coeffs, xi []vec.V, ti []int, s
 // float32 displacement is a pure function of the positions, each pass keeps
 // its own float64 accumulator walked in the same j order, the per-i scale and
 // any injected bit flip are applied to the pass's own contribution before the
-// ordered combine, and the heartbeat/HardwareCall/PendingFlip sequence per
+// ordered combine, and the HardwareCall/PendingFlip sequence per
 // pass is issued in pass order up front (the traversal between those calls
 // never touches the injector, so the injector-visible event stream is
 // unchanged).
@@ -209,18 +209,15 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 		tbls[p].a32, tbls[p].b32 = co.quant32()
 	}
 
-	// Per-pass hardware bookkeeping, in pass order: heartbeat, injected call
-	// fault, armed bit-flip capture — the injector-visible sequence of np
-	// back-to-back hardware calls. A scheduled board/transient error aborts
-	// the sweep; an armed flip corrupts one force component of that pass after
-	// the pipeline loop, where a flipped particle-memory or accumulator bit
-	// would surface.
+	// Per-pass hardware bookkeeping, in pass order: the hook's call (a
+	// watchdog beat, an injected fault), armed bit-flip capture — the
+	// injector-visible sequence of np back-to-back hardware calls. A
+	// scheduled board/transient error aborts the sweep; an armed flip
+	// corrupts one force component of that pass after the pipeline loop,
+	// where a flipped particle-memory or accumulator bit would surface.
 	var flips [maxFusedPasses]fusedFlip
 	var hasFlip [maxFusedPasses]bool
 	for p := range passes {
-		if s.beat != nil {
-			s.beat()
-		}
 		if s.hook != nil {
 			if err := s.hook.HardwareCall(fault.MDG2); err != nil {
 				if np > 1 { // a fused sweep names the pass that failed

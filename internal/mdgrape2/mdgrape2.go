@@ -120,7 +120,6 @@ type System struct {
 	tables map[string]*funceval.Table
 	stats  Stats
 	hook   fault.HardwareHook
-	beat   func()
 	pool   *parallelize.Pool
 
 	shardPairs []int64 // per-call pair-counter scratch, reused across calls
@@ -156,16 +155,12 @@ func (s *System) Stats() Stats { return s.stats }
 // ResetStats clears the work counters.
 func (s *System) ResetStats() { s.stats = Stats{} }
 
-// SetFaultHook installs a fault injector on the simulated hardware. Every
-// ComputeForces call reports to the hook (site fault.MDG2) and may be failed
-// with a board or transient error; an armed bit flip lands in one returned
-// force component. A nil hook (the default) disables injection.
+// SetFaultHook installs the hardware hook — a fault injector, a watchdog's
+// liveness beat, or both. Every ComputeForces call reports to the hook (site
+// fault.MDG2) at its entry and may be failed with a board or transient error;
+// an armed bit flip lands in one returned force component. A nil hook (the
+// default) costs one nil check per call.
 func (s *System) SetFaultHook(h fault.HardwareHook) { s.hook = h }
-
-// SetHeartbeat installs a liveness callback invoked at the entry of every
-// ComputeForces call, before fault injection can wedge it — the watchdog's
-// view of board progress. A nil heartbeat (the default) costs one nil check.
-func (s *System) SetHeartbeat(beat func()) { s.beat = beat }
 
 // SetPool installs the worker pool that stripes the i-particle loops of the
 // force and potential passes across host cores, mirroring the

@@ -25,7 +25,6 @@ type MR1 struct {
 	requested int
 	sys       *System
 	hook      fault.HardwareHook
-	beat      func()
 	pool      *parallelize.Pool
 }
 
@@ -76,27 +75,17 @@ func (m *MR1) Init() error {
 		return err
 	}
 	sys.SetFaultHook(m.hook)
-	sys.SetHeartbeat(m.beat)
 	sys.SetPool(m.pool)
 	m.sys = sys
 	return nil
 }
 
-// SetFaultHook installs a fault injector on the session's hardware; it
+// SetFaultHook installs the hardware hook on the session's hardware; it
 // survives Init/Free cycles.
 func (m *MR1) SetFaultHook(h fault.HardwareHook) {
 	m.hook = h
 	if m.sys != nil {
 		m.sys.SetFaultHook(h)
-	}
-}
-
-// SetHeartbeat installs a liveness callback on the session's hardware; it
-// survives Init/Free cycles.
-func (m *MR1) SetHeartbeat(beat func()) {
-	m.beat = beat
-	if m.sys != nil {
-		m.sys.SetHeartbeat(beat)
 	}
 }
 

@@ -84,9 +84,6 @@ type Config struct {
 	MaxSessionSteps int
 	// Quota is the per-tenant admission quota.
 	Quota Quota
-	// Breaker tunes the per-tenant circuit breakers, clocked on admission
-	// ticks rather than wall time so quarantine behaviour is deterministic.
-	Breaker supervise.BreakerConfig
 	// RetryAfter is the client back-off hint attached to quota and
 	// queue-full rejections (default 1s).
 	RetryAfter time.Duration
@@ -176,7 +173,7 @@ func Open(cfg Config) (*Manager, error) {
 		timing:   timing,
 		queue:    make(chan *Session, cfg.QueueDepth),
 		stop:     make(chan struct{}),
-		breakers: supervise.NewBreakerSet(cfg.Breaker),
+		breakers: supervise.NewBreakerSet(),
 		sessions: make(map[string]*Session),
 		used:     make(map[string]int64),
 	}

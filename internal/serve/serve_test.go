@@ -12,7 +12,6 @@ import (
 
 	"mdm/internal/serve"
 	"mdm/internal/store"
-	"mdm/internal/supervise"
 )
 
 // testConfig is a small, fast manager over an in-memory filesystem: one
@@ -167,10 +166,12 @@ func TestServeAdmissionParticleStepBudget(t *testing.T) {
 
 // A tenant whose sessions keep failing is quarantined by its circuit
 // breaker: its submits answer 503 while other tenants stay admitted. The
-// server survives the failures; only the tenant is isolated.
+// server survives the failures; only the tenant is isolated. Under the fixed
+// breaker policy the third failure inside 20 admission ticks opens it, for 8
+// ticks: the three failed sessions spend six, the rejected submit, the
+// innocent one and its completion three more.
 func TestServeBreakerQuarantinesTenant(t *testing.T) {
 	cfg := testConfig(store.NewFaultFS(nil))
-	cfg.Breaker = supervise.BreakerConfig{Trip: 2, Window: 100, Cooldown: 1000}
 	m, err := serve.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +182,7 @@ func TestServeBreakerQuarantinesTenant(t *testing.T) {
 	// run:fatal is an injected unrecoverable host fault: the session fails.
 	bad := serve.JobSpec{Tenant: "mallory", Cells: 2, Steps: 6, Seed: 1,
 		Backend: "mdm", Faults: "run:fatal@step=2"}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		s, err := m.Submit(ctx, bad)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)

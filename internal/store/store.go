@@ -19,7 +19,7 @@
 //
 // The canonical atomic-replace sequence is therefore Create(tmp) → Write →
 // Sync → Close → Rename(tmp, final) → SyncDir(dir) — the pattern
-// md.WriteCheckpointFile and supervise.CreateJournal follow.
+// md.WriteCheckpointFS and supervise.CreateJournalFS follow.
 package store
 
 import (

@@ -2,37 +2,22 @@ package supervise
 
 import "sync"
 
-// BreakerConfig tunes the circuit breakers. Cooldowns are measured on the
-// simulation step clock, not wall time, so breaker behaviour is deterministic
-// for a scripted fault schedule.
-type BreakerConfig struct {
-	// Trip opens a breaker after this many failures inside Window steps.
-	Trip int
-	// Window is the sliding failure-counting window, in steps.
-	Window int
-	// Cooldown is how many steps a freshly opened breaker stays open before
-	// probing half-open; it doubles on every reopen up to MaxCooldown.
-	Cooldown int
-	// MaxCooldown caps the exponential reopen backoff.
-	MaxCooldown int
-}
-
-// withDefaults fills unset knobs.
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Trip <= 0 {
-		c.Trip = 3
-	}
-	if c.Window <= 0 {
-		c.Window = 20
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 8
-	}
-	if c.MaxCooldown <= 0 {
-		c.MaxCooldown = 256
-	}
-	return c
-}
+// The breaker policy. Cooldowns are measured on the caller's step clock
+// (simulation steps, or the serving layer's admission ticks), not wall time,
+// so breaker behaviour is deterministic for a scripted fault schedule.
+const (
+	// breakerTrip opens a breaker after this many failures inside
+	// breakerWindow steps.
+	breakerTrip = 3
+	// breakerWindow is the sliding failure-counting window, in steps.
+	breakerWindow = 20
+	// breakerCooldown is how many steps a freshly opened breaker stays open
+	// before probing half-open; it doubles on every reopen up to
+	// breakerMaxCooldown.
+	breakerCooldown = 8
+	// breakerMaxCooldown caps the exponential reopen backoff.
+	breakerMaxCooldown = 256
+)
 
 // State is a breaker's position in the closed → open → half-open cycle.
 type State int
@@ -61,44 +46,37 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Breaker is one circuit breaker on the step clock. Not safe for concurrent
+// breaker is one circuit breaker on the step clock. Not safe for concurrent
 // use on its own; BreakerSet adds the locking.
-type Breaker struct {
-	cfg      BreakerConfig
+type breaker struct {
 	state    State
 	fails    []int // steps of recent failures (Closed only)
 	openedAt int
 	cooldown int // current reopen cooldown, doubles per reopen
-	trips    int
-}
-
-// NewBreaker builds a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
 }
 
 // sync lazily moves an open breaker whose cooldown has elapsed to half-open.
-func (b *Breaker) sync(step int) {
+func (b *breaker) sync(step int) {
 	if b.state == Open && step >= b.openedAt+b.cooldown {
 		b.state = HalfOpen
 	}
 }
 
 // State reports the breaker's state as of a step.
-func (b *Breaker) State(step int) State {
+func (b *breaker) State(step int) State {
 	b.sync(step)
 	return b.state
 }
 
 // Allow reports whether traffic may pass at a step (closed or half-open).
-func (b *Breaker) Allow(step int) bool {
+func (b *breaker) Allow(step int) bool {
 	b.sync(step)
 	return b.state != Open
 }
 
 // Fail records a failure at a step and reports whether it tripped the
 // breaker open (including a half-open probe failing back to open).
-func (b *Breaker) Fail(step int) bool {
+func (b *breaker) Fail(step int) bool {
 	b.sync(step)
 	switch b.state {
 	case Open:
@@ -110,12 +88,12 @@ func (b *Breaker) Fail(step int) bool {
 	b.fails = append(b.fails, step)
 	keep := b.fails[:0]
 	for _, s := range b.fails {
-		if s > step-b.cfg.Window {
+		if s > step-breakerWindow {
 			keep = append(keep, s)
 		}
 	}
 	b.fails = keep
-	if len(b.fails) >= b.cfg.Trip {
+	if len(b.fails) >= breakerTrip {
 		b.open(step, false)
 		return true
 	}
@@ -124,7 +102,7 @@ func (b *Breaker) Fail(step int) bool {
 
 // OK records a success at a step; a half-open probe succeeding closes the
 // breaker and resets its backoff.
-func (b *Breaker) OK(step int) {
+func (b *breaker) OK(step int) {
 	b.sync(step)
 	if b.state == HalfOpen {
 		b.state = Closed
@@ -133,21 +111,17 @@ func (b *Breaker) OK(step int) {
 	}
 }
 
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() int { return b.trips }
-
-func (b *Breaker) open(step int, reopen bool) {
+func (b *breaker) open(step int, reopen bool) {
 	b.state = Open
 	b.openedAt = step
 	b.fails = nil
-	b.trips++
 	if reopen {
 		b.cooldown *= 2
-		if b.cooldown > b.cfg.MaxCooldown {
-			b.cooldown = b.cfg.MaxCooldown
+		if b.cooldown > breakerMaxCooldown {
+			b.cooldown = breakerMaxCooldown
 		}
 	} else {
-		b.cooldown = b.cfg.Cooldown
+		b.cooldown = breakerCooldown
 	}
 }
 
@@ -156,17 +130,15 @@ func (b *Breaker) open(step int, reopen bool) {
 // failure; Drop retires a scope whose component has been quarantined so it
 // no longer gates dispatch.
 type BreakerSet struct {
-	mu      sync.Mutex
-	cfg     BreakerConfig
-	m       map[string]*Breaker
-	order   []string
-	dropped int
-	trips   int
+	mu    sync.Mutex
+	m     map[string]*breaker
+	order []string
+	trips int
 }
 
-// NewBreakerSet builds an empty set sharing one config.
-func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
-	return &BreakerSet{cfg: cfg.withDefaults(), m: make(map[string]*Breaker)}
+// NewBreakerSet builds an empty set.
+func NewBreakerSet() *BreakerSet {
+	return &BreakerSet{m: make(map[string]*breaker)}
 }
 
 // Fail records a failure against a scope and reports whether it tripped the
@@ -176,7 +148,7 @@ func (s *BreakerSet) Fail(scope string, step int) bool {
 	defer s.mu.Unlock()
 	b := s.m[scope]
 	if b == nil {
-		b = NewBreaker(s.cfg)
+		b = &breaker{}
 		s.m[scope] = b
 		s.order = append(s.order, scope)
 	}
@@ -248,7 +220,6 @@ func (s *BreakerSet) Drop(scope string) {
 	defer s.mu.Unlock()
 	if _, ok := s.m[scope]; ok {
 		delete(s.m, scope)
-		s.dropped++
 		keep := s.order[:0]
 		for _, sc := range s.order {
 			if sc != scope {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mdm/internal/store"
 )
 
 // FuzzReadJournal drives the journal reader with arbitrary bytes. It must
@@ -12,7 +14,7 @@ import (
 // accepts must survive a rewrite-and-reread round trip.
 func FuzzReadJournal(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "seed.wal")
-	j, err := CreateJournal(path)
+	j, err := CreateJournalFS(path, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func FuzzReadJournal(f *testing.F) {
 	if err := j.Close(); err != nil {
 		f.Fatal(err)
 	}
-	recs, err := ReadJournalFile(path)
+	recs, err := ReadJournalFS(store.OS(), path)
 	if err != nil || len(recs) != 2 {
 		f.Fatalf("seed journal unreadable: %d records, %v", len(recs), err)
 	}
@@ -55,7 +57,7 @@ func FuzzReadJournal(f *testing.F) {
 		}
 		// Re-append what was read: the result must read back identically.
 		path := filepath.Join(t.TempDir(), "rt.wal")
-		j, werr := CreateJournal(path)
+		j, werr := CreateJournalFS(path, Options{})
 		if werr != nil {
 			t.Fatal(werr)
 		}
@@ -67,7 +69,7 @@ func FuzzReadJournal(f *testing.F) {
 		if werr := j.Close(); werr != nil {
 			t.Fatal(werr)
 		}
-		back, rerr := ReadJournalFile(path)
+		back, rerr := ReadJournalFS(store.OS(), path)
 		if rerr != nil {
 			t.Fatalf("round trip failed: %v", rerr)
 		}

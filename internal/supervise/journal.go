@@ -113,11 +113,6 @@ type Journal struct {
 	pending int // appends since the last fsync
 }
 
-// CreateJournal starts a fresh journal on the real filesystem.
-func CreateJournal(path string) (*Journal, error) {
-	return CreateJournalFS(path, Options{})
-}
-
 // CreateJournalFS starts a fresh journal: any rotated segments from a
 // previous run are retired and the active segment is replaced atomically
 // (temp file + rename + directory fsync), so a crash during creation leaves
@@ -145,13 +140,8 @@ func CreateJournalFS(path string, opt Options) (*Journal, error) {
 	return &Journal{fs: fsys, f: f, path: path, every: opt.every()}, nil
 }
 
-// AppendJournal opens an existing journal for appending on the real
-// filesystem — the resume path, which must keep the replayed prefix intact.
-func AppendJournal(path string) (*Journal, error) {
-	return AppendJournalFS(path, Options{})
-}
-
-// AppendJournalFS opens an existing journal for appending.
+// AppendJournalFS opens an existing journal for appending — the resume
+// path, which must keep the replayed prefix intact.
 func AppendJournalFS(path string, opt Options) (*Journal, error) {
 	f, err := opt.fsys().Append(path)
 	if err != nil {
@@ -385,17 +375,11 @@ func ReadJournal(lines []string) ([]Record, error) {
 	return recs, nil
 }
 
-// ReadJournalFile reads a full journal from the real filesystem — rotated
-// segments in order, then the active segment. A missing journal is empty.
-func ReadJournalFile(path string) ([]Record, error) {
-	return ReadJournalFS(store.OS(), path)
-}
-
 // ReadJournalFS reads a full journal through a store VFS: the records of
 // every rotated segment in rotation order, then the active segment. A torn
 // tail on the last thing read is tolerated; interior corruption — including
 // a torn rotated segment followed by more records — returns the valid prefix
-// with ErrJournalCorrupt.
+// with ErrJournalCorrupt. A missing journal is empty.
 func ReadJournalFS(fsys store.FS, path string) ([]Record, error) {
 	segs, err := store.JournalSegments(fsys, path)
 	if err != nil {

@@ -9,87 +9,106 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mdm/internal/store"
 )
+
+// stallCounter counts OnStall callbacks.
+type stallCounter struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (c *stallCounter) inc() { c.mu.Lock(); c.n++; c.mu.Unlock() }
+
+func (c *stallCounter) get() int { c.mu.Lock(); defer c.mu.Unlock(); return c.n }
 
 func TestWatchdogDeclaresStall(t *testing.T) {
 	w := NewWatchdog(20 * time.Millisecond)
-	var mu sync.Mutex
-	var got []string
-	w.OnStall(func(scope string) {
-		mu.Lock()
-		got = append(got, scope)
-		mu.Unlock()
-	})
+	var c stallCounter
+	w.OnStall(c.inc)
 	w.Start()
 	defer w.Stop()
 	w.Arm()
 	defer w.Disarm()
-	w.Beat("mdg")
+	w.Beat()
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
+	for c.get() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no stall declared for a silent armed scope")
+			t.Fatal("no stall declared for a silent armed watchdog")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	mu.Lock()
-	scope := got[0]
-	mu.Unlock()
-	if scope != "mdg" {
-		t.Errorf("stalled scope = %q, want mdg", scope)
-	}
-	if stalls := w.Stalls(); len(stalls) == 0 || !strings.Contains(stalls[0], "mdg") {
-		t.Errorf("Stalls() = %v", stalls)
+	if n := w.StallCount(); n != 1 {
+		t.Errorf("StallCount = %d, want 1", n)
 	}
 }
 
 func TestWatchdogQuietWhenDisarmedOrBeating(t *testing.T) {
 	w := NewWatchdog(10 * time.Millisecond)
-	w.OnStall(func(string) { t.Error("stall declared") })
+	w.OnStall(func() { t.Error("stall declared") })
 	w.Start()
 	defer w.Stop()
-	// Disarmed: a silent scope is idle, not stalled.
-	w.Beat("wine2")
+	// Disarmed: silence is idle, not stalled.
+	w.Beat()
 	time.Sleep(50 * time.Millisecond)
 	// Armed but beating: alive.
 	w.Arm()
 	for i := 0; i < 20; i++ {
-		w.Beat("wine2")
+		w.Beat()
 		time.Sleep(2 * time.Millisecond)
 	}
 	w.Disarm()
 }
 
+// A watchdog nothing has beaten yet cannot stall, however long it is armed:
+// no hardware call has been in flight to fall silent.
+func TestWatchdogNeverBeatenCannotStall(t *testing.T) {
+	w := NewWatchdog(time.Millisecond)
+	w.Arm()
+	defer w.Disarm()
+	w.check(time.Now().Add(time.Hour))
+	if n := w.StallCount(); n != 0 {
+		t.Errorf("StallCount = %d before any beat, want 0", n)
+	}
+}
+
+// Silence counts from the later of the outermost Arm and the last beat: a
+// beat long before the window opens does not trip the monitor at once.
+func TestWatchdogArmRestartsTheClock(t *testing.T) {
+	w := NewWatchdog(time.Minute)
+	w.Beat()
+	w.last = w.last.Add(-time.Hour) // stale before the window opens
+	w.Arm()
+	defer w.Disarm()
+	now := time.Now()
+	w.check(now)
+	if n := w.StallCount(); n != 0 {
+		t.Fatalf("stale beat tripped a fresh window: StallCount = %d", n)
+	}
+	w.check(now.Add(2 * time.Minute))
+	if n := w.StallCount(); n != 1 {
+		t.Errorf("StallCount = %d past the deadline, want 1", n)
+	}
+}
+
 func TestWatchdogStallLatchClearsOnBeat(t *testing.T) {
 	w := NewWatchdog(10 * time.Millisecond)
-	var mu sync.Mutex
-	count := 0
-	w.OnStall(func(string) { mu.Lock(); count++; mu.Unlock() })
+	var c stallCounter
+	w.OnStall(c.inc)
 	w.Start()
 	defer w.Stop()
 	w.Arm()
 	defer w.Disarm()
-	w.Beat("mdg")
+	w.Beat()
 	time.Sleep(60 * time.Millisecond) // one stall, then latched
-	mu.Lock()
-	first := count
-	mu.Unlock()
-	if first != 1 {
-		t.Fatalf("stall count after silence = %d, want 1 (latched)", first)
+	if n := c.get(); n != 1 {
+		t.Fatalf("stall count after silence = %d, want 1 (latched)", n)
 	}
-	w.Beat("mdg") // recovery: latch clears
+	w.Beat() // recovery: latch clears
 	time.Sleep(60 * time.Millisecond)
-	mu.Lock()
-	second := count
-	mu.Unlock()
-	if second != 2 {
-		t.Errorf("stall count after beat + silence = %d, want 2", second)
+	if n := c.get(); n != 2 {
+		t.Errorf("stall count after beat + silence = %d, want 2", n)
 	}
 }
 
@@ -101,10 +120,10 @@ func TestWatchdogStopIdempotent(t *testing.T) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Trip: 3, Window: 10, Cooldown: 4})
+	var b breaker
 	// Two failures inside the window: still closed.
 	if b.Fail(1) || b.Fail(2) {
-		t.Fatal("tripped before Trip failures")
+		t.Fatal("tripped before breakerTrip failures")
 	}
 	if !b.Allow(3) {
 		t.Fatal("closed breaker rejects")
@@ -116,64 +135,84 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.Allow(4) || b.State(4) != Open {
 		t.Fatal("open breaker allows")
 	}
-	// Cooldown elapses: half-open probe allowed.
-	if !b.Allow(7) || b.State(7) != HalfOpen {
-		t.Fatalf("state at step 7 = %v, want half-open", b.State(7))
+	// Cooldown (8 steps) elapses: half-open probe allowed.
+	if b.Allow(10) {
+		t.Fatal("open breaker allowed before its cooldown")
 	}
-	// Probe fails: reopens with doubled cooldown (8 steps).
-	if !b.Fail(7) {
+	if !b.Allow(11) || b.State(11) != HalfOpen {
+		t.Fatalf("state at step 11 = %v, want half-open", b.State(11))
+	}
+	// Probe fails: reopens with doubled cooldown (16 steps).
+	if !b.Fail(11) {
 		t.Fatal("half-open probe failure did not reopen")
 	}
-	if b.Allow(14) {
+	if b.Allow(26) {
 		t.Fatal("reopened breaker allowed before doubled cooldown")
 	}
-	if !b.Allow(15) {
+	if !b.Allow(27) {
 		t.Fatal("breaker still open after doubled cooldown")
 	}
 	// Probe succeeds: closed, backoff reset.
-	b.OK(15)
-	if b.State(16) != Closed {
-		t.Fatalf("state after good probe = %v, want closed", b.State(16))
+	b.OK(27)
+	if b.State(28) != Closed {
+		t.Fatalf("state after good probe = %v, want closed", b.State(28))
 	}
-	if b.Trips() != 2 {
-		t.Errorf("Trips = %d, want 2", b.Trips())
+}
+
+// The reopen backoff doubles up to breakerMaxCooldown and stays there.
+func TestBreakerBackoffCaps(t *testing.T) {
+	var b breaker
+	b.Fail(1)
+	b.Fail(2)
+	b.Fail(3)
+	step := 3
+	for b.cooldown < breakerMaxCooldown {
+		step += b.cooldown
+		if !b.Fail(step) { // the half-open probe fails
+			t.Fatalf("probe failure at step %d did not reopen", step)
+		}
+	}
+	step += b.cooldown
+	b.Fail(step)
+	if b.cooldown != breakerMaxCooldown {
+		t.Errorf("cooldown = %d past the cap, want %d", b.cooldown, breakerMaxCooldown)
 	}
 }
 
 func TestBreakerWindowExpiresFailures(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Trip: 3, Window: 5, Cooldown: 4})
+	var b breaker
 	b.Fail(1)
 	b.Fail(2)
-	// Step 10 is outside the window of both: only one live failure.
-	if b.Fail(10) {
+	// Step 30 is outside the window of both: only one live failure.
+	if b.Fail(30) {
 		t.Fatal("stale failures counted toward trip")
 	}
-	if !b.Allow(10) {
+	if !b.Allow(30) {
 		t.Fatal("breaker opened on expired window")
 	}
 }
 
 func TestBreakerSetQuarantineFlow(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{Trip: 2, Window: 10, Cooldown: 4})
-	if s.Fail("mdg/board1", 1) {
-		t.Fatal("tripped on first failure")
+	s := NewBreakerSet()
+	if s.Fail("mdg/board1", 1) || s.Fail("mdg/board1", 2) {
+		t.Fatal("tripped before the third failure")
 	}
-	if !s.Fail("mdg/board1", 2) {
-		t.Fatal("did not trip on second failure")
+	if !s.Fail("mdg/board1", 3) {
+		t.Fatal("did not trip on the third failure")
 	}
-	if scope, open := s.FirstOpen(3); !open || scope != "mdg/board1" {
+	if scope, open := s.FirstOpen(4); !open || scope != "mdg/board1" {
 		t.Fatalf("FirstOpen = %q, %v", scope, open)
 	}
 	// Quarantined: the board left the stripe, its breaker retires with it.
 	s.Drop("mdg/board1")
-	if _, open := s.FirstOpen(3); open {
+	if _, open := s.FirstOpen(4); open {
 		t.Fatal("dropped scope still gates dispatch")
 	}
 	if s.Trips() != 1 {
 		t.Errorf("Trips = %d, want 1 (survives Drop)", s.Trips())
 	}
 	// OK on an empty set is fine.
-	s.OK(4)
+	s.OK(5)
 }
 
 func journalPath(t *testing.T) string {
@@ -183,7 +222,7 @@ func journalPath(t *testing.T) string {
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := journalPath(t)
-	j, err := CreateJournal(path)
+	j, err := CreateJournalFS(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +240,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJournalFile(path)
+	got, err := ReadJournalFS(store.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +266,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalToleratesTornTail(t *testing.T) {
 	path := journalPath(t)
-	j, err := CreateJournal(path)
+	j, err := CreateJournalFS(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +279,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJournalFile(path)
+	recs, err := ReadJournalFS(store.OS(), path)
 	if err != nil {
 		t.Fatalf("torn tail not tolerated: %v", err)
 	}
@@ -251,7 +290,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 
 func TestJournalRejectsInteriorCorruption(t *testing.T) {
 	path := journalPath(t)
-	j, err := CreateJournal(path)
+	j, err := CreateJournalFS(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +325,7 @@ func TestJournalRejectsUnknownVersion(t *testing.T) {
 }
 
 func TestJournalMissingFileIsEmpty(t *testing.T) {
-	recs, err := ReadJournalFile(filepath.Join(t.TempDir(), "absent.journal"))
+	recs, err := ReadJournalFS(store.OS(), filepath.Join(t.TempDir(), "absent.journal"))
 	if err != nil || recs != nil {
 		t.Fatalf("missing file: recs=%v err=%v", recs, err)
 	}
@@ -294,16 +333,16 @@ func TestJournalMissingFileIsEmpty(t *testing.T) {
 
 func TestAppendJournalPreservesPrefix(t *testing.T) {
 	path := journalPath(t)
-	j, _ := CreateJournal(path)
+	j, _ := CreateJournalFS(path, Options{})
 	j.Append(Record{Step: 1})
 	j.Close()
-	j2, err := AppendJournal(path)
+	j2, err := AppendJournalFS(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j2.Append(Record{Step: 2})
 	j2.Close()
-	recs, err := ReadJournalFile(path)
+	recs, err := ReadJournalFS(store.OS(), path)
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("recs=%v err=%v, want 2 records", recs, err)
 	}

@@ -41,7 +41,6 @@ type Library struct {
 	nn        int
 	sys       *System
 	hook      fault.HardwareHook
-	beat      func()
 	pool      *parallelize.Pool
 
 	// Per-call scratch, reused across force calls. A Library session serves
@@ -66,21 +65,12 @@ func NewLibrary(cfg Config) (*Library, error) {
 // operation.
 func (l *Library) SetMPICommunity(comm Communicator) { l.comm = comm }
 
-// SetFaultHook installs a fault injector on the session's hardware; it
+// SetFaultHook installs the hardware hook on the session's hardware; it
 // survives InitializeBoards/FreeBoards cycles.
 func (l *Library) SetFaultHook(h fault.HardwareHook) {
 	l.hook = h
 	if l.sys != nil {
 		l.sys.SetFaultHook(h)
-	}
-}
-
-// SetHeartbeat installs a liveness callback on the session's hardware; it
-// survives InitializeBoards/FreeBoards cycles.
-func (l *Library) SetHeartbeat(beat func()) {
-	l.beat = beat
-	if l.sys != nil {
-		l.sys.SetHeartbeat(beat)
 	}
 }
 
@@ -126,7 +116,6 @@ func (l *Library) InitializeBoards() error {
 		return err
 	}
 	sys.SetFaultHook(l.hook)
-	sys.SetHeartbeat(l.beat)
 	sys.SetPool(l.pool)
 	l.sys = sys
 	return nil

@@ -181,7 +181,6 @@ type System struct {
 	cfg   Config
 	stats Stats
 	hook  fault.HardwareHook
-	beat  func()
 	pool  *parallelize.Pool
 
 	// The datapath, resolved once for cfg — widths are wiring, not run-time
@@ -227,16 +226,12 @@ func (s *System) Stats() Stats { return s.stats }
 // ResetStats clears the work counters.
 func (s *System) ResetStats() { s.stats = Stats{} }
 
-// SetFaultHook installs a fault injector on the simulated hardware. Every
-// DFT/IDFT call reports to the hook (site fault.WINE2) and may be failed with
-// a board or transient error; an armed bit flip lands in a DFT accumulator.
-// A nil hook (the default) disables injection.
+// SetFaultHook installs the hardware hook — a fault injector, a watchdog's
+// liveness beat, or both. Every DFT/IDFT call reports to the hook (site
+// fault.WINE2) at its entry and may be failed with a board or transient
+// error; an armed bit flip lands in a DFT accumulator. A nil hook (the
+// default) costs one nil check per call.
 func (s *System) SetFaultHook(h fault.HardwareHook) { s.hook = h }
-
-// SetHeartbeat installs a liveness callback invoked at the entry of every
-// DFT/IDFT call, before fault injection can wedge it — the watchdog's view
-// of board progress. A nil heartbeat (the default) costs one nil check.
-func (s *System) SetHeartbeat(beat func()) { s.beat = beat }
 
 // SetPool installs the worker pool that stripes DFT waves and IDFT particles
 // across host cores, mirroring the hardware's chip-level concurrency. A nil
@@ -342,9 +337,6 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 	// armed bit flip lands in one wave's S+C accumulator at readout, the spot
 	// where a flipped SDRAM or pipeline-register bit would surface.
 	flipWave, flipBit := -1, 0
-	if s.beat != nil {
-		s.beat()
-	}
 	if s.hook != nil {
 		if err := s.hook.HardwareCall(fault.WINE2); err != nil {
 			return nil, nil, err
@@ -424,16 +416,13 @@ func (s *System) IDFT(l float64, waves []ewald.Wave, sn, cn []float64, pos []vec
 	return s.IDFTQuantizedInto(waves, sn, cn, pw, nil)
 }
 
-// idftPrepare runs the host side of an IDFT call — liveness and fault
-// bookkeeping, the block normalization of a_n·S_n and a_n·C_n, and the
-// coefficient quantization into session scratch. A zero scale return (with
-// nil error) means every structure factor vanished and the force is zero.
+// idftPrepare runs the host side of an IDFT call — the hardware hook's call,
+// the block normalization of a_n·S_n and a_n·C_n, and the coefficient
+// quantization into session scratch. A zero scale return (with nil error)
+// means every structure factor vanished and the force is zero.
 func (s *System) idftPrepare(waves []ewald.Wave, sn, cn []float64) (aS, aC []int64, scale float64, err error) {
 	if len(sn) != len(waves) || len(cn) != len(waves) {
 		return nil, nil, 0, fmt.Errorf("wine2: %d waves vs %d/%d structure factors", len(waves), len(sn), len(cn))
-	}
-	if s.beat != nil {
-		s.beat()
 	}
 	if s.hook != nil {
 		if err := s.hook.HardwareCall(fault.WINE2); err != nil {

@@ -179,11 +179,13 @@ func (c Config) journalOptions() supervise.Options {
 // every committed step durable.
 type SuperviseConfig struct {
 	// Watchdog is the stall deadline for a single hardware call (0 disables
-	// the watchdog). A call silent for this long is interrupted and fed to
-	// the recovery ladder as a retryable stall. A watchdog also arms the
-	// circuit breakers at the internal/supervise defaults: a board or site
-	// failing 3 times within 20 steps is opened — a board is quarantined by
-	// re-striping, a site is served by the host path until a half-open probe
+	// the watchdog). Every hardware call beats it through the boards' one
+	// hardware hook; once a step has been silent this long the call is
+	// interrupted and fed to the recovery ladder as a retryable stall. A
+	// watchdog also arms the circuit breakers, whose policy is fixed: a board
+	// or site failing 3 times within 20 steps is opened — a board is
+	// quarantined by re-striping, a site is served by the host path for 8
+	// steps (doubling per reopen, up to 256) until a half-open probe
 	// succeeds.
 	Watchdog time.Duration
 
@@ -333,12 +335,8 @@ func newForceField(cfg Config, p ewald.Params, in *fault.Injector) (core.Engine,
 			return nil, nil, nil, fmt.Errorf("mdm: fault scenario: %w", err)
 		}
 	}
-	rc := core.RecoveryConfig{Injector: in}
+	rc := core.RecoveryConfig{Injector: in, Watchdog: cfg.Supervise.Watchdog}
 	recovered := in != nil || cfg.Supervise.enabled()
-	if cfg.Supervise.enabled() {
-		rc.Watchdog = supervise.NewWatchdog(cfg.Supervise.Watchdog)
-		rc.Breakers = supervise.NewBreakerSet(supervise.BreakerConfig{})
-	}
 	var world *mpi.World
 	nReal, nWave := cfg.Ranks, max(cfg.WaveRanks, 1)
 	if nReal > 0 {

@@ -8,6 +8,7 @@ import (
 
 	"mdm/internal/fault"
 	"mdm/internal/md"
+	"mdm/internal/store"
 )
 
 // A fatal fault healed by an in-place restart leaves the run the clean run
@@ -93,7 +94,7 @@ func TestRunProtocolRestartsAfterFatalFault(t *testing.T) {
 		t.Errorf("final step = %d, want 60", got)
 	}
 	// The last checkpoint records the completed run.
-	_, step, err := md.ReadCheckpointFile(ckpt)
+	_, step, err := md.ReadCheckpointFS(store.OS(), ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}

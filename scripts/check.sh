@@ -25,13 +25,13 @@ go run ./cmd/mdmvet ./...
 echo "==> mdmvet -audit (every //mdm:* suppression must carry a justification)"
 go run ./cmd/mdmvet -audit >/dev/null
 
-echo "==> go test ./..."
+echo "==> go test ./... (incl. fault injection, recovery, checkpoint restart, supervision, crash matrix)"
 go test ./...
 
-echo "==> make race / make chaos -run selectors (every alternative names a test in the packages it runs over)"
+echo "==> make race -run selectors (every alternative names a test in the packages it runs over)"
 # Join the recipes' continuation lines, keep the `go test ... -run REGEX PKGS`
 # commands, and list each command's tests once.
-make -n race chaos | sed -e ':a' -e '/\\$/N' -e 's/\\\n//' -e 'ta' | grep -e ' -run ' |
+make -n race | sed -e ':a' -e '/\\$/N' -e 's/\\\n//' -e 'ta' | grep -e ' -run ' |
 while IFS= read -r cmd; do
     regex=$(echo "$cmd" | sed -e "s/.* -run '\{0,1\}\([^' ]*\)'\{0,1\} .*/\1/")
     pkgs=$(echo "$cmd" | sed -e "s/.* -run '\{0,1\}[^' ]*'\{0,1\} //")
@@ -56,9 +56,6 @@ make bench-smoke
 
 echo "==> repo benchmark smoke (every workload runs end to end and passes its own correctness checks)"
 quick=$(go run ./benchmark -quick 2>&1) || { echo "$quick" >&2; exit 1; }
-
-echo "==> make chaos (fault injection, recovery, checkpoint restart, supervision, crash matrix)"
-make chaos
 
 echo "==> make fuzz-smoke (decoders and the fault DSL must hold up under mutation)"
 make fuzz-smoke

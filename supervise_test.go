@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mdm/internal/md"
+	"mdm/internal/store"
 	"mdm/internal/supervise"
 )
 
@@ -105,7 +106,7 @@ func TestJournalKillResumeBitIdentical(t *testing.T) {
 	}
 
 	// The journal now holds the full contiguous timeline exactly once.
-	recs, err := supervise.ReadJournalFile(cfg.Supervise.Journal)
+	recs, err := supervise.ReadJournalFS(store.OS(), cfg.Supervise.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestJournalKillResumeBitIdentical(t *testing.T) {
 
 // writeCheckpoint mirrors what mdmsim's periodic checkpointing does.
 func writeCheckpoint(path string, sim *Simulation) error {
-	return md.WriteCheckpointFile(path, sim.System, sim.Integrator.StepCount())
+	return md.WriteCheckpointFS(store.OS(), path, sim.System, sim.Integrator.StepCount())
 }
 
 // A torn final journal line — the on-disk shape of a kill mid-append — must
@@ -181,7 +182,7 @@ func TestJournalResumeToleratesTornTail(t *testing.T) {
 	}
 	// The re-executed step was re-journaled: the file ends with a valid
 	// record for step 5 again.
-	recs, err := supervise.ReadJournalFile(cfg.Supervise.Journal)
+	recs, err := supervise.ReadJournalFS(store.OS(), cfg.Supervise.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestInterruptStopsOnCommittedStep(t *testing.T) {
 	if err := sim.Free(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := supervise.ReadJournalFile(cfg.Supervise.Journal)
+	recs, err := supervise.ReadJournalFS(store.OS(), cfg.Supervise.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestJournalPayloadCarriesFaultReport(t *testing.T) {
 	if err := sim.Free(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := supervise.ReadJournalFile(cfg.Supervise.Journal)
+	recs, err := supervise.ReadJournalFS(store.OS(), cfg.Supervise.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}
