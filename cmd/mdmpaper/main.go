@@ -30,7 +30,6 @@ import (
 	"mdm"
 	"mdm/internal/analysis"
 	"mdm/internal/core"
-	"mdm/internal/host"
 	"mdm/internal/md"
 	"mdm/internal/mdgrape2"
 	"mdm/internal/perf"
@@ -173,7 +172,7 @@ func claims() ([]claim, error) {
 	b1, b8 := at(curM, 1_000_000), at(curM, 8_000_000)
 	million := at(futM, 1_000_000).Total
 
-	hostM, wc, mc := host.Current(), wine2.CurrentConfig(), mdgrape2.CurrentConfig()
+	hostM, wc, mc := perf.CurrentHost(), wine2.CurrentConfig(), mdgrape2.CurrentConfig()
 	wf, mf := wine2.FutureConfig(), mdgrape2.FutureConfig()
 
 	stages, err := stageErrors()
@@ -205,7 +204,7 @@ func claims() ([]claim, error) {
 
 	const inconsistency = "Internal inconsistency in the paper's Table 4/5"
 	var rows []claim
-	for _, c := range host.Inventory() {
+	for _, c := range perf.Inventory() {
 		rows = append(rows, claim{section: "Table 1", quantity: c.Component, says: c.Product, ours: none})
 	}
 	rows = append(rows, []claim{

@@ -65,7 +65,7 @@ func TestServeBinaryDrainContract(t *testing.T) {
 	cmd, base, stdout := startServer(t,
 		"-root", filepath.Join(dir, "data"), "-summary", sumPath, "-checkpoint-every", "2")
 
-	resp, err := http.Post(base+"/v1/sessions", "application/json", //mdm:httpok -- test client against the daemon under test; the test binary's deadline bounds it
+	resp, err := http.Post(base+"/v1/sessions", "application/json",
 		bytes.NewReader([]byte(`{"tenant":"alice","cells":2,"steps":4,"backend":"reference"}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestServeBinaryDrainContract(t *testing.T) {
 			t.Fatalf("session stuck: %+v", st)
 		}
 		time.Sleep(5 * time.Millisecond)
-		r, err := http.Get(base + "/v1/sessions/" + st.ID) //mdm:httpok -- test client against the daemon under test; the test binary's deadline bounds it
+		r, err := http.Get(base + "/v1/sessions/" + st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,5 @@
-// Machine-consumable output for mdmvet: a flat JSON finding list, SARIF
-// 2.1.0 for code-scanning uploads, and GitHub workflow-command annotations.
+// Machine-consumable output for mdmvet: SARIF 2.1.0 for code-scanning
+// uploads and GitHub workflow-command annotations.
 package main
 
 import (
@@ -14,13 +14,13 @@ import (
 )
 
 // A Finding is one diagnostic with a module-relative path — the unit of the
-// JSON, SARIF and annotation output.
+// text, SARIF and annotation output.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"` // slash-separated, relative to the module root
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string // slash-separated, relative to the module root
+	Line     int
+	Column   int
+	Message  string
 }
 
 // newFinding relativizes a diagnostic against the module root.
@@ -36,12 +36,6 @@ func newFinding(root string, d analyzers.Diagnostic) Finding {
 		Column:   d.Pos.Column,
 		Message:  d.Message,
 	}
-}
-
-func emitJSON(w io.Writer, findings []Finding) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(findings)
 }
 
 // emitGitHub prints one workflow-command annotation per finding; GitHub

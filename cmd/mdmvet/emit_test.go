@@ -11,8 +11,8 @@ import (
 
 func sampleFindings() []Finding {
 	return []Finding{
-		{Analyzer: "maporder", File: "internal/core/machine.go", Line: 42, Column: 7,
-			Message: "map iteration in hot-path function Forces writes total, declared outside the loop"},
+		{Analyzer: "hotalloc", File: "internal/core/machine.go", Line: 42, Column: 7,
+			Message: "fmt.Sprintf in hot-path function Forces allocates every step"},
 		{Analyzer: "wallclock", File: "internal/md/md.go", Line: 9, Column: 2,
 			Message: "time.Now in hot-path function Step"},
 	}
@@ -88,26 +88,11 @@ func TestEmitGitHub(t *testing.T) {
 	var buf bytes.Buffer
 	emitGitHub(&buf, sampleFindings()[:1])
 	got := buf.String()
-	want := "::error file=internal/core/machine.go,line=42,col=7,title=mdmvet/maporder::"
+	want := "::error file=internal/core/machine.go,line=42,col=7,title=mdmvet/hotalloc::"
 	if !strings.HasPrefix(got, want) {
 		t.Errorf("annotation = %q, want prefix %q", got, want)
 	}
 	if strings.Count(got, "\n") != 1 {
 		t.Errorf("annotation must be a single line, got %q", got)
-	}
-}
-
-// TestEmitJSONRoundTrip checks the flat JSON list re-parses into Findings.
-func TestEmitJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := emitJSON(&buf, sampleFindings()); err != nil {
-		t.Fatal(err)
-	}
-	var back []Finding
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back[0] != sampleFindings()[0] || back[1] != sampleFindings()[1] {
-		t.Errorf("round-trip mismatch: %v", back)
 	}
 }

@@ -3,16 +3,15 @@
 //
 //	go run ./cmd/mdmvet ./...
 //	go run ./cmd/mdmvet -list
-//	go run ./cmd/mdmvet -run fixedformat,mpitags ./internal/...
-//	go run ./cmd/mdmvet -json ./...              # machine-readable findings
+//	go run ./cmd/mdmvet -run hotalloc,wallclock ./internal/...
 //	go run ./cmd/mdmvet -sarif -o out.sarif ./...
 //	go run ./cmd/mdmvet -audit                   # suppression-comment hygiene
 //	go run ./cmd/mdmvet -stepflow ./...          # dump the hot-path fact set
 //
-// Before the analyzers run, a callgraph pass over every loaded package
-// computes the "stepflow" fact — transitive reachability from the
-// //mdm:stepflow-annotated hot-path roots — which gates the determinism
-// analyzers (maporder, wallclock, hotalloc, shardmerge).
+// Package patterns resolve in the current directory. Before the analyzers
+// run, a callgraph pass over every loaded package computes the "stepflow"
+// fact — transitive reachability from the //mdm:stepflow-annotated hot-path
+// roots — which gates the two step-path analyzers (wallclock, hotalloc).
 //
 // Exit status is 0 when the suite is clean, 1 when it reports diagnostics
 // (or -audit finds malformed suppressions), and 2 when packages fail to load
@@ -41,10 +40,8 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("mdmvet", flag.ExitOnError)
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	dir := fs.String("C", ".", "directory to resolve package patterns in")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON instead of text")
 	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 instead of text")
-	outPath := fs.String("o", "", "write the -json/-sarif report to this file (default stdout)")
+	outPath := fs.String("o", "", "write the -sarif report to this file (default stdout)")
 	github := fs.Bool("github", false, "also print GitHub workflow-command annotations for findings")
 	audit := fs.Bool("audit", false, "list every //mdm:* suppression in the tree and fail on missing justifications")
 	stepflow := fs.Bool("stepflow", false, "print the stepflow fact set (hot-path functions) and exit")
@@ -64,7 +61,7 @@ func run(args []string) int {
 		return 0
 	}
 
-	root, err := filepath.Abs(*dir)
+	root, err := filepath.Abs(".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mdmvet: %v\n", err)
 		return 2
@@ -123,18 +120,12 @@ func run(args []string) int {
 		defer f.Close()
 		out = f
 	}
-	switch {
-	case *jsonOut:
-		if err := emitJSON(out, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "mdmvet: %v\n", err)
-			return 2
-		}
-	case *sarifOut:
+	if *sarifOut {
 		if err := emitSARIF(out, suite, findings); err != nil {
 			fmt.Fprintf(os.Stderr, "mdmvet: %v\n", err)
 			return 2
 		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Fprintf(out, "%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Column, f.Message, f.Analyzer)
 		}

@@ -1,49 +1,35 @@
-// Package analyzers implements mdmvet, a static-analysis suite for the MDM
-// reproduction's numerics and concurrency contracts.
+// Package analyzers implements mdmvet, a static-analysis suite for the
+// contracts of the MDM reproduction that no dynamic test can pin.
 //
-// The paper's argument rests on controlled precision: WINE-2 is a fixed-point
-// two's-complement datapath carried in int64 words (§3.4.4), MDGRAPE-2 is
-// strictly IEEE-754 single precision with double-precision accumulation only
-// (§3.5.4), and the goroutine-based MPI substrate relies on deterministic
-// tag-matched message pairs. None of those contracts fail a unit test when
-// silently violated, so this package encodes them as machine-checked rules:
+// A rule belongs here only when a violation passes every test: the bit
+// identity lattice, the allocation, traffic and accuracy tests and the crash
+// matrix catch a wrong sum order, a widened float32 step, a stray MPI tag or
+// a shard race, so those are not rules. What remains:
 //
-//	fixedformat — fixed.Format widths must fit the 62-bit int64 carrier,
-//	              including product widths at MulRound call sites
-//	singleprec  — float32 pipeline functions in internal/mdgrape2 and
-//	              internal/funceval must not compute in float64
-//	mpitags     — mpi Send/Recv tags must be named constants, matched
-//	              between senders and receivers
-//	unitsmix    — values from different internal/units helpers must not be
-//	              mixed additively, and unit constants must not be
-//	              re-hardcoded as literals
-//	gojoin      — launched goroutines must signal completion (channel send,
-//	              close, or WaitGroup Done/Wait) so the launcher can join
-//	              them and collect their errors
-//	httpdeadline — net/http servers and clients must carry explicit I/O
-//	              deadlines (ReadHeaderTimeout on servers, Timeout on
-//	              clients); the deadline-less package defaults are flagged
+//	gojoin    — launched goroutines must signal completion (channel send,
+//	            close, or WaitGroup Done/Wait) so the launcher can join
+//	            them and collect their errors; a leaked goroutine fails no
+//	            test
+//	rawio     — no raw os file writes outside internal/store; a write that
+//	            bypasses store.FS is never reached by the FaultFS crash
+//	            matrix
 //
 // On top of the per-package checks, a callgraph pass (callgraph.go) computes
 // transitive reachability from //mdm:stepflow-annotated roots and marks every
-// function on the simulation hot path. Four determinism analyzers consume
-// that fact:
+// function on the simulation hot path. Two step-path analyzers consume that
+// fact:
 //
-//	maporder    — no map iteration whose body writes accumulators or does
-//	              float math in stepflow code (nondeterministic order breaks
-//	              bit-identity)
-//	wallclock   — no time.Now/time.Since/math/rand in stepflow code (breaks
-//	              journal replay)
-//	hotalloc    — no growing appends, fmt.Sprintf, string concatenation or
-//	              captured-closure goroutine launches in stepflow code (the
-//	              arena'd step path budgets ~10 allocs/step)
-//	shardmerge  — no floating-point read-modify-write accumulation into
-//	              captured state from goroutines or worker closures in
-//	              stepflow code (shard results merge in fixed serial order)
+//	wallclock — no time.Now/time.Since/math/rand in stepflow code (a clock
+//	            read breaks journal replay only when the clock differs,
+//	            which a test run does not arrange)
+//	hotalloc  — no growing appends, fmt.Sprintf, string concatenation or
+//	            captured-closure goroutine launches in stepflow code
+//	            (TestStepAllocs counts the configurations it drives; this
+//	            covers every function the step can reach)
 //
 // Each analyzer's diagnostics can be suppressed for a reviewed line with a
 // comment of the form "//mdm:<key> -- <justification>" (for example
-// //mdm:float64ok -- exact widening) placed on the offending line, the line
+// //mdm:rawiook -- pprof profile) placed on the offending line, the line
 // above it, or in the doc comment of the enclosing function. The
 // justification after " -- " is mandatory: `mdmvet -audit` fails on bare
 // suppressions.
@@ -57,7 +43,6 @@ package analyzers
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -211,7 +196,7 @@ func (s *suppressions) covers(key string, pos token.Position) bool {
 
 // RunPackage runs the analyzers over one loaded package without module-wide
 // facts: the per-package analyzers behave as always and the fact-aware ones
-// (maporder, wallclock, hotalloc, shardmerge) stay silent. Use
+// (wallclock, hotalloc) stay silent. Use
 // RunPackageFacts with a BuildFacts result to enable them.
 func RunPackage(pkg *load.Package, analyzers []*Analyzer) []Diagnostic {
 	return RunPackageFacts(pkg, analyzers, nil)
@@ -250,19 +235,12 @@ func RunPackageFacts(pkg *load.Package, analyzers []*Analyzer, facts *Facts) []D
 	return diags
 }
 
-// All returns the full mdmvet suite. The last four are the fact-aware
-// determinism analyzers: they only report when the runner supplies BuildFacts
+// All returns the full mdmvet suite. The last two are the fact-aware
+// step-path analyzers: they only report when the runner supplies BuildFacts
 // output via RunPackageFacts.
 func All() []*Analyzer {
-	return []*Analyzer{
-		FixedFormat, SinglePrec, MPITags, UnitsMix, GoJoin, RawIO, HTTPDeadline,
-		MapOrder, WallClock, HotAlloc, ShardMerge,
-	}
+	return []*Analyzer{GoJoin, RawIO, WallClock, HotAlloc}
 }
-
-//
-// Shared AST/type helpers.
-//
 
 // calleeFunc resolves a call expression to the *types.Func it invokes, or nil
 // for builtins, conversions and indirect calls.
@@ -278,63 +256,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// isPkgFunc reports whether fn is the named function (or method, via its
-// receiver-stripped name) of the package with the given import path.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
-// constUint evaluates expr as a non-negative integer constant.
-func constUint(info *types.Info, expr ast.Expr) (uint64, bool) {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v := constant.ToInt(tv.Value)
-	if v.Kind() != constant.Int {
-		return 0, false
-	}
-	u, ok := constant.Uint64Val(v)
-	return u, ok
-}
-
-// localDef returns the defining RHS expression of ident if it is a local
-// variable introduced by a short variable declaration in the enclosing
-// function, resolving one level only (x := <expr>).
-func localDef(info *types.Info, file *ast.File, ident *ast.Ident) ast.Expr {
-	obj := info.Uses[ident]
-	if obj == nil {
-		return nil
-	}
-	var rhs ast.Expr
-	ast.Inspect(file, func(n ast.Node) bool {
-		if rhs != nil {
-			return false
-		}
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if ok && info.Defs[id] == obj {
-				rhs = as.Rhs[i]
-				return false
-			}
-		}
-		return true
-	})
-	return rhs
-}
-
-// enclosingFile finds the *ast.File containing pos.
-func enclosingFile(files []*ast.File, pos token.Pos) *ast.File {
-	for _, f := range files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

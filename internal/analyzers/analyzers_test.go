@@ -10,36 +10,6 @@ import (
 // Each analyzer is exercised against its fixture package, analysistest
 // style: every want comment must be matched and nothing else may fire.
 
-func TestFixedFormatFixtures(t *testing.T) {
-	atest.Run(t, analyzers.FixedFormat, "fixedformat", "mdm/fixture/fixedformat")
-}
-
-func TestSinglePrecFixtures(t *testing.T) {
-	// The fixture is checked under the mdgrape2 import path so the
-	// pipeline-package gate applies to it.
-	atest.Run(t, analyzers.SinglePrec, "singleprec", "mdm/internal/mdgrape2")
-}
-
-func TestSinglePrecIgnoresOtherPackages(t *testing.T) {
-	// The same fixture under a non-pipeline path must produce nothing; the
-	// run fails if the want comments go unmatched, so invert via a sub-run.
-	pkg, err := atest.Loader(t).Check("mdm/fixture/hostcode", atest.FixtureDir(t, "singleprec"), atest.FixtureFiles(t, "singleprec"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := analyzers.RunPackage(pkg, []*analyzers.Analyzer{analyzers.SinglePrec}); len(diags) != 0 {
-		t.Errorf("singleprec fired outside its packages: %v", diags)
-	}
-}
-
-func TestMPITagsFixtures(t *testing.T) {
-	atest.Run(t, analyzers.MPITags, "mpitags", "mdm/fixture/mpitags")
-}
-
-func TestUnitsMixFixtures(t *testing.T) {
-	atest.Run(t, analyzers.UnitsMix, "unitsmix", "mdm/fixture/unitsmix")
-}
-
 func TestGoJoinFixtures(t *testing.T) {
 	atest.Run(t, analyzers.GoJoin, "gojoin", "mdm/fixture/gojoin")
 }
@@ -60,24 +30,12 @@ func TestRawIOExemptsStore(t *testing.T) {
 	}
 }
 
-func TestHTTPDeadlineFixtures(t *testing.T) {
-	atest.Run(t, analyzers.HTTPDeadline, "httpdeadline", "mdm/fixture/httpdeadline")
-}
-
-func TestMapOrderFixtures(t *testing.T) {
-	atest.Run(t, analyzers.MapOrder, "maporder", "mdm/fixture/maporder")
-}
-
 func TestWallClockFixtures(t *testing.T) {
 	atest.Run(t, analyzers.WallClock, "wallclock", "mdm/fixture/wallclock")
 }
 
 func TestHotAllocFixtures(t *testing.T) {
 	atest.Run(t, analyzers.HotAlloc, "hotalloc", "mdm/fixture/hotalloc")
-}
-
-func TestShardMergeFixtures(t *testing.T) {
-	atest.Run(t, analyzers.ShardMerge, "shardmerge", "mdm/fixture/shardmerge")
 }
 
 func TestBatchFlowFixtures(t *testing.T) {

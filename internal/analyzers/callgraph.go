@@ -18,10 +18,10 @@ import (
 // The paper's 1.34 Tflops run works because every MDM stage is strictly
 // ordered hardware; the repo mirrors that with bit-identity and journal/replay
 // contracts that only hold if the per-step code is deterministic and
-// allocation-free. Those properties are global — a map walk three calls below
-// core.Machine.Forces breaks bit-identity just as surely as one inside it —
-// so the determinism analyzers (maporder, wallclock, hotalloc, shardmerge)
-// need to know, per function, whether it can execute during a step.
+// allocation-free. Those properties are global — a clock read three calls
+// below core.Machine.Forces breaks replay just as surely as one inside it —
+// so the step-path analyzers (wallclock, hotalloc) need to know, per
+// function, whether it can execute during a step.
 //
 // Roots are declared in source: a function whose doc comment carries a
 // "//mdm:stepflow -- reason" directive is a hot-path entry point. The repo
@@ -313,22 +313,4 @@ func stepFlowFuncs(pass *Pass, visit func(fd *ast.FuncDecl, fn *types.Func)) {
 			visit(fd, fn)
 		}
 	}
-}
-
-// isFloat reports whether t's underlying type (or element type, for slices
-// and arrays) is a floating-point kind.
-func isFloat(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-// floatElem reports whether t is a slice or array of floats.
-func floatElem(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		return isFloat(u.Elem())
-	case *types.Array:
-		return isFloat(u.Elem())
-	}
-	return false
 }

@@ -184,3 +184,29 @@ func isBuiltin(info *types.Info, id *ast.Ident) bool {
 	_, ok := info.Uses[id].(*types.Builtin)
 	return ok
 }
+
+// lvalueRoot resolves the base object of an assignable expression: the
+// variable itself for identifiers, the indexed/selected variable for
+// x[i] = ... and x.f = ... chains.
+func lvalueRoot(info *types.Info, expr ast.Expr) types.Object {
+	for {
+		switch e := ast.Unparen(expr).(type) {
+		case *ast.Ident:
+			if e.Name == "_" {
+				return nil
+			}
+			if obj := info.Uses[e]; obj != nil {
+				return obj
+			}
+			return info.Defs[e]
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.SelectorExpr:
+			expr = e.X
+		case *ast.StarExpr:
+			expr = e.X
+		default:
+			return nil
+		}
+	}
+}

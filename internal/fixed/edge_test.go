@@ -8,8 +8,6 @@ import (
 // TestCarrierBoundaryFormats pins the 62-bit carrier limit exactly: the
 // widest legal formats on either side of the boundary, at both extremes of
 // the Int/Frac split.
-//
-//mdm:fixedok -- this test constructs out-of-range formats on purpose
 func TestCarrierBoundaryFormats(t *testing.T) {
 	cases := []struct {
 		f     Format
@@ -39,7 +37,7 @@ func TestCarrierBoundaryFormats(t *testing.T) {
 }
 
 // TestWideFor checks the product-width constructor used by the WINE-2
-// accumulation stages (and recommended by the fixedformat analyzer).
+// accumulation stages.
 func TestWideFor(t *testing.T) {
 	for frac := uint(0); frac <= 60; frac++ {
 		f := WideFor(frac)

@@ -28,7 +28,6 @@ func TestFormatBasics(t *testing.T) {
 	}
 }
 
-//mdm:fixedok -- this test constructs invalid formats on purpose to exercise Valid
 func TestFormatValidity(t *testing.T) {
 	if F(40, 40).Valid() {
 		t.Error("81-bit format should be invalid")
@@ -261,7 +260,7 @@ func TestNewSinCosTableErrors(t *testing.T) {
 	if _, err := NewSinCosTable(21, F(1, 22)); err == nil {
 		t.Error("logSize 21 should be rejected")
 	}
-	if _, err := NewSinCosTable(10, F(40, 40)); err == nil { //mdm:fixedok -- invalid on purpose: rejection path
+	if _, err := NewSinCosTable(10, F(40, 40)); err == nil {
 		t.Error("invalid format should be rejected")
 	}
 }

@@ -161,12 +161,17 @@ func (t *Table) Segments() int { return len(t.coeff) }
 func (t *Table) Domain() (lo, hi float64) { return math.Ldexp(1, t.emin), math.Ldexp(1, t.emax) }
 
 // segmentBounds returns the argument interval covered by segment s.
+//
+// Here and in ChebyshevNodes, fitSegment and SolveVandermonde each product
+// that feeds an add is rounded by a float64(…) conversion: without it a
+// compiler may fuse the two (Go spec), and the table image would differ
+// between architectures.
 func (t *Table) segmentBounds(s int) (lo, hi float64) {
 	oct := s / t.segPerOct
 	sub := s % t.segPerOct
 	base := math.Ldexp(1, t.emin+oct)
 	w := base / float64(t.segPerOct)
-	lo = base + float64(sub)*w
+	lo = base + float64(float64(sub)*w)
 	hi = lo + w
 	return lo, hi
 }
@@ -187,7 +192,7 @@ func (a wiring) address(word uint32) (seg uint32, u float32) {
 func ChebyshevNodes(u []float64) {
 	n := float64(len(u))
 	for i := range u {
-		u[i] = 0.5 - 0.5*math.Cos(math.Pi*(float64(i)+0.5)/n)
+		u[i] = 0.5 - float64(0.5*math.Cos(math.Pi*(float64(i)+0.5)/n))
 	}
 }
 
@@ -201,7 +206,7 @@ func fitSegment(g func(float64) float64, lo, hi float64) ([Order + 1]float32, er
 	ChebyshevNodes(nodes[:])
 	peak := 0.0
 	for i, u := range nodes {
-		x := lo + u*(hi-lo)
+		x := lo + float64(u*(hi-lo))
 		v := g(x)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return [Order + 1]float32{}, fmt.Errorf("g(%g) is not finite", x)
@@ -263,14 +268,14 @@ func SolveVandermonde(c, u, v []float64) error {
 		for r := col + 1; r < n; r++ {
 			f := a[r][col] / a[col][col]
 			for k := col; k <= n; k++ {
-				a[r][k] -= f * a[col][k]
+				a[r][k] -= float64(f * a[col][k])
 			}
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := a[i][n]
 		for j := i + 1; j < n; j++ {
-			s -= a[i][j] * c[j]
+			s -= float64(a[i][j] * c[j])
 		}
 		c[i] = s / a[i][i]
 	}
@@ -320,13 +325,15 @@ func (t *Table) EvalInto(dst, x []float32) {
 			w = loBits // below the domain, subnormals included: clamp
 		}
 		// The hardware's addressing on the argument word (see address), then
-		// Horner in float32, unrolled over the fixed quartic order.
+		// Horner in float32, unrolled over the fixed quartic order. The
+		// conversions round each product as the hardware does and forbid a
+		// compiler from fusing it into the add (Go spec).
 		seg, u := wire.address(w)
 		c := &coeff[seg]
-		r := c[4]*u + c[3]
-		r = r*u + c[2]
-		r = r*u + c[1]
-		r = r*u + c[0]
+		r := float32(c[4]*u) + c[3]
+		r = float32(r*u) + c[2]
+		r = float32(r*u) + c[1]
+		r = float32(r*u) + c[0]
 		dst[i] = r
 	}
 }

@@ -74,7 +74,9 @@ func (b *pairBlock) gather(p *soa.Coords32, j, jend int, pix, piy, piz, sx, sy, 
 		ex := pix - (jx[k] + sx)
 		ey := piy - (jy[k] + sy)
 		ez := piz - (jz[k] + sz)
-		r2 := ex*ex + ey*ey + ez*ez
+		// Each square is rounded before it is added, as the pipeline rounds
+		// it; the conversions forbid a fused multiply-add (Go spec).
+		r2 := float32(ex*ex) + float32(ey*ey) + float32(ez*ez)
 		s := n & (sweepBlock - 1)
 		b.dx[s], b.dy[s], b.dz[s], b.r2[s], b.j[s] = ex, ey, ez, r2, j+k
 		if r2 < cut2 {

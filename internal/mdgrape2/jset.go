@@ -43,7 +43,7 @@ func (js *JSet) iSide(i int) (nbrs []cellindex.Neighbor, reach uint32, x, y, z f
 	s := js.Sorted
 	k, c := s.Slot[i], s.Cell[i]
 	x, y, z = s.P32.X[k], s.P32.Y[k], s.P32.Z[k]
-	//mdm:float64ok -- exact widening of i's stored word for the host's reach test; no pipeline arithmetic
+	// The widening of i's stored word for the host's reach test is exact.
 	return js.nbt.Of(c), s.Grid.ReachMask(c, float64(x), float64(y), float64(z)), x, y, z
 }
 

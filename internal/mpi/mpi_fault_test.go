@@ -10,7 +10,7 @@ import (
 	"mdm/internal/fault"
 )
 
-// Tags for the failure-mode tests, named per the mpitags analyzer. Receives
+// Tags for the failure-mode tests. Receives
 // that must time out wait on tagData, which no peer sends them.
 const (
 	tagFaulty = 21 // traffic routed through a fault hook

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Named message tags, as the mpitags analyzer requires of all Comm traffic.
+// Named message tags for the tests' Comm traffic.
 const (
 	tagData    = 7   // generic paired payload
 	tagWrong   = 8   // deliberately never sent: exercises mismatch detection
@@ -60,7 +60,7 @@ func TestRecvTagMismatch(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Send(1, tagData, nil)
 		}
-		_, err := c.Recv(0, tagWrong) //mdm:tagok -- tagWrong is one-sided on purpose: the test wants the mismatch
+		_, err := c.Recv(0, tagWrong)
 		if err == nil {
 			return fmt.Errorf("tag mismatch not detected")
 		}

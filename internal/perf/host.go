@@ -1,14 +1,13 @@
-// Package host models the general-purpose front end of the MDM: the four Sun
-// Enterprise 4500 node computers, the Myrinet network between them, and the
-// PCI / CompactPCI links to the WINE-2 and MDGRAPE-2 boards (§3.2–3.3 and
-// Table 1 of the paper).
-//
-// The package provides two things: the component inventory of Table 1, and a
-// bandwidth/latency cost model used by the performance model (internal/perf)
-// to reproduce the paper's timing discussion (§6.1) — the current machine is
-// communication-bound on 32-bit PCI, and the planned upgrades double the PCI
-// bandwidth and triple the Myrinet bandwidth.
-package host
+package perf
+
+// The general-purpose front end of the MDM: the four Sun Enterprise 4500
+// node computers, the Myrinet network between them, and the PCI /
+// CompactPCI links to the WINE-2 and MDGRAPE-2 boards (§3.2–3.3 and Table 1
+// of the paper). This file holds the component inventory of Table 1 and the
+// bandwidth/latency cost model that MachineModel.StepTime charges for
+// communication and host work, to reproduce the paper's timing discussion
+// (§6.1): the current machine is communication-bound on 32-bit PCI, and the
+// planned upgrades double the PCI bandwidth and triple the Myrinet bandwidth.
 
 import "fmt"
 
@@ -33,9 +32,9 @@ func Inventory() []Component {
 	}
 }
 
-// Model is the host-side cost model: node count, per-node compute rate and
+// HostModel is the host-side cost model: node count, per-node compute rate and
 // the two communication channels (board links and inter-node network).
-type Model struct {
+type HostModel struct {
 	Nodes       int     // node computers
 	CPUsPerNode int     // processors per node
 	CPUFlops    float64 // sustained flop/s per processor for host-side work
@@ -49,11 +48,11 @@ type Model struct {
 	MDGLinksPerNode  int // MDGRAPE-2 cluster bridges per node (4)
 }
 
-// Current is the machine as measured in July 2000: 32-bit/33 MHz PCI
+// CurrentHost is the front end as measured in July 2000: 32-bit/33 MHz PCI
 // (~133 MB/s theoretical, ~100 MB/s sustained) and first-generation Myrinet
 // cards (~100 MB/s sustained).
-func Current() Model {
-	return Model{
+func CurrentHost() HostModel {
+	return HostModel{
 		Nodes:            4,
 		CPUsPerNode:      6,
 		CPUFlops:         100e6, // sustained on a 400 MHz UltraSPARC-II
@@ -66,34 +65,34 @@ func Current() Model {
 	}
 }
 
-// Future applies the §6.1 upgrades: 64-bit PCI (bandwidth ×2) and new
+// FutureHost applies the §6.1 upgrades: 64-bit PCI (bandwidth ×2) and new
 // Myrinet cards (bandwidth ×3).
-func Future() Model {
-	m := Current()
+func FutureHost() HostModel {
+	m := CurrentHost()
 	m.PCIBandwidth *= 2
 	m.NetBandwidth *= 3
 	return m
 }
 
 // Validate reports model errors.
-func (m Model) Validate() error {
+func (m HostModel) Validate() error {
 	if m.Nodes < 1 || m.CPUsPerNode < 1 {
-		return fmt.Errorf("host: non-positive node configuration")
+		return fmt.Errorf("perf: non-positive host node configuration")
 	}
 	if m.CPUFlops <= 0 || m.PCIBandwidth <= 0 || m.NetBandwidth <= 0 {
-		return fmt.Errorf("host: non-positive rates")
+		return fmt.Errorf("perf: non-positive host rates")
 	}
 	if m.PCILatency < 0 || m.NetLatency < 0 {
-		return fmt.Errorf("host: negative latencies")
+		return fmt.Errorf("perf: negative host latencies")
 	}
 	if m.WineLinksPerNode < 0 || m.MDGLinksPerNode < 0 {
-		return fmt.Errorf("host: negative link counts")
+		return fmt.Errorf("perf: negative host link counts")
 	}
 	return nil
 }
 
 // PCITime returns the time to move the given bytes over one bridge link.
-func (m Model) PCITime(bytes int64) float64 {
+func (m HostModel) PCITime(bytes int64) float64 {
 	if bytes <= 0 {
 		return 0
 	}
@@ -101,7 +100,7 @@ func (m Model) PCITime(bytes int64) float64 {
 }
 
 // NetTime returns the time to move the given bytes over one Myrinet link.
-func (m Model) NetTime(bytes int64) float64 {
+func (m HostModel) NetTime(bytes int64) float64 {
 	if bytes <= 0 {
 		return 0
 	}
@@ -110,7 +109,7 @@ func (m Model) NetTime(bytes int64) float64 {
 
 // HostTime returns the time for the host to execute the given flops, spread
 // over all processors.
-func (m Model) HostTime(flops float64) float64 {
+func (m HostModel) HostTime(flops float64) float64 {
 	if flops <= 0 {
 		return 0
 	}
@@ -118,7 +117,7 @@ func (m Model) HostTime(flops float64) float64 {
 }
 
 // WineLinks returns the total number of host↔WINE-2 bridge links.
-func (m Model) WineLinks() int { return m.Nodes * m.WineLinksPerNode }
+func (m HostModel) WineLinks() int { return m.Nodes * m.WineLinksPerNode }
 
 // MDGLinks returns the total number of host↔MDGRAPE-2 bridge links.
-func (m Model) MDGLinks() int { return m.Nodes * m.MDGLinksPerNode }
+func (m HostModel) MDGLinks() int { return m.Nodes * m.MDGLinksPerNode }

@@ -1,4 +1,4 @@
-package host
+package perf
 
 import (
 	"math"
@@ -39,7 +39,7 @@ func TestInventoryMatchesTable1(t *testing.T) {
 }
 
 func TestCurrentModel(t *testing.T) {
-	m := Current()
+	m := CurrentHost()
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCurrentModel(t *testing.T) {
 }
 
 func TestFutureUpgrades(t *testing.T) {
-	cur, fut := Current(), Future()
+	cur, fut := CurrentHost(), FutureHost()
 	if fut.PCIBandwidth != 2*cur.PCIBandwidth {
 		t.Errorf("PCI upgrade ×%g, §6.1 says ×2", fut.PCIBandwidth/cur.PCIBandwidth)
 	}
@@ -65,7 +65,7 @@ func TestFutureUpgrades(t *testing.T) {
 }
 
 func TestTransferTimes(t *testing.T) {
-	m := Current()
+	m := CurrentHost()
 	// 100 MB over a 100 MB/s PCI link ≈ 1 s.
 	if dt := m.PCITime(100e6); math.Abs(dt-1) > 0.01 {
 		t.Errorf("PCITime(100MB) = %g", dt)
@@ -80,7 +80,7 @@ func TestTransferTimes(t *testing.T) {
 }
 
 func TestHostTime(t *testing.T) {
-	m := Current()
+	m := CurrentHost()
 	// 24 CPUs × 100 Mflops = 2.4 Gflop/s.
 	if dt := m.HostTime(2.4e9); math.Abs(dt-1) > 1e-9 {
 		t.Errorf("HostTime(2.4e9) = %g, want 1", dt)
@@ -91,13 +91,13 @@ func TestHostTime(t *testing.T) {
 }
 
 func TestValidateCatchesBadModels(t *testing.T) {
-	for _, mod := range []func(*Model){
-		func(m *Model) { m.Nodes = 0 },
-		func(m *Model) { m.CPUFlops = 0 },
-		func(m *Model) { m.PCILatency = -1 },
-		func(m *Model) { m.WineLinksPerNode = -1 },
+	for _, mod := range []func(*HostModel){
+		func(m *HostModel) { m.Nodes = 0 },
+		func(m *HostModel) { m.CPUFlops = 0 },
+		func(m *HostModel) { m.PCILatency = -1 },
+		func(m *HostModel) { m.WineLinksPerNode = -1 },
 	} {
-		m := Current()
+		m := CurrentHost()
 		mod(&m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("invalid model accepted: %+v", m)

@@ -14,11 +14,11 @@
 //	t_mdg  = F_re /(P_mdg ·η_mdg ) + t_comm_mdg
 //
 // where the communication terms count position/structure-factor/force bytes
-// over the PCI bridges and Myrinet of package host, and η is the pipeline
-// duty-cycle. η for the current machine is calibrated so the current-MDM
-// column reproduces the measured 43.8 s/step; the future machine then uses
-// the paper's own 50% efficiency estimate (§6.1, Table 5). The paper's
-// "effective speed" normalization — divide the cheapest conventional
+// over the PCI bridges and Myrinet of HostModel (host.go), and η is the
+// pipeline duty-cycle. η for the current machine is calibrated so the
+// current-MDM column reproduces the measured 43.8 s/step; the future machine
+// then uses the paper's own 50% efficiency estimate (§6.1, Table 5). The
+// paper's "effective speed" normalization — divide the cheapest conventional
 // operation count by the same wall-clock time — is reproduced verbatim.
 package perf
 
@@ -27,7 +27,6 @@ import (
 	"math"
 
 	"mdm/internal/ewald"
-	"mdm/internal/host"
 )
 
 // Bytes per particle for positions/charges sent to the boards, and per force
@@ -56,7 +55,7 @@ type MachineModel struct {
 	WineEff  float64
 
 	// Interconnect and host.
-	Host host.Model
+	Host HostModel
 
 	// Conventional marks the general-purpose column: one engine does both
 	// halves (speeds equal), no board communication.
@@ -83,7 +82,7 @@ func CurrentMDM() MachineModel {
 		RealGeom: ewald.GeomCell27,
 		WinePeak: 45e12,
 		WineEff:  CalibratedWineEff,
-		Host:     host.Current(),
+		Host:     CurrentHost(),
 	}
 }
 
@@ -98,7 +97,7 @@ func FutureMDM() MachineModel {
 		RealGeom: ewald.GeomCell27,
 		WinePeak: 54e12,
 		WineEff:  0.5,
-		Host:     host.Future(),
+		Host:     FutureHost(),
 	}
 }
 
@@ -112,7 +111,7 @@ func Conventional(speed float64) MachineModel {
 		RealGeom:     ewald.GeomHalfSphere,
 		WinePeak:     speed,
 		WineEff:      1,
-		Host:         host.Current(),
+		Host:         CurrentHost(),
 		Conventional: true,
 	}
 }

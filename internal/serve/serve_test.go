@@ -323,6 +323,28 @@ func TestServePauseResumeCancel(t *testing.T) {
 
 // The HTTP surface end to end: submit, status, observables, metrics,
 // healthz, and the typed 400 for a malformed spec.
+// The daemon's one http.Server carries all four I/O deadlines: a client that
+// opens a connection and goes silent, or never reads its response, cannot pin
+// a goroutine.
+func TestServerSetsIODeadlines(t *testing.T) {
+	m, err := serve.Open(testConfig(store.NewFaultFS(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	srv := m.Server("127.0.0.1:0")
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"ReadTimeout":       srv.ReadTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want > 0", name, d)
+		}
+	}
+}
+
 func TestServeHTTPEndpoints(t *testing.T) {
 	cfg := testConfig(store.NewFaultFS(nil))
 	m, err := serve.Open(cfg)
@@ -485,7 +507,7 @@ func asOp(err error, target **serve.OpError) bool {
 
 func post(t *testing.T, url, body string) *http.Response {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(body))) //mdm:httpok -- test client against an httptest server; the test binary's own deadline bounds it
+	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +516,7 @@ func post(t *testing.T, url, body string) *http.Response {
 
 func getJSON(t *testing.T, url string, v any) {
 	t.Helper()
-	resp, err := http.Get(url) //mdm:httpok -- test client against an httptest server; the test binary's own deadline bounds it
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}

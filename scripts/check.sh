@@ -19,6 +19,30 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> fused float ops (the simulated float32 datapath and its table builder round every step: none on the architectures that fuse)"
+# The Go spec lets a compiler fuse x*y + z into one rounding; an explicit
+# conversion forbids it. The compiler does not fuse on amd64, so cross-compile
+# and read the assembly the fusing back ends emit.
+for arch in arm64 ppc64le s390x riscv64; do
+    if ! asm=$(GOARCH=$arch go build -gcflags=mdm/internal/mdgrape2=-S -gcflags=mdm/internal/funceval=-S \
+        ./internal/mdgrape2 ./internal/funceval 2>&1); then
+        echo "$asm" >&2
+        exit 1
+    fi
+    for pkg in mdgrape2 funceval; do
+        if ! echo "$asm" | grep -q "^mdm/internal/$pkg\..* STEXT"; then
+            echo "no $arch assembly listed for internal/$pkg" >&2
+            exit 1
+        fi
+    done
+    fused=$(echo "$asm" | grep -E '\bFN?M(ADD|SUB)[SD]?\b' || true)
+    if [ -n "$fused" ]; then
+        echo "fused float ops on $arch (write the rounding down: float32(x*y) + z):" >&2
+        echo "$fused" >&2
+        exit 1
+    fi
+done
+
 echo "==> mdmvet (full analyzer suite incl. stepflow determinism checks)"
 go run ./cmd/mdmvet ./...
 
