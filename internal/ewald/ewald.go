@@ -231,7 +231,7 @@ func WavenumberForces(p Params, waves []Wave, s, c []float64, pos []vec.V, q []f
 func WavenumberEnergy(p Params, waves []Wave, s, c []float64) float64 {
 	e := 0.0
 	for w := range waves {
-		e += waves[w].A * (s[w]*s[w] + c[w]*c[w])
+		e += float64(waves[w].A * (float64(s[w]*s[w]) + float64(c[w]*c[w])))
 	}
 	return units.Coulomb / (math.Pi * p.L * p.L * p.L) * e
 }

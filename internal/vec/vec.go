@@ -87,7 +87,7 @@ func (a V) Wrap(l float64) V {
 }
 
 func wrap1(x, l float64) float64 {
-	x -= l * math.Floor(x/l)
+	x -= float64(l * math.Floor(x/l))
 	// Guard against x == l from floating-point rounding when x was a tiny
 	// negative number: Floor(-eps/l) = -1 gives x = l - eps which can round
 	// to exactly l.

@@ -214,7 +214,9 @@ func TestSaturatorsUnreachable(t *testing.T) {
 			wantPlus += qs + qc
 			wantMinus += qs - qc
 		}
-		if plus, minus := dftWave(&sys.trig, sys.dftRound, [3]int{1, 0, 0}, pw); plus != wantPlus || minus != wantMinus {
+		var acc [1][2]int64
+		dftRow(&sys.trig, sys.dftRound, 1, 0, 0, pw, acc[:])
+		if plus, minus := acc[0][0]+acc[0][1], acc[0][0]-acc[0][1]; plus != wantPlus || minus != wantMinus {
 			t.Errorf("%s: DFT accumulators (%d, %d), saturating datapath (%d, %d)", f.name, plus, minus, wantPlus, wantMinus)
 		}
 
@@ -234,15 +236,19 @@ func TestSaturatorsUnreachable(t *testing.T) {
 			waves[w].N = [3]int{1, 0, 0}
 			scaledS[w], scaledC[w] = sys.idftRound.Mul*aS[w], sys.idftRound.Mul*aC[w]
 		}
+		// Equal waves make rows of one, in the caller's order.
+		rows := sys.rowsFor(waves).rows
 		iprodWide, tF := fixed.WideFor(cfg.CoefFrac+trigFrac), fixed.F(2, cfg.IAccFrac)
-		for _, ph := range phases[:3000] { // × 32 waves: 10^5 products
-			si, ci := tab.SinCos(ph, cfg.PosFrac)
-			var want int64
-			for w := range waves {
-				want += fixed.Convert(aC[w]*si-aS[w]*ci, iprodWide, tF)
+		for k, ph := range phases[:3000] { // × 32 waves: 10^5 products
+			var want [2]int64
+			for p, ph := range [2]int64{ph, phases[k+1]} {
+				si, ci := tab.SinCos(ph, cfg.PosFrac)
+				for w := range waves {
+					want[p] += fixed.Convert(aC[w]*si-aS[w]*ci, iprodWide, tF)
+				}
 			}
-			if ax, ay, az := idftParticle(&sys.trig, sys.idftRound, waves, scaledS, scaledC, ph, 0, 0); ax != want || ay != 0 || az != 0 {
-				t.Fatalf("%s: phase %d: IDFT accumulators (%d, %d, %d), saturating datapath (%d, 0, 0)", f.name, ph, ax, ay, az, want)
+			if a := idftPair(&sys.trig, sys.idftRound, rows, scaledS, scaledC, ph, 0, 0, phases[k+1], 0, 0); a != [2][3]int64{{want[0]}, {want[1]}} {
+				t.Fatalf("%s: phase %d: IDFT accumulators %v, saturating datapath (%d, 0, 0), (%d, 0, 0)", f.name, ph, a, want[0], want[1])
 			}
 		}
 	}

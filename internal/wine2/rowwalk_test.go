@@ -1,0 +1,330 @@
+package wine2
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"mdm/internal/ewald"
+	"mdm/internal/fault"
+	"mdm/internal/fixed"
+	"mdm/internal/parallelize"
+	"mdm/internal/units"
+)
+
+// The pipeline loops as they were before the row walk: one wave per particle
+// pass in DFT mode, one particle per wave pass in IDFT mode, every phase a
+// fresh n⃗·u⃗ product, in the caller's wave order. Kept as the oracle the row
+// walk must match bit for bit.
+
+// dftWave streams the particle image through one pipeline in DFT mode and
+// returns the wave's S+C and S−C accumulators (AccFrac fractional bits).
+func dftWave(trig *fixed.TrigUnit, round fixed.Rounder, nv [3]int, pw *ParticleWords) (accPlus, accMinus int64) {
+	lo, hi := trig.Rows()
+	shift, half := trig.Shift, trig.Half
+	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
+	n0, n1, n2 := int64(nv[0]), int64(nv[1]), int64(nv[2])
+	ux := pw.Ux
+	uy, uz, qw := pw.Uy[:len(ux)], pw.Uz[:len(ux)], pw.Q[:len(ux)]
+	var s, c int64
+	for j := range ux {
+		ph := n0*ux[j] + n1*uy[j] + n2*uz[j]
+		i, rem := ph>>(shift&63)&idxMask, ph&remMask
+		sin := fixed.Lerp(lo, hi, i, rem, half, shift)
+		cos := fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
+		q := qw[j] * round.Mul
+		s += round.Round(q * sin)
+		c += round.Round(q * cos)
+	}
+	return s + c, s - c
+}
+
+// idftParticle streams the wave coefficients past one particle in IDFT mode
+// and returns its three force accumulators (IAccFrac fractional bits). aS and
+// aC are in the caller's wave order and carry the rounder's operand scale.
+func idftParticle(trig *fixed.TrigUnit, round fixed.Rounder, waves []ewald.Wave, aS, aC []int64, ux, uy, uz int64) (ax, ay, az int64) {
+	lo, hi := trig.Rows()
+	shift, half := trig.Shift, trig.Half
+	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
+	aS, aC = aS[:len(waves)], aC[:len(waves)]
+	for w := range waves {
+		n0, n1, n2 := int64(waves[w].N[0]), int64(waves[w].N[1]), int64(waves[w].N[2])
+		ph := n0*ux + n1*uy + n2*uz
+		i, rem := ph>>(shift&63)&idxMask, ph&remMask
+		sin := fixed.Lerp(lo, hi, i, rem, half, shift)
+		cos := fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
+		t := round.Round(aC[w]*sin - aS[w]*cos)
+		ax += t * n0
+		ay += t * n1
+		az += t * n2
+	}
+	return ax, ay, az
+}
+
+// waveByWaveDFT is DFTQuantizedInto on the oracle loop, with an armed flip
+// on the caller-order wave flipWave (-1: none).
+func waveByWaveDFT(sys *System, waves []ewald.Wave, pw *ParticleWords, flipWave, flipBit int) (sn, cn []float64) {
+	accF := fixed.F(0, sys.cfg.AccFrac)
+	sn, cn = make([]float64, len(waves)), make([]float64, len(waves))
+	for w := range waves {
+		plus, minus := dftWave(&sys.trig, sys.dftRound, waves[w].N, pw)
+		if w == flipWave {
+			plus ^= 1 << flipBit
+		}
+		p, m := accF.Float(plus), accF.Float(minus)
+		sn[w], cn[w] = (p+m)/2, (p-m)/2
+	}
+	return sn, cn
+}
+
+// waveByWaveIDFT is IDFTQuantizedCoordsInto on the oracle loop: the force
+// planes x, y, z.
+func waveByWaveIDFT(sys *System, waves []ewald.Wave, sn, cn []float64, pw *ParticleWords) (f [3][]float64) {
+	for c := range f {
+		f[c] = make([]float64, pw.N())
+	}
+	scale := 0.0
+	for w := range waves {
+		scale = math.Max(scale, math.Max(math.Abs(waves[w].A*sn[w]), math.Abs(waves[w].A*cn[w])))
+	}
+	if scale == 0 {
+		return f
+	}
+	cf := fixed.F(1, sys.cfg.CoefFrac)
+	aS, aC := make([]int64, len(waves)), make([]int64, len(waves))
+	for w := range waves {
+		aS[w] = sys.idftRound.Mul * cf.Quantize(waves[w].A*sn[w]/scale)
+		aC[w] = sys.idftRound.Mul * cf.Quantize(waves[w].A*cn[w]/scale)
+	}
+	iaccF := fixed.F(0, sys.cfg.IAccFrac)
+	l := pw.L
+	pref := 4 * units.Coulomb / (l * l * l * l) * scale
+	for i := range f[0] {
+		ax, ay, az := idftParticle(&sys.trig, sys.idftRound, waves, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i])
+		qp := pref * pw.q[i]
+		f[0][i], f[1][i], f[2][i] = iaccF.Float(ax)*qp, iaccF.Float(ay)*qp, iaccF.Float(az)*qp
+	}
+	return f
+}
+
+// matchOracle runs both passes on sys and on the oracle loops and fails on
+// the first bit that differs.
+func matchOracle(t *testing.T, name string, sys *System, waves []ewald.Wave, pw *ParticleWords) {
+	t.Helper()
+	sn, cn, err := sys.DFTQuantizedInto(waves, pw, nil, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	wantS, wantC := waveByWaveDFT(sys, waves, pw, -1, 0)
+	for w := range waves {
+		if math.Float64bits(sn[w]) != math.Float64bits(wantS[w]) || math.Float64bits(cn[w]) != math.Float64bits(wantC[w]) {
+			t.Fatalf("%s: wave %d %v: DFT (%v, %v), oracle (%v, %v)", name, w, waves[w].N, sn[w], cn[w], wantS[w], wantC[w])
+		}
+	}
+	fc, err := sys.IDFTQuantizedCoordsInto(waves, sn, cn, pw, sys.fc)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	sys.fc = fc
+	want := waveByWaveIDFT(sys, waves, sn, cn, pw)
+	for c, got := range [3][]float64{fc.X, fc.Y, fc.Z} {
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[c][i]) {
+				t.Fatalf("%s: particle %d component %d: IDFT %v, oracle %v", name, i, c, got[i], want[c][i])
+			}
+		}
+	}
+}
+
+// TestRowWalkMatchesOracle pins the row walk to the wave-by-wave loops bit
+// for bit: on every datapath format; on the wave sets of α = 5.85, 9 and 14;
+// on the α = 14 set shuffled in place (a rewritten slice must not meet a
+// stale plan), on random subsets of it (rows of length 1, gaps in n_x) and
+// on a single wave, on one row longer than two DFT runs and on consecutive
+// n_x across steps in n_y or n_z; at N = 1, 2 and odd N; at pool widths 1–4,
+// whose shards cut rows.
+func TestRowWalkMatchesOracle(t *testing.T) {
+	const l = 22.56
+	pos, q := testSystem(33, l, 11)
+	rng := rand.New(rand.NewSource(37))
+	sets := map[string][]ewald.Wave{}
+	for _, alpha := range []float64{5.85, 9, 14} {
+		sets[fmt.Sprintf("alpha=%v", alpha)] = ewald.Waves(ewald.ParamsForAlpha(l, alpha))
+	}
+	all := sets["alpha=14"]
+	for _, keep := range []float64{0.1, 0.5, 0.9} {
+		var sub []ewald.Wave
+		for _, w := range all {
+			if rng.Float64() < keep {
+				sub = append(sub, w)
+			}
+		}
+		sets[fmt.Sprintf("subset=%v", keep)] = sub
+	}
+	sets["single"] = all[17:18]
+	// One row longer than two DFT runs, so a run starts inside a row.
+	for nx := -40; nx <= 40; nx++ {
+		sets["long"] = append(sets["long"], ewald.Wave{N: [3]int{nx, 1, 2}, A: 1 / float64(nx*nx+5)})
+	}
+	// Consecutive n_x across a step in n_z or n_y: rows of one.
+	for k := 0; k < 6; k++ {
+		sets["stairs"] = append(sets["stairs"], ewald.Wave{N: [3]int{k, 0, k + 1}, A: 0.5}, ewald.Wave{N: [3]int{k, k + 1, 7}, A: 0.25})
+	}
+	names := []string{"alpha=5.85", "alpha=9", "alpha=14", "subset=0.1", "subset=0.5", "subset=0.9", "single", "long", "stairs"}
+
+	// Every datapath format, one wave set, serial and striped.
+	for _, f := range datapathFormats {
+		cfg := CurrentConfig()
+		f.mod(&cfg)
+		for _, width := range []int{1, 3} {
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", f.name, err)
+			}
+			sys.SetPool(parallelize.New(width))
+			pw, err := sys.Quantize(l, pos, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchOracle(t, fmt.Sprintf("%s/workers=%d", f.name, width), sys, sets["alpha=9"], pw)
+		}
+	}
+
+	// The shipped format on every wave set, particle count and width; one
+	// System per width serves them all, so every set change rebuilds its plan.
+	cutInRow := false
+	for width := 1; width <= 4; width++ {
+		sys, err := NewSystem(CurrentConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SetPool(parallelize.New(width))
+		for _, n := range []int{1, 2, 33} {
+			pw, err := sys.Quantize(l, pos[:n], q[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				matchOracle(t, fmt.Sprintf("%s/n=%d/workers=%d", name, n, width), sys, sets[name], pw)
+				for _, sh := range parallelize.Shards(len(sets[name]), width) {
+					for _, row := range sys.plan.rows {
+						cutInRow = cutInRow || (int(row.lo) < sh[0] && sh[0] < int(row.hi))
+					}
+				}
+			}
+			// The same slice before and after an in-place shuffle: equal
+			// length, new order, which only the per-call check can see.
+			shuffled := append([]ewald.Wave(nil), all...)
+			matchOracle(t, fmt.Sprintf("sorted/n=%d/workers=%d", n, width), sys, shuffled, pw)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			matchOracle(t, fmt.Sprintf("shuffled/n=%d/workers=%d", n, width), sys, shuffled, pw)
+		}
+	}
+	if !cutInRow {
+		t.Fatal("no shard boundary fell inside a row: the cut path went untested")
+	}
+}
+
+// TestRowWalkFlipLandsOnCallerWave: an armed bit flip lands on the wave the
+// fault names in the caller's order, not on the row-order slot, at every
+// pool width.
+func TestRowWalkFlipLandsOnCallerWave(t *testing.T) {
+	const l = 22.56
+	pos, q := testSystem(33, l, 13)
+	waves := ewald.Waves(ewald.ParamsForAlpha(l, 9))
+	for width := 1; width <= 4; width++ {
+		for _, word := range []int{0, 5, 300, len(waves) + 7} {
+			sys, err := NewSystem(CurrentConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.SetPool(parallelize.New(width))
+			in, err := fault.ParseInjector(fmt.Sprintf("wine2:bitflip@call=1,word=%d,bit=40", word))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.SetFaultHook(in)
+			pw, err := sys.Quantize(l, pos, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sn, cn, err := sys.DFTQuantizedInto(waves, pw, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := word % len(waves)
+			wantS, wantC := waveByWaveDFT(sys, waves, pw, target, 40)
+			for w := range waves {
+				if math.Float64bits(sn[w]) != math.Float64bits(wantS[w]) || math.Float64bits(cn[w]) != math.Float64bits(wantC[w]) {
+					t.Fatalf("workers=%d word=%d: wave %d: (%v, %v), oracle with the flip on wave %d (%v, %v)",
+						width, word, w, sn[w], cn[w], target, wantS[w], wantC[w])
+				}
+			}
+		}
+	}
+}
+
+// TestAccumulatorBound: a call runs only when its accumulator sums stay
+// inside int64 — N·2^(AccFrac+6) < 2^63 in DFT mode, N_wv·max|n|·2^(IAccFrac+1)
+// < 2^63 in IDFT mode — and is refused with an *AccumulatorError otherwise.
+// IAccFrac = 59, the widest the carrier admits, puts the IDFT boundary at
+// N_wv·max|n| = 7; no board holds the 2^26 particles that reach the DFT
+// boundary at AccFrac = 31, so that side is checked on the predicate.
+func TestAccumulatorBound(t *testing.T) {
+	cfg := CurrentConfig()
+	cfg.IAccFrac = 59
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const l = 10.0
+	pos, q := testSystem(5, l, 3)
+	pw, err := sys.Quantize(l, pos, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []struct {
+		waves []ewald.Wave
+		ok    bool
+	}{
+		{[]ewald.Wave{{N: [3]int{7, 0, 0}, A: 1}}, true},                              // 1·7
+		{[]ewald.Wave{{N: [3]int{0, -8, 0}, A: 1}}, false},                            // 1·8
+		{[]ewald.Wave{{N: [3]int{1, 2, 3}, A: 1}, {N: [3]int{2, 2, 3}, A: 1}}, true},  // 2·3
+		{[]ewald.Wave{{N: [3]int{1, 0, 2}, A: 1}, {N: [3]int{0, 4, 0}, A: 1}}, false}, // 2·4
+	}
+	for _, c := range sets {
+		sn, cn, err := sys.DFTQuantizedInto(c.waves, pw, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sys.IDFTQuantizedCoordsInto(c.waves, sn, cn, pw, sys.fc)
+		var ae *AccumulatorError
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%v: %v, want it computed", c.waves, err)
+		case !c.ok && !errors.As(err, &ae):
+			t.Errorf("%v: err %v, want *AccumulatorError", c.waves, err)
+		case !c.ok && (ae.Pass != "IDFT" || ae.Bits != 60):
+			t.Errorf("%v: %+v, want IDFT at 2^60", c.waves, ae)
+		}
+	}
+	if c := sys.Stats().Calls; c != 6 {
+		t.Errorf("%d calls counted, want 6: a refused call is no hardware call", c)
+	}
+
+	for _, c := range []struct {
+		terms int64
+		bits  uint
+		ok    bool
+	}{
+		{1<<26 - 1, 37, true}, {1 << 26, 37, false}, // DFT at AccFrac 31
+		{1<<36 - 1, 27, true}, {1 << 36, 27, false}, // IDFT at the shipped IAccFrac 26
+		{math.MaxInt64, 0, true},
+	} {
+		if err := checkSum("DFT", c.terms, c.bits); (err == nil) != c.ok {
+			t.Errorf("%d terms of 2^%d: err %v, want ok=%v", c.terms, c.bits, err, c.ok)
+		}
+	}
+}

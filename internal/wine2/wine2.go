@@ -30,8 +30,11 @@
 package wine2
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"mdm/internal/ewald"
 	"mdm/internal/fault"
@@ -191,7 +194,8 @@ type System struct {
 	dftRound  fixed.Rounder
 	idftRound fixed.Rounder
 
-	aS, aC []int64    // IDFT normalized-coefficient scratch, reused across calls
+	plan   rowPlan    // the last wave set's row order, checked on every call
+	aS, aC []int64    // IDFT normalized-coefficient scratch in row order, reused across calls
 	fc     soa.Coords // force planes behind the array-of-structs IDFT entry points
 }
 
@@ -325,14 +329,144 @@ func (s *System) DFT(l float64, waves []ewald.Wave, pos []vec.V, q []float64) (s
 	return s.DFTQuantizedInto(waves, pw, nil, nil)
 }
 
+// AccumulatorError refuses a call whose accumulator sums could leave int64.
+// An accumulator sums at most Terms words of magnitude at most 2^Bits
+// (Config.rounders' range proof). DFT mode: q·sin and q·cos are each at most
+// 2^(AccFrac+5), and S±C adds one of each per particle, so Terms = N and
+// Bits = AccFrac + 6. IDFT mode: a force component is Σ t·n with |t| at
+// most 2^(IAccFrac+1), so Terms = N_wv·max|n| and Bits = IAccFrac + 1. A
+// call runs only when Terms·2^Bits < 2^63: the pipelines compute in the ring
+// Z/2^64, where the row walk's reordering is exact, and this bound makes the
+// ring's result the integer sum.
+type AccumulatorError struct {
+	Pass  string // "DFT" or "IDFT"
+	Terms int64
+	Bits  uint
+}
+
+// Error implements error.
+//
+//mdm:hotallocok -- error rendering: reached only once a call was refused, off the clean step path
+func (e *AccumulatorError) Error() string {
+	return fmt.Sprintf("wine2: %s accumulators overflow int64: %d terms of up to 2^%d", e.Pass, e.Terms, e.Bits)
+}
+
+// checkSum refuses terms·2^bits ≥ 2^63.
+func checkSum(pass string, terms int64, bits uint) error {
+	if terms > math.MaxInt64>>bits {
+		return &AccumulatorError{Pass: pass, Terms: terms, Bits: bits}
+	}
+	return nil
+}
+
+// A waveRow is a run of consecutive n_x at fixed (n_y, n_z). Along a row the
+// phase n⃗·u⃗ steps by u_x, one add where n⃗·u⃗ costs three products; the
+// pipelines walk the wave set row by row. Phases and accumulators are int64,
+// the ring Z/2^64, where reordering, regrouping and distributing the sums are
+// exact even through wrap-around, and a stepped phase is the same word as
+// the product: the row walk returns the bits of a wave-by-wave loop.
+type waveRow struct {
+	lo, hi     int32 // row-order indices [lo, hi) hold n⃗ = (nx + k − lo, ny, nz)
+	nx, ny, nz int64
+}
+
+// rowPlan is a wave set in row order: perm maps a row-order index to the
+// caller's wave index. ewald.Waves keeps its own order (the float references
+// sum in it); only the pipelines walk rows.
+type rowPlan struct {
+	perm []int32
+	rows []waveRow
+	maxN int64 // largest |n| component, for the IDFT accumulator bound
+}
+
+// fits reports whether p is the row plan of waves, in O(N_wv): a caller that
+// rewrites its wave slice between calls never meets a stale plan.
+func (p *rowPlan) fits(waves []ewald.Wave) bool {
+	if len(p.perm) != len(waves) {
+		return false
+	}
+	for _, r := range p.rows {
+		nx := r.nx
+		for _, w := range p.perm[r.lo:r.hi] {
+			n := &waves[w].N
+			if int64(n[0]) != nx || int64(n[1]) != r.ny || int64(n[2]) != r.nz {
+				return false
+			}
+			nx++
+		}
+	}
+	return true
+}
+
+// build sorts waves by (n_z, n_y, n_x, caller index) and cuts the order into
+// rows, in buffers sized exactly (they stay live for the session).
+func (p *rowPlan) build(waves []ewald.Wave) {
+	if cap(p.perm) < len(waves) {
+		p.perm = make([]int32, len(waves))
+	}
+	p.perm = p.perm[:len(waves)]
+	for w := range p.perm {
+		p.perm[w] = int32(w)
+	}
+	slices.SortFunc(p.perm, func(a, b int32) int {
+		na, nb := &waves[a].N, &waves[b].N
+		for c := 2; c >= 0; c-- {
+			if na[c] != nb[c] {
+				return cmp.Compare(na[c], nb[c])
+			}
+		}
+		return cmp.Compare(a, b)
+	})
+	// k starts a row unless wave k is wave k−1 one step along x.
+	starts := func(k int) bool {
+		if k == 0 {
+			return true
+		}
+		a, b := &waves[p.perm[k-1]].N, &waves[p.perm[k]].N
+		return b[0] != a[0]+1 || b[1] != a[1] || b[2] != a[2]
+	}
+	nrows := 0
+	for k := range p.perm {
+		if starts(k) {
+			nrows++
+		}
+	}
+	if cap(p.rows) < nrows {
+		p.rows = make([]waveRow, 0, nrows)
+	}
+	p.rows, p.maxN = p.rows[:0], 0
+	for k, w := range p.perm {
+		n := waves[w].N
+		for _, c := range n {
+			p.maxN = max(p.maxN, int64(c), -int64(c))
+		}
+		if starts(k) {
+			p.rows = append(p.rows, waveRow{lo: int32(k), nx: int64(n[0]), ny: int64(n[1]), nz: int64(n[2])})
+		}
+		p.rows[len(p.rows)-1].hi = int32(k) + 1
+	}
+}
+
+// rowsFor returns the row plan of waves, rebuilt only when the wave set
+// changed since the last call.
+func (s *System) rowsFor(waves []ewald.Wave) *rowPlan {
+	if !s.plan.fits(waves) {
+		s.plan.build(waves)
+	}
+	return &s.plan
+}
+
 // DFTQuantizedInto is the DFT pass over a pre-quantized particle image,
 // writing into caller-provided structure factor slices (reused when their
-// length matches len(waves), allocated otherwise). The wave loop is striped
-// across the pool's workers exactly as the hardware stripes waves across chips
-// (§3.4.2: "different wavenumber vectors are assigned to different
-// pipelines"); each wave's S±C accumulator lives entirely in one shard, so
-// the output is bit-identical at any pool width.
+// length matches len(waves), allocated otherwise). The wave loop, in row
+// order, is striped across the pool's workers exactly as the hardware stripes
+// waves across chips (§3.4.2: "different wavenumber vectors are assigned to
+// different pipelines"); each wave's S±C accumulator lives entirely in one
+// shard, so the output is bit-identical at any pool width.
 func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn []float64) ([]float64, []float64, error) {
+	if err := checkSum("DFT", int64(pw.N()), s.cfg.AccFrac+6); err != nil {
+		return nil, nil, err
+	}
 	// Fault injection: a scheduled board/transient error aborts the call; an
 	// armed bit flip lands in one wave's S+C accumulator at readout, the spot
 	// where a flipped SDRAM or pipeline-register bit would surface.
@@ -355,17 +489,35 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 	if len(cn) != len(waves) {
 		cn = make([]float64, len(waves))
 	}
+	// The shards read the plan through s: the escaping pool closure captures
+	// no new value.
+	s.rowsFor(waves)
 	accF := fixed.F(0, s.cfg.AccFrac) // conversion scale for readout
 	_ = s.pool.Run(len(waves), func(_, lo, hi int) error {
-		for w := lo; w < hi; w++ {
-			accPlus, accMinus := dftWave(&s.trig, s.dftRound, waves[w].N, pw)
-			if w == flipWave {
-				accPlus ^= 1 << flipBit
+		perm, rows := s.plan.perm, s.plan.rows
+		// A shard may start inside a row: find the row holding lo.
+		r := sort.Search(len(rows), func(r int) bool { return int(rows[r].hi) > lo })
+		var acc [dftRun][2]int64
+		for k := lo; k < hi; {
+			row := rows[r]
+			end := min(int(row.hi), hi, k+dftRun)
+			nx := row.nx + int64(k-int(row.lo))
+			a := acc[:end-k]
+			dftRow(&s.trig, s.dftRound, nx, row.ny, row.nz, pw, a)
+			for m, w := range perm[k:end] {
+				w := int(w)
+				plus, minus := a[m][0]+a[m][1], a[m][0]-a[m][1]
+				if w == flipWave {
+					plus ^= 1 << flipBit
+				}
+				fp, fm := accF.Float(plus), accF.Float(minus)
+				sn[w] = (fp + fm) / 2
+				cn[w] = (fp - fm) / 2
 			}
-			plus := accF.Float(accPlus)
-			minus := accF.Float(accMinus)
-			sn[w] = (plus + minus) / 2
-			cn[w] = (plus - minus) / 2
+			k = end
+			if k == int(row.hi) {
+				r++
+			}
 		}
 		return nil
 	})
@@ -374,32 +526,43 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 	return sn, cn, nil
 }
 
-// dftWave streams the particle image through one pipeline in DFT mode and
-// returns the wave's S+C and S−C accumulators (AccFrac fractional bits). The
-// units' words are read once and live in registers for the whole pass.
-// Two's-complement sums commute, so the pass accumulates Σ q·sin and Σ q·cos
-// and forms the two outputs once, at readout.
-func dftWave(trig *fixed.TrigUnit, round fixed.Rounder, nv [3]int, pw *ParticleWords) (accPlus, accMinus int64) {
+// dftRun bounds the waves of one DFT row walk: their accumulators live on
+// the walking goroutine's stack.
+const dftRun = 32
+
+// dftRow streams the particle image through the pipeline in DFT mode for the
+// waves n⃗ = (n0 + m, n1, n2), m < len(acc), two particles per walk of the
+// run, and writes each wave's Σ q·sin and Σ q·cos (AccFrac fractional bits)
+// to acc[m]. The units' words are read into locals once.
+func dftRow(trig *fixed.TrigUnit, round fixed.Rounder, n0, n1, n2 int64, pw *ParticleWords, acc [][2]int64) {
 	lo, hi := trig.Rows()
 	shift, half := trig.Shift, trig.Half
 	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
-	n0, n1, n2 := int64(nv[0]), int64(nv[1]), int64(nv[2])
-	ux := pw.Ux
-	uy, uz, qw := pw.Uy[:len(ux)], pw.Uz[:len(ux)], pw.Q[:len(ux)]
-	var s, c int64
-	for j := range ux {
-		// n⃗·u⃗ in turns (PosFrac fractional bits): an exact integer ×
-		// fixed-point product whose two's-complement overflow is the wrap
-		// modulo one turn; it cannot overflow int64 for |n| below 2^20.
-		ph := n0*ux[j] + n1*uy[j] + n2*uz[j]
-		i, rem := ph>>(shift&63)&idxMask, ph&remMask
-		sin := fixed.Lerp(lo, hi, i, rem, half, shift)
-		cos := fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
-		q := qw[j] * round.Mul
-		s += round.Round(q * sin)
-		c += round.Round(q * cos)
+	clear(acc)
+	n := pw.N()
+	for j := 0; j < n; j += 2 {
+		jj := min(j+1, n-1)
+		ux0, ux1 := pw.Ux[j], pw.Ux[jj]
+		ph0 := n0*ux0 + n1*pw.Uy[j] + n2*pw.Uz[j]
+		ph1 := n0*ux1 + n1*pw.Uy[jj] + n2*pw.Uz[jj]
+		q0 := pw.Q[j] * round.Mul
+		q1 := pw.Q[jj] * round.Mul
+		if jj == j {
+			q1 = 0 // an odd last particle walks beside a zero charge, which rounds to 0
+		}
+		for m := range acc {
+			i, rem := ph0>>(shift&63)&idxMask, ph0&remMask
+			s0 := round.Round(q0 * fixed.Lerp(lo, hi, i, rem, half, shift))
+			c0 := round.Round(q0 * fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift))
+			i, rem = ph1>>(shift&63)&idxMask, ph1&remMask
+			s1 := round.Round(q1 * fixed.Lerp(lo, hi, i, rem, half, shift))
+			c1 := round.Round(q1 * fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift))
+			acc[m][0] += s0 + s1
+			acc[m][1] += c0 + c1
+			ph0 += ux0
+			ph1 += ux1
+		}
 	}
-	return s + c, s - c
 }
 
 // IDFT runs the pipelines in IDFT mode (eq. 11): given the structure factors,
@@ -416,13 +579,18 @@ func (s *System) IDFT(l float64, waves []ewald.Wave, sn, cn []float64, pos []vec
 	return s.IDFTQuantizedInto(waves, sn, cn, pw, nil)
 }
 
-// idftPrepare runs the host side of an IDFT call — the hardware hook's call,
-// the block normalization of a_n·S_n and a_n·C_n, and the coefficient
-// quantization into session scratch. A zero scale return (with nil error)
-// means every structure factor vanished and the force is zero.
+// idftPrepare runs the host side of an IDFT call — the accumulator bound,
+// the hardware hook's call, the block normalization of a_n·S_n and a_n·C_n,
+// and the coefficient quantization into session scratch, in row order. A
+// zero scale return (with nil error) means every structure factor vanished
+// and the force is zero.
 func (s *System) idftPrepare(waves []ewald.Wave, sn, cn []float64) (aS, aC []int64, scale float64, err error) {
 	if len(sn) != len(waves) || len(cn) != len(waves) {
 		return nil, nil, 0, fmt.Errorf("wine2: %d waves vs %d/%d structure factors", len(waves), len(sn), len(cn))
+	}
+	plan := s.rowsFor(waves)
+	if err := checkSum("IDFT", int64(len(waves))*plan.maxN, s.cfg.IAccFrac+1); err != nil {
+		return nil, nil, 0, err
 	}
 	if s.hook != nil {
 		if err := s.hook.HardwareCall(fault.WINE2); err != nil {
@@ -453,9 +621,9 @@ func (s *System) idftPrepare(waves []ewald.Wave, sn, cn []float64) (aS, aC []int
 	// The coefficient words carry the IDFT rounder's operand scale into the
 	// pipelines: once per wave here, not once per particle·wave there.
 	mul := s.idftRound.Mul
-	for w := range waves {
-		aS[w] = mul * cf.Quantize(waves[w].A*sn[w]/scale)
-		aC[w] = mul * cf.Quantize(waves[w].A*cn[w]/scale)
+	for k, w := range plan.perm {
+		aS[k] = mul * cf.Quantize(waves[w].A*sn[w]/scale)
+		aC[k] = mul * cf.Quantize(waves[w].A*cn[w]/scale)
 	}
 	return aS, aC, scale, nil
 }
@@ -500,12 +668,17 @@ func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, p
 	pref := 4 * units.Coulomb / (l * l * l * l) * scale
 
 	_ = s.pool.Run(pw.N(), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			ax, ay, az := idftParticle(&s.trig, s.idftRound, waves, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i])
-			qp := pref * pw.q[i]
-			fx[i] = iaccF.Float(ax) * qp
-			fy[i] = iaccF.Float(ay) * qp
-			fz[i] = iaccF.Float(az) * qp
+		// Two particles per row walk; a shard's odd last particle walks
+		// beside itself.
+		for i := lo; i < hi; i += 2 {
+			j := min(i+1, hi-1)
+			a := idftPair(&s.trig, s.idftRound, s.plan.rows, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i], pw.Ux[j], pw.Uy[j], pw.Uz[j])
+			for p, k := range [2]int{i, j} {
+				qp := pref * pw.q[k]
+				fx[k] = iaccF.Float(a[p][0]) * qp
+				fy[k] = iaccF.Float(a[p][1]) * qp
+				fz[k] = iaccF.Float(a[p][2]) * qp
+			}
 		}
 		return nil
 	})
@@ -514,26 +687,43 @@ func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, p
 	return dst, nil
 }
 
-// idftParticle streams the wave coefficients past one particle in IDFT mode
-// and returns its three force accumulators (IAccFrac fractional bits). aS and
-// aC carry the rounder's operand scale (idftPrepare).
-func idftParticle(trig *fixed.TrigUnit, round fixed.Rounder, waves []ewald.Wave, aS, aC []int64, ux, uy, uz int64) (ax, ay, az int64) {
+// idftPair streams the wave coefficients, in row order, past two particles
+// in IDFT mode and returns each one's three force accumulators (IAccFrac
+// fractional bits). aS and aC carry the rounder's operand scale
+// (idftPrepare). Per row: one phase product per particle, then one add per
+// wave; a_x gathers t·n_x with n_x as a counter, a_y and a_z gather n_y·Σt
+// and n_z·Σt once per row.
+func idftPair(trig *fixed.TrigUnit, round fixed.Rounder, rows []waveRow, aS, aC []int64, ux0, uy0, uz0, ux1, uy1, uz1 int64) (a [2][3]int64) {
 	lo, hi := trig.Rows()
 	shift, half := trig.Shift, trig.Half
 	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
-	aS, aC = aS[:len(waves)], aC[:len(waves)]
-	for w := range waves {
-		n0, n1, n2 := int64(waves[w].N[0]), int64(waves[w].N[1]), int64(waves[w].N[2])
-		ph := n0*ux + n1*uy + n2*uz
-		i, rem := ph>>(shift&63)&idxMask, ph&remMask
-		sin := fixed.Lerp(lo, hi, i, rem, half, shift)
-		cos := fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
-		t := round.Round(aC[w]*sin - aS[w]*cos)
-		ax += t * n0
-		ay += t * n1
-		az += t * n2
+	for _, r := range rows {
+		ph0 := r.nx*ux0 + r.ny*uy0 + r.nz*uz0
+		ph1 := r.nx*ux1 + r.ny*uy1 + r.nz*uz1
+		as := aS[r.lo:r.hi]
+		ac := aC[r.lo:r.hi][:len(as)]
+		nx := r.nx
+		var sum0, sum1 int64 // Σt over the row
+		for k, s := range as {
+			c := ac[k]
+			i, rem := ph0>>(shift&63)&idxMask, ph0&remMask
+			t0 := round.Round(c*fixed.Lerp(lo, hi, i, rem, half, shift) - s*fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift))
+			i, rem = ph1>>(shift&63)&idxMask, ph1&remMask
+			t1 := round.Round(c*fixed.Lerp(lo, hi, i, rem, half, shift) - s*fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift))
+			sum0 += t0
+			sum1 += t1
+			a[0][0] += t0 * nx
+			a[1][0] += t1 * nx
+			nx++
+			ph0 += ux0
+			ph1 += ux1
+		}
+		a[0][1] += r.ny * sum0
+		a[0][2] += r.nz * sum0
+		a[1][1] += r.ny * sum1
+		a[1][2] += r.nz * sum1
 	}
-	return ax, ay, az
+	return a
 }
 
 // ComputeTime returns the pipeline wall-clock time for the given number of

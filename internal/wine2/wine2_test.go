@@ -407,16 +407,20 @@ func TestPhaseWraps(t *testing.T) {
 	}
 }
 
-// benchShapes are the two problem sizes the loop benchmarks run: the small
-// 256 × 452 one of the earlier records, and the particle·wave shape of the
-// repo benchmark's wave_n512 workload (512 ions, α = 14: 2,472 waves), where
-// these two loops are the step.
+// benchShapes are the problem sizes the loop benchmarks run: the small
+// 256 × 447 one of the earlier records; the 512-ion box at the balanced α a
+// Config resolves to by default (182 waves in rows of about six), the short
+// rows of the repo benchmark's default, decomposed and served workloads; and
+// the particle·wave shape of its wave_n512 workload (α = 14: 2,472 waves),
+// where these two loops are the step.
 var benchShapes = []struct {
 	name string
 	n    int
 	p    ewald.Params
 }{
 	{"n256", 256, ewald.Params{L: 12, Alpha: 7, RCut: 5, LKCut: 6}},
+	{"default_n512", 512, ewald.ParamsForAlpha(22.56, math.Max(ewald.SReal/0.45,
+		ewald.ConventionalCost().OptimalAlpha(22.56, 512/(22.56*22.56*22.56))))},
 	{"wave_n512", 512, ewald.ParamsForAlpha(22.56, 14)},
 }
 
