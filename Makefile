@@ -50,7 +50,7 @@ race:
 		./internal/parallelize/... ./internal/wine2/... ./internal/mdgrape2/... \
 		./internal/cellindex/... ./internal/supervise/... ./internal/store/... \
 		./internal/lifecycle/... ./internal/serve/...
-	$(GO) test -race -run 'Commit|DurableOnReturn|Turnover|CrashMatrix|Journal|Interrupt|Resume|Restart' .
+	$(GO) test -race -run 'Commit|DurableOnReturn|CrashMatrix|Journal|Interrupt|Resume|Restart' .
 	$(GO) test -race -short -run BitIdentityLattice .
 
 fuzz-smoke:

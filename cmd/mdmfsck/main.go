@@ -1,26 +1,24 @@
-// Command mdmfsck inspects, verifies and repairs the durable artifacts of an
-// mdm run — the checkpoint and the write-ahead journal (active segment plus
-// rotated wal.NNNN segments) that ResumeFromJournal needs to rebuild a killed
-// simulation:
+// Command mdmfsck inspects, verifies and repairs the one durable artifact of
+// an mdm run — its log, a snapshot frame followed by step records, which
+// ResumeFromJournal needs to rebuild a killed simulation:
 //
-//	go run ./cmd/mdmfsck -checkpoint run.ckpt -journal run.journal
-//	go run ./cmd/mdmfsck -verify -checkpoint run.ckpt -journal run.journal
-//	go run ./cmd/mdmfsck -repair -checkpoint run.ckpt -journal run.journal
+//	go run ./cmd/mdmfsck -journal run.wal
+//	go run ./cmd/mdmfsck -verify -journal run.wal
+//	go run ./cmd/mdmfsck -repair -journal run.wal
 //
 // The default mode prints the recovery manager's inventory (store.Scan) as
-// JSON: every artifact with its validation status, the newest consistent
-// checkpoint + journal-tail pair, and the lists of torn, damaged and stale
-// files. -repair applies the inventory's verdict the same way resume does —
-// torn or interior-corrupt journal segments are truncated to their valid
-// prefix with a full atomic replace, stale atomic-replace temps are removed —
-// and prints the post-repair inventory. A damaged checkpoint is never
+// JSON: the log and any stale atomic-replace temp with their validation
+// status, the snapshot step, the newest resumable step, and the lists of
+// torn, damaged and stale files. -repair applies the inventory's verdict the
+// same way resume does — a torn or interior-corrupt log is truncated to its
+// valid prefix with a full atomic replace, a stale temp is removed — and
+// prints the post-repair inventory. A damaged snapshot frame is never
 // touched: that state is unrecoverable and deleting it is a human's call.
 //
-// Exit status is 0 when the directory is healthy (with -repair: healthy
-// after repair), 1 when anomalies exist that -repair could fix (or -verify
-// found the directory unclean), and 2 when the state is unrecoverable — no
-// checkpoint validates yet journal progress exists — or the scan itself
-// fails.
+// Exit status is 0 when the log is healthy (with -repair: healthy after
+// repair), 1 when anomalies exist that -repair could fix (or -verify found
+// the directory unclean), and 2 when the state is unrecoverable — the log's
+// snapshot frame is damaged — or the scan itself fails.
 package main
 
 import (
@@ -29,7 +27,6 @@ import (
 	"fmt"
 	"os"
 
-	"mdm/internal/md"
 	"mdm/internal/store"
 	"mdm/internal/supervise"
 )
@@ -49,12 +46,11 @@ type report struct {
 
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("mdmfsck", flag.ExitOnError)
-	ckpt := fs.String("checkpoint", "run.ckpt", "checkpoint path")
-	journal := fs.String("journal", "run.journal", "journal path (active segment; rotated segments are derived)")
+	journal := fs.String("journal", "run.wal", "run log path")
 	verify := fs.Bool("verify", false, "verify only: exit 0 iff the run directory is clean")
 	repair := fs.Bool("repair", false, "truncate torn journal tails and remove stale temps, then re-verify")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: mdmfsck [-verify|-repair] -checkpoint path -journal path\n")
+		fmt.Fprintf(fs.Output(), "usage: mdmfsck [-verify|-repair] [-journal path]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -66,10 +62,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	fsys := store.OS()
-	lay := store.Layout{Checkpoint: *ckpt, Journal: *journal}
-	v := store.Validators{CheckpointStep: md.CheckpointStep, ScanSegment: supervise.ScanSegment}
-
-	inv, err := store.Scan(fsys, lay, v)
+	inv, err := store.Scan(fsys, *journal, supervise.ScanLog)
 	if err != nil {
 		fmt.Fprintln(stderr, "mdmfsck:", err)
 		return 2
@@ -82,7 +75,7 @@ func run(args []string, stdout, stderr *os.File) int {
 			return 2
 		}
 		rep.Repaired = changed
-		if inv, err = store.Scan(fsys, lay, v); err != nil {
+		if inv, err = store.Scan(fsys, *journal, supervise.ScanLog); err != nil {
 			fmt.Fprintln(stderr, "mdmfsck:", err)
 			return 2
 		}

@@ -11,21 +11,19 @@ import (
 	"mdm/internal/supervise"
 )
 
-// writeRun lays down a healthy run directory on the real filesystem: a
-// checkpoint at step 2 and a journal carrying steps 3..5.
-func writeRun(t *testing.T) (dir, ckpt, journal string) {
+// writeRun lays down a healthy run log on the real filesystem: a snapshot
+// at step 2 followed by records for steps 3..5.
+func writeRun(t *testing.T) (journal string) {
 	t.Helper()
-	dir = t.TempDir()
-	ckpt = filepath.Join(dir, "run.ckpt")
-	journal = filepath.Join(dir, "run.journal")
+	journal = filepath.Join(t.TempDir(), "run.wal")
 	s, err := md.NewRockSalt(2, 5.64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := md.WriteCheckpointFS(store.OS(), ckpt, s, 2); err != nil {
+	if err := md.WriteCheckpointFS(store.OS(), journal, s, 2); err != nil {
 		t.Fatal(err)
 	}
-	j, err := supervise.CreateJournalFS(journal, supervise.Options{})
+	j, err := supervise.AppendJournalFS(journal, supervise.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,18 +35,18 @@ func writeRun(t *testing.T) (dir, ckpt, journal string) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return dir, ckpt, journal
+	return journal
 }
 
 // fsck runs the tool against the run directory and decodes its JSON report.
-func fsck(t *testing.T, mode, ckpt, journal string) (int, report) {
+func fsck(t *testing.T, mode, journal string) (int, report) {
 	t.Helper()
 	out, err := os.CreateTemp(t.TempDir(), "fsck-out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	args := []string{"-checkpoint", ckpt, "-journal", journal}
+	args := []string{"-journal", journal}
 	if mode != "" {
 		args = append(args, mode)
 	}
@@ -66,26 +64,25 @@ func fsck(t *testing.T, mode, ckpt, journal string) (int, report) {
 	return code, rep
 }
 
-// A clean run directory verifies with exit 0 and reports the consistent
-// resume pair.
+// A clean log verifies with exit 0 and reports its snapshot and resume steps.
 func TestFsckHealthy(t *testing.T) {
-	_, ckpt, journal := writeRun(t)
-	code, rep := fsck(t, "-verify", ckpt, journal)
+	journal := writeRun(t)
+	code, rep := fsck(t, "-verify", journal)
 	if code != 0 {
 		t.Fatalf("verify on healthy dir: exit %d", code)
 	}
 	if !rep.Healthy || rep.Unrecoverable {
 		t.Fatalf("verdict: %+v", rep)
 	}
-	if rep.CheckpointStep != 2 || rep.ResumeStep != 5 {
-		t.Fatalf("resume pair: ckpt=%d resume=%d", rep.CheckpointStep, rep.ResumeStep)
+	if rep.SnapshotStep != 2 || rep.ResumeStep != 5 {
+		t.Fatalf("snapshot=%d resume=%d, want 2 and 5", rep.SnapshotStep, rep.ResumeStep)
 	}
 }
 
-// A torn journal tail fails -verify with exit 1, and -repair truncates it
-// back to health: the surviving whole records still replay.
+// A torn log tail fails -verify with exit 1, and -repair truncates it back
+// to health: the surviving whole records still replay.
 func TestFsckRepairTornTail(t *testing.T) {
-	_, ckpt, journal := writeRun(t)
+	journal := writeRun(t)
 	data, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
@@ -94,12 +91,12 @@ func TestFsckRepairTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, rep := fsck(t, "-verify", ckpt, journal)
+	code, rep := fsck(t, "-verify", journal)
 	if code != 1 || rep.Healthy {
 		t.Fatalf("verify on torn dir: exit %d, %+v", code, rep)
 	}
 
-	code, rep = fsck(t, "-repair", ckpt, journal)
+	code, rep = fsck(t, "-repair", journal)
 	if code != 0 || !rep.Healthy {
 		t.Fatalf("repair: exit %d, %+v", code, rep)
 	}
@@ -113,23 +110,23 @@ func TestFsckRepairTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repaired journal unreadable: %v", err)
 	}
-	if len(recs) != 2 || recs[1].Step != 4 {
+	if len(recs) != 3 || recs[2].Step != 4 {
 		t.Fatalf("repaired journal records: %+v", recs)
 	}
 }
 
 // A stale atomic-replace temp is debris: exit 1 until -repair removes it.
 func TestFsckRepairStaleTemp(t *testing.T) {
-	_, ckpt, journal := writeRun(t)
-	tmp := store.TempPath(ckpt)
+	journal := writeRun(t)
+	tmp := store.TempPath(journal)
 	if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, _ := fsck(t, "-verify", ckpt, journal)
+	code, _ := fsck(t, "-verify", journal)
 	if code != 1 {
 		t.Fatalf("verify with stale temp: exit %d", code)
 	}
-	code, rep := fsck(t, "-repair", ckpt, journal)
+	code, rep := fsck(t, "-repair", journal)
 	if code != 0 || !rep.Healthy {
 		t.Fatalf("repair: exit %d, %+v", code, rep)
 	}
@@ -138,36 +135,36 @@ func TestFsckRepairStaleTemp(t *testing.T) {
 	}
 }
 
-// A bit-flipped checkpoint with journal progress behind it is unrecoverable:
-// exit 2, and -repair refuses to touch the checkpoint.
+// A bit-flipped snapshot frame with records behind it is unrecoverable: exit
+// 2, and -repair refuses to touch the log.
 func TestFsckUnrecoverableCheckpoint(t *testing.T) {
-	_, ckpt, journal := writeRun(t)
-	data, err := os.ReadFile(ckpt)
+	journal := writeRun(t)
+	data, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[40] ^= 1
-	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+	if err := os.WriteFile(journal, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, rep := fsck(t, "", ckpt, journal)
+	code, rep := fsck(t, "", journal)
 	if code != 2 || !rep.Unrecoverable {
-		t.Fatalf("corrupt checkpoint: exit %d, %+v", code, rep)
+		t.Fatalf("corrupt snapshot: exit %d, %+v", code, rep)
 	}
-	code, rep = fsck(t, "-repair", ckpt, journal)
+	code, rep = fsck(t, "-repair", journal)
 	if code != 2 || len(rep.Repaired) != 0 {
-		t.Fatalf("repair must not touch a damaged checkpoint: exit %d, repaired %v", code, rep.Repaired)
+		t.Fatalf("repair must not touch a damaged snapshot: exit %d, repaired %v", code, rep.Repaired)
 	}
-	after, err := os.ReadFile(ckpt)
+	after, err := os.ReadFile(journal)
 	if err != nil || len(after) != len(data) {
-		t.Fatalf("checkpoint modified by repair: %v", err)
+		t.Fatalf("log modified by repair: %v", err)
 	}
 }
 
 // A missing run directory is simply empty: nothing to verify, exit 0.
 func TestFsckEmptyDir(t *testing.T) {
 	dir := t.TempDir()
-	code, rep := fsck(t, "-verify", filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "run.journal"))
+	code, rep := fsck(t, "-verify", filepath.Join(dir, "run.wal"))
 	if code != 0 || !rep.Healthy {
 		t.Fatalf("empty dir: exit %d, %+v", code, rep)
 	}

@@ -6,26 +6,25 @@
 //	mdmsim -cells 3 -t 1200 -nvt 200 -nve 100 -backend mdm
 //
 // The -faults flag injects a deterministic fault scenario into the machine
-// backend; with -checkpoint the run writes crash-safe periodic checkpoints
-// and automatically restarts from the last one after a fatal host fault:
+// backend. -journal names the run's log, its one durable artifact: every
+// step appends a record (its fsync overlaps the next step's force evaluation
+// and is joined before the run reports the step), and every
+// -checkpoint-every steps the log is atomically replaced by one that opens
+// with a snapshot of the state. With a log the run restarts in place from
+// the snapshot after a fatal host fault, and -resume recovers a killed run
+// at the exact committed step:
 //
 //	mdmsim -faults "wine2:board-drop@step=60,board=2; run:fatal@step=90" \
-//	       -checkpoint run.ckpt -checkpoint-every 25
+//	       -journal run.wal -checkpoint-every 25
+//	mdmsim -nvt 2000 -nve 1000 -watchdog 30s -journal run.wal -summary run.json
+//	mdmsim -nvt 2000 -nve 1000 -watchdog 30s -journal run.wal -resume
 //
-// Long runs add supervision: -watchdog bounds every hardware call, -journal
-// write-ahead-logs every step (its fsync overlaps the next step's force
-// evaluation and is joined before the run reports the step — at every
-// checkpoint, interrupt and exit), and -resume recovers a killed run from
-// checkpoint + journal at the exact committed step:
-//
-//	mdmsim -nvt 2000 -nve 1000 -watchdog 30s \
-//	       -checkpoint run.ckpt -journal run.wal -summary run.json
-//	mdmsim -nvt 2000 -nve 1000 -watchdog 30s \
-//	       -checkpoint run.ckpt -journal run.wal -resume
+// -watchdog bounds every hardware call. -sync-every above -checkpoint-every
+// leaves a segment the commit's two fsyncs alone.
 //
 // Signal contract: the first SIGINT/SIGTERM finishes the current step, waits
-// for its journal record to be durable, writes a final checkpoint and exits 0
-// with summary status "interrupted"; a second signal kills the process
+// for its record to be durable, commits a final checkpoint and exits 0 with
+// summary status "interrupted"; a second signal kills the process
 // immediately (exit 130). Errors exit 1, usage errors 2.
 package main
 
@@ -87,13 +86,13 @@ func writeSummary(path string, s runSummary) error {
 
 // checkFlags refuses, before anything runs, flag values the run could only
 // fail on at its end: the sample table divides by -every, and -resume has
-// nothing to resume from without both files.
-func checkFlags(every int, resume bool, ckpt, journal string) error {
+// nothing to resume from without a log.
+func checkFlags(every int, resume bool, journal string) error {
 	if every < 1 {
 		return fmt.Errorf("-every must be ≥ 1, got %d", every)
 	}
-	if resume && (ckpt == "" || journal == "") {
-		return errors.New("-resume requires -checkpoint and -journal")
+	if resume && journal == "" {
+		return errors.New("-resume requires -journal")
 	}
 	return nil
 }
@@ -109,12 +108,12 @@ func msPerStep(elapsed time.Duration, steps int) string {
 }
 
 // resumeHint is the closing status line of an interrupted run: the -resume
-// command that continues it, which needs both the checkpoint and the journal.
-func resumeHint(step int, ckpt, journal string) string {
-	if ckpt == "" || journal == "" {
-		return fmt.Sprintf("status: interrupted at step %d; cannot be resumed without -checkpoint and -journal", step)
+// command that continues it, which needs the log.
+func resumeHint(step int, journal string) string {
+	if journal == "" {
+		return fmt.Sprintf("status: interrupted at step %d; cannot be resumed without -journal", step)
 	}
-	return fmt.Sprintf("status: interrupted at step %d; resume with -resume -checkpoint %s -journal %s", step, ckpt, journal)
+	return fmt.Sprintf("status: interrupted at step %d; resume with -resume -journal %s", step, journal)
 }
 
 func main() {
@@ -139,18 +138,17 @@ func run(args []string) (exit int) {
 	every := flags.Int("every", 10, "print a sample every k steps")
 	xyz := flags.String("xyz", "", "write an XYZ trajectory frame every k steps to this file")
 	faults := flags.String("faults", "", `fault scenario, e.g. "wine2:board-drop@step=60,board=2; run:fatal@step=90"`)
-	ckpt := flags.String("checkpoint", "", "crash-safe checkpoint file (enables restart after fatal faults)")
-	ckptEvery := flags.Int("checkpoint-every", 25, "steps between checkpoints")
-	maxRestarts := flags.Int("max-restarts", 3, "restarts from checkpoint after fatal faults")
+	ckptEvery := flags.Int("checkpoint-every", 25, "steps between checkpoint commits to the -journal log")
+	maxRestarts := flags.Int("max-restarts", 3, "restarts from the log's checkpoint after fatal faults")
 	workers := flags.Int("workers", 0, "worker-pool width striping the simulated pipelines across cores (0 = GOMAXPROCS, 1 = serial); bit-identical at any width")
 	pipeline := flags.Bool("pipeline", false, "run the WINE-2 wavenumber pass concurrently with the MDGRAPE-2 real-space sweep (engine overlap only; the step path and its results are the same, bit for bit)")
 	skin := flags.Float64("skin", 0, "Verlet skin in Å: reuse the sorted cell layout until a particle moves more than skin/2 (0 = rebuild every step); widens the cells, not the r_cut sphere of pairs evaluated")
 	ranks := flags.Int("ranks", 0, "spatial decomposition: split the box into this many cell blocks, one real-space process each (0 = single process); bit-identical with -wave-ranks 1")
 	waveRanks := flags.Int("wave-ranks", 0, "wavenumber processes alongside -ranks (default 1); >1 regroups the structure-factor reduction and agrees to float64 rounding")
 	watchdog := flags.Duration("watchdog", 0, "stall deadline for one hardware call, e.g. 30s (0 disables the watchdog)")
-	journal := flags.String("journal", "", "write-ahead step journal path (with -checkpoint, enables -resume after a kill); a step's record is durable before the run reports the step — its fsync overlaps the next step's force evaluation and is joined at every checkpoint, interrupt and exit")
-	syncEvery := flags.Int("sync-every", 1, "journal group-commit interval: fsync every Nth step record (1 = every step, the strongest durability; N > 1 risks the last N-1 steps on a power cut, plus the one step whose fsync is in flight while the run computes)")
-	resume := flags.Bool("resume", false, "resume a killed run from -checkpoint and -journal at the exact committed step")
+	journal := flags.String("journal", "", "run log path: a checkpoint snapshot every -checkpoint-every steps plus a record per step (enables restarts after fatal faults and -resume after a kill); a step's record is durable before the run reports the step — its fsync overlaps the next step's force evaluation and is joined at every checkpoint, interrupt and exit")
+	syncEvery := flags.Int("sync-every", 1, "log group-commit interval: fsync every Nth step record (1 = every step, the strongest durability; N > 1 risks the last N-1 steps on a power cut, plus the one step whose fsync is in flight while the run computes)")
+	resume := flags.Bool("resume", false, "resume a killed run from the -journal log at the exact committed step")
 	summaryPath := flags.String("summary", "", "write a machine-readable JSON run summary to this file")
 	cpuprofile := flags.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flags.String("memprofile", "", "write a heap profile to this file on exit")
@@ -195,7 +193,7 @@ func run(args []string) (exit int) {
 		fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backend)
 		return 2
 	}
-	if err := checkFlags(*every, *resume, *ckpt, *journal); err != nil {
+	if err := checkFlags(*every, *resume, *journal); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
@@ -230,7 +228,7 @@ func run(args []string) (exit int) {
 	var sim *mdm.Simulation
 	var err error
 	if *resume {
-		sim, err = mdm.ResumeFromJournal(cfg, *ckpt)
+		sim, err = mdm.ResumeFromJournal(cfg)
 	} else {
 		sim, err = mdm.NewSimulation(cfg)
 	}
@@ -262,8 +260,7 @@ func run(args []string) (exit int) {
 		fmt.Printf("faults: %s\n", *faults)
 	}
 	if *resume {
-		fmt.Printf("resume: checkpoint %s + journal %s replayed to step %d\n",
-			*ckpt, *journal, sim.Integrator.StepCount())
+		fmt.Printf("resume: log %s replayed to step %d\n", *journal, sim.Integrator.StepCount())
 	}
 	fmt.Println()
 
@@ -299,20 +296,19 @@ func run(args []string) (exit int) {
 		return 1
 	}
 	restarts, err := sim.Run(mdm.Protocol{
-		NVT:        *nvt,
-		NVE:        *nve,
-		Checkpoint: *ckpt,
-		Every:      *ckptEvery,
-		Restarts:   *maxRestarts,
-		AfterNVT:   func() error { return frame("after-nvt") },
+		NVT:      *nvt,
+		NVE:      *nve,
+		Every:    *ckptEvery,
+		Restarts: *maxRestarts,
+		AfterNVT: func() error { return frame("after-nvt") },
 	})
 	status := "ok"
 	switch {
 	case err == nil:
 	case errors.Is(err, mdm.ErrInterrupted):
-		// Graceful shutdown: the interrupted step is sampled, its journal
-		// record durable, and Run sealed it with a checkpoint when -checkpoint
-		// is set, so -resume continues from it.
+		// Graceful shutdown: the interrupted step is sampled and, with
+		// -journal, durable and sealed by a checkpoint commit, so -resume
+		// continues from it.
 		status = "interrupted"
 		fmt.Printf("interrupted: stopping at completed step %d\n", sim.Integrator.StepCount())
 	default:
@@ -350,7 +346,7 @@ func run(args []string) (exit int) {
 	fmt.Printf("wall clock: %.2f s total, %s ms/step for N=%d\n",
 		elapsed.Seconds(), msPerStep(elapsed, sim.Integrator.StepCount()-startStep), sim.N())
 	if status == "interrupted" {
-		fmt.Println(resumeHint(sim.Integrator.StepCount(), *ckpt, *journal))
+		fmt.Println(resumeHint(sim.Integrator.StepCount(), *journal))
 	}
 	if err := writeSummary(*summaryPath, summarize(sim, status, restarts, elapsed)); err != nil {
 		fmt.Fprintln(os.Stderr, err)

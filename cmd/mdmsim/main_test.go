@@ -19,7 +19,7 @@ func TestFatalRestartMatchesCleanRun(t *testing.T) {
 		t.Helper()
 		path := func(ext string) string { return filepath.Join(dir, name+ext) }
 		args := append([]string{"-cells", "2", "-nvt", "10", "-nve", "20", "-checkpoint-every", "5",
-			"-checkpoint", path(".ckpt"), "-xyz", path(".xyz"), "-summary", path(".json")}, extra...)
+			"-journal", path(".wal"), "-xyz", path(".xyz"), "-summary", path(".json")}, extra...)
 		if code := run(args); code != 0 {
 			t.Fatalf("%s run exits %d", name, code)
 		}
@@ -59,35 +59,32 @@ func TestFatalRestartMatchesCleanRun(t *testing.T) {
 // after the whole run.
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
-		every         int
-		resume        bool
-		ckpt, journal string
-		ok            bool
+		every   int
+		resume  bool
+		journal string
+		ok      bool
 	}{
-		{10, false, "", "", true},
-		{1, true, "run.ckpt", "run.wal", true},
-		{0, false, "", "", false}, // the sample table divides by -every
-		{-3, false, "", "", false},
-		{10, true, "run.ckpt", "", false},
-		{10, true, "", "run.wal", false},
+		{10, false, "", true},
+		{1, true, "run.wal", true},
+		{0, false, "", false}, // the sample table divides by -every
+		{-3, false, "", false},
+		{10, true, "", false},
 	} {
-		if err := checkFlags(c.every, c.resume, c.ckpt, c.journal); (err == nil) != c.ok {
-			t.Errorf("checkFlags(every %d, resume %v, %q, %q) = %v, want ok=%v", c.every, c.resume, c.ckpt, c.journal, err, c.ok)
+		if err := checkFlags(c.every, c.resume, c.journal); (err == nil) != c.ok {
+			t.Errorf("checkFlags(every %d, resume %v, %q) = %v, want ok=%v", c.every, c.resume, c.journal, err, c.ok)
 		}
 	}
 }
 
-// An interrupted run names the -resume command only when it has both files
-// to resume from.
+// An interrupted run names the -resume command only when it has a log to
+// resume from.
 func TestResumeHint(t *testing.T) {
-	want := "status: interrupted at step 7; resume with -resume -checkpoint run.ckpt -journal run.wal"
-	if got := resumeHint(7, "run.ckpt", "run.wal"); got != want {
+	want := "status: interrupted at step 7; resume with -resume -journal run.wal"
+	if got := resumeHint(7, "run.wal"); got != want {
 		t.Errorf("hint = %q, want %q", got, want)
 	}
-	for _, c := range [][2]string{{"", ""}, {"run.ckpt", ""}, {"", "run.wal"}} {
-		if got := resumeHint(7, c[0], c[1]); !strings.Contains(got, "cannot be resumed") || strings.Contains(got, "-resume") {
-			t.Errorf("hint without both files (%q, %q) = %q", c[0], c[1], got)
-		}
+	if got := resumeHint(7, ""); !strings.Contains(got, "cannot be resumed") || strings.Contains(got, "-resume") {
+		t.Errorf("hint without a log = %q", got)
 	}
 }
 

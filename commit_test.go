@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,20 +51,22 @@ func (want snapshot) assertEqual(t *testing.T, sim *Simulation) {
 	}
 }
 
-// gateFS holds the first fsync of the journal's active segment until the
-// test releases it.
+// gateFS holds the first fsync of the log, once armed, until the test
+// releases it. The log is created through its temp sibling, and the handle
+// follows the file through the rename.
 type gateFS struct {
 	store.FS
 	path     string
+	armed    atomic.Bool
 	once     sync.Once
 	entered  chan struct{} // closed when the gated fsync begins
 	release  chan struct{} // closed by the test to let it return
 	timedOut chan struct{} // closed if the release never came
 }
 
-func (g *gateFS) Append(path string) (store.File, error) {
-	f, err := g.FS.Append(path)
-	if err != nil || path != g.path {
+func (g *gateFS) Create(path string) (store.File, error) {
+	f, err := g.FS.Create(path)
+	if err != nil || path != store.TempPath(g.path) {
 		return f, err
 	}
 	return &gateFile{File: f, fs: g}, nil
@@ -75,6 +78,9 @@ type gateFile struct {
 }
 
 func (f *gateFile) Sync() error {
+	if !f.fs.armed.Load() {
+		return f.File.Sync()
+	}
 	f.fs.once.Do(func() {
 		close(f.fs.entered)
 		select {
@@ -118,6 +124,7 @@ func TestCommitOverlapsNextStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = sim.Free() }()
+	gate.armed.Store(true) // past the creation snapshot's fsyncs
 	ff := &signalFF{ForceField: sim.Integrator.FF, nth: 2, began: make(chan struct{})}
 	sim.Integrator.FF = ff
 
@@ -139,8 +146,8 @@ func TestCommitOverlapsNextStep(t *testing.T) {
 		t.Fatalf("CommitStats = %d commits, %d stalls; want 3 commits and at most 3 stalls", commits, stalls)
 	}
 	recs, err := supervise.ReadJournalFS(gate, cmWALPath)
-	if err != nil || len(recs) != 3 {
-		t.Fatalf("journal after the run: %d records, err %v", len(recs), err)
+	if err != nil || len(recs) != 4 {
+		t.Fatalf("log after the run: %d frames, err %v; want the snapshot and 3 records", len(recs), err)
 	}
 }
 
@@ -168,7 +175,7 @@ func TestDurableOnReturn(t *testing.T) {
 			if err := sim.RunNVE(2); err != nil {
 				t.Fatal(err)
 			}
-			if err := sim.WriteCheckpoint(cmCkptPath); err != nil {
+			if err := sim.WriteCheckpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -184,7 +191,7 @@ func TestDurableOnReturn(t *testing.T) {
 			if err := sim.RunNVT(3); err != nil {
 				t.Fatal(err)
 			}
-			if err := sim.WriteCheckpoint(cmCkptPath); err != nil {
+			if err := sim.WriteCheckpoint(); err != nil {
 				t.Fatal(err)
 			}
 			tc.tail(t, sim)
@@ -192,7 +199,7 @@ func TestDurableOnReturn(t *testing.T) {
 			fs.Reboot(nil) // power cut: everything not yet durable is gone
 			_ = sim.Free()
 
-			resumed, err := ResumeFromJournal(cfg, cmCkptPath)
+			resumed, err := ResumeFromJournal(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +215,7 @@ func cpFaultProtocol(sim *Simulation, tail int) error {
 	if err := sim.RunNVT(3); err != nil {
 		return err
 	}
-	if err := sim.WriteCheckpoint(cmCkptPath); err != nil {
+	if err := sim.WriteCheckpoint(); err != nil {
 		return err
 	}
 	return sim.RunNVT(tail)
@@ -277,7 +284,7 @@ func TestCommitErrorSurfacesOneStepLater(t *testing.T) {
 			if err := victim.RunNVT(1); !errors.Is(err, tc.sentinel) {
 				t.Fatalf("run after a failed commit: %v, want %v", err, tc.sentinel)
 			}
-			if err := victim.WriteCheckpoint(cmCkptPath); !errors.Is(err, tc.sentinel) {
+			if err := victim.WriteCheckpoint(); !errors.Is(err, tc.sentinel) {
 				t.Fatalf("checkpoint after a failed commit: %v, want %v", err, tc.sentinel)
 			}
 			_ = victim.Free() // flushes record 5 after the one-shot eio; fails on the crashed fs
@@ -293,7 +300,7 @@ func TestCommitErrorSurfacesOneStepLater(t *testing.T) {
 			if n := len(recs); n == 0 || recs[n-1].Step != tc.durable {
 				t.Fatalf("journal on disk ends at %+v, want step %d", recs, tc.durable)
 			}
-			resumed, err := ResumeFromJournal(cfg, cmCkptPath)
+			resumed, err := ResumeFromJournal(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,8 +356,8 @@ func diskImage(t *testing.T, fs *store.FaultFS) string {
 }
 
 // A 40-step run under hardware faults — so the records carry a cursor and a
-// recovery payload — leaves journal segments and checkpoint byte-identical
-// to the serial commit, at every run and checkpoint boundary.
+// recovery payload — leaves a log byte-identical to the serial commit's, at
+// every run and checkpoint boundary.
 func TestJournalBytesMatchSerialCommit(t *testing.T) {
 	const segment, steps = 8, 40
 	build := func() (*Simulation, *store.FaultFS) {
@@ -389,10 +396,10 @@ func TestJournalBytesMatchSerialCommit(t *testing.T) {
 		if done+segment == steps {
 			break // leave the last segment's records in the journal
 		}
-		if err := piped.WriteCheckpoint(cmCkptPath); err != nil {
+		if err := piped.WriteCheckpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if err := serial.WriteCheckpoint(cmCkptPath); err != nil {
+		if err := serial.WriteCheckpoint(); err != nil {
 			t.Fatal(err)
 		}
 		compare(fmt.Sprintf("after the checkpoint at step %d", done+segment))
@@ -401,24 +408,23 @@ func TestJournalBytesMatchSerialCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(recs); n != segment || len(recs[n-1].Cursor) != 3 || len(recs[n-1].Payload) == 0 {
-		t.Fatalf("final segment: %d records, last %+v; want %d with a 3-event cursor and a payload", n, recs[n-1], segment)
+	if n := len(recs); n != segment+1 || len(recs[n-1].Cursor) != 3 || len(recs[n-1].Payload) == 0 {
+		t.Fatalf("final log: %d frames, last %+v; want a snapshot and %d records, the last with a 3-event cursor and a payload", n, recs[n-1], segment)
 	}
 }
 
-// A checkpoint commit costs exactly three fsyncs — checkpoint file, its
-// directory entry, the journal turnover's one directory fsync (the parent
-// synced the directory once for the rotation and again for the compaction) —
-// and a power cut at any operation of it resumes on the checkpoint step with
-// no step lost.
-func TestTurnoverOneDirSync(t *testing.T) {
+// A checkpoint commit costs exactly 1 create, 1 write, 2 fsyncs — the new
+// log's file and its directory entry — and 1 rename, with nothing read, and
+// a power cut at any operation of it resumes on the checkpoint step, bit for
+// bit: the old log holds every step through it.
+func TestCheckpointCommitCost(t *testing.T) {
 	const ckptStep = 5
 	protocol := func(sim *Simulation, between func()) error {
 		if err := cpFaultProtocol(sim, ckptStep-3); err != nil {
 			return err
 		}
 		between()
-		return sim.WriteCheckpoint(cmCkptPath)
+		return sim.WriteCheckpoint()
 	}
 
 	hook := &countHook{ops: make(map[string]int64)}
@@ -435,16 +441,15 @@ func TestTurnoverOneDirSync(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := hook.ops[fault.OpSync] - before[fault.OpSync]; got != 3 {
-		t.Fatalf("WriteCheckpoint issued %d fsyncs, want 3 (census before %v, after %v)", got, before, hook.ops)
-	}
 	want := snap(ref)
 
-	classes := []string{fault.OpCreate, fault.OpWrite, fault.OpRead, fault.OpSync, fault.OpRename}
-	for _, class := range classes {
-		if hook.ops[class] == before[class] {
-			t.Fatalf("the checkpoint commit performed no %q operation; census %v", class, hook.ops)
+	cost := map[string]int64{fault.OpCreate: 1, fault.OpWrite: 1, fault.OpSync: 2, fault.OpRename: 1, fault.OpRead: 0}
+	for class, n := range cost {
+		if got := hook.ops[class] - before[class]; got != n {
+			t.Fatalf("WriteCheckpoint issued %d %s operations, want %d (census before %v, after %v)", got, class, n, before, hook.ops)
 		}
+	}
+	for _, class := range []string{fault.OpCreate, fault.OpWrite, fault.OpSync, fault.OpRename} {
 		for n := before[class] + 1; n <= hook.ops[class]; n++ {
 			// Named by position inside the checkpoint commit, not by the
 			// absolute ordinal the census happens to give it.
@@ -466,7 +471,7 @@ func TestTurnoverOneDirSync(t *testing.T) {
 					t.Fatalf("scenario %s: err %v, crashed %v", scenario, err, fs.Crashed())
 				}
 				fs.Reboot(nil)
-				resumed, err := ResumeFromJournal(cfg, cmCkptPath)
+				resumed, err := ResumeFromJournal(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

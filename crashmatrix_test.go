@@ -1,31 +1,32 @@
 package mdm
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"mdm/internal/fault"
 	"mdm/internal/store"
+	"mdm/internal/supervise"
 	"mdm/internal/vec"
 )
 
 // The crash matrix: kill the run at EVERY storage operation it performs —
-// each journal-record write, each fsync (the post-write-pre-sync window),
-// each atomic-replace rename (checkpoint commit, journal creation, segment
-// rotation) and each file creation — then recover and finish. Whatever the
+// each log-frame write, each fsync (the post-write-pre-sync window), each
+// atomic-replace rename (the log's creation and every checkpoint commit) and
+// each file creation — then recover and finish. Whatever the
 // kill point, the finished trajectory must be bit-identical to a run that
 // was never interrupted. This is the end-to-end proof of the storage
 // layer's durability contract; the per-operation semantics are unit-tested
 // in internal/store and internal/supervise.
 
 // The matrix protocol: 5 NVT + 3 NVE steps driven by Run at a checkpoint
-// cadence of 3, so it commits checkpoints (and the journal rotation +
-// compaction that ride on them) after steps 3, 5 and 8.
+// cadence of 3, so it commits a snapshot after steps 3, 5 and 8, on top of
+// the step-0 snapshot the log is created with.
 const (
 	cmNVTSteps = 5
 	cmNVESteps = 3
 	cmLastStep = cmNVTSteps + cmNVESteps
-	cmCkptPath = "run.ckpt"
 	cmWALPath  = "run.wal"
 )
 
@@ -43,7 +44,7 @@ func cmConfig(fsys store.FS) Config {
 // start, or the step a resume landed on — returning the first storage
 // failure (the injected kill) unswallowed.
 func cmRun(sim *Simulation) error {
-	_, err := sim.Run(Protocol{NVT: cmNVTSteps, NVE: cmNVESteps, Checkpoint: cmCkptPath, Every: 3})
+	_, err := sim.Run(Protocol{NVT: cmNVTSteps, NVE: cmNVESteps, Every: 3})
 	return err
 }
 
@@ -80,23 +81,22 @@ func cmReference(t *testing.T) (pos, vel []vec.V, ops map[string]int64) {
 	return pos, vel, hook.ops
 }
 
-// cmRecover reboots the crashed filesystem, recovers — resume from the
-// newest consistent checkpoint + journal-tail pair, or start over when the
-// kill predates any durable checkpoint — and finishes the protocol,
-// returning the final simulation.
+// cmRecover reboots the crashed filesystem, recovers — resume from the log's
+// snapshot and records, or start over when the kill predates the log's
+// creation — and finishes the protocol, returning the final simulation.
 func cmRecover(t *testing.T, fs *store.FaultFS, cfg Config) *Simulation {
 	t.Helper()
 	fs.Reboot(nil)
-	if sim, err := ResumeFromJournal(cfg, cmCkptPath); err == nil {
+	sim, err := ResumeFromJournal(cfg)
+	if err == nil {
 		// The resume repaired the crash debris; the directory it leaves
 		// behind must pass the same scan mdmfsck -verify runs.
-		lay := store.Layout{Checkpoint: cmCkptPath, Journal: cmWALPath}
-		inv, serr := store.Scan(fs, lay, storeValidators())
+		inv, serr := store.Scan(fs, cmWALPath, supervise.ScanLog)
 		if serr != nil || !inv.Healthy() {
 			t.Fatalf("post-resume scan not healthy: %v\n%+v", serr, inv)
 		}
 		step := sim.Integrator.StepCount()
-		if step < 3 || step > cmLastStep {
+		if step < 0 || step > cmLastStep {
 			t.Fatalf("resumed at implausible step %d", step)
 		}
 		if err := cmRun(sim); err != nil {
@@ -104,9 +104,12 @@ func cmRecover(t *testing.T, fs *store.FaultFS, cfg Config) *Simulation {
 		}
 		return sim
 	}
-	// No durable checkpoint to build on: the run starts over. NewSimulation
-	// retires the debris (stale segments, old active journal) itself.
-	sim, err := NewSimulation(cfg)
+	if !errors.Is(err, store.ErrNoRunState) {
+		t.Fatalf("resume after kill: %v", err)
+	}
+	// The log's creation never committed: the run starts over, replacing
+	// any debris itself.
+	sim, err = NewSimulation(cfg)
 	if err != nil {
 		t.Fatalf("fresh start after kill: %v", err)
 	}
@@ -160,7 +163,12 @@ func TestCrashMatrix(t *testing.T) {
 		scenarios = append(scenarios, fmt.Sprintf("store:crash-before-rename@rename=%d", n))
 	}
 
+	// One log instead of a checkpoint file beside a rotated journal: the
+	// two-file layout enumerated 77 kill points on this protocol.
 	t.Logf("census %v: %d kill points", ops, len(scenarios))
+	if len(scenarios) >= 77 {
+		t.Fatalf("%d kill points, want fewer than the two-file layout's 77", len(scenarios))
+	}
 	for _, scenario := range scenarios {
 		t.Run(scenario, func(t *testing.T) {
 			in, err := fault.ParseInjector(scenario)
@@ -208,8 +216,8 @@ func TestCrashMatrixMDMBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill at the last journal append, past the step-5 checkpoint; resume
-	// must replay. The final checkpoint is the last write.
+	// Kill at the last step record, past the step-5 snapshot; resume must
+	// replay. The final snapshot is the last write.
 	writes := hook.ops["write"]
 	scenario := fmt.Sprintf("store:crash@write=%d", writes-1)
 	in, err := fault.ParseInjector(scenario)

@@ -6,6 +6,7 @@ import (
 
 	"mdm/internal/fault"
 	"mdm/internal/store"
+	"mdm/internal/supervise"
 )
 
 // The FS-threaded checkpoint path round-trips through the fault filesystem
@@ -13,18 +14,18 @@ import (
 func TestCheckpointFSRoundTripAndDurability(t *testing.T) {
 	s, _ := NewRockSalt(2, 5.64)
 	fs := store.NewFaultFS(nil)
-	if err := WriteCheckpointFS(fs, "run.ckpt", s, 7); err != nil {
+	if err := WriteCheckpointFS(fs, "run.wal", s, 7); err != nil {
 		t.Fatal(err)
 	}
 	fs.Reboot(nil)
-	got, step, err := ReadCheckpointFS(fs, "run.ckpt")
+	got, step, err := readCheckpointFS(fs, "run.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if step != 7 || len(got.Pos) != len(s.Pos) {
 		t.Fatalf("step=%d n=%d", step, len(got.Pos))
 	}
-	if _, err := fs.ReadFile(store.TempPath("run.ckpt")); !store.NotExist(err) {
+	if _, err := fs.ReadFile(store.TempPath("run.wal")); !store.NotExist(err) {
 		t.Fatal("temp file left behind by clean write")
 	}
 }
@@ -34,7 +35,7 @@ func TestCheckpointFSRoundTripAndDurability(t *testing.T) {
 func TestCheckpointFSCrashBeforeRenameKeepsOld(t *testing.T) {
 	s, _ := NewRockSalt(2, 5.64)
 	fs := store.NewFaultFS(nil)
-	if err := WriteCheckpointFS(fs, "run.ckpt", s, 5); err != nil {
+	if err := WriteCheckpointFS(fs, "run.wal", s, 5); err != nil {
 		t.Fatal(err)
 	}
 	in, err := fault.ParseInjector("store:crash-before-rename@rename=1")
@@ -42,11 +43,11 @@ func TestCheckpointFSCrashBeforeRenameKeepsOld(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Reboot(in)
-	if werr := WriteCheckpointFS(fs, "run.ckpt", s, 9); !errors.Is(werr, store.ErrCrashed) {
+	if werr := WriteCheckpointFS(fs, "run.wal", s, 9); !errors.Is(werr, store.ErrCrashed) {
 		t.Fatalf("crashed write: %v", werr)
 	}
 	fs.Reboot(nil)
-	_, step, err := ReadCheckpointFS(fs, "run.ckpt")
+	_, step, err := readCheckpointFS(fs, "run.wal")
 	if err != nil || step != 5 {
 		t.Fatalf("old checkpoint lost: step=%d err=%v", step, err)
 	}
@@ -57,7 +58,7 @@ func TestCheckpointFSCrashBeforeRenameKeepsOld(t *testing.T) {
 func TestReadCheckpointFSEIO(t *testing.T) {
 	s, _ := NewRockSalt(2, 5.64)
 	fs := store.NewFaultFS(nil)
-	if err := WriteCheckpointFS(fs, "run.ckpt", s, 3); err != nil {
+	if err := WriteCheckpointFS(fs, "run.wal", s, 3); err != nil {
 		t.Fatal(err)
 	}
 	in, err := fault.ParseInjector("store:eio@read=1")
@@ -65,17 +66,17 @@ func TestReadCheckpointFSEIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Reboot(in)
-	if _, _, rerr := ReadCheckpointFS(fs, "run.ckpt"); !errors.Is(rerr, store.ErrIO) {
+	if _, _, rerr := readCheckpointFS(fs, "run.wal"); !errors.Is(rerr, store.ErrIO) {
 		t.Fatalf("eio read: %v, want ErrIO", rerr)
 	}
 }
 
-// An injected bitrot trips the CRC: the typed ErrCheckpointCorrupt comes
-// back instead of a corrupted trajectory.
+// An injected bitrot trips the frame's CRC: the typed ErrJournalCorrupt
+// comes back instead of a corrupted trajectory.
 func TestReadCheckpointFSBitRot(t *testing.T) {
 	s, _ := NewRockSalt(2, 5.64)
 	fs := store.NewFaultFS(nil)
-	if err := WriteCheckpointFS(fs, "run.ckpt", s, 3); err != nil {
+	if err := WriteCheckpointFS(fs, "run.wal", s, 3); err != nil {
 		t.Fatal(err)
 	}
 	in, err := fault.ParseInjector("store:bitrot@read=1,offset=40")
@@ -83,34 +84,11 @@ func TestReadCheckpointFSBitRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Reboot(in)
-	_, _, rerr := ReadCheckpointFS(fs, "run.ckpt")
+	_, _, rerr := readCheckpointFS(fs, "run.wal")
 	if rerr == nil {
 		t.Fatal("bit-rotted checkpoint accepted")
 	}
-	if !errors.Is(rerr, ErrCheckpointCorrupt) {
-		t.Fatalf("bitrot read: %v, want ErrCheckpointCorrupt", rerr)
-	}
-}
-
-// CheckpointStep — the recovery scan's validator — accepts a good image and
-// rejects damage with the typed errors.
-func TestCheckpointStepValidator(t *testing.T) {
-	s, _ := NewRockSalt(2, 5.64)
-	fs := store.NewFaultFS(nil)
-	if err := WriteCheckpointFS(fs, "run.ckpt", s, 11); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := fs.ReadFile("run.ckpt")
-	step, err := CheckpointStep(data)
-	if err != nil || step != 11 {
-		t.Fatalf("CheckpointStep: %d, %v", step, err)
-	}
-	if _, err := CheckpointStep(data[:len(data)/2]); !errors.Is(err, ErrCheckpointTruncated) {
-		t.Fatalf("truncated: %v", err)
-	}
-	rotted := append([]byte(nil), data...)
-	rotted[40] ^= 1
-	if _, err := CheckpointStep(rotted); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("rotted: %v", err)
+	if !errors.Is(rerr, supervise.ErrJournalCorrupt) {
+		t.Fatalf("bitrot read: %v, want ErrJournalCorrupt", rerr)
 	}
 }

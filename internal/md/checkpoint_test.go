@@ -2,7 +2,6 @@ package md
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,20 +9,43 @@ import (
 	"testing"
 
 	"mdm/internal/store"
-	"mdm/internal/vec"
+	"mdm/internal/supervise"
 )
+
+// readCheckpointFS restores the System and step of the snapshot frame that
+// opens the log at path, the way a resume decodes it.
+func readCheckpointFS(fsys store.FS, path string) (*System, int, error) {
+	data, err := fsys.ReadFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	recs, err := supervise.ReadJournal(data)
+	if len(recs) == 0 {
+		return nil, 0, err
+	}
+	s, err := DecodeState(recs[0].State)
+	return s, recs[0].Step, err
+}
+
+// roundTrip writes s as the snapshot of a fresh log on a fault filesystem
+// and reads it back.
+func roundTrip(t *testing.T, s *System, step int) (*System, int) {
+	t.Helper()
+	fs := store.NewFaultFS(nil)
+	if err := WriteCheckpointFS(fs, "run.wal", s, step); err != nil {
+		t.Fatal(err)
+	}
+	restored, got, err := readCheckpointFS(fs, "run.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored, got
+}
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	s, _ := NewRockSalt(2, 5.64)
 	s.SetMaxwellVelocities(700, 5)
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, s, 123); err != nil {
-		t.Fatal(err)
-	}
-	restored, step, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored, step := roundTrip(t, s, 123)
 	if step != 123 {
 		t.Errorf("step = %d", step)
 	}
@@ -61,14 +83,7 @@ func TestCheckpointResumesIdentically(t *testing.T) {
 	if err := itB.Run(20, nil); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, sB, itB.StepCount()); err != nil {
-		t.Fatal(err)
-	}
-	restored, step, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored, step := roundTrip(t, sB, itB.StepCount())
 	if step != 20 {
 		t.Fatalf("step = %d", step)
 	}
@@ -88,85 +103,89 @@ func TestCheckpointResumesIdentically(t *testing.T) {
 }
 
 func TestCheckpointErrors(t *testing.T) {
-	if _, _, err := ReadCheckpoint(strings.NewReader("{")); err == nil {
-		t.Error("truncated JSON accepted")
+	if _, err := DecodeState([]byte("{")); err == nil {
+		t.Error("truncated state accepted")
 	}
-	if _, _, err := ReadCheckpoint(strings.NewReader(`{"version":99}`)); err == nil {
-		t.Error("wrong version accepted")
-	}
-	// One position, no velocities: checksummed correctly, invalid state.
-	incons := checkpoint{Version: checkpointVersion, L: 10, Pos: []vec.V{{}}}
-	incons.Checksum, _ = payloadCRC(incons)
-	b, _ := json.Marshal(incons)
-	if _, _, err := ReadCheckpoint(bytes.NewReader(b)); err == nil {
+	// One position, no velocities: well-formed, invalid state.
+	if _, err := DecodeState([]byte(`{"l":10,"pos":[{"X":0,"Y":0,"Z":0}]}`)); err == nil {
 		t.Error("inconsistent state accepted")
 	}
 	bad, _ := NewRockSalt(1, 5.64)
 	bad.Mass[0] = -1
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, bad, 0); err == nil {
+	if err := WriteCheckpointFS(store.NewFaultFS(nil), "run.wal", bad, 0); err == nil {
 		t.Error("invalid state written")
 	}
 }
 
-func TestCheckpointTypedErrors(t *testing.T) {
+// snapshotImage is the log image of a fresh snapshot of a 64-ion system.
+func snapshotImage(t *testing.T, step int) []byte {
+	t.Helper()
 	s, _ := NewRockSalt(2, 5.64)
 	s.SetMaxwellVelocities(700, 5)
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, s, 123); err != nil {
+	fs := store.NewFaultFS(nil)
+	if err := WriteCheckpointFS(fs, "run.wal", s, step); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-
-	// A write torn mid-record (the crash WriteCheckpointFS guards against).
-	_, _, err := ReadCheckpoint(bytes.NewReader(good[:len(good)/2]))
-	if !errors.Is(err, ErrCheckpointTruncated) {
-		t.Errorf("half a record: err = %v, want ErrCheckpointTruncated", err)
+	img, err := fs.ReadFile("run.wal")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := ReadCheckpoint(strings.NewReader("")); !errors.Is(err, ErrCheckpointTruncated) {
-		t.Errorf("empty file: err = %v, want ErrCheckpointTruncated", err)
+	return img
+}
+
+// readImage reads a log image's snapshot the way ReadCheckpointFS does.
+func readImage(img []byte) (*System, int, error) {
+	fs := store.NewFaultFS(nil)
+	f, _ := fs.Create("img")
+	f.Write(img)
+	return readCheckpointFS(fs, "img")
+}
+
+func TestCheckpointTypedErrors(t *testing.T) {
+	good := snapshotImage(t, 123)
+
+	// A write torn mid-frame (the crash the atomic commit guards against).
+	if _, _, err := readImage(good[:len(good)/2]); !errors.Is(err, supervise.ErrJournalCorrupt) {
+		t.Errorf("half a frame: err = %v, want ErrJournalCorrupt", err)
+	}
+	if _, _, err := readImage(nil); !errors.Is(err, supervise.ErrJournalCorrupt) {
+		t.Errorf("empty file: err = %v, want ErrJournalCorrupt", err)
 	}
 
-	// Bit rot: still valid JSON, but the payload no longer matches the CRC.
+	// Bit rot: still valid JSON, but the body no longer matches the CRC.
 	rotted := bytes.Replace(good, []byte(`"step":123`), []byte(`"step":321`), 1)
 	if bytes.Equal(rotted, good) {
 		t.Fatal("corruption not applied")
 	}
-	if _, _, err := ReadCheckpoint(bytes.NewReader(rotted)); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Errorf("rotted record: err = %v, want ErrCheckpointCorrupt", err)
+	if _, _, err := readImage(rotted); !errors.Is(err, supervise.ErrJournalCorrupt) {
+		t.Errorf("rotted frame: err = %v, want ErrJournalCorrupt", err)
 	}
-	if _, _, err := ReadCheckpoint(strings.NewReader("not json")); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Errorf("garbage: err = %v, want ErrCheckpointCorrupt", err)
+	if _, _, err := readImage([]byte("not json\n")); !errors.Is(err, supervise.ErrJournalCorrupt) {
+		t.Errorf("garbage: err = %v, want ErrJournalCorrupt", err)
 	}
 
-	if _, _, err := ReadCheckpoint(strings.NewReader(`{"version":99}`)); !errors.Is(err, ErrCheckpointVersion) {
-		t.Errorf("future version: err = %v, want ErrCheckpointVersion", err)
+	if _, _, err := readImage([]byte(`{"version":99}` + "\n")); !errors.Is(err, supervise.ErrJournalVersion) {
+		t.Errorf("future version: err = %v, want ErrJournalVersion", err)
 	}
 }
 
-// The version digit is no back door around the checksum: rot that turns it
-// from '2' (0x32) into '1' (0x31) and flips one payload bit must not restore
-// the corrupted state as a checksum-less version-1 record.
+// The version digit is no back door around the checksum: it sits inside the
+// CRC-covered body, so rot that turns it from '2' into '1' and flips one
+// payload bit is refused as corruption, never restored.
 func TestCheckpointVersionBitFlipRejected(t *testing.T) {
-	s, _ := NewRockSalt(2, 5.64)
-	s.SetMaxwellVelocities(700, 5)
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, s, 42); err != nil {
-		t.Fatal(err)
-	}
-	img := buf.Bytes()
+	img := snapshotImage(t, 42)
 	v := bytes.Index(img, []byte(`"version":2`)) + len(`"version":`)
 	p := bytes.Index(img, []byte(`"step":42`)) + len(`"step":`)
 	img[v] ^= 0x03 // '2' → '1'
 	img[p] ^= 0x01 // '4' → '5': step 52
-	if _, _, err := ReadCheckpoint(bytes.NewReader(img)); !errors.Is(err, ErrCheckpointVersion) {
-		t.Fatalf("version and payload bit flips: err = %v, want ErrCheckpointVersion", err)
+	if _, _, err := readImage(img); !errors.Is(err, supervise.ErrJournalCorrupt) {
+		t.Fatalf("version and payload bit flips: err = %v, want ErrJournalCorrupt", err)
 	}
 }
 
 func TestCheckpointFileAtomicReplace(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
+	path := filepath.Join(dir, "run.wal")
 	s, _ := NewRockSalt(2, 5.64)
 	s.SetMaxwellVelocities(700, 5)
 	if err := WriteCheckpointFS(store.OS(), path, s, 10); err != nil {
@@ -177,24 +196,24 @@ func TestCheckpointFileAtomicReplace(t *testing.T) {
 	if err := WriteCheckpointFS(store.OS(), path, s, 20); err != nil {
 		t.Fatal(err)
 	}
-	restored, step, err := ReadCheckpointFS(store.OS(), path)
+	restored, step, err := readCheckpointFS(store.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if step != 20 || restored.Pos[0] != s.Pos[0] {
 		t.Errorf("got step %d, pos %v", step, restored.Pos[0])
 	}
-	// No temp litter: a crash-free write leaves exactly the checkpoint.
+	// No temp litter: a crash-free write leaves exactly the log.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "run.ckpt" {
+	if len(entries) != 1 || entries[0].Name() != "run.wal" {
 		names := make([]string, len(entries))
 		for i, e := range entries {
 			names[i] = e.Name()
 		}
-		t.Errorf("directory contents = %v, want [run.ckpt]", names)
+		t.Errorf("directory contents = %v, want [run.wal]", names)
 	}
 }
 

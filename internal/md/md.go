@@ -139,14 +139,14 @@ func (s *System) ScaleVelocities(f float64) {
 func (s *System) KineticEnergy() float64 {
 	ke := 0.0
 	for i := range s.Vel {
-		ke += 0.5 * s.Mass[i] * s.Vel[i].Norm2()
+		ke += float64(0.5 * s.Mass[i] * s.Vel[i].Norm2())
 	}
 	return ke / units.ForceToAccel
 }
 
 // Temperature returns the instantaneous temperature in K.
 func (s *System) Temperature() float64 {
-	return units.KineticToKelvin(s.KineticEnergy(), s.N())
+	return units.KineticToKelvin(s.KineticEnergy(), len(s.Pos))
 }
 
 // ForceField computes forces and total potential energy for a configuration.
@@ -341,7 +341,7 @@ func (r *Recorder) TemperatureStats() (mean, std float64) {
 	mean /= float64(len(r.Records))
 	for _, rec := range r.Records {
 		d := rec.T - mean
-		std += d * d
+		std += float64(d * d)
 	}
 	std = math.Sqrt(std / float64(len(r.Records)))
 	return mean, std

@@ -21,6 +21,7 @@ import (
 	"mdm/internal/md"
 	"mdm/internal/serve"
 	"mdm/internal/store"
+	"mdm/internal/supervise"
 	"mdm/internal/vec"
 )
 
@@ -77,14 +78,19 @@ func soloRun(t *testing.T, spec serve.JobSpec) soloFinal {
 	return readFinal(t, fsys, spec.Tenant, s.ID)
 }
 
-// readFinal loads a session's final checkpoint image from disk.
+// readFinal loads the snapshot that opens a session's log: its final
+// checkpoint.
 func readFinal(t *testing.T, fsys store.FS, tenant, id string) soloFinal {
 	t.Helper()
-	sys, step, err := md.ReadCheckpointFS(fsys, path.Join("data", tenant, id, "run.ckpt"))
-	if err != nil {
-		t.Fatalf("final checkpoint of %s/%s: %v", tenant, id, err)
+	recs, err := supervise.ReadJournalFS(fsys, path.Join("data", tenant, id, "run.wal"))
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("log of %s/%s: %d frames, %v", tenant, id, len(recs), err)
 	}
-	return soloFinal{pos: sys.Pos, vel: sys.Vel, step: step}
+	sys, err := md.DecodeState(recs[0].State)
+	if err != nil {
+		t.Fatalf("final snapshot of %s/%s: %v", tenant, id, err)
+	}
+	return soloFinal{pos: sys.Pos, vel: sys.Vel, step: recs[0].Step}
 }
 
 // opCensus counts storage operations per class while a workload runs; the

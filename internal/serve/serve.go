@@ -8,10 +8,11 @@
 //
 // The load-bearing properties, each pinned by tests:
 //
-//   - Crash safety. Every session journals and checkpoints through
-//     internal/store into its own run directory; a step's journal fsync
-//     overlaps the next step's force evaluation and is joined before the
-//     segment's checkpoint, so a session never reports — as status, sample
+//   - Crash safety. Every session keeps one run log, run.wal, in its own run
+//     directory through internal/store; a step record's fsync overlaps the
+//     next step's force evaluation and is joined before the segment's
+//     checkpoint commit, which replaces the log with one that opens with a
+//     snapshot of the state, so a session never reports — as status, sample
 //     or checkpoint — a step that is not durable. Killing the server at any
 //     point — including a simulated power cut via store's FaultFS — and
 //     restarting recovers every interrupted session via mdm.ResumeFromJournal
@@ -22,22 +23,20 @@
 //     shares one worker budget. A full queue blocks the submit for at most
 //     AdmitWait before a typed rejection.
 //   - Graceful drain. Drain stops admission, interrupts running sessions at
-//     the next committed step, flushes their journals, writes final
-//     checkpoints, and returns a machine-readable summary; interrupted
-//     sessions resume on the next server start.
+//     the next committed step, commits their final checkpoints, and returns
+//     a machine-readable summary; interrupted sessions resume on the next
+//     server start.
 package serve
 
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"path"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mdm/internal/md"
 	"mdm/internal/store"
 	"mdm/internal/supervise"
 )
@@ -397,10 +396,8 @@ func failKind(err error) string {
 		return errKindNoRunState
 	case errors.Is(err, store.ErrStaleRunDir):
 		return errKindStaleRunDir
-	case errors.Is(err, md.ErrCheckpointCorrupt):
+	case errors.Is(err, supervise.ErrJournalCorrupt):
 		return errKindCheckpointCorrupt
-	case errors.Is(err, fs.ErrNotExist):
-		return errKindMissingArtifact
 	default:
 		return errKindRun
 	}

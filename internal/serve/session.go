@@ -29,8 +29,7 @@ const (
 	errKindRun               = "run"                // simulation or storage failure
 	errKindNoRunState        = "no-run-state"       // nothing durable to resume
 	errKindStaleRunDir       = "stale-run-dir"      // durable state from another timeline
-	errKindCheckpointCorrupt = "checkpoint-corrupt" // damaged checkpoint image
-	errKindMissingArtifact   = "missing-artifact"   // checkpoint without journal etc.
+	errKindCheckpointCorrupt = "checkpoint-corrupt" // damaged snapshot frame
 	errKindManifest          = "manifest"           // session manifest lost/damaged
 	errKindDeadline          = "deadline"           // per-session deadline exceeded
 )
@@ -111,7 +110,6 @@ type Session struct {
 }
 
 func (s *Session) manifestPath() string { return path.Join(s.dir, "session.json") }
-func (s *Session) ckptPath() string     { return path.Join(s.dir, "run.ckpt") }
 func (s *Session) walPath() string      { return path.Join(s.dir, "run.wal") }
 
 // Status is a session's externally visible state.
@@ -311,17 +309,14 @@ func (m *Manager) simulate(s *Session) error {
 	if err != nil {
 		return err
 	}
-	sim, err := mdm.ResumeFromJournal(cfg, s.ckptPath())
+	sim, err := mdm.ResumeFromJournal(cfg)
 	switch {
 	case err == nil:
-	case errors.Is(err, store.ErrNoRunState),
-		errors.Is(err, store.ErrStaleRunDir) && !s.hasCheckpoint():
-		// First run, killed before anything became durable, or killed after
-		// journal appends but before the first checkpoint commit (a stranded
-		// journal with no checkpoint is "stale run dir" to the resume scan).
-		// Either way nothing committed constrains us: start from scratch,
-		// which replays bit-identically from the same seed. The run directory
-		// must exist before the journal's atomic-create sequence touches it.
+	case errors.Is(err, store.ErrNoRunState):
+		// First run, or killed before the log's creation committed: nothing
+		// committed constrains us, so start from scratch, which replays
+		// bit-identically from the same seed. The run directory must exist
+		// before the log's atomic-create sequence touches it.
 		if err := m.fsys.MkdirAll(s.dir); err != nil {
 			return err
 		}
@@ -360,20 +355,12 @@ func (m *Manager) simulate(s *Session) error {
 	}
 	tally()
 	_, err = sim.Run(mdm.Protocol{
-		NVT:        s.Spec.Steps,
-		Checkpoint: s.ckptPath(),
-		Every:      m.cfg.CheckpointEvery,
-		Committed:  func() { tally(); s.publish(sim.Records()) },
+		NVT:       s.Spec.Steps,
+		Every:     m.cfg.CheckpointEvery,
+		Committed: func() { tally(); s.publish(sim.Records()) },
 	})
 	tally()
 	return err
-}
-
-// hasCheckpoint reports whether a durable checkpoint image exists. Only its
-// definite absence may downgrade a stale-run-dir verdict to a fresh start.
-func (s *Session) hasCheckpoint() bool {
-	_, err := s.mgr.fsys.ReadFile(s.ckptPath())
-	return !store.NotExist(err)
 }
 
 func (s *Session) setSteps(n int) {

@@ -41,6 +41,7 @@ type FaultFS struct {
 
 // memFile is one live inode.
 type memFile struct {
+	path    string // the inode's current live name: a handle follows it through renames
 	data    []byte
 	synced  int  // prefix of data flushed by Sync (durable iff durable)
 	durable bool // this inode's directory entry at its current name is durable
@@ -85,7 +86,7 @@ func (f *FaultFS) Reboot(hook fault.StoreHook) {
 	defer f.mu.Unlock()
 	f.live = make(map[string]*memFile, len(f.disk))
 	for path, data := range f.disk {
-		f.live[path] = &memFile{data: clone(data), synced: len(data), durable: true}
+		f.live[path] = &memFile{path: path, data: clone(data), synced: len(data), durable: true}
 	}
 	f.crashed = false
 	f.hook = hook
@@ -112,9 +113,9 @@ func (f *FaultFS) Create(path string) (File, error) {
 	// O_TRUNC: the live inode restarts empty. The durable namespace keeps
 	// whatever was committed before — a crash right after Create resurrects
 	// the old content, which is why atomic replace goes through a temp name.
-	mf := &memFile{}
+	mf := &memFile{path: path}
 	f.live[path] = mf
-	return &faultFile{fs: f, path: path, mf: mf}, nil
+	return &faultFile{fs: f, mf: mf}, nil
 }
 
 // Append implements FS. Opening for append counts on the create clock: both
@@ -138,10 +139,10 @@ func (f *FaultFS) Append(path string) (File, error) {
 	}
 	mf, ok := f.live[path]
 	if !ok {
-		mf = &memFile{}
+		mf = &memFile{path: path}
 		f.live[path] = mf
 	}
-	return &faultFile{fs: f, path: path, mf: mf}, nil
+	return &faultFile{fs: f, mf: mf}, nil
 }
 
 // ReadFile implements FS.
@@ -197,6 +198,7 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 	}
 	delete(f.live, oldpath)
 	f.live[newpath] = mf
+	mf.path = newpath
 	mf.durable = false // the new name is uncommitted until SyncDir
 	return nil
 }
@@ -314,11 +316,12 @@ func (f *FaultFS) Dump() string {
 	return b.String()
 }
 
-// faultFile is a writable handle on a FaultFS inode.
+// faultFile is a writable handle on a FaultFS inode. Like a file descriptor
+// it follows the inode through renames: writes and syncs land at the inode's
+// current name.
 type faultFile struct {
-	fs   *FaultFS
-	path string
-	mf   *memFile
+	fs *FaultFS
+	mf *memFile
 }
 
 // Write implements io.Writer.
@@ -333,9 +336,9 @@ func (h *faultFile) Write(p []byte) (int, error) {
 	if ft.Hit {
 		switch ft.Kind {
 		case fault.NoSpace:
-			return 0, &fs.PathError{Op: "write", Path: h.path, Err: ErrNoSpace}
+			return 0, &fs.PathError{Op: "write", Path: h.mf.path, Err: ErrNoSpace}
 		case fault.IOErr:
-			return 0, &fs.PathError{Op: "write", Path: h.path, Err: ErrIO}
+			return 0, &fs.PathError{Op: "write", Path: h.mf.path, Err: ErrIO}
 		case fault.TornWrite:
 			// Power cut mid-write: the durable view keeps the synced prefix
 			// plus the first Bytes bytes of this buffer (if the name was
@@ -345,7 +348,7 @@ func (h *faultFile) Write(p []byte) (int, error) {
 				torn = len(p)
 			}
 			if h.mf.durable {
-				f.disk[h.path] = append(clone(h.mf.data[:h.mf.synced]), p[:torn]...)
+				f.disk[h.mf.path] = append(clone(h.mf.data[:h.mf.synced]), p[:torn]...)
 			}
 			f.crash()
 			return 0, ErrCrashed
@@ -371,7 +374,7 @@ func (h *faultFile) Sync() error {
 	if ft.Hit {
 		switch ft.Kind {
 		case fault.IOErr:
-			return &fs.PathError{Op: "sync", Path: h.path, Err: ErrIO}
+			return &fs.PathError{Op: "sync", Path: h.mf.path, Err: ErrIO}
 		case fault.Crash:
 			f.crash()
 			return ErrCrashed
@@ -379,7 +382,7 @@ func (h *faultFile) Sync() error {
 	}
 	h.mf.synced = len(h.mf.data)
 	if h.mf.durable {
-		f.disk[h.path] = clone(h.mf.data)
+		f.disk[h.mf.path] = clone(h.mf.data)
 	}
 	return nil
 }

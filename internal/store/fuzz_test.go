@@ -1,9 +1,8 @@
 package store_test
 
 // The recovery manager's fuzz harness lives in an external test package so
-// it can validate with the real format callbacks — md.CheckpointStep and
-// supervise.ScanSegment — which internal/store itself must not import (both
-// packages write through it).
+// it can validate with the real log format — supervise.ScanLog — which
+// internal/store itself must not import (supervise writes through it).
 
 import (
 	"testing"
@@ -13,14 +12,7 @@ import (
 	"mdm/internal/supervise"
 )
 
-var fuzzLayout = store.Layout{Checkpoint: "run.ckpt", Journal: "run.wal"}
-
-func fuzzValidators() store.Validators {
-	return store.Validators{
-		CheckpointStep: md.CheckpointStep,
-		ScanSegment:    supervise.ScanSegment,
-	}
-}
+const fuzzLog = "run.wal"
 
 // plant writes data into the filesystem under path, skipping empty files so
 // the fuzzer controls which artifacts exist at all.
@@ -41,22 +33,18 @@ func plant(t *testing.T, fsys store.FS, path string, data []byte) {
 	}
 }
 
-// realArtifacts builds a genuine checkpoint image and journal segment to
-// seed the corpus with the formats Scan actually meets.
-func realArtifacts(t testing.TB) (ckpt, seg []byte) {
+// realLog builds a genuine run log — a snapshot at step 3, records for steps
+// 4..6 — to seed the corpus with the format Scan actually meets.
+func realLog(t testing.TB) []byte {
 	s, err := md.NewRockSalt(2, 5.64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := store.NewFaultFS(nil)
-	if err := md.WriteCheckpointFS(fs, "c", s, 3); err != nil {
+	if err := md.WriteCheckpointFS(fs, "j", s, 3); err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err = fs.ReadFile("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := supervise.CreateJournalFS("j", supervise.Options{FS: fs})
+	j, err := supervise.AppendJournalFS("j", supervise.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,62 +56,56 @@ func realArtifacts(t testing.TB) (ckpt, seg []byte) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg, err = fs.ReadFile("j")
+	data, err := fs.ReadFile("j")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ckpt, seg
+	return data
 }
 
-// FuzzScanRunDir throws arbitrary artifact mixes — checkpoint, active
-// journal, rotated segments, atomic-replace leftovers — at the recovery
-// manager and asserts its safety contract: Scan never panics and never
-// certifies an inconsistent resume pair, and Repair converges to a
-// directory with no torn or stale debris without shrinking the certified
-// resume state.
+// FuzzScanRunDir throws arbitrary run directories — a log and an
+// atomic-replace leftover — at the recovery manager and asserts its safety
+// contract: Scan never panics and never certifies a resume step its log
+// does not hold, and Repair converges to a directory with no torn or stale
+// debris without moving the snapshot or shrinking the resume step.
 func FuzzScanRunDir(f *testing.F) {
-	ckpt, seg := realArtifacts(f)
-	torn := seg[:len(seg)-5]
-	rotted := append([]byte(nil), seg...)
+	log := realLog(f)
+	torn := log[:len(log)-5]
+	rotted := append([]byte(nil), log...)
 	rotted[10] ^= 0x08
+	interior := append([]byte(nil), log...)
+	interior[len(log)-60] ^= 0x08
 
-	f.Add(ckpt, seg, []byte(nil), []byte(nil), []byte(nil))
-	f.Add(ckpt, torn, seg, []byte(nil), []byte("half-written temp"))
-	f.Add(ckpt, rotted, seg, torn, []byte(nil))
-	f.Add([]byte("not a checkpoint"), seg, []byte(nil), []byte(nil), []byte(nil))
-	f.Add(ckpt[:len(ckpt)/2], []byte(nil), seg, []byte(nil), ckpt)
-	f.Add([]byte(nil), []byte(nil), []byte(nil), []byte(nil), []byte(nil))
+	f.Add(log, []byte(nil))
+	f.Add(torn, []byte("half-written temp"))
+	f.Add(rotted, log)
+	f.Add(interior, []byte(nil))
+	f.Add(log[:len(log)/2], log)
+	f.Add([]byte(nil), []byte(nil))
 
-	f.Fuzz(func(t *testing.T, ckpt, active, seg1, seg2, tmp []byte) {
+	f.Fuzz(func(t *testing.T, log, tmp []byte) {
 		fs := store.NewFaultFS(nil)
-		plant(t, fs, fuzzLayout.Checkpoint, ckpt)
-		plant(t, fs, fuzzLayout.Journal, active)
-		plant(t, fs, store.SegmentPath(fuzzLayout.Journal, 1), seg1)
-		plant(t, fs, store.SegmentPath(fuzzLayout.Journal, 2), seg2)
-		plant(t, fs, store.TempPath(fuzzLayout.Checkpoint), tmp)
+		plant(t, fs, fuzzLog, log)
+		plant(t, fs, store.TempPath(fuzzLog), tmp)
 
-		inv, err := store.Scan(fs, fuzzLayout, fuzzValidators())
+		inv, err := store.Scan(fs, fuzzLog, supervise.ScanLog)
 		if err != nil {
 			t.Fatalf("Scan on a fault-free fs: %v", err)
 		}
-		// A certified resume pair must be consistent: a validated checkpoint
-		// at or below the resume step, whose image really does decode to the
-		// step the inventory claims.
+		// A certified resume step must be consistent: a snapshot at or below
+		// it, whose frame really does decode to the step the inventory
+		// claims.
 		if inv.ResumeStep >= 0 {
-			if inv.CheckpointStep < 0 || inv.ResumeStep < inv.CheckpointStep {
-				t.Fatalf("inconsistent pair: ckpt=%d resume=%d", inv.CheckpointStep, inv.ResumeStep)
+			if inv.SnapshotStep < 0 || inv.ResumeStep < inv.SnapshotStep {
+				t.Fatalf("inconsistent pair: snapshot=%d resume=%d", inv.SnapshotStep, inv.ResumeStep)
 			}
-			data, err := fs.ReadFile(inv.Checkpoint)
-			if err != nil {
-				t.Fatalf("certified checkpoint unreadable: %v", err)
-			}
-			step, err := md.CheckpointStep(data)
-			if err != nil || step != inv.CheckpointStep {
-				t.Fatalf("certified checkpoint does not validate: step=%d err=%v", step, err)
+			recs, _ := supervise.ReadJournalFS(fs, fuzzLog)
+			if len(recs) == 0 || recs[0].Step != inv.SnapshotStep {
+				t.Fatalf("certified snapshot does not decode to step %d: %+v", inv.SnapshotStep, recs)
 			}
 		}
-		if inv.CheckpointStep >= 0 && inv.ResumeStep < inv.CheckpointStep {
-			t.Fatalf("valid checkpoint but resume=%d < %d", inv.ResumeStep, inv.CheckpointStep)
+		if inv.SnapshotStep >= 0 && inv.ResumeStep < inv.SnapshotStep {
+			t.Fatalf("valid snapshot but resume=%d < %d", inv.ResumeStep, inv.SnapshotStep)
 		}
 
 		// Repair converges: no torn or stale debris afterwards, and the
@@ -131,27 +113,22 @@ func FuzzScanRunDir(f *testing.F) {
 		if _, err := store.Repair(fs, inv); err != nil {
 			t.Fatalf("Repair: %v", err)
 		}
-		after, err := store.Scan(fs, fuzzLayout, fuzzValidators())
+		after, err := store.Scan(fs, fuzzLog, supervise.ScanLog)
 		if err != nil {
 			t.Fatalf("post-repair Scan: %v", err)
 		}
 		if len(after.Torn) != 0 || len(after.Stale) != 0 {
 			t.Fatalf("repair left debris: torn=%v stale=%v", after.Torn, after.Stale)
 		}
-		// Repair never shrinks the certified state: the checkpoint is
-		// untouched and the resume step only grows (truncating a torn
-		// rotated segment can legitimately reconnect later segments).
-		if after.CheckpointStep != inv.CheckpointStep {
-			t.Fatalf("repair moved the checkpoint step: %d -> %d", inv.CheckpointStep, after.CheckpointStep)
-		}
-		if after.ResumeStep < inv.ResumeStep {
-			t.Fatalf("repair shrank the resume step: %d -> %d", inv.ResumeStep, after.ResumeStep)
+		if after.SnapshotStep != inv.SnapshotStep || after.ResumeStep != inv.ResumeStep {
+			t.Fatalf("repair moved the certified state: snapshot %d -> %d, resume %d -> %d",
+				inv.SnapshotStep, after.SnapshotStep, inv.ResumeStep, after.ResumeStep)
 		}
 		// A post-repair directory with every artifact "ok" must read back
 		// clean end to end.
 		if after.Healthy() {
-			if _, err := supervise.ReadJournalFS(fs, fuzzLayout.Journal); err != nil {
-				t.Fatalf("healthy journal unreadable: %v", err)
+			if _, err := supervise.ReadJournalFS(fs, fuzzLog); err != nil {
+				t.Fatalf("healthy log unreadable: %v", err)
 			}
 		}
 	})

@@ -3,39 +3,23 @@ package store
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
-// Layout names the durable artifacts of one run.
-type Layout struct {
-	Checkpoint string // checkpoint path (atomically replaced each commit)
-	Journal    string // active journal segment; rotated segments are Journal.NNNN
-}
-
-// Validators supplies the format knowledge Scan needs without importing the
-// checkpoint (internal/md) and journal (internal/supervise) packages — which
-// would cycle, since both write through this package.
-type Validators struct {
-	// CheckpointStep CRC-validates a checkpoint image and returns its step.
-	CheckpointStep func(data []byte) (int, error)
-	// ScanSegment validates a journal segment: the steps covered by its
-	// valid prefix (one entry per record, in record order), the byte length
-	// of that prefix, and a non-nil error only for interior corruption —
-	// a torn tail is validLen < len(data) with err == nil.
-	ScanSegment func(data []byte) (steps []int, validLen int, err error)
-}
+// ScanLog validates a run's log image without this package importing the
+// format (internal/supervise writes through this package, so it would
+// cycle): the steps of the image's valid prefix — the opening snapshot
+// frame's first, then one per record — the byte length of that prefix, and
+// a non-nil error for interior corruption or an image with no intact
+// snapshot frame. A torn tail is validLen < len(data) with err == nil.
+type ScanLog func(data []byte) (steps []int, validLen int, err error)
 
 // Artifact is one inventoried file.
 type Artifact struct {
 	Path      string `json:"path"`
-	Kind      string `json:"kind"` // "checkpoint", "segment", "temp"
-	Seq       int    `json:"seq"`  // segment rotation sequence (0 = active)
+	Kind      string `json:"kind"` // "log", "temp"
 	Size      int    `json:"size"`
 	ValidLen  int    `json:"valid_len"`            // bytes of the valid prefix
-	Step      int    `json:"step,omitempty"`       // checkpoint step
-	FirstStep int    `json:"first_step,omitempty"` // segment step range
+	FirstStep int    `json:"first_step,omitempty"` // the snapshot step
 	LastStep  int    `json:"last_step,omitempty"`
 	Status    string `json:"status"` // "ok", "torn", "corrupt", "stale"
 }
@@ -43,18 +27,16 @@ type Artifact struct {
 // Inventory is the recovery manager's verdict on a run directory.
 type Inventory struct {
 	Artifacts []Artifact `json:"artifacts"`
-	// Checkpoint is the validated checkpoint path ("" if none usable) and
-	// CheckpointStep its step (-1 if none).
-	Checkpoint     string `json:"checkpoint,omitempty"`
-	CheckpointStep int    `json:"checkpoint_step"`
-	// ResumeStep is the newest step recoverable from the consistent
-	// checkpoint + journal-tail pair: the checkpoint step plus the longest
-	// contiguous run of journal steps following it. -1 means no consistent
-	// resume state exists.
+	// SnapshotStep is the step of the log's snapshot frame (-1 if the log is
+	// missing or opens with no intact snapshot).
+	SnapshotStep int `json:"snapshot_step"`
+	// ResumeStep is the newest step recoverable from the log: the snapshot
+	// step plus the longest contiguous run of records following it. -1
+	// means no resumable state exists.
 	ResumeStep int `json:"resume_step"`
 	// Torn lists artifacts whose tail is missing (repairable by truncation),
-	// Damaged those with interior corruption or an unreadable image, and
-	// Stale leftover temp files from an interrupted atomic replace.
+	// Damaged those with interior corruption or no intact snapshot frame,
+	// and Stale leftover temp files from an interrupted atomic replace.
 	Torn    []string `json:"torn,omitempty"`
 	Damaged []string `json:"damaged,omitempty"`
 	Stale   []string `json:"stale,omitempty"`
@@ -66,21 +48,9 @@ func (inv *Inventory) Healthy() bool {
 }
 
 // Unrecoverable reports state that Repair cannot bring back to a resumable
-// condition: journal records exist but no checkpoint validates (the run's
-// progress is stranded), or the checkpoint image itself is damaged.
+// condition: a log whose snapshot frame is damaged.
 func (inv *Inventory) Unrecoverable() bool {
-	if inv.CheckpointStep >= 0 {
-		return false
-	}
-	for _, a := range inv.Artifacts {
-		if a.Kind == "checkpoint" && a.Status != "ok" {
-			return true
-		}
-		if a.Kind == "segment" && a.LastStep > 0 {
-			return true
-		}
-	}
-	return false
+	return inv.SnapshotStep < 0 && len(inv.Damaged) > 0
 }
 
 // TempPath is the hidden sibling used for atomic replacement of path. The
@@ -90,171 +60,62 @@ func TempPath(path string) string {
 	return filepath.Join(Dir(path), "."+filepath.Base(path)+".tmp")
 }
 
-// SegmentPath names the rotated journal segment of base path with sequence
-// seq (seq >= 1).
-func SegmentPath(path string, seq int) string {
-	return fmt.Sprintf("%s.%04d", path, seq)
-}
+// Scan inventories a run's one durable artifact — the log at path — and the
+// atomic-replace leftover it can leave behind, validates the log with scan,
+// and computes the newest resumable step. It never mutates the directory;
+// Repair applies its verdict.
+func Scan(fsys FS, path string, scan ScanLog) (*Inventory, error) {
+	inv := &Inventory{SnapshotStep: -1, ResumeStep: -1}
 
-// segmentSeq parses name as a rotated segment of base, returning its
-// sequence number.
-func segmentSeq(base, name string) (int, bool) {
-	suffix, ok := strings.CutPrefix(name, base+".")
-	if !ok || len(suffix) != 4 {
-		return 0, false
+	// An atomic-replace leftover is stale whatever its content: the rename
+	// that would have committed it never happened.
+	tmp := TempPath(path)
+	if data, err := fsys.ReadFile(tmp); err == nil {
+		inv.Artifacts = append(inv.Artifacts, Artifact{Path: tmp, Kind: "temp", Size: len(data), Status: "stale"})
+		inv.Stale = append(inv.Stale, tmp)
 	}
-	seq, err := strconv.Atoi(suffix)
-	if err != nil || seq <= 0 {
-		return 0, false
-	}
-	return seq, true
-}
 
-// JournalSegments lists the rotated segments of journal base path in
-// ascending sequence order (oldest first). The active segment (path itself)
-// is not included. A missing directory is an empty journal, not an error.
-func JournalSegments(fsys FS, path string) ([]string, error) {
-	names, err := fsys.ReadDir(Dir(path))
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		if NotExist(err) {
-			return nil, nil
+			return inv, nil
 		}
-		return nil, err
+		return nil, fmt.Errorf("store: scan log: %w", err)
 	}
-	base := filepath.Base(path)
-	seqs := make([]int, 0, 4)
-	for _, name := range names {
-		if seq, ok := segmentSeq(base, name); ok {
-			seqs = append(seqs, seq)
-		}
+	a := Artifact{Path: path, Kind: "log", Size: len(data)}
+	steps, validLen, verr := scan(data)
+	a.ValidLen = validLen
+	switch {
+	case verr != nil:
+		a.Status = "corrupt"
+		inv.Damaged = append(inv.Damaged, path)
+	case validLen < len(data):
+		a.Status = "torn"
+		inv.Torn = append(inv.Torn, path)
+	default:
+		a.Status = "ok"
 	}
-	sort.Ints(seqs)
-	segs := make([]string, len(seqs))
-	for i, seq := range seqs {
-		segs[i] = SegmentPath(path, seq)
-	}
-	return segs, nil
-}
-
-// NextSegmentSeq returns the sequence number the active journal should
-// rotate to: one past the newest rotated segment.
-func NextSegmentSeq(fsys FS, path string) (int, error) {
-	segs, err := JournalSegments(fsys, path)
-	if err != nil {
-		return 0, err
-	}
-	if len(segs) == 0 {
-		return 1, nil
-	}
-	seq, _ := segmentSeq(filepath.Base(path), filepath.Base(segs[len(segs)-1]))
-	return seq + 1, nil
-}
-
-// Scan inventories a run's durable artifacts — checkpoint, journal segments,
-// atomic-replace leftovers — validates each with the supplied format
-// callbacks, and computes the newest consistent resume pair. It never
-// mutates the directory; Repair applies its verdict.
-func Scan(fsys FS, lay Layout, v Validators) (*Inventory, error) {
-	inv := &Inventory{CheckpointStep: -1, ResumeStep: -1}
-
-	// Atomic-replace leftovers are stale whatever their content: the rename
-	// that would have committed them never happened.
-	for _, tmp := range tempPaths(lay) {
-		if data, err := fsys.ReadFile(tmp); err == nil {
-			inv.Artifacts = append(inv.Artifacts, Artifact{
-				Path: tmp, Kind: "temp", Size: len(data), Status: "stale",
-			})
-			inv.Stale = append(inv.Stale, tmp)
-		}
-	}
-
-	// Checkpoint.
-	if data, err := fsys.ReadFile(lay.Checkpoint); err == nil {
-		a := Artifact{Path: lay.Checkpoint, Kind: "checkpoint", Size: len(data), ValidLen: len(data)}
-		if step, verr := v.CheckpointStep(data); verr != nil {
-			a.Status = "corrupt"
-			inv.Damaged = append(inv.Damaged, lay.Checkpoint)
-		} else {
-			a.Status = "ok"
-			a.Step = step
-			inv.Checkpoint = lay.Checkpoint
-			inv.CheckpointStep = step
-		}
-		inv.Artifacts = append(inv.Artifacts, a)
-	} else if !NotExist(err) {
-		return nil, fmt.Errorf("store: scan checkpoint: %w", err)
-	}
-
-	// Journal segments, oldest rotation first, active last.
-	segs, err := JournalSegments(fsys, lay.Journal)
-	if err != nil {
-		return nil, fmt.Errorf("store: scan journal: %w", err)
-	}
-	paths := append(segs, lay.Journal)
-	var steps []int // concatenated valid-prefix steps across segments
-	intact := true  // no torn/corrupt segment seen yet
-	for i, path := range paths {
-		data, err := fsys.ReadFile(path)
-		if err != nil {
-			if NotExist(err) {
-				continue
+	if len(steps) > 0 {
+		a.FirstStep, a.LastStep = steps[0], steps[len(steps)-1]
+		inv.SnapshotStep = steps[0]
+		// Records beyond a gap are not consistently reachable from the
+		// snapshot: the resume step stops growing there.
+		t := steps[0]
+		for _, st := range steps[1:] {
+			if st != t+1 {
+				break
 			}
-			return nil, fmt.Errorf("store: scan journal: %w", err)
-		}
-		a := Artifact{Path: path, Kind: "segment", Size: len(data), ValidLen: len(data)}
-		if i < len(segs) {
-			a.Seq, _ = segmentSeq(filepath.Base(lay.Journal), filepath.Base(path))
-		}
-		segSteps, validLen, verr := v.ScanSegment(data)
-		a.ValidLen = validLen
-		if len(segSteps) > 0 {
-			a.FirstStep, a.LastStep = segSteps[0], segSteps[len(segSteps)-1]
-		}
-		switch {
-		case verr != nil:
-			a.Status = "corrupt"
-			inv.Damaged = append(inv.Damaged, path)
-		case validLen < len(data):
-			a.Status = "torn"
-			inv.Torn = append(inv.Torn, path)
-		default:
-			a.Status = "ok"
-		}
-		inv.Artifacts = append(inv.Artifacts, a)
-		// Records after a tear or corruption are gone; anything in later
-		// segments cannot be step-contiguous with the surviving prefix, so
-		// the resume tail stops growing here.
-		if intact {
-			steps = append(steps, segSteps...)
-			if a.Status != "ok" {
-				intact = false
-			}
-		}
-	}
-
-	// The consistent resume pair: the checkpoint step plus the longest
-	// contiguous journal-step run following it. Records at or before the
-	// checkpoint step are already folded into the checkpoint and skipped.
-	if inv.CheckpointStep >= 0 {
-		t := inv.CheckpointStep
-	walk:
-		for _, st := range steps {
-			switch {
-			case st <= t: // folded into the checkpoint (or same-step stage record)
-			case st == t+1:
-				t = st
-			default: // gap: records beyond it are not consistently reachable
-				break walk
-			}
+			t = st
 		}
 		inv.ResumeStep = t
 	}
+	inv.Artifacts = append(inv.Artifacts, a)
 	return inv, nil
 }
 
-// Repair applies Scan's verdict: torn or interior-corrupt journal segments
-// are truncated to their valid prefix (atomic replace), stale temp files are
-// removed. A damaged checkpoint is not touched — that state is
+// Repair applies Scan's verdict: a torn or interior-corrupt log is truncated
+// to its valid prefix (atomic replace), a stale temp file is removed. A log
+// whose snapshot frame is damaged is not touched — that state is
 // Unrecoverable and deleting it is a human's call. Returns the paths
 // modified or removed.
 func Repair(fsys FS, inv *Inventory) ([]string, error) {
@@ -266,7 +127,7 @@ func Repair(fsys FS, inv *Inventory) ([]string, error) {
 				return changed, fmt.Errorf("store: repair: %w", err)
 			}
 			changed = append(changed, a.Path)
-		case a.Kind == "segment" && (a.Status == "torn" || a.Status == "corrupt"):
+		case a.Kind == "log" && a.Status != "ok" && inv.SnapshotStep >= 0:
 			data, err := fsys.ReadFile(a.Path)
 			if err != nil {
 				return changed, fmt.Errorf("store: repair: %w", err)
@@ -281,19 +142,11 @@ func Repair(fsys FS, inv *Inventory) ([]string, error) {
 		}
 	}
 	if len(changed) > 0 {
-		if err := fsys.SyncDir(Dir(inv.dirHint())); err != nil {
+		if err := fsys.SyncDir(Dir(changed[0])); err != nil {
 			return changed, fmt.Errorf("store: repair: %w", err)
 		}
 	}
 	return changed, nil
-}
-
-// dirHint returns a path in the repaired directory for the final SyncDir.
-func (inv *Inventory) dirHint() string {
-	for _, a := range inv.Artifacts {
-		return a.Path
-	}
-	return "."
 }
 
 // WriteFileAtomic writes data to path with the full atomic-replace
@@ -319,13 +172,4 @@ func WriteFileAtomic(fsys FS, path string, data []byte) error {
 		return err
 	}
 	return fsys.SyncDir(Dir(path))
-}
-
-// tempPaths lists the atomic-replace temp names a layout can leave behind.
-func tempPaths(lay Layout) []string {
-	tmps := []string{TempPath(lay.Checkpoint)}
-	if jt := TempPath(lay.Journal); jt != tmps[0] {
-		tmps = append(tmps, jt)
-	}
-	return tmps
 }

@@ -8,38 +8,30 @@ import (
 	"testing"
 )
 
-// Synthetic formats for Scan tests: a checkpoint is "ckpt:<step>", a journal
-// segment is newline-terminated "s<step>" lines. "BAD" is interior
-// corruption; a line without its newline is a torn tail.
-func testValidators() Validators {
-	return Validators{
-		CheckpointStep: func(data []byte) (int, error) {
-			s, ok := strings.CutPrefix(string(data), "ckpt:")
-			if !ok {
-				return 0, fmt.Errorf("not a checkpoint")
-			}
-			return strconv.Atoi(strings.TrimSpace(s))
-		},
-		ScanSegment: func(data []byte) ([]int, int, error) {
-			var steps []int
-			valid := 0
-			for len(data) > 0 {
-				nl := bytes.IndexByte(data, '\n')
-				if nl < 0 {
-					return steps, valid, nil // torn tail
-				}
-				line := string(data[:nl])
-				st, err := strconv.Atoi(strings.TrimPrefix(line, "s"))
-				if err != nil || !strings.HasPrefix(line, "s") {
-					return steps, valid, fmt.Errorf("corrupt record %q", line)
-				}
-				steps = append(steps, st)
-				valid += nl + 1
-				data = data[nl+1:]
-			}
-			return steps, valid, nil
-		},
+// A synthetic log format for Scan tests: newline-terminated "s<step>" lines,
+// the first one the snapshot. "BAD" is corruption; a line without its
+// newline is a torn tail.
+func testScan(data []byte) ([]int, int, error) {
+	var steps []int
+	valid := 0
+	for len(data) > 0 {
+		nl := bytes.IndexByte(data, '\n')
+		if nl < 0 {
+			break // torn tail
+		}
+		line := string(data[:nl])
+		st, err := strconv.Atoi(strings.TrimPrefix(line, "s"))
+		if err != nil || !strings.HasPrefix(line, "s") {
+			return steps, valid, fmt.Errorf("corrupt record %q", line)
+		}
+		steps = append(steps, st)
+		valid += nl + 1
+		data = data[nl+1:]
 	}
+	if len(steps) == 0 {
+		return nil, 0, fmt.Errorf("no snapshot")
+	}
+	return steps, valid, nil
 }
 
 func seg(steps ...int) []byte {
@@ -50,7 +42,7 @@ func seg(steps ...int) []byte {
 	return b.Bytes()
 }
 
-var lay = Layout{Checkpoint: "run.ckpt", Journal: "run.journal"}
+const logPath = "run.wal"
 
 func put(t *testing.T, fs FS, path string, data []byte) {
 	t.Helper()
@@ -60,39 +52,37 @@ func put(t *testing.T, fs FS, path string, data []byte) {
 }
 
 func TestScanEmptyDir(t *testing.T) {
-	inv, err := Scan(NewFaultFS(nil), lay, testValidators())
+	inv, err := Scan(NewFaultFS(nil), logPath, testScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inv.CheckpointStep != -1 || inv.ResumeStep != -1 || !inv.Healthy() || inv.Unrecoverable() {
+	if inv.SnapshotStep != -1 || inv.ResumeStep != -1 || !inv.Healthy() || inv.Unrecoverable() {
 		t.Fatalf("empty dir: %+v", inv)
 	}
 }
 
+// A snapshot followed by contiguous records resumes at the last record.
 func TestScanConsistentPair(t *testing.T) {
 	fs := NewFaultFS(nil)
-	put(t, fs, lay.Checkpoint, []byte("ckpt:4"))
-	put(t, fs, SegmentPath(lay.Journal, 1), seg(1, 2, 3, 4))
-	put(t, fs, lay.Journal, seg(5, 6, 7))
-	inv, err := Scan(fs, lay, testValidators())
+	put(t, fs, logPath, seg(4, 5, 6, 7))
+	inv, err := Scan(fs, logPath, testScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inv.CheckpointStep != 4 || inv.ResumeStep != 7 {
-		t.Fatalf("ckpt=%d resume=%d, want 4/7", inv.CheckpointStep, inv.ResumeStep)
+	if inv.SnapshotStep != 4 || inv.ResumeStep != 7 {
+		t.Fatalf("snapshot=%d resume=%d, want 4/7", inv.SnapshotStep, inv.ResumeStep)
 	}
 	if !inv.Healthy() {
 		t.Fatalf("healthy dir flagged: %+v", inv)
 	}
 }
 
-// A gap after the checkpoint step truncates the resume tail to the
-// contiguous prefix — Scan never selects records beyond the gap.
+// A gap after the snapshot step truncates the resume step to the contiguous
+// prefix — Scan never selects records beyond the gap.
 func TestScanGapTruncatesResume(t *testing.T) {
 	fs := NewFaultFS(nil)
-	put(t, fs, lay.Checkpoint, []byte("ckpt:2"))
-	put(t, fs, lay.Journal, seg(3, 4, 6, 7))
-	inv, err := Scan(fs, lay, testValidators())
+	put(t, fs, logPath, seg(2, 3, 4, 6, 7))
+	inv, err := Scan(fs, logPath, testScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +95,9 @@ func TestScanGapTruncatesResume(t *testing.T) {
 // the rescan is healthy with the same resume step.
 func TestScanTornTailAndRepair(t *testing.T) {
 	fs := NewFaultFS(nil)
-	put(t, fs, lay.Checkpoint, []byte("ckpt:1"))
-	torn := append(seg(2, 3), []byte("s4")...) // record 4 lost its newline
-	put(t, fs, lay.Journal, torn)
-	v := testValidators()
-	inv, err := Scan(fs, lay, v)
+	torn := append(seg(1, 2, 3), []byte("s4")...) // record 4 lost its newline
+	put(t, fs, logPath, torn)
+	inv, err := Scan(fs, logPath, testScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +108,10 @@ func TestScanTornTailAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(changed) != 1 || changed[0] != lay.Journal {
+	if len(changed) != 1 || changed[0] != logPath {
 		t.Fatalf("repair changed %v", changed)
 	}
-	inv2, err := Scan(fs, lay, v)
+	inv2, err := Scan(fs, logPath, testScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,53 +120,57 @@ func TestScanTornTailAndRepair(t *testing.T) {
 	}
 }
 
-// Interior corruption in a rotated segment stops the resume tail before the
-// later segments, even if their steps would continue the sequence.
+// Interior corruption stops the resume step before the records after it,
+// even if their steps would continue the sequence; Repair truncates it.
 func TestScanCorruptSegmentStopsTail(t *testing.T) {
 	fs := NewFaultFS(nil)
-	put(t, fs, lay.Checkpoint, []byte("ckpt:0"))
-	bad := append(seg(1, 2), []byte("BAD\n")...)
-	put(t, fs, SegmentPath(lay.Journal, 1), bad)
-	put(t, fs, lay.Journal, seg(3, 4))
-	inv, err := Scan(fs, lay, testValidators())
+	bad := append(append(seg(0, 1, 2), []byte("BAD\n")...), seg(3, 4)...)
+	put(t, fs, logPath, bad)
+	inv, err := Scan(fs, logPath, testScan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inv.ResumeStep != 2 {
 		t.Fatalf("resume=%d, want 2 (stop at corruption)", inv.ResumeStep)
 	}
-	if len(inv.Damaged) != 1 {
-		t.Fatalf("damaged: %v", inv.Damaged)
-	}
-}
-
-// A corrupt checkpoint with journal records is unrecoverable; Repair leaves
-// the checkpoint alone.
-func TestScanCorruptCheckpointUnrecoverable(t *testing.T) {
-	fs := NewFaultFS(nil)
-	put(t, fs, lay.Checkpoint, []byte("garbage"))
-	put(t, fs, lay.Journal, seg(1, 2))
-	inv, err := Scan(fs, lay, testValidators())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inv.Unrecoverable() {
-		t.Fatalf("corrupt checkpoint not flagged unrecoverable: %+v", inv)
+	if len(inv.Damaged) != 1 || inv.Unrecoverable() {
+		t.Fatalf("damaged: %v, unrecoverable %v", inv.Damaged, inv.Unrecoverable())
 	}
 	if _, err := Repair(fs, inv); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := fs.ReadFile(lay.Checkpoint); !bytes.Equal(got, []byte("garbage")) {
-		t.Fatal("Repair touched the damaged checkpoint")
+	if got, _ := fs.ReadFile(logPath); !bytes.Equal(got, seg(0, 1, 2)) {
+		t.Fatalf("repaired log %q", got)
 	}
 }
 
-// Stale atomic-replace temps are inventoried and removed by Repair.
+// A corrupt snapshot frame with records behind it is unrecoverable; Repair
+// leaves the log alone.
+func TestScanCorruptCheckpointUnrecoverable(t *testing.T) {
+	fs := NewFaultFS(nil)
+	damaged := append([]byte("garbage\n"), seg(1, 2)...)
+	put(t, fs, logPath, damaged)
+	inv, err := Scan(fs, logPath, testScan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inv.Unrecoverable() || inv.ResumeStep != -1 {
+		t.Fatalf("corrupt snapshot not flagged unrecoverable: %+v", inv)
+	}
+	if _, err := Repair(fs, inv); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := fs.ReadFile(logPath); !bytes.Equal(got, damaged) {
+		t.Fatal("Repair touched the damaged snapshot")
+	}
+}
+
+// A stale atomic-replace temp is inventoried and removed by Repair.
 func TestScanStaleTempRemoved(t *testing.T) {
 	fs := NewFaultFS(nil)
-	put(t, fs, lay.Checkpoint, []byte("ckpt:3"))
-	put(t, fs, TempPath(lay.Checkpoint), []byte("half-written"))
-	inv, err := Scan(fs, lay, testValidators())
+	put(t, fs, logPath, seg(3))
+	put(t, fs, TempPath(logPath), []byte("half-written"))
+	inv, err := Scan(fs, logPath, testScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,29 +180,7 @@ func TestScanStaleTempRemoved(t *testing.T) {
 	if _, err := Repair(fs, inv); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.ReadFile(TempPath(lay.Checkpoint)); !NotExist(err) {
+	if _, err := fs.ReadFile(TempPath(logPath)); !NotExist(err) {
 		t.Fatal("stale temp survived repair")
-	}
-}
-
-func TestSegmentNaming(t *testing.T) {
-	fs := NewFaultFS(nil)
-	if seq, err := NextSegmentSeq(fs, lay.Journal); err != nil || seq != 1 {
-		t.Fatalf("empty: seq=%d err=%v", seq, err)
-	}
-	put(t, fs, SegmentPath(lay.Journal, 1), seg(1))
-	put(t, fs, SegmentPath(lay.Journal, 3), seg(3))
-	put(t, fs, lay.Journal, seg(4))
-	put(t, fs, lay.Journal+".junk", []byte("not a segment"))
-	segs, err := JournalSegments(fs, lay.Journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{SegmentPath(lay.Journal, 1), SegmentPath(lay.Journal, 3)}
-	if len(segs) != 2 || segs[0] != want[0] || segs[1] != want[1] {
-		t.Fatalf("segments: %v, want %v", segs, want)
-	}
-	if seq, _ := NextSegmentSeq(fs, lay.Journal); seq != 4 {
-		t.Fatalf("next seq: %d, want 4", seq)
 	}
 }

@@ -1,12 +1,11 @@
 // Package store is the durable-storage layer of the MDM reproduction. The
 // paper's headline runs are multi-hour campaigns (36.5 hours for the 18.8M
-// NaCl system, §5); a lost or corrupt restart file costs the whole campaign,
-// so every durability claim the checkpoint and journal code makes has to be
-// testable. This package provides the seam: a minimal VFS interface with a
-// real implementation (OS) and a deterministic fault-injecting one (FaultFS)
-// driven by the internal/fault scenario DSL, plus a recovery manager (Scan)
-// that inventories a run directory and picks the newest consistent
-// checkpoint/journal resume pair.
+// NaCl system, §5); a lost or corrupt run log costs the whole campaign, so
+// every durability claim the log makes has to be testable. This package
+// provides the seam: a minimal VFS interface with a real implementation (OS)
+// and a deterministic fault-injecting one (FaultFS) driven by the
+// internal/fault scenario DSL, plus a recovery manager (Scan) that
+// inventories a run's log and finds the newest step it can resume.
 //
 // Durability model (what FaultFS simulates and the write paths must respect):
 //
@@ -18,8 +17,8 @@
 //     rename itself is committed by SyncDir.
 //
 // The canonical atomic-replace sequence is therefore Create(tmp) → Write →
-// Sync → Close → Rename(tmp, final) → SyncDir(dir) — the pattern
-// md.WriteCheckpointFS and supervise.CreateJournalFS follow.
+// Sync → Rename(tmp, final) → SyncDir(dir) — the pattern every snapshot
+// commit of the run log (supervise.Journal.Snapshot) follows.
 package store
 
 import (
@@ -47,16 +46,14 @@ var (
 // serving layer maps these to distinct HTTP statuses, so resume failures
 // must stay typed rather than collapsing into one wrapped string.
 var (
-	// ErrNoRunState means neither a checkpoint nor any journal record
-	// exists: there is nothing to resume, and the only recovery is to start
-	// the run over (which is safe — no committed progress is lost, because
-	// none was ever durable).
+	// ErrNoRunState means no run log exists: there is nothing to resume,
+	// and the only recovery is to start the run over (which is safe — no
+	// committed progress is lost, because none was ever durable).
 	ErrNoRunState = errors.New("store: no resumable run state")
-	// ErrStaleRunDir means durable artifacts exist but do not form a
-	// consistent timeline for the configured run — a journal whose steps do
-	// not continue the checkpoint, or journal records stranded without any
-	// validating checkpoint. Resuming would splice two different histories,
-	// so the caller must decide: discard the directory or investigate.
+	// ErrStaleRunDir means the log's records do not form one timeline with
+	// its snapshot — a step record that does not continue the steps before
+	// it. Resuming would splice two different histories, so the caller must
+	// decide: discard the directory or investigate.
 	ErrStaleRunDir = errors.New("store: stale run state")
 )
 
@@ -68,7 +65,7 @@ type File interface {
 	Close() error
 }
 
-// FS is the storage seam the checkpoint and journal layers write through.
+// FS is the storage seam the run log writes through.
 // Implementations: OS() (the real filesystem) and FaultFS (deterministic
 // fault injection). Every path is interpreted by the implementation; the
 // fault one is purely name-keyed, so relative and absolute paths work alike

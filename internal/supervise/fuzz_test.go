@@ -2,19 +2,19 @@ package supervise
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"mdm/internal/store"
 )
 
-// FuzzReadJournal drives the journal reader with arbitrary bytes. It must
-// never panic, never return a record of a foreign version, and anything it
-// accepts must survive a rewrite-and-reread round trip.
+// FuzzReadJournal drives the log reader with arbitrary bytes. It must never
+// panic, never return a frame of a foreign version, and anything it accepts
+// must survive a rewrite-and-reread round trip.
 func FuzzReadJournal(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "seed.wal")
-	j, err := CreateJournalFS(path, Options{})
+	j, err := CreateLogFS(path, Options{}, Record{Step: 0, State: json.RawMessage(`{"l":5.64}`)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -32,21 +32,20 @@ func FuzzReadJournal(f *testing.F) {
 	if err := j.Close(); err != nil {
 		f.Fatal(err)
 	}
-	recs, err := ReadJournalFS(store.OS(), path)
-	if err != nil || len(recs) != 2 {
-		f.Fatalf("seed journal unreadable: %d records, %v", len(recs), err)
-	}
-	seed, err := json.Marshal(recs[0])
+	seed, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(string(seed) + "\n" + string(seed))
-	f.Add(string(seed) + "\n{\"torn")
+	if recs, err := ReadJournal(seed); err != nil || len(recs) != 3 {
+		f.Fatalf("seed log unreadable: %d frames, %v", len(recs), err)
+	}
+	f.Add(string(seed))
+	f.Add(string(seed) + "0badcafe {\"torn")
 	f.Add(`{"version":99,"step":1,"crc32":0}`)
 	f.Add("")
 	f.Add("{}\nnot json at all")
 	f.Fuzz(func(t *testing.T, data string) {
-		recs, err := ReadJournal(strings.Split(data, "\n"))
+		recs, err := ReadJournal([]byte(data))
 		for _, r := range recs {
 			if r.Version != JournalVersion {
 				t.Fatalf("accepted foreign version %d", r.Version)
@@ -55,13 +54,13 @@ func FuzzReadJournal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Re-append what was read: the result must read back identically.
+		// Rewrite what was read: the result must read back identically.
 		path := filepath.Join(t.TempDir(), "rt.wal")
-		j, werr := CreateJournalFS(path, Options{})
+		j, werr := CreateLogFS(path, Options{}, recs[0])
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		for _, r := range recs {
+		for _, r := range recs[1:] {
 			if werr := j.Append(r); werr != nil {
 				t.Fatal(werr)
 			}
@@ -74,11 +73,11 @@ func FuzzReadJournal(f *testing.F) {
 			t.Fatalf("round trip failed: %v", rerr)
 		}
 		if len(back) != len(recs) {
-			t.Fatalf("round trip lost records: %d -> %d", len(recs), len(back))
+			t.Fatalf("round trip lost frames: %d -> %d", len(recs), len(back))
 		}
 		for i := range back {
 			if back[i].Step != recs[i].Step || back[i].Stage != recs[i].Stage {
-				t.Fatalf("record %d changed in round trip", i)
+				t.Fatalf("frame %d changed in round trip", i)
 			}
 		}
 	})

@@ -6,85 +6,138 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 
 	"mdm/internal/store"
 )
 
-// The write-ahead step journal: one JSON record per line, each framed with a
-// CRC-32 over its own encoding and fsynced before the step it describes is
-// considered committed. A checkpoint bounds restart work to -checkpoint-every
-// steps; the journal shrinks that to zero — a kill between checkpoints
-// resumes at the exact journaled step by replaying the tail over the
-// checkpoint. The payload is opaque here (the mdm package owns its format:
-// injector cursor + accumulated recovery report), which keeps this package
+// The run log: the one durable artifact of a run. A log is a file of
+// CRC-framed JSON records, one per line. Its first frame is a snapshot — the
+// complete state at a committed step, the fault injector's cursor and the
+// recovery report — and a step record follows for every step completed
+// since, each fsynced before the step it describes is considered committed.
+// A kill between commits resumes at the exact last committed step by
+// replaying the records over the snapshot. Each commit (Snapshot) atomically
+// replaces the log with a new file that opens with the new snapshot, so a
+// log always opens with one and never outgrows the records of one commit
+// interval. The state and payload are opaque here (internal/md owns the
+// state's format, the mdm package the payload's), which keeps this package
 // free of upward dependencies.
 //
-// The journal is segmented: the path itself is the active segment, and each
-// committed checkpoint turns it over (Turnover) — the active segment rotates
-// to path.NNNN and every rotated segment the checkpoint has made redundant is
-// retired, so the journal no longer grows without bound over a long campaign.
-// All file I/O goes through the store VFS, so every durability claim here is
-// exercised by fault injection: creates are atomic (temp + rename), and a
-// creation or turnover is committed with a directory fsync before any record
-// lands in the new segment.
+// A frame is eight lowercase hex digits of the IEEE CRC-32 of the JSON body,
+// one space, the body, and a newline: the checksum covers exactly the bytes
+// on disk, so the body is encoded once. All file I/O goes through the store
+// VFS, so every durability claim here is exercised by fault injection.
 
-// JournalVersion is the current record format version.
-const JournalVersion = 1
+// JournalVersion is the one format version of the run log. Version 1 was the
+// unframed journal beside a separate checkpoint file; a run directory of that
+// format is refused with ErrJournalVersion, never misread.
+const JournalVersion = 2
 
-// Typed journal failures, matched with errors.Is.
+// Typed log failures, matched with errors.Is.
 var (
-	// ErrJournalCorrupt reports a record that fails its CRC or does not
-	// decode, with valid records after it (a torn final line is tolerated
-	// silently: that is the expected shape of a crash mid-append).
+	// ErrJournalCorrupt reports a frame that fails its CRC or does not
+	// decode, with valid frames after it (a torn final frame is tolerated
+	// silently: that is the expected shape of a crash mid-append), or a log
+	// with no intact snapshot frame to open it.
 	ErrJournalCorrupt = errors.New("supervise: journal record corrupt")
 	// ErrJournalVersion reports a record version this build cannot read.
 	ErrJournalVersion = errors.New("supervise: unsupported journal version")
-	// ErrJournalClosed reports an Append, Sync or Turnover on a journal with
-	// no active segment: it was closed, or a turnover failed after the old
-	// segment was given up and before the new one was committed.
+	// ErrJournalClosed reports an Append or Sync on a journal with no open
+	// log: it was closed, or a commit failed after the old log was given up.
 	ErrJournalClosed = errors.New("supervise: journal closed")
 )
 
-// Record is one committed step.
+// Record is one frame of the log: the opening snapshot, or one committed
+// step.
 type Record struct {
 	Version int `json:"version"`
-	// Step is the simulation step this record commits.
+	// Step is the simulation step this frame commits.
 	Step int `json:"step"`
 	// Stage tags the integration mode of the step ("nvt" or "nve") so a
-	// resume replays the tail under the same ensemble schedule.
+	// resume replays the records under the same ensemble schedule.
 	Stage string `json:"stage,omitempty"`
 	// Cursor is the fault injector's fired-event log as of this step; a
-	// resumed run feeds it to Injector.Consume so one-shot events stay
-	// consumed across the restart.
+	// resumed run feeds the snapshot's to Injector.Consume so one-shot
+	// events stay consumed across the restart.
 	Cursor []string `json:"cursor,omitempty"`
 	// Payload is owned by the caller (mdm stores the accumulated recovery
 	// report here).
 	Payload json.RawMessage `json:"payload,omitempty"`
-	// Checksum is the IEEE CRC-32 of the record's JSON encoding with this
-	// field zeroed.
-	Checksum uint32 `json:"crc32"`
+	// State is the snapshot frame's serialized dynamical state, owned by
+	// the caller (internal/md's EncodeState); step records leave it empty.
+	State json.RawMessage `json:"state,omitempty"`
 }
 
-// recordCRC computes the checksum a record must carry.
-func recordCRC(r Record) (uint32, error) {
-	r.Checksum = 0
-	buf, err := json.Marshal(r)
-	if err != nil {
-		return 0, err
+// frameHead is the length of a frame's CRC prefix: eight hex digits and a
+// space.
+const frameHead = 9
+
+// encodeFrame encodes rec as one frame into the empty buf through enc, an
+// encoder writing to buf, and returns the frame's bytes.
+func encodeFrame(buf *bytes.Buffer, enc *json.Encoder, rec Record) ([]byte, error) {
+	rec.Version = JournalVersion
+	buf.WriteString("00000000 ")
+	if err := enc.Encode(rec); err != nil { // appends the newline
+		return nil, err
 	}
-	return crc32.ChecksumIEEE(buf), nil
+	b := buf.Bytes()
+	crc := crc32.ChecksumIEEE(b[frameHead : len(b)-1])
+	for i := 7; i >= 0; i-- {
+		b[i] = "0123456789abcdef"[crc&0xf]
+		crc >>= 4
+	}
+	return b, nil
+}
+
+// decodeFrame decodes one frame without its newline.
+func decodeFrame(line []byte) (Record, error) {
+	var rec Record
+	if len(line) <= frameHead || line[frameHead-1] != ' ' {
+		return rec, unframed(line)
+	}
+	want, err := strconv.ParseUint(string(line[:frameHead-1]), 16, 32)
+	if err != nil {
+		return rec, unframed(line)
+	}
+	body := line[frameHead:]
+	if crc := crc32.ChecksumIEEE(body); crc != uint32(want) {
+		return rec, fmt.Errorf("%w: crc32 %08x, framed %08x", ErrJournalCorrupt, crc, want)
+	}
+	if err := json.Unmarshal(body, &rec); err != nil {
+		return Record{}, fmt.Errorf("%w: %v", ErrJournalCorrupt, err)
+	}
+	if rec.Version != JournalVersion {
+		return Record{}, fmt.Errorf("%w: %d, want %d", ErrJournalVersion, rec.Version, JournalVersion)
+	}
+	return rec, nil
+}
+
+// unframed classifies a line with no CRC frame: a JSON object with a version
+// is a record of a format that predates the framing (the version-1 journal,
+// the separate checkpoint file) and is refused as such; anything else is
+// damage.
+func unframed(line []byte) error {
+	var v struct {
+		Version *int `json:"version"`
+	}
+	if json.Unmarshal(line, &v) == nil && v.Version != nil {
+		return fmt.Errorf("%w: unframed version-%d record, want framed version %d", ErrJournalVersion, *v.Version, JournalVersion)
+	}
+	return fmt.Errorf("%w: no crc frame", ErrJournalCorrupt)
 }
 
 // Options configures the journal's storage behavior.
 type Options struct {
 	// FS is the storage layer (nil = the real filesystem).
 	FS store.FS
-	// SyncEvery is the group-commit interval: fsync after every Nth append
-	// (<= 1 = every append, the default and the strongest guarantee; larger
-	// values trade the crash-durability of up to N-1 trailing steps for
-	// fewer fsyncs). Every fsync runs on the goroutine that called Append;
-	// mdm.Simulation overlaps it with the next step's force evaluation one
-	// level up. Turnover and Close always flush.
+	// SyncEvery is the group-commit interval: fsync after every Nth step
+	// record (<= 1 = every record, the default and the strongest guarantee;
+	// larger values trade the crash-durability of up to N-1 trailing steps
+	// for fewer fsyncs). Every fsync runs on the goroutine that called
+	// Append; mdm.Simulation overlaps it with the next step's force
+	// evaluation one level up. A snapshot commit supersedes the records
+	// before it, and Close flushes.
 	SyncEvery int
 }
 
@@ -95,82 +148,73 @@ func (o Options) fsys() store.FS {
 	return o.FS
 }
 
-func (o Options) every() int {
-	if o.SyncEvery < 1 {
-		return 1
-	}
-	return o.SyncEvery
-}
-
-// Journal is the append side: an open active segment whose records become
+// Journal is the append side of a run log: an open file whose records become
 // durable at each group-commit fsync. It is not safe for concurrent use, and
 // every Write and Sync it issues runs on the calling goroutine.
 type Journal struct {
 	fs      store.FS
-	f       store.File // nil once closed: every method but Close reports ErrJournalClosed
+	f       store.File // nil once closed: Append and Sync report ErrJournalClosed
 	path    string
 	every   int
-	pending int // appends since the last fsync
+	pending int           // appends since the last fsync
+	buf     bytes.Buffer  // a step record's frame, reused
+	enc     *json.Encoder // encodes into buf
 }
 
-// CreateJournalFS starts a fresh journal: any rotated segments from a
-// previous run are retired and the active segment is replaced atomically
-// (temp file + rename + directory fsync), so a crash during creation leaves
-// the previous run's journal fully intact — never a truncated-in-place file.
+func newJournal(path string, opt Options) *Journal {
+	j := &Journal{fs: opt.fsys(), path: path, every: max(opt.SyncEvery, 1)}
+	j.enc = json.NewEncoder(&j.buf)
+	return j
+}
+
+// CreateLogFS starts a fresh log at path that opens with snap. Like every
+// commit it replaces the file atomically (Snapshot), so a crash during
+// creation leaves a previous log at path fully intact — never a
+// truncated-in-place file.
+func CreateLogFS(path string, opt Options, snap Record) (*Journal, error) {
+	j := newJournal(path, opt)
+	if err := j.Snapshot(snap); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// CreateJournalFS starts a fresh log whose snapshot frame is empty, at step
+// 0: step records with no state to resume from. Only the benchmark's
+// durable-layer replay still calls it; a run creates its log with
+// CreateLogFS.
 func CreateJournalFS(path string, opt Options) (*Journal, error) {
-	fsys := opt.fsys()
-	segs, err := store.JournalSegments(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	for _, seg := range segs {
-		if err := fsys.Remove(seg); err != nil && !store.NotExist(err) {
-			return nil, err
-		}
-	}
-	// One directory fsync (inside the atomic replace) commits the segment
-	// removals and the fresh active segment together.
-	if err := store.WriteFileAtomic(fsys, path, nil); err != nil {
-		return nil, err
-	}
-	f, err := fsys.Append(path)
-	if err != nil {
-		return nil, err
-	}
-	return &Journal{fs: fsys, f: f, path: path, every: opt.every()}, nil
+	return CreateLogFS(path, opt, Record{})
 }
 
-// AppendJournalFS opens an existing journal for appending — the resume
-// path, which must keep the replayed prefix intact.
+// AppendJournalFS opens an existing log for appending — the resume path,
+// which must keep the replayed records intact.
 func AppendJournalFS(path string, opt Options) (*Journal, error) {
-	f, err := opt.fsys().Append(path)
+	j := newJournal(path, opt)
+	f, err := j.fs.Append(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{fs: opt.fsys(), f: f, path: path, every: opt.every()}, nil
+	j.f = f
+	return j, nil
 }
 
-// Path returns the journal's active-segment path.
+// Path returns the log's path.
 func (j *Journal) Path() string { return j.path }
 
-// Append writes one record; it is durable once the group-commit fsync runs
-// (immediately with SyncEvery <= 1).
+// Append writes one step record; it is durable once the group-commit fsync
+// runs (immediately with SyncEvery <= 1). Besides mdm's committer, only the
+// benchmark's durable-layer replay calls it.
 func (j *Journal) Append(r Record) error {
 	if j.f == nil {
 		return ErrJournalClosed
 	}
-	r.Version = JournalVersion
-	crc, err := recordCRC(r)
+	j.buf.Reset()
+	frame, err := encodeFrame(&j.buf, j.enc, r)
 	if err != nil {
 		return err
 	}
-	r.Checksum = crc
-	buf, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if _, err := j.f.Write(buf); err != nil {
+	if _, err := j.f.Write(frame); err != nil {
 		return err
 	}
 	j.pending++
@@ -195,46 +239,79 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Turnover is the journal's half of a checkpoint commit at ckptStep: the
-// active segment rotates to the next path.NNNN name, a fresh active segment
-// replaces it, and every rotated segment the checkpoint covers — normally
-// just the one rotated a moment ago — is retired, all under one directory
-// fsync before any new record lands. The caller has made the checkpoint
-// itself durable first, so a crash anywhere in here leaves either the old
-// segments, which the checkpoint already covers, or the new empty one: no
-// record is retired ahead of its checkpoint. A failure after the old segment
-// was given up leaves the journal closed (ErrJournalClosed from then on).
-func (j *Journal) Turnover(ckptStep int) error {
-	if err := j.Sync(); err != nil {
-		return err
-	}
-	f := j.f
-	j.f = nil
-	if err := f.Close(); err != nil {
-		return err
-	}
-	seq, err := store.NextSegmentSeq(j.fs, j.path)
+// Snapshot commits snap: the log is atomically replaced by a new file that
+// opens with snap's frame, and the records after it append to the new file.
+// The frame goes to the fixed temp sibling (store.TempPath), is fsynced,
+// renamed over the log, and the directory is fsynced — 1 create, 1 write,
+// 2 fsyncs and 1 rename — so a crash anywhere leaves either the old log or
+// the new one, complete. The old log's unsynced records are not flushed
+// first: the snapshot supersedes them. The state is encoded once, into a
+// buffer sized for it. A failure leaves the journal closed
+// (ErrJournalClosed from then on) and the previous log whole on disk.
+func (j *Journal) Snapshot(snap Record) error {
+	var buf bytes.Buffer
+	buf.Grow(frameHead + len(snap.State) + len(snap.Payload) + 256)
+	frame, err := encodeFrame(&buf, json.NewEncoder(&buf), snap)
 	if err != nil {
 		return err
 	}
-	if err := j.fs.Rename(j.path, store.SegmentPath(j.path, seq)); err != nil {
-		return err
+	return j.replace(frame)
+}
+
+// Rewind drops every record after the snapshot frame, with the same atomic
+// commit as Snapshot, and returns the snapshot — the in-place restart's
+// return to the last commit.
+func (j *Journal) Rewind() (Record, error) {
+	data, err := j.fs.ReadFile(j.path)
+	if err != nil {
+		return Record{}, err
 	}
-	if f, err = j.fs.Create(j.path); err != nil {
-		return err
-	}
-	if err = retireCovered(j.fs, j.path, ckptStep); err == nil {
-		err = j.fs.SyncDir(store.Dir(j.path))
+	var snap Record
+	end := 0
+	err = walkLog(data, func(rec Record, e int) bool {
+		snap, end = rec, e
+		return false
+	})
+	if err == nil && end == 0 {
+		err = errNoSnapshot
 	}
 	if err != nil {
-		f.Close()
+		return Record{}, err
+	}
+	return snap, j.replace(data[:end])
+}
+
+// replace atomically replaces the log with one holding frame and keeps the
+// new file open for appending: the handle follows its file through the
+// rename.
+func (j *Journal) replace(frame []byte) error {
+	if f := j.f; f != nil {
+		j.f = nil
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	tmp := store.TempPath(j.path)
+	f, err := j.fs.Create(tmp)
+	if err != nil {
 		return err
 	}
-	j.f = f
+	if _, err = f.Write(frame); err == nil {
+		if err = f.Sync(); err == nil {
+			if err = j.fs.Rename(tmp, j.path); err == nil {
+				err = j.fs.SyncDir(store.Dir(j.path))
+			}
+		}
+	}
+	if err != nil {
+		_ = f.Close()
+		return err
+	}
+	j.f, j.pending = f, 0
 	return nil
 }
 
-// Close flushes pending appends and closes the active segment.
+// Close flushes pending appends and closes the log.
 func (j *Journal) Close() error {
 	if j == nil || j.f == nil {
 		return nil
@@ -248,91 +325,29 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// retireCovered removes every rotated segment whose records all commit steps
-// <= ckptStep (the checkpoint already holds that state). The active segment
-// and anything torn or corrupt are left alone; the caller's directory fsync
-// commits the removals.
-func retireCovered(fsys store.FS, path string, ckptStep int) error {
-	segs, err := store.JournalSegments(fsys, path)
-	if err != nil {
-		return err
-	}
-	for _, seg := range segs {
-		data, err := fsys.ReadFile(seg)
-		if err != nil {
-			if store.NotExist(err) {
-				continue
-			}
-			return err
-		}
-		steps, validLen, serr := ScanSegment(data)
-		if serr != nil || validLen < len(data) {
-			continue
-		}
-		if len(steps) > 0 && steps[len(steps)-1] > ckptStep {
-			continue
-		}
-		if err := fsys.Remove(seg); err != nil && !store.NotExist(err) {
-			return err
-		}
-	}
-	return nil
-}
+// errNoSnapshot reports a log image with no intact frame to open it.
+var errNoSnapshot = fmt.Errorf("%w: no intact snapshot frame", ErrJournalCorrupt)
 
-// Rewind rewrites the active segment keeping only records through step,
-// atomically — the resume path's truncation of uncommitted tail records.
-// Rotated segments are untouched: they predate the checkpoint the resume is
-// built on.
-func Rewind(fsys store.FS, path string, step int) error {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		if store.NotExist(err) {
-			return nil
-		}
-		return err
-	}
-	var keep []byte
-	err = walkSegment(data, func(rec Record, start, end int) bool {
-		if rec.Step > step {
-			return false
-		}
-		keep = append(keep, data[start:end]...)
-		return true
-	})
-	if err != nil && !errors.Is(err, ErrJournalCorrupt) {
-		return err
-	}
-	return store.WriteFileAtomic(fsys, path, keep)
-}
-
-// walkSegment iterates the valid newline-terminated records of a segment
-// image, calling fn with each record and its byte extent; fn returning false
-// stops the walk. It returns ErrJournalCorrupt for damage followed by further
-// content; a torn tail ends the walk silently.
-func walkSegment(data []byte, fn func(rec Record, start, end int) bool) error {
-	off := 0
-	for off < len(data) {
+// walkLog calls fn with each intact frame of a log image and the byte offset
+// just past it; fn returning false stops the walk. It returns
+// ErrJournalVersion at a foreign-version frame and ErrJournalCorrupt for
+// damage followed by further content; a torn or damaged final frame ends the
+// walk silently.
+func walkLog(data []byte, fn func(rec Record, end int) bool) error {
+	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
-			return nil // torn tail: an unterminated final line
+			return nil // torn tail: an unterminated final frame
 		}
-		line := data[off : off+nl]
 		end := off + nl + 1
-		if len(bytes.TrimSpace(line)) == 0 {
-			off = end
-			continue
-		}
-		rec, err := decodeRecord(string(line))
+		rec, err := decodeFrame(data[off : end-1])
 		if err != nil {
-			if errors.Is(err, ErrJournalVersion) {
+			if errors.Is(err, ErrJournalVersion) || len(bytes.TrimSpace(data[end:])) > 0 {
 				return err
 			}
-			if len(bytes.TrimSpace(data[end:])) == 0 {
-				return nil // damaged final record: the shape of a torn append
-			}
-			return err
+			return nil // damaged final frame: the shape of a torn append
 		}
-		if !fn(rec, off, end) {
+		if !fn(rec, end) {
 			return nil
 		}
 		off = end
@@ -340,98 +355,51 @@ func walkSegment(data []byte, fn func(rec Record, start, end int) bool) error {
 	return nil
 }
 
-// ScanSegment validates one segment image for the recovery manager: the
-// steps committed by its valid prefix (one per record, in order), the byte
-// length of that prefix, and a non-nil error only for interior corruption.
-// A torn tail is validLen < len(data) with a nil error.
-func ScanSegment(data []byte) (steps []int, validLen int, err error) {
-	err = walkSegment(data, func(rec Record, start, end int) bool {
-		steps = append(steps, rec.Step)
-		validLen = end
+// readLog decodes a log image's valid prefix: its frames, snapshot first,
+// and its byte length.
+func readLog(data []byte) (recs []Record, validLen int, err error) {
+	err = walkLog(data, func(rec Record, end int) bool {
+		recs, validLen = append(recs, rec), end
 		return true
 	})
+	if err == nil && len(recs) == 0 {
+		err = errNoSnapshot
+	}
+	return recs, validLen, err
+}
+
+// ScanLog validates a log image for the recovery manager (store.ScanLog):
+// the steps of its valid prefix, snapshot first, the byte length of that
+// prefix, and a non-nil error for interior corruption or an image with no
+// intact snapshot frame. A torn tail is validLen < len(data) with a nil
+// error.
+func ScanLog(data []byte) (steps []int, validLen int, err error) {
+	recs, validLen, err := readLog(data)
+	for _, rec := range recs {
+		steps = append(steps, rec.Step)
+	}
 	return steps, validLen, err
 }
 
-// ReadJournal decodes journal lines in order. A torn or corrupt *final*
-// line is dropped silently — that is what a crash mid-append leaves behind —
-// but damage followed by further valid records is real corruption and returns
-// the valid prefix together with ErrJournalCorrupt.
-func ReadJournal(lines []string) ([]Record, error) {
-	var recs []Record
-	for i, line := range lines {
-		if line == "" {
-			continue
-		}
-		rec, err := decodeRecord(line)
-		if err != nil {
-			if i == len(lines)-1 && !errors.Is(err, ErrJournalVersion) {
-				return recs, nil
-			}
-			return recs, err
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
+// ReadJournal decodes a log image: the snapshot frame, then the step records
+// after it. A torn or damaged final frame is dropped silently — that is what
+// a crash mid-append leaves behind — but damage followed by further frames
+// returns the valid prefix together with ErrJournalCorrupt, and so does an
+// image with no intact snapshot frame.
+func ReadJournal(data []byte) ([]Record, error) {
+	recs, _, err := readLog(data)
+	return recs, err
 }
 
-// ReadJournalFS reads a full journal through a store VFS: the records of
-// every rotated segment in rotation order, then the active segment. A torn
-// tail on the last thing read is tolerated; interior corruption — including
-// a torn rotated segment followed by more records — returns the valid prefix
-// with ErrJournalCorrupt. A missing journal is empty.
+// ReadJournalFS reads the log at path through a store VFS (ReadJournal). A
+// missing log is empty.
 func ReadJournalFS(fsys store.FS, path string) ([]Record, error) {
-	segs, err := store.JournalSegments(fsys, path)
+	data, err := fsys.ReadFile(path)
 	if err != nil {
+		if store.NotExist(err) {
+			return nil, nil
+		}
 		return nil, err
 	}
-	paths := append(segs, path)
-	var recs []Record
-	sawDamage := false
-	for _, p := range paths {
-		data, err := fsys.ReadFile(p)
-		if err != nil {
-			if store.NotExist(err) {
-				continue
-			}
-			return recs, err
-		}
-		if sawDamage && len(bytes.TrimSpace(data)) > 0 {
-			return recs, fmt.Errorf("%w: records beyond damaged segment", ErrJournalCorrupt)
-		}
-		consumed := 0
-		walkErr := walkSegment(data, func(rec Record, start, end int) bool {
-			recs = append(recs, rec)
-			consumed = end
-			return true
-		})
-		if walkErr != nil {
-			return recs, walkErr
-		}
-		// A torn tail is only tolerable on the newest data; records in a
-		// later segment would sit beyond lost history.
-		if len(bytes.TrimSpace(data[consumed:])) > 0 {
-			sawDamage = true
-		}
-	}
-	return recs, nil
-}
-
-func decodeRecord(line string) (Record, error) {
-	var rec Record
-	if err := json.Unmarshal([]byte(line), &rec); err != nil {
-		return Record{}, fmt.Errorf("%w: %v", ErrJournalCorrupt, err)
-	}
-	if rec.Version != JournalVersion {
-		return Record{}, fmt.Errorf("%w: %d", ErrJournalVersion, rec.Version)
-	}
-	want := rec.Checksum
-	crc, err := recordCRC(rec)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: %v", ErrJournalCorrupt, err)
-	}
-	if crc != want {
-		return Record{}, fmt.Errorf("%w: crc32 %08x, want %08x", ErrJournalCorrupt, crc, want)
-	}
-	return rec, nil
+	return ReadJournal(data)
 }

@@ -29,17 +29,14 @@ func appendSteps(t *testing.T, j *Journal, steps ...int) {
 	}
 }
 
+// readSteps lists the steps of the records after the log's snapshot frame.
 func readSteps(t *testing.T, fsys store.FS, path string) []int {
 	t.Helper()
 	recs, err := ReadJournalFS(fsys, path)
 	if err != nil {
 		t.Fatalf("ReadJournalFS: %v", err)
 	}
-	steps := make([]int, len(recs))
-	for i, r := range recs {
-		steps[i] = r.Step
-	}
-	return steps
+	return stepsOf(recs)
 }
 
 func eqInts(a, b []int) bool {
@@ -54,93 +51,41 @@ func eqInts(a, b []int) bool {
 	return true
 }
 
-// A turnover behind the segments' steps (checkpoint step 0 covers none of
-// them) only rotates: the active segment moves aside and the full read spans
-// segments.
-func TestJournalRotateAndReadAcrossSegments(t *testing.T) {
+// A snapshot commit replaces the log: the new file opens with the snapshot,
+// the records before it are gone, and the records after it land in the new
+// file — all of it durable once Snapshot returns.
+func TestJournalSnapshotReplacesLog(t *testing.T) {
 	fs := faultFS(t, "")
 	j, err := CreateJournalFS("wal", Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendSteps(t, j, 1, 2)
-	if err := j.Turnover(0); err != nil {
+	if err := j.Snapshot(Record{Step: 2, State: []byte(`{"l":1}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if segs, _ := store.JournalSegments(fs, "wal"); len(segs) != 1 || segs[0] != store.SegmentPath("wal", 1) {
-		t.Fatalf("rotated to %v", segs)
-	}
-	appendSteps(t, j, 3, 4)
-	if err := j.Turnover(0); err != nil {
-		t.Fatal(err)
-	}
-	appendSteps(t, j, 5)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := readSteps(t, fs, "wal"); !eqInts(got, []int{1, 2, 3, 4, 5}) {
-		t.Fatalf("steps across segments: %v", got)
-	}
-	// Everything is durable: the same read works after a crash.
+	appendSteps(t, j, 3)
 	fs.Reboot(nil)
-	if got := readSteps(t, fs, "wal"); !eqInts(got, []int{1, 2, 3, 4, 5}) {
-		t.Fatalf("steps after reboot: %v", got)
+	recs, err := ReadJournalFS(fs, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Step != 2 || string(recs[0].State) != `{"l":1}` || recs[1].Step != 3 {
+		t.Fatalf("log after snapshot and reboot: %+v", recs)
+	}
+	if _, err := fs.ReadFile(store.TempPath("wal")); !store.NotExist(err) {
+		t.Fatalf("temp left behind: %v", err)
 	}
 }
 
-// A turnover retires the rotated segments fully covered by the checkpoint and
-// keeps newer ones, under one directory fsync.
-func TestCompactJournal(t *testing.T) {
-	fs := faultFS(t, "")
-	j, _ := CreateJournalFS("wal", Options{FS: fs})
-	appendSteps(t, j, 1, 2)
-	j.Turnover(0) // wal.0001: steps 1-2
-	appendSteps(t, j, 3, 4)
-	j.Turnover(0) // wal.0002: steps 3-4
-	appendSteps(t, j, 5)
-
-	// Checkpoint at step 2: wal.0001 is covered; wal.0002 and the segment
-	// rotated now (wal.0003: step 5) are not.
-	if err := j.Turnover(2); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := store.JournalSegments(fs, "wal")
-	if len(segs) != 2 || segs[0] != store.SegmentPath("wal", 2) || segs[1] != store.SegmentPath("wal", 3) {
-		t.Fatalf("turnover(2) left segments %v", segs)
-	}
-	if got := readSteps(t, fs, "wal"); !eqInts(got, []int{3, 4, 5}) {
-		t.Fatalf("after turnover: %v", got)
-	}
-	// The removal is durable (the directory fsync ran).
-	fs.Reboot(nil)
-	if _, err := fs.ReadFile(store.SegmentPath("wal", 1)); !store.NotExist(err) {
-		t.Fatalf("retired segment resurrected: %v", err)
-	}
-
-	// Checkpoint at step 5 covers everything: only the empty active segment
-	// remains.
-	j, _ = AppendJournalFS("wal", Options{FS: fs})
-	if err := j.Turnover(5); err != nil {
-		t.Fatal(err)
-	}
-	if segs, _ := store.JournalSegments(fs, "wal"); len(segs) != 0 {
-		t.Fatalf("turnover(5) left segments %v", segs)
-	}
-	appendSteps(t, j, 6)
-	j.Close()
-	if got := readSteps(t, fs, "wal"); !eqInts(got, []int{6}) {
-		t.Fatalf("after full turnover: %v", got)
-	}
-}
-
-// A turnover that fails after giving up the old segment (rename or create
-// refused) leaves the journal without an active segment: every later call is
-// the typed ErrJournalClosed — an error on the commit path, not a nil-handle
-// panic — and Close stays a no-op.
-func TestJournalClosedAfterFailedTurnover(t *testing.T) {
-	// CreateJournalFS spends rename 1 and creates 1-2 (temp file, append
-	// handle): the turnover's Rename is rename 2, its Create is create 3.
-	for _, scenario := range []string{"store:eio@rename=2", "store:eio@create=3"} {
+// A snapshot commit that fails after giving up the old log (create or
+// rename refused) leaves the journal without an open log: every later call
+// is the typed ErrJournalClosed — an error on the commit path, not a
+// nil-handle panic — Close stays a no-op, and the old log is whole.
+func TestJournalClosedAfterFailedSnapshot(t *testing.T) {
+	// CreateJournalFS spends create 1 and rename 1: the snapshot's Create
+	// is create 2, its Rename rename 2.
+	for _, scenario := range []string{"store:eio@rename=2", "store:eio@create=2"} {
 		t.Run(scenario, func(t *testing.T) {
 			fs := faultFS(t, scenario)
 			j, err := CreateJournalFS("wal", Options{FS: fs})
@@ -148,41 +93,35 @@ func TestJournalClosedAfterFailedTurnover(t *testing.T) {
 				t.Fatal(err)
 			}
 			appendSteps(t, j, 1, 2)
-			if err := j.Turnover(2); !errors.Is(err, store.ErrIO) {
-				t.Fatalf("turnover under %s: %v, want ErrIO", scenario, err)
+			if err := j.Snapshot(Record{Step: 2}); !errors.Is(err, store.ErrIO) {
+				t.Fatalf("snapshot under %s: %v, want ErrIO", scenario, err)
 			}
 			if err := j.Append(Record{Step: 3}); !errors.Is(err, ErrJournalClosed) {
-				t.Fatalf("Append after failed turnover: %v, want ErrJournalClosed", err)
+				t.Fatalf("Append after failed snapshot: %v, want ErrJournalClosed", err)
 			}
 			if err := j.Sync(); !errors.Is(err, ErrJournalClosed) {
-				t.Fatalf("Sync after failed turnover: %v, want ErrJournalClosed", err)
-			}
-			if err := j.Turnover(2); !errors.Is(err, ErrJournalClosed) {
-				t.Fatalf("Turnover after failed turnover: %v, want ErrJournalClosed", err)
+				t.Fatalf("Sync after failed snapshot: %v, want ErrJournalClosed", err)
 			}
 			if err := j.Close(); err != nil {
-				t.Fatalf("Close after failed turnover: %v", err)
+				t.Fatalf("Close after failed snapshot: %v", err)
 			}
 			// Nothing committed was lost: both records are still readable.
 			if got := readSteps(t, fs, "wal"); !eqInts(got, []int{1, 2}) {
-				t.Fatalf("records after failed turnover: %v", got)
+				t.Fatalf("records after failed snapshot: %v", got)
 			}
 		})
 	}
 }
 
-// A fresh CreateJournalFS retires a previous run's rotated segments, and a
-// crash during creation leaves the previous journal intact.
+// A crash during CreateJournalFS leaves the previous log intact.
 func TestCreateJournalCrashSafe(t *testing.T) {
 	fs := faultFS(t, "")
 	j, _ := CreateJournalFS("wal", Options{FS: fs})
-	appendSteps(t, j, 1)
-	j.Turnover(0)
-	appendSteps(t, j, 2)
+	appendSteps(t, j, 1, 2)
 	j.Close()
 
-	// Crash at the rename that would commit the new empty journal: the old
-	// run's records must survive to the durable view.
+	// Crash at the rename that would commit the new log: the old run's
+	// records must survive to the durable view.
 	in, err := fault.ParseInjector("store:crash-before-rename@rename=1")
 	if err != nil {
 		t.Fatal(err)
@@ -193,19 +132,15 @@ func TestCreateJournalCrashSafe(t *testing.T) {
 	}
 	fs.Reboot(nil)
 	if got := readSteps(t, fs, "wal"); !eqInts(got, []int{1, 2}) {
-		t.Fatalf("old journal damaged by crashed create: %v\n%s", got, fs.Dump())
+		t.Fatalf("old log damaged by crashed create: %v\n%s", got, fs.Dump())
 	}
 
-	// A clean re-create starts empty and retires the stale segment.
+	// A clean re-create holds only its snapshot.
 	if _, err := CreateJournalFS("wal", Options{FS: fs}); err != nil {
 		t.Fatal(err)
 	}
 	if got := readSteps(t, fs, "wal"); len(got) != 0 {
-		t.Fatalf("fresh journal not empty: %v", got)
-	}
-	segs, _ := store.JournalSegments(fs, "wal")
-	if len(segs) != 0 {
-		t.Fatalf("stale segments survived create: %v", segs)
+		t.Fatalf("fresh log holds records: %v", got)
 	}
 }
 
@@ -243,24 +178,23 @@ func TestJournalCloseFlushes(t *testing.T) {
 	}
 }
 
-// Rewind truncates the active segment after step, atomically, leaving
-// rotated segments alone.
+// Rewind drops the records after the snapshot, atomically, and returns the
+// snapshot; the log stays open for the records of the restarted timeline.
 func TestRewindActiveSegment(t *testing.T) {
 	fs := faultFS(t, "")
-	j, _ := CreateJournalFS("wal", Options{FS: fs})
-	appendSteps(t, j, 1, 2)
-	j.Turnover(0)
+	j, _ := CreateLogFS("wal", Options{FS: fs}, Record{Step: 2, State: []byte(`{"l":1}`)})
 	appendSteps(t, j, 3, 4, 5)
-	j.Close()
-	if err := Rewind(fs, "wal", 3); err != nil {
+	snap, err := j.Rewind()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := readSteps(t, fs, "wal"); !eqInts(got, []int{1, 2, 3}) {
-		t.Fatalf("after rewind: %v", got)
+	if snap.Step != 2 || string(snap.State) != `{"l":1}` {
+		t.Fatalf("rewind returned %+v", snap)
 	}
+	appendSteps(t, j, 3)
 	fs.Reboot(nil)
-	if got := readSteps(t, fs, "wal"); !eqInts(got, []int{1, 2, 3}) {
-		t.Fatalf("rewind not durable: %v", got)
+	if got := readSteps(t, fs, "wal"); !eqInts(got, []int{3}) {
+		t.Fatalf("after rewind and reboot: %v", got)
 	}
 }
 
@@ -288,7 +222,7 @@ func TestReadJournalFSBitRot(t *testing.T) {
 	j, _ := CreateJournalFS("wal", Options{FS: fs})
 	appendSteps(t, j, 1, 2, 3)
 	j.Close()
-	// Corrupt a byte in the first record: damage followed by valid records.
+	// Corrupt a byte in the snapshot frame: damage followed by valid records.
 	in, err := fault.ParseInjector("store:bitrot@read=1,offset=10")
 	if err != nil {
 		t.Fatal(err)

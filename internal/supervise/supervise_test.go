@@ -1,11 +1,13 @@
 package supervise
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -217,16 +219,19 @@ func TestBreakerSetQuarantineFlow(t *testing.T) {
 
 func journalPath(t *testing.T) string {
 	t.Helper()
-	return filepath.Join(t.TempDir(), "run.journal")
+	return filepath.Join(t.TempDir(), "run.wal")
 }
 
+// A log reads back as its snapshot frame — state, cursor and payload
+// included — followed by its step records.
 func TestJournalRoundTrip(t *testing.T) {
 	path := journalPath(t)
-	j, err := CreateJournalFS(path, Options{})
+	payload, _ := json.Marshal(map[string]int{"steps": 3})
+	snap := Record{Step: 0, Cursor: []string{"step 0: none"}, Payload: payload, State: json.RawMessage(`{"l":5.64}`)}
+	j, err := CreateLogFS(path, Options{}, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _ := json.Marshal(map[string]int{"steps": 3})
 	want := []Record{
 		{Step: 1, Stage: "nvt", Cursor: []string{"step 1: mdg:transient@step=1"}},
 		{Step: 2, Stage: "nvt"},
@@ -244,24 +249,36 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("read %d records, want %d", len(got), len(want))
+	if len(got) != len(want)+1 {
+		t.Fatalf("read %d frames, want %d", len(got), len(want)+1)
 	}
-	for i, r := range got {
+	if string(got[0].State) != string(snap.State) || string(got[0].Payload) != string(payload) || got[0].Cursor[0] != snap.Cursor[0] {
+		t.Errorf("snapshot frame = %+v, want %+v", got[0], snap)
+	}
+	for i, r := range got[1:] {
 		if r.Step != want[i].Step || r.Stage != want[i].Stage {
 			t.Errorf("record %d = step %d stage %q, want step %d stage %q",
 				i, r.Step, r.Stage, want[i].Step, want[i].Stage)
 		}
-		if r.Version != JournalVersion || r.Checksum == 0 {
-			t.Errorf("record %d: version %d checksum %08x", i, r.Version, r.Checksum)
+		if r.Version != JournalVersion {
+			t.Errorf("record %d: version %d", i, r.Version)
 		}
 	}
-	if got[0].Cursor[0] != want[0].Cursor[0] {
-		t.Errorf("cursor = %v", got[0].Cursor)
+	if got[1].Cursor[0] != want[0].Cursor[0] {
+		t.Errorf("cursor = %v", got[1].Cursor)
 	}
-	if string(got[2].Payload) != string(payload) {
-		t.Errorf("payload = %s", got[2].Payload)
+	if string(got[3].Payload) != string(payload) {
+		t.Errorf("payload = %s", got[3].Payload)
 	}
+}
+
+// stepsOf lists the steps of the records after a log's snapshot frame.
+func stepsOf(recs []Record) []int {
+	var steps []int
+	for _, r := range recs[min(len(recs), 1):] {
+		steps = append(steps, r.Step)
+	}
+	return steps
 }
 
 func TestJournalToleratesTornTail(t *testing.T) {
@@ -273,9 +290,9 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	j.Append(Record{Step: 1})
 	j.Append(Record{Step: 2})
 	j.Close()
-	// A kill mid-append leaves a truncated final line.
+	// A kill mid-append leaves a truncated final frame.
 	buf, _ := os.ReadFile(path)
-	torn := append(buf, []byte(`{"version":1,"step":3,"crc`)...)
+	torn := append(buf, []byte(`0badcafe {"version":2,"step":3,"st`)...)
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +300,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn tail not tolerated: %v", err)
 	}
-	if len(recs) != 2 || recs[1].Step != 2 {
+	if got := stepsOf(recs); len(got) != 2 || got[1] != 2 {
 		t.Fatalf("records = %+v, want steps 1,2", recs)
 	}
 }
@@ -299,33 +316,41 @@ func TestJournalRejectsInteriorCorruption(t *testing.T) {
 	j.Append(Record{Step: 3})
 	j.Close()
 	buf, _ := os.ReadFile(path)
-	lines := strings.Split(strings.TrimRight(string(buf), "\n"), "\n")
-	lines[1] = strings.Replace(lines[1], `"step":2`, `"step":20`, 1) // breaks CRC
-	recs, err := ReadJournal(lines)
+	buf = bytes.Replace(buf, []byte(`"step":2`), []byte(`"step":20`), 1) // breaks the CRC
+	recs, err := ReadJournal(buf)
 	if !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("interior corruption: err = %v, want ErrJournalCorrupt", err)
 	}
-	if len(recs) != 1 || recs[0].Step != 1 {
+	if got := stepsOf(recs); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("valid prefix = %+v, want step 1", recs)
 	}
 }
 
+// A frame of a foreign version is refused, even as the final frame, and so
+// is a run directory of the unframed format the log replaced: the version-1
+// journal record and the separate checkpoint file.
 func TestJournalRejectsUnknownVersion(t *testing.T) {
-	rec := Record{Version: 99, Step: 1}
-	crc, err := recordCRC(rec)
+	var buf bytes.Buffer
+	frame, err := encodeFrame(&buf, json.NewEncoder(&buf), Record{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Checksum = crc
-	buf, _ := json.Marshal(rec)
-	// Even as the final line, a future version must not be dropped silently.
-	if _, err := ReadJournal([]string{string(buf)}); !errors.Is(err, ErrJournalVersion) {
-		t.Fatalf("err = %v, want ErrJournalVersion", err)
+	future := bytes.Replace(frame, []byte(`"version":2`), []byte(`"version":9`), 1)
+	crc := crc32.ChecksumIEEE(future[frameHead : len(future)-1])
+	copy(future, fmt.Sprintf("%08x", crc))
+	for _, data := range [][]byte{
+		future,
+		[]byte(`{"version":1,"step":1,"stage":"nvt","crc32":123}` + "\n"),
+		[]byte(`{"version":2,"l":5.64,"step":7,"pos":[],"crc32":12345}` + "\n"),
+	} {
+		if _, err := ReadJournal(data); !errors.Is(err, ErrJournalVersion) {
+			t.Errorf("%q: err = %v, want ErrJournalVersion", data, err)
+		}
 	}
 }
 
 func TestJournalMissingFileIsEmpty(t *testing.T) {
-	recs, err := ReadJournalFS(store.OS(), filepath.Join(t.TempDir(), "absent.journal"))
+	recs, err := ReadJournalFS(store.OS(), filepath.Join(t.TempDir(), "absent.wal"))
 	if err != nil || recs != nil {
 		t.Fatalf("missing file: recs=%v err=%v", recs, err)
 	}
@@ -343,7 +368,7 @@ func TestAppendJournalPreservesPrefix(t *testing.T) {
 	j2.Append(Record{Step: 2})
 	j2.Close()
 	recs, err := ReadJournalFS(store.OS(), path)
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("recs=%v err=%v, want 2 records", recs, err)
+	if got := stepsOf(recs); err != nil || len(got) != 2 {
+		t.Fatalf("recs=%v err=%v, want 2 records after the snapshot", recs, err)
 	}
 }

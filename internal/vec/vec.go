@@ -29,21 +29,23 @@ func (a V) Add(b V) V { return V{a.X + b.X, a.Y + b.Y, a.Z + b.Z} }
 // Sub returns a - b.
 func (a V) Sub(b V) V { return V{a.X - b.X, a.Y - b.Y, a.Z - b.Z} }
 
-// Scale returns s * a.
-func (a V) Scale(s float64) V { return V{s * a.X, s * a.Y, s * a.Z} }
+// Scale returns s * a. Each product is rounded on its own (the explicit
+// conversion forbids fusing it into a caller's sum, e.g. Add(Scale(…))).
+func (a V) Scale(s float64) V { return V{float64(s * a.X), float64(s * a.Y), float64(s * a.Z)} }
 
 // Neg returns -a.
 func (a V) Neg() V { return V{-a.X, -a.Y, -a.Z} }
 
-// Dot returns the inner product a . b.
-func (a V) Dot(b V) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
+// Dot returns the inner product a . b, each product rounded before the sum.
+func (a V) Dot(b V) float64 { return float64(a.X*b.X) + float64(a.Y*b.Y) + float64(a.Z*b.Z) }
 
-// Cross returns the cross product a x b.
+// Cross returns the cross product a x b, each product rounded before the
+// difference.
 func (a V) Cross(b V) V {
 	return V{
-		a.Y*b.Z - a.Z*b.Y,
-		a.Z*b.X - a.X*b.Z,
-		a.X*b.Y - a.Y*b.X,
+		float64(a.Y*b.Z) - float64(a.Z*b.Y),
+		float64(a.Z*b.X) - float64(a.X*b.Z),
+		float64(a.X*b.Y) - float64(a.Y*b.X),
 	}
 }
 
@@ -105,7 +107,7 @@ func (a V) MinImage(l float64) V {
 }
 
 func minImage1(x, l float64) float64 {
-	x -= l * math.Round(x/l)
+	x -= float64(l * math.Round(x/l))
 	if x < -l/2 {
 		x += l
 	} else if x >= l/2 {

@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"sync"
 	"time"
@@ -43,8 +42,8 @@ import (
 
 // ErrInterrupted reports a run stopped by the interrupt check installed with
 // SetInterrupt. The interrupted step is complete: its state is sampled and,
-// when a journal is configured, durable by the time the run returns, so Run
-// checkpoints it and a later resume continues exactly where the run stopped.
+// when a log is configured, durable by the time the run returns, so Run
+// commits it and a later resume continues exactly where the run stopped.
 var ErrInterrupted = errors.New("mdm: run interrupted")
 
 // Backend selects which engine evaluates forces.
@@ -144,22 +143,21 @@ type Config struct {
 	// disables all of it and costs nothing on the force path.
 	Supervise SuperviseConfig
 
-	// fsys overrides the storage layer for checkpoint and journal I/O (nil =
-	// the real filesystem). Unexported: only in-package tests inject the
+	// fsys overrides the storage layer for the run log's I/O (nil = the real
+	// filesystem). Unexported: only in-package tests inject the
 	// fault filesystem; the public API never leaks internal/store types.
 	fsys store.FS
 }
 
-// SetStoreFS routes the simulation's durable artifacts — journal segments
-// and checkpoints — through an alternate storage layer; nil keeps the real
-// filesystem. The serving daemon (internal/serve) injects its shared
+// SetStoreFS routes the simulation's one durable artifact — its run log —
+// through an alternate storage layer; nil keeps the real filesystem. The serving daemon (internal/serve) injects its shared
 // filesystem here so a whole fleet of sessions lives on one crash-testable
 // store, and chaos suites inject store.FaultFS. The parameter type lives in
 // an internal package on purpose: outside this module only the default OS
 // filesystem is reachable, so the public Config surface stays closed.
 func (c *Config) SetStoreFS(fsys store.FS) { c.fsys = fsys }
 
-// storeFS resolves the storage layer checkpoints and journals write through.
+// storeFS resolves the storage layer the run log writes through.
 func (c Config) storeFS() store.FS {
 	if c.fsys == nil {
 		return store.OS()
@@ -167,7 +165,7 @@ func (c Config) storeFS() store.FS {
 	return c.fsys
 }
 
-// journalOptions resolves the journal's storage options.
+// journalOptions resolves the log's storage options.
 func (c Config) journalOptions() supervise.Options {
 	return supervise.Options{FS: c.storeFS(), SyncEvery: c.Supervise.SyncEvery}
 }
@@ -189,20 +187,24 @@ type SuperviseConfig struct {
 	// succeeds.
 	Watchdog time.Duration
 
-	// Journal is the path of the write-ahead step journal ("" disables
-	// journaling). Every completed step is appended and fsynced before the
-	// run reports it: the fsync of step k overlaps the force evaluation of
-	// step k+1, and every step a RunNVT/RunNVE call ran is durable when the
-	// call returns (as it is on entry to WriteCheckpoint and in Free).
-	// ResumeFromJournal replays the tail over a checkpoint, recovering a
-	// killed run at the exact committed step.
+	// Journal is the path of the run's log, its one durable artifact (""
+	// disables it). The log opens with a snapshot frame — the state at the
+	// last checkpoint commit — and every completed step appends a record
+	// that is fsynced before the run reports the step: the fsync of step k
+	// overlaps the force evaluation of step k+1, and every step a
+	// RunNVT/RunNVE call ran is durable when the call returns (as it is on
+	// entry to WriteCheckpoint and in Free). WriteCheckpoint, which Run
+	// calls every Protocol.Every steps, atomically replaces the log with one
+	// that opens with a new snapshot. ResumeFromJournal replays the records
+	// over the snapshot, recovering a killed run at the exact committed step.
 	Journal string
 
-	// SyncEvery is the journal's group-commit interval: fsync after every
-	// Nth step record (0 or 1 = every record; larger values trade the
-	// durability of up to N-1 trailing steps for fewer fsyncs). While a run
-	// is in progress one more completed step may be awaiting its fsync — the
-	// one overlapping the next force evaluation. Checkpoints always flush.
+	// SyncEvery is the log's group-commit interval: fsync after every Nth
+	// step record (0 or 1 = every record; larger values trade the durability
+	// of up to N-1 trailing steps for fewer fsyncs). While a run is in
+	// progress one more completed step may be awaiting its fsync — the one
+	// overlapping the next force evaluation. A checkpoint commit makes every
+	// step before it durable.
 	SyncEvery int
 }
 
@@ -442,7 +444,13 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	if path := cfg.Supervise.Journal; path != "" {
-		j, err := supervise.CreateJournalFS(path, cfg.journalOptions())
+		// The log opens with the step-0 snapshot: from its creation on, a
+		// run's records always follow a state they can be replayed over.
+		snap, err := sim.snapshot()
+		var j *supervise.Journal
+		if err == nil {
+			j, err = supervise.CreateLogFS(path, cfg.journalOptions(), snap)
+		}
 		if err != nil {
 			_ = sim.Free()
 			return nil, fmt.Errorf("mdm: journal: %w", err)
@@ -452,158 +460,91 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	return sim, nil
 }
 
-// rewindJournal truncates the active journal segment to records through step
-// (atomically, discarding any torn trailing bytes a crash left behind) and
-// reopens it for appending.
-func rewindJournal(cfg Config, path string, step int) (*supervise.Journal, error) {
-	if err := supervise.Rewind(cfg.storeFS(), path, step); err != nil {
-		return nil, fmt.Errorf("mdm: journal: %w", err)
-	}
-	j, err := supervise.AppendJournalFS(path, cfg.journalOptions())
-	if err != nil {
-		return nil, fmt.Errorf("mdm: journal: %w", err)
-	}
-	return j, nil
-}
-
-// ResumeFromJournal rebuilds a run that was killed between checkpoints — the
-// recovery path for a hard kill (power loss, OOM, SIGKILL). The recovery
-// manager (store.Scan) inventories the run's artifacts, repairs crash debris
-// (torn journal tails, stale atomic-replace temps), and picks the newest
-// consistent checkpoint + journal-tail pair; the checkpoint restores the last
-// durable state and the tail replays the steps that committed after it under
-// the original ensemble schedule and fault timeline, yielding the exact
-// pre-kill state bit for bit. cfg must be the original run's Config
-// (including Supervise.Journal and Faults).
-func ResumeFromJournal(cfg Config, ckptPath string) (*Simulation, error) {
+// ResumeFromJournal rebuilds a run that was killed between checkpoint
+// commits — the recovery path for a hard kill (power loss, OOM, SIGKILL).
+// The recovery manager (store.Scan) inventories the run's log and repairs
+// crash debris (a torn tail, a stale atomic-replace temp); the log's
+// snapshot frame restores the state, the fault injector's cursor and the
+// recovery report of the last commit, and its records replay the steps that
+// committed after it under the original ensemble schedule and fault
+// timeline, yielding the exact pre-kill state bit for bit. cfg must be the
+// original run's Config (including Supervise.Journal and Faults).
+func ResumeFromJournal(cfg Config) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.fillDefaults()
-	if cfg.Supervise.Journal == "" {
+	path := cfg.Supervise.Journal
+	if path == "" {
 		return nil, fmt.Errorf("mdm: ResumeFromJournal requires Config.Supervise.Journal")
 	}
 	fsys := cfg.storeFS()
-	lay := store.Layout{Checkpoint: ckptPath, Journal: cfg.Supervise.Journal}
-	inv, err := store.Scan(fsys, lay, storeValidators())
+	inv, err := store.Scan(fsys, path, supervise.ScanLog)
 	if err != nil {
 		return nil, fmt.Errorf("mdm: recovery scan: %w", err)
 	}
-	if len(inv.Artifacts) == 0 {
-		// The run never made anything durable (killed before the first
-		// directory fsync): nothing to resume, restarting from scratch loses
-		// no committed progress.
-		return nil, fmt.Errorf("mdm: resume %s: %w", ckptPath, store.ErrNoRunState)
-	}
-	// Unrecoverable state can look "clean" — journal records with no
-	// checkpoint at all leave nothing torn or damaged — so the verdict
-	// comes before the health check, not inside it.
-	if inv.Unrecoverable() {
-		return nil, fmt.Errorf("mdm: recovery scan: %w", unrecoverableCause(fsys, ckptPath, inv))
-	}
-	if !inv.Healthy() {
-		// Crash debris is the expected shape after a kill: truncate torn
-		// tails, drop stale temps, and take the post-repair verdict.
+	if !inv.Healthy() && !inv.Unrecoverable() {
+		// Crash debris is the expected shape after a kill: truncate a torn
+		// tail, drop a stale temp. A damaged snapshot is left for the read
+		// below to refuse, typed.
 		if _, err := store.Repair(fsys, inv); err != nil {
 			return nil, fmt.Errorf("mdm: recovery repair: %w", err)
 		}
-		if inv, err = store.Scan(fsys, lay, storeValidators()); err != nil {
-			return nil, fmt.Errorf("mdm: recovery scan: %w", err)
-		}
 	}
-	if inv.CheckpointStep < 0 {
-		// Artifacts survived (a freshly created, still-empty journal) but
-		// nothing is committed: no checkpoint, and — since the unrecoverable
-		// verdict above didn't fire — no durable records either. Restarting
-		// from scratch loses no committed progress.
-		return nil, fmt.Errorf("mdm: resume %s: %w", ckptPath, store.ErrNoRunState)
-	}
-	// A checkpoint with no journal file at all (not even an empty active
-	// segment) is not the layout a journaled run leaves behind — rotation
-	// always materializes a fresh segment. Surface the absence as a typed
-	// not-exist rather than silently resuming with an empty tail.
-	hasSegment := false
-	for _, a := range inv.Artifacts {
-		if a.Kind == "segment" {
-			hasSegment = true
-			break
-		}
-	}
-	if !hasSegment {
-		return nil, fmt.Errorf("mdm: journal %s: %w",
-			cfg.Supervise.Journal, &fs.PathError{Op: "open", Path: cfg.Supervise.Journal, Err: fs.ErrNotExist})
-	}
-	sys, step, err := md.ReadCheckpointFS(fsys, ckptPath)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := supervise.ReadJournalFS(fsys, cfg.Supervise.Journal)
+	recs, err := supervise.ReadJournalFS(fsys, path)
 	if err != nil {
 		return nil, fmt.Errorf("mdm: journal: %w", err)
 	}
-	// The replay tail is the contiguous run the scan certified. A committed
-	// record past inv.ResumeStep means the journal holds a timeline disjoint
-	// from the checkpoint's — a leftover from another incarnation of the run
-	// directory. Discarding it would silently lose committed history, so the
-	// directory is refused as stale instead.
-	tail := make([]supervise.Record, 0, len(recs))
-	var at *supervise.Record
-	for i := range recs {
-		switch {
-		case recs[i].Step == step:
-			at = &recs[i]
-		case recs[i].Step > step && recs[i].Step <= inv.ResumeStep:
-			tail = append(tail, recs[i])
-		case recs[i].Step > inv.ResumeStep:
-			return nil, fmt.Errorf("mdm: journal: committed step %d is unreachable from checkpoint step %d: %w",
-				recs[i].Step, step, store.ErrStaleRunDir)
+	if len(recs) == 0 {
+		// No log: the run never committed its creation, so restarting from
+		// scratch loses no committed progress.
+		return nil, fmt.Errorf("mdm: resume %s: %w", path, store.ErrNoRunState)
+	}
+	snap, tail := recs[0], recs[1:]
+	// The records must continue the snapshot step by step. One that does
+	// not is a timeline disjoint from the snapshot's — a leftover from
+	// another incarnation of the run directory. Discarding it would silently
+	// lose committed history, so the directory is refused as stale instead.
+	for i, rec := range tail {
+		if rec.Step != snap.Step+i+1 {
+			return nil, fmt.Errorf("mdm: journal: step %d follows snapshot step %d non-contiguously: %w",
+				rec.Step, snap.Step, store.ErrStaleRunDir)
 		}
 	}
-	for i := range tail {
-		if tail[i].Step != step+i+1 {
-			return nil, fmt.Errorf("mdm: journal: step %d follows checkpoint step %d non-contiguously: %w",
-				tail[i].Step, step, store.ErrStaleRunDir)
-		}
+	sys, err := md.DecodeState(snap.State)
+	if err != nil {
+		return nil, fmt.Errorf("mdm: journal: %w", err)
 	}
-	// Rebuild the fault schedule and consume the events the journal says had
-	// fired by the checkpoint; events after it refire during replay exactly
-	// as they did originally.
+	// Rebuild the fault schedule and consume the events that had fired by
+	// the snapshot; events after it refire during replay exactly as they
+	// did originally.
 	var in *fault.Injector
 	if cfg.Faults != "" {
-		in, err = fault.ParseInjector(cfg.Faults)
-		if err != nil {
+		if in, err = fault.ParseInjector(cfg.Faults); err != nil {
 			return nil, fmt.Errorf("mdm: fault scenario: %w", err)
 		}
-		if at != nil {
-			in.Consume(at.Cursor)
-		}
+		in.Consume(snap.Cursor)
 	}
-	sim, err := newSimulation(cfg, sys, step, in)
+	sim, err := newSimulation(cfg, sys, snap.Step, in)
 	if err != nil {
 		return nil, err
 	}
-	if sim.resilient != nil && at != nil && len(at.Payload) > 0 {
+	if sim.resilient != nil && len(snap.Payload) > 0 {
 		var rep FaultReport
-		if err := json.Unmarshal(at.Payload, &rep); err != nil {
+		if err := json.Unmarshal(snap.Payload, &rep); err != nil {
 			_ = sim.Free()
 			return nil, fmt.Errorf("mdm: journal payload: %w", err)
 		}
 		sim.resilient.AdoptReport(rep)
 	}
-	// Reopen the journal for appending before the replay; the rewrite drops
-	// any torn trailing bytes while keeping every committed record.
-	lastStep := step
-	if n := len(tail); n > 0 {
-		lastStep = tail[n-1].Step
-	}
-	j, err := rewindJournal(cfg, cfg.Supervise.Journal, lastStep)
+	j, err := supervise.AppendJournalFS(path, cfg.journalOptions())
 	if err != nil {
 		_ = sim.Free()
-		return nil, err
+		return nil, fmt.Errorf("mdm: journal: %w", err)
 	}
 	sim.attachJournal(j)
-	// Replay the tail, grouped into runs of the journaled ensemble stages.
-	// Journaling stays off: these records are already durable.
+	// Replay the records, grouped into runs of the journaled ensemble
+	// stages. Journaling stays off: these records are already durable.
 	sim.replaying = true
 	for i := 0; i < len(tail); {
 		k := i + 1
@@ -625,56 +566,38 @@ func ResumeFromJournal(cfg Config, ckptPath string) (*Simulation, error) {
 	return sim, nil
 }
 
-// unrecoverableCause turns an unrecoverable scan verdict into its typed
-// cause: a damaged checkpoint surfaces the checkpoint reader's own error
-// (ErrCheckpointCorrupt / ErrCheckpointTruncated / ErrCheckpointVersion from
-// internal/md), and journal records stranded without a validating checkpoint
-// surface store.ErrStaleRunDir — the directory holds history this run cannot
-// splice onto. The serving layer maps the two to distinct HTTP statuses.
-func unrecoverableCause(fsys store.FS, ckptPath string, inv *store.Inventory) error {
-	for _, a := range inv.Artifacts {
-		if a.Kind == "checkpoint" && a.Status != "ok" {
-			if _, _, err := md.ReadCheckpointFS(fsys, ckptPath); err != nil {
-				return err
-			}
-			break
-		}
+// WriteCheckpoint commits the simulation's current state: the log is
+// atomically replaced by one that opens with a snapshot frame of the state,
+// the step, the injector cursor and the recovery report (file fsync, rename,
+// directory fsync). Any step commit still in flight is joined first, so no
+// step is checkpointed ahead of its record. This is the durable commit point
+// of a run; Run calls it after every segment.
+func (s *Simulation) WriteCheckpoint() error {
+	if s.journal == nil {
+		return fmt.Errorf("mdm: WriteCheckpoint requires Config.Supervise.Journal")
 	}
-	return fmt.Errorf("journal records with no validating checkpoint (damaged: %v): %w",
-		inv.Damaged, store.ErrStaleRunDir)
-}
-
-// storeValidators wires the checkpoint and journal format knowledge into the
-// recovery manager's scan.
-func storeValidators() store.Validators {
-	return store.Validators{
-		CheckpointStep: md.CheckpointStep,
-		ScanSegment:    supervise.ScanSegment,
-	}
-}
-
-// WriteCheckpoint commits the simulation's current state to path with the
-// atomic-replace discipline (file fsync, rename, directory fsync), then turns
-// the write-ahead journal over: the active segment rotates and every segment
-// the now-durable checkpoint made redundant is retired under one more
-// directory fsync — the journal stays bounded over a long campaign instead of
-// growing one record per step forever. Any commit still in flight is joined
-// first, so no step is checkpointed ahead of its journal record. This is the
-// durable commit point of a supervised run; Run calls it after every segment.
-func (s *Simulation) WriteCheckpoint(path string) error {
 	if err := s.commit.join(); err != nil {
 		return err
 	}
-	step := s.Integrator.StepCount()
-	if err := md.WriteCheckpointFS(s.cfg.storeFS(), path, s.System, step); err != nil {
-		return err
+	snap, err := s.snapshot()
+	if err == nil {
+		err = s.journal.Snapshot(snap)
 	}
-	if s.journal != nil {
-		if err := s.journal.Turnover(step); err != nil {
-			return fmt.Errorf("mdm: journal turnover: %w", err)
-		}
+	if err != nil {
+		return fmt.Errorf("mdm: checkpoint: %w", err)
 	}
 	return nil
+}
+
+// snapshot is the snapshot frame of the current step: its step record plus
+// the state, encoded once.
+func (s *Simulation) snapshot() (supervise.Record, error) {
+	rec, err := s.stepRecord()
+	if err != nil {
+		return rec, err
+	}
+	rec.State, err = md.EncodeState(s.System)
+	return rec, err
 }
 
 // Protocol is the schedule Run drives: the paper's §5 run of velocity-scaled
@@ -682,15 +605,13 @@ func (s *Simulation) WriteCheckpoint(path string) error {
 type Protocol struct {
 	NVT, NVE int
 
-	// Checkpoint is the checkpoint path ("" = no checkpoints, and so no
-	// restarts). With a checkpoint, Every bounds a segment to that many
-	// steps; without one, or at 0, a stage is one segment. A segment never
-	// crosses the NVT→NVE boundary.
-	Checkpoint string
-	Every      int
+	// Every bounds a segment to that many steps when the simulation has a
+	// log (Config.Supervise.Journal); without one, or at 0, a stage is one
+	// segment. A segment never crosses the NVT→NVE boundary.
+	Every int
 
 	// Restarts is how many fatal faults Run heals by restarting in place from
-	// the last checkpoint.
+	// the log's snapshot. Without a log there is nothing to restart from.
 	Restarts int
 
 	// AfterNVT, when set, runs once, the first time the step count stands at
@@ -700,19 +621,19 @@ type Protocol struct {
 }
 
 // Run advances the simulation through p from wherever its step count stands
-// — the one driver of mdmsim and the serving daemon. Every segment ends in a
-// checkpoint commit, including the partial segment an interrupt ends, so
-// ErrInterrupted leaves a run that resumes at the step it stopped on. A
-// fault.FatalError is healed, while p.Restarts lasts, by an in-place restart
-// from the last checkpoint, which a run with restarts to spend commits
-// before its first step. A run already at its goal commits the state it
-// stands at. Run returns the restarts it made.
+// — the one driver of mdmsim and the serving daemon. With a log, every
+// segment ends in a checkpoint commit, including the partial segment an
+// interrupt ends, so ErrInterrupted leaves a run that resumes at the step it
+// stopped on, and a fault.FatalError is healed, while p.Restarts lasts, by an
+// in-place restart from the log's snapshot. A run already at its goal
+// commits the state it stands at. Run returns the restarts it made.
 func (s *Simulation) Run(p Protocol) (restarts int, err error) {
+	logged := s.journal != nil
 	commit := func() error {
-		if p.Checkpoint == "" {
+		if !logged {
 			return nil
 		}
-		if err := s.WriteCheckpoint(p.Checkpoint); err != nil {
+		if err := s.WriteCheckpoint(); err != nil {
 			return err
 		}
 		if p.Committed != nil {
@@ -720,7 +641,7 @@ func (s *Simulation) Run(p Protocol) (restarts int, err error) {
 		}
 		return nil
 	}
-	if p.Restarts > 0 || s.Integrator.StepCount() >= p.NVT+p.NVE {
+	if s.Integrator.StepCount() >= p.NVT+p.NVE {
 		if err := commit(); err != nil {
 			return 0, err
 		}
@@ -742,14 +663,14 @@ func (s *Simulation) Run(p Protocol) (restarts int, err error) {
 		if n <= 0 {
 			return restarts, nil
 		}
-		if p.Checkpoint != "" && p.Every > 0 {
+		if logged && p.Every > 0 {
 			n = min(n, p.Every)
 		}
 		runErr := run(n)
 		var fe *fault.FatalError
-		if errors.As(runErr, &fe) && p.Checkpoint != "" && restarts < p.Restarts {
+		if errors.As(runErr, &fe) && logged && restarts < p.Restarts {
 			restarts++
-			if err := s.restart(p.Checkpoint, restarts); err != nil {
+			if err := s.restart(restarts); err != nil {
 				return restarts, fmt.Errorf("mdm: restart after %v: %w", fe, err)
 			}
 			continue
@@ -766,31 +687,26 @@ func (s *Simulation) Run(p Protocol) (restarts int, err error) {
 	}
 }
 
-// restart rebuilds the run in place from the checkpoint at path after its
-// n-th fatal fault. Only the system, engine and integrator are rebuilt, at
-// the checkpoint step; the records and journal records after it are dropped.
-// The injector (its fired events stay consumed, so the fatal does not
-// refire), the interrupt check, the recovery report and the commit counters
-// carry over, so the finished run reads as the uninterrupted one.
-func (s *Simulation) restart(path string, n int) error {
-	sys, step, err := md.ReadCheckpointFS(s.cfg.storeFS(), path)
+// restart rebuilds the run in place from the log's snapshot after its n-th
+// fatal fault. Only the system, engine and integrator are rebuilt, at the
+// snapshot step; the samples and log records after it are dropped, and the
+// restarted timeline re-executes, and re-logs, everything after it. The
+// injector (its fired events stay consumed, so the fatal does not refire),
+// the interrupt check, the recovery report and the commit counters carry
+// over, so the finished run reads as the uninterrupted one.
+func (s *Simulation) restart(n int) error {
+	if err := s.commit.join(); err != nil {
+		return err
+	}
+	snap, err := s.journal.Rewind()
 	if err != nil {
 		return err
 	}
-	if j := s.journal; j != nil {
-		// The restarted timeline re-executes, and re-journals, everything
-		// after the checkpoint. The committer restarts with its counters.
-		commits, stalls := s.CommitStats()
-		s.journal = nil
-		if err := errors.Join(s.commit.stop(), j.Close()); err != nil {
-			return err
-		}
-		if j, err = rewindJournal(s.cfg, j.Path(), step); err != nil {
-			return err
-		}
-		s.attachJournal(j)
-		s.commit.commits, s.commit.stalls = commits, stalls
+	sys, err := md.DecodeState(snap.State)
+	if err != nil {
+		return err
 	}
+	step := snap.Step
 	rep, hasRep := s.FaultReport()
 	if eng := s.engine; eng != nil {
 		s.engine = nil // Free must not release it a second time

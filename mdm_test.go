@@ -100,7 +100,7 @@ func TestConfigCapabilities(t *testing.T) {
 			if verr := c.cfg.Validate(); verr == nil || verr.Error() != err.Error() {
 				t.Errorf("Validate = %v, NewSimulation = %v", verr, err)
 			}
-			if _, rerr := ResumeFromJournal(c.cfg, "unused.ckpt"); rerr == nil || rerr.Error() != err.Error() {
+			if _, rerr := ResumeFromJournal(c.cfg); rerr == nil || rerr.Error() != err.Error() {
 				t.Errorf("ResumeFromJournal = %v, NewSimulation = %v", rerr, err)
 			}
 		})
@@ -191,12 +191,13 @@ func TestResumeKeepsPotentialCadence(t *testing.T) {
 				// A fatal fault in step 17 sends the run back to the
 				// checkpoint Run committed at step 15.
 				cfg.Faults = "run:fatal@step=18"
+				cfg.Supervise.Journal = filepath.Join(t.TempDir(), "run.wal")
 				restarted, err := NewSimulation(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer func() { _ = restarted.Free() }()
-				p := Protocol{NVE: before + after, Checkpoint: filepath.Join(t.TempDir(), "run.ckpt"), Every: before, Restarts: 1}
+				p := Protocol{NVE: before + after, Every: before, Restarts: 1}
 				if n, err := restarted.Run(p); err != nil || n != 1 {
 					t.Fatalf("Run = %d restarts, %v; want 1, nil", n, err)
 				}

@@ -1,19 +1,18 @@
 package mdm
 
 import (
+	"bytes"
 	"errors"
-	"io/fs"
 	"sync"
 	"testing"
 
-	"mdm/internal/md"
 	"mdm/internal/store"
 	"mdm/internal/supervise"
 )
 
 // ResumeFromJournal's failure modes must stay typed — the serving layer maps
 // them to distinct HTTP statuses (nothing durable → restart from scratch;
-// damaged checkpoint → permanent failure; stale directory → operator
+// damaged snapshot → permanent failure; stale directory → operator
 // decision) — so each path is pinned against errors.Is here.
 
 // reTestConfig is a journaled config over a fresh fault-free FaultFS.
@@ -28,7 +27,7 @@ func reTestConfig(fsys store.FS) Config {
 }
 
 // reRun runs a short journaled protocol with a mid-run checkpoint, leaving a
-// consistent checkpoint + journal-tail pair on fsys.
+// log of a step-3 snapshot and records for steps 4 and 5 on fsys.
 func reRun(t *testing.T, fsys store.FS) {
 	t.Helper()
 	sim, err := NewSimulation(reTestConfig(fsys))
@@ -39,7 +38,7 @@ func reRun(t *testing.T, fsys store.FS) {
 	if err := sim.RunNVT(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.WriteCheckpoint("run.ckpt"); err != nil {
+	if err := sim.WriteCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunNVE(2); err != nil {
@@ -51,75 +50,40 @@ func reRun(t *testing.T, fsys store.FS) {
 // the caller may treat as "start the run over, no progress is lost".
 func TestResumeErrorNoRunState(t *testing.T) {
 	fsys := store.NewFaultFS(nil)
-	_, err := ResumeFromJournal(reTestConfig(fsys), "run.ckpt")
+	_, err := ResumeFromJournal(reTestConfig(fsys))
 	if !errors.Is(err, store.ErrNoRunState) {
 		t.Fatalf("resume over empty store: %v, want store.ErrNoRunState", err)
 	}
 }
 
-// A journal exists but the checkpoint file is gone (deleted underfoot, or a
-// different run's layout): missing-file errors must surface as fs.ErrNotExist
-// (store.NotExist recognizes it), not a generic string.
-func TestResumeErrorMissingJournal(t *testing.T) {
-	fsys := store.NewFaultFS(nil)
-	reRun(t, fsys)
-	// Remove the whole journal: active segment and any rotated ones.
-	if err := fsys.Remove("run.wal"); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := store.JournalSegments(fsys, "run.wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range segs {
-		if err := fsys.Remove(seg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fsys.SyncDir("."); err != nil {
-		t.Fatal(err)
-	}
-	_, rerr := ResumeFromJournal(reTestConfig(fsys), "run.ckpt")
-	if rerr == nil {
-		t.Fatal("resume with missing journal succeeded")
-	}
-	if !store.NotExist(rerr) && !errors.Is(rerr, fs.ErrNotExist) {
-		t.Fatalf("missing journal: %v, want fs.ErrNotExist", rerr)
-	}
-}
-
-// A corrupt checkpoint image is unrecoverable: the typed verdict is the
-// checkpoint reader's own md.ErrCheckpointCorrupt, not a scan wrapper.
+// A damaged snapshot frame is unrecoverable: the typed verdict is the log
+// reader's own supervise.ErrJournalCorrupt, not a scan wrapper, and the
+// records behind it are never replayed over another state.
 func TestResumeErrorDamagedCheckpoint(t *testing.T) {
 	fsys := store.NewFaultFS(nil)
 	reRun(t, fsys)
-	// Flip a byte in the middle of the checkpoint image.
-	buf, err := fsys.ReadFile("run.ckpt")
+	// Flip a byte in the middle of the snapshot frame.
+	buf, err := fsys.ReadFile("run.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[len(buf)/2] ^= 0x40
-	if err := store.WriteFileAtomic(fsys, "run.ckpt", buf); err != nil {
+	buf[bytes.IndexByte(buf, '\n')/2] ^= 0x40
+	if err := store.WriteFileAtomic(fsys, "run.wal", buf); err != nil {
 		t.Fatal(err)
 	}
-	// With the checkpoint dead, the journal's records are stranded history:
-	// resume must refuse with the checkpoint's typed corruption error.
-	_, rerr := ResumeFromJournal(reTestConfig(fsys), "run.ckpt")
-	if !errors.Is(rerr, md.ErrCheckpointCorrupt) {
-		t.Fatalf("damaged checkpoint: %v, want md.ErrCheckpointCorrupt", rerr)
+	_, rerr := ResumeFromJournal(reTestConfig(fsys))
+	if !errors.Is(rerr, supervise.ErrJournalCorrupt) {
+		t.Fatalf("damaged snapshot: %v, want supervise.ErrJournalCorrupt", rerr)
 	}
 }
 
-// A journal that does not continue the checkpoint's timeline (here: a
-// leftover journal from an older incarnation whose steps are disjoint from
-// the fresh checkpoint) is a stale run directory: store.ErrStaleRunDir.
+// Records that do not continue the snapshot's timeline (here: steps 7..8
+// after a step-3 snapshot and records 4..5, a hole no replay can cross) are
+// a stale run directory: store.ErrStaleRunDir.
 func TestResumeErrorStaleRunDir(t *testing.T) {
 	fsys := store.NewFaultFS(nil)
 	reRun(t, fsys)
-	// Rewrite the active journal segment with records far past the
-	// checkpoint: a committed step 3 checkpoint followed by steps 7..8 has a
-	// hole no replay can cross.
-	j, err := supervise.CreateJournalFS("run.wal", supervise.Options{FS: fsys})
+	j, err := supervise.AppendJournalFS("run.wal", supervise.Options{FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,26 +95,24 @@ func TestResumeErrorStaleRunDir(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rerr := ResumeFromJournal(reTestConfig(fsys), "run.ckpt")
+	_, rerr := ResumeFromJournal(reTestConfig(fsys))
 	if !errors.Is(rerr, store.ErrStaleRunDir) {
 		t.Fatalf("stale run dir: %v, want store.ErrStaleRunDir", rerr)
 	}
 }
 
-// Journal records with no checkpoint at all are equally stale: progress
-// exists on disk that a fresh start would silently discard.
-func TestResumeErrorStrandedJournal(t *testing.T) {
+// A run directory of the format the one log replaced — an unframed
+// version-1 journal — is refused with the typed version error, never
+// misread as an empty or damaged log.
+func TestResumeErrorOldFormat(t *testing.T) {
 	fsys := store.NewFaultFS(nil)
-	reRun(t, fsys)
-	if err := fsys.Remove("run.ckpt"); err != nil {
+	old := `{"version":1,"step":1,"stage":"nvt","crc32":3735928559}` + "\n"
+	if err := store.WriteFileAtomic(fsys, "run.wal", []byte(old)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fsys.SyncDir("."); err != nil {
-		t.Fatal(err)
-	}
-	_, rerr := ResumeFromJournal(reTestConfig(fsys), "run.ckpt")
-	if !errors.Is(rerr, store.ErrStaleRunDir) {
-		t.Fatalf("stranded journal: %v, want store.ErrStaleRunDir", rerr)
+	_, rerr := ResumeFromJournal(reTestConfig(fsys))
+	if !errors.Is(rerr, supervise.ErrJournalVersion) {
+		t.Fatalf("old-format log: %v, want supervise.ErrJournalVersion", rerr)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"mdm/internal/fault"
-	"mdm/internal/md"
 	"mdm/internal/store"
+	"mdm/internal/supervise"
 )
 
 // A fatal fault healed by an in-place restart leaves the run the clean run
@@ -18,14 +18,16 @@ import (
 func TestRunRestartsInPlace(t *testing.T) {
 	run := func(t *testing.T, faults string) (*Simulation, int, int) {
 		t.Helper()
-		sim, err := NewSimulation(Config{Cells: 2, PotentialEvery: 1, Faults: faults})
+		cfg := Config{Cells: 2, PotentialEvery: 1, Faults: faults}
+		cfg.Supervise.Journal = filepath.Join(t.TempDir(), "run.wal")
+		sim, err := NewSimulation(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = sim.Free() })
 		afterNVT := 0
 		restarts, err := sim.Run(Protocol{
-			NVT: 10, NVE: 20, Checkpoint: filepath.Join(t.TempDir(), "run.ckpt"), Every: 5, Restarts: 1,
+			NVT: 10, NVE: 20, Every: 5, Restarts: 1,
 			AfterNVT: func() error { afterNVT++; return nil },
 		})
 		if err != nil {
@@ -72,18 +74,17 @@ func TestRunRestartsInPlace(t *testing.T) {
 // checkpoint, and the restarted run finishes the full protocol with its
 // recovery history and journal commit counters intact.
 func TestRunProtocolRestartsAfterFatalFault(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "run.ckpt")
+	wal := filepath.Join(t.TempDir(), "run.wal")
 	sim, err := NewSimulation(Config{
 		Cells:     2,
 		Faults:    "run:fatal@step=35",
-		Supervise: SuperviseConfig{Journal: filepath.Join(dir, "run.wal")},
+		Supervise: SuperviseConfig{Journal: wal},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = sim.Free() }()
-	restarts, err := sim.Run(Protocol{NVT: 20, NVE: 40, Checkpoint: ckpt, Every: 10, Restarts: 2})
+	restarts, err := sim.Run(Protocol{NVT: 20, NVE: 40, Every: 10, Restarts: 2})
 	if err != nil {
 		t.Fatalf("protocol did not heal: %v", err)
 	}
@@ -93,13 +94,13 @@ func TestRunProtocolRestartsAfterFatalFault(t *testing.T) {
 	if got := sim.Integrator.StepCount(); got != 60 {
 		t.Errorf("final step = %d, want 60", got)
 	}
-	// The last checkpoint records the completed run.
-	_, step, err := md.ReadCheckpointFS(store.OS(), ckpt)
+	// The last snapshot records the completed run.
+	recs, err := supervise.ReadJournalFS(store.OS(), wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if step != 60 {
-		t.Errorf("checkpoint step = %d, want 60", step)
+	if len(recs) != 1 || recs[0].Step != 60 {
+		t.Errorf("log %+v, want only the step-60 snapshot", recs)
 	}
 	rep, ok := sim.FaultReport()
 	if !ok || rep.Fallback {
@@ -118,7 +119,7 @@ func TestRunProtocolRestartsAfterFatalFault(t *testing.T) {
 	}
 }
 
-// Without a checkpoint there is no restart point: the fatal fault must
+// Without a log there is no checkpoint to restart from: the fatal fault must
 // surface instead of looping.
 func TestRunProtocolFatalWithoutCheckpointFails(t *testing.T) {
 	sim, err := NewSimulation(Config{Cells: 2, Faults: "run:fatal@step=5"})

@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
-	"mdm/internal/md"
 	"mdm/internal/store"
 	"mdm/internal/supervise"
 )
@@ -29,9 +29,9 @@ func runJournaled(t *testing.T, cfg Config, nvt, nve int) *Simulation {
 	return sim
 }
 
-// A run killed between checkpoints must resume from checkpoint + journal at
-// the exact committed step and finish bit-identical to a run that was never
-// interrupted — the central durability claim of the write-ahead journal.
+// A run killed between checkpoints must resume from the log's snapshot and
+// records at the exact committed step and finish bit-identical to a run that
+// was never interrupted — the central durability claim of the run log.
 func TestJournalKillResumeBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	base := Config{
@@ -51,7 +51,6 @@ func TestJournalKillResumeBitIdentical(t *testing.T) {
 	// past the NVT segment), then "die" without any further checkpoint.
 	cfg := base
 	cfg.Supervise.Journal = filepath.Join(dir, "b.wal")
-	ckpt := filepath.Join(dir, "b.ckpt")
 	victim, err := NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func TestJournalKillResumeBitIdentical(t *testing.T) {
 	if err := victim.RunNVT(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCheckpoint(ckpt, victim); err != nil {
+	if err := victim.WriteCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := victim.RunNVT(3); err != nil {
@@ -74,8 +73,8 @@ func TestJournalKillResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resume replays steps 4-8 from the journal over the checkpoint…
-	resumed, err := ResumeFromJournal(cfg, ckpt)
+	// Resume replays steps 4-8 from the log over its snapshot…
+	resumed, err := ResumeFromJournal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,27 +104,71 @@ func TestJournalKillResumeBitIdentical(t *testing.T) {
 		t.Errorf("resumed fault report: ok=%v %+v, want exactly 1 retry", ok, rep)
 	}
 
-	// The journal now holds the full contiguous timeline exactly once.
+	// The log now holds the step-3 snapshot and every step after it exactly
+	// once.
 	recs, err := supervise.ReadJournalFS(store.OS(), cfg.Supervise.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 12 {
-		t.Fatalf("journal has %d records, want 12", len(recs))
+	if len(recs) != 10 {
+		t.Fatalf("log has %d frames, want 10", len(recs))
 	}
 	for i, r := range recs {
-		if r.Step != i+1 {
-			t.Fatalf("journal record %d commits step %d, want %d", i, r.Step, i+1)
+		if r.Step != i+3 {
+			t.Fatalf("log frame %d commits step %d, want %d", i, r.Step, i+3)
 		}
 	}
-	if recs[5].Stage != "nvt" || recs[6].Stage != "nve" {
-		t.Errorf("stage boundary wrong: step 6 %q, step 7 %q", recs[5].Stage, recs[6].Stage)
+	if recs[3].Stage != "nvt" || recs[4].Stage != "nve" {
+		t.Errorf("stage boundary wrong: step 6 %q, step 7 %q", recs[3].Stage, recs[4].Stage)
 	}
 }
 
-// writeCheckpoint mirrors what mdmsim's periodic checkpointing does.
-func writeCheckpoint(path string, sim *Simulation) error {
-	return md.WriteCheckpointFS(store.OS(), path, sim.System, sim.Integrator.StepCount())
+// A resume restores the recovery state of the last checkpoint commit: the
+// report's retries and events, and the one-shot events that already fired,
+// whether keyed by step or by hardware call. So a run killed after
+// WriteCheckpoint and resumed reports exactly what the uninterrupted run
+// reports.
+func TestResumeKeepsFaultReport(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		Cells:     2,
+		Faults:    "mdg:transient@step=2; mdg:transient@call=3; mdg:transient@step=7",
+		Supervise: SuperviseConfig{Journal: filepath.Join(dir, "ref.wal")},
+	}
+	ref := runJournaled(t, cfg, 8, 0)
+	defer func() { _ = ref.Free() }()
+	want, _ := ref.FaultReport()
+
+	cfg.Supervise.Journal = filepath.Join(dir, "victim.wal")
+	victim, err := NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.RunNVT(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.WriteCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.RunNVT(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Free(); err != nil { // the kill, at step 6
+		t.Fatal(err)
+	}
+	resumed, err := ResumeFromJournal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resumed.Free() }()
+	if err := resumed.RunNVT(2); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := resumed.FaultReport()
+	if want.Retries != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed report: %d retries, events %q\nuninterrupted: %d retries, events %q (want 3)",
+			got.Retries, got.Events, want.Retries, want.Events)
+	}
 }
 
 // A torn final journal line — the on-disk shape of a kill mid-append — must
@@ -136,7 +179,6 @@ func TestJournalResumeToleratesTornTail(t *testing.T) {
 		Cells:     2,
 		Supervise: SuperviseConfig{Journal: filepath.Join(dir, "run.wal")},
 	}
-	ckpt := filepath.Join(dir, "run.ckpt")
 	sim, err := NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +186,7 @@ func TestJournalResumeToleratesTornTail(t *testing.T) {
 	if err := sim.RunNVT(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCheckpoint(ckpt, sim); err != nil {
+	if err := sim.WriteCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunNVT(3); err != nil {
@@ -162,7 +204,7 @@ func TestJournalResumeToleratesTornTail(t *testing.T) {
 	if err := os.WriteFile(cfg.Supervise.Journal, buf[:len(buf)-25], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeFromJournal(cfg, ckpt)
+	resumed, err := ResumeFromJournal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +223,12 @@ func TestJournalResumeToleratesTornTail(t *testing.T) {
 		}
 	}
 	// The re-executed step was re-journaled: the file ends with a valid
-	// record for step 5 again.
+	// record for step 5 again, after the step-2 snapshot and steps 3, 4.
 	recs, err := supervise.ReadJournalFS(store.OS(), cfg.Supervise.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 5 || recs[4].Step != 5 {
+	if len(recs) != 4 || recs[3].Step != 5 {
 		t.Fatalf("journal not repaired: %d records, last step %d", len(recs), recs[len(recs)-1].Step)
 	}
 }
@@ -200,7 +242,7 @@ func flatten(sim *Simulation) [][3]float64 {
 }
 
 // An interrupted run stops on a committed step with ErrInterrupted, and the
-// journal's last record is exactly that step.
+// log's last record is exactly that step.
 func TestInterruptStopsOnCommittedStep(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
@@ -231,8 +273,8 @@ func TestInterruptStopsOnCommittedStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 || recs[2].Step != 3 {
-		t.Fatalf("journal: %d records, want 3 ending at step 3", len(recs))
+	if len(recs) != 4 || recs[3].Step != 3 {
+		t.Fatalf("log: %d frames, want the snapshot and 3 records ending at step 3", len(recs))
 	}
 }
 
@@ -253,17 +295,17 @@ func TestJournalPayloadCarriesFaultReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("journal has %d records, want 3", len(recs))
+	if len(recs) != 4 {
+		t.Fatalf("log has %d frames, want the snapshot and 3 records", len(recs))
 	}
 	var rep FaultReport
-	if err := json.Unmarshal(recs[2].Payload, &rep); err != nil {
+	if err := json.Unmarshal(recs[3].Payload, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Retries != 1 {
 		t.Errorf("journaled report: %+v, want the step-2 retry", rep)
 	}
-	if len(recs[2].Cursor) == 0 {
+	if len(recs[3].Cursor) == 0 {
 		t.Error("journaled cursor empty: fired events would refire on resume")
 	}
 }
