@@ -12,7 +12,8 @@
 // -checkpoint-every steps the log is atomically replaced by one that opens
 // with a snapshot of the state. With a log the run restarts in place from
 // the snapshot after a fatal host fault, and -resume recovers a killed run
-// at the exact committed step:
+// at the exact committed step (bit for bit at -skin 0; a skin's fresh layout
+// moves the bits at rounding level):
 //
 //	mdmsim -faults "wine2:board-drop@step=60,board=2; run:fatal@step=90" \
 //	       -journal run.wal -checkpoint-every 25
@@ -148,7 +149,7 @@ func run(args []string) (exit int) {
 	watchdog := flags.Duration("watchdog", 0, "stall deadline for one hardware call, e.g. 30s (0 disables the watchdog)")
 	journal := flags.String("journal", "", "run log path: a checkpoint snapshot every -checkpoint-every steps plus a record per step (enables restarts after fatal faults and -resume after a kill); a step's record is durable before the run reports the step — its fsync overlaps the next step's force evaluation and is joined at every checkpoint, interrupt and exit")
 	syncEvery := flags.Int("sync-every", 1, "log group-commit interval: fsync every Nth step record (1 = every step, the strongest durability; N > 1 risks the last N-1 steps on a power cut, plus the one step whose fsync is in flight while the run computes)")
-	resume := flags.Bool("resume", false, "resume a killed run from the -journal log at the exact committed step")
+	resume := flags.Bool("resume", false, "resume a killed run from the -journal log at the exact committed step (bit for bit at -skin 0)")
 	summaryPath := flags.String("summary", "", "write a machine-readable JSON run summary to this file")
 	cpuprofile := flags.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flags.String("memprofile", "", "write a heap profile to this file on exit")

@@ -165,17 +165,17 @@ type reach struct {
 // 10u(L + skin) in all, as r_c ≤ L. Every float64 rounding — the sort's cell
 // test, Refresh, a float64 walk and this test itself — is ~10⁻⁹ of that.
 // 2⁻²⁰(L + skin) = 16u(L + skin) covers both.
-func (g *Grid) reachSlack() float64 { return 0x1p-20 * (g.L + g.Skin) }
+func (g *Grid) reachSlack() float64 { return float64(0x1p-20 * (g.L + g.Skin)) }
 
 // reachOf returns cell c's reach.
 func (g *Grid) reachOf(c int) reach {
-	w := g.Skin/2 + g.reachSlack()
+	w := float64(g.Skin/2) + g.reachSlack()
 	cx, cy, cz := g.Coords(c)
 	r := reach{cut2: g.Cutoff * g.Cutoff}
 	for a, ca := range [3]int{cx, cy, cz} {
 		for d := range 3 {
-			r.lo[a][d] = float64(ca+d-1)*g.CellSize - w
-			r.hi[a][d] = float64(ca+d)*g.CellSize + w
+			r.lo[a][d] = float64(float64(ca+d-1)*g.CellSize) - w
+			r.hi[a][d] = float64(float64(ca+d)*g.CellSize) + w
 		}
 	}
 	return r
@@ -190,7 +190,7 @@ func (r *reach) gap2(a, d int, x float64) float64 {
 	if x > r.hi[a][d] {
 		g = x - r.hi[a][d]
 	}
-	return g * g
+	return float64(g * g)
 }
 
 // reaches reports whether neighbour entry e's box lies within the cutoff of
@@ -472,9 +472,9 @@ func (s *Sorted) Refresh(pos []vec.V) {
 	l := s.Grid.L
 	for k, orig := range s.Order {
 		p := pos[orig]
-		p.X -= l * math.Round((p.X-s.Pos.X[k])/l)
-		p.Y -= l * math.Round((p.Y-s.Pos.Y[k])/l)
-		p.Z -= l * math.Round((p.Z-s.Pos.Z[k])/l)
+		p.X -= float64(l * math.Round((p.X-s.Pos.X[k])/l))
+		p.Y -= float64(l * math.Round((p.Y-s.Pos.Y[k])/l))
+		p.Z -= float64(l * math.Round((p.Z-s.Pos.Z[k])/l))
 		s.Pos.Set(k, p)
 		s.P32.Set(k, p)
 	}

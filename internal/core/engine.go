@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 
 	"mdm/internal/cellindex"
 	"mdm/internal/ewald"
+	"mdm/internal/fault"
 	"mdm/internal/md"
 	"mdm/internal/mdgrape2"
 	"mdm/internal/parallelize"
@@ -30,6 +32,11 @@ type engineBase struct {
 	waves []ewald.Wave
 	clock skinClock
 	pot   potCadence
+
+	// The ranks restripe and Free walk: one of each kind on the Machine,
+	// every rank of a session.
+	realRanks []*realRank
+	waveRanks []*waveRank
 }
 
 // newEngineBase is the common prefix of NewMachine and NewParallelRun.
@@ -54,6 +61,12 @@ func newEngineBase(cfg MachineConfig) (engineBase, error) {
 	if err != nil {
 		return engineBase{}, err
 	}
+	if cfg.WineBoards == 0 {
+		cfg.WineBoards = cfg.Wine.Boards()
+	}
+	if cfg.MDGBoards == 0 {
+		cfg.MDGBoards = cfg.MDG.Boards()
+	}
 	return engineBase{
 		cfg:   cfg,
 		grid:  grid,
@@ -72,19 +85,55 @@ func (e *engineBase) InvalidateGeometry() { e.clock.invalidate() }
 // SetStep implements Engine.
 func (e *engineBase) SetStep(n int) { e.pot.step = n }
 
-// JSetStats returns how many Forces calls rebuilt the sorted layout (on a
-// session: migration plus full ghost exchange) and how many reused it under
-// the Verlet-skin bound (ghost position streaming).
+// JSetStats returns how many Forces calls, retries included, rebuilt the
+// sorted layout (on a session: migration plus full ghost exchange) and how
+// many reused it under the Verlet-skin bound (ghost position streaming).
 func (e *engineBase) JSetStats() (rebuilds, reuses int) { return e.clock.rebuilds, e.clock.reuses }
 
-// boardShare is one process's 1/share of the boards: of the count set when
-// non-zero (a re-stripe after a dropout shrinks every share), else of all
-// the machine has; at least one.
-func boardShare(set, all, share int) int {
-	if set == 0 {
-		set = all
+// restripe drops one board at site and re-runs the library board cycle of
+// every rank of that kind over its share of the survivors; the grid,
+// coefficients, wave set, skin clock, layouts, pools and potential cadence
+// stay. It reports false, touching nothing, when that would leave fewer
+// boards than ranks of that kind — for the serial machine, its last board.
+func (e *engineBase) restripe(site fault.Site) (bool, error) {
+	switch {
+	case site == fault.MDG2 && e.cfg.MDGBoards > len(e.realRanks):
+		e.cfg.MDGBoards--
+		for _, r := range e.realRanks {
+			images := r.mr1.System() // the rank's own table images
+			if err := r.mr1.Free(); err != nil {
+				return true, err
+			}
+			if err := acquireMDG(r.mr1, e.cfg.MDGBoards/len(e.realRanks), images); err != nil {
+				return true, err
+			}
+		}
+	case site == fault.WINE2 && e.cfg.WineBoards > len(e.waveRanks):
+		e.cfg.WineBoards--
+		for _, w := range e.waveRanks {
+			if err := w.lib.FreeBoards(); err != nil {
+				return true, err
+			}
+			if err := acquireWine(w.lib, e.cfg.WineBoards/len(e.waveRanks)); err != nil {
+				return true, err
+			}
+		}
+	default:
+		return false, nil
 	}
-	return max(set/share, 1)
+	return true, nil
+}
+
+// Free releases every rank's boards; a second call reports them released.
+func (e *engineBase) Free() error {
+	var errs []error
+	for _, r := range e.realRanks {
+		errs = append(errs, r.mr1.Free())
+	}
+	for _, w := range e.waveRanks {
+		errs = append(errs, w.lib.FreeBoards())
+	}
+	return errors.Join(errs...)
 }
 
 // jsetLayout is a j-set builder and the layout it last produced.
@@ -119,12 +168,11 @@ type realRank struct {
 	fc     soa.Coords
 }
 
-// newRealRank runs the Table 3 sequence — allocate, init, load the four
-// kernel tables — over a 1/share slice of the MDGRAPE-2 boards: share 1 on the
-// serial machine, 1/nReal on each rank of a session. The kernels are
-// universal functions of x, so one fit serves an engine: with images nil the
-// rank fits the tables, otherwise it loads the images another rank of the
-// same engine already holds.
+// newRealRank runs the Table 3 sequence (acquireMDG) over a 1/share slice of
+// the MDGRAPE-2 boards: share 1 on the serial machine, 1/nReal on each rank of
+// a session. The kernels are universal functions of x, so one fit serves an
+// engine: with images nil the rank fits the tables, otherwise it loads the
+// images another rank of the same engine already holds.
 func (e *engineBase) newRealRank(share int, images *mdgrape2.System) (realRank, error) {
 	cfg := e.cfg
 	mr1, err := mdgrape2.NewMR1(cfg.MDG)
@@ -132,24 +180,8 @@ func (e *engineBase) newRealRank(share int, images *mdgrape2.System) (realRank, 
 		return realRank{}, err
 	}
 	mr1.SetFaultHook(cfg.FaultHook)
-	if err := mr1.AllocateBoards(boardShare(cfg.MDGBoards, cfg.MDG.Boards(), share)); err != nil {
+	if err := acquireMDG(mr1, max(cfg.MDGBoards/share, 1), images); err != nil {
 		return realRank{}, err
-	}
-	if err := mr1.Init(); err != nil {
-		return realRank{}, err
-	}
-	for _, k := range forceTables {
-		if images == nil {
-			if err := mr1.SetTable(k.name, k.g, k.emin, k.emax); err != nil {
-				return realRank{}, err
-			}
-			continue
-		}
-		t, err := images.Table(k.name)
-		if err != nil {
-			return realRank{}, err
-		}
-		mr1.System().LoadTableImage(k.name, t)
 	}
 	pool := parallelize.New(cfg.Workers)
 	mr1.SetPool(pool)
@@ -162,15 +194,38 @@ func (e *engineBase) newRealRank(share int, images *mdgrape2.System) (realRank, 
 	}, nil
 }
 
-// sweep is the rank's step: its j-set over pos / types — re-sorted on a
-// rebuild step, refreshed otherwise — then the fused four-pass sweep, in the
+// acquireMDG is the board cycle of Table 3 on an MDGRAPE-2 session: allocate,
+// init, load the four kernel tables — fitted with images nil, else loaded
+// from images.
+func acquireMDG(mr1 *mdgrape2.MR1, boards int, images *mdgrape2.System) error {
+	if err := mr1.AllocateBoards(boards); err != nil {
+		return err
+	}
+	if err := mr1.Init(); err != nil {
+		return err
+	}
+	for _, k := range forceTables {
+		if images == nil {
+			if err := mr1.SetTable(k.name, k.g, k.emin, k.emax); err != nil {
+				return err
+			}
+			continue
+		}
+		t, err := images.Table(k.name)
+		if err != nil {
+			return err
+		}
+		mr1.System().LoadTableImage(k.name, t)
+	}
+	return nil
+}
+
+// sweep is the rank's step once its caller has updated the j-set to pos /
+// types: the fused four-pass sweep, in the
 // fixed reduction order Coulomb + BM + r⁻⁶ + r⁻⁸, over the first nOwn
 // particles (all of them on the serial machine; a rank's owned block ahead
 // of its ghosts in a session), into the rank's reused force planes.
-func (r *realRank) sweep(pos []vec.V, types []int, nOwn int, rebuild bool) (soa.Coords, error) {
-	if err := r.update(pos, types, rebuild, r.pool); err != nil {
-		return soa.Coords{}, err
-	}
+func (r *realRank) sweep(pos []vec.V, types []int, nOwn int) (soa.Coords, error) {
 	if cap(r.scale) < nOwn {
 		r.scale = make([]float64, nOwn)
 		for i := range r.scale {
@@ -196,8 +251,8 @@ type waveRank struct {
 	fc    soa.Coords
 }
 
-// newWaveRank runs the Table 2 sequence — allocate, initialize — over a
-// 1/share slice of the WINE-2 boards, like newRealRank.
+// newWaveRank runs the Table 2 sequence (acquireWine) over a 1/share slice
+// of the WINE-2 boards, like newRealRank.
 func (e *engineBase) newWaveRank(share int) (waveRank, error) {
 	cfg := e.cfg
 	lib, err := wine2.NewLibrary(cfg.Wine)
@@ -205,14 +260,20 @@ func (e *engineBase) newWaveRank(share int) (waveRank, error) {
 		return waveRank{}, err
 	}
 	lib.SetFaultHook(cfg.FaultHook)
-	if err := lib.AllocateBoards(boardShare(cfg.WineBoards, cfg.Wine.Boards(), share)); err != nil {
-		return waveRank{}, err
-	}
-	if err := lib.InitializeBoards(); err != nil {
+	if err := acquireWine(lib, max(cfg.WineBoards/share, 1)); err != nil {
 		return waveRank{}, err
 	}
 	lib.SetPool(parallelize.New(cfg.Workers))
 	return waveRank{lib: lib, p: cfg.Ewald, waves: e.waves}, nil
+}
+
+// acquireWine is the board cycle of Table 2 on a WINE-2 session: allocate,
+// initialize. The rank's next step declares its block size (set_nn).
+func acquireWine(lib *wine2.Library, boards int) error {
+	if err := lib.AllocateBoards(boards); err != nil {
+		return err
+	}
+	return lib.InitializeBoards()
 }
 
 // pass is the rank's step: the WINE-2 wavenumber pass over the particles it
@@ -231,8 +292,8 @@ func (w *waveRank) pass(pos []vec.V, q []float64) (soa.Coords, float64, error) {
 // potCadence is when an engine evaluates the potential, the value it reports
 // in between, and the host walk that evaluates it. The cadence is
 // MachineConfig.PotentialEvery against the simulation step, not against the
-// engine's own call count, which restarts at 0 whenever the engine is rebuilt
-// — a resume, a re-stripe.
+// engine's own call count, which starts at 0 in every engine a run builds (a
+// resume, a restart) and skips the steps the host path serves.
 type potCadence struct {
 	every  int
 	step   int     // simulation step the next Forces call evaluates

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"mdm/internal/fault"
 	"mdm/internal/md"
@@ -103,12 +105,10 @@ func engineContract(t *testing.T, s0 *md.System, nReal int, resilient bool, row 
 	switch {
 	case nReal == 0 && !resilient:
 		eng = must(NewMachine(cfg))
-	case nReal == 0:
-		eng = must(NewResilient(cfg, RecoveryConfig{}))
 	case !resilient:
 		eng = must(NewParallelRun(world, cfg, nReal, 1))
 	default:
-		eng = must(NewResilientParallel(cfg, RecoveryConfig{}, world, nReal, 1))
+		eng = must(NewResilient(cfg, RecoveryConfig{}, world, nReal, 1))
 	}
 	s = cloneSystem(s0)
 	for call := range want {
@@ -190,20 +190,18 @@ func BenchmarkEngineStep(b *testing.B) {
 	}
 }
 
-// TestRestripeFloor pins the one re-stripe rule of the hardware path against
-// the two it replaced: the serial machine refused to give up its last board,
-// the parallel layout refused to drop below one board per process of the
-// failing kind. The serial machine is the 1 + 1 layout, so both are
-// "boards − 1 < processes refuses". A refused re-stripe leaves the engine in
-// place and usable; a granted one rebuilds it over one board fewer.
+// TestRestripeFloor pins the one re-stripe rule: a drop that would leave
+// fewer boards than processes of the failing kind is refused — for the
+// serial machine, the 1 + 1 layout, its last board. A refused re-stripe
+// touches nothing; under the recovery layer the run degrades to the host
+// path. A granted one, driven by an injected board drop on a reuse step at
+// skin 0.5, keeps the engine and its layout and takes one board off the
+// site's count: the retried call at the same positions returns the bits of
+// the call before it.
 func TestRestripeFloor(t *testing.T) {
-	s := meltLike(t, 2, 5.64, 300, 42)
-	base := CurrentMachineConfig(smallParams(s.L))
-	want, _, err := newTestMachine(t, base.Ewald).Forces(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fscale := vec.RMS(want)
+	s0 := meltLike(t, 2, 5.64, 300, 42)
+	base := CurrentMachineConfig(smallParams(s0.L))
+	base.Skin = 0.5
 
 	for _, lay := range []struct{ nReal, nWave, ranks int }{{1, 1, 0}, {2, 1, 3}, {4, 2, 6}} { // ranks 0: no world, the serial Machine
 		for _, site := range []fault.Site{fault.WINE2, fault.MDG2, fault.MPI} {
@@ -216,62 +214,88 @@ func TestRestripeFloor(t *testing.T) {
 					continue // not a board site: one case per layout is enough
 				}
 				t.Run(fmt.Sprintf("ranks%d/%s/boards%d", lay.ranks, site, boards), func(t *testing.T) {
-					refuse := boards <= 1 // the serial engine's floor: its last board
-					if lay.ranks > 0 {
-						refuse = boards-1 < procs // the parallel engine's: fewer boards than processes
-					}
+					refuse := site == fault.MPI || boards-1 < procs
 					cfg := base
+					var rc RecoveryConfig
 					switch site {
 					case fault.WINE2:
 						cfg.WineBoards = boards
 					case fault.MDG2:
 						cfg.MDGBoards = boards
-					default:
-						refuse = true
+					}
+					if site != fault.MPI {
+						rc.Injector = injector(t, fmt.Sprintf("%s:board-drop@step=3,board=0", site))
 					}
 					var world *mpi.World
 					if lay.ranks > 0 {
+						world = testWorld(t, lay.ranks, 5*time.Second)
+					}
+					r, err := NewResilient(cfg, rc, world, lay.nReal, lay.nWave)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer func() { _ = r.Free() }()
+					count := func() int {
+						b := baseOf(r.eng)
+						return b.cfg.WineBoards + b.cfg.MDGBoards
+					}
+
+					s := cloneSystem(s0)
+					firstForces(t, r, s)
+					// 0.17 Å, inside skin/2: the second call reuses the layout
+					// some particles have left the cells of.
+					for i := range s.Pos {
+						s.Pos[i] = s.Pos[i].Add(vec.New(0.1, 0.1, 0.1)).Wrap(s.L)
+					}
+					before := firstForces(t, r, s)
+					eng, total := r.eng, count()
+
+					var after []vec.V
+					if site == fault.MPI {
+						if ok, err := r.eng.restripe(site); ok || err != nil {
+							t.Fatalf("restripe of a non-board site = %v, %v", ok, err)
+						}
+					} else if after = firstForces(t, r, s); r.Report().Fallback != refuse {
+						t.Fatalf("fallback = %v with %d boards for %d processes: %+v", !refuse, boards, procs, r.Report())
+					}
+					if r.eng != eng {
+						t.Fatal("the re-stripe replaced the engine")
+					}
+					want := total
+					if !refuse {
+						want--
+					}
+					if count() != want {
+						t.Errorf("boards %d → %d, want %d", total, count(), want)
+					}
+					if refuse { // the host path served; the engine is as it was
+						if world != nil {
+							world.Reset() // the failed attempt's stragglers, as Resilient drains them
+						}
 						var err error
-						if world, err = mpi.NewWorld(lay.ranks); err != nil {
+						if after, _, err = r.eng.Forces(s); err != nil {
 							t.Fatal(err)
 						}
 					}
-					h, err := newHardware(cfg, world, lay.nReal, lay.nWave)
-					if err != nil {
-						t.Fatal(err)
+					if !slices.Equal(after, before) {
+						t.Error("forces at the same positions moved across the re-stripe")
 					}
-					defer func() { _ = h.eng.Free() }()
-					before, total := h.eng, h.cfg.WineBoards+h.cfg.MDGBoards
-
-					ok, err := h.restripe(site)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ok == refuse {
-						t.Fatalf("restripe granted = %v with %d boards for %d processes", ok, boards, procs)
-					}
-					after := h.cfg.WineBoards + h.cfg.MDGBoards
-					if refuse && (h.eng != before || after != total) {
-						t.Errorf("refused re-stripe touched the engine (boards %d → %d)", total, after)
-					}
-					if !refuse && (h.eng == before || after != total-1) {
-						t.Errorf("granted re-stripe kept the engine or the count (boards %d → %d)", total, after)
-					}
-
-					// Striping is pure partitioning: either way the engine
-					// still computes the serial forces (to rounding once a
-					// wavenumber group reorders the structure-factor sum).
-					got, _, err := h.forces(s, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range want {
-						if d := got[i].Sub(want[i]).Norm() / fscale; d > 1e-9 {
-							t.Fatalf("particle %d deviates by %g of RMS", i, d)
-						}
+					if rebuilds, _ := r.JSetStats(); rebuilds != 1 {
+						t.Errorf("the layout was sorted %d times, want once", rebuilds)
 					}
 				})
 			}
 		}
 	}
+}
+
+// baseOf is the engine body of the serial Machine or a ParallelRun.
+func baseOf(e Engine) *engineBase {
+	switch e := e.(type) {
+	case *Machine:
+		return &e.engineBase
+	case *ParallelRun:
+		return &e.engineBase
+	}
+	return nil
 }

@@ -166,8 +166,8 @@ func newPotTable(p ewald.Params) (*potTable, error) {
 		for i, u := range cheb {
 			// The node is where its argument rounds to, so the fit sees the
 			// abscissa the addressing will map that argument back to.
-			x := lo + u*(hi-lo)
-			nodes[i] = (x - mid) / half
+			x := lo + float64(u*(hi-lo))
+			nodes[i] = (x - float64(mid)) / half
 			vals[0][i], vals[1][i] = t.kernels(x)
 		}
 		for k := range vals {
@@ -198,27 +198,27 @@ func (t *potTable) evalInto(e, b, s []float64) {
 		c := &rows[w>>potLocalBits]
 		u := float64(int64(w&potLocalMask)-potLocalHalf) * potLocalUnit
 		ev := c[10]
-		ev = ev*u + c[9]
-		ev = ev*u + c[8]
-		ev = ev*u + c[7]
-		ev = ev*u + c[6]
-		ev = ev*u + c[5]
-		ev = ev*u + c[4]
-		ev = ev*u + c[3]
-		ev = ev*u + c[2]
-		ev = ev*u + c[1]
-		ev = ev*u + c[0]
+		ev = float64(ev*u) + c[9]
+		ev = float64(ev*u) + c[8]
+		ev = float64(ev*u) + c[7]
+		ev = float64(ev*u) + c[6]
+		ev = float64(ev*u) + c[5]
+		ev = float64(ev*u) + c[4]
+		ev = float64(ev*u) + c[3]
+		ev = float64(ev*u) + c[2]
+		ev = float64(ev*u) + c[1]
+		ev = float64(ev*u) + c[0]
 		bv := c[21]
-		bv = bv*u + c[20]
-		bv = bv*u + c[19]
-		bv = bv*u + c[18]
-		bv = bv*u + c[17]
-		bv = bv*u + c[16]
-		bv = bv*u + c[15]
-		bv = bv*u + c[14]
-		bv = bv*u + c[13]
-		bv = bv*u + c[12]
-		bv = bv*u + c[11]
+		bv = float64(bv*u) + c[20]
+		bv = float64(bv*u) + c[19]
+		bv = float64(bv*u) + c[18]
+		bv = float64(bv*u) + c[17]
+		bv = float64(bv*u) + c[16]
+		bv = float64(bv*u) + c[15]
+		bv = float64(bv*u) + c[14]
+		bv = float64(bv*u) + c[13]
+		bv = float64(bv*u) + c[12]
+		bv = float64(bv*u) + c[11]
 		e[k], b[k] = ev, bv
 	}
 }
@@ -261,14 +261,14 @@ func (t *potTable) drain(b *potBlock, pot float64) float64 {
 		s, pr, qq := b.r2[k], b.pair[k], b.qq[k]
 		if math.IsNaN(e[k]) { // outside the table
 			r := math.Sqrt(s)
-			pot += t.p.RealPairEnergyR(qq, 1, r) - qq*t.ec
+			pot += t.p.RealPairEnergyR(qq, 1, r) - float64(qq*t.ec)
 			pot += t.tf.ShortEnergy(tosifumi.Species(pr/tosifumi.NumSpecies), tosifumi.Species(pr%tosifumi.NumSpecies), r) - t.uc[pr]
 			continue
 		}
 		i2 := 1 / s
 		i6 := i2 * i2 * i2
-		pot += qq * (e[k] - t.ec)
-		pot += t.abe[pr]*bm[k] - t.c6[pr]*i6 - t.d8[pr]*(i6*i2) - t.uc[pr]
+		pot += float64(qq * (e[k] - t.ec))
+		pot += float64(t.abe[pr]*bm[k]) - float64(t.c6[pr]*i6) - float64(t.d8[pr]*(i6*i2)) - t.uc[pr]
 	}
 	b.n = 0
 	return pot

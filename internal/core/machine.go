@@ -169,6 +169,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if m.wave, err = m.newWaveRank(1); err != nil {
 		return nil, err
 	}
+	m.realRanks, m.waveRanks = []*realRank{&m.real}, []*waveRank{&m.wave}
 	return m, nil
 }
 
@@ -229,14 +230,6 @@ func (m *Machine) MDGStats() mdgrape2.Stats { return m.real.mr1.System().Stats()
 // WineStats returns the WINE-2 work counters.
 func (m *Machine) WineStats() wine2.Stats { return m.wave.lib.System().Stats() }
 
-// Free releases both backend sessions.
-func (m *Machine) Free() error {
-	if err := m.real.mr1.Free(); err != nil {
-		return err
-	}
-	return m.wave.lib.FreeBoards()
-}
-
 // Forces implements md.ForceField: the per-step flow of §3.1 — send
 // positions to both backends, real-space forces from MDGRAPE-2 (the four
 // kernel tables in one fused sweep), wavenumber-space forces from WINE-2,
@@ -253,8 +246,14 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 	n := s.N()
 	// The j-side memory image is all particles, sorted by cell: re-sorted when
 	// the skin clock says the last rebuild's layout no longer holds, otherwise
-	// that layout refreshed to the current positions.
+	// that layout refreshed to the current positions. The clock books the
+	// update before any hardware call, so a failed call leaves the two in
+	// agreement and a retry at the same positions reuses the layout.
 	rebuild, _ := m.clock.due(s.Pos)
+	if err := m.real.update(s.Pos, s.Type, rebuild, m.real.pool); err != nil {
+		return nil, 0, err
+	}
+	m.clock.advance(s.Pos, rebuild)
 
 	// Declare the wavenumber block size before launching anything: SetNN
 	// mutates the wine session, so it stays on the calling goroutine.
@@ -265,22 +264,16 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 		// Overlap the two engines, §3.1: WINE-2 works the wavenumber sum
 		// while MDGRAPE-2 (and its host loops) work the real-space sweep.
 		// The join below is unconditional — no return path may leave the pass
-		// in flight (the recovery layer tears the machine down on failure).
+		// in flight (the recovery layer retries on the same machine).
 		//mdm:hotallocok -- one pipeline launch per step by design; the closure capture is the overlap mechanism and fits the ~10 allocs/step budget
 		go func() { m.wineDone <- m.wavePass(s) }()
 	}
-	fc, mdgErr := m.real.sweep(s.Pos, s.Type, n, rebuild)
+	fc, mdgErr := m.real.sweep(s.Pos, s.Type, n)
 	var res wineResult
 	if m.cfg.Pipeline {
 		res = <-m.wineDone
 	} else if mdgErr == nil {
 		res = m.wavePass(s)
-	}
-	if mdgErr != nil || res.err != nil {
-		// As after a failed decomposed step: the layout may have been
-		// re-sorted at positions the clock's reference does not hold, so the
-		// next call rebuilds it from scratch.
-		m.clock.invalidate()
 	}
 	if mdgErr != nil {
 		// Real-space error wins when both engines fail: the serial order
@@ -291,7 +284,6 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 	if res.err != nil {
 		return nil, 0, fmt.Errorf("core: wavenumber pass: %w", res.err)
 	}
-	m.clock.advance(s.Pos, rebuild)
 	// Combine on the planes in the fixed reduction order (real + wave) —
 	// componentwise float64 adds — then interleave once into the AoS []vec.V
 	// the md boundary expects.

@@ -77,7 +77,7 @@ func (r *Reference) Pressure(s *md.System) (float64, error) {
 	sn, cn := ewald.StructureFactors(r.waves, s.Pos, s.Charge)
 	eCoul := sum.eReal + ewald.WavenumberEnergy(r.P, r.waves, sn, cn) + ewald.SelfEnergy(r.P, s.Charge)
 	v := s.L * s.L * s.L
-	nkT := float64(s.N()) * units.Boltzmann * s.Temperature()
+	nkT := float64(float64(s.N()) * units.Boltzmann * s.Temperature())
 	return (nkT + (sum.wShort+eCoul)/3) / v, nil
 }
 

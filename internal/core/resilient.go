@@ -66,80 +66,11 @@ type RunReport struct {
 // errSuspect marks a guard rejection so the retry logic can classify it.
 var errSuspect = errors.New("core: suspect step")
 
-// hardware is the hardware path under the recovery policy: the serial Machine
-// (no world — the 1 + 1 layout) or a persistent ParallelRun session on world.
-// Board counts are explicit, so a dropout is a decrement followed by free +
-// rebuild: sessions are sized from the counts at construction, and the paper's
-// striping makes the re-partition a pure re-initialization.
-type hardware struct {
-	cfg          MachineConfig
-	world        *mpi.World // nil: the single-process Machine
-	nReal, nWave int
-	eng          Engine
-}
-
-func newHardware(cfg MachineConfig, world *mpi.World, nReal, nWave int) (*hardware, error) {
-	if cfg.WineBoards == 0 {
-		cfg.WineBoards = cfg.Wine.Boards()
-	}
-	if cfg.MDGBoards == 0 {
-		cfg.MDGBoards = cfg.MDG.Boards()
-	}
-	h := &hardware{cfg: cfg, world: world, nReal: nReal, nWave: nWave}
-	return h, h.build()
-}
-
-// build constructs the engine for the current board counts; on failure the
-// previous engine stays in place.
-func (h *hardware) build() error {
-	var eng Engine
-	var err error
-	if h.world == nil {
-		eng, err = NewMachine(h.cfg)
-	} else {
-		eng, err = NewParallelRun(h.world, h.cfg, h.nReal, h.nWave)
-	}
-	if err == nil { // otherwise eng holds a typed nil
-		h.eng = eng
-	}
-	return err
-}
-
-// forces runs one attempt at simulation step step. With a world its inboxes
-// are drained first, so an aborted attempt's stragglers cannot pollute the
-// retry (a failed Step marks the session's geometry invalid itself, so the
-// retry re-derives ownership). The engine is told the step on every attempt:
-// one rebuilt by a re-stripe, or passed over while the host path served,
-// keeps the run's potential cadence.
-func (h *hardware) forces(s *md.System, step int) ([]vec.V, float64, error) {
-	if h.world != nil {
-		h.world.Reset()
-	}
-	h.eng.SetStep(step)
-	return h.eng.Forces(s)
-}
-
-// restripe drops one board at the given site and rebuilds the engine over the
-// survivors. It reports false, leaving the engine untouched, when that would
-// leave fewer boards than processes of that kind — for the serial machine,
-// its last board.
-func (h *hardware) restripe(site fault.Site) (bool, error) {
-	var boards *int
-	var procs int
-	switch site {
-	case fault.WINE2:
-		boards, procs = &h.cfg.WineBoards, h.nWave
-	case fault.MDG2:
-		boards, procs = &h.cfg.MDGBoards, h.nReal
-	default:
-		return false, nil
-	}
-	if *boards-1 < procs {
-		return false, nil
-	}
-	*boards--
-	_ = h.eng.Free()
-	return true, h.build()
+// restriper is an engine the recovery layer re-stripes in place
+// (engineBase.restripe): the serial Machine or a ParallelRun.
+type restriper interface {
+	Engine
+	restripe(site fault.Site) (bool, error)
 }
 
 // Resilient wraps a hardware force path in the recovery policy of the
@@ -160,29 +91,22 @@ type Resilient struct {
 	rc     RecoveryConfig
 	wd     *supervise.Watchdog   // nil unless rc.Watchdog > 0
 	br     *supervise.BreakerSet // non-nil iff wd is
-	hw     *hardware
+	eng    restriper             // the run's one engine
+	world  *mpi.World            // eng's world; nil for the serial Machine
 	p      ewald.Params
 	ref    *Reference
 	step   int
 	report RunReport
 }
 
-// NewResilient builds the recovery layer over the single-process Machine.
-func NewResilient(cfg MachineConfig, rc RecoveryConfig) (*Resilient, error) {
-	return newResilient(cfg, rc, nil, 1, 1)
-}
-
-// NewResilientParallel builds the recovery layer over the §4 parallel
-// layout (nReal real-space + nWave wavenumber processes on world; the layout
-// is validated by NewParallelRun). The injector, when present, is installed
-// as both the hardware hook of every rank session and the world's
-// message-layer fault hook.
-func NewResilientParallel(cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal, nWave int) (*Resilient, error) {
-	return newResilient(cfg, rc, world, nReal, nWave)
-}
-
-func newResilient(cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal, nWave int) (*Resilient, error) {
-	r := &Resilient{rc: rc, p: cfg.Ewald}
+// NewResilient builds the recovery layer over the engine it keeps for the
+// whole run: the serial Machine when world is nil, else the §4 parallel
+// layout of nReal real-space + nWave wavenumber processes on world (validated
+// by NewParallelRun). The injector, when present, is installed as the
+// hardware hook of every rank session and as the world's message-layer fault
+// hook.
+func NewResilient(cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal, nWave int) (*Resilient, error) {
+	r := &Resilient{rc: rc, p: cfg.Ewald, world: world}
 	if rc.Injector != nil {
 		cfg.FaultHook = rc.Injector
 		if world != nil {
@@ -200,7 +124,12 @@ func newResilient(cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal,
 		}
 	}
 	var err error
-	if r.hw, err = newHardware(cfg, world, nReal, nWave); err != nil {
+	if world == nil {
+		r.eng, err = NewMachine(cfg)
+	} else {
+		r.eng, err = NewParallelRun(world, cfg, nReal, nWave)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if r.wd != nil {
@@ -244,11 +173,10 @@ func (r *Resilient) SetStep(n int) { r.step = n }
 // rewrite (checkpoint restore) drops the engine's cached position-dependent
 // state (the Verlet-skin j-set; ownership and ghost lists on the parallel
 // path).
-func (r *Resilient) InvalidateGeometry() { r.hw.eng.InvalidateGeometry() }
+func (r *Resilient) InvalidateGeometry() { r.eng.InvalidateGeometry() }
 
-// JSetStats reports the current engine's j-set rebuild / reuse counts; a
-// re-stripe builds a fresh engine and starts them over.
-func (r *Resilient) JSetStats() (rebuilds, reuses int) { return r.hw.eng.JSetStats() }
+// JSetStats reports the engine's j-set rebuild / reuse counts.
+func (r *Resilient) JSetStats() (rebuilds, reuses int) { return r.eng.JSetStats() }
 
 // Step returns the current force-evaluation index (1-based).
 func (r *Resilient) Step() int { return r.step }
@@ -275,7 +203,7 @@ func (r *Resilient) Free() error {
 	if r.wd != nil {
 		r.wd.Stop()
 	}
-	return r.hw.eng.Free()
+	return r.eng.Free()
 }
 
 // logf appends a formatted line to the recovery event log.
@@ -426,7 +354,15 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 			wd.Arm()
 			stalls = wd.StallCount()
 		}
-		f, pot, err := r.hw.forces(s, r.step-1)
+		// An attempt runs on the state the failed one left behind: the
+		// world's inboxes are drained, so an aborted attempt's stragglers
+		// cannot pollute it, and the engine is told the step, so the steps
+		// the host path served keep the run's potential cadence.
+		if r.world != nil {
+			r.world.Reset()
+		}
+		r.eng.SetStep(r.step - 1)
+		f, pot, err := r.eng.Forces(s)
 		if wd := r.wd; wd != nil {
 			wd.Disarm()
 		}
@@ -449,7 +385,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 			case fault.MDG2:
 				r.report.MDGBoardsLost++
 			}
-			ok, rerr := r.hw.restripe(be.Site)
+			ok, rerr := r.eng.restripe(be.Site)
 			if rerr != nil {
 				return nil, 0, rerr
 			}
@@ -481,7 +417,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 					// Quarantine it up front — drop it from the stripe like a
 					// dead board — instead of paying a retry every step.
 					br.Drop(scope)
-					ok, rerr := r.hw.restripe(site)
+					ok, rerr := r.eng.restripe(site)
 					if rerr != nil {
 						return nil, 0, rerr
 					}

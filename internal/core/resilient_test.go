@@ -41,13 +41,7 @@ func testWorld(t testing.TB, n int, timeout time.Duration) *mpi.World {
 // nil) or an nReal + 1 session on world, freed when the test ends.
 func newResilientT(t testing.TB, cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal int) *Resilient {
 	t.Helper()
-	var r *Resilient
-	var err error
-	if world == nil {
-		r, err = NewResilient(cfg, rc)
-	} else {
-		r, err = NewResilientParallel(cfg, rc, world, nReal, 1)
-	}
+	r, err := NewResilient(cfg, rc, world, nReal, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

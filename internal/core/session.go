@@ -201,6 +201,7 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			migBuf:   make([][]int, nReal),
 			ghostCnt: make([]int, len(pr.ghostSrc[r])),
 		})
+		pr.realRanks = append(pr.realRanks, &pr.real[r].realRank)
 	}
 	for w := 0; w < nWave; w++ {
 		rank := nReal + w
@@ -220,30 +221,9 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 		}
 		wk.lib.SetMPICommunity(&groupComm{c: comm, members: members, me: w})
 		pr.wave = append(pr.wave, &waveRankState{waveRank: wk, rank: rank, comm: comm})
+		pr.waveRanks = append(pr.waveRanks, &pr.wave[w].waveRank)
 	}
 	return pr, nil
-}
-
-// Free releases every rank's hardware sessions.
-func (pr *ParallelRun) Free() error {
-	var first error
-	for _, rr := range pr.real {
-		if rr.mr1 != nil {
-			if err := rr.mr1.Free(); err != nil && first == nil {
-				first = err
-			}
-			rr.mr1 = nil
-		}
-	}
-	for _, wr := range pr.wave {
-		if wr.lib != nil {
-			if err := wr.lib.FreeBoards(); err != nil && first == nil {
-				first = err
-			}
-			wr.lib = nil
-		}
-	}
-	return first
 }
 
 // Forces implements md.ForceField on the persistent session.
@@ -276,8 +256,10 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	}
 
 	// The rebuild decision is the serial Machine's skin clock, read once on
-	// the driver so all ranks agree on the step's protocol.
+	// the driver so all ranks agree on the step's protocol, and booked before
+	// any rank runs, like the Machine's.
 	pr.rebuild, pr.initStep = pr.clock.due(s.Pos)
+	pr.clock.advance(s.Pos, pr.rebuild)
 
 	before := pr.world.Stats()
 	runErr := pr.world.Run(func(c *mpi.Comm) error {
@@ -287,12 +269,15 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 		return pr.waveStep(pr.wave[c.Rank()-pr.nReal], s)
 	})
 	if runErr != nil {
-		// A failed step may have half-applied a migration; rebuild the
-		// decomposition from scratch on the next attempt.
-		pr.clock.invalidate()
+		// A failed rebuild step may have half-applied a migration: the next
+		// attempt re-derives the decomposition from scratch, which at the
+		// same positions gives the same owned sets and layouts. A failed
+		// reuse step changed no ownership or ghost list.
+		if pr.rebuild {
+			pr.clock.invalidate()
+		}
 		return nil, runErr
 	}
-	pr.clock.advance(s.Pos, pr.rebuild)
 
 	// Potential bookkeeping on the driver, every PotentialEvery steps like
 	// the serial machine: the real-space walk reads the serial layout of the
@@ -399,8 +384,12 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 	} else if err := pr.streamGhosts(rr, s); err != nil {
 		return err
 	}
-	// The serial machine's sweep, over the owned block of owned + ghosts.
-	fc, err := rr.sweep(rr.locPos, rr.locTyp, rr.nOwn, pr.rebuild)
+	// The serial machine's layout update and sweep, over the owned block of
+	// owned + ghosts.
+	if err := rr.update(rr.locPos, rr.locTyp, pr.rebuild, rr.pool); err != nil {
+		return err
+	}
+	fc, err := rr.sweep(rr.locPos, rr.locTyp, rr.nOwn)
 	if err != nil {
 		return err
 	}
@@ -544,9 +533,9 @@ func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
 	if pr.initStep {
 		wr.lo = w * pr.n / pr.nWave
 		wr.hi = (w + 1) * pr.n / pr.nWave
-		if err := wr.lib.SetNN(max(wr.hi-wr.lo, 1)); err != nil {
-			return err
-		}
+	}
+	if err := wr.lib.SetNN(max(wr.hi-wr.lo, 1)); err != nil {
+		return err
 	}
 	fc, pot, err := wr.pass(s.Pos[wr.lo:wr.hi], s.Charge[wr.lo:wr.hi])
 	if err != nil {

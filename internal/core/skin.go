@@ -38,8 +38,9 @@ func (c *skinClock) due(pos []vec.V) (rebuild, scratch bool) {
 	return maxDisp2(c.l, pos, c.ref) > c.half2, false
 }
 
-// advance books a force call that went through on pos: a rebuild makes pos
-// the new reference.
+// advance books a layout update on pos, before the call's hardware runs: a
+// rebuild makes pos the new reference. A failed call thus leaves the clock
+// and the layout in agreement, and its retry at pos reuses the layout.
 func (c *skinClock) advance(pos []vec.V, rebuilt bool) {
 	if !rebuilt {
 		c.reuses++
@@ -57,7 +58,8 @@ func (c *skinClock) advance(pos []vec.V, rebuilt bool) {
 // whatever the displacements say: after an external position rewrite
 // (checkpoint restore), which the minimum-image test cannot be trusted to
 // catch — a particle moved by a near-multiple of the box looks stationary —
-// and after a failed decomposed step, which may have half-applied a migration.
+// and after a failed decomposed rebuild step, which may have half-applied a
+// migration.
 func (c *skinClock) invalidate() { c.valid = false }
 
 // maxDisp2 returns the largest squared minimum-image displacement of any
@@ -66,9 +68,9 @@ func maxDisp2(l float64, pos, ref []vec.V) float64 {
 	worst := 0.0
 	for i := range pos {
 		d := pos[i].Sub(ref[i])
-		d.X -= l * math.Round(d.X/l)
-		d.Y -= l * math.Round(d.Y/l)
-		d.Z -= l * math.Round(d.Z/l)
+		d.X -= float64(l * math.Round(d.X/l))
+		d.Y -= float64(l * math.Round(d.Y/l))
+		d.Z -= float64(l * math.Round(d.Z/l))
 		if d2 := d.Norm2(); d2 > worst {
 			worst = d2
 		}

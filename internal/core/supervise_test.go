@@ -243,7 +243,7 @@ func TestHardwareHookSeam(t *testing.T) {
 					world = testWorld(t, nReal+1, 5*time.Second)
 				}
 				r := newResilientT(t, cfg, rc, world, nReal)
-				hook := r.hw.cfg.FaultHook
+				hook := baseOf(r.eng).cfg.FaultHook
 				lh, _ := hook.(*livenessHook)
 				want := fault.HardwareHook(nil)
 				if rc.Injector != nil {

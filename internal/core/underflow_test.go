@@ -51,7 +51,10 @@ func newSweepFixture(t testing.TB, geo sweepGeometry) sweepFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.real.sweep(s.Pos, s.Type, s.N(), true); err != nil {
+	if err := m.real.update(s.Pos, s.Type, true, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.real.sweep(s.Pos, s.Type, s.N()); err != nil {
 		t.Fatal(err)
 	}
 	return sweepFixture{geo.name, m, s, m.real.js, m.real.passes[:]}

@@ -183,9 +183,9 @@ func (p Params) RealPairEnergyR(qi, qj, r float64) float64 {
 func SelfEnergy(p Params, q []float64) float64 {
 	s := 0.0
 	for _, qi := range q {
-		s += qi * qi
+		s += float64(qi * qi)
 	}
-	return -units.Coulomb * p.Alpha / (math.SqrtPi * p.L) * s
+	return float64(-units.Coulomb * p.Alpha / (math.SqrtPi * p.L) * s)
 }
 
 // StructureFactors computes the DFT of eqs. 9 and 10 in float64:
@@ -233,7 +233,7 @@ func WavenumberEnergy(p Params, waves []Wave, s, c []float64) float64 {
 	for w := range waves {
 		e += float64(waves[w].A * (float64(s[w]*s[w]) + float64(c[w]*c[w])))
 	}
-	return units.Coulomb / (math.Pi * p.L * p.L * p.L) * e
+	return float64(units.Coulomb / (math.Pi * p.L * p.L * p.L) * e)
 }
 
 // Result bundles the output of a full reference Ewald evaluation.

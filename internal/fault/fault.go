@@ -76,9 +76,6 @@ const (
 	// persists only its first Bytes bytes, every byte not yet fsynced is
 	// lost, and all further storage operations fail with the FS down.
 	TornWrite
-	// NoSpace fails one store write with an out-of-space error; the
-	// filesystem stays up and nothing is persisted by the failed write.
-	NoSpace
 	// IOErr fails one store operation (read, write, create, rename or sync)
 	// with an I/O error; the filesystem stays up.
 	IOErr
@@ -86,10 +83,6 @@ const (
 	// returned by the Op-th read is flipped, simulating silent on-disk decay
 	// that only a checksum can catch.
 	BitRot
-	// CrashRename crashes the storage layer immediately before the Op-th
-	// rename: the rename never happens, unsynced data is lost, and all
-	// further storage operations fail.
-	CrashRename
 	// Crash is a plain power cut at the Op-th store operation of the given
 	// class: the operation has no effect, unsynced data is lost, and all
 	// further storage operations fail.
@@ -123,14 +116,10 @@ func (k Kind) String() string {
 		return "slow"
 	case TornWrite:
 		return "torn-write"
-	case NoSpace:
-		return "enospc"
 	case IOErr:
 		return "eio"
 	case BitRot:
 		return "bitrot"
-	case CrashRename:
-		return "crash-before-rename"
 	case Crash:
 		return "crash"
 	}
@@ -167,10 +156,9 @@ type Event struct {
 	// DelayMS is the MsgDelay stall in milliseconds (bounded by MaxDelay).
 	DelayMS int
 
-	// Store scheduling (TornWrite, NoSpace, IOErr, BitRot, CrashRename,
-	// Crash): fire on the Op-th storage operation of class OpClass ("write",
-	// "read", "create", "rename" or "sync"), counted per class by the
-	// injection-aware filesystem. Per-class counts are deterministic because
+	// Store scheduling (TornWrite, IOErr, BitRot, Crash): fire on the Op-th
+	// storage operation of class OpClass ("write", "read", "create", "rename"
+	// or "sync"), counted per class by the injection-aware filesystem. Per-class counts are deterministic because
 	// the storage layer is driven from the program-ordered step loop.
 	Op      int64
 	OpClass string
@@ -208,7 +196,7 @@ func (e Event) String() string {
 		return fmt.Sprintf("%s:%s@%s=%d,bytes=%d", e.Site, e.Kind, e.OpClass, e.Op, e.Bytes)
 	case BitRot:
 		return fmt.Sprintf("%s:%s@%s=%d,offset=%d", e.Site, e.Kind, e.OpClass, e.Op, e.Offset)
-	case NoSpace, IOErr, CrashRename, Crash:
+	case IOErr, Crash:
 		return fmt.Sprintf("%s:%s@%s=%d", e.Site, e.Kind, e.OpClass, e.Op)
 	}
 	return fmt.Sprintf("%s:%s", e.Site, e.Kind)
@@ -248,7 +236,7 @@ func (e Event) validate() error {
 		if e.Nth <= 0 {
 			return fmt.Errorf("fault: %s event needs n= (per-pair message count)", e.Kind)
 		}
-	case TornWrite, NoSpace, IOErr, BitRot, CrashRename, Crash:
+	case TornWrite, IOErr, BitRot, Crash:
 		if e.Site != Store {
 			return fmt.Errorf("fault: %s event must use site %q", e.Kind, Store)
 		}
@@ -370,12 +358,10 @@ const (
 // storeOpClasses lists which operation classes each store fault kind may be
 // keyed by.
 var storeOpClasses = map[Kind][]string{
-	TornWrite:   {OpWrite},
-	NoSpace:     {OpWrite},
-	IOErr:       {OpWrite, OpRead, OpCreate, OpRename, OpSync},
-	BitRot:      {OpRead},
-	CrashRename: {OpRename},
-	Crash:       {OpWrite, OpRead, OpCreate, OpRename, OpSync},
+	TornWrite: {OpWrite},
+	IOErr:     {OpWrite, OpRead, OpCreate, OpRename, OpSync},
+	BitRot:    {OpRead},
+	Crash:     {OpWrite, OpRead, OpCreate, OpRename, OpSync},
 }
 
 // StoreFate is the injector's verdict on one storage operation, consulted by
@@ -383,7 +369,7 @@ var storeOpClasses = map[Kind][]string{
 // installed. The zero value lets the operation proceed.
 type StoreFate struct {
 	Hit    bool  // an event fired for this operation
-	Kind   Kind  // TornWrite, NoSpace, IOErr, BitRot, CrashRename or Crash
+	Kind   Kind  // TornWrite, IOErr, BitRot or Crash
 	Bytes  int   // TornWrite: bytes of the buffer that persist
 	Offset int64 // BitRot: byte offset to corrupt in the returned data
 }

@@ -25,10 +25,10 @@ import (
 //	mdg:hang@step=6                      wedge a call until the watchdog fires
 //	wine2:slow@step=4,ms=80              stall a call 80 ms, then proceed
 //	store:torn-write@write=3,bytes=10    power cut: 3rd write persists 10 bytes
-//	store:enospc@write=2                 2nd write fails, disk full
+//	store:eio@write=2                    2nd write fails with an I/O error
 //	store:eio@sync=1                     1st fsync fails with an I/O error
 //	store:bitrot@read=4,offset=7         flip a bit of byte 7 of the 4th read
-//	store:crash-before-rename@rename=1   power cut just before the 1st rename
+//	store:crash@rename=1                 power cut just before the 1st rename
 //	store:crash@sync=2                   power cut at the 2nd fsync
 //
 // transient and hang take an optional board= attributing the fault to one
@@ -58,12 +58,10 @@ var kindNames = map[string]Kind{
 	"hang":       Hang,
 	"slow":       Slow,
 
-	"torn-write":          TornWrite,
-	"enospc":              NoSpace,
-	"eio":                 IOErr,
-	"bitrot":              BitRot,
-	"crash-before-rename": CrashRename,
-	"crash":               Crash,
+	"torn-write": TornWrite,
+	"eio":        IOErr,
+	"bitrot":     BitRot,
+	"crash":      Crash,
 }
 
 // siteNames maps DSL site tokens to Site values.

@@ -10,10 +10,10 @@ import (
 func TestStoreDSLRoundTrip(t *testing.T) {
 	clauses := []string{
 		"store:torn-write@write=3,bytes=10",
-		"store:enospc@write=2",
+		"store:eio@write=2",
 		"store:eio@sync=1",
 		"store:bitrot@read=4,offset=7",
-		"store:crash-before-rename@rename=1",
+		"store:crash@rename=1",
 		"store:crash@sync=2",
 		"store:eio@create=5",
 	}
@@ -36,8 +36,7 @@ func TestStoreDSLRejects(t *testing.T) {
 		"store:torn-write@bytes=10",        // no op counter
 		"store:torn-write@read=1,bytes=4",  // torn-write is write-keyed
 		"store:bitrot@write=1,offset=0",    // bitrot is read-keyed
-		"store:crash-before-rename@sync=1", // rename-keyed only
-		"store:enospc@write=1,read=2",      // two op counters
+		"store:bitrot@read=1,write=2",      // two op counters
 		"wine2:torn-write@write=1,bytes=0", // wrong site
 		"store:transient@call=1",           // hardware kind on store site
 	}
@@ -46,10 +45,16 @@ func TestStoreDSLRejects(t *testing.T) {
 			t.Errorf("Parse(%q): want error, got nil", c)
 		}
 	}
+	// The two kinds that duplicated crash@rename=N and eio@write=N are gone.
+	for _, c := range []string{"store:crash-before-rename@rename=1", "store:enospc@write=1"} {
+		if _, err := Parse(c); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Errorf("Parse(%q): %v, want an unknown kind", c, err)
+		}
+	}
 }
 
 func TestStoreOpFiresPerClassCounter(t *testing.T) {
-	in, err := ParseInjector("store:enospc@write=2; store:eio@sync=1; store:bitrot@read=1,offset=3")
+	in, err := ParseInjector("store:eio@write=2; store:eio@sync=1; store:bitrot@read=1,offset=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +65,8 @@ func TestStoreOpFiresPerClassCounter(t *testing.T) {
 		t.Fatalf("create 1 fired: %+v", f)
 	}
 	f := in.StoreOp(OpWrite)
-	if !f.Hit || f.Kind != NoSpace {
-		t.Fatalf("write 2: got %+v, want NoSpace hit", f)
+	if !f.Hit || f.Kind != IOErr {
+		t.Fatalf("write 2: got %+v, want IOErr hit", f)
 	}
 	f = in.StoreOp(OpSync)
 	if !f.Hit || f.Kind != IOErr {
@@ -79,7 +84,7 @@ func TestStoreOpFiresPerClassCounter(t *testing.T) {
 		t.Fatalf("write 3 re-fired: %+v", f)
 	}
 	fired := in.Fired()
-	if len(fired) != 3 || !strings.Contains(fired[0], "store:enospc@write=2") {
+	if len(fired) != 3 || !strings.Contains(fired[0], "store:eio@write=2") {
 		t.Fatalf("Fired() = %v", fired)
 	}
 }

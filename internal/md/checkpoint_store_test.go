@@ -38,7 +38,7 @@ func TestCheckpointFSCrashBeforeRenameKeepsOld(t *testing.T) {
 	if err := WriteCheckpointFS(fs, "run.wal", s, 5); err != nil {
 		t.Fatal(err)
 	}
-	in, err := fault.ParseInjector("store:crash-before-rename@rename=1")
+	in, err := fault.ParseInjector("store:crash@rename=1")
 	if err != nil {
 		t.Fatal(err)
 	}

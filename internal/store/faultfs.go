@@ -20,7 +20,7 @@ import (
 //     content advances only at File.Sync, and creates / renames / removes
 //     commit only at SyncDir on the parent directory.
 //
-// A Crash / TornWrite / CrashRename fate latches the filesystem into the
+// A Crash / TornWrite fate latches the filesystem into the
 // crashed state: the durable view freezes (plus any torn bytes), and every
 // later operation fails with ErrCrashed until Reboot, which discards the
 // live view and re-materializes the durable one — the moral equivalent of
@@ -187,7 +187,7 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 		switch ft.Kind {
 		case fault.IOErr:
 			return &fs.PathError{Op: "rename", Path: oldpath, Err: ErrIO}
-		case fault.CrashRename, fault.Crash:
+		case fault.Crash:
 			f.crash()
 			return ErrCrashed
 		}
@@ -335,8 +335,6 @@ func (h *faultFile) Write(p []byte) (int, error) {
 	ft := f.fate(fault.OpWrite)
 	if ft.Hit {
 		switch ft.Kind {
-		case fault.NoSpace:
-			return 0, &fs.PathError{Op: "write", Path: h.mf.path, Err: ErrNoSpace}
 		case fault.IOErr:
 			return 0, &fs.PathError{Op: "write", Path: h.mf.path, Err: ErrIO}
 		case fault.TornWrite:

@@ -139,20 +139,20 @@ func TestFaultFSTornWrite(t *testing.T) {
 	}
 }
 
-// NoSpace and IOErr fail the operation without crashing the filesystem, and
-// a failed write persists nothing.
-func TestFaultFSNoSpaceAndIOErr(t *testing.T) {
-	in := injector(t, "store:enospc@write=1; store:eio@sync=1")
+// IOErr fails the operation without crashing the filesystem, and a failed
+// write persists nothing.
+func TestFaultFSIOErrKeepsFSUp(t *testing.T) {
+	in := injector(t, "store:eio@write=1; store:eio@sync=1")
 	fs := NewFaultFS(in)
 	f, _ := fs.Append("j")
-	if _, err := f.Write([]byte("x")); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("write: %v, want ErrNoSpace", err)
+	if _, err := f.Write([]byte("x")); !errors.Is(err, ErrIO) {
+		t.Fatalf("write: %v, want ErrIO", err)
 	}
 	if err := f.Sync(); !errors.Is(err, ErrIO) {
 		t.Fatalf("sync: %v, want ErrIO", err)
 	}
 	if fs.Crashed() {
-		t.Fatal("enospc/eio must not crash the filesystem")
+		t.Fatal("eio must not crash the filesystem")
 	}
 	// Both ops retry clean.
 	if _, err := f.Write([]byte("x")); err != nil {
@@ -187,10 +187,10 @@ func TestFaultFSBitRot(t *testing.T) {
 	}
 }
 
-// CrashRename aborts before the rename happens: the temp stays volatile and
-// the durable target keeps its old content.
+// A crash keyed by rename aborts before the rename happens: the temp stays
+// volatile and the durable target keeps its old content.
 func TestFaultFSCrashBeforeRename(t *testing.T) {
-	in := injector(t, "store:crash-before-rename@rename=2")
+	in := injector(t, "store:crash@rename=2")
 	fs := NewFaultFS(in)
 	mustWrite(t, fs, "ckpt", []byte("old")) // rename 1
 	f, _ := fs.Create("tmp")
@@ -202,7 +202,7 @@ func TestFaultFSCrashBeforeRename(t *testing.T) {
 	}
 	fs.Reboot(nil)
 	if got, _ := fs.ReadFile("ckpt"); !bytes.Equal(got, []byte("old")) {
-		t.Fatalf("crash-before-rename lost target: %q\n%s", got, fs.Dump())
+		t.Fatalf("crash at rename lost target: %q\n%s", got, fs.Dump())
 	}
 	if _, err := fs.ReadFile("tmp"); !NotExist(err) {
 		t.Fatal("uncommitted temp survived crash")

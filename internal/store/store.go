@@ -36,8 +36,6 @@ var (
 	// ErrCrashed latches after a simulated power cut: every subsequent
 	// operation on the FaultFS fails with it until Reboot.
 	ErrCrashed = errors.New("store: filesystem crashed (injected)")
-	// ErrNoSpace is an injected out-of-space write failure.
-	ErrNoSpace = errors.New("store: no space left on device (injected)")
 	// ErrIO is an injected transient I/O failure.
 	ErrIO = errors.New("store: i/o error (injected)")
 )

@@ -122,7 +122,7 @@ func TestCreateJournalCrashSafe(t *testing.T) {
 
 	// Crash at the rename that would commit the new log: the old run's
 	// records must survive to the durable view.
-	in, err := fault.ParseInjector("store:crash-before-rename@rename=1")
+	in, err := fault.ParseInjector("store:crash@rename=1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,11 +362,8 @@ func newForceField(cfg Config, p ewald.Params, in *fault.Injector) (core.Engine,
 		err error
 	)
 	switch {
-	case recovered && world != nil:
-		res, err = core.NewResilientParallel(mcfg, rc, world, nReal, nWave)
-		eng = res
 	case recovered:
-		res, err = core.NewResilient(mcfg, rc)
+		res, err = core.NewResilient(mcfg, rc, world, nReal, nWave)
 		eng = res
 	case world != nil:
 		eng, err = core.NewParallelRun(world, mcfg, nReal, nWave)
@@ -467,8 +464,10 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 // snapshot frame restores the state, the fault injector's cursor and the
 // recovery report of the last commit, and its records replay the steps that
 // committed after it under the original ensemble schedule and fault
-// timeline, yielding the exact pre-kill state bit for bit. cfg must be the
-// original run's Config (including Supervise.Journal and Faults).
+// timeline, yielding the exact pre-kill state — bit for bit at Skin 0; at
+// Skin > 0 the new engine sorts its layout afresh at the snapshot, which
+// moves the bits at rounding level. cfg must be the original run's Config
+// (including Supervise.Journal and Faults).
 func ResumeFromJournal(cfg Config) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

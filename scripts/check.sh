@@ -19,20 +19,22 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> fused float ops (the simulated datapaths, their table builder, the host words they are fed, the integrator and the vector algebra round every step: none on the architectures that fuse)"
+echo "==> fused float ops (the simulated datapaths, their table builder, the host words they are fed, the cell index, the engine body, the integrator and the vector algebra round every step: none on the architectures that fuse)"
 # The Go spec lets a compiler fuse x*y + z into one rounding; an explicit
 # conversion forbids it. The compiler does not fuse on amd64, so cross-compile
 # and read the assembly the fusing back ends emit. A package's listing
 # includes what it inlines (wine2: vec's wrap, ewald's wave energy; md: vec's
-# Add(Scale(…)) in the integrator).
+# Add(Scale(…)) in the integrator; core: ewald's wave and self energies).
 for arch in arm64 ppc64le s390x riscv64; do
     if ! asm=$(GOARCH=$arch go build -gcflags=mdm/internal/mdgrape2=-S -gcflags=mdm/internal/funceval=-S \
         -gcflags=mdm/internal/wine2=-S -gcflags=mdm/internal/md=-S -gcflags=mdm/internal/vec=-S \
-        ./internal/mdgrape2 ./internal/funceval ./internal/wine2 ./internal/md ./internal/vec 2>&1); then
+        -gcflags=mdm/internal/cellindex=-S -gcflags=mdm/internal/core=-S \
+        ./internal/mdgrape2 ./internal/funceval ./internal/wine2 ./internal/md ./internal/vec \
+        ./internal/cellindex ./internal/core 2>&1); then
         echo "$asm" >&2
         exit 1
     fi
-    for pkg in mdgrape2 funceval wine2 md vec; do
+    for pkg in mdgrape2 funceval wine2 md vec cellindex core; do
         if ! echo "$asm" | grep -q "^mdm/internal/$pkg\..* STEXT"; then
             echo "no $arch assembly listed for internal/$pkg" >&2
             exit 1
