@@ -238,11 +238,11 @@ type NeighborTable struct {
 	lists [][]Neighbor
 }
 
-// BuildNeighborTable enumerates every cell's neighbors, striping the cells
-// across the pool's workers (a nil pool is serial; each cell's list is
-// written by exactly one worker, so the table is identical at any width).
-// Small grids run serially: below serialCellsCutoff cells the per-shard
-// goroutine handoff costs more than the enumeration itself.
+// BuildNeighborTable enumerates every cell's neighbors, the cells cut into
+// chunks the pool's workers claim (a nil pool is serial; each cell's list is
+// written by exactly one chunk, so the table is identical at any width).
+// Small grids run serially: below serialCellsCutoff cells the goroutine
+// handoff costs more than the enumeration itself.
 func BuildNeighborTable(g *Grid, pool *parallelize.Pool) *NeighborTable {
 	if g.NumCells() < serialCellsCutoff {
 		pool = nil
@@ -312,7 +312,7 @@ func Sort(g *Grid, pos []vec.V) *Sorted {
 // Serial cutoffs for the parallel phases. BENCH_1 measured the 3-phase
 // parallel counting sort at 0.61–0.77× serial speed for the 216-particle
 // NaCl cell at widths 2–8: below a few thousand elements the goroutine
-// handoff and per-shard count tables dominate the O(n) scan they split.
+// handoff and per-chunk count tables dominate the O(n) scan they split.
 // The crossover benchmark (BenchmarkSortCrossover) pins the threshold.
 const (
 	serialSortCutoff  = 2048 // particles below which SortPool runs serially
@@ -320,18 +320,20 @@ const (
 )
 
 // SortPool builds the sorted layout with the cell assignment and scatter
-// phases striped across the pool's workers (a nil pool is serial). The
-// layout is bit-identical to Sort at any pool width: shards are contiguous
-// original-index ranges and each shard scatters into slots reserved for it
-// by a deterministic per-shard/per-cell prefix sum, so within every cell the
-// particles appear in ascending original index exactly as in the serial
-// counting sort. Inputs below serialSortCutoff run serially regardless of
-// pool width (same layout, cheaper).
+// phases cut into chunks the pool's workers claim (a nil pool is serial).
+// The layout is bit-identical to Sort at any pool width: chunks are
+// contiguous original-index ranges (parallelize.Shards, a function of n and
+// the width only) and each chunk scatters into slots reserved for it by a
+// per-chunk/per-cell prefix sum taken in ascending chunk order, so within
+// every cell the particles appear in ascending original index exactly as in
+// the serial counting sort, whichever worker ran which chunk. Inputs below
+// serialSortCutoff run serially regardless of pool width (same layout,
+// cheaper).
 func SortPool(g *Grid, pos []vec.V, pool *parallelize.Pool) *Sorted {
 	return NewSorter(g).SortInto(nil, pos, pool)
 }
 
-// Sorter owns the scratch state of the counting sort (per-shard count and
+// Sorter owns the scratch state of the counting sort (per-chunk count and
 // scatter-base tables; the cell assignments are part of the layout) so
 // repeated sorts over the same grid allocate nothing. One Sorter serves one
 // caller at a time.
@@ -375,25 +377,25 @@ func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *So
 	if n < serialSortCutoff {
 		pool = nil
 	}
-	shards := parallelize.Shards(n, pool.Workers())
-	for len(so.counts) < len(shards) {
-		//mdm:hotallocok -- amortized scratch growth: grows to the worker count once, then reuses across sorts
+	chunks := parallelize.NumShards(n, pool.Workers())
+	for len(so.counts) < chunks {
+		//mdm:hotallocok -- amortized scratch growth: grows to the chunk count once, then reuses across sorts
 		so.counts = append(so.counts, nil)
-		//mdm:hotallocok -- amortized scratch growth: grows to the worker count once, then reuses across sorts
+		//mdm:hotallocok -- amortized scratch growth: grows to the chunk count once, then reuses across sorts
 		so.base = append(so.base, nil)
 	}
-	counts := so.counts[:len(shards)]
-	base := so.base[:len(shards)]
-	for sh := range counts {
-		if len(counts[sh]) != nc {
-			counts[sh] = make([]int, nc)
-			base[sh] = make([]int, nc)
+	counts := so.counts[:chunks]
+	base := so.base[:chunks]
+	for c := range counts {
+		if len(counts[c]) != nc {
+			counts[c] = make([]int, nc)
+			base[c] = make([]int, nc)
 		}
 	}
-	// Phase 1: cell assignment, one count table per shard (zeroed in-shard so
+	// Phase 1: cell assignment, one count table per chunk (zeroed in-chunk so
 	// table reuse across calls is invisible).
-	_ = pool.Run(n, func(shard, lo, hi int) error {
-		cnt := counts[shard]
+	_ = pool.Run(n, func(chunk, lo, hi int) error {
+		cnt := counts[chunk]
 		for c := range cnt {
 			cnt[c] = 0
 		}
@@ -404,8 +406,8 @@ func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *So
 		}
 		return nil
 	})
-	// Phase 2 (serial): global cell offsets, then per-shard scatter bases —
-	// shard s writes cell c starting at Start[c] + Σ_{t<s} counts[t][c].
+	// Phase 2 (serial): global cell offsets, then per-chunk scatter bases —
+	// chunk s writes cell c starting at Start[c] + Σ_{t<s} counts[t][c].
 	for c, k := 0, 0; c < nc; c++ {
 		dst.Start[c] = k
 		for _, cnt := range counts {
@@ -413,18 +415,18 @@ func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *So
 		}
 	}
 	dst.Start[nc] = n
-	if len(shards) > 0 {
+	if chunks > 0 {
 		copy(base[0], dst.Start[:nc])
-		for sh := 1; sh < len(shards); sh++ {
-			prev, cnt, b := base[sh-1], counts[sh-1], base[sh]
+		for s := 1; s < chunks; s++ {
+			prev, cnt, b := base[s-1], counts[s-1], base[s]
 			for c := 0; c < nc; c++ {
 				b[c] = prev[c] + cnt[c]
 			}
 		}
 	}
-	// Phase 3: scatter. Slot ranges of different shards are disjoint.
-	_ = pool.Run(n, func(shard, lo, hi int) error {
-		fill := base[shard]
+	// Phase 3: scatter. Slot ranges of different chunks are disjoint.
+	_ = pool.Run(n, func(chunk, lo, hi int) error {
+		fill := base[chunk]
 		for i := lo; i < hi; i++ {
 			c := dst.Cell[i]
 			k := fill[c]

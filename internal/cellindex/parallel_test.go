@@ -44,6 +44,40 @@ func TestSortPoolBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSortBitIdenticalAcrossWorkers runs the parallel counting sort itself
+// (n above serialSortCutoff) at widths 1–8 through one reused Sorter: its
+// per-chunk count and base tables must give the serial layout whatever the
+// chunk count, and shrink and grow with it between calls.
+func TestSortBitIdenticalAcrossWorkers(t *testing.T) {
+	const l = 24.0
+	g, err := NewGrid(l, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	pos := make([]vec.V, serialSortCutoff+301)
+	for i := range pos {
+		pos[i] = vec.New(rng.Float64()*l, rng.Float64()*l, rng.Float64()*l)
+	}
+	serial := Sort(g, pos)
+	so := NewSorter(g)
+	var got *Sorted
+	for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 2} {
+		got = so.SortInto(got, pos, parallelize.New(w))
+		for k := range serial.Order {
+			if got.At(k) != serial.At(k) || got.Order[k] != serial.Order[k] ||
+				got.Slot[k] != serial.Slot[k] || got.Cell[k] != serial.Cell[k] {
+				t.Fatalf("workers=%d: slot %d differs from the serial sort", w, k)
+			}
+		}
+		for c := range serial.Start {
+			if got.Start[c] != serial.Start[c] {
+				t.Fatalf("workers=%d: Start[%d] = %d, serial %d", w, c, got.Start[c], serial.Start[c])
+			}
+		}
+	}
+}
+
 func TestNeighborTableMatchesGrid(t *testing.T) {
 	g, err := NewGrid(30, 3)
 	if err != nil {

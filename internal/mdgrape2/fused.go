@@ -242,13 +242,14 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 
 	dst = dst.Resize(len(xi))
 	fX, fY, fZ := dst.X, dst.Y, dst.Z
-	// The i-particles are striped across the pool's workers in contiguous
-	// blocks, as the hardware distributes them over pipelines; each
-	// i-particle's float64 accumulators stay in one shard, so accumulation
-	// order — and the result — is bit-identical at any pool width. Pair
-	// counters are per-shard, merged in shard order below.
-	shardPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
-	_ = s.pool.Run(len(xi), func(shard, lo, hi int) error {
+	// The hardware distributes the i-particles over its pipelines in blocks
+	// (the time ComputeTime models); on the host they are cut into contiguous
+	// chunks that the pool's workers claim, a chunk being only a scheduling
+	// unit. Each i-particle's float64 accumulators stay in one chunk, so
+	// accumulation order — and the result — is bit-identical at any pool
+	// width. Pair counters are per chunk, merged in chunk order below.
+	chunkPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
+	_ = s.pool.Run(len(xi), func(chunk, lo, hi int) error {
 		cut2, p32 := cutoffWord(js.Sorted.Grid.Cutoff), &js.Sorted.P32
 		var pairs int64
 		var acc [maxFusedPasses][3]float64 // double-precision accumulators (§3.5.4)
@@ -303,11 +304,11 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 			}
 			fX[i], fY[i], fZ[i] = f.X, f.Y, f.Z
 		}
-		shardPairs[shard] = pairs
+		chunkPairs[chunk] = pairs
 		return nil
 	})
 	var pairs int64
-	for _, p := range shardPairs {
+	for _, p := range chunkPairs {
 		pairs += p
 	}
 	// Stats count one hardware pass per table.

@@ -122,16 +122,16 @@ type System struct {
 	hook   fault.HardwareHook
 	pool   *parallelize.Pool
 
-	shardPairs []int64 // per-call pair-counter scratch, reused across calls
+	chunkPairs []int64 // per-call pair-counter scratch, reused across calls
 }
 
-// pairScratch returns a zeroed per-shard pair-counter slice of length n,
+// pairScratch returns a zeroed per-chunk pair-counter slice of length n,
 // reusing the session's scratch buffer.
 func (s *System) pairScratch(n int) []int64 {
-	if cap(s.shardPairs) < n {
-		s.shardPairs = make([]int64, n)
+	if cap(s.chunkPairs) < n {
+		s.chunkPairs = make([]int64, n)
 	}
-	sp := s.shardPairs[:n]
+	sp := s.chunkPairs[:n]
 	for i := range sp {
 		sp[i] = 0
 	}
@@ -162,11 +162,11 @@ func (s *System) ResetStats() { s.stats = Stats{} }
 // default) costs one nil check per call.
 func (s *System) SetFaultHook(h fault.HardwareHook) { s.hook = h }
 
-// SetPool installs the worker pool that stripes the i-particle loops of the
-// force and potential passes across host cores, mirroring the
+// SetPool installs the worker pool that runs the i-particle loops of the
+// force and potential passes on host cores, the host's stand-in for the
 // hardware's distribution of i-particles over pipelines (§3.5.2). A nil pool
 // (the default) runs serially; every pool width is bit-identical because the
-// per-particle float64 accumulation order is unchanged — sharding only moves
+// per-particle float64 accumulation order is unchanged — chunking only moves
 // whole i-particles between workers.
 func (s *System) SetPool(p *parallelize.Pool) { s.pool = p }
 

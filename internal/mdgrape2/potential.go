@@ -29,8 +29,8 @@ func (s *System) ComputePotentials(table string, co *Coeffs, xi []vec.V, ti []in
 	n := len(co.A)
 	a32, b32 := co.quant32()
 	pots := make([]float64, len(xi))
-	shardPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
-	if err := s.pool.Run(len(xi), func(shard, lo, hi int) error {
+	chunkPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
+	if err := s.pool.Run(len(xi), func(chunk, lo, hi int) error {
 		cut2 := cutoffWord(js.Sorted.Grid.Cutoff)
 		var pairs int64
 		var blk pairBlock
@@ -68,13 +68,13 @@ func (s *System) ComputePotentials(table string, co *Coeffs, xi []vec.V, ti []in
 				pots[i] = acc
 			}
 		}
-		shardPairs[shard] = pairs
+		chunkPairs[chunk] = pairs
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	var pairs int64
-	for _, p := range shardPairs {
+	for _, p := range chunkPairs {
 		pairs += p
 	}
 	s.stats.PairsEvaluated += pairs

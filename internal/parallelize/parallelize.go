@@ -5,33 +5,46 @@
 // sum over 2,240 chips and MDGRAPE-2 striped the i-particles over 256
 // pipelines (§3.4, §3.5). The simulators reproduce those datapaths
 // bit-exactly but, before this layer, executed every pipeline on one OS
-// thread. A Pool re-introduces the hardware's parallel axis: an index range
-// is split into at most Workers contiguous shards ("virtual boards"), each
-// shard runs on its own goroutine, and the caller merges shard results in
-// shard order.
+// thread. A Pool re-introduces the hardware's parallel axis on the host: an
+// index range is cut into contiguous chunks, at most Workers goroutines
+// claim chunks until none are left, and the caller merges per-chunk results
+// in chunk order. A chunk is only a host scheduling unit; the hardware's
+// block distribution is what perf.MachineModel times, not this cut.
 //
-// Determinism contract. Sharding is a pure function of (n, workers):
-// shard s covers [s·n/w, (s+1)·n/w). A worker writes only to the output
-// slots of its own shard, so any per-index output (forces[i], sn[w]) is
-// bit-identical to the serial loop regardless of scheduling. Reductions
-// (scalar sums) must be merged by the caller in ascending shard order; the
+// Determinism contract. The cut is a pure function of (n, workers): at
+// width w ≥ 2, chunk c of k = min(n, 4w) covers [c·n/k, (c+1)·n/k). Which
+// goroutine runs a chunk, and when, is left to the scheduler; it cannot
+// show in the output, because a chunk writes only to the output slots of
+// its own range, so any per-index output (forces[i], sn[w]) is
+// bit-identical to the serial loop. Reductions (scalar sums) must be kept
+// per chunk and merged by the caller in ascending chunk order; the
 // fixed-point int64 accumulators of WINE-2 are associative, so even their
-// reduced sums stay bit-identical. Pool(1) — and a nil *Pool — runs the body
-// inline on the calling goroutine: exactly the pre-pool serial code path,
-// with no goroutine, channel, or defer overhead.
+// reduced sums stay bit-identical. Pool(1) — and a nil *Pool — runs the
+// body inline on the calling goroutine: exactly the pre-pool serial code
+// path, with no goroutine, channel, or defer overhead.
 //
-// Error contract. The error returned by Run is the error of the
-// lowest-numbered failing shard, independent of goroutine timing, so fault
-// injection and recovery stay deterministic under concurrency. A panicking
-// shard is converted to a *PanicError rather than crashing the process
-// sideways on a worker goroutine.
+// Error contract. Every chunk runs, and the error returned by Run is the
+// error of the lowest-numbered failing chunk, independent of goroutine
+// timing, so fault injection and recovery stay deterministic under
+// concurrency. A panicking chunk is converted to a *PanicError rather than
+// crashing the process sideways on a worker goroutine; its worker goes on
+// claiming.
 package parallelize
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
+
+// chunksPerWorker is how many chunks Run cuts per worker. With one chunk
+// per worker, a worker the OS deschedules holds back a whole 1/w of the
+// range while the other cores idle; with four, the running workers claim
+// everything else and the straggler holds back at most 1/(4w). On the two-core
+// pipeline workload eight read no faster than four, and would double the
+// per-chunk scratch callers keep (the cell sort's count tables).
+const chunksPerWorker = 4
 
 // Pool is a bounded, stateless worker pool: it owns no goroutines between
 // calls, so one Pool may be shared by concurrent callers (e.g. the per-rank
@@ -59,9 +72,9 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// PanicError wraps a panic recovered on a worker goroutine.
+// PanicError wraps a panic recovered while running a chunk.
 type PanicError struct {
-	Shard int
+	Shard int // the chunk that panicked
 	Value any
 }
 
@@ -72,141 +85,126 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallelize: panic in shard %d: %v", e.Shard, e.Value)
 }
 
-// Shards splits the index range [0, n) into at most workers contiguous
-// shards: shard s covers [s·n/w, (s+1)·n/w). Every index is covered exactly
-// once, empty shards are dropped, and the split depends only on (n, workers)
-// — the deterministic striping the bit-exactness contract rests on.
+// Shards cuts the index range [0, n) into the NumShards(n, workers)
+// contiguous chunks Run hands out: chunk c of k covers [c·n/k, (c+1)·n/k).
+// Every index is covered exactly once, no chunk is empty, and the cut
+// depends only on (n, workers) — the deterministic partition the
+// bit-exactness contract rests on.
 func Shards(n, workers int) [][2]int {
 	return appendShards(nil, n, workers)
 }
 
-// appendShards appends the contiguous split of [0, n) to dst — the in-place
-// form Run uses to keep dispatch records allocation-free once grown.
+// appendShards appends the chunks of [0, n) to dst — the in-place form Run
+// uses to keep dispatch records allocation-free once grown.
 func appendShards(dst [][2]int, n, workers int) [][2]int {
-	if n <= 0 {
-		return dst
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	for s := 0; s < workers; s++ {
-		lo := s * n / workers
-		hi := (s + 1) * n / workers
-		if lo < hi {
-			//mdm:hotallocok -- appends into dst[:0] of a pooled dispatch record; the backing array grows once per record, then every Run reuses it
-			dst = append(dst, [2]int{lo, hi})
-		}
+	k := NumShards(n, workers)
+	for c := 0; c < k; c++ {
+		//mdm:hotallocok -- appends into dst[:0] of a pooled dispatch record; the backing array grows once per record, then every Run reuses it
+		dst = append(dst, [2]int{c * n / k, (c + 1) * n / k})
 	}
 	return dst
 }
 
-// NumShards returns len(Shards(n, workers)) without building the slice:
-// every shard of the contiguous split is non-empty once workers is clamped
-// to n, so the count is min(workers, n) (and 0 for an empty range). Callers
-// sizing per-shard accumulators on a hot path use this to stay allocation-
-// free.
+// NumShards returns len(Shards(n, workers)) without building the slice: 0
+// for an empty range, 1 at width 1, and min(n, 4·workers) above it. Every
+// chunk is non-empty because the count never exceeds n. Callers sizing
+// per-chunk accumulators on a hot path use this to stay allocation-free.
 func NumShards(n, workers int) int {
 	if n <= 0 {
 		return 0
 	}
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		return 1
 	}
-	if workers > n {
-		workers = n
-	}
-	return workers
+	return min(n, chunksPerWorker*workers)
 }
 
-// dispatch is the reusable scratch of one multi-shard Run: the shard table,
-// the per-shard error slots, the join WaitGroup, and one pre-built spawn
-// closure per shard slot. Records live in a process-wide sync.Pool, so a
-// steady-state Run allocates nothing regardless of width — the per-width
-// allocation growth of allocating the shard list, error slice and one
-// hidden capture struct per `go fn(args)` statement on every dispatch is
-// what the pooling removes (the BENCH_2 machineForces 11 → 144 allocs/op
-// climb across widths 1 → 8).
+// dispatch is the reusable scratch of one multi-chunk Run: the chunk table,
+// the per-chunk error slots, the claim cursor, the join WaitGroup, and the
+// pre-built spawn closure every worker runs. Records live in a process-wide
+// sync.Pool, so a steady-state Run allocates nothing regardless of width —
+// the per-width allocation growth of allocating the chunk list, error slice
+// and one hidden capture struct per `go fn(args)` statement on every
+// dispatch is what the pooling removes (the BENCH_2 machineForces
+// 11 → 144 allocs/op climb across widths 1 → 8).
 type dispatch struct {
-	fn     func(shard, lo, hi int) error
-	shards [][2]int
+	fn     func(chunk, lo, hi int) error
+	chunks [][2]int
 	errs   []error
-	calls  []*shardCall
+	next   atomic.Int64
 	wg     sync.WaitGroup
+	// work is d.claim, bound once when the record is built: `go d.work()`
+	// passes an existing zero-argument funcval to the scheduler, the one
+	// goroutine-spawn shape that does not allocate a capture struct.
+	work func()
 }
 
-// shardCall is one shard slot of a dispatch. Its spawn closure g is built
-// once, when the slot is first grown, and captures only the slot itself —
-// `go c.g()` passes an existing zero-argument funcval to the scheduler, which
-// is the one goroutine-spawn shape that does not allocate a capture struct.
-type shardCall struct {
-	d *dispatch
-	s int
-	g func()
-}
+var dispatchPool = sync.Pool{New: func() any {
+	d := new(dispatch)
+	d.work = d.claim
+	return d
+}}
 
-var dispatchPool = sync.Pool{New: func() any { return new(dispatch) }}
-
-// grow ensures the dispatch has at least n shard slots, building the
-// per-slot spawn closures once (amortized: a record that has dispatched at
-// width w never allocates again at widths ≤ w).
-func (d *dispatch) grow(n int) {
-	for len(d.calls) < n {
-		c := &shardCall{d: d, s: len(d.calls)}
-		c.g = func() { c.d.runShard(c.s) }
-		//mdm:hotallocok -- slot construction is amortized: a record that has dispatched at width w never allocates again at widths ≤ w
-		d.calls = append(d.calls, c)
+// claim is one worker: it takes the next unclaimed chunk from the cursor
+// until none are left.
+func (d *dispatch) claim() {
+	defer d.wg.Done()
+	for {
+		c := int(d.next.Add(1) - 1)
+		if c >= len(d.chunks) {
+			return
+		}
+		d.runChunk(c)
 	}
 }
 
-// runShard executes one shard on its worker goroutine, keeping the panic
-// and per-shard error contracts of Run.
-func (d *dispatch) runShard(s int) {
-	defer d.wg.Done()
+// runChunk executes one chunk, keeping the panic and per-chunk error
+// contracts of Run.
+func (d *dispatch) runChunk(c int) {
 	defer func() {
 		if v := recover(); v != nil {
-			d.errs[s] = &PanicError{Shard: s, Value: v}
+			d.errs[c] = &PanicError{Shard: c, Value: v}
 		}
 	}()
-	r := d.shards[s]
-	d.errs[s] = d.fn(s, r[0], r[1])
+	r := d.chunks[c]
+	d.errs[c] = d.fn(c, r[0], r[1])
 }
 
-// Run executes fn over the index range [0, n), split into at most Workers()
-// contiguous shards. fn receives its shard number and half-open range
+// Run executes fn over the index range [0, n), cut into NumShards(n,
+// Workers()) contiguous chunks that min(Workers(), chunks) goroutines claim
+// in ascending order. fn receives its chunk number and half-open range
 // [lo, hi); it must write only to per-index state of its own range (or to
-// per-shard state merged by the caller afterwards). With one shard — a nil
+// per-chunk state merged by the caller afterwards). With one chunk — a nil
 // or width-1 pool, or n <= 1 — fn runs inline on the calling goroutine.
 //
-// The returned error is the lowest-numbered failing shard's error; a shard
-// panic surfaces as a *PanicError.
-func (p *Pool) Run(n int, fn func(shard, lo, hi int) error) error {
+// Every chunk runs. The returned error is the lowest-numbered failing
+// chunk's error; a chunk panic surfaces as a *PanicError.
+func (p *Pool) Run(n int, fn func(chunk, lo, hi int) error) error {
 	workers := p.Workers()
-	if n <= 0 {
+	k := NumShards(n, workers)
+	switch k {
+	case 0:
 		return nil
-	}
-	if NumShards(n, workers) == 1 {
-		// Single-shard fast path without materializing the shard list: the
+	case 1:
+		// Single-chunk fast path without materializing the chunk list: the
 		// zero-alloc step path runs through here at width 1.
 		return runInline(fn, 0, n)
 	}
 	d := dispatchPool.Get().(*dispatch)
 	d.fn = fn
-	d.shards = appendShards(d.shards[:0], n, workers)
-	ns := len(d.shards)
-	if cap(d.errs) < ns {
-		d.errs = make([]error, ns)
+	d.chunks = appendShards(d.chunks[:0], n, workers)
+	if cap(d.errs) < k {
+		d.errs = make([]error, k)
 	}
-	d.errs = d.errs[:ns]
-	for s := range d.errs {
-		d.errs[s] = nil
+	d.errs = d.errs[:k]
+	for c := range d.errs {
+		d.errs[c] = nil
 	}
-	d.grow(ns)
-	d.wg.Add(ns)
-	for s := 0; s < ns; s++ {
-		go d.calls[s].g()
+	d.next.Store(0)
+	g := min(workers, k)
+	d.wg.Add(g)
+	for range g {
+		go d.work()
 	}
 	d.wg.Wait()
 	var err error
@@ -221,9 +219,9 @@ func (p *Pool) Run(n int, fn func(shard, lo, hi int) error) error {
 	return err
 }
 
-// runInline is the single-shard fast path: no goroutine, no channel — the
+// runInline is the single-chunk fast path: no goroutine, no channel — the
 // pre-pool serial code path, with only the panic contract kept uniform.
-func runInline(fn func(shard, lo, hi int) error, lo, hi int) (err error) {
+func runInline(fn func(chunk, lo, hi int) error, lo, hi int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Shard: 0, Value: v}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestShardsCoverExactly(t *testing.T) {
@@ -34,8 +35,13 @@ func TestShardsCoverExactly(t *testing.T) {
 					t.Fatalf("n=%d w=%d: index %d covered %d times", n, w, i, c)
 				}
 			}
-			if len(shards) > w || (n > 0 && len(shards) > n) {
-				t.Fatalf("n=%d w=%d: %d shards", n, w, len(shards))
+			// One chunk at width 1; min(n, 4w) above it.
+			want := min(n, 4*w)
+			if w == 1 && n > 0 {
+				want = 1
+			}
+			if len(shards) != want || NumShards(n, w) != want {
+				t.Fatalf("n=%d w=%d: %d shards, NumShards %d, want %d", n, w, len(shards), NumShards(n, w), want)
 			}
 		}
 	}
@@ -85,22 +91,63 @@ func TestDefaultWidthIsGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestRunCoversAllIndices runs every index once, in the chunks Shards
+// names, including ranges shorter than 4w (one index a chunk).
 func TestRunCoversAllIndices(t *testing.T) {
-	for _, w := range []int{1, 2, 3, 8} {
-		p := New(w)
-		out := make([]int64, 997)
-		if err := p.Run(len(out), func(shard, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt64(&out[i], int64(i)+1)
+	for _, n := range []int{1, 3, 7, 997} {
+		for _, w := range []int{1, 2, 3, 8} {
+			p := New(w)
+			out := make([]int64, n)
+			got := make([][2]int, NumShards(n, w))
+			if err := p.Run(len(out), func(chunk, lo, hi int) error {
+				got[chunk] = [2]int{lo, hi}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt64(&out[i], int64(i)+1)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range out {
+				if v != int64(i)+1 {
+					t.Fatalf("n=%d w=%d: out[%d] = %d", n, w, i, v)
+				}
+			}
+			if want := Shards(n, w); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("n=%d w=%d: ran chunks %v, want %v", n, w, got, want)
+			}
+		}
+	}
+}
+
+// TestRunStragglerCannotStrandChunks holds the worker that claims chunk 0
+// until every other chunk has run, as a descheduled worker would be held:
+// the remaining workers must claim the rest of the range, so the straggler
+// holds only its own 1/(4w) of it. A split into one range per worker fails
+// here (the straggler's range is never finished by anyone else) and times
+// out instead of hanging.
+func TestRunStragglerCannotStrandChunks(t *testing.T) {
+	const n = 1000
+	for _, w := range []int{2, 4} {
+		others := int64(n - n/(4*w)) // every index outside chunk 0
+		var done atomic.Int64
+		allRun := make(chan struct{})
+		err := New(w).Run(n, func(chunk, lo, hi int) error {
+			if lo == 0 {
+				select {
+				case <-allRun:
+					return nil
+				case <-time.After(10 * time.Second):
+					return fmt.Errorf("w=%d: chunk [%d, %d) waited 10 s; %d of the %d indices outside chunk 0 ran", w, lo, hi, done.Load(), others)
+				}
+			}
+			if done.Add(int64(hi-lo)) == others {
+				close(allRun)
 			}
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
-		}
-		for i, v := range out {
-			if v != int64(i)+1 {
-				t.Fatalf("w=%d: out[%d] = %d", w, i, v)
-			}
 		}
 	}
 }
@@ -121,6 +168,42 @@ func TestRunReturnsLowestShardError(t *testing.T) {
 		// Deterministic winner: shard 3 is the lowest failing shard.
 		if got := err.Error(); got != "shard failed: 3" {
 			t.Fatalf("trial %d: nondeterministic error choice: %q", trial, got)
+		}
+	}
+}
+
+// TestRunLowestChunkErrorWinsWhenItFinishesLast returns the lowest failing
+// chunk's error even when that chunk is the last to finish, after every
+// higher chunk has already failed, and when the only failing chunk is the
+// last one claimed.
+func TestRunLowestChunkErrorWinsWhenItFinishesLast(t *testing.T) {
+	for _, w := range []int{2, 4} {
+		p := New(w)
+		k := NumShards(64, w)
+		var failed atomic.Int64
+		higherFailed := make(chan struct{})
+		err := p.Run(64, func(chunk, lo, hi int) error {
+			if chunk == 1 {
+				<-higherFailed
+			} else if chunk > 1 && failed.Add(1) == int64(k-2) {
+				close(higherFailed)
+			}
+			if chunk >= 1 {
+				return fmt.Errorf("chunk %d", chunk)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "chunk 1" {
+			t.Fatalf("w=%d: err = %v, want chunk 1's", w, err)
+		}
+		err = p.Run(64, func(chunk, lo, hi int) error {
+			if chunk == k-1 {
+				return fmt.Errorf("chunk %d", chunk)
+			}
+			return nil
+		})
+		if want := fmt.Sprintf("chunk %d", k-1); err == nil || err.Error() != want {
+			t.Fatalf("w=%d: err = %v, want %q", w, err, want)
 		}
 	}
 }

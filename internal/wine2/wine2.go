@@ -237,9 +237,9 @@ func (s *System) ResetStats() { s.stats = Stats{} }
 // default) costs one nil check per call.
 func (s *System) SetFaultHook(h fault.HardwareHook) { s.hook = h }
 
-// SetPool installs the worker pool that stripes DFT waves and IDFT particles
-// across host cores, mirroring the hardware's chip-level concurrency. A nil
-// pool (the default) runs every pipeline loop serially; any pool width
+// SetPool installs the worker pool that runs DFT waves and IDFT particles on
+// host cores, the host's stand-in for the hardware's chip-level concurrency.
+// A nil pool (the default) runs every pipeline loop serially; any pool width
 // produces bit-identical results (see ParticleWords and package
 // parallelize). The pool is also used to parallelize quantization.
 func (s *System) SetPool(p *parallelize.Pool) { s.pool = p }
@@ -301,8 +301,8 @@ func (s *System) QuantizeInto(pw *ParticleWords, l float64, pos []vec.V, q []flo
 	pw.q = q
 	pf := fixed.F(0, s.cfg.PosFrac)
 	qf := fixed.F(5, s.cfg.QFrac)
-	// Each particle's words are independent, so the quantization shards
-	// trivially; every slot is written by exactly one worker.
+	// Each particle's words are independent, so the quantization chunks
+	// trivially; every slot is written by exactly one chunk.
 	_ = s.pool.Run(len(pos), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			w := pos[i].Wrap(l)
@@ -458,11 +458,13 @@ func (s *System) rowsFor(waves []ewald.Wave) *rowPlan {
 
 // DFTQuantizedInto is the DFT pass over a pre-quantized particle image,
 // writing into caller-provided structure factor slices (reused when their
-// length matches len(waves), allocated otherwise). The wave loop, in row
-// order, is striped across the pool's workers exactly as the hardware stripes
-// waves across chips (§3.4.2: "different wavenumber vectors are assigned to
-// different pipelines"); each wave's S±C accumulator lives entirely in one
-// shard, so the output is bit-identical at any pool width.
+// length matches len(waves), allocated otherwise). The hardware stripes
+// waves across chips in blocks (§3.4.2: "different wavenumber vectors are
+// assigned to different pipelines"; the time ComputeTime models); on the
+// host the wave loop, in row order, is cut into contiguous chunks that the
+// pool's workers claim, a chunk being only a scheduling unit. Each wave's
+// S±C accumulator lives entirely in one chunk, so the output is
+// bit-identical at any pool width.
 func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn []float64) ([]float64, []float64, error) {
 	if err := checkSum("DFT", int64(pw.N()), s.cfg.AccFrac+6); err != nil {
 		return nil, nil, err
@@ -489,13 +491,13 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 	if len(cn) != len(waves) {
 		cn = make([]float64, len(waves))
 	}
-	// The shards read the plan through s: the escaping pool closure captures
+	// The chunks read the plan through s: the escaping pool closure captures
 	// no new value.
 	s.rowsFor(waves)
 	accF := fixed.F(0, s.cfg.AccFrac) // conversion scale for readout
 	_ = s.pool.Run(len(waves), func(_, lo, hi int) error {
 		perm, rows := s.plan.perm, s.plan.rows
-		// A shard may start inside a row: find the row holding lo.
+		// A chunk may start inside a row: find the row holding lo.
 		r := sort.Search(len(rows), func(r int) bool { return int(rows[r].hi) > lo })
 		var acc [dftRun][2]int64
 		for k := lo; k < hi; {
@@ -644,10 +646,12 @@ func (s *System) IDFTQuantizedInto(waves []ewald.Wave, sn, cn []float64, pw *Par
 // IDFTQuantizedCoordsInto is the IDFT pass writing the force components into
 // structure-of-arrays planes (dst is resized and reused when its backing
 // arrays are large enough); the normalized per-wave coefficients live in
-// session scratch. The particle loop is striped across the pool's workers
-// exactly as the board blocking of §3.4.2 stripes resident particle blocks
-// across boards; each particle's fixed-point force accumulators live entirely
-// in one shard, so the output is bit-identical at any pool width.
+// session scratch. The board blocking of §3.4.2 stripes resident particle
+// blocks across boards (the time ComputeTime models); on the host the
+// particle loop is cut into contiguous chunks that the pool's workers claim,
+// a chunk being only a scheduling unit. Each particle's fixed-point force
+// accumulators live entirely in one chunk, so the output is bit-identical at
+// any pool width.
 func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, pw *ParticleWords, dst soa.Coords) (soa.Coords, error) {
 	aS, aC, scale, err := s.idftPrepare(waves, sn, cn)
 	if err != nil {
@@ -668,7 +672,7 @@ func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, p
 	pref := 4 * units.Coulomb / (l * l * l * l) * scale
 
 	_ = s.pool.Run(pw.N(), func(_, lo, hi int) error {
-		// Two particles per row walk; a shard's odd last particle walks
+		// Two particles per row walk; a chunk's odd last particle walks
 		// beside itself.
 		for i := lo; i < hi; i += 2 {
 			j := min(i+1, hi-1)
