@@ -158,6 +158,7 @@ func newPotTable(p ewald.Params) (*potTable, error) {
 	}
 	var cheb, nodes [potDegree + 1]float64
 	var vals [2][potDegree + 1]float64
+	var v funceval.Vandermonde
 	funceval.ChebyshevNodes(cheb[:])
 	for seg := range t.rows {
 		lo := math.Float64frombits(t.lo + uint64(seg)<<potLocalBits)
@@ -170,9 +171,12 @@ func newPotTable(p ewald.Params) (*potTable, error) {
 			nodes[i] = (x - float64(mid)) / half
 			vals[0][i], vals[1][i] = t.kernels(x)
 		}
+		// E and B share the segment's nodes, so one factorisation serves both.
+		if err := v.Factor(nodes[:]); err != nil {
+			return nil, fmt.Errorf("core: host potential table, segment %d: %w", seg, err)
+		}
 		for k := range vals {
-			row := t.rows[seg][k*(potDegree+1) : (k+1)*(potDegree+1)]
-			if err := funceval.SolveVandermonde(row, nodes[:], vals[k][:]); err != nil {
+			if err := v.Solve(t.rows[seg][k*(potDegree+1):(k+1)*(potDegree+1)], vals[k][:]); err != nil {
 				return nil, fmt.Errorf("core: host potential table, segment %d: %w", seg, err)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"mdm/internal/cellindex"
 	"mdm/internal/ewald"
+	"mdm/internal/funceval"
 	"mdm/internal/md"
 	"mdm/internal/mpi"
 	"mdm/internal/tosifumi"
@@ -95,6 +96,39 @@ func TestPotTableKernelError(t *testing.T) {
 		}
 		if absB > 1e-16 || relB > 5e-15 {
 			t.Errorf("alpha=%g: B off by %.3g absolute (bound 1e-16), %.3g relative above 1e-3 (bound 5e-15)", p.Alpha, absB, relB)
+		}
+	}
+}
+
+// TestPotTableSharedFactorisation: each segment's E and B rows, solved from
+// one factorisation of the segment's nodes, equal the two systems solved
+// separately, word for word.
+func TestPotTableSharedFactorisation(t *testing.T) {
+	for _, alpha := range []float64{0, 9, 14} {
+		tbl := mustPotTable(t, fixtureParams(4*5.64, alpha))
+		var cheb, nodes [potDegree + 1]float64
+		var vals [2][potDegree + 1]float64
+		funceval.ChebyshevNodes(cheb[:])
+		for seg, row := range tbl.rows {
+			lo := math.Float64frombits(tbl.lo + uint64(seg)<<potLocalBits)
+			hi := math.Float64frombits(tbl.lo + uint64(seg+1)<<potLocalBits)
+			mid, half := (lo+hi)/2, (hi-lo)/2
+			for i, u := range cheb {
+				x := lo + float64(u*(hi-lo))
+				nodes[i] = (x - float64(mid)) / half
+				vals[0][i], vals[1][i] = tbl.kernels(x)
+			}
+			var want potRow
+			for k := range vals {
+				if err := funceval.SolveVandermonde(want[k*(potDegree+1):(k+1)*(potDegree+1)], nodes[:], vals[k][:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range want {
+				if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("alpha=%g, segment %d: word %d is %.17g, a separate solve gives %.17g", alpha, seg, i, row[i], want[i])
+				}
+			}
 		}
 	}
 }

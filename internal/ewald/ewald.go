@@ -17,9 +17,10 @@
 package ewald
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mdm/internal/units"
 	"mdm/internal/vec"
@@ -100,50 +101,43 @@ type Wave struct {
 // Waves enumerates the half space of wavevectors with 0 < |n| < Lk_cut.
 // Exactly one of each ±n pair is returned (the one whose first non-zero
 // component of (z, y, x) is positive), matching the N_wv accounting of
-// eq. 13. The deterministic order is by increasing |n|², then lexicographic.
+// eq. 13. The deterministic order is by increasing |n|², then lexicographic
+// in (z, y, x).
 func Waves(p Params) []Wave {
 	nmax := int(math.Ceil(p.LKCut))
 	cut2 := p.LKCut * p.LKCut
-	// Lattice points in the half ball of radius LKCut number ≈ (2π/3)·LKCut³;
-	// size for that so the appends below never regrow.
-	out := make([]Wave, 0, int(2.1*p.LKCut*cut2)+8)
-	for nz := 0; nz <= nmax; nz++ {
-		for ny := -nmax; ny <= nmax; ny++ {
-			for nx := -nmax; nx <= nmax; nx++ {
-				if nz == 0 && (ny < 0 || (ny == 0 && nx <= 0)) {
-					continue // keep the half space, drop n = 0
+	halfBall := func(visit func(nx, ny, nz int)) {
+		for nz := 0; nz <= nmax; nz++ {
+			for ny := -nmax; ny <= nmax; ny++ {
+				for nx := -nmax; nx <= nmax; nx++ {
+					if nz == 0 && (ny < 0 || (ny == 0 && nx <= 0)) {
+						continue // keep the half space, drop n = 0
+					}
+					if float64(nx*nx+ny*ny+nz*nz) < cut2 {
+						visit(nx, ny, nz)
+					}
 				}
-				n2 := float64(nx*nx + ny*ny + nz*nz)
-				if n2 >= cut2 {
-					continue
-				}
-				k := vec.New(float64(nx), float64(ny), float64(nz)).Scale(1 / p.L)
-				k2 := k.Norm2()
-				a := math.Exp(-math.Pi*math.Pi*p.L*p.L*k2/(p.Alpha*p.Alpha)) / k2
-				out = append(out, Wave{N: [3]int{nx, ny, nz}, K: k, A: a})
 			}
 		}
 	}
-	sortWaves(out)
-	return out
-}
-
-func sortWaves(ws []Wave) {
-	sort.Slice(ws, func(i, j int) bool {
-		a, b := ws[i], ws[j]
+	// Count first: the set lives as long as its engine, so it is sized
+	// exactly rather than grown.
+	n := 0
+	halfBall(func(int, int, int) { n++ })
+	out := make([]Wave, 0, n)
+	halfBall(func(nx, ny, nz int) {
+		k := vec.New(float64(nx), float64(ny), float64(nz)).Scale(1 / p.L)
+		k2 := k.Norm2()
+		a := math.Exp(-math.Pi*math.Pi*p.L*p.L*k2/(p.Alpha*p.Alpha)) / k2
+		out = append(out, Wave{N: [3]int{nx, ny, nz}, K: k, A: a})
+	})
+	slices.SortFunc(out, func(a, b Wave) int {
 		na := a.N[0]*a.N[0] + a.N[1]*a.N[1] + a.N[2]*a.N[2]
 		nb := b.N[0]*b.N[0] + b.N[1]*b.N[1] + b.N[2]*b.N[2]
-		if na != nb {
-			return na < nb
-		}
-		if a.N[2] != b.N[2] {
-			return a.N[2] < b.N[2]
-		}
-		if a.N[1] != b.N[1] {
-			return a.N[1] < b.N[1]
-		}
-		return a.N[0] < b.N[0]
+		return cmp.Or(cmp.Compare(na, nb), cmp.Compare(a.N[2], b.N[2]),
+			cmp.Compare(a.N[1], b.N[1]), cmp.Compare(a.N[0], b.N[0]))
 	})
+	return out
 }
 
 // RealPairForce returns the real-space Coulomb pair force on particle i from

@@ -120,6 +120,24 @@ func TestWavesSortedDeterministic(t *testing.T) {
 	}
 }
 
+// TestWavesSizedExactly: the wave set lives as long as its engine, so its
+// backing array holds exactly its waves — over every Lk_cut in [0.5, 12) at
+// step 0.01, where an estimated capacity falls short of the lattice count.
+func TestWavesSizedExactly(t *testing.T) {
+	short := 0
+	for i := 50; i < 1200; i++ {
+		ws := Waves(Params{L: 10, Alpha: 6, RCut: 4, LKCut: float64(i) / 100})
+		if cap(ws) != len(ws) {
+			if short++; short <= 3 {
+				t.Errorf("Lk_cut %.2f: %d waves in a backing array of %d", float64(i)/100, len(ws), cap(ws))
+			}
+		}
+	}
+	if short > 3 {
+		t.Errorf("%d of 1,150 cutoffs in all", short)
+	}
+}
+
 func TestMadelungConstant(t *testing.T) {
 	// Total Coulomb energy of rock salt is -M · k_e / d per ion pair with
 	// M = 1.747565 (Madelung constant) and d the nearest-neighbor distance.

@@ -134,9 +134,17 @@ func NewTable(g func(float64) float64, emin, emax, nseg int) (*Table, error) {
 		loBits: uint32(emin+expBias32) << mantBits,
 		hiBits: uint32(emax+expBias32) << mantBits,
 	}
+	// Every segment interpolates at the same local nodes, so one
+	// factorisation of their Vandermonde matrix serves the whole table.
+	var nodes [Order + 1]float64
+	ChebyshevNodes(nodes[:])
+	var v Vandermonde
+	if err := v.Factor(nodes[:]); err != nil {
+		return nil, fmt.Errorf("funceval: %w", err)
+	}
 	for s := 0; s < nseg; s++ {
 		lo, hi := t.segmentBounds(s)
-		c, err := fitSegment(g, lo, hi)
+		c, err := fitSegment(g, lo, hi, &nodes, &v)
 		if err != nil {
 			return nil, fmt.Errorf("funceval: segment %d [%g,%g): %w", s, lo, hi, err)
 		}
@@ -157,12 +165,16 @@ func MustNewTable(g func(float64) float64, emin, emax, nseg int) *Table {
 // Segments returns the number of interpolation regions.
 func (t *Table) Segments() int { return len(t.coeff) }
 
+// Row returns segment s's coefficient words, constant term first: the RAM row
+// the evaluator reads for an argument in that segment.
+func (t *Table) Row(s int) [Order + 1]float32 { return t.coeff[s] }
+
 // Domain returns the representable argument range [lo, hi).
 func (t *Table) Domain() (lo, hi float64) { return math.Ldexp(1, t.emin), math.Ldexp(1, t.emax) }
 
 // segmentBounds returns the argument interval covered by segment s.
 //
-// Here and in ChebyshevNodes, fitSegment and SolveVandermonde each product
+// Here and in ChebyshevNodes, fitSegment and Vandermonde each product
 // that feeds an add is rounded by a float64(…) conversion: without it a
 // compiler may fuse the two (Go spec), and the table image would differ
 // between architectures.
@@ -197,34 +209,33 @@ func ChebyshevNodes(u []float64) {
 }
 
 // fitSegment computes interpolation coefficients for g on [lo, hi) in the
-// local coordinate u = (x-lo)/(hi-lo), by exact interpolation at Order+1
-// Chebyshev nodes, and applies the underflow rule to the words it stores: the
-// row is all zero when no node value reaches flushFloor, and a coefficient
-// below minNormal32 is zero in a kept row.
-func fitSegment(g func(float64) float64, lo, hi float64) ([Order + 1]float32, error) {
-	var nodes, vals [Order + 1]float64
-	ChebyshevNodes(nodes[:])
+// local coordinate u = (x-lo)/(hi-lo), by exact interpolation at the Order+1
+// Chebyshev nodes v is the factorisation of, and applies the underflow rule
+// to the words it stores: the row is all zero when no node value reaches
+// flushFloor, and a coefficient below minNormal32 is zero in a kept row.
+func fitSegment(g func(float64) float64, lo, hi float64, nodes *[Order + 1]float64, v *Vandermonde) ([Order + 1]float32, error) {
+	var vals [Order + 1]float64
 	peak := 0.0
 	for i, u := range nodes {
 		x := lo + float64(u*(hi-lo))
-		v := g(x)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		y := g(x)
+		if math.IsNaN(y) || math.IsInf(y, 0) {
 			return [Order + 1]float32{}, fmt.Errorf("g(%g) is not finite", x)
 		}
-		vals[i] = v
-		peak = math.Max(peak, math.Abs(v))
+		vals[i] = y
+		peak = math.Max(peak, math.Abs(y))
 	}
 	if peak < flushFloor {
 		return [Order + 1]float32{}, nil
 	}
 	var c [Order + 1]float64
-	if err := SolveVandermonde(c[:], nodes[:], vals[:]); err != nil {
+	if err := v.Solve(c[:], vals[:]); err != nil {
 		return [Order + 1]float32{}, err
 	}
 	var c32 [Order + 1]float32
-	for i, v := range c {
-		if math.Abs(v) >= minNormal32 {
-			c32[i] = float32(v)
+	for i, y := range c {
+		if math.Abs(y) >= minNormal32 {
+			c32[i] = float32(y)
 		}
 	}
 	return c32, nil
@@ -235,24 +246,39 @@ func fitSegment(g func(float64) float64, lo, hi float64) ([Order + 1]float32, er
 // node gains.
 const MaxFitNodes = 16
 
-// SolveVandermonde solves sum_j c_j u_i^j = v_i for the coefficients of the
-// polynomial through the points (u_i, v_i), by Gaussian elimination with
-// partial pivoting. c, u and v have one length, at most MaxFitNodes. The
-// system is tiny and well-conditioned for Chebyshev nodes: 5x5 on (0, 1) for
-// the MDGRAPE-2 RAM, 11x11 on (-1, 1) for the host's float64 evaluator.
-func SolveVandermonde(c, u, v []float64) error {
+// Vandermonde is the factorisation of the matrix V_ij = u_i^j of a node set
+// by Gaussian elimination with partial pivoting: the row swapped in at each
+// column, the multipliers and the reduced upper triangle. Solve replays on a
+// right-hand side exactly the row operations the elimination of the
+// augmented matrix [V | v] performs on its last column, in the same order
+// and with the same operands, so a fit factored once is bit-identical to
+// one that eliminates the whole system per right-hand side: the matrix
+// entries, pivots and multipliers never depend on v.
+type Vandermonde struct {
+	n   int
+	piv [MaxFitNodes]int
+	// a holds the reduced upper triangle on and above the diagonal, and
+	// below it a[r][col], the multiple of pivot row col subtracted from row
+	// r. A later column swaps only its own and later columns, so a
+	// multiplier stays at the position its row had when it was applied.
+	a [MaxFitNodes][MaxFitNodes]float64
+}
+
+// Factor factors the Vandermonde matrix of the nodes u, at most MaxFitNodes
+// of them.
+func (f *Vandermonde) Factor(u []float64) error {
 	n := len(u)
-	if n > MaxFitNodes || len(c) != n || len(v) != n {
-		return fmt.Errorf("funceval: Vandermonde system of %d nodes, %d values, %d coefficients (at most %d of each)", n, len(v), len(c), MaxFitNodes)
+	if n > MaxFitNodes {
+		return fmt.Errorf("funceval: Vandermonde system of %d nodes (at most %d)", n, MaxFitNodes)
 	}
-	var a [MaxFitNodes][MaxFitNodes + 1]float64
+	f.n = n
+	a := &f.a
 	for i := 0; i < n; i++ {
 		p := 1.0
 		for j := 0; j < n; j++ {
 			a[i][j] = p
 			p *= u[i]
 		}
-		a[i][n] = v[i]
 	}
 	for col := 0; col < n; col++ {
 		piv := col
@@ -264,22 +290,61 @@ func SolveVandermonde(c, u, v []float64) error {
 		if a[piv][col] == 0 {
 			return fmt.Errorf("singular Vandermonde system")
 		}
-		a[col], a[piv] = a[piv], a[col]
+		f.piv[col] = piv
+		for k := col; k < n; k++ {
+			a[col][k], a[piv][k] = a[piv][k], a[col][k]
+		}
 		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			for k := col; k <= n; k++ {
-				a[r][k] -= float64(f * a[col][k])
+			m := a[r][col] / a[col][col]
+			for k := col + 1; k < n; k++ {
+				a[r][k] -= float64(m * a[col][k])
 			}
+			a[r][col] = m
+		}
+	}
+	return nil
+}
+
+// Solve sets c to the coefficients of the polynomial through the factored
+// nodes and the values v: sum_j c_j u_i^j = v_i. c and v have the node
+// count's length.
+func (f *Vandermonde) Solve(c, v []float64) error {
+	n := f.n
+	if len(c) != n || len(v) != n {
+		return fmt.Errorf("funceval: Vandermonde system of %d nodes, %d values, %d coefficients", n, len(v), len(c))
+	}
+	// c holds the eliminated right-hand side until back substitution
+	// overwrites it from the last row up.
+	copy(c, v)
+	a := &f.a
+	for col := 0; col < n; col++ {
+		piv := f.piv[col]
+		c[col], c[piv] = c[piv], c[col]
+		for r := col + 1; r < n; r++ {
+			c[r] -= float64(a[r][col] * c[col])
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
-		s := a[i][n]
+		s := c[i]
 		for j := i + 1; j < n; j++ {
 			s -= float64(a[i][j] * c[j])
 		}
 		c[i] = s / a[i][i]
 	}
 	return nil
+}
+
+// SolveVandermonde solves sum_j c_j u_i^j = v_i for the coefficients of the
+// polynomial through the points (u_i, v_i): Factor, then Solve. c, u and v
+// have one length, at most MaxFitNodes. The system is tiny and
+// well-conditioned for Chebyshev nodes: 5x5 on (0, 1) for the MDGRAPE-2 RAM,
+// 11x11 on (-1, 1) for the host's float64 evaluator.
+func SolveVandermonde(c, u, v []float64) error {
+	var f Vandermonde
+	if err := f.Factor(u); err != nil {
+		return err
+	}
+	return f.Solve(c, v)
 }
 
 // Eval evaluates the table at x using single-precision arithmetic, modelling

@@ -277,7 +277,7 @@ type Simulation struct {
 	engine    core.Engine     // the simulated hardware; nil for the reference backend
 	resilient *core.Resilient // engine's recovery layer, non-nil under a fault scenario or supervision
 	injector  *fault.Injector // the scenario's schedule; survives restarts
-	obs       *core.Reference // host-side observable evaluation (pressure)
+	obs       *core.Reference // host-side pressure observer: the force field on the reference backend, else built by the first Pressure call
 	nveStart  int             // record index where the latest NVE segment began
 
 	journal   *supervise.Journal // write-ahead step journal (nil when disabled)
@@ -381,11 +381,7 @@ func newSimulation(cfg Config, sys *md.System, step int, in *fault.Injector) (*S
 	if err != nil {
 		return nil, err
 	}
-	obs, err := core.NewReference(p)
-	if err != nil {
-		return nil, err
-	}
-	sim := &Simulation{cfg: cfg, p: p, Recorder: &md.Recorder{}, injector: in, obs: obs}
+	sim := &Simulation{cfg: cfg, p: p, Recorder: &md.Recorder{}, injector: in}
 	if err := sim.build(sys, step); err != nil {
 		return nil, err
 	}
@@ -401,7 +397,8 @@ func (s *Simulation) build(sys *md.System, step int) error {
 	var ff md.ForceField
 	var err error
 	if s.cfg.Backend == BackendReference {
-		ff, err = core.NewReference(s.p)
+		s.obs, err = core.NewReference(s.p)
+		ff = s.obs
 	} else {
 		s.engine, s.resilient, s.injector, err = newForceField(s.cfg, s.p, s.injector)
 		ff = s.engine
@@ -936,8 +933,16 @@ func (s *Simulation) EnergyDrift() float64 {
 
 // Pressure returns the instantaneous virial pressure in GPa, evaluated on
 // the host in float64 (the machine backend likewise left observables to the
-// host computer, §3.1).
+// host computer, §3.1). The reference backend's force field evaluates it;
+// the machine backend builds its float64 observer on the first call.
 func (s *Simulation) Pressure() (float64, error) {
+	if s.obs == nil {
+		obs, err := core.NewReference(s.p)
+		if err != nil {
+			return 0, err
+		}
+		s.obs = obs
+	}
 	p, err := s.obs.Pressure(s.System)
 	return p * units.EVPerA3ToGPa, err
 }

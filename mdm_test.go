@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mdm/internal/core"
+	"mdm/internal/md"
+	"mdm/internal/units"
 )
 
 func TestBackendString(t *testing.T) {
@@ -165,6 +169,81 @@ func TestMDMSimulationRuns(t *testing.T) {
 	}
 	if err := sim.Free(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPressureObserverOnFirstUse: Simulation.Pressure returns the bits of an
+// eagerly built float64 Reference's pressure at step 0, after NVT steps and
+// after a resume, on both backends. A run that never asks for the pressure
+// builds no Reference beyond its force field: none on the machine backend,
+// and on the reference backend the force field itself is the observer.
+func TestPressureObserverOnFirstUse(t *testing.T) {
+	for _, b := range []Backend{BackendMDM, BackendReference} {
+		t.Run(b.String(), func(t *testing.T) {
+			cfg := Config{Cells: 2, Backend: b, Supervise: SuperviseConfig{Journal: filepath.Join(t.TempDir(), "run.wal")}}
+			noSecondReference := func(stage string, sim *Simulation) {
+				t.Helper()
+				if b == BackendMDM && sim.obs != nil {
+					t.Errorf("%s: the machine backend built a pressure observer nobody asked for", stage)
+				}
+				if b == BackendReference && md.ForceField(sim.obs) != sim.Integrator.FF {
+					t.Errorf("%s: the reference backend's observer is not its force field", stage)
+				}
+			}
+			samePressure := func(stage string, sim *Simulation) float64 {
+				t.Helper()
+				ref, err := core.NewReference(sim.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.Pressure(sim.System)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sim.Pressure()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want *= units.EVPerA3ToGPa; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: Pressure = %.17g GPa, an eager Reference gives %.17g", stage, got, want)
+				}
+				return got
+			}
+
+			sim, err := NewSimulation(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.RunNVT(3); err != nil {
+				t.Fatal(err)
+			}
+			noSecondReference("after RunNVT", sim)
+			if err := sim.Free(); err != nil {
+				t.Fatal(err)
+			}
+
+			resumed, err := ResumeFromJournal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = resumed.Free() }()
+			noSecondReference("after ResumeFromJournal", resumed)
+			samePressure("after ResumeFromJournal", resumed)
+			if b == BackendReference {
+				noSecondReference("after Pressure", resumed)
+			}
+
+			fresh, err := NewSimulation(Config{Cells: cfg.Cells, Backend: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = fresh.Free() }()
+			samePressure("at step 0", fresh)
+			if err := fresh.RunNVT(3); err != nil {
+				t.Fatal(err)
+			}
+			samePressure("after RunNVT", fresh)
+		})
 	}
 }
 
