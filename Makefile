@@ -66,6 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzSubmitSpec -fuzztime 3s
 	$(GO) test ./internal/domain/ -run '^$$' -fuzz FuzzBlocks -fuzztime 3s
 	$(GO) test ./internal/cellindex/ -run '^$$' -fuzz FuzzReachMask -fuzztime 3s
+	$(GO) test ./internal/cellindex/ -run '^$$' -fuzz FuzzSlabMasks -fuzztime 3s
 
 fmt:
 	gofmt -w .

@@ -64,7 +64,7 @@ func TestStepFlowFactPropagation(t *testing.T) {
 	}
 	hot := []string{
 		// Direct call chain from core.Machine.Forces.
-		"(*mdm/internal/cellindex.Sorted).ForEachHalfPair",
+		"(*mdm/internal/cellindex.Sorted).ForEachHalfMask",
 		// Cross-package chain through the wine2 root into the DFT engine.
 		"(*mdm/internal/wine2.System).DFTQuantizedInto",
 		// Interface dispatch: md.Integrator.Step calls ForceField.Forces, and

@@ -16,8 +16,9 @@
 // layout is the r_cut sphere inside it. A Verlet skin widens the cells
 // (NewSkinGrid), never the cutoff, so it decides which out-of-cutoff pairs are
 // streamed and nothing else. A cutoff walk computes only the neighbour runs
-// whose cell can reach the sphere (ReachMask); the stream it counts is still
-// the whole cube.
+// whose cell can reach the sphere (ReachMask), and of those only the particles
+// the slab index places in the particle's r_cut box (Sorted.Run); the stream
+// it counts is still the whole cube.
 //
 // Two pair walkers are provided:
 //
@@ -32,6 +33,7 @@ package cellindex
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"mdm/internal/parallelize"
@@ -156,9 +158,10 @@ type reach struct {
 	cut2   float64
 }
 
-// reachSlack is δ, the margin a reach test adds to the j-side boxes so that a
-// skipped run holds no pair any walk keeps. A float32 walk (the pipelines')
-// forms r⃗ = x_i − (x_j + s) from the stored words; with u = 2⁻²⁴, rounding
+// reachSlack is δ, the margin a reach test adds to the j-side boxes, and the
+// slab index to i's r_cut box, so that a skipped run or candidate holds no
+// pair any walk keeps. A float32 walk (the pipelines') forms
+// r⃗ = x_i − (x_j + s) from the stored words; with u = 2⁻²⁴, rounding
 // x_j (|x_j| ≤ L + skin/2), the shift (L) and their sum (≤ 2L + skin/2) moves
 // each component by at most u(4L + skin), and rounding the difference, the
 // squares, their sum and float32(r_c²) costs at most 3u·r_c more: under
@@ -299,6 +302,8 @@ type Sorted struct {
 	Slot  []int        // Slot[i] = sorted index of original particle i (the inverse of Order)
 	Cell  []int        // Cell[i] = cell original particle i was sorted into
 	Start []int        // len NumCells+1; cell c owns sorted indices [Start[c], Start[c+1])
+
+	slab slabIndex // which stored particles lie in which part of their cell
 }
 
 // At returns sorted position k as a vector.
@@ -439,6 +444,7 @@ func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *So
 		}
 		return nil
 	})
+	dst.indexSlabs()
 	return dst
 }
 
@@ -480,6 +486,7 @@ func (s *Sorted) Refresh(pos []vec.V) {
 		s.Pos.Set(k, p)
 		s.P32.Set(k, p)
 	}
+	s.indexSlabs()
 }
 
 // ForEachOrderedPair visits, for every sorted particle i, every sorted
@@ -537,53 +544,112 @@ func (s *Sorted) OrderedPairCount() int {
 // the conventional-computer mode (operation count N · N_int) and the one
 // real-space pair set of the machine. The displacement and the test are
 // float64; the visit order is forEachHalfRun's, with the same table contract,
-// less the runs whose cell cannot reach i's sphere (ReachMask), which hold no
-// pair it visits.
+// less the candidates ForEachHalfMask rules out, none of which it visits.
 func (s *Sorted) ForEachHalfPair(nbt *NeighborTable, f func(i, j int, rij vec.V)) {
+	cut2 := s.Grid.Cutoff * s.Grid.Cutoff
+	px, py, pz := s.Pos.X, s.Pos.Y, s.Pos.Z
+	s.ForEachHalfMask(nbt, func(i, base int, m uint64, shift vec.V) {
+		xi, yi, zi := px[i], py[i], pz[i]
+		for ; m != 0; m &= m - 1 {
+			j := base + bits.TrailingZeros64(m)
+			rij := vec.V{X: xi - (px[j] + shift.X), Y: yi - (py[j] + shift.Y), Z: zi - (pz[j] + shift.Z)}
+			if rij.Norm2() < cut2 {
+				f(i, j, rij)
+			}
+		}
+	})
+}
+
+// ForEachHalfMask is the cutoff half walk's candidates, up to 64 stored
+// particles at a time: forEachHalfRun's runs, less those whose cell cannot
+// reach i's sphere (ReachMask), one call f(i, base, m, shift) per group of
+// the slab index with a candidate — bit t of m set for each j = base + t of
+// the run that may lie inside i's r_cut box. With an empty index (Slabs 1)
+// every run arrives whole, 64 at a time, its masks full. Calls arrive in the
+// walk's order and bits ascend with j, so a caller that takes them in
+// ascending order visits the unmasked walk's pairs in its order.
+func (s *Sorted) ForEachHalfMask(nbt *NeighborTable, f func(i, base int, m uint64, shift vec.V)) {
 	g := s.Grid
-	cut2 := g.Cutoff * g.Cutoff
 	px, py, pz := s.Pos.X, s.Pos.Y, s.Pos.Z
 	var r reach
 	rc := -1 // the cell r describes
-	s.halfRuns(nbt, func(c, e, i, js, je int, shift vec.V) {
+	if s.slab.m == 1 {
+		// An empty index: every run streams whole.
+		s.halfRuns(nbt, func(c, e, i, js, je int, nb Neighbor) {
+			if c != rc {
+				r, rc = g.reachOf(c), c
+			}
+			if !r.reaches(e, px[i], py[i], pz[i]) {
+				return
+			}
+			for base := js; base < je; base += 64 {
+				f(i, base, ^uint64(0)>>(64-min(je-base, 64)), nb.Shift)
+			}
+		})
+		return
+	}
+	var face [3]float64
+	var boxes [halfBoxes]Box // the boxes of cell rc's first halfBoxes particles
+	is := 0                  // cell rc's first particle
+	s.halfRuns(nbt, func(c, e, i, js, je int, nb Neighbor) {
 		if c != rc {
-			r, rc = g.reachOf(c), c
+			r, face, rc, is = g.reachOf(c), g.cellFaces(c), c, s.Start[c]
+			for k := is; k < min(s.Start[c+1], is+halfBoxes); k++ {
+				boxes[k-is] = s.box(face, px[k], py[k], pz[k])
+			}
 		}
 		xi, yi, zi := px[i], py[i], pz[i]
 		if !r.reaches(e, xi, yi, zi) {
 			return
 		}
-		sx, sy, sz := shift.X, shift.Y, shift.Z
-		jx := px[js:je]
-		jy, jz := py[js:je][:len(jx)], pz[js:je][:len(jx)]
-		for k, x := range jx {
-			rij := vec.V{X: xi - (x + sx), Y: yi - (jy[k] + sy), Z: zi - (jz[k] + sz)}
-			if rij.Norm2() < cut2 {
-				f(i, js+k, rij)
+		var b Box
+		if i-is < halfBoxes {
+			b = boxes[i-is]
+		} else {
+			b = s.box(face, xi, yi, zi)
+		}
+		run := s.Run(&b, e, nb.Cell)
+		cs := s.Start[nb.Cell]
+		for w := (js - cs) >> 6; cs+w<<6 < je; w++ {
+			base := cs + w<<6
+			m := run.Mask(w, min(je-base, 64))
+			if base < js { // the own cell's j > i triangle
+				m &^= 1<<(js-base) - 1
+			}
+			if m != 0 {
+				f(i, base, m, nb.Shift)
 			}
 		}
 	})
 }
+
+// halfBoxes is how many boxes of a cell's particles ForEachHalfMask keeps
+// while it walks the cell's runs, entry by entry (1.5 KiB of stack); the
+// boxes of a fuller cell's later particles are worked out per run. Working
+// every box out per run made the N = 512 walk 30 % slower (EXPERIMENTS
+// "Reach-masked walks").
+const halfBoxes = 256
 
 // forEachHalfRun is the half walk itself — the 27-cell candidates with
 // Newton's third law applied, each unordered (i, j, image) triple once, the
 // (i, i, zero-shift) self visits dropped and a particle's own non-zero images
 // kept — one callback per (i, neighbor-cell run): sorted particle i pairs with
 // every sorted j in [js, je), each j displaced by the run's image shift. It
-// applies no distance test and no reach test (ForEachHalfPair does). Runs
-// arrive in fixed order (cell, neighbor entry, i) on the calling goroutine;
-// empty runs are skipped. Which of a pair's two directed visits survives
-// depends only on the (cell, neighbor entry) it arrives through, so the choice
-// is made once per entry, not once per pair. Neighbor lists come from the
-// prebuilt table (which must belong to s.Grid's geometry), so the walk
-// allocates nothing; a nil table enumerates each cell's neighbors afresh.
+// applies no distance, reach or slab test (ForEachHalfMask does) and is the
+// oracle the masked walks are pinned to. Runs arrive in fixed order (cell,
+// neighbor entry, i) on the calling goroutine; empty runs are skipped. Which
+// of a pair's two directed visits survives depends only on the (cell, neighbor
+// entry) it arrives through, so the choice is made once per entry, not once
+// per pair. Neighbor lists come from the prebuilt table (which must belong to
+// s.Grid's geometry), so the walk allocates nothing; a nil table enumerates
+// each cell's neighbors afresh.
 func (s *Sorted) forEachHalfRun(nbt *NeighborTable, f func(i, js, je int, shift vec.V)) {
-	s.halfRuns(nbt, func(_, _, i, js, je int, shift vec.V) { f(i, js, je, shift) })
+	s.halfRuns(nbt, func(_, _, i, js, je int, nb Neighbor) { f(i, js, je, nb.Shift) })
 }
 
 // halfRuns is forEachHalfRun's walk, naming each run's cell c and neighbour
-// entry e as well.
-func (s *Sorted) halfRuns(nbt *NeighborTable, f func(c, e, i, js, je int, shift vec.V)) {
+// entry e (index and neighbour) as well.
+func (s *Sorted) halfRuns(nbt *NeighborTable, f func(c, e, i, js, je int, nb Neighbor)) {
 	g := s.Grid
 	for c := 0; c < g.NumCells(); c++ {
 		is, ie := s.CellRange(c)
@@ -607,7 +673,7 @@ func (s *Sorted) halfRuns(nbt *NeighborTable, f func(c, e, i, js, je int, shift 
 					js = i + 1
 				}
 				if js < je {
-					f(c, e, i, js, je, nb.Shift)
+					f(c, e, i, js, je, nb)
 				}
 			}
 		}

@@ -83,9 +83,10 @@ type halfVisit struct {
 // 2, 3 and 5 cells a side, skin 0 and 0.5, every run holding a pair inside the
 // cutoff — by the float64 test of a host walk or the float32 test of the
 // pipelines, formed from the stored words as the sweep forms it — has its bit
-// set, the per-entry test ForEachHalfPair applies agrees with the mask, and
+// set, the per-entry test ForEachHalfMask applies agrees with the mask, and
 // ForEachHalfPair keeps exactly the pairs, in exactly the order, of the
-// unmasked half walk (forEachHalfRun) with its cutoff test.
+// unmasked half walk (forEachHalfRun) with its cutoff test. The slab index's
+// masks have their own target, FuzzSlabMasks.
 func FuzzReachMask(f *testing.F) {
 	for k := 0; k < 8; k++ {
 		f.Add(uint8(k), int64(k), uint8(40))

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mdm/internal/cellindex"
 	"mdm/internal/ewald"
 	"mdm/internal/funceval"
 	"mdm/internal/md"
+	"mdm/internal/soa"
 	"mdm/internal/tosifumi"
 	"mdm/internal/vec"
 )
@@ -15,8 +17,8 @@ import (
 // The host's real-space potential through a float64 function evaluator, in
 // the image of the MDGRAPE-2 unit (funceval.Table, §3.5.4) at double
 // precision. The pair set is the machine's one real-space pair set, the r_cut
-// sphere (cellindex.Sorted.ForEachHalfPair), and a pair's energy is shifted
-// to vanish at the cutoff, u_ij(r) − u_ij(r_c), with
+// sphere (hostPairs), and a pair's energy is shifted to vanish at the cutoff,
+// u_ij(r) − u_ij(r_c), with
 //
 //	u_ij = q_i q_j E(s) + A_ij b e^((σ_i+σ_j)/ρ) B(s) − c_ij s⁻³ − d_ij s⁻⁴,  s = r²,
 //
@@ -31,10 +33,9 @@ import (
 // each a degree-potDegree interpolant in the centred local coordinate
 // u ∈ [−1, 1). A half pair costs one address, two Horner chains and one
 // division in place of a square root, a rational erfc, three exponentials
-// and three divisions. The walk gathers (r², q_i q_j, species pair) of every
-// pair inside the cutoff into a 64-element block that fills across run and i
-// boundaries; a full block is evaluated and added to one float64 sum, pairs
-// in walk order.
+// and three divisions. The walk gathers (r², i, j) of every pair inside the
+// cutoff into a 64-element block that fills across run and i boundaries; a
+// full block is evaluated and added to one float64 sum, pairs in walk order.
 //
 // ewald.RealPairEnergyR and tosifumi.ShortEnergy stay the scalar general
 // forms: the oracle the evaluator is measured against (hostpot_test.go), the
@@ -77,8 +78,7 @@ func (g *potGather) fill(order []int, s *md.System) {
 type potBlock struct {
 	n    int
 	r2   [potBlockLen]float64
-	qq   [potBlockLen]float64 // q_i·q_j
-	pair [potBlockLen]uint8   // species-pair index, s_i·NumSpecies + s_j
+	i, j [potBlockLen]int32 // the pair's sorted particles
 }
 
 // The evaluator's geometry. Degree 10 on 2³ segments per octave puts the
@@ -229,40 +229,98 @@ func (t *potTable) evalInto(e, b, s []float64) {
 
 // hostPotential evaluates the real-space Coulomb and short-range potential
 // energy in float64 on the host — the one real-space potential walk of the
-// serial machine and the decomposed session alike. It walks the pair set the
-// MDGRAPE-2 force passes evaluate, the r_cut sphere of the layout's grid, at
-// the conventional computer's half count — each unordered (i, j, image) once —
-// and adds each pair's energy shifted to zero at r_c. Coincident particles
-// (r = 0) contribute nothing, as in the pipelines. sorted and nbt are the
-// step's shared j-set layout and neighbor table; g is the caller's gather
-// planes.
+// serial machine and the decomposed session alike: hostPairs' kept pairs,
+// each pair's energy shifted to zero at r_c, added in walk order. sorted and
+// nbt are the step's shared j-set layout and neighbor table; g is the
+// caller's gather planes.
 func hostPotential(g *potGather, t *potTable, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable, s *md.System) float64 {
 	g.fill(sorted.Order, s)
-	q, kind := g.q, g.kind
 	var b potBlock
 	pot := 0.0
-	sorted.ForEachHalfPair(nbt, func(i, j int, rij vec.V) {
-		r2 := rij.Norm2()
-		if r2 == 0 {
+	hostPairs(&b, sorted, nbt, func() { pot = t.drain(g, &b, pot) })
+	return pot
+}
+
+// hostPairs is the host potential's pair walk. It walks the pair set the
+// MDGRAPE-2 force passes evaluate, the r_cut sphere of the layout's grid, at
+// the conventional computer's half count — each unordered (i, j, image) once,
+// from the candidates of cellindex.Sorted.ForEachHalfMask — and appends each
+// kept pair's (i, j, r²) to b in walk order. Coincident particles (r = 0) are
+// dropped, as in the pipelines. flush, which must empty b, is called whenever
+// b is full and once at the end, on the final partial block.
+func hostPairs(b *potBlock, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable, flush func()) {
+	cut := math.Float64bits(sorted.Grid.Cutoff*sorted.Grid.Cutoff) - 1
+	px, py, pz := sorted.Pos.X, sorted.Pos.Y, sorted.Pos.Z
+	sorted.ForEachHalfMask(nbt, func(i, base int, m uint64, shift vec.V) {
+		if m&(m+1) == 0 && b.n+bits.Len64(m) <= potBlockLen {
+			// The whole group from base, as every run of an empty index
+			// arrives, and room for it: stream it, storing only the pairs it
+			// keeps — a fifth at 8 ions per cell, where the branch predicts.
+			end := base + bits.Len64(m)
+			jx := px[base:end]
+			jy, jz := py[base:end:end], pz[base:end:end]
+			xi, yi, zi := px[i], py[i], pz[i]
+			for k, x := range jx {
+				rij := vec.V{X: xi - (x + shift.X), Y: yi - (jy[k] + shift.Y), Z: zi - (jz[k] + shift.Z)}
+				if r2 := rij.Norm2(); math.Float64bits(r2)-1 < cut {
+					n := b.n & (potBlockLen - 1)
+					b.r2[n], b.i[n], b.j[n] = r2, int32(i), int32(base+k)
+					b.n++
+				}
+			}
+			if b.n == potBlockLen {
+				flush()
+			}
 			return
 		}
-		b.r2[b.n], b.qq[b.n], b.pair[b.n] = r2, q[i]*q[j], kind[i]*tosifumi.NumSpecies+kind[j]
-		b.n++
-		if b.n == potBlockLen {
-			pot = t.drain(&b, pot)
+		for m != 0 {
+			m = b.gather(&sorted.Pos, i, base, m, shift, cut)
+			if b.n == potBlockLen {
+				flush()
+			}
 		}
 	})
-	return t.drain(&b, pot) // the final partial block
+	flush()
+}
+
+// gather appends to the block i's pairs with the candidates m marks among the
+// stored particles base … base+63 (bit t for particle base+t), in ascending
+// order, until the block is full, and returns the candidates not yet taken.
+// A pair is the displacement from the stored coordinates, the j side displaced
+// by the run's image shift, and r² = |r⃗|² as vec.V.Norm2 rounds it; it is kept
+// when 0 < r² < r_c². cut is the float64 word of r_c² less one: one unsigned
+// compare of the word of r² less one drops r = 0 (whose word less one wraps
+// to the largest) with the pairs at or beyond the cutoff. The compaction is
+// the sweep's, without a branch: every candidate is written to the next free
+// slot, which advances only past a kept one. A branch there mispredicts on the
+// half of a masked run that is kept, contiguous stretches included.
+func (b *potBlock) gather(pos *soa.Coords, i, base int, m uint64, shift vec.V, cut uint64) uint64 {
+	n := b.n
+	xi, yi, zi := pos.X[i], pos.Y[i], pos.Z[i]
+	jx := pos.X[base:]
+	jy, jz := pos.Y[base:], pos.Z[base:]
+	for ; m != 0 && n < potBlockLen; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		r2 := vec.V{X: xi - (jx[k] + shift.X), Y: yi - (jy[k] + shift.Y), Z: zi - (jz[k] + shift.Z)}.Norm2()
+		s := n & (potBlockLen - 1)
+		b.r2[s], b.i[s], b.j[s] = r2, int32(i), int32(base+k)
+		if math.Float64bits(r2)-1 < cut {
+			n++
+		}
+	}
+	b.n = n
+	return m
 }
 
 // drain adds the block's shifted pair energies to pot in block order and
-// empties it.
-func (t *potTable) drain(b *potBlock, pot float64) float64 {
+// empties it; g gives each pair's charges and species.
+func (t *potTable) drain(g *potGather, b *potBlock, pot float64) float64 {
 	n := b.n
 	var e, bm [potBlockLen]float64
 	t.evalInto(e[:n], bm[:n], b.r2[:n])
 	for k := 0; k < n; k++ {
-		s, pr, qq := b.r2[k], b.pair[k], b.qq[k]
+		i, j := b.i[k], b.j[k]
+		s, pr, qq := b.r2[k], g.kind[i]*tosifumi.NumSpecies+g.kind[j], g.q[i]*g.q[j]
 		if math.IsNaN(e[k]) { // outside the table
 			r := math.Sqrt(s)
 			pot += t.p.RealPairEnergyR(qq, 1, r) - float64(qq*t.ec)

@@ -175,13 +175,14 @@ func TestPotTableAddressingEdges(t *testing.T) {
 		if !math.IsNaN(e[k]) {
 			t.Errorf("s = %g is outside [1, 2^%d) and the table answers %g", s, emax, e[k])
 		}
+		g := potGather{q: []float64{-0.63, 1}, kind: []uint8{uint8(tosifumi.Cl), uint8(tosifumi.Na)}}
 		blk := potBlock{n: 1}
 		pr := uint8(tosifumi.Cl)*tosifumi.NumSpecies + uint8(tosifumi.Na)
-		blk.r2[0], blk.qq[0], blk.pair[0] = s, -0.63, pr
+		blk.r2[0], blk.i[0], blk.j[0] = s, 0, 1
 		r := math.Sqrt(s)
 		want := p.RealPairEnergyR(-0.63, 1, r) - -0.63*tbl.ec
 		want += tbl.tf.ShortEnergy(tosifumi.Cl, tosifumi.Na, r) - tbl.uc[pr]
-		if got := tbl.drain(&blk, 0); !sameFloat(got, want) {
+		if got := tbl.drain(&g, &blk, 0); !sameFloat(got, want) {
 			t.Errorf("s = %g: pair energy %g, scalar forms %g", s, got, want)
 		}
 	}
@@ -559,10 +560,11 @@ func BenchmarkPotTableEvalInto(b *testing.B) {
 
 // BenchmarkHostPotential reports the potential walk per 27-cell half-pair
 // candidate (the pairs it streams, of which the r_cut sphere is evaluated) on
-// the served (N = 64) and default (N = 512) geometries, at the splitting
-// mdm.NewSimulation picks for them.
+// the served (N = 64, an empty slab index) and default (N = 512) geometries
+// and at N = 1,728 (216 ions per cell, masks of four words), at the
+// splitting mdm.NewSimulation picks for them.
 func BenchmarkHostPotential(b *testing.B) {
-	for _, cells := range []int{2, 4} {
+	for _, cells := range []int{2, 4, 6} {
 		s, err := md.NewRockSalt(cells, 5.64)
 		if err != nil {
 			b.Fatal(err)

@@ -62,8 +62,8 @@ type pairSets struct {
 // layout the last force call read is, at a non-zero skin, a refreshed one —
 // and enumerates on the state it ends in: the sweep's kept pairs
 // (JSet.ForEachPair, every i, the self visit dropped), the host potential's
-// half walk (the ForEachHalfPair call hostPotential makes, on the same layout
-// and neighbor table) and the Reference's (its own grid).
+// (the blocks hostPairs fills for hostPotential, on the same layout and
+// neighbor table) and the Reference's half walk (its own grid).
 func collectPairSets(t *testing.T, s *md.System, p ewald.Params, skin float64) pairSets {
 	t.Helper()
 	cfg := CurrentMachineConfig(p)
@@ -92,10 +92,16 @@ func collectPairSets(t *testing.T, s *md.System, p ewald.Params, skin float64) p
 			sets.sweep[keyOf(s, i, sorted.Order[j], sorted.At(k).Sub(sorted.At(j).Add(shift)))]++
 		})
 	}
-	sorted.ForEachHalfPair(m.real.jsb.NeighborTable(), func(i, j int, rij vec.V) {
-		k := keyOf(s, sorted.Order[i], sorted.Order[j], rij)
-		sets.host[k]++
-		sets.r2[k] = rij.Norm2()
+	var b potBlock
+	hostPairs(&b, sorted, m.real.jsb.NeighborTable(), func() {
+		for k := range b.n {
+			i, j := int(b.i[k]), int(b.j[k])
+			rij := hostImage(t, sorted, i, j, b.r2[k])
+			key := keyOf(s, sorted.Order[i], sorted.Order[j], rij)
+			sets.host[key]++
+			sets.r2[key] = b.r2[k]
+		}
+		b.n = 0
 	})
 	ref, err := NewReference(p)
 	if err != nil {
@@ -108,6 +114,30 @@ func collectPairSets(t *testing.T, s *md.System, p ewald.Params, skin float64) p
 		sets.r2[k] = rij.Norm2()
 	})
 	return sets
+}
+
+// hostImage is the displacement of a pair hostPairs kept: the one periodic
+// image of stored particle j, shifted by −L, 0 or L per axis as the neighbour
+// table shifts it, at which i's displacement has the float64 word r2. With
+// L ≥ 2·r_c there is one image inside the cutoff; the test fails if none or
+// two give the word.
+func hostImage(t *testing.T, sorted *cellindex.Sorted, i, j int, r2 float64) vec.V {
+	t.Helper()
+	l := sorted.Grid.L
+	pi, pj := sorted.At(i), sorted.At(j)
+	var rij vec.V
+	found := 0
+	for n := range 27 {
+		sh := vec.New(float64(n%3-1)*l, float64(n/3%3-1)*l, float64(n/9-1)*l)
+		d := vec.V{X: pi.X - (pj.X + sh.X), Y: pi.Y - (pj.Y + sh.Y), Z: pi.Z - (pj.Z + sh.Z)}
+		if math.Float64bits(d.Norm2()) == math.Float64bits(r2) {
+			rij, found = d, found+1
+		}
+	}
+	if found != 1 {
+		t.Fatalf("host pair (%d, %d) at r² = %v: %d images give that word, want 1", i, j, r2, found)
+	}
+	return rij
 }
 
 // TestOnePairSet: the MDGRAPE-2 sweep, the host potential and the Reference

@@ -297,12 +297,14 @@ func TestUnderflowRuleKeepsForces(t *testing.T) {
 // BenchmarkFusedSweep times the real-space sweep with the four Tosi–Fumi
 // kernels and core's coefficient RAM on the default 512-ion geometry (2³
 // grid, 64 ions per cell): fused, as a step runs it, and one table at a time,
-// so a pass that costs more than its share shows. Each reports ns per
+// so a pass that costs more than its share shows; and fused on 1,728 ions
+// (2³ grid, 216 per cell: slab masks of four words). Each reports ns per
 // pair·table; mdgrape2's BenchmarkFusedSweep is the kernel-independent case.
 func BenchmarkFusedSweep(b *testing.B) {
 	f := newSweepFixture(b, sweepGeometries[0])
-	sys := f.m.real.mr1.System()
-	run := func(name string, passes []mdgrape2.ForcePass) {
+	dense := newSweepFixture(b, sweepGeometry{"N=1728 default", 6, 0})
+	run := func(name string, f sweepFixture, passes []mdgrape2.ForcePass) {
+		sys := f.m.real.mr1.System()
 		b.Run("tosifumi/grid2/"+name, func(b *testing.B) {
 			var dst soa.Coords
 			var err error
@@ -316,10 +318,11 @@ func BenchmarkFusedSweep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sys.Stats().PairsEvaluated), "ns/pair·table")
 		})
 	}
-	run("fused", f.passes)
+	run("fused", f, f.passes)
 	for p, pass := range f.passes {
-		run(pass.Table, f.passes[p:p+1])
+		run(pass.Table, f, f.passes[p:p+1])
 	}
+	run("N=1728/fused", dense, dense.passes)
 }
 
 // sameFloat is bit equality with every NaN equal to every other.

@@ -2,6 +2,7 @@ package mdgrape2
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mdm/internal/fault"
 	"mdm/internal/funceval"
@@ -36,12 +37,12 @@ type ForcePass struct {
 const maxFusedPasses = 8
 
 // sweepBlock is how many kept pairs the sweep gathers before the tables run
-// over them. The gather streams i's neighbour runs in order and compacts the
-// pairs inside the cutoff into the block across run boundaries; a full block,
-// or the end of i's walk, runs every pass. Each pass's accumulator adds its
-// pairs in walk order whatever the block boundaries, so the compaction moves
-// no bit of a kept pair's contribution. It is a power of two: gather masks its
-// slot index with sweepBlock−1, which drops the stores' bounds checks.
+// over them. The gather streams i's candidates in order and compacts the pairs
+// inside the cutoff into the block across run boundaries; a full block, or the
+// end of i's walk, runs every pass. Each pass's accumulator adds its pairs in
+// walk order whatever the block boundaries, so the compaction moves no bit of
+// a kept pair's contribution. It is a power of two: gather masks its slot
+// index with sweepBlock−1, which drops the stores' bounds checks.
 const sweepBlock = 64
 
 // pairBlock is one worker's gathered j-block — the kept pairs' float32
@@ -56,35 +57,58 @@ type pairBlock struct {
 	w, x, g [sweepBlock]float32 // j's charge field, table argument, table value
 }
 
-// gather streams the candidates [j, jend) of one neighbour run — i's stored
-// words (pix, piy, piz) against each j's, displaced by the run's image shift
-// (sx, sy, sz), the displacement and r² formed as the pipelines form them —
-// and appends those with r² below cut2 until the block is full. It returns
-// where the run resumes. The compaction has no branch: every candidate is
-// written to the next free slot, which advances only past a kept one. The call
-// streams at most the free slots, so the slot stays below sweepBlock and the
-// mask leaves it unchanged.
-func (b *pairBlock) gather(p *soa.Coords32, j, jend int, pix, piy, piz, sx, sy, sz, cut2 float32) int {
-	end := min(jend, j+sweepBlock-b.n)
-	jx := p.X[j:end]
-	jy := p.Y[j:end:end]
-	jz := p.Z[j:end:end]
+// gather streams the candidates m marks among the stored particles base …
+// base+63 of one neighbour run (bit t for particle base+t; cellindex.Run.Mask)
+// — i's stored words (pix, piy, piz) against each j's, displaced by the run's
+// image shift (sx, sy, sz), the displacement and r² formed as the pipelines
+// form them — and appends those with r² below cut2 until the block is full.
+// It returns the candidates not yet streamed. A mask that is one contiguous
+// stretch, as every mask of an empty index is, streams as a slice; any other
+// is taken bit by bit in ascending order. The compaction has no branch: every
+// candidate is written to the next free slot, which advances only past a kept
+// one. The call streams at most the free slots, so the slot stays below
+// sweepBlock and the mask leaves it unchanged.
+func (b *pairBlock) gather(p *soa.Coords32, base int, m uint64, pix, piy, piz, sx, sy, sz, cut2 float32) uint64 {
 	n := b.n
-	for k := range jx {
+	lo := bits.TrailingZeros64(m)
+	if c := m >> lo; c&(c+1) == 0 {
+		j := base + lo
+		end := min(j+bits.Len64(c), j+sweepBlock-n)
+		jx := p.X[j:end]
+		jy := p.Y[j:end:end]
+		jz := p.Z[j:end:end]
+		for k := range jx {
+			ex := pix - (jx[k] + sx)
+			ey := piy - (jy[k] + sy)
+			ez := piz - (jz[k] + sz)
+			// Each square is rounded before it is added, as the pipeline
+			// rounds it; the conversions forbid a fused multiply-add (Go spec).
+			r2 := float32(ex*ex) + float32(ey*ey) + float32(ez*ez)
+			s := n & (sweepBlock - 1)
+			b.dx[s], b.dy[s], b.dz[s], b.r2[s], b.j[s] = ex, ey, ez, r2, j+k
+			if r2 < cut2 {
+				n++
+			}
+		}
+		b.n = n
+		return m &^ (1<<(end-base) - 1)
+	}
+	jx := p.X[base:]
+	jy, jz := p.Y[base:], p.Z[base:]
+	for ; m != 0 && n < sweepBlock; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
 		ex := pix - (jx[k] + sx)
 		ey := piy - (jy[k] + sy)
 		ez := piz - (jz[k] + sz)
-		// Each square is rounded before it is added, as the pipeline rounds
-		// it; the conversions forbid a fused multiply-add (Go spec).
 		r2 := float32(ex*ex) + float32(ey*ey) + float32(ez*ez)
 		s := n & (sweepBlock - 1)
-		b.dx[s], b.dy[s], b.dz[s], b.r2[s], b.j[s] = ex, ey, ez, r2, j+k
+		b.dx[s], b.dy[s], b.dz[s], b.r2[s], b.j[s] = ex, ey, ez, r2, base+k
 		if r2 < cut2 {
 			n++
 		}
 	}
 	b.n = n
-	return end
+	return m
 }
 
 // run evaluates every pass's table over the block for i-particle type ti and
@@ -257,22 +281,26 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 		for i := lo; i < hi; i++ {
 			// Cell and single-precision coordinate word as stored at the last
 			// Build / Refresh — the word this particle's j-side visits read too.
-			nbrs, reach, pix, piy, piz := js.iSide(i)
+			nbrs, reach, box, pix, piy, piz := js.iSide(i)
 			acc = [maxFusedPasses][3]float64{}
 			for e, nb := range nbrs {
 				// Stream the cell's j-run from the float32 planes — the banked
 				// particle-memory read of §3.3. The board pays for every run;
-				// the host computes only those that can reach the cutoff.
+				// the host computes only the candidates in i's r_cut box of
+				// those that can reach the cutoff.
 				jstart, jend := js.Sorted.CellRange(nb.Cell)
 				pairs += int64(jend - jstart)
 				if reach&(1<<e) == 0 {
 					continue
 				}
 				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
-				for j := jstart; j < jend; {
-					j = blk.gather(p32, j, jend, pix, piy, piz, sx, sy, sz, cut2)
-					if blk.n == sweepBlock {
-						blk.run(&tbls, np, ti[i], js, &acc)
+				run := js.Sorted.Run(&box, e, nb.Cell)
+				for w, base := 0, jstart; base < jend; w, base = w+1, base+64 {
+					for m := run.Mask(w, min(jend-base, 64)); m != 0; {
+						m = blk.gather(p32, base, m, pix, piy, piz, sx, sy, sz, cut2)
+						if blk.n == sweepBlock {
+							blk.run(&tbls, np, ti[i], js, &acc)
+						}
 					}
 				}
 			}

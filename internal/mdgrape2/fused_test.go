@@ -217,7 +217,7 @@ func occupancyFixture(t *testing.T, occ []int, weighted bool) ([]vec.V, []int, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
+	rng, edge := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6))
 	var pos []vec.V
 	var types []int
 	side := grid.N
@@ -225,10 +225,19 @@ func occupancyFixture(t *testing.T, occ []int, weighted bool) ([]vec.V, []int, *
 	for c := 0; c < side*side*side; c++ {
 		cx, cy, cz := c%side, c/side%side, c/(side*side)
 		for k := 0; k < occ[c%len(occ)]; k++ {
-			pos = append(pos, vec.New(
-				(float64(cx)+0.05+0.9*rng.Float64())*w,
-				(float64(cy)+0.05+0.9*rng.Float64())*w,
-				(float64(cz)+0.05+0.9*rng.Float64())*w))
+			p := [3]float64{
+				(float64(cx) + 0.05 + 0.9*rng.Float64()) * w,
+				(float64(cy) + 0.05 + 0.9*rng.Float64()) * w,
+				(float64(cz) + 0.05 + 0.9*rng.Float64()) * w}
+			if k%3 == 1 { // on a boundary of the index's eight slabs, ± up to 4 ulps
+				a := edge.Intn(3)
+				x := (float64([3]int{cx, cy, cz}[a]) + float64(1+edge.Intn(7))/8) * w
+				for range edge.Intn(5) {
+					x = math.Nextafter(x, math.Inf(2*edge.Intn(2)-1))
+				}
+				p[a] = x
+			}
+			pos = append(pos, vec.New(p[0], p[1], p[2]))
 			types = append(types, rng.Intn(2))
 		}
 	}
@@ -261,43 +270,59 @@ func occupancyFixture(t *testing.T, occ []int, weighted bool) ([]vec.V, []int, *
 // pair-by-pair oracle across cell occupancies on both sides of the block
 // width — so that an i-particle's kept pairs fill no block, one, or several,
 // flushing inside a run and at run ends — with and without the charge field,
-// for 1–4 passes and two pool widths.
+// for 1–4 passes and two pool widths. Two layouts are indexed (53 and 76
+// particles per cell), with masks of one to four words and a third of the
+// particles on slab boundaries; one is not (25 per cell), so its masks are
+// full and its runs of up to three words stream whole.
 func TestBlockedSweepMatchesOracle(t *testing.T) {
 	occ := []int{0, 1, sweepBlock - 1, sweepBlock, sweepBlock + 1, 2*sweepBlock + 3}
+	sparse := []int{0, 1, sweepBlock - 1, 0, 1, 2*sweepBlock + 3, 0, 1}
 	sys, all, _, _, _ := fusedFixture(t)
 	if err := sys.LoadTable("k-r8", func(x float64) float64 { x2 := x * x; return 1 / (x2 * x2 * x) }, -8, 8); err != nil {
 		t.Fatal(err)
 	}
 	for _, weighted := range []bool{false, true} {
-		pos, types, js := occupancyFixture(t, occ, weighted)
-		fewest, most := len(pos), 0
-		for i := range pos {
-			kept := 0
-			js.ForEachPair(i, func(int, vec.V) { kept++ })
-			fewest, most = min(fewest, kept), max(most, kept)
-		}
-		if !(fewest < sweepBlock && most > 2*sweepBlock) {
-			t.Fatalf("kept pairs per particle span [%d, %d]; the fixture needs both fewer than one block and more than two", fewest, most)
-		}
-		scale := make([]float64, len(pos))
-		for i := range scale {
-			scale[i] = 0.25 + float64(i%7)
-		}
-		passes := append(append([]ForcePass(nil), all...), ForcePass{Table: "k-r8", Co: all[2].Co, ScaleI: scale})
-		passes[0].ScaleI = scale
-		for np := 1; np <= 4; np++ {
-			want := oracleReference(t, sys, passes[:np], pos, types, js)
-			for _, workers := range []int{1, 3} {
-				sys.SetPool(parallelize.New(workers))
-				got, err := fusedAoS(sys, passes[:np], pos, types, js)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if !sameVecBits(got[i], want[i]) {
-						t.Fatalf("weighted=%v passes=%d workers=%d: force %d differs: sweep %v vs oracle %v",
-							weighted, np, workers, i, got[i], want[i])
-					}
+		blockedSweepMatchesOracle(t, sys, all, occ, weighted, true, 1)
+		blockedSweepMatchesOracle(t, sys, all, sparse, weighted, false, 1)
+		blockedSweepMatchesOracle(t, sys, all, append(occ, 216), weighted, true, 4)
+	}
+}
+
+// blockedSweepMatchesOracle is TestBlockedSweepMatchesOracle on one layout,
+// indexed or not, from fewest passes up to 4.
+func blockedSweepMatchesOracle(t *testing.T, sys *System, all []ForcePass, occ []int, weighted, indexed bool, fewest int) {
+	t.Helper()
+	pos, types, js := occupancyFixture(t, occ, weighted)
+	if (js.Sorted.Slabs() > 1) != indexed {
+		t.Fatalf("%d particles in %d cells: %d slabs per axis, want indexed %v", len(pos), js.Sorted.Grid.NumCells(), js.Sorted.Slabs(), indexed)
+	}
+	least, most := len(pos), 0
+	for i := range pos {
+		kept := 0
+		js.ForEachPair(i, func(int, vec.V) { kept++ })
+		least, most = min(least, kept), max(most, kept)
+	}
+	if !(least < sweepBlock || occ[len(occ)-1] == 216) || most <= 2*sweepBlock {
+		t.Fatalf("kept pairs per particle span [%d, %d]; the fixture needs more than two blocks and, but beside 216-particle cells, fewer than one", least, most)
+	}
+	scale := make([]float64, len(pos))
+	for i := range scale {
+		scale[i] = 0.25 + float64(i%7)
+	}
+	passes := append(append([]ForcePass(nil), all...), ForcePass{Table: "k-r8", Co: all[2].Co, ScaleI: scale})
+	passes[0].ScaleI = scale
+	for np := fewest; np <= 4; np++ {
+		want := oracleReference(t, sys, passes[:np], pos, types, js)
+		for _, workers := range []int{1, 3} {
+			sys.SetPool(parallelize.New(workers))
+			got, err := fusedAoS(sys, passes[:np], pos, types, js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if !sameVecBits(got[i], want[i]) {
+					t.Fatalf("weighted=%v passes=%d workers=%d: force %d differs: sweep %v vs oracle %v",
+						weighted, np, workers, i, got[i], want[i])
 				}
 			}
 		}

@@ -35,16 +35,18 @@ type JSet struct {
 
 // iSide returns what the board holds for i-particle i — the neighbor list of
 // the cell it was sorted into and its stored single-precision coordinate —
-// and which of those 27 runs can hold a pair inside the cutoff
-// (cellindex.Grid.ReachMask, bit e for entry e). A walk streams and counts
-// every run and computes only the reachable ones: the others hold no pair the
-// pipelines keep.
-func (js *JSet) iSide(i int) (nbrs []cellindex.Neighbor, reach uint32, x, y, z float32) {
+// which of those 27 runs can hold a pair inside the cutoff
+// (cellindex.Grid.ReachMask, bit e for entry e), and its r_cut box on the
+// layout's slab index. A walk streams and counts every run and computes only
+// the candidates of the reachable ones inside the box: the others hold no pair
+// the pipelines keep.
+func (js *JSet) iSide(i int) (nbrs []cellindex.Neighbor, reach uint32, box cellindex.Box, x, y, z float32) {
 	s := js.Sorted
 	k, c := s.Slot[i], s.Cell[i]
 	x, y, z = s.P32.X[k], s.P32.Y[k], s.P32.Z[k]
-	// The widening of i's stored word for the host's reach test is exact.
-	return js.nbt.Of(c), s.Grid.ReachMask(c, float64(x), float64(y), float64(z)), x, y, z
+	// The widening of i's stored word for the host's tests is exact.
+	xw, yw, zw := float64(x), float64(y), float64(z)
+	return js.nbt.Of(c), s.Grid.ReachMask(c, xw, yw, zw), s.Box(c, xw, yw, zw), x, y, z
 }
 
 // cutoffWord is the pipelines' squared cutoff: the host's r_cut squared and
@@ -54,11 +56,12 @@ func cutoffWord(rcut float64) float32 { return float32(rcut * rcut) }
 
 // ForEachPair visits, in sweep order, the pairs the pipelines evaluate for
 // i-particle i: every j of its cell's 27 neighbour runs whose float32 squared
-// distance from i is below the squared cutoff, through the sweep's own gather,
-// with the image shift of the run it came in. i's visit to itself is one of
-// them (r = 0). It is the sweep's pair set, for oracles and diagnostics.
+// distance from i is below the squared cutoff, through the sweep's own masks
+// and gather, with the image shift of the run it came in. i's visit to itself
+// is one of them (r = 0). It is the sweep's pair set, for oracles and
+// diagnostics.
 func (js *JSet) ForEachPair(i int, f func(j int, shift vec.V)) {
-	nbrs, reach, pix, piy, piz := js.iSide(i)
+	nbrs, reach, box, pix, piy, piz := js.iSide(i)
 	cut2 := cutoffWord(js.Sorted.Grid.Cutoff)
 	var b pairBlock
 	for e, nb := range nbrs {
@@ -66,12 +69,15 @@ func (js *JSet) ForEachPair(i int, f func(j int, shift vec.V)) {
 			continue
 		}
 		jstart, jend := js.Sorted.CellRange(nb.Cell)
+		run := js.Sorted.Run(&box, e, nb.Cell)
 		sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
-		for j := jstart; j < jend; {
-			b.n = 0
-			j = b.gather(&js.Sorted.P32, j, jend, pix, piy, piz, sx, sy, sz, cut2)
-			for _, k := range b.j[:b.n] {
-				f(k, nb.Shift)
+		for w, base := 0, jstart; base < jend; w, base = w+1, base+64 {
+			for m := run.Mask(w, min(jend-base, 64)); m != 0; {
+				b.n = 0
+				m = b.gather(&js.Sorted.P32, base, m, pix, piy, piz, sx, sy, sz, cut2)
+				for _, k := range b.j[:b.n] {
+					f(k, nb.Shift)
+				}
 			}
 		}
 	}

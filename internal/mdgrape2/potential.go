@@ -38,7 +38,7 @@ func (s *System) ComputePotentials(table string, co *Coeffs, xi []vec.V, ti []in
 			if ti[i] < 0 || ti[i] >= n {
 				return fmt.Errorf("mdgrape2: i-type %d outside coefficient RAM", ti[i])
 			}
-			nbrs, reach, pix, piy, piz := js.iSide(i)
+			nbrs, reach, box, pix, piy, piz := js.iSide(i)
 			ta, tb := a32[ti[i]], b32[ti[i]]
 			var acc float64
 			for e, nb := range nbrs {
@@ -47,18 +47,21 @@ func (s *System) ComputePotentials(table string, co *Coeffs, xi []vec.V, ti []in
 				if reach&(1<<e) == 0 {
 					continue
 				}
+				run := js.Sorted.Run(&box, e, nb.Cell)
 				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
-				for j := jstart; j < jend; {
-					blk.n = 0
-					j = blk.gather(&js.Sorted.P32, j, jend, pix, piy, piz, sx, sy, sz, cut2)
-					for k, jj := range blk.j[:blk.n] {
-						tj := js.Types[jj]
-						phi := tbl.Eval(ta[tj] * blk.r2[k])
-						b := tb[tj]
-						if js.Weights != nil {
-							b *= float32(js.Weights[jj])
+				for w, base := 0, jstart; base < jend; w, base = w+1, base+64 {
+					for m := run.Mask(w, min(jend-base, 64)); m != 0; {
+						blk.n = 0
+						m = blk.gather(&js.Sorted.P32, base, m, pix, piy, piz, sx, sy, sz, cut2)
+						for k, jj := range blk.j[:blk.n] {
+							tj := js.Types[jj]
+							phi := tbl.Eval(ta[tj] * blk.r2[k])
+							b := tb[tj]
+							if js.Weights != nil {
+								b *= float32(js.Weights[jj])
+							}
+							acc += float64(b * phi)
 						}
-						acc += float64(b * phi)
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package mdgrape2
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -9,12 +10,14 @@ import (
 	"mdm/internal/vec"
 )
 
-// reachFixture builds a frozen j-set on an n-cells-a-side skin grid of cutoff
-// rc: particles sorted on cell faces and at the box edge, refreshed after a
+// reachFixture builds a frozen j-set of count particles on an n-cells-a-side
+// skin grid of cutoff rc: particles sorted on cell faces, on the boundaries of
+// eight slabs per cell ± up to 4 ulps, and at the box edge, refreshed after a
 // drift of 0 or exactly skin/2 along the face's axis, every other one then
 // placed r_c ± a few float32 ulps from its predecessor along the same axis —
-// the layouts a reach mask is tightest on.
-func reachFixture(t *testing.T, n int, rc, skin float64, seed int64) (pos []vec.V, types []int, js *JSet) {
+// the layouts a reach mask and the slab index are tightest on. At 32 or more
+// particles per cell the layout is indexed.
+func reachFixture(t *testing.T, n, count int, rc, skin float64, seed int64) (pos []vec.V, types []int, js *JSet) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	l := float64(n) * (rc + skin) * (1 + 0.5*rng.Float64()/float64(n))
@@ -24,7 +27,13 @@ func reachFixture(t *testing.T, n int, rc, skin float64, seed int64) (pos []vec.
 	}
 	ulp := float64(math.Nextafter32(float32(rc), 2*float32(rc)) - float32(rc))
 	faces := []float64{0, math.Nextafter(l, 0), grid.CellSize, float64(n-1) * grid.CellSize}
-	const count = 48
+	for k := 1; k < 8*n; k++ {
+		x := float64(k) * grid.CellSize / 8
+		for range rng.Intn(5) {
+			x = math.Nextafter(x, math.Inf(2*rng.Intn(2)-1))
+		}
+		faces = append(faces, x)
+	}
 	sorted, moved := make([]vec.V, count), make([]vec.V, count)
 	types = make([]int, count)
 	var a int // the axis a pair's face, drift and separation lie along
@@ -79,18 +88,26 @@ func streamOracle(js *JSet, i int, f func(j int, shift vec.V, r2 float32)) {
 	}
 }
 
-// TestReachMaskedWalksKeepEveryPair pins the three reach-masked walks to the
+// TestReachMaskedWalksKeepEveryPair pins the three masked walks to the
 // unmasked 27-run stream on frozen layouts at N = 1, 2, 3 and 5 cells a side,
-// skin 0 and 0.5: JSet.ForEachPair keeps the same (j, shift) sequence for
-// every i, the fused sweep equals the pair-by-pair oracle bit for bit, the
-// potentials equal the stream's float64 sum bit for bit, and the stats still
-// count every streamed candidate.
+// skin 0 and 0.5, sparse (reach mask only) and at 40 particles per cell (the
+// slab index's masks too): JSet.ForEachPair keeps the same (j, shift)
+// sequence for every i, the fused sweep equals the pair-by-pair oracle bit for
+// bit, the potentials equal the stream's float64 sum bit for bit, and the
+// stats still count every streamed candidate.
 func TestReachMaskedWalksKeepEveryPair(t *testing.T) {
 	sys, passes, _, _, _ := fusedFixture(t)
 	for _, n := range []int{1, 2, 3, 5} {
 		for _, skin := range []float64{0, 0.5} {
-			for seed := int64(0); seed < 4; seed++ {
-				pos, types, js := reachFixture(t, n, 2.5, skin, seed)
+			for seed := int64(0); seed < 5; seed++ {
+				count := 48
+				if seed == 4 {
+					count = 40 * n * n * n
+				}
+				pos, types, js := reachFixture(t, n, count, 2.5, skin, seed)
+				if seed == 4 && js.Sorted.Slabs() == 1 {
+					t.Fatalf("N=%d: %d particles left the slab index empty", n, count)
+				}
 				passes[0].ScaleI = passes[0].ScaleI[:0]
 				for i := range pos {
 					passes[0].ScaleI = append(passes[0].ScaleI, 0.5+float64(i%3))
@@ -152,5 +169,45 @@ func TestReachMaskedWalksKeepEveryPair(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSweepCandidatesAtDefaultGeometry pins the cut: on default_n512's
+// geometry — 512 ions at a melt's uniform density in a 22.56 Å box, r_c =
+// 0.45 L on a 2³ grid, 64 per cell — the sweep computes at most 460 of the
+// 1,728 candidates it streams per i (440 here; the reach mask alone computed
+// 1,104, and the cutoff keeps 197). The count is taken through the sweep's
+// own iSide and masks. A mask that lets every candidate through passes every
+// other test of the walks.
+func TestSweepCandidatesAtDefaultGeometry(t *testing.T) {
+	const l = 22.56
+	pos, types, _ := naclSystem(512, l, 1)
+	grid, err := cellindex.NewGrid(l, 0.45*l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := NewJSet(grid, pos, types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var computed, kept int
+	for i := range pos {
+		nbrs, reach, box, _, _, _ := js.iSide(i)
+		for e, nb := range nbrs {
+			if reach&(1<<e) == 0 {
+				continue
+			}
+			jstart, jend := js.Sorted.CellRange(nb.Cell)
+			run := js.Sorted.Run(&box, e, nb.Cell)
+			for w, base := 0, jstart; base < jend; w, base = w+1, base+64 {
+				computed += bits.OnesCount64(run.Mask(w, min(jend-base, 64)))
+			}
+		}
+		js.ForEachPair(i, func(int, vec.V) { kept++ })
+	}
+	perI := float64(computed) / float64(len(pos))
+	t.Logf("sweep: %.1f candidates computed, %.1f kept per i", perI, float64(kept)/float64(len(pos)))
+	if perI > 460 {
+		t.Errorf("sweep computes %.1f candidates per i, ceiling 460", perI)
 	}
 }

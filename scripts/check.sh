@@ -16,6 +16,18 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "==> doc budgets (DESIGN.md and EXPERIMENTS.md may shrink, never grow)"
+# Each budget is the file's size when the ratchet was set; lower it when a
+# rewrite shrinks the file.
+for budget in DESIGN.md:95769 EXPERIMENTS.md:84189; do
+    doc=${budget%%:*}
+    size=$(wc -c < "$doc")
+    if [ "$size" -gt "${budget##*:}" ]; then
+        echo "$doc is $size B, over its ${budget##*:} B budget: make room before adding" >&2
+        exit 1
+    fi
+done
+
 echo "==> go vet ./..."
 go vet ./...
 
