@@ -218,6 +218,19 @@ func (r Rounder) Round(scaled int64) int64 {
 	return (scaled + r.half + scaled>>63) >> (r.right & 63)
 }
 
+// Exact returns scaled / 2^right and true when scaled is a multiple of
+// 2^right, false otherwise. Then Round(scaled·x) = pre·x for every x the
+// unit may be fed: the bits the shift discards are zero, and half plus the
+// sign term (half or half − 1) stays below 2^right, so neither carries into
+// the result. A pipeline whose operand word passes drops the rounder from
+// its products.
+func (r Rounder) Exact(scaled int64) (pre int64, ok bool) {
+	if scaled&(int64(1)<<(r.right&63)-1) != 0 {
+		return 0, false
+	}
+	return scaled >> (r.right & 63), true
+}
+
 // MulRound multiplies two raw values and rounds the product down to outFrac
 // fractional bits, given the operands' fractional bit counts. The caller must
 // ensure the operand widths sum to < 63 bits; this mirrors a hardware

@@ -207,6 +207,57 @@ func TestRounderMatchesConvert(t *testing.T) {
 	}
 }
 
+// TestRounderExact: a scaled operand passes exactly when it is a multiple of
+// 2^right, and then Round(scaled·x) = pre·x for every x, of either sign, that
+// keeps the product inside the unit's operand bound — on a narrowing unit
+// (the wine2 DFT's 12-bit shift), the one-bit shift whose half is 1, and a
+// widening unit, whose Mul makes every operand pass.
+func TestRounderExact(t *testing.T) {
+	for _, c := range []struct {
+		from, to Format
+		maxBits  uint
+	}{
+		{WideFor(42), F(30, 30), 47},
+		{F(1, 20), F(1, 19), 20},
+		{F(5, 10), F(30, 30), 14},
+	} {
+		r, err := NewRounder(c.from, c.to, c.maxBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := int64(1) << r.right
+		x := uint64(0x2545F4914F6CDD1D)
+		next := func(bits uint) int64 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return int64(x) >> (63 - bits)
+		}
+		for i := 0; i < 4000; i++ {
+			raw := next(c.maxBits / 2)
+			if i%2 == 0 && grid > r.Mul { // onto the grid; Mul puts every word of a widening unit there
+				raw &^= grid/r.Mul - 1
+				if raw == 0 {
+					raw = grid / r.Mul
+				}
+			}
+			scaled := r.Mul * raw
+			pre, ok := r.Exact(scaled)
+			if ok != (scaled%grid == 0) {
+				t.Fatalf("%v → %v: Exact(%d) ok = %v, grid 2^%d", c.from, c.to, scaled, ok, r.right)
+			}
+			if !ok {
+				continue
+			}
+			for _, v := range []int64{0, 1, -1, 2, -3, next(c.maxBits - c.maxBits/2 - 1), next(c.maxBits - c.maxBits/2 - 1)} {
+				if got, want := r.Round(scaled*v), pre*v; got != want {
+					t.Fatalf("%v → %v: Round(%d·%d) = %d, pre·x = %d", c.from, c.to, scaled, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestNewRounderRefusesReachableSaturator: an operand bound that does not fit
 // the source format, or that rounds onto the target's saturation bound, is an
 // error at construction — the unit has no clamp to fall back on.

@@ -2,6 +2,7 @@ package wine2
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mdm/internal/ewald"
@@ -112,21 +113,45 @@ var datapathFormats = []struct {
 	{"widen-one", func(c *Config) { c.QFrac, c.CoefFrac, c.AccFrac, c.IAccFrac = 7, 8, 30, 31 }},
 }
 
+// chargeImages are the charge sets the datapath tests run the DFT's two
+// loops on, by the words' place against the rounder's grid: unit charges of
+// both signs and all negative — widening rounders fed nothing but negative
+// products, where a sign term left unmasked would show — and ±k/256 e, all on
+// the grid of CurrentConfig's 12-bit DFT shift; ±0.8 e and spread fractions
+// off it; and one off-grid word among unit charges, which must send the whole
+// image down the rounding loop.
+func chargeImages(q []float64) []chargeImage {
+	neg, grid, frac, mixed := make([]float64, len(q)), make([]float64, len(q)), make([]float64, len(q)), slices.Clone(q)
+	for i := range q {
+		neg[i] = -1
+		grid[i] = q[i] * float64(1+i%255) / 256
+		frac[i] = q[i] * (0.8 + 0.01*float64(i%7))
+	}
+	mixed[len(q)/2] *= 0.8
+	return []chargeImage{
+		{"unit", q, true}, {"negative", neg, true}, {"grid256", grid, true},
+		{"fractional", frac, false}, {"mixed", mixed, false},
+	}
+}
+
+type chargeImage struct {
+	name   string
+	q      []float64
+	onGrid bool // every word a multiple of 2^12 at QFrac 20
+}
+
 // TestPipelinesMatchGeneralDatapath pins both passes, bit for bit, to the
-// oracle loops on every datapath format, with charges of both signs and with
-// every charge negative — widening rounders fed nothing but negative
-// products, where a sign term left unmasked would show.
+// oracle loops on every datapath format and every charge image, and pins the
+// DFT loop each image takes: the exact loop when every word is on the
+// rounder's grid or the rounder narrows by nothing (its Mul puts every word
+// on the grid), the rounding loop otherwise.
 func TestPipelinesMatchGeneralDatapath(t *testing.T) {
 	const l = 12.0
 	pos, q := testSystem(48, l, 5)
-	negQ := make([]float64, len(q))
-	for i := range negQ {
-		negQ[i] = -1
-	}
 	p := ewald.Params{L: l, Alpha: 7, RCut: 5, LKCut: 5}
 	waves := ewald.Waves(p)
 	for _, f := range datapathFormats {
-		for _, q := range [][]float64{q, negQ} {
+		for _, img := range chargeImages(q) {
 			cfg := CurrentConfig()
 			f.mod(&cfg)
 			sys, err := NewSystem(cfg)
@@ -137,9 +162,13 @@ func TestPipelinesMatchGeneralDatapath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pw, err := sys.Quantize(l, pos, q)
+			pw, err := sys.Quantize(l, pos, img.q)
 			if err != nil {
 				t.Fatal(err)
+			}
+			widens := cfg.AccFrac >= cfg.QFrac+cfg.TrigFormat.Frac
+			if got, want := sys.exactCharges(pw.Q), img.onGrid || widens; got != want {
+				t.Errorf("%s/%s: exact DFT loop %v, want %v", f.name, img.name, got, want)
 			}
 			sn, cn, err := sys.DFTQuantizedInto(waves, pw, nil, nil)
 			if err != nil {
@@ -148,7 +177,7 @@ func TestPipelinesMatchGeneralDatapath(t *testing.T) {
 			wantS, wantC := oracleDFT(cfg, trig, waves, pw)
 			for w := range waves {
 				if sn[w] != wantS[w] || cn[w] != wantC[w] {
-					t.Fatalf("%s: wave %d: DFT (%v, %v), oracle (%v, %v)", f.name, w, sn[w], cn[w], wantS[w], wantC[w])
+					t.Fatalf("%s/%s: wave %d: DFT (%v, %v), oracle (%v, %v)", f.name, img.name, w, sn[w], cn[w], wantS[w], wantC[w])
 				}
 			}
 			got, err := sys.IDFTQuantizedInto(waves, sn, cn, pw, nil)
@@ -158,7 +187,7 @@ func TestPipelinesMatchGeneralDatapath(t *testing.T) {
 			want := oracleIDFT(cfg, trig, waves, sn, cn, pw)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s: particle %d: IDFT %v, oracle %v", f.name, i, got[i], want[i])
+					t.Fatalf("%s/%s: particle %d: IDFT %v, oracle %v", f.name, img.name, i, got[i], want[i])
 				}
 			}
 		}

@@ -17,47 +17,50 @@ func TestDFTIDFTBitIdenticalAcrossWorkers(t *testing.T) {
 	pos, q := testSystem(96, l, 3)
 	p := ewald.Params{L: l, Alpha: 7, RCut: 5, LKCut: 6}
 	waves := ewald.Waves(p)
-
-	serial, err := NewSystem(CurrentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn0, cn0, err := serial.DFT(l, waves, pos, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f0, err := serial.IDFT(l, waves, sn0, cn0, pos, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, w := range []int{2, 3, 4, 8} {
-		sys, err := NewSystem(CurrentConfig())
+	// Both DFT loops: every image of the datapath tests, the exact loop's
+	// and the rounding loop's.
+	for _, img := range chargeImages(q) {
+		serial, err := NewSystem(CurrentConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.SetPool(parallelize.New(w))
-		sn, cn, err := sys.DFT(l, waves, pos, q)
+		sn0, cn0, err := serial.DFT(l, waves, pos, img.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := range sn0 {
-			if math.Float64bits(sn[k]) != math.Float64bits(sn0[k]) ||
-				math.Float64bits(cn[k]) != math.Float64bits(cn0[k]) {
-				t.Fatalf("workers=%d: structure factor %d differs: (%x,%x) vs (%x,%x)",
-					w, k, math.Float64bits(sn[k]), math.Float64bits(cn[k]),
-					math.Float64bits(sn0[k]), math.Float64bits(cn0[k]))
+		f0, err := serial.IDFT(l, waves, sn0, cn0, pos, img.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for _, w := range []int{2, 3, 4, 8} {
+			sys, err := NewSystem(CurrentConfig())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		f, err := sys.IDFT(l, waves, sn, cn, pos, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range f0 {
-			if math.Float64bits(f[i].X) != math.Float64bits(f0[i].X) ||
-				math.Float64bits(f[i].Y) != math.Float64bits(f0[i].Y) ||
-				math.Float64bits(f[i].Z) != math.Float64bits(f0[i].Z) {
-				t.Fatalf("workers=%d: force %d differs: %v vs %v", w, i, f[i], f0[i])
+			sys.SetPool(parallelize.New(w))
+			sn, cn, err := sys.DFT(l, waves, pos, img.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range sn0 {
+				if math.Float64bits(sn[k]) != math.Float64bits(sn0[k]) ||
+					math.Float64bits(cn[k]) != math.Float64bits(cn0[k]) {
+					t.Fatalf("%s/workers=%d: structure factor %d differs: (%x,%x) vs (%x,%x)",
+						img.name, w, k, math.Float64bits(sn[k]), math.Float64bits(cn[k]),
+						math.Float64bits(sn0[k]), math.Float64bits(cn0[k]))
+				}
+			}
+			f, err := sys.IDFT(l, waves, sn, cn, pos, img.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range f0 {
+				if math.Float64bits(f[i].X) != math.Float64bits(f0[i].X) ||
+					math.Float64bits(f[i].Y) != math.Float64bits(f0[i].Y) ||
+					math.Float64bits(f[i].Z) != math.Float64bits(f0[i].Z) {
+					t.Fatalf("%s/workers=%d: force %d differs: %v vs %v", img.name, w, i, f[i], f0[i])
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -326,5 +327,72 @@ func TestAccumulatorBound(t *testing.T) {
 		if err := checkSum("DFT", c.terms, c.bits); (err == nil) != c.ok {
 			t.Errorf("%d terms of 2^%d: err %v, want ok=%v", c.terms, c.bits, err, c.ok)
 		}
+	}
+}
+
+// TestPrefixGatherExactThroughWrap: the IDFT gathers a_x = Σ t·n_x as
+// n_end·T − ΣP, and both n_end·T and ΣP may leave int64 while a_x does not;
+// in Z/2^64 the identity holds all the same. The fixture drives the row walk
+// directly, past the call gate (AccumulatorError refuses any row this long at
+// IAccFrac 59): one row n_x = −3…3, particle 0 at phase 0 and particle 1 half
+// a turn along x, against coefficient words at the block normalization's
+// bound — every t of particle 0 is 2^59 but one, so n_end·T and ΣP are about
+// 28·2^59 = 1.75·2^63 while a_x is that one t's offset times its n_x. math/big
+// checks that the fixture does wrap and that a_x fits; the walk must return
+// a_x, the idftParticle oracle's word.
+func TestPrefixGatherExactThroughWrap(t *testing.T) {
+	cfg := CurrentConfig()
+	cfg.IAccFrac = 59
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := sys.idftRound.Mul << cfg.CoefFrac
+	var waves []ewald.Wave
+	var aS, aC []int64
+	for nx := -3; nx <= 3; nx++ {
+		waves = append(waves, ewald.Wave{N: [3]int{nx, 0, 0}, A: 1})
+		s := -one
+		if nx == 2 {
+			s += 12345 * sys.idftRound.Mul // t = 2^59 less a few hundred ulps
+		}
+		aS, aC = append(aS, s), append(aC, 0)
+	}
+	rows := sys.rowsFor(waves).rows
+	if len(rows) != 1 || rows[0].lo != 0 || rows[0].hi != 7 {
+		t.Fatalf("rows %+v, want the one row n_x = −3…3 in order", rows)
+	}
+	half := int64(1) << (cfg.PosFrac - 1)
+	ux := [2]int64{0, half}
+	a := idftPair(&sys.trig, sys.idftRound, rows, aS, aC, ux[0], 0, 0, ux[1], 0, 0)
+	minInt, maxInt := big.NewInt(math.MinInt64), big.NewInt(math.MaxInt64)
+	outside := func(v *big.Int) bool { return v.Cmp(minInt) < 0 || v.Cmp(maxInt) > 0 }
+	wrapped := false
+	for p := range ux {
+		// The integers the walk computes in the ring.
+		end := big.NewInt(4)
+		var sum, pre, ax big.Int
+		for k, w := range waves {
+			sin, cos := sys.trig.SinCos(int64(w.N[0]) * ux[p])
+			tk := big.NewInt(sys.idftRound.Round(aC[k]*sin - aS[k]*cos))
+			sum.Add(&sum, tk)
+			pre.Add(&pre, &sum)
+			ax.Add(&ax, new(big.Int).Mul(tk, big.NewInt(int64(w.N[0]))))
+		}
+		endT := new(big.Int).Mul(end, &sum)
+		wrapped = wrapped || outside(&pre) || outside(endT)
+		if outside(&ax) {
+			t.Fatalf("particle %d: a_x = %v leaves int64: the fixture is out of the bound", p, &ax)
+		}
+		wantX, wantY, wantZ := idftParticle(&sys.trig, sys.idftRound, waves, aS, aC, ux[p], 0, 0)
+		if wantX != ax.Int64() {
+			t.Fatalf("particle %d: oracle a_x %d, exact sum %v", p, wantX, &ax)
+		}
+		if got := a[p]; got != [3]int64{wantX, wantY, wantZ} {
+			t.Errorf("particle %d: row walk %v, oracle (%d, %d, %d); n_end·T = %v, ΣP = %v", p, got, wantX, wantY, wantZ, endT, &pre)
+		}
+	}
+	if !wrapped {
+		t.Fatal("neither n_end·T nor ΣP left int64: the wrap went untested")
 	}
 }

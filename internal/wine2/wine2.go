@@ -19,7 +19,9 @@
 //     interpolation, quantized to TrigFormat (package fixed);
 //   - in DFT mode the pipeline accumulates q_j·sin + q_j·cos and
 //     q_j·sin − q_j·cos — the hardware outputs S_n+C_n and S_n−C_n and "the
-//     host computer calculates S_n and C_n" from them (§3.4.4);
+//     host computer calculates S_n and C_n" from them (§3.4.4); each product
+//     is rounded to the accumulator, a rounding that is exact, and skipped,
+//     when every charge word is on the rounder's grid (integer charges);
 //   - in IDFT mode the per-wave coefficients a_n·S_n and a_n·C_n are
 //     block-normalized by the host (a global scale factor) and quantized, and
 //     the pipeline accumulates Σ a_n (C_n sin θ - S_n cos θ) n⃗ in wide
@@ -336,7 +338,9 @@ func (s *System) DFT(l float64, waves []ewald.Wave, pos []vec.V, q []float64) (s
 // Bits = AccFrac + 6. IDFT mode: a force component is Σ t·n with |t| at
 // most 2^(IAccFrac+1), so Terms = N_wv·max|n| and Bits = IAccFrac + 1. A
 // call runs only when Terms·2^Bits < 2^63: the pipelines compute in the ring
-// Z/2^64, where the row walk's reordering is exact, and this bound makes the
+// Z/2^64, where the row walk's reordering and the IDFT's prefix-sum gather
+// (n_end·T − ΣP, an identity of integer polynomials) are exact even where an
+// intermediate such as ΣP wraps, and this bound on the final words makes the
 // ring's result the integer sum.
 type AccumulatorError struct {
 	Pass  string // "DFT" or "IDFT"
@@ -464,7 +468,10 @@ func (s *System) rowsFor(waves []ewald.Wave) *rowPlan {
 // host the wave loop, in row order, is cut into contiguous chunks that the
 // pool's workers claim, a chunk being only a scheduling unit. Each wave's
 // S±C accumulator lives entirely in one chunk, so the output is
-// bit-identical at any pool width.
+// bit-identical at any pool width. Every q·sin and q·cos product is the
+// rounder's word; an image whose charge words all pass exactCharges (the
+// check costs one pass over the words per call) runs dftRowExact, which
+// forms the same words without rounding, any other image dftRow.
 func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn []float64) ([]float64, []float64, error) {
 	if err := checkSum("DFT", int64(pw.N()), s.cfg.AccFrac+6); err != nil {
 		return nil, nil, err
@@ -494,6 +501,7 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 	// The chunks read the plan through s: the escaping pool closure captures
 	// no new value.
 	s.rowsFor(waves)
+	exact := s.exactCharges(pw.Q)
 	accF := fixed.F(0, s.cfg.AccFrac) // conversion scale for readout
 	_ = s.pool.Run(len(waves), func(_, lo, hi int) error {
 		perm, rows := s.plan.perm, s.plan.rows
@@ -505,7 +513,11 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 			end := min(int(row.hi), hi, k+dftRun)
 			nx := row.nx + int64(k-int(row.lo))
 			a := acc[:end-k]
-			dftRow(&s.trig, s.dftRound, nx, row.ny, row.nz, pw, a)
+			if exact {
+				dftRowExact(&s.trig, s.dftRound, nx, row.ny, row.nz, pw, a)
+			} else {
+				dftRow(&s.trig, s.dftRound, nx, row.ny, row.nz, pw, a)
+			}
 			for m, w := range perm[k:end] {
 				w := int(w)
 				plus, minus := a[m][0]+a[m][1], a[m][0]-a[m][1]
@@ -532,23 +544,40 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 // the walking goroutine's stack.
 const dftRun = 32
 
+// exactCharges reports whether every charge word, times the DFT rounder's
+// Mul, is a multiple of 2^right (fixed.Rounder.Exact): then the rounder
+// discards only zero bits of every q·sin and q·cos, and dftRowExact computes
+// the same words without it. The low bits of the words' OR are those of some
+// word. Integer charges (±2^QFrac against a 12-bit shift in CurrentConfig),
+// or any on a 1/256 e grid, pass.
+func (s *System) exactCharges(q []int64) bool {
+	var or int64
+	for _, w := range q {
+		or |= w * s.dftRound.Mul
+	}
+	_, ok := s.dftRound.Exact(or)
+	return ok
+}
+
 // dftRow streams the particle image through the pipeline in DFT mode for the
 // waves n⃗ = (n0 + m, n1, n2), m < len(acc), two particles per walk of the
 // run, and writes each wave's Σ q·sin and Σ q·cos (AccFrac fractional bits)
-// to acc[m]. The units' words are read into locals once.
+// to acc[m]. The units' words are read into locals once, and the word planes
+// are resliced to n so that the particle reads carry no bounds check.
 func dftRow(trig *fixed.TrigUnit, round fixed.Rounder, n0, n1, n2 int64, pw *ParticleWords, acc [][2]int64) {
 	lo, hi := trig.Rows()
 	shift, half := trig.Shift, trig.Half
 	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
 	clear(acc)
 	n := pw.N()
-	for j := 0; j < n; j += 2 {
-		jj := min(j+1, n-1)
-		ux0, ux1 := pw.Ux[j], pw.Ux[jj]
-		ph0 := n0*ux0 + n1*pw.Uy[j] + n2*pw.Uz[j]
-		ph1 := n0*ux1 + n1*pw.Uy[jj] + n2*pw.Uz[jj]
-		q0 := pw.Q[j] * round.Mul
-		q1 := pw.Q[jj] * round.Mul
+	ux, uy, uz, qw := pw.Ux[:n], pw.Uy[:n], pw.Uz[:n], pw.Q[:n]
+	for j := uint(0); j < uint(n); j += 2 { // unsigned: the prover bounds j and jj
+		jj := min(j+1, uint(n)-1)
+		ux0, ux1 := ux[j], ux[jj]
+		ph0 := n0*ux0 + n1*uy[j] + n2*uz[j]
+		ph1 := n0*ux1 + n1*uy[jj] + n2*uz[jj]
+		q0 := qw[j] * round.Mul
+		q1 := qw[jj] * round.Mul
 		if jj == j {
 			q1 = 0 // an odd last particle walks beside a zero charge, which rounds to 0
 		}
@@ -559,6 +588,42 @@ func dftRow(trig *fixed.TrigUnit, round fixed.Rounder, n0, n1, n2 int64, pw *Par
 			i, rem = ph1>>(shift&63)&idxMask, ph1&remMask
 			s1 := round.Round(q1 * fixed.Lerp(lo, hi, i, rem, half, shift))
 			c1 := round.Round(q1 * fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift))
+			acc[m][0] += s0 + s1
+			acc[m][1] += c0 + c1
+			ph0 += ux0
+			ph1 += ux1
+		}
+	}
+}
+
+// dftRowExact is dftRow for an image that passes exactCharges: each charge
+// word enters pre-shifted by the rounder (fixed.Rounder.Exact), so the four
+// products of a wave step are plain multiplies whose words equal the rounded
+// ones of dftRow.
+func dftRowExact(trig *fixed.TrigUnit, round fixed.Rounder, n0, n1, n2 int64, pw *ParticleWords, acc [][2]int64) {
+	lo, hi := trig.Rows()
+	shift, half := trig.Shift, trig.Half
+	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
+	clear(acc)
+	n := pw.N()
+	ux, uy, uz, qw := pw.Ux[:n], pw.Uy[:n], pw.Uz[:n], pw.Q[:n]
+	for j := uint(0); j < uint(n); j += 2 { // unsigned: the prover bounds j and jj
+		jj := min(j+1, uint(n)-1)
+		ux0, ux1 := ux[j], ux[jj]
+		ph0 := n0*ux0 + n1*uy[j] + n2*uz[j]
+		ph1 := n0*ux1 + n1*uy[jj] + n2*uz[jj]
+		q0, _ := round.Exact(qw[j] * round.Mul)
+		q1, _ := round.Exact(qw[jj] * round.Mul)
+		if jj == j {
+			q1 = 0
+		}
+		for m := range acc {
+			i, rem := ph0>>(shift&63)&idxMask, ph0&remMask
+			s0 := q0 * fixed.Lerp(lo, hi, i, rem, half, shift)
+			c0 := q0 * fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
+			i, rem = ph1>>(shift&63)&idxMask, ph1&remMask
+			s1 := q1 * fixed.Lerp(lo, hi, i, rem, half, shift)
+			c1 := q1 * fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
 			acc[m][0] += s0 + s1
 			acc[m][1] += c0 + c1
 			ph0 += ux0
@@ -695,8 +760,12 @@ func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, p
 // in IDFT mode and returns each one's three force accumulators (IAccFrac
 // fractional bits). aS and aC carry the rounder's operand scale
 // (idftPrepare). Per row: one phase product per particle, then one add per
-// wave; a_x gathers t·n_x with n_x as a counter, a_y and a_z gather n_y·Σt
-// and n_z·Σt once per row.
+// wave; a_y and a_z gather n_y·T and n_z·T once per row, T = Σt, and a_x
+// gathers Σ t·n_x as n_end·T − ΣP, where n_end is one past the row's last
+// n_x and P runs over the prefix sums of t (Σ_k t_k·(n_end − n_k) = Σ_k P_k):
+// two adds per wave in place of a multiply, an add and a counter. The
+// identity holds in Z/2^64 whether or not n_end·T and ΣP wrap
+// (AccumulatorError).
 func idftPair(trig *fixed.TrigUnit, round fixed.Rounder, rows []waveRow, aS, aC []int64, ux0, uy0, uz0, ux1, uy1, uz1 int64) (a [2][3]int64) {
 	lo, hi := trig.Rows()
 	shift, half := trig.Shift, trig.Half
@@ -706,8 +775,8 @@ func idftPair(trig *fixed.TrigUnit, round fixed.Rounder, rows []waveRow, aS, aC 
 		ph1 := r.nx*ux1 + r.ny*uy1 + r.nz*uz1
 		as := aS[r.lo:r.hi]
 		ac := aC[r.lo:r.hi][:len(as)]
-		nx := r.nx
-		var sum0, sum1 int64 // Σt over the row
+		var sum0, sum1 int64 // Σt over the row: the running prefix sum
+		var pre0, pre1 int64 // Σ of the prefix sums
 		for k, s := range as {
 			c := ac[k]
 			i, rem := ph0>>(shift&63)&idxMask, ph0&remMask
@@ -716,12 +785,14 @@ func idftPair(trig *fixed.TrigUnit, round fixed.Rounder, rows []waveRow, aS, aC 
 			t1 := round.Round(c*fixed.Lerp(lo, hi, i, rem, half, shift) - s*fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift))
 			sum0 += t0
 			sum1 += t1
-			a[0][0] += t0 * nx
-			a[1][0] += t1 * nx
-			nx++
+			pre0 += sum0
+			pre1 += sum1
 			ph0 += ux0
 			ph1 += ux1
 		}
+		end := r.nx + int64(len(as)) // one past the row's last n_x
+		a[0][0] += end*sum0 - pre0
+		a[1][0] += end*sum1 - pre1
 		a[0][1] += r.ny * sum0
 		a[0][2] += r.nz * sum0
 		a[1][1] += r.ny * sum1
