@@ -213,76 +213,54 @@ func (r *Resilient) logf(format string, args ...any) {
 	r.report.Events = append(r.report.Events, fmt.Sprintf(format, args...))
 }
 
-// retryable reports whether an error is worth retrying on the same
-// hardware: transient chip errors, link errors, message-layer timeouts,
-// desyncs and cancellation echoes, and guard rejections (the flipped bit is
-// gone on the next pass).
-func retryable(err error) bool {
+// failure is how the ladder reads a failed attempt's error.
+type failure struct {
+	label string     // the event log's name for it
+	scope string     // its circuit-breaker scope, "" when no breaker counts it
+	board int        // a board-attributed hardware fault's board, else -1
+	site  fault.Site // that board's site
+	stall bool       // an injected hang the watchdog released
+	retry bool       // worth retrying on the same hardware
+}
+
+// triage reads a failed attempt's error. Transient chip errors, link errors,
+// stalls, message-layer timeouts, desyncs and cancellation echoes, and guard
+// rejections (the flipped bit is gone on the next pass) are retryable;
+// anything else is a config or validation error. Labels are stable across
+// goroutine interleavings: a dropped message surfaces on the parallel path as
+// a timeout, a cancellation echo or a tag desync depending on timing, so
+// those collapse to one label. A board-attributed hardware fault keys the
+// breaker scope "site/boardN" (quarantinable), an unattributed one keys the
+// site, a link error its (src, dst) pair.
+//
+//mdm:hotallocok -- labels and breaker scopes are built only after a step failed; the clean step path never reaches this
+func triage(err error) failure {
 	var te *fault.TransientError
 	var le *fault.LinkError
 	var se *fault.StallError
-	return errors.As(err, &te) || errors.As(err, &le) || errors.As(err, &se) ||
-		errors.Is(err, mpi.ErrTimeout) || errors.Is(err, mpi.ErrCanceled) ||
-		errors.Is(err, mpi.ErrTagMismatch) || errors.Is(err, errSuspect)
-}
-
-// classify renders an error for the event log in a form that is stable
-// across goroutine interleavings: a dropped message surfaces on the parallel
-// path as a timeout, a cancellation echo, or a tag desync depending on
-// timing, so those collapse to one label.
-//
-//mdm:hotallocok -- error-classification labels are built only after a step failed; the clean step path never reaches this
-func classify(err error) string {
-	var te *fault.TransientError
-	if errors.As(err, &te) {
-		return fmt.Sprintf("%s transient error", te.Site)
+	hw := func(site fault.Site, board int, what string) failure {
+		scope := string(site)
+		if board >= 0 {
+			scope = fmt.Sprintf("%s/board%d", site, board)
+		}
+		return failure{label: fmt.Sprintf("%s %s", site, what), scope: scope, board: board, site: site, retry: true}
 	}
-	var le *fault.LinkError
-	if errors.As(err, &le) {
-		return fmt.Sprintf("link error %d→%d", le.Src, le.Dst)
+	switch {
+	case errors.As(err, &te):
+		return hw(te.Site, te.Board, "transient error")
+	case errors.As(err, &le):
+		return failure{label: fmt.Sprintf("link error %d→%d", le.Src, le.Dst),
+			scope: fmt.Sprintf("link %d-%d", le.Src, le.Dst), board: -1, retry: true}
+	case errors.As(err, &se):
+		f := hw(se.Site, se.Board, "stall (watchdog)")
+		f.stall = true
+		return f
+	case errors.Is(err, errSuspect):
+		return failure{label: err.Error(), board: -1, retry: true}
+	case errors.Is(err, mpi.ErrTimeout), errors.Is(err, mpi.ErrCanceled), errors.Is(err, mpi.ErrTagMismatch):
+		return failure{label: "message-layer fault", board: -1, retry: true}
 	}
-	var se *fault.StallError
-	if errors.As(err, &se) {
-		return fmt.Sprintf("%s stall (watchdog)", se.Site)
-	}
-	if errors.Is(err, errSuspect) {
-		return err.Error()
-	}
-	if errors.Is(err, mpi.ErrTimeout) || errors.Is(err, mpi.ErrCanceled) || errors.Is(err, mpi.ErrTagMismatch) {
-		return "message-layer fault"
-	}
-	return "hardware fault"
-}
-
-// breakerScope derives the circuit-breaker scope of a retryable failure: a
-// board-attributed hardware fault keys "site/boardN" (quarantinable), an
-// unattributed one keys the site, a link error keys its (src, dst) pair.
-//
-//mdm:hotallocok -- breaker scope keys are derived only from a retryable failure, off the clean per-step path
-func breakerScope(err error) (scope string, site fault.Site, board int, ok bool) {
-	var te *fault.TransientError
-	if errors.As(err, &te) {
-		return hwScope(te.Site, te.Board), te.Site, te.Board, true
-	}
-	var se *fault.StallError
-	if errors.As(err, &se) {
-		return hwScope(se.Site, se.Board), se.Site, se.Board, true
-	}
-	var le *fault.LinkError
-	if errors.As(err, &le) {
-		return fmt.Sprintf("link %d-%d", le.Src, le.Dst), "", -1, true
-	}
-	return "", "", -1, false
-}
-
-// hwScope renders the breaker-scope key of a board-attributed fault.
-//
-//mdm:hotallocok -- called only while classifying a failed step (see breakerScope), never on the clean path
-func hwScope(site fault.Site, board int) string {
-	if board >= 0 {
-		return fmt.Sprintf("%s/board%d", site, board)
-	}
-	return string(site)
+	return failure{board: -1}
 }
 
 // suspectReason applies the sanity guards to a completed step; it returns a
@@ -399,51 +377,49 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 			r.logf("step %d: %s capacity exhausted, degrading to host reference path", r.step, be.Site)
 			return r.hostForces(s)
 		}
-		if !retryable(err) {
+		fl := triage(err)
+		if !fl.retry {
 			return nil, 0, err // config/validation error: not the hardware's fault
 		}
 		// A released hang surfaces as a StallError; a collective the watchdog
 		// canceled surfaces as the message layer's cancellation, so it counts
 		// by the watchdog's stall count growing during the attempt.
-		var se *fault.StallError
-		if errors.As(err, &se) || (r.wd != nil && r.wd.StallCount() > stalls) {
+		if fl.stall || (r.wd != nil && r.wd.StallCount() > stalls) {
 			r.report.Stalls++
 		}
-		if br := r.br; br != nil {
-			if scope, site, board, ok := breakerScope(err); ok && br.Fail(scope, r.step) {
-				r.report.BreakerTrips++
-				if board >= 0 && (site == fault.WINE2 || site == fault.MDG2) {
-					// The breaker's verdict: this board is chronically bad.
-					// Quarantine it up front — drop it from the stripe like a
-					// dead board — instead of paying a retry every step.
-					br.Drop(scope)
-					ok, rerr := r.eng.restripe(site)
-					if rerr != nil {
-						return nil, 0, rerr
-					}
-					if ok {
-						r.report.Quarantines++
-						r.logf("step %d: breaker %s tripped, board quarantined (re-striped)", r.step, scope)
-						continue
-					}
-					r.report.Fallback = true
-					r.report.FallbackSteps++
-					r.logf("step %d: breaker %s tripped with no capacity left, degrading to host reference path", r.step, scope)
-					return r.hostForces(s)
+		if br := r.br; br != nil && fl.scope != "" && br.Fail(fl.scope, r.step) {
+			r.report.BreakerTrips++
+			if fl.board >= 0 {
+				// The breaker's verdict: this board is chronically bad.
+				// Quarantine it up front — drop it from the stripe like a
+				// dead board — instead of paying a retry every step.
+				br.Drop(fl.scope)
+				ok, rerr := r.eng.restripe(fl.site)
+				if rerr != nil {
+					return nil, 0, rerr
 				}
+				if ok {
+					r.report.Quarantines++
+					r.logf("step %d: breaker %s tripped, board quarantined (re-striped)", r.step, fl.scope)
+					continue
+				}
+				r.report.Fallback = true
 				r.report.FallbackSteps++
-				r.logf("step %d: breaker %s open, host fallback for this step", r.step, scope)
+				r.logf("step %d: breaker %s tripped with no capacity left, degrading to host reference path", r.step, fl.scope)
 				return r.hostForces(s)
 			}
+			r.report.FallbackSteps++
+			r.logf("step %d: breaker %s open, host fallback for this step", r.step, fl.scope)
+			return r.hostForces(s)
 		}
 		if retries < maxRetries {
 			retries++
 			r.report.Retries++
-			r.logf("step %d: retry %d after %s", r.step, retries, classify(err))
+			r.logf("step %d: retry %d after %s", r.step, retries, fl.label)
 			continue
 		}
 		r.report.FallbackSteps++
-		r.logf("step %d: retry budget spent (%s), host fallback for this step", r.step, classify(err))
+		r.logf("step %d: retry budget spent (%s), host fallback for this step", r.step, fl.label)
 		return r.hostForces(s)
 	}
 }

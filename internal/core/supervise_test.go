@@ -222,7 +222,8 @@ func (c *countingBeat) Beat() { c.n.Add(1); c.wd.Beat() }
 // serial Forces call makes the fused sweep's four MDGRAPE-2 calls and
 // WINE-2's DFT and IDFT, a 2 + 1 ParallelRun step four per real rank and two
 // on the wave rank. Those are the injector's own per-site counts, read back
-// through no-op slow events keyed on the call numbers either side of them.
+// through lowest-bit flips of word 0 keyed on the call numbers either side
+// of them (no guard sees such a flip).
 func TestHardwareHookSeam(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 36)
 	cfg := CurrentMachineConfig(smallParams(s.L))
@@ -232,8 +233,8 @@ func TestHardwareHookSeam(t *testing.T) {
 				mdg, wine := 4*max(nReal, 1), 2
 				var rc RecoveryConfig
 				if mode == "scenario" || mode == "both" {
-					rc.Injector = injector(t, fmt.Sprintf("mdg:slow@call=%d,ms=0; mdg:slow@call=%d,ms=0; "+
-						"wine2:slow@call=%d,ms=0; wine2:slow@call=%d,ms=0", mdg, mdg+1, wine, wine+1))
+					rc.Injector = injector(t, fmt.Sprintf("mdg:bitflip@call=%d,word=0,bit=0; mdg:bitflip@call=%d,word=0,bit=0; "+
+						"wine2:bitflip@call=%d,word=0,bit=0; wine2:bitflip@call=%d,word=0,bit=0", mdg, mdg+1, wine, wine+1))
 				}
 				if mode == "watchdog" || mode == "both" {
 					rc.Watchdog = quietWatchdog
@@ -267,8 +268,8 @@ func TestHardwareHookSeam(t *testing.T) {
 					fired := in.Fired()
 					slices.Sort(fired)
 					if want := []string{
-						fmt.Sprintf("step 1: mdg:slow@call=%d,ms=0", mdg),
-						fmt.Sprintf("step 1: wine2:slow@call=%d,ms=0", wine),
+						fmt.Sprintf("step 1: mdg:bitflip@call=%d,word=0,bit=0", mdg),
+						fmt.Sprintf("step 1: wine2:bitflip@call=%d,word=0,bit=0", wine),
 					}; !slices.Equal(fired, want) {
 						t.Errorf("injector call counts: fired %q, want %q", fired, want)
 					}

@@ -54,14 +54,10 @@ const (
 	BitFlip
 	// MsgDrop silently discards one MPI message on the wire.
 	MsgDrop
-	// MsgDelay stalls one MPI message in the link for DelayMS milliseconds.
-	MsgDelay
 	// MsgCorrupt flips one bit of one MPI message payload.
 	MsgCorrupt
 	// SendErr fails one MPI send with a transient link error.
 	SendErr
-	// RecvErr fails one MPI receive with a transient link error.
-	RecvErr
 	// Fatal kills the whole run at a step (host crash); only a
 	// restart-from-checkpoint recovers.
 	Fatal
@@ -69,13 +65,6 @@ const (
 	// releases it (Injector.ReleaseHangs) or MaxHang elapses, then fails
 	// with *StallError; a retry succeeds.
 	Hang
-	// Slow stalls one hardware call for DelayMS milliseconds (bounded by
-	// MaxDelay) before letting it proceed normally.
-	Slow
-	// TornWrite crashes the storage layer mid-write: the Op-th store write
-	// persists only its first Bytes bytes, every byte not yet fsynced is
-	// lost, and all further storage operations fail with the FS down.
-	TornWrite
 	// IOErr fails one store operation (read, write, create, rename or sync)
 	// with an I/O error; the filesystem stays up.
 	IOErr
@@ -83,9 +72,10 @@ const (
 	// returned by the Op-th read is flipped, simulating silent on-disk decay
 	// that only a checksum can catch.
 	BitRot
-	// Crash is a plain power cut at the Op-th store operation of the given
-	// class: the operation has no effect, unsynced data is lost, and all
-	// further storage operations fail.
+	// Crash is a power cut at the Op-th store operation of the given class:
+	// the operation has no effect, unsynced data is lost, and all further
+	// storage operations fail. A write-keyed crash may tear the write: the
+	// first Bytes bytes of its buffer persist.
 	Crash
 )
 
@@ -100,22 +90,14 @@ func (k Kind) String() string {
 		return "bitflip"
 	case MsgDrop:
 		return "drop"
-	case MsgDelay:
-		return "delay"
 	case MsgCorrupt:
 		return "corrupt"
 	case SendErr:
 		return "senderr"
-	case RecvErr:
-		return "recverr"
 	case Fatal:
 		return "fatal"
 	case Hang:
 		return "hang"
-	case Slow:
-		return "slow"
-	case TornWrite:
-		return "torn-write"
 	case IOErr:
 		return "eio"
 	case BitRot:
@@ -147,23 +129,20 @@ type Event struct {
 	Word int
 	Bit  int
 
-	// Message scheduling (MsgDrop, MsgDelay, MsgCorrupt, SendErr, RecvErr):
-	// fire on the Nth message of the (Src → Dst) pair. Per-pair counts are
-	// deterministic because each rank's sends are program-ordered.
+	// Message scheduling (MsgDrop, MsgCorrupt, SendErr): fire on the Nth
+	// message of the (Src → Dst) pair. Per-pair counts are deterministic
+	// because each rank's sends are program-ordered.
 	Src, Dst int
 	Nth      int64
 
-	// DelayMS is the MsgDelay stall in milliseconds (bounded by MaxDelay).
-	DelayMS int
-
-	// Store scheduling (TornWrite, IOErr, BitRot, Crash): fire on the Op-th
+	// Store scheduling (IOErr, BitRot, Crash): fire on the Op-th
 	// storage operation of class OpClass ("write", "read", "create", "rename"
 	// or "sync"), counted per class by the injection-aware filesystem. Per-class counts are deterministic because
 	// the storage layer is driven from the program-ordered step loop.
 	Op      int64
 	OpClass string
-	// Bytes is how many bytes of a TornWrite's buffer persist before the
-	// simulated power cut (0 = the write is lost entirely).
+	// Bytes is how many bytes of a write-keyed Crash's buffer persist before
+	// the simulated power cut (0 = the write is lost entirely).
 	Bytes int
 	// Offset is the byte a BitRot corrupts within the data returned by the
 	// targeted read.
@@ -182,21 +161,20 @@ func (e Event) String() string {
 		return fmt.Sprintf("%s:%s@%s", e.Site, e.Kind, e.when())
 	case Fatal:
 		return fmt.Sprintf("%s:%s@%s", e.Site, e.Kind, e.when())
-	case Slow:
-		return fmt.Sprintf("%s:%s@%s,ms=%d", e.Site, e.Kind, e.when(), e.DelayMS)
 	case BitFlip:
 		return fmt.Sprintf("%s:%s@%s,word=%d,bit=%d", e.Site, e.Kind, e.when(), e.Word, e.Bit)
-	case MsgDrop, SendErr, RecvErr:
+	case MsgDrop, SendErr:
 		return fmt.Sprintf("%s:%s@src=%d,dst=%d,n=%d", e.Site, e.Kind, e.Src, e.Dst, e.Nth)
-	case MsgDelay:
-		return fmt.Sprintf("%s:%s@src=%d,dst=%d,n=%d,ms=%d", e.Site, e.Kind, e.Src, e.Dst, e.Nth, e.DelayMS)
 	case MsgCorrupt:
 		return fmt.Sprintf("%s:%s@src=%d,dst=%d,n=%d,word=%d,bit=%d", e.Site, e.Kind, e.Src, e.Dst, e.Nth, e.Word, e.Bit)
-	case TornWrite:
-		return fmt.Sprintf("%s:%s@%s=%d,bytes=%d", e.Site, e.Kind, e.OpClass, e.Op, e.Bytes)
 	case BitRot:
 		return fmt.Sprintf("%s:%s@%s=%d,offset=%d", e.Site, e.Kind, e.OpClass, e.Op, e.Offset)
-	case IOErr, Crash:
+	case Crash:
+		if e.Bytes > 0 {
+			return fmt.Sprintf("%s:%s@%s=%d,bytes=%d", e.Site, e.Kind, e.OpClass, e.Op, e.Bytes)
+		}
+		return fmt.Sprintf("%s:%s@%s=%d", e.Site, e.Kind, e.OpClass, e.Op)
+	case IOErr:
 		return fmt.Sprintf("%s:%s@%s=%d", e.Site, e.Kind, e.OpClass, e.Op)
 	}
 	return fmt.Sprintf("%s:%s", e.Site, e.Kind)
@@ -211,8 +189,11 @@ func (e Event) when() string {
 
 // validate reports scheduling errors in an event.
 func (e Event) validate() error {
+	if e.Bytes > 0 && (e.Kind != Crash || e.OpClass != OpWrite) {
+		return fmt.Errorf("fault: bytes= tears only a %s:%s@%s= event", Store, Crash, OpWrite)
+	}
 	switch e.Kind {
-	case BoardDrop, Transient, BitFlip, Hang, Slow:
+	case BoardDrop, Transient, BitFlip, Hang:
 		if e.Site != WINE2 && e.Site != MDG2 {
 			return fmt.Errorf("fault: %s event on non-hardware site %q", e.Kind, e.Site)
 		}
@@ -226,7 +207,7 @@ func (e Event) validate() error {
 		if e.Step <= 0 {
 			return fmt.Errorf("fault: fatal event needs step=")
 		}
-	case MsgDrop, MsgDelay, MsgCorrupt, SendErr, RecvErr:
+	case MsgDrop, MsgCorrupt, SendErr:
 		if e.Site != MPI {
 			return fmt.Errorf("fault: %s event on non-mpi site %q", e.Kind, e.Site)
 		}
@@ -236,7 +217,7 @@ func (e Event) validate() error {
 		if e.Nth <= 0 {
 			return fmt.Errorf("fault: %s event needs n= (per-pair message count)", e.Kind)
 		}
-	case TornWrite, IOErr, BitRot, Crash:
+	case IOErr, BitRot, Crash:
 		if e.Site != Store {
 			return fmt.Errorf("fault: %s event must use site %q", e.Kind, Store)
 		}
@@ -307,7 +288,7 @@ func (e *StallError) Error() string {
 	return fmt.Sprintf("fault: %s stalled (watchdog)", e.Site)
 }
 
-// LinkError reports a transient message-passing failure (SendErr/RecvErr).
+// LinkError reports a transient message-passing failure (SendErr).
 type LinkError struct {
 	Src, Dst int
 }
@@ -335,12 +316,11 @@ func (e *FatalError) Error() string {
 // Fate is the injector's verdict on one MPI message, consulted by the
 // substrate on every send when a hook is installed.
 type Fate struct {
-	Drop    bool          // discard the message on the wire
-	Delay   time.Duration // stall the link before delivery
-	Corrupt bool          // flip one payload bit
-	Word    int           // corrupted payload element (Corrupt only)
-	Bit     int           // corrupted bit within the element (Corrupt only)
-	Err     error         // fail the operation instead (nil = proceed)
+	Drop    bool  // discard the message on the wire
+	Corrupt bool  // flip one payload bit
+	Word    int   // corrupted payload element (Corrupt only)
+	Bit     int   // corrupted bit within the element (Corrupt only)
+	Err     error // fail the operation instead (nil = proceed)
 }
 
 // Storage-operation classes: the per-class counters store events are keyed
@@ -358,10 +338,9 @@ const (
 // storeOpClasses lists which operation classes each store fault kind may be
 // keyed by.
 var storeOpClasses = map[Kind][]string{
-	TornWrite: {OpWrite},
-	IOErr:     {OpWrite, OpRead, OpCreate, OpRename, OpSync},
-	BitRot:    {OpRead},
-	Crash:     {OpWrite, OpRead, OpCreate, OpRename, OpSync},
+	IOErr:  {OpWrite, OpRead, OpCreate, OpRename, OpSync},
+	BitRot: {OpRead},
+	Crash:  {OpWrite, OpRead, OpCreate, OpRename, OpSync},
 }
 
 // StoreFate is the injector's verdict on one storage operation, consulted by
@@ -369,8 +348,8 @@ var storeOpClasses = map[Kind][]string{
 // installed. The zero value lets the operation proceed.
 type StoreFate struct {
 	Hit    bool  // an event fired for this operation
-	Kind   Kind  // TornWrite, IOErr, BitRot or Crash
-	Bytes  int   // TornWrite: bytes of the buffer that persist
+	Kind   Kind  // IOErr, BitRot or Crash
+	Bytes  int   // write-keyed Crash: bytes of the buffer that persist
 	Offset int64 // BitRot: byte offset to corrupt in the returned data
 }
 
@@ -382,10 +361,6 @@ type StoreHook interface {
 	// OpRead, OpCreate, OpRename, OpSync) and reports the operation's fate.
 	StoreOp(class string) StoreFate
 }
-
-// MaxDelay bounds injected message delays so a mis-scripted scenario cannot
-// stall a run longer than a deadline-equipped receiver would wait anyway.
-const MaxDelay = 5 * time.Second
 
 // MaxHang bounds an injected hang when no watchdog is armed: the wedged call
 // returns a StallError on its own after this long, so a scenario cannot block
@@ -414,7 +389,6 @@ type Injector struct {
 	calls  map[Site]int64
 	flips  map[Site]*scheduled // registered for the current call, unconsumed
 	sends  map[[2]int]int64
-	recvs  map[[2]int]int64
 	stores map[string]int64
 	fired  []string
 	hangs  []chan struct{}
@@ -431,7 +405,6 @@ func NewInjector(events ...Event) (*Injector, error) {
 		calls:  make(map[Site]int64),
 		flips:  make(map[Site]*scheduled),
 		sends:  make(map[[2]int]int64),
-		recvs:  make(map[[2]int]int64),
 		stores: make(map[string]int64),
 	}
 	for i, e := range events {
@@ -474,13 +447,12 @@ func (in *Injector) HardwareCall(site Site) error {
 	in.calls[site]++
 	n := in.calls[site]
 	var failure, hang *scheduled
-	var slow time.Duration
 	for _, e := range in.events {
 		if e.fired || e.Site != site {
 			continue
 		}
 		switch e.Kind {
-		case BoardDrop, Transient, BitFlip, Hang, Slow:
+		case BoardDrop, Transient, BitFlip, Hang:
 		default:
 			continue
 		}
@@ -493,15 +465,6 @@ func (in *Injector) HardwareCall(site Site) error {
 			// PendingFlip at its memory-readout point.
 			in.fire(e)
 			in.flips[site] = e
-		case Slow:
-			in.fire(e)
-			d := time.Duration(e.DelayMS) * time.Millisecond
-			if d > MaxDelay {
-				d = MaxDelay
-			}
-			if d > slow {
-				slow = d
-			}
 		case Hang:
 			if hang == nil {
 				in.fire(e)
@@ -523,10 +486,6 @@ func (in *Injector) HardwareCall(site Site) error {
 	}
 	in.mu.Unlock()
 
-	if slow > 0 {
-		//mdm:wallclockok -- deliberate injected slowdown: the whole point of the scenario is to burn wall time; results are unaffected
-		time.Sleep(slow)
-	}
 	if hang != nil {
 		select {
 		case <-release:
@@ -572,7 +531,7 @@ func (in *Injector) PendingFlip(site Site) (word, bit int, ok bool) {
 }
 
 // SendFate decides the fate of the next (src → dst) message. It implements
-// the send half of the mpi fault-hook interface.
+// the mpi fault-hook interface.
 func (in *Injector) SendFate(src, dst int) Fate {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -587,13 +546,6 @@ func (in *Injector) SendFate(src, dst int) Fate {
 		case MsgDrop:
 			in.fire(e)
 			return Fate{Drop: true}
-		case MsgDelay:
-			d := time.Duration(e.DelayMS) * time.Millisecond
-			if d > MaxDelay {
-				d = MaxDelay
-			}
-			in.fire(e)
-			return Fate{Delay: d}
 		case MsgCorrupt:
 			in.fire(e)
 			return Fate{Corrupt: true, Word: e.Word, Bit: e.Bit}
@@ -603,24 +555,6 @@ func (in *Injector) SendFate(src, dst int) Fate {
 		}
 	}
 	return Fate{}
-}
-
-// RecvError decides whether the next (src → dst) receive fails. It
-// implements the receive half of the mpi fault-hook interface.
-func (in *Injector) RecvError(src, dst int) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	key := [2]int{src, dst}
-	in.recvs[key]++
-	n := in.recvs[key]
-	for _, e := range in.events {
-		if e.fired || e.Site != MPI || e.Kind != RecvErr || e.Src != src || e.Dst != dst || e.Nth != n {
-			continue
-		}
-		in.fire(e)
-		return &LinkError{Src: src, Dst: dst}
-	}
-	return nil
 }
 
 // StoreOp implements StoreHook: it advances the per-class storage-operation

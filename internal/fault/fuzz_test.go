@@ -12,8 +12,9 @@ import (
 // parse), and the schedule builds an injector.
 func FuzzParseScenario(f *testing.F) {
 	f.Add("wine2:board-drop@step=3,board=2; mdg:transient@call=7")
-	f.Add("mdg:hang@step=6; wine2:slow@step=4,ms=80")
-	f.Add("mpi:delay@src=0,dst=1,n=3,ms=50; run:fatal@step=100")
+	f.Add("mdg:hang@step=6; wine2:hang@call=2,board=1")
+	f.Add("mpi:drop@src=0,dst=1,n=3; mpi:senderr@src=1,dst=0,n=4; run:fatal@step=100")
+	f.Add("store:crash@write=3,bytes=10; store:eio@sync=1; store:bitrot@read=4,offset=7; store:crash@rename=1")
 	f.Add("mdg:transient@step=9,board=1; mpi:corrupt@src=0,dst=2,n=1,word=0,bit=7")
 	f.Add("wine2:bitflip@step=5,word=12,bit=40")
 	f.Add(" ; ;; mdg:hang@message=2 ; ")

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 )
@@ -11,28 +10,27 @@ import (
 //
 //	site:kind@key=value,key=value,...
 //
-// Sites: wine2, mdg, mpi, run, store. Kinds and their keys:
+// Sites: wine2, mdg, mpi, run, store. Each kind reaches one rung of the
+// recovery ladder. Kinds and their keys:
 //
-//	wine2:board-drop@step=3,board=2      kill WINE-2 board 2 in step 3
-//	mdg:transient@call=7                 fail the 7th MDGRAPE-2 call once
-//	wine2:bitflip@step=5,word=12,bit=40  flip bit 40 of DFT accumulator 12
-//	mpi:drop@src=1,dst=0,n=2             drop the 2nd message rank 1 → 0
-//	mpi:delay@src=0,dst=1,n=3,ms=50      stall that message 50 ms
+//	wine2:board-drop@step=3,board=2      kill WINE-2 board 2 in step 3 (re-stripe)
+//	mdg:transient@call=7                 fail the 7th MDGRAPE-2 call once (retry)
+//	wine2:bitflip@step=5,word=12,bit=40  flip bit 40 of DFT accumulator 12 (suspect retry)
+//	mdg:hang@step=6                      wedge a call until the watchdog fires (stall retry)
+//	mpi:drop@src=1,dst=0,n=2             drop the 2nd message rank 1 → 0 (message-layer retry)
 //	mpi:corrupt@src=0,dst=2,n=1,word=0,bit=7
-//	mpi:senderr@src=1,dst=0,n=4          transient link error on send
-//	mpi:recverr@src=1,dst=0,n=4          transient link error on receive
+//	mpi:senderr@src=1,dst=0,n=4          transient link error on send (link retry)
 //	run:fatal@step=100                   host crash: restart from checkpoint
-//	mdg:hang@step=6                      wedge a call until the watchdog fires
-//	wine2:slow@step=4,ms=80              stall a call 80 ms, then proceed
-//	store:torn-write@write=3,bytes=10    power cut: 3rd write persists 10 bytes
+//	store:crash@rename=1                 power cut just before the 1st rename
+//	store:crash@sync=2                   power cut at the 2nd fsync
+//	store:crash@write=3,bytes=10         power cut mid-write: 10 bytes of it persist
 //	store:eio@write=2                    2nd write fails with an I/O error
 //	store:eio@sync=1                     1st fsync fails with an I/O error
 //	store:bitrot@read=4,offset=7         flip a bit of byte 7 of the 4th read
-//	store:crash@rename=1                 power cut just before the 1st rename
-//	store:crash@sync=2                   power cut at the 2nd fsync
 //
 // transient and hang take an optional board= attributing the fault to one
 // board, which lets the circuit-breaker layer quarantine a repeat offender.
+// bytes= tears a crash only on a write= key.
 //
 // Hardware clauses take exactly one of call= (per-site hardware call count)
 // or step= (simulation step); message clauses address the n-th message of a
@@ -50,18 +48,14 @@ var kindNames = map[string]Kind{
 	"transient":  Transient,
 	"bitflip":    BitFlip,
 	"drop":       MsgDrop,
-	"delay":      MsgDelay,
 	"corrupt":    MsgCorrupt,
 	"senderr":    SendErr,
-	"recverr":    RecvErr,
 	"fatal":      Fatal,
 	"hang":       Hang,
-	"slow":       Slow,
 
-	"torn-write": TornWrite,
-	"eio":        IOErr,
-	"bitrot":     BitRot,
-	"crash":      Crash,
+	"eio":    IOErr,
+	"bitrot": BitRot,
+	"crash":  Crash,
 }
 
 // siteNames maps DSL site tokens to Site values.
@@ -117,7 +111,7 @@ func parseClause(clause string) (Event, error) {
 		return Event{}, fmt.Errorf("fault: clause %q: unknown kind %q", clause, kindTok)
 	}
 	e := Event{Site: site, Kind: kind, Src: -1, Dst: -1}
-	if kind == Transient || kind == Hang || kind == Slow {
+	if kind == Transient || kind == Hang {
 		e.Board = -1 // board attribution is optional for these
 	}
 	if !hasArgs {
@@ -152,8 +146,6 @@ func parseClause(clause string) (Event, error) {
 			e.Dst = int(n)
 		case "n":
 			e.Nth = n
-		case "ms":
-			e.DelayMS = int(n)
 		case OpWrite, OpRead, OpCreate, OpRename, OpSync:
 			if e.OpClass != "" {
 				return Event{}, fmt.Errorf("fault: clause %q: %s= conflicts with %s=", clause, key, e.OpClass)
@@ -169,41 +161,4 @@ func parseClause(clause string) (Event, error) {
 		}
 	}
 	return e, nil
-}
-
-// RandomEvents draws a reproducible fault schedule: n events spread over
-// [1, steps], covering the hardware fault classes on both engines. The same
-// seed always yields the identical schedule (the determinism the acceptance
-// tests assert). Events land in distinct steps so recovery reports stay
-// bit-identical even on the parallel path.
-func RandomEvents(seed int64, steps, n int) []Event {
-	rng := rand.New(rand.NewSource(seed))
-	if n > steps {
-		n = steps
-	}
-	used := make(map[int]bool)
-	var events []Event
-	for len(events) < n {
-		step := 1 + rng.Intn(steps)
-		if used[step] {
-			continue
-		}
-		used[step] = true
-		site := WINE2
-		if rng.Intn(2) == 1 {
-			site = MDG2
-		}
-		var e Event
-		switch rng.Intn(3) {
-		case 0:
-			e = Event{Site: site, Kind: Transient, Step: step, Board: -1}
-		case 1:
-			e = Event{Site: site, Kind: BitFlip, Step: step,
-				Word: rng.Intn(64), Bit: 62 - rng.Intn(8)}
-		default:
-			e = Event{Site: site, Kind: BoardDrop, Step: step, Board: rng.Intn(8)}
-		}
-		events = append(events, e)
-	}
-	return events
 }

@@ -9,7 +9,7 @@ import (
 // event exactly once at its per-class operation count.
 func TestStoreDSLRoundTrip(t *testing.T) {
 	clauses := []string{
-		"store:torn-write@write=3,bytes=10",
+		"store:crash@write=3,bytes=10",
 		"store:eio@write=2",
 		"store:eio@sync=1",
 		"store:bitrot@read=4,offset=7",
@@ -33,20 +33,25 @@ func TestStoreDSLRoundTrip(t *testing.T) {
 
 func TestStoreDSLRejects(t *testing.T) {
 	bad := []string{
-		"store:torn-write@bytes=10",        // no op counter
-		"store:torn-write@read=1,bytes=4",  // torn-write is write-keyed
+		"store:crash@bytes=10",             // no op counter
+		"store:crash@read=1,bytes=4",       // only a write tears
+		"store:crash@sync=1,bytes=3",       // only a write tears
+		"store:eio@write=1,bytes=3",        // only a crash tears
 		"store:bitrot@write=1,offset=0",    // bitrot is read-keyed
 		"store:bitrot@read=1,write=2",      // two op counters
-		"wine2:torn-write@write=1,bytes=0", // wrong site
+		"wine2:crash@write=1,bytes=3",      // wrong site
 		"store:transient@call=1",           // hardware kind on store site
+		"store:torn-write@write=1,bytes=3", // folded into crash@write=1,bytes=3
 	}
 	for _, c := range bad {
 		if _, err := Parse(c); err == nil {
 			t.Errorf("Parse(%q): want error, got nil", c)
 		}
 	}
-	// The two kinds that duplicated crash@rename=N and eio@write=N are gone.
-	for _, c := range []string{"store:crash-before-rename@rename=1", "store:enospc@write=1"} {
+	// The kinds that duplicated crash@rename=N, eio@write=N and
+	// crash@write=N,bytes=K are gone.
+	for _, c := range []string{"store:crash-before-rename@rename=1", "store:enospc@write=1",
+		"store:torn-write@write=1,bytes=3"} {
 		if _, err := Parse(c); err == nil || !strings.Contains(err.Error(), "unknown kind") {
 			t.Errorf("Parse(%q): %v, want an unknown kind", c, err)
 		}

@@ -15,8 +15,8 @@
 // deadline (SetTimeout) and fail with a typed ErrTimeout instead of
 // deadlocking, and World.Run cancels the whole group when any rank errors so
 // no survivor blocks on a peer that already unwound (ErrCanceled). A
-// FaultHook (implemented by fault.Injector) can drop, delay, corrupt, or fail
-// messages for chaos testing.
+// FaultHook (implemented by fault.Injector) can drop, corrupt, or fail messages
+// for chaos testing.
 package mpi
 
 import (
@@ -49,12 +49,10 @@ var (
 )
 
 // FaultHook intercepts the message layer for fault injection. *fault.Injector
-// implements it; a nil hook costs one atomic load per operation.
+// implements it; a nil hook costs one atomic load per send.
 type FaultHook interface {
 	// SendFate decides what happens to the next src→dst message.
 	SendFate(src, dst int) fault.Fate
-	// RecvError may fail a receive before it consumes a message.
-	RecvError(src, dst int) error
 }
 
 type message struct {
@@ -344,10 +342,6 @@ func (c *Comm) Send(dst, tag int, data any) error {
 		if f.Drop {
 			return nil // lost on the wire; the receiver's deadline notices
 		}
-		if f.Delay > 0 {
-			//mdm:wallclockok -- injected link delay from a fault scenario; clean runs never take this branch
-			time.Sleep(f.Delay)
-		}
 		if f.Corrupt {
 			data = corruptPayload(data, f.Word, f.Bit)
 		}
@@ -380,11 +374,6 @@ func (c *Comm) Send(dst, tag int, data any) error {
 func (c *Comm) Recv(src, tag int) (any, error) {
 	if src < 0 || src >= c.w.size {
 		return nil, fmt.Errorf("mpi: recv from rank %d outside world of size %d", src, c.w.size)
-	}
-	if h := c.w.faultHook(); h != nil {
-		if err := h.RecvError(src, c.rank); err != nil {
-			return nil, fmt.Errorf("mpi: recv %d←%d tag %d: %w", c.rank, src, tag, err)
-		}
 	}
 	// Fast path: already queued, no timer needed.
 	select {

@@ -86,13 +86,12 @@ func TestRunCancelsGroupOnError(t *testing.T) {
 	}
 }
 
-func TestFaultHookDropDelayCorrupt(t *testing.T) {
+func TestFaultHookDropCorruptSendErr(t *testing.T) {
 	w, _ := NewWorld(2)
 	w.SetTimeout(20 * time.Millisecond)
 	in, err := fault.ParseInjector(
 		"mpi:drop@src=1,dst=0,n=1; mpi:corrupt@src=1,dst=0,n=2,word=1,bit=3;" +
-			"mpi:delay@src=1,dst=0,n=3,ms=30; mpi:senderr@src=1,dst=0,n=4;" +
-			"mpi:recverr@src=0,dst=1,n=1")
+			"mpi:senderr@src=1,dst=0,n=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,28 +127,11 @@ func TestFaultHookDropDelayCorrupt(t *testing.T) {
 		t.Error("sender's slice was modified")
 	}
 
-	// Message 3 is delayed ~30ms but still delivered.
-	start := time.Now()
-	if err := c1.Send(0, tagFaulty, []float64{9}); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 20*time.Millisecond {
-		t.Errorf("delayed send returned in %v, want ≥30ms stall", el)
-	}
-	if _, err := c0.RecvFloat64s(1, tagFaulty); err != nil {
-		t.Fatalf("delayed message lost: %v", err)
-	}
-
-	// Message 4 fails at the sender with a typed link error.
+	// Message 3 fails at the sender with a typed link error.
 	err = c1.Send(0, tagFaulty, nil)
 	var le *fault.LinkError
 	if !errors.As(err, &le) {
 		t.Errorf("senderr fate: %v, want LinkError", err)
-	}
-
-	// First receive 1←... on rank 1 fails at the receiver.
-	if _, err := c1.Recv(0, tagFaulty); !errors.As(err, &le) {
-		t.Errorf("recverr fate: %v, want LinkError", err)
 	}
 	if in.Remaining() != 0 {
 		t.Errorf("%d events never fired", in.Remaining())

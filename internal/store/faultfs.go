@@ -20,8 +20,8 @@ import (
 //     content advances only at File.Sync, and creates / renames / removes
 //     commit only at SyncDir on the parent directory.
 //
-// A Crash / TornWrite fate latches the filesystem into the
-// crashed state: the durable view freezes (plus any torn bytes), and every
+// A Crash fate latches the filesystem into the crashed state: the durable
+// view freezes (plus the torn bytes of a write-keyed crash), and every
 // later operation fails with ErrCrashed until Reboot, which discards the
 // live view and re-materializes the durable one — the moral equivalent of
 // power coming back.
@@ -337,20 +337,13 @@ func (h *faultFile) Write(p []byte) (int, error) {
 		switch ft.Kind {
 		case fault.IOErr:
 			return 0, &fs.PathError{Op: "write", Path: h.mf.path, Err: ErrIO}
-		case fault.TornWrite:
+		case fault.Crash:
 			// Power cut mid-write: the durable view keeps the synced prefix
 			// plus the first Bytes bytes of this buffer (if the name was
 			// committed); everything else is lost.
-			torn := ft.Bytes
-			if torn > len(p) {
-				torn = len(p)
-			}
-			if h.mf.durable {
+			if torn := min(ft.Bytes, len(p)); torn > 0 && h.mf.durable {
 				f.disk[h.mf.path] = append(clone(h.mf.data[:h.mf.synced]), p[:torn]...)
 			}
-			f.crash()
-			return 0, ErrCrashed
-		case fault.Crash:
 			f.crash()
 			return 0, ErrCrashed
 		}

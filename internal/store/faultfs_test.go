@@ -111,10 +111,10 @@ func TestFaultFSRemoveDurableAfterSyncDir(t *testing.T) {
 	}
 }
 
-// TornWrite persists exactly the scheduled prefix of the crashing write and
-// latches the filesystem down.
+// A write-keyed crash with bytes= persists exactly that prefix of the
+// crashing write and latches the filesystem down.
 func TestFaultFSTornWrite(t *testing.T) {
-	in := injector(t, "store:torn-write@write=2,bytes=3")
+	in := injector(t, "store:crash@write=2,bytes=3")
 	fs := NewFaultFS(in)
 	f, _ := fs.Append("j")
 	f.Write([]byte("hello\n")) // write 1, clean

@@ -60,7 +60,7 @@ const latticeSteps = 50 // the golden protocol's NVE segment
 
 // A latticeScenario is one fault schedule: the layouts it runs at and the
 // recovery counts its reference cell must report (Events are checked by
-// agreement). Hardware faults are keyed by step=, so one scenario means the
+// agreement unless want names them). Hardware faults are keyed by step=, so one scenario means the
 // same events at every rank count.
 type latticeScenario struct {
 	name     string
@@ -107,6 +107,16 @@ var latticeScenarios = []latticeScenario{
 		watchdog: 100 * time.Millisecond,
 		runsAt:   func(_, ranks int) bool { return ranks >= 2 },
 		want:     FaultReport{Retries: 1, Stalls: 1},
+	},
+	{
+		// A failed send is a typed link error: World.Run returns it ahead of
+		// the peers' cancellation echoes, and one retry absorbs it with no
+		// watchdog. The one 2 + 1 layout pins the link-error rung; its event
+		// is pinned too.
+		name:   "link-error",
+		faults: "mpi:senderr@src=1,dst=0,n=2",
+		runsAt: func(cells, ranks int) bool { return cells == 2 && ranks == 2 },
+		want:   FaultReport{Retries: 1, Events: []string{"step 1: retry 1 after link error 1→0"}},
 	},
 }
 
@@ -309,7 +319,10 @@ func TestBitIdentityLattice(t *testing.T) {
 				if recovered {
 					wantRep.Steps = latticeSteps + 1
 				}
-				if counts.Events = nil; !reflect.DeepEqual(counts, wantRep) {
+				if wantRep.Events == nil {
+					counts.Events = nil
+				}
+				if !reflect.DeepEqual(counts, wantRep) {
 					t.Errorf("fault report %+v, want %+v", got.report, wantRep)
 				}
 				if !recovered {

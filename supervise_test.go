@@ -36,7 +36,7 @@ func TestJournalKillResumeBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	base := Config{
 		Cells:  2,
-		Faults: "mdg:transient@step=8; wine2:slow@step=5,ms=1",
+		Faults: "mdg:transient@step=8",
 		Supervise: SuperviseConfig{
 			Watchdog: time.Second,
 			Journal:  filepath.Join(dir, "a.wal"),
