@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cellindex/ -run '^$$' -fuzz FuzzReachMask -fuzztime 3s
 	$(GO) test ./internal/cellindex/ -run '^$$' -fuzz FuzzSlabMasks -fuzztime 3s
 	$(GO) test ./internal/wine2/ -run '^$$' -fuzz FuzzWinePipelines -fuzztime 3s
+	$(GO) test ./internal/wine2/ -run '^$$' -fuzz FuzzTrigRows -fuzztime 3s
 
 fmt:
 	gofmt -w .

@@ -179,6 +179,48 @@ func TestResilientGuardCatchesBitFlip(t *testing.T) {
 	}
 }
 
+// TestResilientMPICorrupt drives mpi:corrupt into a 2 + 1 session (ranks 0
+// and 1 real-space, rank 2 wavenumber) and pins what each flipped word does
+// to six NVE steps under the force-spike guard, against the clean run. An
+// exponent flip in a force component from the wave rank is a spike: the
+// guard rejects the step and the retry is clean. A flip that lands in range
+// passes: the index word of a real rank's force record (message 2 from rank
+// 1 to 0 is its step-1 force ship; bit 62 turns index k ≥ 2 into a
+// denormal, which truncates to 0) sends one particle's force to particle 0
+// and leaves its own at zero; bit 40 of the first x coordinate of a ghost
+// payload (message 3 from rank 0 to 1) moves one ghost by a relative 2^-12.
+// Neither is a suspect step; both reach the trajectory.
+func TestResilientMPICorrupt(t *testing.T) {
+	run := func(scenario string) (RunReport, *md.System) {
+		s := meltLike(t, 2, 5.64, 300, 29)
+		in := injector(t, scenario)
+		r := newResilientT(t, CurrentMachineConfig(smallParams(s.L)),
+			RecoveryConfig{Injector: in, Guards: Guards{MaxForce: 100}}, testWorld(t, 3, time.Second), 2)
+		integrate(t, s, r, 6)
+		if in != nil && in.Remaining() != 0 {
+			t.Fatalf("%q never fired", scenario)
+		}
+		return r.Report(), s
+	}
+	_, clean := run("")
+	for _, c := range []struct {
+		name, scenario   string
+		suspect, retries int
+		sameAsClean      bool
+	}{
+		{"wave-force-exponent", "mpi:corrupt@src=2,dst=0,n=1,word=2,bit=62", 1, 1, true},
+		{"force-index", "mpi:corrupt@src=1,dst=0,n=2,word=4,bit=62", 0, 0, false},
+		{"ghost-position", "mpi:corrupt@src=0,dst=1,n=3,word=0,bit=40", 0, 0, false},
+	} {
+		rep, s := run(c.scenario)
+		same := slices.Equal(s.Pos, clean.Pos) && slices.Equal(s.Vel, clean.Vel)
+		if rep.SuspectSteps != c.suspect || rep.Retries != c.retries || same != c.sameAsClean {
+			t.Errorf("%s: %d suspect steps, %d retries, final state as clean %v; want %d, %d, %v (%v)",
+				c.name, rep.SuspectSteps, rep.Retries, same, c.suspect, c.retries, c.sameAsClean, rep.Events)
+		}
+	}
+}
+
 // chaosScenario is the acceptance schedule: one WINE-2 board dropout, one
 // dropped MPI message, and one transient MDGRAPE-2 error, spread over a
 // ≥200-step run. Events sit in distinct steps so the recovery report is

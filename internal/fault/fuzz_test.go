@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // must never panic, and anything it accepts must satisfy the canonical-form
 // property the recovery stack depends on: the rendered events re-parse
 // successfully and idempotently (String of the re-parse equals String of the
-// parse), and the schedule builds an injector.
+// parse) to the same events, and the schedule builds an injector.
 func FuzzParseScenario(f *testing.F) {
 	f.Add("wine2:board-drop@step=3,board=2; mdg:transient@call=7")
 	f.Add("mdg:hang@step=6; wine2:hang@call=2,board=1")
@@ -39,6 +40,11 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		if second := render(again); second != first {
 			t.Fatalf("rendering not idempotent:\n  %q\n  %q", first, second)
+		}
+		// Every key a clause gives is read: its rendering schedules the same
+		// events, not fewer fields.
+		if !reflect.DeepEqual(again, events) {
+			t.Fatalf("%q parsed to %v, its rendering to %v", scenario, events, again)
 		}
 		if _, err := NewInjector(events...); err != nil {
 			t.Fatalf("parsed %q but injector rejected it: %v", scenario, err)

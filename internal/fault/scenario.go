@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,7 +31,8 @@ import (
 //
 // transient and hang take an optional board= attributing the fault to one
 // board, which lets the circuit-breaker layer quarantine a repeat offender.
-// bytes= tears a crash only on a write= key.
+// bytes= tears a crash only on a write= key. A key its kind does not read
+// (kindKeys) is refused, not dropped.
 //
 // Hardware clauses take exactly one of call= (per-site hardware call count)
 // or step= (simulation step); message clauses address the n-th message of a
@@ -57,6 +59,27 @@ var kindNames = map[string]Kind{
 	"bitrot": BitRot,
 	"crash":  Crash,
 }
+
+// kindKeys lists the keys each kind reads; opKey stands for the store
+// operation classes, of which storeOpClasses says which a kind may be keyed
+// by. Parse refuses any other key: a clause parsed by dropping it would
+// schedule less than it says.
+var kindKeys = map[Kind][]string{
+	BoardDrop:  {"call", "step", "board"},
+	Transient:  {"call", "step", "board"},
+	Hang:       {"call", "step", "board"},
+	BitFlip:    {"call", "step", "word", "bit"},
+	Fatal:      {"step"},
+	MsgDrop:    {"src", "dst", "n"},
+	SendErr:    {"src", "dst", "n"},
+	MsgCorrupt: {"src", "dst", "n", "word", "bit"},
+	IOErr:      {opKey},
+	BitRot:     {opKey, "offset"},
+	Crash:      {opKey, "bytes"},
+}
+
+// opKey is kindKeys' name for any of the store operation-class keys.
+const opKey = "op"
 
 // siteNames maps DSL site tokens to Site values.
 var siteNames = map[string]Site{
@@ -129,7 +152,8 @@ func parseClause(clause string) (Event, error) {
 		if n < 0 {
 			return Event{}, fmt.Errorf("fault: clause %q: %s=%q must be non-negative", clause, key, val)
 		}
-		switch strings.TrimSpace(key) {
+		key = strings.TrimSpace(key)
+		switch key {
 		case "call":
 			e.Call = n
 		case "step":
@@ -150,7 +174,7 @@ func parseClause(clause string) (Event, error) {
 			if e.OpClass != "" {
 				return Event{}, fmt.Errorf("fault: clause %q: %s= conflicts with %s=", clause, key, e.OpClass)
 			}
-			e.OpClass = strings.TrimSpace(key)
+			e.OpClass = key
 			e.Op = n
 		case "bytes":
 			e.Bytes = int(n)
@@ -158,6 +182,13 @@ func parseClause(clause string) (Event, error) {
 			e.Offset = n
 		default:
 			return Event{}, fmt.Errorf("fault: clause %q: unknown key %q", clause, key)
+		}
+		read := key
+		if e.OpClass == key {
+			read = opKey
+		}
+		if !slices.Contains(kindKeys[kind], read) {
+			return Event{}, fmt.Errorf("fault: clause %q: %s:%s reads no %s= key", clause, site, kind, key)
 		}
 	}
 	return e, nil

@@ -319,10 +319,10 @@ func (t *SinCosTable) lookup(phase int64, phaseFrac uint) int64 {
 // phase share one split: the table row i = (phase >> Shift) & IdxMask and the
 // position inside it rem = phase & RemMask; a quarter turn is a whole number
 // of rows (2^k / 4), so the cosine is row (i + Quarter) & IdxMask with the
-// same rem. The fields are the unit's wiring, exported so that a pipeline loop
-// can hold them in registers across a whole pass (read them into locals once
-// and call Lerp); SinCos is the same datapath for one phase. Table is the
-// SinCosTable's own sample RAM and must not be written.
+// same rem. The fields are the unit's wiring, exported so that a pipeline can
+// resolve them further (package wine2 builds its interpolant rows from them);
+// SinCos is the datapath for one phase. Table is the SinCosTable's own sample
+// RAM and must not be written.
 type TrigUnit struct {
 	Table   []int64 // sin samples, 2^k + 1 of them
 	Shift   uint    // phase bits below the table index

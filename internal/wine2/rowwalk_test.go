@@ -64,13 +64,28 @@ func idftParticle(trig *fixed.TrigUnit, round fixed.Rounder, waves []ewald.Wave,
 	return ax, ay, az
 }
 
+// oracleUnit is the TrigUnit a System for cfg builds its rows from; the
+// oracle loops read its sample RAM through fixed.Lerp.
+func oracleUnit(cfg Config) *fixed.TrigUnit {
+	tab, err := fixed.NewSinCosTable(cfg.SinLogSize, cfg.TrigFormat)
+	if err != nil {
+		panic(err)
+	}
+	u, err := tab.Unit(cfg.PosFrac)
+	if err != nil {
+		panic(err)
+	}
+	return &u
+}
+
 // waveByWaveDFT is DFTQuantizedInto on the oracle loop, with an armed flip
 // on the caller-order wave flipWave (-1: none).
 func waveByWaveDFT(sys *System, waves []ewald.Wave, pw *ParticleWords, flipWave, flipBit int) (sn, cn []float64) {
 	accF := fixed.F(0, sys.cfg.AccFrac)
 	sn, cn = make([]float64, len(waves)), make([]float64, len(waves))
+	trig := oracleUnit(sys.cfg)
 	for w := range waves {
-		plus, minus := dftWave(&sys.trig, sys.dftRound, waves[w].N, pw)
+		plus, minus := dftWave(trig, sys.dftRound, waves[w].N, pw)
 		if w == flipWave {
 			plus ^= 1 << flipBit
 		}
@@ -102,8 +117,9 @@ func waveByWaveIDFT(sys *System, waves []ewald.Wave, sn, cn []float64, pw *Parti
 	iaccF := fixed.F(0, sys.cfg.IAccFrac)
 	l := pw.L
 	pref := 4 * units.Coulomb / (l * l * l * l) * scale
+	trig := oracleUnit(sys.cfg)
 	for i := range f[0] {
-		ax, ay, az := idftParticle(&sys.trig, sys.idftRound, waves, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i])
+		ax, ay, az := idftParticle(trig, sys.idftRound, waves, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i])
 		qp := pref * pw.q[i]
 		f[0][i], f[1][i], f[2][i] = iaccF.Float(ax)*qp, iaccF.Float(ay)*qp, iaccF.Float(az)*qp
 	}
@@ -365,6 +381,7 @@ func TestPrefixGatherExactThroughWrap(t *testing.T) {
 	half := int64(1) << (cfg.PosFrac - 1)
 	ux := [2]int64{0, half}
 	a := idftPair(&sys.trig, sys.idftRound, rows, aS, aC, ux[0], 0, 0, ux[1], 0, 0)
+	trig := oracleUnit(cfg)
 	minInt, maxInt := big.NewInt(math.MinInt64), big.NewInt(math.MaxInt64)
 	outside := func(v *big.Int) bool { return v.Cmp(minInt) < 0 || v.Cmp(maxInt) > 0 }
 	wrapped := false
@@ -373,7 +390,7 @@ func TestPrefixGatherExactThroughWrap(t *testing.T) {
 		end := big.NewInt(4)
 		var sum, pre, ax big.Int
 		for k, w := range waves {
-			sin, cos := sys.trig.SinCos(int64(w.N[0]) * ux[p])
+			sin, cos := trig.SinCos(int64(w.N[0]) * ux[p])
 			tk := big.NewInt(sys.idftRound.Round(aC[k]*sin - aS[k]*cos))
 			sum.Add(&sum, tk)
 			pre.Add(&pre, &sum)
@@ -384,7 +401,7 @@ func TestPrefixGatherExactThroughWrap(t *testing.T) {
 		if outside(&ax) {
 			t.Fatalf("particle %d: a_x = %v leaves int64: the fixture is out of the bound", p, &ax)
 		}
-		wantX, wantY, wantZ := idftParticle(&sys.trig, sys.idftRound, waves, aS, aC, ux[p], 0, 0)
+		wantX, wantY, wantZ := idftParticle(trig, sys.idftRound, waves, aS, aC, ux[p], 0, 0)
 		if wantX != ax.Int64() {
 			t.Fatalf("particle %d: oracle a_x %d, exact sum %v", p, wantX, &ax)
 		}

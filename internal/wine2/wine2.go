@@ -131,6 +131,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("wine2: trig unit (PosFrac %d, SinLogSize %d, TrigFormat %v): %w",
 			c.PosFrac, c.SinLogSize, c.TrigFormat, err)
 	}
+	// The pipelines' trig rows (trigRows) form a·2^shift + d·rem, at most
+	// 2^(Frac+shift) in magnitude, in one word: the interpolant's carrier term.
+	if bits := c.TrigFormat.Frac + c.PosFrac - c.SinLogSize; bits > 62 {
+		return fmt.Errorf("wine2: trig rows (TrigFormat %v over %d interpolation bits): a %d-bit interpolant, the carrier holds 62",
+			c.TrigFormat, c.PosFrac-c.SinLogSize, bits)
+	}
 	if c.QFrac < 4 || c.AccFrac < 8 || c.CoefFrac < 8 || c.IAccFrac < 8 {
 		return fmt.Errorf("wine2: accumulator formats too narrow")
 	}
@@ -189,10 +195,10 @@ type System struct {
 	pool  *parallelize.Pool
 
 	// The datapath, resolved once for cfg — widths are wiring, not run-time
-	// decisions: the sine table for PosFrac-bit phases and the two
+	// decisions: the sine table's rows for PosFrac-bit phases and the two
 	// product-to-accumulator rounders of Config.rounders. The pipeline loops
 	// read these words into registers once per pass.
-	trig      fixed.TrigUnit
+	trig      trigRows
 	dftRound  fixed.Rounder
 	idftRound fixed.Rounder
 
@@ -213,14 +219,63 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg}
-	if s.trig, err = table.Unit(cfg.PosFrac); err != nil {
+	unit, err := table.Unit(cfg.PosFrac)
+	if err != nil {
 		return nil, err
 	}
+	s := &System{cfg: cfg, trig: newTrigRows(&unit)}
 	if s.dftRound, s.idftRound, err = cfg.rounders(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// trigRows is a TrigUnit's sample RAM resolved for the pipelines'
+// interpolant, one row per table segment i: A_i = a_i·2^shift + half +
+// (d_i >> 63) and D_i = d_i = a_{i+1} − a_i. fixed.Lerp's
+// a + ((d·rem + half + (d·rem)>>63) >> shift) is then exactly
+// (A_i + D_i·rem) >> shift: for rem > 0 the sign of d·rem is the sign of d,
+// and at rem = 0 both sign terms give 0 because half − 1 < 2^shift. So each
+// sine or cosine is one multiply-add and one shift, the constant parts formed
+// once per row instead of once per particle·wave. The rows run a quarter turn
+// past 2^k, so the cosine reads the same index i as the sine, in an
+// equal-length view 2^k/4 rows on: one bounds check covers all four loads.
+// |A_i + D_i·rem| ≤ 2^(TrigFormat.Frac+shift) + half, inside int64 by
+// Config.Validate's carrier term.
+type trigRows struct {
+	rows    []trigRow // 2^k + 2^k/4 rows
+	shift   uint      // phase bits below the table index
+	idxMask int64     // 2^k − 1
+	remMask int64     // 2^shift − 1
+}
+
+// A trigRow is one segment's (A_i, D_i).
+type trigRow [2]int64
+
+// at is the row's interpolant rem/2^shift of the way along the segment.
+func (r *trigRow) at(rem int64, shift uint) int64 {
+	// shift < 62 by construction; the mask makes the shift one instruction.
+	return (r[0] + r[1]*rem) >> (shift & 63)
+}
+
+// newTrigRows builds the rows of u; row j ≥ 2^k repeats segment j − 2^k.
+func newTrigRows(u *fixed.TrigUnit) trigRows {
+	n := int(u.IdxMask) + 1
+	t := trigRows{rows: make([]trigRow, n+n/4), shift: u.Shift, idxMask: u.IdxMask, remMask: u.RemMask}
+	for j := range t.rows {
+		a, b := u.Table[j&(n-1)], u.Table[j&(n-1)+1]
+		d := b - a
+		t.rows[j] = trigRow{a<<u.Shift + u.Half + d>>63, d}
+	}
+	return t
+}
+
+// views returns the sine rows and the cosine rows, a quarter turn on: equal
+// lengths, so one bounds check on i covers sin[i] and cos[i].
+func (t *trigRows) views() (sin, cos []trigRow) {
+	n := int(t.idxMask) + 1
+	sin = t.rows[:n]
+	return sin, t.rows[n/4:][:len(sin)]
 }
 
 // Config returns the hardware configuration.
@@ -564,10 +619,9 @@ func (s *System) exactCharges(q []int64) bool {
 // run, and writes each wave's Σ q·sin and Σ q·cos (AccFrac fractional bits)
 // to acc[m]. The units' words are read into locals once, and the word planes
 // are resliced to n so that the particle reads carry no bounds check.
-func dftRow(trig *fixed.TrigUnit, round fixed.Rounder, n0, n1, n2 int64, pw *ParticleWords, acc [][2]int64) {
-	lo, hi := trig.Rows()
-	shift, half := trig.Shift, trig.Half
-	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
+func dftRow(trig *trigRows, round fixed.Rounder, n0, n1, n2 int64, pw *ParticleWords, acc [][2]int64) {
+	sin, cos := trig.views()
+	shift, idxMask, remMask := trig.shift, trig.idxMask, trig.remMask
 	clear(acc)
 	n := pw.N()
 	ux, uy, uz, qw := pw.Ux[:n], pw.Uy[:n], pw.Uz[:n], pw.Q[:n]
@@ -583,11 +637,11 @@ func dftRow(trig *fixed.TrigUnit, round fixed.Rounder, n0, n1, n2 int64, pw *Par
 		}
 		for m := range acc {
 			i, rem := ph0>>(shift&63)&idxMask, ph0&remMask
-			s0 := round.Round(q0 * fixed.Lerp(lo, hi, i, rem, half, shift))
-			c0 := round.Round(q0 * fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift))
+			s0 := round.Round(q0 * sin[i].at(rem, shift))
+			c0 := round.Round(q0 * cos[i].at(rem, shift))
 			i, rem = ph1>>(shift&63)&idxMask, ph1&remMask
-			s1 := round.Round(q1 * fixed.Lerp(lo, hi, i, rem, half, shift))
-			c1 := round.Round(q1 * fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift))
+			s1 := round.Round(q1 * sin[i].at(rem, shift))
+			c1 := round.Round(q1 * cos[i].at(rem, shift))
 			acc[m][0] += s0 + s1
 			acc[m][1] += c0 + c1
 			ph0 += ux0
@@ -600,10 +654,9 @@ func dftRow(trig *fixed.TrigUnit, round fixed.Rounder, n0, n1, n2 int64, pw *Par
 // word enters pre-shifted by the rounder (fixed.Rounder.Exact), so the four
 // products of a wave step are plain multiplies whose words equal the rounded
 // ones of dftRow.
-func dftRowExact(trig *fixed.TrigUnit, round fixed.Rounder, n0, n1, n2 int64, pw *ParticleWords, acc [][2]int64) {
-	lo, hi := trig.Rows()
-	shift, half := trig.Shift, trig.Half
-	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
+func dftRowExact(trig *trigRows, round fixed.Rounder, n0, n1, n2 int64, pw *ParticleWords, acc [][2]int64) {
+	sin, cos := trig.views()
+	shift, idxMask, remMask := trig.shift, trig.idxMask, trig.remMask
 	clear(acc)
 	n := pw.N()
 	ux, uy, uz, qw := pw.Ux[:n], pw.Uy[:n], pw.Uz[:n], pw.Q[:n]
@@ -619,11 +672,11 @@ func dftRowExact(trig *fixed.TrigUnit, round fixed.Rounder, n0, n1, n2 int64, pw
 		}
 		for m := range acc {
 			i, rem := ph0>>(shift&63)&idxMask, ph0&remMask
-			s0 := q0 * fixed.Lerp(lo, hi, i, rem, half, shift)
-			c0 := q0 * fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
+			s0 := q0 * sin[i].at(rem, shift)
+			c0 := q0 * cos[i].at(rem, shift)
 			i, rem = ph1>>(shift&63)&idxMask, ph1&remMask
-			s1 := q1 * fixed.Lerp(lo, hi, i, rem, half, shift)
-			c1 := q1 * fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
+			s1 := q1 * sin[i].at(rem, shift)
+			c1 := q1 * cos[i].at(rem, shift)
 			acc[m][0] += s0 + s1
 			acc[m][1] += c0 + c1
 			ph0 += ux0
@@ -766,10 +819,9 @@ func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, p
 // two adds per wave in place of a multiply, an add and a counter. The
 // identity holds in Z/2^64 whether or not n_end·T and ΣP wrap
 // (AccumulatorError).
-func idftPair(trig *fixed.TrigUnit, round fixed.Rounder, rows []waveRow, aS, aC []int64, ux0, uy0, uz0, ux1, uy1, uz1 int64) (a [2][3]int64) {
-	lo, hi := trig.Rows()
-	shift, half := trig.Shift, trig.Half
-	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
+func idftPair(trig *trigRows, round fixed.Rounder, rows []waveRow, aS, aC []int64, ux0, uy0, uz0, ux1, uy1, uz1 int64) (a [2][3]int64) {
+	sin, cos := trig.views()
+	shift, idxMask, remMask := trig.shift, trig.idxMask, trig.remMask
 	for _, r := range rows {
 		ph0 := r.nx*ux0 + r.ny*uy0 + r.nz*uz0
 		ph1 := r.nx*ux1 + r.ny*uy1 + r.nz*uz1
@@ -780,9 +832,9 @@ func idftPair(trig *fixed.TrigUnit, round fixed.Rounder, rows []waveRow, aS, aC 
 		for k, s := range as {
 			c := ac[k]
 			i, rem := ph0>>(shift&63)&idxMask, ph0&remMask
-			t0 := round.Round(c*fixed.Lerp(lo, hi, i, rem, half, shift) - s*fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift))
+			t0 := round.Round(c*sin[i].at(rem, shift) - s*cos[i].at(rem, shift))
 			i, rem = ph1>>(shift&63)&idxMask, ph1&remMask
-			t1 := round.Round(c*fixed.Lerp(lo, hi, i, rem, half, shift) - s*fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift))
+			t1 := round.Round(c*sin[i].at(rem, shift) - s*cos[i].at(rem, shift))
 			sum0 += t0
 			sum1 += t1
 			pre0 += sum0

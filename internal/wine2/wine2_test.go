@@ -82,7 +82,9 @@ func TestConfigValidate(t *testing.T) {
 // to zero, a QFrac or CoefFrac of 45 or an s1.50 sine overflowed the products,
 // an s1.40 sine over 38 interpolation bits overflowed the interpolant. Each is
 // now an error naming the width, from every constructor; every format the
-// tests and the ablations run on is still accepted.
+// tests and the ablations run on is still accepted. The trig rows' carrier
+// term (Frac + PosFrac − SinLogSize ≤ 62) refuses an s1.29 sine over 34
+// interpolation bits, which the interpolant's own product check admits.
 func TestConfigRejectsUnrepresentableFormats(t *testing.T) {
 	for _, c := range []struct {
 		mod   func(*Config)
@@ -94,6 +96,7 @@ func TestConfigRejectsUnrepresentableFormats(t *testing.T) {
 		{func(c *Config) { c.TrigFormat = fixed.F(1, 50) }, "s1.50"},
 		{func(c *Config) { c.PosFrac, c.SinLogSize, c.TrigFormat = 40, 2, fixed.F(1, 40) }, "s1.40"},
 		{func(c *Config) { c.IAccFrac = 60 }, "IAccFrac 60"},
+		{func(c *Config) { c.PosFrac, c.SinLogSize, c.TrigFormat = 40, 6, fixed.F(1, 29) }, "63-bit interpolant"},
 	} {
 		cfg := CurrentConfig()
 		c.mod(&cfg)
@@ -113,6 +116,11 @@ func TestConfigRejectsUnrepresentableFormats(t *testing.T) {
 		f.mod(&cfg)
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s rejected: %v", f.name, err)
+		}
+	}
+	for _, cfg := range []Config{CurrentConfig(), FutureConfig()} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%d-cluster machine rejected: %v", cfg.Clusters, err)
 		}
 	}
 }
