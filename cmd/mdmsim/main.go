@@ -33,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -52,7 +53,7 @@ type runSummary struct {
 	WallSeconds float64          `json:"wall_seconds"`
 	TempMeanK   float64          `json:"temp_mean_k"`
 	TempStdK    float64          `json:"temp_std_k"`
-	EnergyDrift float64          `json:"energy_drift"`
+	EnergyDrift *float64         `json:"energy_drift"` // null: fewer than two NVE steps evaluated the potential
 	Fault       *mdm.FaultReport `json:"fault,omitempty"`
 
 	// Commits counts the journal commits the run joined, CommitStalls the
@@ -72,7 +73,9 @@ func summarize(sim *mdm.Simulation, status string, restarts int, elapsed time.Du
 		WallSeconds: elapsed.Seconds(),
 		TempMeanK:   mean,
 		TempStdK:    std,
-		EnergyDrift: sim.EnergyDrift(),
+	}
+	if d := sim.EnergyDrift(); !math.IsNaN(d) {
+		s.EnergyDrift = &d
 	}
 	s.Commits, s.CommitStalls = sim.CommitStats()
 	if rep, ok := sim.FaultReport(); ok {
@@ -336,7 +339,11 @@ func run(args []string) (exit int) {
 
 	mean, std := sim.TemperatureStats()
 	fmt.Printf("\ntemperature: %.1f ± %.1f K (sigma/mean = %.4f)\n", mean, std, std/mean)
-	fmt.Printf("NVE energy drift: %.3g relative (paper: < 5e-7 over 2 ps at N = 1.88e7)\n", sim.EnergyDrift())
+	if d := sim.EnergyDrift(); math.IsNaN(d) {
+		fmt.Println("NVE energy drift: unavailable (fewer than two NVE steps evaluated the potential; see -potential-every)")
+	} else {
+		fmt.Printf("NVE energy drift: %.3g relative (paper: < 5e-7 over 2 ps at N = 1.88e7)\n", d)
+	}
 	if rep, ok := sim.FaultReport(); ok {
 		fmt.Printf("fault recovery: %d retries, %d re-stripes, %d suspect steps, %d fallback steps, %d restarts\n",
 			rep.Retries, rep.Restripes, rep.SuspectSteps, rep.FallbackSteps, restarts)

@@ -47,11 +47,30 @@ func TestFatalRestartMatchesCleanRun(t *testing.T) {
 	if faulted.Restarts != 1 || faulted.Fault == nil {
 		t.Errorf("restarts %d, fault report %v; want one restart, reported", faulted.Restarts, faulted.Fault)
 	}
+	if clean.EnergyDrift == nil || faulted.EnergyDrift == nil || *faulted.EnergyDrift != *clean.EnergyDrift {
+		t.Errorf("drift after a restart %v, clean %v", faulted.EnergyDrift, clean.EnergyDrift)
+	}
 	for _, s := range []*runSummary{&clean, &faulted} {
-		s.Restarts, s.WallSeconds, s.Fault, s.Commits, s.CommitStalls = 0, 0, nil, 0, 0
+		s.Restarts, s.WallSeconds, s.Fault, s.Commits, s.CommitStalls, s.EnergyDrift = 0, 0, nil, 0, 0, nil
 	}
 	if faulted != clean {
 		t.Errorf("summary after a restart %+v, clean %+v", faulted, clean)
+	}
+}
+
+// A run whose NVE segment evaluated the potential at fewer than two steps
+// has no drift: -summary writes null (JSON has no NaN).
+func TestSummaryDriftUnavailable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	if code := run([]string{"-cells", "2", "-nvt", "10", "-nve", "50", "-potential-every", "100", "-summary", path}); code != 0 {
+		t.Fatalf("run exits %d", code)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"energy_drift": null`)) {
+		t.Errorf("summary %s, want \"energy_drift\": null", data)
 	}
 }
 

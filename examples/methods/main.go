@@ -18,7 +18,6 @@ import (
 
 	"mdm/internal/ewald"
 	"mdm/internal/pme"
-	"mdm/internal/treecode"
 	"mdm/internal/vec"
 	"mdm/internal/wine2"
 )
@@ -82,11 +81,11 @@ func main() {
 	// periodic images), compared against the exact open-boundary sum.
 	fmt.Println("\nopen-boundary Coulomb (tree code vs direct O(N²)):")
 	t0 = time.Now()
-	direct := treecode.Direct(pos, q)
+	direct := directForces(pos, q)
 	tDirect := time.Since(t0)
 	dscale := vec.RMS(direct)
 	for _, theta := range []float64{0.8, 0.4} {
-		tr, err := treecode.Build(pos, q, theta)
+		tr, err := buildTree(pos, q, theta)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -255,4 +256,31 @@ func TestRDFEmptyFrame(t *testing.T) {
 			t.Errorf("empty RDF bin %g at %g", g[b], rs[b])
 		}
 	}
+}
+
+// BlockAverage splits data into nblocks contiguous blocks and returns the
+// mean and the standard error of the block means — the standard way to
+// de-correlate MD time series.
+func BlockAverage(data []float64, nblocks int) (mean, stderr float64, err error) {
+	if nblocks < 2 || len(data) < nblocks {
+		return 0, 0, fmt.Errorf("analysis: need at least %d samples for %d blocks", nblocks, nblocks)
+	}
+	bs := len(data) / nblocks
+	means := make([]float64, nblocks)
+	for b := 0; b < nblocks; b++ {
+		sum := 0.0
+		for i := b * bs; i < (b+1)*bs; i++ {
+			sum += data[i]
+		}
+		means[b] = sum / float64(bs)
+		mean += means[b]
+	}
+	mean /= float64(nblocks)
+	varSum := 0.0
+	for _, m := range means {
+		d := m - mean
+		varSum += d * d
+	}
+	stderr = math.Sqrt(varSum / float64(nblocks-1) / float64(nblocks))
+	return mean, stderr, nil
 }

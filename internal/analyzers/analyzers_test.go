@@ -4,24 +4,23 @@ import (
 	"testing"
 
 	"mdm/internal/analyzers"
-	"mdm/internal/analyzers/atest"
 )
 
 // Each analyzer is exercised against its fixture package, analysistest
 // style: every want comment must be matched and nothing else may fire.
 
 func TestGoJoinFixtures(t *testing.T) {
-	atest.Run(t, analyzers.GoJoin, "gojoin", "mdm/fixture/gojoin")
+	runFixture(t, analyzers.GoJoin, "gojoin", "mdm/fixture/gojoin")
 }
 
 func TestRawIOFixtures(t *testing.T) {
-	atest.Run(t, analyzers.RawIO, "rawio", "mdm/fixture/rawio")
+	runFixture(t, analyzers.RawIO, "rawio", "mdm/fixture/rawio")
 }
 
 func TestRawIOExemptsStore(t *testing.T) {
 	// internal/store IS the wrapper layer: the same fixture under its import
 	// path must produce nothing.
-	pkg, err := atest.Loader(t).Check("mdm/internal/store", atest.FixtureDir(t, "rawio"), atest.FixtureFiles(t, "rawio"))
+	pkg, err := fixtureLoader(t).Check("mdm/internal/store", fixtureDir(t, "rawio"), fixtureFiles(t, "rawio"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,18 +30,18 @@ func TestRawIOExemptsStore(t *testing.T) {
 }
 
 func TestWallClockFixtures(t *testing.T) {
-	atest.Run(t, analyzers.WallClock, "wallclock", "mdm/fixture/wallclock")
+	runFixture(t, analyzers.WallClock, "wallclock", "mdm/fixture/wallclock")
 }
 
 func TestHotAllocFixtures(t *testing.T) {
-	atest.Run(t, analyzers.HotAlloc, "hotalloc", "mdm/fixture/hotalloc")
+	runFixture(t, analyzers.HotAlloc, "hotalloc", "mdm/fixture/hotalloc")
 }
 
 func TestBatchFlowFixtures(t *testing.T) {
 	// Adapter dispatch: the stepflow fact must flow from a root through an
 	// interface call into an adapter and on into the evaluator it wraps, so
 	// hotalloc sees allocations behind a ForceField-shaped seam.
-	atest.Run(t, analyzers.HotAlloc, "batchflow", "mdm/fixture/batchflow")
+	runFixture(t, analyzers.HotAlloc, "batchflow", "mdm/fixture/batchflow")
 }
 
 // TestStepFlowFactPropagation checks the callgraph pass across real module
@@ -54,7 +53,7 @@ func TestStepFlowFactPropagation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	pkgs, err := atest.Loader(t).Load(atest.ModuleRoot(t), "./...")
+	pkgs, err := fixtureLoader(t).Load(moduleRoot(t), "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +110,8 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	root := atest.ModuleRoot(t)
-	pkgs, err := atest.Loader(t).Load(root, "./...")
+	root := moduleRoot(t)
+	pkgs, err := fixtureLoader(t).Load(root, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}

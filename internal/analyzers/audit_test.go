@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mdm/internal/analyzers"
-	"mdm/internal/analyzers/atest"
 )
 
 // TestAuditDir exercises the suppression audit on a synthetic tree: justified
@@ -79,7 +78,7 @@ func typo() {}
 // TestAuditRepoClean runs the audit over the real module — the in-process
 // equivalent of `mdmvet -audit` — and requires every suppression justified.
 func TestAuditRepoClean(t *testing.T) {
-	root := atest.ModuleRoot(t)
+	root := moduleRoot(t)
 	known := analyzers.KnownSuppressKeys(analyzers.All())
 	sups, problems, err := analyzers.AuditDir(root, known)
 	if err != nil {

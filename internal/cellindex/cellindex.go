@@ -457,15 +457,6 @@ func (s *Sorted) CellRange(c int) (jstart, jend int) {
 	return s.Start[c], s.Start[c+1]
 }
 
-// Unsort scatters values indexed in sorted order back to original particle
-// order: dst[Order[k]] = src[k]. dst and src must have the same length as the
-// particle count.
-func (s *Sorted) Unsort(dst, src []vec.V) {
-	for k, orig := range s.Order {
-		dst[orig] = src[k]
-	}
-}
-
 // Refresh moves the stored coordinates to the current original-order positions
 // without re-sorting. Cell, slot and periodic image stay as sorted: Pos[k]
 // becomes the image of pos[Order[k]] nearest the coordinate already stored, so
@@ -629,23 +620,6 @@ func (s *Sorted) ForEachHalfMask(nbt *NeighborTable, f func(i, base int, m uint6
 // every box out per run made the N = 512 walk 30 % slower (EXPERIMENTS
 // "Reach-masked walks").
 const halfBoxes = 256
-
-// forEachHalfRun is the half walk itself — the 27-cell candidates with
-// Newton's third law applied, each unordered (i, j, image) triple once, the
-// (i, i, zero-shift) self visits dropped and a particle's own non-zero images
-// kept — one callback per (i, neighbor-cell run): sorted particle i pairs with
-// every sorted j in [js, je), each j displaced by the run's image shift. It
-// applies no distance, reach or slab test (ForEachHalfMask does) and is the
-// oracle the masked walks are pinned to. Runs arrive in fixed order (cell,
-// neighbor entry, i) on the calling goroutine; empty runs are skipped. Which
-// of a pair's two directed visits survives depends only on the (cell, neighbor
-// entry) it arrives through, so the choice is made once per entry, not once
-// per pair. Neighbor lists come from the prebuilt table (which must belong to
-// s.Grid's geometry), so the walk allocates nothing; a nil table enumerates
-// each cell's neighbors afresh.
-func (s *Sorted) forEachHalfRun(nbt *NeighborTable, f func(i, js, je int, shift vec.V)) {
-	s.halfRuns(nbt, func(_, _, i, js, je int, nb Neighbor) { f(i, js, je, nb.Shift) })
-}
 
 // halfRuns is forEachHalfRun's walk, naming each run's cell c and neighbour
 // entry e (index and neighbour) as well.

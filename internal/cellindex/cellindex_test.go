@@ -479,3 +479,29 @@ func TestHalfPairTableAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// Unsort scatters values indexed in sorted order back to original particle
+// order: dst[Order[k]] = src[k]. dst and src must have the same length as the
+// particle count.
+func (s *Sorted) Unsort(dst, src []vec.V) {
+	for k, orig := range s.Order {
+		dst[orig] = src[k]
+	}
+}
+
+// forEachHalfRun is the half walk itself — the 27-cell candidates with
+// Newton's third law applied, each unordered (i, j, image) triple once, the
+// (i, i, zero-shift) self visits dropped and a particle's own non-zero images
+// kept — one callback per (i, neighbor-cell run): sorted particle i pairs with
+// every sorted j in [js, je), each j displaced by the run's image shift. It
+// applies no distance, reach or slab test (ForEachHalfMask does) and is the
+// oracle the masked walks are pinned to. Runs arrive in fixed order (cell,
+// neighbor entry, i) on the calling goroutine; empty runs are skipped. Which
+// of a pair's two directed visits survives depends only on the (cell, neighbor
+// entry) it arrives through, so the choice is made once per entry, not once
+// per pair. Neighbor lists come from the prebuilt table (which must belong to
+// s.Grid's geometry), so the walk allocates nothing; a nil table enumerates
+// each cell's neighbors afresh.
+func (s *Sorted) forEachHalfRun(nbt *NeighborTable, f func(i, js, je int, shift vec.V)) {
+	s.halfRuns(nbt, func(_, _, i, js, je int, nb Neighbor) { f(i, js, je, nb.Shift) })
+}

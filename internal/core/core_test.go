@@ -216,7 +216,6 @@ func TestNewMachineValidation(t *testing.T) {
 		edit func(*MachineConfig)
 	}{
 		{"empty config", func(c *MachineConfig) { *c = MachineConfig{} }},
-		{"absurd board count", func(c *MachineConfig) { c.MDGBoards = 100000 }},
 		// A WINE-2 accumulator past the 62-bit carrier used to build, and
 		// return zero structure factors.
 		{"WINE-2 accumulator past the carrier", func(c *MachineConfig) { c.Wine.AccFrac = 40 }},
@@ -279,7 +278,7 @@ func TestMachineStatsAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	mdg := m.MDGStats()
-	wine := m.WineStats()
+	wine := m.wave.lib.System().Stats()
 	if mdg.PairsEvaluated == 0 || mdg.Calls != 4 {
 		t.Errorf("MDGRAPE stats = %+v, want 4 passes", mdg)
 	}

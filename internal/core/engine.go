@@ -37,6 +37,10 @@ type engineBase struct {
 	// every rank of a session.
 	realRanks []*realRank
 	waveRanks []*waveRank
+
+	// The boards still in service: every board of cfg.Wine / cfg.MDG at
+	// the start, one fewer per restripe at that site.
+	wineBoards, mdgBoards int
 }
 
 // newEngineBase is the common prefix of NewMachine and NewParallelRun.
@@ -61,19 +65,15 @@ func newEngineBase(cfg MachineConfig) (engineBase, error) {
 	if err != nil {
 		return engineBase{}, err
 	}
-	if cfg.WineBoards == 0 {
-		cfg.WineBoards = cfg.Wine.Boards()
-	}
-	if cfg.MDGBoards == 0 {
-		cfg.MDGBoards = cfg.MDG.Boards()
-	}
 	return engineBase{
-		cfg:   cfg,
-		grid:  grid,
-		co:    co,
-		waves: ewald.Waves(p),
-		clock: newSkinClock(p.L, cfg.Skin),
-		pot:   potCadence{every: max(cfg.PotentialEvery, 1), table: table},
+		cfg:        cfg,
+		wineBoards: cfg.Wine.Boards(),
+		mdgBoards:  cfg.MDG.Boards(),
+		grid:       grid,
+		co:         co,
+		waves:      ewald.Waves(p),
+		clock:      newSkinClock(p.L, cfg.Skin),
+		pot:        potCadence{every: max(cfg.PotentialEvery, 1), table: table},
 	}, nil
 }
 
@@ -84,6 +84,9 @@ func (e *engineBase) InvalidateGeometry() { e.clock.invalidate() }
 
 // SetStep implements Engine.
 func (e *engineBase) SetStep(n int) { e.pot.step = n }
+
+// PotentialFresh implements md.PotentialCadence.
+func (e *engineBase) PotentialFresh() bool { return e.pot.fresh }
 
 // JSetStats returns how many Forces calls, retries included, rebuilt the
 // sorted layout (on a session: migration plus full ghost exchange) and how
@@ -97,24 +100,24 @@ func (e *engineBase) JSetStats() (rebuilds, reuses int) { return e.clock.rebuild
 // boards than ranks of that kind — for the serial machine, its last board.
 func (e *engineBase) restripe(site fault.Site) (bool, error) {
 	switch {
-	case site == fault.MDG2 && e.cfg.MDGBoards > len(e.realRanks):
-		e.cfg.MDGBoards--
+	case site == fault.MDG2 && e.mdgBoards > len(e.realRanks):
+		e.mdgBoards--
 		for _, r := range e.realRanks {
 			images := r.mr1.System() // the rank's own table images
 			if err := r.mr1.Free(); err != nil {
 				return true, err
 			}
-			if err := acquireMDG(r.mr1, e.cfg.MDGBoards/len(e.realRanks), images); err != nil {
+			if err := acquireMDG(r.mr1, e.mdgBoards/len(e.realRanks), images); err != nil {
 				return true, err
 			}
 		}
-	case site == fault.WINE2 && e.cfg.WineBoards > len(e.waveRanks):
-		e.cfg.WineBoards--
+	case site == fault.WINE2 && e.wineBoards > len(e.waveRanks):
+		e.wineBoards--
 		for _, w := range e.waveRanks {
 			if err := w.lib.FreeBoards(); err != nil {
 				return true, err
 			}
-			if err := acquireWine(w.lib, e.cfg.WineBoards/len(e.waveRanks)); err != nil {
+			if err := acquireWine(w.lib, e.wineBoards/len(e.waveRanks)); err != nil {
 				return true, err
 			}
 		}
@@ -180,7 +183,7 @@ func (e *engineBase) newRealRank(share int, images *mdgrape2.System) (realRank, 
 		return realRank{}, err
 	}
 	mr1.SetFaultHook(cfg.FaultHook)
-	if err := acquireMDG(mr1, max(cfg.MDGBoards/share, 1), images); err != nil {
+	if err := acquireMDG(mr1, max(e.mdgBoards/share, 1), images); err != nil {
 		return realRank{}, err
 	}
 	pool := parallelize.New(cfg.Workers)
@@ -260,7 +263,7 @@ func (e *engineBase) newWaveRank(share int) (waveRank, error) {
 		return waveRank{}, err
 	}
 	lib.SetFaultHook(cfg.FaultHook)
-	if err := acquireWine(lib, max(cfg.WineBoards/share, 1)); err != nil {
+	if err := acquireWine(lib, max(e.wineBoards/share, 1)); err != nil {
 		return waveRank{}, err
 	}
 	lib.SetPool(parallelize.New(cfg.Workers))
@@ -298,6 +301,7 @@ type potCadence struct {
 	every  int
 	step   int     // simulation step the next Forces call evaluates
 	valid  bool    // last holds a value
+	fresh  bool    // the latest call evaluated last
 	last   float64 // the potential of the latest evaluation
 	table  *potTable
 	gather potGather
@@ -315,7 +319,7 @@ func (c *potCadence) due() bool { return !c.valid || c.step%c.every == 0 }
 // sorted at the clock's reference, once per rebuild, and refreshed to s.Pos,
 // like a rank's.
 func (c *potCadence) eval(l *jsetLayout, clock *skinClock, wavePot float64, s *md.System) (float64, error) {
-	if c.due() {
+	if c.fresh = c.due(); c.fresh {
 		if clock != nil {
 			if l.sortedAt != clock.rebuilds { // ref moves only on a rebuild, which counts
 				if err := l.update(clock.ref, s.Type, true, nil); err != nil {

@@ -219,9 +219,9 @@ func TestRestripeFloor(t *testing.T) {
 					var rc RecoveryConfig
 					switch site {
 					case fault.WINE2:
-						cfg.WineBoards = boards
+						cfg.Wine.Clusters, cfg.Wine.BoardsPerCluster = boards, 1
 					case fault.MDG2:
-						cfg.MDGBoards = boards
+						cfg.MDG.Clusters, cfg.MDG.BoardsPerCluster = boards, 1
 					}
 					if site != fault.MPI {
 						rc.Injector = injector(t, fmt.Sprintf("%s:board-drop@step=3,board=0", site))
@@ -237,7 +237,7 @@ func TestRestripeFloor(t *testing.T) {
 					defer func() { _ = r.Free() }()
 					count := func() int {
 						b := baseOf(r.eng)
-						return b.cfg.WineBoards + b.cfg.MDGBoards
+						return b.wineBoards + b.mdgBoards
 					}
 
 					s := cloneSystem(s0)

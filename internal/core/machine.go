@@ -59,11 +59,9 @@ func EwaldRealG(x float64) float64 {
 // MachineConfig selects the hardware generation and the Ewald
 // discretization run on it.
 type MachineConfig struct {
-	Ewald      ewald.Params
-	Wine       wine2.Config
-	MDG        mdgrape2.Config
-	WineBoards int // boards to acquire (0 = all)
-	MDGBoards  int // boards to acquire (0 = all)
+	Ewald ewald.Params
+	Wine  wine2.Config    // every board is acquired
+	MDG   mdgrape2.Config // every board is acquired
 
 	// PotentialEvery controls how often the host evaluates the potential
 	// energy (the paper computed it every 100 steps, §5). 1 evaluates it on
@@ -121,6 +119,7 @@ func CurrentMachineConfig(p ewald.Params) MachineConfig {
 // *Resilient recovery policy.
 type Engine interface {
 	md.ForceField
+	md.PotentialCadence
 	// InvalidateGeometry drops cached position-dependent state, so the next
 	// Forces call rebuilds it — required after an external position rewrite
 	// (checkpoint restore).
@@ -226,9 +225,6 @@ func (m *Machine) Waves() []ewald.Wave { return m.waves }
 
 // MDGStats returns the MDGRAPE-2 work counters.
 func (m *Machine) MDGStats() mdgrape2.Stats { return m.real.mr1.System().Stats() }
-
-// WineStats returns the WINE-2 work counters.
-func (m *Machine) WineStats() wine2.Stats { return m.wave.lib.System().Stats() }
 
 // Forces implements md.ForceField: the per-step flow of §3.1 — send
 // positions to both backends, real-space forces from MDGRAPE-2 (the four

@@ -38,24 +38,6 @@ const (
 // haloStride is the per-particle record width of a TagHalo payload.
 const haloStride = 5
 
-// TagName labels the parallel step's message tags for reports.
-func TagName(tag int) string {
-	switch tag {
-	case TagHalo:
-		return "halo"
-	case TagForces:
-		return "forces"
-	case TagGroupReduce:
-		return "group-reduce"
-	case TagMigrate:
-		return "migrate"
-	case TagGhostPos:
-		return "ghost-pos"
-	default:
-		return fmt.Sprintf("tag%d", tag)
-	}
-}
-
 // groupComm adapts a subset of world ranks to the wine2.Communicator
 // interface, so the WINE-2 library's internal parallelization (Table 2) runs
 // unchanged on the sub-group of wavenumber processes.

@@ -96,6 +96,7 @@ type Resilient struct {
 	p      ewald.Params
 	ref    *Reference
 	step   int
+	fresh  bool // the latest step's potential was evaluated, not carried
 	report RunReport
 }
 
@@ -300,10 +301,16 @@ func (r *Resilient) hostForces(s *md.System) ([]vec.V, float64, error) {
 	return r.ref.Forces(s)
 }
 
+// PotentialFresh implements md.PotentialCadence: a step the host path
+// served evaluated its potential, one the engine served follows the
+// engine's cadence.
+func (r *Resilient) PotentialFresh() bool { return r.fresh }
+
 // Forces implements md.ForceField with the full recovery ladder.
 func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 	r.step++
 	r.report.Steps++
+	r.fresh = true
 	if in := r.rc.Injector; in != nil {
 		in.BeginStep(r.step)
 		if err := in.StepFault(); err != nil {
@@ -352,6 +359,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 				if br := r.br; br != nil {
 					br.OK(r.step)
 				}
+				r.fresh = r.eng.PotentialFresh()
 				return f, pot, nil
 			}
 		}

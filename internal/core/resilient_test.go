@@ -104,7 +104,7 @@ func TestResilientBoardDropRestripes(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 23)
 	p := smallParams(s.L)
 	cfg := CurrentMachineConfig(p)
-	cfg.WineBoards = 4
+	cfg.Wine.Clusters, cfg.Wine.BoardsPerCluster = 4, 1
 	r := newResilientT(t, cfg, RecoveryConfig{Injector: injector(t, "wine2:board-drop@call=1,board=2")}, nil, 0)
 	// Striping is pure partitioning, so the 3-board machine computes the
 	// identical forces.
@@ -121,7 +121,7 @@ func TestResilientFallbackWhenNoCapacity(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 24)
 	p := smallParams(s.L)
 	cfg := CurrentMachineConfig(p)
-	cfg.MDGBoards = 1 // a single board: its dropout exhausts the machine
+	cfg.MDG.Clusters, cfg.MDG.BoardsPerCluster = 1, 1 // a single board: its dropout exhausts the machine
 	r := newResilientT(t, cfg, RecoveryConfig{Injector: injector(t, "mdg:board-drop@call=1,board=0")}, nil, 0)
 	got := firstForces(t, r, s)
 	ref, err := NewReference(p)

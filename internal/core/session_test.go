@@ -448,7 +448,7 @@ func TestSessionChaosBoardDropOnDomainRank(t *testing.T) {
 		p := smallParams(s.L)
 		cfg := CurrentMachineConfig(p)
 		cfg.Skin = 0.5
-		cfg.MDGBoards = 4
+		cfg.MDG.Clusters, cfg.MDG.BoardsPerCluster = 4, 1
 		in := injector(t, scenario)
 		r := newResilientT(t, cfg, RecoveryConfig{Injector: in}, testWorld(t, 3, time.Second), 2)
 		drift := integrate(t, s, r, 60)
@@ -473,5 +473,23 @@ func TestSessionChaosBoardDropOnDomainRank(t *testing.T) {
 	// (striping is pure partitioning), so its drift matches the clean run's.
 	if chaosDrift > 2*cleanDrift+1e-6 {
 		t.Errorf("drift through the board drop %g exceeds clean parity bound (clean %g)", chaosDrift, cleanDrift)
+	}
+}
+
+// TagName labels the parallel step's message tags for reports.
+func TagName(tag int) string {
+	switch tag {
+	case TagHalo:
+		return "halo"
+	case TagForces:
+		return "forces"
+	case TagGroupReduce:
+		return "group-reduce"
+	case TagMigrate:
+		return "migrate"
+	case TagGhostPos:
+		return "ghost-pos"
+	default:
+		return fmt.Sprintf("tag%d", tag)
 	}
 }

@@ -76,7 +76,7 @@ func TestResilientBreakerQuarantinesFlakyBoard(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 32)
 	p := smallParams(s.L)
 	cfg := CurrentMachineConfig(p)
-	cfg.MDGBoards = 4
+	cfg.MDG.Clusters, cfg.MDG.BoardsPerCluster = 4, 1
 	in := injector(t, "mdg:transient@step=2,board=1; mdg:transient@step=3,board=1; mdg:transient@step=4,board=1")
 	r := newResilientT(t, cfg, RecoveryConfig{Injector: in, Watchdog: quietWatchdog}, nil, 0)
 	want := cleanForces(t, p, s)
@@ -149,7 +149,7 @@ func TestChaosSupervisedEndToEnd(t *testing.T) {
 	}
 	s := meltLike(t, 2, 5.64, 300, 35)
 	cfg := CurrentMachineConfig(smallParams(s.L))
-	cfg.MDGBoards = 4
+	cfg.MDG.Clusters, cfg.MDG.BoardsPerCluster = 4, 1
 	in := injector(t, "mdg:hang@step=20; "+
 		"mdg:transient@step=40,board=1; mdg:transient@step=48,board=1; mdg:transient@step=56,board=1")
 	r := newResilientT(t, cfg, RecoveryConfig{Injector: in, Watchdog: 100 * time.Millisecond},

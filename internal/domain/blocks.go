@@ -64,9 +64,6 @@ func factor3(n int) (int, int, int) {
 	return best[0], best[1], best[2]
 }
 
-// NumRanks returns the number of blocks.
-func (b *Blocks) NumRanks() int { return b.Px * b.Py * b.Pz }
-
 // RankIndex flattens per-axis rank coordinates, x fastest.
 func (b *Blocks) RankIndex(rx, ry, rz int) int {
 	return (rz*b.Py+ry)*b.Px + rx

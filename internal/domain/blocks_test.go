@@ -219,3 +219,6 @@ func TestFactor3Property(t *testing.T) {
 		}
 	}
 }
+
+// NumRanks returns the number of blocks.
+func (b *Blocks) NumRanks() int { return b.Px * b.Py * b.Pz }

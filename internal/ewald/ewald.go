@@ -291,30 +291,3 @@ func Compute(p Params, pos []vec.V, q []float64) (Result, error) {
 	res.TotalE = res.RealE + res.WaveE + res.SelfE
 	return res, nil
 }
-
-// DirectForces computes Coulomb forces by brute-force summation over real
-// periodic images out to the given number of image shells, with no Ewald
-// splitting. It converges slowly (conditionally) and is only useful as an
-// independent oracle for small, neutral systems.
-func DirectForces(l float64, pos []vec.V, q []float64, shells int) []vec.V {
-	f := make([]vec.V, len(pos))
-	for i := range pos {
-		for j := range pos {
-			for sx := -shells; sx <= shells; sx++ {
-				for sy := -shells; sy <= shells; sy++ {
-					for sz := -shells; sz <= shells; sz++ {
-						if i == j && sx == 0 && sy == 0 && sz == 0 {
-							continue
-						}
-						shift := vec.New(float64(sx)*l, float64(sy)*l, float64(sz)*l)
-						rij := pos[i].Sub(pos[j].Add(shift))
-						r2 := rij.Norm2()
-						r := math.Sqrt(r2)
-						f[i] = f[i].Add(rij.Scale(units.Coulomb * q[i] * q[j] / (r2 * r)))
-					}
-				}
-			}
-		}
-	}
-	return f
-}

@@ -11,9 +11,9 @@
 //     with round-to-nearest quantization, with either saturating or wrapping
 //     (true two's-complement) overflow behaviour.
 //   - SinCosTable is a table-lookup sine/cosine unit with linear
-//     interpolation, the core of the WINE-2 DFT/IDFT pipelines. Phase is a
-//     fixed-point number of turns; only its fractional part matters, which a
-//     wrapping datapath gets for free.
+//     interpolation, the reference for the WINE-2 DFT/IDFT pipelines' trig
+//     unit. Phase is a fixed-point number of turns; only its fractional part
+//     matters, which a wrapping datapath gets for free.
 //
 // Raw values are carried in int64. Formats are limited to 62 total bits so
 // that sums of a few terms cannot overflow the carrier type; pipeline code is
@@ -66,9 +66,6 @@ func (f Format) MaxRaw() int64 { return (int64(1) << (f.Int + f.Frac)) - 1 }
 
 // MinRaw returns the smallest representable raw value (-2^(Int+Frac)).
 func (f Format) MinRaw() int64 { return -(int64(1) << (f.Int + f.Frac)) }
-
-// Eps returns the representable step 2^-Frac.
-func (f Format) Eps() float64 { return math.Ldexp(1, -int(f.Frac)) }
 
 // String implements fmt.Stringer, e.g. "s1.22" for 1 integer and 22
 // fractional bits.
@@ -267,9 +264,18 @@ func NewSinCosTable(logSize uint, out Format) (*SinCosTable, error) {
 	n := 1 << logSize
 	t := &SinCosTable{logSize: logSize, out: out, sin: make([]int64, n+1)}
 	for i := 0; i <= n; i++ {
-		t.sin[i] = out.Quantize(math.Sin(2 * math.Pi * float64(i) / float64(n)))
+		t.sin[i] = SinSample(logSize, out, i)
 	}
 	return t, nil
+}
+
+// SinSample is sample i of a 2^logSize-entry sine table with samples in
+// format out: sin(2π i / 2^logSize), quantized. It is the word a table's
+// sample RAM holds at row i; a pipeline that lays the samples out its own way
+// builds them from this function, so that it reads the same words.
+func SinSample(logSize uint, out Format, i int) int64 {
+	n := 1 << logSize
+	return out.Quantize(math.Sin(2 * math.Pi * float64(i) / float64(n)))
 }
 
 func checkTable(logSize uint, out Format) error {
@@ -285,13 +291,12 @@ func checkTable(logSize uint, out Format) error {
 // Size returns the number of table segments.
 func (t *SinCosTable) Size() int { return 1 << t.logSize }
 
-// Out returns the output format of the unit.
-func (t *SinCosTable) Out() Format { return t.out }
-
 // SinCos evaluates sin and cos of a phase given in fixed-point turns with
 // phaseFrac fractional bits. Only the fractional part of the phase is used
 // (the hardware datapath wraps modulo one turn). phaseFrac must be at least
-// logSize + 1.
+// logSize + 1. It is the one sine reference: the WINE-2 pipelines read their
+// own row layout of the same samples (SinSample) and must return exactly
+// these words.
 func (t *SinCosTable) SinCos(phase int64, phaseFrac uint) (sin, cos int64) {
 	sin = t.lookup(phase, phaseFrac)
 	// cos(x) = sin(x + 1/4 turn)
@@ -314,51 +319,11 @@ func (t *SinCosTable) lookup(phase int64, phaseFrac uint) int64 {
 	return t.out.Saturate(interp)
 }
 
-// TrigUnit is a SinCosTable resolved for one phase format, as the widths of a
-// pipeline's trigonometric unit are fixed at synthesis. Sine and cosine of one
-// phase share one split: the table row i = (phase >> Shift) & IdxMask and the
-// position inside it rem = phase & RemMask; a quarter turn is a whole number
-// of rows (2^k / 4), so the cosine is row (i + Quarter) & IdxMask with the
-// same rem. The fields are the unit's wiring, exported so that a pipeline can
-// resolve them further (package wine2 builds its interpolant rows from them);
-// SinCos is the datapath for one phase. Table is the SinCosTable's own sample
-// RAM and must not be written.
-type TrigUnit struct {
-	Table   []int64 // sin samples, 2^k + 1 of them
-	Shift   uint    // phase bits below the table index
-	IdxMask int64   // 2^k - 1: the index bits of one turn
-	RemMask int64   // 2^Shift - 1: position inside a table segment
-	Half    int64   // rounding half of the interpolation shift
-	Quarter int64   // 2^k / 4 table rows: cos(x) = sin(x + 1/4 turn)
-}
-
-// Rows returns the sample RAM as two equal-length views one word apart:
-// lo[i] and hi[i] are the samples at either end of segment i, and because the
-// views are equally long one bounds check covers both reads.
-func (u *TrigUnit) Rows() (lo, hi []int64) { return u.Table[:len(u.Table)-1], u.Table[1:] }
-
-// Unit resolves the table for phases with phaseFrac fractional bits of a
-// turn. phaseFrac must leave at least two interpolation bits below the table
-// index (phaseFrac >= LogSize+2), and the interpolant's product — a sample
-// difference times a segment position — must fit the carrier.
-func (t *SinCosTable) Unit(phaseFrac uint) (TrigUnit, error) {
-	if err := CheckTrigUnit(t.logSize, t.out, phaseFrac); err != nil {
-		return TrigUnit{}, err
-	}
-	shift := phaseFrac - t.logSize
-	return TrigUnit{
-		Table:   t.sin,
-		Shift:   shift,
-		IdxMask: int64(1)<<t.logSize - 1,
-		RemMask: int64(1)<<shift - 1,
-		Half:    int64(1) << (shift - 1),
-		Quarter: int64(1) << (t.logSize - 2),
-	}, nil
-}
-
 // CheckTrigUnit reports whether a 2^logSize-entry sine table with samples in
-// format out can be resolved for phaseFrac-bit phases, without building it —
-// the checks NewSinCosTable and Unit make, for a configuration's Validate.
+// format out can be read with phaseFrac-bit phases, without building it: the
+// table's own checks, at least two interpolation bits below the table index,
+// and an interpolant product — a sample step times a segment position, plus
+// the rounding half — inside the carrier. A configuration's Validate makes it.
 func CheckTrigUnit(logSize uint, out Format, phaseFrac uint) error {
 	if err := checkTable(logSize, out); err != nil {
 		return err
@@ -367,7 +332,8 @@ func CheckTrigUnit(logSize uint, out Format, phaseFrac uint) error {
 		return fmt.Errorf("fixed: phase width %d outside [%d, 61] for a 2^%d-entry sine table",
 			phaseFrac, logSize+2, logSize)
 	}
-	// Lerp forms step·rem + half with rem < 2^shift and half = 2^(shift-1).
+	// The interpolant forms step·rem + half with rem < 2^shift and
+	// half = 2^(shift-1).
 	shift := phaseFrac - logSize
 	if maxTableStep(logSize, out) > maxWord>>shift-1 {
 		return fmt.Errorf("fixed: interpolating %v samples of a 2^%d-entry sine table over %d phase bits exceeds the 62-bit carrier",
@@ -384,28 +350,6 @@ func maxTableStep(logSize uint, out Format) int64 {
 	return out.Quantize(math.Sin(2*math.Pi/float64(int64(1)<<logSize))) + 1
 }
 
-// SinCos evaluates the sine and cosine of a phase in fixed-point turns; only
-// the fractional part of the phase is used. It returns exactly what
-// SinCosTable.SinCos returns.
-func (u *TrigUnit) SinCos(phase int64) (sin, cos int64) {
-	lo, hi := u.Rows()
-	i, rem := phase>>(u.Shift&63)&u.IdxMask, phase&u.RemMask
-	return Lerp(lo, hi, i, rem, u.Half, u.Shift), Lerp(lo, hi, (i+u.Quarter)&u.IdxMask, rem, u.Half, u.Shift)
-}
-
-// Lerp is the trigonometric unit's interpolator: the value rem / 2^shift of
-// the way along segment i of a TrigUnit's Rows, with half = 2^(shift-1). The
-// interpolant a + round((b-a)·rem / 2^shift) lies between the two stored
-// samples a and b, which NewSinCosTable already saturated to the output
-// format, so no clamp follows; the rounding is the branch-free
-// round-half-away-from-zero of Rounder.Round.
-func Lerp(lo, hi []int64, i, rem, half int64, shift uint) int64 {
-	a := lo[i]
-	d := (hi[i] - a) * rem
-	// shift < 62 by construction; the mask makes the shift one instruction.
-	return a + (d+half+d>>63)>>(shift&63)
-}
-
 func roundShift(v int64, shift uint) int64 {
 	if shift == 0 {
 		return v
@@ -415,25 +359,4 @@ func roundShift(v int64, shift uint) int64 {
 		return (v + half) >> shift
 	}
 	return -((-v + half) >> shift)
-}
-
-// MaxAbsError returns an empirically measured maximum absolute error of the
-// table over n uniformly spaced probe phases, compared against math.Sin. It
-// is used by tests and by the accuracy experiment of §3.4.4.
-func (t *SinCosTable) MaxAbsError(n int, phaseFrac uint) float64 {
-	maxErr := 0.0
-	for i := 0; i < n; i++ {
-		x := float64(i) / float64(n) // turns
-		phase := int64(math.Round(x * math.Ldexp(1, int(phaseFrac))))
-		s, c := t.SinCos(phase, phaseFrac)
-		es := math.Abs(t.out.Float(s) - math.Sin(2*math.Pi*x))
-		ec := math.Abs(t.out.Float(c) - math.Cos(2*math.Pi*x))
-		if es > maxErr {
-			maxErr = es
-		}
-		if ec > maxErr {
-			maxErr = ec
-		}
-	}
-	return maxErr
 }

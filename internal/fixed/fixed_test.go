@@ -273,3 +273,30 @@ func BenchmarkSinCos(b *testing.B) {
 	}
 	_, _ = s, c
 }
+
+// Eps returns the representable step 2^-Frac.
+func (f Format) Eps() float64 { return math.Ldexp(1, -int(f.Frac)) }
+
+// Out returns the output format of the unit.
+func (t *SinCosTable) Out() Format { return t.out }
+
+// MaxAbsError returns an empirically measured maximum absolute error of the
+// table over n uniformly spaced probe phases, compared against math.Sin: the
+// §3.4.4 accuracy the table is held to.
+func (t *SinCosTable) MaxAbsError(n int, phaseFrac uint) float64 {
+	maxErr := 0.0
+	for i := 0; i < n; i++ {
+		x := float64(i) / float64(n) // turns
+		phase := int64(math.Round(x * math.Ldexp(1, int(phaseFrac))))
+		s, c := t.SinCos(phase, phaseFrac)
+		es := math.Abs(t.out.Float(s) - math.Sin(2*math.Pi*x))
+		ec := math.Abs(t.out.Float(c) - math.Cos(2*math.Pi*x))
+		if es > maxErr {
+			maxErr = es
+		}
+		if ec > maxErr {
+			maxErr = ec
+		}
+	}
+	return maxErr
+}

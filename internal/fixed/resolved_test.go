@@ -1,100 +1,21 @@
 package fixed
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
-// The resolved units must be the general forms with their configuration
-// hoisted and their range checks made once — nothing else.
-// SinCosTable.SinCos and Convert stay the oracles.
-
-// TestTrigUnitMatchesSinCos pins the one-split sine/cosine to SinCos: every
-// phase of one turn — all 2^24 for the shipped format, which covers the last
-// table segment and every cosine row that wraps past a turn — plus wrapped and
-// negative phases, for the shipped unit, the formats of the wine2 ablation
-// tests, the narrowest phase a table admits (two interpolation bits) and the
-// widest interpolation shift CheckTrigUnit admits for s1.22 samples (38 bits,
-// where a full sweep is out of reach: every segment boundary and rounding tie
-// instead, and a pseudo-random walk).
-func TestTrigUnitMatchesSinCos(t *testing.T) {
-	for _, c := range []struct {
-		logSize   uint
-		out       Format
-		phaseFrac uint
-	}{
-		{10, F(1, 22), 24}, // CurrentConfig
-		{10, F(1, 22), 16}, // position-bit ablation
-		{10, F(1, 22), 12},
-		{6, F(1, 22), 24}, // sine-table ablation
-		{4, F(1, 22), 24},
-		{10, F(1, 10), 24}, // trig-width ablation
-		{2, F(0, 3), 4},    // smallest table, samples saturating at ±1, two interpolation bits
-		{12, F(1, 22), 14}, // two interpolation bits under a large table
-		{2, F(1, 22), 40},  // widest interpolation shift
-	} {
-		if testing.Short() && c.phaseFrac > 16 && c.phaseFrac <= 24 {
-			continue
-		}
-		tab, err := NewSinCosTable(c.logSize, c.out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, err := tab.Unit(c.phaseFrac)
-		if err != nil {
-			t.Fatal(err)
-		}
-		turn := int64(1) << c.phaseFrac
-		check := func(ph int64) {
-			ws, wc := tab.SinCos(ph, c.phaseFrac)
-			if gs, gc := u.SinCos(ph); gs != ws || gc != wc {
-				t.Fatalf("table 2^%d %v, %d-bit phase %d: unit (%d, %d), SinCos (%d, %d)",
-					c.logSize, c.out, c.phaseFrac, ph, gs, gc, ws, wc)
-			}
-		}
-		if c.phaseFrac <= 24 {
-			for ph := int64(0); ph < turn; ph++ {
-				check(ph)
-			}
-		} else {
-			seg := turn >> c.logSize
-			for row := int64(0); row < 1<<c.logSize; row++ {
-				for _, rem := range []int64{0, 1, 2, seg/2 - 1, seg / 2, seg/2 + 1, seg - 2, seg - 1} {
-					check(row*seg + rem)
-				}
-			}
-			x := uint64(0x9E3779B97F4A7C15)
-			for i := 0; i < 1<<20; i++ {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				check(int64(x))
-			}
-		}
-		for _, ph := range []int64{-1, -turn, -turn - 1, turn, turn + 1, 3*turn + turn/3, -5*turn + 7,
-			turn - turn/4 - 1, turn - turn/4, turn - turn/4 + 1, -turn / 4, -turn/4 - 1,
-			math.MaxInt64, math.MinInt64, math.MaxInt64 - turn/4} {
-			check(ph)
-		}
-	}
-}
-
+// TestTrigUnitRejectsNarrowPhase: CheckTrigUnit sizes a trig unit without
+// building its table.
 func TestTrigUnitRejectsNarrowPhase(t *testing.T) {
-	tab, err := NewSinCosTable(12, F(1, 22))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 8 < 12: the index shift would underflow; 12 and 13 leave fewer than two
 	// interpolation bits; at 61 the interpolant's product (a 13-bit table step
 	// over 49 phase bits) is past the 62-bit carrier.
 	for _, phaseFrac := range []uint{0, 8, 12, 13, 61, 62} {
-		if _, err := tab.Unit(phaseFrac); err == nil {
-			t.Errorf("Unit(%d) on a 2^12 table accepted", phaseFrac)
+		if err := CheckTrigUnit(12, F(1, 22), phaseFrac); err == nil {
+			t.Errorf("CheckTrigUnit(12, s1.22, %d) accepted", phaseFrac)
 		}
 	}
 	for _, phaseFrac := range []uint{14, 24, 60} {
-		if _, err := tab.Unit(phaseFrac); err != nil {
-			t.Errorf("Unit(%d) on a 2^12 table: %v", phaseFrac, err)
+		if err := CheckTrigUnit(12, F(1, 22), phaseFrac); err != nil {
+			t.Errorf("CheckTrigUnit(12, s1.22, %d): %v", phaseFrac, err)
 		}
 	}
 	// The interpolant's product — sample step × segment position — must fit
@@ -114,11 +35,6 @@ func TestTrigUnitRejectsNarrowPhase(t *testing.T) {
 		err := CheckTrigUnit(2, c.out, c.phaseFrac)
 		if (err == nil) != c.ok {
 			t.Errorf("CheckTrigUnit(2, %v, %d) = %v, want ok = %v", c.out, c.phaseFrac, err, c.ok)
-		}
-		if tab, terr := NewSinCosTable(2, c.out); terr != nil {
-			t.Fatal(terr)
-		} else if _, uerr := tab.Unit(c.phaseFrac); (uerr == nil) != c.ok {
-			t.Errorf("Unit(%d) on a 2^2 %v table = %v, want ok = %v", c.phaseFrac, c.out, uerr, c.ok)
 		}
 	}
 }
@@ -291,17 +207,4 @@ func TestNewRounderRefusesReachableSaturator(t *testing.T) {
 	if _, err := NewRounder(wide, F(30, 30), 0); err == nil {
 		t.Errorf("NewRounder accepted the %d-bit source %v", wide.TotalBits(), wide)
 	}
-}
-
-func BenchmarkTrigUnit(b *testing.B) {
-	tbl, _ := NewSinCosTable(10, F(1, 22))
-	u, err := tbl.Unit(32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var s, c int64
-	for i := 0; i < b.N; i++ {
-		s, c = u.SinCos(int64(i) * 0x9E3779B9)
-	}
-	_, _ = s, c
 }

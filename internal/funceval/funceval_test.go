@@ -479,3 +479,58 @@ func BenchmarkEvalInto(b *testing.B) {
 		tbl.EvalInto(dst[:], x[:])
 	}
 }
+
+// MustNewTable is NewTable but panics on error; for statically valid tables.
+func MustNewTable(g func(float64) float64, emin, emax, nseg int) *Table {
+	t, err := NewTable(g, emin, emax, nseg)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// Eval64 is a float64 convenience wrapper around Eval. The argument is first
+// rounded to float32, as the hardware interface would.
+func (t *Table) Eval64(x float64) float64 { return float64(t.Eval(float32(x))) }
+
+// MaxRelError probes the table against the exact g at n log-uniformly spaced
+// points inside [lo, hi) ⊆ domain and returns the maximum relative error with
+// the given floor on |g| (see units.RelativeError for the convention).
+func (t *Table) MaxRelError(g func(float64) float64, lo, hi float64, n int, floor float64) float64 {
+	dlo, dhi := t.Domain()
+	if lo < dlo {
+		lo = dlo
+	}
+	if hi > dhi {
+		hi = dhi
+	}
+	maxErr := 0.0
+	llo, lhi := math.Log(lo), math.Log(hi)
+	for i := 0; i < n; i++ {
+		x := math.Exp(llo + (lhi-llo)*(float64(i)+0.5)/float64(n))
+		want := g(x)
+		got := t.Eval64(x)
+		d := math.Abs(got - want)
+		m := math.Abs(want)
+		if m < floor {
+			m = floor
+		}
+		if m == 0 {
+			continue
+		}
+		if e := d / m; e > maxErr {
+			maxErr = e
+		}
+	}
+	return maxErr
+}
+
+// WithHighValue returns a table that evaluates like t but returns v for
+// arguments at or beyond the domain maximum (the hardware default is 0, the
+// implicit cutoff). It is a copy sharing t's coefficient RAM: a Table is
+// immutable once built, which is what lets sessions share one image.
+func (t *Table) WithHighValue(v float32) *Table {
+	c := *t
+	c.highValue = v
+	return &c
+}

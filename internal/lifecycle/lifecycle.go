@@ -44,17 +44,6 @@ type Shutdown struct {
 // Option tunes a Watch call.
 type Option func(*Shutdown)
 
-// WithExit overrides the hard-kill exit function (tests).
-func WithExit(exit func(int)) Option {
-	return func(s *Shutdown) { s.exit = exit }
-}
-
-// WithLogf overrides where the watcher's two progress lines go (default
-// stderr).
-func WithLogf(logf func(format string, args ...any)) Option {
-	return func(s *Shutdown) { s.logf = logf }
-}
-
 // Watch installs the two-signal contract for SIGINT and SIGTERM: the first
 // signal sets Requested and invokes onFirst (which may be nil); the second
 // exits the process with ExitKilled. The returned Shutdown's Requested method

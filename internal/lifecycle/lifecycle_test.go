@@ -1,4 +1,4 @@
-package lifecycle_test
+package lifecycle
 
 import (
 	"bufio"
@@ -12,8 +12,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"mdm/internal/lifecycle"
 )
 
 // The exit-code contract is pinned against real signals delivered to a real
@@ -38,7 +36,7 @@ func TestMain(m *testing.M) {
 // helperGraceful models mdmsim/mdmserve: poll Requested at "step"
 // boundaries, then shut down cleanly with exit 0.
 func helperGraceful() {
-	sd := lifecycle.Watch(nil)
+	sd := Watch(nil)
 	defer sd.Stop()
 	fmt.Println("ready")
 	for !sd.Requested() {
@@ -51,7 +49,7 @@ func helperGraceful() {
 // helperWedged models a binary whose graceful path is stuck (a run that
 // never reaches a committed step): only the second signal can end it.
 func helperWedged() {
-	_ = lifecycle.Watch(nil)
+	_ = Watch(nil)
 	fmt.Println("ready")
 	select {}
 }
@@ -137,16 +135,16 @@ func TestExitCodeContractSecondSignalKills(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitLine(t, stderr, "killed")
-	if code := exitCode(t, cmd); code != lifecycle.ExitKilled {
-		t.Fatalf("hard-kill exit code = %d, want %d", code, lifecycle.ExitKilled)
+	if code := exitCode(t, cmd); code != ExitKilled {
+		t.Fatalf("hard-kill exit code = %d, want %d", code, ExitKilled)
 	}
 }
 
 // The onFirst callback fires exactly once, on the first signal.
 func TestWatchCallbackAndStop(t *testing.T) {
 	exits := make(chan int, 1)
-	sd := lifecycle.Watch(nil, lifecycle.WithExit(func(code int) { exits <- code }),
-		lifecycle.WithLogf(func(string, ...any) {}))
+	sd := Watch(nil, WithExit(func(code int) { exits <- code }),
+		WithLogf(func(string, ...any) {}))
 	if sd.Requested() {
 		t.Fatal("Requested before any signal")
 	}
@@ -164,7 +162,7 @@ func TestWriteSummary(t *testing.T) {
 		Status string `json:"status"`
 		Steps  int    `json:"steps"`
 	}
-	if err := lifecycle.WriteSummary(path, sum{Status: "ok", Steps: 42}); err != nil {
+	if err := WriteSummary(path, sum{Status: "ok", Steps: 42}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -187,7 +185,18 @@ func TestWriteSummary(t *testing.T) {
 		t.Error("summary file does not end in a newline")
 	}
 	// "" path: explicit no-op.
-	if err := lifecycle.WriteSummary("", got); err != nil {
+	if err := WriteSummary("", got); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// WithExit overrides the hard-kill exit function (tests).
+func WithExit(exit func(int)) Option {
+	return func(s *Shutdown) { s.exit = exit }
+}
+
+// WithLogf overrides where the watcher's two progress lines go (default
+// stderr).
+func WithLogf(logf func(format string, args ...any)) Option {
+	return func(s *Shutdown) { s.logf = logf }
 }

@@ -156,6 +156,16 @@ type ForceField interface {
 	Forces(s *System) (forces []vec.V, potential float64, err error)
 }
 
+// PotentialCadence is implemented by force fields that evaluate the
+// potential on some calls only and report the latest value in between (the
+// machine's PotentialEvery). A force field without it evaluates on every
+// call.
+type PotentialCadence interface {
+	// PotentialFresh reports whether the latest Forces call evaluated the
+	// potential it returned.
+	PotentialFresh() bool
+}
+
 // GeometryInvalidator is implemented by force fields that cache
 // position-dependent geometry between calls (the machine's Verlet-skin
 // j-set). The integrator's own steps move particles gradually — the cache
@@ -193,6 +203,7 @@ type Integrator struct {
 
 	forces []vec.V
 	pot    float64
+	fresh  bool // pot was evaluated at the current positions
 	step   int
 }
 
@@ -214,7 +225,14 @@ func NewIntegrator(s *System, ff ForceField, dt float64) (*Integrator, error) {
 	if len(f) != s.N() {
 		return nil, fmt.Errorf("md: force field returned %d forces for %d particles", len(f), s.N())
 	}
-	return &Integrator{Sys: s, FF: ff, Dt: dt, Mode: NVE, forces: f, pot: pot}, nil
+	return &Integrator{Sys: s, FF: ff, Dt: dt, Mode: NVE, forces: f, pot: pot, fresh: potentialFresh(ff)}, nil
+}
+
+// potentialFresh reports whether ff's latest Forces call evaluated its
+// potential.
+func potentialFresh(ff ForceField) bool {
+	c, ok := ff.(PotentialCadence)
+	return !ok || c.PotentialFresh()
 }
 
 // Step advances one velocity-Verlet time step. In NVT mode the velocities
@@ -240,7 +258,7 @@ func (it *Integrator) Step() error {
 		return fmt.Errorf("md: force field returned %d forces for %d particles", len(f), s.N())
 	}
 	it.forces = f
-	it.pot = pot
+	it.pot, it.fresh = pot, potentialFresh(it.FF)
 	// Second half kick.
 	for i := range s.Pos {
 		s.Vel[i] = s.Vel[i].Add(it.forces[i].Scale(half / s.Mass[i]))
@@ -291,8 +309,13 @@ func (it *Integrator) InvalidateGeometry() {
 	}
 }
 
-// Potential returns the potential energy at the current positions (eV).
+// Potential returns the potential energy at the current positions (eV), or,
+// between a force field's evaluations (PotentialCadence), the latest one.
 func (it *Integrator) Potential() float64 { return it.pot }
+
+// PotentialFresh reports whether Potential was evaluated at the current
+// positions.
+func (it *Integrator) PotentialFresh() bool { return it.fresh }
 
 // Forces returns the cached forces at the current positions.
 func (it *Integrator) Forces() []vec.V { return it.forces }
@@ -302,14 +325,17 @@ func (it *Integrator) TotalEnergy() float64 {
 	return it.Sys.KineticEnergy() + it.pot
 }
 
-// Record is one observable sample, the quantities behind Figure 2.
+// Record is one observable sample, the quantities behind Figure 2. PE, and
+// with it E, is fresh only on the steps the force field evaluated the
+// potential (PotentialCadence); in between it repeats the latest evaluation.
 type Record struct {
-	Step int
-	Time float64 // ps
-	T    float64 // K
-	KE   float64 // eV
-	PE   float64 // eV
-	E    float64 // eV
+	Step    int
+	Time    float64 // ps
+	T       float64 // K
+	KE      float64 // eV
+	PE      float64 // eV
+	E       float64 // eV
+	PEFresh bool    // PE was evaluated at this step
 }
 
 // Recorder samples an Integrator.
@@ -320,12 +346,13 @@ type Recorder struct {
 // Sample appends the current observables.
 func (r *Recorder) Sample(it *Integrator) {
 	r.Records = append(r.Records, Record{
-		Step: it.StepCount(),
-		Time: float64(it.StepCount()) * it.Dt / 1000.0,
-		T:    it.Sys.Temperature(),
-		KE:   it.Sys.KineticEnergy(),
-		PE:   it.Potential(),
-		E:    it.TotalEnergy(),
+		Step:    it.StepCount(),
+		Time:    float64(it.StepCount()) * it.Dt / 1000.0,
+		T:       it.Sys.Temperature(),
+		KE:      it.Sys.KineticEnergy(),
+		PE:      it.Potential(),
+		E:       it.TotalEnergy(),
+		PEFresh: it.PotentialFresh(),
 	})
 }
 
@@ -348,21 +375,25 @@ func (r *Recorder) TemperatureStats() (mean, std float64) {
 }
 
 // EnergyDrift returns the maximum relative deviation of the total energy
-// from its initial sampled value: max |E(t)-E(0)| / |E(0)|. The paper quotes
-// a relative error below 5×10⁻⁵ percent for the NVE segment.
+// from its first fresh sample, over the fresh samples only (PEFresh: a stale
+// PE would mix one step's KE with another's PE): max |E(t)-E(0)| / |E(0)|.
+// With fewer than two fresh samples there is no drift to report, and it
+// returns NaN. The paper quotes a relative error below 5×10⁻⁵ percent for
+// the NVE segment.
 func (r *Recorder) EnergyDrift() float64 {
-	if len(r.Records) == 0 {
-		return 0
-	}
-	e0 := r.Records[0].E
-	if e0 == 0 {
-		return 0
-	}
-	worst := 0.0
+	fresh, e0, worst := 0, 0.0, 0.0
 	for _, rec := range r.Records {
-		if d := math.Abs(rec.E-e0) / math.Abs(e0); d > worst {
+		if !rec.PEFresh {
+			continue
+		}
+		if fresh++; fresh == 1 {
+			e0 = rec.E
+		} else if d := math.Abs(rec.E-e0) / math.Abs(e0); d > worst {
 			worst = d
 		}
+	}
+	if fresh < 2 {
+		return math.NaN()
 	}
 	return worst
 }

@@ -289,19 +289,27 @@ func TestRecorderStats(t *testing.T) {
 	if m, s := r.TemperatureStats(); m != 0 || s != 0 {
 		t.Error("empty recorder stats nonzero")
 	}
-	if r.EnergyDrift() != 0 {
-		t.Error("empty recorder drift nonzero")
+	if d := r.EnergyDrift(); !math.IsNaN(d) {
+		t.Errorf("empty recorder drift %g, want NaN (unavailable)", d)
 	}
-	r.Records = []Record{{T: 100, E: -10}, {T: 200, E: -10.1}, {T: 300, E: -9.9}}
+	// The stale samples (a PE repeated from an earlier evaluation) are not
+	// read: neither as the reference energy nor as a deviation.
+	r.Records = []Record{{T: 100, E: -9}, {T: 100, E: -10, PEFresh: true}, {T: 200, E: -10.1, PEFresh: true},
+		{T: 200, E: -12}, {T: 300, E: -9.9, PEFresh: true}}
 	m, sd := r.TemperatureStats()
-	if m != 200 {
+	if m != 180 {
 		t.Errorf("mean T = %g", m)
 	}
-	if math.Abs(sd-math.Sqrt(20000.0/3)) > 1e-9 {
+	if math.Abs(sd-math.Sqrt(28000.0/5)) > 1e-9 {
 		t.Errorf("std T = %g", sd)
 	}
 	if d := r.EnergyDrift(); math.Abs(d-0.01) > 1e-12 {
 		t.Errorf("drift = %g, want 0.01", d)
+	}
+	r.Records = r.Records[:3:3]
+	r.Records[2].PEFresh = false
+	if d := r.EnergyDrift(); !math.IsNaN(d) {
+		t.Errorf("drift over one fresh sample %g, want NaN (unavailable)", d)
 	}
 }
 

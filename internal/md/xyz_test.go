@@ -1,10 +1,15 @@
 package md
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
+	"mdm/internal/tosifumi"
 	"mdm/internal/vec"
 )
 
@@ -71,4 +76,69 @@ func TestReadXYZErrors(t *testing.T) {
 	if err != nil || len(frames) != 0 {
 		t.Errorf("empty input: %v, %d frames", err, len(frames))
 	}
+}
+
+// ReadXYZ parses consecutive XYZ frames from r until EOF.
+func ReadXYZ(r io.Reader) ([]Frame, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var frames []Frame
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		n, err := strconv.Atoi(line)
+		if err != nil || n < 0 {
+			return nil, fmt.Errorf("md: bad particle count %q in frame %d", line, len(frames))
+		}
+		if !sc.Scan() {
+			return nil, fmt.Errorf("md: missing comment line in frame %d", len(frames))
+		}
+		f := Frame{Comment: sc.Text()}
+		// Parse "L=<value>" from the comment if present.
+		for _, tok := range strings.Fields(f.Comment) {
+			if v, ok := strings.CutPrefix(tok, "L="); ok {
+				if l, err := strconv.ParseFloat(v, 64); err == nil {
+					f.L = l
+				}
+			}
+		}
+		for k := 0; k < n; k++ {
+			if !sc.Scan() {
+				return nil, fmt.Errorf("md: frame %d truncated at particle %d", len(frames), k)
+			}
+			fields := strings.Fields(sc.Text())
+			if len(fields) < 4 {
+				return nil, fmt.Errorf("md: frame %d particle %d: bad line %q", len(frames), k, sc.Text())
+			}
+			x, err1 := strconv.ParseFloat(fields[1], 64)
+			y, err2 := strconv.ParseFloat(fields[2], 64)
+			z, err3 := strconv.ParseFloat(fields[3], 64)
+			if err1 != nil || err2 != nil || err3 != nil {
+				return nil, fmt.Errorf("md: frame %d particle %d: bad coordinates %q", len(frames), k, sc.Text())
+			}
+			f.Pos = append(f.Pos, vec.New(x, y, z))
+			f.Type = append(f.Type, typeFor(fields[0]))
+		}
+		frames = append(frames, f)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return frames, nil
+}
+
+func typeFor(sym string) int {
+	switch sym {
+	case "Na":
+		return int(tosifumi.Na)
+	case "Cl":
+		return int(tosifumi.Cl)
+	}
+	var t int
+	if _, err := fmt.Sscanf(sym, "X%d", &t); err == nil {
+		return t
+	}
+	return 0
 }

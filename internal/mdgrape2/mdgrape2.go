@@ -82,11 +82,6 @@ func (c Config) Boards() int { return c.Clusters * c.BoardsPerCluster }
 // Pipelines returns the total pipeline count.
 func (c Config) Pipelines() int { return c.Chips() * c.PipelinesPerChip }
 
-// PeakFlops returns the nominal peak speed: pipelines × clock × FlopsPerPair.
-func (c Config) PeakFlops() float64 {
-	return float64(c.Pipelines()) * c.ClockHz * c.FlopsPerPair
-}
-
 // ParticleCapacity returns how many j-particles fit in one board's memory.
 func (c Config) ParticleCapacity() int { return c.ParticleMemBytes / c.BytesPerParticle }
 

@@ -70,3 +70,34 @@ func TestFrameFromAoS(t *testing.T) {
 		t.Fatal("Frame aliases the source charge slice")
 	}
 }
+
+// FromAoS scatters an array-of-structs block into planes, growing them as
+// needed, and returns the (possibly reallocated) planes.
+func (c Coords) FromAoS(pos []vec.V) Coords {
+	c = c.Resize(len(pos))
+	for i, p := range pos {
+		c.X[i] = p.X
+		c.Y[i] = p.Y
+		c.Z[i] = p.Z
+	}
+	return c
+}
+
+// FromAoS converts an AoS particle block (positions, charges, species) into
+// a Frame, reusing f's storage.
+func (f Frame) FromAoS(pos []vec.V, charge []float64, species []int) Frame {
+	f.Pos = f.Pos.FromAoS(pos)
+	if cap(f.Charge) >= len(charge) {
+		f.Charge = f.Charge[:len(charge)]
+	} else {
+		f.Charge = make([]float64, len(charge))
+	}
+	copy(f.Charge, charge)
+	if cap(f.Species) >= len(species) {
+		f.Species = f.Species[:len(species)]
+	} else {
+		f.Species = make([]int, len(species))
+	}
+	copy(f.Species, species)
+	return f
+}

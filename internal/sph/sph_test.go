@@ -199,3 +199,46 @@ func BenchmarkSPHStep(b *testing.B) {
 		}
 	}
 }
+
+// AccelerationsExact is the float64 oracle for Accelerations, cut at 3h like
+// the pipelines.
+func (f *Fluid) AccelerationsExact(rho []float64) []vec.V {
+	p := f.pressure(rho)
+	out := make([]vec.V, f.N())
+	h2 := f.H * f.H
+	for i := range f.Pos {
+		var acc vec.V
+		for j := range f.Pos {
+			if j == i {
+				continue
+			}
+			rij := f.Pos[i].Sub(f.Pos[j]).MinImage(f.L)
+			r2 := rij.Norm2()
+			if r2 >= f.cut2() {
+				continue
+			}
+			w := 2 * f.sigma / h2 * math.Exp(-r2/h2)
+			coef := f.Mass[j] * (p[i]/(rho[i]*rho[i]) + p[j]/(rho[j]*rho[j]))
+			acc = acc.Add(rij.Scale(coef * w))
+		}
+		out[i] = acc
+	}
+	return out
+}
+
+// DensitiesExact is the float64 minimum-image oracle for Densities, cut at
+// 3h like the pipelines.
+func (f *Fluid) DensitiesExact() []float64 {
+	rho := make([]float64, f.N())
+	for i := range f.Pos {
+		rho[i] = f.Mass[i] * f.sigma
+		for j := range f.Pos {
+			r2 := f.Pos[i].Sub(f.Pos[j]).MinImage(f.L).Norm2()
+			if j == i || r2 >= f.cut2() {
+				continue
+			}
+			rho[i] += f.Mass[j] * f.sigma * math.Exp(-r2/(f.H*f.H))
+		}
+	}
+	return rho
+}

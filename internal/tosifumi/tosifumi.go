@@ -135,35 +135,3 @@ func (p *Potential) ShortForce(si, sj Species, rij vec.V) vec.V {
 func (p *Potential) GFunc(si, sj Species) func(x float64) float64 {
 	return func(x float64) float64 { return p.ShortForceScalar(si, sj, x) }
 }
-
-// EquilibriumSpacing returns the nearest-neighbor Na–Cl distance (Å) that
-// minimizes the static rock-salt lattice energy per ion pair computed with
-// the Madelung constant and first/second-shell short-range terms. It is used
-// by tests as a sanity check that the parameter set reproduces the known
-// NaCl lattice constant (d ≈ 2.8 Å, a ≈ 5.6 Å).
-func (p *Potential) EquilibriumSpacing() float64 {
-	// E(d) = -M k_e/d + 6 φ_+-(d) + 6 φ_++(√2 d)/... (first shells; the 12
-	// like-ion second-shell pairs split 6/6 between Na and Cl per pair).
-	energy := func(d float64) float64 {
-		const madelung = 1.747565
-		e := -madelung * units.Coulomb / d
-		e += 6 * p.ShortEnergy(Na, Cl, d)
-		s2 := math.Sqrt2 * d
-		e += 6 * p.ShortEnergy(Na, Na, s2)
-		e += 6 * p.ShortEnergy(Cl, Cl, s2)
-		return e
-	}
-	// Golden-section search on [2, 4] Å.
-	lo, hi := 2.0, 4.0
-	const phi = 0.6180339887498949
-	for i := 0; i < 200; i++ {
-		a := hi - phi*(hi-lo)
-		b := lo + phi*(hi-lo)
-		if energy(a) < energy(b) {
-			hi = b
-		} else {
-			lo = a
-		}
-	}
-	return (lo + hi) / 2
-}

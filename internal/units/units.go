@@ -15,8 +15,6 @@
 // charges at 1 Å is Coulomb (≈14.4 eV).
 package units
 
-import "math"
-
 // Physical constants in the package unit system.
 const (
 	// Coulomb is the Coulomb constant 1/(4 π ε0) in eV·Å/e².
@@ -62,34 +60,4 @@ func KineticToKelvin(ke float64, n int) float64 {
 // of n particles at temperature t (K).
 func KelvinToKinetic(t float64, n int) float64 {
 	return 1.5 * float64(n) * Boltzmann * t
-}
-
-// ThermalSpeed returns the RMS speed (Å/fs) of a particle of mass m (amu) at
-// temperature t (K): v = sqrt(3 k_B T / m) with the eV→(Å/fs)² conversion.
-func ThermalSpeed(t, m float64) float64 {
-	if m <= 0 || t <= 0 {
-		return 0
-	}
-	// v² [ (Å/fs)² ] = 3 k_B T [eV] / m [amu] × ForceToAccel [ (Å/fs²)·amu/(eV/Å) ]
-	// (eV/amu → (Å/fs)² carries the same conversion factor as (eV/Å)/amu → Å/fs².)
-	return math.Sqrt(3 * Boltzmann * t / m * ForceToAccel)
-}
-
-// RelativeError returns |got-want| / max(|want|, floor). It is the error
-// measure used throughout the accuracy experiments (§3.4.4, §3.5.4 of the
-// paper): relative to the reference magnitude with a floor to avoid dividing
-// by a vanishing reference.
-func RelativeError(got, want, floor float64) float64 {
-	d := math.Abs(got - want)
-	m := math.Abs(want)
-	if m < floor {
-		m = floor
-	}
-	if m == 0 {
-		if d == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return d / m
 }

@@ -99,3 +99,33 @@ func TestKineticConsistentWithEquipartition(t *testing.T) {
 		t.Errorf("ke = %g, want %g", ke, want)
 	}
 }
+
+// RelativeError returns |got-want| / max(|want|, floor). It is the error
+// measure used throughout the accuracy experiments (§3.4.4, §3.5.4 of the
+// paper): relative to the reference magnitude with a floor to avoid dividing
+// by a vanishing reference.
+func RelativeError(got, want, floor float64) float64 {
+	d := math.Abs(got - want)
+	m := math.Abs(want)
+	if m < floor {
+		m = floor
+	}
+	if m == 0 {
+		if d == 0 {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	return d / m
+}
+
+// ThermalSpeed returns the RMS speed (Å/fs) of a particle of mass m (amu) at
+// temperature t (K): v = sqrt(3 k_B T / m) with the eV→(Å/fs)² conversion.
+func ThermalSpeed(t, m float64) float64 {
+	if m <= 0 || t <= 0 {
+		return 0
+	}
+	// v² [ (Å/fs)² ] = 3 k_B T [eV] / m [amu] × ForceToAccel [ (Å/fs²)·amu/(eV/Å) ]
+	// (eV/amu → (Å/fs)² carries the same conversion factor as (eV/Å)/amu → Å/fs².)
+	return math.Sqrt(3 * Boltzmann * t / m * ForceToAccel)
+}

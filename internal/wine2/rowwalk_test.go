@@ -22,19 +22,13 @@ import (
 
 // dftWave streams the particle image through one pipeline in DFT mode and
 // returns the wave's S+C and S−C accumulators (AccFrac fractional bits).
-func dftWave(trig *fixed.TrigUnit, round fixed.Rounder, nv [3]int, pw *ParticleWords) (accPlus, accMinus int64) {
-	lo, hi := trig.Rows()
-	shift, half := trig.Shift, trig.Half
-	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
+func dftWave(trig sineRef, round fixed.Rounder, nv [3]int, pw *ParticleWords) (accPlus, accMinus int64) {
 	n0, n1, n2 := int64(nv[0]), int64(nv[1]), int64(nv[2])
 	ux := pw.Ux
 	uy, uz, qw := pw.Uy[:len(ux)], pw.Uz[:len(ux)], pw.Q[:len(ux)]
 	var s, c int64
 	for j := range ux {
-		ph := n0*ux[j] + n1*uy[j] + n2*uz[j]
-		i, rem := ph>>(shift&63)&idxMask, ph&remMask
-		sin := fixed.Lerp(lo, hi, i, rem, half, shift)
-		cos := fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
+		sin, cos := trig.SinCos(n0*ux[j] + n1*uy[j] + n2*uz[j])
 		q := qw[j] * round.Mul
 		s += round.Round(q * sin)
 		c += round.Round(q * cos)
@@ -45,17 +39,11 @@ func dftWave(trig *fixed.TrigUnit, round fixed.Rounder, nv [3]int, pw *ParticleW
 // idftParticle streams the wave coefficients past one particle in IDFT mode
 // and returns its three force accumulators (IAccFrac fractional bits). aS and
 // aC are in the caller's wave order and carry the rounder's operand scale.
-func idftParticle(trig *fixed.TrigUnit, round fixed.Rounder, waves []ewald.Wave, aS, aC []int64, ux, uy, uz int64) (ax, ay, az int64) {
-	lo, hi := trig.Rows()
-	shift, half := trig.Shift, trig.Half
-	idxMask, remMask, quarter := trig.IdxMask, trig.RemMask, trig.Quarter
+func idftParticle(trig sineRef, round fixed.Rounder, waves []ewald.Wave, aS, aC []int64, ux, uy, uz int64) (ax, ay, az int64) {
 	aS, aC = aS[:len(waves)], aC[:len(waves)]
 	for w := range waves {
 		n0, n1, n2 := int64(waves[w].N[0]), int64(waves[w].N[1]), int64(waves[w].N[2])
-		ph := n0*ux + n1*uy + n2*uz
-		i, rem := ph>>(shift&63)&idxMask, ph&remMask
-		sin := fixed.Lerp(lo, hi, i, rem, half, shift)
-		cos := fixed.Lerp(lo, hi, (i+quarter)&idxMask, rem, half, shift)
+		sin, cos := trig.SinCos(n0*ux + n1*uy + n2*uz)
 		t := round.Round(aC[w]*sin - aS[w]*cos)
 		ax += t * n0
 		ay += t * n1
@@ -64,18 +52,22 @@ func idftParticle(trig *fixed.TrigUnit, round fixed.Rounder, waves []ewald.Wave,
 	return ax, ay, az
 }
 
-// oracleUnit is the TrigUnit a System for cfg builds its rows from; the
-// oracle loops read its sample RAM through fixed.Lerp.
-func oracleUnit(cfg Config) *fixed.TrigUnit {
+// sineRef is the one sine reference, fixed.SinCosTable.SinCos, at a
+// System's phase width: what the oracle loops read in place of the rows.
+type sineRef struct {
+	tab       *fixed.SinCosTable
+	phaseFrac uint
+}
+
+func (r sineRef) SinCos(ph int64) (sin, cos int64) { return r.tab.SinCos(ph, r.phaseFrac) }
+
+// oracleSine is the sine reference for the System cfg builds.
+func oracleSine(cfg Config) sineRef {
 	tab, err := fixed.NewSinCosTable(cfg.SinLogSize, cfg.TrigFormat)
 	if err != nil {
 		panic(err)
 	}
-	u, err := tab.Unit(cfg.PosFrac)
-	if err != nil {
-		panic(err)
-	}
-	return &u
+	return sineRef{tab, cfg.PosFrac}
 }
 
 // waveByWaveDFT is DFTQuantizedInto on the oracle loop, with an armed flip
@@ -83,7 +75,7 @@ func oracleUnit(cfg Config) *fixed.TrigUnit {
 func waveByWaveDFT(sys *System, waves []ewald.Wave, pw *ParticleWords, flipWave, flipBit int) (sn, cn []float64) {
 	accF := fixed.F(0, sys.cfg.AccFrac)
 	sn, cn = make([]float64, len(waves)), make([]float64, len(waves))
-	trig := oracleUnit(sys.cfg)
+	trig := oracleSine(sys.cfg)
 	for w := range waves {
 		plus, minus := dftWave(trig, sys.dftRound, waves[w].N, pw)
 		if w == flipWave {
@@ -117,7 +109,7 @@ func waveByWaveIDFT(sys *System, waves []ewald.Wave, sn, cn []float64, pw *Parti
 	iaccF := fixed.F(0, sys.cfg.IAccFrac)
 	l := pw.L
 	pref := 4 * units.Coulomb / (l * l * l * l) * scale
-	trig := oracleUnit(sys.cfg)
+	trig := oracleSine(sys.cfg)
 	for i := range f[0] {
 		ax, ay, az := idftParticle(trig, sys.idftRound, waves, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i])
 		qp := pref * pw.q[i]
@@ -381,7 +373,7 @@ func TestPrefixGatherExactThroughWrap(t *testing.T) {
 	half := int64(1) << (cfg.PosFrac - 1)
 	ux := [2]int64{0, half}
 	a := idftPair(&sys.trig, sys.idftRound, rows, aS, aC, ux[0], 0, 0, ux[1], 0, 0)
-	trig := oracleUnit(cfg)
+	trig := oracleSine(cfg)
 	minInt, maxInt := big.NewInt(math.MinInt64), big.NewInt(math.MaxInt64)
 	outside := func(v *big.Int) bool { return v.Cmp(minInt) < 0 || v.Cmp(maxInt) > 0 }
 	wrapped := false

@@ -3,13 +3,15 @@ package wine2
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"mdm/internal/fixed"
 )
 
-// The pipelines read sine and cosine through trigRows; fixed.TrigUnit.SinCos
-// and SinCosTable.SinCos stay the oracles of the interpolant they replace.
+// The pipelines read sine and cosine through trigRows; SinCosTable.SinCos
+// is the one reference they must match.
 
 // sinCos is the sine and cosine of one phase as the pipeline loops read it.
 func (t *trigRows) sinCos(ph int64) (sin, cos int64) {
@@ -18,28 +20,29 @@ func (t *trigRows) sinCos(ph int64) (sin, cos int64) {
 	return s[i].at(rem, t.shift), c[i].at(rem, t.shift)
 }
 
-// TestTrigRowsMatchTrigUnit: for the shipped unit, every phase of one turn —
+// TestTrigRowsMatchSinCos: for the shipped unit, every phase of one turn —
 // all 2^24, which covers every row of both views, the cosine's wrap past a
-// turn and every remainder — read through the rows equals TrigUnit.SinCos.
-func TestTrigRowsMatchTrigUnit(t *testing.T) {
+// turn and every remainder — read through the rows equals
+// SinCosTable.SinCos.
+func TestTrigRowsMatchSinCos(t *testing.T) {
 	cfg := CurrentConfig()
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := oracleUnit(cfg)
+	ref := oracleSine(cfg)
 	for ph := int64(0); ph < 1<<cfg.PosFrac; ph++ {
 		gs, gc := sys.trig.sinCos(ph)
-		if ws, wc := u.SinCos(ph); gs != ws || gc != wc {
-			t.Fatalf("phase %d: rows (%d, %d), TrigUnit (%d, %d)", ph, gs, gc, ws, wc)
+		if ws, wc := ref.SinCos(ph); gs != ws || gc != wc {
+			t.Fatalf("phase %d: rows (%d, %d), SinCos (%d, %d)", ph, gs, gc, ws, wc)
 		}
 	}
 }
 
 // TestTrigRowsAtBoundaries: on every datapath format, every row read at the
-// remainders where the bias could differ from Lerp's sign and rounding terms
-// — 0, 1, half − 1, half, half + 1 and 2^shift − 1 — and a fixed-seed random
-// walk of phases equal SinCosTable.SinCos.
+// remainders where the bias could differ from the table's sign and rounding
+// terms — 0, 1, half − 1, half, half + 1 and 2^shift − 1 — and a fixed-seed
+// random walk of phases equal SinCosTable.SinCos.
 func TestTrigRowsAtBoundaries(t *testing.T) {
 	for _, f := range datapathFormats {
 		cfg := CurrentConfig()
@@ -127,4 +130,33 @@ func FuzzTrigRows(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNewSystemAllocatesOnlyRows: NewSystem builds the trig rows straight
+// from the samples, with no sample table beside them: two allocations, the
+// System and its rows, and a byte count that a 2^k + 1-word table (8 KB for
+// the shipped unit) would push past the bound.
+func TestNewSystemAllocatesOnlyRows(t *testing.T) {
+	cfg := CurrentConfig()
+	build := func() {
+		if _, err := NewSystem(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 1 << cfg.SinLogSize
+	rows := uint64(n+n/4) * uint64(unsafe.Sizeof(trigRow{}))
+	limit := rows + uint64(unsafe.Sizeof(System{})) + 512 // the System's size-class rounding
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, build)
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	t.Logf("%.0f allocs, %d B per NewSystem (rows %d B)", allocs, bytes, rows)
+	if allocs != 2 {
+		t.Errorf("%.0f allocations per NewSystem, want 2: the System and its rows", allocs)
+	}
+	if bytes > limit {
+		t.Errorf("%d B per NewSystem, want ≤ %d: the rows (%d B) and the System", bytes, limit, rows)
+	}
 }

@@ -106,11 +106,6 @@ func (c Config) Boards() int { return c.Clusters * c.BoardsPerCluster }
 // Pipelines returns the total pipeline count.
 func (c Config) Pipelines() int { return c.Chips() * c.PipelinesPerChip }
 
-// PeakFlops returns the nominal peak speed.
-func (c Config) PeakFlops() float64 {
-	return float64(c.Pipelines()) * c.ClockHz * c.FlopsPerCycle
-}
-
 // ParticleCapacity returns how many particles fit in one board's memory.
 func (c Config) ParticleCapacity() int { return c.ParticleMemBytes / c.BytesPerParticle }
 
@@ -215,24 +210,18 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	table, err := fixed.NewSinCosTable(cfg.SinLogSize, cfg.TrigFormat)
-	if err != nil {
-		return nil, err
-	}
-	unit, err := table.Unit(cfg.PosFrac)
-	if err != nil {
-		return nil, err
-	}
-	s := &System{cfg: cfg, trig: newTrigRows(&unit)}
+	s := &System{cfg: cfg, trig: newTrigRows(cfg)}
+	var err error
 	if s.dftRound, s.idftRound, err = cfg.rounders(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// trigRows is a TrigUnit's sample RAM resolved for the pipelines'
-// interpolant, one row per table segment i: A_i = a_i·2^shift + half +
-// (d_i >> 63) and D_i = d_i = a_{i+1} − a_i. fixed.Lerp's
+// trigRows is the trig unit's sine table (samples a_i = fixed.SinSample)
+// resolved for PosFrac-bit phases, one row per table segment i:
+// A_i = a_i·2^shift + half + (d_i >> 63) and D_i = d_i = a_{i+1} − a_i,
+// with half = 2^(shift−1). The table's rounded interpolant
 // a + ((d·rem + half + (d·rem)>>63) >> shift) is then exactly
 // (A_i + D_i·rem) >> shift: for rem > 0 the sign of d·rem is the sign of d,
 // and at rem = 0 both sign terms give 0 because half − 1 < 2^shift. So each
@@ -258,15 +247,22 @@ func (r *trigRow) at(rem int64, shift uint) int64 {
 	return (r[0] + r[1]*rem) >> (shift & 63)
 }
 
-// newTrigRows builds the rows of u; row j ≥ 2^k repeats segment j − 2^k.
-func newTrigRows(u *fixed.TrigUnit) trigRows {
-	n := int(u.IdxMask) + 1
-	t := trigRows{rows: make([]trigRow, n+n/4), shift: u.Shift, idxMask: u.IdxMask, remMask: u.RemMask}
-	for j := range t.rows {
-		a, b := u.Table[j&(n-1)], u.Table[j&(n-1)+1]
+// newTrigRows builds the rows for cfg, which Config.Validate has admitted,
+// from the samples themselves, each computed once; row j ≥ 2^k repeats
+// segment j − 2^k.
+func newTrigRows(cfg Config) trigRows {
+	n := 1 << cfg.SinLogSize
+	shift := cfg.PosFrac - cfg.SinLogSize
+	half := int64(1) << (shift - 1)
+	t := trigRows{rows: make([]trigRow, n+n/4), shift: shift, idxMask: int64(n - 1), remMask: int64(1)<<shift - 1}
+	a := fixed.SinSample(cfg.SinLogSize, cfg.TrigFormat, 0)
+	for i := range n {
+		b := fixed.SinSample(cfg.SinLogSize, cfg.TrigFormat, i+1)
 		d := b - a
-		t.rows[j] = trigRow{a<<u.Shift + u.Half + d>>63, d}
+		t.rows[i] = trigRow{a<<shift + half + d>>63, d}
+		a = b
 	}
+	copy(t.rows[n:], t.rows[:n/4])
 	return t
 }
 
@@ -283,9 +279,6 @@ func (s *System) Config() Config { return s.cfg }
 
 // Stats returns the accumulated work counters.
 func (s *System) Stats() Stats { return s.stats }
-
-// ResetStats clears the work counters.
-func (s *System) ResetStats() { s.stats = Stats{} }
 
 // SetFaultHook installs the hardware hook — a fault injector, a watchdog's
 // liveness beat, or both. Every DFT/IDFT call reports to the hook (site

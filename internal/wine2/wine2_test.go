@@ -487,3 +487,11 @@ func BenchmarkIDFT(b *testing.B) {
 		return err
 	})
 }
+
+// PeakFlops returns the nominal peak speed.
+func (c Config) PeakFlops() float64 {
+	return float64(c.Pipelines()) * c.ClockHz * c.FlopsPerCycle
+}
+
+// ResetStats clears the work counters.
+func (s *System) ResetStats() { s.stats = Stats{} }

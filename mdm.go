@@ -925,7 +925,9 @@ func (s *Simulation) TemperatureStats() (mean, std float64) {
 
 // EnergyDrift returns the maximum relative total-energy deviation over the
 // latest NVE segment (the §5 conservation figure of merit; the thermostatted
-// NVT segment changes the energy by design and is excluded).
+// NVT segment changes the energy by design and is excluded). It reads only
+// the records whose potential was evaluated at their step (PotentialEvery),
+// and is NaN — unavailable — when the segment holds fewer than two.
 func (s *Simulation) EnergyDrift() float64 {
 	sub := md.Recorder{Records: s.Recorder.Records[s.nveStart:]}
 	return sub.EnergyDrift()

@@ -296,3 +296,51 @@ func TestResumeKeepsPotentialCadence(t *testing.T) {
 		}
 	}
 }
+
+// TestEnergyDriftReadsFreshPotentials: PotentialEvery k changes which steps
+// evaluate the potential, not the trajectory, so the NVE drift at k is the
+// k = 1 drift over the steps k evaluates, bit for bit. Between evaluations a
+// record's PE is the latest value, and the drift does not read it. A segment
+// with fewer than two evaluations has no drift.
+func TestEnergyDriftReadsFreshPotentials(t *testing.T) {
+	const nvt, nve = 20, 200
+	run := func(k, nve int) *Simulation {
+		t.Helper()
+		sim, err := NewSimulation(Config{Cells: 2, PotentialEvery: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = sim.Free() })
+		if err := sim.RunNVT(nvt); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.RunNVE(nve); err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	every := run(1, nve)
+	all := every.Records()[every.nveStart:]
+	for _, k := range []int{1, 10, 100} {
+		sim := run(k, nve)
+		var at []Record
+		for i, r := range sim.Records()[sim.nveStart:] {
+			if r.PEFresh != (r.Step%k == 0) {
+				t.Fatalf("k = %d, step %d: PEFresh %v", k, r.Step, r.PEFresh)
+			}
+			if r.PEFresh {
+				if r != all[i] {
+					t.Fatalf("k = %d, step %d: %+v, k = 1 %+v", k, r.Step, r, all[i])
+				}
+				at = append(at, all[i])
+			}
+		}
+		want := (&md.Recorder{Records: at}).EnergyDrift()
+		if got := sim.EnergyDrift(); got != want || math.IsNaN(got) {
+			t.Errorf("k = %d: drift %.17g, k = 1 drift over the %d steps k evaluates %.17g", k, got, len(at), want)
+		}
+	}
+	if d := run(100, 50).EnergyDrift(); !math.IsNaN(d) {
+		t.Errorf("one evaluated NVE step: drift %g, want NaN (unavailable)", d)
+	}
+}
