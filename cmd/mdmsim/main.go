@@ -33,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -86,6 +87,27 @@ func summarize(sim *mdm.Simulation, status string, restarts int, elapsed time.Du
 
 func writeSummary(path string, s runSummary) error {
 	return lifecycle.WriteSummary(path, s)
+}
+
+// printSamples prints every k-th record and the last. A record whose step
+// carried an earlier potential (PEFresh false, between -potential-every
+// evaluations) shows a marker instead of its stale PE and E; the header says
+// so whenever the cadence k > 1 can carry one.
+func printSamples(w io.Writer, recs []md.Record, every, potEvery int) {
+	if potEvery > 1 {
+		fmt.Fprintf(w, "PE is evaluated every %d steps; rows marked \"carried\" carry the last evaluated PE\n", potEvery)
+	}
+	fmt.Fprintf(w, "%8s %10s %12s %12s %14s %9s\n", "step", "t (ps)", "T (K)", "KE (eV)", "PE (eV)", "E (eV)")
+	for i, r := range recs {
+		if i%every != 0 && i != len(recs)-1 {
+			continue
+		}
+		if !r.PEFresh {
+			fmt.Fprintf(w, "%8d %10.4f %12.2f %12.4f %14s %9s\n", r.Step, r.Time, r.T, r.KE, "carried", "carried")
+			continue
+		}
+		fmt.Fprintf(w, "%8d %10.4f %12.2f %12.4f %14.4f %9.3f\n", r.Step, r.Time, r.T, r.KE, r.PE, r.E)
+	}
 }
 
 // checkFlags refuses, before anything runs, flag values the run could only
@@ -253,11 +275,7 @@ func run(args []string) (exit int) {
 	fmt.Printf("ewald:  alpha=%.2f r_cut=%.2f Å Lk_cut=%.2f (N_wv ≈ %.0f)\n",
 		p.Alpha, p.RCut, p.LKCut, p.NWv())
 	if *ranks > 0 {
-		nw := *waveRanks
-		if nw == 0 {
-			nw = 1
-		}
-		fmt.Printf("ranks:  %d real-space blocks + %d wavenumber processes\n", *ranks, nw)
+		fmt.Printf("ranks:  %d real-space blocks + %d wavenumber processes\n", *ranks, max(*waveRanks, 1))
 	}
 	fmt.Printf("run:    %d NVT + %d NVE steps of %.1f fs at %.0f K\n", *nvt, *nve, *dt, *temp)
 	if *faults != "" {
@@ -328,14 +346,11 @@ func run(args []string) (exit int) {
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("%8s %10s %12s %12s %14s %9s\n", "step", "t (ps)", "T (K)", "KE (eV)", "PE (eV)", "E (eV)")
-	recs := sim.Records()
-	for i, r := range recs {
-		if i%*every != 0 && i != len(recs)-1 {
-			continue
-		}
-		fmt.Printf("%8d %10.4f %12.2f %12.4f %14.4f %9.3f\n", r.Step, r.Time, r.T, r.KE, r.PE, r.E)
+	cadence := *potEvery // the reference evaluates its potential every step
+	if be == mdm.BackendReference {
+		cadence = 1
 	}
+	printSamples(os.Stdout, sim.Records(), *every, cadence)
 
 	mean, std := sim.TemperatureStats()
 	fmt.Printf("\ntemperature: %.1f ± %.1f K (sigma/mean = %.4f)\n", mean, std, std/mean)

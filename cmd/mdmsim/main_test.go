@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +76,59 @@ func TestSummaryDriftUnavailable(t *testing.T) {
 	}
 }
 
+// Between -potential-every evaluations a sampled row shows the carried
+// marker, not the stale PE and E; the evaluated rows print numbers.
+func TestSampleTableMarksCarriedPotentials(t *testing.T) {
+	var code int
+	out := stdout(t, func() {
+		code = run([]string{"-cells", "2", "-nvt", "5", "-nve", "6", "-potential-every", "5", "-every", "1"})
+	})
+	if code != 0 {
+		t.Fatalf("run exits %d", code)
+	}
+	if !strings.Contains(out, "PE is evaluated every 5 steps") {
+		t.Errorf("no cadence note in the header:\n%s", out)
+	}
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 6 {
+			continue
+		}
+		step, err := strconv.Atoi(f[0])
+		if err != nil {
+			continue
+		}
+		rows++
+		if marked := f[4] == "carried" && f[5] == "carried"; marked != (step%5 != 0) {
+			t.Errorf("step %d row %q: carried marker %v, want %v", step, line, marked, step%5 != 0)
+		}
+	}
+	if rows != 13 { // steps 0..11, step 5 sampled by both segments
+		t.Errorf("%d sample rows, want 13:\n%s", rows, out)
+	}
+}
+
+// stdout returns what f prints to os.Stdout.
+func stdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	f()
+	os.Stdout = saved
+	_ = w.Close()
+	return string(<-done)
+}
+
 // mdmsim refuses, before anything runs, flag values it could only fail on
 // after the whole run.
 func TestCheckFlags(t *testing.T) {
@@ -91,6 +146,20 @@ func TestCheckFlags(t *testing.T) {
 	} {
 		if err := checkFlags(c.every, c.resume, c.journal); (err == nil) != c.ok {
 			t.Errorf("checkFlags(every %d, resume %v, %q) = %v, want ok=%v", c.every, c.resume, c.journal, err, c.ok)
+		}
+	}
+}
+
+// A fault clause the run would never fire is a usage error, refused before
+// anything runs, like every other Config.Validate refusal.
+func TestDeadFaultClauseExits2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-faults", "store:crash@sync=1; store:eio@write=1", "-journal", filepath.Join(t.TempDir(), "run.wal")},
+		{"-faults", "mpi:drop@src=1,dst=0,n=1"},
+		{"-ranks", "2", "-faults", "mpi:senderr@src=7,dst=9,n=1"},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("mdmsim %q exits %d, want 2", args, code)
 		}
 	}
 }

@@ -194,14 +194,6 @@ func (s *suppressions) covers(key string, pos token.Position) bool {
 	return false
 }
 
-// RunPackage runs the analyzers over one loaded package without module-wide
-// facts: the per-package analyzers behave as always and the fact-aware ones
-// (wallclock, hotalloc) stay silent. Use
-// RunPackageFacts with a BuildFacts result to enable them.
-func RunPackage(pkg *load.Package, analyzers []*Analyzer) []Diagnostic {
-	return RunPackageFacts(pkg, analyzers, nil)
-}
-
 // RunPackageFacts runs the analyzers over one loaded package with the given
 // module-wide facts and returns the surviving (non-suppressed) diagnostics
 // sorted by position.

@@ -63,20 +63,6 @@ func (f *Facts) StepFlow(fn *types.Func) bool {
 	return f != nil && fn != nil && f.stepflow[funcKey(fn)]
 }
 
-// StepFlowName reports whether the function with the given FullName is on
-// the simulation hot path.
-func (f *Facts) StepFlowName(name string) bool {
-	return f != nil && f.stepflow[name]
-}
-
-// Roots returns the annotated root function names, sorted.
-func (f *Facts) Roots() []string {
-	if f == nil {
-		return nil
-	}
-	return append([]string(nil), f.roots...)
-}
-
 // StepFlowNames returns every hot-path function name, sorted — the export
 // consumed by tests and by mdmvet's machine-readable output.
 func (f *Facts) StepFlowNames() []string {

@@ -74,23 +74,26 @@ func runGoList(dir string, args ...string) ([]listEntry, error) {
 }
 
 // exportMap builds importPath → export-data file for the whole dependency
-// closure of the given patterns, test dependencies included.
-func exportMap(dir string, patterns []string) (map[string]string, error) {
+// closure of the given patterns, test dependencies included, keyed first by
+// the package whose test build an entry belongs to: "" for the plain
+// packages, q for the variants `go list -test` recompiles for q's tests
+// ("p [q.test]": q with its in-package _test.go files, or a p importing it).
+func exportMap(dir string, patterns []string) (map[string]map[string]string, error) {
 	args := append([]string{"-export", "-deps", "-test", "-json=ImportPath,Export,ForTest,Standard"}, patterns...)
 	entries, err := runGoList(dir, args...)
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[string]string)
+	m := map[string]map[string]string{"": {}}
 	for _, e := range entries {
-		// Skip test variants ("pkg [pkg.test]", "pkg.test"): imports must
-		// resolve to the plain package.
-		if e.ForTest != "" || strings.HasSuffix(e.ImportPath, ".test") || strings.Contains(e.ImportPath, " [") {
-			continue
+		if e.Export == "" || strings.HasSuffix(e.ImportPath, ".test") {
+			continue // the test main has no importers
 		}
-		if e.Export != "" {
-			m[e.ImportPath] = e.Export
+		if m[e.ForTest] == nil {
+			m[e.ForTest] = map[string]string{}
 		}
+		path, _, _ := strings.Cut(e.ImportPath, " [")
+		m[e.ForTest][path] = e.Export
 	}
 	return m, nil
 }
@@ -98,7 +101,7 @@ func exportMap(dir string, patterns []string) (map[string]string, error) {
 // Loader type-checks module packages against compiler export data.
 type Loader struct {
 	Fset    *token.FileSet
-	exports map[string]string
+	exports map[string]map[string]string
 	imp     types.ImporterFrom
 }
 
@@ -113,20 +116,32 @@ func NewLoader(dir string, patterns ...string) (*Loader, error) {
 		return nil, err
 	}
 	l := &Loader{Fset: token.NewFileSet(), exports: exports}
+	l.imp = l.importer("")
+	return l, nil
+}
+
+// importer resolves an import from the test build of forTest first, then
+// from the plain packages. Each importer caches what it loads, so a test
+// build needs its own.
+func (l *Loader) importer(forTest string) types.ImporterFrom {
 	lookup := func(path string) (io.ReadCloser, error) {
-		f, ok := l.exports[path]
+		f, ok := l.exports[forTest][path]
+		if !ok {
+			f, ok = l.exports[""][path]
+		}
 		if !ok {
 			return nil, fmt.Errorf("load: no export data for %q", path)
 		}
 		return os.Open(f)
 	}
-	l.imp = importer.ForCompiler(l.Fset, "gc", lookup).(types.ImporterFrom)
-	return l, nil
+	return importer.ForCompiler(l.Fset, "gc", lookup).(types.ImporterFrom)
 }
 
 // Load parses and type-checks the packages matched by the patterns, with
 // in-package test files included. External test packages (package foo_test)
-// are type-checked as their own Package entries with import path "path_test".
+// are type-checked as their own Package entries with import path "path_test",
+// against foo's test build, as go vet does: what foo's export_test.go
+// exports is in scope.
 func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"-json=ImportPath,Dir,Name,GoFiles,TestGoFiles,XTestGoFiles,Error"}, patterns...)
 	entries, err := runGoList(dir, args...)
@@ -145,7 +160,9 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, p)
 		if len(e.XTestGoFiles) > 0 {
-			p, err := l.Check(e.ImportPath+"_test", e.Dir, e.XTestGoFiles)
+			xl := *l
+			xl.imp = l.importer(e.ImportPath)
+			p, err := xl.Check(e.ImportPath+"_test", e.Dir, e.XTestGoFiles)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -69,6 +70,29 @@ func TestLoadTypechecksModulePackages(t *testing.T) {
 		t.Error("wine2 does not resolve fixed.F to mdm/internal/fixed")
 	}
 	_ = ast.IsExported // keep ast import honest
+}
+
+// An external test package sees what its package's export_test.go exports:
+// its imports resolve from the package's test build, as under go vet.
+func TestLoadExternalTestSeesExportTest(t *testing.T) {
+	root := moduleRoot(t)
+	const dir = "./internal/analyzers/load/testdata/exporttest"
+	l, err := NewLoader(root, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load(root, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.ImportPath)
+	}
+	want := []string{"mdm/internal/analyzers/load/testdata/exporttest", "mdm/internal/analyzers/load/testdata/exporttest_test"}
+	if !slices.Equal(paths, want) {
+		t.Errorf("loaded %v, want %v", paths, want)
+	}
 }
 
 func keys(m map[string]*Package) []string {

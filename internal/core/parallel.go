@@ -28,7 +28,8 @@ const (
 	// TagGroupReduce is the wavenumber group's structure-factor reduction.
 	TagGroupReduce = 102
 	// TagMigrate carries rebuild-step ownership transfers: the global
-	// indices of particles that crossed a domain face.
+	// indices, one float64 word each, of particles that crossed a domain
+	// face.
 	TagMigrate = 103
 	// TagGhostPos carries reuse-step ghost positions: three SoA planes
 	// packed back to back in one slab.
@@ -63,7 +64,7 @@ func (g *groupComm) AllreduceSum(vals []float64) ([]float64, error) {
 		total := make([]float64, len(vals))
 		copy(total, vals)
 		for _, m := range g.members[1:] {
-			part, err := g.c.RecvFloat64s(m, TagGroupReduce)
+			part, err := g.c.Recv(m, TagGroupReduce)
 			if err != nil {
 				return nil, err
 			}
@@ -86,7 +87,7 @@ func (g *groupComm) AllreduceSum(vals []float64) ([]float64, error) {
 	if err := g.c.Send(root, TagGroupReduce, part); err != nil {
 		return nil, err
 	}
-	return g.c.RecvFloat64s(root, TagGroupReduce)
+	return g.c.Recv(root, TagGroupReduce)
 }
 
 // ParallelResult is the assembled output of a parallel force step.

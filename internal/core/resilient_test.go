@@ -183,13 +183,16 @@ func TestResilientGuardCatchesBitFlip(t *testing.T) {
 // and 1 real-space, rank 2 wavenumber) and pins what each flipped word does
 // to six NVE steps under the force-spike guard, against the clean run. An
 // exponent flip in a force component from the wave rank is a spike: the
-// guard rejects the step and the retry is clean. A flip that lands in range
-// passes: the index word of a real rank's force record (message 2 from rank
-// 1 to 0 is its step-1 force ship; bit 62 turns index k ≥ 2 into a
-// denormal, which truncates to 0) sends one particle's force to particle 0
-// and leaves its own at zero; bit 40 of the first x coordinate of a ghost
-// payload (message 3 from rank 0 to 1) moves one ghost by a relative 2^-12.
-// Neither is a suspect step; both reach the trajectory.
+// guard rejects the step and the retry is clean. Bit 62 of the index word of
+// a real rank's force record (message 2 from rank 1 to 0 is its step-1 force
+// ship; the record is particle 2's) clears the exponent: 2 becomes 0, which
+// the payload already carries, and a larger index a denormal, which the index
+// decoder refuses. Either is a link error: one retry, and the final state is
+// the clean one. So is bit 52 of the wave rank's index word for particle 2
+// (word 9 of its step-1 ship), which turns it into 4. A flip that lands in a
+// position word passes: bit 40 of the first x coordinate of a ghost
+// payload (message 3 from rank 0 to 1) moves one ghost by a relative 2^-12,
+// which is no suspect step and reaches the trajectory.
 func TestResilientMPICorrupt(t *testing.T) {
 	run := func(scenario string) (RunReport, *md.System) {
 		s := meltLike(t, 2, 5.64, 300, 29)
@@ -209,8 +212,9 @@ func TestResilientMPICorrupt(t *testing.T) {
 		sameAsClean      bool
 	}{
 		{"wave-force-exponent", "mpi:corrupt@src=2,dst=0,n=1,word=2,bit=62", 1, 1, true},
-		{"force-index", "mpi:corrupt@src=1,dst=0,n=2,word=4,bit=62", 0, 0, false},
+		{"force-index", "mpi:corrupt@src=1,dst=0,n=2,word=4,bit=62", 0, 1, true},
 		{"ghost-position", "mpi:corrupt@src=0,dst=1,n=3,word=0,bit=40", 0, 0, false},
+		{"wave-force-index", "mpi:corrupt@src=2,dst=0,n=2,word=9,bit=52", 0, 1, true},
 	} {
 		rep, s := run(c.scenario)
 		same := slices.Equal(s.Pos, clean.Pos) && slices.Equal(s.Vel, clean.Vel)

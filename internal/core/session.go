@@ -66,6 +66,7 @@ type ParallelRun struct {
 
 	wavePot   float64    // written by rank 0 during Run, read by the driver after
 	out       []vec.V    // written by rank 0 during Run
+	seen      []uint8    // rank 0's scratch: bit 1 (2) marks a particle a real (wave) record carried this step
 	potLayout jsetLayout // the serial layout the host potential walks
 
 	res ParallelResult
@@ -93,7 +94,7 @@ type realRankState struct {
 	sendIdx [][]int
 	haloBuf [][]float64
 	posBuf  [][]float64
-	migBuf  [][]int
+	migBuf  [][]float64
 
 	ghostCnt []int // ghosts received per source rank at the last rebuild
 
@@ -198,7 +199,7 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			sendIdx:  make([][]int, nReal),
 			haloBuf:  make([][]float64, nReal),
 			posBuf:   make([][]float64, nReal),
-			migBuf:   make([][]int, nReal),
+			migBuf:   make([][]float64, nReal),
 			ghostCnt: make([]int, len(pr.ghostSrc[r])),
 		})
 		pr.realRanks = append(pr.realRanks, &pr.real[r].realRank)
@@ -253,6 +254,7 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 			return nil, err
 		}
 		pr.n = s.N()
+		pr.seen = make([]uint8, pr.n)
 	}
 
 	// The rebuild decision is the serial Machine's skin clock, read once on
@@ -309,6 +311,17 @@ func wireError(src, dst int, format string, args ...any) error {
 	return fmt.Errorf("core: %s: %w", fmt.Sprintf(format, args...), &fault.LinkError{Src: src, Dst: dst})
 }
 
+// wireIndex decodes an index word of a src → dst payload (a migrated or
+// ghost particle, a ghost's species, a force record's particle): an exact
+// integer in [0, n). Any other word — a flipped bit makes most of them
+// fractional, negative or huge — is a wireError, never a truncated index.
+func wireIndex(w float64, n, src, dst int, what string) (int, error) {
+	if !(w >= 0 && w < float64(n)) || w != math.Trunc(w) {
+		return 0, wireError(src, dst, "rank %d: %s %v from %d not an integer in [0,%d)", dst, what, w, src, n)
+	}
+	return int(w), nil
+}
+
 // realStep is the per-step body of one real-space rank: migrate (rebuild
 // steps), exchange or stream ghosts, run the fused MDGRAPE-2 sweep over the
 // owned block, ship (index, force) records to rank 0.
@@ -341,7 +354,7 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 			if owner == me {
 				keep = append(keep, g)
 			} else {
-				rr.migBuf[owner] = append(rr.migBuf[owner], g)
+				rr.migBuf[owner] = append(rr.migBuf[owner], float64(g))
 			}
 		}
 		rr.owned = keep
@@ -357,17 +370,14 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 			if other == me {
 				continue
 			}
-			data, err := c.Recv(other, TagMigrate)
+			arrivals, err := c.Recv(other, TagMigrate)
 			if err != nil {
 				return err
 			}
-			arrivals, ok := data.([]int)
-			if !ok {
-				return wireError(other, me, "rank %d expected migration indices from %d, got %T", me, other, data)
-			}
-			for _, g := range arrivals {
-				if g < 0 || g >= n {
-					return wireError(other, me, "rank %d: migrated index %d out of range [0,%d)", me, g, n)
+			for _, w := range arrivals {
+				g, err := wireIndex(w, n, other, me, "migrated index")
+				if err != nil {
+					return err
 				}
 				rr.owned = append(rr.owned, g)
 			}
@@ -452,7 +462,7 @@ func (pr *ParallelRun) exchangeGhosts(rr *realRankState, s *md.System) error {
 	}
 	rr.nOwn = len(rr.owned)
 	for si, src := range pr.ghostSrc[me] {
-		buf, err := c.RecvFloat64s(src, TagHalo)
+		buf, err := c.Recv(src, TagHalo)
 		if err != nil {
 			return err
 		}
@@ -461,13 +471,12 @@ func (pr *ParallelRun) exchangeGhosts(rr *realRankState, s *md.System) error {
 		}
 		rr.ghostCnt[si] = len(buf) / haloStride
 		for k := 0; k+haloStride <= len(buf); k += haloStride {
-			typ := int(buf[k+3])
-			gidx := int(buf[k+4])
-			if gidx < 0 || gidx >= n {
-				return wireError(src, me, "rank %d: ghost index %d out of range [0,%d)", me, gidx, n)
+			typ, err := wireIndex(buf[k+3], tosifumi.NumSpecies, src, me, "ghost species")
+			if err != nil {
+				return err
 			}
-			if typ < 0 || typ >= tosifumi.NumSpecies {
-				return wireError(src, me, "rank %d: ghost species %d out of range [0,%d)", me, typ, tosifumi.NumSpecies)
+			if _, err := wireIndex(buf[k+4], n, src, me, "ghost index"); err != nil {
+				return err
 			}
 			rr.locPos = append(rr.locPos, vec.New(buf[k], buf[k+1], buf[k+2]))
 			rr.locTyp = append(rr.locTyp, typ)
@@ -509,7 +518,7 @@ func (pr *ParallelRun) streamGhosts(rr *realRankState, s *md.System) error {
 	}
 	off := rr.nOwn
 	for si, src := range pr.ghostSrc[me] {
-		buf, err := c.RecvFloat64s(src, TagGhostPos)
+		buf, err := c.Recv(src, TagGhostPos)
 		if err != nil {
 			return err
 		}
@@ -566,26 +575,33 @@ func (pr *ParallelRun) assemble(rr *realRankState, s *md.System) error {
 	// The one fresh output slice per step the md.ForceField contract
 	// requires; every exchange buffer is reused.
 	total := make([]vec.V, n)
+	clear(pr.seen)
 	for src := 0; src < c.Size(); src++ {
-		buf, err := c.RecvFloat64s(src, TagForces)
+		buf, err := c.Recv(src, TagForces)
 		if err != nil {
 			return err
 		}
-		k := 0
+		k, kind := 0, uint8(1)
 		wavePayload := len(buf)%4 == 1
 		if wavePayload {
 			if !math.IsNaN(buf[0]) {
 				pr.wavePot = buf[0]
 			}
-			k = 1
+			k, kind = 1, 2
 		} else if len(buf)%4 != 0 {
 			return wireError(src, 0, "rank 0: force payload length %d not 4k or 4k+1", len(buf))
 		}
 		for ; k+4 <= len(buf); k += 4 {
-			i := int(buf[k])
-			if i < 0 || i >= n {
-				return wireError(src, 0, "rank 0: force index %d out of range [0,%d)", i, n)
+			i, err := wireIndex(buf[k], n, src, 0, "force index")
+			if err != nil {
+				return err
 			}
+			// Each kind carries a particle once: a flipped index bit can land
+			// on another valid index (bit 62 turns 2 into 0, bit 52 2 into 4).
+			if pr.seen[i]&kind != 0 {
+				return wireError(src, 0, "rank 0: force index %d sent twice", i)
+			}
+			pr.seen[i] |= kind
 			f := vec.New(buf[k+1], buf[k+2], buf[k+3])
 			if wavePayload {
 				total[i] = total[i].Add(f)

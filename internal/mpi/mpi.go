@@ -6,10 +6,10 @@
 // A World is a fixed set of ranks; each rank runs in its own goroutine and
 // communicates through buffered channels (one FIFO per directed rank pair),
 // in the spirit of "share memory by communicating". Point-to-point Send/Recv
-// use integer tags with strict FIFO matching — the deterministic SPMD style
-// of the paper's MD code. That is all the decomposed step needs: its five
-// tagged streams, and the wavenumber group's all-reduce built on them, are
-// counted per tag (StatsByTag).
+// carry one payload type, []float64, under integer tags with strict FIFO
+// matching — the deterministic SPMD style of the paper's MD code. That is all
+// the decomposed step needs: its five tagged streams, and the wavenumber
+// group's all-reduce built on them, are counted per tag (StatsByTag).
 //
 // Every blocking primitive is bounded: Send and Recv observe the world
 // deadline (SetTimeout) and fail with a typed ErrTimeout instead of
@@ -57,7 +57,7 @@ type FaultHook interface {
 
 type message struct {
 	tag  int
-	data any
+	data []float64
 }
 
 // Stats counts traffic through a World.
@@ -109,6 +109,7 @@ func NewWorld(size int) (*World, error) {
 		tags:  make(map[int]*tagCounter),
 	}
 	w.timeout.Store(int64(RecvTimeout))
+	w.hook.Store(&hookBox{})
 	for d := 0; d < size; d++ {
 		w.inbox[d] = make([]chan message, size)
 		for s := 0; s < size; s++ {
@@ -173,36 +174,18 @@ func (w *World) SetTimeout(d time.Duration) {
 func (w *World) Timeout() time.Duration { return time.Duration(w.timeout.Load()) }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection hook.
-func (w *World) SetFaultHook(h FaultHook) {
-	if h == nil {
-		w.hook.Store(nil)
-		return
-	}
-	w.hook.Store(&hookBox{h: h})
-}
-
-func (w *World) faultHook() FaultHook {
-	if b := w.hook.Load(); b != nil {
-		return b.h
-	}
-	return nil
-}
+func (w *World) SetFaultHook(h FaultHook) { w.hook.Store(&hookBox{h: h}) }
 
 // Reset drains every in-flight message so an aborted step's stragglers cannot
 // be mistaken for the retry's traffic. Call only while no rank goroutines are
 // running (Run has returned).
 func (w *World) Reset() {
 	w.group.Store(nil)
-	for d := range w.inbox {
-		for s := range w.inbox[d] {
-			for {
-				select {
-				case <-w.inbox[d][s]:
-				default:
-					goto next
-				}
+	for _, row := range w.inbox {
+		for _, ch := range row {
+			for len(ch) > 0 {
+				<-ch
 			}
-		next:
 		}
 	}
 }
@@ -287,54 +270,32 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.w.size }
 
-// payloadBytes estimates the wire size of a payload for the traffic model.
-func payloadBytes(data any) int64 {
-	switch v := data.(type) {
-	case []float64:
-		return int64(8 * len(v))
-	case []int:
-		return int64(8 * len(v))
-	case []byte:
-		return int64(len(v))
-	case float64, int, int64:
-		return 8
-	case nil:
-		return 0
-	default:
-		return 8 // envelope-only estimate
+// corruptPayload flips one bit of one word of data, in a copy: the sender's
+// slice is never modified. An empty payload has no word to flip.
+func corruptPayload(data []float64, word, bit int) []float64 {
+	if len(data) == 0 {
+		return data
 	}
+	out := make([]float64, len(data))
+	copy(out, data)
+	i := word % len(out)
+	if i < 0 {
+		i += len(out)
+	}
+	out[i] = fault.FlipFloat64(out[i], bit)
+	return out
 }
 
-// corruptPayload flips one bit of a float payload (a copy; the sender's slice
-// is never modified). Non-float payloads pass through untouched.
-func corruptPayload(data any, word, bit int) any {
-	switch v := data.(type) {
-	case []float64:
-		if len(v) == 0 {
-			return v
-		}
-		out := make([]float64, len(v))
-		copy(out, v)
-		i := word % len(out)
-		if i < 0 {
-			i += len(out)
-		}
-		out[i] = fault.FlipFloat64(out[i], bit)
-		return out
-	case float64:
-		return fault.FlipFloat64(v, bit)
-	}
-	return data
-}
-
-// Send delivers data to dst with the given tag. It blocks only if the
-// destination's buffer for this source is full, and then no longer than the
-// world deadline (ErrTimeout) or the life of the run group (ErrCanceled).
-func (c *Comm) Send(dst, tag int, data any) error {
+// Send delivers data to dst with the given tag; the wire size is 8 B per
+// word. Index payloads travel as float64 words too, each an exact integer
+// (below 2^53), so one payload type carries every stream. It blocks only if
+// the destination's buffer for this source is full, and then no longer than
+// the world deadline (ErrTimeout) or the life of the run group (ErrCanceled).
+func (c *Comm) Send(dst, tag int, data []float64) error {
 	if dst < 0 || dst >= c.w.size {
 		return fmt.Errorf("mpi: send to rank %d outside world of size %d", dst, c.w.size)
 	}
-	if h := c.w.faultHook(); h != nil {
+	if h := c.w.hook.Load().h; h != nil {
 		f := h.SendFate(c.rank, dst)
 		if f.Err != nil {
 			return fmt.Errorf("mpi: send %d→%d tag %d: %w", c.rank, dst, tag, f.Err)
@@ -346,23 +307,22 @@ func (c *Comm) Send(dst, tag int, data any) error {
 			data = corruptPayload(data, f.Word, f.Bit)
 		}
 	}
+	m := message{tag: tag, data: data}
 	select {
-	case c.w.inbox[dst][c.rank] <- message{tag: tag, data: data}:
-		c.w.count(tag, payloadBytes(data))
-		return nil
+	case c.w.inbox[dst][c.rank] <- m:
 	default:
+		timer := time.NewTimer(c.w.Timeout())
+		defer timer.Stop()
+		select {
+		case c.w.inbox[dst][c.rank] <- m:
+		case <-timer.C:
+			return fmt.Errorf("mpi: send %d→%d tag %d (receiver buffer full): %w", c.rank, dst, tag, ErrTimeout)
+		case <-c.w.groupDone():
+			return fmt.Errorf("mpi: send %d→%d tag %d: %w", c.rank, dst, tag, ErrCanceled)
+		}
 	}
-	timer := time.NewTimer(c.w.Timeout())
-	defer timer.Stop()
-	select {
-	case c.w.inbox[dst][c.rank] <- message{tag: tag, data: data}:
-		c.w.count(tag, payloadBytes(data))
-		return nil
-	case <-timer.C:
-		return fmt.Errorf("mpi: send %d→%d tag %d (receiver buffer full): %w", c.rank, dst, tag, ErrTimeout)
-	case <-c.w.groupDone():
-		return fmt.Errorf("mpi: send %d→%d tag %d: %w", c.rank, dst, tag, ErrCanceled)
-	}
+	c.w.count(tag, int64(8*len(data)))
+	return nil
 }
 
 // Recv blocks until the next message from src arrives and returns its
@@ -371,45 +331,27 @@ func (c *Comm) Send(dst, tag int, data any) error {
 // The message's tag must equal tag, otherwise an ErrTagMismatch is returned —
 // SPMD programs here are deterministic, so a mismatch is a program bug (or
 // the wake of a dropped message), not a race.
-func (c *Comm) Recv(src, tag int) (any, error) {
+func (c *Comm) Recv(src, tag int) ([]float64, error) {
 	if src < 0 || src >= c.w.size {
 		return nil, fmt.Errorf("mpi: recv from rank %d outside world of size %d", src, c.w.size)
 	}
-	// Fast path: already queued, no timer needed.
+	var m message
 	select {
-	case m := <-c.w.inbox[c.rank][src]:
-		return c.matchTag(m, src, tag)
+	case m = <-c.w.inbox[c.rank][src]: // already queued, no timer needed
 	default:
+		d := c.w.Timeout()
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		select {
+		case m = <-c.w.inbox[c.rank][src]:
+		case <-timer.C:
+			return nil, fmt.Errorf("mpi: recv %d←%d tag %d after %v: %w", c.rank, src, tag, d, ErrTimeout)
+		case <-c.w.groupDone():
+			return nil, fmt.Errorf("mpi: recv %d←%d tag %d: %w", c.rank, src, tag, ErrCanceled)
+		}
 	}
-	d := c.w.Timeout()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case m := <-c.w.inbox[c.rank][src]:
-		return c.matchTag(m, src, tag)
-	case <-timer.C:
-		return nil, fmt.Errorf("mpi: recv %d←%d tag %d after %v: %w", c.rank, src, tag, d, ErrTimeout)
-	case <-c.w.groupDone():
-		return nil, fmt.Errorf("mpi: recv %d←%d tag %d: %w", c.rank, src, tag, ErrCanceled)
-	}
-}
-
-func (c *Comm) matchTag(m message, src, tag int) (any, error) {
 	if m.tag != tag {
 		return nil, fmt.Errorf("mpi: rank %d expected tag %d from %d, got %d: %w", c.rank, tag, src, m.tag, ErrTagMismatch)
 	}
 	return m.data, nil
-}
-
-// RecvFloat64s receives and type-asserts a []float64 payload.
-func (c *Comm) RecvFloat64s(src, tag int) ([]float64, error) {
-	data, err := c.Recv(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	v, ok := data.([]float64)
-	if !ok {
-		return nil, fmt.Errorf("mpi: rank %d expected []float64 from %d, got %T", c.rank, src, data)
-	}
-	return v, nil
 }

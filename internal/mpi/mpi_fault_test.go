@@ -40,9 +40,6 @@ func TestWorldTimeoutBoundsRecv(t *testing.T) {
 	if _, err := c.Recv(1, tagData); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Recv err = %v, want ErrTimeout", err)
 	}
-	if _, err := c.RecvFloat64s(1, tagData); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("RecvFloat64s err = %v, want ErrTimeout", err)
-	}
 }
 
 // A rank failing inside Run cancels the group: peers blocked in a receive from
@@ -113,7 +110,7 @@ func TestFaultHookDropCorruptSendErr(t *testing.T) {
 	if err := c1.Send(0, tagFaulty, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c0.RecvFloat64s(1, tagFaulty)
+	got, err := c0.Recv(1, tagFaulty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +153,7 @@ func TestResetDrainsInboxes(t *testing.T) {
 	if err := c1.Send(0, tagStale, []float64{42}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c0.RecvFloat64s(1, tagStale)
+	got, err := c0.Recv(1, tagStale)
 	if err != nil || got[0] != 42 {
 		t.Fatalf("post-Reset traffic: %v %v", got, err)
 	}

@@ -40,7 +40,7 @@ func TestSendRecv(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Send(1, tagData, []float64{1, 2, 3})
 		}
-		got, err := c.RecvFloat64s(0, tagData)
+		got, err := c.Recv(0, tagData)
 		if err != nil {
 			return err
 		}
@@ -114,7 +114,7 @@ func TestStatsByTag(t *testing.T) {
 			if err := c.Send(1, tagA, make([]float64, 5)); err != nil {
 				return err
 			}
-			return c.Send(1, tagB, make([]int, 3))
+			return c.Send(1, tagB, make([]float64, 3))
 		}
 		if _, err := c.Recv(0, tagA); err != nil {
 			return err
@@ -174,11 +174,11 @@ func TestRingExchangeNoDeadlock(t *testing.T) {
 		if err := c.Send(left, tagRingCCW, []float64{float64(c.Rank())}); err != nil {
 			return err
 		}
-		fromLeft, err := c.RecvFloat64s(left, tagRingCW)
+		fromLeft, err := c.Recv(left, tagRingCW)
 		if err != nil {
 			return err
 		}
-		fromRight, err := c.RecvFloat64s(right, tagRingCCW)
+		fromRight, err := c.Recv(right, tagRingCCW)
 		if err != nil {
 			return err
 		}

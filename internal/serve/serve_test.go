@@ -411,6 +411,13 @@ func TestServeHTTPEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("reference backend with faults and a watchdog: status = %d, want 400", resp.StatusCode)
 	}
+	// So is a fault clause the run would never fire: a session has no MPI
+	// world to drop a message in.
+	resp = post(t, srv.URL+"/v1/sessions", `{"tenant":"alice","steps":4,"faults":"mpi:drop@src=1,dst=0,n=1"}`)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("mpi fault clause without ranks: status = %d, want 400", resp.StatusCode)
+	}
 	resp = post(t, srv.URL+"/v1/sessions/nope/cancel", ``)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {

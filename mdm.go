@@ -94,7 +94,8 @@ type Config struct {
 	// policy: transient faults are retried, dead boards re-striped, and the
 	// run degrades to the reference path when hardware capacity is gone.
 	// The schedule is deterministic: the same scenario yields the same
-	// faults and the same FaultReport.
+	// faults and the same FaultReport. Validate refuses a clause no run
+	// can fire.
 	Faults string
 
 	// Workers is the host worker-pool width the MDM backend uses to stripe
@@ -297,7 +298,7 @@ type Simulation struct {
 // and the Verlet skin all act on the simulated machine, so asking for them
 // without it is an error rather than a setting silently dropped (a journal
 // alone works with either backend). So is WaveRanks without the
-// decomposition it sizes.
+// decomposition it sizes, and a fault clause the run would never fire.
 func (c Config) Validate() error {
 	switch {
 	case c.Backend != BackendMDM && c.Backend != BackendReference:
@@ -307,7 +308,7 @@ func (c Config) Validate() error {
 	case c.WaveRanks > 0 && c.Ranks == 0:
 		return fmt.Errorf("mdm: WaveRanks requires Ranks (the spatial decomposition)")
 	case c.Backend == BackendMDM:
-		return nil
+		return c.validateFaults()
 	case c.Ranks > 0:
 		return fmt.Errorf("mdm: the spatial decomposition requires the MDM backend")
 	case c.Faults != "":
@@ -316,6 +317,29 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mdm: the watchdog and circuit breakers require the MDM backend")
 	case c.Pipeline || c.Skin != 0:
 		return fmt.Errorf("mdm: the pipeline and the Verlet skin require the MDM backend")
+	}
+	return nil
+}
+
+// validateFaults parses Faults and refuses a clause no run of c can fire,
+// which would only turn the recovery layer on for nothing: a store clause
+// (no run builds the fault-injecting filesystem), and an mpi clause on the
+// serial machine or addressed outside its world of Ranks + max(WaveRanks, 1).
+func (c Config) validateFaults() error {
+	events, err := fault.Parse(c.Faults)
+	if err != nil {
+		return fmt.Errorf("mdm: fault scenario: %w", err)
+	}
+	world := c.Ranks + max(c.WaveRanks, 1)
+	for _, e := range events {
+		switch {
+		case e.Site == fault.Store:
+			return fmt.Errorf("mdm: fault clause %q: no run reads the store site", e)
+		case e.Site == fault.MPI && c.Ranks == 0:
+			return fmt.Errorf("mdm: fault clause %q needs Ranks: the serial machine has no MPI world", e)
+		case e.Site == fault.MPI && max(e.Src, e.Dst) >= world:
+			return fmt.Errorf("mdm: fault clause %q addresses a rank outside the world of %d ranks", e, world)
+		}
 	}
 	return nil
 }

@@ -19,11 +19,37 @@ fi
 echo "==> doc budgets (DESIGN.md and EXPERIMENTS.md may shrink, never grow)"
 # Each budget is the file's size when the ratchet was set; lower it when a
 # rewrite shrinks the file.
-for budget in DESIGN.md:95682 EXPERIMENTS.md:84154; do
+for budget in DESIGN.md:44980 EXPERIMENTS.md:35788; do
     doc=${budget%%:*}
     size=$(wc -c < "$doc")
     if [ "$size" -gt "${budget##*:}" ]; then
         echo "$doc is $size B, over its ${budget##*:} B budget: make room before adding" >&2
+        exit 1
+    fi
+done
+
+echo "==> doc citations (every DESIGN §n and EXPERIMENTS \"title\" cited outside CHANGES.md names a heading)"
+# The citing text is the Go files, the current docs and the skill notes, with
+# line breaks and comment markers folded so a citation may wrap. CHANGES.md is
+# history: it cites sections as they were.
+cited=$( { find . -name '*.go' -not -path './.git/*' -exec cat {} +
+    find . -path '*/skills/*.md' -exec cat {} +
+    cat README.md ROADMAP.md DESIGN.md EXPERIMENTS.md; } |
+    tr '\n\t' '  ' | sed -e 's#  *// *# #g' -e 's/  */ /g')
+sections=$(sed -n -E 's/^#+ ([0-9]+(\.[0-9]+)*)\.? .*/\1/p' DESIGN.md)
+for n in $(printf '%s\n' "$cited" | grep -oE 'DESIGN(\.md)?`?,? (§ ?[0-9]+(\.[0-9]+)*(, | / | and | or )?)+' |
+    grep -oE '[0-9]+(\.[0-9]+)*' | sort -u); do
+    if ! printf '%s\n' "$sections" | grep -qx "$n"; then
+        echo "DESIGN §$n is cited but DESIGN.md has no such heading" >&2
+        exit 1
+    fi
+done
+titles=$( { sed -n -E 's/^#+ (.*)/\1/p' EXPERIMENTS.md
+    tr '\n' ' ' < EXPERIMENTS.md | grep -oE '\*\*[^*]+\*\*' | sed -e 's/^\*\*//' -e 's/\*\*$//'; } )
+printf '%s\n' "$cited" | grep -oE 'EXPERIMENTS(\.md)?:? "[^" ][^"]*"' | sed -e 's/^[^"]*"//' -e 's/"$//' | sort -u |
+while IFS= read -r title; do
+    if ! printf '%s\n' "$titles" | awk -v t="$title" 'index($0, t) == 1 { found = 1 } END { exit !found }'; then
+        echo "EXPERIMENTS \"$title\" is cited but EXPERIMENTS.md has no such heading or bold label" >&2
         exit 1
     fi
 done
