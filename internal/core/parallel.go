@@ -19,8 +19,8 @@ import (
 // Message tags of the parallel step, exported so per-tag traffic (Stats.
 // StatsByTag) can be labeled by tools.
 const (
-	// TagHalo carries rebuild-step ghost records: stride-5
-	// (x, y, z, species, globalIndex) per particle.
+	// TagHalo carries rebuild-step ghost records: stride-4
+	// (x, y, z, species) per particle.
 	TagHalo = 100
 	// TagForces carries per-rank (globalIndex, force) records to rank 0;
 	// wavenumber payloads lead with a potential slot.
@@ -37,7 +37,7 @@ const (
 )
 
 // haloStride is the per-particle record width of a TagHalo payload.
-const haloStride = 5
+const haloStride = 4
 
 // groupComm adapts a subset of world ranks to the wine2.Communicator
 // interface, so the WINE-2 library's internal parallelization (Table 2) runs

@@ -181,18 +181,18 @@ func TestResilientGuardCatchesBitFlip(t *testing.T) {
 
 // TestResilientMPICorrupt drives mpi:corrupt into a 2 + 1 session (ranks 0
 // and 1 real-space, rank 2 wavenumber) and pins what each flipped word does
-// to six NVE steps under the force-spike guard, against the clean run. An
-// exponent flip in a force component from the wave rank is a spike: the
-// guard rejects the step and the retry is clean. Bit 62 of the index word of
-// a real rank's force record (message 2 from rank 1 to 0 is its step-1 force
-// ship; the record is particle 2's) clears the exponent: 2 becomes 0, which
-// the payload already carries, and a larger index a denormal, which the index
-// decoder refuses. Either is a link error: one retry, and the final state is
-// the clean one. So is bit 52 of the wave rank's index word for particle 2
-// (word 9 of its step-1 ship), which turns it into 4. A flip that lands in a
-// position word passes: bit 40 of the first x coordinate of a ghost
-// payload (message 3 from rank 0 to 1) moves one ghost by a relative 2^-12,
-// which is no suspect step and reaches the trajectory.
+// to six NVE steps under the force-spike guard, against the clean run. The
+// receiver's payload checksum refuses every flip as a link error from the
+// sender, before any decoder or guard reads the payload: one retry, and the
+// final state is the clean one. The rows are the word classes that reached
+// different rungs before the checksum: an exponent flip in a wave-rank force
+// component (a force spike), bit 62 of the index word of a real rank's force
+// record (message 2 from rank 1 to 0 is its step-1 force ship; the record is
+// particle 2's, and 2 becomes 0, which the payload already carries), bit 52
+// of the wave rank's index word for particle 2 (word 9 of its step-2 ship,
+// which turns it into 4), and bit 40 of the first x coordinate of a ghost
+// payload (message 3 from rank 0 to 1, its step-2 halo), which moves one
+// ghost by a relative 2^-12 and which no decoder or guard can see.
 func TestResilientMPICorrupt(t *testing.T) {
 	run := func(scenario string) (RunReport, *md.System) {
 		s := meltLike(t, 2, 5.64, 300, 29)
@@ -207,20 +207,18 @@ func TestResilientMPICorrupt(t *testing.T) {
 	}
 	_, clean := run("")
 	for _, c := range []struct {
-		name, scenario   string
-		suspect, retries int
-		sameAsClean      bool
+		name, scenario, event string
 	}{
-		{"wave-force-exponent", "mpi:corrupt@src=2,dst=0,n=1,word=2,bit=62", 1, 1, true},
-		{"force-index", "mpi:corrupt@src=1,dst=0,n=2,word=4,bit=62", 0, 1, true},
-		{"ghost-position", "mpi:corrupt@src=0,dst=1,n=3,word=0,bit=40", 0, 0, false},
-		{"wave-force-index", "mpi:corrupt@src=2,dst=0,n=2,word=9,bit=52", 0, 1, true},
+		{"wave-force-exponent", "mpi:corrupt@src=2,dst=0,n=1,word=2,bit=62", "step 1: retry 1 after link error 2→0"},
+		{"force-index", "mpi:corrupt@src=1,dst=0,n=2,word=4,bit=62", "step 1: retry 1 after link error 1→0"},
+		{"ghost-position", "mpi:corrupt@src=0,dst=1,n=3,word=0,bit=40", "step 2: retry 1 after link error 0→1"},
+		{"wave-force-index", "mpi:corrupt@src=2,dst=0,n=2,word=9,bit=52", "step 2: retry 1 after link error 2→0"},
 	} {
 		rep, s := run(c.scenario)
 		same := slices.Equal(s.Pos, clean.Pos) && slices.Equal(s.Vel, clean.Vel)
-		if rep.SuspectSteps != c.suspect || rep.Retries != c.retries || same != c.sameAsClean {
-			t.Errorf("%s: %d suspect steps, %d retries, final state as clean %v; want %d, %d, %v (%v)",
-				c.name, rep.SuspectSteps, rep.Retries, same, c.suspect, c.retries, c.sameAsClean, rep.Events)
+		if rep.SuspectSteps != 0 || rep.Retries != 1 || !same || !slices.Equal(rep.Events, []string{c.event}) {
+			t.Errorf("%s: %d suspect steps, %d retries, final state as clean %v, events %q; want 0, 1, true, [%q]",
+				c.name, rep.SuspectSteps, rep.Retries, same, rep.Events, c.event)
 		}
 	}
 }

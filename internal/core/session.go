@@ -60,9 +60,11 @@ type ParallelRun struct {
 	wave []*waveRankState
 
 	// Driver state.
-	n        int  // particle count, fixed at the first step
-	rebuild  bool // this step rebuilds (set by the driver, read by ranks)
-	initStep bool // this step derives ownership from scratch
+	rankStep func(c *mpi.Comm) error // runRank, bound once
+	sys      *md.System              // the system of the Step in progress, nil between steps
+	n        int                     // particle count, fixed at the first step
+	rebuild  bool                    // this step rebuilds (set by the driver, read by ranks)
+	initStep bool                    // this step derives ownership from scratch
 
 	wavePot   float64    // written by rank 0 during Run, read by the driver after
 	out       []vec.V    // written by rank 0 during Run
@@ -89,7 +91,7 @@ type realRankState struct {
 
 	// Sender-side scratch, indexed by destination rank. sendIdx is the
 	// per-destination ghost list frozen at the last rebuild; haloBuf packs
-	// stride-5 rebuild records, posBuf packs the 3 SoA position planes of a
+	// stride-4 rebuild records, posBuf packs the 3 SoA position planes of a
 	// reuse step back to back in one slab.
 	sendIdx [][]int
 	haloBuf [][]float64
@@ -138,6 +140,7 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 		blocks:     blocks,
 		potLayout:  jsetLayout{jsb: mdgrape2.NewJSetBuilder(grid, nil)},
 	}
+	pr.rankStep = pr.runRank
 
 	// Static ghost geometry: which cells each rank needs, hence which rank
 	// pairs exchange ghosts. Both sides derive the same lists, so the
@@ -264,12 +267,9 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	pr.clock.advance(s.Pos, pr.rebuild)
 
 	before := pr.world.Stats()
-	runErr := pr.world.Run(func(c *mpi.Comm) error {
-		if c.Rank() < pr.nReal {
-			return pr.realStep(pr.real[c.Rank()], s)
-		}
-		return pr.waveStep(pr.wave[c.Rank()-pr.nReal], s)
-	})
+	pr.sys = s
+	runErr := pr.world.Run(pr.rankStep)
+	pr.sys = nil
 	if runErr != nil {
 		// A failed rebuild step may have half-applied a migration: the next
 		// attempt re-derives the decomposition from scratch, which at the
@@ -300,6 +300,15 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	}
 	pr.out = nil
 	return &pr.res, nil
+}
+
+// runRank is one rank's share of Step, bound once in NewParallelRun (as
+// rankStep) so a step hands the world no fresh closure.
+func (pr *ParallelRun) runRank(c *mpi.Comm) error {
+	if c.Rank() < pr.nReal {
+		return pr.realStep(pr.real[c.Rank()], pr.sys)
+	}
+	return pr.waveStep(pr.wave[c.Rank()-pr.nReal], pr.sys)
 }
 
 // wireError wraps a malformed incoming payload as a link fault, so the
@@ -418,14 +427,15 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 	return nil
 }
 
-// exchangeGhosts runs the full rebuild-step halo exchange: stride-5 records
-// (x, y, z, species, globalIndex) for every owned particle sitting in a cell
-// some other rank needs, then rebuilds the local particle arrays (owned
-// first, then ghosts grouped by ascending source rank).
+// exchangeGhosts runs the full rebuild-step halo exchange: stride-4 records
+// (x, y, z, species) for every owned particle sitting in a cell some other
+// rank needs, then rebuilds the local particle arrays (owned first, then
+// ghosts grouped by ascending source rank). A ghost carries no global index:
+// the receiver sweeps it only as a j-particle, and reuse steps stream its
+// position in the same frozen order.
 func (pr *ParallelRun) exchangeGhosts(rr *realRankState, s *md.System) error {
 	me := rr.rank
 	c := rr.comm
-	n := pr.n
 
 	for _, dst := range pr.ghostDst[me] {
 		rr.sendIdx[dst] = rr.sendIdx[dst][:0]
@@ -446,7 +456,7 @@ func (pr *ParallelRun) exchangeGhosts(rr *realRankState, s *md.System) error {
 		}
 		buf = buf[:0]
 		for _, g := range idx {
-			buf = append(buf, s.Pos[g].X, s.Pos[g].Y, s.Pos[g].Z, float64(s.Type[g]), float64(g))
+			buf = append(buf, s.Pos[g].X, s.Pos[g].Y, s.Pos[g].Z, float64(s.Type[g]))
 		}
 		rr.haloBuf[dst] = buf
 		if err := c.Send(dst, TagHalo, buf); err != nil {
@@ -473,9 +483,6 @@ func (pr *ParallelRun) exchangeGhosts(rr *realRankState, s *md.System) error {
 		for k := 0; k+haloStride <= len(buf); k += haloStride {
 			typ, err := wireIndex(buf[k+3], tosifumi.NumSpecies, src, me, "ghost species")
 			if err != nil {
-				return err
-			}
-			if _, err := wireIndex(buf[k+4], n, src, me, "ghost index"); err != nil {
 				return err
 			}
 			rr.locPos = append(rr.locPos, vec.New(buf[k], buf[k+1], buf[k+2]))

@@ -4,24 +4,31 @@
 // Interface").
 //
 // A World is a fixed set of ranks; each rank runs in its own goroutine and
-// communicates through buffered channels (one FIFO per directed rank pair),
-// in the spirit of "share memory by communicating". Point-to-point Send/Recv
-// carry one payload type, []float64, under integer tags with strict FIFO
-// matching — the deterministic SPMD style of the paper's MD code. That is all
-// the decomposed step needs: its five tagged streams, and the wavenumber
-// group's all-reduce built on them, are counted per tag (StatsByTag).
+// owns one endpoint (Comm). Every directed rank pair has one FIFO that holds
+// only the messages in flight, so a world's footprint follows its traffic,
+// not its size². Point-to-point Send/Recv carry one payload type, []float64,
+// under integer tags with strict FIFO matching — the deterministic SPMD style
+// of the paper's MD code. That is all the decomposed step needs: its five
+// tagged streams, and the wavenumber group's all-reduce built on them, are
+// counted per tag (StatsByTag).
 //
-// Every blocking primitive is bounded: Send and Recv observe the world
-// deadline (SetTimeout) and fail with a typed ErrTimeout instead of
-// deadlocking, and World.Run cancels the whole group when any rank errors so
-// no survivor blocks on a peer that already unwound (ErrCanceled). A
-// FaultHook (implemented by fault.Injector) can drop, corrupt, or fail messages
-// for chaos testing.
+// Send never blocks: it appends to the pair's FIFO and wakes the receiver.
+// Recv is bounded: it observes the world deadline (SetTimeout) and fails
+// with a typed ErrTimeout instead of deadlocking, and World.Run cancels the
+// whole group when any rank errors so no survivor blocks on a peer that
+// already unwound (ErrCanceled). Every message carries a CRC-32C of its
+// payload, taken before the wire can touch it; Recv refuses a payload that
+// no longer matches with a *fault.LinkError, as Myrinet's link hardware
+// refuses a damaged packet. A FaultHook (implemented by fault.Injector) can
+// drop, corrupt, or fail messages for chaos testing.
 package mpi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +36,8 @@ import (
 	"mdm/internal/fault"
 )
 
-// RecvTimeout is the default bound on blocking sends and receives. It is
-// generous for tests yet keeps hangs debuggable; SetTimeout tightens it.
+// RecvTimeout is the default bound on blocking receives. It is generous for
+// tests yet keeps hangs debuggable; SetTimeout tightens it.
 const RecvTimeout = 30 * time.Second
 
 // Typed failure modes. Errors returned by Send/Recv wrap one of these, so
@@ -55,9 +62,47 @@ type FaultHook interface {
 	SendFate(src, dst int) fault.Fate
 }
 
+// message is one payload in flight. The payload is the sender's slice, not
+// a copy; crc is its checksum at Send, before any fault fate.
 type message struct {
 	tag  int
 	data []float64
+	crc  uint32
+}
+
+// fifo is one directed pair's messages in flight, oldest first: q[head:].
+// Popped slots are cleared, so the queue pins no delivered payload, and the
+// slice is reused once it drains.
+type fifo struct {
+	mu   sync.Mutex
+	q    []message
+	head int
+}
+
+func (f *fifo) push(m message) {
+	f.mu.Lock()
+	if f.head > 0 && len(f.q) == cap(f.q) { // full: slide the live tail down before growing
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, m)
+	f.mu.Unlock()
+}
+
+func (f *fifo) pop() (message, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.head == len(f.q) {
+		return message{}, false
+	}
+	m := f.q[f.head]
+	f.q[f.head] = message{}
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return m, true
 }
 
 // Stats counts traffic through a World.
@@ -65,14 +110,6 @@ type Stats struct {
 	Messages int64
 	Bytes    int64
 }
-
-// runGroup is the cancellation scope of one World.Run invocation.
-type runGroup struct {
-	once sync.Once
-	done chan struct{}
-}
-
-func (g *runGroup) cancel() { g.once.Do(func() { close(g.done) }) }
 
 type hookBox struct{ h FaultHook }
 
@@ -83,38 +120,54 @@ type tagCounter struct {
 	bytes    atomic.Int64
 }
 
-// World is a communicator universe of a fixed number of ranks.
+// World is a communicator universe of a fixed number of ranks. One Run is
+// active at a time.
 type World struct {
 	size     int
-	inbox    [][]chan message // inbox[dst][src]
+	comms    []*Comm
+	fifos    []fifo // fifos[dst*size+src]
 	messages atomic.Int64
 	bytes    atomic.Int64
 	timeout  atomic.Int64 // nanoseconds
-	group    atomic.Pointer[runGroup]
 	hook     atomic.Pointer[hookBox]
+
+	// The run group: Run's rank body, its error slots and its cancellation
+	// channel, reused from run to run. done is replaced only after a run
+	// was canceled; mu orders cancellation against the start and end of a
+	// run, so a late CancelRun cannot reach the next one.
+	f        func(c *Comm) error
+	errs     []error
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	done     chan struct{}
+	running  bool
+	canceled bool
 
 	tagMu sync.RWMutex
 	tags  map[int]*tagCounter
 }
 
-// NewWorld creates a world with the given number of ranks. Channel buffers
-// are sized so that common SPMD exchange patterns cannot deadlock.
+// NewWorld creates a world with the given number of ranks and their
+// endpoints. It holds no message buffers: a pair's FIFO grows to the
+// messages a step leaves in flight on it.
 func NewWorld(size int) (*World, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("mpi: world size %d must be positive", size)
 	}
 	w := &World{
 		size:  size,
-		inbox: make([][]chan message, size),
+		comms: make([]*Comm, size),
+		fifos: make([]fifo, size*size),
+		errs:  make([]error, size),
+		done:  make(chan struct{}),
 		tags:  make(map[int]*tagCounter),
 	}
 	w.timeout.Store(int64(RecvTimeout))
 	w.hook.Store(&hookBox{})
-	for d := 0; d < size; d++ {
-		w.inbox[d] = make([]chan message, size)
-		for s := 0; s < size; s++ {
-			w.inbox[d][s] = make(chan message, 1024)
-		}
+	for r := range w.comms {
+		c := &Comm{w: w, rank: r, wake: make(chan struct{}, 1)}
+		c.run = c.runRank
+		w.comms[r] = c
 	}
 	return w, nil
 }
@@ -162,8 +215,7 @@ func (w *World) count(tag int, nbytes int64) {
 	tc.bytes.Add(nbytes)
 }
 
-// SetTimeout bounds every blocking Send/Recv. Non-positive durations are
-// ignored.
+// SetTimeout bounds every blocking Recv. Non-positive durations are ignored.
 func (w *World) SetTimeout(d time.Duration) {
 	if d > 0 {
 		w.timeout.Store(int64(d))
@@ -180,20 +232,34 @@ func (w *World) SetFaultHook(h FaultHook) { w.hook.Store(&hookBox{h: h}) }
 // be mistaken for the retry's traffic. Call only while no rank goroutines are
 // running (Run has returned).
 func (w *World) Reset() {
-	w.group.Store(nil)
-	for _, row := range w.inbox {
-		for _, ch := range row {
-			for len(ch) > 0 {
-				<-ch
-			}
+	for i := range w.fifos {
+		f := &w.fifos[i]
+		clear(f.q)
+		f.q, f.head = f.q[:0], 0
+	}
+	for _, c := range w.comms {
+		select {
+		case <-c.wake:
+		default:
 		}
 	}
 }
 
-// Comm is one rank's endpoint in a World.
+// Comm is one rank's endpoint in a World. An endpoint is used by one
+// goroutine at a time: its rank's, inside Run.
 type Comm struct {
 	w    *World
 	rank int
+	run  func() // runRank, bound once so Run starts a rank without allocating
+
+	// wake holds one token when a peer has pushed to one of this rank's
+	// FIFOs since the rank last looked. A rank waits on one source at a
+	// time and re-checks that source's FIFO after every token, so a token
+	// from another source costs one spurious wake, never a lost one.
+	wake  chan struct{}
+	timer *time.Timer // Recv's deadline, created on the first blocking wait
+
+	crcBuf [512]byte // checksum scratch: the words' little-endian bytes
 }
 
 // Comm returns the endpoint for a rank.
@@ -201,42 +267,36 @@ func (w *World) Comm(rank int) (*Comm, error) {
 	if rank < 0 || rank >= w.size {
 		return nil, fmt.Errorf("mpi: rank %d outside world of size %d", rank, w.size)
 	}
-	return &Comm{w: w, rank: rank}, nil
+	return w.comms[rank], nil
 }
 
 // Run starts one goroutine per rank executing f and waits for all of them.
 // When a rank returns a non-nil error the whole group is canceled, so peers
-// blocked in Send/Recv unwind with ErrCanceled instead of waiting out their
+// blocked in Recv unwind with ErrCanceled instead of waiting out their
 // deadline on a rank that is already gone. The first real error (by rank
 // order, preferring errors that are not cancellation echoes) is returned.
 func (w *World) Run(f func(c *Comm) error) error {
-	g := &runGroup{done: make(chan struct{})}
-	w.group.Store(g)
-	defer w.group.Store(nil)
-	errs := make([]error, w.size)
-	var wg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
-		wg.Add(1)
-		//mdm:hotallocok -- rank goroutines launch once per world run, not per step; the per-step work happens inside f
-		go func(rank int) {
-			defer wg.Done()
-			c, err := w.Comm(rank)
-			if err == nil {
-				err = f(c)
-			}
-			if err != nil {
-				errs[rank] = err
-				g.cancel()
-			}
-		}(r)
+	w.mu.Lock()
+	if w.canceled {
+		w.done, w.canceled = make(chan struct{}), false
 	}
-	wg.Wait()
-	for _, err := range errs {
+	w.f, w.running = f, true
+	w.mu.Unlock()
+	clear(w.errs)
+	w.wg.Add(w.size)
+	for _, c := range w.comms {
+		go c.run()
+	}
+	w.wg.Wait()
+	w.mu.Lock()
+	w.f, w.running = nil, false
+	w.mu.Unlock()
+	for _, err := range w.errs {
 		if err != nil && !errors.Is(err, ErrCanceled) {
 			return err
 		}
 	}
-	for _, err := range errs {
+	for _, err := range w.errs {
 		if err != nil {
 			return err
 		}
@@ -244,22 +304,36 @@ func (w *World) Run(f func(c *Comm) error) error {
 	return nil
 }
 
-// CancelRun cancels the active Run group from outside it: every rank blocked
-// in a Send/Recv unwinds with ErrCanceled. This is the watchdog's
-// stalled-rank escalation — when a rank stops making progress, the group is
-// torn down as one retryable failure instead of waiting out the deadline on
-// every peer. A no-op when no Run is active.
-func (w *World) CancelRun() {
-	if g := w.group.Load(); g != nil {
-		g.cancel()
+// runRank is one rank's goroutine in Run.
+func (c *Comm) runRank() {
+	defer c.w.wg.Done()
+	if err := c.w.f(c); err != nil {
+		c.w.errs[c.rank] = err
+		c.w.CancelRun()
 	}
+}
+
+// CancelRun cancels the active Run group from outside it: every rank blocked
+// in a Recv unwinds with ErrCanceled. This is the watchdog's stalled-rank
+// escalation — when a rank stops making progress, the group is torn down as
+// one retryable failure instead of waiting out the deadline on every peer.
+// A no-op when no Run is active.
+func (w *World) CancelRun() {
+	w.mu.Lock()
+	if w.running && !w.canceled {
+		close(w.done)
+		w.canceled = true
+	}
+	w.mu.Unlock()
 }
 
 // groupDone returns the active run group's cancellation channel, or nil (a
 // channel that never fires) outside Run.
 func (w *World) groupDone() <-chan struct{} {
-	if g := w.group.Load(); g != nil {
-		return g.done
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.running {
+		return w.done
 	}
 	return nil
 }
@@ -269,6 +343,25 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the world size.
 func (c *Comm) Size() int { return c.w.size }
+
+// castagnoli is the CRC-32C table; on amd64 and arm64 crc32.Update takes the
+// CPU's CRC instruction for it.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the CRC-32C of data's words in little-endian order, fed
+// through the endpoint's scratch so no call allocates.
+func (c *Comm) checksum(data []float64) uint32 {
+	var sum uint32
+	for len(data) > 0 {
+		n := min(len(data), len(c.crcBuf)/8)
+		for i, w := range data[:n] {
+			binary.LittleEndian.PutUint64(c.crcBuf[8*i:], math.Float64bits(w))
+		}
+		sum = crc32.Update(sum, castagnoli, c.crcBuf[:8*n])
+		data = data[n:]
+	}
+	return sum
+}
 
 // corruptPayload flips one bit of one word of data, in a copy: the sender's
 // slice is never modified. An empty payload has no word to flip.
@@ -288,13 +381,15 @@ func corruptPayload(data []float64, word, bit int) []float64 {
 
 // Send delivers data to dst with the given tag; the wire size is 8 B per
 // word. Index payloads travel as float64 words too, each an exact integer
-// (below 2^53), so one payload type carries every stream. It blocks only if
-// the destination's buffer for this source is full, and then no longer than
-// the world deadline (ErrTimeout) or the life of the run group (ErrCanceled).
+// (below 2^53), so one payload type carries every stream. The payload is
+// not copied: the caller must leave data unchanged until the receiver has
+// read it. Send never blocks; its checksum travels beside the payload and
+// is not counted as wire bytes.
 func (c *Comm) Send(dst, tag int, data []float64) error {
 	if dst < 0 || dst >= c.w.size {
 		return fmt.Errorf("mpi: send to rank %d outside world of size %d", dst, c.w.size)
 	}
+	m := message{tag: tag, data: data, crc: c.checksum(data)}
 	if h := c.w.hook.Load().h; h != nil {
 		f := h.SendFate(c.rank, dst)
 		if f.Err != nil {
@@ -304,22 +399,13 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 			return nil // lost on the wire; the receiver's deadline notices
 		}
 		if f.Corrupt {
-			data = corruptPayload(data, f.Word, f.Bit)
+			m.data = corruptPayload(data, f.Word, f.Bit)
 		}
 	}
-	m := message{tag: tag, data: data}
+	c.w.fifos[dst*c.w.size+c.rank].push(m)
 	select {
-	case c.w.inbox[dst][c.rank] <- m:
-	default:
-		timer := time.NewTimer(c.w.Timeout())
-		defer timer.Stop()
-		select {
-		case c.w.inbox[dst][c.rank] <- m:
-		case <-timer.C:
-			return fmt.Errorf("mpi: send %d→%d tag %d (receiver buffer full): %w", c.rank, dst, tag, ErrTimeout)
-		case <-c.w.groupDone():
-			return fmt.Errorf("mpi: send %d→%d tag %d: %w", c.rank, dst, tag, ErrCanceled)
-		}
+	case c.w.comms[dst].wake <- struct{}{}:
+	default: // a token is already pending
 	}
 	c.w.count(tag, int64(8*len(data)))
 	return nil
@@ -330,28 +416,62 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 // (SetTimeout) passes and with ErrCanceled when the run group is torn down.
 // The message's tag must equal tag, otherwise an ErrTagMismatch is returned —
 // SPMD programs here are deterministic, so a mismatch is a program bug (or
-// the wake of a dropped message), not a race.
+// the wake of a dropped message), not a race. A payload whose checksum no
+// longer matches was damaged on the wire: a *fault.LinkError from src.
 func (c *Comm) Recv(src, tag int) ([]float64, error) {
 	if src < 0 || src >= c.w.size {
 		return nil, fmt.Errorf("mpi: recv from rank %d outside world of size %d", src, c.w.size)
 	}
-	var m message
-	select {
-	case m = <-c.w.inbox[c.rank][src]: // already queued, no timer needed
-	default:
-		d := c.w.Timeout()
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case m = <-c.w.inbox[c.rank][src]:
-		case <-timer.C:
-			return nil, fmt.Errorf("mpi: recv %d←%d tag %d after %v: %w", c.rank, src, tag, d, ErrTimeout)
-		case <-c.w.groupDone():
-			return nil, fmt.Errorf("mpi: recv %d←%d tag %d: %w", c.rank, src, tag, ErrCanceled)
+	f := &c.w.fifos[c.rank*c.w.size+src]
+	m, ok := f.pop()
+	if !ok { // nothing queued: wait for it
+		var err error
+		if m, err = c.wait(f, src, tag); err != nil {
+			return nil, err
 		}
 	}
 	if m.tag != tag {
 		return nil, fmt.Errorf("mpi: rank %d expected tag %d from %d, got %d: %w", c.rank, tag, src, m.tag, ErrTagMismatch)
 	}
+	if c.checksum(m.data) != m.crc {
+		return nil, fmt.Errorf("mpi: recv %d←%d tag %d: payload checksum mismatch: %w", c.rank, src, tag, &fault.LinkError{Src: src, Dst: c.rank})
+	}
 	return m.data, nil
+}
+
+// wait blocks until f yields a message, the world deadline passes or the run
+// group is canceled. The endpoint's one timer is stopped and drained on
+// every way out but its own firing, which drains it, so each wait can Reset
+// it: go.mod's go 1.22 keeps the pre-1.23 timer channel, where a stopped
+// timer may still hold a value.
+func (c *Comm) wait(f *fifo, src, tag int) (message, error) {
+	d := c.w.Timeout()
+	if c.timer == nil {
+		c.timer = time.NewTimer(d)
+	} else {
+		c.timer.Reset(d)
+	}
+	done := c.w.groupDone()
+	for {
+		select {
+		case <-c.wake:
+			if m, ok := f.pop(); ok {
+				c.stopTimer()
+				return m, nil
+			}
+		case <-c.timer.C:
+			return message{}, fmt.Errorf("mpi: recv %d←%d tag %d after %v: %w", c.rank, src, tag, d, ErrTimeout)
+		case <-done:
+			c.stopTimer()
+			return message{}, fmt.Errorf("mpi: recv %d←%d tag %d: %w", c.rank, src, tag, ErrCanceled)
+		}
+	}
+}
+
+// stopTimer stops the deadline timer before it fired or drains the value it
+// fired with.
+func (c *Comm) stopTimer() {
+	if !c.timer.Stop() {
+		<-c.timer.C
+	}
 }

@@ -81,6 +81,24 @@ func TestRunCancelsGroupOnError(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines leaked: %d before Run, %d after", before, after)
 	}
+
+	// The canceled group stays with its run: the next run, and a CancelRun
+	// between runs, leave a receive that must wait for its message alone.
+	w.CancelRun()
+	err = w.Run(func(c *Comm) error {
+		if c.Rank() == 1 {
+			time.Sleep(10 * time.Millisecond) // lets rank 0 reach its wait first
+			return c.Send(0, tagData, []float64{1})
+		}
+		if c.Rank() == 0 {
+			_, err := c.Recv(1, tagData)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Errorf("run after a canceled run: %v", err)
+	}
 }
 
 func TestFaultHookDropCorruptSendErr(t *testing.T) {
@@ -105,20 +123,17 @@ func TestFaultHookDropCorruptSendErr(t *testing.T) {
 		t.Fatalf("dropped message: recv err = %v, want ErrTimeout", err)
 	}
 
-	// Message 2 arrives with word 1 bit-flipped; the sender's slice is intact.
+	// Message 2 arrives with word 1 bit-flipped: its checksum, taken before
+	// the flip, refuses it as a link error from rank 1. The sender's slice
+	// is intact.
 	orig := []float64{1, 2}
 	if err := c1.Send(0, tagFaulty, orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c0.Recv(1, tagFaulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 1 || got[1] == 2 {
-		t.Errorf("corrupt fate delivered %v, want word 1 flipped only", got)
-	}
-	if got[1] != fault.FlipFloat64(2, 3) {
-		t.Errorf("flipped word = %g, want %g", got[1], fault.FlipFloat64(2, 3))
+	var le *fault.LinkError
+	if !errors.As(err, &le) || le.Src != 1 || le.Dst != 0 {
+		t.Errorf("corrupt fate: recv %v, %v; want a LinkError 1→0", got, err)
 	}
 	if orig[1] != 2 {
 		t.Error("sender's slice was modified")
@@ -126,7 +141,6 @@ func TestFaultHookDropCorruptSendErr(t *testing.T) {
 
 	// Message 3 fails at the sender with a typed link error.
 	err = c1.Send(0, tagFaulty, nil)
-	var le *fault.LinkError
 	if !errors.As(err, &le) {
 		t.Errorf("senderr fate: %v, want LinkError", err)
 	}

@@ -1,8 +1,13 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
+
+	"mdm/internal/fault"
 )
 
 // Named message tags for the tests' Comm traffic.
@@ -13,6 +18,8 @@ const (
 	tagTraffic = 11  // traffic-stats exchange
 	tagRingCW  = 5   // ring exchange, clockwise
 	tagRingCCW = 6   // ring exchange, counterclockwise
+	tagBurst   = 9   // a burst no receive has drained yet
+	tagFanIn   = 10  // many senders, one receiver
 )
 
 func TestNewWorldValidation(t *testing.T) {
@@ -184,6 +191,122 @@ func TestRingExchangeNoDeadlock(t *testing.T) {
 		}
 		if int(fromLeft[0]) != left || int(fromRight[0]) != right {
 			return fmt.Errorf("rank %d: got %v %v", c.Rank(), fromLeft, fromRight)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A world holds no message buffers: NewWorld allocates endpoints and empty
+// per-pair FIFOs only, so the 27 + 1-rank weak-scaling world stays small.
+// (A 1024-message channel per pair held 28² × 32 KB ≈ 25.7 MB.)
+func TestNewWorldFootprint(t *testing.T) {
+	held := func(size int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		w, err := NewWorld(size)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(w)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := held(3), held(28)
+	t.Logf("NewWorld(3) allocates %d B, NewWorld(28) %d B", small, large)
+	if large >= 128<<10 {
+		t.Errorf("NewWorld(28) allocates %d B, want < 128 KB", large)
+	}
+}
+
+// Send never blocks: a burst far past any fixed buffer queues on the pair's
+// FIFO, and the receiver then reads every message in order.
+func TestSendNeverBlocks(t *testing.T) {
+	const burst = 5000
+	w, _ := NewWorld(2)
+	w.SetTimeout(20 * time.Millisecond) // a send that blocked would fail fast
+	c0, _ := w.Comm(0)
+	c1, _ := w.Comm(1)
+	for i := 0; i < burst; i++ {
+		if err := c1.Send(0, tagBurst, []float64{float64(i)}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	for i := 0; i < burst; i++ {
+		got, err := c0.Recv(1, tagBurst)
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if len(got) != 1 || got[0] != float64(i) {
+			t.Fatalf("recv %d delivered %v", i, got)
+		}
+	}
+	if _, err := c0.Recv(1, tagBurst); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("drained FIFO: err = %v, want ErrTimeout", err)
+	}
+}
+
+// The checksum covers every word of a payload longer than the endpoint's
+// 64-word scratch: a flip in the first, the last or a chunk-boundary word
+// is a link error from the sender.
+func TestChecksumCoversEveryWord(t *testing.T) {
+	w, _ := NewWorld(2)
+	in, err := fault.ParseInjector("mpi:corrupt@src=1,dst=0,n=1,word=0,bit=0; mpi:corrupt@src=1,dst=0,n=2,word=63,bit=1;" +
+		"mpi:corrupt@src=1,dst=0,n=3,word=64,bit=51; mpi:corrupt@src=1,dst=0,n=4,word=199,bit=63")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetFaultHook(in)
+	c0, _ := w.Comm(0)
+	c1, _ := w.Comm(1)
+	payload := make([]float64, 200)
+	for i := range payload {
+		payload[i] = float64(i) + 0.5
+	}
+	for n := 1; n <= 5; n++ {
+		if err := c1.Send(0, tagData, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c0.Recv(1, tagData)
+		var le *fault.LinkError
+		if n <= 4 && !errors.As(err, &le) {
+			t.Errorf("message %d: err = %v, want a LinkError", n, err)
+		}
+		if n == 5 && (err != nil || &got[0] != &payload[0]) {
+			t.Errorf("clean message: err = %v", err)
+		}
+	}
+}
+
+// A rank waits on one source at a time while every other source's sends
+// wake it too: four senders stream to rank 0, which receives round-robin.
+// A wake-up lost to another source's token would surface as ErrTimeout.
+func TestFanInLosesNoWakeup(t *testing.T) {
+	const p, msgs = 5, 500
+	w, _ := NewWorld(p)
+	w.SetTimeout(5 * time.Second)
+	err := w.Run(func(c *Comm) error {
+		if c.Rank() != 0 {
+			for i := 0; i < msgs; i++ {
+				if err := c.Send(0, tagFanIn, []float64{float64(c.Rank()), float64(i)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for i := 0; i < msgs; i++ {
+			for src := 1; src < p; src++ {
+				got, err := c.Recv(src, tagFanIn)
+				if err != nil {
+					return err
+				}
+				if got[0] != float64(src) || got[1] != float64(i) {
+					return fmt.Errorf("message %d from %d delivered %v", i, src, got)
+				}
+			}
 		}
 		return nil
 	})

@@ -118,6 +118,17 @@ var latticeScenarios = []latticeScenario{
 		runsAt: func(cells, ranks int) bool { return cells == 2 && ranks == 2 },
 		want:   FaultReport{Retries: 1, Events: []string{"step 1: retry 1 after link error 1→0"}},
 	},
+	{
+		// A flipped payload word is a link error too: the receiver's
+		// checksum refuses it before any decoder or guard reads the payload.
+		// Message 1 from rank 0 to 1 is the first halo; bit 40 of its first
+		// x coordinate moves one ghost by a relative 2^-12, which nothing
+		// else on the step would see.
+		name:   "mpi-corrupt",
+		faults: "mpi:corrupt@src=0,dst=1,n=1,word=0,bit=40",
+		runsAt: func(cells, ranks int) bool { return cells == 2 && ranks == 2 },
+		want:   FaultReport{Retries: 1, Events: []string{"step 1: retry 1 after link error 0→1"}},
+	},
 }
 
 // A latticeCell is one execution mode of the golden protocol.
