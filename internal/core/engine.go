@@ -103,11 +103,10 @@ func (e *engineBase) restripe(site fault.Site) (bool, error) {
 	case site == fault.MDG2 && e.mdgBoards > len(e.realRanks):
 		e.mdgBoards--
 		for _, r := range e.realRanks {
-			images := r.mr1.System() // the rank's own table images
 			if err := r.mr1.Free(); err != nil {
 				return true, err
 			}
-			if err := acquireMDG(r.mr1, e.mdgBoards/len(e.realRanks), images); err != nil {
+			if err := acquireMDG(r.mr1, e.mdgBoards/len(e.realRanks)); err != nil {
 				return true, err
 			}
 		}
@@ -173,17 +172,15 @@ type realRank struct {
 
 // newRealRank runs the Table 3 sequence (acquireMDG) over a 1/share slice of
 // the MDGRAPE-2 boards: share 1 on the serial machine, 1/nReal on each rank of
-// a session. The kernels are universal functions of x, so one fit serves an
-// engine: with images nil the rank fits the tables, otherwise it loads the
-// images another rank of the same engine already holds.
-func (e *engineBase) newRealRank(share int, images *mdgrape2.System) (realRank, error) {
+// a session.
+func (e *engineBase) newRealRank(share int) (realRank, error) {
 	cfg := e.cfg
 	mr1, err := mdgrape2.NewMR1(cfg.MDG)
 	if err != nil {
 		return realRank{}, err
 	}
 	mr1.SetFaultHook(cfg.FaultHook)
-	if err := acquireMDG(mr1, max(e.mdgBoards/share, 1), images); err != nil {
+	if err := acquireMDG(mr1, max(e.mdgBoards/share, 1)); err != nil {
 		return realRank{}, err
 	}
 	pool := parallelize.New(cfg.Workers)
@@ -198,27 +195,20 @@ func (e *engineBase) newRealRank(share int, images *mdgrape2.System) (realRank, 
 }
 
 // acquireMDG is the board cycle of Table 3 on an MDGRAPE-2 session: allocate,
-// init, load the four kernel tables — fitted with images nil, else loaded
-// from images.
-func acquireMDG(mr1 *mdgrape2.MR1, boards int, images *mdgrape2.System) error {
+// init, load the four kernel tables' committed images (kernelImages).
+func acquireMDG(mr1 *mdgrape2.MR1, boards int) error {
 	if err := mr1.AllocateBoards(boards); err != nil {
 		return err
 	}
 	if err := mr1.Init(); err != nil {
 		return err
 	}
-	for _, k := range forceTables {
-		if images == nil {
-			if err := mr1.SetTable(k.name, k.g, k.emin, k.emax); err != nil {
-				return err
-			}
-			continue
-		}
-		t, err := images.Table(k.name)
-		if err != nil {
-			return err
-		}
-		mr1.System().LoadTableImage(k.name, t)
+	tables, err := kernelImages()
+	if err != nil {
+		return err
+	}
+	for i, k := range forceTables {
+		mr1.System().LoadTableImage(k.name, tables[i])
 	}
 	return nil
 }

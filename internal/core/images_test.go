@@ -1,15 +1,25 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
+	"flag"
 	"fmt"
+	"go/format"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"mdm/internal/ewald"
+	"mdm/internal/funceval"
+	"mdm/internal/mdgrape2"
 )
 
 // workloadParams is the Ewald discretization mdm.Config.EwaldParams resolves
@@ -40,56 +50,68 @@ func hashWords(put func(w func(uint64))) string {
 	return fmt.Sprintf("%x", d.Sum(nil)[:8])
 }
 
-// Pinned images: the four MDGRAPE-2 kernel RAMs (independent of the
-// discretization: α and L enter through the coefficient RAM), and per
-// benchmark workload the host-potential rows and the wave set (N and A).
-var (
-	goldenKernelImages = map[string]string{
-		tableCoulomb: "79145f772b2113c1",
-		tableBM:      "0a6459247ff1fd3b",
-		tableDisp6:   "e019a6cc2665ef93",
-		tableDisp8:   "dd7d8f532a7608c0",
-	}
-	goldenWorkloadImages = []struct {
-		workload    string
-		cells       int
-		alpha       float64
-		rows, waves string
-	}{
-		{"default_n512", 4, 0, "67013b42eb6719eb", "84574f9e3f327a4f"},
-		{"wave_n512", 4, 14, "c402026558e7d8a1", "890e0581652f47c7"},
-		{"overlap_n512", 4, 9, "1e8af1c593e36937", "ab03edd950b6377e"},
-		{"decomp_r2_n512", 4, 0, "67013b42eb6719eb", "84574f9e3f327a4f"},
-		{"serve_durable_n64", 2, 0, "30b6e184c78a6e2c", "7166dba7cf81d28e"},
-	}
-)
+// Pinned images per benchmark workload: the host-potential rows and the wave
+// set (N and A). The four MDGRAPE-2 kernel images are committed in
+// kernelimages.go; TestTableImagesPinned compares them with their fit.
+var goldenWorkloadImages = []struct {
+	workload    string
+	cells       int
+	alpha       float64
+	rows, waves string
+}{
+	{"default_n512", 4, 0, "67013b42eb6719eb", "84574f9e3f327a4f"},
+	{"wave_n512", 4, 14, "c402026558e7d8a1", "890e0581652f47c7"},
+	{"overlap_n512", 4, 9, "1e8af1c593e36937", "ab03edd950b6377e"},
+	{"decomp_r2_n512", 4, 0, "67013b42eb6719eb", "84574f9e3f327a4f"},
+	{"serve_durable_n64", 2, 0, "30b6e184c78a6e2c", "7166dba7cf81d28e"},
+}
 
-// TestTableImagesPinned pins every fitted image an engine builds at the
-// benchmark workloads' parameters, so a change to the fit or to libm reads
-// "table X changed" rather than a lattice hash. The hashes were recorded on
-// an FMA amd64 host, like the lattice goldens: math.Exp, Log and Erfc take
-// an FMA branch there at run time.
+var updateImages = flag.Bool("update", false, "rewrite kernelimages.go from the four kernel fits")
+
+// fmaOff reports whether this process runs libm without the FMA branch
+// math.Exp, Log and Erfc take at run time on an FMA amd64 host.
+func fmaOff() bool { return strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off") }
+
+// TestTableImagesPinned compares each committed kernel image bit for bit
+// with the fit mdgrape2.LoadTable makes of its kernel over its domain, and
+// pins every other image an engine builds at the benchmark workloads'
+// parameters, so a change to the fit or to libm reads "table X changed"
+// rather than a lattice hash. The images and hashes were recorded on an FMA
+// amd64 host, like the lattice goldens: math.Exp, Log and Erfc take an FMA
+// branch there at run time. With -update the test rewrites kernelimages.go
+// from the fits first (writeKernelImages, which refuses without FMA).
 func TestTableImagesPinned(t *testing.T) {
-	if strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off") {
+	if fmaOff() && !*updateImages {
 		t.Skip("the pinned images are libm's FMA results; a host-independent libm is ROADMAP item 1")
 	}
 	const drift = "(a changed fit, or libm drift: ROADMAP item 1)"
-	m := newTestMachine(t, workloadParams(4, 0))
-	defer m.Free()
-	for _, k := range forceTables {
-		tbl, err := m.real.mr1.System().Table(k.name)
-		if err != nil {
+	fits := fitKernelTables(t)
+	if *updateImages {
+		if err := writeKernelImages("kernelimages.go", fits); err != nil {
 			t.Fatal(err)
 		}
-		got := hashWords(func(w func(uint64)) {
-			for s := 0; s < tbl.Segments(); s++ {
-				for _, c := range tbl.Row(s) {
-					w(uint64(math.Float32bits(c)))
+		t.Log("kernelimages.go rewritten: rebuild the test binary to compare it")
+		return
+	}
+	images, err := kernelImages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range forceTables {
+		fit, img := fits[i], images[i]
+		flo, fhi := fit.Domain()
+		if ilo, ihi := img.Domain(); ilo != flo || ihi != fhi || img.Segments() != fit.Segments() {
+			t.Errorf("kernel table %s: image covers [%g, %g) in %d segments, the fit [%g, %g) in %d",
+				k.name, ilo, ihi, img.Segments(), flo, fhi, fit.Segments())
+			continue
+		}
+		for s := 0; s < fit.Segments(); s++ {
+			want, got := fit.Row(s), img.Row(s)
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Errorf("kernel table %s: segment %d word %d is %g, the fit %g %s", k.name, s, j, got[j], want[j], drift)
 				}
 			}
-		})
-		if want := goldenKernelImages[k.name]; got != want {
-			t.Errorf("kernel table %s: image %s, want %s %s", k.name, got, want, drift)
 		}
 	}
 	for _, g := range goldenWorkloadImages {
@@ -122,9 +144,9 @@ func TestTableImagesPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkNewMachine times an engine's cold start — the four kernel fits,
-// the host-potential fit, the wave set and the board cycle — at 64 and 512
-// ions, at the default α and at α = 14.
+// BenchmarkNewMachine times an engine's cold start — the host-potential fit,
+// the wave set, the board cycle with its four committed kernel images — at
+// 64 and 512 ions, at the default α and at α = 14.
 func BenchmarkNewMachine(b *testing.B) {
 	for _, cells := range []int{2, 4} {
 		for _, alpha := range []float64{0, 14} {
@@ -143,4 +165,114 @@ func BenchmarkNewMachine(b *testing.B) {
 			})
 		}
 	}
+}
+
+// fitKernelTables fits the four kernels as mdgrape2.LoadTable does for an
+// MR1SetTable call, in forceTables' order.
+func fitKernelTables(t *testing.T) []*funceval.Table {
+	t.Helper()
+	sys, err := mdgrape2.NewSystem(mdgrape2.CurrentConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits := make([]*funceval.Table, len(forceTables))
+	for i, k := range forceTables {
+		if err := sys.LoadTable(k.name, k.g, k.emin, k.emax); err != nil {
+			t.Fatal(err)
+		}
+		if fits[i], err = sys.Table(k.name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fits
+}
+
+// TestImageUpdateRefusedWithoutFMA: where the pin skips, -update refuses to
+// write, so no host whose libm differs from the FMA fit commits images.
+func TestImageUpdateRefusedWithoutFMA(t *testing.T) {
+	fits := fitKernelTables(t)
+	t.Setenv("GODEBUG", "cpu.fma=off")
+	path := filepath.Join(t.TempDir(), "kernelimages.go")
+	if err := writeKernelImages(path, fits); err == nil || !strings.Contains(err.Error(), "refusing") {
+		t.Errorf("writeKernelImages under cpu.fma=off = %v, want a refusal", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the refused update left %s (stat: %v)", path, err)
+	}
+}
+
+// TestNewMachineFootprint: an engine start at 64 ions and the default α
+// allocates at most 64 KB. Its kernel tables are the committed images,
+// referenced in the binary's data; fitting them would add about 80 KB.
+func TestNewMachineFootprint(t *testing.T) {
+	p := workloadParams(2, 0)
+	build := func() {
+		m, err := NewMachine(CurrentMachineConfig(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Free(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // kernelImages builds the four Tables once per process
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("NewMachine at 64 ions: %d B", least)
+	if least > 64<<10 {
+		t.Errorf("NewMachine at 64 ions allocates %d B, budget 64 KB", least)
+	}
+}
+
+// writeKernelImages writes the fitted tables as kernelimages.go's source, one
+// tableImage per kernel in hex-float words (exact), formatted by go/format.
+// It refuses without the FMA libm: the images are that libm's fits, and the
+// pin skips where it cannot compare them.
+func writeKernelImages(path string, fits []*funceval.Table) error {
+	if fmaOff() {
+		return errors.New("core: refusing to write kernel images under GODEBUG=cpu.fma=off: they are the FMA libm's fits")
+	}
+	var b bytes.Buffer
+	b.WriteString("// Code generated by \"go test -run TestTableImagesPinned -update ./internal/core\"; DO NOT EDIT.\n\npackage core\n")
+	for i, k := range forceTables {
+		name := imageVar(k.name)
+		fmt.Fprintf(&b, "\n// %s is the %s table: %d segments over [2^%d, 2^%d).\nvar %s = tableImage{\n",
+			name, k.name, fits[i].Segments(), k.emin, k.emax, name)
+		for s := 0; s < fits[i].Segments(); s++ {
+			b.WriteString("{")
+			for j, c := range fits[i].Row(s) {
+				if j > 0 {
+					b.WriteString(", ")
+				}
+				if c == 0 {
+					b.WriteString("0")
+				} else {
+					b.WriteString(strconv.FormatFloat(float64(c), 'x', -1, 32))
+				}
+			}
+			b.WriteString("},\n")
+		}
+		b.WriteString("}\n")
+	}
+	src, err := format.Source(b.Bytes())
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, src, 0o644)
+}
+
+// imageVar is the variable holding a table's image: "born-mayer" →
+// bornMayerImage.
+func imageVar(table string) string {
+	parts := strings.Split(table, "-")
+	for i := 1; i < len(parts); i++ {
+		parts[i] = strings.ToUpper(parts[i][:1]) + parts[i][1:]
+	}
+	return strings.Join(parts, "") + "Image"
 }

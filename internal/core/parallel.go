@@ -44,15 +44,21 @@ const haloStride = 4
 // unchanged on the sub-group of wavenumber processes.
 type groupComm struct {
 	c       *mpi.Comm
-	members []int // world ranks of the group, ascending
-	me      int   // index of this rank within members
+	members []int     // world ranks of the group, ascending
+	me      int       // index of this rank within members
+	total   []float64 // the root's sum, reused across steps
 }
 
 func (g *groupComm) Rank() int { return g.me }
 func (g *groupComm) Size() int { return len(g.members) }
 
 // AllreduceSum gathers to the group root, sums, and broadcasts back, all
-// within the group's world ranks.
+// within the group's world ranks. Nothing is copied per step: a member sends
+// vals itself and blocks in Recv until the root has read it, and the root
+// sums into its reused buffer and broadcasts that. Every member reads the
+// broadcast only within the step, and World.Run waits for every rank, so
+// the next step's sum cannot overwrite a buffer still being read; a retried
+// step starts a new Run.
 func (g *groupComm) AllreduceSum(vals []float64) ([]float64, error) {
 	if len(g.members) == 1 {
 		out := make([]float64, len(vals))
@@ -60,34 +66,35 @@ func (g *groupComm) AllreduceSum(vals []float64) ([]float64, error) {
 		return out, nil
 	}
 	root := g.members[0]
-	if g.c.Rank() == root {
-		total := make([]float64, len(vals))
-		copy(total, vals)
-		for _, m := range g.members[1:] {
-			part, err := g.c.Recv(m, TagGroupReduce)
-			if err != nil {
-				return nil, err
-			}
-			if len(part) != len(vals) {
-				return nil, fmt.Errorf("core: group reduce length mismatch")
-			}
-			for i := range total {
-				total[i] += part[i]
-			}
+	if g.c.Rank() != root {
+		if err := g.c.Send(root, TagGroupReduce, vals); err != nil {
+			return nil, err
 		}
-		for _, m := range g.members[1:] {
-			if err := g.c.Send(m, TagGroupReduce, total); err != nil {
-				return nil, err
-			}
+		return g.c.Recv(root, TagGroupReduce)
+	}
+	if cap(g.total) < len(vals) {
+		g.total = make([]float64, len(vals))
+	}
+	total := g.total[:len(vals)]
+	copy(total, vals)
+	for _, m := range g.members[1:] {
+		part, err := g.c.Recv(m, TagGroupReduce)
+		if err != nil {
+			return nil, err
 		}
-		return total, nil
+		if len(part) != len(vals) {
+			return nil, fmt.Errorf("core: group reduce length mismatch")
+		}
+		for i := range total {
+			total[i] += part[i]
+		}
 	}
-	part := make([]float64, len(vals))
-	copy(part, vals)
-	if err := g.c.Send(root, TagGroupReduce, part); err != nil {
-		return nil, err
+	for _, m := range g.members[1:] {
+		if err := g.c.Send(m, TagGroupReduce, total); err != nil {
+			return nil, err
+		}
 	}
-	return g.c.Recv(root, TagGroupReduce)
+	return total, nil
 }
 
 // ParallelResult is the assembled output of a parallel force step.

@@ -180,20 +180,16 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 	free := func() { _ = pr.Free() }
 	pr.real = make([]*realRankState, 0, nReal)
 	pr.wave = make([]*waveRankState, 0, nWave)
-	var images *mdgrape2.System
 	for r := 0; r < nReal; r++ {
 		comm, err := world.Comm(r)
 		if err != nil {
 			free()
 			return nil, err
 		}
-		rk, err := pr.newRealRank(nReal, images)
+		rk, err := pr.newRealRank(nReal)
 		if err != nil {
 			free()
 			return nil, err
-		}
-		if r == 0 {
-			images = rk.mr1.System() // rank 0 fitted the kernel tables; the others load its images
 		}
 		pr.real = append(pr.real, &realRankState{
 			realRank: rk,

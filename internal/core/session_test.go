@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -345,9 +346,9 @@ func TestSessionReuseStreamsLessThanRebuild(t *testing.T) {
 }
 
 // TestSessionRanksShareKernelTables: the four kernels are universal functions
-// of x, so a decomposed engine fits them once and every real-space rank's
-// session holds the same immutable image; the ranks then evaluate through it
-// concurrently (Step below, clean under -race in `make race`).
+// of x, so every real-space rank's session holds the same immutable table
+// over the committed image; the ranks then evaluate through it concurrently
+// (Step below, clean under -race in `make race`).
 func TestSessionRanksShareKernelTables(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 34)
 	cfg := CurrentMachineConfig(smallParams(s.L))
@@ -390,16 +391,16 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race-detector instrumentation allocates per goroutine handoff; the pinned counts only hold in uninstrumented builds")
 	}
-	measure := func(cells int) float64 {
+	measure := func(cells, nWave int) float64 {
 		s := meltLike(t, cells, 5.64, 300, 35)
 		p := smallParams(s.L)
 		cfg := CurrentMachineConfig(p)
 		cfg.Skin = 0.5
-		world, err := mpi.NewWorld(3)
+		world, err := mpi.NewWorld(2 + nWave)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := NewParallelRun(world, cfg, 2, 1)
+		pr, err := NewParallelRun(world, cfg, 2, nWave)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,9 +417,10 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	small := measure(2) // 64 ions
-	large := measure(3) // 216 ions
-	t.Logf("steady-state allocs/step: %.0f at 64 ions, %.0f at 216 ions", small, large)
+	small := measure(2, 1) // 64 ions
+	large := measure(3, 1) // 216 ions
+	group := measure(2, 2) // 64 ions, two wave ranks reducing S and C
+	t.Logf("steady-state allocs/step: %.0f at 64 ions, %.0f at 216 ions, %.0f at 2 + 2 ranks", small, large, group)
 	// The engine body's own per-call allocations and the fresh output slice
 	// (10 at both sizes); the world's endpoints, run group, FIFOs and
 	// receive timers are reused, so its dispatch allocates nothing once warm.
@@ -431,6 +433,12 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	// allocation count beyond noise.
 	if large > small+8 {
 		t.Errorf("allocs grew with particle count: %.0f at 64 ions vs %.0f at 216", small, large)
+	}
+	// A second wave rank adds its own wave pass (3) and nothing for the
+	// structure-factor reduction: the group root sums into one reused buffer
+	// and a member sends its own slice.
+	if group > 13 {
+		t.Errorf("steady-state allocs/step at 2 + 2 ranks = %.0f, want at most 13", group)
 	}
 }
 
@@ -491,5 +499,46 @@ func TagName(tag int) string {
 		return "ghost-pos"
 	default:
 		return fmt.Sprintf("tag%d", tag)
+	}
+}
+
+// TestAssembleRefusesDuplicateRecord hands rank 0 a force payload whose
+// checksum holds but which carries one particle's record twice — a program
+// bug on the sending rank, not a wire flip, so only assemble's per-kind seen
+// check can refuse it. The refusal is a link error from the sender, which the
+// recovery ladder retries.
+func TestAssembleRefusesDuplicateRecord(t *testing.T) {
+	s := meltLike(t, 2, 5.64, 300, 36)
+	world := testWorld(t, 3, time.Second)
+	pr, err := NewParallelRun(world, CurrentMachineConfig(smallParams(s.L)), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = pr.Free() }()
+	if _, err := pr.Step(s); err != nil {
+		t.Fatal(err)
+	}
+	err = world.Run(func(c *mpi.Comm) error {
+		switch c.Rank() {
+		case 0:
+			if err := c.Send(0, TagForces, []float64{0, 1, 2, 3}); err != nil {
+				return err
+			}
+			return pr.assemble(pr.real[0], s)
+		case 1:
+			return c.Send(0, TagForces, []float64{5, 1, 2, 3, 7, 1, 2, 3, 5, 4, 5, 6})
+		}
+		return nil
+	})
+	world.Reset()
+	if err == nil || !strings.Contains(err.Error(), "force index 5 sent twice") {
+		t.Fatalf("assemble of a payload repeating particle 5 = %v, want the refusal", err)
+	}
+	if f := triage(err); !f.retry || f.label != "link error 1→0" {
+		t.Errorf("refusal triaged as %+v, want a retried link error 1→0", f)
+	}
+	// The session is unharmed: the next step assembles as before.
+	if _, err := pr.Step(s); err != nil {
+		t.Fatal(err)
 	}
 }

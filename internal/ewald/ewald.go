@@ -17,10 +17,8 @@
 package ewald
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"mdm/internal/units"
 	"mdm/internal/vec"
@@ -104,7 +102,7 @@ type Wave struct {
 // eq. 13. The deterministic order is by increasing |n|², then lexicographic
 // in (z, y, x).
 func Waves(p Params) []Wave {
-	nmax := int(math.Ceil(p.LKCut))
+	nmax := max(int(math.Ceil(p.LKCut)), 0)
 	cut2 := p.LKCut * p.LKCut
 	halfBall := func(visit func(nx, ny, nz int)) {
 		for nz := 0; nz <= nmax; nz++ {
@@ -120,22 +118,25 @@ func Waves(p Params) []Wave {
 			}
 		}
 	}
-	// Count first: the set lives as long as its engine, so it is sized
-	// exactly rather than grown.
+	// Count per |n|² first: the set lives as long as its engine, so it is
+	// sized exactly rather than grown, and each wave is placed straight into
+	// its slot. The enumeration ascends in (z, y, x), so placing the waves of
+	// one |n|² in enumeration order gives the order by (|n|², z, y, x).
+	// |n|² < Lk_cut² ≤ nmax², so start has a slot past every |n|².
+	start := make([]int, nmax*nmax+1)
+	halfBall(func(nx, ny, nz int) { start[nx*nx+ny*ny+nz*nz]++ })
 	n := 0
-	halfBall(func(int, int, int) { n++ })
-	out := make([]Wave, 0, n)
+	for n2, c := range start {
+		start[n2], n = n, n+c
+	}
+	out := make([]Wave, n)
 	halfBall(func(nx, ny, nz int) {
 		k := vec.New(float64(nx), float64(ny), float64(nz)).Scale(1 / p.L)
 		k2 := k.Norm2()
 		a := math.Exp(-math.Pi*math.Pi*p.L*p.L*k2/(p.Alpha*p.Alpha)) / k2
-		out = append(out, Wave{N: [3]int{nx, ny, nz}, K: k, A: a})
-	})
-	slices.SortFunc(out, func(a, b Wave) int {
-		na := a.N[0]*a.N[0] + a.N[1]*a.N[1] + a.N[2]*a.N[2]
-		nb := b.N[0]*b.N[0] + b.N[1]*b.N[1] + b.N[2]*b.N[2]
-		return cmp.Or(cmp.Compare(na, nb), cmp.Compare(a.N[2], b.N[2]),
-			cmp.Compare(a.N[1], b.N[1]), cmp.Compare(a.N[0], b.N[0]))
+		n2 := nx*nx + ny*ny + nz*nz
+		out[start[n2]] = Wave{N: [3]int{nx, ny, nz}, K: k, A: a}
+		start[n2]++
 	})
 	return out
 }

@@ -3,6 +3,7 @@ package ewald
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mdm/internal/units"
@@ -112,10 +113,12 @@ func TestWavesSortedDeterministic(t *testing.T) {
 			t.Fatalf("wave order differs at %d", i)
 		}
 	}
+	key := func(w Wave) []int {
+		return []int{w.N[0]*w.N[0] + w.N[1]*w.N[1] + w.N[2]*w.N[2], w.N[2], w.N[1], w.N[0]}
+	}
 	for i := 1; i < len(a); i++ {
-		n2 := func(w Wave) int { return w.N[0]*w.N[0] + w.N[1]*w.N[1] + w.N[2]*w.N[2] }
-		if n2(a[i]) < n2(a[i-1]) {
-			t.Fatalf("waves not sorted by |n|² at %d", i)
+		if slices.Compare(key(a[i-1]), key(a[i])) >= 0 {
+			t.Fatalf("waves %v, %v at %d not in ascending (|n|², z, y, x) order", a[i-1].N, a[i].N, i)
 		}
 	}
 }

@@ -103,37 +103,11 @@ const (
 // interior Chebyshev nodes, so integrable endpoint singularities at exactly
 // 2^emin are tolerated.
 func NewTable(g func(float64) float64, emin, emax, nseg int) (*Table, error) {
-	if emax <= emin {
-		return nil, fmt.Errorf("funceval: empty exponent range [%d,%d)", emin, emax)
+	t, err := newWiredTable(emin, emax, nseg)
+	if err != nil {
+		return nil, err
 	}
-	if emin < minExp32 || emax > maxExp32 {
-		return nil, fmt.Errorf("funceval: domain [2^%d, 2^%d) outside the float32 normal range [2^%d, 2^%d]",
-			emin, emax, minExp32, maxExp32)
-	}
-	oct := emax - emin
-	if nseg <= 0 || nseg%oct != 0 {
-		return nil, fmt.Errorf("funceval: nseg %d is not a positive multiple of %d octaves", nseg, oct)
-	}
-	segPerOct := nseg / oct
-	k := uint(bits.TrailingZeros(uint(segPerOct)))
-	if segPerOct != 1<<k || k > mantBits {
-		return nil, fmt.Errorf("funceval: %d segments per octave is not a power of two up to 2^%d", segPerOct, mantBits)
-	}
-	shift := mantBits - k
-	t := &Table{
-		emin:      emin,
-		emax:      emax,
-		segPerOct: segPerOct,
-		coeff:     make([][Order + 1]float32, nseg),
-		wiring: wiring{
-			shift:  shift,
-			base:   uint32(emin+expBias32) << k,
-			mask:   1<<shift - 1,
-			uscale: float32(math.Ldexp(1, -int(shift))),
-		},
-		loBits: uint32(emin+expBias32) << mantBits,
-		hiBits: uint32(emax+expBias32) << mantBits,
-	}
+	t.coeff = make([][Order + 1]float32, nseg)
 	// Every segment interpolates at the same local nodes, so one
 	// factorisation of their Vandermonde matrix serves the whole table.
 	var nodes [Order + 1]float64
@@ -151,6 +125,63 @@ func NewTable(g func(float64) float64, emin, emax, nseg int) (*Table, error) {
 		t.coeff[s] = c
 	}
 	return t, nil
+}
+
+// NewTableImage builds a Table over [2^emin, 2^emax) from rows a fit already
+// produced — a RAM image NewTable computed and a caller kept — without
+// fitting. The domain and the row count pass NewTable's checks, and a
+// subnormal, NaN or infinite word, none of which the fit stores, is refused.
+// The rows are referenced, not copied: they must not change afterwards.
+func NewTableImage(emin, emax int, rows [][Order + 1]float32) (*Table, error) {
+	t, err := newWiredTable(emin, emax, len(rows))
+	if err != nil {
+		return nil, err
+	}
+	for s, r := range rows {
+		for _, c := range r {
+			mag := math.Float32bits(c) &^ (1 << 31)                // the word without its sign
+			if mag >= infBits32 || mag != 0 && mag < 1<<mantBits { // ±Inf, NaN or subnormal
+				return nil, fmt.Errorf("funceval: segment %d holds %g, not a RAM word (subnormal, NaN or Inf)", s, c)
+			}
+		}
+	}
+	t.coeff = rows
+	return t, nil
+}
+
+// newWiredTable checks a domain [2^emin, 2^emax) of nseg segments and
+// returns a Table wired for it, with no coefficient rows yet.
+func newWiredTable(emin, emax, nseg int) (*Table, error) {
+	if emax <= emin {
+		return nil, fmt.Errorf("funceval: empty exponent range [%d,%d)", emin, emax)
+	}
+	if emin < minExp32 || emax > maxExp32 {
+		return nil, fmt.Errorf("funceval: domain [2^%d, 2^%d) outside the float32 normal range [2^%d, 2^%d]",
+			emin, emax, minExp32, maxExp32)
+	}
+	oct := emax - emin
+	if nseg <= 0 || nseg%oct != 0 {
+		return nil, fmt.Errorf("funceval: %d segments is not a positive multiple of %d octaves", nseg, oct)
+	}
+	segPerOct := nseg / oct
+	k := uint(bits.TrailingZeros(uint(segPerOct)))
+	if segPerOct != 1<<k || k > mantBits {
+		return nil, fmt.Errorf("funceval: %d segments per octave is not a power of two up to 2^%d", segPerOct, mantBits)
+	}
+	shift := mantBits - k
+	return &Table{
+		emin:      emin,
+		emax:      emax,
+		segPerOct: segPerOct,
+		wiring: wiring{
+			shift:  shift,
+			base:   uint32(emin+expBias32) << k,
+			mask:   1<<shift - 1,
+			uscale: float32(math.Ldexp(1, -int(shift))),
+		},
+		loBits: uint32(emin+expBias32) << mantBits,
+		hiBits: uint32(emax+expBias32) << mantBits,
+	}, nil
 }
 
 // Segments returns the number of interpolation regions.

@@ -45,6 +45,58 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
+// TestNewTableImage: an image round-trips a fit bit for bit and shares its
+// rows, and the constructor refuses what no fit stores or the domain cannot
+// address.
+func TestNewTableImage(t *testing.T) {
+	g := func(x float64) float64 { return math.Exp(-x) / x }
+	fit, err := NewTable(g, -4, 4, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := append([][Order + 1]float32(nil), fit.coeff...)
+	img, err := NewTableImage(-4, 4, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &img.coeff[0] != &rows[0] {
+		t.Error("the image copied its rows")
+	}
+	for x := float32(0.07); x < 20; x *= 1.013 {
+		if a, b := img.Eval(x), fit.Eval(x); math.Float32bits(a) != math.Float32bits(b) {
+			t.Fatalf("Eval(%g): image %g, fit %g", x, a, b)
+		}
+	}
+	if _, err := NewTableImage(-4, 4, rows[:255]); err == nil || !strings.Contains(err.Error(), "multiple of 8 octaves") {
+		t.Errorf("255 rows over 8 octaves: %v", err)
+	}
+	if _, err := NewTableImage(-4, 4, rows[:24]); err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Errorf("24 rows over 8 octaves: %v", err)
+	}
+	if _, err := NewTableImage(4, 4, rows); err == nil {
+		t.Error("empty domain accepted")
+	}
+	for _, w := range []float32{
+		math.Float32frombits(1),           // smallest subnormal
+		-math.Float32frombits(0x007fffff), // largest subnormal, negative
+		float32(math.NaN()),
+		float32(math.Inf(1)),
+		float32(math.Inf(-1)),
+	} {
+		bad := append([][Order + 1]float32(nil), rows...)
+		bad[100][3] = w
+		if _, err := NewTableImage(-4, 4, bad); err == nil || !strings.Contains(err.Error(), "segment 100") {
+			t.Errorf("word %g (%#08x): %v, want a refusal naming segment 100", w, math.Float32bits(w), err)
+		}
+	}
+	// The smallest normal word and a zero of either sign are RAM words.
+	ok := append([][Order + 1]float32(nil), rows...)
+	ok[7] = [Order + 1]float32{math.Float32frombits(1 << 23), -math.Float32frombits(1 << 23), 0, float32(math.Copysign(0, -1)), 1}
+	if _, err := NewTableImage(-4, 4, ok); err != nil {
+		t.Errorf("normal and zero words refused: %v", err)
+	}
+}
+
 func TestMustNewTablePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -194,8 +194,9 @@ func (s *System) LoadTable(name string, g func(float64) float64, emin, emax int)
 
 // LoadTableImage stores an already fitted table under the given name — the
 // RAM image LoadTable writes, without the fit. A Table is immutable once
-// built, so sessions that evaluate the same kernel (the ranks of a decomposed
-// run) load one image instead of each fitting its own.
+// built, so sessions that evaluate the same kernel (every rank of every
+// engine, over core's committed images) load one table instead of each
+// fitting its own.
 func (s *System) LoadTableImage(name string, t *funceval.Table) { s.tables[name] = t }
 
 // Table returns a loaded table by name.

@@ -1,11 +1,13 @@
 package wine2
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mdm/internal/ewald"
@@ -181,7 +183,9 @@ func TestRowWalkMatchesOracle(t *testing.T) {
 	for k := 0; k < 6; k++ {
 		sets["stairs"] = append(sets["stairs"], ewald.Wave{N: [3]int{k, 0, k + 1}, A: 0.5}, ewald.Wave{N: [3]int{k, k + 1, 7}, A: 0.25})
 	}
-	names := []string{"alpha=5.85", "alpha=9", "alpha=14", "subset=0.1", "subset=0.5", "subset=0.9", "single", "long", "stairs"}
+	// Waves given twice, interleaved with others: equal triples in a row plan.
+	sets["duplicates"] = append(append(append([]ewald.Wave(nil), all[40:90]...), all[:60]...), all[50:70]...)
+	names := []string{"alpha=5.85", "alpha=9", "alpha=14", "subset=0.1", "subset=0.5", "subset=0.9", "single", "long", "stairs", "duplicates"}
 
 	// Every datapath format, one wave set, serial and striped.
 	for _, f := range datapathFormats {
@@ -233,6 +237,44 @@ func TestRowWalkMatchesOracle(t *testing.T) {
 	}
 	if !cutInRow {
 		t.Fatal("no shard boundary fell inside a row: the cut path went untested")
+	}
+}
+
+// TestRowPlanOrder pins the row plan's order to a stable sort of the caller
+// order by (n_z, n_y, n_x): on Ewald wave sets, shuffled and with duplicates
+// (bucket placement), and on sets whose components span more values than
+// there are waves (the stable-sort fallback).
+func TestRowPlanOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	all := ewald.Waves(ewald.ParamsForAlpha(22.56, 14))
+	shuffled := append([]ewald.Wave(nil), all...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	sets := map[string][]ewald.Wave{
+		"alpha=9":    ewald.Waves(ewald.ParamsForAlpha(22.56, 9)),
+		"alpha=14":   all,
+		"shuffled":   shuffled,
+		"duplicates": append(append([]ewald.Wave(nil), shuffled[:300]...), shuffled[100:200]...),
+		"wide":       {{N: [3]int{5, 0, 1}}, {N: [3]int{-7, 3, 1}}, {N: [3]int{5, 0, 1}}, {N: [3]int{0, -9, 0}}},
+		"extreme":    {{N: [3]int{math.MaxInt, 0, 0}}, {N: [3]int{math.MinInt, 0, 0}}, {N: [3]int{0, 0, 0}}},
+		"empty":      nil,
+	}
+	for name, waves := range sets {
+		want := make([]int32, len(waves))
+		for w := range want {
+			want[w] = int32(w)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int {
+			na, nb := waves[a].N, waves[b].N
+			return cmp.Or(cmp.Compare(na[2], nb[2]), cmp.Compare(na[1], nb[1]), cmp.Compare(na[0], nb[0]))
+		})
+		var p rowPlan
+		p.build(waves)
+		if !slices.Equal(p.perm, want) {
+			t.Errorf("%s: row plan order %v, want %v", name, p.perm, want)
+		}
+		if !p.fits(waves) {
+			t.Errorf("%s: the plan does not fit its own waves", name)
+		}
 	}
 }
 

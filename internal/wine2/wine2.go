@@ -450,25 +450,24 @@ func (p *rowPlan) fits(waves []ewald.Wave) bool {
 	return true
 }
 
-// build sorts waves by (n_z, n_y, n_x, caller index) and cuts the order into
-// rows, in buffers sized exactly (they stay live for the session).
+// build orders waves by (n_z, n_y, n_x), equal triples in caller order, and
+// cuts the order into rows, in buffers sized exactly (they stay live for the
+// session). The order is three stable bucket placements, on n_x, n_y, then
+// n_z: O(N_wv) for a wave set, whose components span fewer values than it
+// has waves.
 func (p *rowPlan) build(waves []ewald.Wave) {
-	if cap(p.perm) < len(waves) {
-		p.perm = make([]int32, len(waves))
+	n := len(waves)
+	if cap(p.perm) < n {
+		p.perm = make([]int32, n)
 	}
-	p.perm = p.perm[:len(waves)]
-	for w := range p.perm {
-		p.perm[w] = int32(w)
+	p.perm = p.perm[:n]
+	tmp, count := make([]int32, n), make([]int32, n+1)
+	for w := range tmp {
+		tmp[w] = int32(w)
 	}
-	slices.SortFunc(p.perm, func(a, b int32) int {
-		na, nb := &waves[a].N, &waves[b].N
-		for c := 2; c >= 0; c-- {
-			if na[c] != nb[c] {
-				return cmp.Compare(na[c], nb[c])
-			}
-		}
-		return cmp.Compare(a, b)
-	})
+	placeBy(waves, tmp, p.perm, count, 0)
+	placeBy(waves, p.perm, tmp, count, 1)
+	placeBy(waves, tmp, p.perm, count, 2)
 	// k starts a row unless wave k is wave k−1 one step along x.
 	starts := func(k int) bool {
 		if k == 0 {
@@ -496,6 +495,37 @@ func (p *rowPlan) build(waves []ewald.Wave) {
 			p.rows = append(p.rows, waveRow{lo: int32(k), nx: int64(n[0]), ny: int64(n[1]), nz: int64(n[2])})
 		}
 		p.rows[len(p.rows)-1].hi = int32(k) + 1
+	}
+}
+
+// placeBy writes src to dst ordered by component c of the waves' N, equal
+// components in src order: one bucket per value when the component spans at
+// most len(count)-1 values, a stable sort otherwise.
+func placeBy(waves []ewald.Wave, src, dst, count []int32, c int) {
+	if len(src) == 0 {
+		return
+	}
+	lo, hi := waves[src[0]].N[c], waves[src[0]].N[c]
+	for _, w := range src {
+		lo, hi = min(lo, waves[w].N[c]), max(hi, waves[w].N[c])
+	}
+	if uint(hi-lo) >= uint(len(count)-1) { // the difference as uint is exact
+		copy(dst, src)
+		slices.SortStableFunc(dst, func(a, b int32) int { return cmp.Compare(waves[a].N[c], waves[b].N[c]) })
+		return
+	}
+	start := count[:hi-lo+2]
+	clear(start)
+	for _, w := range src {
+		start[waves[w].N[c]-lo+1]++
+	}
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	for _, w := range src {
+		v := waves[w].N[c] - lo
+		dst[start[v]] = w
+		start[v]++
 	}
 }
 

@@ -19,7 +19,7 @@ fi
 echo "==> doc budgets (DESIGN.md and EXPERIMENTS.md may shrink, never grow)"
 # Each budget is the file's size when the ratchet was set; lower it when a
 # rewrite shrinks the file.
-for budget in DESIGN.md:44980 EXPERIMENTS.md:35788; do
+for budget in DESIGN.md:44977 EXPERIMENTS.md:35711; do
     doc=${budget%%:*}
     size=$(wc -c < "$doc")
     if [ "$size" -gt "${budget##*:}" ]; then
