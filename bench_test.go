@@ -53,7 +53,7 @@ func BenchmarkRealSpaceGeometries(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := range sys.Pos {
-		h := float64((i*2654435761)%1000)/1000.0 - 0.5
+		h := float64((int64(i)*2654435761)%1000)/1000.0 - 0.5
 		sys.Pos[i] = sys.Pos[i].Add(vec.New(h, -h, h*0.5).Scale(0.4)).Wrap(sys.L)
 	}
 	p := ewald.ParamsForAlpha(sys.L, ewald.SReal/0.45)

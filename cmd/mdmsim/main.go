@@ -166,8 +166,7 @@ func run(args []string) (exit int) {
 	faults := flags.String("faults", "", `fault scenario, e.g. "wine2:board-drop@step=60,board=2; run:fatal@step=90"`)
 	ckptEvery := flags.Int("checkpoint-every", 25, "steps between checkpoint commits to the -journal log")
 	maxRestarts := flags.Int("max-restarts", 3, "restarts from the log's checkpoint after fatal faults")
-	workers := flags.Int("workers", 0, "worker-pool width striping the simulated pipelines across cores (0 = GOMAXPROCS, 1 = serial); bit-identical at any width")
-	pipeline := flags.Bool("pipeline", false, "run the WINE-2 wavenumber pass concurrently with the MDGRAPE-2 real-space sweep (engine overlap only; the step path and its results are the same, bit for bit)")
+	workers := flags.Int("workers", 0, "worker-pool width striping the simulated pipelines across cores (0 = GOMAXPROCS, 1 = one thread per engine pass; the WINE-2 pass always runs beside the MDGRAPE-2 sweep); bit-identical at any width")
 	skin := flags.Float64("skin", 0, "Verlet skin in Å: reuse the sorted cell layout until a particle moves more than skin/2 (0 = rebuild every step); widens the cells, not the r_cut sphere of pairs evaluated")
 	ranks := flags.Int("ranks", 0, "spatial decomposition: split the box into this many cell blocks, one real-space process each (0 = single process); bit-identical with -wave-ranks 1")
 	waveRanks := flags.Int("wave-ranks", 0, "wavenumber processes alongside -ranks (default 1); >1 regroups the structure-factor reduction and agrees to float64 rounding")
@@ -234,7 +233,6 @@ func run(args []string) (exit int) {
 		PotentialEvery: *potEvery,
 		Faults:         *faults,
 		Workers:        *workers,
-		Pipeline:       *pipeline,
 		Skin:           *skin,
 		Ranks:          *ranks,
 		WaveRanks:      *waveRanks,
@@ -244,9 +242,9 @@ func run(args []string) (exit int) {
 			SyncEvery: *syncEvery,
 		},
 	}
-	// Which backend composes with -ranks, -wave-ranks, -faults, -watchdog,
-	// -pipeline and -skin is the library's rule (Config.Validate), reported
-	// here as a usage error.
+	// Which backend composes with -ranks, -wave-ranks, -faults, -watchdog
+	// and -skin is the library's rule (Config.Validate), reported here as a
+	// usage error.
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

@@ -72,10 +72,14 @@ func TestStepFlowFactPropagation(t *testing.T) {
 		"(*mdm/internal/core.ParallelRun).Forces",
 		"(*mdm/internal/core.Resilient).Forces",
 		// The engine body both step roots share: Machine.Forces calls the
-		// rank methods directly, ParallelRun.Step from inside World.Run.
+		// sweep directly and the wave pass from runWave, ParallelRun.Step's
+		// ranks from runRank inside World.Run (both method values bound
+		// once, so both are annotated roots).
 		"(*mdm/internal/core.realRank).sweep",
 		"(*mdm/internal/core.waveRank).pass",
 		"(*mdm/internal/core.potCadence).eval",
+		"(*mdm/internal/core.ParallelRun).realStep",
+		"(*mdm/internal/core.ParallelRun).waveStep",
 		// Callback edge: functions passed to Integrator.Run run between steps.
 		"(*mdm.Simulation).observe",
 		// Interface dispatch twice over: the boards call

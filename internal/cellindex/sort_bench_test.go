@@ -14,7 +14,7 @@ import (
 func benchPositions(n int, l float64) []vec.V {
 	pos := make([]vec.V, n)
 	for i := range pos {
-		h := float64((i*2654435761)%100003) / 100003.0
+		h := float64((int64(i)*2654435761)%100003) / 100003.0
 		g := float64((i*40503)%9973) / 9973.0
 		pos[i] = vec.New(h*l, g*l, math.Mod(h*7+g*3, 1)*l)
 	}

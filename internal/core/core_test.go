@@ -32,7 +32,7 @@ func meltLike(t testing.TB, cells int, a float64, tK float64, seed int64) *md.Sy
 	// Displace positions pseudo-randomly by up to ~0.25 Å so forces are
 	// non-trivial but no pair overlaps.
 	for i := range s.Pos {
-		h := float64((i*2654435761)%1000)/1000.0 - 0.5
+		h := float64((int64(i)*2654435761)%1000)/1000.0 - 0.5
 		g := float64((i*40503)%1000)/1000.0 - 0.5
 		k := float64((i*9973)%1000)/1000.0 - 0.5
 		s.Pos[i] = s.Pos[i].Add(vec.New(h, g, k).Scale(0.5)).Wrap(s.L)

@@ -106,15 +106,14 @@ type MachineConfig struct {
 
 	// Workers is the host worker-pool width striping the simulated pipelines
 	// across OS threads (package parallelize). 0 selects runtime.GOMAXPROCS(0);
-	// 1 forces the serial code path. Every width is bit-identical.
+	// 1 runs each engine's pass on one thread, the WINE-2 pass still beside
+	// the MDGRAPE-2 sweep. Every width is bit-identical.
 	Workers int
 
-	// Pipeline runs the WINE-2 wavenumber pass on its own goroutine while
-	// the MDGRAPE-2 real-space sweep runs on the caller's — the machine-level
-	// concurrency of §3.1 (the two engines are independent until the host
-	// combines forces). It decides nothing else: the sweep, the wave pass
-	// and the fixed-order reduction Coulomb + BM + r⁻⁶ + r⁻⁸ + wave are the
-	// same code either way, so forces are bit-identical on and off.
+	// Pipeline is ignored: every engine runs the WINE-2 pass beside the
+	// MDGRAPE-2 sweep (§3.1).
+	//
+	// Deprecated: nothing reads it; the field goes with ROADMAP item 3 (b).
 	Pipeline bool
 
 	// Skin widens the cells of the grid to RCut+Skin (Å) so the sorted j-set
@@ -170,10 +169,12 @@ type Machine struct {
 	engineBase
 	real     realRank
 	wave     waveRank
-	wineDone chan wineResult // pipeline join channel, reused across steps
+	launch   func()          // runWave, bound once
+	sys      *md.System      // the system of the Forces call in progress, nil between calls
+	wineDone chan wineResult // the wave pass's join channel, reused across steps
 }
 
-// wineResult carries the wavenumber pass result across the pipeline join.
+// wineResult carries the wavenumber pass result across the join.
 type wineResult struct {
 	fc  soa.Coords
 	pot float64
@@ -189,6 +190,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{engineBase: base, wineDone: make(chan wineResult, 1)}
+	m.launch = m.runWave
 	if m.real, err = m.newRealRank(1); err != nil {
 		return nil, err
 	}
@@ -254,12 +256,12 @@ func (m *Machine) Waves() []ewald.Wave { return m.waves }
 func (m *Machine) MDGStats() mdgrape2.Stats { return m.real.mr1.System().Stats() }
 
 // Forces implements md.ForceField: the per-step flow of §3.1 — send
-// positions to both backends, real-space forces from MDGRAPE-2 (the four
-// kernel tables in one fused sweep), wavenumber-space forces from WINE-2,
-// host combines and adds the self-energy bookkeeping. cfg.Pipeline only
-// chooses whether the wavenumber pass runs concurrently with the sweep or
-// after it; the combined forces are bit-identical either way because the
-// reduction order is fixed: Coulomb + BM + r⁻⁶ + r⁻⁸, then + wave.
+// positions to both backends; MDGRAPE-2 computes the real-space forces (the
+// four kernel tables in one fused sweep) on the calling goroutine while
+// WINE-2 computes the wavenumber-space forces on its own; the host combines
+// them and adds the self-energy bookkeeping. The reduction order is fixed,
+// Coulomb + BM + r⁻⁶ + r⁻⁸, then + wave, so the forces do not depend on which
+// pass finishes first.
 //
 //mdm:stepflow -- hot-path root: the per-step force evaluation of §3.1; everything it reaches must stay deterministic and allocation-free
 func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
@@ -283,25 +285,16 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 	if err := m.wave.lib.SetNN(n); err != nil {
 		return nil, 0, err
 	}
-	if m.cfg.Pipeline {
-		// Overlap the two engines, §3.1: WINE-2 works the wavenumber sum
-		// while MDGRAPE-2 (and its host loops) work the real-space sweep.
-		// The join below is unconditional — no return path may leave the pass
-		// in flight (the recovery layer retries on the same machine).
-		//mdm:hotallocok -- one pipeline launch per step by design; the closure capture is the overlap mechanism and fits the ~10 allocs/step budget
-		go func() { m.wineDone <- m.wavePass(s) }()
-	}
+	// Overlap the two engines, §3.1. The join is unconditional: no return
+	// path may leave the wave pass in flight, since the recovery layer
+	// retries on the same machine, and every attempt issues its WINE-2 calls.
+	m.sys = s
+	go m.launch()
 	fc, mdgErr := m.real.sweep(s.Pos, s.Type, n)
-	var res wineResult
-	if m.cfg.Pipeline {
-		res = <-m.wineDone
-	} else if mdgErr == nil {
-		res = m.wavePass(s)
-	}
+	res := <-m.wineDone
+	m.sys = nil
 	if mdgErr != nil {
-		// Real-space error wins when both engines fail: the serial order
-		// never reaches the wavenumber pass after a failed sweep, and the
-		// recovery ladder keys on that ordering.
+		// The real-space error wins when both engines fail.
 		return nil, 0, fmt.Errorf("core: real-space sweep: %w", mdgErr)
 	}
 	if res.err != nil {
@@ -330,10 +323,12 @@ func (m *Machine) Forces(s *md.System) ([]vec.V, float64, error) {
 	return forces, pot, nil
 }
 
-// wavePass runs the wavenumber rank over all particles. It touches no state
-// the real-space sweep touches, so with cfg.Pipeline it runs on its own
-// goroutine beside the sweep.
-func (m *Machine) wavePass(s *md.System) wineResult {
-	fc, pot, err := m.wave.pass(s.Pos, s.Charge)
-	return wineResult{fc: fc, pot: pot, err: err}
+// runWave is the wave half of Forces, on its own goroutine (launched through
+// m.launch, so a step allocates no closure): the wavenumber rank over m.sys,
+// which touches no state the sweep touches, sent to the join.
+//
+//mdm:stepflow -- hot-path root: the wave half of every Machine.Forces, launched through the m.launch method value; annotated explicitly because that wiring is an assignment the callgraph cannot see
+func (m *Machine) runWave() {
+	fc, pot, err := m.wave.pass(m.sys.Pos, m.sys.Charge)
+	m.wineDone <- wineResult{fc: fc, pot: pot, err: err}
 }

@@ -15,7 +15,6 @@ func TestSkinAmortizesRebuilds(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 80, 23)
 	p := smallParams(s.L)
 	cfg := CurrentMachineConfig(p)
-	cfg.Pipeline = true
 	cfg.Skin = 0.8
 	m, err := NewMachine(cfg)
 	if err != nil {
@@ -53,13 +52,15 @@ func TestSkinAmortizesRebuilds(t *testing.T) {
 }
 
 // TestStepAllocs pins the steady-state heap allocations of one machine Forces
-// call (potential every call, skin 0.6) over pipeline × worker width. By
-// design only the returned force slice (md.ForceField gives it to the caller),
-// the pipeline's wine goroutine and its closure, and the pool.Run and pair-walk
-// closures allocate; every scratch buffer and the pooled dispatch records are
-// reused. So the count is flat in N, steps and width (BENCH_2 read 11 → 144
-// allocs/op between widths 1 and 8 before the records were pooled): 7 per
-// call, 8 with the pipeline on, at every width — the exact counts, so a
+// call (potential every call, skin 0.6) over worker width, with the
+// deprecated Pipeline field set both ways: it selects nothing, so both rows
+// hold the one schedule's budget until the field is deleted. By design only the
+// returned force slice (md.ForceField gives it to the caller) and the pool.Run
+// and pair-walk closures allocate; the wave pass starts on its own goroutine
+// through a method value bound once, and every scratch buffer and the pooled
+// dispatch records are reused. So the count is flat in N, steps and width
+// (BENCH_2 read 11 → 144 allocs/op between widths 1 and 8 before the records
+// were pooled): 7 per call at every width — the exact count, so a
 // one-allocation leak fails — and the bytes are little beyond the one force
 // slice. This test is the allocation verdict; no benchmark record holds one.
 func TestStepAllocs(t *testing.T) {
@@ -68,11 +69,8 @@ func TestStepAllocs(t *testing.T) {
 	}
 	s := meltLike(t, 2, 5.64, 300, 31)
 	bytesLimit := float64(s.N()*24 + 2048) // one N-vector force slice + closures
+	const budget = 7.0
 	for _, pipeline := range []bool{false, true} {
-		budget := 7.0
-		if pipeline {
-			budget = 8 // + the wine goroutine
-		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("pipeline=%v/workers=%d", pipeline, workers), func(t *testing.T) {
 				cfg := CurrentMachineConfig(smallParams(s.L))

@@ -87,10 +87,12 @@ func integrate(t testing.TB, s *md.System, ff md.ForceField, steps int) float64 
 func TestResilientTransientRetried(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 22)
 	p := smallParams(s.L)
-	// Per step the machine makes four MDGRAPE-2 pipeline calls and a WINE-2
-	// DFT/IDFT pair; call-keyed events count per site.
+	// Per attempt the machine makes four MDGRAPE-2 pipeline calls and a
+	// WINE-2 DFT/IDFT pair, the pair also on an attempt whose sweep fails;
+	// call-keyed events count per site. The first attempt fails at mdg call 2
+	// and spends wine2 calls 1–2; the retry fails at wine2 call 3.
 	r := newResilientT(t, CurrentMachineConfig(p),
-		RecoveryConfig{Injector: injector(t, "mdg:transient@call=2; wine2:transient@call=1")}, nil, 0)
+		RecoveryConfig{Injector: injector(t, "mdg:transient@call=2; wine2:transient@call=3")}, nil, 0)
 	if !slices.Equal(firstForces(t, r, s), cleanForces(t, p, s)) {
 		t.Fatal("recovered forces deviate")
 	}

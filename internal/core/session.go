@@ -300,6 +300,8 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 
 // runRank is one rank's share of Step, bound once in NewParallelRun (as
 // rankStep) so a step hands the world no fresh closure.
+//
+//mdm:stepflow -- hot-path root: every rank's share of ParallelRun.Step, run through the rankStep method value; annotated explicitly because that wiring is an assignment the callgraph cannot see
 func (pr *ParallelRun) runRank(c *mpi.Comm) error {
 	if c.Rank() < pr.nReal {
 		return pr.realStep(pr.real[c.Rank()], pr.sys)

@@ -64,20 +64,21 @@ func TestRealPotentialHalfWalkMatchesOrderedWalk(t *testing.T) {
 // had been kept as the default: call-indexed MDGRAPE-2 faults on the plain
 // machine. The fused sweep books its four table passes as four hardware calls
 // in pass order, so a scenario keyed on mdg call numbers lands on the same
-// pass of the same step, the wavenumber pass is (not) reached exactly as
-// before, and the recovery report — the four-pass machine's events, with the
-// flipped word's magnitude — is pinned, as are the recovered forces.
+// pass of the same step, and the recovery report — the four-pass machine's
+// events, with the flipped word's magnitude — is pinned, as are the recovered
+// forces.
 func TestPlainMachineFaultGeometry(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 37)
 	p := smallParams(s.L)
-	// The first force call: mdg call 3 fails its r⁻⁶ pass (the wavenumber
-	// pass is never reached); the retry issues mdg calls 4–7, then WINE-2's
-	// DFT and IDFT, whose call 2 fails; the second retry dies at mdg call 9,
-	// the Born–Mayer pass; the third (mdg 10–13, wine2 3–4) succeeds. The
-	// second force call is mdg 14–17: the bit flip corrupts the r⁻⁶ pass's
-	// contribution to one force component, the spike guard rejects the step,
-	// and its retry is clean.
-	in := injector(t, "mdg:transient@call=3; wine2:transient@call=2; mdg:transient@call=9; mdg:bitflip@call=16,word=5,bit=62")
+	// Every attempt issues WINE-2's DFT and IDFT beside the sweep, also when
+	// the sweep fails. The first force call: mdg call 3 fails its r⁻⁶ pass
+	// while WINE-2 spends calls 1–2; the retry issues mdg calls 4–7 beside
+	// wine2 calls 3–4, of which 4 fails; the second retry dies at mdg call 9,
+	// the Born–Mayer pass (wine2 5–6); the third (mdg 10–13, wine2 7–8)
+	// succeeds. The second force call is mdg 14–17: the bit flip corrupts the
+	// r⁻⁶ pass's contribution to one force component, the spike guard rejects
+	// the step, and its retry is clean.
+	in := injector(t, "mdg:transient@call=3; wine2:transient@call=4; mdg:transient@call=9; mdg:bitflip@call=16,word=5,bit=62")
 	r := newResilientT(t, CurrentMachineConfig(p), RecoveryConfig{
 		Guards:   Guards{MaxForce: 100}, // eV/Å; honest forces are ~1
 		Injector: in,

@@ -166,7 +166,7 @@ func latticeCells(cells int) []latticeCell {
 }
 
 // reference is the cell c's row is judged against: the same system, skin and
-// scenario at one worker, pipeline off and the fewest ranks the scenario
+// scenario at one worker, pipeline unset and the fewest ranks the scenario
 // runs at.
 func (c latticeCell) reference() latticeCell {
 	c.workers, c.pipeline = 1, false
@@ -280,7 +280,10 @@ func runLatticeCell(cfg Config) (latticeRun, error) {
 
 // TestBitIdentityLattice is the bit-identity oracle of every execution mode:
 // worker width × pipeline × rank count (one wavenumber rank) × skin × fault
-// scenario, at 64 and 216 ions (sampledLattice picks the cells). Each cell
+// scenario, at 64 and 216 ions (sampledLattice picks the cells). The pipeline
+// axis sets the deprecated Config.Pipeline, which selects nothing: its true
+// cells pin that the field leaves every trajectory bit for bit as it is, and
+// the axis goes with the field (ROADMAP item 3 (b)). Each cell
 // lands on its golden row and reports its reference cell's records and fault
 // report bit for bit; agreement cannot see a wrong answer every mode shares,
 // so judgeAccuracy holds each clean reference cell to float64. Cells run in

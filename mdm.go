@@ -100,15 +100,15 @@ type Config struct {
 
 	// Workers is the host worker-pool width the MDM backend uses to stripe
 	// the simulated WINE-2/MDGRAPE-2 pipelines across OS threads (0 =
-	// runtime.GOMAXPROCS(0), 1 = serial). Any width produces bit-identical
-	// trajectories; the reference backend ignores it.
+	// runtime.GOMAXPROCS(0); 1 = one thread per engine pass, the WINE-2 pass
+	// still running beside the MDGRAPE-2 sweep). Any width produces
+	// bit-identical trajectories; the reference backend ignores it.
 	Workers int
 
-	// Pipeline runs the WINE-2 wavenumber pass of every step on its own
-	// goroutine beside the MDGRAPE-2 real-space sweep (MDM backend only). It
-	// changes only the scheduling — the sweep, the wave pass and the force
-	// reduction are the same code — so trajectories are bit-identical with
-	// the flag on or off at the same Skin.
+	// Pipeline is ignored: every MDM engine runs the WINE-2 pass of every
+	// step beside the MDGRAPE-2 sweep (§3.1).
+	//
+	// Deprecated: nothing reads it; the field goes with ROADMAP item 3 (b).
 	Pipeline bool
 
 	// Skin is the Verlet skin in Å added to the real-space cell size so the
@@ -294,10 +294,10 @@ type Simulation struct {
 // Validate reports the first reason NewSimulation or ResumeFromJournal would
 // refuse the configuration — every rejected combination is listed here and
 // nowhere else. The reference backend is the bare float64 path: the spatial
-// decomposition, fault injection, hardware supervision, the engine pipeline
-// and the Verlet skin all act on the simulated machine, so asking for them
-// without it is an error rather than a setting silently dropped (a journal
-// alone works with either backend). So is WaveRanks without the
+// decomposition, fault injection, hardware supervision and the Verlet skin
+// all act on the simulated machine, so asking for them without it is an
+// error rather than a setting silently dropped (a journal alone works with
+// either backend). So is WaveRanks without the
 // decomposition it sizes, and a fault clause the run would never fire.
 func (c Config) Validate() error {
 	switch {
@@ -315,8 +315,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mdm: fault injection requires the MDM backend")
 	case c.Supervise.enabled():
 		return fmt.Errorf("mdm: the watchdog and circuit breakers require the MDM backend")
-	case c.Pipeline || c.Skin != 0:
-		return fmt.Errorf("mdm: the pipeline and the Verlet skin require the MDM backend")
+	case c.Skin != 0:
+		return fmt.Errorf("mdm: the Verlet skin requires the MDM backend")
 	}
 	return nil
 }
@@ -352,7 +352,6 @@ func newForceField(cfg Config, p ewald.Params, in *fault.Injector) (core.Engine,
 	mcfg := core.CurrentMachineConfig(p)
 	mcfg.PotentialEvery = cfg.PotentialEvery
 	mcfg.Workers = cfg.Workers
-	mcfg.Pipeline = cfg.Pipeline
 	mcfg.Skin = cfg.Skin
 	if in == nil && cfg.Faults != "" {
 		var err error

@@ -43,8 +43,9 @@ func TestNewSimulationValidation(t *testing.T) {
 }
 
 // TestConfigCapabilities is the capability table of Config: which backend
-// composes with the decomposition, fault injection, supervision, the engine
-// pipeline, the Verlet skin and the journal. Every rejection comes from
+// composes with the decomposition, fault injection, supervision, the Verlet
+// skin and the journal; the deprecated Pipeline field selects nothing, so no
+// backend refuses it. Every rejection comes from
 // Config.Validate, at both entry points that take a Config from outside, with
 // a message naming what is missing; nothing asked for is dropped silently.
 func TestConfigCapabilities(t *testing.T) {
@@ -52,7 +53,7 @@ func TestConfigCapabilities(t *testing.T) {
 		needsRanks     = "spatial decomposition requires the MDM backend"
 		needsFaults    = "fault injection requires the MDM backend"
 		needsSupervise = "watchdog and circuit breakers require the MDM backend"
-		needsMachine   = "pipeline and the Verlet skin require the MDM backend"
+		needsMachine   = "Verlet skin requires the MDM backend"
 		needsDecomp    = "WaveRanks requires Ranks"
 	)
 	dir := t.TempDir()
@@ -78,7 +79,7 @@ func TestConfigCapabilities(t *testing.T) {
 		{"reference/ranks", Config{Backend: BackendReference, Ranks: 2}, needsRanks},
 		{"reference/faults", Config{Backend: BackendReference, Faults: "mdg:hang@step=4"}, needsFaults},
 		{"reference/watchdog", Config{Backend: BackendReference, Supervise: SuperviseConfig{Watchdog: 250 * time.Millisecond}}, needsSupervise},
-		{"reference/pipeline", Config{Backend: BackendReference, Pipeline: true}, needsMachine},
+		{"reference/pipeline", Config{Backend: BackendReference, Pipeline: true}, ""}, // deprecated; selects nothing
 		{"reference/skin", Config{Backend: BackendReference, Skin: 0.5}, needsMachine},
 		{"reference/wave-ranks-without-ranks", Config{Backend: BackendReference, WaveRanks: 1}, needsDecomp},
 		{"unknown-backend", Config{Backend: Backend(42)}, "unknown backend"},

@@ -19,7 +19,7 @@ fi
 echo "==> doc budgets (DESIGN.md and EXPERIMENTS.md may shrink, never grow)"
 # Each budget is the file's size when the ratchet was set; lower it when a
 # rewrite shrinks the file.
-for budget in DESIGN.md:44977 EXPERIMENTS.md:35711; do
+for budget in DESIGN.md:44858 EXPERIMENTS.md:35711; do
     doc=${budget%%:*}
     size=$(wc -c < "$doc")
     if [ "$size" -gt "${budget##*:}" ]; then
@@ -56,6 +56,9 @@ done
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> GOARCH=386 go vet ./... (the tree builds where int is 32 bits)"
+GOARCH=386 go vet ./...
 
 echo "==> fused float ops (the simulated datapaths, their table builder, the host words they are fed, the cell index, the engine body, the integrator and the vector algebra round every step: none on the architectures that fuse)"
 # The Go spec lets a compiler fuse x*y + z into one rounding; an explicit
@@ -118,7 +121,7 @@ make race
 echo "==> make bench-build (the kernel micro-benchmarks compile and run once)"
 make bench-build
 
-echo "==> make bench-smoke (neither the parallel width nor the engine-overlap pipeline may lose to serial; prints the overlap ratio at GOMAXPROCS=2)"
+echo "==> make bench-smoke (the parallel width may not lose to workers=1; prints the speed-up at GOMAXPROCS=2)"
 make bench-smoke
 
 echo "==> repo benchmark smoke (every workload runs end to end and passes its own correctness checks)"

@@ -2,9 +2,8 @@ package mdm
 
 import "testing"
 
-// TestPipelineSkinConservesEnergy holds the Verlet skin, under the pipeline,
-// to energy conservation over a long run; TestBitIdentityLattice holds both
-// knobs to the golden trajectories. A positive skin widens the cells, not the
+// TestSkinConservesEnergy holds the Verlet skin to energy conservation over a
+// long run; TestBitIdentityLattice holds it to the golden trajectories. A positive skin widens the cells, not the
 // r_cut sphere: it moves the sweep's visit order and stored words, so it is
 // not bit-compared against skin=0 (TestSkinLeavesThePhysics holds it to
 // rounding). A 2-cell grid walks every image of every cell whatever cell a
@@ -12,11 +11,11 @@ import "testing"
 // both sides of a pair — forces and potential alike — read the layout frozen
 // at the last rebuild, and the run must be long enough for particles to cross
 // the box faces between rebuilds. Both skins read 1.3e-5 here.
-func TestPipelineSkinConservesEnergy(t *testing.T) {
+func TestSkinConservesEnergy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine protocol run in -short mode")
 	}
-	sim, err := NewSimulation(Config{Cells: 3, Backend: BackendMDM, Pipeline: true, Skin: 0.5})
+	sim, err := NewSimulation(Config{Cells: 3, Backend: BackendMDM, Skin: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
