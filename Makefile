@@ -3,11 +3,11 @@
 # packages and the smoke gate's flags live here only: scripts/check.sh calls
 # `make race` / `make fuzz-smoke` / `make bench-build` / `make bench-smoke`,
 # and fails when an alternative of a `make race` -run regex names no test in
-# its packages. The -cpu 1,2,4 line runs the pool-width tests with more Go
-# threads than a two-core runner has cores, the condition a descheduled
-# worker comes from. The fault-injection, recovery, supervision and
-# crash-matrix tests need no target of their own: `go test ./...` runs every
-# one of them.
+# its packages. The -cpu 1,2,4 lines run the pool-width tests and the
+# potential-walk claim with more Go threads than a two-core runner has
+# cores, the condition a descheduled worker comes from. The
+# fault-injection, recovery, supervision and crash-matrix tests need no
+# target of their own: `go test ./...` runs every one of them.
 
 GO ?= go
 
@@ -55,6 +55,7 @@ race:
 		./internal/lifecycle/... ./internal/serve/...
 	$(GO) test -race -cpu 1,2,4 -run 'AcrossWorkers|Run|Shards' ./internal/parallelize \
 		./internal/mdgrape2 ./internal/wine2 ./internal/cellindex
+	$(GO) test -race -cpu 1,2,4 -count 5 -run 'PotentialClaim' ./internal/core
 	$(GO) test -race -run 'Commit|DurableOnReturn|CrashMatrix|Journal|Interrupt|Resume|Restart' .
 	$(GO) test -race -short -run BitIdentityLattice .
 

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"mdm"
+	"mdm/internal/core"
 	"mdm/internal/lifecycle"
 	"mdm/internal/md"
 )
@@ -63,6 +64,34 @@ type runSummary struct {
 	// step. Both are 0 without -journal.
 	Commits      int64 `json:"commits"`
 	CommitStalls int64 `json:"commit_stalls"`
+
+	// Phases is the step-phase spine of the serial engine's force calls:
+	// per lane ("caller", "wave"), the phases that ran. Absent on the
+	// reference backend and with -ranks.
+	Phases map[string]map[string]phaseTotal `json:"phases,omitempty"`
+}
+
+// phaseTotal is how often a phase ran on a lane and for how long in all.
+type phaseTotal struct {
+	Count int64   `json:"count"`
+	Ms    float64 `json:"ms"`
+}
+
+// phaseSummary keys the spine's totals by lane and phase name.
+func phaseSummary(rec mdm.PhaseRecord) map[string]map[string]phaseTotal {
+	out := make(map[string]map[string]phaseTotal)
+	for l, lane := range rec {
+		phases := make(map[string]phaseTotal)
+		for p, a := range lane {
+			if a.Count > 0 {
+				phases[core.Phase(p).String()] = phaseTotal{a.Count, float64(a.Nanos) / 1e6}
+			}
+		}
+		if len(phases) > 0 {
+			out[core.Lane(l).String()] = phases
+		}
+	}
+	return out
 }
 
 func summarize(sim *mdm.Simulation, status string, restarts int, elapsed time.Duration) runSummary {
@@ -81,6 +110,9 @@ func summarize(sim *mdm.Simulation, status string, restarts int, elapsed time.Du
 	s.Commits, s.CommitStalls = sim.CommitStats()
 	if rep, ok := sim.FaultReport(); ok {
 		s.Fault = &rep
+	}
+	if rec, ok := sim.Phases(); ok {
+		s.Phases = phaseSummary(rec)
 	}
 	return s
 }

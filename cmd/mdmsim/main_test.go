@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,10 +53,16 @@ func TestFatalRestartMatchesCleanRun(t *testing.T) {
 	if clean.EnergyDrift == nil || faulted.EnergyDrift == nil || *faulted.EnergyDrift != *clean.EnergyDrift {
 		t.Errorf("drift after a restart %v, clean %v", faulted.EnergyDrift, clean.EnergyDrift)
 	}
+	// The spine carries across the restart: the rebuilt engine books on
+	// the same sink, so the faulted run counts the steps it ran twice.
+	if n, m := clean.Phases["caller"]["sweep"].Count, faulted.Phases["caller"]["sweep"].Count; n != 31 || m <= n {
+		t.Errorf("sweeps booked: clean %d, after a restart %d; want 31 and more", n, m)
+	}
 	for _, s := range []*runSummary{&clean, &faulted} {
 		s.Restarts, s.WallSeconds, s.Fault, s.Commits, s.CommitStalls, s.EnergyDrift = 0, 0, nil, 0, 0, nil
+		s.Phases = nil
 	}
-	if faulted != clean {
+	if !reflect.DeepEqual(faulted, clean) {
 		t.Errorf("summary after a restart %+v, clean %+v", faulted, clean)
 	}
 }

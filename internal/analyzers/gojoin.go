@@ -33,34 +33,111 @@ func runGoJoin(pass *Pass) {
 			if !ok {
 				return true
 			}
-			body := launchedBody(pass, gs)
-			if body == nil || signalsCompletion(pass, body) {
-				return true
+			for _, body := range launchedBodies(pass, gs) {
+				if !signalsCompletion(pass, body) {
+					pass.Reportf(gs.Pos(),
+						"goroutine body has no join path (no channel send, close, or WaitGroup Done/Wait): the launcher cannot await it or collect its error")
+					break
+				}
 			}
-			pass.Reportf(gs.Pos(),
-				"goroutine body has no join path (no channel send, close, or WaitGroup Done/Wait): the launcher cannot await it or collect its error")
 			return true
 		})
 	}
 }
 
-// launchedBody resolves the body of the function a go statement launches: a
-// function literal inline, or a same-package named function or method. Calls
-// into other packages (or through function values) return nil — their bodies
-// are not loaded here, and flagging what cannot be inspected would be noise.
-func launchedBody(pass *Pass, gs *ast.GoStmt) *ast.BlockStmt {
-	switch fun := ast.Unparen(gs.Call.Fun).(type) {
-	case *ast.FuncLit:
-		return fun.Body
-	case *ast.Ident, *ast.SelectorExpr:
-		fn := calleeFunc(pass.Info, gs.Call)
-		if fn == nil || fn.Pkg() != pass.Pkg {
+// launchedBodies resolves the bodies a go statement may launch: a function
+// literal inline, a same-package named function or method, or — through a
+// func-typed variable or field, such as a method value bound once — the
+// same-package methods that variable is ever assigned. Calls into other
+// packages, and variables holding anything but same-package method values,
+// return nil: their bodies are not known here, and flagging what cannot be
+// inspected would be noise.
+func launchedBodies(pass *Pass, gs *ast.GoStmt) []*ast.BlockStmt {
+	fun := ast.Unparen(gs.Call.Fun)
+	if lit, ok := fun.(*ast.FuncLit); ok {
+		return []*ast.BlockStmt{lit.Body}
+	}
+	if fn := calleeFunc(pass.Info, gs.Call); fn != nil {
+		if fn.Pkg() != pass.Pkg {
 			return nil
 		}
-		return funcDeclBody(pass, fn)
+		if body := funcDeclBody(pass, fn); body != nil {
+			return []*ast.BlockStmt{body}
+		}
+		return nil
+	}
+	if v := funcVar(pass, fun); v != nil {
+		return methodValueBodies(pass, v)
+	}
+	return nil
+}
+
+// funcVar is the variable or field a call expression's function is read
+// from, or nil.
+func funcVar(pass *Pass, e ast.Expr) *types.Var {
+	var id *ast.Ident
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
 	default:
 		return nil
 	}
+	v, _ := pass.Info.ObjectOf(id).(*types.Var)
+	return v
+}
+
+// methodValueBodies returns the bodies of the methods v is assigned in the
+// package — by assignment or a composite literal's keyed field — or nil if
+// v is never assigned or is assigned anything but a same-package method
+// value.
+func methodValueBodies(pass *Pass, v *types.Var) []*ast.BlockStmt {
+	var bodies []*ast.BlockStmt
+	resolved := true
+	bind := func(rhs ast.Expr) {
+		var body *ast.BlockStmt
+		if sel, ok := ast.Unparen(rhs).(*ast.SelectorExpr); ok {
+			if s := pass.Info.Selections[sel]; s != nil && s.Kind() == types.MethodVal && s.Obj().Pkg() == pass.Pkg {
+				body = funcDeclBody(pass, s.Obj().(*types.Func))
+			}
+		}
+		if body == nil {
+			resolved = false
+			return
+		}
+		bodies = append(bodies, body)
+	}
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) != len(n.Rhs) {
+					return true
+				}
+				for i, lhs := range n.Lhs {
+					if funcVar(pass, lhs) == v {
+						bind(n.Rhs[i])
+					}
+				}
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok && pass.Info.ObjectOf(key) == v {
+					bind(n.Value)
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if i < len(n.Values) && pass.Info.ObjectOf(name) == v {
+						bind(n.Values[i])
+					}
+				}
+			}
+			return true
+		})
+	}
+	if !resolved {
+		return nil
+	}
+	return bodies
 }
 
 // funcDeclBody finds the declaration body of a package-local function.

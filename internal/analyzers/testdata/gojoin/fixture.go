@@ -75,6 +75,52 @@ func monitor() {
 	_ = work()
 }
 
+// A launch through a func-typed field bound once to a method value resolves
+// to that method's body.
+type engine struct {
+	launch func()
+	done   chan error
+}
+
+func newEngine() *engine {
+	e := &engine{done: make(chan error, 1)}
+	e.launch = e.pass
+	return e
+}
+
+func (e *engine) pass() { e.done <- work() }
+
+// boundJoined launches a method value that sends its result; it is joined.
+func (e *engine) boundJoined() error {
+	go e.launch()
+	return <-e.done
+}
+
+type detachedEngine struct{ launch func() }
+
+func newDetachedEngine() *detachedEngine {
+	e := &detachedEngine{}
+	e.launch = e.spin
+	return e
+}
+
+func (e *detachedEngine) spin() { _ = work() }
+
+// boundDetached launches a method value whose body never signals.
+func (e *detachedEngine) boundDetached() {
+	go e.launch() // want `goroutine body has no join path`
+}
+
+// A field that ever holds something other than a same-package method value
+// is not resolvable; the analyzer stays silent.
+type hookEngine struct{ launch func() }
+
+func (e *hookEngine) setHook(f func()) { e.launch = f }
+
+func (e *hookEngine) run() {
+	go e.launch()
+}
+
 // crossPackage launches a function whose body is not loaded here; the
 // analyzer stays silent rather than guessing.
 func crossPackage() {

@@ -301,29 +301,42 @@ type potCadence struct {
 // call always does: the value its predecessor held is in no checkpoint.
 func (c *potCadence) due() bool { return !c.valid || c.step%c.every == 0 }
 
-// eval books a completed force call on s whose wavenumber pass reported
-// wavePot, and returns the potential the call reports. On a due call it walks
-// l at s.Pos with the host potential, adds the wave and self terms and holds
-// the sum. With clock nil, l is the layout the call's own sweep read. A
-// session's driver keeps no sweep's layout, so it passes its skin clock: l is
-// sorted at the clock's reference, once per rebuild, and refreshed to s.Pos,
-// like a rank's.
+// eval books a completed force call of a session on s whose wavenumber pass
+// reported wavePot, and returns the potential the call reports. The driver
+// keeps no sweep's layout, so on a due call it brings its own l up to date
+// from the skin clock — sorted at the clock's reference, once per rebuild,
+// and refreshed to s.Pos, like a rank's — and walks it.
 func (c *potCadence) eval(l *jsetLayout, clock *skinClock, wavePot float64, s *md.System) (float64, error) {
-	if c.fresh = c.due(); c.fresh {
-		if clock != nil {
-			if l.sortedAt != clock.rebuilds { // ref moves only on a rebuild, which counts
-				if err := l.update(clock.ref, s.Type, true, nil); err != nil {
-					return 0, err
-				}
-				l.sortedAt = clock.rebuilds
-			}
-			if err := l.update(s.Pos, nil, false, nil); err != nil {
+	var realPot float64
+	if c.due() {
+		if l.sortedAt != clock.rebuilds { // ref moves only on a rebuild, which counts
+			if err := l.update(clock.ref, s.Type, true, nil); err != nil {
 				return 0, err
 			}
+			l.sortedAt = clock.rebuilds
 		}
-		realPot := hostPotential(&c.gather, c.table, l.js.Sorted, l.jsb.NeighborTable(), s)
+		if err := l.update(s.Pos, nil, false, nil); err != nil {
+			return 0, err
+		}
+		realPot = c.walk(l, s)
+	}
+	return c.book(realPot, wavePot, s), nil
+}
+
+// walk is the host potential's real-space sum over layout l at s.Pos.
+func (c *potCadence) walk(l *jsetLayout, s *md.System) float64 {
+	return hostPotential(&c.gather, c.table, l.js.Sorted, l.jsb.NeighborTable(), s)
+}
+
+// book closes a completed force call on s and returns the potential it
+// reports. On a due call realPot is the call's real-space walk, and the sum
+// with the wavenumber potential wavePot and the self term is held; otherwise
+// both are ignored and the held value is reported. It advances the cadence,
+// so it runs once per successful call and never on a failed one.
+func (c *potCadence) book(realPot, wavePot float64, s *md.System) float64 {
+	if c.fresh = c.due(); c.fresh {
 		c.last, c.valid = realPot+wavePot+ewald.SelfEnergy(c.table.p, s.Charge), true
 	}
 	c.step++
-	return c.last, nil
+	return c.last
 }

@@ -286,6 +286,7 @@ type Simulation struct {
 	stage     string             // "nvt"/"nve": the running segment, tags journal records
 	replaying bool               // journal replay in progress: suppress re-journaling
 	interrupt func() bool        // graceful-shutdown check; survives restarts
+	phases    *core.PhaseSink    // the serial engine's step-phase spine; survives restarts
 
 	freeOnce sync.Once // Free is idempotent and safe to race with itself
 	freeErr  error     // the first Free's verdict, replayed to later callers
@@ -348,11 +349,12 @@ func (c Config) validateFaults() error {
 // when a fault scenario or supervision asks for it. A non-nil injector (the
 // restart path) takes precedence over parsing cfg.Faults again, so events
 // that already fired before a restart stay consumed.
-func newForceField(cfg Config, p ewald.Params, in *fault.Injector) (core.Engine, *core.Resilient, *fault.Injector, error) {
+func newForceField(cfg Config, p ewald.Params, in *fault.Injector, phases *core.PhaseSink) (core.Engine, *core.Resilient, *fault.Injector, error) {
 	mcfg := core.CurrentMachineConfig(p)
 	mcfg.PotentialEvery = cfg.PotentialEvery
 	mcfg.Workers = cfg.Workers
 	mcfg.Skin = cfg.Skin
+	mcfg.Phases = phases
 	if in == nil && cfg.Faults != "" {
 		var err error
 		in, err = fault.ParseInjector(cfg.Faults)
@@ -399,12 +401,26 @@ func newForceField(cfg Config, p ewald.Params, in *fault.Injector) (core.Engine,
 	return eng, res, in, nil
 }
 
+// PhaseRecord is the step-phase spine's totals: per lane of the serial
+// engine's force call, per phase, a count and a time.
+type PhaseRecord = core.PhaseRecord
+
+// phaseOrigin is where the spine's clock starts. The spine times force-call
+// phases only; no reading enters the simulation state or a journal record.
+var phaseOrigin = time.Now()
+
+// phaseClock is the spine's clock: monotonic nanoseconds since phaseOrigin.
+func phaseClock() int64 { return int64(time.Since(phaseOrigin)) }
+
 func newSimulation(cfg Config, sys *md.System, step int, in *fault.Injector) (*Simulation, error) {
 	p, err := cfg.EwaldParams()
 	if err != nil {
 		return nil, err
 	}
 	sim := &Simulation{cfg: cfg, p: p, Recorder: &md.Recorder{}, injector: in}
+	if cfg.Backend == BackendMDM && cfg.Ranks == 0 {
+		sim.phases = core.NewPhaseSink(phaseClock)
+	}
 	if err := sim.build(sys, step); err != nil {
 		return nil, err
 	}
@@ -423,7 +439,7 @@ func (s *Simulation) build(sys *md.System, step int) error {
 		s.obs, err = core.NewReference(s.p)
 		ff = s.obs
 	} else {
-		s.engine, s.resilient, s.injector, err = newForceField(s.cfg, s.p, s.injector)
+		s.engine, s.resilient, s.injector, err = newForceField(s.cfg, s.p, s.injector, s.phases)
 		ff = s.engine
 	}
 	if err != nil {
@@ -979,6 +995,17 @@ func (s *Simulation) FaultReport() (rep FaultReport, ok bool) {
 		return FaultReport{}, false
 	}
 	return s.resilient.Report(), true
+}
+
+// Phases returns the step-phase spine's totals so far, on the monotonic
+// clock: where the MDM backend's serial engine spent its force calls, per
+// lane and phase, restarts included. ok is false on the reference backend
+// and for a decomposed run (Ranks > 0), which book no phases yet.
+func (s *Simulation) Phases() (rec PhaseRecord, ok bool) {
+	if s.phases == nil {
+		return PhaseRecord{}, false
+	}
+	return s.phases.Snapshot(), true
 }
 
 // Free releases the simulated boards of the MDM backend (no-op for the

@@ -19,7 +19,7 @@ fi
 echo "==> doc budgets (DESIGN.md and EXPERIMENTS.md may shrink, never grow)"
 # Each budget is the file's size when the ratchet was set; lower it when a
 # rewrite shrinks the file.
-for budget in DESIGN.md:44858 EXPERIMENTS.md:35711; do
+for budget in DESIGN.md:44858 EXPERIMENTS.md:35708; do
     doc=${budget%%:*}
     size=$(wc -c < "$doc")
     if [ "$size" -gt "${budget##*:}" ]; then
