@@ -62,24 +62,25 @@ func TestStepFlowFactPropagation(t *testing.T) {
 		t.Fatalf("expected at least the 6 annotated roots, got %d: %v", got, facts.Roots())
 	}
 	hot := []string{
-		// Direct call chain from core.Machine.Forces.
+		// Direct call chain from core.ParallelRun.Step through the claim
+		// walk.
 		"(*mdm/internal/cellindex.Sorted).ForEachHalfMask",
 		// Cross-package chain through the wine2 root into the DFT engine.
 		"(*mdm/internal/wine2.System).DFTQuantizedInto",
 		// Interface dispatch: md.Integrator.Step calls ForceField.Forces, and
 		// CHA fans out to the core implementations.
-		"(*mdm/internal/core.Machine).Forces",
 		"(*mdm/internal/core.ParallelRun).Forces",
 		"(*mdm/internal/core.Resilient).Forces",
-		// The engine body both step roots share: Machine.Forces calls the
-		// sweep directly and the wave pass from runWave, ParallelRun.Step's
-		// ranks from runRank inside World.Run (both method values bound
-		// once, so both are annotated roots).
-		"(*mdm/internal/core.realRank).sweep",
-		"(*mdm/internal/core.waveRank).pass",
-		"(*mdm/internal/core.potCadence).eval",
+		// The one step driver: ParallelRun.Step runs its ranks from runRank
+		// inside World.Run (a method value bound once, so an annotated
+		// root); real rank 0 and wave rank 0 reach the sweep, the wave pass
+		// and the claim walk.
 		"(*mdm/internal/core.ParallelRun).realStep",
 		"(*mdm/internal/core.ParallelRun).waveStep",
+		"(*mdm/internal/core.realRank).sweep",
+		"(*mdm/internal/core.waveRank).pass",
+		"(*mdm/internal/core.ParallelRun).claimWalk",
+		"(*mdm/internal/core.potCadence).walk",
 		// Callback edge: functions passed to Integrator.Run run between steps.
 		"(*mdm.Simulation).observe",
 		// Interface dispatch twice over: the boards call

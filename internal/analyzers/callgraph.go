@@ -19,15 +19,16 @@ import (
 // ordered hardware; the repo mirrors that with bit-identity and journal/replay
 // contracts that only hold if the per-step code is deterministic and
 // allocation-free. Those properties are global — a clock read three calls
-// below core.Machine.Forces breaks replay just as surely as one inside it —
+// below core.ParallelRun.Step breaks replay just as surely as one inside it —
 // so the step-path analyzers (wallclock, hotalloc) need to know, per
 // function, whether it can execute during a step.
 //
 // Roots are declared in source: a function whose doc comment carries a
 // "//mdm:stepflow -- reason" directive is a hot-path entry point. The repo
-// annotates core.Machine.Forces, md.Integrator.Step/Run, the WINE-2 and
-// MDGRAPE-2 session entry points, and the serving layer's per-step interrupt
-// check, whose wiring is an assignment. Reachability propagates through:
+// annotates core.ParallelRun.Step and its rank body runRank (a method value
+// World.Run calls), md.Integrator.Step/Run, the WINE-2 and MDGRAPE-2 session
+// entry points, and the serving layer's per-step interrupt check, whose
+// wiring is an assignment. Reachability propagates through:
 //
 //   - direct calls, go statements and defers (resolved through go/types);
 //   - closures: a function literal's body belongs to its declaring function,
@@ -43,7 +44,7 @@ import (
 //
 // Cross-package identity: the loader type-checks each package from source but
 // resolves its imports from compiler export data, so the *types.Func for
-// core.Machine.Forces seen from package md is a different object than the one
+// core.ParallelRun.Forces seen from package md is a different object than the one
 // from core's own load. Functions are therefore keyed by FullName() strings,
 // which are identical in both universes.
 

@@ -1,7 +1,7 @@
 // Fixtures for a hot path behind an adapter: the stepflow fact must propagate
 // from a driver root through interface dispatch into an adapter that swaps
 // state around the evaluator it wraps, the way md.Integrator.Step reaches
-// Machine.Forces through core.Resilient — otherwise the determinism analyzers
+// ParallelRun.Forces through core.Resilient — otherwise the determinism analyzers
 // would silently skip everything behind the ForceField seam.
 package fixture
 

@@ -89,10 +89,10 @@ func MeasureAccuracy(cfg MachineConfig, s *md.System) (Accuracy, error) {
 	if err != nil {
 		return Accuracy{}, err
 	}
-	js := m.real.js // the layout the sweep just read
+	js := m.real[0].js // the layout the sweep just read
 	sphere, body := ref.pairSum(s, js.Sorted)
 	shift := 0.0 // Σ u_ij(r_c) over the walk's pairs
-	js.Sorted.ForEachHalfPair(m.real.jsb.NeighborTable(), func(i, j int, rij vec.V) {
+	js.Sorted.ForEachHalfPair(m.real[0].jsb.NeighborTable(), func(i, j int, rij vec.V) {
 		body(i, j, rij)
 		oi, oj := js.Sorted.Order[i], js.Sorted.Order[j]
 		shift += p.RealPairEnergyR(s.Charge[oi], s.Charge[oj], p.RCut)
@@ -106,7 +106,7 @@ func MeasureAccuracy(cfg MachineConfig, s *md.System) (Accuracy, error) {
 	sn, cn := ewald.StructureFactors(m.waves, s.Pos, s.Charge)
 	wave64 := ewald.WavenumberForces(p, m.waves, sn, cn, s.Pos, s.Charge)
 	pot64 := sphere.pot - shift + ewald.WavenumberEnergy(p, m.waves, sn, cn) + ewald.SelfEnergy(p, s.Charge)
-	wave, real64 := m.wave.fc.AppendAoS(nil), sphere.forces
+	wave, real64 := m.wave[0].fc.AppendAoS(nil), sphere.forces
 	sweep, total64 := make([]vec.V, s.N()), make([]vec.V, s.N())
 	for i := range total {
 		sweep[i] = total[i].Sub(wave[i])

@@ -278,7 +278,7 @@ func TestMachineStatsAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	mdg := m.MDGStats()
-	wine := m.wave.lib.System().Stats()
+	wine := m.wave[0].lib.System().Stats()
 	if mdg.PairsEvaluated == 0 || mdg.Calls != 4 {
 		t.Errorf("MDGRAPE stats = %+v, want 4 passes", mdg)
 	}

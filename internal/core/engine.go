@@ -17,14 +17,12 @@ import (
 )
 
 // engineBase is the one engine body. §4 lays the machine out as real-space
-// processes plus wavenumber processes; the serial Machine is the 1 + 1 case
-// of that layout and a ParallelRun the p + w case. Both hold this — the
-// configuration, the global cell grid, the coefficient RAMs, the wave set, the
-// Verlet-skin rebuild schedule and the potential on its cadence — and step
-// through the same realRank / waveRank methods: the Machine hands them its
-// system's arrays with no mpi.World around them, a session wraps them in its
-// wire protocol (ownership, migration, halo and ghost exchange, ship and
-// assemble).
+// processes plus wavenumber processes; a ParallelRun is the p + w case and
+// the serial Machine its 1 + 1 case. It holds this — the configuration, the
+// global cell grid, the coefficient RAMs, the wave set, the Verlet-skin
+// rebuild schedule and the potential on its cadence — and its ranks step
+// through the realRank / waveRank methods inside its wire protocol
+// (ownership, migration, halo and ghost exchange, ship and assemble).
 type engineBase struct {
 	cfg   MachineConfig
 	grid  *cellindex.Grid
@@ -33,8 +31,7 @@ type engineBase struct {
 	clock skinClock
 	pot   potCadence
 
-	// The ranks restripe and Free walk: one of each kind on the Machine,
-	// every rank of a session.
+	// The ranks restripe and Free walk: every rank of the session.
 	realRanks []*realRank
 	waveRanks []*waveRank
 
@@ -43,7 +40,7 @@ type engineBase struct {
 	wineBoards, mdgBoards int
 }
 
-// newEngineBase is the common prefix of NewMachine and NewParallelRun.
+// newEngineBase is NewParallelRun's layout-independent prefix.
 func newEngineBase(cfg MachineConfig) (engineBase, error) {
 	p := cfg.Ewald
 	if err := p.Validate(); err != nil {
@@ -97,7 +94,7 @@ func (e *engineBase) JSetStats() (rebuilds, reuses int) { return e.clock.rebuild
 // every rank of that kind over its share of the survivors; the grid,
 // coefficients, wave set, skin clock, layouts, pools and potential cadence
 // stay. It reports false, touching nothing, when that would leave fewer
-// boards than ranks of that kind — for the serial machine, its last board.
+// boards than ranks of that kind — at the 1 + 1 layout, its last board.
 func (e *engineBase) restripe(site fault.Site) (bool, error) {
 	switch {
 	case site == fault.MDG2 && e.mdgBoards > len(e.realRanks):
@@ -142,7 +139,7 @@ func (e *engineBase) Free() error {
 type jsetLayout struct {
 	jsb      *mdgrape2.JSetBuilder
 	js       *mdgrape2.JSet
-	sortedAt int // the skin clock's rebuild count at the last sort, where potCadence.eval keeps the layout
+	sortedAt int // the skin clock's rebuild count at the last sort, where the driver keeps its potential layout
 }
 
 // update re-sorts the layout from pos (rebuild) or moves its stored
@@ -171,8 +168,7 @@ type realRank struct {
 }
 
 // newRealRank runs the Table 3 sequence (acquireMDG) over a 1/share slice of
-// the MDGRAPE-2 boards: share 1 on the serial machine, 1/nReal on each rank of
-// a session.
+// the MDGRAPE-2 boards: 1/nReal on each real rank of a session.
 func (e *engineBase) newRealRank(share int) (realRank, error) {
 	cfg := e.cfg
 	mr1, err := mdgrape2.NewMR1(cfg.MDG)
@@ -214,10 +210,10 @@ func acquireMDG(mr1 *mdgrape2.MR1, boards int) error {
 }
 
 // sweep is the rank's step once its caller has updated the j-set to pos /
-// types: the fused four-pass sweep, in the
-// fixed reduction order Coulomb + BM + r⁻⁶ + r⁻⁸, over the first nOwn
-// particles (all of them on the serial machine; a rank's owned block ahead
-// of its ghosts in a session), into the rank's reused force planes.
+// types: the fused four-pass sweep, in the fixed reduction order Coulomb +
+// BM + r⁻⁶ + r⁻⁸, over the first nOwn particles (all of them at one real
+// rank; the rank's owned block ahead of its ghosts at several), into the
+// rank's reused force planes.
 func (r *realRank) sweep(pos []vec.V, types []int, nOwn int) (soa.Coords, error) {
 	if cap(r.scale) < nOwn {
 		r.scale = make([]float64, nOwn)
@@ -300,28 +296,6 @@ type potCadence struct {
 // due reports whether this call evaluates the potential. An engine's first
 // call always does: the value its predecessor held is in no checkpoint.
 func (c *potCadence) due() bool { return !c.valid || c.step%c.every == 0 }
-
-// eval books a completed force call of a session on s whose wavenumber pass
-// reported wavePot, and returns the potential the call reports. The driver
-// keeps no sweep's layout, so on a due call it brings its own l up to date
-// from the skin clock — sorted at the clock's reference, once per rebuild,
-// and refreshed to s.Pos, like a rank's — and walks it.
-func (c *potCadence) eval(l *jsetLayout, clock *skinClock, wavePot float64, s *md.System) (float64, error) {
-	var realPot float64
-	if c.due() {
-		if l.sortedAt != clock.rebuilds { // ref moves only on a rebuild, which counts
-			if err := l.update(clock.ref, s.Type, true, nil); err != nil {
-				return 0, err
-			}
-			l.sortedAt = clock.rebuilds
-		}
-		if err := l.update(s.Pos, nil, false, nil); err != nil {
-			return 0, err
-		}
-		realPot = c.walk(l, s)
-	}
-	return c.book(realPot, wavePot, s), nil
-}
 
 // walk is the host potential's real-space sum over layout l at s.Pos.
 func (c *potCadence) walk(l *jsetLayout, s *md.System) float64 {

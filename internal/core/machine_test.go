@@ -5,9 +5,28 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mdm/internal/md"
 )
+
+// TestNewMachineWorldDeadline pins the serial engine's layout: one real and
+// one wavenumber rank on a two-rank world of its own, whose receive deadline
+// is SessionTimeout, at least an hour, so a long serial wave pass is never
+// read as a wedged run.
+func TestNewMachineWorldDeadline(t *testing.T) {
+	m, err := NewMachine(CurrentMachineConfig(smallParams(11.28)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = m.Free() }()
+	if m.nReal != 1 || m.nWave != 1 || m.world.Size() != 2 {
+		t.Errorf("serial engine: %d real + %d wave ranks on a world of %d, want 1 + 1 on 2", m.nReal, m.nWave, m.world.Size())
+	}
+	if d := m.world.Timeout(); d != SessionTimeout || d < time.Hour {
+		t.Errorf("serial engine's world deadline %v, want SessionTimeout (%v), at least 1h", d, SessionTimeout)
+	}
+}
 
 // TestSkinAmortizesRebuilds checks the Verlet-skin bound actually skips cell
 // sorts on a quiet system, and that the skinned discretization still

@@ -80,7 +80,7 @@ func collectPairSets(t *testing.T, s *md.System, p ewald.Params, skin float64) p
 	if err := it.Run(4, nil); err != nil {
 		t.Fatal(err)
 	}
-	js := m.real.js // the layout the last sweep read, word for word
+	js := m.real[0].js // the layout the last sweep read, word for word
 	sets := pairSets{sweep: map[pairKey]int{}, host: map[pairKey]int{}, ref: map[pairKey]int{}, r2: map[pairKey]float64{}}
 	sorted := js.Sorted
 	for i := range s.Pos {
@@ -93,7 +93,7 @@ func collectPairSets(t *testing.T, s *md.System, p ewald.Params, skin float64) p
 		})
 	}
 	var b potBlock
-	hostPairs(&b, sorted, m.real.jsb.NeighborTable(), func() {
+	hostPairs(&b, sorted, m.real[0].jsb.NeighborTable(), func() {
 		for k := range b.n {
 			i, j := int(b.i[k]), int(b.j[k])
 			rij := hostImage(t, sorted, i, j, b.r2[k])

@@ -22,8 +22,9 @@ const (
 	// TagHalo carries rebuild-step ghost records: stride-4
 	// (x, y, z, species) per particle.
 	TagHalo = 100
-	// TagForces carries per-rank (globalIndex, force) records to rank 0;
-	// wavenumber payloads lead with a potential slot.
+	// TagForces carries force payloads to rank 0: a real rank's
+	// (globalIndex, force) records, or a wave rank's potential word and
+	// then its stripe's three force planes.
 	TagForces = 101
 	// TagGroupReduce is the wavenumber group's structure-factor reduction.
 	TagGroupReduce = 102
@@ -41,7 +42,8 @@ const haloStride = 4
 
 // groupComm adapts a subset of world ranks to the wine2.Communicator
 // interface, so the WINE-2 library's internal parallelization (Table 2) runs
-// unchanged on the sub-group of wavenumber processes.
+// unchanged on the sub-group of wavenumber processes. A session installs one
+// only when the group has two members or more.
 type groupComm struct {
 	c       *mpi.Comm
 	members []int     // world ranks of the group, ascending
@@ -60,11 +62,6 @@ func (g *groupComm) Size() int { return len(g.members) }
 // the next step's sum cannot overwrite a buffer still being read; a retried
 // step starts a new Run.
 func (g *groupComm) AllreduceSum(vals []float64) ([]float64, error) {
-	if len(g.members) == 1 {
-		out := make([]float64, len(vals))
-		copy(out, vals)
-		return out, nil
-	}
 	root := g.members[0]
 	if g.c.Rank() != root {
 		if err := g.c.Send(root, TagGroupReduce, vals); err != nil {

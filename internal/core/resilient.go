@@ -67,7 +67,7 @@ type RunReport struct {
 var errSuspect = errors.New("core: suspect step")
 
 // restriper is an engine the recovery layer re-stripes in place
-// (engineBase.restripe): the serial Machine or a ParallelRun.
+// (engineBase.restripe): a ParallelRun, the serial Machine included.
 type restriper interface {
 	Engine
 	restripe(site fault.Site) (bool, error)
@@ -82,7 +82,7 @@ type restriper interface {
 // reference path. Every transition is recorded in the RunReport.
 //
 // Resilient implements md.ForceField, so it drops into the integrator in
-// place of Machine. The host fallback applies the Reference's float64 sum
+// place of the engine it wraps. The host fallback applies the Reference's float64 sum
 // over the machine's own pair set, the r_cut sphere, so forces agree with the
 // machine path to the pipelines' rounding; its potential is not
 // energy-shifted, so U steps by Σ u_ij(r_c) where a run switches over —
@@ -92,7 +92,6 @@ type Resilient struct {
 	wd     *supervise.Watchdog   // nil unless rc.Watchdog > 0
 	br     *supervise.BreakerSet // non-nil iff wd is
 	eng    restriper             // the run's one engine
-	world  *mpi.World            // eng's world; nil for the serial Machine
 	p      ewald.Params
 	ref    *Reference
 	step   int
@@ -104,10 +103,10 @@ type Resilient struct {
 // whole run: the serial Machine when world is nil, else the §4 parallel
 // layout of nReal real-space + nWave wavenumber processes on world (validated
 // by NewParallelRun). The injector, when present, is installed as the
-// hardware hook of every rank session and as the world's message-layer fault
-// hook.
+// hardware hook of every rank session and as world's message-layer fault
+// hook; the serial Machine's private world takes no message faults.
 func NewResilient(cfg MachineConfig, rc RecoveryConfig, world *mpi.World, nReal, nWave int) (*Resilient, error) {
-	r := &Resilient{rc: rc, p: cfg.Ewald, world: world}
+	r := &Resilient{rc: rc, p: cfg.Ewald}
 	if rc.Injector != nil {
 		cfg.FaultHook = rc.Injector
 		if world != nil {
@@ -339,13 +338,10 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 			wd.Arm()
 			stalls = wd.StallCount()
 		}
-		// An attempt runs on the state the failed one left behind: the
-		// world's inboxes are drained, so an aborted attempt's stragglers
-		// cannot pollute it, and the engine is told the step, so the steps
-		// the host path served keep the run's potential cadence.
-		if r.world != nil {
-			r.world.Reset()
-		}
+		// An attempt runs on the state the failed one left behind (a failed
+		// Step drains its world, so no straggler reaches the retry), and the
+		// engine is told the step, so the steps the host path served keep
+		// the run's potential cadence.
 		r.eng.SetStep(r.step - 1)
 		f, pot, err := r.eng.Forces(s)
 		if wd := r.wd; wd != nil {

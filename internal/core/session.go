@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"mdm/internal/domain"
+	"mdm/internal/ewald"
 	"mdm/internal/fault"
 	"mdm/internal/md"
 	"mdm/internal/mdgrape2"
@@ -18,33 +20,35 @@ import (
 // ParallelRun is a persistent multi-step rank session for the §4 process
 // layout: the MPI world, the spatial decomposition, every rank's MDGRAPE-2 /
 // WINE-2 session, j-set layout, and exchange buffers live across an
-// integrator run instead of being rebuilt per force call.
+// integrator run instead of being rebuilt per force call. The serial engine
+// (NewMachine) is its 1 + 1 case on a private world.
 //
 // Ownership is spatial and persistent. The global cell grid (side r_cut +
-// skin, exactly the serial Machine's discretization) is split into
-// contiguous cell blocks, one per real-space rank (domain.Blocks); a rank
-// owns the particles whose cell it owns. Between layout rebuilds ownership
-// is frozen, like every rank's sorted layout (cellindex.Sorted): reuse steps
-// stream only ghost *positions* (tag TagGhostPos, slab-allocated SoA planes,
-// zero steady-state allocations) — as the integrator wrapped them; the
-// receiving layout's Refresh keeps each on the image it was sorted on.
-// On a rebuild step particles that crossed a domain face migrate to their
-// new owner (tag TagMigrate, global indices only), and the full ghost shell
-// — position, species, global index per particle — is re-exchanged (tag
-// TagHalo). The rebuild schedule is the serial machine's skinClock, read on
-// the driver so every rank agrees.
+// skin) is split into contiguous cell blocks, one per real-space rank
+// (domain.Blocks); a rank owns the particles whose cell it owns. Between
+// layout rebuilds ownership is frozen, like every rank's sorted layout
+// (cellindex.Sorted): reuse steps stream only ghost *positions* (tag
+// TagGhostPos, slab-allocated SoA planes, zero steady-state allocations) —
+// as the integrator wrapped them; the receiving layout's Refresh keeps each
+// on the image it was sorted on. On a rebuild step particles that crossed a
+// domain face migrate to their new owner (tag TagMigrate, global indices
+// only), and the full ghost shell — position, species, global index per
+// particle — is re-exchanged (tag TagHalo). The rebuild schedule is the
+// skinClock, read on the driver so every rank agrees. A single real rank
+// owns every cell and needs no ghost: it reads the system's own arrays, and
+// its layout is the serial one.
 //
 // Determinism: because every cell is filled by exactly one rank and owned
 // particle lists are kept ascending by global index, each rank's local
-// cell-sorted layout has the same within-cell particle order as the serial
-// machine's. The per-particle real-space force is therefore bit-identical to
-// the serial machine at any rank count, and with a single wavenumber rank
-// the wavenumber path is the serial one too, making whole trajectories
-// bit-identical to the serial goldens. With several wavenumber ranks the
-// structure-factor reduction reorders float64 sums; that path is pinned by
-// an energy-drift parity gate instead (see session tests and DESIGN.md §15).
+// cell-sorted layout has the same within-cell particle order as the single
+// real rank's. The per-particle real-space force is therefore bit-identical
+// at any rank count, and with a single wavenumber rank the wavenumber path
+// is the serial one too, making whole trajectories bit-identical to the
+// serial goldens. With several wavenumber ranks the structure-factor
+// reduction reorders float64 sums; that path is pinned by an energy-drift
+// parity gate instead (see session tests and DESIGN.md §15).
 type ParallelRun struct {
-	engineBase   // the rebuild schedule (clock) is the serial Machine's, read on the driver
+	engineBase   // the rebuild schedule (clock), read on the driver
 	world        *mpi.World
 	nReal, nWave int
 	blocks       *domain.Blocks
@@ -65,11 +69,23 @@ type ParallelRun struct {
 	n        int                     // particle count, fixed at the first step
 	rebuild  bool                    // this step rebuilds (set by the driver, read by ranks)
 	initStep bool                    // this step derives ownership from scratch
+	t0       int64                   // the spine's reading at the call's start, where both lanes begin
 
-	wavePot   float64    // written by rank 0 during Run, read by the driver after
-	out       []vec.V    // written by rank 0 during Run
-	seen      []uint8    // rank 0's scratch: bit 1 (2) marks a particle a real (wave) record carried this step
-	potLayout jsetLayout // the serial layout the host potential walks
+	// The host potential walk of a due call runs on whichever of real rank 0
+	// and wave rank 0 finishes its pass first (claimWalk). walked starts
+	// claimed, and real rank 0 arms it once its layout is updated on a due
+	// call; realPot is the walk's result, read after Run. The walk reads
+	// potLayout: real rank 0's own at one real rank, else the driver's serial
+	// layout, updated before Run.
+	due       bool
+	walked    atomic.Bool
+	realPot   float64
+	potLayout *jsetLayout
+
+	wavePot float64     // written by rank 0 during Run, read by the driver after
+	out     []vec.V     // written by rank 0 during Run
+	bufs    [][]float64 // rank 0's scratch: the payload each rank sent it this step
+	seen    []bool      // rank 0's scratch at several real ranks: a real record carried the particle
 
 	res ParallelResult
 }
@@ -100,17 +116,18 @@ type realRankState struct {
 
 	ghostCnt []int // ghosts received per source rank at the last rebuild
 
-	ship []float64
+	ship []float64 // (index, force) records to rank 0; rank 0 ships nothing
 }
 
 // waveRankState is one wavenumber rank: the engine body's wave rank plus its
-// stripe of the particles.
+// stripe of the particles. Its force planes are views of slab behind a
+// leading potential word, and slab is the payload it ships to rank 0.
 type waveRankState struct {
 	waveRank
 	rank   int // world rank
 	comm   *mpi.Comm
-	lo, hi int // global particle stripe
-	ship   []float64
+	lo, hi int // global particle stripe, fixed at the first step
+	slab   []float64
 }
 
 // NewParallelRun validates the layout and builds the persistent rank
@@ -138,7 +155,7 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 		nReal:      nReal,
 		nWave:      nWave,
 		blocks:     blocks,
-		potLayout:  jsetLayout{jsb: mdgrape2.NewJSetBuilder(grid, nil)},
+		bufs:       make([][]float64, nReal+nWave),
 	}
 	pr.rankStep = pr.runRank
 
@@ -203,6 +220,10 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 		})
 		pr.realRanks = append(pr.realRanks, &pr.real[r].realRank)
 	}
+	pr.potLayout = &pr.real[0].jsetLayout
+	if nReal > 1 {
+		pr.potLayout = &jsetLayout{jsb: mdgrape2.NewJSetBuilder(grid, nil)}
+	}
 	for w := 0; w < nWave; w++ {
 		rank := nReal + w
 		comm, err := world.Comm(rank)
@@ -215,11 +236,13 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			free()
 			return nil, err
 		}
-		members := make([]int, nWave)
-		for i := range members {
-			members[i] = nReal + i
+		if nWave > 1 {
+			members := make([]int, nWave)
+			for i := range members {
+				members[i] = nReal + i
+			}
+			wk.lib.SetMPICommunity(&groupComm{c: comm, members: members, me: w})
 		}
-		wk.lib.SetMPICommunity(&groupComm{c: comm, members: members, me: w})
 		pr.wave = append(pr.wave, &waveRankState{waveRank: wk, rank: rank, comm: comm})
 		pr.waveRanks = append(pr.waveRanks, &pr.wave[w].waveRank)
 	}
@@ -238,7 +261,9 @@ func (pr *ParallelRun) Forces(s *md.System) ([]vec.V, float64, error) {
 // Step runs one decomposed force evaluation and returns the assembled
 // result. The returned value aliases session-owned bookkeeping (it is
 // overwritten by the next Step); the Forces slice itself is fresh each call,
-// per the md.ForceField contract.
+// per the md.ForceField contract. A failed step leaves no message in flight:
+// the world is drained before Step returns, so a retry at the same positions
+// starts clean.
 //
 //mdm:stepflow -- hot-path root: the decomposed per-step force evaluation; everything it reaches must stay deterministic and allocation-free
 func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
@@ -253,20 +278,31 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 			return nil, err
 		}
 		pr.n = s.N()
-		pr.seen = make([]uint8, pr.n)
+		if pr.nReal > 1 {
+			pr.seen = make([]bool, pr.n)
+		}
+		for w, wr := range pr.wave {
+			wr.lo, wr.hi = w*pr.n/pr.nWave, (w+1)*pr.n/pr.nWave
+		}
 	}
+	pr.t0 = pr.cfg.Phases.now()
 
-	// The rebuild decision is the serial Machine's skin clock, read once on
-	// the driver so all ranks agree on the step's protocol, and booked before
-	// any rank runs, like the Machine's.
+	// The rebuild decision is the skin clock, read once on the driver so all
+	// ranks agree on the step's protocol, and booked before any rank runs.
 	pr.rebuild, pr.initStep = pr.clock.due(s.Pos)
 	pr.clock.advance(s.Pos, pr.rebuild)
+	pr.due = pr.pot.due()
+	pr.walked.Store(true)
 
 	before := pr.world.Stats()
 	pr.sys = s
-	runErr := pr.world.Run(pr.rankStep)
+	err := pr.updatePotLayout(s)
+	if err == nil {
+		err = pr.world.Run(pr.rankStep)
+	}
 	pr.sys = nil
-	if runErr != nil {
+	if err != nil {
+		pr.world.Reset()
 		// A failed rebuild step may have half-applied a migration: the next
 		// attempt re-derives the decomposition from scratch, which at the
 		// same positions gives the same owned sets and layouts. A failed
@@ -274,18 +310,12 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 		if pr.rebuild {
 			pr.clock.invalidate()
 		}
-		return nil, runErr
-	}
-
-	// Potential bookkeeping on the driver, every PotentialEvery steps like
-	// the serial machine: the real-space walk reads the serial layout of the
-	// last rebuild (sorted at the skin reference positions, refreshed to the
-	// current ones), so the pair set — and the energy — match the serial host
-	// potential bit for bit.
-	pot, err := pr.pot.eval(&pr.potLayout, &pr.clock, pr.wavePot, s)
-	if err != nil {
 		return nil, err
 	}
+
+	// Potential bookkeeping, every PotentialEvery steps: the walk's
+	// real-space sum over the serial layout, plus the wave and self terms.
+	pot := pr.pot.book(pr.realPot, pr.wavePot, s)
 
 	after := pr.world.Stats()
 	pr.res.Forces = pr.out
@@ -296,6 +326,54 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	}
 	pr.out = nil
 	return &pr.res, nil
+}
+
+// updatePotLayout brings the driver's serial layout up to date on a due
+// call at several real ranks, before any rank runs: sorted at the skin
+// clock's reference, once per rebuild, and refreshed to s.Pos, like a
+// rank's. At one real rank the walk reads rank 0's layout, which is that
+// layout already.
+func (pr *ParallelRun) updatePotLayout(s *md.System) error {
+	if pr.nReal == 1 || !pr.due {
+		return nil
+	}
+	l := pr.potLayout
+	if l.sortedAt != pr.clock.rebuilds { // ref moves only on a rebuild, which counts
+		if err := l.update(pr.clock.ref, s.Type, true, nil); err != nil {
+			return err
+		}
+		l.sortedAt = pr.clock.rebuilds
+	}
+	return l.update(s.Pos, nil, false, nil)
+}
+
+// claimWalk runs the call's host potential walk on lane if no lane has
+// claimed it yet — one compare-and-swap, so exactly one lane walks a due call
+// and none a call that is not due — and books it on the spine from t. It
+// reads only potLayout and pr.sys, and writes only the cadence's gather
+// planes and pr.realPot, which the driver reads after Run.
+func (pr *ParallelRun) claimWalk(lane Lane, t int64) int64 {
+	if !pr.walked.CompareAndSwap(false, true) {
+		return t
+	}
+	pr.realPot = pr.pot.walk(pr.potLayout, pr.sys)
+	return pr.cfg.Phases.book(lane, PhasePotential, t)
+}
+
+// Waves returns the wavevector set in use.
+func (pr *ParallelRun) Waves() []ewald.Wave { return pr.waves }
+
+// MDGStats returns the MDGRAPE-2 work counters, summed over the real ranks.
+func (pr *ParallelRun) MDGStats() mdgrape2.Stats {
+	var sum mdgrape2.Stats
+	for _, rr := range pr.real {
+		st := rr.mr1.System().Stats()
+		sum.PairsEvaluated += st.PairsEvaluated
+		sum.IParticles += st.IParticles
+		sum.JLoads += st.JLoads
+		sum.Calls += st.Calls
+	}
+	return sum
 }
 
 // runRank is one rank's share of Step, bound once in NewParallelRun (as
@@ -331,8 +409,54 @@ func wireIndex(w float64, n, src, dst int, what string) (int, error) {
 
 // realStep is the per-step body of one real-space rank: migrate (rebuild
 // steps), exchange or stream ghosts, run the fused MDGRAPE-2 sweep over the
-// owned block, ship (index, force) records to rank 0.
+// owned block, ship (index, force) records to rank 0. Rank 0 ships nothing:
+// it arms the potential claim, offers to walk after its sweep, and
+// assembles. At one real rank it owns every particle and reads s.Pos and
+// s.Type as they stand. Real rank 0 books the spine's caller lane.
 func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
+	var spine *PhaseSink
+	if rr.rank == 0 {
+		spine = pr.cfg.Phases
+	}
+	t := pr.t0
+	pos, typ, nOwn := s.Pos, s.Type, pr.n
+	if pr.nReal > 1 {
+		if err := pr.exchange(rr, s); err != nil {
+			return err
+		}
+		pos, typ, nOwn = rr.locPos, rr.locTyp, rr.nOwn
+	}
+	if err := rr.update(pos, typ, pr.rebuild, rr.pool); err != nil {
+		return err
+	}
+	if pr.rebuild {
+		t = spine.book(LaneCaller, PhaseJSetBuild, t)
+	} else {
+		t = spine.book(LaneCaller, PhaseJSetRefresh, t)
+	}
+	if rr.rank == 0 && pr.due {
+		pr.walked.Store(false) // the walk's layout is up to date for this call
+	}
+	fc, err := rr.sweep(pos, typ, nOwn)
+	if err != nil {
+		return err
+	}
+	if rr.rank == 0 {
+		t = spine.book(LaneCaller, PhaseSweep, t)
+		t = pr.claimWalk(LaneCaller, t)
+		return pr.assemble(rr, fc, t)
+	}
+	rr.ship = rr.ship[:0]
+	for k, g := range rr.owned {
+		rr.ship = append(rr.ship, float64(g), fc.X[k], fc.Y[k], fc.Z[k])
+	}
+	return rr.comm.Send(0, TagForces, rr.ship)
+}
+
+// exchange is a real rank's wire step ahead of its sweep at several real
+// ranks: derive or migrate ownership on a rebuild, then exchange the ghost
+// shell (rebuild) or stream the ghost positions (reuse).
+func (pr *ParallelRun) exchange(rr *realRankState, s *md.System) error {
 	me := rr.rank
 	c := rr.comm
 	n := pr.n
@@ -395,34 +519,9 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 	}
 
 	if pr.rebuild {
-		if err := pr.exchangeGhosts(rr, s); err != nil {
-			return err
-		}
-	} else if err := pr.streamGhosts(rr, s); err != nil {
-		return err
+		return pr.exchangeGhosts(rr, s)
 	}
-	// The serial machine's layout update and sweep, over the owned block of
-	// owned + ghosts.
-	if err := rr.update(rr.locPos, rr.locTyp, pr.rebuild, rr.pool); err != nil {
-		return err
-	}
-	fc, err := rr.sweep(rr.locPos, rr.locTyp, rr.nOwn)
-	if err != nil {
-		return err
-	}
-
-	// Ship (globalIndex, force) records to rank 0.
-	rr.ship = rr.ship[:0]
-	for k, g := range rr.owned {
-		rr.ship = append(rr.ship, float64(g), fc.X[k], fc.Y[k], fc.Z[k])
-	}
-	if err := c.Send(0, TagForces, rr.ship); err != nil {
-		return err
-	}
-	if me == 0 {
-		return pr.assemble(rr, s)
-	}
-	return nil
+	return pr.streamGhosts(rr, s)
 }
 
 // exchangeGhosts runs the full rebuild-step halo exchange: stride-4 records
@@ -541,80 +640,96 @@ func (pr *ParallelRun) streamGhosts(rr *realRankState, s *md.System) error {
 
 // waveStep is the per-step body of one wavenumber rank: the WINE-2 library
 // over this rank's particle stripe, with the group communicator reducing the
-// structure factor when the group has more than one member.
+// structure factor when the group has more than one member, into planes
+// that are views of the rank's payload slab. Wave rank 0 books the spine's
+// wave lane and offers to walk the potential before it ships.
 func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
-	w := wr.rank - pr.nReal
-	if pr.initStep {
-		wr.lo = w * pr.n / pr.nWave
-		wr.hi = (w + 1) * pr.n / pr.nWave
+	var spine *PhaseSink
+	if wr.rank == pr.nReal {
+		spine = pr.cfg.Phases
 	}
-	if err := wr.lib.SetNN(max(wr.hi-wr.lo, 1)); err != nil {
+	m := wr.hi - wr.lo
+	if len(wr.slab) != 1+3*m {
+		wr.slab = make([]float64, 1+3*m)
+		wr.fc = soa.Coords{X: wr.slab[1 : 1+m : 1+m], Y: wr.slab[1+m : 1+2*m : 1+2*m], Z: wr.slab[1+2*m:]}
+	}
+	if err := wr.lib.SetNN(max(m, 1)); err != nil {
 		return err
 	}
-	fc, pot, err := wr.pass(s.Pos[wr.lo:wr.hi], s.Charge[wr.lo:wr.hi])
+	_, pot, err := wr.pass(s.Pos[wr.lo:wr.hi], s.Charge[wr.lo:wr.hi])
 	if err != nil {
 		return err
 	}
-	wr.ship = wr.ship[:0]
-	// Leading slot: the wavenumber potential (only wave rank 0 reports it,
-	// to avoid double counting after the group reduction).
-	if w == 0 {
-		wr.ship = append(wr.ship, pot)
-	} else {
-		wr.ship = append(wr.ship, math.NaN())
+	t := spine.book(LaneWave, PhaseWave, pr.t0)
+	if wr.rank == pr.nReal {
+		pr.claimWalk(LaneWave, t)
 	}
-	for k := wr.lo; k < wr.hi; k++ {
-		wr.ship = append(wr.ship, float64(k), fc.X[k-wr.lo], fc.Y[k-wr.lo], fc.Z[k-wr.lo])
-	}
-	return wr.comm.Send(0, TagForces, wr.ship)
+	// The planes are already in the slab; the leading word is the
+	// wavenumber potential, which rank 0 reads from wave rank 0 only.
+	wr.slab[0] = pot
+	return wr.comm.Send(0, TagForces, wr.slab)
 }
 
-// assemble gathers force contributions at world rank 0. Real-rank payloads
-// (length ≡ 0 mod 4) carry each owned particle exactly once, so they are
-// assignments; wave-rank payloads (length ≡ 1 mod 4, leading potential
-// slot) add on top — the same real + wave reduction order as the serial
-// combine, hence bit-identical sums.
-func (pr *ParallelRun) assemble(rr *realRankState, s *md.System) error {
-	c := rr.comm
-	n := pr.n
-	// The one fresh output slice per step the md.ForceField contract
-	// requires; every exchange buffer is reused.
-	total := make([]vec.V, n)
-	clear(pr.seen)
-	for src := 0; src < c.Size(); src++ {
+// assemble gathers force contributions at world rank 0, which holds its own
+// sweep's planes fc and books the caller lane from t. Rank 0's forces and the
+// (index, force) records of the other real ranks each carry an owned
+// particle exactly once, so they are assignments; the wave ranks' planes
+// cover their stripes and add on top — the same real + wave reduction order
+// at every layout, hence bit-identical sums.
+func (pr *ParallelRun) assemble(rr *realRankState, fc soa.Coords, t int64) error {
+	c, n, spine := rr.comm, pr.n, pr.cfg.Phases
+	for src := 1; src < c.Size(); src++ {
 		buf, err := c.Recv(src, TagForces)
 		if err != nil {
 			return err
 		}
-		k, kind := 0, uint8(1)
-		wavePayload := len(buf)%4 == 1
-		if wavePayload {
-			if !math.IsNaN(buf[0]) {
-				pr.wavePot = buf[0]
-			}
-			k, kind = 1, 2
-		} else if len(buf)%4 != 0 {
-			return wireError(src, 0, "rank 0: force payload length %d not 4k or 4k+1", len(buf))
+		pr.bufs[src] = buf
+	}
+	t = spine.book(LaneCaller, PhaseJoinWait, t)
+
+	// The one fresh output slice per step the md.ForceField contract
+	// requires; every exchange buffer is reused.
+	var total []vec.V
+	if pr.nReal == 1 {
+		total = fc.AppendAoS(make([]vec.V, 0, n))
+	} else {
+		total = make([]vec.V, n)
+		clear(pr.seen)
+		for k, g := range rr.owned {
+			total[g], pr.seen[g] = fc.At(k), true
 		}
-		for ; k+4 <= len(buf); k += 4 {
-			i, err := wireIndex(buf[k], n, src, 0, "force index")
-			if err != nil {
-				return err
+		for src := 1; src < pr.nReal; src++ {
+			buf := pr.bufs[src]
+			if len(buf)%4 != 0 {
+				return wireError(src, 0, "rank 0: force payload length %d not a multiple of 4", len(buf))
 			}
-			// Each kind carries a particle once: a flipped index bit can land
-			// on another valid index (bit 62 turns 2 into 0, bit 52 2 into 4).
-			if pr.seen[i]&kind != 0 {
-				return wireError(src, 0, "rank 0: force index %d sent twice", i)
-			}
-			pr.seen[i] |= kind
-			f := vec.New(buf[k+1], buf[k+2], buf[k+3])
-			if wavePayload {
-				total[i] = total[i].Add(f)
-			} else {
-				total[i] = f
+			for k := 0; k < len(buf); k += 4 {
+				i, err := wireIndex(buf[k], n, src, 0, "force index")
+				if err != nil {
+					return err
+				}
+				// A flipped index bit can land on another valid index (bit 62
+				// turns 2 into 0, bit 52 2 into 4).
+				if pr.seen[i] {
+					return wireError(src, 0, "rank 0: force index %d sent twice", i)
+				}
+				total[i], pr.seen[i] = vec.New(buf[k+1], buf[k+2], buf[k+3]), true
 			}
 		}
 	}
+	for _, wr := range pr.wave {
+		buf, m := pr.bufs[wr.rank], wr.hi-wr.lo
+		if len(buf) != 1+3*m {
+			return wireError(wr.rank, 0, "rank 0: wave force payload %d floats, want %d", len(buf), 1+3*m)
+		}
+		x, y, z := buf[1:1+m], buf[1+m:1+2*m], buf[1+2*m:]
+		for k := range m {
+			i := wr.lo + k
+			total[i] = total[i].Add(vec.New(x[k], y[k], z[k]))
+		}
+	}
+	pr.wavePot = pr.bufs[pr.nReal][0]
 	pr.out = total
+	spine.book(LaneCaller, PhaseCombine, t)
 	return nil
 }

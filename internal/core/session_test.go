@@ -424,8 +424,8 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	// The engine body's own per-call allocations and the fresh output slice
 	// (10 at both sizes); the world's endpoints, run group, FIFOs and
 	// receive timers are reused, so its dispatch allocates nothing once warm.
-	// The margin is for scheduler noise only.
-	const budget = 12
+	// The budget is the read, so one allocation more fails.
+	const budget = 10
 	if small > budget || large > budget {
 		t.Errorf("steady-state allocs/step = %.0f / %.0f, budget %d", small, large, budget)
 	}
@@ -504,8 +504,8 @@ func TagName(tag int) string {
 
 // TestAssembleRefusesDuplicateRecord hands rank 0 a force payload whose
 // checksum holds but which carries one particle's record twice — a program
-// bug on the sending rank, not a wire flip, so only assemble's per-kind seen
-// check can refuse it. The refusal is a link error from the sender, which the
+// bug on the sending rank, not a wire flip, so only assemble's seen check can
+// refuse it. The refusal is a link error from the sender, which the
 // recovery ladder retries.
 func TestAssembleRefusesDuplicateRecord(t *testing.T) {
 	s := meltLike(t, 2, 5.64, 300, 36)
@@ -521,14 +521,11 @@ func TestAssembleRefusesDuplicateRecord(t *testing.T) {
 	err = world.Run(func(c *mpi.Comm) error {
 		switch c.Rank() {
 		case 0:
-			if err := c.Send(0, TagForces, []float64{0, 1, 2, 3}); err != nil {
-				return err
-			}
-			return pr.assemble(pr.real[0], s)
+			return pr.assemble(pr.real[0], pr.real[0].fc, 0)
 		case 1:
 			return c.Send(0, TagForces, []float64{5, 1, 2, 3, 7, 1, 2, 3, 5, 4, 5, 6})
 		}
-		return nil
+		return c.Send(0, TagForces, pr.wave[0].slab) // the wave rank's last payload, well formed
 	})
 	world.Reset()
 	if err == nil || !strings.Contains(err.Error(), "force index 5 sent twice") {

@@ -1,26 +1,28 @@
 package core
 
 // The step-phase spine: where an engine's Forces call spends its time, per
-// goroutine. The serial Machine runs a call on two lanes, the caller (j-set,
-// sweep, join, combine) and the wave goroutine (the WINE-2 pass); the host
-// potential walk runs on whichever lane finishes its pass first. Each lane
+// goroutine. Two ranks book it: real rank 0, which runs on the caller's
+// goroutine (j-set, sweep, join, combine), and wave rank 0 (the WINE-2
+// pass); the host potential walk runs on whichever finishes its pass first.
+// Both lanes start at the driver's reading at the call's start. Each lane
 // adds only to its own row of the sink, and the caller reads the wave row
-// only after the join, so recording takes no lock, no atomic and no
-// allocation. The clock is injected: the engine never reads time itself.
+// only after World.Run has joined every rank, so recording takes no lock, no
+// atomic and no allocation. The clock is injected: the engine never reads
+// time itself. At several real ranks, rank 0's halo and ghost exchange
+// books as its j-set phase.
 
 // Phase is one slice of a Forces call.
 type Phase uint8
 
-// The phases of a serial Forces call, a fixed enum so a record is an array
-// add.
+// The phases of a Forces call, a fixed enum so a record is an array add.
 const (
-	PhaseJSetBuild   Phase = iota // the j-set sorted afresh (a rebuild step)
-	PhaseJSetRefresh              // the j-set's stored coordinates moved (a reuse step)
-	PhaseSweep                    // set_nn, the wave launch and the MDGRAPE-2 fused sweep
-	PhaseWave                     // the WINE-2 wavenumber pass
+	PhaseJSetBuild   Phase = iota // the skin clock and the j-set sorted afresh (a rebuild step)
+	PhaseJSetRefresh              // the skin clock and the j-set's stored coordinates moved (a reuse step)
+	PhaseSweep                    // the MDGRAPE-2 fused sweep
+	PhaseWave                     // the wave rank's start, set_nn and the WINE-2 wavenumber pass
 	PhasePotential                // the host potential walk, on a due call
-	PhaseJoinWait                 // the caller blocked on the wave lane's result
-	PhaseCombine                  // real + wave forces, the output slice and the potential's booking
+	PhaseJoinWait                 // the caller blocked on the other ranks' force payloads
+	PhaseCombine                  // real + wave forces into the output slice
 	NumPhases
 )
 
@@ -31,10 +33,10 @@ func (p Phase) String() string { return phaseNames[p] }
 // Lane is the goroutine a phase ran on.
 type Lane uint8
 
-// The two lanes of a serial Forces call.
+// The two lanes of a Forces call.
 const (
-	LaneCaller Lane = iota // the goroutine that called Forces
-	LaneWave               // the goroutine the wave pass runs on
+	LaneCaller Lane = iota // real rank 0, on the goroutine that called Forces
+	LaneWave               // wave rank 0's goroutine
 	NumLanes
 )
 

@@ -12,36 +12,56 @@ import (
 )
 
 // stallHook holds one site's hardware calls until the other lane is done
-// with the potential walk, so a due call's walk runs on the other lane: an
-// MDGRAPE-2 call (the caller's sweep) waits until the wave lane's result is
-// in the join channel, a WINE-2 call (the wave pass) until the walk is
-// claimed, which only the caller can do while the wave lane waits. A call
-// that is not due passes at once. in, when set, then decides the call's
-// fate.
+// with the potential walk, so a due call's walk runs on the other lane. Under
+// an MDGRAPE-2 stall a sweep's call waits until the wave rank has shipped its
+// forces, which it does after its pass and its walk, and a WINE-2 call waits
+// until every real rank's sweep has begun, so the wave pass ends after real
+// rank 0 armed the claim. Under a WINE-2 stall a wave pass's call on a due
+// call waits until real rank 0 has begun its sweep (a sweep makes 4 calls, so
+// the other real ranks make at most 4 each) and the walk is claimed, which
+// only the caller can do while the wave lane waits. in, when set, then
+// decides the call's fate. begin readies the hook for the next attempt.
 type stallHook struct {
-	t    *testing.T
-	site fault.Site
-	m    *Machine
-	in   fault.HardwareHook
+	t     *testing.T
+	site  fault.Site
+	m     *ParallelRun
+	in    fault.HardwareHook
+	sent  int64        // TagForces messages before the attempt in progress
+	swept atomic.Int64 // MDGRAPE-2 calls of the attempt in progress that have begun
+}
+
+func (h *stallHook) begin() {
+	h.sent = h.m.world.StatsByTag()[TagForces].Messages
+	h.swept.Store(0)
 }
 
 func (h *stallHook) HardwareCall(site fault.Site) error {
-	if site == h.site {
-		done := func() bool { return h.m.walked.Load() }
-		if site == fault.MDG2 {
-			done = func() bool { return len(h.m.wineDone) == 1 }
-		}
-		for deadline := time.Now().Add(10 * time.Second); !done(); runtime.Gosched() {
-			if time.Now().After(deadline) {
-				h.t.Errorf("%v call stalled 10 s: the other lane never finished its walk", site)
-				break
-			}
-		}
+	if site == fault.MDG2 {
+		h.swept.Add(1)
+	}
+	switch {
+	case site == h.site && site == fault.MDG2:
+		h.wait(site, func() bool { return h.m.world.StatsByTag()[TagForces].Messages > h.sent })
+	case site == h.site:
+		h.wait(site, func() bool {
+			return !h.m.due || h.swept.Load() > 4*int64(h.m.nReal-1) && h.m.walked.Load()
+		})
+	case h.site == fault.MDG2:
+		h.wait(site, func() bool { return h.swept.Load() >= int64(h.m.nReal) })
 	}
 	if h.in == nil {
 		return nil
 	}
 	return h.in.HardwareCall(site)
+}
+
+func (h *stallHook) wait(site fault.Site, done func() bool) {
+	for deadline := time.Now().Add(10 * time.Second); !done(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			h.t.Errorf("%v call stalled 10 s: the other lane never finished its walk", site)
+			return
+		}
+	}
 }
 
 func (h *stallHook) PendingFlip(site fault.Site) (int, int, bool) {
@@ -51,21 +71,22 @@ func (h *stallHook) PendingFlip(site fault.Site) (int, int, bool) {
 	return h.in.PendingFlip(site)
 }
 
-// retryOnce is a force field over a Machine that retries a failed call once
+// retryOnce is a force field over a session that retries a failed call once
 // at the same positions, as the recovery layer does, and keeps what every
 // successful call returned.
 type retryOnce struct {
-	m        *Machine
+	m        *ParallelRun
+	hook     *stallHook // nil when unstalled
 	failures int
 	forces   [][]vec.V
 	pots     []float64
 }
 
 func (r *retryOnce) Forces(s *md.System) ([]vec.V, float64, error) {
-	f, pot, err := r.m.Forces(s)
+	f, pot, err := r.attempt(s)
 	if err != nil {
 		r.failures++
-		f, pot, err = r.m.Forces(s)
+		f, pot, err = r.attempt(s)
 	}
 	if err == nil {
 		r.forces, r.pots = append(r.forces, f), append(r.pots, pot)
@@ -73,17 +94,31 @@ func (r *retryOnce) Forces(s *md.System) ([]vec.V, float64, error) {
 	return f, pot, err
 }
 
-// claimRun integrates 5 steps (6 Forces calls) of a small melt on a Machine
-// built with hook and sink, and returns the successful calls' forces and
-// potentials and how many calls failed.
-func claimRun(t *testing.T, cfg MachineConfig, hook *stallHook) *retryOnce {
+func (r *retryOnce) attempt(s *md.System) ([]vec.V, float64, error) {
+	if r.hook != nil {
+		r.hook.begin()
+	}
+	return r.m.Forces(s)
+}
+
+// claimRun integrates 5 steps (6 Forces calls) of a small melt on a session
+// of nReal real ranks and one wave rank (the serial Machine at 1) built with
+// hook and sink, and returns the successful calls' forces and potentials and
+// how many calls failed.
+func claimRun(t *testing.T, cfg MachineConfig, nReal int, hook *stallHook) *retryOnce {
 	t.Helper()
 	s := meltLike(t, 2, 5.64, 1200, 7)
 	cfg.Ewald = smallParams(s.L)
 	if hook != nil {
 		cfg.FaultHook = hook
 	}
-	m, err := NewMachine(cfg)
+	var m *ParallelRun
+	var err error
+	if nReal == 1 {
+		m, err = NewMachine(cfg)
+	} else {
+		m, err = NewParallelRun(testWorld(t, nReal+1, 30*time.Second), cfg, nReal, 1)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +126,7 @@ func claimRun(t *testing.T, cfg MachineConfig, hook *stallHook) *retryOnce {
 	if hook != nil {
 		hook.t, hook.m = t, m
 	}
-	ff := &retryOnce{m: m}
+	ff := &retryOnce{m: m, hook: hook}
 	it, err := md.NewIntegrator(s, ff, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -104,29 +139,34 @@ func claimRun(t *testing.T, cfg MachineConfig, hook *stallHook) *retryOnce {
 	return ff
 }
 
-// TestPotentialClaimEitherLane pins the claim rule of Machine.Forces: a due
-// call's host potential walk runs on whichever lane finishes its pass first,
-// exactly once, and no lane walks a call that is not due. Stalling one site
-// puts the walk on the other lane, as the spine's per-lane counts show, and
-// the forces and potentials equal an unstalled run's bit for bit — also when
-// a sweep fails on a due call (the walk of the failed attempt is dropped) and
-// the retry at the same positions lands on the clean values.
+// TestPotentialClaimEitherLane pins the claim rule of ParallelRun.Step: a
+// due call's host potential walk runs on whichever of real rank 0 and wave
+// rank 0 finishes its pass first, exactly once, and no lane walks a call
+// that is not due. Stalling one site puts the walk on the other lane, as the
+// spine's per-lane counts show, and the forces and potentials equal an
+// unstalled serial run's bit for bit — on the serial engine, where the walk
+// reads rank 0's layout, and at 2 + 1 ranks, where it reads the driver's;
+// also when a sweep fails on a due call (the walk of the failed attempt is
+// dropped) and the retry at the same positions lands on the clean values.
 func TestPotentialClaimEitherLane(t *testing.T) {
 	cfg := CurrentMachineConfig(smallParams(1)) // Ewald set per system in claimRun
 	cfg.PotentialEvery, cfg.Workers = 3, 1
-	clean := claimRun(t, cfg, nil)
+	clean := claimRun(t, cfg, 1, nil)
 
 	for _, tc := range []struct {
 		name   string
+		nReal  int
 		site   fault.Site
 		faults string // an injector behind the stall
 		walker Lane   // the lane that must run every walk
 		walks  int64  // due attempts: steps 0 and 3 of calls 0…5, plus a failed one
 	}{
-		{"stall=mdg", fault.MDG2, "", LaneWave, 2},
-		{"stall=wine2", fault.WINE2, "", LaneCaller, 2},
+		{"stall=mdg", 1, fault.MDG2, "", LaneWave, 2},
+		{"stall=wine2", 1, fault.WINE2, "", LaneCaller, 2},
 		// MDGRAPE-2 calls 13–16 are step 3's sweep, a due call.
-		{"stall=mdg/transient", fault.MDG2, "mdg:transient@call=13", LaneWave, 3},
+		{"stall=mdg/transient", 1, fault.MDG2, "mdg:transient@call=13", LaneWave, 3},
+		{"ranks=2+1/stall=mdg", 2, fault.MDG2, "", LaneWave, 2},
+		{"ranks=2+1/stall=wine2", 2, fault.WINE2, "", LaneCaller, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var ticks atomic.Int64
@@ -136,7 +176,7 @@ func TestPotentialClaimEitherLane(t *testing.T) {
 			if tc.faults != "" {
 				hook.in = injector(t, tc.faults)
 			}
-			got := claimRun(t, cfg, hook)
+			got := claimRun(t, cfg, tc.nReal, hook)
 			if want := min(len(tc.faults), 1); got.failures != want {
 				t.Errorf("%d failed calls, want %d", got.failures, want)
 			}
@@ -167,29 +207,31 @@ func TestPotentialClaimEitherLane(t *testing.T) {
 
 // TestPhaseSpineDeterministic pins the spine's booking on a counter clock
 // (one tick per reading). The MDGRAPE-2 stall orders every clock reading of
-// a call — the caller's j-set, then the whole wave lane (pass, then the walk
-// on a due call), then the caller's sweep, join and combine — so the
-// snapshot of 6 Forces calls (5 integrator steps, a walk on steps 0 and 3)
-// is exact: the sweep's span also holds the wave lane's 2 or 3 readings.
+// a call — the driver's start, the caller's j-set, then the whole wave lane
+// (pass, then the walk on a due call), then the caller's sweep, join and
+// combine — so the snapshot of 6 Forces calls (5 integrator steps, a walk on
+// steps 0 and 3) is exact: both lanes start at the driver's reading, the
+// wave pass's span also holds the caller's j-set reading, and the sweep's
+// the wave lane's 1 or 2.
 func TestPhaseSpineDeterministic(t *testing.T) {
 	var ticks atomic.Int64
 	cfg := CurrentMachineConfig(smallParams(1))
 	cfg.PotentialEvery, cfg.Workers = 3, 1
 	cfg.Phases = NewPhaseSink(func() int64 { return ticks.Add(1) })
-	claimRun(t, cfg, &stallHook{site: fault.MDG2})
+	claimRun(t, cfg, 1, &stallHook{site: fault.MDG2})
 
 	var want PhaseRecord
 	want[LaneCaller][PhaseJSetBuild] = PhaseTotal{6, 6}
-	want[LaneCaller][PhaseSweep] = PhaseTotal{6, 2*4 + 4*3}
+	want[LaneCaller][PhaseSweep] = PhaseTotal{6, 2*3 + 4*2}
 	want[LaneCaller][PhaseJoinWait] = PhaseTotal{6, 6}
 	want[LaneCaller][PhaseCombine] = PhaseTotal{6, 6}
-	want[LaneWave][PhaseWave] = PhaseTotal{6, 6}
+	want[LaneWave][PhaseWave] = PhaseTotal{6, 12}
 	want[LaneWave][PhasePotential] = PhaseTotal{2, 2}
 	got := cfg.Phases.Snapshot()
 	if got != want {
 		t.Errorf("snapshot\n%v\nwant\n%v", got, want)
 	}
-	if n := ticks.Load(); n != 6*7+2 {
-		t.Errorf("%d clock readings, want %d", n, 6*7+2)
+	if n := ticks.Load(); n != 6*6+2 {
+		t.Errorf("%d clock readings, want %d", n, 6*6+2)
 	}
 }

@@ -51,13 +51,13 @@ func newSweepFixture(t testing.TB, geo sweepGeometry) sweepFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.real.update(s.Pos, s.Type, true, nil); err != nil {
+	if err := m.real[0].update(s.Pos, s.Type, true, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.real.sweep(s.Pos, s.Type, s.N()); err != nil {
+	if _, err := m.real[0].sweep(s.Pos, s.Type, s.N()); err != nil {
 		t.Fatal(err)
 	}
-	return sweepFixture{geo.name, m, s, m.real.js, m.real.passes[:]}
+	return sweepFixture{geo.name, m, s, m.real[0].js, m.real[0].passes[:]}
 }
 
 // forEachSweepPair walks one table pass over the sweep's own pair set
@@ -96,7 +96,7 @@ func TestSweepDatapathStaysNormal(t *testing.T) {
 		f := newSweepFixture(t, geo)
 		var pairs, zeroG int
 		for _, pass := range f.passes {
-			tbl, err := f.m.real.mr1.System().Table(pass.Table)
+			tbl, err := f.m.real[0].mr1.System().Table(pass.Table)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +226,7 @@ func TestUnderflowRuleKeepsForces(t *testing.T) {
 	for _, geo := range sweepGeometries {
 		f := newSweepFixture(t, geo)
 		n := f.s.N()
-		sys := f.m.real.mr1.System()
+		sys := f.m.real[0].mr1.System()
 		fused, err := sys.ComputeForcesFusedInto(f.passes, f.s.Pos, f.s.Type, f.js, soa.Coords{})
 		if err != nil {
 			t.Fatal(err)
@@ -304,7 +304,7 @@ func BenchmarkFusedSweep(b *testing.B) {
 	f := newSweepFixture(b, sweepGeometries[0])
 	dense := newSweepFixture(b, sweepGeometry{"N=1728 default", 6, 0})
 	run := func(name string, f sweepFixture, passes []mdgrape2.ForcePass) {
-		sys := f.m.real.mr1.System()
+		sys := f.m.real[0].mr1.System()
 		b.Run("tosifumi/grid2/"+name, func(b *testing.B) {
 			var dst soa.Coords
 			var err error

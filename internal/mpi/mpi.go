@@ -3,8 +3,9 @@
 // program written in C for MDM, which is parallelized with Message Passing
 // Interface").
 //
-// A World is a fixed set of ranks; each rank runs in its own goroutine and
-// owns one endpoint (Comm). Every directed rank pair has one FIFO that holds
+// A World is a fixed set of ranks; each rank owns one endpoint (Comm), and
+// during Run rank 0 runs on the caller's goroutine and every other rank on
+// its own. Every directed rank pair has one FIFO that holds
 // only the messages in flight, so a world's footprint follows its traffic,
 // not its size². Point-to-point Send/Recv carry one payload type, []float64,
 // under integer tags with strict FIFO matching — the deterministic SPMD style
@@ -252,12 +253,14 @@ type Comm struct {
 	rank int
 	run  func() // runRank, bound once so Run starts a rank without allocating
 
-	// wake holds one token when a peer has pushed to one of this rank's
-	// FIFOs since the rank last looked. A rank waits on one source at a
-	// time and re-checks that source's FIFO after every token, so a token
-	// from another source costs one spurious wake, never a lost one.
+	// wake holds one token when something happened since the rank last
+	// looked: a peer pushed to one of its FIFOs, its deadline timer fired, or
+	// the run group was canceled (poke). A rank waits on one source at a time
+	// and re-checks that source's FIFO, the group and the clock after every
+	// token, so a token meant for another source or an earlier wait costs one
+	// spurious wake, never a lost one.
 	wake  chan struct{}
-	timer *time.Timer // Recv's deadline, created on the first blocking wait
+	timer *time.Timer // Recv's deadline, pokes after the world timeout; created on the first blocking wait
 
 	crcBuf [512]byte // checksum scratch: the words' little-endian bytes
 }
@@ -270,8 +273,9 @@ func (w *World) Comm(rank int) (*Comm, error) {
 	return w.comms[rank], nil
 }
 
-// Run starts one goroutine per rank executing f and waits for all of them.
-// When a rank returns a non-nil error the whole group is canceled, so peers
+// Run executes f on every rank and waits for all of them: rank 0 on the
+// calling goroutine, every other rank on one goroutine of its own. When a
+// rank returns a non-nil error the whole group is canceled, so peers
 // blocked in Recv unwind with ErrCanceled instead of waiting out their
 // deadline on a rank that is already gone. The first real error (by rank
 // order, preferring errors that are not cancellation echoes) is returned.
@@ -284,9 +288,10 @@ func (w *World) Run(f func(c *Comm) error) error {
 	w.mu.Unlock()
 	clear(w.errs)
 	w.wg.Add(w.size)
-	for _, c := range w.comms {
+	for _, c := range w.comms[1:] {
 		go c.run()
 	}
+	w.comms[0].run()
 	w.wg.Wait()
 	w.mu.Lock()
 	w.f, w.running = nil, false
@@ -304,7 +309,7 @@ func (w *World) Run(f func(c *Comm) error) error {
 	return nil
 }
 
-// runRank is one rank's goroutine in Run.
+// runRank is one rank's body in Run.
 func (c *Comm) runRank() {
 	defer c.w.wg.Done()
 	if err := c.w.f(c); err != nil {
@@ -323,6 +328,9 @@ func (w *World) CancelRun() {
 	if w.running && !w.canceled {
 		close(w.done)
 		w.canceled = true
+		for _, c := range w.comms {
+			c.poke()
+		}
 	}
 	w.mu.Unlock()
 }
@@ -403,10 +411,7 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 		}
 	}
 	c.w.fifos[dst*c.w.size+c.rank].push(m)
-	select {
-	case c.w.comms[dst].wake <- struct{}{}:
-	default: // a token is already pending
-	}
+	c.w.comms[dst].poke()
 	c.w.count(tag, int64(8*len(data)))
 	return nil
 }
@@ -440,38 +445,45 @@ func (c *Comm) Recv(src, tag int) ([]float64, error) {
 }
 
 // wait blocks until f yields a message, the world deadline passes or the run
-// group is canceled. The endpoint's one timer is stopped and drained on
-// every way out but its own firing, which drains it, so each wait can Reset
-// it: go.mod's go 1.22 keeps the pre-1.23 timer channel, where a stopped
-// timer may still hold a value.
+// group is canceled. It checks the FIFO, the group and the clock before
+// every block, never only after one: a token that a message and a cancel
+// (or the timer) left together is consumed once, and the wait that takes
+// the message must leave the cancel to the next. It receives on wake alone, so a blocked wait holds one
+// runtime waiter (a select holds one per channel, each kept in the
+// scheduler's cache once released). The deadline is the endpoint's one
+// function timer, re-armed by each wait: under go.mod's go 1.22 a channel
+// timer's first use registers a process-wide godebug metric on the heap.
 func (c *Comm) wait(f *fifo, src, tag int) (message, error) {
 	d := c.w.Timeout()
+	deadline := time.Now().Add(d) //mdm:wallclockok -- the receive deadline only: it decides which error a stalled Recv returns, never simulation state or the journal
 	if c.timer == nil {
-		c.timer = time.NewTimer(d)
+		c.timer = time.AfterFunc(d, c.poke)
 	} else {
 		c.timer.Reset(d)
 	}
 	done := c.w.groupDone()
 	for {
-		select {
-		case <-c.wake:
-			if m, ok := f.pop(); ok {
-				c.stopTimer()
-				return m, nil
-			}
-		case <-c.timer.C:
-			return message{}, fmt.Errorf("mpi: recv %d←%d tag %d after %v: %w", c.rank, src, tag, d, ErrTimeout)
-		case <-done:
-			c.stopTimer()
-			return message{}, fmt.Errorf("mpi: recv %d←%d tag %d: %w", c.rank, src, tag, ErrCanceled)
+		if m, ok := f.pop(); ok {
+			c.timer.Stop()
+			return m, nil
 		}
+		select {
+		case <-done:
+			c.timer.Stop()
+			return message{}, fmt.Errorf("mpi: recv %d←%d tag %d: %w", c.rank, src, tag, ErrCanceled)
+		default:
+		}
+		if !time.Now().Before(deadline) { //mdm:wallclockok -- tells the deadline's token from a spurious one; never simulation state or the journal
+			return message{}, fmt.Errorf("mpi: recv %d←%d tag %d after %v: %w", c.rank, src, tag, d, ErrTimeout)
+		}
+		<-c.wake
 	}
 }
 
-// stopTimer stops the deadline timer before it fired or drains the value it
-// fired with.
-func (c *Comm) stopTimer() {
-	if !c.timer.Stop() {
-		<-c.timer.C
+// poke leaves a token in wake, unless one is already pending.
+func (c *Comm) poke() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
 	}
 }

@@ -101,6 +101,46 @@ func TestRunCancelsGroupOnError(t *testing.T) {
 	}
 }
 
+// A cancel and a message that land on one token are seen once each: the
+// rank that takes the message after its group was canceled must still see
+// the cancel on its next receive, from a rank that sent nothing, instead of
+// waiting out its deadline.
+func TestCancelSurvivesMergedWakeup(t *testing.T) {
+	w, _ := NewWorld(3)
+	w.SetTimeout(10 * time.Second) // cancel must beat this by a wide margin
+	ready := make(chan struct{})
+	var got, next error
+	start := time.Now()
+	_ = w.Run(func(c *Comm) error {
+		switch c.Rank() {
+		case 1:
+			w.CancelRun()                           // closes the group, leaves rank 0 a token
+			err := c.Send(0, tagData, []float64{1}) // its wake merges with that token
+			close(ready)
+			return err
+		case 0:
+			<-ready
+			// As if rank 0 had been blocked on rank 1 all along: the one
+			// token wakes it to the queued message.
+			if _, got = c.wait(&w.fifos[1], 1, tagData); got != nil {
+				return got
+			}
+			_, next = c.Recv(2, tagData)
+			return next
+		}
+		return nil
+	})
+	if got != nil {
+		t.Fatalf("the queued message: %v", got)
+	}
+	if !errors.Is(next, ErrCanceled) {
+		t.Errorf("receive after the canceled group's message: err = %v, want ErrCanceled", next)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("the cancel was seen after %v; it should not wait out the deadline", el)
+	}
+}
+
 func TestFaultHookDropCorruptSendErr(t *testing.T) {
 	w, _ := NewWorld(2)
 	w.SetTimeout(20 * time.Millisecond)

@@ -337,7 +337,7 @@ func (c Config) validateFaults() error {
 		case e.Site == fault.Store:
 			return fmt.Errorf("mdm: fault clause %q: no run reads the store site", e)
 		case e.Site == fault.MPI && c.Ranks == 0:
-			return fmt.Errorf("mdm: fault clause %q needs Ranks: the serial machine has no MPI world", e)
+			return fmt.Errorf("mdm: fault clause %q needs Ranks: the serial machine's private world takes no message faults", e)
 		case e.Site == fault.MPI && max(e.Src, e.Dst) >= world:
 			return fmt.Errorf("mdm: fault clause %q addresses a rank outside the world of %d ranks", e, world)
 		}
@@ -371,14 +371,11 @@ func newForceField(cfg Config, p ewald.Params, in *fault.Injector, phases *core.
 		if world, err = mpi.NewWorld(nReal + nWave); err != nil {
 			return nil, nil, nil, err
 		}
-		// The world's default 30 s deadline is sized for tests; a legitimate
-		// 10^5-particle wavenumber pass runs longer than that on one host
-		// core. A production session's stall detection is the supervision
-		// watchdog, so the wire deadline only has to catch a truly wedged
-		// run. Under a fault scenario the tight default stays: drop scenarios
-		// rely on the receiver noticing a swallowed message quickly.
+		// Under a fault scenario the world's tight default deadline stays:
+		// drop scenarios rely on the receiver noticing a swallowed message
+		// quickly.
 		if in == nil {
-			world.SetTimeout(time.Hour)
+			world.SetTimeout(core.SessionTimeout)
 		}
 	}
 	var (

@@ -72,7 +72,7 @@ func TestConfigCapabilities(t *testing.T) {
 		{"mdm/negative-wave-ranks", Config{Ranks: 2, WaveRanks: -1}, "negative rank count"},
 		{"mdm/wave-ranks-without-ranks", Config{WaveRanks: 2}, needsDecomp},
 		{"mdm/store-faults", Config{Faults: "store:crash@sync=1; store:eio@write=1"}, `"store:crash@sync=1": no run reads the store site`},
-		{"mdm/mpi-faults-serial", Config{Faults: "mpi:drop@src=1,dst=0,n=1"}, "needs Ranks: the serial machine has no MPI world"},
+		{"mdm/mpi-faults-serial", Config{Faults: "mpi:drop@src=1,dst=0,n=1"}, "needs Ranks: the serial machine's private world takes no message faults"},
 		{"mdm/mpi-faults-outside-world", Config{Ranks: 2, Faults: "mpi:senderr@src=7,dst=9,n=1"}, "outside the world of 3 ranks"},
 		{"reference", Config{Backend: BackendReference}, ""},
 		{"reference/journal-only", Config{Backend: BackendReference, Supervise: SuperviseConfig{Journal: filepath.Join(dir, "ref.wal")}}, ""},
