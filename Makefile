@@ -53,9 +53,9 @@ race:
 		./internal/parallelize/... ./internal/wine2/... ./internal/mdgrape2/... \
 		./internal/cellindex/... ./internal/supervise/... ./internal/store/... \
 		./internal/lifecycle/... ./internal/serve/...
-	$(GO) test -race -cpu 1,2,4 -run 'AcrossWorkers|Run|Shards' ./internal/parallelize \
+	$(GO) test -race -cpu 1,2,4 -run 'AcrossWorkers|Run|Shards|Lend' ./internal/parallelize \
 		./internal/mdgrape2 ./internal/wine2 ./internal/cellindex
-	$(GO) test -race -cpu 1,2,4 -count 5 -run 'PotentialClaim' ./internal/core
+	$(GO) test -race -cpu 1,2,4 -count 5 -run 'PotentialClaim|Lend' ./internal/core
 	$(GO) test -race -run 'Commit|DurableOnReturn|CrashMatrix|Journal|Interrupt|Resume|Restart' .
 	$(GO) test -race -short -run BitIdentityLattice .
 

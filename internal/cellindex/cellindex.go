@@ -327,8 +327,8 @@ const (
 // SortPool builds the sorted layout with the cell assignment and scatter
 // phases cut into chunks the pool's workers claim (a nil pool is serial).
 // The layout is bit-identical to Sort at any pool width: chunks are
-// contiguous original-index ranges (parallelize.Shards, a function of n and
-// the width only) and each chunk scatters into slots reserved for it by a
+// contiguous original-index ranges (Pool.NumShards, a function of n, the
+// width and whether the pool lends) and each chunk scatters into slots reserved for it by a
 // per-chunk/per-cell prefix sum taken in ascending chunk order, so within
 // every cell the particles appear in ascending original index exactly as in
 // the serial counting sort, whichever worker ran which chunk. Inputs below
@@ -382,7 +382,7 @@ func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *So
 	if n < serialSortCutoff {
 		pool = nil
 	}
-	chunks := parallelize.NumShards(n, pool.Workers())
+	chunks := pool.NumShards(n)
 	for len(so.counts) < chunks {
 		//mdm:hotallocok -- amortized scratch growth: grows to the chunk count once, then reuses across sorts
 		so.counts = append(so.counts, nil)

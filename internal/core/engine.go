@@ -168,8 +168,9 @@ type realRank struct {
 }
 
 // newRealRank runs the Table 3 sequence (acquireMDG) over a 1/share slice of
-// the MDGRAPE-2 boards: 1/nReal on each real rank of a session.
-func (e *engineBase) newRealRank(share int) (realRank, error) {
+// the MDGRAPE-2 boards, 1/nReal on each real rank of a session, with pool
+// striping its sweep and j-set sort.
+func (e *engineBase) newRealRank(share int, pool *parallelize.Pool) (realRank, error) {
 	cfg := e.cfg
 	mr1, err := mdgrape2.NewMR1(cfg.MDG)
 	if err != nil {
@@ -179,7 +180,6 @@ func (e *engineBase) newRealRank(share int) (realRank, error) {
 	if err := acquireMDG(mr1, max(e.mdgBoards/share, 1)); err != nil {
 		return realRank{}, err
 	}
-	pool := parallelize.New(cfg.Workers)
 	mr1.SetPool(pool)
 	return realRank{
 		jsetLayout: jsetLayout{jsb: mdgrape2.NewJSetBuilder(e.grid, pool)},
@@ -241,8 +241,8 @@ type waveRank struct {
 }
 
 // newWaveRank runs the Table 2 sequence (acquireWine) over a 1/share slice
-// of the WINE-2 boards, like newRealRank.
-func (e *engineBase) newWaveRank(share int) (waveRank, error) {
+// of the WINE-2 boards, with pool striping its pass, like newRealRank.
+func (e *engineBase) newWaveRank(share int, pool *parallelize.Pool) (waveRank, error) {
 	cfg := e.cfg
 	lib, err := wine2.NewLibrary(cfg.Wine)
 	if err != nil {
@@ -252,7 +252,7 @@ func (e *engineBase) newWaveRank(share int) (waveRank, error) {
 	if err := acquireWine(lib, max(e.wineBoards/share, 1)); err != nil {
 		return waveRank{}, err
 	}
-	lib.SetPool(parallelize.New(cfg.Workers))
+	lib.SetPool(pool)
 	return waveRank{lib: lib, p: cfg.Ewald, waves: e.waves}, nil
 }
 

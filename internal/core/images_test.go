@@ -202,8 +202,10 @@ func TestImageUpdateRefusedWithoutFMA(t *testing.T) {
 }
 
 // TestNewMachineFootprint: an engine start at 64 ions and the default α
-// allocates at most 64 KB. Its kernel tables are the committed images,
-// referenced in the binary's data; fitting them would add about 80 KB.
+// allocates at most 54,400 B (54,216 measured, 54,344 under the race
+// detector). Its kernel tables are the committed images, referenced in the
+// binary's data; fitting them would add about 80 KB. The 1 + 1 layout builds
+// no ghost geometry or per-destination scratch; its lending is ≈ 300 B.
 func TestNewMachineFootprint(t *testing.T) {
 	p := workloadParams(2, 0)
 	build := func() {
@@ -225,8 +227,8 @@ func TestNewMachineFootprint(t *testing.T) {
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	t.Logf("NewMachine at 64 ions: %d B", least)
-	if least > 64<<10 {
-		t.Errorf("NewMachine at 64 ions allocates %d B, budget 64 KB", least)
+	if least > 54400 {
+		t.Errorf("NewMachine at 64 ions allocates %d B, budget 54,400 B", least)
 	}
 }
 

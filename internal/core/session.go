@@ -12,6 +12,7 @@ import (
 	"mdm/internal/md"
 	"mdm/internal/mdgrape2"
 	"mdm/internal/mpi"
+	"mdm/internal/parallelize"
 	"mdm/internal/soa"
 	"mdm/internal/tosifumi"
 	"mdm/internal/vec"
@@ -55,7 +56,8 @@ type ParallelRun struct {
 
 	// needGhost[r][c] reports whether real rank r needs cell c as a ghost.
 	// ghostSrc[r] / ghostDst[r]: ranks r receives ghosts from / sends ghosts
-	// to, ascending. All three are static block-geometry facts.
+	// to, ascending. All three are static block-geometry facts, built only
+	// at several real ranks.
 	needGhost [][]bool
 	ghostSrc  [][]int
 	ghostDst  [][]int
@@ -82,6 +84,14 @@ type ParallelRun struct {
 	realPot   float64
 	potLayout *jsetLayout
 
+	// lending is where, at the 1 + 1 layout only, the lane that finishes its
+	// share of a call first lends its goroutine to the other lane's pool
+	// Runs until that lane releases (lend): real rank 0 after its sweep and
+	// its walk claim, wave rank 0 after its walk claim and its send. Each
+	// rank's pool is its side of it. nil at any other layout, where a lender
+	// would take a core from a sweep it cannot join.
+	lending *parallelize.Lending
+
 	wavePot float64     // written by rank 0 during Run, read by the driver after
 	out     []vec.V     // written by rank 0 during Run
 	bufs    [][]float64 // rank 0's scratch: the payload each rank sent it this step
@@ -105,10 +115,11 @@ type realRankState struct {
 	locTyp []int
 	nOwn   int
 
-	// Sender-side scratch, indexed by destination rank. sendIdx is the
-	// per-destination ghost list frozen at the last rebuild; haloBuf packs
-	// stride-4 rebuild records, posBuf packs the 3 SoA position planes of a
-	// reuse step back to back in one slab.
+	// Sender-side scratch, indexed by destination rank, built only at
+	// several real ranks. sendIdx is the per-destination ghost list frozen
+	// at the last rebuild; haloBuf packs stride-4 rebuild records, posBuf
+	// packs the 3 SoA position planes of a reuse step back to back in one
+	// slab.
 	sendIdx [][]int
 	haloBuf [][]float64
 	posBuf  [][]float64
@@ -159,39 +170,10 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 	}
 	pr.rankStep = pr.runRank
 
-	// Static ghost geometry: which cells each rank needs, hence which rank
-	// pairs exchange ghosts. Both sides derive the same lists, so the
-	// message pattern is deterministic and deadlock-free.
-	nc := grid.NumCells()
-	pr.needGhost = make([][]bool, nReal)
-	pr.ghostSrc = make([][]int, nReal)
-	pr.ghostDst = make([][]int, nReal)
-	srcSet := make([]bool, nReal)
-	for r := 0; r < nReal; r++ {
-		pr.needGhost[r] = make([]bool, nc)
-		for i := range srcSet {
-			srcSet[i] = false
-		}
-		for _, c := range blocks.GhostCells(r) {
-			pr.needGhost[r][c] = true
-			srcSet[blocks.Owner(c)] = true
-		}
-		// Ascending rank iteration keeps both lists sorted, so every rank
-		// derives the same deterministic message order.
-		pr.ghostSrc[r] = make([]int, 0, nReal)
-		for src := 0; src < nReal; src++ {
-			if srcSet[src] {
-				pr.ghostSrc[r] = append(pr.ghostSrc[r], src)
-			}
-		}
-	}
-	for src := 0; src < nReal; src++ {
-		pr.ghostDst[src] = make([]int, 0, nReal)
-		for r := 0; r < nReal; r++ {
-			if slices.Contains(pr.ghostSrc[r], src) {
-				pr.ghostDst[src] = append(pr.ghostDst[src], r)
-			}
-		}
+	if nReal > 1 {
+		pr.ghostGeometry()
+	} else if nWave == 1 {
+		pr.lending = parallelize.NewLending(cfg.Phases.now)
 	}
 
 	free := func() { _ = pr.Free() }
@@ -203,21 +185,20 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			free()
 			return nil, err
 		}
-		rk, err := pr.newRealRank(nReal)
+		rk, err := pr.newRealRank(nReal, pr.pool(LaneCaller))
 		if err != nil {
 			free()
 			return nil, err
 		}
-		pr.real = append(pr.real, &realRankState{
-			realRank: rk,
-			rank:     r,
-			comm:     comm,
-			sendIdx:  make([][]int, nReal),
-			haloBuf:  make([][]float64, nReal),
-			posBuf:   make([][]float64, nReal),
-			migBuf:   make([][]float64, nReal),
-			ghostCnt: make([]int, len(pr.ghostSrc[r])),
-		})
+		rr := &realRankState{realRank: rk, rank: r, comm: comm}
+		if nReal > 1 {
+			rr.sendIdx = make([][]int, nReal)
+			rr.haloBuf = make([][]float64, nReal)
+			rr.posBuf = make([][]float64, nReal)
+			rr.migBuf = make([][]float64, nReal)
+			rr.ghostCnt = make([]int, len(pr.ghostSrc[r]))
+		}
+		pr.real = append(pr.real, rr)
 		pr.realRanks = append(pr.realRanks, &pr.real[r].realRank)
 	}
 	pr.potLayout = &pr.real[0].jsetLayout
@@ -231,7 +212,7 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 			free()
 			return nil, err
 		}
-		wk, err := pr.newWaveRank(nWave)
+		wk, err := pr.newWaveRank(nWave, pr.pool(LaneWave))
 		if err != nil {
 			free()
 			return nil, err
@@ -247,6 +228,53 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 		pr.waveRanks = append(pr.waveRanks, &pr.wave[w].waveRank)
 	}
 	return pr, nil
+}
+
+// ghostGeometry derives the static ghost geometry at several real ranks:
+// which cells each rank needs, hence which rank pairs exchange ghosts. Both
+// sides derive the same lists, so the message pattern is deterministic and
+// deadlock-free.
+func (pr *ParallelRun) ghostGeometry() {
+	nc := pr.grid.NumCells()
+	pr.needGhost = make([][]bool, pr.nReal)
+	pr.ghostSrc = make([][]int, pr.nReal)
+	pr.ghostDst = make([][]int, pr.nReal)
+	srcSet := make([]bool, pr.nReal)
+	for r := 0; r < pr.nReal; r++ {
+		pr.needGhost[r] = make([]bool, nc)
+		for i := range srcSet {
+			srcSet[i] = false
+		}
+		for _, c := range pr.blocks.GhostCells(r) {
+			pr.needGhost[r][c] = true
+			srcSet[pr.blocks.Owner(c)] = true
+		}
+		// Ascending rank iteration keeps both lists sorted, so every rank
+		// derives the same deterministic message order.
+		pr.ghostSrc[r] = make([]int, 0, pr.nReal)
+		for src := 0; src < pr.nReal; src++ {
+			if srcSet[src] {
+				pr.ghostSrc[r] = append(pr.ghostSrc[r], src)
+			}
+		}
+	}
+	for src := 0; src < pr.nReal; src++ {
+		pr.ghostDst[src] = make([]int, 0, pr.nReal)
+		for r := 0; r < pr.nReal; r++ {
+			if slices.Contains(pr.ghostSrc[r], src) {
+				pr.ghostDst[src] = append(pr.ghostDst[src], r)
+			}
+		}
+	}
+}
+
+// pool is a new worker pool for a rank of lane: at the 1 + 1 layout the
+// lane's side of the lending, at any other a plain pool.
+func (pr *ParallelRun) pool(lane Lane) *parallelize.Pool {
+	if pr.lending != nil {
+		return pr.lending.Pool(int(lane), pr.cfg.Workers)
+	}
+	return parallelize.New(pr.cfg.Workers)
 }
 
 // Forces implements md.ForceField on the persistent session.
@@ -293,6 +321,7 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	pr.clock.advance(s.Pos, pr.rebuild)
 	pr.due = pr.pot.due()
 	pr.walked.Store(true)
+	pr.lending.Reset()
 
 	before := pr.world.Stats()
 	pr.sys = s
@@ -360,6 +389,28 @@ func (pr *ParallelRun) claimWalk(lane Lane, t int64) int64 {
 	return pr.cfg.Phases.book(lane, PhasePotential, t)
 }
 
+// errLendCanceled is a lane's error when its run group was canceled while it
+// lent: a cancellation echo, like a Recv's.
+var errLendCanceled = fmt.Errorf("core: lend: %w", mpi.ErrCanceled)
+
+// lend, at the 1 + 1 layout, releases lane's side of the lending and, until
+// the other lane releases, runs chunks of that lane's pool Runs; if it had
+// to wait it books the lend on lane from t to the other lane's release, one
+// reading the releasing lane took. A canceled run group unwinds it.
+func (pr *ParallelRun) lend(lane Lane, c *mpi.Comm, t int64) (int64, error) {
+	if pr.lending == nil {
+		return t, nil
+	}
+	until, lent, err := pr.lending.Lend(int(lane), c.Done())
+	if err != nil {
+		return t, errLendCanceled
+	}
+	if lent {
+		t = pr.cfg.Phases.bookAt(lane, PhaseLend, t, until)
+	}
+	return t, nil
+}
+
 // Waves returns the wavevector set in use.
 func (pr *ParallelRun) Waves() []ewald.Wave { return pr.waves }
 
@@ -410,10 +461,11 @@ func wireIndex(w float64, n, src, dst int, what string) (int, error) {
 // realStep is the per-step body of one real-space rank: migrate (rebuild
 // steps), exchange or stream ghosts, run the fused MDGRAPE-2 sweep over the
 // owned block, ship (index, force) records to rank 0. Rank 0 ships nothing:
-// it arms the potential claim, offers to walk after its sweep, and
-// assembles. At one real rank it owns every particle and reads s.Pos and
+// it arms the potential claim, offers to walk after its sweep, lends (1 + 1)
+// and assembles. At one real rank it owns every particle and reads s.Pos and
 // s.Type as they stand. Real rank 0 books the spine's caller lane.
 func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
+	defer pr.lending.Release(int(LaneCaller)) // every exit, so a parked wave lane wakes
 	var spine *PhaseSink
 	if rr.rank == 0 {
 		spine = pr.cfg.Phases
@@ -444,6 +496,9 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 	if rr.rank == 0 {
 		t = spine.book(LaneCaller, PhaseSweep, t)
 		t = pr.claimWalk(LaneCaller, t)
+		if t, err = pr.lend(LaneCaller, rr.comm, t); err != nil {
+			return err
+		}
 		return pr.assemble(rr, fc, t)
 	}
 	rr.ship = rr.ship[:0]
@@ -642,8 +697,10 @@ func (pr *ParallelRun) streamGhosts(rr *realRankState, s *md.System) error {
 // over this rank's particle stripe, with the group communicator reducing the
 // structure factor when the group has more than one member, into planes
 // that are views of the rank's payload slab. Wave rank 0 books the spine's
-// wave lane and offers to walk the potential before it ships.
+// wave lane, offers to walk the potential before it ships, and lends (1 + 1)
+// once it has shipped, so the caller never waits on a slab it holds back.
 func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
+	defer pr.lending.Release(int(LaneWave)) // every exit, so a parked caller wakes
 	var spine *PhaseSink
 	if wr.rank == pr.nReal {
 		spine = pr.cfg.Phases
@@ -662,12 +719,16 @@ func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
 	}
 	t := spine.book(LaneWave, PhaseWave, pr.t0)
 	if wr.rank == pr.nReal {
-		pr.claimWalk(LaneWave, t)
+		t = pr.claimWalk(LaneWave, t)
 	}
 	// The planes are already in the slab; the leading word is the
 	// wavenumber potential, which rank 0 reads from wave rank 0 only.
 	wr.slab[0] = pot
-	return wr.comm.Send(0, TagForces, wr.slab)
+	if err := wr.comm.Send(0, TagForces, wr.slab); err != nil {
+		return err
+	}
+	_, err = pr.lend(LaneWave, wr.comm, t)
+	return err
 }
 
 // assemble gathers force contributions at world rank 0, which holds its own

@@ -3,11 +3,12 @@ package core
 // The step-phase spine: where an engine's Forces call spends its time, per
 // goroutine. Two ranks book it: real rank 0, which runs on the caller's
 // goroutine (j-set, sweep, join, combine), and wave rank 0 (the WINE-2
-// pass); the host potential walk runs on whichever finishes its pass first.
-// Both lanes start at the driver's reading at the call's start. Each lane
-// adds only to its own row of the sink, and the caller reads the wave row
-// only after World.Run has joined every rank, so recording takes no lock, no
-// atomic and no allocation. The clock is injected: the engine never reads
+// pass); the host potential walk runs on whichever finishes its pass first,
+// and at the 1 + 1 layout that lane then lends itself to the other's pass
+// until it ends (lend). Both lanes start at the driver's reading at the
+// call's start. Each lane adds only to its own row of the sink, and the
+// caller reads the wave row only after World.Run has joined every rank, so
+// recording takes no lock, no atomic and no allocation. The clock is injected: the engine never reads
 // time itself. At several real ranks, rank 0's halo and ghost exchange
 // books as its j-set phase.
 
@@ -23,10 +24,11 @@ const (
 	PhasePotential                // the host potential walk, on a due call
 	PhaseJoinWait                 // the caller blocked on the other ranks' force payloads
 	PhaseCombine                  // real + wave forces into the output slice
+	PhaseLend                     // the lane that finished first, claiming chunks of the other's pass until it ends
 	NumPhases
 )
 
-var phaseNames = [NumPhases]string{"jset_build", "jset_refresh", "sweep", "wave", "potential", "join_wait", "combine"}
+var phaseNames = [NumPhases]string{"jset_build", "jset_refresh", "sweep", "wave", "potential", "join_wait", "combine", "lend"}
 
 func (p Phase) String() string { return phaseNames[p] }
 
@@ -86,7 +88,15 @@ func (p *PhaseSink) book(lane Lane, phase Phase, t int64) int64 {
 	if p == nil {
 		return 0
 	}
-	now := p.clock()
+	return p.bookAt(lane, phase, t, p.clock())
+}
+
+// bookAt is book with the run's end read already: now, a reading another
+// lane took (the release that ended a lend).
+func (p *PhaseSink) bookAt(lane Lane, phase Phase, t, now int64) int64 {
+	if p == nil {
+		return 0
+	}
 	a := &p.lanes[lane][phase]
 	a.Count++
 	a.Nanos += now - t

@@ -14,7 +14,8 @@ import (
 // stallHook holds one site's hardware calls until the other lane is done
 // with the potential walk, so a due call's walk runs on the other lane. Under
 // an MDGRAPE-2 stall a sweep's call waits until the wave rank has shipped its
-// forces, which it does after its pass and its walk, and a WINE-2 call waits
+// forces, which it does after its pass and its walk, and at the 1 + 1 layout
+// until it is parked in lend after them; a WINE-2 call waits
 // until every real rank's sweep has begun, so the wave pass ends after real
 // rank 0 armed the claim. Under a WINE-2 stall a wave pass's call on a due
 // call waits until real rank 0 has begun its sweep (a sweep makes 4 calls, so
@@ -41,7 +42,9 @@ func (h *stallHook) HardwareCall(site fault.Site) error {
 	}
 	switch {
 	case site == h.site && site == fault.MDG2:
-		h.wait(site, func() bool { return h.m.world.StatsByTag()[TagForces].Messages > h.sent })
+		h.wait(site, func() bool {
+			return h.m.world.StatsByTag()[TagForces].Messages > h.sent && (h.m.lending == nil || h.m.lending.Parked(int(LaneWave)))
+		})
 	case site == h.site:
 		h.wait(site, func() bool {
 			return !h.m.due || h.swept.Load() > 4*int64(h.m.nReal-1) && h.m.walked.Load()
@@ -55,10 +58,17 @@ func (h *stallHook) HardwareCall(site fault.Site) error {
 	return h.in.HardwareCall(site)
 }
 
+func (h *stallHook) attach(t *testing.T, m *ParallelRun) { h.t, h.m = t, m }
+
 func (h *stallHook) wait(site fault.Site, done func() bool) {
+	holdCall(h.t, site, "the other lane never finished its walk", done)
+}
+
+// holdCall holds a site's hardware call until done, at most 10 s.
+func holdCall(t *testing.T, site fault.Site, why string, done func() bool) {
 	for deadline := time.Now().Add(10 * time.Second); !done(); runtime.Gosched() {
 		if time.Now().After(deadline) {
-			h.t.Errorf("%v call stalled 10 s: the other lane never finished its walk", site)
+			t.Errorf("%v call stalled 10 s: %s", site, why)
 			return
 		}
 	}
@@ -71,13 +81,22 @@ func (h *stallHook) PendingFlip(site fault.Site) (int, int, bool) {
 	return h.in.PendingFlip(site)
 }
 
+// attemptHook is a test's hardware hook over a session: attached once the
+// session is built, readied before every attempt.
+type attemptHook interface {
+	fault.HardwareHook
+	attach(t *testing.T, m *ParallelRun)
+	begin()
+}
+
 // retryOnce is a force field over a session that retries a failed call once
 // at the same positions, as the recovery layer does, and keeps what every
-// successful call returned.
+// successful call returned and every failed one's error.
 type retryOnce struct {
 	m        *ParallelRun
-	hook     *stallHook // nil when unstalled
+	hook     attemptHook // nil when unstalled
 	failures int
+	errs     []error
 	forces   [][]vec.V
 	pots     []float64
 }
@@ -86,6 +105,7 @@ func (r *retryOnce) Forces(s *md.System) ([]vec.V, float64, error) {
 	f, pot, err := r.attempt(s)
 	if err != nil {
 		r.failures++
+		r.errs = append(r.errs, err)
 		f, pot, err = r.attempt(s)
 	}
 	if err == nil {
@@ -101,13 +121,13 @@ func (r *retryOnce) attempt(s *md.System) ([]vec.V, float64, error) {
 	return r.m.Forces(s)
 }
 
-// claimRun integrates 5 steps (6 Forces calls) of a small melt on a session
-// of nReal real ranks and one wave rank (the serial Machine at 1) built with
-// hook and sink, and returns the successful calls' forces and potentials and
-// how many calls failed.
-func claimRun(t *testing.T, cfg MachineConfig, nReal int, hook *stallHook) *retryOnce {
+// claimRun integrates 5 steps (6 Forces calls) of a small melt of 8·cells³
+// ions on a session of nReal real ranks and one wave rank (the serial
+// Machine at 1) built with hook and sink, and returns the successful calls'
+// forces and potentials and how many calls failed.
+func claimRun(t *testing.T, cfg MachineConfig, cells, nReal int, hook attemptHook) *retryOnce {
 	t.Helper()
-	s := meltLike(t, 2, 5.64, 1200, 7)
+	s := meltLike(t, cells, 5.64, 1200, 7)
 	cfg.Ewald = smallParams(s.L)
 	if hook != nil {
 		cfg.FaultHook = hook
@@ -124,7 +144,7 @@ func claimRun(t *testing.T, cfg MachineConfig, nReal int, hook *stallHook) *retr
 	}
 	defer func() { _ = m.Free() }()
 	if hook != nil {
-		hook.t, hook.m = t, m
+		hook.attach(t, m)
 	}
 	ff := &retryOnce{m: m, hook: hook}
 	it, err := md.NewIntegrator(s, ff, 1.0)
@@ -151,7 +171,7 @@ func claimRun(t *testing.T, cfg MachineConfig, nReal int, hook *stallHook) *retr
 func TestPotentialClaimEitherLane(t *testing.T) {
 	cfg := CurrentMachineConfig(smallParams(1)) // Ewald set per system in claimRun
 	cfg.PotentialEvery, cfg.Workers = 3, 1
-	clean := claimRun(t, cfg, 1, nil)
+	clean := claimRun(t, cfg, 2, 1, nil)
 
 	for _, tc := range []struct {
 		name   string
@@ -176,7 +196,7 @@ func TestPotentialClaimEitherLane(t *testing.T) {
 			if tc.faults != "" {
 				hook.in = injector(t, tc.faults)
 			}
-			got := claimRun(t, cfg, tc.nReal, hook)
+			got := claimRun(t, cfg, 2, tc.nReal, hook)
 			if want := min(len(tc.faults), 1); got.failures != want {
 				t.Errorf("%d failed calls, want %d", got.failures, want)
 			}
@@ -208,30 +228,33 @@ func TestPotentialClaimEitherLane(t *testing.T) {
 // TestPhaseSpineDeterministic pins the spine's booking on a counter clock
 // (one tick per reading). The MDGRAPE-2 stall orders every clock reading of
 // a call — the driver's start, the caller's j-set, then the whole wave lane
-// (pass, then the walk on a due call), then the caller's sweep, join and
-// combine — so the snapshot of 6 Forces calls (5 integrator steps, a walk on
-// steps 0 and 3) is exact: both lanes start at the driver's reading, the
-// wave pass's span also holds the caller's j-set reading, and the sweep's
-// the wave lane's 1 or 2.
+// (pass, then the walk on a due call, then it parks in lend), then the
+// caller's sweep, its release of the parked wave lane (the one reading of
+// the lend), join and combine — so the snapshot of 6 Forces calls (5
+// integrator steps, a walk on steps 0 and 3) is exact: both lanes start at
+// the driver's reading, the wave pass's span also holds the caller's j-set
+// reading, the sweep's the wave lane's 1 or 2, the lend's the sweep's and
+// the join's the release's.
 func TestPhaseSpineDeterministic(t *testing.T) {
 	var ticks atomic.Int64
 	cfg := CurrentMachineConfig(smallParams(1))
 	cfg.PotentialEvery, cfg.Workers = 3, 1
 	cfg.Phases = NewPhaseSink(func() int64 { return ticks.Add(1) })
-	claimRun(t, cfg, 1, &stallHook{site: fault.MDG2})
+	claimRun(t, cfg, 2, 1, &stallHook{site: fault.MDG2})
 
 	var want PhaseRecord
 	want[LaneCaller][PhaseJSetBuild] = PhaseTotal{6, 6}
 	want[LaneCaller][PhaseSweep] = PhaseTotal{6, 2*3 + 4*2}
-	want[LaneCaller][PhaseJoinWait] = PhaseTotal{6, 6}
+	want[LaneCaller][PhaseJoinWait] = PhaseTotal{6, 12}
 	want[LaneCaller][PhaseCombine] = PhaseTotal{6, 6}
 	want[LaneWave][PhaseWave] = PhaseTotal{6, 12}
 	want[LaneWave][PhasePotential] = PhaseTotal{2, 2}
+	want[LaneWave][PhaseLend] = PhaseTotal{6, 12}
 	got := cfg.Phases.Snapshot()
 	if got != want {
 		t.Errorf("snapshot\n%v\nwant\n%v", got, want)
 	}
-	if n := ticks.Load(); n != 6*6+2 {
-		t.Errorf("%d clock readings, want %d", n, 6*6+2)
+	if n := ticks.Load(); n != 6*7+2 {
+		t.Errorf("%d clock readings, want %d", n, 6*7+2)
 	}
 }

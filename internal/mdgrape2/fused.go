@@ -6,7 +6,6 @@ import (
 
 	"mdm/internal/fault"
 	"mdm/internal/funceval"
-	"mdm/internal/parallelize"
 	"mdm/internal/soa"
 	"mdm/internal/vec"
 )
@@ -272,7 +271,7 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 	// unit. Each i-particle's float64 accumulators stay in one chunk, so
 	// accumulation order — and the result — is bit-identical at any pool
 	// width. Pair counters are per chunk, merged in chunk order below.
-	chunkPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
+	chunkPairs := s.pairScratch(s.pool.NumShards(len(xi)))
 	_ = s.pool.Run(len(xi), func(chunk, lo, hi int) error {
 		cut2, p32 := cutoffWord(js.Sorted.Grid.Cutoff), &js.Sorted.P32
 		var pairs int64

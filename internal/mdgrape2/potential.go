@@ -3,7 +3,6 @@ package mdgrape2
 import (
 	"fmt"
 
-	"mdm/internal/parallelize"
 	"mdm/internal/vec"
 )
 
@@ -29,7 +28,7 @@ func (s *System) ComputePotentials(table string, co *Coeffs, xi []vec.V, ti []in
 	n := len(co.A)
 	a32, b32 := co.quant32()
 	pots := make([]float64, len(xi))
-	chunkPairs := s.pairScratch(parallelize.NumShards(len(xi), s.pool.Workers()))
+	chunkPairs := s.pairScratch(s.pool.NumShards(len(xi)))
 	if err := s.pool.Run(len(xi), func(chunk, lo, hi int) error {
 		cut2 := cutoffWord(js.Sorted.Grid.Cutoff)
 		var pairs int64

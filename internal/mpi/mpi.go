@@ -346,6 +346,12 @@ func (w *World) groupDone() <-chan struct{} {
 	return nil
 }
 
+// Done returns the active run group's cancellation channel, closed when the
+// group is canceled (CancelRun, or a rank's error); outside Run, nil, a
+// channel that never fires. A rank that blocks on something other than Recv
+// selects on it to unwind with the group.
+func (c *Comm) Done() <-chan struct{} { return c.w.groupDone() }
+
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
 

@@ -100,9 +100,11 @@ type Config struct {
 
 	// Workers is the host worker-pool width the MDM backend uses to stripe
 	// the simulated WINE-2/MDGRAPE-2 pipelines across OS threads (0 =
-	// runtime.GOMAXPROCS(0); 1 = one thread per engine pass, the WINE-2 pass
-	// still running beside the MDGRAPE-2 sweep). Any width produces
-	// bit-identical trajectories; the reference backend ignores it.
+	// runtime.GOMAXPROCS(0); 1 = no pool goroutine). The WINE-2 pass runs
+	// beside the MDGRAPE-2 sweep at every width, and on the serial engine
+	// (and Ranks 1) the lane that finishes first claims chunks of the
+	// other's pass. Any width produces bit-identical trajectories; the
+	// reference backend ignores it.
 	Workers int
 
 	// Pipeline is ignored: every MDM engine runs the WINE-2 pass of every
