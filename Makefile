@@ -4,8 +4,8 @@
 # `make race` / `make fuzz-smoke` / `make bench-build` / `make bench-smoke`,
 # and fails when an alternative of a `make race` -run regex names no test in
 # its packages. The -cpu 1,2,4 lines run the pool-width tests and the
-# potential-walk claim with more Go threads than a two-core runner has
-# cores, the condition a descheduled worker comes from. The
+# potential's layout independence with more Go threads than a two-core runner
+# has cores, the condition a descheduled worker comes from. The
 # fault-injection, recovery, supervision and crash-matrix tests need no
 # target of their own: `go test ./...` runs every one of them.
 
@@ -55,7 +55,7 @@ race:
 		./internal/lifecycle/... ./internal/serve/...
 	$(GO) test -race -cpu 1,2,4 -run 'AcrossWorkers|Run|Shards|Lend' ./internal/parallelize \
 		./internal/mdgrape2 ./internal/wine2 ./internal/cellindex
-	$(GO) test -race -cpu 1,2,4 -count 5 -run 'PotentialClaim|Lend' ./internal/core
+	$(GO) test -race -cpu 1,2,4 -count 5 -run 'PotentialExact|Lend' ./internal/core
 	$(GO) test -race -run 'Commit|DurableOnReturn|CrashMatrix|Journal|Interrupt|Resume|Restart' .
 	$(GO) test -race -short -run BitIdentityLattice .
 

@@ -49,7 +49,7 @@ type Result struct {
 	// machineForces: per MDGRAPE-2 pair evaluation (one per pair per table
 	// pass, mdgrape2.Stats.PairsEvaluated) — the whole Forces op, wave pass and
 	// potential included, so an upper bound on the sweep's own cost.
-	// hostPotential: per half pair of the host's potential walk.
+	// hostPotential: per half pair the host potential evaluates.
 	// wine2DFTIDFT: per particle·wave operation (DFT + IDFT ops).
 	NsPerPair         float64 `json:"ns_per_pair,omitempty"`
 	NsPerParticleWave float64 `json:"ns_per_particle_wave,omitempty"`
@@ -255,11 +255,11 @@ func run(iters, reps, weakSteps int) (*Report, error) {
 	return rep, nil
 }
 
-// hostPotentialRow times the host's real-space potential walk by difference:
-// the serial Forces call that evaluates it against the same call on a
-// machine that, after its first call, never does (the walk is internal to
-// core; the difference also carries the O(N) self-energy sum, a thousandth
-// of it). ns_per_pair divides by the walk's half-pair count.
+// hostPotentialRow times the host's real-space potential by difference: the
+// serial Forces call that evaluates it against the same call on a machine
+// that, after its first call, never does (the potential rides the sweep
+// inside core; the difference also carries the O(N) self-energy sum, a
+// thousandth of it). ns_per_pair divides by the half-pair count.
 func hostPotentialRow(sys *md.System, p ewald.Params, iters, reps int) (Result, error) {
 	var ops [2]func() error
 	for k, every := range []int{1, math.MaxInt} {

@@ -62,9 +62,11 @@ func TestStepFlowFactPropagation(t *testing.T) {
 		t.Fatalf("expected at least the 6 annotated roots, got %d: %v", got, facts.Roots())
 	}
 	hot := []string{
-		// Direct call chain from core.ParallelRun.Step through the claim
-		// walk.
-		"(*mdm/internal/cellindex.Sorted).ForEachHalfMask",
+		// Interface dispatch out of the fused sweep: mdgrape2 calls its
+		// PairSink, and CHA fans out to core's host potential, which the
+		// sweep carries on a due call.
+		"(*mdm/internal/core.potSink).Pairs",
+		"(*mdm/internal/core.potTable).sum",
 		// Cross-package chain through the wine2 root into the DFT engine.
 		"(*mdm/internal/wine2.System).DFTQuantizedInto",
 		// Interface dispatch: md.Integrator.Step calls ForceField.Forces, and
@@ -73,14 +75,13 @@ func TestStepFlowFactPropagation(t *testing.T) {
 		"(*mdm/internal/core.Resilient).Forces",
 		// The one step driver: ParallelRun.Step runs its ranks from runRank
 		// inside World.Run (a method value bound once, so an annotated
-		// root); real rank 0 and wave rank 0 reach the sweep, the wave pass
-		// and the claim walk.
+		// root); real rank 0 and wave rank 0 reach the sweep and the wave
+		// pass.
 		"(*mdm/internal/core.ParallelRun).realStep",
 		"(*mdm/internal/core.ParallelRun).waveStep",
 		"(*mdm/internal/core.realRank).sweep",
 		"(*mdm/internal/core.waveRank).pass",
-		"(*mdm/internal/core.ParallelRun).claimWalk",
-		"(*mdm/internal/core.potCadence).walk",
+		"(*mdm/internal/core.potCadence).book",
 		// Callback edge: functions passed to Integrator.Run run between steps.
 		"(*mdm.Simulation).observe",
 		// Interface dispatch twice over: the boards call

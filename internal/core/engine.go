@@ -137,9 +137,8 @@ func (e *engineBase) Free() error {
 
 // jsetLayout is a j-set builder and the layout it last produced.
 type jsetLayout struct {
-	jsb      *mdgrape2.JSetBuilder
-	js       *mdgrape2.JSet
-	sortedAt int // the skin clock's rebuild count at the last sort, where the driver keeps its potential layout
+	jsb *mdgrape2.JSetBuilder
+	js  *mdgrape2.JSet
 }
 
 // update re-sorts the layout from pos (rebuild) or moves its stored
@@ -154,8 +153,8 @@ func (l *jsetLayout) update(pos []vec.V, types []int, rebuild bool, pool *parall
 }
 
 // realRank is one real-space process: an MDGRAPE-2 session over its share of
-// the boards, the j-set layout of the particles it is handed, and the reused
-// state of the fused sweep.
+// the boards, the j-set layout of the particles it is handed, the reused
+// state of the fused sweep and the host potential it carries on a due call.
 type realRank struct {
 	jsetLayout
 	mr1    *mdgrape2.MR1
@@ -165,6 +164,7 @@ type realRank struct {
 	scale  []float64 // pref per i-particle, reused across steps
 	passes [4]mdgrape2.ForcePass
 	fc     soa.Coords
+	pot    potSink
 }
 
 // newRealRank runs the Table 3 sequence (acquireMDG) over a 1/share slice of
@@ -187,6 +187,7 @@ func (e *engineBase) newRealRank(share int, pool *parallelize.Pool) (realRank, e
 		pool:       pool,
 		co:         e.co,
 		pref:       units.Coulomb * math.Pow(cfg.Ewald.Alpha/cfg.Ewald.L, 3),
+		pot:        potSink{t: e.pot.table},
 	}, nil
 }
 
@@ -213,8 +214,10 @@ func acquireMDG(mr1 *mdgrape2.MR1, boards int) error {
 // types: the fused four-pass sweep, in the fixed reduction order Coulomb +
 // BM + r⁻⁶ + r⁻⁸, over the first nOwn particles (all of them at one real
 // rank; the rank's owned block ahead of its ghosts at several), into the
-// rank's reused force planes.
-func (r *realRank) sweep(pos []vec.V, types []int, nOwn int) (soa.Coords, error) {
+// rank's reused force planes. On a due call the sweep carries the host
+// potential, and pot is the rank's share of it, its kept half pairs' word
+// (errPotentialRange if a pair's energy does not fit it); otherwise pot is 0.
+func (r *realRank) sweep(pos []vec.V, types []int, nOwn int, due bool) (fc soa.Coords, pot int64, err error) {
 	if cap(r.scale) < nOwn {
 		r.scale = make([]float64, nOwn)
 		for i := range r.scale {
@@ -223,12 +226,19 @@ func (r *realRank) sweep(pos []vec.V, types []int, nOwn int) (soa.Coords, error)
 	}
 	r.scale = r.scale[:nOwn] // every word up to cap holds pref
 	r.passes = r.co.passes(r.scale)
-	fc, err := r.mr1.CalcVDWFusedInto(r.passes[:], pos[:nOwn], types[:nOwn], r.js, r.fc)
-	if err != nil {
-		return soa.Coords{}, err
+	var sink mdgrape2.PairSink
+	if due {
+		r.pot.js, sink = r.js, &r.pot
+	}
+	r.mr1.System().SetPairSink(sink)
+	if fc, err = r.mr1.CalcVDWFusedInto(r.passes[:], pos[:nOwn], types[:nOwn], r.js, r.fc); err != nil {
+		return soa.Coords{}, 0, err
 	}
 	r.fc = fc
-	return fc, nil
+	if due {
+		pot, err = r.pot.total()
+	}
+	return fc, pot, err
 }
 
 // waveRank is one wavenumber process: a WINE-2 library session over its
@@ -279,37 +289,32 @@ func (w *waveRank) pass(pos []vec.V, q []float64) (soa.Coords, float64, error) {
 }
 
 // potCadence is when an engine evaluates the potential, the value it reports
-// in between, and the host walk that evaluates it. The cadence is
-// MachineConfig.PotentialEvery against the simulation step, not against the
-// engine's own call count, which starts at 0 in every engine a run builds (a
-// resume, a restart) and skips the steps the host path serves.
+// in between, and the table its real ranks' sweeps evaluate it with. The
+// cadence is MachineConfig.PotentialEvery against the simulation step, not
+// against the engine's own call count, which starts at 0 in every engine a
+// run builds (a resume, a restart) and skips the steps the host path serves.
 type potCadence struct {
-	every  int
-	step   int     // simulation step the next Forces call evaluates
-	valid  bool    // last holds a value
-	fresh  bool    // the latest call evaluated last
-	last   float64 // the potential of the latest evaluation
-	table  *potTable
-	gather potGather
+	every int
+	step  int     // simulation step the next Forces call evaluates
+	valid bool    // last holds a value
+	fresh bool    // the latest call evaluated last
+	last  float64 // the potential of the latest evaluation
+	table *potTable
 }
 
 // due reports whether this call evaluates the potential. An engine's first
 // call always does: the value its predecessor held is in no checkpoint.
 func (c *potCadence) due() bool { return !c.valid || c.step%c.every == 0 }
 
-// walk is the host potential's real-space sum over layout l at s.Pos.
-func (c *potCadence) walk(l *jsetLayout, s *md.System) float64 {
-	return hostPotential(&c.gather, c.table, l.js.Sorted, l.jsb.NeighborTable(), s)
-}
-
 // book closes a completed force call on s and returns the potential it
-// reports. On a due call realPot is the call's real-space walk, and the sum
-// with the wavenumber potential wavePot and the self term is held; otherwise
-// both are ignored and the held value is reported. It advances the cadence,
-// so it runs once per successful call and never on a failed one.
-func (c *potCadence) book(realPot, wavePot float64, s *md.System) float64 {
+// reports. On a due call realPot is the call's real-space word, the real
+// ranks' words added, and its value plus the wavenumber potential wavePot
+// and the self term is held; otherwise both are ignored and the held value
+// is reported. It advances the cadence, so it runs once per successful call
+// and never on a failed one.
+func (c *potCadence) book(realPot int64, wavePot float64, s *md.System) float64 {
 	if c.fresh = c.due(); c.fresh {
-		c.last, c.valid = realPot+wavePot+ewald.SelfEnergy(c.table.p, s.Charge), true
+		c.last, c.valid = potEnergy(realPot)+wavePot+ewald.SelfEnergy(c.table.p, s.Charge), true
 	}
 	c.step++
 	return c.last

@@ -1,41 +1,41 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 
-	"mdm/internal/cellindex"
 	"mdm/internal/ewald"
 	"mdm/internal/funceval"
-	"mdm/internal/md"
-	"mdm/internal/soa"
+	"mdm/internal/mdgrape2"
 	"mdm/internal/tosifumi"
-	"mdm/internal/vec"
 )
 
 // The host's real-space potential through a float64 function evaluator, in
 // the image of the MDGRAPE-2 unit (funceval.Table, §3.5.4) at double
-// precision. The pair set is the machine's one real-space pair set, the r_cut
-// sphere (hostPairs), and a pair's energy is shifted to vanish at the cutoff,
-// u_ij(r) − u_ij(r_c), with
+// precision, fed by the fused sweep itself: on a due call the sweep hands
+// every evaluated block of kept pairs to its rank's potSink
+// (mdgrape2.PairSink), so the pair set is the sweep's, the r_cut sphere, and
+// the pairs are enumerated once per step for force and potential alike, as
+// MDGRAPE-2 returns both from one j-stream (§3.5). A pair's energy is shifted
+// to vanish at the cutoff, u_ij(r) − u_ij(r_c), with
 //
 //	u_ij = q_i q_j E(s) + A_ij b e^((σ_i+σ_j)/ρ) B(s) − c_ij s⁻³ − d_ij s⁻⁴,  s = r²,
-//
-// so U does not jump when a pair crosses r_c; the forces, which are not
-// shifted, are its gradient between crossings. The two kernels depend on the
-// pair only through s,
-//
 //	E(s) = k_e erfc(α√s/L)/√s    B(s) = e^(−√s/ρ),
 //
-// tabulated once per engine (potTable): 2^potSegBits segments per octave of s,
-// addressed from the exponent and top mantissa bits of the float64 word of s,
-// each a degree-potDegree interpolant in the centred local coordinate
-// u ∈ [−1, 1). A half pair costs one address, two Horner chains and one
-// division in place of a square root, a rational erfc, three exponentials
-// and three divisions. The walk gathers (r², i, j) of every pair inside the
-// cutoff into a 64-element block that fills across run and i boundaries; a
-// full block is evaluated and added to one float64 sum, pairs in walk order.
+// so U does not jump when a pair crosses r_c; the forces, which are not
+// shifted, are its gradient between crossings. The charges are the species
+// charges the Coulomb pass's coefficient RAM holds, so a shifted pair energy
+// depends on the pair only through its kind (the two species) and s. It is
+// tabulated once per engine for each kind (potTable): 2^potSegBits segments
+// per octave of s, addressed from the exponent and top mantissa bits of the
+// float64 word of s, each a degree-potDegree interpolant in the centred local
+// coordinate u ∈ [−1, 1). A half pair costs one address and one Horner chain
+// in place of a square root, a rational erfc, three exponentials and three
+// divisions. Each pair's energy is rounded once to the fixed-point word
+// (potWord) and the words are added as integers, so U is exact given the pair
+// set: it depends on no pool width, chunk or rank boundary and no walk order.
 //
 // ewald.RealPairEnergyR and tosifumi.ShortEnergy stay the scalar general
 // forms: the oracle the evaluator is measured against (hostpot_test.go), the
@@ -46,50 +46,69 @@ import (
 // pair alike, and erfc turns that into a coherent shift of a Coulomb sum that
 // is the small difference of terms a thousand times larger.
 
-// potBlockLen is the block length of the potential walk.
-const potBlockLen = 64
+// numPairKinds counts the kinds of pair: the unordered species pairs of the
+// two-species salt, kind i + j for species i and j (Na–Na, Na–Cl, Cl–Cl). A
+// pair's energy is symmetric in its two ions, so the kinds are unordered.
+const numPairKinds = 3
 
-// numPairKinds counts the ordered species pairs a block's pair index spans.
-const numPairKinds = tosifumi.NumSpecies * tosifumi.NumSpecies
+// The kind index i + j needs exactly two species: any other count overflows
+// one of these conversions.
+const _ = uint(2-tosifumi.NumSpecies) + uint(tosifumi.NumSpecies-2)
 
-// potGather holds the per-particle inputs of the potential walk in sorted
-// order — one gather per evaluation instead of two Order lookups per pair.
-// It belongs to one machine or session (concurrent machines never share
-// one) and is sized once, at the first evaluation.
-type potGather struct {
-	q    []float64 // charge of sorted particle k
-	kind []uint8   // species of sorted particle k
+// kindSpecies returns the species of a pair of kind pr.
+func kindSpecies(pr int) (tosifumi.Species, tosifumi.Species) {
+	return tosifumi.Species(pr / 2), tosifumi.Species((pr + 1) / 2)
 }
 
-// fill loads the planes for the layout's current order. Species were range
-// checked by the step's real-space sweep.
-func (g *potGather) fill(order []int, s *md.System) {
-	if len(g.q) != len(order) {
-		g.q = make([]float64, len(order))
-		g.kind = make([]uint8, len(order))
-	}
-	for k, o := range order {
-		g.q[k] = s.Charge[o]
-		g.kind[k] = uint8(s.Type[o])
-	}
-}
+// The fixed-point word of U: a signed count of 2^−potFracBits eV in an int64.
+//
+// Resolution. One unit is 2^−32 eV ≈ 2.3·10⁻¹⁰ eV, and a pair energy is
+// rounded to the nearest unit (half a unit, 1.2·10⁻¹⁰ eV, at most). The
+// error of U is at most P half-units over P pairs and about √P·0.3 units in
+// practice: ≈ 1.5·10⁻⁸ eV on the 48,849 half pairs of 512 ions, 10⁻¹¹ of
+// their |U| ≈ 950 eV; at the 884,736-ion rung (r_cut ≈ 18 Å, ≈ 560 half
+// pairs an ion, 5·10⁸ pairs) ≈ 10⁻⁶ eV of |U| ≈ 2·10⁶ eV — all far below the
+// real-space stage's 10⁻⁵ (AccuracyBound). A pair below 2^−33 eV rounds to 0.
+//
+// Range. The word holds |U| < 2^31 eV ≈ 2.1·10⁹ eV: 19,400 eV an ion at the
+// 110,592-ion rung and 2,400 at the 884,736-ion one, against ≈ 2 eV an ion in
+// the melt. Inside potTable's domain (r ≥ 2 Å) no pair energy reaches 10 eV
+// (TestPotTableKernelError), so the largest rung fits even with 240 pairs an
+// ion at the domain's floor. Partial sums may wrap: the words add modulo 2^64,
+// so a total inside the range is exact whatever the order and the excursions
+// of the partial sums.
+const potFracBits = 32
 
-// potBlock is the evaluator's input block: n gathered pairs.
-type potBlock struct {
-	n    int
-	r2   [potBlockLen]float64
-	i, j [potBlockLen]int32 // the pair's sorted particles
-}
+// potWord is pair energy u (eV) in the word's units, rounded to the nearest,
+// ties to even. The scaling by a power of two is exact.
+func potWord(u float64) int64 { return int64(math.RoundToEven(u * (1 << potFracBits))) }
 
-// The evaluator's geometry. Degree 10 on 2³ segments per octave puts the
-// interpolation error of both kernels below float64 rounding wherever they
-// carry energy (DESIGN.md has the measured table): degree 9 is 10⁻¹⁴ of Σ|u|
-// off and fails one oracle fixture, degree 11 loses to the conditioning of
-// the monomial basis what its extra node gains.
+// potEnergy is the word's value in eV. The division by a power of two is
+// exact and compiles to a multiply; the conversion keeps a caller's add from
+// fusing with it.
+func potEnergy(w int64) float64 { return float64(float64(w) / (1 << potFracBits)) }
+
+// potPairMax is the largest |u| of one pair the word takes, half its range.
+// Inside the table's domain no pair comes near it; below the domain's floor
+// only a pair closer than ≈ 0.15 Å reaches it, where the r⁻⁸ term passes
+// 10⁹ eV.
+const potPairMax = 1 << 30
+
+// errPotentialRange is a due call's failure when a pair's energy is outside
+// the word (potPairMax): particles so close that the potential is not
+// representable, and not a fault a retry would clear.
+var errPotentialRange = errors.New("core: a pair energy beyond ±2^30 eV (particles closer than ≈ 0.15 Å) is outside the potential word")
+
+// The evaluator's geometry. Degree 9 on 2³ segments per octave from r = 2 Å
+// keeps every pair energy within 1.3·10⁻¹³ eV of the scalar forms, a
+// thousandth of the word's unit (TestPotTableKernelError; degree 8 reads
+// 3·10⁻¹² eV, and a floor at 1 Å needs degree 10 for 1.6·10⁻¹² eV). A melt
+// at 1,200 K comes no closer than 2.16 Å; a closer pair takes the scalar
+// forms.
 const (
-	potDegree  = 10
+	potDegree  = 9
 	potSegBits = 3
-	potMinExp  = 0 // the domain starts at 2^0 = 1 Å²
+	potMinExp  = 2 // the domain starts at 2^2 Å², r = 2 Å
 
 	potLocalBits = 52 - potSegBits                 // mantissa bits below the segment field
 	potLocalMask = 1<<potLocalBits - 1             // the local-coordinate bits
@@ -98,15 +117,16 @@ const (
 	potExpBias   = 1023
 )
 
-// potRow is one segment's coefficients, constant term first: E's then B's.
-type potRow [2 * (potDegree + 1)]float64
+// potRow is one segment's coefficients for one pair kind, constant term
+// first.
+type potRow [potDegree + 1]float64
 
-// potTable is the host's function-evaluator RAM: the two kernels fitted over
-// [2^potMinExp, 2^emax) = [1 Å², 2^⌈log₂ r_c²⌉) — every argument the cutoff
-// walk hands it above the floor — with the per-species constants of the pair
-// energy and its value at the cutoff beside them. It is immutable once built;
-// an engine fits one at construction and a session's driver holds the only
-// copy.
+// potTable is the host's function-evaluator RAM: the shifted pair energy of
+// each pair kind fitted over [2^potMinExp, 2^emax) = [4 Å², 2^⌈log₂ r_c²⌉) —
+// every argument the sweep hands it above the floor — with the constants of
+// the scalar forms beside it. Row seg·numPairKinds + kind is a segment's
+// interpolant for a kind. It is immutable once built; an engine fits one at
+// construction and its real ranks share it.
 type potTable struct {
 	p    ewald.Params
 	tf   *tosifumi.Potential
@@ -114,6 +134,7 @@ type potTable struct {
 	lo   uint64 // float64 word of the domain minimum
 	span uint64 // words in the domain: w − lo < span ⇔ lo ≤ s < 2^emax
 
+	qq  [numPairKinds]float64 // q_i q_j, the species charges
 	abe [numPairKinds]float64 // A_ij·b·e^((σ_i+σ_j)/ρ)
 	c6  [numPairKinds]float64
 	d8  [numPairKinds]float64
@@ -124,43 +145,46 @@ type potTable struct {
 	uc [numPairKinds]float64
 }
 
-// kernels returns E(s) and B(s) in their scalar forms — what the table is
-// fitted through and measured against. E is ewald.RealPairEnergyR's own
-// arithmetic at unit charges.
-func (t *potTable) kernels(s float64) (e, b float64) {
+// pair is the shifted energy of a pair of kind pr at s from the scalar
+// kernels E(s) (ewald.RealPairEnergyR's own arithmetic at unit charges) and
+// B(s) — what the table is fitted through and measured against.
+func (t *potTable) pair(pr int, s float64) float64 {
 	r := math.Sqrt(s)
-	return t.p.RealPairEnergyR(1, 1, r), math.Exp(-r / t.tf.Rho)
+	e, b := t.p.RealPairEnergyR(1, 1, r), math.Exp(-r/t.tf.Rho)
+	i2 := 1 / s
+	i6 := i2 * i2 * i2
+	return float64(t.qq[pr]*(e-t.ec)) + float64(t.abe[pr]*b) - float64(t.c6[pr]*i6) - float64(t.d8[pr]*(i6*i2)) - t.uc[pr]
 }
 
-// newPotTable fits the two kernels and the shift for a walk cut at p.RCut.
+// newPotTable fits the shifted pair energies for a sweep cut at p.RCut.
 func newPotTable(p ewald.Params) (*potTable, error) {
 	frac, emax := math.Frexp(p.RCut * p.RCut) // r_c² = frac·2^emax, frac ∈ [½, 1)
 	if frac == 0.5 {
-		emax-- // r_c² = 2^(emax−1) itself bounds the walk's r² < r_c²
+		emax-- // r_c² = 2^(emax−1) itself bounds the pairs' r² < r_c²
 	}
 	emax = max(emax, potMinExp+1)
 	tf := tosifumi.Default()
+	segs := (emax - potMinExp) << potSegBits
 	t := &potTable{
 		p: p, tf: tf,
-		rows: make([]potRow, (emax-potMinExp)<<potSegBits),
+		rows: make([]potRow, segs*numPairKinds),
 		lo:   uint64(potMinExp+potExpBias) << 52,
 		span: uint64(emax-potMinExp) << 52,
 		ec:   p.RealPairEnergyR(1, 1, p.RCut),
 	}
-	for i := 0; i < tosifumi.NumSpecies; i++ {
-		for j := 0; j < tosifumi.NumSpecies; j++ {
-			pr := i*tosifumi.NumSpecies + j
-			t.abe[pr] = tf.A[i][j] * tf.B * math.Exp((tf.Sigma[i]+tf.Sigma[j])/tf.Rho)
-			t.c6[pr] = tf.C[i][j]
-			t.d8[pr] = tf.D[i][j]
-			t.uc[pr] = tf.ShortEnergy(tosifumi.Species(i), tosifumi.Species(j), p.RCut)
-		}
+	for pr := range numPairKinds {
+		i, j := kindSpecies(pr)
+		t.qq[pr] = tosifumi.Charge(i) * tosifumi.Charge(j)
+		t.abe[pr] = tf.A[i][j] * tf.B * math.Exp((tf.Sigma[i]+tf.Sigma[j])/tf.Rho)
+		t.c6[pr] = tf.C[i][j]
+		t.d8[pr] = tf.D[i][j]
+		t.uc[pr] = tf.ShortEnergy(i, j, p.RCut)
 	}
 	var cheb, nodes [potDegree + 1]float64
-	var vals [2][potDegree + 1]float64
+	var vals [numPairKinds][potDegree + 1]float64
 	var v funceval.Vandermonde
 	funceval.ChebyshevNodes(cheb[:])
-	for seg := range t.rows {
+	for seg := range segs {
 		lo := math.Float64frombits(t.lo + uint64(seg)<<potLocalBits)
 		hi := math.Float64frombits(t.lo + uint64(seg+1)<<potLocalBits)
 		mid, half := (lo+hi)/2, (hi-lo)/2
@@ -169,14 +193,16 @@ func newPotTable(p ewald.Params) (*potTable, error) {
 			// abscissa the addressing will map that argument back to.
 			x := lo + float64(u*(hi-lo))
 			nodes[i] = (x - float64(mid)) / half
-			vals[0][i], vals[1][i] = t.kernels(x)
+			for pr := range vals {
+				vals[pr][i] = t.pair(pr, x)
+			}
 		}
-		// E and B share the segment's nodes, so one factorisation serves both.
+		// The kinds share the segment's nodes, so one factorisation serves all.
 		if err := v.Factor(nodes[:]); err != nil {
 			return nil, fmt.Errorf("core: host potential table, segment %d: %w", seg, err)
 		}
-		for k := range vals {
-			if err := v.Solve(t.rows[seg][k*(potDegree+1):(k+1)*(potDegree+1)], vals[k][:]); err != nil {
+		for pr := range vals {
+			if err := v.Solve(t.rows[seg*numPairKinds+pr][:], vals[pr][:]); err != nil {
 				return nil, fmt.Errorf("core: host potential table, segment %d: %w", seg, err)
 			}
 		}
@@ -184,154 +210,163 @@ func newPotTable(p ewald.Params) (*potTable, error) {
 	return t, nil
 }
 
-// evalInto sets e[k] = E(s[k]) and b[k] = B(s[k]) for a block of arguments —
-// the addressing of funceval.Table.EvalInto on the float64 word, then the two
-// Horner chains over one local coordinate. An argument outside the domain
-// (below 1 Å², at or beyond 2^emax, negative, NaN) has no table value: its
-// e[k] is NaN, which no in-domain argument produces, and the caller takes the
-// scalar pair forms.
-func (t *potTable) evalInto(e, b, s []float64) {
+// evalInto sets u[k] to the table's shifted energy of a pair of kind kind[k]
+// at squared distance r2[k]: the
+// addressing of funceval.Table.EvalInto on the float64 word, then the kind's
+// Horner chain in s's segment. An argument outside the domain (below 4 Å², at
+// or beyond 2^emax, negative, NaN) has no table value: its u[k] is NaN, which
+// no in-domain argument produces, and the caller takes the scalar forms.
+func (t *potTable) evalInto(u, r2 []float64, kind []uint8) {
 	rows, lo, span := t.rows, t.lo, t.span
-	e, b = e[:len(s)], b[:len(s)]
-	for k, sk := range s {
-		w := math.Float64bits(sk) - lo
-		if w >= span {
-			e[k] = math.NaN()
+	u, kind = u[:len(r2)], kind[:len(r2)]
+	for k, s := range r2 {
+		x := math.Float64bits(s) - lo
+		if x >= span {
+			u[k] = math.NaN()
 			continue
 		}
-		c := &rows[w>>potLocalBits]
-		u := float64(int64(w&potLocalMask)-potLocalHalf) * potLocalUnit
-		ev := c[10]
-		ev = float64(ev*u) + c[9]
-		ev = float64(ev*u) + c[8]
-		ev = float64(ev*u) + c[7]
-		ev = float64(ev*u) + c[6]
-		ev = float64(ev*u) + c[5]
-		ev = float64(ev*u) + c[4]
-		ev = float64(ev*u) + c[3]
-		ev = float64(ev*u) + c[2]
-		ev = float64(ev*u) + c[1]
-		ev = float64(ev*u) + c[0]
-		bv := c[21]
-		bv = float64(bv*u) + c[20]
-		bv = float64(bv*u) + c[19]
-		bv = float64(bv*u) + c[18]
-		bv = float64(bv*u) + c[17]
-		bv = float64(bv*u) + c[16]
-		bv = float64(bv*u) + c[15]
-		bv = float64(bv*u) + c[14]
-		bv = float64(bv*u) + c[13]
-		bv = float64(bv*u) + c[12]
-		bv = float64(bv*u) + c[11]
-		e[k], b[k] = ev, bv
+		c := &rows[int(x>>potLocalBits)*numPairKinds+int(kind[k])]
+		l := float64(int64(x&potLocalMask)-potLocalHalf) * potLocalUnit
+		v := c[9]
+		v = float64(v*l) + c[8]
+		v = float64(v*l) + c[7]
+		v = float64(v*l) + c[6]
+		v = float64(v*l) + c[5]
+		v = float64(v*l) + c[4]
+		v = float64(v*l) + c[3]
+		v = float64(v*l) + c[2]
+		v = float64(v*l) + c[1]
+		u[k] = float64(v*l) + c[0]
 	}
 }
 
-// hostPotential evaluates the real-space Coulomb and short-range potential
-// energy in float64 on the host — the one real-space potential walk of the
-// serial machine and the decomposed session alike: hostPairs' kept pairs,
-// each pair's energy shifted to zero at r_c, added in walk order. sorted and
-// nbt are the step's shared j-set layout and neighbor table; g is the
-// caller's gather planes.
-func hostPotential(g *potGather, t *potTable, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable, s *md.System) float64 {
-	g.fill(sorted.Order, s)
+// sum is the shifted energies of up to potBlockLen pairs (evalInto's
+// arguments) in the word's units: each pair rounded once (potWord), the words
+// added. A pair outside the table's domain takes the scalar forms, and ok is
+// false if one of those is beyond ±potPairMax eV.
+func (t *potTable) sum(r2 []float64, kind []uint8) (w int64, ok bool) {
+	var u [potBlockLen]float64
+	t.evalInto(u[:], r2, kind)
+	ok = true
+	for k, v := range u[:len(r2)] {
+		if math.IsNaN(v) { // outside the table
+			pr := int(kind[k])
+			r := math.Sqrt(r2[k])
+			si, sj := kindSpecies(pr)
+			v = t.p.RealPairEnergyR(t.qq[pr], 1, r) - float64(t.qq[pr]*t.ec)
+			v += t.tf.ShortEnergy(si, sj, r) - t.uc[pr]
+			if !(math.Abs(v) < potPairMax) {
+				ok, v = false, 0
+			}
+		}
+		w += potWord(v)
+	}
+	return w, ok
+}
+
+// potBlockLen is the longest block the sweep hands a sink.
+const potBlockLen = len(mdgrape2.PairBlock{}.J)
+
+// potSink is a real rank's host potential on a due call: installed as its
+// MDGRAPE-2 session's mdgrape2.PairSink for the call's sweep, it keeps one
+// orientation of each unordered (i, j, image) the sweep kept — the one whose
+// i has the lower sorted index, or, for a particle and its own image, the
+// image in the upper half-space (first non-zero shift component positive) —
+// and adds its shifted energy, from the float64 r² of the layout's float64
+// planes, into its chunk's word. Every layout of a session keeps the serial
+// within-cell order and sorts cells by the one global grid, so two
+// particles' sorted indices compare alike in every layout that holds both,
+// and every layout keeps the same orientation of every pair; r = 0, the
+// sweep's visit of i to itself and any coincident pair, is dropped, as the
+// pipelines' zero force drops it. The per-chunk words let the lendable
+// chunks of the sweep, whichever goroutine runs them, carry the potential.
+type potSink struct {
+	t     *potTable
+	js    *mdgrape2.JSet // the layout of the sweep in progress
+	words []potChunk
+}
+
+// potChunk is one chunk's word, alone on its cache line, and whether every
+// pair's energy fitted it.
+type potChunk struct {
+	w      int64
+	unheld bool
+	_      [55]byte
+}
+
+// Start implements mdgrape2.PairSink.
+func (p *potSink) Start(chunks int) {
+	p.words = slices.Grow(p.words[:0], chunks)[:chunks]
+	clear(p.words)
+}
+
+// Pairs implements mdgrape2.PairSink: the block's kept half into its
+// chunk's word.
+func (p *potSink) Pairs(chunk, i int, blk *mdgrape2.PairBlock) {
 	var b potBlock
-	pot := 0.0
-	hostPairs(&b, sorted, nbt, func() { pot = t.drain(g, &b, pot) })
-	return pot
+	p.keep(&b, i, blk)
+	w, ok := p.t.sum(b.r2[:b.n], b.kind[:b.n])
+	c := &p.words[chunk]
+	c.w += w
+	c.unheld = c.unheld || !ok
 }
 
-// hostPairs is the host potential's pair walk. It walks the pair set the
-// MDGRAPE-2 force passes evaluate, the r_cut sphere of the layout's grid, at
-// the conventional computer's half count — each unordered (i, j, image) once,
-// from the candidates of cellindex.Sorted.ForEachHalfMask — and appends each
-// kept pair's (i, j, r²) to b in walk order. Coincident particles (r = 0) are
-// dropped, as in the pipelines. flush, which must empty b, is called whenever
-// b is full and once at the end, on the final partial block.
-func hostPairs(b *potBlock, sorted *cellindex.Sorted, nbt *cellindex.NeighborTable, flush func()) {
-	cut := math.Float64bits(sorted.Grid.Cutoff*sorted.Grid.Cutoff) - 1
+// potBlock is the kept half of one sweep block: each kept pair's float64 r²,
+// kind and place in the sweep's block.
+type potBlock struct {
+	n    int
+	r2   [potBlockLen]float64
+	kind [potBlockLen]uint8
+	at   [potBlockLen]uint8
+}
+
+// keep fills b with the pairs of i-particle i's sweep block blk that this
+// orientation keeps, each r² = |(r⃗_i − shift) − r⃗_j|². A run's j ascend and,
+// unless the run is i's own cell, lie on one side of i in the sorted order,
+// so a run wholly below i costs one compare.
+func (p *potSink) keep(b *potBlock, i int, blk *mdgrape2.PairBlock) {
+	sorted, types := p.js.Sorted, p.js.Types
+	k := sorted.Slot[i]
 	px, py, pz := sorted.Pos.X, sorted.Pos.Y, sorted.Pos.Z
-	sorted.ForEachHalfMask(nbt, func(i, base int, m uint64, shift vec.V) {
-		if m&(m+1) == 0 && b.n+bits.Len64(m) <= potBlockLen {
-			// The whole group from base, as every run of an empty index
-			// arrives, and room for it: stream it, storing only the pairs it
-			// keeps — a fifth at 8 ions per cell, where the branch predicts.
-			end := base + bits.Len64(m)
-			jx := px[base:end]
-			jy, jz := py[base:end:end], pz[base:end:end]
-			xi, yi, zi := px[i], py[i], pz[i]
-			for k, x := range jx {
-				rij := vec.V{X: xi - (x + shift.X), Y: yi - (jy[k] + shift.Y), Z: zi - (jz[k] + shift.Z)}
-				if r2 := rij.Norm2(); math.Float64bits(r2)-1 < cut {
-					n := b.n & (potBlockLen - 1)
-					b.r2[n], b.i[n], b.j[n] = r2, int32(i), int32(base+k)
-					b.n++
-				}
-			}
-			if b.n == potBlockLen {
-				flush()
-			}
-			return
+	xi, yi, zi := px[k], py[k], pz[k]
+	ki := uint8(types[k])
+	n := 0
+	for r, e := range blk.Ent[:blk.Runs] {
+		lo, hi := int(blk.At[r]), int(blk.At[r+1])
+		if lo >= hi || int(blk.J[hi-1]) < k {
+			continue // the pairs' lower sorted indices keep them
 		}
-		for m != 0 {
-			m = b.gather(&sorted.Pos, i, base, m, shift, cut)
-			if b.n == potBlockLen {
-				flush()
+		sh := blk.Nbrs[e].Shift
+		if int(blk.J[lo]) <= k { // i's own cell: skip to the first pair it keeps
+			upper := sh.X > 0 || sh.X == 0 && (sh.Y > 0 || sh.Y == 0 && sh.Z > 0)
+			for lo < hi && (int(blk.J[lo]) < k || int(blk.J[lo]) == k && !upper) {
+				lo++
 			}
 		}
-	})
-	flush()
-}
-
-// gather appends to the block i's pairs with the candidates m marks among the
-// stored particles base … base+63 (bit t for particle base+t), in ascending
-// order, until the block is full, and returns the candidates not yet taken.
-// A pair is the displacement from the stored coordinates, the j side displaced
-// by the run's image shift, and r² = |r⃗|² as vec.V.Norm2 rounds it; it is kept
-// when 0 < r² < r_c². cut is the float64 word of r_c² less one: one unsigned
-// compare of the word of r² less one drops r = 0 (whose word less one wraps
-// to the largest) with the pairs at or beyond the cutoff. The compaction is
-// the sweep's, without a branch: every candidate is written to the next free
-// slot, which advances only past a kept one. A branch there mispredicts on the
-// half of a masked run that is kept, contiguous stretches included.
-func (b *potBlock) gather(pos *soa.Coords, i, base int, m uint64, shift vec.V, cut uint64) uint64 {
-	n := b.n
-	xi, yi, zi := pos.X[i], pos.Y[i], pos.Z[i]
-	jx := pos.X[base:]
-	jy, jz := pos.Y[base:], pos.Z[base:]
-	for ; m != 0 && n < potBlockLen; m &= m - 1 {
-		k := bits.TrailingZeros64(m)
-		r2 := vec.V{X: xi - (jx[k] + shift.X), Y: yi - (jy[k] + shift.Y), Z: zi - (jz[k] + shift.Z)}.Norm2()
-		s := n & (potBlockLen - 1)
-		b.r2[s], b.i[s], b.j[s] = r2, int32(i), int32(base+k)
-		if math.Float64bits(r2)-1 < cut {
+		ox, oy, oz := xi-sh.X, yi-sh.Y, zi-sh.Z
+		for m := lo; m < hi; m++ {
+			jj := blk.J[m]
+			ex, ey, ez := ox-px[jj], oy-py[jj], oz-pz[jj]
+			s := float64(ex*ex) + float64(ey*ey) + float64(ez*ez)
+			if s == 0 {
+				continue
+			}
+			b.r2[n&(potBlockLen-1)], b.kind[n&(potBlockLen-1)], b.at[n&(potBlockLen-1)] = s, ki+uint8(types[jj]), uint8(m)
 			n++
 		}
 	}
 	b.n = n
-	return m
 }
 
-// drain adds the block's shifted pair energies to pot in block order and
-// empties it; g gives each pair's charges and species.
-func (t *potTable) drain(g *potGather, b *potBlock, pot float64) float64 {
-	n := b.n
-	var e, bm [potBlockLen]float64
-	t.evalInto(e[:n], bm[:n], b.r2[:n])
-	for k := 0; k < n; k++ {
-		i, j := b.i[k], b.j[k]
-		s, pr, qq := b.r2[k], g.kind[i]*tosifumi.NumSpecies+g.kind[j], g.q[i]*g.q[j]
-		if math.IsNaN(e[k]) { // outside the table
-			r := math.Sqrt(s)
-			pot += t.p.RealPairEnergyR(qq, 1, r) - float64(qq*t.ec)
-			pot += t.tf.ShortEnergy(tosifumi.Species(pr/tosifumi.NumSpecies), tosifumi.Species(pr%tosifumi.NumSpecies), r) - t.uc[pr]
-			continue
+// total is the call's real-space potential word, the chunks' words added, or
+// errPotentialRange if a pair did not fit the word.
+func (p *potSink) total() (int64, error) {
+	var w int64
+	for _, c := range p.words {
+		if c.unheld {
+			return 0, errPotentialRange
 		}
-		i2 := 1 / s
-		i6 := i2 * i2 * i2
-		pot += float64(qq * (e[k] - t.ec))
-		pot += float64(t.abe[pr]*bm[k]) - float64(t.c6[pr]*i6) - float64(t.d8[pr]*(i6*i2)) - t.uc[pr]
+		w += c.w
 	}
-	b.n = 0
-	return pot
+	return w, nil
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mdm/internal/ewald"
 	"mdm/internal/fault"
 	"mdm/internal/mpi"
 )
@@ -12,8 +13,8 @@ import (
 // lendHook forces a direction of lending at the 1 + 1 layout: it holds each
 // hardware call at site until the other lane is parked in lend, so that lane
 // lends into site's pass — under an MDGRAPE-2 hold the wave lane (after its
-// pass, its walk claim and its send) into the sweep, under a WINE-2 hold the
-// caller (after its sweep and its walk claim) into the WINE-2 pass. in, when
+// pass and its send) into the sweep, under a WINE-2 hold the caller (after
+// its sweep) into the WINE-2 pass. in, when
 // set, then decides the call's fate. With cancel set, the first held call
 // cancels the run group instead and holds on until the parked lender has
 // unwound; the attempt's later calls then pass. At any other layout it
@@ -71,8 +72,18 @@ func (unlent) PendingFlip(fault.Site) (int, int, bool) { return 0, 0, false }
 func (unlent) attach(_ *testing.T, m *ParallelRun)     { m.lending = nil }
 func (unlent) begin()                                  {}
 
-// TestLendBothWays forces each direction of lending on a 512-ion melt, where
-// the sweep and the WINE-2 pass are cut for lending, and pins that the
+// lendParams is the lending tests' splitting: a 512-ion box, the fewest ions
+// at which both the sweep and the WINE-2 pass's particle loops are cut for
+// lending at width 1, at a short cutoff (4 Å, 5³ cells) and a handful of
+// waves, so a force call is cheap under the race detector. The forces are
+// far from converged; the tests compare bits, not physics.
+func lendParams(l float64) ewald.Params {
+	const rc = 4
+	return ewald.Params{L: l, Alpha: ewald.SReal * l / rc, RCut: rc, LKCut: 2}
+}
+
+// TestLendBothWays forces each direction of lending on the 512-ion melt of
+// lendParams, where the sweep and the WINE-2 pass are cut for lending, and pins that the
 // forces and potentials equal an unlent serial run's bit for bit and that
 // the lend is booked on the lending lane only, once per attempt that
 // reached it: also when the held pass fails (an MDGRAPE-2 or WINE-2
@@ -84,7 +95,7 @@ func (unlent) begin()                                  {}
 func TestLendBothWays(t *testing.T) {
 	cfg := CurrentMachineConfig(smallParams(1)) // Ewald set per system in claimRun
 	cfg.PotentialEvery, cfg.Workers = 3, 1
-	clean := claimRun(t, cfg, 4, 1, unlent{})
+	clean := claimRun(t, cfg, 4, lendParams, 1, unlent{})
 
 	for _, tc := range []struct {
 		name   string
@@ -111,7 +122,7 @@ func TestLendBothWays(t *testing.T) {
 			if tc.faults != "" {
 				hook.in = injector(t, tc.faults)
 			}
-			got := claimRun(t, cfg, 4, tc.nReal, hook)
+			got := claimRun(t, cfg, 4, lendParams, tc.nReal, hook)
 			want := 0
 			if tc.faults != "" || tc.cancel {
 				want = 1

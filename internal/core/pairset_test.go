@@ -3,11 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"mdm/internal/cellindex"
 	"mdm/internal/ewald"
 	"mdm/internal/md"
+	"mdm/internal/mdgrape2"
+	"mdm/internal/soa"
 	"mdm/internal/vec"
 )
 
@@ -62,8 +65,8 @@ type pairSets struct {
 // layout the last force call read is, at a non-zero skin, a refreshed one —
 // and enumerates on the state it ends in: the sweep's kept pairs
 // (JSet.ForEachPair, every i, the self visit dropped), the host potential's
-// (the blocks hostPairs fills for hostPotential, on the same layout and
-// neighbor table) and the Reference's half walk (its own grid).
+// (the half of the sweep's blocks its potSink keeps, on the same layout) and
+// the Reference's half walk (its own grid).
 func collectPairSets(t *testing.T, s *md.System, p ewald.Params, skin float64) pairSets {
 	t.Helper()
 	cfg := CurrentMachineConfig(p)
@@ -92,17 +95,21 @@ func collectPairSets(t *testing.T, s *md.System, p ewald.Params, skin float64) p
 			sets.sweep[keyOf(s, i, sorted.Order[j], sorted.At(k).Sub(sorted.At(j).Add(shift)))]++
 		})
 	}
-	var b potBlock
-	hostPairs(&b, sorted, m.real[0].jsb.NeighborTable(), func() {
-		for k := range b.n {
-			i, j := int(b.i[k]), int(b.j[k])
-			rij := hostImage(t, sorted, i, j, b.r2[k])
-			key := keyOf(s, sorted.Order[i], sorted.Order[j], rij)
-			sets.host[key]++
-			sets.r2[key] = b.r2[k]
-		}
-		b.n = 0
-	})
+	r := &m.real[0].realRank
+	rec := &pairRecorder{sink: &r.pot}
+	r.pot.js = js
+	sys := r.mr1.System()
+	sys.SetPairSink(rec)
+	_, err = sys.ComputeForcesFusedInto(r.passes[:], s.Pos, s.Type, js, soa.Coords{})
+	sys.SetPairSink(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rec.pairs {
+		key := keyOf(s, p.i, sorted.Order[p.j], hostImage(t, sorted, sorted.Slot[p.i], p.j, p.r2))
+		sets.host[key]++
+		sets.r2[key] = p.r2
+	}
 	ref, err := NewReference(p)
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +123,36 @@ func collectPairSets(t *testing.T, s *md.System, p ewald.Params, skin float64) p
 	return sets
 }
 
-// hostImage is the displacement of a pair hostPairs kept: the one periodic
-// image of stored particle j, shifted by −L, 0 or L per axis as the neighbour
-// table shifts it, at which i's displacement has the float64 word r2. With
+// pairRecorder is a PairSink that records each pair sink's orientation
+// keeps: i-particle i, the sorted j and the float64 r² the word is evaluated
+// at, from whichever worker runs the block.
+type pairRecorder struct {
+	sink  *potSink
+	mu    sync.Mutex
+	pairs []keptPair
+}
+
+type keptPair struct {
+	i, j int
+	r2   float64
+}
+
+func (r *pairRecorder) Start(int) {}
+
+func (r *pairRecorder) Pairs(_, i int, blk *mdgrape2.PairBlock) {
+	var b potBlock
+	r.sink.keep(&b, i, blk)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k := range b.n {
+		r.pairs = append(r.pairs, keptPair{i, int(blk.J[b.at[k]]), b.r2[k]})
+	}
+}
+
+// hostImage is the displacement of a pair the host potential kept: the one
+// periodic image of stored particle j, shifted by −L, 0 or L per axis as the
+// neighbour table shifts it, at which i's displacement, formed as the sink
+// forms it, has the float64 word r2. With
 // L ≥ 2·r_c there is one image inside the cutoff; the test fails if none or
 // two give the word.
 func hostImage(t *testing.T, sorted *cellindex.Sorted, i, j int, r2 float64) vec.V {
@@ -129,7 +163,7 @@ func hostImage(t *testing.T, sorted *cellindex.Sorted, i, j int, r2 float64) vec
 	found := 0
 	for n := range 27 {
 		sh := vec.New(float64(n%3-1)*l, float64(n/3%3-1)*l, float64(n/9-1)*l)
-		d := vec.V{X: pi.X - (pj.X + sh.X), Y: pi.Y - (pj.Y + sh.Y), Z: pi.Z - (pj.Z + sh.Z)}
+		d := vec.V{X: (pi.X - sh.X) - pj.X, Y: (pi.Y - sh.Y) - pj.Y, Z: (pi.Z - sh.Z) - pj.Z}
 		if math.Float64bits(d.Norm2()) == math.Float64bits(r2) {
 			rij, found = d, found+1
 		}

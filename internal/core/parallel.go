@@ -23,8 +23,8 @@ const (
 	// (x, y, z, species) per particle.
 	TagHalo = 100
 	// TagForces carries force payloads to rank 0: a real rank's
-	// (globalIndex, force) records, or a wave rank's potential word and
-	// then its stripe's three force planes.
+	// (globalIndex, force) records, then its real-space potential word's bits,
+	// or a wave rank's potential and then its stripe's three force planes.
 	TagForces = 101
 	// TagGroupReduce is the wavenumber group's structure-factor reduction.
 	TagGroupReduce = 102

@@ -61,8 +61,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if worst > 1e-9 {
 		t.Errorf("worst parallel-vs-serial force deviation = %g of RMS", worst)
 	}
-	if math.Abs(res.Potential-wantPot) > 1e-9*math.Abs(wantPot) {
-		t.Errorf("potential: parallel %g vs serial %g", res.Potential, wantPot)
+	if math.Float64bits(res.Potential) != math.Float64bits(wantPot) {
+		t.Errorf("potential: parallel %.17g vs serial %.17g", res.Potential, wantPot)
 	}
 	if res.Traffic.Messages == 0 || res.Traffic.Bytes == 0 {
 		t.Error("parallel step reported no MPI traffic")
@@ -219,8 +219,8 @@ func TestParallelForcesRace(t *testing.T) {
 					return
 				}
 			}
-			if math.Abs(res.Potential-wantPot) > 1e-9*math.Abs(wantPot) {
-				errs <- fmt.Errorf("potential %g, want %g", res.Potential, wantPot)
+			if math.Float64bits(res.Potential) != math.Float64bits(wantPot) {
+				errs <- fmt.Errorf("potential %.17g, want %.17g", res.Potential, wantPot)
 				return
 			}
 			errs <- nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"mdm/internal/domain"
 	"mdm/internal/ewald"
@@ -73,23 +72,18 @@ type ParallelRun struct {
 	initStep bool                    // this step derives ownership from scratch
 	t0       int64                   // the spine's reading at the call's start, where both lanes begin
 
-	// The host potential walk of a due call runs on whichever of real rank 0
-	// and wave rank 0 finishes its pass first (claimWalk). walked starts
-	// claimed, and real rank 0 arms it once its layout is updated on a due
-	// call; realPot is the walk's result, read after Run. The walk reads
-	// potLayout: real rank 0's own at one real rank, else the driver's serial
-	// layout, updated before Run.
-	due       bool
-	walked    atomic.Bool
-	realPot   float64
-	potLayout *jsetLayout
+	// On a due call every real rank's sweep carries the host potential
+	// (realRank.sweep); realPot is the ranks' words added, written by rank 0
+	// during Run and read by the driver after.
+	due     bool
+	realPot int64
 
 	// lending is where, at the 1 + 1 layout only, the lane that finishes its
 	// share of a call first lends its goroutine to the other lane's pool
-	// Runs until that lane releases (lend): real rank 0 after its sweep and
-	// its walk claim, wave rank 0 after its walk claim and its send. Each
-	// rank's pool is its side of it. nil at any other layout, where a lender
-	// would take a core from a sweep it cannot join.
+	// Runs until that lane releases (lend): real rank 0 after its sweep, wave
+	// rank 0 after its send. Each rank's pool is its side of it. nil at any
+	// other layout, where a lender would take a core from a sweep it cannot
+	// join.
 	lending *parallelize.Lending
 
 	wavePot float64     // written by rank 0 during Run, read by the driver after
@@ -127,7 +121,7 @@ type realRankState struct {
 
 	ghostCnt []int // ghosts received per source rank at the last rebuild
 
-	ship []float64 // (index, force) records to rank 0; rank 0 ships nothing
+	ship []float64 // (index, force) records, then the potential word, to rank 0; rank 0 ships nothing
 }
 
 // waveRankState is one wavenumber rank: the engine body's wave rank plus its
@@ -200,10 +194,6 @@ func NewParallelRun(world *mpi.World, cfg MachineConfig, nReal, nWave int) (*Par
 		}
 		pr.real = append(pr.real, rr)
 		pr.realRanks = append(pr.realRanks, &pr.real[r].realRank)
-	}
-	pr.potLayout = &pr.real[0].jsetLayout
-	if nReal > 1 {
-		pr.potLayout = &jsetLayout{jsb: mdgrape2.NewJSetBuilder(grid, nil)}
 	}
 	for w := 0; w < nWave; w++ {
 		rank := nReal + w
@@ -320,15 +310,11 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	pr.rebuild, pr.initStep = pr.clock.due(s.Pos)
 	pr.clock.advance(s.Pos, pr.rebuild)
 	pr.due = pr.pot.due()
-	pr.walked.Store(true)
 	pr.lending.Reset()
 
 	before := pr.world.Stats()
 	pr.sys = s
-	err := pr.updatePotLayout(s)
-	if err == nil {
-		err = pr.world.Run(pr.rankStep)
-	}
+	err := pr.world.Run(pr.rankStep)
 	pr.sys = nil
 	if err != nil {
 		pr.world.Reset()
@@ -342,8 +328,8 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 		return nil, err
 	}
 
-	// Potential bookkeeping, every PotentialEvery steps: the walk's
-	// real-space sum over the serial layout, plus the wave and self terms.
+	// Potential bookkeeping, every PotentialEvery steps: the sweeps'
+	// real-space word, plus the wave and self terms.
 	pot := pr.pot.book(pr.realPot, pr.wavePot, s)
 
 	after := pr.world.Stats()
@@ -355,38 +341,6 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	}
 	pr.out = nil
 	return &pr.res, nil
-}
-
-// updatePotLayout brings the driver's serial layout up to date on a due
-// call at several real ranks, before any rank runs: sorted at the skin
-// clock's reference, once per rebuild, and refreshed to s.Pos, like a
-// rank's. At one real rank the walk reads rank 0's layout, which is that
-// layout already.
-func (pr *ParallelRun) updatePotLayout(s *md.System) error {
-	if pr.nReal == 1 || !pr.due {
-		return nil
-	}
-	l := pr.potLayout
-	if l.sortedAt != pr.clock.rebuilds { // ref moves only on a rebuild, which counts
-		if err := l.update(pr.clock.ref, s.Type, true, nil); err != nil {
-			return err
-		}
-		l.sortedAt = pr.clock.rebuilds
-	}
-	return l.update(s.Pos, nil, false, nil)
-}
-
-// claimWalk runs the call's host potential walk on lane if no lane has
-// claimed it yet — one compare-and-swap, so exactly one lane walks a due call
-// and none a call that is not due — and books it on the spine from t. It
-// reads only potLayout and pr.sys, and writes only the cadence's gather
-// planes and pr.realPot, which the driver reads after Run.
-func (pr *ParallelRun) claimWalk(lane Lane, t int64) int64 {
-	if !pr.walked.CompareAndSwap(false, true) {
-		return t
-	}
-	pr.realPot = pr.pot.walk(pr.potLayout, pr.sys)
-	return pr.cfg.Phases.book(lane, PhasePotential, t)
 }
 
 // errLendCanceled is a lane's error when its run group was canceled while it
@@ -460,10 +414,11 @@ func wireIndex(w float64, n, src, dst int, what string) (int, error) {
 
 // realStep is the per-step body of one real-space rank: migrate (rebuild
 // steps), exchange or stream ghosts, run the fused MDGRAPE-2 sweep over the
-// owned block, ship (index, force) records to rank 0. Rank 0 ships nothing:
-// it arms the potential claim, offers to walk after its sweep, lends (1 + 1)
-// and assembles. At one real rank it owns every particle and reads s.Pos and
-// s.Type as they stand. Real rank 0 books the spine's caller lane.
+// owned block, carrying the potential on a due call, ship (index, force)
+// records and the potential word to rank 0. Rank 0 ships nothing: after its
+// sweep it lends (1 + 1) and assembles. At one real rank it owns every
+// particle and reads s.Pos and s.Type as they stand. Real rank 0 books the
+// spine's caller lane.
 func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 	defer pr.lending.Release(int(LaneCaller)) // every exit, so a parked wave lane wakes
 	var spine *PhaseSink
@@ -486,25 +441,28 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 	} else {
 		t = spine.book(LaneCaller, PhaseJSetRefresh, t)
 	}
-	if rr.rank == 0 && pr.due {
-		pr.walked.Store(false) // the walk's layout is up to date for this call
-	}
-	fc, err := rr.sweep(pos, typ, nOwn)
+	fc, pot, err := rr.sweep(pos, typ, nOwn, pr.due)
 	if err != nil {
 		return err
 	}
 	if rr.rank == 0 {
-		t = spine.book(LaneCaller, PhaseSweep, t)
-		t = pr.claimWalk(LaneCaller, t)
+		if pr.due {
+			t = spine.book(LaneCaller, PhaseSweepPotential, t)
+		} else {
+			t = spine.book(LaneCaller, PhaseSweep, t)
+		}
 		if t, err = pr.lend(LaneCaller, rr.comm, t); err != nil {
 			return err
 		}
-		return pr.assemble(rr, fc, t)
+		return pr.assemble(rr, fc, pot, t)
 	}
 	rr.ship = rr.ship[:0]
 	for k, g := range rr.owned {
 		rr.ship = append(rr.ship, float64(g), fc.X[k], fc.Y[k], fc.Z[k])
 	}
+	// The word rides as its bits: the payload's checksum covers them, and
+	// nothing between Send and Recv does arithmetic on a payload.
+	rr.ship = append(rr.ship, math.Float64frombits(uint64(pot)))
 	return rr.comm.Send(0, TagForces, rr.ship)
 }
 
@@ -697,8 +655,8 @@ func (pr *ParallelRun) streamGhosts(rr *realRankState, s *md.System) error {
 // over this rank's particle stripe, with the group communicator reducing the
 // structure factor when the group has more than one member, into planes
 // that are views of the rank's payload slab. Wave rank 0 books the spine's
-// wave lane, offers to walk the potential before it ships, and lends (1 + 1)
-// once it has shipped, so the caller never waits on a slab it holds back.
+// wave lane and lends (1 + 1) once it has shipped, so the caller never waits
+// on a slab it holds back.
 func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
 	defer pr.lending.Release(int(LaneWave)) // every exit, so a parked caller wakes
 	var spine *PhaseSink
@@ -718,9 +676,6 @@ func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
 		return err
 	}
 	t := spine.book(LaneWave, PhaseWave, pr.t0)
-	if wr.rank == pr.nReal {
-		t = pr.claimWalk(LaneWave, t)
-	}
 	// The planes are already in the slab; the leading word is the
 	// wavenumber potential, which rank 0 reads from wave rank 0 only.
 	wr.slab[0] = pot
@@ -732,12 +687,13 @@ func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
 }
 
 // assemble gathers force contributions at world rank 0, which holds its own
-// sweep's planes fc and books the caller lane from t. Rank 0's forces and the
-// (index, force) records of the other real ranks each carry an owned
-// particle exactly once, so they are assignments; the wave ranks' planes
-// cover their stripes and add on top — the same real + wave reduction order
-// at every layout, hence bit-identical sums.
-func (pr *ParallelRun) assemble(rr *realRankState, fc soa.Coords, t int64) error {
+// sweep's planes fc and potential word pot and books the caller lane from t.
+// Rank 0's forces and the (index, force) records of the other real ranks
+// each carry an owned particle exactly once, so they are assignments; the
+// wave ranks' planes cover their stripes and add on top — the same real +
+// wave reduction order at every layout, hence bit-identical sums. The real
+// ranks' potential words add exactly, in any order.
+func (pr *ParallelRun) assemble(rr *realRankState, fc soa.Coords, pot int64, t int64) error {
 	c, n, spine := rr.comm, pr.n, pr.cfg.Phases
 	for src := 1; src < c.Size(); src++ {
 		buf, err := c.Recv(src, TagForces)
@@ -761,9 +717,11 @@ func (pr *ParallelRun) assemble(rr *realRankState, fc soa.Coords, t int64) error
 		}
 		for src := 1; src < pr.nReal; src++ {
 			buf := pr.bufs[src]
-			if len(buf)%4 != 0 {
-				return wireError(src, 0, "rank 0: force payload length %d not a multiple of 4", len(buf))
+			if len(buf)%4 != 1 {
+				return wireError(src, 0, "rank 0: force payload length %d not 4 per record plus a potential word", len(buf))
 			}
+			pot += int64(math.Float64bits(buf[len(buf)-1]))
+			buf = buf[:len(buf)-1]
 			for k := 0; k < len(buf); k += 4 {
 				i, err := wireIndex(buf[k], n, src, 0, "force index")
 				if err != nil {
@@ -789,7 +747,7 @@ func (pr *ParallelRun) assemble(rr *realRankState, fc soa.Coords, t int64) error
 			total[i] = total[i].Add(vec.New(x[k], y[k], z[k]))
 		}
 	}
-	pr.wavePot = pr.bufs[pr.nReal][0]
+	pr.wavePot, pr.realPot = pr.bufs[pr.nReal][0], pot
 	pr.out = total
 	spine.book(LaneCaller, PhaseCombine, t)
 	return nil

@@ -521,9 +521,9 @@ func TestAssembleRefusesDuplicateRecord(t *testing.T) {
 	err = world.Run(func(c *mpi.Comm) error {
 		switch c.Rank() {
 		case 0:
-			return pr.assemble(pr.real[0], pr.real[0].fc, 0)
+			return pr.assemble(pr.real[0], pr.real[0].fc, 0, 0)
 		case 1:
-			return c.Send(0, TagForces, []float64{5, 1, 2, 3, 7, 1, 2, 3, 5, 4, 5, 6})
+			return c.Send(0, TagForces, []float64{5, 1, 2, 3, 7, 1, 2, 3, 5, 4, 5, 6, 0})
 		}
 		return c.Send(0, TagForces, pr.wave[0].slab) // the wave rank's last payload, well formed
 	})

@@ -3,32 +3,33 @@ package core
 // The step-phase spine: where an engine's Forces call spends its time, per
 // goroutine. Two ranks book it: real rank 0, which runs on the caller's
 // goroutine (j-set, sweep, join, combine), and wave rank 0 (the WINE-2
-// pass); the host potential walk runs on whichever finishes its pass first,
-// and at the 1 + 1 layout that lane then lends itself to the other's pass
-// until it ends (lend). Both lanes start at the driver's reading at the
-// call's start. Each lane adds only to its own row of the sink, and the
-// caller reads the wave row only after World.Run has joined every rank, so
-// recording takes no lock, no atomic and no allocation. The clock is injected: the engine never reads
-// time itself. At several real ranks, rank 0's halo and ghost exchange
-// books as its j-set phase.
+// pass); at the 1 + 1 layout the lane that finishes first then lends itself
+// to the other's pass until it ends (lend). A due call's sweep carries the
+// host potential and books as a phase of its own, so the potential's cost is
+// the difference of the two sweeps'. Both lanes start at the driver's reading
+// at the call's start. Each lane adds only to its own row of the sink, and
+// the caller reads the wave row only after World.Run has joined every rank,
+// so recording takes no lock, no atomic and no allocation. The clock is
+// injected: the engine never reads time itself. At several real ranks, rank
+// 0's halo and ghost exchange books as its j-set phase.
 
 // Phase is one slice of a Forces call.
 type Phase uint8
 
 // The phases of a Forces call, a fixed enum so a record is an array add.
 const (
-	PhaseJSetBuild   Phase = iota // the skin clock and the j-set sorted afresh (a rebuild step)
-	PhaseJSetRefresh              // the skin clock and the j-set's stored coordinates moved (a reuse step)
-	PhaseSweep                    // the MDGRAPE-2 fused sweep
-	PhaseWave                     // the wave rank's start, set_nn and the WINE-2 wavenumber pass
-	PhasePotential                // the host potential walk, on a due call
-	PhaseJoinWait                 // the caller blocked on the other ranks' force payloads
-	PhaseCombine                  // real + wave forces into the output slice
-	PhaseLend                     // the lane that finished first, claiming chunks of the other's pass until it ends
+	PhaseJSetBuild      Phase = iota // the skin clock and the j-set sorted afresh (a rebuild step)
+	PhaseJSetRefresh                 // the skin clock and the j-set's stored coordinates moved (a reuse step)
+	PhaseSweep                       // the MDGRAPE-2 fused sweep, on a call the potential is not due
+	PhaseSweepPotential              // the fused sweep carrying the host potential, on a due call
+	PhaseWave                        // the wave rank's start, set_nn and the WINE-2 wavenumber pass
+	PhaseJoinWait                    // the caller blocked on the other ranks' force payloads
+	PhaseCombine                     // real + wave forces into the output slice
+	PhaseLend                        // the lane that finished first, claiming chunks of the other's pass until it ends
 	NumPhases
 )
 
-var phaseNames = [NumPhases]string{"jset_build", "jset_refresh", "sweep", "wave", "potential", "join_wait", "combine", "lend"}
+var phaseNames = [NumPhases]string{"jset_build", "jset_refresh", "sweep", "sweep_potential", "wave", "join_wait", "combine", "lend"}
 
 func (p Phase) String() string { return phaseNames[p] }
 

@@ -16,7 +16,7 @@ import (
 // potential. These tests retire two reasons the four-pass, ordered-walk path
 // had been kept: its potential value and its injector-visible call geometry.
 
-// orderedRealPotential is the oracle hostPotential is checked against: every
+// orderedRealPotential is an oracle of the sweep's host potential: every
 // ordered 27-cell visit inside r_cut (each unordered pair twice, each kernel
 // taking its own square root, each energy shifted by its value at r_c),
 // halved — the walk the host potential made before it moved to the half
@@ -50,9 +50,12 @@ func TestRealPotentialHalfWalkMatchesOrderedWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			sorted := cellindex.Sort(grid, s.Pos)
-			got := hostPotential(new(potGather), mustPotTable(t, p), sorted, cellindex.BuildNeighborTable(grid, nil), s)
+			got := potEnergy(sweepPotential(t, p, nil, s))
 			want := orderedRealPotential(p, tf, sorted, s)
-			if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-12 {
+			// The word rounds each of the pairs by at most half a unit.
+			_, _, pairs := rRange(sorted, cellindex.BuildNeighborTable(grid, nil))
+			if diff := math.Abs(got - want); diff > 1e-12*math.Abs(want)+float64(pairs)*math.Ldexp(1, -potFracBits-1) {
+				rel := diff / math.Abs(want)
 				t.Errorf("cells=%d alpha=%g (grid %d³): half walk %.17g vs ordered walk %.17g (rel %.2g)",
 					cells, p.Alpha, grid.N, got, want, rel)
 			}

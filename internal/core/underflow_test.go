@@ -54,7 +54,7 @@ func newSweepFixture(t testing.TB, geo sweepGeometry) sweepFixture {
 	if err := m.real[0].update(s.Pos, s.Type, true, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.real[0].sweep(s.Pos, s.Type, s.N()); err != nil {
+	if _, _, err := m.real[0].sweep(s.Pos, s.Type, s.N(), false); err != nil {
 		t.Fatal(err)
 	}
 	return sweepFixture{geo.name, m, s, m.real[0].js, m.real[0].passes[:]}

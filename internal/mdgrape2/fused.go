@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"mdm/internal/cellindex"
 	"mdm/internal/fault"
 	"mdm/internal/funceval"
 	"mdm/internal/soa"
@@ -45,15 +46,61 @@ const maxFusedPasses = 8
 const sweepBlock = 64
 
 // pairBlock is one worker's gathered j-block — the kept pairs' float32
-// displacement and squared distance and their sorted j index, in walk order —
-// and the per-pass scratch the tables run in.
+// displacement and squared distance and their sorted j index, in walk order,
+// and the neighbour runs they came in — and the per-pass scratch the tables
+// run in.
 type pairBlock struct {
 	n              int
 	dx, dy, dz, r2 [sweepBlock]float32
 	j              [sweepBlock]int
 
+	// Run r of the block starts at pair at[r] and came with i's neighbour
+	// entry ent[r]; one store per reached run (open), none per candidate.
+	nr  int
+	at  [maxBlockRuns]uint8
+	ent [maxBlockRuns]uint8
+
 	t       [sweepBlock]int     // j's particle type
 	w, x, g [sweepBlock]float32 // j's charge field, table argument, table value
+}
+
+// maxBlockRuns bounds a block's runs: i's 27 neighbour entries and the run a
+// full block was cut in, a power of two so the stores need no bounds check.
+const maxBlockRuns = 32
+
+// open starts neighbour entry e's run at the block's next pair.
+func (b *pairBlock) open(e int) {
+	b.at[b.nr&(maxBlockRuns-1)], b.ent[b.nr&(maxBlockRuns-1)] = uint8(b.n), uint8(e)
+	b.nr++
+}
+
+// PairSink is a host consumer of a sweep's kept pairs — the j-stream that
+// gives the force giving the potential too, as MDGRAPE-2 returns both from
+// one pass (§3.5). On a sweep it is installed for (System.SetPairSink), Start
+// is called once with the sweep's chunk count before any block, then Pairs
+// once per evaluated block, on the goroutine running the block's chunk: a
+// sink keeps per-chunk state and merges it after the call, as the sweep
+// merges its pair counters.
+type PairSink interface {
+	Start(chunks int)
+	// Pairs receives one evaluated block of i-particle i's kept pairs: a
+	// copy, valid during the call, so the sweep's own block stays on its
+	// worker's stack.
+	Pairs(chunk, i int, b *PairBlock)
+}
+
+// PairBlock is an evaluated block as a PairSink sees it: the first N pairs,
+// in walk order, by their j-particle's sorted index, in Runs runs — run r
+// holds pairs At[r] … At[r+1]−1, j ascending, and came with i's neighbour
+// entry Nbrs[Ent[r]], so each pair's displacement is r⃗_i − (r⃗_j +
+// Nbrs[Ent[r]].Shift).
+type PairBlock struct {
+	N    int
+	J    [sweepBlock]int32
+	Runs int
+	At   [maxBlockRuns + 1]uint8
+	Ent  [maxBlockRuns]uint8
+	Nbrs []cellindex.Neighbor
 }
 
 // gather streams the candidates m marks among the stored particles base …
@@ -110,11 +157,13 @@ func (b *pairBlock) gather(p *soa.Coords32, base int, m uint64, pix, piy, piz, s
 	return m
 }
 
-// run evaluates every pass's table over the block for i-particle type ti and
-// adds the pair forces to the pass accumulators in block order, then empties
-// the block: f⃗_ij = b_ij · g(a_ij r²) · r⃗_ij (eq. 14) in float32, the
-// particle-memory charge field, when loaded, scaling b_ij.
-func (b *pairBlock) run(tbls *[maxFusedPasses]tableRef, np, ti int, js *JSet, acc *[maxFusedPasses][3]float64) {
+// run evaluates every pass's table over the block for i-particle i of type ti
+// and adds the pair forces to the pass accumulators in block order, hands a
+// copy of the block to sink (in out, chunk's; nbrs gives the runs' shifts)
+// when one is installed, then empties the block: f⃗_ij = b_ij · g(a_ij r²) ·
+// r⃗_ij (eq. 14) in float32, the particle-memory charge field, when loaded,
+// scaling b_ij.
+func (b *pairBlock) run(tbls *[maxFusedPasses]tableRef, np, ti int, js *JSet, acc *[maxFusedPasses][3]float64, sink PairSink, chunk, i int, nbrs []cellindex.Neighbor, out *PairBlock) {
 	n := b.n
 	t, dx, dy, dz := b.t[:n], b.dx[:n], b.dy[:n], b.dz[:n]
 	for k, j := range b.j[:n] {
@@ -149,7 +198,20 @@ func (b *pairBlock) run(tbls *[maxFusedPasses]tableRef, np, ti int, js *JSet, ac
 		}
 		acc[p] = [3]float64{ax, ay, az}
 	}
-	b.n = 0
+	nr := min(b.nr, maxBlockRuns)
+	if sink != nil {
+		out.N, out.Runs, out.Nbrs = n, nr, nbrs
+		for k, j := range b.j[:n] {
+			out.J[k] = int32(j)
+		}
+		copy(out.At[:nr], b.at[:nr])
+		copy(out.Ent[:nr], b.ent[:nr])
+		out.At[nr] = uint8(n)
+		sink.Pairs(chunk, i, out)
+	}
+	// The run in progress goes on at the next block's first pair.
+	b.n, b.nr = 0, 1
+	b.at[0], b.ent[0] = 0, b.ent[nr-1]
 }
 
 // fusedFlip is one captured bit-flip event, replayed onto the pass's
@@ -197,7 +259,8 @@ func (s *System) ComputeForces(table string, co *Coeffs, xi []vec.V, ti []int, s
 // ordered combine, and the HardwareCall/PendingFlip sequence per
 // pass is issued in pass order up front (the traversal between those calls
 // never touches the injector, so the injector-visible event stream is
-// unchanged).
+// unchanged). With a PairSink installed (SetPairSink), every evaluated block
+// is handed to it too.
 func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int, js *JSet, dst soa.Coords) (soa.Coords, error) {
 	np := len(passes)
 	if np == 0 || np > maxFusedPasses {
@@ -271,17 +334,31 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 	// unit. Each i-particle's float64 accumulators stay in one chunk, so
 	// accumulation order — and the result — is bit-identical at any pool
 	// width. Pair counters are per chunk, merged in chunk order below.
+	// The worker reads its counters and sink blocks through s: a captured
+	// slice would grow the closure the step allocates. A chunk returns no
+	// error, so the Run's is a panic — in the sweep or in the sink — which
+	// fails the call rather than leave the chunk's forces unwritten.
 	chunkPairs := s.pairScratch(s.pool.NumShards(len(xi)))
-	_ = s.pool.Run(len(xi), func(chunk, lo, hi int) error {
+	if s.sink != nil {
+		s.sink.Start(len(chunkPairs))
+		s.sinkScratch(len(chunkPairs))
+	}
+	err := s.pool.Run(len(xi), func(chunk, lo, hi int) error {
 		cut2, p32 := cutoffWord(js.Sorted.Grid.Cutoff), &js.Sorted.P32
 		var pairs int64
 		var acc [maxFusedPasses][3]float64 // double-precision accumulators (§3.5.4)
 		var blk pairBlock
+		sink := s.sink
+		var out *PairBlock
+		if sink != nil {
+			out = &s.sinkBlocks[chunk]
+		}
 		for i := lo; i < hi; i++ {
 			// Cell and single-precision coordinate word as stored at the last
 			// Build / Refresh — the word this particle's j-side visits read too.
 			nbrs, reach, box, pix, piy, piz := js.iSide(i)
 			acc = [maxFusedPasses][3]float64{}
+			blk.nr = 0
 			for e, nb := range nbrs {
 				// Stream the cell's j-run from the float32 planes — the banked
 				// particle-memory read of §3.3. The board pays for every run;
@@ -294,17 +371,18 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 				}
 				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
 				run := js.Sorted.Run(&box, e, nb.Cell)
+				blk.open(e)
 				for w, base := 0, jstart; base < jend; w, base = w+1, base+64 {
 					for m := run.Mask(w, min(jend-base, 64)); m != 0; {
 						m = blk.gather(p32, base, m, pix, piy, piz, sx, sy, sz, cut2)
 						if blk.n == sweepBlock {
-							blk.run(&tbls, np, ti[i], js, &acc)
+							blk.run(&tbls, np, ti[i], js, &acc, sink, chunk, i, nbrs, out)
 						}
 					}
 				}
 			}
 			if blk.n > 0 {
-				blk.run(&tbls, np, ti[i], js, &acc)
+				blk.run(&tbls, np, ti[i], js, &acc, sink, chunk, i, nbrs, out)
 			}
 			// Scale, flip and combine in pass order: forces[i] = pass0 + pass1 + … .
 			var f vec.V
@@ -331,9 +409,12 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 			}
 			fX[i], fY[i], fZ[i] = f.X, f.Y, f.Z
 		}
-		chunkPairs[chunk] = pairs
+		s.chunkPairs[chunk] = pairs
 		return nil
 	})
+	if err != nil {
+		return soa.Coords{}, fmt.Errorf("mdgrape2: fused sweep: %w", err)
+	}
 	var pairs int64
 	for _, p := range chunkPairs {
 		pairs += p
@@ -357,7 +438,7 @@ type tableRef struct {
 // System.ComputeForcesFusedInto) — the zero-alloc call the machine's step path
 // feeds its combine stage from. The session must be initialized.
 //
-//mdm:stepflow -- hot-path root: the MDGRAPE-2 session's fused per-step sweep, SoA output (Table 3 loop, four tables at once)
+//mdm:stepflow -- hot-path root: the MDGRAPE-2 session's fused per-step sweep, SoA output (Table 3 loop, four tables at once), and the PairSink it feeds on a due call (the host potential)
 func (m *MR1) CalcVDWFusedInto(passes []ForcePass, xi []vec.V, ti []int, js *JSet, dst soa.Coords) (soa.Coords, error) {
 	if m.sys == nil {
 		return soa.Coords{}, fmt.Errorf("mdgrape2: MR1calcvdw_block2 before MR1init")

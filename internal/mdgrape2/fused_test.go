@@ -1,8 +1,11 @@
 package mdgrape2
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"mdm/internal/cellindex"
@@ -285,6 +288,87 @@ func TestBlockedSweepMatchesOracle(t *testing.T) {
 		blockedSweepMatchesOracle(t, sys, all, occ, weighted, true, 1)
 		blockedSweepMatchesOracle(t, sys, all, sparse, weighted, false, 1)
 		blockedSweepMatchesOracle(t, sys, all, append(occ, 216), weighted, true, 4)
+	}
+}
+
+// sinkRecord is a PairSink that keeps, per i-particle, the (j, shift) of
+// every pair its blocks carried, in the order they came.
+type sinkRecord struct {
+	mu    sync.Mutex
+	pairs map[int][]sinkPair
+}
+
+type sinkPair struct {
+	j     int
+	shift vec.V
+}
+
+func (r *sinkRecord) Start(int) {}
+
+func (r *sinkRecord) Pairs(_, i int, b *PairBlock) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for run := range b.Runs {
+		for k := b.At[run]; k < b.At[run+1]; k++ {
+			r.pairs[i] = append(r.pairs[i], sinkPair{int(b.J[k]), b.Nbrs[b.Ent[run]].Shift})
+		}
+	}
+}
+
+// TestPairSinkSeesTheSweepsPairs: a PairSink receives, per i-particle, every
+// pair the sweep keeps and no other, in the sweep's order, each with the
+// shift of the neighbour run it came in (JSet.ForEachPair is the reference),
+// on TestBlockedSweepMatchesOracle's layouts — blocks cut inside a run, at
+// run ends and at i's last pair — at pool widths 1 and 3; and a sweep with
+// no sink installed afterwards hands it nothing.
+func TestPairSinkSeesTheSweepsPairs(t *testing.T) {
+	occ := []int{0, 1, sweepBlock - 1, sweepBlock, sweepBlock + 1, 2*sweepBlock + 3}
+	sys, all, _, _, _ := fusedFixture(t)
+	pass := []ForcePass{{Table: all[0].Table, Co: all[0].Co}}
+	for _, layout := range [][]int{occ, {0, 1, sweepBlock - 1, 0, 1, 2*sweepBlock + 3, 0, 1}, append(occ, 216)} {
+		pos, types, js := occupancyFixture(t, layout, false)
+		for _, workers := range []int{1, 3} {
+			sys.SetPool(parallelize.New(workers))
+			rec := &sinkRecord{pairs: map[int][]sinkPair{}}
+			sys.SetPairSink(rec)
+			if _, err := fusedAoS(sys, pass, pos, types, js); err != nil {
+				t.Fatal(err)
+			}
+			sys.SetPairSink(nil)
+			if _, err := fusedAoS(sys, pass, pos, types, js); err != nil {
+				t.Fatal(err)
+			}
+			for i := range pos {
+				var want []sinkPair
+				js.ForEachPair(i, func(j int, shift vec.V) { want = append(want, sinkPair{j, shift}) })
+				if got := rec.pairs[i]; !slices.Equal(got, want) {
+					t.Fatalf("occupancies %v, workers %d, particle %d: the sink saw %d pairs, the sweep keeps %d (%v vs %v)",
+						layout, workers, i, len(got), len(want), got, want)
+				}
+			}
+		}
+	}
+}
+
+// panicSink is a PairSink whose every block panics.
+type panicSink struct{}
+
+func (panicSink) Start(int)                  {}
+func (panicSink) Pairs(int, int, *PairBlock) { panic("sink") }
+
+// TestPairSinkPanicFailsTheSweep: a panic in a chunk of the sweep — here in
+// the sink it feeds — fails the call with the pool's *PanicError instead of
+// returning forces the chunk never wrote, at pool widths 1 and 3.
+func TestPairSinkPanicFailsTheSweep(t *testing.T) {
+	sys, all, pos, types, js := fusedFixture(t)
+	for _, workers := range []int{1, 3} {
+		sys.SetPool(parallelize.New(workers))
+		sys.SetPairSink(panicSink{})
+		_, err := fusedAoS(sys, all[:1], pos, types, js)
+		sys.SetPairSink(nil)
+		if pe := (*parallelize.PanicError)(nil); !errors.As(err, &pe) {
+			t.Fatalf("workers %d: sweep with a panicking sink returned %v, want a *parallelize.PanicError", workers, err)
+		}
 	}
 }
 

@@ -116,8 +116,10 @@ type System struct {
 	stats  Stats
 	hook   fault.HardwareHook
 	pool   *parallelize.Pool
+	sink   PairSink
 
-	chunkPairs []int64 // per-call pair-counter scratch, reused across calls
+	chunkPairs []int64     // per-call pair-counter scratch, reused across calls
+	sinkBlocks []PairBlock // per-chunk copies of the blocks a PairSink reads, reused across calls
 }
 
 // pairScratch returns a zeroed per-chunk pair-counter slice of length n,
@@ -131,6 +133,13 @@ func (s *System) pairScratch(n int) []int64 {
 		sp[i] = 0
 	}
 	return sp
+}
+
+// sinkScratch sizes the session's per-chunk PairSink blocks to at least n.
+func (s *System) sinkScratch(n int) {
+	if len(s.sinkBlocks) < n {
+		s.sinkBlocks = make([]PairBlock, n)
+	}
 }
 
 // NewSystem builds a simulated system.
@@ -164,6 +173,11 @@ func (s *System) SetFaultHook(h fault.HardwareHook) { s.hook = h }
 // per-particle float64 accumulation order is unchanged — chunking only moves
 // whole i-particles between workers.
 func (s *System) SetPool(p *parallelize.Pool) { s.pool = p }
+
+// SetPairSink installs the consumer the fused sweep hands its evaluated
+// blocks of kept pairs to (PairSink), until the next SetPairSink. Nil, the
+// default, costs one branch per block.
+func (s *System) SetPairSink(p PairSink) { s.sink = p }
 
 // LoadTable fits g(x) into a 1,024-segment function-evaluator table covering
 // at least [2^emin, 2^emax) and stores it in every chip's RAM under the given

@@ -179,6 +179,24 @@ func (c latticeCell) reference() latticeCell {
 	return c
 }
 
+// row is the reference cell of c's golden row: the clean serial machine at
+// one worker on c's system and skin.
+func (c latticeCell) row() latticeCell {
+	return latticeCell{cells: c.cells, workers: 1, skin: c.skin, sc: &latticeScenarios[0]}
+}
+
+// freshPotentials is the bits of the potentials records evaluated at their
+// own step, with those steps.
+func freshPotentials(records []Record) [][2]uint64 {
+	var out [][2]uint64
+	for _, r := range records {
+		if r.PEFresh {
+			out = append(out, [2]uint64{uint64(r.Step), math.Float64bits(r.PE)})
+		}
+	}
+	return out
+}
+
 func (c latticeCell) config() Config {
 	watchdog := c.sc.watchdog
 	if raceDetectorEnabled {
@@ -294,8 +312,10 @@ func TestBitIdentityLattice(t *testing.T) {
 	// the map is filled before any cell runs and only read after.
 	refs := map[latticeCell]func() (latticeRun, error){}
 	for _, c := range cells {
-		if ref := c.reference(); refs[ref] == nil {
-			refs[ref] = sync.OnceValues(func() (latticeRun, error) { return runLatticeCell(ref.config()) })
+		for _, ref := range []latticeCell{c.reference(), c.row()} {
+			if refs[ref] == nil {
+				refs[ref] = sync.OnceValues(func() (latticeRun, error) { return runLatticeCell(ref.config()) })
+			}
 		}
 	}
 	for _, c := range cells {
@@ -323,6 +343,16 @@ func TestBitIdentityLattice(t *testing.T) {
 			}
 			if got.final != g.final {
 				t.Errorf("%d-step NVE state hash %s, golden %s", latticeSteps, got.final, g.final)
+			}
+			// The potential is exact (an integer sum of per-pair words), so
+			// every cell reports its row's potentials bit for bit, fault
+			// scenarios and several ranks included.
+			row, err := refs[c.row()]()
+			if err != nil {
+				t.Fatalf("row reference cell %s: %v", c.row().name(), err)
+			}
+			if gp, rp := freshPotentials(got.records), freshPotentials(row.records); !reflect.DeepEqual(gp, rp) {
+				t.Errorf("evaluated potentials' bits %x, row reference cell %x", gp, rp)
 			}
 
 			if c == c.reference() {
