@@ -53,7 +53,7 @@ race:
 		./internal/parallelize/... ./internal/wine2/... ./internal/mdgrape2/... \
 		./internal/cellindex/... ./internal/supervise/... ./internal/store/... \
 		./internal/lifecycle/... ./internal/serve/...
-	$(GO) test -race -cpu 1,2,4 -run 'AcrossWorkers|Run|Shards|Lend' ./internal/parallelize \
+	$(GO) test -race -cpu 1,2,4 -run 'AcrossWorkers|Run|Shards|Lend|Panic' ./internal/parallelize \
 		./internal/mdgrape2 ./internal/wine2 ./internal/cellindex
 	$(GO) test -race -cpu 1,2,4 -count 5 -run 'PotentialExact|Lend' ./internal/core
 	$(GO) test -race -run 'Commit|DurableOnReturn|CrashMatrix|Journal|Interrupt|Resume|Restart' .

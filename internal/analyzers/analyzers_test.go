@@ -69,14 +69,26 @@ func TestStepFlowFactPropagation(t *testing.T) {
 		"(*mdm/internal/core.potTable).sum",
 		// Cross-package chain through the wine2 root into the DFT engine.
 		"(*mdm/internal/wine2.System).DFTQuantizedInto",
+		// Bound fields: a pool Run is handed a func-typed field, and the
+		// method its constructor bound to it runs the chunks.
+		"(*mdm/internal/mdgrape2.System).runSweepChunk",
+		"(*mdm/internal/wine2.System).runQuantizeChunk",
+		"(*mdm/internal/wine2.System).runDFTChunk",
+		"(*mdm/internal/wine2.System).runIDFTChunk",
+		"(*mdm/internal/cellindex.Sorter).assignChunk",
+		"(*mdm/internal/cellindex.Sorter).scatterChunk",
 		// Interface dispatch: md.Integrator.Step calls ForceField.Forces, and
 		// CHA fans out to the core implementations.
 		"(*mdm/internal/core.ParallelRun).Forces",
 		"(*mdm/internal/core.Resilient).Forces",
-		// The one step driver: ParallelRun.Step runs its ranks from runRank
-		// inside World.Run (a method value bound once, so an annotated
-		// root); real rank 0 and wave rank 0 reach the sweep and the wave
-		// pass.
+		// And the ForceFieldInto.ForcesInto it calls first.
+		"(*mdm/internal/core.ParallelRun).ForcesInto",
+		"(*mdm/internal/core.Resilient).ForcesInto",
+		// The one step driver: ParallelRun.StepInto runs its ranks from
+		// runRank inside World.Run, handed the rankStep field NewParallelRun
+		// bound it to; real rank 0 and wave rank 0 reach the sweep and the
+		// wave pass.
+		"(*mdm/internal/core.ParallelRun).runRank",
 		"(*mdm/internal/core.ParallelRun).realStep",
 		"(*mdm/internal/core.ParallelRun).waveStep",
 		"(*mdm/internal/core.realRank).sweep",

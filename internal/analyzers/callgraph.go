@@ -25,10 +25,10 @@ import (
 //
 // Roots are declared in source: a function whose doc comment carries a
 // "//mdm:stepflow -- reason" directive is a hot-path entry point. The repo
-// annotates core.ParallelRun.Step and its rank body runRank (a method value
-// World.Run calls), md.Integrator.Step/Run, the WINE-2 and MDGRAPE-2 session
-// entry points, and the serving layer's per-step interrupt check, whose
-// wiring is an assignment. Reachability propagates through:
+// annotates core.ParallelRun.StepInto, md.Integrator.Step/Run, the WINE-2
+// and MDGRAPE-2 session entry points, and the serving layer's per-step
+// interrupt check, whose wiring is an assignment. Reachability propagates
+// through:
 //
 //   - direct calls, go statements and defers (resolved through go/types);
 //   - closures: a function literal's body belongs to its declaring function,
@@ -40,7 +40,13 @@ import (
 //     the determinism gate);
 //   - callbacks: a named function or method value passed as an argument to a
 //     stepflow function is assumed invoked by it (Integrator.Run(n, observe)
-//     marks observe).
+//     marks observe);
+//   - bound fields: a func-typed field stands for every function or method
+//     value the module assigns to it, so passing the field as an argument
+//     or calling through it reaches those (pool.Run(n, s.sweepChunk) marks
+//     the runSweepChunk that NewSystem bound; World.Run(pr.rankStep) marks
+//     runRank). Fields are keyed by package, name and type, so two fields
+//     alike in all three share their bindings: an over-approximation again.
 //
 // Cross-package identity: the loader type-checks each package from source but
 // resolves its imports from compiler export data, so the *types.Func for
@@ -183,28 +189,45 @@ func hasStepFlowDirective(fd *ast.FuncDecl) bool {
 }
 
 // walkBody records every outgoing edge of one function body: direct calls
-// (including go and defer), interface calls, and named functions passed as
-// call arguments.
+// (including go and defer), interface calls, calls through bound fields,
+// named functions and bound fields passed as call arguments, and the
+// bindings a function value assigned to a func-typed field makes.
 func (g *callGraph) walkBody(pkg *load.Package, caller string, body *ast.BlockStmt) {
 	info := pkg.TypesInfo
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := calleeFunc(info, call); fn != nil {
-			key := funcKey(fn)
-			g.edges[caller] = append(g.edges[caller], key)
-			if recvIsInterface(fn) {
-				g.ifaceBy[key] = shapeOf(fn)
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) != len(n.Rhs) {
+				return true
 			}
+			for i, lhs := range n.Lhs {
+				if fk := funcFieldKey(info, lhs); fk != "" {
+					if fn := funcValueOf(info, n.Rhs[i]); fn != nil {
+						g.edges[fk] = append(g.edges[fk], funcKey(fn))
+					}
+				}
+			}
+		case *ast.CallExpr:
+			key := funcFieldKey(info, n.Fun)
+			if fn := calleeFunc(info, n); fn != nil {
+				key = funcKey(fn)
+				if recvIsInterface(fn) {
+					g.ifaceBy[key] = shapeOf(fn)
+				}
+			}
+			if key == "" {
+				return true
+			}
+			g.edges[caller] = append(g.edges[caller], key)
 			// A function value handed to a callee is assumed invoked inside
 			// it: the edge goes callee → argument, so callbacks passed into
 			// hot-path functions (Integrator.Run(n, observe)) inherit their
 			// stepflow status from the receiver of the value, not the caller.
-			for _, arg := range call.Args {
+			for _, arg := range n.Args {
 				if af := funcValueOf(info, arg); af != nil {
 					g.edges[key] = append(g.edges[key], funcKey(af))
+				} else if fk := funcFieldKey(info, arg); fk != "" {
+					g.edges[key] = append(g.edges[key], fk)
 				}
 			}
 		}
@@ -226,6 +249,23 @@ func funcValueOf(info *types.Info, expr ast.Expr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
+}
+
+// funcFieldKey names the func-typed struct field expr selects, or "" when it
+// selects none: the graph node standing for the functions bound to it.
+func funcFieldKey(info *types.Info, expr ast.Expr) string {
+	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	v, ok := info.Uses[sel.Sel].(*types.Var)
+	if !ok || !v.IsField() || v.Pkg() == nil {
+		return ""
+	}
+	if _, ok := v.Type().Underlying().(*types.Signature); !ok {
+		return ""
+	}
+	return "field " + v.Pkg().Path() + "." + v.Name() + " " + types.TypeString(v.Type(), nil)
 }
 
 // recvIsInterface reports whether fn is an interface method.
@@ -261,6 +301,11 @@ func (g *callGraph) propagate() *Facts {
 			for _, impl := range g.impls[shape] {
 				enqueue(impl)
 			}
+		}
+	}
+	for key := range reach {
+		if strings.HasPrefix(key, "field ") {
+			delete(reach, key) // a bound field is a graph node, not a function
 		}
 	}
 	roots := make([]string, 0, len(g.roots))

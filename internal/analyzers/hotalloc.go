@@ -22,6 +22,10 @@ import (
 //     is exempt — error paths run once, on failure)
 //   - non-constant string concatenation
 //   - `go func(){...}` capturing outer variables: closure + goroutine per call
+//   - a func literal capturing outer variables passed to
+//     (*parallelize.Pool).Run: Run keeps its chunk body, so the closure
+//     escapes and is allocated on every call; bind a method value once and
+//     pass the per-call arguments through the receiver's fields
 //
 // Amortized allocations (a rebuild guarded by a geometry check, a buffer
 // grown once then reused) are real but bounded; they carry reviewed
@@ -32,6 +36,10 @@ var HotAlloc = &Analyzer{
 	Suppress: "hotallocok",
 	Run:      runHotAlloc,
 }
+
+// poolRun is the method a capturing chunk body must not be handed on the
+// step path.
+const poolRun = "(*mdm/internal/parallelize.Pool).Run"
 
 // sprintFuncs are the fmt functions that allocate on every call on the
 // success path.
@@ -117,10 +125,22 @@ func checkAllocs(pass *Pass, fd *ast.FuncDecl, n ast.Node, prealloc map[types.Ob
 					"append in a loop in hot-path function %s grows its slice per step; preallocate with make(…, cap) or reuse an arena buffer", fd.Name.Name)
 				return true
 			}
-			if callee := calleeFunc(pass.Info, e); callee != nil && callee.Pkg() != nil &&
-				callee.Pkg().Path() == "fmt" && sprintFuncs[callee.Name()] {
+			callee := calleeFunc(pass.Info, e)
+			if callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt" && sprintFuncs[callee.Name()] {
 				pass.Reportf(e.Pos(),
 					"fmt.%s in hot-path function %s allocates on every call; format off the step path or use a preallocated buffer", callee.Name(), fd.Name.Name)
+			}
+			if callee != nil && callee.FullName() == poolRun {
+				for _, arg := range e.Args {
+					lit, ok := ast.Unparen(arg).(*ast.FuncLit)
+					if !ok {
+						continue
+					}
+					if name := capturedVar(pass, lit); name != "" {
+						pass.Reportf(lit.Pos(),
+							"pool Run in hot-path function %s is handed a closure capturing %s, allocated on every call; bind a method value once and pass the call's state through its receiver", fd.Name.Name, name)
+					}
+				}
 			}
 			return true
 		case *ast.BinaryExpr:

@@ -1,10 +1,15 @@
 // Fixtures for the hotalloc analyzer: per-step allocation patterns (growing
-// append, Sprintf, string concatenation, capturing go closures) in stepflow
-// code undo the ~10 allocs/step arena work. Preallocated loops, error paths
-// and cold functions stay quiet.
+// append, Sprintf, string concatenation, capturing go closures, capturing
+// pool Run bodies) in stepflow code undo the zero-allocation step.
+// Preallocated loops, error paths, bound method values, self-contained
+// literals and cold functions stay quiet.
 package fixture
 
-import "fmt"
+import (
+	"fmt"
+
+	"mdm/internal/parallelize"
+)
 
 // step is the fixture's hot-path root; everything it reaches is stepflow.
 //
@@ -17,7 +22,69 @@ func step(xs []float64, names []string) string {
 	reviewedLaunch(xs)
 	_ = fail(3)
 	_ = label(1)
+	sc := newScaler(xs)
+	_ = sc.scale(2)
+	_ = sc.scaleCapturing(2)
+	_ = sc.scaleStatic()
 	return join(names)
+}
+
+// scaler scales its slice in place over a pool.
+type scaler struct {
+	pool   *parallelize.Pool
+	xs     []float64
+	by     float64
+	chunkf func(chunk, lo, hi int) error // chunk, bound once
+	namef  func(chunk, lo, hi int) error // name, bound once
+	names  []string
+}
+
+func newScaler(xs []float64) *scaler {
+	s := &scaler{pool: parallelize.New(2), xs: xs, names: make([]string, len(xs))}
+	s.chunkf, s.namef = s.chunk, s.name
+	return s
+}
+
+// name is a chunk body the step reaches only through the field it is bound
+// to: the callgraph follows the binding, so its Sprintf is found.
+func (s *scaler) name(_, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		s.names[i] = fmt.Sprintf("x%d", i) // want `fmt.Sprintf in hot-path function name allocates on every call`
+	}
+	return nil
+}
+
+func (s *scaler) chunk(_, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		s.xs[i] *= s.by
+	}
+	return nil
+}
+
+// scale hands Run the method value bound once, its argument in a field — the
+// sanctioned pattern.
+func (s *scaler) scale(by float64) error {
+	s.by = by
+	if err := s.pool.Run(len(s.xs), s.chunkf); err != nil {
+		return err
+	}
+	return s.pool.Run(len(s.xs), s.namef)
+}
+
+// scaleCapturing hands Run a closure over its receiver and argument.
+func (s *scaler) scaleCapturing(by float64) error {
+	return s.pool.Run(len(s.xs), func(_, lo, hi int) error { // want `pool Run in hot-path function scaleCapturing is handed a closure capturing s`
+		for i := lo; i < hi; i++ {
+			s.xs[i] *= by
+		}
+		return nil
+	})
+}
+
+// scaleStatic hands Run a literal that captures nothing: a static funcval,
+// no allocation.
+func (s *scaler) scaleStatic() error {
+	return s.pool.Run(4, func(_, lo, hi int) error { return nil })
 }
 
 // grow appends inside a loop — the growing-slice pattern.

@@ -245,19 +245,29 @@ type NeighborTable struct {
 // chunks the pool's workers claim (a nil pool is serial; each cell's list is
 // written by exactly one chunk, so the table is identical at any width).
 // Small grids run serially: below serialCellsCutoff cells the goroutine
-// handoff costs more than the enumeration itself.
-func BuildNeighborTable(g *Grid, pool *parallelize.Pool) *NeighborTable {
+// handoff costs more than the enumeration itself. A chunk that panics fails
+// the build with the pool's *parallelize.PanicError.
+func BuildNeighborTable(g *Grid, pool *parallelize.Pool) (*NeighborTable, error) {
 	if g.NumCells() < serialCellsCutoff {
 		pool = nil
 	}
 	t := &NeighborTable{g: g, lists: make([][]Neighbor, g.NumCells())}
-	_ = pool.Run(g.NumCells(), func(_, lo, hi int) error {
-		for c := lo; c < hi; c++ {
-			t.lists[c] = g.Neighbors(c)
-		}
-		return nil
-	})
-	return t
+	if err := pool.Run(g.NumCells(), t.fill); err != nil {
+		return nil, fmt.Errorf("cellindex: neighbor table: %w", err)
+	}
+	return t, nil
+}
+
+// neighborsOf is Grid.Neighbors as BuildNeighborTable's chunks call it: a
+// seam for the tests that make a chunk panic.
+var neighborsOf = (*Grid).Neighbors
+
+// fill enumerates the neighbors of cells lo … hi−1.
+func (t *NeighborTable) fill(_, lo, hi int) error {
+	for c := lo; c < hi; c++ {
+		t.lists[c] = neighborsOf(t.g, c)
+	}
+	return nil
 }
 
 // Grid returns the grid the table was built for.
@@ -309,9 +319,15 @@ type Sorted struct {
 // At returns sorted position k as a vector.
 func (s *Sorted) At(k int) vec.V { return s.Pos.At(k) }
 
-// Sort builds the sorted layout for the given positions.
+// Sort builds the sorted layout for the given positions, serially. It is for
+// callers whose grid and positions are well formed by construction: a sort
+// cannot fail on them, and if it does — a bug — Sort panics with the error.
 func Sort(g *Grid, pos []vec.V) *Sorted {
-	return SortPool(g, pos, nil)
+	s, err := SortPool(g, pos, nil)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // Serial cutoffs for the parallel phases. BENCH_1 measured the 3-phase
@@ -334,7 +350,7 @@ const (
 // the serial counting sort, whichever worker ran which chunk. Inputs below
 // serialSortCutoff run serially regardless of pool width (same layout,
 // cheaper).
-func SortPool(g *Grid, pos []vec.V, pool *parallelize.Pool) *Sorted {
+func SortPool(g *Grid, pos []vec.V, pool *parallelize.Pool) (*Sorted, error) {
 	return NewSorter(g).SortInto(nil, pos, pool)
 }
 
@@ -346,10 +362,21 @@ type Sorter struct {
 	g      *Grid
 	counts [][]int
 	base   [][]int
+
+	// The sort in progress, which its pool chunks read through the Sorter:
+	// Run is handed the two phases as method values bound once in
+	// NewSorter, so a sort allocates no closure.
+	dst             *Sorted
+	pos             []vec.V
+	assign, scatter func(chunk, lo, hi int) error
 }
 
 // NewSorter returns a reusable sorter for the grid.
-func NewSorter(g *Grid) *Sorter { return &Sorter{g: g} }
+func NewSorter(g *Grid) *Sorter {
+	so := &Sorter{g: g}
+	so.assign, so.scatter = so.assignChunk, so.scatterChunk
+	return so
+}
 
 // Grid returns the grid the sorter sorts into.
 func (so *Sorter) Grid() *Grid { return so.g }
@@ -357,8 +384,9 @@ func (so *Sorter) Grid() *Grid { return so.g }
 // SortInto builds the sorted layout for pos into dst, reusing dst's buffers
 // when their lengths match (a nil dst allocates a fresh Sorted). The layout
 // is the same bit-identical counting sort as SortPool at every pool width,
-// including the small-n serial cutoff.
-func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *Sorted {
+// including the small-n serial cutoff. A chunk that panics fails the sort
+// with the pool's *parallelize.PanicError, and dst is then not a layout.
+func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) (*Sorted, error) {
 	g := so.g
 	n := len(pos)
 	nc := g.NumCells()
@@ -399,18 +427,11 @@ func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *So
 	}
 	// Phase 1: cell assignment, one count table per chunk (zeroed in-chunk so
 	// table reuse across calls is invisible).
-	_ = pool.Run(n, func(chunk, lo, hi int) error {
-		cnt := counts[chunk]
-		for c := range cnt {
-			cnt[c] = 0
-		}
-		for i := lo; i < hi; i++ {
-			c := g.CellOf(pos[i])
-			dst.Cell[i] = c
-			cnt[c]++
-		}
-		return nil
-	})
+	so.dst, so.pos = dst, pos
+	defer func() { so.dst, so.pos = nil, nil }()
+	if err := pool.Run(n, so.assign); err != nil {
+		return nil, fmt.Errorf("cellindex: sort: %w", err)
+	}
 	// Phase 2 (serial): global cell offsets, then per-chunk scatter bases —
 	// chunk s writes cell c starting at Start[c] + Σ_{t<s} counts[t][c].
 	for c, k := 0, 0; c < nc; c++ {
@@ -430,22 +451,45 @@ func (so *Sorter) SortInto(dst *Sorted, pos []vec.V, pool *parallelize.Pool) *So
 		}
 	}
 	// Phase 3: scatter. Slot ranges of different chunks are disjoint.
-	_ = pool.Run(n, func(chunk, lo, hi int) error {
-		fill := base[chunk]
-		for i := lo; i < hi; i++ {
-			c := dst.Cell[i]
-			k := fill[c]
-			fill[c]++
-			w := pos[i].Wrap(g.L)
-			dst.Pos.Set(k, w)
-			dst.P32.Set(k, w)
-			dst.Order[k] = i
-			dst.Slot[i] = k
-		}
-		return nil
-	})
+	if err := pool.Run(n, so.scatter); err != nil {
+		return nil, fmt.Errorf("cellindex: sort: %w", err)
+	}
 	dst.indexSlabs()
-	return dst
+	return dst, nil
+}
+
+// assignChunk is phase 1 of SortInto over particles lo … hi−1: each one's
+// cell, counted in the chunk's table.
+func (so *Sorter) assignChunk(chunk, lo, hi int) error {
+	g, dst, pos := so.g, so.dst, so.pos
+	cnt := so.counts[chunk]
+	for c := range cnt {
+		cnt[c] = 0
+	}
+	for i := lo; i < hi; i++ {
+		c := g.CellOf(pos[i])
+		dst.Cell[i] = c
+		cnt[c]++
+	}
+	return nil
+}
+
+// scatterChunk is phase 3 of SortInto over particles lo … hi−1: each one to
+// the next slot of its cell in the chunk's reserved range.
+func (so *Sorter) scatterChunk(chunk, lo, hi int) error {
+	g, dst, pos := so.g, so.dst, so.pos
+	fill := so.base[chunk]
+	for i := lo; i < hi; i++ {
+		c := dst.Cell[i]
+		k := fill[c]
+		fill[c]++
+		w := pos[i].Wrap(g.L)
+		dst.Pos.Set(k, w)
+		dst.P32.Set(k, w)
+		dst.Order[k] = i
+		dst.Slot[i] = k
+	}
+	return nil
 }
 
 // Len returns the number of particles.

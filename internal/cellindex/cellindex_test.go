@@ -415,7 +415,7 @@ func TestHalfPairTableVisitsEachImagePairOnce(t *testing.T) {
 		half := map[imageKey]int{}
 		inside := map[imageKey]bool{}
 		visits := 0
-		nbt := BuildNeighborTable(g, nil)
+		nbt := neighborTable(t, g, nil)
 		s.forEachHalfRun(nbt, func(i, js, je int, shift vec.V) {
 			if js >= je || js < 0 || je > s.Len() {
 				t.Errorf("N=%d: run [%d, %d) of particle %d is empty or out of range", n, js, je, i)
@@ -470,7 +470,7 @@ func TestHalfPairTableAllocatesNothing(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5} {
 		g := &Grid{L: l, N: n, CellSize: l / float64(n), Cutoff: l / float64(n)}
 		s := Sort(g, randomPositions(40, l, int64(n)))
-		nbt := BuildNeighborTable(g, nil)
+		nbt := neighborTable(t, g, nil)
 		sum := 0.0
 		if avg := testing.AllocsPerRun(5, func() {
 			s.ForEachHalfPair(nbt, func(i, j int, rij vec.V) { sum += rij.X })

@@ -1,6 +1,7 @@
 package cellindex
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -26,7 +27,10 @@ func TestSortPoolBitIdentical(t *testing.T) {
 	}
 	serial := Sort(g, pos)
 	for _, w := range []int{1, 2, 3, 4, 8, 16} {
-		par := SortPool(g, pos, parallelize.New(w))
+		par, err := SortPool(g, pos, parallelize.New(w))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if par.Pos.Len() != serial.Pos.Len() || len(par.Order) != len(serial.Order) {
 			t.Fatalf("workers=%d: layout sizes differ", w)
 		}
@@ -63,7 +67,7 @@ func TestSortBitIdenticalAcrossWorkers(t *testing.T) {
 	so := NewSorter(g)
 	var got *Sorted
 	for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 2} {
-		got = so.SortInto(got, pos, parallelize.New(w))
+		got = sortInto(t, so, got, pos, parallelize.New(w))
 		for k := range serial.Order {
 			if got.At(k) != serial.At(k) || got.Order[k] != serial.Order[k] ||
 				got.Slot[k] != serial.Slot[k] || got.Cell[k] != serial.Cell[k] {
@@ -83,7 +87,7 @@ func TestNeighborTableMatchesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nt := BuildNeighborTable(g, parallelize.New(4))
+	nt := neighborTable(t, g, parallelize.New(4))
 	if nt.Grid() != g {
 		t.Fatal("table does not reference its grid")
 	}
@@ -97,6 +101,80 @@ func TestNeighborTableMatchesGrid(t *testing.T) {
 			if got[k] != want[k] {
 				t.Fatalf("cell %d neighbor %d: %+v vs %+v", c, k, got[k], want[k])
 			}
+		}
+	}
+}
+
+// neighborTable is BuildNeighborTable, failing tb on an error.
+func neighborTable(tb testing.TB, g *Grid, pool *parallelize.Pool) *NeighborTable {
+	tb.Helper()
+	nt, err := BuildNeighborTable(g, pool)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return nt
+}
+
+// sortInto is so.SortInto, failing tb on an error.
+func sortInto(tb testing.TB, so *Sorter, dst *Sorted, pos []vec.V, pool *parallelize.Pool) *Sorted {
+	tb.Helper()
+	s, err := so.SortInto(dst, pos, pool)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// TestSortPanicFailsTheSort: a sort chunk that panics — here on a reused
+// layout whose cell table (both phases index it) or slot table (the scatter
+// phase writes it) is too short — fails SortInto with the pool's
+// *parallelize.PanicError instead of returning a layout it never wrote, at
+// pool widths 1 and 3 (n above serialSortCutoff, so width 3 cuts chunks).
+func TestSortPanicFailsTheSort(t *testing.T) {
+	const l = 24.0
+	g, err := NewGrid(l, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := randomPositions(serialSortCutoff+301, l, 5)
+	half := func(s []int) []int { return s[: len(s)/2 : len(s)/2] }
+	for _, table := range []string{"Cell", "Slot"} {
+		for _, workers := range []int{1, 3} {
+			so := NewSorter(g)
+			dst := sortInto(t, so, nil, pos, nil)
+			if table == "Cell" {
+				dst.Cell = half(dst.Cell)
+			} else {
+				dst.Slot = half(dst.Slot)
+			}
+			_, err := so.SortInto(dst, pos, parallelize.New(workers))
+			if pe := (*parallelize.PanicError)(nil); !errors.As(err, &pe) {
+				t.Errorf("%s table, workers %d: sort into a malformed layout returned %v, want a *parallelize.PanicError", table, workers, err)
+			}
+		}
+	}
+}
+
+// TestNeighborTablePanicFailsTheBuild: a chunk of the neighbor-table build
+// that panics fails BuildNeighborTable with the *PanicError instead of
+// returning a table with that chunk's lists missing, at pool widths 1 and 3
+// (a grid above serialCellsCutoff cells, so width 3 cuts chunks).
+func TestNeighborTablePanicFailsTheBuild(t *testing.T) {
+	g, err := NewGrid(33, 3) // 11³ cells
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { neighborsOf = (*Grid).Neighbors }()
+	neighborsOf = func(g *Grid, c int) []Neighbor {
+		if c == g.NumCells()-1 {
+			panic("neighbors")
+		}
+		return g.Neighbors(c)
+	}
+	for _, workers := range []int{1, 3} {
+		_, err := BuildNeighborTable(g, parallelize.New(workers))
+		if pe := (*parallelize.PanicError)(nil); !errors.As(err, &pe) {
+			t.Errorf("workers %d: a build whose last chunk panics returned %v, want a *parallelize.PanicError", workers, err)
 		}
 	}
 }

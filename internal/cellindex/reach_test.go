@@ -137,7 +137,7 @@ func FuzzReachMask(f *testing.F) {
 				}
 			}
 		})
-		s.ForEachHalfPair(BuildNeighborTable(g, nil), func(i, j int, rij vec.V) {
+		s.ForEachHalfPair(neighborTable(t, g, nil), func(i, j int, rij vec.V) {
 			got = append(got, halfVisit{i, j, rij})
 		})
 		if len(got) != len(want) {

@@ -127,7 +127,7 @@ func checkSlabMasks(t *testing.T, s *Sorted, name string) {
 			}
 		}
 	})
-	s.ForEachHalfPair(BuildNeighborTable(g, nil), func(i, j int, rij vec.V) {
+	s.ForEachHalfPair(neighborTable(t, g, nil), func(i, j int, rij vec.V) {
 		got = append(got, halfVisit{i, j, rij})
 	})
 	if len(got) != len(want) {
@@ -228,7 +228,7 @@ func TestWalkCandidatesAtDefaultGeometry(t *testing.T) {
 	}
 	s := Sort(g, rockSalt(cells, a, 0.3, 1))
 	var computed, kept int
-	s.ForEachHalfMask(BuildNeighborTable(g, nil), func(_, _ int, m uint64, _ vec.V) { computed += bits.OnesCount64(m) })
+	s.ForEachHalfMask(neighborTable(t, g, nil), func(_, _ int, m uint64, _ vec.V) { computed += bits.OnesCount64(m) })
 	s.ForEachHalfPair(nil, func(int, int, vec.V) { kept++ })
 	perI := float64(computed) / float64(s.Len())
 	t.Logf("half walk: %.1f candidates computed, %.1f kept per particle", perI, float64(kept)/float64(s.Len()))

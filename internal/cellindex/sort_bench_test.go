@@ -40,7 +40,7 @@ func BenchmarkSortCrossover(b *testing.B) {
 			var dst *Sorted
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dst = so.SortInto(dst, pos, pool)
+				dst = sortInto(b, so, dst, pos, pool)
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) {
@@ -48,7 +48,7 @@ func BenchmarkSortCrossover(b *testing.B) {
 			var dst *Sorted
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dst = so.SortInto(dst, pos, nil)
+				dst = sortInto(b, so, dst, pos, nil)
 			}
 		})
 	}
@@ -69,7 +69,7 @@ func TestSorterMatchesSortPool(t *testing.T) {
 		so := NewSorter(g)
 		var got *Sorted
 		for trial := 0; trial < 3; trial++ { // reuse across calls
-			got = so.SortInto(got, pos, pool)
+			got = sortInto(t, so, got, pos, pool)
 			if got.Pos.Len() != want.Pos.Len() || len(got.Start) != len(want.Start) {
 				t.Fatalf("n=%d trial %d: layout size mismatch", n, trial)
 			}

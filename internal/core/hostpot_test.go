@@ -253,7 +253,7 @@ func checkTableAgainstOracle(t *testing.T, name string, tbl *potTable, s *md.Sys
 	grid := mustGrid(t, tbl.p)
 	sorted := cellindex.Sort(grid, s.Pos)
 	got := potEnergy(sweepPotential(t, tbl.p, tbl, s))
-	want, abs, pairs := oraclePotential(tbl.p, tbl.tf, sorted, cellindex.BuildNeighborTable(grid, nil), s)
+	want, abs, pairs := oraclePotential(tbl.p, tbl.tf, sorted, neighborTable(t, grid), s)
 	if pairs == 0 {
 		if got != 0 {
 			t.Errorf("%s: no pair in the walk, potential %g, want exactly 0", name, got)
@@ -299,7 +299,7 @@ func TestHostPotentialMatchesScalarOracle(t *testing.T) {
 	s.Pos[5] = s.Pos[2]
 	p := smallParams(s.L)
 	grid := mustGrid(t, p)
-	sorted, nbt := cellindex.Sort(grid, s.Pos), cellindex.BuildNeighborTable(grid, nil)
+	sorted, nbt := cellindex.Sort(grid, s.Pos), neighborTable(t, grid)
 	if lo, hi, _ := rRange(sorted, nbt); !(lo < 1 && hi > 0.95*p.RCut) {
 		t.Fatalf("close-approach fixture spans r in [%g, %g], want below 1 Å and up to the cutoff %g", lo, hi, p.RCut)
 	}
@@ -321,7 +321,7 @@ func TestHostPotentialMatchesScalarOracle(t *testing.T) {
 	s = meltLike(t, 1, 5.64, 1200, 8)
 	p = fixtureParams(s.L, 60)
 	grid = mustGrid(t, p)
-	lo, hi, _ := rRange(cellindex.Sort(grid, s.Pos), cellindex.BuildNeighborTable(grid, nil))
+	lo, hi, _ := rRange(cellindex.Sort(grid, s.Pos), neighborTable(t, grid))
 	if lo, hi = p.Alpha*lo/p.L, p.Alpha*hi/p.L; !(lo < 28 && hi >= 28) {
 		t.Fatalf("far-image fixture spans x in [%g, %g], want both sides of 28", lo, hi)
 	}
@@ -370,7 +370,7 @@ func TestHostPotentialEmptyWalk(t *testing.T) {
 	if grid.N != 5 {
 		t.Fatalf("fixture grid %d³, want 5³", grid.N)
 	}
-	if _, _, pairs := rRange(cellindex.Sort(grid, s.Pos), cellindex.BuildNeighborTable(grid, nil)); pairs != 0 {
+	if _, _, pairs := rRange(cellindex.Sort(grid, s.Pos), neighborTable(t, grid)); pairs != 0 {
 		t.Fatalf("fixture walk reaches %d pairs, want none", pairs)
 	}
 	if got := sweepPotential(t, p, nil, s); got != 0 {

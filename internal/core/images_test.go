@@ -202,10 +202,12 @@ func TestImageUpdateRefusedWithoutFMA(t *testing.T) {
 }
 
 // TestNewMachineFootprint: an engine start at 64 ions and the default α
-// allocates at most 52,400 B (52,184 measured, 52,312 under the race
+// allocates at most 53,704 B (53,488 measured, 53,616 under the race
 // detector; 3 × 24 rows of 10 words of host-potential table). Its kernel tables are the committed images, referenced in the
 // binary's data; fitting them would add about 80 KB. The 1 + 1 layout builds
-// no ghost geometry or per-destination scratch; its lending is ≈ 300 B.
+// no ghost geometry or per-destination scratch; its lending is ≈ 300 B. The
+// pool Runs' per-call state and bound chunk bodies (the sweep's, WINE-2's
+// three, the sort's two) are 1,304 B of it, which no step allocates since.
 func TestNewMachineFootprint(t *testing.T) {
 	p := workloadParams(2, 0)
 	build := func() {
@@ -227,8 +229,8 @@ func TestNewMachineFootprint(t *testing.T) {
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	t.Logf("NewMachine at 64 ions: %d B", least)
-	if least > 52400 {
-		t.Errorf("NewMachine at 64 ions allocates %d B, budget 52,400 B", least)
+	if least > 53704 {
+		t.Errorf("NewMachine at 64 ions allocates %d B, budget 53,704 B", least)
 	}
 }
 

@@ -152,7 +152,7 @@ func CurrentMachineConfig(p ewald.Params) MachineConfig {
 // layout: a *ParallelRun session (the serial Machine is its 1 + 1 case), or
 // one under the *Resilient recovery policy.
 type Engine interface {
-	md.ForceField
+	md.ForceFieldInto
 	md.PotentialCadence
 	// InvalidateGeometry drops cached position-dependent state, so the next
 	// Forces call rebuilds it — required after an external position rewrite

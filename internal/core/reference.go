@@ -73,7 +73,10 @@ func (r *Reference) Pressure(s *md.System) (float64, error) {
 	if s.L != r.P.L {
 		return 0, fmt.Errorf("core: system box %g differs from force-field box %g", s.L, r.P.L)
 	}
-	sum := r.sphereSum(s)
+	sum, err := r.sphereSum(s)
+	if err != nil {
+		return 0, err
+	}
 	sn, cn := ewald.StructureFactors(r.waves, s.Pos, s.Charge)
 	eCoul := sum.eReal + ewald.WavenumberEnergy(r.P, r.waves, sn, cn) + ewald.SelfEnergy(r.P, s.Charge)
 	v := s.L * s.L * s.L
@@ -86,7 +89,10 @@ func (r *Reference) Forces(s *md.System) ([]vec.V, float64, error) {
 	if s.L != r.P.L {
 		return nil, 0, fmt.Errorf("core: system box %g differs from force-field box %g", s.L, r.P.L)
 	}
-	sum := r.sphereSum(s)
+	sum, err := r.sphereSum(s)
+	if err != nil {
+		return nil, 0, err
+	}
 	forces, pot := sum.forces, sum.pot
 
 	// Wavenumber-space Coulomb part: direct DFT + IDFT in float64.
@@ -111,11 +117,14 @@ type realSum struct {
 
 // sphereSum is the conventional computer's real-space sum: the r_cut sphere
 // on the reference's own cell grid.
-func (r *Reference) sphereSum(s *md.System) *realSum {
-	sorted := cellindex.Sort(r.grid, s.Pos)
+func (r *Reference) sphereSum(s *md.System) (*realSum, error) {
+	sorted, err := cellindex.SortPool(r.grid, s.Pos, nil)
+	if err != nil {
+		return nil, err
+	}
 	sum, body := r.pairSum(s, sorted)
 	sorted.ForEachHalfPair(nil, body)
-	return sum
+	return sum, nil
 }
 
 // pairSum returns an empty sum over the sorted layout and the one float64

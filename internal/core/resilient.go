@@ -305,8 +305,14 @@ func (r *Resilient) hostForces(s *md.System) ([]vec.V, float64, error) {
 // engine's cadence.
 func (r *Resilient) PotentialFresh() bool { return r.fresh }
 
-// Forces implements md.ForceField with the full recovery ladder.
-func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
+// Forces implements md.ForceField with the full recovery ladder: the forces
+// in a fresh slice.
+func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) { return r.ForcesInto(s, nil) }
+
+// ForcesInto implements md.ForceFieldInto with the full recovery ladder:
+// every engine attempt writes into dst; a step the host path serves returns
+// the Reference's fresh slice.
+func (r *Resilient) ForcesInto(s *md.System, dst []vec.V) ([]vec.V, float64, error) {
 	r.step++
 	r.report.Steps++
 	r.fresh = true
@@ -343,7 +349,7 @@ func (r *Resilient) Forces(s *md.System) ([]vec.V, float64, error) {
 		// engine is told the step, so the steps the host path served keep
 		// the run's potential cadence.
 		r.eng.SetStep(r.step - 1)
-		f, pot, err := r.eng.Forces(s)
+		f, pot, err := r.eng.ForcesInto(s, dst)
 		if wd := r.wd; wd != nil {
 			wd.Disarm()
 		}

@@ -87,7 +87,7 @@ type ParallelRun struct {
 	lending *parallelize.Lending
 
 	wavePot float64     // written by rank 0 during Run, read by the driver after
-	out     []vec.V     // written by rank 0 during Run
+	out     []vec.V     // the step's force slice: the caller's dst, assembled into by rank 0 during Run
 	bufs    [][]float64 // rank 0's scratch: the payload each rank sent it this step
 	seen    []bool      // rank 0's scratch at several real ranks: a real record carried the particle
 
@@ -267,9 +267,13 @@ func (pr *ParallelRun) pool(lane Lane) *parallelize.Pool {
 	return parallelize.New(pr.cfg.Workers)
 }
 
-// Forces implements md.ForceField on the persistent session.
-func (pr *ParallelRun) Forces(s *md.System) ([]vec.V, float64, error) {
-	res, err := pr.Step(s)
+// Forces implements md.ForceField on the persistent session: the forces in
+// a fresh slice.
+func (pr *ParallelRun) Forces(s *md.System) ([]vec.V, float64, error) { return pr.ForcesInto(s, nil) }
+
+// ForcesInto implements md.ForceFieldInto: Forces writing into dst.
+func (pr *ParallelRun) ForcesInto(s *md.System, dst []vec.V) ([]vec.V, float64, error) {
+	res, err := pr.StepInto(s, dst)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -277,14 +281,17 @@ func (pr *ParallelRun) Forces(s *md.System) ([]vec.V, float64, error) {
 }
 
 // Step runs one decomposed force evaluation and returns the assembled
-// result. The returned value aliases session-owned bookkeeping (it is
-// overwritten by the next Step); the Forces slice itself is fresh each call,
-// per the md.ForceField contract. A failed step leaves no message in flight:
-// the world is drained before Step returns, so a retry at the same positions
-// starts clean.
+// result, its forces in a fresh slice (StepInto).
+func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) { return pr.StepInto(s, nil) }
+
+// StepInto is Step writing the forces into dst when it holds s.N() vectors,
+// else into a fresh slice. The returned value aliases session-owned
+// bookkeeping (it is overwritten by the next step); its Forces slice is the
+// caller's. A failed step leaves no message in flight: the world is drained
+// before StepInto returns, so a retry at the same positions starts clean.
 //
 //mdm:stepflow -- hot-path root: the decomposed per-step force evaluation; everything it reaches must stay deterministic and allocation-free
-func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
+func (pr *ParallelRun) StepInto(s *md.System, dst []vec.V) (*ParallelResult, error) {
 	if s.L != pr.cfg.Ewald.L {
 		return nil, fmt.Errorf("core: system box %g differs from machine box %g", s.L, pr.cfg.Ewald.L)
 	}
@@ -313,9 +320,11 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	pr.lending.Reset()
 
 	before := pr.world.Stats()
-	pr.sys = s
+	pr.sys, pr.out = s, dst
 	err := pr.world.Run(pr.rankStep)
 	pr.sys = nil
+	out := pr.out
+	pr.out = nil
 	if err != nil {
 		pr.world.Reset()
 		// A failed rebuild step may have half-applied a migration: the next
@@ -333,13 +342,12 @@ func (pr *ParallelRun) Step(s *md.System) (*ParallelResult, error) {
 	pot := pr.pot.book(pr.realPot, pr.wavePot, s)
 
 	after := pr.world.Stats()
-	pr.res.Forces = pr.out
+	pr.res.Forces = out
 	pr.res.Potential = pot
 	pr.res.Traffic = mpi.Stats{
 		Messages: after.Messages - before.Messages,
 		Bytes:    after.Bytes - before.Bytes,
 	}
-	pr.out = nil
 	return &pr.res, nil
 }
 
@@ -381,10 +389,8 @@ func (pr *ParallelRun) MDGStats() mdgrape2.Stats {
 	return sum
 }
 
-// runRank is one rank's share of Step, bound once in NewParallelRun (as
+// runRank is one rank's share of StepInto, bound once in NewParallelRun (as
 // rankStep) so a step hands the world no fresh closure.
-//
-//mdm:stepflow -- hot-path root: every rank's share of ParallelRun.Step, run through the rankStep method value; annotated explicitly because that wiring is an assignment the callgraph cannot see
 func (pr *ParallelRun) runRank(c *mpi.Comm) error {
 	if c.Rank() < pr.nReal {
 		return pr.realStep(pr.real[c.Rank()], pr.sys)
@@ -454,7 +460,7 @@ func (pr *ParallelRun) realStep(rr *realRankState, s *md.System) error {
 		if t, err = pr.lend(LaneCaller, rr.comm, t); err != nil {
 			return err
 		}
-		return pr.assemble(rr, fc, pot, t)
+		return pr.assemble(rr, s, fc, pot, t)
 	}
 	rr.ship = rr.ship[:0]
 	for k, g := range rr.owned {
@@ -686,14 +692,14 @@ func (pr *ParallelRun) waveStep(wr *waveRankState, s *md.System) error {
 	return err
 }
 
-// assemble gathers force contributions at world rank 0, which holds its own
+// assemble gathers the forces on s at world rank 0, which holds its own
 // sweep's planes fc and potential word pot and books the caller lane from t.
 // Rank 0's forces and the (index, force) records of the other real ranks
 // each carry an owned particle exactly once, so they are assignments; the
 // wave ranks' planes cover their stripes and add on top — the same real +
 // wave reduction order at every layout, hence bit-identical sums. The real
 // ranks' potential words add exactly, in any order.
-func (pr *ParallelRun) assemble(rr *realRankState, fc soa.Coords, pot int64, t int64) error {
+func (pr *ParallelRun) assemble(rr *realRankState, s *md.System, fc soa.Coords, pot int64, t int64) error {
 	c, n, spine := rr.comm, pr.n, pr.cfg.Phases
 	for src := 1; src < c.Size(); src++ {
 		buf, err := c.Recv(src, TagForces)
@@ -704,13 +710,15 @@ func (pr *ParallelRun) assemble(rr *realRankState, fc soa.Coords, pot int64, t i
 	}
 	t = spine.book(LaneCaller, PhaseJoinWait, t)
 
-	// The one fresh output slice per step the md.ForceField contract
-	// requires; every exchange buffer is reused.
-	var total []vec.V
-	if pr.nReal == 1 {
-		total = fc.AppendAoS(make([]vec.V, 0, n))
-	} else {
+	// The caller's slice when it holds n vectors (StepInto), else a fresh
+	// one; every exchange buffer is reused.
+	total := pr.out
+	if len(total) != n {
 		total = make([]vec.V, n)
+	}
+	if pr.nReal == 1 {
+		total = fc.AppendAoS(total)
+	} else {
 		clear(pr.seen)
 		for k, g := range rr.owned {
 			total[g], pr.seen[g] = fc.At(k), true
@@ -734,6 +742,12 @@ func (pr *ParallelRun) assemble(rr *realRankState, fc soa.Coords, pot int64, t i
 				}
 				total[i], pr.seen[i] = vec.New(buf[k+1], buf[k+2], buf[k+3]), true
 			}
+		}
+		// Every particle has one owner, so every slot got a record; a slot
+		// that did not would keep the reused slice's last-step force. The
+		// refusal names the rank whose block holds the particle now.
+		if i := slices.Index(pr.seen, false); i >= 0 {
+			return wireError(pr.blocks.Owner(pr.grid.CellOf(s.Pos[i])), 0, "rank 0: no force record for particle %d", i)
 		}
 	}
 	for _, wr := range pr.wave {

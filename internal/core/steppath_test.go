@@ -53,7 +53,7 @@ func TestRealPotentialHalfWalkMatchesOrderedWalk(t *testing.T) {
 			got := potEnergy(sweepPotential(t, p, nil, s))
 			want := orderedRealPotential(p, tf, sorted, s)
 			// The word rounds each of the pairs by at most half a unit.
-			_, _, pairs := rRange(sorted, cellindex.BuildNeighborTable(grid, nil))
+			_, _, pairs := rRange(sorted, neighborTable(t, grid))
 			if diff := math.Abs(got - want); diff > 1e-12*math.Abs(want)+float64(pairs)*math.Ldexp(1, -potFracBits-1) {
 				rel := diff / math.Abs(want)
 				t.Errorf("cells=%d alpha=%g (grid %d³): half walk %.17g vs ordered walk %.17g (rel %.2g)",
@@ -116,4 +116,14 @@ func TestPlainMachineFaultGeometry(t *testing.T) {
 	if rep := r.Report(); !reflect.DeepEqual(rep, want) {
 		t.Errorf("recovery report moved:\n got %#v\nwant %#v", rep, want)
 	}
+}
+
+// neighborTable is the grid's neighbor table, failing t on an error.
+func neighborTable(t *testing.T, grid *cellindex.Grid) *cellindex.NeighborTable {
+	t.Helper()
+	nt, err := cellindex.BuildNeighborTable(grid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nt
 }

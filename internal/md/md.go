@@ -151,9 +151,24 @@ func (s *System) Temperature() float64 {
 
 // ForceField computes forces and total potential energy for a configuration.
 // Implementations: the simulated MDM machine and the float64 conventional
-// reference (package core).
+// reference (package core). The slice Forces returns is the caller's: the
+// force field keeps no reference to it.
 type ForceField interface {
 	Forces(s *System) (forces []vec.V, potential float64, err error)
+}
+
+// ForceFieldInto is implemented by force fields that can write their forces
+// into a slice the caller owns (the machine's engines), so a step allocates
+// no force vector: the paper's host rewrote the same arrays every step.
+// ForcesInto is Forces writing into dst when dst holds s.N() vectors, and
+// into a fresh slice otherwise (dst nil); the slice returned is the caller's,
+// as Forces's is. On an error dst may hold a partial write. The integrator
+// hands back only a slice the same force field returned from ForcesInto, and
+// recognizes the force field by ==, so an implementation is a comparable
+// type (both engines are pointers).
+type ForceFieldInto interface {
+	ForceField
+	ForcesInto(s *System, dst []vec.V) (forces []vec.V, potential float64, err error)
 }
 
 // PotentialCadence is implemented by force fields that evaluate the
@@ -205,6 +220,11 @@ type Integrator struct {
 	pot    float64
 	fresh  bool // pot was evaluated at the current positions
 	step   int
+
+	// into is the force field whose ForcesInto returned forces, nil when a
+	// plain Forces call did: only into may write forces in place, since a
+	// Forces slice can alias a slice someone else holds.
+	into ForceField
 }
 
 // NewIntegrator validates the state and computes the initial forces.
@@ -218,14 +238,45 @@ func NewIntegrator(s *System, ff ForceField, dt float64) (*Integrator, error) {
 	if ff == nil {
 		return nil, fmt.Errorf("md: nil force field")
 	}
-	f, pot, err := ff.Forces(s)
-	if err != nil {
+	it := &Integrator{Sys: s, FF: ff, Dt: dt, Mode: NVE}
+	if err := it.evaluate(); err != nil {
 		return nil, fmt.Errorf("md: initial force evaluation: %w", err)
 	}
-	if len(f) != s.N() {
-		return nil, fmt.Errorf("md: force field returned %d forces for %d particles", len(f), s.N())
+	return it, nil
+}
+
+// evaluate replaces the forces, potential and freshness with FF's at the
+// current positions. A ForceFieldInto writes into the forces it returned
+// last; on its first call, and on the first call after FF is replaced, it
+// is handed nil.
+func (it *Integrator) evaluate() error {
+	s := it.Sys
+	fi, into := it.FF.(ForceFieldInto)
+	var dst []vec.V
+	if into && it.into == it.FF {
+		dst = it.forces
 	}
-	return &Integrator{Sys: s, FF: ff, Dt: dt, Mode: NVE, forces: f, pot: pot, fresh: potentialFresh(ff)}, nil
+	it.into = nil // set again once this call has returned a whole slice
+	var f []vec.V
+	var pot float64
+	var err error
+	if into {
+		f, pot, err = fi.ForcesInto(s, dst)
+	} else {
+		f, pot, err = it.FF.Forces(s)
+	}
+	if err != nil {
+		return err
+	}
+	if len(f) != s.N() {
+		return fmt.Errorf("md: force field returned %d forces for %d particles", len(f), s.N())
+	}
+	if into {
+		it.into = it.FF
+	}
+	it.forces = f
+	it.pot, it.fresh = pot, potentialFresh(it.FF)
+	return nil
 }
 
 // potentialFresh reports whether ff's latest Forces call evaluated its
@@ -250,15 +301,9 @@ func (it *Integrator) Step() error {
 		s.Pos[i] = s.Pos[i].Add(s.Vel[i].Scale(dt)).Wrap(s.L)
 	}
 	// New forces.
-	f, pot, err := it.FF.Forces(s)
-	if err != nil {
+	if err := it.evaluate(); err != nil {
 		return fmt.Errorf("md: force evaluation at step %d: %w", it.step+1, err)
 	}
-	if len(f) != s.N() {
-		return fmt.Errorf("md: force field returned %d forces for %d particles", len(f), s.N())
-	}
-	it.forces = f
-	it.pot, it.fresh = pot, potentialFresh(it.FF)
 	// Second half kick.
 	for i := range s.Pos {
 		s.Vel[i] = s.Vel[i].Add(it.forces[i].Scale(half / s.Mass[i]))
@@ -317,7 +362,9 @@ func (it *Integrator) Potential() float64 { return it.pot }
 // positions.
 func (it *Integrator) PotentialFresh() bool { return it.fresh }
 
-// Forces returns the cached forces at the current positions.
+// Forces returns the cached forces at the current positions. A force field
+// that implements ForceFieldInto rewrites this slice in place at the next
+// Step: copy it to keep it.
 func (it *Integrator) Forces() []vec.V { return it.forces }
 
 // TotalEnergy returns KE + PE at the current state (eV).

@@ -58,6 +58,76 @@ func (errFF) Forces(s *System) ([]vec.V, float64, error) {
 	return nil, 0, fmt.Errorf("synthetic failure")
 }
 
+// intoFF is harmonicFF as a ForceFieldInto: it records the dst of each
+// ForcesInto call and writes into it when it holds s.N() vectors.
+type intoFF struct {
+	harmonicFF
+	got [][]vec.V
+}
+
+func (f *intoFF) ForcesInto(s *System, dst []vec.V) ([]vec.V, float64, error) {
+	f.got = append(f.got, dst)
+	out, pot, err := f.harmonicFF.Forces(s)
+	if len(dst) == s.N() {
+		out = dst[:copy(dst, out)]
+	}
+	return out, pot, err
+}
+
+// sharedFF returns a slice someone else holds, as a replay handed the live
+// run's forces does. It is a struct holding a slice, so not comparable.
+type sharedFF struct{ forces []vec.V }
+
+func (c sharedFF) Forces(*System) ([]vec.V, float64, error) { return c.forces, 0, nil }
+
+// TestIntegratorWritesOnlyForcesIntoSlices: the integrator hands a
+// ForceFieldInto only a slice that same force field returned from ForcesInto
+// — nil on its first call, after FF is replaced, and after a plain Forces
+// call — so a slice it got from a plain Forces is never written into.
+func TestIntegratorWritesOnlyForcesIntoSlices(t *testing.T) {
+	s := &System{
+		L:      100,
+		Pos:    []vec.V{vec.New(51, 50, 50), vec.New(49, 50, 50)},
+		Vel:    []vec.V{vec.Zero, vec.Zero},
+		Mass:   []float64{20, 20},
+		Charge: []float64{0, 0},
+		Type:   []int{0, 0},
+	}
+	anchor := []vec.V{vec.New(50, 50, 50), vec.New(50, 50, 50)}
+	shared := []vec.V{vec.New(1, 2, 3), vec.New(4, 5, 6)}
+	want := append([]vec.V(nil), shared...)
+	it, err := NewIntegrator(s, sharedFF{shared}, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &intoFF{harmonicFF: harmonicFF{k: 0.5, anchor: anchor}}
+	b := &intoFF{harmonicFF: harmonicFF{k: 0.5, anchor: anchor}}
+	plain := &harmonicFF{k: 0.5, anchor: anchor}
+	// The force field each step runs, and whether it may be handed the
+	// integrator's forces: only when it returned them from ForcesInto.
+	for k, c := range []struct {
+		ff    ForceField
+		reuse bool
+	}{{a, false}, {a, true}, {a, true}, {b, false}, {b, true}, {plain, false}, {a, false}, {a, true}} {
+		it.FF = c.ff
+		held := it.Forces()
+		if err := it.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if into, ok := c.ff.(*intoFF); ok {
+			dst := into.got[len(into.got)-1]
+			if c.reuse != (dst != nil) || dst != nil && &dst[0] != &held[0] {
+				t.Errorf("step %d: handed %p, the integrator held %p, want reuse %v", k, dst, held, c.reuse)
+			}
+		}
+	}
+	for i := range want {
+		if shared[i] != want[i] {
+			t.Fatalf("the shared slice was written: %v, want %v", shared, want)
+		}
+	}
+}
+
 func TestNewRockSalt(t *testing.T) {
 	s, err := NewRockSalt(2, 5.64)
 	if err != nil {

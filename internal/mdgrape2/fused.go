@@ -269,13 +269,13 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 	if err := s.checkISide(xi, ti, js); err != nil {
 		return soa.Coords{}, err
 	}
-	var tbls [maxFusedPasses]tableRef
+	job := &s.sweep
 	for p := range passes {
 		tbl, err := s.Table(passes[p].Table)
 		if err != nil {
 			return soa.Coords{}, err
 		}
-		tbls[p].tbl = tbl
+		job.tbls[p].tbl = tbl
 		co := passes[p].Co
 		if passes[p].ScaleI != nil && len(passes[p].ScaleI) != len(xi) {
 			return soa.Coords{}, fmt.Errorf("mdgrape2: %s: %d i-positions vs %d scales",
@@ -294,7 +294,7 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 		}
 		// The coefficient RAM stores singles; the float32 image is cached on
 		// the Coeffs and rebuilt only after a Set.
-		tbls[p].a32, tbls[p].b32 = co.quant32()
+		job.tbls[p].a32, job.tbls[p].b32 = co.quant32()
 	}
 
 	// Per-pass hardware bookkeeping, in pass order: the hook's call (a
@@ -303,8 +303,7 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 	// scheduled board/transient error aborts the sweep; an armed flip
 	// corrupts one force component of that pass after the pipeline loop,
 	// where a flipped particle-memory or accumulator bit would surface.
-	var flips [maxFusedPasses]fusedFlip
-	var hasFlip [maxFusedPasses]bool
+	job.hasFlip = [maxFusedPasses]bool{}
 	for p := range passes {
 		if s.hook != nil {
 			if err := s.hook.HardwareCall(fault.MDG2); err != nil {
@@ -319,99 +318,31 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 					if i < 0 {
 						i += 3 * len(xi)
 					}
-					flips[p] = fusedFlip{i: i / 3, comp: i % 3, bit: bit & 63}
-					hasFlip[p] = true
+					job.flips[p] = fusedFlip{i: i / 3, comp: i % 3, bit: bit & 63}
+					job.hasFlip[p] = true
 				}
 			}
 		}
 	}
 
 	dst = dst.Resize(len(xi))
-	fX, fY, fZ := dst.X, dst.Y, dst.Z
 	// The hardware distributes the i-particles over its pipelines in blocks
 	// (the time ComputeTime models); on the host they are cut into contiguous
 	// chunks that the pool's workers claim, a chunk being only a scheduling
 	// unit. Each i-particle's float64 accumulators stay in one chunk, so
 	// accumulation order — and the result — is bit-identical at any pool
-	// width. Pair counters are per chunk, merged in chunk order below.
-	// The worker reads its counters and sink blocks through s: a captured
-	// slice would grow the closure the step allocates. A chunk returns no
-	// error, so the Run's is a panic — in the sweep or in the sink — which
-	// fails the call rather than leave the chunk's forces unwritten.
+	// width. Pair counters are per chunk, merged in chunk order below. A
+	// chunk returns no error, so the Run's is a panic — in the sweep or in
+	// the sink — which fails the call rather than leave the chunk's forces
+	// unwritten.
 	chunkPairs := s.pairScratch(s.pool.NumShards(len(xi)))
 	if s.sink != nil {
 		s.sink.Start(len(chunkPairs))
 		s.sinkScratch(len(chunkPairs))
 	}
-	err := s.pool.Run(len(xi), func(chunk, lo, hi int) error {
-		cut2, p32 := cutoffWord(js.Sorted.Grid.Cutoff), &js.Sorted.P32
-		var pairs int64
-		var acc [maxFusedPasses][3]float64 // double-precision accumulators (§3.5.4)
-		var blk pairBlock
-		sink := s.sink
-		var out *PairBlock
-		if sink != nil {
-			out = &s.sinkBlocks[chunk]
-		}
-		for i := lo; i < hi; i++ {
-			// Cell and single-precision coordinate word as stored at the last
-			// Build / Refresh — the word this particle's j-side visits read too.
-			nbrs, reach, box, pix, piy, piz := js.iSide(i)
-			acc = [maxFusedPasses][3]float64{}
-			blk.nr = 0
-			for e, nb := range nbrs {
-				// Stream the cell's j-run from the float32 planes — the banked
-				// particle-memory read of §3.3. The board pays for every run;
-				// the host computes only the candidates in i's r_cut box of
-				// those that can reach the cutoff.
-				jstart, jend := js.Sorted.CellRange(nb.Cell)
-				pairs += int64(jend - jstart)
-				if reach&(1<<e) == 0 {
-					continue
-				}
-				sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
-				run := js.Sorted.Run(&box, e, nb.Cell)
-				blk.open(e)
-				for w, base := 0, jstart; base < jend; w, base = w+1, base+64 {
-					for m := run.Mask(w, min(jend-base, 64)); m != 0; {
-						m = blk.gather(p32, base, m, pix, piy, piz, sx, sy, sz, cut2)
-						if blk.n == sweepBlock {
-							blk.run(&tbls, np, ti[i], js, &acc, sink, chunk, i, nbrs, out)
-						}
-					}
-				}
-			}
-			if blk.n > 0 {
-				blk.run(&tbls, np, ti[i], js, &acc, sink, chunk, i, nbrs, out)
-			}
-			// Scale, flip and combine in pass order: forces[i] = pass0 + pass1 + … .
-			var f vec.V
-			for p := 0; p < np; p++ {
-				fp := vec.New(acc[p][0], acc[p][1], acc[p][2])
-				if sc := passes[p].ScaleI; sc != nil {
-					fp = fp.Scale(sc[i])
-				}
-				if hasFlip[p] && flips[p].i == i {
-					switch flips[p].comp {
-					case 0:
-						fp.X = fault.FlipFloat64(fp.X, flips[p].bit)
-					case 1:
-						fp.Y = fault.FlipFloat64(fp.Y, flips[p].bit)
-					default:
-						fp.Z = fault.FlipFloat64(fp.Z, flips[p].bit)
-					}
-				}
-				if p == 0 {
-					f = fp
-				} else {
-					f = f.Add(fp)
-				}
-			}
-			fX[i], fY[i], fZ[i] = f.X, f.Y, f.Z
-		}
-		s.chunkPairs[chunk] = pairs
-		return nil
-	})
+	job.passes, job.ti, job.js, job.f = passes, ti, js, dst
+	err := s.pool.Run(len(xi), s.sweepChunk)
+	job.passes, job.ti, job.js, job.f = nil, nil, nil, soa.Coords{}
 	if err != nil {
 		return soa.Coords{}, fmt.Errorf("mdgrape2: fused sweep: %w", err)
 	}
@@ -425,6 +356,96 @@ func (s *System) ComputeForcesFusedInto(passes []ForcePass, xi []vec.V, ti []int
 	s.stats.JLoads += int64(js.Sorted.Len() * s.cfg.Boards() * np)
 	s.stats.Calls += int64(np)
 	return dst, nil
+}
+
+// sweepJob is a fused sweep's per-call state. Its chunks read it through the
+// System: Run is handed sweepChunk, a method value bound once in NewSystem,
+// so a sweep allocates no closure.
+type sweepJob struct {
+	passes  []ForcePass
+	ti      []int
+	js      *JSet
+	f       soa.Coords // the force planes the chunks write
+	tbls    [maxFusedPasses]tableRef
+	flips   [maxFusedPasses]fusedFlip
+	hasFlip [maxFusedPasses]bool
+}
+
+// runSweepChunk is one chunk of ComputeForcesFusedInto's sweep: i-particles
+// lo … hi−1. It reads its counters and sink blocks through s too: the
+// chunk's slots of the session's scratch.
+func (s *System) runSweepChunk(chunk, lo, hi int) error {
+	job := &s.sweep
+	js, ti, passes, np := job.js, job.ti, job.passes, len(job.passes)
+	flips, hasFlip := &job.flips, &job.hasFlip
+	fX, fY, fZ := job.f.X, job.f.Y, job.f.Z
+	cut2, p32 := cutoffWord(js.Sorted.Grid.Cutoff), &js.Sorted.P32
+	var pairs int64
+	var acc [maxFusedPasses][3]float64 // double-precision accumulators (§3.5.4)
+	var blk pairBlock
+	sink := s.sink
+	var out *PairBlock
+	if sink != nil {
+		out = &s.sinkBlocks[chunk]
+	}
+	for i := lo; i < hi; i++ {
+		// Cell and single-precision coordinate word as stored at the last
+		// Build / Refresh — the word this particle's j-side visits read too.
+		nbrs, reach, box, pix, piy, piz := js.iSide(i)
+		acc = [maxFusedPasses][3]float64{}
+		blk.nr = 0
+		for e, nb := range nbrs {
+			// Stream the cell's j-run from the float32 planes — the banked
+			// particle-memory read of §3.3. The board pays for every run;
+			// the host computes only the candidates in i's r_cut box of
+			// those that can reach the cutoff.
+			jstart, jend := js.Sorted.CellRange(nb.Cell)
+			pairs += int64(jend - jstart)
+			if reach&(1<<e) == 0 {
+				continue
+			}
+			sx, sy, sz := float32(nb.Shift.X), float32(nb.Shift.Y), float32(nb.Shift.Z)
+			run := js.Sorted.Run(&box, e, nb.Cell)
+			blk.open(e)
+			for w, base := 0, jstart; base < jend; w, base = w+1, base+64 {
+				for m := run.Mask(w, min(jend-base, 64)); m != 0; {
+					m = blk.gather(p32, base, m, pix, piy, piz, sx, sy, sz, cut2)
+					if blk.n == sweepBlock {
+						blk.run(&job.tbls, np, ti[i], js, &acc, sink, chunk, i, nbrs, out)
+					}
+				}
+			}
+		}
+		if blk.n > 0 {
+			blk.run(&job.tbls, np, ti[i], js, &acc, sink, chunk, i, nbrs, out)
+		}
+		// Scale, flip and combine in pass order: forces[i] = pass0 + pass1 + … .
+		var f vec.V
+		for p := 0; p < np; p++ {
+			fp := vec.New(acc[p][0], acc[p][1], acc[p][2])
+			if sc := passes[p].ScaleI; sc != nil {
+				fp = fp.Scale(sc[i])
+			}
+			if hasFlip[p] && flips[p].i == i {
+				switch flips[p].comp {
+				case 0:
+					fp.X = fault.FlipFloat64(fp.X, flips[p].bit)
+				case 1:
+					fp.Y = fault.FlipFloat64(fp.Y, flips[p].bit)
+				default:
+					fp.Z = fault.FlipFloat64(fp.Z, flips[p].bit)
+				}
+			}
+			if p == 0 {
+				f = fp
+			} else {
+				f = f.Add(fp)
+			}
+		}
+		fX[i], fY[i], fZ[i] = f.X, f.Y, f.Z
+	}
+	s.chunkPairs[chunk] = pairs
+	return nil
 }
 
 // tableRef is the resolved per-pass state of a fused sweep.

@@ -134,17 +134,16 @@ func NewJSetWeighted(grid *cellindex.Grid, pos []vec.V, types []int, weights []f
 // until the next Build or Refresh.
 type JSetBuilder struct {
 	nbt    *cellindex.NeighborTable
+	err    error // the neighbor table's build error, which every Build returns
 	sorter *cellindex.Sorter
 	js     JSet
 }
 
 // NewJSetBuilder prepares a builder for the grid; the neighbor table is
-// enumerated once here.
+// enumerated once here. If that fails, every Build returns the error.
 func NewJSetBuilder(grid *cellindex.Grid, pool *parallelize.Pool) *JSetBuilder {
-	return &JSetBuilder{
-		nbt:    cellindex.BuildNeighborTable(grid, pool),
-		sorter: cellindex.NewSorter(grid),
-	}
+	nbt, err := cellindex.BuildNeighborTable(grid, pool)
+	return &JSetBuilder{nbt: nbt, err: err, sorter: cellindex.NewSorter(grid)}
 }
 
 // NeighborTable exposes the builder's cached per-cell neighbor lists, so
@@ -154,10 +153,18 @@ func (b *JSetBuilder) NeighborTable() *cellindex.NeighborTable { return b.nbt }
 // Build (re)sorts the particles into the board layout, reusing all internal
 // buffers. types are in original (unsorted) order; the charge field is 1.
 func (b *JSetBuilder) Build(pos []vec.V, types []int, pool *parallelize.Pool) (*JSet, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
 	if len(pos) != len(types) {
 		return nil, fmt.Errorf("mdgrape2: %d positions vs %d types", len(pos), len(types))
 	}
-	b.js.Sorted = b.sorter.SortInto(b.js.Sorted, pos, pool)
+	sorted, err := b.sorter.SortInto(b.js.Sorted, pos, pool)
+	if err != nil {
+		b.js.Sorted = nil // not a layout: Refresh refuses until a Build succeeds
+		return nil, err
+	}
+	b.js.Sorted = sorted
 	if len(b.js.Types) != len(types) {
 		b.js.Types = make([]int, len(types))
 	}

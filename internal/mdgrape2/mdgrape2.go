@@ -120,6 +120,9 @@ type System struct {
 
 	chunkPairs []int64     // per-call pair-counter scratch, reused across calls
 	sinkBlocks []PairBlock // per-chunk copies of the blocks a PairSink reads, reused across calls
+
+	sweep      sweepJob                      // the fused sweep in progress
+	sweepChunk func(chunk, lo, hi int) error // runSweepChunk, bound once
 }
 
 // pairScratch returns a zeroed per-chunk pair-counter slice of length n,
@@ -147,7 +150,9 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, tables: make(map[string]*funceval.Table)}, nil
+	s := &System{cfg: cfg, tables: make(map[string]*funceval.Table)}
+	s.sweepChunk = s.runSweepChunk
+	return s, nil
 }
 
 // Config returns the hardware configuration.

@@ -60,8 +60,9 @@ func lendDone(t *testing.T, done <-chan lendResult) lendResult {
 
 // holdChunkZero returns a Run body that counts every chunk it runs and the
 // ones the lender (goroutine lg) runs, and holds chunk 0 until every other
-// chunk has run (10 s at most): at width 1 the owner claims chunk 0 first,
-// so the parked lender must run all the others.
+// chunk has run (10 s at most): the owner claims chunk 0 before it publishes
+// the Run (TestLendOwnerRunsChunkZero), so at width 1 the parked lender must
+// run all the others.
 func holdChunkZero(k int, lg int64, runs []atomic.Int64, lent *atomic.Int64, body func(chunk int) error) func(chunk, lo, hi int) error {
 	var others atomic.Int64
 	allRun := make(chan struct{})
@@ -186,6 +187,38 @@ func TestLendRunsEveryChunkOnce(t *testing.T) {
 		l.Release(0)
 		if r := lendDone(t, done); !r.lent || r.err != nil {
 			t.Errorf("w=%d: Lend = %+v, want lent, no error", w, r)
+		}
+	}
+}
+
+// TestLendOwnerRunsChunkZero pins the protocol rule the width-1 counts above
+// rest on: a lendable Run's owner claims chunk 0 before it starts a helper
+// or publishes the Run, so with a lender parked and woken by every Run,
+// chunk 0 runs on the owner at widths 1, 2 and 4, every round.
+func TestLendOwnerRunsChunkZero(t *testing.T) {
+	const n, rounds = 4096, 200
+	for _, w := range []int{1, 2, 4} {
+		l := NewLending(nil)
+		p := l.Pool(0, w)
+		_, done := startLender(t, l, nil)
+		owner := goid()
+		for round := 0; round < rounds; round++ {
+			var zero atomic.Int64
+			if err := p.Run(n, func(chunk, lo, hi int) error {
+				if chunk == 0 {
+					zero.Store(goid())
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if g := zero.Load(); g != owner {
+				t.Fatalf("w=%d round %d: chunk 0 ran on goroutine %d, not the owner %d", w, round, g, owner)
+			}
+		}
+		l.Release(0)
+		if r := lendDone(t, done); r.err != nil {
+			t.Errorf("w=%d: Lend = %+v, want no error", w, r)
 		}
 	}
 }

@@ -326,8 +326,12 @@ func (l *Lending) Pool(side, workers int) *Pool {
 }
 
 // run is a lendable Run's dispatch: helpers goroutines and the caller claim,
-// the Run published for the other side while the caller does.
+// the Run published for the other side while the caller does. The caller
+// claims its first chunk before it starts a helper or publishes the Run, so
+// chunk 0 runs on the Run's owner at every width and a lender only joins a
+// Run under way (TestLendOwnerRunsChunkZero).
 func (l *Lending) run(side int, d *dispatch, helpers int) {
+	first := int(d.next.Add(1) - 1) // 0: no other goroutine reaches the cursor yet
 	d.wg.Add(helpers)
 	for range helpers {
 		go d.work()
@@ -338,6 +342,7 @@ func (l *Lending) run(side int, d *dispatch, helpers int) {
 		l.poke(1 - side)
 	}
 	l.mu.Unlock()
+	d.runChunk(first)
 	d.claim()
 	l.mu.Lock()
 	l.runs[side] = nil

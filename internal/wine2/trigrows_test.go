@@ -133,9 +133,10 @@ func FuzzTrigRows(f *testing.F) {
 }
 
 // TestNewSystemAllocatesOnlyRows: NewSystem builds the trig rows straight
-// from the samples, with no sample table beside them: two allocations, the
-// System and its rows, and a byte count that a 2^k + 1-word table (8 KB for
-// the shipped unit) would push past the bound.
+// from the samples, with no sample table beside them: five allocations, the
+// System, its rows and its three chunk bodies bound once (16 B each), and a
+// byte count that a 2^k + 1-word table (8 KB for the shipped unit) would
+// push past the bound.
 func TestNewSystemAllocatesOnlyRows(t *testing.T) {
 	cfg := CurrentConfig()
 	build := func() {
@@ -153,8 +154,8 @@ func TestNewSystemAllocatesOnlyRows(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
 	t.Logf("%.0f allocs, %d B per NewSystem (rows %d B)", allocs, bytes, rows)
-	if allocs != 2 {
-		t.Errorf("%.0f allocations per NewSystem, want 2: the System and its rows", allocs)
+	if allocs != 5 {
+		t.Errorf("%.0f allocations per NewSystem, want 5: the System, its rows and three method values", allocs)
 	}
 	if bytes > limit {
 		t.Errorf("%d B per NewSystem, want ≤ %d: the rows (%d B) and the System", bytes, limit, rows)

@@ -200,6 +200,26 @@ type System struct {
 	plan   rowPlan    // the last wave set's row order, checked on every call
 	aS, aC []int64    // IDFT normalized-coefficient scratch in row order, reused across calls
 	fc     soa.Coords // force planes behind the array-of-structs IDFT entry points
+
+	// The call in progress, which its pool chunks read through s: Run is
+	// handed the chunk bodies as method values bound once in NewSystem, so
+	// a call allocates no closure.
+	job                                passJob
+	quantizeChunk, dftChunk, idftChunk func(chunk, lo, hi int) error
+}
+
+// passJob is one call's per-call state, set for its pool Run and cleared
+// after it.
+type passJob struct {
+	pw       *ParticleWords
+	pos      []vec.V    // Quantize: the particles
+	sn, cn   []float64  // DFT: the structure factors written
+	exact    bool       // DFT: the charge words pass exactCharges
+	flipWave int        // DFT: the wave an armed bit flip lands in, −1 for none
+	flipBit  int        // DFT: the flipped bit
+	aS, aC   []int64    // IDFT: the coefficient words in row order
+	f        soa.Coords // IDFT: the force planes written
+	pref     float64    // IDFT: the physical prefactor
 }
 
 // NewSystem builds a simulated system. It refuses a configuration whose
@@ -211,6 +231,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, trig: newTrigRows(cfg)}
+	s.quantizeChunk, s.dftChunk, s.idftChunk = s.runQuantizeChunk, s.runDFTChunk, s.runIDFTChunk
 	var err error
 	if s.dftRound, s.idftRound, err = cfg.rounders(); err != nil {
 		return nil, err
@@ -349,21 +370,30 @@ func (s *System) QuantizeInto(pw *ParticleWords, l float64, pos []vec.V, q []flo
 		pw.Q = s[3*n : 4*n : 4*n]
 	}
 	pw.q = q
-	pf := fixed.F(0, s.cfg.PosFrac)
-	qf := fixed.F(5, s.cfg.QFrac)
 	// Each particle's words are independent, so the quantization chunks
 	// trivially; every slot is written by exactly one chunk.
-	_ = s.pool.Run(len(pos), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			w := pos[i].Wrap(l)
-			pw.Ux[i] = pf.QuantizeWrap(w.X / l)
-			pw.Uy[i] = pf.QuantizeWrap(w.Y / l)
-			pw.Uz[i] = pf.QuantizeWrap(w.Z / l)
-			pw.Q[i] = qf.Quantize(q[i])
-		}
-		return nil
-	})
+	s.job.pw, s.job.pos = pw, pos
+	err := s.pool.Run(len(pos), s.quantizeChunk)
+	s.job = passJob{}
+	if err != nil {
+		return nil, fmt.Errorf("wine2: quantize: %w", err)
+	}
 	return pw, nil
+}
+
+// runQuantizeChunk writes the words of particles lo … hi−1 (QuantizeInto).
+func (s *System) runQuantizeChunk(_, lo, hi int) error {
+	pw, pos, l := s.job.pw, s.job.pos, s.job.pw.L
+	pf := fixed.F(0, s.cfg.PosFrac)
+	qf := fixed.F(5, s.cfg.QFrac)
+	for i := lo; i < hi; i++ {
+		w := pos[i].Wrap(l)
+		pw.Ux[i] = pf.QuantizeWrap(w.X / l)
+		pw.Uy[i] = pf.QuantizeWrap(w.Y / l)
+		pw.Uz[i] = pf.QuantizeWrap(w.Z / l)
+		pw.Q[i] = qf.Quantize(pw.q[i])
+	}
+	return nil
 }
 
 // DFT runs the pipelines in DFT mode (eqs. 9, 10): it returns the structure
@@ -576,46 +606,54 @@ func (s *System) DFTQuantizedInto(waves []ewald.Wave, pw *ParticleWords, sn, cn 
 	if len(cn) != len(waves) {
 		cn = make([]float64, len(waves))
 	}
-	// The chunks read the plan through s: the escaping pool closure captures
-	// no new value.
 	s.rowsFor(waves)
-	exact := s.exactCharges(pw.Q)
-	accF := fixed.F(0, s.cfg.AccFrac) // conversion scale for readout
-	_ = s.pool.Run(len(waves), func(_, lo, hi int) error {
-		perm, rows := s.plan.perm, s.plan.rows
-		// A chunk may start inside a row: find the row holding lo.
-		r := sort.Search(len(rows), func(r int) bool { return int(rows[r].hi) > lo })
-		var acc [dftRun][2]int64
-		for k := lo; k < hi; {
-			row := rows[r]
-			end := min(int(row.hi), hi, k+dftRun)
-			nx := row.nx + int64(k-int(row.lo))
-			a := acc[:end-k]
-			if exact {
-				dftRowExact(&s.trig, s.dftRound, nx, row.ny, row.nz, pw, a)
-			} else {
-				dftRow(&s.trig, s.dftRound, nx, row.ny, row.nz, pw, a)
-			}
-			for m, w := range perm[k:end] {
-				w := int(w)
-				plus, minus := a[m][0]+a[m][1], a[m][0]-a[m][1]
-				if w == flipWave {
-					plus ^= 1 << flipBit
-				}
-				fp, fm := accF.Float(plus), accF.Float(minus)
-				sn[w] = (fp + fm) / 2
-				cn[w] = (fp - fm) / 2
-			}
-			k = end
-			if k == int(row.hi) {
-				r++
-			}
-		}
-		return nil
-	})
+	s.job = passJob{pw: pw, sn: sn, cn: cn, exact: s.exactCharges(pw.Q), flipWave: flipWave, flipBit: flipBit}
+	err := s.pool.Run(len(waves), s.dftChunk)
+	s.job = passJob{}
+	if err != nil {
+		return nil, nil, fmt.Errorf("wine2: DFT: %w", err)
+	}
 	s.stats.DFTOps += int64(len(waves)) * int64(pw.N())
 	s.stats.Calls++
 	return sn, cn, nil
+}
+
+// runDFTChunk computes the structure factors of the waves lo … hi−1 in row
+// order (DFTQuantizedInto).
+func (s *System) runDFTChunk(_, lo, hi int) error {
+	j := &s.job
+	pw, sn, cn, exact, flipWave, flipBit := j.pw, j.sn, j.cn, j.exact, j.flipWave, j.flipBit
+	accF := fixed.F(0, s.cfg.AccFrac) // conversion scale for readout
+	perm, rows := s.plan.perm, s.plan.rows
+	// A chunk may start inside a row: find the row holding lo.
+	r := sort.Search(len(rows), func(r int) bool { return int(rows[r].hi) > lo })
+	var acc [dftRun][2]int64
+	for k := lo; k < hi; {
+		row := rows[r]
+		end := min(int(row.hi), hi, k+dftRun)
+		nx := row.nx + int64(k-int(row.lo))
+		a := acc[:end-k]
+		if exact {
+			dftRowExact(&s.trig, s.dftRound, nx, row.ny, row.nz, pw, a)
+		} else {
+			dftRow(&s.trig, s.dftRound, nx, row.ny, row.nz, pw, a)
+		}
+		for m, w := range perm[k:end] {
+			w := int(w)
+			plus, minus := a[m][0]+a[m][1], a[m][0]-a[m][1]
+			if w == flipWave {
+				plus ^= 1 << flipBit
+			}
+			fp, fm := accF.Float(plus), accF.Float(minus)
+			sn[w] = (fp + fm) / 2
+			cn[w] = (fp - fm) / 2
+		}
+		k = end
+		if k == int(row.hi) {
+			r++
+		}
+	}
+	return nil
 }
 
 // dftRun bounds the waves of one DFT row walk: their accumulators live on
@@ -799,37 +837,46 @@ func (s *System) IDFTQuantizedCoordsInto(waves []ewald.Wave, sn, cn []float64, p
 		return soa.Coords{}, err
 	}
 	dst = dst.Resize(pw.N())
-	fx, fy, fz := dst.X, dst.Y, dst.Z
 	if scale == 0 {
 		dst.Zero()
 		s.stats.Calls++
 		return dst, nil
 	}
 
-	iaccF := fixed.F(0, s.cfg.IAccFrac)
 	l := pw.L
 	// Physical prefactor: F = (q_i/(π ε0 L³)) Σ a_n [C sinθ - S cosθ] k⃗ with
 	// k⃗ = n⃗/L and the block scale restored.
 	pref := 4 * units.Coulomb / (l * l * l * l) * scale
-
-	_ = s.pool.Run(pw.N(), func(_, lo, hi int) error {
-		// Two particles per row walk; a chunk's odd last particle walks
-		// beside itself.
-		for i := lo; i < hi; i += 2 {
-			j := min(i+1, hi-1)
-			a := idftPair(&s.trig, s.idftRound, s.plan.rows, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i], pw.Ux[j], pw.Uy[j], pw.Uz[j])
-			for p, k := range [2]int{i, j} {
-				qp := pref * pw.q[k]
-				fx[k] = iaccF.Float(a[p][0]) * qp
-				fy[k] = iaccF.Float(a[p][1]) * qp
-				fz[k] = iaccF.Float(a[p][2]) * qp
-			}
-		}
-		return nil
-	})
+	s.job = passJob{pw: pw, aS: aS, aC: aC, f: dst, pref: pref}
+	err = s.pool.Run(pw.N(), s.idftChunk)
+	s.job = passJob{}
+	if err != nil {
+		return soa.Coords{}, fmt.Errorf("wine2: IDFT: %w", err)
+	}
 	s.stats.IDFTOps += int64(len(waves)) * int64(pw.N())
 	s.stats.Calls++
 	return dst, nil
+}
+
+// runIDFTChunk computes the forces on particles lo … hi−1
+// (IDFTQuantizedCoordsInto), two particles per row walk; a chunk's odd last
+// particle walks beside itself.
+func (s *System) runIDFTChunk(_, lo, hi int) error {
+	j := &s.job
+	pw, aS, aC, pref := j.pw, j.aS, j.aC, j.pref
+	fx, fy, fz := j.f.X, j.f.Y, j.f.Z
+	iaccF := fixed.F(0, s.cfg.IAccFrac)
+	for i := lo; i < hi; i += 2 {
+		k := min(i+1, hi-1)
+		a := idftPair(&s.trig, s.idftRound, s.plan.rows, aS, aC, pw.Ux[i], pw.Uy[i], pw.Uz[i], pw.Ux[k], pw.Uy[k], pw.Uz[k])
+		for p, m := range [2]int{i, k} {
+			qp := pref * pw.q[m]
+			fx[m] = iaccF.Float(a[p][0]) * qp
+			fy[m] = iaccF.Float(a[p][1]) * qp
+			fz[m] = iaccF.Float(a[p][2]) * qp
+		}
+	}
+	return nil
 }
 
 // idftPair streams the wave coefficients, in row order, past two particles
